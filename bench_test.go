@@ -238,19 +238,21 @@ func BenchmarkAblationSideEffectDetection(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationEvalStrategy compares the exact NFA evaluator with the
-// paper-literal frontier evaluator (// expanded through M).
+// BenchmarkAblationEvalStrategy compares the sweep (exact NFA state-sets
+// over the whole view), the paper-literal frontier evaluator (// expanded
+// through M) and the anchored route on the same path.
 func BenchmarkAblationEvalStrategy(b *testing.B) {
 	nc := benchSizes[0]
 	b.Run(fmt.Sprintf("C=%d", nc), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			nfa, frontier, err := rxview.EvalStrategyAblation(nc, 42)
+			sweep, frontier, anchored, err := rxview.EvalStrategyAblation(nc, 42)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if i == 0 {
-				b.ReportMetric(float64(nfa.Microseconds())/1000, "nfa-ms")
+				b.ReportMetric(float64(sweep.Microseconds())/1000, "sweep-ms")
 				b.ReportMetric(float64(frontier.Microseconds())/1000, "frontierM-ms")
+				b.ReportMetric(float64(anchored.Microseconds())/1000, "anchored-ms")
 			}
 		}
 	})

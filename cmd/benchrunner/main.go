@@ -268,15 +268,15 @@ func ablation(sizes []int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("XPath eval with exact side-effect detection: %v vs selection-only: %v\n",
+	fmt.Printf("XPath sweep with exact side-effect detection: %v vs selection-only: %v\n",
 		full.Round(time.Microsecond), fast.Round(time.Microsecond))
 
-	nfaT, frT, err := rxview.EvalStrategyAblation(nc, *seedFlag)
+	sweepT, frT, anT, err := rxview.EvalStrategyAblation(nc, *seedFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("Evaluation strategy: NFA state-sets %v vs frontier-with-M (paper-literal) %v\n",
-		nfaT.Round(time.Microsecond), frT.Round(time.Microsecond))
+	fmt.Printf("Evaluation strategy: sweep (NFA state-sets over L) %v vs frontier-with-M (paper-literal) %v vs anchored cone %v\n",
+		sweepT.Round(time.Microsecond), frT.Round(time.Microsecond), anT.Round(time.Microsecond))
 
 	gT, eT, gN, eN, err := rxview.MinDeleteAblation(nc, *seedFlag)
 	if err != nil {

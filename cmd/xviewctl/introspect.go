@@ -246,6 +246,7 @@ type slowEntryJSON struct {
 	At       time.Time `json:"at"`
 	Kind     string    `json:"kind"`
 	Detail   string    `json:"detail"`
+	Route    string    `json:"route"`
 	Duration int64     `json:"duration_ns"`
 	Gen      uint64    `json:"gen"`
 }
@@ -277,6 +278,9 @@ func slowDump(out io.Writer, addr string) error {
 	fmt.Fprintf(out, "  threshold %v, %d dropped, %d entr%s\n",
 		time.Duration(in.ThresholdNS), in.Dropped, len(in.Entries), plural(len(in.Entries), "y", "ies"))
 	for _, e := range in.Entries {
+		if e.Route != "" {
+			e.Detail += " [" + e.Route + "]"
+		}
 		fmt.Fprintf(out, "  %s %-7s gen=%-6d %-10v %s\n",
 			e.At.Format(time.RFC3339), e.Kind, e.Gen, time.Duration(e.Duration), e.Detail)
 	}

@@ -26,6 +26,15 @@
 // semantics (one generation per applied update) and coalesces the
 // maintenance of L and M across consecutive insertions.
 //
+// XPath evaluation takes one of two routes, chosen from the compiled path's
+// shape alone: a path with a value-equality filter (every update class of
+// the paper's §5 has one) is evaluated over the ancestor cone of the nodes
+// the filter can hold at; any other path by §3.2's O(|p|·|V|) sweep of the
+// whole view. Both run the same state-set propagation and return identical
+// selections, Ep(r) and side-effect witnesses — package internal/xpath has
+// the argument, README.md ("XPath evaluation") the sizes — and Report.Route
+// names the route an update's path took.
+//
 // The reachability matrix M — the structure behind // evaluation,
 // side-effect detection and the ∆(M,L) maintenance algorithms — is stored as
 // per-node bitset rows ([]uint64 over dense node ids) rather than the

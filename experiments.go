@@ -161,14 +161,17 @@ func DAGvsTree(nc int, seed int64) (dagTime, treeTime time.Duration, dagNodes, t
 }
 
 // SideEffectAblation compares full XPath evaluation (exact side-effect
-// detection) against the selection-only fast path.
+// detection) against the selection-only fast path, both by the sweep.
 func SideEffectAblation(nc int, seed int64) (full, selectOnly time.Duration, err error) {
 	return bench.SideEffectAblation(nc, seed)
 }
 
-// EvalStrategyAblation compares the exact NFA evaluator with the
-// paper-literal frontier evaluator (// expanded through M).
-func EvalStrategyAblation(nc int, seed int64) (nfa, frontier time.Duration, err error) {
+// EvalStrategyAblation evaluates one recursive query three ways — the sweep
+// (§3.2's two passes, exact NFA state-sets), the paper-literal frontier
+// evaluator (// expanded through M), and the anchored route (the same NFA
+// over the ancestor cone of the value-matched candidates) — and
+// cross-checks their selections.
+func EvalStrategyAblation(nc int, seed int64) (sweep, frontier, anchored time.Duration, err error) {
 	return bench.EvalStrategyAblation(nc, seed)
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"rxview/internal/dag"
 	"rxview/internal/dtd"
 	"rxview/internal/relational"
 )
@@ -268,6 +269,49 @@ func TestTextFunction(t *testing.T) {
 	course, _ := d.Lookup("course", relational.Tuple{relational.Str("CS650"), relational.Str("Advanced Topics")})
 	if _, ok := text(course); ok {
 		t.Error("non-PCDATA node has text")
+	}
+}
+
+// TestTextEqualsMatchesText pins the one definition of "the text of v equals
+// s": the typed predicate agrees with rendering through Text for every value
+// kind a text component can hold, non-canonical numerals included.
+func TestTextEqualsMatchesText(t *testing.T) {
+	c := registrarATG(t)
+	d := dag.New("db")
+	values := []relational.Value{
+		relational.Int(7), relational.Int(0), relational.Int(-7), relational.Int(1 << 40),
+		relational.Str("7"), relational.Str("007"), relational.Str(""), relational.Str("true"),
+		relational.Str("NULL"), relational.Str("CS650"),
+		relational.Bool(true), relational.Bool(false), relational.Null(), relational.Var(3),
+	}
+	var nodes []dag.NodeID
+	for i, v := range values {
+		id, _ := d.AddNode("cno", relational.Tuple{v, relational.Int(int64(i))})
+		nodes = append(nodes, id)
+	}
+	empty, _ := d.AddNode("cno", nil) // a text component the tuple does not have
+	nodes = append(nodes, empty)
+	consts := []string{
+		"7", "007", "+7", "7.0", " 7", "0", "-0", "00", "-7", "1099511627776", "9223372036854775808",
+		"", "true", "TRUE", "1", "false", "NULL", "null", "?z3", "CS650", "cs650",
+	}
+	text, textEq := c.Text(d), c.TextEquals(d)
+	for _, s := range consts {
+		eq := textEq("cno", s)
+		for _, id := range nodes {
+			got, ok := text(id)
+			if want := ok && got == s; eq(id) != want {
+				t.Errorf("TextEquals(cno, %q)(%v) = %v, Text renders (%q, %v)", s, d.Attr(id), eq(id), got, ok)
+			}
+		}
+	}
+	// A type without text equals nothing, whatever its attribute holds.
+	course, _ := d.AddNode("course", relational.Tuple{relational.Str("CS650")})
+	if textEq("course", "CS650")(course) {
+		t.Error("a non-PCDATA type compared equal")
+	}
+	if _, ok := text(course); ok {
+		t.Error("a non-PCDATA type has text")
 	}
 }
 

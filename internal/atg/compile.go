@@ -30,7 +30,8 @@ type CompiledRule struct {
 // Compiled is a validated ATG ready for publishing and update translation.
 type Compiled struct {
 	*ATG
-	rules map[string]map[string]*CompiledRule
+	rules   map[string]map[string]*CompiledRule
+	textIdx map[string]int // PCDATA type -> attribute component holding its text
 }
 
 // Compile validates the ATG against its DTD and schema:
@@ -55,7 +56,7 @@ func Compile(a *ATG) (*Compiled, error) {
 	if len(a.Attrs[a.DTD.Root]) != 0 {
 		return nil, fmt.Errorf("atg: root type %s must have an empty attribute", a.DTD.Root)
 	}
-	c := &Compiled{ATG: a, rules: make(map[string]map[string]*CompiledRule)}
+	c := &Compiled{ATG: a, rules: make(map[string]map[string]*CompiledRule), textIdx: textIndexes(a)}
 
 	for _, typ := range a.DTD.Types() {
 		prod := a.DTD.Elems[typ]

@@ -2,6 +2,7 @@ package atg
 
 import (
 	"fmt"
+	"strconv"
 
 	"rxview/internal/dag"
 	"rxview/internal/dtd"
@@ -145,20 +146,62 @@ func (c *Compiled) expand(d *dag.DAG, db *relational.Database, node dag.NodeID, 
 	return nil
 }
 
+// textIndexes resolves, once per compiled grammar, which attribute component
+// carries each PCDATA type's text; a type absent from the table has no text.
+func textIndexes(a *ATG) map[string]int {
+	idx := make(map[string]int)
+	for typ, prod := range a.DTD.Elems {
+		if prod.Kind == dtd.PCData {
+			idx[typ] = a.TextIndex[typ]
+		}
+	}
+	return idx
+}
+
 // Text returns the node-text function for the published view: PCDATA
 // elements render their designated attribute component; other elements have
 // no text. This is what XPath value filters p = "s" compare against.
 func (c *Compiled) Text(d dag.Reader) func(dag.NodeID) (string, bool) {
 	return func(id dag.NodeID) (string, bool) {
-		typ := d.Type(id)
-		if c.DTD.Elems[typ].Kind != dtd.PCData {
+		idx, ok := c.textIdx[d.Type(id)]
+		if !ok {
 			return "", false
 		}
 		attr := d.Attr(id)
-		idx := c.TextIndex[typ]
 		if idx >= len(attr) {
 			return "", false
 		}
 		return attr[idx].String(), true
+	}
+}
+
+// TextEquals returns the typed form of the comparison Text(v) == s: given an
+// element type and a constant it yields a predicate over nodes of that type
+// (the caller vouches for the type) that holds exactly when Text renders the
+// node to s — without rendering. The constant is parsed once per value kind:
+// an integer component matches only its canonical decimal rendering, so
+// "007" matches no integer just as it equals no Value.String().
+func (c *Compiled) TextEquals(d dag.Reader) func(typ, s string) func(dag.NodeID) bool {
+	return func(typ, s string) func(dag.NodeID) bool {
+		idx, ok := c.textIdx[typ]
+		if !ok {
+			return func(dag.NodeID) bool { return false }
+		}
+		i, err := strconv.ParseInt(s, 10, 64)
+		isInt := err == nil && strconv.FormatInt(i, 10) == s
+		return func(id dag.NodeID) bool {
+			attr := d.Attr(id)
+			if idx >= len(attr) {
+				return false
+			}
+			switch v := &attr[idx]; v.K {
+			case relational.KindString:
+				return v.S == s
+			case relational.KindInt:
+				return isInt && v.I == i
+			default: // bool, NULL, symbolic variables: rare as text, rendered
+				return v.String() == s
+			}
+		}
 	}
 }

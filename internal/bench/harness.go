@@ -9,6 +9,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"rxview/internal/dag"
 	"rxview/internal/reach"
 	"rxview/internal/relational"
+	"rxview/internal/update"
 	"rxview/internal/viewupdate"
 	"rxview/internal/workload"
 	"rxview/internal/xpath"
@@ -68,6 +70,38 @@ func NewSystem(nc int, seed int64) (*workload.Synthetic, *core.System, error) {
 	return syn, sys, nil
 }
 
+// evaluator returns an XPath evaluator over the system's live view, for the
+// experiments that time evaluation on its own.
+func evaluator(sys *core.System) *xpath.Evaluator {
+	return &xpath.Evaluator{
+		D:          sys.DAG,
+		Topo:       sys.Index.Topo,
+		Text:       sys.ATG.Text(sys.DAG),
+		TextEquals: sys.ATG.TextEquals(sys.DAG),
+	}
+}
+
+// execute applies one update statement and reports its phases as Fig.11
+// defines them: phase (a) is §3.2's O(|p|·|V|) evaluation, so it is timed on
+// the sweep, called by name on the pre-update view, whatever route the
+// serving pipeline took for the same path.
+func execute(sys *core.System, stmt string) (*core.Report, error) {
+	op, err := update.ParseStatement(sys.ATG, stmt)
+	if err != nil {
+		return nil, err
+	}
+	t0 := time.Now()
+	if _, err := evaluator(sys).EvalSweep(op.Path); err != nil {
+		return nil, err
+	}
+	sweep := time.Since(t0)
+	rep, err := sys.Apply(op)
+	if rep != nil {
+		rep.Timings.Eval = sweep
+	}
+	return rep, err
+}
+
 // RunWorkload executes a delete or insert workload of the given class on a
 // fresh system and accumulates the phase breakdown (Fig.11(a)–(f)).
 func RunWorkload(nc int, class workload.Class, deletes bool, nops int, seed int64) (RunResult, error) {
@@ -83,7 +117,7 @@ func RunWorkload(nc int, class workload.Class, deletes bool, nops int, seed int6
 	}
 	res := RunResult{Size: nc, Class: class, Ops: len(ops)}
 	for _, op := range ops {
-		rep, err := sys.Execute(op.Stmt)
+		rep, err := execute(sys, op.Stmt)
 		if err != nil {
 			return res, fmt.Errorf("%s: %w", op.Stmt, err)
 		}
@@ -152,7 +186,7 @@ func VarySelection(nc int, targets []int, seed int64) ([]SelResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := delSys.Execute("delete " + path)
+		rep, err := execute(delSys, "delete "+path)
 		if err != nil {
 			return nil, err
 		}
@@ -166,7 +200,7 @@ func VarySelection(nc int, targets []int, seed int64) ([]SelResult, error) {
 		}
 		key := syn.NextKey
 		syn.NextKey++
-		rep, err = insSys.Execute(fmt.Sprintf(
+		rep, err = execute(insSys, fmt.Sprintf(
 			`insert C(c1=%d, c6="w%d") into %s/sub`, key, key, path))
 		if err != nil {
 			return nil, err
@@ -235,7 +269,7 @@ func VarySubtree(nc int, fanouts []int, seed int64) ([]SubtreeResult, error) {
 			return nil, err
 		}
 		sr := SubtreeResult{}
-		rep, err := sys.Execute(fmt.Sprintf(
+		rep, err := execute(sys, fmt.Sprintf(
 			`insert C(c1=%d, c6="big%d") into //C[key="%d"]/sub`, keys[i], keys[i], target))
 		if err != nil {
 			return nil, fmt.Errorf("fanout %d: %w", f, err)
@@ -245,7 +279,7 @@ func VarySubtree(nc int, fanouts []int, seed int64) ([]SubtreeResult, error) {
 
 		// Matching deletion: remove the just-inserted subtree again
 		// (|Ep| = 1; the subtree cascades in maintenance).
-		rep, err = sys.Execute(fmt.Sprintf(
+		rep, err = execute(sys, fmt.Sprintf(
 			`delete //C[key="%d"]/sub/C[key="%d"]`, target, keys[i]))
 		if err != nil {
 			return nil, err
@@ -345,7 +379,8 @@ func MatrixAblation(nc int, seed int64) (bitset, sparse time.Duration, pairs int
 
 // DAGvsTree evaluates the same recursive query on the DAG compression and on
 // the fully unfolded tree (materialized as an unshared DAG): the point of
-// §2.3's compression.
+// §2.3's compression. Both sides run §3.2's sweep, whose cost is the size of
+// what it is given.
 func DAGvsTree(nc int, seed int64) (dagTime, treeTime time.Duration, dagNodes, treeNodes int, err error) {
 	syn, sys, err := NewSystem(nc, seed)
 	if err != nil {
@@ -354,9 +389,8 @@ func DAGvsTree(nc int, seed int64) (dagTime, treeTime time.Duration, dagNodes, t
 	_ = syn
 	path := xpath.MustParse(`//C[val="v3"]//C[sub/C]`)
 
-	ev := &xpath.Evaluator{D: sys.DAG, Topo: sys.Index.Topo, Text: sys.ATG.Text(sys.DAG)}
 	t0 := time.Now()
-	if _, err := ev.Eval(path); err != nil {
+	if _, err := evaluator(sys).EvalSweep(path); err != nil {
 		return 0, 0, 0, 0, err
 	}
 	dagTime = time.Since(t0)
@@ -380,7 +414,7 @@ func DAGvsTree(nc int, seed int64) (dagTime, treeTime time.Duration, dagNodes, t
 	}
 	evTree := &xpath.Evaluator{D: tree, Topo: treeTopo, Text: treeText}
 	t0 = time.Now()
-	if _, err := evTree.Eval(path); err != nil {
+	if _, err := evTree.EvalSweep(path); err != nil {
 		return 0, 0, 0, 0, err
 	}
 	treeTime = time.Since(t0)
@@ -418,63 +452,71 @@ func unfoldToTreeDAG(d *dag.DAG, budget int) (*dag.DAG, int, error) {
 
 // SideEffectAblation compares full evaluation (exact side-effect detection
 // via per-path state-sets) against the selection-only union-mask fast path
-// on the same recursive query — the cost of the paper's side-effect
-// analysis on top of plain selection.
+// on the same recursive query, both by the sweep — the cost of the paper's
+// side-effect analysis on top of plain selection over the whole view.
 func SideEffectAblation(nc int, seed int64) (full, selectOnly time.Duration, err error) {
 	_, sys, err := NewSystem(nc, seed)
 	if err != nil {
 		return 0, 0, err
 	}
 	path := xpath.MustParse(`//C[val="v1"]//C[sub/C]`)
-	ev := &xpath.Evaluator{D: sys.DAG, Topo: sys.Index.Topo, Text: sys.ATG.Text(sys.DAG)}
+	ev := evaluator(sys)
 	t0 := time.Now()
-	fullRes, err := ev.Eval(path)
+	fullRes, err := ev.EvalSweep(path)
 	if err != nil {
 		return 0, 0, err
 	}
 	full = time.Since(t0)
 	t0 = time.Now()
-	fastRes, err := ev.EvalSelect(path)
+	fastRes, err := ev.EvalSelectSweep(path)
 	if err != nil {
 		return 0, 0, err
 	}
 	selectOnly = time.Since(t0)
-	if len(fullRes.Selected) != len(fastRes.Selected) {
-		return 0, 0, fmt.Errorf("bench: selection disagreement between Eval and EvalSelect")
+	if !slices.Equal(fullRes.Selected, fastRes.Selected) {
+		return 0, 0, fmt.Errorf("bench: selection disagreement between EvalSweep and EvalSelectSweep")
 	}
 	return full, selectOnly, nil
 }
 
-// EvalStrategyAblation compares the NFA-based evaluator (exact side
-// effects) with the paper-literal frontier evaluator (per-step Ci sets, //
-// expanded through the reachability matrix M) on the same recursive query.
-func EvalStrategyAblation(nc int, seed int64) (nfa, frontier time.Duration, err error) {
+// EvalStrategyAblation evaluates one recursive query three ways: the sweep
+// (NFA state-sets over all of L, exact side effects), the paper-literal
+// frontier evaluator (per-step Ci sets, // expanded through the reachability
+// matrix M), and the anchored route (the same NFA over the ancestor cone of
+// the value-matched candidates). The three selections are cross-checked.
+func EvalStrategyAblation(nc int, seed int64) (sweep, frontier, anchored time.Duration, err error) {
 	_, sys, err := NewSystem(nc, seed)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	path := xpath.MustParse(`//C[val="v1"]//C[sub/C]`)
-	text := sys.ATG.Text(sys.DAG)
+	ev := evaluator(sys)
+	fe := &xpath.FrontierEvaluator{D: sys.DAG, Topo: sys.Index.Topo, Matrix: sys.Index.Matrix, Text: ev.Text}
 
-	ev := &xpath.Evaluator{D: sys.DAG, Topo: sys.Index.Topo, Text: text}
-	t0 := time.Now()
-	a, err := ev.Eval(path)
+	timed := func(eval func(*xpath.Path) (*xpath.Result, error)) (*xpath.Result, time.Duration, error) {
+		t0 := time.Now()
+		res, err := eval(path)
+		return res, time.Since(t0), err
+	}
+	a, sweep, err := timed(ev.EvalSweep)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
-	nfa = time.Since(t0)
-
-	fe := &xpath.FrontierEvaluator{D: sys.DAG, Topo: sys.Index.Topo, Matrix: sys.Index.Matrix, Text: text}
-	t0 = time.Now()
-	b, err := fe.Eval(path)
+	b, frontier, err := timed(fe.Eval)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
-	frontier = time.Since(t0)
-	if len(a.Selected) != len(b.Selected) {
-		return 0, 0, fmt.Errorf("bench: evaluators disagree on selection")
+	c, anchored, err := timed(ev.Eval)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	return nfa, frontier, nil
+	if c.Route != xpath.RouteAnchored {
+		return 0, 0, 0, fmt.Errorf("bench: %s took the %s route", path, c.Route)
+	}
+	if !slices.Equal(a.Selected, b.Selected) || !slices.Equal(a.Selected, c.Selected) {
+		return 0, 0, 0, fmt.Errorf("bench: evaluators disagree on selection")
+	}
+	return sweep, frontier, anchored, nil
 }
 
 // MinDeleteAblation times the greedy vs exact minimal-deletion algorithms on

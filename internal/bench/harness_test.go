@@ -110,3 +110,13 @@ func TestMinDeleteAblation(t *testing.T) {
 		t.Error("no time recorded")
 	}
 }
+
+func TestEvalStrategyAblation(t *testing.T) {
+	sweep, frontier, anchored, err := EvalStrategyAblation(200, 8)
+	if err != nil {
+		t.Fatal(err) // includes: selections disagree, or the path did not anchor
+	}
+	if sweep <= 0 || frontier <= 0 || anchored <= 0 {
+		t.Errorf("sweep=%v frontier=%v anchored=%v", sweep, frontier, anchored)
+	}
+}

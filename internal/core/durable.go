@@ -158,6 +158,7 @@ func Recover(c *atg.Compiled, store storage.Backend, d *dag.DAG, order []dag.Nod
 		store:      store,
 		opts:       opts,
 		text:       c.Text(d),
+		textEq:     c.TextEquals(d),
 		gen:        gen,
 	}
 	s.warmIndexes()

@@ -14,12 +14,16 @@ import (
 	"time"
 
 	"rxview/internal/obs"
+	"rxview/internal/xpath"
 )
 
 // pipelineMetrics holds the handles the pipeline hot paths record into.
 type pipelineMetrics struct {
 	phase    map[string]*obs.Histogram // §2.4 phases, labeled
 	queryDur *obs.Histogram
+
+	evals       [2]*obs.Counter // XPath evaluations, indexed by xpath.Route
+	evalVisited *obs.Histogram
 
 	stageDur    *obs.Histogram
 	commitDur   *obs.Histogram
@@ -50,6 +54,14 @@ func metrics() *pipelineMetrics {
 		m.queryDur = r.NewHistogram("xview_query_eval_seconds",
 			"XPath evaluation latency over the live view (parse through NFA/frontier eval).",
 			obs.LatencyBounds())
+		for _, route := range []xpath.Route{xpath.RouteSweep, xpath.RouteAnchored} {
+			m.evals[route] = r.NewCounter("xview_xpath_eval_total",
+				"XPath evaluations by route: anchored (ancestor cone of value-matched candidates) or sweep (the whole view).",
+				obs.Label{Key: "route", Value: route.String()})
+		}
+		m.evalVisited = r.NewHistogram("xview_xpath_eval_visited_nodes",
+			"Nodes one XPath evaluation propagated over: the cone size, or |L| for a sweep.",
+			obs.ExpBounds(1, 4, 12))
 		m.stageDur = r.NewHistogram("xview_txn_stage_seconds",
 			"Latency of one staged update inside a transaction (full pipeline run).",
 			obs.LatencyBounds())
@@ -104,4 +116,16 @@ func ObservePublish(d time.Duration) {
 // ObserveQueryEval records one live-view query evaluation.
 func observeQueryEval(d time.Duration) {
 	metrics().queryDur.Observe(d)
+}
+
+// observeEval counts one XPath evaluation under its route and records how
+// many nodes it visited; it passes its arguments through so every
+// evaluation entry point of System and Snapshot wraps its return with it.
+func observeEval(res *xpath.Result, err error) (*xpath.Result, error) {
+	if err == nil && obs.Enabled() {
+		m := metrics()
+		m.evals[res.Route].Inc()
+		m.evalVisited.ObserveValue(float64(res.Visited))
+	}
+	return res, err
 }

@@ -47,6 +47,7 @@ type Snapshot struct {
 	topo        reach.Order
 	matrixPairs int
 	text        func(dag.NodeID) (string, bool)
+	textEq      func(typ, s string) func(dag.NodeID) bool
 	maskLimit   int
 	baseRows    int
 }
@@ -69,6 +70,7 @@ func (s *System) Snapshot() *Snapshot {
 		topo:        s.Index.Topo.Seal(),
 		matrixPairs: s.Index.Matrix.Size(),
 		text:        s.ATG.Text(v),
+		textEq:      s.ATG.TextEquals(v),
 		maskLimit:   s.opts.MaskLimit,
 		baseRows:    s.DB.TotalRows(),
 	}
@@ -90,6 +92,7 @@ func (s *System) CloneSnapshot() *Snapshot {
 		topo:        s.Index.Topo.Clone(),
 		matrixPairs: s.Index.Matrix.Size(),
 		text:        s.ATG.Text(d),
+		textEq:      s.ATG.TextEquals(d),
 		maskLimit:   s.opts.MaskLimit,
 		baseRows:    s.DB.TotalRows(),
 	}
@@ -107,19 +110,27 @@ func (sn *Snapshot) Text() func(dag.NodeID) (string, bool) { return sn.text }
 
 // evaluator returns a fresh XPath evaluator over the frozen state. Each
 // call builds its own evaluator, so concurrent queries share no mutable
-// state.
+// state. As on the live System, the evaluator picks the route per path.
 func (sn *Snapshot) evaluator() *xpath.Evaluator {
 	return &xpath.Evaluator{
-		D:         sn.dag,
-		Topo:      sn.topo,
-		Text:      sn.text,
-		MaskLimit: sn.maskLimit,
+		D:          sn.dag,
+		Topo:       sn.topo,
+		Text:       sn.text,
+		TextEquals: sn.textEq,
+		MaskLimit:  sn.maskLimit,
 	}
 }
 
-// Eval evaluates a parsed path against the frozen state.
+// Eval evaluates a parsed path against the frozen state, with the full
+// side-effect analysis.
 func (sn *Snapshot) Eval(p *xpath.Path) (*xpath.Result, error) {
-	return sn.evaluator().Eval(p)
+	return observeEval(sn.evaluator().Eval(p))
+}
+
+// Select evaluates a parsed path against the frozen state for its
+// selection only — what a memo-miss read costs.
+func (sn *Snapshot) Select(p *xpath.Path) (*xpath.Result, error) {
+	return observeEval(sn.evaluator().EvalSelect(p))
 }
 
 // Query evaluates an XPath expression and returns r[[p]] at this epoch.
@@ -128,7 +139,7 @@ func (sn *Snapshot) Query(path string) ([]dag.NodeID, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := sn.Eval(p)
+	res, err := sn.Select(p)
 	if err != nil {
 		return nil, err
 	}

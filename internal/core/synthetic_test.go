@@ -1,9 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"rxview/internal/update"
 	"rxview/internal/workload"
+	"rxview/internal/xpath"
 )
 
 func openSynthetic(t testing.TB, nc int, seed int64) (*workload.Synthetic, *System) {
@@ -127,5 +133,136 @@ func TestSyntheticMixedRandomSequence(t *testing.T) {
 				t.Fatalf("after %s: %v", op.Stmt, err)
 			}
 		}
+	}
+}
+
+// evalShapes generates the differential corpus over the synthetic view: the
+// benchmark's five shapes, the W1/W2/W3 classes' paths, conjunctions,
+// negations, nested child filters, wildcards, trailing //, a non-canonical
+// numeral, and the shapes that fall back to the sweep.
+func evalShapes(s *System, syn *workload.Synthetic, rng *rand.Rand) []string {
+	cs := s.DAG.NodesOfType("C")
+	key := func() int64 { return s.DAG.Attr(cs[rng.Intn(len(cs))])[0].I }
+	val := func() string { return s.DAG.Attr(cs[rng.Intn(len(cs))])[1].S }
+	root := func() int64 { return syn.Roots[rng.Intn(len(syn.Roots))] }
+	return []string{
+		fmt.Sprintf(`C[key="%d"]/sub`, root()),
+		fmt.Sprintf(`//C[key="%d"]/sub/C`, root()),
+		fmt.Sprintf(`//C[key="%d"]`, key()),
+		fmt.Sprintf(`//C[val="%s"]/sub`, val()),
+		fmt.Sprintf(`//C[val="%s"]`, val()),
+		fmt.Sprintf(`//C[val="%s"]//C[key="%d"]`, val(), key()),
+		fmt.Sprintf(`C[key="%d"]/sub/C[val="%s"]/sub/C`, root(), val()),
+		fmt.Sprintf(`//C[key="%d" and sub/C]`, key()),
+		fmt.Sprintf(`//C[not(sub/C) and val="%s"]`, val()),
+		fmt.Sprintf(`//C[sub[C[key="%d"]]]/key`, key()),
+		fmt.Sprintf(`//C[sub/C/key="%d"][val="%s"]`, key(), val()),
+		fmt.Sprintf(`//*[key="%d"]/*/*`, key()),
+		fmt.Sprintf(`//C[val="%s"]/sub//`, val()),
+		fmt.Sprintf(`//C[key="%d"]/info/item`, key()),
+		fmt.Sprintf(`//C[key="00%d"]`, key()),
+		fmt.Sprintf(`//C[key="%d" or key="%d"]`, key(), key()),
+		fmt.Sprintf(`//C[val="%s" and .//C[key="%d"]]`, val(), key()),
+		fmt.Sprintf(`//key[.="%d"]`, key()),
+		`//C[sub/C]/sub/C`,
+	}
+}
+
+// TestEvalRoutesAgreeOnSynthetic is the end-to-end differential: with the
+// view's typed text comparison wired in, every corpus path gives the same
+// four result fields by the route the evaluator picks and by the sweep — on
+// the live DAG and on a sealed snapshot, before and after a W1/W2/W3
+// insert+delete mix — and select-only agrees with both on the selection.
+func TestEvalRoutesAgreeOnSynthetic(t *testing.T) {
+	syn, s := openSynthetic(t, 300, 11)
+	rng := rand.New(rand.NewSource(11))
+	anchored := 0
+	check := func(stage string) {
+		t.Helper()
+		sn := s.Snapshot()
+		for _, ps := range evalShapes(s, syn, rng) {
+			p := xpath.MustParse(ps)
+			for name, ev := range map[string]*xpath.Evaluator{"live": s.evaluator(), "snapshot": sn.evaluator()} {
+				routed, err := ev.Eval(p)
+				if err != nil {
+					t.Fatalf("%s %s %s: %v", stage, name, ps, err)
+				}
+				swept, err := ev.EvalSweep(p)
+				if err != nil {
+					t.Fatalf("%s %s %s: %v", stage, name, ps, err)
+				}
+				if routed.Route == xpath.RouteAnchored {
+					anchored++
+				}
+				if !reflect.DeepEqual(routed.Selected, swept.Selected) || !reflect.DeepEqual(routed.Edges, swept.Edges) ||
+					!reflect.DeepEqual(routed.InsertWitnesses, swept.InsertWitnesses) ||
+					!reflect.DeepEqual(routed.DeleteWitnesses, swept.DeleteWitnesses) || routed.Overflow != swept.Overflow {
+					t.Errorf("%s %s %s: the %s route and the sweep disagree:\n %+v\n %+v", stage, name, ps, routed.Route, routed, swept)
+				}
+				for _, sel := range []func(*xpath.Path) (*xpath.Result, error){ev.EvalSelect, ev.EvalSelectSweep} {
+					fast, err := sel(p)
+					if err != nil {
+						t.Fatalf("%s %s %s: %v", stage, name, ps, err)
+					}
+					if !reflect.DeepEqual(fast.Selected, swept.Selected) {
+						t.Errorf("%s %s %s: select-only %v, full %v", stage, name, ps, fast.Selected, swept.Selected)
+					}
+				}
+			}
+		}
+	}
+	check("initial")
+	for i, class := range []workload.Class{workload.W1, workload.W2, workload.W3} {
+		for _, op := range append(syn.InsertWorkload(class, 3, int64(40+i)), syn.DeleteWorkload(class, 3, int64(50+i))...) {
+			if _, err := s.Execute(op.Stmt); err != nil {
+				t.Fatalf("%s: %v", op.Stmt, err)
+			}
+		}
+		check("after " + class.String())
+	}
+	if anchored == 0 {
+		t.Fatal("no corpus path took the anchored route")
+	}
+	if err := s.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQueryInsideTransactionTakesTheAnchoredRoute: the write path evaluates
+// on the live DAG inside an open transaction; reads there see the staged
+// writes whichever route answers them.
+func TestQueryInsideTransactionTakesTheAnchoredRoute(t *testing.T) {
+	syn, s := openSynthetic(t, 200, 12)
+	txn, err := s.Begin(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, key := syn.Roots[0], syn.NextKey
+	op, err := update.ParseStatement(s.ATG, fmt.Sprintf(`insert C(c1=%d, c6="tx") into C[key="%d"]/sub`, key, root))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := txn.Stage(context.Background(), op); err != nil || !rep.Applied || rep.Route != "anchored" {
+		t.Fatalf("stage: %+v, %v", rep, err)
+	}
+	for _, ps := range []string{fmt.Sprintf(`//C[key="%d"]`, key), `//C[val="tx"]`, fmt.Sprintf(`C[key="%d"]/sub/C[val="tx"]/key`, root)} {
+		p := xpath.MustParse(ps)
+		routed, err := s.Eval(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		swept, err := s.evaluator().EvalSweep(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(routed.Selected) != 1 || !reflect.DeepEqual(routed.Selected, swept.Selected) || !reflect.DeepEqual(routed.Edges, swept.Edges) {
+			t.Errorf("%s inside the transaction: %v | %v, sweep %v | %v", ps, routed.Selected, routed.Edges, swept.Selected, swept.Edges)
+		}
+	}
+	if err := txn.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Query(fmt.Sprintf(`//C[key="%d"]`, key)); err != nil || len(got) != 0 {
+		t.Errorf("after rollback: %v, %v", got, err)
 	}
 }

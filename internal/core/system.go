@@ -135,7 +135,8 @@ type Report struct {
 	DVInserts   int
 	DVDeletes   int
 	DR          []relational.Mutation
-	Removed     int // garbage-collected nodes
+	Removed     int    // garbage-collected nodes
+	Route       string // how the path was evaluated: "anchored" or "sweep" (xpath.Route)
 	Timings     Timings
 }
 
@@ -154,8 +155,10 @@ type System struct {
 
 	opts Options
 	text func(dag.NodeID) (string, bool)
-	gen  uint64 // count of committed write units; see Generation
-	txn  *Txn   // the open transaction, if any (see Begin)
+	// textEq is the typed form of text(v) == s; see atg.Compiled.TextEquals.
+	textEq func(typ, s string) func(dag.NodeID) bool
+	gen    uint64 // count of committed write units; see Generation
+	txn    *Txn   // the open transaction, if any (see Begin)
 }
 
 // Open publishes σ(I) as a DAG, builds L, M and the source index, and
@@ -182,6 +185,7 @@ func OpenBackend(c *atg.Compiled, store storage.Backend, opts Options) (*System,
 		store:      store,
 		opts:       opts,
 		text:       c.Text(d),
+		textEq:     c.TextEquals(d),
 	}
 	s.warmIndexes()
 	return s, nil
@@ -226,13 +230,16 @@ func PathCacheStats() (hits, misses uint64) {
 	return pathCache.Stats()
 }
 
-// evaluator returns a fresh XPath evaluator over the current view.
+// evaluator returns a fresh XPath evaluator over the current view. The
+// route each evaluation takes — anchored cone or full sweep — is the
+// evaluator's choice, made from the compiled path's shape alone.
 func (s *System) evaluator() *xpath.Evaluator {
 	return &xpath.Evaluator{
-		D:         s.DAG,
-		Topo:      s.Index.Topo,
-		Text:      s.text,
-		MaskLimit: s.opts.MaskLimit,
+		D:          s.DAG,
+		Topo:       s.Index.Topo,
+		Text:       s.text,
+		TextEquals: s.textEq,
+		MaskLimit:  s.opts.MaskLimit,
 	}
 }
 
@@ -248,7 +255,7 @@ func (s *System) Query(path string) ([]dag.NodeID, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.evaluator().Eval(p)
+	res, err := s.Select(p)
 	if err != nil {
 		return nil, err
 	}
@@ -259,9 +266,15 @@ func (s *System) Query(path string) ([]dag.NodeID, error) {
 }
 
 // Eval evaluates a parsed path, returning the full result (selection, Ep,
-// side-effect witnesses).
+// side-effect witnesses) — what the update pipeline and DryRun need.
 func (s *System) Eval(p *xpath.Path) (*xpath.Result, error) {
-	return s.evaluator().Eval(p)
+	return observeEval(s.evaluator().Eval(p))
+}
+
+// Select evaluates a parsed path for its selection only (r[[p]] and Ep, no
+// side-effect bookkeeping): the read path.
+func (s *System) Select(p *xpath.Path) (*xpath.Result, error) {
+	return observeEval(s.evaluator().EvalSelect(p))
 }
 
 // Execute parses and applies a textual update statement.
@@ -355,12 +368,12 @@ func (s *System) stage(ctx context.Context, op *update.Op, rep *Report) (res *xp
 	}
 
 	t0 = time.Now()
-	res, err = s.evaluator().Eval(op.Path)
+	res, err = s.Eval(op.Path)
 	if err != nil {
 		return nil, false, err
 	}
 	rep.Timings.Eval = time.Since(t0)
-	rep.RP, rep.EP = len(res.Selected), len(res.Edges)
+	rep.RP, rep.EP, rep.Route = len(res.Selected), len(res.Edges), res.Route.String()
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}

@@ -32,6 +32,7 @@ func (d *DAG) Clone() *DAG {
 		root:      d.root,
 		gen:       maps.Clone(d.gen),
 		byType:    make(map[string][]NodeID, len(d.byType)),
+		typeLive:  maps.Clone(d.typeLive),
 		edgeCount: d.edgeCount,
 		liveCount: d.liveCount,
 	}

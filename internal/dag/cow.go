@@ -1,10 +1,6 @@
 package dag
 
-import (
-	"sort"
-
-	"rxview/internal/relational"
-)
+import "rxview/internal/relational"
 
 // Copy-on-write storage for the DAG's mutable per-node state.
 //
@@ -313,8 +309,8 @@ func (d *DAG) Seal() *Version {
 	byType := make(map[string][]NodeID, len(d.byType))
 	for typ, ids := range d.byType {
 		// Cap at the current length: the live list only ever appends (in
-		// place, beyond this cap) or is wholesale replaced by compaction, so
-		// the shared prefix is immutable.
+		// place, beyond this cap) or is wholesale replaced by compaction
+		// (DAG.unlist), so the shared prefix is immutable.
 		byType[typ] = ids[:len(ids):len(ids)]
 	}
 	return &Version{
@@ -361,19 +357,15 @@ func (v *Version) Children(id NodeID) []NodeID { return v.children.row(id) }
 // mutate the returned slice.
 func (v *Version) Parents(id NodeID) []NodeID { return v.parents.row(id) }
 
-// NodesOfType returns the live nodes of an element type in id order, like
-// DAG.NodesOfType but without the live view's opportunistic compaction.
+// NodesOfType returns the nodes of an element type live at the sealed
+// epoch, in id order.
 func (v *Version) NodesOfType(typ string) []NodeID {
-	raw := v.byType[typ]
-	out := make([]NodeID, 0, len(raw))
-	for _, id := range raw {
-		if v.Alive(id) {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return dedupe(out)
+	return liveSorted(v.byType[typ], v.alive.get)
 }
+
+// IDsOfType returns the raw gen_A list of the type as of the sealed epoch;
+// see Reader.
+func (v *Version) IDsOfType(typ string) []NodeID { return v.byType[typ] }
 
 // Nodes returns all live node ids in id order.
 func (v *Version) Nodes() []NodeID {

@@ -14,7 +14,7 @@ package dag
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"rxview/internal/relational"
 )
@@ -38,9 +38,6 @@ func (e Edge) String() string { return fmt.Sprintf("(%d→%d)", e.Parent, e.Chil
 // Versions: everything query evaluation, XML serialization and statistics
 // need, and nothing that mutates. Functions that only read a view should
 // take a Reader so they serve both the live view and frozen epochs.
-// (NodesOfType exists on both concrete types but is deliberately not part
-// of the interface: the live DAG's implementation compacts its byType list
-// opportunistically — a write, safe only on the single-writer view.)
 type Reader interface {
 	// Root returns the root node id.
 	Root() NodeID
@@ -56,6 +53,13 @@ type Reader interface {
 	Children(id NodeID) []NodeID
 	// Parents returns the parent list; callers must not mutate it.
 	Parents(id NodeID) []NodeID
+	// IDsOfType returns the raw gen_A list of an element type: a superset
+	// of the type's live nodes that may also hold dead ids and duplicates,
+	// in no particular order. It is the entry point for evaluation that
+	// starts from a type instead of sweeping the view; callers filter by
+	// Alive and must not mutate the slice. (NodesOfType is the sorted,
+	// filtered rendering of the same list.)
+	IDsOfType(typ string) []NodeID
 	// Nodes returns all live node ids in id order.
 	Nodes() []NodeID
 	// NumNodes returns the number of live nodes (n in the paper's analysis).
@@ -81,6 +85,7 @@ type DAG struct {
 
 	gen       map[string]NodeID   // Skolem registry: (type, attr) -> id
 	byType    map[string][]NodeID // gen_A sets (may contain dead ids; filtered on read)
+	typeLive  map[string]int      // live nodes per type: the yardstick byType lists are compacted against
 	edgeCount int
 	liveCount int
 
@@ -91,9 +96,10 @@ type DAG struct {
 // semantic attribute is the empty tuple (the paper's $r is fixed).
 func New(rootType string) *DAG {
 	d := &DAG{
-		gen:    make(map[string]NodeID),
-		byType: make(map[string][]NodeID),
-		root:   InvalidNode,
+		gen:      make(map[string]NodeID),
+		byType:   make(map[string][]NodeID),
+		typeLive: make(map[string]int),
+		root:     InvalidNode,
 	}
 	d.root, _ = d.AddNode(rootType, nil)
 	return d
@@ -156,9 +162,7 @@ func (d *DAG) AddNode(typ string, attr relational.Tuple) (id NodeID, created boo
 		}
 		// Resurrect a previously deleted identity, reusing its id so the
 		// Skolem function stays a function.
-		d.alive.set(id, true)
-		d.liveCount++
-		d.byType[typ] = append(d.byType[typ], id)
+		d.resurrect(id)
 		d.logOp(jop{kind: jNodeAdd, node: id})
 		return id, true
 	}
@@ -169,10 +173,53 @@ func (d *DAG) AddNode(typ string, attr relational.Tuple) (id NodeID, created boo
 	d.parents.grow()
 	d.alive.grow(true)
 	d.gen[k] = id
-	d.byType[typ] = append(d.byType[typ], id)
-	d.liveCount++
+	d.list(id)
 	d.logOp(jop{kind: jNodeAdd, node: id})
 	return id, true
+}
+
+// byTypeSlack is the constant in the byType bound len ≤ 2·live + slack: it
+// keeps types with a handful of nodes from compacting on every death.
+const byTypeSlack = 16
+
+// list counts a node that just became alive (the caller has set the flag)
+// and appends it to its type's gen_A list. A resurrected id may still sit in
+// the list from its previous life; readers tolerate the duplicate and the
+// next compaction drops it.
+func (d *DAG) list(id NodeID) {
+	typ := d.types[id]
+	d.byType[typ] = append(d.byType[typ], id)
+	d.typeLive[typ]++
+	d.liveCount++
+}
+
+// unlist counts a node that just died (the caller has cleared the flag). Its
+// id stays in the type's list until the list outgrows twice the type's live
+// count; then the list is rebuilt from its live ids. Only deaths can break
+// that bound (a birth adds one to both sides), so this is the one place that
+// compacts, and between two compactions of a list lie at least half its
+// length in deaths — O(log n) amortized per death. The rebuild is a fresh
+// array, never an in-place rewrite: sealed versions keep reading the old one.
+func (d *DAG) unlist(id NodeID) {
+	typ := d.types[id]
+	d.typeLive[typ]--
+	d.liveCount--
+	if raw := d.byType[typ]; len(raw) > 2*d.typeLive[typ]+byTypeSlack {
+		d.byType[typ] = liveSorted(raw, d.alive.get)
+	}
+}
+
+// liveSorted returns the live ids of a raw gen_A list, in id order and
+// without duplicates, in a fresh array.
+func liveSorted(raw []NodeID, alive func(NodeID) bool) []NodeID {
+	out := make([]NodeID, 0, len(raw))
+	for _, id := range raw {
+		if alive(id) {
+			out = append(out, id)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // HasEdge reports whether the edge (u,v) exists.
@@ -261,42 +308,18 @@ func (d *DAG) RemoveNode(id NodeID) {
 		d.RemoveEdge(p, id)
 	}
 	d.alive.set(id, false)
-	d.liveCount--
+	d.unlist(id)
 	d.logOp(jop{kind: jNodeDel, node: id})
 }
 
 // NodesOfType returns the live nodes of an element type in id order: the
 // gen_A relation of §2.3.
 func (d *DAG) NodesOfType(typ string) []NodeID {
-	raw := d.byType[typ]
-	out := make([]NodeID, 0, len(raw))
-	for _, id := range raw {
-		if d.alive.get(id) {
-			out = append(out, id)
-		}
-	}
-	// The raw list can accumulate dead ids and duplicates after
-	// resurrections; compact it opportunistically. The replacement is a
-	// fresh array (never an in-place rewrite): sealed versions keep reading
-	// the old one.
-	if len(out) < len(raw) {
-		d.byType[typ] = append([]NodeID(nil), out...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return dedupe(out)
+	return liveSorted(d.byType[typ], d.alive.get)
 }
 
-func dedupe(ids []NodeID) []NodeID {
-	out := ids[:0]
-	var last NodeID = -1
-	for _, id := range ids {
-		if id != last {
-			out = append(out, id)
-			last = id
-		}
-	}
-	return out
-}
+// IDsOfType returns the raw gen_A list of the type; see Reader.
+func (d *DAG) IDsOfType(typ string) []NodeID { return d.byType[typ] }
 
 // Nodes returns all live node ids in id order.
 func (d *DAG) Nodes() []NodeID {

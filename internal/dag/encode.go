@@ -250,9 +250,10 @@ func DecodeState(b []byte) (*DAG, error) {
 		return nil, fmt.Errorf("dag: decode state: root %d out of range", rootU)
 	}
 	d := &DAG{
-		gen:    make(map[string]NodeID, n),
-		byType: make(map[string][]NodeID),
-		root:   NodeID(rootU),
+		gen:      make(map[string]NodeID, n),
+		byType:   make(map[string][]NodeID),
+		typeLive: make(map[string]int),
+		root:     NodeID(rootU),
 	}
 	alive := make([]bool, n)
 	for id := 0; id < n; id++ {
@@ -281,8 +282,7 @@ func DecodeState(b []byte) (*DAG, error) {
 		d.alive.grow(alive[id])
 		d.gen[genKey(typ, attr)] = NodeID(id)
 		if alive[id] {
-			d.byType[typ] = append(d.byType[typ], NodeID(id))
-			d.liveCount++
+			d.list(NodeID(id))
 		}
 	}
 	for id := 0; id < n; id++ {

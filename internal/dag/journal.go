@@ -137,7 +137,7 @@ func (d *DAG) undo(ops []jop) {
 			// have already been removed above.
 			if d.alive.get(op.node) {
 				d.alive.set(op.node, false)
-				d.liveCount--
+				d.unlist(op.node)
 			}
 		case jNodeDel:
 			d.resurrect(op.node)
@@ -145,11 +145,12 @@ func (d *DAG) undo(ops []jop) {
 	}
 }
 
+// resurrect brings a dead identity back under its old id, so the Skolem
+// function stays a function.
 func (d *DAG) resurrect(id NodeID) {
 	if d.alive.get(id) {
 		return
 	}
 	d.alive.set(id, true)
-	d.liveCount++
-	d.byType[d.types[id]] = append(d.byType[d.types[id]], id)
+	d.list(id)
 }

@@ -187,3 +187,97 @@ func (v *Version) hasEdgeIn(u, c NodeID) bool {
 	}
 	return false
 }
+
+// TestByTypeStaysBoundedUnderChurn pins the gen_A list bound: however many
+// delete/re-insert cycles a serving view sees — through RemoveNode and
+// resurrection, and through journaled adds that roll back — every raw list
+// stays within twice its type's live count plus a constant, and always
+// covers exactly the live nodes of its type.
+func TestByTypeStaysBoundedUnderChurn(t *testing.T) {
+	d := New("db")
+	const live = 40
+	ids := make([]NodeID, live)
+	for i := range ids {
+		ids[i], _ = d.AddNode("C", relational.Tuple{relational.Int(int64(i))})
+		d.AddEdge(d.Root(), ids[i])
+		k, _ := d.AddNode("key", relational.Tuple{relational.Int(int64(i))})
+		d.AddEdge(ids[i], k)
+	}
+	check := func(cycle int) {
+		t.Helper()
+		for _, typ := range []string{"db", "C", "key"} {
+			raw, nodes := d.IDsOfType(typ), d.NodesOfType(typ)
+			if len(raw) > 2*len(nodes)+byTypeSlack {
+				t.Fatalf("cycle %d: len(byType[%s]) = %d with %d live", cycle, typ, len(raw), len(nodes))
+			}
+			seen := map[NodeID]bool{}
+			for _, id := range raw {
+				if d.Alive(id) {
+					seen[id] = true
+				}
+			}
+			if len(seen) != len(nodes) {
+				t.Fatalf("cycle %d: byType[%s] covers %d live nodes, want %d", cycle, typ, len(seen), len(nodes))
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for cycle := 0; cycle < 10000; cycle++ {
+		i := rng.Intn(live)
+		switch cycle % 3 {
+		case 0, 1: // delete, then re-insert the same identity
+			d.RemoveNode(ids[i])
+			r, created := d.AddNode("C", relational.Tuple{relational.Int(int64(i))})
+			if !created || r != ids[i] {
+				t.Fatalf("cycle %d: resurrection got id %d created=%v", cycle, r, created)
+			}
+			d.AddEdge(d.Root(), r)
+		case 2: // a rejected insertion: journaled add, rolled back
+			d.Begin()
+			n, _ := d.AddNode("C", relational.Tuple{relational.Int(int64(live + cycle))})
+			d.AddEdge(d.Root(), n)
+			d.RemoveNode(ids[i])
+			d.Rollback()
+		}
+		check(cycle)
+	}
+	if got := d.NumNodes(); got != 1+2*live {
+		t.Errorf("churn changed the live node count: %d", got)
+	}
+}
+
+// TestSealedVersionSurvivesByTypeCompaction: a Version sealed before the
+// writer compacts a gen_A list keeps answering from the array it sealed.
+func TestSealedVersionSurvivesByTypeCompaction(t *testing.T) {
+	d := New("db")
+	var ids []NodeID
+	for i := 0; i < 4*byTypeSlack; i++ {
+		id, _ := d.AddNode("C", relational.Tuple{relational.Int(int64(i))})
+		d.AddEdge(d.Root(), id)
+		ids = append(ids, id)
+	}
+	v := d.Seal()
+	want := append([]NodeID(nil), v.NodesOfType("C")...)
+	wantRaw := append([]NodeID(nil), v.IDsOfType("C")...)
+
+	before := len(d.IDsOfType("C"))
+	for _, id := range ids[1:] {
+		d.RemoveNode(id)
+	}
+	if after := len(d.IDsOfType("C")); after >= before {
+		t.Fatalf("the writer never compacted: %d -> %d entries", before, after)
+	}
+	for i := 0; i < 4*byTypeSlack; i++ { // appends after the compaction land in the fresh array
+		id, _ := d.AddNode("C", relational.Tuple{relational.Int(int64(1000 + i))})
+		d.AddEdge(d.Root(), id)
+	}
+	if got := v.NodesOfType("C"); !reflect.DeepEqual(got, want) {
+		t.Errorf("sealed NodesOfType changed: %v want %v", got, want)
+	}
+	if got := v.IDsOfType("C"); !reflect.DeepEqual(got, wantRaw) {
+		t.Errorf("sealed raw list changed: %v want %v", got, wantRaw)
+	}
+	if got, want := d.NodesOfType("C"), 1+4*byTypeSlack; len(got) != want {
+		t.Errorf("live view has %d C nodes, want %d", len(got), want)
+	}
+}

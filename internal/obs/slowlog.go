@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,6 +12,7 @@ type SlowEntry struct {
 	At       time.Time     `json:"at"`
 	Kind     string        `json:"kind"` // "query" | "commit" | ...
 	Detail   string        `json:"detail"`
+	Route    string        `json:"route,omitempty"` // how Detail's XPath was evaluated: "anchored" | "sweep"
 	Duration time.Duration `json:"duration_ns"`
 	Gen      uint64        `json:"gen"`
 }
@@ -52,11 +54,17 @@ func (l *SlowLog) Threshold() time.Duration {
 // Record notes an operation if it exceeded the threshold. Cheap when it
 // did not (or when instrumentation is disabled): one or two atomic loads.
 func (l *SlowLog) Record(kind, detail string, d time.Duration, gen uint64) {
+	l.RecordRoute(kind, detail, "", d, gen)
+}
+
+// RecordRoute is Record for an operation that evaluated an XPath: the entry
+// also names the route the evaluation took.
+func (l *SlowLog) RecordRoute(kind, detail, route string, d time.Duration, gen uint64) {
 	th := l.threshold.Load()
 	if th <= 0 || int64(d) < th || !enabled.Load() {
 		return
 	}
-	e := SlowEntry{At: time.Now(), Kind: kind, Detail: detail, Duration: d, Gen: gen}
+	e := SlowEntry{At: time.Now(), Kind: kind, Detail: detail, Route: route, Duration: d, Gen: gen}
 	l.mu.Lock()
 	if l.n == len(l.ring) {
 		l.dropped.Add(1)
@@ -79,4 +87,23 @@ func (l *SlowLog) Entries() (entries []SlowEntry, dropped uint64) {
 		entries = append(entries, l.ring[idx])
 	}
 	return entries, l.dropped.Load()
+}
+
+// routeSlotKey carries a *string down a request's context. A read returns
+// nodes, not a report, so the layer that owns the SlowLog has no other way
+// to learn which route the evaluation below it took: it hangs a slot on the
+// context, and the layer that evaluates fills it.
+type routeSlotKey struct{}
+
+// WithRouteSlot returns a context carrying slot for NoteRoute to fill.
+func WithRouteSlot(ctx context.Context, slot *string) context.Context {
+	return context.WithValue(ctx, routeSlotKey{}, slot)
+}
+
+// NoteRoute stores the evaluation route in the slot the context carries, if
+// it carries one.
+func NoteRoute(ctx context.Context, route string) {
+	if slot, ok := ctx.Value(routeSlotKey{}).(*string); ok {
+		*slot = route
+	}
 }

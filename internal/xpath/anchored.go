@@ -1,0 +1,201 @@
+package xpath
+
+import "rxview/internal/dag"
+
+// anchored evaluates a path with an anchor (plan.anchor) over the ancestor
+// cone of the nodes that can matter instead of the whole view:
+//
+//  1. seeds → A: the nodes of type lk whose text equals s, from the raw
+//     per-type list, climbed k levels through Parents against lk-1 … l1.
+//     A ⊇ {v : the anchoring filter holds at v}.
+//  2. down → X: from A, the steps after the anchor by Children; ε[q] steps
+//     are skipped (a superset is enough). X ⊇ r[[p]], because every
+//     accepting root path crosses the anchor step at a node of A.
+//  3. cone: the closure of X under Parents.
+//  4. the exact pass: the shared propagation over the cone in Kahn's order.
+//     The cone is upward closed, so a cone node's parents are all in it —
+//     its in-cone in-degree is len(Parents(v)) — and every root path to it
+//     lies inside: by induction along the order each cone node receives
+//     exactly the state-sets the sweep gives it.
+//
+// Nothing is kept between evaluations; the working sets live in the pooled
+// scratch and cost nothing proportional to the view.
+func (ev *Evaluator) anchored(r *run, pl *plan) {
+	d, sc, a := ev.D, r.sc, pl.anchor
+	r.res.Route = RouteAnchored
+	sc.fit(d.Cap())
+	cur, next, cone := sc.ids[0][:0], sc.ids[1][:0], sc.ids[2][:0]
+	defer func() { sc.ids = [3][]dag.NodeID{cur, next, cone} }()
+
+	// Seeds, then up the label chain: at level j cur holds nodes of type
+	// labels[j]; their parents must be labels[j-1], and the parents of the
+	// l1 level — any type — are A.
+	k := len(a.labels)
+	eq := ev.textEq(a.labels[k-1], a.value)
+	set := sc.newSet()
+	for _, v := range d.IDsOfType(a.labels[k-1]) {
+		if eq(v) && d.Alive(v) && sc.add(set, v) { // eq first: it is the selective test
+			cur = append(cur, v)
+		}
+	}
+	for j := k - 1; j >= 0; j-- {
+		set, next = sc.newSet(), next[:0]
+		for _, v := range cur {
+			for _, p := range d.Parents(v) {
+				if (j == 0 || d.Type(p) == a.labels[j-1]) && sc.add(set, p) {
+					next = append(next, p)
+				}
+			}
+		}
+		cur, next = next, cur
+	}
+
+	// Down the remaining steps to X.
+	for _, st := range pl.steps[a.step+1:] {
+		switch st.Kind {
+		case StepLabel, StepWild:
+			set, next = sc.newSet(), next[:0]
+			for _, v := range cur {
+				for _, c := range d.Children(v) {
+					if (st.Kind == StepWild || d.Type(c) == st.Label) && sc.add(set, c) {
+						next = append(next, c)
+					}
+				}
+			}
+			cur, next = next, cur
+		case StepDescOrSelf:
+			set = sc.newSet()
+			for _, v := range cur { // cur is duplicate-free: this marks, never drops
+				sc.add(set, v)
+			}
+			for i := 0; i < len(cur); i++ {
+				for _, c := range d.Children(cur[i]) {
+					if sc.add(set, c) {
+						cur = append(cur, c)
+					}
+				}
+			}
+		}
+	}
+	if len(cur) == 0 {
+		return // X ⊇ r[[p]] is empty
+	}
+
+	// The cone, with the propagation state of each node reset as it joins.
+	r.masks = sc.maskIndex(d.Cap(), false)
+	set = sc.newSet()
+	join := func(v dag.NodeID) {
+		if sc.add(set, v) {
+			r.masks[v], sc.known[v], sc.truth[v] = nil, 0, 0
+			sc.indeg[v] = int32(len(d.Parents(v)))
+			cone = append(cone, v)
+		}
+	}
+	for _, v := range cur {
+		join(v)
+	}
+	for i := 0; i < len(cone); i++ {
+		for _, p := range d.Parents(cone[i]) {
+			join(p)
+		}
+	}
+	r.res.Visited = len(cone)
+
+	// Kahn's order from the parentless nodes. Only the root starts with a
+	// state-set; any other parentless node (the live view inside an open
+	// transaction can hold some transiently) starts empty, but is expanded
+	// all the same so that its children's in-degrees drain.
+	queue := next[:0]
+	for _, v := range cone {
+		if sc.indeg[v] == 0 {
+			if v == d.Root() {
+				r.start(v)
+			}
+			queue = append(queue, v)
+		}
+	}
+	for i := 0; i < len(queue); i++ {
+		u := queue[i]
+		for _, c := range d.Children(u) {
+			if !sc.has(set, c) {
+				continue
+			}
+			r.push(u, c)
+			if sc.indeg[c]--; sc.indeg[c] == 0 {
+				queue = append(queue, c)
+			}
+		}
+	}
+	next = queue
+	r.collect(cur)
+}
+
+// fit sizes the anchored route's per-node arrays for a view of n node ids.
+// Growing keeps the stamps: a fresh zero never equals a live epoch.
+func (sc *scratch) fit(n int) {
+	if len(sc.stamp) < n {
+		sc.stamp = append(sc.stamp, make([]uint32, n-len(sc.stamp))...)
+		sc.indeg = make([]int32, len(sc.stamp))
+		sc.known, sc.truth = make([]uint64, len(sc.stamp)), make([]uint64, len(sc.stamp))
+	}
+}
+
+// newSet opens an empty node set and returns its epoch; the previous set
+// becomes unreadable.
+func (sc *scratch) newSet() uint32 {
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: stale stamps could alias the new epochs
+		clear(sc.stamp)
+		sc.epoch = 1
+	}
+	return sc.epoch
+}
+
+// add puts v in the set and reports whether it was new.
+func (sc *scratch) add(set uint32, v dag.NodeID) bool {
+	if sc.stamp[v] == set {
+		return false
+	}
+	sc.stamp[v] = set
+	return true
+}
+
+func (sc *scratch) has(set uint32, v dag.NodeID) bool { return sc.stamp[v] == set }
+
+// holds decides filter q at node v from v's children alone — the pointwise
+// counterpart of the sweep's truth tables, for the //-free filters the
+// anchored route admits.
+func (ev *Evaluator) holds(q Expr, v dag.NodeID) bool {
+	switch t := q.(type) {
+	case *ExprLabel:
+		return ev.D.Type(v) == t.Label
+	case *ExprAnd:
+		return ev.holds(t.L, v) && ev.holds(t.R, v)
+	case *ExprOr:
+		return ev.holds(t.L, v) || ev.holds(t.R, v)
+	case *ExprNot:
+		return !ev.holds(t.E, v)
+	case *ExprPath:
+		return ev.pathHolds(t.Path.compiled().steps, v, t.Cmp)
+	}
+	return false
+}
+
+// pathHolds reports whether the remaining filter steps can be matched from
+// v, ending (when cmp is set) at a node whose text equals *cmp.
+func (ev *Evaluator) pathHolds(steps []NStep, v dag.NodeID, cmp *string) bool {
+	if len(steps) == 0 {
+		return cmp == nil || ev.textIs(v, *cmp)
+	}
+	switch st := steps[0]; st.Kind {
+	case StepSelf:
+		return (st.Filter == nil || ev.holds(st.Filter, v)) && ev.pathHolds(steps[1:], v, cmp)
+	case StepLabel, StepWild:
+		for _, c := range ev.D.Children(v) {
+			if (st.Kind == StepWild || ev.D.Type(c) == st.Label) && ev.pathHolds(steps[1:], c, cmp) {
+				return true
+			}
+		}
+	}
+	return false
+}

@@ -1,15 +1,9 @@
-// Package xpath implements the XPath fragment of the paper (§2.1):
-//
-//	p ::= ε | A | * | // | p/p | p[q]
-//	q ::= p | p = "s" | label() = A | q ∧ q | q ∨ q | ¬q
-//
-// and its evaluation over DAG-compressed XML views stored with package dag
-// (§3.2): a bottom-up pass computes filter values by dynamic programming
-// along the topological order L, and a top-down pass computes the selected
-// node set r[[p]], the parent-edge set Ep(r), and the side-effect witnesses S.
 package xpath
 
-import "strings"
+import (
+	"strings"
+	"sync"
+)
 
 // StepKind classifies a path step.
 type StepKind uint8
@@ -34,6 +28,9 @@ type Step struct {
 // context node.
 type Path struct {
 	Steps []Step
+
+	once sync.Once // guards plan; see compiled
+	plan *plan
 }
 
 // Expr is a filter expression q.

@@ -1,0 +1,76 @@
+// Package xpath implements the XPath fragment of the paper (§2.1):
+//
+//	p ::= ε | A | * | // | p/p | p[q]
+//	q ::= p | p = "s" | label() = A | q ∧ q | q ∨ q | ¬q
+//
+// and its evaluation over DAG-compressed XML views stored with package dag:
+// the selected node set r[[p]], the parent-edge set Ep(r), and the
+// side-effect witnesses S.
+//
+// # One propagation, two routes
+//
+// A path is normalized to η1/…/ηn (normal.go) and run as an NFA over
+// root-to-node paths. Every node accumulates the set of distinct NFA
+// state-sets its tree occurrences arrive with — a function of its parents'
+// sets and of node-local tests (the node's label, and whether each ε[q]
+// filter holds at it). A node is selected iff some occurrence accepts, and
+// an update there has side effects iff another does not: the paper's
+// tree-unfolding semantics, computed on the DAG without unfolding it.
+// Distinct state-sets per node are capped (Evaluator.MaskLimit); past the
+// cap they collapse to their union, which keeps r[[p]] and Ep(r) exact,
+// makes the witnesses conservative, and raises Result.Overflow.
+//
+// That propagation (type run in eval.go: move, closure, addMask, push,
+// collect) is written once. Two routes drive it, and differ only in which
+// nodes they visit and where filter truth comes from:
+//
+//   - The sweep (Evaluator.EvalSweep) is §3.2's algorithm in O(|p|·|V|): a
+//     bottom-up pass fills one truth table per filter sub-expression along
+//     the topological order L, with the desc(q,·) recurrence for //; a
+//     top-down pass propagates over every node of L, ancestors first.
+//   - The anchored route (anchored.go) starts from the path's value filter.
+//     The filter names the few nodes that can matter and the DAG's Parents
+//     lists name everything that can reach them: it finds the nodes the
+//     filter can hold at from the per-type node lists, walks down the
+//     remaining steps to a candidate superset X ⊇ r[[p]], closes X upward
+//     into its ancestor cone, and propagates over the cone only, in Kahn's
+//     order, deciding filters pointwise from each node's children.
+//
+// # Which route a path takes
+//
+// Evaluator.Eval and EvalSelect decide from the compiled path alone
+// (Path.Route; no option, no threshold, nothing about the view): anchored
+// iff, on the normalized steps, some ε[q] has a top-level conjunct
+// l1/…/lk = "s" — a pure child-label chain, k ≥ 1 — and no filter anywhere
+// on the path contains //. The first such ε[q] is the anchor. Every path of
+// the paper's W1/W2/W3 classes qualifies, as does any path that names a key
+// or a value; //C, C/sub/C, [a or b], [not(a="s")], [.="s"] and [.//a="s"]
+// are swept. // inside a filter rules the route out because pointwise
+// evaluation would have to search below the node — bottom-up tables are the
+// right algorithm for that. There is no switch back to the sweep on large
+// cones: a cone that is the whole view costs about what the sweep costs, as
+// filters are still decided once per (step, node).
+//
+// # Why the anchored route is exact
+//
+// Entering the state after an ε[q] step requires q to hold at the node, so
+// every accepting root path crosses the anchor step at a node of
+// A ⊇ {v : q holds at v}, and ends, the remaining steps later, in X. The
+// cone is closed under Parents, hence every root path to a cone node lies
+// inside the cone. State-sets at a node depend only on its parents' sets and
+// on node-local tests; so, by induction along any topological order of the
+// cone, each cone node gets exactly the sets the sweep gives it. Selected,
+// Edges, InsertWitnesses and DeleteWitnesses only read the sets of X and of
+// its parents, and are identical on both routes — which is what the
+// differential tests and FuzzEvalRoutesAgree check against each other and
+// against the unfolded-tree oracle.
+//
+// The one intended difference: Overflow is raised only if a cone node
+// exceeds MaskLimit. A collapse in some unrelated corner of the view no
+// longer makes an update "conservatively side-effecting"; anchored Overflow
+// implies sweep Overflow, never the reverse.
+//
+// FrontierEvaluator (frontier.go) is a third, paper-literal strategy — per
+// step node sets, // expanded through the reachability matrix M — kept for
+// the §3.2 strategy ablation; it shares the sweep's filter tables.
+package xpath

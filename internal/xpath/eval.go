@@ -2,7 +2,8 @@ package xpath
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"rxview/internal/dag"
@@ -11,30 +12,44 @@ import (
 
 // Evaluator evaluates paths of the fragment over a DAG-compressed view.
 //
-// The evaluation is the two-pass scheme of §3.2:
+// Every evaluation runs the normalized path as an NFA over root-to-node
+// paths: a node accumulates the set of distinct NFA state-sets that its tree
+// occurrences (root paths) can arrive with. A node is in r[[p]] iff some
+// occurrence accepts; an update has side effects iff some occurrence of an
+// updated node does not accept — exactly the paper's tree-unfolding
+// semantics, computed on the DAG. Two routes drive that one propagation
+// (doc.go has the argument for why they agree):
 //
-//   - a bottom-up pass computes, for every filter sub-expression q and node
-//     v, whether q holds at v — dynamic programming along the topological
-//     order L (children first), with the desc(q,·) recurrence for //;
-//   - a top-down pass runs the normalized path as an NFA over root-to-node
-//     paths: every node accumulates the set of distinct NFA state-sets that
-//     tree occurrences (root paths) can arrive with. A node is in r[[p]] iff
-//     some occurrence accepts; an update has side effects iff some
-//     occurrence of an updated node does not accept — exactly the paper's
-//     tree-unfolding semantics, computed on the DAG.
+//   - the sweep, §3.2's two passes in O(|p|·|V|): filter truth tables
+//     bottom-up along the topological order L, then the propagation over
+//     every node of L, ancestors first;
+//   - the anchored route, for paths with a value-equality filter: find the
+//     nodes the filter can hold at from the per-type node lists, walk down to
+//     a superset of r[[p]], close it upward into its ancestor cone, and
+//     propagate over the cone only, deciding filters pointwise.
 //
-// Both passes are O(|p|·|V|) for the practical case of few distinct
-// state-sets, matching the paper's complexity claim.
+// Eval and EvalSelect pick the route from the path's shape (Path.Route);
+// EvalSweep and EvalSelectSweep always sweep — the reference the anchored
+// route is tested against, and what the paper-reproduction experiments
+// measure.
 //
 // D and Topo are read-only interfaces, so an Evaluator runs equally over
 // the live view (*dag.DAG + *reach.Topo) and over a sealed snapshot epoch
-// (*dag.Version + *reach.TopoVersion).
+// (*dag.Version + *reach.TopoVersion). An Evaluator holds no per-evaluation
+// state: one value serves any number of concurrent evaluations.
 type Evaluator struct {
-	D    dag.Reader
+	D dag.Reader
+	// Topo is the topological order L the sweep iterates; the anchored
+	// route orders its cone itself and does not read it.
 	Topo reach.Order
 	// Text returns the text value of a node (PCDATA elements); nil means no
 	// node has text, making all value comparisons false.
 	Text func(dag.NodeID) (string, bool)
+	// TextEquals, when set, is the typed form of Text(v) == s: for an
+	// element type and a constant it returns that predicate over nodes of
+	// the type, without rendering (atg.Compiled.TextEquals). Nil derives it
+	// from Text.
+	TextEquals func(typ, s string) func(dag.NodeID) bool
 	// MaskLimit caps the number of distinct state-sets kept per node before
 	// collapsing to their union. Selection and Ep(r) stay exact under
 	// collapse; side-effect detection becomes conservative and the result's
@@ -58,9 +73,16 @@ type Result struct {
 	// are not selected: removing the shared edge changes those occurrences
 	// as well.
 	DeleteWitnesses []dag.Edge
-	// Overflow reports that mask collapsing kicked in; side-effect
-	// witnesses are then conservative (possibly over-reported).
+	// Overflow reports that mask collapsing kicked in at a node the
+	// evaluation visited; side-effect witnesses are then conservative
+	// (possibly over-reported). The anchored route visits only the cone, so
+	// it raises Overflow only when the sweep would too, never the reverse.
 	Overflow bool
+
+	// Route is the route the evaluation took and Visited the number of
+	// nodes it propagated over: the size of the cone, or |L| for a sweep.
+	Route   Route
+	Visited int
 }
 
 // HasInsertSideEffects reports whether an insertion at r[[p]] would have XML
@@ -101,12 +123,84 @@ func checkLen(steps []NStep) error {
 	return nil
 }
 
+// Eval evaluates the path and returns the selection, parent edges and
+// side-effect witnesses, by the route the path's shape allows.
+func (ev *Evaluator) Eval(p *Path) (*Result, error) { return ev.eval(p, false, false) }
+
+// EvalSelect computes only r[[p]] and Ep(r), skipping side-effect
+// bookkeeping: state-sets collapse to a single union mask per node, which
+// keeps selection and Ep exact (transitions are bit-linear) while touching
+// every visited node at most once. Use it for read-only queries; updates
+// need Eval's side-effect detection. The result carries no witnesses and no
+// Overflow.
+func (ev *Evaluator) EvalSelect(p *Path) (*Result, error) { return ev.eval(p, false, true) }
+
+// EvalSweep is Eval by the sweep whatever the path's shape.
+func (ev *Evaluator) EvalSweep(p *Path) (*Result, error) { return ev.eval(p, true, false) }
+
+// EvalSelectSweep is EvalSelect by the sweep whatever the path's shape.
+func (ev *Evaluator) EvalSelectSweep(p *Path) (*Result, error) { return ev.eval(p, true, true) }
+
+func (ev *Evaluator) eval(p *Path, sweep, selectOnly bool) (*Result, error) {
+	pl := p.compiled()
+	if err := checkLen(pl.steps); err != nil {
+		return nil, err
+	}
+	limit := ev.MaskLimit
+	if limit <= 0 {
+		limit = 1024
+	}
+	if selectOnly {
+		limit = 1 // collapse eagerly: one union mask per node
+	}
+	sc := scratchPool.Get().(*scratch)
+	r := &run{
+		ev:     ev,
+		steps:  pl.steps,
+		accept: 1 << uint(len(pl.steps)),
+		limit:  limit,
+		sc:     sc,
+		res:    &Result{},
+	}
+	if pl.anchor != nil && !sweep {
+		ev.anchored(r, pl)
+	} else {
+		ev.sweep(r, pl)
+	}
+	scratchPool.Put(sc)
+	res := r.res
+	if selectOnly {
+		res.InsertWitnesses, res.DeleteWitnesses, res.Overflow = nil, nil, false
+	}
+	return res, nil
+}
+
+// textEq returns the predicate "the text of v equals s" over nodes of one
+// element type.
+func (ev *Evaluator) textEq(typ, s string) func(dag.NodeID) bool {
+	if ev.TextEquals != nil {
+		return ev.TextEquals(typ, s)
+	}
+	return func(v dag.NodeID) bool { return ev.textIs(v, s) }
+}
+
+// textIs is the untyped comparison, for nodes whose type the path leaves
+// open.
+func (ev *Evaluator) textIs(v dag.NodeID, s string) bool {
+	if ev.Text == nil {
+		return false
+	}
+	t, ok := ev.Text(v)
+	return ok && t == s
+}
+
 // ---------- per-eval scratch ----------
 
 // scratch recycles the evaluator's per-eval working memory — the Cap-sized
-// filter truth tables and the per-node state-set index — across
-// evaluations, via a package pool. A nil *scratch degrades to plain
-// allocation (the frontier evaluator path, which does not manage table
+// filter truth tables of the sweep, the per-node state-set index, and the
+// anchored route's node sets and in-degrees — across evaluations, via a
+// package pool. A nil *scratch degrades to plain allocation of filter
+// tables (the frontier evaluator path, which does not manage table
 // lifetimes). Results never alias scratch memory, so pooled buffers are
 // safe to hand to the next evaluation on any goroutine.
 type scratch struct {
@@ -114,11 +208,18 @@ type scratch struct {
 	masks  []maskSet // the node -> state-sets index, reused across evals
 	arena  []uint64  // backing for small per-node mask sets
 	off    int
-	edges  map[dag.Edge]edgeInfo // reused edge accumulator
-}
 
-type edgeInfo struct {
-	acc, rej bool
+	// Anchored route. stamp implements node sets without clearing: v is in
+	// the set opened last iff stamp[v] == epoch, so opening a set is one
+	// increment. Only the newest set is readable, which is all the route
+	// needs: its phases build one set at a time and the cone is the last.
+	stamp []uint32
+	epoch uint32
+	indeg []int32 // per cone node: parents not yet expanded
+	// Per cone node, pointwise filter truth: bit i of known[v] says
+	// steps[i].Filter has been decided at v, bit i of truth[v] how.
+	known, truth []uint64
+	ids          [3][]dag.NodeID // reusable node lists (frontiers, X, the cone)
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
@@ -146,21 +247,20 @@ func (sc *scratch) putTable(b []bool) {
 	}
 }
 
-// maskIndex returns a zeroed []maskSet of length n, reusing the previous
-// eval's backing array when large enough, and resets the mask arena — by
-// now no slot of the previous eval is referenced anymore.
-func (sc *scratch) maskIndex(n int) []maskSet {
-	if sc == nil {
-		return make([]maskSet, n)
-	}
+// maskIndex returns the node -> state-sets index for a view of n node ids
+// and resets the mask arena — by now no slot of the previous eval is
+// referenced anymore. The sweep takes it zeroed; the anchored route resets
+// the entries of the nodes it visits as it meets them, so its cost does not
+// depend on n.
+func (sc *scratch) maskIndex(n int, zero bool) []maskSet {
 	if cap(sc.masks) < n {
 		sc.masks = make([]maskSet, n)
+	} else if zero {
+		clear(sc.masks[:n])
 	}
-	s := sc.masks[:n]
-	clear(s)
-	sc.masks = s
+	sc.masks = sc.masks[:n]
 	sc.off = 0
-	return s
+	return sc.masks
 }
 
 // maskSlot carves an empty 2-capacity mask set out of the arena: the
@@ -168,9 +268,6 @@ func (sc *scratch) maskIndex(n int) []maskSet {
 // most nodes never allocate. Appending past the capped slot migrates the
 // set to the heap without touching its arena neighbors.
 func (sc *scratch) maskSlot() maskSet {
-	if sc == nil {
-		return nil
-	}
 	if sc.off+2 > len(sc.arena) {
 		sc.arena = make([]uint64, 1<<14)
 		sc.off = 0
@@ -180,77 +277,247 @@ func (sc *scratch) maskSlot() maskSet {
 	return s
 }
 
-// edgeAcc returns the reusable edge accumulator, emptied.
-func (sc *scratch) edgeAcc() map[dag.Edge]edgeInfo {
-	if sc == nil {
-		return make(map[dag.Edge]edgeInfo)
+// ---------- the propagation both routes share ----------
+
+// maskSet is the set of distinct NFA state-set masks arriving at one node.
+// Nodes rarely accumulate more than a handful of masks, so a linear-scan
+// slice beats a per-node map and recycles through the eval scratch.
+type maskSet []uint64
+
+func (s maskSet) contains(m uint64) bool {
+	for _, mm := range s {
+		if mm == m {
+			return true
+		}
 	}
-	if sc.edges == nil {
-		sc.edges = make(map[dag.Edge]edgeInfo)
-	} else {
-		clear(sc.edges)
-	}
-	return sc.edges
+	return false
 }
 
-// Eval evaluates the path and returns the selection, parent edges and
-// side-effect witnesses.
-func (ev *Evaluator) Eval(p *Path) (*Result, error) {
-	steps := Normalize(p)
-	if err := checkLen(steps); err != nil {
-		return nil, err
+// run is one evaluation's propagation state. The routes differ only in
+// which nodes they visit, in what (topological) order, and in where filter
+// truth comes from; everything that decides the result is here.
+type run struct {
+	ev     *Evaluator
+	steps  []NStep
+	accept uint64 // the bit of the accepting state
+	limit  int    // state-sets kept per node before collapsing to their union
+	// tables[i] is the truth table of steps[i].Filter (nil where the step
+	// has none) when the route computed filters bottom-up; a nil tables
+	// means filters are decided pointwise at the node, once per (step,
+	// node), and remembered in the scratch's known/truth bits.
+	tables [][]bool
+	masks  []maskSet
+	sc     *scratch
+	res    *Result
+}
+
+func (r *run) filterAt(i int, v dag.NodeID) bool {
+	q := r.steps[i].Filter
+	switch {
+	case q == nil:
+		return true
+	case r.tables != nil:
+		return r.tables[i][v]
 	}
-	sc := scratchPool.Get().(*scratch)
+	sc, bit := r.sc, uint64(1)<<uint(i)
+	if sc.known[v]&bit == 0 {
+		sc.known[v] |= bit
+		if r.ev.holds(q, v) {
+			sc.truth[v] |= bit
+		}
+	}
+	return sc.truth[v]&bit != 0
+}
+
+// closure adds the states reachable by ε moves at node v: a satisfied ε[q]
+// step and the self part of //. Bits only propagate upward, so one
+// low-to-high pass over the set bits suffices.
+func (r *run) closure(mask uint64, v dag.NodeID) uint64 {
+	for rem := mask &^ r.accept; rem != 0; {
+		i := bits.TrailingZeros64(rem)
+		rem &^= 1 << uint(i)
+		next := uint64(1) << uint(i+1)
+		if mask&next != 0 {
+			continue
+		}
+		switch r.steps[i].Kind {
+		case StepSelf:
+			if !r.filterAt(i, v) {
+				continue
+			}
+		case StepDescOrSelf:
+		default:
+			continue
+		}
+		mask |= next
+		rem |= next &^ r.accept
+	}
+	return mask
+}
+
+// move consumes the child step into node u.
+func (r *run) move(mask uint64, u dag.NodeID) uint64 {
+	var out uint64
+	for rem := mask &^ r.accept; rem != 0; {
+		i := bits.TrailingZeros64(rem)
+		rem &^= 1 << uint(i)
+		switch r.steps[i].Kind {
+		case StepLabel:
+			if r.ev.D.Type(u) == r.steps[i].Label {
+				out |= 1 << uint(i+1)
+			}
+		case StepWild:
+			out |= 1 << uint(i+1)
+		case StepDescOrSelf:
+			out |= 1 << uint(i) // descend, stay before //
+		}
+	}
+	return r.closure(out, u)
+}
+
+// start gives the root its initial state-set.
+func (r *run) start(root dag.NodeID) {
+	r.masks[root] = append(r.sc.maskSlot(), r.closure(1, root))
+}
+
+func (r *run) addMask(v dag.NodeID, m uint64) {
+	set := r.masks[v]
+	if set.contains(m) {
+		return
+	}
+	if set == nil {
+		set = r.sc.maskSlot()
+	}
+	set = append(set, m)
+	if len(set) > r.limit {
+		// Collapse to the union: transitions are bit-linear, so selection
+		// and Ep stay exact; side effects become conservative.
+		var union uint64
+		for _, mm := range set {
+			union |= mm
+		}
+		set = append(set[:0], union)
+		r.res.Overflow = true
+	}
+	r.masks[v] = set
+}
+
+// push carries u's state-sets across the edge (u,c). The routes expand
+// nodes in topological order, so u's sets are final here, and a DAG holds an
+// edge once: every occurrence of the edge is seen in this one call, which
+// therefore settles it — in Ep(r) iff some occurrence accepts at c, a
+// delete witness iff another does not.
+func (r *run) push(u, c dag.NodeID) {
+	var acc, rej bool
+	for _, m := range r.masks[u] {
+		m2 := r.move(m, c)
+		r.addMask(c, m2)
+		if m2&r.accept != 0 {
+			acc = true
+		} else {
+			rej = true
+		}
+	}
+	if acc {
+		e := dag.Edge{Parent: u, Child: c}
+		r.res.Edges = append(r.res.Edges, e)
+		if rej {
+			r.res.DeleteWitnesses = append(r.res.DeleteWitnesses, e)
+		}
+	}
+}
+
+// collect reads r[[p]] and the insert witnesses off the final state-sets of
+// the candidate nodes (each listed once) and puts the result in its
+// canonical order.
+func (r *run) collect(candidates []dag.NodeID) {
+	res := r.res
+	for _, v := range candidates {
+		sel, rej := false, false
+		for _, m := range r.masks[v] {
+			if m&r.accept != 0 {
+				sel = true
+			} else {
+				rej = true
+			}
+		}
+		if sel {
+			res.Selected = append(res.Selected, v)
+			if rej {
+				res.InsertWitnesses = append(res.InsertWitnesses, v)
+			}
+		}
+	}
+	slices.Sort(res.Selected)
+	slices.Sort(res.InsertWitnesses)
+	sortEdges(res.Edges)
+	sortEdges(res.DeleteWitnesses)
+}
+
+func sortEdges(es []dag.Edge) {
+	slices.SortFunc(es, func(a, b dag.Edge) int {
+		if a.Parent != b.Parent {
+			return int(a.Parent) - int(b.Parent)
+		}
+		return int(a.Child) - int(b.Child)
+	})
+}
+
+// ---------- the sweep ----------
+
+// sweep is the two-pass scheme of §3.2: filter tables bottom-up, then the
+// propagation over all of L, ancestors first. Both passes are O(|p|·|V|)
+// for the practical case of few distinct state-sets, matching the paper's
+// complexity claim.
+func (ev *Evaluator) sweep(r *run, pl *plan) {
+	sc := r.sc
 	nodes := ev.Topo.Nodes()
-	filterVals := ev.evalFilters(steps, nodes, sc)
-	res := ev.topDown(steps, nodes, filterVals, sc)
+	filterVals := ev.evalFilters(pl, nodes, sc)
+	r.tables = stepTables(pl, filterVals)
+	r.masks = sc.maskIndex(ev.D.Cap(), true)
+	r.res.Route, r.res.Visited = RouteSweep, len(nodes)
+
+	r.start(ev.D.Root())
+	for k := len(nodes) - 1; k >= 0; k-- { // backward order: ancestors first
+		u := nodes[k]
+		if len(r.masks[u]) == 0 {
+			continue // unreachable from root
+		}
+		for _, c := range ev.D.Children(u) {
+			r.push(u, c)
+		}
+	}
+	r.collect(nodes)
 	for _, t := range filterVals {
 		sc.putTable(t)
 	}
-	scratchPool.Put(sc)
-	return res, nil
 }
-
-// EvalSelect computes only r[[p]] and Ep(r), skipping side-effect
-// bookkeeping: state-sets collapse to a single union mask per node, which
-// keeps selection and Ep exact (transitions are bit-linear) while touching
-// every node at most once per pass. Use it for read-only queries; updates
-// need Eval's side-effect detection. The result's side-effect fields are
-// meaningless here.
-func (ev *Evaluator) EvalSelect(p *Path) (*Result, error) {
-	steps := Normalize(p)
-	if err := checkLen(steps); err != nil {
-		return nil, err
-	}
-	sc := scratchPool.Get().(*scratch)
-	nodes := ev.Topo.Nodes()
-	filterVals := ev.evalFilters(steps, nodes, sc)
-	saved := ev.MaskLimit
-	ev.MaskLimit = 1 // collapse eagerly: one union mask per node
-	res := ev.topDown(steps, nodes, filterVals, sc)
-	ev.MaskLimit = saved
-	for _, t := range filterVals {
-		sc.putTable(t)
-	}
-	scratchPool.Put(sc)
-	res.InsertWitnesses, res.DeleteWitnesses = nil, nil
-	return res, nil
-}
-
-// ---------- bottom-up pass ----------
 
 // evalFilters computes the truth table (per node) of every filter
-// sub-expression, in dependency order. Tables come from the scratch free
-// list; the caller releases them (all map values) when done.
-func (ev *Evaluator) evalFilters(steps []NStep, nodes []dag.NodeID, sc *scratch) map[Expr][]bool {
-	tables := make(map[Expr][]bool)
-	for _, q := range collectFilters(steps) {
-		tables[q] = ev.filterTable(q, nodes, tables, sc)
+// sub-expression, in dependency order, indexed like pl.filters. Tables come
+// from the scratch free list; the caller releases them when done.
+func (ev *Evaluator) evalFilters(pl *plan, nodes []dag.NodeID, sc *scratch) [][]bool {
+	tables := make([][]bool, len(pl.filters))
+	for i, q := range pl.filters {
+		tables[i] = ev.filterTable(q, nodes, pl, tables, sc)
 	}
 	return tables
 }
 
-func (ev *Evaluator) filterTable(q Expr, nodes []dag.NodeID, tables map[Expr][]bool, sc *scratch) []bool {
+// stepTables resolves each step's filter to its table once per evaluation,
+// so the propagation indexes a slice instead of hashing an interface value
+// per node.
+func stepTables(pl *plan, tables [][]bool) [][]bool {
+	out := make([][]bool, len(pl.steps))
+	for i, s := range pl.steps {
+		if s.Filter != nil {
+			out[i] = tables[pl.index[s.Filter]]
+		}
+	}
+	return out
+}
+
+func (ev *Evaluator) filterTable(q Expr, nodes []dag.NodeID, pl *plan, tables [][]bool, sc *scratch) []bool {
 	capn := ev.D.Cap()
 	switch t := q.(type) {
 	case *ExprLabel:
@@ -261,51 +528,58 @@ func (ev *Evaluator) filterTable(q Expr, nodes []dag.NodeID, tables map[Expr][]b
 		return out
 	case *ExprAnd:
 		out := sc.table(capn)
-		l, r := tables[t.L], tables[t.R]
+		l, r := tables[pl.index[t.L]], tables[pl.index[t.R]]
 		for i := range out {
 			out[i] = l[i] && r[i]
 		}
 		return out
 	case *ExprOr:
 		out := sc.table(capn)
-		l, r := tables[t.L], tables[t.R]
+		l, r := tables[pl.index[t.L]], tables[pl.index[t.R]]
 		for i := range out {
 			out[i] = l[i] || r[i]
 		}
 		return out
 	case *ExprNot:
 		out := sc.table(capn)
-		e := tables[t.E]
+		e := tables[pl.index[t.E]]
 		for _, v := range nodes {
 			out[v] = !e[v]
 		}
 		return out
 	case *ExprPath:
-		return ev.pathFilterTable(t, nodes, tables, sc)
+		return ev.pathFilterTable(t, nodes, pl, tables, sc)
 	}
 	return sc.table(capn)
 }
 
 // pathFilterTable computes val(p, v) (or val(p="s", v)) for all nodes by the
 // suffix recurrence of §3.2.
-func (ev *Evaluator) pathFilterTable(f *ExprPath, nodes []dag.NodeID, tables map[Expr][]bool, sc *scratch) []bool {
-	steps := Normalize(f.Path)
+func (ev *Evaluator) pathFilterTable(f *ExprPath, nodes []dag.NodeID, pl *plan, tables [][]bool, sc *scratch) []bool {
+	steps := f.Path.compiled().steps
 	capn := ev.D.Cap()
 	// nodes is in forward order: children before parents.
 
 	// Terminal table: the path has been fully consumed at v.
 	cur := sc.table(capn)
-	if f.Cmp != nil {
-		if ev.Text != nil {
-			for _, v := range nodes {
-				if s, ok := ev.Text(v); ok {
-					cur[v] = s == *f.Cmp
-				}
-			}
-		}
-	} else {
+	switch typ, typed := terminalType(steps); {
+	case f.Cmp == nil:
 		for _, v := range nodes {
 			cur[v] = true
+		}
+	case typed:
+		// Only nodes of the path's last label can complete it, so the
+		// comparison runs typed over that type's list instead of rendering
+		// the text of every node of the view.
+		eq := ev.textEq(typ, *f.Cmp)
+		for _, v := range ev.D.IDsOfType(typ) {
+			if eq(v) && ev.D.Alive(v) {
+				cur[v] = true
+			}
+		}
+	default:
+		for _, v := range nodes {
+			cur[v] = ev.textIs(v, *f.Cmp)
 		}
 	}
 
@@ -316,7 +590,7 @@ func (ev *Evaluator) pathFilterTable(f *ExprPath, nodes []dag.NodeID, tables map
 			if steps[i].Filter == nil {
 				copy(next, cur)
 			} else {
-				fv := tables[steps[i].Filter]
+				fv := tables[pl.index[steps[i].Filter]]
 				for _, v := range nodes {
 					next[v] = fv[v] && cur[v]
 				}
@@ -324,7 +598,7 @@ func (ev *Evaluator) pathFilterTable(f *ExprPath, nodes []dag.NodeID, tables map
 		case StepLabel:
 			for _, v := range nodes {
 				for _, u := range ev.D.Children(v) {
-					if ev.D.Type(u) == steps[i].Label && cur[u] {
+					if cur[u] && ev.D.Type(u) == steps[i].Label {
 						next[v] = true
 						break
 					}
@@ -359,167 +633,4 @@ func (ev *Evaluator) pathFilterTable(f *ExprPath, nodes []dag.NodeID, tables map
 		cur = next
 	}
 	return cur
-}
-
-// ---------- top-down pass ----------
-
-// maskSet is the set of distinct NFA state-set masks arriving at one node.
-// Nodes rarely accumulate more than a handful of masks, so a linear-scan
-// slice beats a per-node map and recycles through the eval scratch.
-type maskSet []uint64
-
-func (s maskSet) contains(m uint64) bool {
-	for _, mm := range s {
-		if mm == m {
-			return true
-		}
-	}
-	return false
-}
-
-func (ev *Evaluator) topDown(steps []NStep, list []dag.NodeID, filterVals map[Expr][]bool, sc *scratch) *Result {
-	n := len(steps)
-	accept := uint64(1) << uint(n)
-	limit := ev.MaskLimit
-	if limit <= 0 {
-		limit = 1024
-	}
-
-	filterAt := func(q Expr, v dag.NodeID) bool {
-		if q == nil {
-			return true
-		}
-		return filterVals[q][v]
-	}
-	// closure adds states reachable by ε moves at node v: a satisfied ε[q]
-	// step and the self part of //. Bits only propagate upward, so one
-	// low-to-high sweep suffices.
-	closure := func(mask uint64, v dag.NodeID) uint64 {
-		for i := 0; i < n; i++ {
-			if mask&(1<<uint(i)) == 0 {
-				continue
-			}
-			switch steps[i].Kind {
-			case StepSelf:
-				if filterAt(steps[i].Filter, v) {
-					mask |= 1 << uint(i+1)
-				}
-			case StepDescOrSelf:
-				mask |= 1 << uint(i+1)
-			}
-		}
-		return mask
-	}
-	// move consumes the child step into node u.
-	move := func(mask uint64, u dag.NodeID) uint64 {
-		var out uint64
-		for i := 0; i <= n; i++ {
-			if mask&(1<<uint(i)) == 0 || i == n {
-				continue
-			}
-			switch steps[i].Kind {
-			case StepLabel:
-				if ev.D.Type(u) == steps[i].Label {
-					out |= 1 << uint(i+1)
-				}
-			case StepWild:
-				out |= 1 << uint(i+1)
-			case StepDescOrSelf:
-				out |= 1 << uint(i) // descend, stay before //
-			}
-		}
-		return closure(out, u)
-	}
-
-	res := &Result{}
-	capn := ev.D.Cap()
-	D := sc.maskIndex(capn)
-	root := ev.D.Root()
-	D[root] = append(sc.maskSlot(), closure(1, root))
-
-	addMask := func(v dag.NodeID, m uint64) {
-		set := D[v]
-		if set.contains(m) {
-			return
-		}
-		if set == nil {
-			set = sc.maskSlot()
-		}
-		set = append(set, m)
-		if len(set) > limit {
-			// Collapse to the union: transitions are bit-linear, so
-			// selection and Ep stay exact; side effects become
-			// conservative.
-			var union uint64
-			for _, mm := range set {
-				union |= mm
-			}
-			set = append(set[:0], union)
-			res.Overflow = true
-		}
-		D[v] = set
-	}
-
-	edgeAcc := sc.edgeAcc()
-
-	for k := len(list) - 1; k >= 0; k-- { // backward order: ancestors first
-		u := list[k]
-		if len(D[u]) == 0 {
-			continue // unreachable from root
-		}
-		for _, m := range D[u] {
-			for _, c := range ev.D.Children(u) {
-				m2 := move(m, c)
-				addMask(c, m2)
-				e := dag.Edge{Parent: u, Child: c}
-				info := edgeAcc[e]
-				if m2&accept != 0 {
-					info.acc = true
-				} else {
-					info.rej = true
-				}
-				edgeAcc[e] = info
-			}
-		}
-	}
-
-	for _, v := range list {
-		sel, rej := false, false
-		for _, m := range D[v] {
-			if m&accept != 0 {
-				sel = true
-			} else {
-				rej = true
-			}
-		}
-		if sel {
-			res.Selected = append(res.Selected, v)
-			if rej {
-				res.InsertWitnesses = append(res.InsertWitnesses, v)
-			}
-		}
-	}
-	sort.Slice(res.Selected, func(i, j int) bool { return res.Selected[i] < res.Selected[j] })
-	sort.Slice(res.InsertWitnesses, func(i, j int) bool { return res.InsertWitnesses[i] < res.InsertWitnesses[j] })
-
-	for e, info := range edgeAcc {
-		if info.acc {
-			res.Edges = append(res.Edges, e)
-			if info.rej {
-				res.DeleteWitnesses = append(res.DeleteWitnesses, e)
-			}
-		}
-	}
-	sortEdges(res.Edges)
-	sortEdges(res.DeleteWitnesses)
-	return res
-}
-
-func sortEdges(es []dag.Edge) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Parent != es[j].Parent {
-			return es[i].Parent < es[j].Parent
-		}
-		return es[i].Child < es[j].Child
-	})
 }

@@ -83,3 +83,21 @@ func BenchmarkEvalSelect(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEvalRoutes runs one value-filtered path by the route Eval picks
+// for it (anchored) and by the sweep, on the same view.
+func BenchmarkEvalRoutes(b *testing.B) {
+	d, topo, text := benchDAG(10000)
+	ev := &Evaluator{D: d, Topo: topo, Text: text}
+	p := MustParse(`//C[C="v3"]/C`)
+	for name, eval := range map[string]func(*Path) (*Result, error){"anchored": ev.Eval, "sweep": ev.EvalSweep} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eval(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -33,17 +33,18 @@ type FrontierEvaluator struct {
 // approximate side-effect set S (as InsertWitnesses; DeleteWitnesses mirror
 // the edges of over-shared parents).
 func (fe *FrontierEvaluator) Eval(p *Path) (*Result, error) {
-	steps := Normalize(p)
+	pl := p.compiled()
+	steps := pl.steps
 	if err := checkLen(steps); err != nil {
 		return nil, err
 	}
-	// Reuse the shared bottom-up machinery for filter tables and compute
+	// Reuse the sweep's bottom-up machinery for filter tables and compute
 	// suffix-satisfiability tables for the main path, used for pruning Ci.
 	// The nil scratch means plain allocation: this path hands tables to
 	// suffixSat and never releases them.
 	ev := &Evaluator{D: fe.D, Topo: fe.Topo, Text: fe.Text}
-	filterVals := ev.evalFilters(steps, fe.Topo.Nodes(), nil)
-	sat := fe.suffixSat(ev, steps, filterVals)
+	filterVals := stepTables(pl, ev.evalFilters(pl, fe.Topo.Nodes(), nil))
+	sat := fe.suffixSat(steps, filterVals)
 
 	capn := fe.D.Cap()
 	cur := make([]bool, capn)
@@ -60,7 +61,7 @@ func (fe *FrontierEvaluator) Eval(p *Path) (*Result, error) {
 		next := make([]bool, capn)
 		switch st.Kind {
 		case StepSelf:
-			fv := filterVals[st.Filter]
+			fv := filterVals[i]
 			for id := range cur {
 				if !cur[id] {
 					continue
@@ -167,7 +168,7 @@ func (fe *FrontierEvaluator) Eval(p *Path) (*Result, error) {
 // suffixSat computes, for every step index i (0..n), whether the remaining
 // path ηi..ηn can be matched starting at each node — the bottom-up val
 // tables of §3.2 for the main path, used to prune the top-down frontier.
-func (fe *FrontierEvaluator) suffixSat(ev *Evaluator, steps []NStep, filterVals map[Expr][]bool) [][]bool {
+func (fe *FrontierEvaluator) suffixSat(steps []NStep, filterVals [][]bool) [][]bool {
 	capn := fe.D.Cap()
 	nodes := fe.Topo.Nodes()
 	n := len(steps)
@@ -184,7 +185,7 @@ func (fe *FrontierEvaluator) suffixSat(ev *Evaluator, steps []NStep, filterVals 
 			if steps[i].Filter == nil {
 				copy(next, cur)
 			} else {
-				fv := filterVals[steps[i].Filter]
+				fv := filterVals[i]
 				for _, v := range nodes {
 					next[v] = fv[v] && cur[v]
 				}

@@ -49,12 +49,14 @@ func conjoin(filters []Expr) Expr {
 
 // collectFilters gathers every filter expression reachable from the steps,
 // sub-filters before the filters containing them — the topologically sorted
-// filter list Q of §3.2. Each ExprPath's nested filters appear before it.
+// filter list Q of §3.2. Each ExprPath's nested filters appear before it,
+// taken from the nested path's own normal form: a nested step with several
+// filters contributes their conjunction, the expression the step is
+// evaluated with.
 func collectFilters(steps []NStep) []Expr {
 	var out []Expr
 	seen := map[Expr]bool{}
 	var visitExpr func(e Expr)
-	var visitPath func(p *Path)
 	visitExpr = func(e Expr) {
 		if e == nil || seen[e] {
 			return
@@ -69,17 +71,12 @@ func collectFilters(steps []NStep) []Expr {
 		case *ExprNot:
 			visitExpr(t.E)
 		case *ExprPath:
-			visitPath(t.Path)
+			for _, s := range t.Path.compiled().steps {
+				visitExpr(s.Filter)
+			}
 		}
 		seen[e] = true
 		out = append(out, e)
-	}
-	visitPath = func(p *Path) {
-		for _, s := range p.Steps {
-			for _, f := range s.Filters {
-				visitExpr(f)
-			}
-		}
 	}
 	for _, s := range steps {
 		visitExpr(s.Filter)

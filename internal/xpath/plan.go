@@ -1,0 +1,135 @@
+package xpath
+
+// Route names one of the two ways a path is evaluated; see Evaluator.
+type Route uint8
+
+// The evaluation routes.
+const (
+	// RouteSweep is §3.2's two-pass algorithm over the whole view.
+	RouteSweep Route = iota
+	// RouteAnchored is the exact pass over the ancestor cone of the nodes a
+	// value filter can hold at.
+	RouteAnchored
+)
+
+func (r Route) String() string {
+	if r == RouteAnchored {
+		return "anchored"
+	}
+	return "sweep"
+}
+
+// plan is everything evaluation needs of a path beyond its parse tree. It
+// depends on the path alone, so it is computed once per compiled path
+// (Path.compiled) — and the compiled-path cache makes that once per hot
+// query text — instead of once per evaluation.
+type plan struct {
+	steps   []NStep      // the normal form η1/…/ηn
+	filters []Expr       // every filter sub-expression, sub-filters first (§3.2's list Q)
+	index   map[Expr]int // position of a filter in filters
+	anchor  *anchor      // where the anchored route starts; nil means the path is swept
+}
+
+// anchor is the step the anchored route starts from: steps[step] is an ε[q]
+// whose filter q has the top-level conjunct l1/…/lk = "value", so q can hold
+// only at nodes with an l1/…/lk child chain ending in that text.
+type anchor struct {
+	step   int
+	labels []string // l1 … lk, k ≥ 1
+	value  string
+}
+
+// compiled returns the path's plan, building it on first use. Compiled
+// paths are shared between goroutines (the path cache hands one *Path to
+// every evaluation of a query text); the plan is immutable once built.
+func (p *Path) compiled() *plan {
+	p.once.Do(func() {
+		pl := &plan{steps: Normalize(p)}
+		pl.filters = collectFilters(pl.steps)
+		pl.index = make(map[Expr]int, len(pl.filters))
+		for i, q := range pl.filters {
+			pl.index[q] = i
+		}
+		pl.anchor = findAnchor(pl)
+		p.plan = pl
+	})
+	return p.plan
+}
+
+// Route reports which route Eval and EvalSelect take for the path. It is a
+// function of the path's shape alone: anchored iff some ε[q] step of the
+// normal form has a top-level conjunct l1/…/lk = "s" (a pure child-label
+// chain) and no filter anywhere on the path contains //.
+func (p *Path) Route() Route {
+	if p.compiled().anchor != nil {
+		return RouteAnchored
+	}
+	return RouteSweep
+}
+
+// findAnchor picks the first ε[q] step with a value-chain conjunct. Filters
+// containing // rule the route out altogether: the anchored pass decides
+// filters pointwise from a node's children, which is only cheap when no
+// filter can look arbitrarily deep — bottom-up tables are the right
+// algorithm for those.
+func findAnchor(pl *plan) *anchor {
+	for _, q := range pl.filters {
+		if f, ok := q.(*ExprPath); ok {
+			for _, s := range f.Path.Steps {
+				if s.Kind == StepDescOrSelf {
+					return nil
+				}
+			}
+		}
+	}
+	for i, s := range pl.steps {
+		if s.Kind != StepSelf || s.Filter == nil {
+			continue
+		}
+		if labels, value, ok := valueChain(s.Filter); ok {
+			return &anchor{step: i, labels: labels, value: value}
+		}
+	}
+	return nil
+}
+
+// valueChain finds, among the top-level conjuncts of q, a comparison
+// l1/…/lk = "s" whose path is nothing but child-label steps.
+func valueChain(q Expr) (labels []string, value string, ok bool) {
+	switch t := q.(type) {
+	case *ExprAnd:
+		if labels, value, ok = valueChain(t.L); ok {
+			return labels, value, true
+		}
+		return valueChain(t.R)
+	case *ExprPath:
+		if t.Cmp == nil || len(t.Path.Steps) == 0 {
+			return nil, "", false
+		}
+		for _, s := range t.Path.Steps {
+			if s.Kind != StepLabel || len(s.Filters) > 0 {
+				return nil, "", false
+			}
+			labels = append(labels, s.Label)
+		}
+		return labels, *t.Cmp, true
+	}
+	return nil, "", false
+}
+
+// terminalType returns the element type every node that completes the
+// (normalized) filter path must have, when the path fixes it: the label of
+// the last child step, trailing ε[q] steps aside.
+func terminalType(steps []NStep) (string, bool) {
+	for i := len(steps) - 1; i >= 0; i-- {
+		switch steps[i].Kind {
+		case StepSelf:
+			continue
+		case StepLabel:
+			return steps[i].Label, true
+		default:
+			return "", false
+		}
+	}
+	return "", false
+}

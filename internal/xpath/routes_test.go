@@ -1,0 +1,394 @@
+package xpath
+
+// Tests that pin the two evaluation routes to each other and to the tree
+// oracle: whatever route Eval picks, the sweep and the unfolded-tree
+// semantics must give the same four result fields — over the live DAG and
+// over a sealed Version, before and after updates.
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"rxview/internal/dag"
+	"rxview/internal/reach"
+	"rxview/internal/relational"
+)
+
+type textFn = func(dag.NodeID) (string, bool)
+
+// views returns evaluators over the live DAG and over a sealed Version of
+// it (with a sealed L), built fresh from the DAG's current state.
+func views(d *dag.DAG, text textFn, maskLimit int) map[string]*Evaluator {
+	topo := reach.ComputeTopo(d)
+	return map[string]*Evaluator{
+		"live":   {D: d, Topo: topo, Text: text, MaskLimit: maskLimit},
+		"sealed": {D: d.Seal(), Topo: topo.Seal(), Text: text, MaskLimit: maskLimit},
+	}
+}
+
+func sameFields(a, b *Result) bool {
+	return reflect.DeepEqual(a.Selected, b.Selected) && reflect.DeepEqual(a.Edges, b.Edges) &&
+		reflect.DeepEqual(a.InsertWitnesses, b.InsertWitnesses) &&
+		reflect.DeepEqual(a.DeleteWitnesses, b.DeleteWitnesses)
+}
+
+func showResult(r *Result) string {
+	return fmt.Sprintf("%v | %v | %v | %v (overflow=%v, %s, visited=%d)",
+		r.Selected, r.Edges, r.InsertWitnesses, r.DeleteWitnesses, r.Overflow, r.Route, r.Visited)
+}
+
+// checkRoutes evaluates p every way there is — the route Eval picks, the
+// sweep, select-only on both — over the live and the sealed view, and
+// compares everything with the tree oracle. It returns an error rather than
+// failing so property tests and the fuzz target can report their input.
+func checkRoutes(d *dag.DAG, text textFn, or *oracle, p *Path) error {
+	want := or.eval(p)
+	wantRes := &Result{Selected: want.selected, Edges: want.edges,
+		InsertWitnesses: want.insertWitnesses, DeleteWitnesses: want.deleteWitnesses}
+	for name, ev := range views(d, text, 0) {
+		routed, err := ev.Eval(p)
+		if err != nil {
+			return fmt.Errorf("%s: Eval: %w", name, err)
+		}
+		swept, err := ev.EvalSweep(p)
+		if err != nil {
+			return fmt.Errorf("%s: EvalSweep: %w", name, err)
+		}
+		if routed.Route != p.Route() || swept.Route != RouteSweep {
+			return fmt.Errorf("%s: routes taken %s/%s, path says %s", name, routed.Route, swept.Route, p.Route())
+		}
+		if routed.Overflow || swept.Overflow {
+			return fmt.Errorf("%s: unexpected overflow", name)
+		}
+		for route, got := range map[string]*Result{"routed": routed, "sweep": swept} {
+			if !sameFields(got, wantRes) {
+				return fmt.Errorf("%s %s:\n got  %s\n want %s", name, route, showResult(got), showResult(wantRes))
+			}
+		}
+		if routed.Visited > swept.Visited {
+			return fmt.Errorf("%s: the %s route visited %d nodes, the sweep %d", name, routed.Route, routed.Visited, swept.Visited)
+		}
+		for route, sel := range map[string]func(*Path) (*Result, error){"routed": ev.EvalSelect, "sweep": ev.EvalSelectSweep} {
+			fast, err := sel(p)
+			if err != nil {
+				return fmt.Errorf("%s select-only %s: %w", name, route, err)
+			}
+			if !reflect.DeepEqual(fast.Selected, routed.Selected) || !reflect.DeepEqual(fast.Edges, routed.Edges) {
+				return fmt.Errorf("%s select-only %s: %v | %v, full %v | %v",
+					name, route, fast.Selected, fast.Edges, routed.Selected, routed.Edges)
+			}
+			if len(fast.InsertWitnesses) != 0 || len(fast.DeleteWitnesses) != 0 || fast.Overflow {
+				return fmt.Errorf("%s select-only %s reports side effects", name, route)
+			}
+		}
+	}
+	return nil
+}
+
+// fig1Corpus is the differential corpus over the Fig.1 view (see
+// TestEvalAgainstOracleFig1): every shape the route rule distinguishes,
+// anchored and not.
+var fig1Corpus = []string{
+	"course", "//course", "//student", "*", "//*", ".",
+	`course[cno="CS650"]`, `//course[cno="CS320"]`,
+	`course[cno="CS650"]//course[cno="CS320"]/prereq`,
+	`//course[cno="CS320"]//student[sid="S02"]`,
+	`//student[sid="S02"]`, `//takenBy/student`,
+	`//course[prereq/course]`, `//course[not(prereq/course)]`,
+	`//course[prereq/course and takenBy/student]`,
+	`//course[prereq/course or takenBy/student]`,
+	`//*[label()=student]`, `course/prereq//course`,
+	`course[cno="CS320"]/prereq/course[cno="CS240"]`,
+	`//prereq/course`, "course//student", "//cno",
+	`course[takenBy/student[sid="S02"]]`,
+	// Anchored shapes beyond the plain key filter.
+	`//course[cno="CS320"]/prereq/course`, `//course[cno="CS320"]//`, `//course[cno="CS650"]/*`,
+	`//course[cno="CS320" and prereq/course]`, `//course[not(takenBy) and cno="CS240"]`,
+	`//course[cno="CS320"][takenBy/student]`, `//*[takenBy/student/sid="S02"]`,
+	`//course[takenBy/student/sid="S01"]/cno`, `//course[cno="CS999"]/prereq`,
+	`//course[prereq[course[cno="CS240"]] and cno="CS320"]`,
+	`//course[cno="CS320"]/prereq/course[cno="CS240"]/takenBy//`,
+	`.[course/cno="CS650"]/course`, `//student[sid="S02"][sid="S01"]`,
+	// Fall-backs: no value chain at the top of a conjunction, or // in a filter.
+	`course[cno="CS650" or cno="CS240"]`, `//course[.//sid="S02"]`, `//cno[.="CS320"]`,
+	`//course[cno="CS320" and .//student]`, `//course[not(cno="CS320")]`,
+	`//course[prereq[course][course]]`,
+}
+
+// synthDAG is a miniature of the §5 synthetic view: db → C*, every C has a
+// key, a val and a sub, and sub → C* with sharing across levels.
+func synthDAG(t testing.TB) (*dag.DAG, textFn) {
+	t.Helper()
+	d := dag.New("db")
+	texts := map[dag.NodeID]string{}
+	var cs []dag.NodeID
+	for i := 0; i < 7; i++ {
+		c, _ := d.AddNode("C", relational.Tuple{relational.Int(int64(i))})
+		k, _ := d.AddNode("key", relational.Tuple{relational.Int(int64(i))})
+		v, _ := d.AddNode("val", relational.Tuple{relational.Int(int64(i)), relational.Str("v")})
+		s, _ := d.AddNode("sub", relational.Tuple{relational.Int(int64(i))})
+		texts[k], texts[v] = fmt.Sprint(i), fmt.Sprintf("v%d", i%3)
+		for _, x := range []dag.NodeID{k, v, s} {
+			d.AddEdge(c, x)
+		}
+		cs = append(cs, c)
+	}
+	sub := func(i int) dag.NodeID { return d.Children(cs[i])[2] }
+	for _, top := range []int{0, 1, 2} {
+		d.AddEdge(d.Root(), cs[top])
+	}
+	for _, e := range [][2]int{{0, 3}, {0, 4}, {1, 4}, {2, 5}, {3, 6}, {4, 6}, {5, 6}, {1, 5}} {
+		d.AddEdge(sub(e[0]), cs[e[1]])
+	}
+	if err := d.CheckAcyclic(); err != nil {
+		t.Fatal(err)
+	}
+	return d, func(v dag.NodeID) (string, bool) { s, ok := texts[v]; return s, ok }
+}
+
+// The benchmark's five hot shapes, the paper's W1/W2/W3 classes and a few
+// more, over the miniature synthetic view.
+var synthCorpus = []string{
+	`C[key="1"]/sub`, `//C[key="4"]/sub/C`, `//C[key="6"]`, `//C[val="v1"]/sub`, `//C[val="v0"]`,
+	`//C[val="v1"]`, `C[key="0"]/sub/C[key="4"]/sub/C[key="6"]`, `//C[key="4"]/sub/C[key="6"]`,
+	`//C[val="v0"]//C[sub/C]`, `//C[key="1" or key="2"]`, `//C`, `C/sub/C`, `//C[sub/C/key="6"]/key`,
+	`//C[key="6"]/val`, `//sub[C/key="6"]`, `//C[val="v2"][key="5"]//`, `//*[key="3"]/*/*`,
+}
+
+func TestRoutesAgreeOnSynthetic(t *testing.T) {
+	d, text := synthDAG(t)
+	or := newOracle(d, text)
+	for _, ps := range synthCorpus {
+		if err := checkRoutes(d, text, or, MustParse(ps)); err != nil {
+			t.Errorf("%s: %v", ps, err)
+		}
+	}
+}
+
+// TestRouteTable pins which route each path shape takes, so a refactor
+// cannot silently send the hot shapes back to the sweep.
+func TestRouteTable(t *testing.T) {
+	cases := []struct {
+		path string
+		want Route
+	}{
+		// The benchmark's five shapes.
+		{`C[key="17"]/sub`, RouteAnchored},
+		{`//C[key="17"]/sub/C`, RouteAnchored},
+		{`//C[key="17"]`, RouteAnchored},
+		{`//C[val="v3"]/sub`, RouteAnchored},
+		{`//C[val="v3"]`, RouteAnchored},
+		// W1 (value-selected), W2 (rooted key chain), W3 (// then key chain).
+		{`//C[val="v7"]/sub`, RouteAnchored},
+		{`C[key="1"]/sub/C[key="2"]/sub/C[key="3"]`, RouteAnchored},
+		{`//C[key="2"]/sub/C[key="3"]`, RouteAnchored},
+		// Other anchors: bare values, deeper chains, conjunctions, nested
+		// child filters, an anchor behind a non-anchoring filter.
+		{`//course[cno=CS650]//course[cno=CS320]/prereq`, RouteAnchored},
+		{`//course[takenBy/student/sid="S02"]`, RouteAnchored},
+		{`//C[sub/C and key="5"]`, RouteAnchored},
+		{`//C[not(sub/C)][val="v1"]//`, RouteAnchored},
+		{`//C[sub/C]/sub/C[key="9"]`, RouteAnchored},
+		{`//C[sub[C[key="9"]] and val="v1"]`, RouteAnchored},
+		{`.[C/key="1"]`, RouteAnchored},
+		// Fall-backs.
+		{`//C`, RouteSweep},
+		{`C/sub/C`, RouteSweep},
+		{`//*`, RouteSweep},
+		{`.`, RouteSweep},
+		{`//C[sub/C]`, RouteSweep},
+		{`//C[key="1" or key="2"]`, RouteSweep},
+		{`//C[not(key="1")]`, RouteSweep},
+		{`//C[.//key="1"]`, RouteSweep},
+		{`//key[.="1"]`, RouteSweep},
+		{`//C[*="1"]`, RouteSweep},
+		{`//C[sub[C]/key="1"]`, RouteSweep},
+		{`//C[key="1" and .//C]`, RouteSweep}, // // anywhere in a filter rules the route out
+		{`//C[key="1"]/sub/C[sub//C]`, RouteSweep},
+	}
+	for _, c := range cases {
+		if got := MustParse(c.path).Route(); got != c.want {
+			t.Errorf("%s: route %s, want %s", c.path, got, c.want)
+		}
+	}
+}
+
+// TestOverflowIsRaisedOnlyInsideTheCone: under a tiny MaskLimit the sweep
+// collapses state-sets wherever sharing is deep, the anchored route only if
+// that happens in the cone — so anchored Overflow implies sweep Overflow,
+// never the reverse — and selection and Ep stay exact on both.
+func TestOverflowIsRaisedOnlyInsideTheCone(t *testing.T) {
+	d, text := synthDAG(t)
+	or := newOracle(d, text)
+	var anchoredOverflows, sweepOnlyOverflows int
+	// The last two paths match a prefix through the shared C4 and then
+	// nothing: the divergent state-sets at C4 are outside their (empty) cone.
+	corpus := append(synthCorpus[:len(synthCorpus):len(synthCorpus)],
+		`//C[key="0"]/sub/C/val/key`, `//C[key="0"]/sub/C/sub/C/sub/C/key`)
+	for _, ps := range corpus {
+		p := MustParse(ps)
+		want := or.eval(p)
+		for name, ev := range views(d, text, 1) {
+			routed, err := ev.Eval(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			swept, err := ev.EvalSweep(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for route, got := range map[string]*Result{"routed": routed, "sweep": swept} {
+				if !reflect.DeepEqual(got.Selected, want.selected) || !reflect.DeepEqual(got.Edges, want.edges) {
+					t.Errorf("%s %s %s: %v | %v, want %v | %v", ps, name, route, got.Selected, got.Edges, want.selected, want.edges)
+				}
+			}
+			if routed.Overflow && !swept.Overflow {
+				t.Errorf("%s %s: the %s route overflowed where the sweep did not", ps, name, routed.Route)
+			}
+			if routed.Route == RouteAnchored {
+				if routed.Overflow {
+					anchoredOverflows++
+				} else if swept.Overflow {
+					sweepOnlyOverflows++
+				}
+			}
+		}
+	}
+	if anchoredOverflows == 0 || sweepOnlyOverflows == 0 {
+		t.Errorf("the corpus exercises neither side of the implication: %d anchored overflows, %d sweep-only",
+			anchoredOverflows, sweepOnlyOverflows)
+	}
+}
+
+// TestAnchoredDrainsParentlessNodes: inside an open transaction the live
+// view can hold a parentless node other than the root above the cone. It
+// contributes no state-set, but the nodes below it must still be reached.
+func TestAnchoredDrainsParentlessNodes(t *testing.T) {
+	d, text := synthDAG(t)
+	target, _ := d.Lookup("C", relational.Tuple{relational.Int(6)})
+	orphan, _ := d.AddNode("sub", relational.Tuple{relational.Int(99)})
+	d.AddEdge(orphan, target)
+
+	// The oracle unfolds from the root, so the orphan is invisible to it —
+	// as it is to the sweep, whose propagation never reaches it.
+	or := newOracle(d, text)
+	for _, ps := range []string{`//C[key="6"]`, `//C[key="6"]/val`, `//C[key="4"]/sub/C`, `//sub[C/key="6"]`} {
+		if err := checkRoutes(d, text, or, MustParse(ps)); err != nil {
+			t.Errorf("%s: %v", ps, err)
+		}
+	}
+}
+
+func TestResultsDoNotAliasScratch(t *testing.T) {
+	d, text := synthDAG(t)
+	ev := &Evaluator{D: d, Topo: reach.ComputeTopo(d), Text: text}
+	p := MustParse(`//C[val="v0"]//`)
+	first, err := ev.Eval(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := &Result{
+		Selected: append([]dag.NodeID(nil), first.Selected...), Edges: append([]dag.Edge(nil), first.Edges...),
+		InsertWitnesses: append([]dag.NodeID(nil), first.InsertWitnesses...),
+		DeleteWitnesses: append([]dag.Edge(nil), first.DeleteWitnesses...),
+	}
+	for _, ps := range synthCorpus { // reuse the pooled scratch many times over
+		if _, err := ev.Eval(MustParse(ps)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sameFields(first, keep) {
+		t.Errorf("a later evaluation rewrote an earlier result:\n now  %s\n was  %s", showResult(first), showResult(keep))
+	}
+}
+
+// ---------- fuzzing ----------
+
+type fuzzFixture struct {
+	d    *dag.DAG
+	text textFn
+	or   *oracle
+}
+
+// oracleAffordable bounds the tree oracle's work: it re-evaluates a filter
+// at every occurrence it meets, so its cost is exponential in the nesting
+// depth of filters that themselves descend.
+func oracleAffordable(p *Path) bool {
+	var steps, maxDepth int
+	var walkPath func(p *Path, depth int)
+	var walkExpr func(e Expr, depth int)
+	walkPath = func(p *Path, depth int) {
+		maxDepth = max(maxDepth, depth)
+		for _, s := range p.Steps {
+			steps++
+			for _, f := range s.Filters {
+				walkExpr(f, depth+1)
+			}
+		}
+	}
+	walkExpr = func(e Expr, depth int) {
+		switch t := e.(type) {
+		case *ExprAnd:
+			walkExpr(t.L, depth)
+			walkExpr(t.R, depth)
+		case *ExprOr:
+			walkExpr(t.L, depth)
+			walkExpr(t.R, depth)
+		case *ExprNot:
+			walkExpr(t.E, depth)
+		case *ExprPath:
+			walkPath(t.Path, depth)
+		}
+	}
+	walkPath(p, 0)
+	return steps <= 24 && maxDepth <= 3
+}
+
+// FuzzEvalRoutesAgree: whatever parses never panics, and the route Eval
+// picks, the sweep and the unfolded-tree oracle agree on all four result
+// fields — over the Fig.1 registrar view and the miniature synthetic view,
+// live and sealed. The seed corpus (testdata/fuzz/FuzzEvalRoutesAgree) holds
+// the shapes of TestRouteTable.
+func FuzzEvalRoutesAgree(f *testing.F) {
+	for _, ps := range fig1Corpus {
+		f.Add(ps)
+	}
+	for _, ps := range synthCorpus {
+		f.Add(ps)
+	}
+	var fixtures []fuzzFixture
+	d, _, text := fig1DAG(f)
+	fixtures = append(fixtures, fuzzFixture{d, text, newOracle(d, text)})
+	d, text = synthDAG(f)
+	fixtures = append(fixtures, fuzzFixture{d, text, newOracle(d, text)})
+	f.Fuzz(func(t *testing.T, text string) {
+		p, err := Parse(text)
+		if err != nil {
+			return
+		}
+		for _, fx := range fixtures {
+			if len(p.compiled().steps) > MaxSteps || !oracleAffordable(p) {
+				// No oracle: the routes must still agree with each other,
+				// down to the error for an over-long path.
+				ev := &Evaluator{D: fx.d, Topo: reach.ComputeTopo(fx.d), Text: fx.text}
+				routed, err1 := ev.Eval(p)
+				swept, err2 := ev.EvalSweep(p)
+				var tooLong *PathTooLongError
+				switch {
+				case err1 != nil || err2 != nil:
+					if !errors.As(err1, &tooLong) || !errors.As(err2, &tooLong) {
+						t.Fatalf("%q: Eval: %v, EvalSweep: %v", text, err1, err2)
+					}
+				case !sameFields(routed, swept):
+					t.Fatalf("%q:\n %s\n %s", text, showResult(routed), showResult(swept))
+				}
+				continue
+			}
+			if err := checkRoutes(fx.d, fx.text, fx.or, p); err != nil {
+				t.Fatalf("%q: %v", text, err)
+			}
+		}
+	})
+}

@@ -316,54 +316,54 @@ func TestEvalDeleteSideEffect(t *testing.T) {
 	}
 }
 
+// TestEvalAgainstOracleFig1 checks the whole differential corpus on the
+// Fig.1 view — by the route Eval picks, by the sweep and by the tree oracle,
+// live and sealed (checkRoutes) — and again after deletions and after
+// re-insertions that leave dead and duplicate ids in the per-type lists.
 func TestEvalAgainstOracleFig1(t *testing.T) {
-	d, _, text := fig1DAG(t)
-	ev := newEval(t, d, text)
-	or := newOracle(d, text)
-	paths := []string{
-		"course", "//course", "//student", "*", "//*", ".",
-		`course[cno="CS650"]`, `//course[cno="CS320"]`,
-		`course[cno="CS650"]//course[cno="CS320"]/prereq`,
-		`//course[cno="CS320"]//student[sid="S02"]`,
-		`//student[sid="S02"]`, `//takenBy/student`,
-		`//course[prereq/course]`, `//course[not(prereq/course)]`,
-		`//course[prereq/course and takenBy/student]`,
-		`//course[prereq/course or takenBy/student]`,
-		`//*[label()=student]`, `course/prereq//course`,
-		`course[cno="CS320"]/prereq/course[cno="CS240"]`,
-		`//prereq/course`, "course//student", "//cno",
-		`course[takenBy/student[sid="S02"]]`,
-	}
-	for _, ps := range paths {
-		p := MustParse(ps)
-		got, err := ev.Eval(p)
-		if err != nil {
-			t.Errorf("%s: %v", ps, err)
-			continue
+	d, ids, text := fig1DAG(t)
+	check := func(stage string) {
+		t.Helper()
+		or := newOracle(d, text)
+		for _, ps := range fig1Corpus {
+			if err := checkRoutes(d, text, or, MustParse(ps)); err != nil {
+				t.Errorf("%s: %s: %v", stage, ps, err)
+			}
 		}
-		want := or.eval(p)
-		compareOracle(t, ps, got, want)
 	}
+	check("initial")
+
+	// Unshare CS320 from CS650, delete S01 for good, give CS240 a second
+	// student: dead ids stay in the per-type lists.
+	d.RemoveEdge(ids["pre650"], ids["c320"])
+	d.RemoveNode(ids["sid01"])
+	d.RemoveNode(ids["s01"])
+	d.AddEdge(ids["tb240"], ids["s02"])
+	check("after deletes")
+
+	// Resurrect S01 under its old id (a duplicate entry in the student
+	// list) with a new sid node, and share CS240 once more.
+	s01, created := d.AddNode("student", relational.Tuple{relational.Str("S01")})
+	if !created || s01 != ids["s01"] {
+		t.Fatalf("resurrection: id %d created=%v", s01, created)
+	}
+	sid, _ := d.AddNode("sid", relational.Tuple{relational.Str("S01b")})
+	d.AddEdge(s01, sid)
+	d.AddEdge(ids["tb650"], s01)
+	d.AddEdge(ids["pre650"], ids["c240"])
+	base := text
+	text = func(v dag.NodeID) (string, bool) {
+		if v == sid {
+			return "S01", true
+		}
+		return base(v)
+	}
+	check("after re-inserts")
 }
 
-func compareOracle(t *testing.T, label string, got *Result, want *oracleResult) {
-	t.Helper()
-	if !reflect.DeepEqual(got.Selected, want.selected) {
-		t.Errorf("%s: selected %v, want %v", label, got.Selected, want.selected)
-	}
-	if !reflect.DeepEqual(got.Edges, want.edges) {
-		t.Errorf("%s: Ep %v, want %v", label, got.Edges, want.edges)
-	}
-	if !reflect.DeepEqual(got.InsertWitnesses, want.insertWitnesses) {
-		t.Errorf("%s: insert witnesses %v, want %v", label, got.InsertWitnesses, want.insertWitnesses)
-	}
-	if !reflect.DeepEqual(got.DeleteWitnesses, want.deleteWitnesses) {
-		t.Errorf("%s: delete witnesses %v, want %v", label, got.DeleteWitnesses, want.deleteWitnesses)
-	}
-}
-
-// Property test: on random DAGs with random paths, the DAG evaluator matches
-// the tree oracle exactly (selection, Ep, and both side-effect kinds).
+// Property test: on random DAGs with random paths, every route of the DAG
+// evaluator matches the tree oracle exactly (selection, Ep, and both
+// side-effect kinds), live and sealed, before and after random updates.
 func TestEvalAgainstOracleRandom(t *testing.T) {
 	labels := []string{"a", "b", "c"}
 	values := []string{"x", "y"}
@@ -432,29 +432,28 @@ func TestEvalAgainstOracleRandom(t *testing.T) {
 			ids = append(ids, id)
 		}
 		text := func(id dag.NodeID) (string, bool) { s, ok := texts[id]; return s, ok }
-		ev := newEval(t, d, text)
-		or := newOracle(d, text)
-		for trial := 0; trial < 6; trial++ {
-			ps := genPath(rng)
-			p, err := Parse(ps)
-			if err != nil {
-				continue
+		for round := 0; round < 2; round++ {
+			or := newOracle(d, text)
+			for trial := 0; trial < 6; trial++ {
+				ps := genPath(rng)
+				p, err := Parse(ps)
+				if err != nil {
+					continue
+				}
+				if err := checkRoutes(d, text, or, p); err != nil {
+					t.Logf("seed %d round %d path %q: %v", seed, round, ps, err)
+					return false
+				}
 			}
-			got, err := ev.Eval(p)
-			if err != nil || got.Overflow {
-				return false
+			// Updates between the rounds: drop a node, unshare an edge,
+			// bring the node back under its old id with one parent.
+			victim := ids[1+rng.Intn(n)]
+			d.RemoveNode(victim)
+			if u := ids[1+rng.Intn(n)]; d.Alive(u) && len(d.Parents(u)) > 1 {
+				d.RemoveEdge(d.Parents(u)[0], u)
 			}
-			want := or.eval(p)
-			if !reflect.DeepEqual(got.Selected, want.selected) ||
-				!reflect.DeepEqual(got.Edges, want.edges) ||
-				!reflect.DeepEqual(got.InsertWitnesses, want.insertWitnesses) ||
-				!reflect.DeepEqual(got.DeleteWitnesses, want.deleteWitnesses) {
-				t.Logf("seed %d path %q:\n got  %v | %v | %v | %v\n want %v | %v | %v | %v",
-					seed, ps,
-					got.Selected, got.Edges, got.InsertWitnesses, got.DeleteWitnesses,
-					want.selected, want.edges, want.insertWitnesses, want.deleteWitnesses)
-				return false
-			}
+			back, _ := d.AddNode(d.Type(victim), d.Attr(victim))
+			d.AddEdge(d.Root(), back)
 		}
 		return true
 	}
@@ -500,18 +499,20 @@ func TestEvalSelectMatchesEval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := ev.EvalSelect(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(full.Selected, fast.Selected) {
-			t.Errorf("%s: selection differs: %v vs %v", ps, full.Selected, fast.Selected)
-		}
-		if !reflect.DeepEqual(full.Edges, fast.Edges) {
-			t.Errorf("%s: Ep differs: %v vs %v", ps, full.Edges, fast.Edges)
-		}
-		if len(fast.InsertWitnesses) != 0 || len(fast.DeleteWitnesses) != 0 {
-			t.Errorf("%s: EvalSelect must not report witnesses", ps)
+		for _, sel := range []func(*Path) (*Result, error){ev.EvalSelect, ev.EvalSelectSweep} {
+			fast, err := sel(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(full.Selected, fast.Selected) {
+				t.Errorf("%s: selection differs: %v vs %v", ps, full.Selected, fast.Selected)
+			}
+			if !reflect.DeepEqual(full.Edges, fast.Edges) {
+				t.Errorf("%s: Ep differs: %v vs %v", ps, full.Edges, fast.Edges)
+			}
+			if len(fast.InsertWitnesses) != 0 || len(fast.DeleteWitnesses) != 0 {
+				t.Errorf("%s: EvalSelect must not report witnesses", ps)
+			}
 		}
 	}
 }
@@ -534,14 +535,16 @@ func TestEvalSelectProperty(t *testing.T) {
 		ev := newEval(t, d, nil)
 		for _, ps := range []string{"//a", "//a//b", "a/b", "//*[a]", "a[not(b)]/c"} {
 			p := MustParse(ps)
-			full, err1 := ev.Eval(p)
-			fast, err2 := ev.EvalSelect(p)
-			if err1 != nil || err2 != nil {
+			full, err := ev.EvalSweep(p)
+			if err != nil {
 				return false
 			}
-			if !reflect.DeepEqual(full.Selected, fast.Selected) ||
-				!reflect.DeepEqual(full.Edges, fast.Edges) {
-				return false
+			for _, sel := range []func(*Path) (*Result, error){ev.EvalSelect, ev.EvalSelectSweep} {
+				fast, err := sel(p)
+				if err != nil || !reflect.DeepEqual(full.Selected, fast.Selected) ||
+					!reflect.DeepEqual(full.Edges, fast.Edges) {
+					return false
+				}
 			}
 		}
 		return true

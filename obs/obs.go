@@ -13,6 +13,7 @@
 package obs
 
 import (
+	"context"
 	"io"
 
 	iobs "rxview/internal/obs"
@@ -55,6 +56,12 @@ func SetEnabled(on bool) { iobs.SetEnabled(on) }
 
 // NewSlowLog returns a slow-operation ring buffer of the given capacity.
 func NewSlowLog(capacity int) *SlowLog { return iobs.NewSlowLog(capacity) }
+
+// WithRouteSlot returns a context carrying slot; the query it is passed to
+// stores the name of its XPath evaluation route there.
+func WithRouteSlot(ctx context.Context, slot *string) context.Context {
+	return iobs.WithRouteSlot(ctx, slot)
+}
 
 // WritePrometheus encodes the registries in Prometheus text exposition.
 func WritePrometheus(w io.Writer, regs ...*Registry) error {

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -342,8 +343,8 @@ func TestBatchStopsAtFirstError(t *testing.T) {
 }
 
 // TestBatchMaintainCheaper asserts the performance contract directionally:
-// the summed maintenance time of a batch of inserts must not exceed the
-// sequential cost (the batch benchmark in bench_test.go quantifies the win;
+// the summed maintenance time of a batch of inserts (best round of five)
+// must not exceed the sequential cost (the batch benchmark in bench_test.go quantifies the win;
 // here we only guard against the deferred path being pathologically slower).
 func TestBatchMaintainCheaper(t *testing.T) {
 	if testing.Short() {
@@ -359,16 +360,20 @@ func TestBatchMaintainCheaper(t *testing.T) {
 		}
 		return us
 	}
-	var seqM, batM int64
-	// Three rounds to smooth scheduler noise; 2x headroom on the assert.
-	for round := 0; round < 3; round++ {
+	// Wall-clock sums are at the mercy of whatever else the machine runs
+	// (the whole suite, in `go test ./...`): one descheduled flush triples a
+	// round. Each side is therefore judged by its best of five rounds — the
+	// round least disturbed — with 2x headroom on the assert.
+	seqM, batM := int64(math.MaxInt64), int64(math.MaxInt64)
+	for round := 0; round < 5; round++ {
+		var seqRound, batRound int64
 		seq := mustView(t, rxview.WithForceSideEffects())
 		for _, u := range mk() {
 			rep, err := seq.Apply(ctx, u)
 			if err != nil {
 				t.Fatal(err)
 			}
-			seqM += rep.Timings.Maintain.Nanoseconds()
+			seqRound += rep.Timings.Maintain.Nanoseconds()
 		}
 		bat := mustView(t, rxview.WithForceSideEffects())
 		reps, err := bat.Batch(ctx, mk()...)
@@ -376,8 +381,9 @@ func TestBatchMaintainCheaper(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, rep := range reps {
-			batM += rep.Timings.Maintain.Nanoseconds()
+			batRound += rep.Timings.Maintain.Nanoseconds()
 		}
+		seqM, batM = min(seqM, seqRound), min(batM, batRound)
 	}
 	t.Logf("maintain: sequential=%dns batch=%dns", seqM, batM)
 	if batM > 2*seqM {

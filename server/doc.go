@@ -115,6 +115,17 @@
 // generations of the primary's durable watermark, and GET /repl/info
 // reports either side's position for xviewctl repl status.
 //
+// What a follower may expose, and when: a commit reaches the change log (the
+// commit sink, then the repl tail) before Engine.Update returns to the
+// writer that submitted it, so a follower may publish generation g — and
+// answer reads at g — before the primary's writer has been acknowledged
+// for g. What holds instead: a follower never exposes a generation the
+// primary did not commit (g ≤ the primary's generation at any later
+// instant), what it answers at g is exactly the primary's state after its
+// first g write units, and each reader sees generations that never go
+// backwards. A client that needs read-your-writes across nodes compares
+// the generation of its acknowledgement with the one its read reports.
+//
 // Registry hosts many named views in one process behind /v/{name}/...,
 // each an independent Gate with its own engine, writer loop and private
 // metric registry (HandlerOptions.PrivateMetricsOnly): /views lists the

@@ -250,13 +250,14 @@ func (e *Engine) Query(ctx context.Context, path string) (QueryResult, error) {
 			e.met.readerLag.ObserveValue(0)
 		}
 	}
-	nodes, err := ep.sn.Query(ctx, path)
+	var route string // filled by the evaluation below, for the slow log
+	nodes, err := ep.sn.Query(obs.WithRouteSlot(ctx, &route), path)
 	if err != nil {
 		return QueryResult{Nodes: nodes, Generation: ep.sn.Generation()}, err
 	}
 	ep.memo.put(path, nodes)
 	d := sp.End()
-	e.met.slow.Record("query", path, d, ep.sn.Generation())
+	e.met.slow.RecordRoute("query", path, route, d, ep.sn.Generation())
 	return QueryResult{Nodes: nodes, Generation: ep.sn.Generation()}, nil
 }
 
@@ -696,12 +697,12 @@ func (e *Engine) deliver(r *request, res result) {
 		}
 	}
 	var total time.Duration
-	var op string
+	var op, route string
 	count := func(rep *rxview.Report) {
 		if rep != nil && rep.Applied {
 			e.met.applied.Inc()
 			total += rep.Timings.Total()
-			op = rep.Op
+			op, route = rep.Op, rep.Route
 		}
 	}
 	count(res.rep)
@@ -710,7 +711,7 @@ func (e *Engine) deliver(r *request, res result) {
 	}
 	// Total() is built from the pipeline's own phase clocks, so the slow-
 	// commit check costs no time.Now on the apply loop.
-	e.met.slow.Record("commit", op, total, res.gen)
+	e.met.slow.RecordRoute("commit", op, route, total, res.gen)
 	r.done <- res
 }
 

@@ -95,6 +95,9 @@ func TestMetricsAndDebugEndpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if _, err := eng.Query(ctx, `//student`); err != nil { // no value filter: swept
+		t.Fatal(err)
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -113,10 +116,12 @@ func TestMetricsAndDebugEndpoints(t *testing.T) {
 		byName[f.Name] = f
 	}
 	for _, want := range []string{
-		"xview_engine_queries_total",   // engine registry
-		"xview_engine_query_seconds",   // engine histogram
-		"xview_pipeline_phase_seconds", // process-wide pipeline registry
-		"xview_path_cache_hits_total",  // process-wide cache counters
+		"xview_engine_queries_total",     // engine registry
+		"xview_engine_query_seconds",     // engine histogram
+		"xview_pipeline_phase_seconds",   // process-wide pipeline registry
+		"xview_path_cache_hits_total",    // process-wide cache counters
+		"xview_xpath_eval_total",         // evaluations by route
+		"xview_xpath_eval_visited_nodes", // cone size, or |L| for a sweep
 	} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("/metrics missing family %s", want)
@@ -124,6 +129,15 @@ func TestMetricsAndDebugEndpoints(t *testing.T) {
 	}
 	if f := byName["xview_engine_queries_total"]; len(f.Samples) != 1 || f.Samples[0].Value < 3 {
 		t.Errorf("xview_engine_queries_total = %+v, want one sample ≥ 3", f.Samples)
+	}
+	routes := map[string]float64{}
+	for _, sm := range byName["xview_xpath_eval_total"].Samples {
+		routes[sm.Labels["route"]] = sm.Value
+	}
+	// The update and the first //student[ssn=…] read anchor (the repeats are
+	// memo hits and evaluate nothing); //student sweeps.
+	if routes["anchored"] < 2 || routes["sweep"] < 1 {
+		t.Errorf("xview_xpath_eval_total by route = %v, want anchored ≥ 2 and sweep ≥ 1", routes)
 	}
 
 	code, vars := get(t, ts, "/debug/vars")
@@ -145,11 +159,26 @@ func TestMetricsAndDebugEndpoints(t *testing.T) {
 	if !ok || len(entries) == 0 {
 		t.Fatalf("/debug/slow entries = %v, want non-empty list", slow["entries"])
 	}
-	kinds := map[string]bool{}
+	kinds, slowRoutes := map[string]bool{}, map[string]string{}
 	for _, e := range entries {
-		kinds[e.(map[string]any)["kind"].(string)] = true
+		e := e.(map[string]any)
+		kinds[e["kind"].(string)] = true
+		slowRoutes[e["detail"].(string)], _ = e["route"].(string)
 	}
 	if !kinds["query"] || !kinds["commit"] {
 		t.Errorf("/debug/slow kinds = %v, want both query and commit", kinds)
+	}
+	// Every entry names the route its path was evaluated by.
+	for detail, route := range slowRoutes {
+		want := "anchored"
+		if detail == `//student` {
+			want = "sweep"
+		}
+		if route != want {
+			t.Errorf("/debug/slow entry %q: route %q, want %q", detail, route, want)
+		}
+	}
+	if len(slowRoutes) != 3 {
+		t.Errorf("/debug/slow details = %v, want the update and the two query paths", slowRoutes)
 	}
 }

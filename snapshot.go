@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rxview/internal/core"
+	"rxview/internal/obs"
 )
 
 // Generation counts the write units committed to the view since Open: it
@@ -90,10 +91,11 @@ func (s *Snapshot) Query(ctx context.Context, path string) ([]Node, error) {
 	if err != nil {
 		return nil, parseErr(path, err)
 	}
-	res, err := s.sn.Eval(p)
+	res, err := s.sn.Select(p)
 	if err != nil {
 		return nil, err
 	}
+	obs.NoteRoute(ctx, res.Route.String())
 	return nodesOf(s.sn.DAG(), s.sn.Text(), res.Selected), nil
 }
 

@@ -110,6 +110,7 @@ type Report struct {
 	DVDeletes   int        `json:"dv_deletes"`        // edges removed (including the GC cascade)
 	Changes     []Mutation `json:"changes,omitempty"` // the relational translation ΔR, as executed
 	Removed     int        `json:"removed"`           // garbage-collected nodes
+	Route       string     `json:"route,omitempty"`   // how the path was evaluated: "anchored" or "sweep"; empty if rejected before evaluation
 	Timings     Timings    `json:"timings"`
 }
 
@@ -127,6 +128,7 @@ func reportOf(r *core.Report) *Report {
 		DVDeletes:   r.DVDeletes,
 		Changes:     mutationsOf(r.DR),
 		Removed:     r.Removed,
+		Route:       r.Route,
 		Timings:     timingsOf(r.Timings),
 	}
 }

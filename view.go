@@ -78,7 +78,7 @@ func (v *View) Query(ctx context.Context, path string) ([]Node, error) {
 	if err != nil {
 		return nil, parseErr(path, err)
 	}
-	res, err := v.sys.Eval(p)
+	res, err := v.sys.Select(p)
 	if err != nil {
 		return nil, err
 	}
