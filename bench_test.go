@@ -11,10 +11,8 @@ package rxview_test
 // prints paper-style tables (use -sizes up to 1000000).
 
 import (
-	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"rxview"
 )
@@ -256,85 +254,4 @@ func BenchmarkAblationEvalStrategy(b *testing.B) {
 			}
 		}
 	})
-}
-
-// benchChainView opens a registrar view extended with a prereq chain of the
-// given depth, so the insertion target sits under a long ancestor path (the
-// regime where per-update ∆(M,L)insert is dominated by recomputing sorted
-// ancestor sets).
-func benchChainView(b *testing.B, depth int) *rxview.View {
-	b.Helper()
-	atg, db, err := rxview.NewRegistrar()
-	if err != nil {
-		b.Fatal(err)
-	}
-	view, err := rxview.Open(atg, db, rxview.WithForceSideEffects())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := view.Apply(ctx, rxview.Insert(`.`, "course", rxview.Str("CH000"), rxview.Str("chain"))); err != nil {
-		b.Fatal(err)
-	}
-	for i := 1; i < depth; i++ {
-		u := rxview.Insert(fmt.Sprintf(`//course[cno="CH%03d"]/prereq`, i-1),
-			"course", rxview.Str(fmt.Sprintf("CH%03d", i)), rxview.Str("chain"))
-		if _, err := view.Apply(ctx, u); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return view
-}
-
-func benchChainInserts(n int, tail string) []rxview.Update {
-	us := make([]rxview.Update, n)
-	for i := range us {
-		us[i] = rxview.Insert(tail, "student",
-			rxview.Str(fmt.Sprintf("B%03d", i)), rxview.Str(fmt.Sprintf("Bench %d", i)))
-	}
-	return us
-}
-
-// BenchmarkBatchVsSequential compares N single Apply calls against one
-// Batch of the same N insertions: identical final state, but Batch pays the
-// matrix half of ∆(M,L)insert once per flush instead of once per update.
-// The reported metrics are the summed Timings.Maintain of the N updates.
-func BenchmarkBatchVsSequential(b *testing.B) {
-	const depth, n = 30, 100
-	tail := fmt.Sprintf(`//course[cno="CH%03d"]/takenBy`, depth-1)
-
-	for _, mode := range []string{"sequential", "batch"} {
-		b.Run(fmt.Sprintf("%s/n=%d", mode, n), func(b *testing.B) {
-			ctx := context.Background()
-			var maintain, total time.Duration
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				view := benchChainView(b, depth)
-				updates := benchChainInserts(n, tail)
-				b.StartTimer()
-
-				t0 := time.Now()
-				if mode == "sequential" {
-					for _, u := range updates {
-						rep, err := view.Apply(ctx, u)
-						if err != nil {
-							b.Fatal(err)
-						}
-						maintain += rep.Timings.Maintain
-					}
-				} else {
-					reps, err := view.Batch(ctx, updates...)
-					if err != nil {
-						b.Fatal(err)
-					}
-					for _, rep := range reps {
-						maintain += rep.Timings.Maintain
-					}
-				}
-				total += time.Since(t0)
-			}
-			b.ReportMetric(float64(maintain.Nanoseconds())/float64(b.N), "maintain-ns")
-			b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "wall-ns")
-		})
-	}
 }

@@ -294,7 +294,7 @@ type perfPoint struct {
 	Query    int64 `json:"query_ns_per_op"`    // //-heavy XPath evaluation
 	Apply    int64 `json:"apply_ns_per_op"`    // full single-update pipeline (W2 inserts)
 	Batch    int64 `json:"batch_ns_per_op"`    // per update inside View.Batch
-	Maintain int64 `json:"maintain_ns_per_op"` // ∆(M,L) share of the apply pipeline
+	Maintain int64 `json:"maintain_ns_per_op"` // L-maintenance share of the apply pipeline
 }
 
 // perfFile is the BENCH_PR2.json layout.
@@ -343,8 +343,7 @@ func measurePerf(nc int, seed int64) (perfPoint, error) {
 		return pt, err
 	}
 
-	// Query: a //-heavy recursive selection, the path the reachability
-	// matrix accelerates.
+	// Query: a //-heavy recursive selection.
 	const qn = 32
 	t0 := time.Now()
 	for i := 0; i < qn; i++ {
@@ -355,7 +354,7 @@ func measurePerf(nc int, seed int64) (perfPoint, error) {
 	pt.Query = time.Since(t0).Nanoseconds() / qn
 
 	// Apply + maintain: the full single-update pipeline over a W2 insert
-	// workload; maintain is its ∆(M,L) share per the phase reports.
+	// workload; maintain is its L-maintenance share per the phase reports.
 	stmts := syn.InsertWorkload(rxview.W2, *opsFlag, seed+200)
 	if len(stmts) == 0 {
 		return pt, fmt.Errorf("perf: empty insert workload at |C| = %d", nc)
@@ -373,7 +372,7 @@ func measurePerf(nc int, seed int64) (perfPoint, error) {
 	pt.Maintain = maintain.Nanoseconds() / int64(len(stmts))
 
 	// Batch: the same insertion shape through View.Batch on a fresh view —
-	// fresh keys under one published root, the deferred-flush fast path.
+	// fresh keys under one published root.
 	syn2, err := rxview.NewSynthetic(rxview.SyntheticConfig{NC: nc, Seed: seed})
 	if err != nil {
 		return pt, err

@@ -2,11 +2,10 @@ package main
 
 // The tx experiment measures what the transactional API costs and buys:
 // k insertions applied as one atomic Tx.Commit vs the same k as sequential
-// View.Apply calls vs the non-atomic View.Batch, across view sizes. Commit
-// and Batch share the deferred ∆(M,L) flush, so their per-update cost
-// should track each other and undercut sequential Apply; the atomic mode's
-// extra price is the Begin-time copy of L (and nothing else on the
-// insert-only path — M is copied lazily and only when a deletion stages).
+// View.Apply calls vs the non-atomic View.Batch, across view sizes. All
+// three run the same per-update pipeline, so their per-update cost should
+// track each other; the atomic mode's extra price is the Begin-time copy of
+// L.
 //
 //	benchrunner -exp tx -sizes 250,2500,25000 -json BENCH_PR5.json
 
@@ -30,7 +29,7 @@ type txPoint struct {
 	BatchNS  int64 `json:"batch_ns_per_op"`     // non-atomic View.Batch, per update
 	TxNS     int64 `json:"tx_commit_ns_per_op"` // Begin + k stages + Commit, per update
 	BeginNS  int64 `json:"tx_begin_ns"`         // the Begin-time rollback-state capture
-	CommitNS int64 `json:"tx_commit_total_ns"`  // the Commit call itself (flush + seal)
+	CommitNS int64 `json:"tx_commit_total_ns"`  // the Commit call itself (journal commit + seal)
 }
 
 type txFile struct {
@@ -67,8 +66,7 @@ func txExp(sizes []int) {
 }
 
 // txView opens a fresh synthetic view and returns the insert workload: k
-// fresh subtrees under one published root (|r[[p]]| = 1 per update) — the
-// shape where the deferred flush pays.
+// fresh subtrees under one published root (|r[[p]]| = 1 per update).
 func txView(nc int, seed int64, k int) (*rxview.View, []rxview.Update, error) {
 	syn, err := rxview.NewSynthetic(rxview.SyntheticConfig{NC: nc, Seed: seed})
 	if err != nil {

@@ -306,7 +306,7 @@ func (s *session) dispatch(out io.Writer, line string) error {
 		if err := tx.Rollback(); err != nil {
 			return err
 		}
-		fmt.Fprintln(out, "  rolled back: view, database, L and M restored to pre-begin state")
+		fmt.Fprintln(out, "  rolled back: view, database and L restored to pre-begin state")
 		return nil
 	case line == "tx":
 		if s.tx == nil {
@@ -338,12 +338,12 @@ func (s *session) dispatch(out io.Writer, line string) error {
 		return nil
 	case line == "check":
 		if s.tx != nil {
-			return fmt.Errorf("check is unavailable inside a transaction (M maintenance is deferred until commit)")
+			return fmt.Errorf("check is unavailable inside a transaction (it verifies committed state; commit or roll back first)")
 		}
 		if err := view.CheckConsistency(); err != nil {
 			return err
 		}
-		fmt.Fprintln(out, "  consistent: view equals a fresh publication; L and M verified")
+		fmt.Fprintln(out, "  consistent: view equals a fresh publication; L and the source index verified")
 		return nil
 	case line == "tables":
 		for _, t := range view.DB().Tables() {

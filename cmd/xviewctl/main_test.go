@@ -247,7 +247,7 @@ func TestRunREPLTransactionRollbackAndGuards(t *testing.T) {
 	got := out.String()
 	for _, want := range []string{
 		"no open transaction", "already open", "unavailable inside a transaction",
-		"rolled back: view, database, L and M restored", "0 node(s)", "consistent",
+		"rolled back: view, database and L restored", "0 node(s)", "consistent",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)

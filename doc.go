@@ -8,23 +8,22 @@
 // This root package is the public API. Open publishes a database through an
 // ATG and returns a View; View.Query, View.Apply, View.DryRun and View.Batch
 // are the context-aware entry points to the paper's pipeline, with
-// functional options (WithForceSideEffects, WithMaskLimit,
-// WithSideEffectPolicy) and typed errors (ErrSideEffect, ErrNotUpdatable,
+// functional options (WithForceSideEffects, WithSideEffectPolicy) and typed
+// errors (ErrSideEffect, ErrNotUpdatable,
 // ErrParse, ErrTxOpen, ErrTxDone). NewRegistrar and NewSynthetic bundle
 // the paper's datasets; Builder defines new views from scratch.
 //
 // Updates are transactional. View.Begin opens an atomic group (Tx): each
 // staged update executes speculatively against the live view — Tx.Query and
 // later stages read the transaction's own writes — and Tx.Commit applies
-// all of it or none, restoring the view, the database and the auxiliary
-// structures L and M exactly to the pre-Begin state on rejection or
-// Rollback. A committed transaction runs one deferred maintenance flush and
-// advances View.Generation by exactly 1, however many updates it staged, so
-// snapshot readers step from group to group and never observe a
-// mid-transaction state. Apply, Execute and Batch are one-shot transactions
-// over the same machinery; Batch keeps its documented non-atomic prefix
-// semantics (one generation per applied update) and coalesces the
-// maintenance of L and M across consecutive insertions.
+// all of it or none, restoring the view, the database and the topological
+// order L exactly to the pre-Begin state on rejection or Rollback. A
+// committed transaction advances View.Generation by exactly 1, however many
+// updates it staged, so snapshot readers step from group to group and never
+// observe a mid-transaction state. Apply, Execute and Batch are one-shot
+// transactions over the same machinery; Batch keeps its documented
+// non-atomic prefix semantics (one generation per applied update) and hands
+// the whole applied prefix to the log in one append.
 //
 // XPath evaluation takes one of two routes, chosen from the compiled path's
 // shape alone: a path with a value-equality filter (every update class of
@@ -35,19 +34,19 @@
 // the argument, README.md ("XPath evaluation") the sizes — and Report.Route
 // names the route an update's path took.
 //
-// The reachability matrix M — the structure behind // evaluation,
-// side-effect detection and the ∆(M,L) maintenance algorithms — is stored as
-// per-node bitset rows ([]uint64 over dense node ids) rather than the
-// paper's sparse M(anc, desc) relation: closure building, the insert outer
-// product and the delete subtraction are word-level row unions and masked
-// subtracts. The worst-case memory is 2·n² bits, i.e. n²/4 bytes (rows
-// truncate at their highest set word); the sparse layout is kept as a test
-// oracle behind
-// reach.NewSparse. See README.md ("The reachability matrix M") for the
-// break-even analysis.
+// The paper keeps two auxiliary structures, the topological order L and the
+// reachability matrix M, and maintains them together (∆(M,L), §3.4) because
+// its evaluator reads M for // and for side-effect screening. The state-set
+// evaluator that serves here reads the DAG and L only, so a View carries L
+// and no M: insertions append to and repair L, deletions collect the nodes
+// left without a parent. M lives on in internal/reach as a self-contained
+// bitset matrix that the paper's experiments (Fig.10b, Fig.11 phase (c),
+// Table 1, the ablations) build and keep exact from each commit's DAG delta.
+// See README.md ("The reachability matrix M") for the numbers behind that
+// decision.
 //
-// A View is not safe for concurrent use: the pipeline mutates the DAG and
-// the auxiliary structures in place. Two primitives support the concurrent
+// A View is not safe for concurrent use: the pipeline mutates the DAG and L
+// in place. Two primitives support the concurrent
 // serving layer built on top (package rxview/server): View.Snapshot seals
 // the current state into an immutable epoch whose Query/Stats/XML are safe
 // for any number of goroutines, and View.Generation counts applied

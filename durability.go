@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"rxview/internal/core"
 	"rxview/internal/dag"
@@ -298,28 +299,49 @@ type ckptTable struct {
 
 // encodeCheckpoint serializes the full state of the system. The layout is
 // version, generation, the tables (tuples sorted by their injective
-// encoding, so the payload is byte-stable), the DAG state, and L. M is not
-// serialized: it is uniquely determined as the transitive closure of the
-// DAG, and recovery recomputes it.
+// encoding, so the payload is byte-stable), the DAG state, and L.
 func encodeCheckpoint(sys *core.System) []byte {
-	dst := []byte{ckptVersion}
-	dst = binary.AppendUvarint(dst, sys.Generation())
+	// Each tuple is encoded once, into its sort key; the keys are distinct
+	// (the encoding is injective), so the order is total.
+	type keyed struct {
+		key string
+		t   relational.Tuple
+	}
 	names := sys.DB.Schema.TableNames()
-	dst = binary.AppendUvarint(dst, uint64(len(names)))
-	for _, name := range names {
-		dst = binary.AppendUvarint(dst, uint64(len(name)))
-		dst = append(dst, name...)
-		tuples := sys.DB.Rel(name).Tuples()
-		sort.Slice(tuples, func(i, j int) bool { return tuples[i].Encode() < tuples[j].Encode() })
-		dst = binary.AppendUvarint(dst, uint64(len(tuples)))
-		for _, t := range tuples {
-			dst = relational.AppendTuple(dst, t)
-		}
+	tables := make([][]keyed, len(names))
+	size := 0
+	for i, name := range names {
+		rel := sys.DB.Rel(name)
+		rows := make([]keyed, 0, rel.Len())
+		rel.Scan(func(t relational.Tuple) bool {
+			key := t.Encode()
+			rows = append(rows, keyed{key, t})
+			size += len(key) + 1 // what AppendTuple writes: a count, then the key
+			return true
+		})
+		slices.SortFunc(rows, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+		tables[i] = rows
 	}
 	dagState := sys.DAG.AppendState(nil)
+	order := sys.Topo.Nodes()
+
+	// The payload is allocated once, at (a little over) its size: grown by
+	// append, a slice of megabytes costs several times its size in garbage,
+	// and the writer pays for collecting it inside the checkpoint stall.
+	size += len(dagState) + binary.MaxVarintLen32*len(order) + 64*(len(names)+1)
+	dst := append(make([]byte, 0, size), ckptVersion)
+	dst = binary.AppendUvarint(dst, sys.Generation())
+	dst = binary.AppendUvarint(dst, uint64(len(names)))
+	for i, name := range names {
+		dst = binary.AppendUvarint(dst, uint64(len(name)))
+		dst = append(dst, name...)
+		dst = binary.AppendUvarint(dst, uint64(len(tables[i])))
+		for _, r := range tables[i] {
+			dst = relational.AppendTuple(dst, r.t)
+		}
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(dagState)))
 	dst = append(dst, dagState...)
-	order := sys.Index.Topo.Nodes()
 	dst = binary.AppendUvarint(dst, uint64(len(order)))
 	for _, id := range order {
 		dst = binary.AppendUvarint(dst, uint64(id))

@@ -57,9 +57,9 @@ func ExampleView_Apply() {
 	// consistent: true
 }
 
-// ExampleView_Batch enrolls several students with one deferred maintenance
-// pass over the auxiliary structures L and M, instead of paying the
-// maintenance cost per update.
+// ExampleView_Batch enrolls several students as one non-atomic group: the
+// same result as three Apply calls, in one call (and, on a durable view, one
+// log append).
 func ExampleView_Batch() {
 	atg, db, err := rxview.NewRegistrar()
 	if err != nil {

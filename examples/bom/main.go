@@ -201,7 +201,7 @@ func main() {
 	fmt.Println("  consistency verified ✓")
 
 	// A batch: drop the engine from the car and register two gearbox
-	// subparts, with one deferred maintenance pass over L and M.
+	// subparts, as one non-atomic group.
 	fmt.Println("== batch: -engine, +gearbox, +clutch ==")
 	reps, err := viewP.Batch(ctx,
 		rxview.Delete(`part[pno="P1"]/subparts/part[pno="P6"]`),

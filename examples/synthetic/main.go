@@ -36,7 +36,7 @@ func main() {
 		st.Nodes, st.Edges, st.Compression)
 	fmt.Printf("  shared subtrees:    %.1f%% of nodes (paper: 31.4%% of C instances)\n",
 		100*st.SharedFrac)
-	fmt.Printf("  |L| = %d, |M| = %d\n\n", st.TopoLen, st.MatrixPairs)
+	fmt.Printf("  |L| = %d\n\n", st.TopoLen)
 
 	run := func(label string, stmts []string) {
 		for _, stmt := range stmts {

@@ -61,13 +61,18 @@ func RunWorkload(nc int, class WorkloadClass, deletes bool, nops int, seed int64
 }
 
 // DatasetStats publishes the synthetic dataset at size nc and returns its
-// Fig.10(b) statistics plus the generation + publication wall time.
+// Fig.10(b) statistics plus the generation + publication wall time. It is
+// the one producer of a non-zero Stats.MatrixPairs: a View carries no
+// reachability matrix, so |M| is computed here, by one run of Algorithm
+// Reach over the published DAG.
 func DatasetStats(nc int, seed int64) (Stats, time.Duration, error) {
-	st, took, err := bench.DatasetStats(nc, seed)
+	st, pairs, took, err := bench.DatasetStats(nc, seed)
 	if err != nil {
 		return Stats{}, 0, err
 	}
-	return statsOf(st), took, nil
+	out := statsOf(st)
+	out.MatrixPairs = pairs
+	return out, took, nil
 }
 
 // SelectionPoint is one point of the Fig.11(g) sweep: runtime as a function
@@ -117,7 +122,9 @@ func VarySubtree(nc int, fanouts []int, seed int64) ([]SubtreePoint, error) {
 }
 
 // MaintenanceResult compares incremental maintenance of L and M against full
-// recomputation (Table 1 of the paper).
+// recomputation (Table 1 of the paper). The incremental columns are the sum
+// of the view's own maintenance of L and the experiment's maintenance of M
+// from the commit's delta.
 type MaintenanceResult struct {
 	Size       int
 	IncrInsert time.Duration // ∆(M,L)insert for one representative insertion

@@ -63,11 +63,37 @@ func NewSystem(nc int, seed int64) (*workload.Synthetic, *core.System, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	sys, err := core.Open(syn.ATG, syn.DB, core.Options{ForceSideEffects: true})
-	if err != nil {
-		return nil, nil, err
-	}
-	return syn, sys, nil
+	sys, err := openSystem(syn, syn.DB)
+	return syn, sys, err
+}
+
+func openSystem(syn *workload.Synthetic, db *relational.Database) (*core.System, error) {
+	return core.Open(syn.ATG, db, core.Options{ForceSideEffects: true})
+}
+
+// paperView is a system under experiment together with the reachability
+// matrix M that the paper maintains next to L. The system itself carries no
+// M (no evaluator that serves reads it; see package core), so the
+// experiments hold their own: built by Algorithm Reach, then kept exact from
+// the DAG delta of each commit, which an in-memory commit sink taps. ∆(M,L)
+// is thus split along its comma — the L half and the garbage collection run
+// inside the system, the M half here — and phase (c) of Fig.11 and the
+// incremental columns of Table 1 report the sum of both.
+type paperView struct {
+	sys   *core.System
+	m     *reach.Matrix
+	delta []dag.DeltaOp // of the commits since M was last brought up to date
+}
+
+func newPaperView(sys *core.System) *paperView {
+	v := &paperView{sys: sys, m: reach.Compute(sys.DAG, sys.Topo)}
+	sys.SetCommitSink(func(recs []core.CommitRecord) error {
+		for _, r := range recs {
+			v.delta = append(v.delta, r.Delta...)
+		}
+		return nil
+	}, nil)
+	return v
 }
 
 // evaluator returns an XPath evaluator over the system's live view, for the
@@ -75,7 +101,7 @@ func NewSystem(nc int, seed int64) (*workload.Synthetic, *core.System, error) {
 func evaluator(sys *core.System) *xpath.Evaluator {
 	return &xpath.Evaluator{
 		D:          sys.DAG,
-		Topo:       sys.Index.Topo,
+		Topo:       sys.Topo,
 		Text:       sys.ATG.Text(sys.DAG),
 		TextEquals: sys.ATG.TextEquals(sys.DAG),
 	}
@@ -84,20 +110,26 @@ func evaluator(sys *core.System) *xpath.Evaluator {
 // execute applies one update statement and reports its phases as Fig.11
 // defines them: phase (a) is §3.2's O(|p|·|V|) evaluation, so it is timed on
 // the sweep, called by name on the pre-update view, whatever route the
-// serving pipeline took for the same path.
-func execute(sys *core.System, stmt string) (*core.Report, error) {
-	op, err := update.ParseStatement(sys.ATG, stmt)
+// serving pipeline took for the same path; phase (c) is the system's own
+// maintenance of L plus the M half of ∆(M,L), applied here from the commit's
+// delta.
+func (v *paperView) execute(stmt string) (*core.Report, error) {
+	op, err := update.ParseStatement(v.sys.ATG, stmt)
 	if err != nil {
 		return nil, err
 	}
 	t0 := time.Now()
-	if _, err := evaluator(sys).EvalSweep(op.Path); err != nil {
+	if _, err := evaluator(v.sys).EvalSweep(op.Path); err != nil {
 		return nil, err
 	}
 	sweep := time.Since(t0)
-	rep, err := sys.Apply(op)
+	rep, err := v.sys.Apply(op)
 	if rep != nil {
 		rep.Timings.Eval = sweep
+		t0 = time.Now()
+		v.m.ApplyDelta(v.sys.DAG, v.sys.Topo, v.delta)
+		rep.Timings.Maintain += time.Since(t0)
+		v.delta = v.delta[:0]
 	}
 	return rep, err
 }
@@ -109,6 +141,7 @@ func RunWorkload(nc int, class workload.Class, deletes bool, nops int, seed int6
 	if err != nil {
 		return RunResult{}, err
 	}
+	v := newPaperView(sys)
 	var ops []workload.Op
 	if deletes {
 		ops = syn.DeleteWorkload(class, nops, seed+100)
@@ -117,7 +150,7 @@ func RunWorkload(nc int, class workload.Class, deletes bool, nops int, seed int6
 	}
 	res := RunResult{Size: nc, Class: class, Ops: len(ops)}
 	for _, op := range ops {
-		rep, err := execute(sys, op.Stmt)
+		rep, err := v.execute(op.Stmt)
 		if err != nil {
 			return res, fmt.Errorf("%s: %w", op.Stmt, err)
 		}
@@ -131,15 +164,17 @@ func RunWorkload(nc int, class workload.Class, deletes bool, nops int, seed int6
 	return res, nil
 }
 
-// DatasetStats generates the dataset and reports the Fig.10(b) statistics
-// plus the generation and publication wall time.
-func DatasetStats(nc int, seed int64) (core.Stats, time.Duration, error) {
+// DatasetStats generates the dataset and reports the Fig.10(b) statistics —
+// the view's own plus |M|, for which Algorithm Reach runs once here — and
+// the generation and publication wall time, Reach included.
+func DatasetStats(nc int, seed int64) (st core.Stats, matrixPairs int, took time.Duration, err error) {
 	t0 := time.Now()
 	_, sys, err := NewSystem(nc, seed)
 	if err != nil {
-		return core.Stats{}, 0, err
+		return core.Stats{}, 0, 0, err
 	}
-	return sys.Stats(), time.Since(t0), nil
+	matrixPairs = reach.Compute(sys.DAG, sys.Topo).Size()
+	return sys.Stats(), matrixPairs, time.Since(t0), nil
 }
 
 // SelResult is one point of the Fig.11(g) sweep.
@@ -182,11 +217,11 @@ func VarySelection(nc int, targets []int, seed int64) ([]SelResult, error) {
 		path := pathFor(k)
 
 		// Deletion on a fresh clone.
-		delSys, err := core.Open(syn.ATG, syn.DB.Clone(), core.Options{ForceSideEffects: true})
+		delSys, err := openSystem(syn, syn.DB.Clone())
 		if err != nil {
 			return nil, err
 		}
-		rep, err := execute(delSys, "delete "+path)
+		rep, err := newPaperView(delSys).execute("delete " + path)
 		if err != nil {
 			return nil, err
 		}
@@ -194,13 +229,13 @@ func VarySelection(nc int, targets []int, seed int64) ([]SelResult, error) {
 		sr.Del.add(rep.Timings)
 
 		// Insertion on a fresh clone.
-		insSys, err := core.Open(syn.ATG, syn.DB.Clone(), core.Options{ForceSideEffects: true})
+		insSys, err := openSystem(syn, syn.DB.Clone())
 		if err != nil {
 			return nil, err
 		}
 		key := syn.NextKey
 		syn.NextKey++
-		rep, err = execute(insSys, fmt.Sprintf(
+		rep, err = newPaperView(insSys).execute(fmt.Sprintf(
 			`insert C(c1=%d, c6="w%d") into %s/sub`, key, key, path))
 		if err != nil {
 			return nil, err
@@ -264,12 +299,13 @@ func VarySubtree(nc int, fanouts []int, seed int64) ([]SubtreeResult, error) {
 
 	var out []SubtreeResult
 	for i, f := range fanouts {
-		sys, err := core.Open(syn.ATG, syn.DB.Clone(), core.Options{ForceSideEffects: true})
+		sys, err := openSystem(syn, syn.DB.Clone())
 		if err != nil {
 			return nil, err
 		}
+		v := newPaperView(sys)
 		sr := SubtreeResult{}
-		rep, err := execute(sys, fmt.Sprintf(
+		rep, err := v.execute(fmt.Sprintf(
 			`insert C(c1=%d, c6="big%d") into //C[key="%d"]/sub`, keys[i], keys[i], target))
 		if err != nil {
 			return nil, fmt.Errorf("fanout %d: %w", f, err)
@@ -279,7 +315,7 @@ func VarySubtree(nc int, fanouts []int, seed int64) ([]SubtreeResult, error) {
 
 		// Matching deletion: remove the just-inserted subtree again
 		// (|Ep| = 1; the subtree cascades in maintenance).
-		rep, err = execute(sys, fmt.Sprintf(
+		rep, err = v.execute(fmt.Sprintf(
 			`delete //C[key="%d"]/sub/C[key="%d"]`, target, keys[i]))
 		if err != nil {
 			return nil, err
@@ -307,18 +343,19 @@ func Table1(nc int, seed int64) (Table1Result, error) {
 		return Table1Result{}, err
 	}
 	res := Table1Result{Size: nc}
+	v := newPaperView(sys)
 
 	// Single-edge (W2) operations: Table 1 compares the per-update
 	// maintenance cost against recomputing L and M from scratch.
 	ins := syn.InsertWorkload(workload.W2, 1, seed+1)
-	rep, err := sys.Execute(ins[0].Stmt)
+	rep, err := v.execute(ins[0].Stmt)
 	if err != nil {
 		return res, err
 	}
 	res.IncrInsert = rep.Timings.Maintain
 
 	del := syn.DeleteWorkload(workload.W2, 1, seed+2)
-	rep, err = sys.Execute(del[0].Stmt)
+	rep, err = v.execute(del[0].Stmt)
 	if err != nil {
 		return res, err
 	}
@@ -491,7 +528,7 @@ func EvalStrategyAblation(nc int, seed int64) (sweep, frontier, anchored time.Du
 	}
 	path := xpath.MustParse(`//C[val="v1"]//C[sub/C]`)
 	ev := evaluator(sys)
-	fe := &xpath.FrontierEvaluator{D: sys.DAG, Topo: sys.Index.Topo, Matrix: sys.Index.Matrix, Text: ev.Text}
+	fe := &xpath.FrontierEvaluator{D: sys.DAG, Topo: sys.Topo, Matrix: reach.Compute(sys.DAG, sys.Topo), Text: ev.Text}
 
 	timed := func(eval func(*xpath.Path) (*xpath.Result, error)) (*xpath.Result, time.Duration, error) {
 		t0 := time.Now()

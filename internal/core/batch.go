@@ -6,24 +6,19 @@ import (
 	"rxview/internal/update"
 )
 
-// ApplyBatch runs a sequence of XML updates with a single deferred
-// maintenance pass over the auxiliary structures: a one-shot non-atomic
-// transaction. Each ΔX still goes through its own validation, XPath
-// evaluation, ΔX→ΔV→ΔR translation and execution (the semantics are exactly
-// those of the same sequence of Apply calls), but the transitive-closure
-// half of ∆(M,L)insert is accumulated on the transaction and flushed once —
-// per run of consecutive insertions — instead of once per update.
-// Deletions read M, so a deletion flushes the pending work before running;
-// the commit always flushes before returning, leaving L and M exact.
+// ApplyBatch runs a sequence of XML updates as a one-shot non-atomic
+// transaction: each ΔX goes through its own validation, XPath evaluation,
+// ΔX→ΔV→ΔR translation, execution and maintenance (the semantics are exactly
+// those of the same sequence of Apply calls), and the records of the whole
+// applied prefix reach the commit sink in one call — one log append, one
+// sync — instead of one per update.
 //
 // The batch is not atomic: it stops at the first failing update, with every
 // earlier update already applied. The returned reports cover the processed
 // prefix (including, as its last element, the report of the failed update —
 // for a cancellation that is an unapplied report naming the op that did not
-// run, so the error is always attributable to the right update); the flush
-// time is folded into the Maintain timing of the last insertion's report, so
-// summing Timings.Maintain over the reports gives the true total maintenance
-// cost of the batch. For an all-or-nothing group, use Begin(true).
+// run, so the error is always attributable to the right update). For an
+// all-or-nothing group, use Begin(true).
 func (s *System) ApplyBatch(ctx context.Context, ops []*update.Op) ([]*Report, error) {
 	t, err := s.Begin(false)
 	if err != nil {

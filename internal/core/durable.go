@@ -71,14 +71,15 @@ func (s *System) commitRecords(recs []CommitRecord) error {
 }
 
 // ApplyCommitRecord replays one committed record against the live system —
-// the follower's apply path. It is Recover's loop body with the closure
-// maintained incrementally instead of recomputed at the end: ΔR goes through
-// the backend, then the DAG delta op by op with L, M and the translator's
-// source index repaired per op (closure union for edge insertions, the
-// single-edge half of ∆(M,L)delete for removals — cascades arrive as their
-// own ops). The record must continue the current generation exactly; a gap
-// means the caller lost part of the stream and must re-sync from a
-// checkpoint rather than replay into a wrong state.
+// the one replay loop, shared by the follower's apply path and by Recover:
+// ΔR goes through the backend, then the DAG delta op by op with L and the
+// translator's source index repaired per op (append for node births,
+// swap-repair for edge insertions, tombstoning for node deaths — cascades
+// and collected nodes arrive as their own ops; removing an edge never
+// invalidates a topological order). The record must continue the current
+// generation exactly; a gap means the caller lost part of the stream (or the
+// log and checkpoint disagree) and must re-sync from a checkpoint rather than
+// replay into a wrong state.
 func (s *System) ApplyCommitRecord(rec CommitRecord) error {
 	if s.txn != nil {
 		return ErrTxOpen
@@ -95,16 +96,13 @@ func (s *System) ApplyCommitRecord(rec CommitRecord) error {
 		}
 		switch op.Kind {
 		case dag.DeltaNodeAdd:
-			s.Index.Topo.Append(op.Node)
+			s.Topo.Append(op.Node)
 		case dag.DeltaNodeDel:
-			s.Index.Topo.Delete(op.Node)
-			s.Index.Matrix.DropNode(op.Node)
+			s.Topo.Delete(op.Node)
 		case dag.DeltaEdgeAdd:
-			s.Index.Topo.FixEdge(s.DAG, op.Edge.Parent, op.Edge.Child)
-			s.Index.Matrix.InsertEdgeClosure(op.Edge.Parent, op.Edge.Child)
+			s.Topo.FixEdge(s.DAG, op.Edge.Parent, op.Edge.Child)
 			s.Translator.NoteEdgeInserted(op.Edge)
 		case dag.DeltaEdgeDel:
-			s.Index.DeleteEdgeUpdate(s.DAG, op.Edge)
 			s.Translator.NoteEdgeDeleted(op.Edge)
 		}
 	}
@@ -114,52 +112,27 @@ func (s *System) ApplyCommitRecord(rec CommitRecord) error {
 
 // Recover rebuilds a System from durable state: a checkpoint (the backend
 // holding the checkpointed instance, the decoded DAG and its serialized
-// topological order, at generation gen) plus the log suffix recs. Each
-// record is replayed in order — ΔR through the backend, the DAG delta op by
-// op with L maintained incrementally (append for node births, swap-repair
-// for edge insertions, tombstoning for removals) — and M is computed once at
-// the end, which reproduces it exactly: M is uniquely determined as the
-// transitive closure of the recovered DAG. Generations must be contiguous
-// from gen+1; a gap means the log and checkpoint disagree and recovery
-// refuses rather than resurrect a wrong state.
+// topological order, at generation gen) plus the log suffix recs, replayed
+// in order through ApplyCommitRecord. Generations must be contiguous from
+// gen+1.
 func Recover(c *atg.Compiled, store storage.Backend, d *dag.DAG, order []dag.NodeID, gen uint64, recs []CommitRecord, opts Options) (*System, error) {
-	topo := reach.RestoreTopo(order)
-	for _, rec := range recs {
-		if rec.Gen != gen+1 {
-			return nil, fmt.Errorf("core: recover: log record for generation %d follows generation %d", rec.Gen, gen)
-		}
-		if err := store.Apply(rec.DR); err != nil {
-			return nil, fmt.Errorf("core: recover: generation %d: %w", rec.Gen, err)
-		}
-		for _, op := range rec.Delta {
-			if err := d.ApplyDelta(op); err != nil {
-				return nil, fmt.Errorf("core: recover: generation %d: %w", rec.Gen, err)
-			}
-			switch op.Kind {
-			case dag.DeltaNodeAdd:
-				topo.Append(op.Node)
-			case dag.DeltaNodeDel:
-				topo.Delete(op.Node)
-			case dag.DeltaEdgeAdd:
-				topo.FixEdge(d, op.Edge.Parent, op.Edge.Child)
-			case dag.DeltaEdgeDel:
-				// Removing an edge never invalidates a topological order.
-			}
-		}
-		gen = rec.Gen
-	}
 	db := store.DB()
 	s := &System{
 		ATG:        c,
 		DB:         db,
 		DAG:        d,
-		Index:      &reach.Index{Topo: topo, Matrix: reach.Compute(d, topo)},
+		Topo:       reach.RestoreTopo(order),
 		Translator: viewupdate.NewTranslator(c, db, d),
 		store:      store,
 		opts:       opts,
 		text:       c.Text(d),
 		textEq:     c.TextEquals(d),
 		gen:        gen,
+	}
+	for _, rec := range recs {
+		if err := s.ApplyCommitRecord(rec); err != nil {
+			return nil, fmt.Errorf("core: recover: %w", err)
+		}
 	}
 	s.warmIndexes()
 	return s, nil

@@ -66,10 +66,10 @@ func metrics() *pipelineMetrics {
 			"Latency of one staged update inside a transaction (full pipeline run).",
 			obs.LatencyBounds())
 		m.commitDur = r.NewHistogram("xview_txn_commit_seconds",
-			"Transaction commit latency (deferred maintenance flush, durability sink, journal commit).",
+			"Transaction commit latency (durability sink, journal commit).",
 			obs.LatencyBounds())
 		m.rollbackDur = r.NewHistogram("xview_txn_rollback_seconds",
-			"Transaction rollback latency (DAG journal unwind, inverse ΔR replay, L/M restore).",
+			"Transaction rollback latency (DAG journal unwind, inverse ΔR replay, L restore).",
 			obs.LatencyBounds())
 		m.commits = r.NewCounter("xview_txn_commits_total", "Transactions committed.")
 		m.rollbacks = r.NewCounter("xview_txn_rollbacks_total", "Transactions rolled back (explicit or doomed-at-commit).")

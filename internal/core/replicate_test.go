@@ -9,7 +9,7 @@ import (
 // White-box tests of the replication seam: the commit observer (fires only
 // for records the sink accepted) and ApplyCommitRecord (the follower's
 // incremental replay, which must reproduce the primary's state exactly —
-// node identities, closure matrix and all).
+// node identities, the entry sequence of L and all).
 
 func TestObserverFiresOnlyAfterSinkAccepts(t *testing.T) {
 	ctx := context.Background()
@@ -52,9 +52,9 @@ func TestObserverFiresOnlyAfterSinkAccepts(t *testing.T) {
 // applies, an atomic group with a GC cascade, shared-edge insertion and
 // removal — on a primary while an observer captures the record stream, then
 // replays the stream record by record onto a twin system. The twin must
-// track the primary's generation exactly and end bit-identical:
-// CheckConsistency on the twin proves the per-op closure maintenance
-// (InsertEdgeClosure / DeleteEdgeUpdate / DropNode) equals a recomputation.
+// track the primary's generation exactly and end bit-identical;
+// CheckConsistency on the twin proves that the per-op maintenance of L and
+// of the translator's source index equals a rebuild.
 func TestApplyCommitRecordReplaysTwin(t *testing.T) {
 	ctx := context.Background()
 	primary := openRegistrar(t, Options{ForceSideEffects: true})

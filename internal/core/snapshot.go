@@ -33,23 +33,16 @@ func (s *System) Generation() uint64 { return s.gen }
 // Snapshot by deep copy (O(n)) — the differential baseline for the COW
 // machinery and the oracle in aliasing tests.
 //
-// The reachability matrix M is deliberately NOT captured: no snapshot read
-// path consults it — the NFA evaluator needs only the DAG and L, and Stats
-// needs only |M|, captured as a count. (A frozen M for consumers that do
-// need one, e.g. a frontier-evaluator serving path, is one
-// reach.Index.Clone away.) A Snapshot never reads the database either:
-// text content lives in the sealed attribute tuples, and the base-row
-// count is captured at snapshot time. Update paths (Apply, DryRun, Batch)
-// are intentionally absent.
+// A Snapshot never reads the database: text content lives in the sealed
+// attribute tuples, and the base-row count is captured at snapshot time.
+// Update paths (Apply, DryRun, Batch) are intentionally absent.
 type Snapshot struct {
-	gen         uint64
-	dag         dag.Reader
-	topo        reach.Order
-	matrixPairs int
-	text        func(dag.NodeID) (string, bool)
-	textEq      func(typ, s string) func(dag.NodeID) bool
-	maskLimit   int
-	baseRows    int
+	gen      uint64
+	dag      dag.Reader
+	topo     reach.Order
+	text     func(dag.NodeID) (string, bool)
+	textEq   func(typ, s string) func(dag.NodeID) bool
+	baseRows int
 }
 
 // Snapshot freezes the current view state in O(Δ): it seals the DAG and L
@@ -65,14 +58,12 @@ func (s *System) Snapshot() *Snapshot {
 	}
 	v := s.DAG.Seal()
 	return &Snapshot{
-		gen:         s.gen,
-		dag:         v,
-		topo:        s.Index.Topo.Seal(),
-		matrixPairs: s.Index.Matrix.Size(),
-		text:        s.ATG.Text(v),
-		textEq:      s.ATG.TextEquals(v),
-		maskLimit:   s.opts.MaskLimit,
-		baseRows:    s.DB.TotalRows(),
+		gen:      s.gen,
+		dag:      v,
+		topo:     s.Topo.Seal(),
+		text:     s.ATG.Text(v),
+		textEq:   s.ATG.TextEquals(v),
+		baseRows: s.DB.TotalRows(),
 	}
 }
 
@@ -87,14 +78,12 @@ func (s *System) CloneSnapshot() *Snapshot {
 	}
 	d := s.DAG.Clone()
 	return &Snapshot{
-		gen:         s.gen,
-		dag:         d,
-		topo:        s.Index.Topo.Clone(),
-		matrixPairs: s.Index.Matrix.Size(),
-		text:        s.ATG.Text(d),
-		textEq:      s.ATG.TextEquals(d),
-		maskLimit:   s.opts.MaskLimit,
-		baseRows:    s.DB.TotalRows(),
+		gen:      s.gen,
+		dag:      d,
+		topo:     s.Topo.Clone(),
+		text:     s.ATG.Text(d),
+		textEq:   s.ATG.TextEquals(d),
+		baseRows: s.DB.TotalRows(),
 	}
 }
 
@@ -117,7 +106,6 @@ func (sn *Snapshot) evaluator() *xpath.Evaluator {
 		Topo:       sn.topo,
 		Text:       sn.text,
 		TextEquals: sn.textEq,
-		MaskLimit:  sn.maskLimit,
 	}
 }
 
@@ -148,7 +136,7 @@ func (sn *Snapshot) Query(path string) ([]dag.NodeID, error) {
 
 // Stats computes the frozen view's statistics.
 func (sn *Snapshot) Stats() Stats {
-	return statsFor(sn.dag, sn.topo.Len(), sn.matrixPairs, sn.baseRows)
+	return statsFor(sn.dag, sn.topo.Len(), sn.baseRows)
 }
 
 // WriteXML serializes the frozen view; maxNodes bounds the unfolded size.

@@ -6,9 +6,9 @@ import (
 	"rxview/internal/dag"
 )
 
-// Stats summarizes the view and its auxiliary structures — the quantities of
-// Fig.10(b) in the paper: DAG size, uncompressed tree size, sharing, |M|
-// and |L|.
+// Stats summarizes the view and its auxiliary structure — the quantities of
+// Fig.10(b) in the paper a view carries: DAG size, uncompressed tree size,
+// sharing and |L|. (|M| is the experiments' to report: a view has no M.)
 type Stats struct {
 	BaseRows    int     // total tuples in the published database
 	Nodes       int     // DAG nodes (n)
@@ -18,19 +18,17 @@ type Stats struct {
 	SharedNodes int     // nodes with >1 parent
 	SharedFrac  float64 // SharedNodes / Nodes
 	TopoLen     int     // |L|
-	MatrixPairs int     // |M|
 }
 
 // Stats computes current statistics.
 func (s *System) Stats() Stats {
-	return statsFor(s.DAG, s.Index.Topo.Len(), s.Index.Matrix.Size(), s.DB.TotalRows())
+	return statsFor(s.DAG, s.Topo.Len(), s.DB.TotalRows())
 }
 
 // statsFor renders the statistics of one view state — shared by the live
-// System and its frozen Snapshots so the two can never diverge. L and M
-// enter as their sizes, which is all Stats reports (and all a Snapshot
-// retains of M).
-func statsFor(d dag.Reader, topoLen, matrixPairs, baseRows int) Stats {
+// System and its frozen Snapshots so the two can never diverge. L enters as
+// its size, which is all Stats reports.
+func statsFor(d dag.Reader, topoLen, baseRows int) Stats {
 	n := d.NumNodes()
 	ts := dag.TreeSize(d)
 	shared := dag.SharedNodeCount(d)
@@ -41,7 +39,6 @@ func statsFor(d dag.Reader, topoLen, matrixPairs, baseRows int) Stats {
 		TreeSize:    ts,
 		SharedNodes: shared,
 		TopoLen:     topoLen,
-		MatrixPairs: matrixPairs,
 	}
 	if n > 0 {
 		st.Compression = ts / float64(n)
@@ -53,7 +50,7 @@ func statsFor(d dag.Reader, topoLen, matrixPairs, baseRows int) Stats {
 // String renders the statistics in a Fig.10(b)-style line.
 func (st Stats) String() string {
 	return fmt.Sprintf(
-		"rows=%d nodes=%d edges=%d tree=%.0f compression=%.2fx shared=%.1f%% |L|=%d |M|=%d",
+		"rows=%d nodes=%d edges=%d tree=%.0f compression=%.2fx shared=%.1f%% |L|=%d",
 		st.BaseRows, st.Nodes, st.Edges, st.TreeSize, st.Compression,
-		100*st.SharedFrac, st.TopoLen, st.MatrixPairs)
+		100*st.SharedFrac, st.TopoLen)
 }

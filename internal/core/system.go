@@ -1,11 +1,18 @@
 // Package core is the public facade of the system: it wires together the
 // full update-processing framework of Fig.3 in the paper. A System holds the
 // published database I, the DAG compression of the XML view T = σ(I) with
-// its relational coding V, the auxiliary structures L and M, and the source
-// index of the relational translator. XML updates go through the three
-// phases of §2.4: DTD validation, ΔX → ΔV translation (with XPath evaluation
-// and side-effect detection on the DAG), and ΔV → ΔR translation; then ΔR is
-// applied to I, ΔV to V, and the maintenance algorithms repair L and M.
+// its relational coding V, the topological order L, and the source index of
+// the relational translator. XML updates go through the three phases of
+// §2.4: DTD validation, ΔX → ΔV translation (with XPath evaluation and
+// side-effect detection on the DAG), and ΔV → ΔR translation; then ΔR is
+// applied to I, ΔV to V, and the maintenance algorithms repair L and collect
+// what the update left unreachable.
+//
+// The paper's second auxiliary structure, the reachability matrix M, is not
+// here: the state-set evaluator that serves reads the DAG and L only, so a
+// System neither builds nor maintains M. Whoever wants one (the paper's
+// experiments, internal/bench) builds it in package reach and keeps it exact
+// from each commit's DAG delta (CommitRecord.Delta).
 package core
 
 import (
@@ -33,9 +40,6 @@ type Options struct {
 	// occurrence of the affected shared subtree). When false, such updates
 	// return a *SideEffectError so the caller can consult the user.
 	ForceSideEffects bool
-	// MaskLimit bounds the per-node state-set count in side-effect
-	// detection; see xpath.Evaluator.
-	MaskLimit int
 	// SideEffectPolicy, when non-nil, decides side-effecting updates case
 	// by case and takes precedence over ForceSideEffects. It is the
 	// "consult the user" step of §2.1 as a programmable hook.
@@ -117,7 +121,7 @@ type Timings struct {
 	XToDV     time.Duration // Algorithm Xinsert / Xdelete (Figs.5–6)
 	DVToDR    time.Duration // Algorithm insert / delete (§4)
 	Apply     time.Duration // (b): executing ΔR and ΔV
-	Maintain  time.Duration // (c): ∆(M,L)insert / ∆(M,L)delete
+	Maintain  time.Duration // (c): the L half of ∆(M,L)insert / ∆(M,L)delete, plus garbage collection
 }
 
 // Total sums all phases.
@@ -125,7 +129,8 @@ func (t Timings) Total() time.Duration {
 	return t.Validate + t.Eval + t.Translate + t.Apply + t.Maintain
 }
 
-// Report describes one processed update.
+// Report describes one processed update. Timings.Maintain covers the repair
+// of L and the collection of the Removed nodes.
 type Report struct {
 	Op          string
 	Applied     bool
@@ -145,7 +150,7 @@ type System struct {
 	ATG        *atg.Compiled
 	DB         *relational.Database // the storage backend's in-memory image (== store.DB())
 	DAG        *dag.DAG
-	Index      *reach.Index
+	Topo       *reach.Topo // the topological order L
 	Translator *viewupdate.Translator
 
 	store     storage.Backend // every ΔR mutation goes through here
@@ -161,8 +166,8 @@ type System struct {
 	txn    *Txn   // the open transaction, if any (see Begin)
 }
 
-// Open publishes σ(I) as a DAG, builds L, M and the source index, and
-// returns the system, backed by the in-memory store.
+// Open publishes σ(I) as a DAG, builds L and the source index, and returns
+// the system, backed by the in-memory store.
 func Open(c *atg.Compiled, db *relational.Database, opts Options) (*System, error) {
 	return OpenBackend(c, storage.NewMemory(db), opts)
 }
@@ -180,7 +185,7 @@ func OpenBackend(c *atg.Compiled, store storage.Backend, opts Options) (*System,
 		ATG:        c,
 		DB:         db,
 		DAG:        d,
-		Index:      reach.BuildIndex(d),
+		Topo:       reach.ComputeTopo(d),
 		Translator: viewupdate.NewTranslator(c, db, d),
 		store:      store,
 		opts:       opts,
@@ -236,10 +241,9 @@ func PathCacheStats() (hits, misses uint64) {
 func (s *System) evaluator() *xpath.Evaluator {
 	return &xpath.Evaluator{
 		D:          s.DAG,
-		Topo:       s.Index.Topo,
+		Topo:       s.Topo,
 		Text:       s.text,
 		TextEquals: s.textEq,
-		MaskLimit:  s.opts.MaskLimit,
 	}
 }
 
@@ -312,9 +316,9 @@ func (s *System) Apply(op *update.Op) (*Report, error) {
 
 // ApplyCtx is Apply with cancellation checks between the three phases of
 // §2.4: after DTD validation, after XPath evaluation (phase a), and after
-// translation + execution (phase b) before the maintenance of L and M
-// (phase c). Once ΔR has been executed the update is carried through —
-// cancellation never leaves the auxiliary structures stale.
+// translation + execution (phase b) before the maintenance of L (phase c).
+// Once ΔR has been executed the update is carried through — cancellation
+// never leaves L stale.
 //
 // It is a one-shot transaction: stage the single update, commit. With one
 // member, prefix semantics and atomicity coincide.
@@ -465,13 +469,10 @@ func (s *System) applyInsert(ctx context.Context, op *update.Op, res *xpath.Resu
 	rep.Applied = true
 	rep.Timings.Apply = time.Since(t0)
 
-	// Maintenance of L and M (background in the paper's framework). The
-	// matrix half is deferred transaction-wide: L must be current for the
-	// next stage's XPath evaluation, but no insert phase reads M, so its
-	// closure pairs are queued on the transaction and flushed once — at
-	// Commit, or before the next staged deletion.
+	// Maintenance of L (background in the paper's framework): eager, because
+	// the next stage's XPath evaluation iterates it.
 	t0 = time.Now()
-	s.Index.DeferInsertUpdate(s.DAG, newNodes, edgeAdds, &t.pending)
+	s.Topo.InsertUpdate(s.DAG, newNodes, edgeAdds)
 	rep.Timings.Maintain = time.Since(t0)
 	return nil
 }
@@ -508,7 +509,7 @@ func (s *System) applyDelete(ctx context.Context, op *update.Op, res *xpath.Resu
 	rep.Timings.Apply = time.Since(t0)
 
 	t0 = time.Now()
-	cascade, removed := s.Index.DeleteUpdate(s.DAG, res.Selected, dv.Deletes)
+	cascade, removed := s.Topo.DeleteUpdate(s.DAG, dv.Deletes)
 	for _, e := range cascade {
 		s.noteDeleted(t, e)
 	}
@@ -527,11 +528,10 @@ func (s *System) noteDeleted(t *Txn, e dag.Edge) {
 	}
 }
 
-// CheckConsistency verifies the system invariant ΔX(T) = σ(ΔR(I)): the
-// incrementally maintained DAG must be isomorphic to a fresh publication of
-// the current database, L must be a valid topological order and M the exact
-// transitive closure, and the translator's source index must match a
-// rebuild.
+// CheckConsistency verifies the system invariant ΔX(T) = σ(ΔR(I)) over
+// every incrementally maintained structure: the DAG must be isomorphic to a
+// fresh publication of the current database, L must be a valid topological
+// order of it, and the translator's source index must match a rebuild.
 func (s *System) CheckConsistency() error {
 	fresh, err := s.ATG.PublishDAG(s.DB)
 	if err != nil {
@@ -540,8 +540,11 @@ func (s *System) CheckConsistency() error {
 	if err := EquivalentDAGs(s.DAG, fresh); err != nil {
 		return fmt.Errorf("core: view drift: %w", err)
 	}
-	if err := s.Index.Validate(s.DAG); err != nil {
+	if err := s.Topo.Validate(s.DAG); err != nil {
 		return fmt.Errorf("core: index drift: %w", err)
+	}
+	if err := s.Translator.EqualSources(viewupdate.NewTranslator(s.ATG, s.DB, s.DAG)); err != nil {
+		return fmt.Errorf("core: source index drift: %w", err)
 	}
 	return nil
 }

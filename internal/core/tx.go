@@ -29,18 +29,14 @@ var (
 // one at a time with Stage; each staged update runs the full pipeline of
 // §2.4 speculatively against the live system — DTD validation, XPath
 // evaluation with side-effect detection, ΔX→ΔV→ΔR translation, ΔR against
-// the database and ΔV against the view — so queries between stages read the
-// transaction's own writes. The maintenance of M is deferred transaction-
-// wide (the reach.Pending of the batch path, extended to survive across
-// staged ops); L is maintained eagerly because the next stage's XPath
-// evaluation iterates it.
+// the database, ΔV against the view and the maintenance of L — so queries
+// between stages read the transaction's own writes.
 //
 // In atomic mode (System.Begin(true)) the group is all-or-nothing: a staged
 // rejection dooms the whole transaction, and Commit or Rollback restores
-// the DAG, the database, the translator's source index, L and M exactly to
-// their pre-Begin state. A successful Commit runs one deferred maintenance
-// flush and advances the generation by exactly 1, however many updates the
-// transaction applied.
+// the DAG, the database, the translator's source index and L exactly to
+// their pre-Begin state. A successful Commit advances the generation by
+// exactly 1, however many updates the transaction applied.
 //
 // In non-atomic mode the staged prefix stays applied whatever happens later
 // — the contract of the historical ApplyBatch — and the generation advances
@@ -49,17 +45,14 @@ type Txn struct {
 	s      *System
 	atomic bool
 
-	pending reach.Pending
-	lastIns *Report // report of the last applied insertion: flush time lands here
 	reports []*Report
 	applied int
 
 	// Atomic-mode rollback state. The DAG itself is covered by a journal
 	// opened at Begin; these cover everything the journal cannot see.
-	topoSave   *reach.Topo   // deep copy of L at Begin
-	matrixSave *reach.Matrix // copy of M, taken lazily before its first mutation
-	dbLog      []relational.Mutation
-	noteLog    []noteRec
+	topoSave *reach.Topo // deep copy of L at Begin
+	dbLog    []relational.Mutation
+	noteLog  []noteRec
 
 	// Durability state, populated only when the system has a commit sink.
 	// Non-atomic mode opens its own DAG journal (journalOwned) purely to
@@ -92,10 +85,8 @@ func (s *System) Begin(atomic bool) (*Txn, error) {
 	if atomic {
 		// L is mutated by every staged op (append/swap for inserts,
 		// tombstoning for deletes); a deep copy now is what makes rollback
-		// an O(1) pointer swap later. M is copied lazily: an insert-only
-		// transaction defers all M maintenance, so its rollback never needs
-		// a copy at all.
-		t.topoSave = s.Index.Topo.Clone()
+		// an O(1) pointer swap later.
+		t.topoSave = s.Topo.Clone()
 		s.DAG.Begin()
 	} else if s.sink != nil {
 		// Durable non-atomic groups persist per applied stage, and the
@@ -121,8 +112,7 @@ func (t *Txn) Open() bool { return !t.closed }
 // Applied returns the number of staged updates that applied so far.
 func (t *Txn) Applied() int { return t.applied }
 
-// Reports returns the per-update reports in stage order. The slice is live:
-// Commit adds the deferred flush time to the last insertion's Maintain.
+// Reports returns the per-update reports in stage order.
 func (t *Txn) Reports() []*Report { return t.reports }
 
 // Err returns the rejection that doomed an atomic transaction, or nil — the
@@ -156,14 +146,6 @@ func (t *Txn) Stage(ctx context.Context, op *update.Op) (*Report, error) {
 	if obs.Enabled() {
 		stageT0 = time.Now()
 	}
-	if op.Kind == update.OpDelete {
-		// ∆(M,L)delete walks desc(r[[p]]) through M and needs a superset of
-		// the true closure, so the deferred insert half must land first; in
-		// atomic mode M is about to see its first mutation, so capture the
-		// rollback copy now.
-		t.saveMatrix()
-		t.flushPending()
-	}
 	var mark int
 	capture := t.journalOwned // non-atomic + durable: one record per stage
 	if capture {
@@ -173,9 +155,6 @@ func (t *Txn) Stage(ctx context.Context, op *update.Op) (*Report, error) {
 	t.reports = append(t.reports, rep)
 	if rep.Applied {
 		t.applied++
-		if op.Kind == update.OpInsert {
-			t.lastIns = rep
-		}
 		if !t.atomic {
 			t.s.gen++
 			if capture {
@@ -215,10 +194,10 @@ func (t *Txn) Fail(op string, err error) {
 
 // Commit finishes the transaction. Atomic mode: if any stage was rejected
 // (or ctx is already canceled), the whole group is unwound to the pre-Begin
-// state and the rejection is returned; otherwise the deferred maintenance
-// flushes once, the DAG journal commits, and the generation advances by 1
-// if anything applied. Non-atomic mode: the flush completes the maintenance
-// of the applied prefix; nothing can fail.
+// state and the rejection is returned; otherwise the group's record goes to
+// the commit sink, the DAG journal commits, and the generation advances by 1
+// if anything applied. Non-atomic mode: the records of the applied prefix go
+// to the sink; only that can fail.
 func (t *Txn) Commit(ctx context.Context) error {
 	if t.closed {
 		return ErrTxDone
@@ -229,6 +208,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 	}
 	s := t.s
 	var through uint64 // highest generation the sink accepted; 0 = none
+	var durErr error
 	if t.atomic {
 		if t.err != nil {
 			err := t.err
@@ -245,11 +225,10 @@ func (t *Txn) Commit(ctx context.Context) error {
 			return err
 		}
 		if s.sink != nil && t.applied > 0 {
-			// Durable before irreversible: flushPending mutates M, and an
-			// insert-only group never took the lazy copy, so the group's
-			// record must reach the sink while rollback is still clean. The
-			// journal is still open here, so DeltaSince(0) is the whole
-			// group's chronological op stream.
+			// Durable before irreversible: the group's record must reach
+			// the sink while the journal is still open — rollback is clean
+			// until DAG.Commit, and DeltaSince(0) is the whole group's
+			// chronological op stream.
 			rec := CommitRecord{Gen: s.gen + 1, Delta: s.DAG.DeltaSince(0), DR: t.dbLog}
 			if err := s.commitRecords([]CommitRecord{rec}); err != nil {
 				if rerr := t.rollback(); rerr != nil {
@@ -259,24 +238,12 @@ func (t *Txn) Commit(ctx context.Context) error {
 			}
 			through = rec.Gen
 		}
-	}
-	t.flushPending()
-	var durErr error
-	if t.atomic {
 		s.DAG.Commit()
 		if t.applied > 0 {
 			s.gen++
 		}
-	} else if s.sink != nil && len(t.recs) > 0 {
-		// The records were buffered as stages applied; the whole applied
-		// prefix goes durable here. A sink failure leaves the in-memory
-		// state applied (the batch contract) and surfaces as the commit
-		// error.
-		if err := s.commitRecords(t.recs); err != nil {
-			durErr = err
-		} else {
-			through = t.recs[len(t.recs)-1].Gen
-		}
+	} else {
+		through, durErr = t.sinkPrefix()
 	}
 	t.finish(through)
 	m := metrics()
@@ -288,39 +255,42 @@ func (t *Txn) Commit(ctx context.Context) error {
 }
 
 // Rollback abandons the transaction: atomic mode restores the pre-Begin
-// state exactly; non-atomic mode keeps the applied prefix and completes its
-// deferred maintenance (there is nothing sound to unwind — that is the
-// documented batch contract). Idempotent: rolling back a finished
-// transaction is a no-op.
+// state exactly; non-atomic mode keeps the applied prefix (there is nothing
+// sound to unwind — that is the documented batch contract). Idempotent:
+// rolling back a finished transaction is a no-op.
 func (t *Txn) Rollback() error {
 	if t.closed {
 		return nil
 	}
 	if !t.atomic {
-		t.flushPending()
-		var durErr error
-		var through uint64
-		if s := t.s; s.sink != nil && len(t.recs) > 0 {
-			// The applied prefix stays applied, so it must also go durable:
-			// a replayed log has to reproduce exactly the state the process
-			// was left in.
-			if err := s.commitRecords(t.recs); err != nil {
-				durErr = err
-			} else {
-				through = t.recs[len(t.recs)-1].Gen
-			}
-		}
+		// The applied prefix stays applied, so it must also go durable: a
+		// replayed log has to reproduce exactly the state the process was
+		// left in.
+		through, durErr := t.sinkPrefix()
 		t.finish(through)
 		return durErr
 	}
 	return t.rollback()
 }
 
+// sinkPrefix makes a non-atomic transaction's applied prefix durable: the
+// records were buffered as stages applied and go to the sink in one call. A
+// sink failure leaves the in-memory state applied (the batch contract) and
+// surfaces as the closing call's error.
+func (t *Txn) sinkPrefix() (through uint64, err error) {
+	if t.s.sink == nil || len(t.recs) == 0 {
+		return 0, nil
+	}
+	if err := t.s.commitRecords(t.recs); err != nil {
+		return 0, err
+	}
+	return t.recs[len(t.recs)-1].Gen, nil
+}
+
 // rollback restores the pre-Begin state: the DAG from its journal, the
 // database by inverse mutations in reverse order, the translator's source
-// index by inverse note replay, L from the Begin-time copy and M from the
-// lazy copy (or untouched — an insert-only transaction never mutated it).
-// An inverse-mutation failure means the undo log and the database disagree;
+// index by inverse note replay and L from the Begin-time copy. An
+// inverse-mutation failure means the undo log and the database disagree;
 // it is returned as an internal error, never silently swallowed.
 func (t *Txn) rollback() error {
 	var t0 time.Time
@@ -338,11 +308,7 @@ func (t *Txn) rollback() error {
 			s.Translator.NoteEdgeInserted(n.edge)
 		}
 	}
-	s.Index.Topo = t.topoSave
-	if t.matrixSave != nil {
-		s.Index.Matrix = t.matrixSave
-	}
-	t.pending = reach.Pending{}
+	s.Topo = t.topoSave
 	t.close()
 	m := metrics()
 	m.rollbacks.Inc()
@@ -370,28 +336,6 @@ func (t *Txn) finish(through uint64) {
 	t.close()
 	if through > 0 && t.s.afterSync != nil {
 		t.s.afterSync(through)
-	}
-}
-
-// saveMatrix captures the rollback copy of M before its first transaction-
-// scoped mutation. No-op in non-atomic mode and on repeat calls.
-func (t *Txn) saveMatrix() {
-	if t.atomic && t.matrixSave == nil {
-		t.matrixSave = t.s.Index.Matrix.Clone()
-	}
-}
-
-// flushPending applies the deferred closure maintenance; the time lands in
-// the last applied insertion's Maintain, so summing Timings.Maintain over
-// the reports gives the group's true maintenance cost.
-func (t *Txn) flushPending() {
-	if t.pending.Len() == 0 {
-		return
-	}
-	t0 := time.Now()
-	t.s.Index.Flush(&t.pending)
-	if t.lastIns != nil {
-		t.lastIns.Timings.Maintain += time.Since(t0)
 	}
 }
 

@@ -25,43 +25,3 @@ func (t *Topo) Clone() *Topo {
 	}
 	return c
 }
-
-// Clone returns an independent epoch copy of the matrix, for snapshot
-// publication: the serving layer reads the clone's rows while the writer
-// keeps maintaining the original in place. All row words are copied into a
-// single contiguous arena (two allocations total instead of 2n), and each
-// cloned row is capacity-capped at its own length so any later growth of a
-// clone reallocates instead of stomping its arena neighbor.
-func (m *Matrix) Clone() *Matrix {
-	words := 0
-	for _, r := range m.anc {
-		words += len(r)
-	}
-	for _, r := range m.desc {
-		words += len(r)
-	}
-	arena := make(Row, words)
-	clone := func(rows []Row) []Row {
-		out := make([]Row, len(rows))
-		for i, r := range rows {
-			if len(r) == 0 {
-				continue // nil and empty rows read identically (all zero)
-			}
-			n := copy(arena, r)
-			out[i] = arena[0:n:n]
-			arena = arena[n:]
-		}
-		return out
-	}
-	return &Matrix{
-		anc:   clone(m.anc),
-		desc:  clone(m.desc),
-		pairs: m.pairs,
-	}
-}
-
-// Clone returns an independent copy of both auxiliary structures — the unit
-// of snapshot publication: one epoch of (L, M) frozen together.
-func (ix *Index) Clone() *Index {
-	return &Index{Topo: ix.Topo.Clone(), Matrix: ix.Matrix.Clone()}
-}

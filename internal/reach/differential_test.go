@@ -1,6 +1,7 @@
 package reach
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,92 +10,113 @@ import (
 	"rxview/internal/relational"
 )
 
-// checkAgainstOracles validates the incrementally maintained index two ways:
-// Index.Validate (L invariants + M against the bitset recompute) and a
-// comparison with the sparse map-of-maps oracle built by an independent
-// per-node DFS — the two representations share nothing but the DAG.
-func checkAgainstOracles(t testing.TB, d *dag.DAG, ix *Index) error {
+// checkAgainstOracles validates the maintained pair two ways: index.Validate
+// (L invariants, the mirror, M against the bitset recompute) and a comparison
+// with the sparse map-of-maps oracle built by an independent per-node DFS —
+// the two representations share nothing but the DAG.
+func checkAgainstOracles(t testing.TB, d *dag.DAG, ix *index) error {
 	t.Helper()
 	if err := ix.Validate(d); err != nil {
 		return err
 	}
-	sp := ComputeSparse(d)
-	if !ix.Matrix.EqualSparse(sp) {
-		return errMatrix("sparse oracle: " + ix.Matrix.DiffSparse(sp))
+	if sp := ComputeSparse(d); !ix.Matrix.EqualSparse(sp) {
+		return fmt.Errorf("sparse oracle: %s", ix.Matrix.DiffSparse(sp))
 	}
 	return nil
 }
 
-// TestMatrixMatchesSparseOracle drives one Index through randomized
-// insert/delete/batch sequences and, after every mutation, checks the bitset
-// matrix against both oracles. This is the differential test for the bitset
-// representation: every word-level op (row unions in Flush, the masked
-// subtract of RetainAncestors, DropNode mirroring) must leave exactly the
-// pair set the sparse relation representation would hold.
+// reaches reports whether a path from → … → to exists, by plain DFS.
+func reaches(d *dag.DAG, from, to dag.NodeID) bool {
+	seen := map[dag.NodeID]bool{from: true}
+	stack := []dag.NodeID{from}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if x == to {
+			return true
+		}
+		for _, c := range d.Children(x) {
+			if !seen[c] {
+				seen[c] = true
+				stack = append(stack, c)
+			}
+		}
+	}
+	return false
+}
+
+// TestMatrixMatchesSparseOracle is the differential test of the matrix's
+// one maintenance entry point. It drives a DAG and L through randomized
+// commits — each a group of one to three units: an edge removal with its
+// garbage collection, a fresh (or resurrected) leaf, a new edge between
+// existing nodes that may force L to reorder — and after every commit feeds
+// the journaled delta to Matrix.ApplyDelta and checks M against both
+// oracles. Mixed groups are the point: ApplyDelta sees every op only after
+// the whole group was applied to the DAG, so a removal is repaired against
+// parents that a later op of the same group added, and a node may die and
+// come back under its old id inside one delta.
 func TestMatrixMatchesSparseOracle(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d := randomDAG(t, rng, 20, 15)
-		ix := BuildIndex(d)
+		ix := buildIndex(d)
 		if err := checkAgainstOracles(t, d, ix); err != nil {
 			t.Logf("seed %d initial: %v", seed, err)
 			return false
 		}
 		next := int64(10_000)
-		var pending Pending
-		batched := 0
-		flush := func() {
-			ix.Flush(&pending)
-			batched = 0
-		}
-		for round := 0; round < 12; round++ {
+		var freed []int64 // keys of collected nodes, to resurrect
+		unit := func() {
+			nodes := d.Nodes()
 			switch rng.Intn(3) {
-			case 0: // delete a random live edge (flush first: deletes read M)
-				flush()
-				nodes := d.Nodes()
-				var u, v dag.NodeID = -1, -1
+			case 0: // remove a random live edge and collect what it strands
 				for _, cand := range rng.Perm(len(nodes)) {
 					if ch := d.Children(nodes[cand]); len(ch) > 0 {
-						u, v = nodes[cand], ch[rng.Intn(len(ch))]
-						break
+						u, v := nodes[cand], ch[rng.Intn(len(ch))]
+						d.RemoveEdge(u, v)
+						_, removed := ix.Topo.DeleteUpdate(d, []dag.Edge{{Parent: u, Child: v}})
+						for _, id := range removed {
+							freed = append(freed, d.Attr(id)[0].I)
+						}
+						return
 					}
 				}
-				if u < 0 {
-					continue
+			case 1: // a leaf under a random node: a collected identity if there is one
+				key := next
+				if len(freed) > 0 && rng.Intn(2) == 0 {
+					key, freed = freed[len(freed)-1], freed[:len(freed)-1]
+				} else {
+					next++
 				}
-				d.RemoveEdge(u, v)
-				ix.DeleteUpdate(d, []dag.NodeID{v}, []dag.Edge{{Parent: u, Child: v}})
-			case 1: // eager insert of a small fresh chain
-				flush()
-				nodes := d.Nodes()
-				target := nodes[rng.Intn(len(nodes))]
-				id, _ := d.AddNode("N", relational.Tuple{relational.Int(next)})
-				next++
-				d.AddEdge(target, id)
-				ix.InsertUpdate(d, []dag.NodeID{id}, []dag.Edge{{Parent: target, Child: id}})
-			default: // deferred (batched) insert; flushed later
-				nodes := d.Nodes()
-				target := nodes[rng.Intn(len(nodes))]
-				id, _ := d.AddNode("N", relational.Tuple{relational.Int(next)})
-				next++
-				d.AddEdge(target, id)
-				ix.DeferInsertUpdate(d, []dag.NodeID{id},
-					[]dag.Edge{{Parent: target, Child: id}}, &pending)
-				batched++
-				if batched < 3 && round < 11 {
-					continue // let the batch accumulate; M is a subset until flushed
+				id, created := d.AddNode("N", relational.Tuple{relational.Int(key)})
+				if !created {
+					return
 				}
-				flush()
+				target := nodes[rng.Intn(len(nodes))]
+				d.AddEdge(target, id)
+				ix.Topo.InsertUpdate(d, []dag.NodeID{id}, []dag.Edge{{Parent: target, Child: id}})
+			default: // share an existing node under a second parent
+				u, v := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
+				if v == d.Root() || reaches(d, v, u) || !d.AddEdge(u, v) {
+					return
+				}
+				ix.Topo.InsertUpdate(d, nil, []dag.Edge{{Parent: u, Child: v}})
 			}
+		}
+		for round := 0; round < 16; round++ {
+			ix.commit(d, func() {
+				for k := 1 + rng.Intn(3); k > 0; k-- {
+					unit()
+				}
+			})
 			if err := checkAgainstOracles(t, d, ix); err != nil {
 				t.Logf("seed %d round %d: %v", seed, round, err)
 				return false
 			}
 		}
-		flush()
-		return checkAgainstOracles(t, d, ix) == nil
+		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
@@ -217,22 +239,25 @@ func TestLocalTopoDeepChain(t *testing.T) {
 }
 
 // TestInsertUpdateDeepChain exercises the full ∆(M,L)insert path on a deep
-// chain (localTopo + FixEdge + closure flush) and validates the result.
+// chain (localTopo + FixEdge, then the closure unions from the delta) and
+// validates the result.
 func TestInsertUpdateDeepChain(t *testing.T) {
 	const depth = 2_000
 	d := dag.New("db")
-	ix := BuildIndex(d)
-	nodes := make([]dag.NodeID, 0, depth)
-	edges := make([]dag.Edge, 0, depth)
-	prev := d.Root()
-	for i := 0; i < depth; i++ {
-		id, _ := d.AddNode("N", relational.Tuple{relational.Int(int64(i))})
-		d.AddEdge(prev, id)
-		nodes = append(nodes, id)
-		edges = append(edges, dag.Edge{Parent: prev, Child: id})
-		prev = id
-	}
-	ix.InsertUpdate(d, nodes, edges)
+	ix := buildIndex(d)
+	ix.commit(d, func() {
+		nodes := make([]dag.NodeID, 0, depth)
+		edges := make([]dag.Edge, 0, depth)
+		prev := d.Root()
+		for i := 0; i < depth; i++ {
+			id, _ := d.AddNode("N", relational.Tuple{relational.Int(int64(i))})
+			d.AddEdge(prev, id)
+			nodes = append(nodes, id)
+			edges = append(edges, dag.Edge{Parent: prev, Child: id})
+			prev = id
+		}
+		ix.Topo.InsertUpdate(d, nodes, edges)
+	})
 	if err := ix.Validate(d); err != nil {
 		t.Fatal(err)
 	}

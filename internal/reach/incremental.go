@@ -2,62 +2,61 @@ package reach
 
 import "rxview/internal/dag"
 
-// Index bundles the two auxiliary structures that are maintained together —
-// the paper maintains M and L "at once" because each update needs the other
-// (§3.4: "we follow a hybrid approach by maintaining both auxiliary
-// structures at once").
-type Index struct {
-	Topo   *Topo
-	Matrix *Matrix
-}
+// The paper maintains L and M "at once" (§3.4, Figs.7–8). Here ∆(M,L) is
+// split along its comma: the L half and the garbage collection of
+// ∆(M,L)delete are methods of Topo — what a serving view carries — and the M
+// half is Matrix.ApplyDelta, driven by the DAG delta of a commit after the
+// fact, for whoever holds a Matrix (the paper's experiments and tests).
 
-// BuildIndex computes L and M from scratch (used at publish time; Table 1's
-// "recomputation" column re-runs exactly this).
-func BuildIndex(d *dag.DAG) *Index {
-	t := ComputeTopo(d)
-	return &Index{Topo: t, Matrix: Compute(d, t)}
-}
-
-// Validate checks both structures against the DAG: L is a topological order
-// covering the live nodes, and M equals the recomputed transitive closure.
-func (ix *Index) Validate(d *dag.DAG) error {
-	if err := ix.Topo.Validate(d); err != nil {
-		return err
-	}
-	if err := ix.Matrix.ValidateMirror(); err != nil {
-		return err // desc rows must be the exact transpose of anc rows
-	}
-	want := Compute(d, ix.Topo)
-	if !ix.Matrix.Equal(want) {
-		return errMatrix(ix.Matrix.Diff(want))
-	}
-	return nil
-}
-
-type errMatrix string
-
-func (e errMatrix) Error() string { return "reach: matrix mismatch: " + string(e) }
-
-// InsertUpdate is Algorithm ∆(M,L)insert (Fig.7): it maintains L and M after
-// an insertion that added newNodes (the fresh nodes of the published subtree
+// InsertUpdate is the L half of Algorithm ∆(M,L)insert (Fig.7): after an
+// insertion that added newNodes (the fresh nodes of the published subtree
 // ST(A,t), in creation order) and newEdges (the subtree's internal edges plus
-// the connection edges (u_i, r_A) for u_i ∈ r[[p]]).
+// the connection edges (u_i, r_A) for u_i ∈ r[[p]]), the new nodes are
+// appended to L in children-first order (their local topological order L_A)
+// and every inserted edge is repaired with swap(L, u, v) — the alignment of
+// Fig.7 lines 6..14. Edges must already be present in the DAG.
+func (t *Topo) InsertUpdate(d *dag.DAG, newNodes []dag.NodeID, newEdges []dag.Edge) {
+	for _, id := range localTopo(d, newNodes) {
+		t.Append(id)
+	}
+	for _, e := range newEdges {
+		t.FixEdge(d, e.Parent, e.Child)
+	}
+}
+
+// DeleteUpdate is the keep(d) := false half of Algorithm ∆(M,L)delete
+// (Fig.8): given the already-removed parent-child edges ep = Ep(r), it
+// removes every node they left unreachable from L and from the DAG and
+// returns ∆'V — the cascade of edges removed from the view because their
+// parent node died — plus the garbage-collected nodes themselves.
 //
-// The implementation composes the paper's primitives:
-//   - new nodes are appended to L in children-first order (their local
-//     topological order L_A), then every inserted edge is repaired with
-//     swap(L, u, v) — the alignment of Fig.7 lines 6..14;
-//   - M gains, per inserted edge (u,v), the pairs
-//     ({u} ∪ anc(u)) × ({v} ∪ desc(v)) as row unions — for a fresh subtree
-//     this is exactly Reach on ST(A,t) plus the anc(r[[p]]) × N_A pairs of
-//     Fig.7 lines 3..5.
-//
-// Edges must already be present in the DAG. It is the batched primitive
-// applied eagerly: defer the closure half, then flush it immediately.
-func (ix *Index) InsertUpdate(d *dag.DAG, newNodes []dag.NodeID, newEdges []dag.Edge) {
-	var p Pending
-	ix.DeferInsertUpdate(d, newNodes, newEdges, &p)
-	ix.Flush(&p)
+// RemoveEdge keeps the Parents lists clean, so a non-root node is unreachable
+// exactly when its parent list is empty; examining the children of every
+// removed edge breadth-first therefore collects the same set Fig.8's backward
+// walk over desc(r[[p]]) does, without reading M. The order may differ from
+// Fig.8's; a replayed commit follows the journal of the mutators called here,
+// so it reproduces whatever order ran.
+func (t *Topo) DeleteUpdate(d *dag.DAG, ep []dag.Edge) (cascade []dag.Edge, removed []dag.NodeID) {
+	root := d.Root()
+	queue := make([]dag.NodeID, len(ep))
+	for i, e := range ep {
+		queue[i] = e.Child
+	}
+	for i := 0; i < len(queue); i++ {
+		n := queue[i]
+		if n == root || !d.Alive(n) || len(d.Parents(n)) > 0 {
+			continue
+		}
+		t.Delete(n)
+		for _, c := range append([]dag.NodeID(nil), d.Children(n)...) {
+			d.RemoveEdge(n, c)
+			cascade = append(cascade, dag.Edge{Parent: n, Child: c})
+			queue = append(queue, c)
+		}
+		d.RemoveNode(n)
+		removed = append(removed, n)
+	}
+	return cascade, removed
 }
 
 // localTopo orders the given nodes children-first using only edges among
@@ -113,109 +112,74 @@ func localTopo(d *dag.DAG, nodes []dag.NodeID) []dag.NodeID {
 	return out
 }
 
-// DeleteEdgeUpdate repairs M after the removal of one DAG edge that has
-// already been applied to d — the replication replay primitive. It is
-// ∆(M,L)delete's row algebra restricted to a single edge and stripped of
-// garbage collection: a replayed journal carries cascade edge removals and
-// node deaths as their own explicit ops, so repairing them here too would
-// apply them twice. A node left without live parents simply has its
-// ancestor row cleared; the ops that remove it follow in the journal.
-func (ix *Index) DeleteEdgeUpdate(d *dag.DAG, e dag.Edge) {
-	m, topo := ix.Matrix, ix.Topo
-
-	// Only descendants-or-self of the child can lose ancestors; the stale
-	// matrix row is a superset of the true set, which is all the traversal
-	// needs.
-	affRow := NewRow(d.Cap())
-	affRow.Set(e.Child)
-	affRow.Or(m.DescendantRow(e.Child))
-	aff := affRow.Slice()
-	topo.SortDescending(aff) // ancestors first: parents are final when read
-
-	ad := NewRow(d.Cap())
-	root := d.Root()
-	for _, n := range aff {
-		if n == root || !d.Alive(n) {
-			continue
-		}
-		ad.Reset()
-		for _, p := range d.Parents(n) {
-			if d.Alive(p) {
-				ad.Set(p)
-				ad.Or(m.AncestorRow(p))
+// ApplyDelta is the matrix's one maintenance entry point — the M half of
+// ∆(M,L)insert and ∆(M,L)delete, driven by the chronological DAG delta of a
+// commit (dag.DeltaSince, the ΔV a WAL record carries). d and topo are the
+// DAG and L *after* the commit: the closure contribution of an inserted edge
+// is computed from M alone, and the repair after removals reads the surviving
+// parents of each affected node from d. On return M is the transitive closure
+// of d, provided it was the closure of the pre-commit DAG.
+//
+// Repairing against the final DAG is exact: RetainAncestors only intersects,
+// so every row stays a superset of the truth until the pass of the last
+// removal above it, and a pass visits a node after its parents. An update
+// that only removes — every deletion the experiments commit — is one run and
+// one pass, as in Fig.8; TestMatrixMatchesSparseOracle pins the general case,
+// groups that interleave insertions and removals included.
+func (m *Matrix) ApplyDelta(d *dag.DAG, topo *Topo, ops []dag.DeltaOp) {
+	removal := func(k dag.DeltaKind) bool { return k == dag.DeltaEdgeDel || k == dag.DeltaNodeDel }
+	for i := 0; i < len(ops); i++ {
+		switch {
+		case ops[i].Kind == dag.DeltaEdgeAdd:
+			m.InsertEdgeClosure(ops[i].Edge.Parent, ops[i].Edge.Child)
+		case removal(ops[i].Kind):
+			j := i + 1
+			for j < len(ops) && removal(ops[j].Kind) {
+				j++
 			}
+			m.removeRun(d, topo, ops[i:j])
+			i = j - 1
 		}
-		m.RetainAncestors(n, ad)
 	}
 }
 
-// DeleteUpdate is Algorithm ∆(M,L)delete (Fig.8): given the deletion targets
-// rp = r[[p]] and the already-removed parent-child edges ep = Ep(r), it
-// repairs M, removes newly unreachable nodes from L and the DAG (the paper's
-// keep(d) := false path), and returns ∆'V — the cascade of edges removed
-// from the view because their parent node died — plus the garbage-collected
-// nodes themselves.
-//
-// The traversal works on L_R = desc(r[[p]]) sorted by L and walked backwards
-// (ancestors first), so each node's surviving parents have final ancestor
-// rows when it is processed. A_d and the anc(d) \ A_d subtraction are pure
-// row algebra: one union over the surviving parents' rows, one masked
-// subtract with mirrored descendant clearing.
-func (ix *Index) DeleteUpdate(d *dag.DAG, rp []dag.NodeID, ep []dag.Edge) (cascade []dag.Edge, removed []dag.NodeID) {
-	m, topo := ix.Matrix, ix.Topo
-
-	// L_R: descendants-or-self of the deletion targets, per the (stale,
-	// hence superset) matrix — exactly the nodes that can lose ancestors.
+// removeRun repairs M after a run of consecutive removals — ∆(M,L)delete's
+// row algebra (Fig.8) stripped of garbage collection, which already happened:
+// the delta carries cascade edge removals and node deaths as ops of their
+// own. L_R is the descendants-or-self of every removed edge's child, walked
+// ancestors first; A_d = ⋃_{a ∈ P_d} ({a} ∪ anc(a)) over the surviving
+// parents P_d is one row union per parent, and removing anc(d) \ A_d one
+// masked subtract with mirrored descendant clearing.
+func (m *Matrix) removeRun(d *dag.DAG, topo *Topo, run []dag.DeltaOp) {
+	// Only descendants-or-self of a removed edge's child can lose ancestors;
+	// the stale matrix rows are supersets of the true sets, which is all the
+	// traversal needs.
 	lrRow := NewRow(d.Cap())
-	for _, v := range rp {
-		lrRow.Set(v)
-		lrRow.Or(m.DescendantRow(v))
+	for _, op := range run {
+		if op.Kind == dag.DeltaEdgeDel {
+			lrRow.Set(op.Edge.Child)
+			lrRow.Or(m.DescendantRow(op.Edge.Child))
+		}
 	}
 	lr := lrRow.Slice()
-	topo.SortDescending(lr) // backward traversal: ancestors first
+	topo.SortDescending(lr) // ancestors first: parents are final when read
 
-	var dead Row // within L_R: nodes already garbage-collected this pass
 	ad := NewRow(d.Cap())
 	root := d.Root()
-
 	for _, n := range lr {
-		if dead.Contains(n) {
-			continue // already processed as dead via cascade bookkeeping
+		if n == root || !d.Alive(n) {
+			continue // a collected node's rows go with its NodeDel below
 		}
-		// P_d: surviving parents (edges in ep are already gone from the
-		// DAG; parents killed earlier in this traversal had their child
-		// edges removed too, so Parents() is already clean — but guard via
-		// dead anyway, matching Fig.8 line 7).
-		var pd []dag.NodeID
-		for _, p := range d.Parents(n) {
-			if d.Alive(p) && !dead.Contains(p) {
-				pd = append(pd, p)
-			}
-		}
-		if n == root {
-			continue // the root needs no parents
-		}
-		if len(pd) == 0 {
-			// keep(d) := false — the node is unreachable: drop it from L,
-			// cascade-delete its outgoing edges (∆'V), clear its M rows.
-			dead.Set(n)
-			topo.Delete(n)
-			for _, c := range append([]dag.NodeID(nil), d.Children(n)...) {
-				d.RemoveEdge(n, c)
-				cascade = append(cascade, dag.Edge{Parent: n, Child: c})
-			}
-			d.RemoveNode(n)
-			m.DropNode(n)
-			removed = append(removed, n)
-			continue
-		}
-		// A_d = ⋃_{a ∈ P_d} ({a} ∪ anc(a)); remove anc(d) \ A_d from M.
 		ad.Reset()
-		for _, p := range pd {
+		for _, p := range d.Parents(n) {
 			ad.Set(p)
 			ad.Or(m.AncestorRow(p))
 		}
 		m.RetainAncestors(n, ad)
 	}
-	return cascade, removed
+	for _, op := range run {
+		if op.Kind == dag.DeltaNodeDel {
+			m.DropNode(op.Node)
+		}
+	}
 }

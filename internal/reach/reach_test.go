@@ -1,6 +1,7 @@
 package reach
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -49,6 +50,55 @@ func randomDAG(t testing.TB, rng *rand.Rand, n, extraEdges int) *dag.DAG {
 	}
 	d, _ := buildDAG(t, edges)
 	return d
+}
+
+// index is L and M side by side, maintained the way the system and the
+// experiments split ∆(M,L): L on the spot by Topo's methods, M afterwards by
+// Matrix.ApplyDelta from the journaled delta of the same update.
+type index struct {
+	Topo   *Topo
+	Matrix *Matrix
+}
+
+func buildIndex(d *dag.DAG) *index {
+	t := ComputeTopo(d)
+	return &index{Topo: t, Matrix: Compute(d, t)}
+}
+
+// commit brackets one update the way a commit does: mutate changes the DAG
+// and L inside a journal, and the journaled delta then drives the matrix's
+// one maintenance entry point.
+func (ix *index) commit(d *dag.DAG, mutate func()) {
+	d.Begin()
+	mutate()
+	delta := d.DeltaSince(0)
+	d.Commit()
+	ix.Matrix.ApplyDelta(d, ix.Topo, delta)
+}
+
+// deleteEdge removes one edge through the full deletion path.
+func (ix *index) deleteEdge(d *dag.DAG, u, v dag.NodeID) (cascade []dag.Edge, removed []dag.NodeID) {
+	ix.commit(d, func() {
+		d.RemoveEdge(u, v)
+		cascade, removed = ix.Topo.DeleteUpdate(d, []dag.Edge{{Parent: u, Child: v}})
+	})
+	return cascade, removed
+}
+
+// Validate checks both structures against the DAG: L is a topological order
+// covering the live nodes, and M — mirror included — equals the recomputed
+// transitive closure.
+func (ix *index) Validate(d *dag.DAG) error {
+	if err := ix.Topo.Validate(d); err != nil {
+		return err
+	}
+	if err := ix.Matrix.ValidateMirror(); err != nil {
+		return err
+	}
+	if want := Compute(d, ix.Topo); !ix.Matrix.Equal(want) {
+		return fmt.Errorf("reach: matrix mismatch: %s", ix.Matrix.Diff(want))
+	}
+	return nil
 }
 
 func TestComputeTopoOrder(t *testing.T) {
@@ -217,7 +267,7 @@ func TestSortHelpers(t *testing.T) {
 
 func TestBuildIndexValidate(t *testing.T) {
 	d, _ := buildDAG(t, [][2]int{{0, 1}, {1, 2}, {1, 3}, {2, 4}, {3, 4}})
-	ix := BuildIndex(d)
+	ix := buildIndex(d)
 	if err := ix.Validate(d); err != nil {
 		t.Fatal(err)
 	}
@@ -225,17 +275,20 @@ func TestBuildIndexValidate(t *testing.T) {
 
 func TestInsertUpdateFreshSubtree(t *testing.T) {
 	d, ids := buildDAG(t, [][2]int{{0, 1}, {1, 2}, {0, 3}})
-	ix := BuildIndex(d)
+	ix := buildIndex(d)
 	// Publish a fresh subtree {10 -> 11, 10 -> 12} and hang it under 2 and 3.
-	n10, _ := d.AddNode("N", relational.Tuple{relational.Int(10)})
-	n11, _ := d.AddNode("N", relational.Tuple{relational.Int(11)})
-	n12, _ := d.AddNode("N", relational.Tuple{relational.Int(12)})
-	newEdges := []dag.Edge{}
-	for _, e := range [][2]dag.NodeID{{n10, n11}, {n10, n12}, {ids[2], n10}, {ids[3], n10}} {
-		d.AddEdge(e[0], e[1])
-		newEdges = append(newEdges, dag.Edge{Parent: e[0], Child: e[1]})
-	}
-	ix.InsertUpdate(d, []dag.NodeID{n10, n11, n12}, newEdges)
+	var n11 dag.NodeID
+	ix.commit(d, func() {
+		n10, _ := d.AddNode("N", relational.Tuple{relational.Int(10)})
+		n11, _ = d.AddNode("N", relational.Tuple{relational.Int(11)})
+		n12, _ := d.AddNode("N", relational.Tuple{relational.Int(12)})
+		newEdges := []dag.Edge{}
+		for _, e := range [][2]dag.NodeID{{n10, n11}, {n10, n12}, {ids[2], n10}, {ids[3], n10}} {
+			d.AddEdge(e[0], e[1])
+			newEdges = append(newEdges, dag.Edge{Parent: e[0], Child: e[1]})
+		}
+		ix.Topo.InsertUpdate(d, []dag.NodeID{n10, n11, n12}, newEdges)
+	})
 	if err := ix.Validate(d); err != nil {
 		t.Fatal(err)
 	}
@@ -248,9 +301,11 @@ func TestInsertUpdateSharedRoot(t *testing.T) {
 	// Inserting an edge to an existing shared node (the CS320-as-prereq
 	// case): no new nodes, one new edge between existing nodes.
 	d, ids := buildDAG(t, [][2]int{{0, 1}, {0, 2}, {2, 3}})
-	ix := BuildIndex(d)
-	d.AddEdge(ids[1], ids[3])
-	ix.InsertUpdate(d, nil, []dag.Edge{{Parent: ids[1], Child: ids[3]}})
+	ix := buildIndex(d)
+	ix.commit(d, func() {
+		d.AddEdge(ids[1], ids[3])
+		ix.Topo.InsertUpdate(d, nil, []dag.Edge{{Parent: ids[1], Child: ids[3]}})
+	})
 	if err := ix.Validate(d); err != nil {
 		t.Fatal(err)
 	}
@@ -263,10 +318,8 @@ func TestDeleteUpdateSimple(t *testing.T) {
 	// 0 -> 1 -> 2; 0 -> 3 -> 2. Delete edge (1,2): 2 keeps ancestor 0 via 3,
 	// loses 1.
 	d, ids := buildDAG(t, [][2]int{{0, 1}, {1, 2}, {0, 3}, {3, 2}})
-	ix := BuildIndex(d)
-	d.RemoveEdge(ids[1], ids[2])
-	cascade, removed := ix.DeleteUpdate(d, []dag.NodeID{ids[2]},
-		[]dag.Edge{{Parent: ids[1], Child: ids[2]}})
+	ix := buildIndex(d)
+	cascade, removed := ix.deleteEdge(d, ids[1], ids[2])
 	if len(cascade) != 0 || len(removed) != 0 {
 		t.Errorf("cascade=%v removed=%v", cascade, removed)
 	}
@@ -285,10 +338,8 @@ func TestDeleteUpdateCascade(t *testing.T) {
 	// 0 -> 1 -> 2 -> 3, and 0 -> 4 -> 3. Deleting edge (0,1) strands 1, 2
 	// (cascade) but 3 survives via 4.
 	d, ids := buildDAG(t, [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 4}, {4, 3}})
-	ix := BuildIndex(d)
-	d.RemoveEdge(ids[0], ids[1])
-	cascade, removed := ix.DeleteUpdate(d, []dag.NodeID{ids[1]},
-		[]dag.Edge{{Parent: ids[0], Child: ids[1]}})
+	ix := buildIndex(d)
+	cascade, removed := ix.deleteEdge(d, ids[0], ids[1])
 	if len(removed) != 2 {
 		t.Errorf("removed = %v, want nodes 1 and 2", removed)
 	}
@@ -312,7 +363,7 @@ func TestDeleteUpdateMatchesRebuild(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d := randomDAG(t, rng, 25, 20)
-		ix := BuildIndex(d)
+		ix := buildIndex(d)
 		for round := 0; round < 5; round++ {
 			// Pick a random live edge.
 			nodes := d.Nodes()
@@ -327,8 +378,7 @@ func TestDeleteUpdateMatchesRebuild(t *testing.T) {
 			if u < 0 {
 				break
 			}
-			d.RemoveEdge(u, v)
-			ix.DeleteUpdate(d, []dag.NodeID{v}, []dag.Edge{{Parent: u, Child: v}})
+			ix.deleteEdge(d, u, v)
 			if err := ix.Validate(d); err != nil {
 				t.Logf("seed %d round %d: %v", seed, round, err)
 				return false
@@ -347,50 +397,53 @@ func TestInsertUpdateMatchesRebuild(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d := randomDAG(t, rng, 20, 10)
-		ix := BuildIndex(d)
+		ix := buildIndex(d)
 		next := int64(1000)
-		for round := 0; round < 4; round++ {
+		ok := true
+		for round := 0; round < 4 && ok; round++ {
 			// Fresh chain of 3 nodes hung under a random existing node,
 			// possibly also linking to an existing node as child.
 			nodes := d.Nodes()
 			target := nodes[rng.Intn(len(nodes))]
-			var newNodes []dag.NodeID
-			var newEdges []dag.Edge
-			var prev dag.NodeID = -1
-			for i := 0; i < 3; i++ {
-				id, _ := d.AddNode("N", relational.Tuple{relational.Int(next)})
-				next++
-				newNodes = append(newNodes, id)
-				if prev >= 0 {
-					d.AddEdge(prev, id)
-					newEdges = append(newEdges, dag.Edge{Parent: prev, Child: id})
+			ix.commit(d, func() {
+				var newNodes []dag.NodeID
+				var newEdges []dag.Edge
+				var prev dag.NodeID = -1
+				for i := 0; i < 3; i++ {
+					id, _ := d.AddNode("N", relational.Tuple{relational.Int(next)})
+					next++
+					newNodes = append(newNodes, id)
+					if prev >= 0 {
+						d.AddEdge(prev, id)
+						newEdges = append(newEdges, dag.Edge{Parent: prev, Child: id})
+					}
+					prev = id
 				}
-				prev = id
-			}
-			// Link the chain bottom to an existing node to create sharing,
-			// but only if that node is not an ancestor of (or equal to)
-			// the target — the connection edge target→chain would
-			// otherwise close a cycle.
-			exist := nodes[rng.Intn(len(nodes))]
-			if exist != d.Root() && exist != target && !ix.Matrix.IsAncestor(exist, target) {
-				if d.AddEdge(prev, exist) {
-					newEdges = append(newEdges, dag.Edge{Parent: prev, Child: exist})
+				// Link the chain bottom to an existing node to create
+				// sharing, but only if that node is not an ancestor of (or
+				// equal to) the target — the connection edge target→chain
+				// would otherwise close a cycle.
+				exist := nodes[rng.Intn(len(nodes))]
+				if exist != d.Root() && exist != target && !ix.Matrix.IsAncestor(exist, target) {
+					if d.AddEdge(prev, exist) {
+						newEdges = append(newEdges, dag.Edge{Parent: prev, Child: exist})
+					}
 				}
-			}
-			// Connection edge last, as Xinsert produces.
-			d.AddEdge(target, newNodes[0])
-			newEdges = append(newEdges, dag.Edge{Parent: target, Child: newNodes[0]})
-			if err := d.CheckAcyclic(); err != nil {
-				t.Log(err)
-				return false
-			}
-			ix.InsertUpdate(d, newNodes, newEdges)
+				// Connection edge last, as Xinsert produces.
+				d.AddEdge(target, newNodes[0])
+				newEdges = append(newEdges, dag.Edge{Parent: target, Child: newNodes[0]})
+				if err := d.CheckAcyclic(); err != nil {
+					t.Log(err)
+					ok = false
+				}
+				ix.Topo.InsertUpdate(d, newNodes, newEdges)
+			})
 			if err := ix.Validate(d); err != nil {
 				t.Logf("seed %d round %d: %v", seed, round, err)
 				return false
 			}
 		}
-		return true
+		return ok
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -400,26 +453,26 @@ func TestInsertUpdateMatchesRebuild(t *testing.T) {
 func TestDeleteThenInsertInterleaved(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	d := randomDAG(t, rng, 30, 25)
-	ix := BuildIndex(d)
+	ix := buildIndex(d)
 	next := int64(5000)
 	for round := 0; round < 10; round++ {
 		if round%2 == 0 {
 			nodes := d.Nodes()
 			for _, cand := range rng.Perm(len(nodes)) {
 				if ch := d.Children(nodes[cand]); len(ch) > 0 {
-					u, v := nodes[cand], ch[0]
-					d.RemoveEdge(u, v)
-					ix.DeleteUpdate(d, []dag.NodeID{v}, []dag.Edge{{Parent: u, Child: v}})
+					ix.deleteEdge(d, nodes[cand], ch[0])
 					break
 				}
 			}
 		} else {
 			nodes := d.Nodes()
 			target := nodes[rng.Intn(len(nodes))]
-			id, _ := d.AddNode("N", relational.Tuple{relational.Int(next)})
+			ix.commit(d, func() {
+				id, _ := d.AddNode("N", relational.Tuple{relational.Int(next)})
+				d.AddEdge(target, id)
+				ix.Topo.InsertUpdate(d, []dag.NodeID{id}, []dag.Edge{{Parent: target, Child: id}})
+			})
 			next++
-			d.AddEdge(target, id)
-			ix.InsertUpdate(d, []dag.NodeID{id}, []dag.Edge{{Parent: target, Child: id}})
 		}
 		if err := ix.Validate(d); err != nil {
 			t.Fatalf("round %d: %v", round, err)

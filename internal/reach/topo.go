@@ -3,6 +3,13 @@
 // Reach (Fig.4) and the incremental maintenance algorithms ∆(M,L)insert and
 // ∆(M,L)delete of §3.4 (Figs.7–8).
 //
+// The two structures have different holders. L is what evaluation iterates,
+// so a serving view (internal/core) carries a Topo and maintains it on the
+// commit path: Topo.InsertUpdate and Topo.DeleteUpdate. No evaluator that
+// serves reads M, so no view carries a Matrix: it is a self-contained value
+// that the paper's experiments (internal/bench) and tests build with Compute
+// and keep exact with Matrix.ApplyDelta, from the DAG delta of each commit.
+//
 // Order convention (§3.1): "u precedes v in L only if u is not an ancestor of
 // v". Descendants therefore come first; for every edge (parent u → child v),
 // pos(v) < pos(u). Algorithm Reach walks L backwards (ancestors first), and

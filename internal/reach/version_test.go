@@ -17,7 +17,7 @@ import (
 func TestTopoSealStability(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	d := dag.New("db")
-	ix := BuildIndex(d)
+	topo := ComputeTopo(d)
 
 	var live []dag.NodeID
 	live = append(live, d.Root())
@@ -38,7 +38,7 @@ func TestTopoSealStability(t *testing.T) {
 			}
 			p := live[rng.Intn(len(live))]
 			d.AddEdge(p, id)
-			ix.InsertUpdate(d, []dag.NodeID{id}, []dag.Edge{{Parent: p, Child: id}})
+			topo.InsertUpdate(d, []dag.NodeID{id}, []dag.Edge{{Parent: p, Child: id}})
 			live = append(live, id)
 		} else {
 			// Delete a random leaf-ward edge through the maintenance path,
@@ -50,7 +50,7 @@ func TestTopoSealStability(t *testing.T) {
 			}
 			p := ps[rng.Intn(len(ps))]
 			d.RemoveEdge(p, v)
-			_, removed := ix.DeleteUpdate(d, []dag.NodeID{v}, []dag.Edge{{Parent: p, Child: v}})
+			_, removed := topo.DeleteUpdate(d, []dag.Edge{{Parent: p, Child: v}})
 			if len(removed) > 0 {
 				dead := map[dag.NodeID]bool{}
 				for _, r := range removed {
@@ -66,11 +66,11 @@ func TestTopoSealStability(t *testing.T) {
 			}
 		}
 		if step%17 == 0 {
-			tv := ix.Topo.Seal()
+			tv := topo.Seal()
 			seals = append(seals, sealed{tv: tv, want: render(tv)})
 		}
 	}
-	if err := ix.Topo.Validate(d); err != nil {
+	if err := topo.Validate(d); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range seals {
@@ -84,15 +84,15 @@ func TestTopoSealStability(t *testing.T) {
 func TestTopoSealMatchesClone(t *testing.T) {
 	d := dag.New("db")
 	prev := d.Root()
-	ix := BuildIndex(d)
+	topo := ComputeTopo(d)
 	for i := 0; i < 700; i++ {
 		id, _ := d.AddNode("C", relational.Tuple{relational.Int(int64(i))})
 		d.AddEdge(prev, id)
-		ix.InsertUpdate(d, []dag.NodeID{id}, []dag.Edge{{Parent: prev, Child: id}})
+		topo.InsertUpdate(d, []dag.NodeID{id}, []dag.Edge{{Parent: prev, Child: id}})
 		prev = id
 	}
-	tv := ix.Topo.Seal()
-	cl := ix.Topo.Clone()
+	tv := topo.Seal()
+	cl := topo.Clone()
 	if fmt.Sprint(tv.Nodes()) != fmt.Sprint(cl.Nodes()) || tv.Len() != cl.Len() {
 		t.Fatalf("seal and clone disagree: %d vs %d entries", tv.Len(), cl.Len())
 	}

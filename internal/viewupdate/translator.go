@@ -68,6 +68,22 @@ func (tr *Translator) NoteEdgeInserted(e dag.Edge) { tr.bump(e, +1) }
 // NoteEdgeDeleted decrements the index for a removed edge.
 func (tr *Translator) NoteEdgeDeleted(e dag.Edge) { tr.bump(e, -1) }
 
+// EqualSources compares the source index with another translator's — in
+// practice a fresh NewTranslator over the same view, which is how
+// core.CheckConsistency covers the Note* maintenance above (atomic rollback
+// replays it inversely, followers replay it from the log). Zero counts are
+// pruned: a decrement leaves an entry behind where a rebuild has none.
+func (tr *Translator) EqualSources(want *Translator) error {
+	for _, keys := range [2]map[string]int{tr.srcCount, want.srcCount} {
+		for k := range keys {
+			if n, w := tr.srcCount[k], want.srcCount[k]; n != w {
+				return fmt.Errorf("viewupdate: source %q derives %d live edges, index says %d", k, w, n)
+			}
+		}
+	}
+	return nil
+}
+
 // RejectedError reports that ΔV is not translatable: carrying it out would
 // necessarily cause relational view side effects.
 type RejectedError struct{ Reason string }

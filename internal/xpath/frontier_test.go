@@ -14,8 +14,8 @@ import (
 
 func newFrontier(t testing.TB, d *dag.DAG, text func(dag.NodeID) (string, bool)) *FrontierEvaluator {
 	t.Helper()
-	ix := reach.BuildIndex(d)
-	return &FrontierEvaluator{D: d, Topo: ix.Topo, Matrix: ix.Matrix, Text: text}
+	topo := reach.ComputeTopo(d)
+	return &FrontierEvaluator{D: d, Topo: topo, Matrix: reach.Compute(d, topo), Text: text}
 }
 
 func TestFrontierMatchesNFAOnFig1(t *testing.T) {

@@ -92,13 +92,6 @@ func WithForceSideEffects() Option {
 	return func(c *config) { c.opts.ForceSideEffects = true }
 }
 
-// WithMaskLimit bounds the per-node state-set count in XPath side-effect
-// detection; 0 means the built-in default. Raising it trades memory for
-// exactness on views with very heavy sharing.
-func WithMaskLimit(n int) Option {
-	return func(c *config) { c.opts.MaskLimit = n }
-}
-
 // Decision is a side-effect policy's verdict on one update.
 type Decision int
 

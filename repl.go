@@ -19,7 +19,7 @@ import (
 // checkpoint fetch plus a generation-contiguous record stream. The follower
 // side is a Replica: a read-only view that restores from a checkpoint
 // payload and replays streamed records one epoch per record through the
-// same machinery boot recovery uses, with L and M maintained incrementally.
+// same loop boot recovery uses (core's ApplyCommitRecord).
 // The HTTP transport between the two lives in the server package; this file
 // only defines the state machines and the wire framing.
 

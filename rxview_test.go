@@ -8,7 +8,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -239,10 +238,8 @@ func TestBatchCancellationOpAttribution(t *testing.T) {
 }
 
 // TestBatchEquivalence checks that Batch(u1..uN) produces exactly the final
-// state of Apply(u1)..Apply(uN) — including through a mid-batch deletion,
-// which forces the deferred maintenance to flush — and that the auxiliary
-// structures come out exact (CheckConsistency recomputes L and M from
-// scratch and compares).
+// state of Apply(u1)..Apply(uN) — including through a mid-batch deletion —
+// and that every maintained structure comes out exact (CheckConsistency).
 func TestBatchEquivalence(t *testing.T) {
 	ctx := context.Background()
 	var updates []rxview.Update
@@ -339,54 +336,5 @@ func TestBatchStopsAtFirstError(t *testing.T) {
 	}
 	if err := view.CheckConsistency(); err != nil {
 		t.Fatalf("view inconsistent after parse-failed batch: %v", err)
-	}
-}
-
-// TestBatchMaintainCheaper asserts the performance contract directionally:
-// the summed maintenance time of a batch of inserts (best round of five)
-// must not exceed the sequential cost (the batch benchmark in bench_test.go quantifies the win;
-// here we only guard against the deferred path being pathologically slower).
-func TestBatchMaintainCheaper(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	ctx := context.Background()
-	const n = 100
-	mk := func() []rxview.Update {
-		us := make([]rxview.Update, n)
-		for i := range us {
-			us[i] = rxview.Insert(`//course[cno="CS650"]/takenBy`, "student",
-				rxview.Str(fmt.Sprintf("S8%03d", i)), rxview.Str("T"))
-		}
-		return us
-	}
-	// Wall-clock sums are at the mercy of whatever else the machine runs
-	// (the whole suite, in `go test ./...`): one descheduled flush triples a
-	// round. Each side is therefore judged by its best of five rounds — the
-	// round least disturbed — with 2x headroom on the assert.
-	seqM, batM := int64(math.MaxInt64), int64(math.MaxInt64)
-	for round := 0; round < 5; round++ {
-		var seqRound, batRound int64
-		seq := mustView(t, rxview.WithForceSideEffects())
-		for _, u := range mk() {
-			rep, err := seq.Apply(ctx, u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seqRound += rep.Timings.Maintain.Nanoseconds()
-		}
-		bat := mustView(t, rxview.WithForceSideEffects())
-		reps, err := bat.Batch(ctx, mk()...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rep := range reps {
-			batRound += rep.Timings.Maintain.Nanoseconds()
-		}
-		seqM, batM = min(seqM, seqRound), min(batM, batRound)
-	}
-	t.Logf("maintain: sequential=%dns batch=%dns", seqM, batM)
-	if batM > 2*seqM {
-		t.Errorf("batched maintenance (%dns) far exceeds sequential (%dns)", batM, seqM)
 	}
 }

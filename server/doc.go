@@ -1,17 +1,15 @@
 // Package server makes a published XML view safely shareable under
 // concurrent load. The underlying rxview.View is single-writer by design —
-// the paper's pipeline (translate → side-effect check → ∆(M,L) maintenance)
-// mutates the DAG and the auxiliary structures in place — so this package
+// the paper's pipeline (translate → side-effect check → maintenance of L)
+// mutates the DAG and the topological order in place — so this package
 // adds the serving layer on top instead of sprinkling locks through the
 // engine:
 //
 //   - Reads are snapshot-isolated and wait-free. An Engine publishes an
 //     immutable epoch snapshot (the DAG and the topological order sealed
-//     together + the view's generation counter; the reachability matrix
-//     enters as its size — no read path consults its rows) through an
-//     atomic pointer; queries evaluate against whatever epoch they load
-//     and never block behind a write or observe a half-maintained
-//     structure.
+//     together + the view's generation counter) through an atomic
+//     pointer; queries evaluate against whatever epoch they load and never
+//     block behind a write or observe a half-maintained structure.
 //
 //   - Publication is O(Δ). Sealing an epoch is copy-on-write: unchanged
 //     chunks of per-node state are shared between the live view and every
@@ -32,11 +30,11 @@
 //
 //   - Writes are serialized through a single-writer apply loop. Updates are
 //     submitted to a channel-fed goroutine; consecutive insertions are
-//     coalesced into View.Batch runs (one deferred ∆(M,L) flush per run
-//     instead of one per update) while preserving per-update independence:
-//     a mid-run rejection fails only its own update, and the rest of the
-//     run is re-applied. Each submission gets its verdict back through a
-//     promise channel. Context cancellation is honored both in-queue (a
+//     coalesced into View.Batch runs (on a durable view, one log append
+//     and one sync per run instead of one per update) while preserving
+//     per-update independence: a mid-run rejection fails only its own
+//     update, and the rest of the run is re-applied. Each submission gets
+//     its verdict back through a promise channel. Context cancellation is honored both in-queue (a
 //     canceled update is skipped and reports context.Canceled without being
 //     applied) and in-flight (the pipeline's phase checks abort it).
 //

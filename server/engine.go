@@ -19,13 +19,22 @@ var ErrClosed = errors.New("server: engine closed")
 type Option func(*config)
 
 type config struct {
-	queue       int
-	maxCoalesce int
-	memoCap     int
-	highWater   int
-	probeBase   time.Duration
-	probeMax    time.Duration
+	queue     int
+	highWater int
+	probeBase time.Duration
+	probeMax  time.Duration
 }
+
+const (
+	// maxCoalesce caps how many consecutive insertions one Batch run may
+	// absorb.
+	maxCoalesce = 64
+	// memoCap is how many distinct query texts the per-epoch result memo
+	// holds. The memo is rebuilt empty at every snapshot publication, so it
+	// only ever pays off across reads of the same epoch — exactly the
+	// repeated-hot-query case.
+	memoCap = 256
+)
 
 // WithQueueDepth bounds the number of writes waiting for the apply loop.
 // Default 256. Submissions beyond the shed watermark (by default the queue
@@ -61,28 +70,6 @@ func WithRecoveryBackoff(base, max time.Duration) Option {
 		}
 		if max > 0 {
 			c.probeMax = max
-		}
-	}
-}
-
-// WithMaxCoalesce caps how many consecutive insertions one Batch run may
-// absorb. Default 64.
-func WithMaxCoalesce(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.maxCoalesce = n
-		}
-	}
-}
-
-// WithQueryMemo sets how many distinct query texts the per-epoch result
-// memo holds (default 256). The memo is rebuilt empty at every snapshot
-// publication, so it only ever pays off across reads of the same epoch —
-// exactly the repeated-hot-query case.
-func WithQueryMemo(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.memoCap = n
 		}
 	}
 }
@@ -159,8 +146,7 @@ type result struct {
 //
 // xviewlint:writer-init
 func New(view *rxview.View, opts ...Option) *Engine {
-	cfg := config{queue: 256, maxCoalesce: 64, memoCap: 256,
-		probeBase: 25 * time.Millisecond, probeMax: 2 * time.Second}
+	cfg := config{queue: 256, probeBase: 25 * time.Millisecond, probeMax: 2 * time.Second}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -176,7 +162,7 @@ func New(view *rxview.View, opts ...Option) *Engine {
 	}
 	//lint:ignore xviewlint/ctxflow the prober's lifetime is the engine's, not any request's; Close cancels it
 	e.stopCtx, e.stopCancel = context.WithCancel(context.Background())
-	e.ep.Store(&epoch{sn: view.Snapshot(), memo: newResultMemo(cfg.memoCap)})
+	e.ep.Store(&epoch{sn: view.Snapshot(), memo: newResultMemo(memoCap)})
 	e.committedGen.Store(view.Generation())
 	if view.Degraded() {
 		// Booted into degraded mode (possible when the caller hands over a
@@ -309,8 +295,8 @@ func (e *Engine) batchWithGen(ctx context.Context, updates ...rxview.Update) ([]
 }
 
 // Tx submits an atomic group of updates, serialized against all other
-// writes: either every update applies — one deferred maintenance flush, one
-// epoch published, the generation advanced by exactly 1 — or none does and
+// writes: either every update applies — one log record, one epoch
+// published, the generation advanced by exactly 1 — or none does and
 // the view is untouched. The reports cover the staged updates (ending, on
 // failure, with the rejected one); the error is the group rejection, nil on
 // commit. Unlike Batch there are no prefix effects to account for: a
@@ -495,8 +481,9 @@ func (e *Engine) run() {
 			stampPublish(e.publish(), reps...)
 			e.deliver(req, result{reps: reps, err: err})
 		case req.u.IsDelete():
-			// Deletions read M and force a flush anyway; apply them alone
-			// under their own context.
+			// Deletions are not coalesced (extending group commit to them
+			// is ROADMAP's carried item); apply them alone under their own
+			// context.
 			rep, err := e.view.Apply(req.ctx, req.u)
 			stampPublish(e.publish(), rep)
 			e.deliver(req, result{rep: rep, err: err})
@@ -546,7 +533,7 @@ func unappliedReports(updates []rxview.Update) []*rxview.Report {
 // at an empty queue, or at the coalescing cap.
 func (e *Engine) gather(first *request) (run []*request, carry *request) {
 	run = []*request{first}
-	for len(run) < e.cfg.maxCoalesce {
+	for len(run) < maxCoalesce {
 		select {
 		case r, ok := <-e.reqs:
 			if !ok {
@@ -579,9 +566,9 @@ func (e *Engine) gather(first *request) (run []*request, carry *request) {
 //     the rest re-run (the canceled one is dropped by the next round's
 //     skip pass).
 //
-// Coalescing is what makes the deferred ∆(M,L) flush amortize across
-// independent submissions: one maintenance flush per run instead of one per
-// update.
+// Coalescing is what amortizes the log across independent submissions
+// under concurrent writers: View.Batch hands the whole run to the commit
+// sink at once — one append, one sync — instead of one per update.
 func (e *Engine) processRun(run []*request) {
 	for len(run) > 0 {
 		live := run[:0]
@@ -726,7 +713,7 @@ func (e *Engine) publish() time.Duration {
 		return 0
 	}
 	sp := obs.StartSpan(e.met.publishDur)
-	e.ep.Store(&epoch{sn: e.view.Snapshot(), memo: newResultMemo(e.cfg.memoCap)})
+	e.ep.Store(&epoch{sn: e.view.Snapshot(), memo: newResultMemo(memoCap)})
 	d := sp.End()
 	e.met.snapSwaps.Inc()
 	rxview.ObservePublish(d)
@@ -738,7 +725,7 @@ func (e *Engine) publish() time.Duration {
 // unchanged generation. Called only from the apply loop.
 func (e *Engine) republish() {
 	sp := obs.StartSpan(e.met.publishDur)
-	e.ep.Store(&epoch{sn: e.view.Snapshot(), memo: newResultMemo(e.cfg.memoCap)})
+	e.ep.Store(&epoch{sn: e.view.Snapshot(), memo: newResultMemo(memoCap)})
 	d := sp.End()
 	e.met.snapSwaps.Inc()
 	rxview.ObservePublish(d)

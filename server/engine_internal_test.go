@@ -32,11 +32,11 @@ func newLooplessEngine(t *testing.T, opts ...rxview.Option) *Engine {
 	}
 	e := &Engine{
 		view: view,
-		cfg:  config{queue: 256, maxCoalesce: 64, memoCap: 256},
+		cfg:  config{queue: 256},
 		reqs: make(chan *request, 256),
 		met:  newEngineMetrics(),
 	}
-	e.ep.Store(&epoch{sn: view.Snapshot(), memo: newResultMemo(256)})
+	e.ep.Store(&epoch{sn: view.Snapshot(), memo: newResultMemo(memoCap)})
 	return e
 }
 
@@ -202,24 +202,24 @@ func TestProcessRunInFlightCancelOfAppliedMember(t *testing.T) {
 // cap bounds it.
 func TestGatherStopsAtDeleteAndCap(t *testing.T) {
 	e := newLooplessEngine(t, rxview.WithForceSideEffects())
-	e.cfg.maxCoalesce = 3
 	ctx := context.Background()
 
-	// Fill the queue directly (there is no loop to consume it).
+	// Fill the queue directly (there is no loop to consume it): an insert,
+	// a delete, then two more inserts than one run may absorb.
 	ins := func(i int) *request { return mkReq(ctx, studentInsert(fmt.Sprintf("SG%d", i))) }
 	del := mkReq(ctx, rxview.Delete(`//student[ssn="SG0"]`))
-	q := []*request{ins(1), del, ins(2), ins(3), ins(4), ins(5)}
-	for _, r := range q[1:] {
-		e.reqs <- r
+	e.reqs <- del
+	for i := 0; i < maxCoalesce+2; i++ {
+		e.reqs <- ins(2 + i)
 	}
 
-	run, carry := e.gather(q[0])
+	run, carry := e.gather(ins(1))
 	if len(run) != 1 || carry != del {
 		t.Fatalf("gather over [ins del ...]: run=%d carry=%v, want 1-run with the delete as carry", len(run), carry)
 	}
 	run, carry = e.gather(<-e.reqs)
-	if len(run) != 3 || carry != nil {
-		t.Fatalf("gather at cap 3: run=%d carry=%v", len(run), carry)
+	if len(run) != maxCoalesce || carry != nil {
+		t.Fatalf("gather at cap %d: run=%d carry=%v", maxCoalesce, len(run), carry)
 	}
 	// Drain what's left so Close doesn't process stale requests.
 	for len(e.reqs) > 0 {

@@ -132,9 +132,7 @@ func (h *handler) decode(w http.ResponseWriter, r *http.Request, into any) bool 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 type errorResponse struct {
@@ -200,20 +198,14 @@ func writeError(w http.ResponseWriter, status int, err error, reps []*rxview.Rep
 	writeJSON(w, status, out)
 }
 
-type nodeJSON struct {
-	Type string `json:"type"`
-	Attr string `json:"attr"`
-	Text string `json:"text,omitempty"`
-}
-
 type queryRequest struct {
 	Path string `json:"path"`
 }
 
 type queryResponse struct {
-	Generation uint64     `json:"generation"`
-	Count      int        `json:"count"`
-	Nodes      []nodeJSON `json:"nodes"`
+	Generation uint64        `json:"generation"`
+	Count      int           `json:"count"`
+	Nodes      []rxview.Node `json:"nodes"`
 }
 
 func (h *handler) query(w http.ResponseWriter, r *http.Request) {
@@ -228,11 +220,7 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusOf(err), err, nil)
 		return
 	}
-	out := queryResponse{Generation: res.Generation, Count: len(res.Nodes), Nodes: make([]nodeJSON, len(res.Nodes))}
-	for i, n := range res.Nodes {
-		out.Nodes[i] = nodeJSON{Type: n.Type, Attr: n.Attr, Text: n.Text}
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, queryResponse{Generation: res.Generation, Count: len(res.Nodes), Nodes: res.Nodes})
 }
 
 // updateJSON is the wire form of one update. Values are the element type's

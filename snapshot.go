@@ -20,11 +20,9 @@ func (v *View) Generation() uint64 { return v.sys.Generation() }
 
 // Snapshot freezes the current view state into an immutable epoch: the
 // DAG-compressed view and the topological order L, sealed together at the
-// current generation (the reachability matrix M is captured as its size —
-// queries evaluate without it). The snapshot answers queries, renders
-// statistics and serializes XML without touching the live view, so any
-// number of goroutines may share one Snapshot while the view keeps
-// applying updates.
+// current generation. The snapshot answers queries, renders statistics and
+// serializes XML without touching the live view, so any number of goroutines
+// may share one Snapshot while the view keeps applying updates.
 //
 // Sealing is copy-on-write: its cost is proportional to what changed since
 // the previous Snapshot call (O(Δ)), not to the view size — unchanged

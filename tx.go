@@ -16,18 +16,16 @@ import (
 // DryRun uses for one update, extended to survive across staged operations:
 // each Stage runs the full pipeline (DTD validation, XPath evaluation with
 // side-effect detection, ΔX→ΔV→ΔR translation, ΔR against the database, ΔV
-// against the view, eager maintenance of L) so the next Stage and Tx.Query
-// read the transaction's own writes. The closure maintenance of M is
-// deferred transaction-wide and flushed once at Commit (or before a staged
-// deletion, which reads M).
+// against the view, maintenance of L) so the next Stage and Tx.Query read
+// the transaction's own writes.
 //
 // Commit is all-or-nothing. Any rejection — a parse failure, a DTD
 // violation, an XML side effect, an untranslatable ΔV — dooms the group:
 // the rejected update is unwound immediately, later stages are refused with
-// the same error, and Commit (or Rollback) restores the view, the database,
-// L and M exactly to their pre-Begin state. A successful Commit runs the
-// one deferred flush and advances View.Generation by exactly 1, however
-// many updates the transaction staged — one transaction, one epoch.
+// the same error, and Commit (or Rollback) restores the view, the database
+// and L exactly to their pre-Begin state. A successful Commit advances
+// View.Generation by exactly 1, however many updates the transaction staged
+// — one transaction, one epoch.
 //
 // A Tx is not safe for concurrent use, and neither is its View: between
 // Begin and Commit/Rollback the transaction owns the view's write path

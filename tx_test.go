@@ -16,8 +16,8 @@ import (
 )
 
 // viewFingerprint captures everything the public surface exposes of the
-// view + database state: the serialized view, the statistics line (|L|,
-// |M|, base rows included), the per-table row counts and the generation.
+// view + database state: the serialized view, the statistics line (|L| and
+// base rows included), the per-table row counts and the generation.
 func viewFingerprint(t *testing.T, v *rxview.View) string {
 	t.Helper()
 	xml, err := v.XML(500000)
@@ -33,7 +33,7 @@ func viewFingerprint(t *testing.T, v *rxview.View) string {
 	return b.String()
 }
 
-// txGroup is a group exercising insert deferral, flush-before-delete and
+// txGroup is a group exercising insertion, deletion after insertion and
 // the GC cascade: a fresh course, a prereq under it, a deletion of an
 // enrolled student occurrence, and a student under the fresh prereq.
 func txGroup() []rxview.Update {

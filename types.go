@@ -14,11 +14,11 @@ import (
 // repeats it.
 type Node struct {
 	// Type is the element type (DTD tag).
-	Type string
+	Type string `json:"type"`
 	// Attr renders the node's attribute tuple, e.g. ("CS320", "Compilers").
-	Attr string
+	Attr string `json:"attr"`
 	// Text is the node's text content, if the element type carries PCDATA.
-	Text string
+	Text string `json:"text,omitempty"`
 }
 
 // String renders the node.
@@ -60,8 +60,11 @@ func mutationsOf(dr []relational.Mutation) []Mutation {
 
 // Timings breaks an update into the phases the paper's Fig.11 reports:
 // (a) XPath evaluation, (b) translation ΔX→ΔV→ΔR plus execution, and
-// (c) maintenance of the auxiliary structures (background in the paper) —
-// plus, beyond the paper, the publication phase of the serving layer.
+// (c) maintenance (background in the paper) — plus, beyond the paper, the
+// publication phase of the serving layer. Phase (c) here is the maintenance
+// of L and the collection of what the update left unreachable; the paper's
+// also maintains M, which a View does not carry (the experiments add that
+// half themselves, see MaintenanceTable).
 // Durations marshal as integer nanoseconds; the _ns tags make that explicit
 // in the wire names.
 type Timings struct {
@@ -71,7 +74,7 @@ type Timings struct {
 	XToDV     time.Duration `json:"x_to_dv_ns"`   // Algorithm Xinsert / Xdelete (Figs.5–6)
 	DVToDR    time.Duration `json:"dv_to_dr_ns"`  // Algorithm insert / delete (§4)
 	Apply     time.Duration `json:"apply_ns"`     // (b): executing ΔR and ΔV
-	Maintain  time.Duration `json:"maintain_ns"`  // (c): ∆(M,L)insert / ∆(M,L)delete
+	Maintain  time.Duration `json:"maintain_ns"`  // (c): the L half of ∆(M,L)insert / ∆(M,L)delete, plus garbage collection
 	// Publish is the epoch-publication cost (sealing the copy-on-write
 	// snapshot plus the pointer swap). It is stamped by the serving layer
 	// on the report of the write unit that triggered the publication;
@@ -100,6 +103,8 @@ func timingsOf(t core.Timings) Timings {
 
 // Report describes one processed update. The json tags are the stable wire
 // names shared with the server's /update, /batch and /tx payloads.
+// Timings.Maintain is the time spent repairing L and collecting the Removed
+// nodes (with the DVDeletes their deaths cascade into); no M is maintained.
 type Report struct {
 	Op          string     `json:"op"`                // the update, rendered
 	Applied     bool       `json:"applied"`           // false for no-ops and rejections
@@ -143,7 +148,9 @@ func reportsOf(rs []*core.Report) []*Report {
 
 // Stats summarizes the view and its auxiliary structures — the quantities of
 // Fig.10(b) in the paper: DAG size, uncompressed tree size, sharing, |L|
-// and |M|.
+// and |M|. A View carries L but no reachability matrix, so MatrixPairs is 0
+// from View.Stats and Snapshot.Stats; only DatasetStats, which computes M for
+// the figure, fills it.
 type Stats struct {
 	BaseRows    int     `json:"base_rows"`    // total tuples in the published database
 	Nodes       int     `json:"nodes"`        // DAG nodes (n)
@@ -153,15 +160,15 @@ type Stats struct {
 	SharedNodes int     `json:"shared_nodes"` // nodes with >1 parent
 	SharedFrac  float64 `json:"shared_frac"`  // SharedNodes / Nodes
 	TopoLen     int     `json:"topo_len"`     // |L|
-	MatrixPairs int     `json:"matrix_pairs"` // |M|
+	MatrixPairs int     `json:"matrix_pairs"` // |M|; 0 unless from DatasetStats
 }
 
 // String renders the statistics in a Fig.10(b)-style line.
 func (st Stats) String() string {
 	return fmt.Sprintf(
-		"rows=%d nodes=%d edges=%d tree=%.0f compression=%.2fx shared=%.1f%% |L|=%d |M|=%d",
+		"rows=%d nodes=%d edges=%d tree=%.0f compression=%.2fx shared=%.1f%% |L|=%d",
 		st.BaseRows, st.Nodes, st.Edges, st.TreeSize, st.Compression,
-		100*st.SharedFrac, st.TopoLen, st.MatrixPairs)
+		100*st.SharedFrac, st.TopoLen)
 }
 
 func statsOf(st core.Stats) Stats {
@@ -174,7 +181,6 @@ func statsOf(st core.Stats) Stats {
 		SharedNodes: st.SharedNodes,
 		SharedFrac:  st.SharedFrac,
 		TopoLen:     st.TopoLen,
-		MatrixPairs: st.MatrixPairs,
 	}
 }
 

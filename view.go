@@ -14,7 +14,10 @@ import (
 // update support: the full pipeline of the paper — DAG-compressed
 // publication (§2.3), XPath evaluation with side-effect detection (§3),
 // ΔX→ΔV→ΔR update translation (§4), and incremental maintenance of the
-// auxiliary structures L and M (§3.4).
+// topological order L with garbage collection of what a deletion leaves
+// unreachable (§3.4). The paper's reachability matrix M is not part of a
+// View: no evaluator that serves reads it (README, "The reachability matrix
+// M").
 //
 // A View is not safe for concurrent use.
 type View struct {
@@ -39,9 +42,8 @@ type View struct {
 }
 
 // Open publishes σ(I): it evaluates the ATG over the database, compresses
-// the result into a DAG, builds the auxiliary structures L (topological
-// order) and M (reachability matrix) and the translator's source index, and
-// returns the live view. The database stays attached: updates applied to the
+// the result into a DAG, builds the topological order L and the translator's
+// source index, and returns the live view. The database stays attached: updates applied to the
 // view execute their relational translation ΔR against it.
 //
 // With WithDurability, Open instead recovers the durable state from the log
@@ -87,10 +89,9 @@ func (v *View) Query(ctx context.Context, path string) ([]Node, error) {
 
 // Apply runs the full pipeline for one update: DTD validation, XPath
 // evaluation with side-effect detection, ΔX→ΔV→ΔR translation, execution of
-// ΔR against the database and ΔV against the view, and maintenance of L and
-// M. Cancellation is honored between the phases; once ΔR has executed the
-// update is carried through, so a cancelled context never leaves the
-// auxiliary structures stale. It is a one-shot transaction — for a single
+// ΔR against the database and ΔV against the view, and maintenance of L.
+// Cancellation is honored between the phases; once ΔR has executed the
+// update is carried through, so a cancelled context never leaves L stale. It is a one-shot transaction — for a single
 // update, atomicity and prefix semantics coincide; for an all-or-nothing
 // group use Begin.
 //
@@ -130,22 +131,19 @@ func (v *View) DryRun(ctx context.Context, u Update) (*Report, error) {
 	return reportOf(rep), wrapErr(op.String(), err)
 }
 
-// Batch applies a sequence of updates with a single deferred maintenance
-// pass over L and M: each update is validated, evaluated and translated
-// individually (the result state is identical to the same sequence of Apply
-// calls), but the closure maintenance of M for consecutive insertions is
-// coalesced and flushed once, which is substantially cheaper than paying
-// ∆(M,L)insert per update. It is a one-shot non-atomic transaction; for an
-// all-or-nothing group use Begin.
+// Batch applies a sequence of updates as one non-atomic group: each update
+// is validated, evaluated, translated, applied and maintained individually
+// (the result state is identical to the same sequence of Apply calls), and
+// on a durable view the whole applied prefix reaches the log in one append
+// and one sync instead of one per update. It is a one-shot non-atomic
+// transaction; for an all-or-nothing group use Begin.
 //
 // The batch is not atomic: it stops at the first failing update, with every
-// earlier update already applied and the auxiliary structures repaired. The
-// returned reports cover the processed prefix, ending with a report for the
-// update that failed — on cancellation that is an unapplied report for the
-// first update that did not run — and the error names that update, never
-// the last one that succeeded; a malformed update is named the same way,
-// wherever it sits in the batch. Summing Timings.Maintain over the reports
-// gives the batch's true total maintenance cost.
+// earlier update already applied and L repaired. The returned reports cover
+// the processed prefix, ending with a report for the update that failed — on
+// cancellation that is an unapplied report for the first update that did not
+// run — and the error names that update, never the last one that succeeded;
+// a malformed update is named the same way, wherever it sits in the batch.
 func (v *View) Batch(ctx context.Context, updates ...Update) ([]*Report, error) {
 	if v.degraded.Load() {
 		return nil, &DegradedError{Cause: v.degradedCause}
@@ -217,8 +215,8 @@ func (v *View) Stats() Stats { return statsOf(v.sys.Stats()) }
 
 // CheckConsistency verifies the system invariant ΔX(T) = σ(ΔR(I)): the
 // incrementally maintained DAG must equal a fresh publication of the current
-// database, L must be a valid topological order, and M the exact transitive
-// closure.
+// database, L must be a valid topological order of it, and the translator's
+// source index must equal a rebuild.
 func (v *View) CheckConsistency() error { return v.sys.CheckConsistency() }
 
 // WriteXML serializes the unfolded XML view; maxNodes bounds the tree size
