@@ -222,6 +222,50 @@ func mustQuery(t *testing.T, v *rxview.View, path string) []rxview.Node {
 	return nodes
 }
 
+// TestBeginBatchRefusedAppendDegradedAppliedForTheGroup: a prefix group
+// reaches the log in one append, so a refusal is one verdict for all of it —
+// the closing call, Commit and Rollback alike, reports the indeterminate
+// DegradedError (Applied set): the stages are in memory and in no log.
+func TestBeginBatchRefusedAppendDegradedAppliedForTheGroup(t *testing.T) {
+	ctx := context.Background()
+	for _, closing := range []string{"Commit", "Rollback"} {
+		t.Run(closing, func(t *testing.T) {
+			v := mustDurableView(t, t.TempDir())
+			defer v.Close()
+			defer rxview.DisableChaos()
+			tx, err := v.BeginBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cno := range []string{"CB1", "CB2"} {
+				if rep, err := tx.Stage(ctx, chaosIns(cno)); err != nil || !rep.Applied {
+					t.Fatalf("stage %s: applied=%v err=%v", cno, rep.Applied, err)
+				}
+			}
+			if err := rxview.EnableChaos("wal.append:count=1", 1); err != nil {
+				t.Fatal(err)
+			}
+			if closing == "Commit" {
+				err = tx.Commit(ctx)
+			} else {
+				err = tx.Rollback()
+			}
+			var de *rxview.DegradedError
+			if !errors.As(err, &de) || !de.Applied {
+				t.Fatalf("%s = %v, want DegradedError with Applied=true", closing, err)
+			}
+			if !v.Degraded() || v.Generation() != 2 {
+				t.Fatalf("degraded=%v generation=%d, want a degraded view with both stages in memory", v.Degraded(), v.Generation())
+			}
+			if _, err := v.BeginBatch(); !errors.As(err, &de) || de.Applied {
+				t.Fatalf("BeginBatch while degraded = %v, want the guaranteed-unapplied DegradedError", err)
+			}
+			rxview.DisableChaos()
+			recoverDegraded(t, v)
+		})
+	}
+}
+
 // TestDegradedRecoveryGenerationMonotonic walks the degraded-mode state
 // machine one deterministic step at a time: an injected disk-full flips
 // the view read-only with an indeterminate verdict, the guard rejects

@@ -20,10 +20,13 @@
 // order L exactly to the pre-Begin state on rejection or Rollback. A
 // committed transaction advances View.Generation by exactly 1, however many
 // updates it staged, so snapshot readers step from group to group and never
-// observe a mid-transaction state. Apply, Execute and Batch are one-shot
-// transactions over the same machinery; Batch keeps its documented
-// non-atomic prefix semantics (one generation per applied update) and hands
-// the whole applied prefix to the log in one append.
+// observe a mid-transaction state. View.BeginBatch opens the same type's
+// other mode, a prefix group: every staged update stands alone, under its
+// own context and with the verdict Apply would give it — a rejection fails
+// its own update and nothing else — and Tx.Commit hands the whole applied
+// prefix (one generation per applied update) to the log in one append.
+// Apply, Execute and Batch are one-shot prefix groups; Batch is the loop
+// that stops at the first failure.
 //
 // XPath evaluation takes one of two routes, chosen from the compiled path's
 // shape alone: a path with a value-equality filter (every update class of
@@ -80,7 +83,9 @@
 // degradation froze. Every write verdict is honest about application:
 // a DegradedError with Applied false is guaranteed unapplied (safe to
 // retry), Applied true means the write is in memory but not durable
-// until recovery checkpoints it — callers must not blindly retry those.
+// until recovery checkpoints it — callers must not blindly retry those;
+// when the log refuses a prefix group's one append, that is the verdict
+// of every applied update of the group.
 // EnableChaos arms the deterministic fault-injection framework behind
 // the WAL and storage seams (FaultPoints lists the catalog) so exactly
 // these paths are testable on demand; see README.md ("Resilience").

@@ -58,7 +58,7 @@ func openDurable(a *ATG, db *DB, cfg *config) (*View, error) {
 		for _, w := range boot.Warnings {
 			warnTo(cfg.warn, "rxview: recovery: %s", w)
 		}
-		sys, err = recoverSystem(a, db, cfg, boot)
+		sys, err = restoreSystem(a, db, cfg.opts, cfg.durDir, boot.Gen, boot.State, boot.Records)
 		if err != nil {
 			return nil, err
 		}
@@ -85,43 +85,57 @@ func openDurable(a *ATG, db *DB, cfg *config) (*View, error) {
 	return v, nil
 }
 
-// recoverSystem rebuilds the system from a checkpoint payload plus the log
-// suffix: decode, replace the DB contents, replay, verify.
-func recoverSystem(a *ATG, db *DB, cfg *config, boot *wal.BootState) (*core.System, error) {
-	ck, err := decodeCheckpoint(boot.State)
+// restoreSystem rebuilds a system from a checkpoint payload sealed at gen
+// plus the records that follow it — boot recovery's log suffix, nothing for a
+// follower's restore: decode, replace the DB's contents, replay, verify. src
+// names where the payload came from in the errors. Everything is decoded
+// before the DB is touched, so an undecodable payload changes nothing.
+func restoreSystem(a *ATG, db *DB, opts core.Options, src string, gen uint64, state []byte, suffix []wal.Record) (*core.System, error) {
+	ck, err := decodeCheckpoint(state)
 	if err != nil {
-		return nil, &CorruptLogError{Dir: cfg.durDir, Err: err}
+		return nil, &CorruptLogError{Dir: src, Err: err}
 	}
-	if ck.gen != boot.Gen {
-		return nil, &CheckpointMismatchError{Dir: cfg.durDir,
-			Err: fmt.Errorf("checkpoint payload is for generation %d, file for %d", ck.gen, boot.Gen)}
+	if ck.gen != gen {
+		return nil, &CheckpointMismatchError{Dir: src,
+			Err: fmt.Errorf("checkpoint payload is for generation %d, its source says %d", ck.gen, gen)}
+	}
+	d, err := dag.DecodeState(ck.dagState)
+	if err != nil {
+		return nil, &CorruptLogError{Dir: src, Err: err}
 	}
 	db.db.Reset()
 	for _, tb := range ck.tables {
 		for _, t := range tb.tuples {
 			if err := db.db.Insert(tb.name, t); err != nil {
-				return nil, &CorruptLogError{Dir: cfg.durDir,
+				return nil, &CorruptLogError{Dir: src,
 					Err: fmt.Errorf("checkpointed tuple rejected: %w", err)}
 			}
 		}
 	}
-	d, err := dag.DecodeState(ck.dagState)
-	if err != nil {
-		return nil, &CorruptLogError{Dir: cfg.durDir, Err: err}
+	recs := make([]core.CommitRecord, len(suffix))
+	for i, r := range suffix {
+		recs[i] = commitRecordOf(r)
 	}
-	recs := make([]core.CommitRecord, len(boot.Records))
-	for i, r := range boot.Records {
-		recs[i] = core.CommitRecord{Gen: r.Gen, Delta: r.Delta, DR: r.DR}
-	}
-	sys, err := core.Recover(a.c, storage.NewMemory(db.db), d, ck.order, boot.Gen, recs, cfg.opts)
+	sys, err := core.Recover(a.c, storage.NewMemory(db.db), d, ck.order, gen, recs, opts)
 	if err != nil {
-		return nil, &CheckpointMismatchError{Dir: cfg.durDir, Err: err}
+		return nil, &CheckpointMismatchError{Dir: src, Err: err}
 	}
 	if err := sys.CheckConsistency(); err != nil {
-		return nil, &CheckpointMismatchError{Dir: cfg.durDir,
-			Err: fmt.Errorf("recovered state fails consistency check: %w", err)}
+		return nil, &CheckpointMismatchError{Dir: src,
+			Err: fmt.Errorf("restored state fails consistency check: %w", err)}
 	}
 	return sys, nil
+}
+
+// A commit record is the same three fields on both sides of the glue: core
+// produces and replays it, the wal frames it. These two are the only places
+// that know.
+func commitRecordOf(r wal.Record) core.CommitRecord {
+	return core.CommitRecord{Gen: r.Gen, Delta: r.Delta, DR: r.DR}
+}
+
+func walRecordOf(r core.CommitRecord) wal.Record {
+	return wal.Record{Gen: r.Gen, Delta: r.Delta, DR: r.DR}
 }
 
 // sinkRecords is the core.CommitSink of a durable view: it appends the
@@ -129,12 +143,12 @@ func recoverSystem(a *ATG, db *DB, cfg *config, boot *wal.BootState) (*core.Syst
 // refused append flips the view into degraded mode and surfaces as a
 // DegradedError; the log's all-or-nothing append guarantees the refused
 // records can never resurface in a later recovery, so Applied:false is a
-// true verdict at this layer (the View wrappers upgrade it to Applied:true
-// when the commit had already mutated memory under prefix semantics).
+// true verdict at this layer (Tx.Commit upgrades it to Applied:true for a
+// prefix group, whose applied stages stay in memory).
 func (v *View) sinkRecords(recs []core.CommitRecord) error {
 	wrecs := make([]wal.Record, len(recs))
 	for i, r := range recs {
-		wrecs[i] = wal.Record{Gen: r.Gen, Delta: r.Delta, DR: r.DR}
+		wrecs[i] = walRecordOf(r)
 	}
 	if err := v.log.Append(wrecs); err != nil {
 		v.markDegraded(err)

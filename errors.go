@@ -95,7 +95,8 @@ func (e *CheckpointMismatchError) Unwrap() error { return e.Err }
 //     and retrying after recovery is always safe.
 //   - Applied true is an indeterminate outcome, possible only for the
 //     commit during which the log failed under prefix (non-atomic)
-//     semantics: the write reached the in-memory state but not the log. If
+//     semantics — and then for every update that commit covered, not only
+//     the last: the write reached the in-memory state but not the log. If
 //     the view recovers, Recover's checkpoint makes it durable after all;
 //     if the process dies first, it is lost. Clients must treat it like a
 //     commit timeout, not a rejection.
@@ -118,8 +119,8 @@ func (e *DegradedError) Is(target error) bool { return target == ErrDegraded }
 func (e *DegradedError) Unwrap() error { return e.Cause }
 
 // degradedApplied upgrades a degraded rejection to the indeterminate
-// applied-but-not-durable verdict; callers invoke it when the report shows
-// the write reached memory before the commit error surfaced.
+// applied-but-not-durable verdict. A prefix group's closing call invokes it:
+// the log is consulted only when something applied, and nothing is unwound.
 func degradedApplied(err error) error {
 	var de *DegradedError
 	if errors.As(err, &de) && !de.Applied {

@@ -38,9 +38,12 @@ var (
 // their pre-Begin state. A successful Commit advances the generation by
 // exactly 1, however many updates the transaction applied.
 //
-// In non-atomic mode the staged prefix stays applied whatever happens later
-// — the contract of the historical ApplyBatch — and the generation advances
-// once per applied update, as each stage applies.
+// In non-atomic (prefix) mode every stage stands alone: a rejected or
+// canceled stage is unwound and fails its own update only, the applied ones
+// stay applied whatever happens later, the generation advances once per
+// applied update as each stage applies, and Commit hands the records of the
+// whole applied prefix to the commit sink in one call — one log append, one
+// sync, however many updates the group staged.
 type Txn struct {
 	s      *System
 	atomic bool
@@ -76,7 +79,8 @@ type noteRec struct {
 // semantics (group rollback, one generation per commit); non-atomic
 // transactions are the batch primitive — prefix semantics, one generation
 // per applied update. Only one transaction may be open at a time; while one
-// is open, Apply/ApplyBatch/Execute return ErrTxOpen.
+// is open, a second Begin — and with it Apply and Execute, which are one-shot
+// non-atomic transactions — returns ErrTxOpen.
 func (s *System) Begin(atomic bool) (*Txn, error) {
 	if s.txn != nil {
 		return nil, ErrTxOpen

@@ -239,8 +239,8 @@ func TestTxnWriteGuardsWhileOpen(t *testing.T) {
 	if _, err := s.Execute(txGroup[0]); !errors.Is(err, ErrTxOpen) {
 		t.Fatalf("Execute during tx = %v, want ErrTxOpen", err)
 	}
-	if _, err := s.ApplyBatch(ctx, nil); !errors.Is(err, ErrTxOpen) {
-		t.Fatalf("ApplyBatch during tx = %v, want ErrTxOpen", err)
+	if _, err := s.Begin(false); !errors.Is(err, ErrTxOpen) {
+		t.Fatalf("non-atomic Begin during tx = %v, want ErrTxOpen", err)
 	}
 	// DryRun is read-only and savepoint-scoped: it may run inside the
 	// transaction and answers against the staged state.
@@ -350,6 +350,57 @@ func TestTxnCommitCanceledUnwinds(t *testing.T) {
 	}
 	if got := stateFingerprint(s); got != want {
 		t.Fatal("canceled commit did not unwind to pre-Begin state")
+	}
+	if err := s.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The batch contract, on the non-atomic Txn that carries it: a rejected or
+// canceled stage fails alone and leaves the group open, the applied stages
+// advance the generation as they apply, and the closing call — whatever its
+// context — hands the records of all of them to the sink at once.
+func TestNonAtomicTxnStagesFailAlone(t *testing.T) {
+	ctx := context.Background()
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	s := openRegistrar(t, Options{}) // side effects rejected
+	var sunk [][]CommitRecord
+	s.SetCommitSink(func(recs []CommitRecord) error {
+		sunk = append(sunk, recs)
+		return nil
+	}, nil)
+
+	tx, err := s.Begin(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := `insert course(cno="CS777", title="Sharing") into course[cno="CS650"]//course[cno="CS320"]/prereq`
+	var se *SideEffectError
+	if rep, err := tx.Stage(ctx, mustOp(t, s, txGroup[0])); err != nil || !rep.Applied {
+		t.Fatalf("first stage: applied=%v err=%v", rep.Applied, err)
+	}
+	if rep, err := tx.Stage(ctx, mustOp(t, s, shared)); !errors.As(err, &se) || rep.Applied {
+		t.Fatalf("side-effecting stage: applied=%v err=%v, want a SideEffectError", rep.Applied, err)
+	}
+	if rep, err := tx.Stage(canceled, mustOp(t, s, txGroup[1])); !errors.Is(err, context.Canceled) || rep.Applied {
+		t.Fatalf("canceled stage: applied=%v err=%v, want context.Canceled", rep.Applied, err)
+	}
+	tx.Fail("malformed", errors.New("a compile failure in a higher layer"))
+	if tx.Err() != nil || !tx.Open() {
+		t.Fatalf("Err=%v Open=%v: nothing dooms or closes a non-atomic group", tx.Err(), tx.Open())
+	}
+	if rep, err := tx.Stage(ctx, mustOp(t, s, txGroup[1])); err != nil || !rep.Applied {
+		t.Fatalf("stage after the failures: applied=%v err=%v", rep.Applied, err)
+	}
+	if s.Generation() != 2 || len(sunk) != 0 {
+		t.Fatalf("generation=%d, sink calls=%d before the close; want 2 and 0", s.Generation(), len(sunk))
+	}
+	if err := tx.Commit(canceled); err != nil {
+		t.Fatalf("Commit under a canceled context = %v: the applied prefix must still go durable", err)
+	}
+	if len(sunk) != 1 || len(sunk[0]) != 2 || sunk[0][0].Gen != 1 || sunk[0][1].Gen != 2 {
+		t.Fatalf("sink saw %v, want one call with the records of generations 1 and 2", sunk)
 	}
 	if err := s.CheckConsistency(); err != nil {
 		t.Fatal(err)

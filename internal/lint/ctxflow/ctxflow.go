@@ -4,8 +4,8 @@
 //
 //  1. context.Background() / context.TODO() are forbidden in library
 //     packages — main packages and test files are the only context
-//     roots. Deliberate detachments (a graceful-shutdown timeout, the
-//     merged run context of the coalescing apply loop) carry a
+//     roots. Deliberate detachments (a graceful-shutdown timeout, an
+//     engine-lifetime context for its recovery prober) carry a
 //     //lint:ignore justification.
 //  2. An exported function or method that takes a context.Context must
 //     actually use it: dropping the parameter silently breaks the

@@ -37,13 +37,6 @@ type Backend interface {
 	// applied mutations are rolled back and the error names the failing
 	// mutation index.
 	Apply(dr []relational.Mutation) error
-	// Scan iterates the named table's tuples until fn returns false.
-	Scan(table string, fn func(relational.Tuple) bool)
-	// Snapshot returns a deep copy of the current instance (what-if runs,
-	// checkpoint serialization).
-	Snapshot() *relational.Database
-	// Close releases backend resources. The in-memory image stays readable.
-	Close() error
 }
 
 // Memory is the in-memory Backend: the relational.Database itself, behind
@@ -79,18 +72,5 @@ func (m *Memory) Apply(dr []relational.Mutation) error {
 	}
 	return m.db.Apply(dr)
 }
-
-// Scan iterates the named table's tuples.
-func (m *Memory) Scan(table string, fn func(relational.Tuple) bool) {
-	if r := m.db.Rel(table); r != nil {
-		r.Scan(fn)
-	}
-}
-
-// Snapshot deep-copies the instance.
-func (m *Memory) Snapshot() *relational.Database { return m.db.Clone() }
-
-// Close is a no-op for the in-memory backend.
-func (m *Memory) Close() error { return nil }
 
 var _ Backend = (*Memory)(nil)

@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"rxview/internal/core"
-	"rxview/internal/dag"
 	"rxview/internal/repl"
-	"rxview/internal/storage"
 	"rxview/internal/wal"
 )
 
@@ -50,7 +48,7 @@ func (v *View) ReplSource() (*ReplSource, error) {
 	tail := repl.NewTail(v.sys.Generation(), 0)
 	v.sys.AddCommitObserver(func(recs []core.CommitRecord) {
 		for _, r := range recs {
-			tail.Publish(r.Gen, wal.AppendFramedRecord(nil, wal.Record{Gen: r.Gen, Delta: r.Delta, DR: r.DR}))
+			tail.Publish(r.Gen, wal.AppendFramedRecord(nil, walRecordOf(r)))
 		}
 	})
 	return &ReplSource{v: v, src: repl.NewSource(v.log.Dir(), tail)}, nil
@@ -115,7 +113,7 @@ func (r *ReplFrameReader) Next() (ReplRecord, error) {
 	if err != nil {
 		return ReplRecord{}, err
 	}
-	return ReplRecord{rec: core.CommitRecord{Gen: rec.Gen, Delta: rec.Delta, DR: rec.DR}}, nil
+	return ReplRecord{rec: commitRecordOf(rec)}, nil
 }
 
 // Replica is a read-only follower of a durable primary: it restores from a
@@ -166,38 +164,12 @@ func (r *Replica) Generation() uint64 { return r.v.sys.Generation() }
 // boot recovery uses, leaving the previous state in place. Single-writer:
 // see Replica.
 func (r *Replica) Restore(gen uint64, state []byte) error {
-	ck, err := decodeCheckpoint(state)
-	if err != nil {
-		return &CorruptLogError{Dir: "replica checkpoint", Err: err}
-	}
-	if ck.gen != gen {
-		return &CheckpointMismatchError{Dir: "replica checkpoint",
-			Err: fmt.Errorf("checkpoint payload is for generation %d, fetch said %d", ck.gen, gen)}
-	}
-	d, err := dag.DecodeState(ck.dagState)
-	if err != nil {
-		return &CorruptLogError{Dir: "replica checkpoint", Err: err}
-	}
-	// The DB reset is safe under concurrent readers: sealed snapshots
+	// Resetting the DB is safe under concurrent readers: sealed snapshots
 	// evaluate against the frozen DAG and never touch the relational
 	// instance.
-	db := r.v.db
-	db.db.Reset()
-	for _, tb := range ck.tables {
-		for _, t := range tb.tuples {
-			if err := db.db.Insert(tb.name, t); err != nil {
-				return &CorruptLogError{Dir: "replica checkpoint",
-					Err: fmt.Errorf("checkpointed tuple rejected: %w", err)}
-			}
-		}
-	}
-	sys, err := core.Recover(r.a.c, storage.NewMemory(db.db), d, ck.order, ck.gen, nil, r.cfg.opts)
+	sys, err := restoreSystem(r.a, r.v.db, r.cfg.opts, "replica checkpoint", gen, state, nil)
 	if err != nil {
-		return &CheckpointMismatchError{Dir: "replica checkpoint", Err: err}
-	}
-	if err := sys.CheckConsistency(); err != nil {
-		return &CheckpointMismatchError{Dir: "replica checkpoint",
-			Err: fmt.Errorf("restored state fails consistency check: %w", err)}
+		return err
 	}
 	r.v.sys = sys
 	return nil

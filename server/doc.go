@@ -29,14 +29,24 @@
 //     callers must treat it as read-only.
 //
 //   - Writes are serialized through a single-writer apply loop. Updates are
-//     submitted to a channel-fed goroutine; consecutive insertions are
-//     coalesced into View.Batch runs (on a durable view, one log append
-//     and one sync per run instead of one per update) while preserving
-//     per-update independence: a mid-run rejection fails only its own
-//     update, and the rest of the run is re-applied. Each submission gets
-//     its verdict back through a promise channel. Context cancellation is honored both in-queue (a
-//     canceled update is skipped and reports context.Canceled without being
-//     applied) and in-flight (the pipeline's phase checks abort it).
+//     submitted to a channel-fed goroutine, and there is one write path
+//     through it: whatever single updates are queued at that moment —
+//     insertions and deletions alike, up to 64 — are staged one after
+//     another into one open prefix group on the view (View.BeginBatch),
+//     each under its own submitter's context, and share one commit: on a
+//     durable view one log append and one sync per run instead of one per
+//     update, and one epoch published. Staging keeps the updates
+//     independent: each gets, through a promise channel, exactly the
+//     report and error View.Apply would have given it against the state it
+//     met — a rejection, a malformed update or a cancellation fails its own
+//     submission and nobody else's. Cancellation is honored both in-queue
+//     (the update is skipped, guaranteed unapplied, and reports its
+//     context's own error — a deadline stays DeadlineExceeded) and
+//     in-flight (the pipeline's phase checks abort it). Verdicts stay
+//     honest when the run's one append is refused: every update of the run
+//     that applied is in memory and in no log, so every one of them gets
+//     the indeterminate rxview.DegradedError with Applied set, not only the
+//     last. Client batches and atomic groups run alone, between runs.
 //
 //   - Atomic groups go through Engine.Tx (HTTP: POST /tx): the loop runs
 //     the group as one view transaction — every update stages

@@ -26,8 +26,8 @@ type config struct {
 }
 
 const (
-	// maxCoalesce caps how many consecutive insertions one Batch run may
-	// absorb.
+	// maxCoalesce caps how many consecutive queued updates one run — one
+	// commit — may absorb.
 	maxCoalesce = 64
 	// memoCap is how many distinct query texts the per-epoch result memo
 	// holds. The memo is rebuilt empty at every snapshot publication, so it
@@ -124,11 +124,10 @@ type Engine struct {
 type request struct {
 	ctx     context.Context
 	u       rxview.Update
-	batch   []rxview.Update // non-nil: a client batch, prefix semantics
-	tx      []rxview.Update // non-nil: an atomic group (all-or-nothing)
+	group   []rxview.Update // non-nil: a client batch or atomic group; runs alone, between runs
+	atomic  bool            // with group: all-or-nothing (Engine.Tx), not prefix semantics (Engine.Batch)
 	exec    func() error    // non-nil: a replication step run verbatim on the loop
 	recover bool            // a recovery probe: the loop calls View.Recover
-	counted bool            // already tallied in the coalescing counters
 	wait    obs.Span        // queue-wait span, opened at submit
 	done    chan result
 }
@@ -249,49 +248,23 @@ func (e *Engine) Query(ctx context.Context, path string) (QueryResult, error) {
 
 // Update submits one update to the apply loop and blocks until the loop
 // delivers its verdict: the report and error are exactly what View.Apply
-// would return. The snapshot covering the update is published before the
-// verdict is delivered, so a caller whose Update returned applied reads its
-// own write from the very next Query (read-your-writes). A context canceled
-// while the update is still queued makes the loop skip it — it reports
-// context.Canceled and is guaranteed not to have been applied; cancellation
-// in-flight is honored by the pipeline's phase checks.
+// would return against the state the update met. The snapshot covering the
+// update is published before the verdict is delivered, so a caller whose
+// Update returned applied reads its own write from the very next Query
+// (read-your-writes). A context canceled while the update is still queued
+// makes the loop skip it — it reports the context's error and is guaranteed
+// not to have been applied; cancellation in-flight is honored by the
+// pipeline's phase checks, under this update's context alone.
 func (e *Engine) Update(ctx context.Context, u rxview.Update) (*rxview.Report, error) {
-	rep, _, err := e.updateWithGen(ctx, u)
-	return rep, err
-}
-
-// updateWithGen is Update returning also the generation of the snapshot
-// published with the verdict — stamped by the apply loop at delivery, so it
-// covers exactly this write's run and cannot include later clients' writes.
-// The HTTP layer reports it per request.
-func (e *Engine) updateWithGen(ctx context.Context, u rxview.Update) (*rxview.Report, uint64, error) {
-	req := &request{ctx: ctx, u: u, done: make(chan result, 1)}
-	if err := e.submit(ctx, req); err != nil {
-		return nil, 0, err
-	}
-	res := <-req.done
-	return res.rep, res.gen, res.err
+	res := e.do(ctx, &request{u: u})
+	return res.rep, res.err
 }
 
 // Batch submits a sequence of updates to be applied as one unit with
 // View.Batch's prefix semantics, serialized against all other writes.
 func (e *Engine) Batch(ctx context.Context, updates ...rxview.Update) ([]*rxview.Report, error) {
-	reps, _, err := e.batchWithGen(ctx, updates...)
-	return reps, err
-}
-
-// batchWithGen is Batch returning also the covering snapshot generation,
-// stamped at delivery like updateWithGen.
-func (e *Engine) batchWithGen(ctx context.Context, updates ...rxview.Update) ([]*rxview.Report, uint64, error) {
-	if updates == nil {
-		updates = []rxview.Update{}
-	}
-	req := &request{ctx: ctx, batch: updates, done: make(chan result, 1)}
-	if err := e.submit(ctx, req); err != nil {
-		return nil, 0, err
-	}
-	res := <-req.done
-	return res.reps, res.gen, res.err
+	res := e.do(ctx, groupRequest(updates, false))
+	return res.reps, res.err
 }
 
 // Tx submits an atomic group of updates, serialized against all other
@@ -303,28 +276,37 @@ func (e *Engine) batchWithGen(ctx context.Context, updates ...rxview.Update) ([]
 // rejected group leaves nothing behind, and snapshot readers can never
 // observe a partially applied group.
 func (e *Engine) Tx(ctx context.Context, updates ...rxview.Update) ([]*rxview.Report, error) {
-	reps, _, err := e.txWithGen(ctx, updates...)
-	return reps, err
+	res := e.do(ctx, groupRequest(updates, true))
+	return res.reps, res.err
 }
 
-// txWithGen is Tx returning also the covering snapshot generation, stamped
-// at delivery like updateWithGen.
-func (e *Engine) txWithGen(ctx context.Context, updates ...rxview.Update) ([]*rxview.Report, uint64, error) {
+// groupRequest builds a client group's request; an empty group is still a
+// group (the loop tells the kinds apart by group != nil).
+func groupRequest(updates []rxview.Update, atomic bool) *request {
 	if updates == nil {
 		updates = []rxview.Update{}
 	}
-	req := &request{ctx: ctx, tx: updates, done: make(chan result, 1)}
+	return &request{group: updates, atomic: atomic}
+}
+
+// do is the one submit-and-wait under every entry point: it queues req under
+// ctx and blocks for the loop's result. result.gen is the generation of the
+// snapshot published with the verdict — stamped by the apply loop at
+// delivery, so it covers exactly this request's write unit and cannot
+// include later clients' writes; the HTTP layer reports it per request. A
+// request the queue refused comes back as a result carrying only the error.
+func (e *Engine) do(ctx context.Context, req *request) result {
+	req.ctx, req.done = ctx, make(chan result, 1)
 	if err := e.submit(ctx, req); err != nil {
-		return nil, 0, err
+		return result{err: err}
 	}
-	res := <-req.done
-	return res.reps, res.gen, res.err
+	return <-req.done
 }
 
 // applyTx runs an atomic group through a view transaction. Called only from
 // the apply loop. Any stage failure — a rejection dooming the group or a
 // cancellation — aborts the whole group: all-or-nothing has no innocent
-// members to retry, unlike the coalesced insert runs.
+// members, unlike a run of independent updates.
 func (e *Engine) applyTx(ctx context.Context, updates []rxview.Update) ([]*rxview.Report, error) {
 	tx, err := e.view.Begin(ctx)
 	if err != nil {
@@ -355,12 +337,7 @@ func (e *Engine) applyTx(ctx context.Context, updates []rxview.Update) ([]*rxvie
 // intact on replicas. Bypasses admission control like recovery probes —
 // replication steps end staleness, so shedding them would be backwards.
 func (e *Engine) exec(ctx context.Context, fn func() error) error {
-	req := &request{ctx: ctx, exec: fn, done: make(chan result, 1)}
-	if err := e.submit(ctx, req); err != nil {
-		return err
-	}
-	res := <-req.done
-	return res.err
+	return e.do(ctx, &request{exec: fn}).err
 }
 
 // setPrimary flips the engine into read-only follower mode advertising the
@@ -389,8 +366,6 @@ func (e *Engine) submit(ctx context.Context, req *request) error {
 			e.met.rejected.Inc()
 			return &ReadOnlyReplicaError{Primary: *p}
 		}
-	}
-	if !req.recover && req.exec == nil {
 		// Admission control: shed rather than queue a write the loop cannot
 		// serve in time. Recovery probes bypass it — they are what ends an
 		// outage, and they must reach the loop even at full depth.
@@ -421,7 +396,7 @@ func (e *Engine) pickup(r *request) {
 // run is the single-writer apply loop: it is the only goroutine that
 // touches e.view after New, which is what makes the unsynchronized view
 // safe. carry holds a request that gather pulled off the queue but could
-// not coalesce.
+// not add to the run.
 //
 // xviewlint:writer-loop
 func (e *Engine) run() {
@@ -458,36 +433,29 @@ func (e *Engine) run() {
 			continue
 		}
 		// A context that expired while the request sat in the queue is
-		// skipped up front with a guaranteed-unapplied report — the same
-		// contract processRun gives coalesced members, extended to the
-		// direct-dispatch paths.
+		// skipped up front with a guaranteed-unapplied verdict.
 		if err := req.ctx.Err(); err != nil {
 			e.deliver(req, queuedSkip(req, err))
 			continue
 		}
 		t0 := time.Now()
 		retired := 1
-		switch {
-		case req.tx != nil:
-			// An atomic group: one transaction, and — on commit — exactly
-			// one published epoch covering all of it. Readers observe the
-			// pre-Begin snapshot until the post-commit one is swapped in;
-			// a rejected group publishes nothing (the view didn't move).
-			reps, err := e.applyTx(req.ctx, req.tx)
+		if req.group != nil {
+			// A client group runs alone. An atomic one is one transaction
+			// and — on commit — exactly one published epoch covering all of
+			// it: readers observe the pre-Begin snapshot until the
+			// post-commit one is swapped in, and a rejected group publishes
+			// nothing (the view didn't move).
+			var reps []*rxview.Report
+			var err error
+			if req.atomic {
+				reps, err = e.applyTx(req.ctx, req.group)
+			} else {
+				reps, err = e.view.Batch(req.ctx, req.group...)
+			}
 			stampPublish(e.publish(), reps...)
 			e.deliver(req, result{reps: reps, err: err})
-		case req.batch != nil:
-			reps, err := e.view.Batch(req.ctx, req.batch...)
-			stampPublish(e.publish(), reps...)
-			e.deliver(req, result{reps: reps, err: err})
-		case req.u.IsDelete():
-			// Deletions are not coalesced (extending group commit to them
-			// is ROADMAP's carried item); apply them alone under their own
-			// context.
-			rep, err := e.view.Apply(req.ctx, req.u)
-			stampPublish(e.publish(), rep)
-			e.deliver(req, result{rep: rep, err: err})
-		default:
+		} else {
 			var run []*request
 			run, carry = e.gather(req)
 			retired = len(run)
@@ -501,20 +469,19 @@ func (e *Engine) run() {
 
 // queuedSkip builds the verdict for a request whose context expired while
 // it was still queued: unapplied reports in the shape the request's kind
-// would have produced, and an error that restates the member's own cause
+// would have produced, and an error that restates the request's own cause
 // (a deadline surfaces as DeadlineExceeded, not Canceled).
 func queuedSkip(r *request, err error) result {
-	switch {
-	case r.tx != nil:
-		return result{reps: unappliedReports(r.tx),
-			err: fmt.Errorf("server: tx canceled while queued: %w", err)}
-	case r.batch != nil:
-		return result{reps: unappliedReports(r.batch),
-			err: fmt.Errorf("server: batch canceled while queued: %w", err)}
-	default:
+	if r.group == nil {
 		return result{rep: &rxview.Report{Op: r.u.String()},
 			err: fmt.Errorf("server: %s: canceled while queued: %w", r.u, err)}
 	}
+	kind := "batch"
+	if r.atomic {
+		kind = "tx"
+	}
+	return result{reps: unappliedReports(r.group),
+		err: fmt.Errorf("server: %s canceled while queued: %w", kind, err)}
 }
 
 // unappliedReports is one guaranteed-unapplied report per member, so a
@@ -527,10 +494,11 @@ func unappliedReports(updates []rxview.Update) []*rxview.Report {
 	return reps
 }
 
-// gather collects the run of consecutive queued insertions starting at
-// first, without blocking: it stops at the first queued deletion, client
-// batch or atomic group (returned as carry for the next loop iteration),
-// at an empty queue, or at the coalescing cap.
+// gather collects the run of consecutive queued single updates — insertions
+// and deletions alike — starting at first, without blocking: it stops at the
+// first queued client group, replication step or recovery probe (returned as
+// carry for the next loop iteration), at an empty queue, or at the
+// coalescing cap.
 func (e *Engine) gather(first *request) (run []*request, carry *request) {
 	run = []*request{first}
 	for len(run) < maxCoalesce {
@@ -540,11 +508,10 @@ func (e *Engine) gather(first *request) (run []*request, carry *request) {
 				return run, nil
 			}
 			e.pickup(r)
-			if r.batch == nil && r.tx == nil && r.exec == nil && !r.u.IsDelete() && !r.recover {
-				run = append(run, r)
-				continue
+			if r.group != nil || r.exec != nil || r.recover {
+				return run, r
 			}
-			return run, r
+			run = append(run, r)
 		default:
 			return run, nil
 		}
@@ -552,115 +519,59 @@ func (e *Engine) gather(first *request) (run []*request, carry *request) {
 	return run, nil
 }
 
-// processRun applies a coalesced run of insertions through View.Batch while
-// preserving per-update independence — each member gets exactly the verdict
-// a lone View.Apply would have produced:
+// processRun applies a run of queued single updates as one prefix group on
+// the view — the only place the loop turns riders into view calls. Each
+// rider is staged under its own context and gets exactly the report and
+// error its stage returned, which is what a lone View.Apply would have given
+// it against the same state: a rejection, a malformed update or a
+// cancellation (in the queue or in flight) fails its own rider and nobody
+// else's. One commit then covers the run — one log append, one sync, one
+// epoch published — which is what amortizes the log across independent
+// submissions under concurrent writers.
 //
-//   - members whose context is already canceled are skipped up front and
-//     report context.Canceled, unapplied;
-//   - a mid-run rejection (side effect, non-updatable, parse) is delivered
-//     to the failing member only; the members after it re-run;
-//   - the run executes under a context that cancels as soon as ANY member's
-//     context cancels, so in-flight cancellation is honored; if the abort
-//     lands on a member whose own context is still live, that member and
-//     the rest re-run (the canceled one is dropped by the next round's
-//     skip pass).
-//
-// Coalescing is what amortizes the log across independent submissions
-// under concurrent writers: View.Batch hands the whole run to the commit
-// sink at once — one append, one sync — instead of one per update.
+// The verdicts stay honest when that one append is refused: every rider
+// whose update applied is in memory and in no log, so every one of them —
+// not just the last — gets the indeterminate DegradedError (Applied set).
 func (e *Engine) processRun(run []*request) {
-	for len(run) > 0 {
-		live := run[:0]
-		for _, r := range run {
-			if err := r.ctx.Err(); err != nil {
-				e.deliver(r, result{
-					rep: &rxview.Report{Op: r.u.String()},
-					err: fmt.Errorf("server: %s: canceled while queued: %w", r.u, err),
-				})
-				continue
-			}
-			live = append(live, r)
+	reps := make([]*rxview.Report, len(run))
+	errs := make([]error, len(run))
+	tx, err := e.view.BeginBatch()
+	staged := 0
+	for i, r := range run {
+		switch cerr := r.ctx.Err(); {
+		case cerr != nil:
+			skip := queuedSkip(r, cerr)
+			reps[i], errs[i] = skip.rep, skip.err
+		case err != nil: // no group opened (the view is degraded): nothing ran
+			reps[i], errs[i] = &rxview.Report{Op: r.u.String()}, err
+		default:
+			staged++
+			reps[i], errs[i] = tx.Stage(r.ctx, r.u)
 		}
-		if len(live) == 0 {
-			return
-		}
-		if len(live) == 1 {
-			r := live[0]
-			rep, err := e.view.Apply(r.ctx, r.u)
-			stampPublish(e.publish(), rep)
-			e.deliver(r, result{rep: rep, err: err})
-			return
-		}
-
+	}
+	if staged > 1 {
 		e.met.coalRuns.Inc()
-		e.met.runSize.ObserveValue(float64(len(live)))
-		for _, r := range live {
-			// Count each update once, however many retry rounds it rides
-			// through; CoalescedRuns counts Batch calls, so the two stay a
-			// meaningful updates-per-run ratio.
-			if !r.counted {
-				r.counted = true
-				e.met.coalUpds.Inc()
+		e.met.coalUpds.Add(uint64(staged))
+		e.met.runSize.ObserveValue(float64(staged))
+	}
+	if err == nil {
+		// The group is the loop's, not any rider's, and a prefix commit
+		// consults no context: what is staged is applied and must reach the
+		// log whoever has stopped waiting for it.
+		if cerr := tx.Commit(e.stopCtx); cerr != nil {
+			for i, rep := range reps {
+				if rep.Applied {
+					errs[i] = cerr
+				}
 			}
 		}
-		//lint:ignore xviewlint/ctxflow the run context is the merge of every rider's ctx: it must outlive any single one and is canceled via AfterFunc when any rider cancels
-		runCtx, cancel := context.WithCancel(context.Background())
-		stops := make([]func() bool, len(live))
-		updates := make([]rxview.Update, len(live))
-		for i, r := range live {
-			updates[i] = r.u
-			stops[i] = context.AfterFunc(r.ctx, cancel)
-		}
-		reps, err := e.view.Batch(runCtx, updates...)
-		for _, stop := range stops {
-			stop()
-		}
-		cancel()
-		// Publish before fulfilling any promise: a writer whose Update has
-		// returned must be able to read its own write (and its generation)
-		// from the very next Query.
-		stampPublish(e.publish(), reps...)
-
-		if err == nil {
-			for i, r := range live {
-				e.deliver(r, result{rep: reps[i]})
-			}
-			return
-		}
-		// The batch stopped at one member: reports cover the applied prefix
-		// plus, last, the member that failed.
-		k := len(reps)
-		if k == 0 || k > len(live) {
-			// Cannot attribute (should not happen); fail the remainder.
-			for _, r := range live {
-				e.deliver(r, result{err: err})
-			}
-			return
-		}
-		for i := 0; i < k-1; i++ {
-			e.deliver(live[i], result{rep: reps[i]})
-		}
-		failing := live[k-1]
-		if isCtxErr(err) {
-			if ownErr := failing.ctx.Err(); ownErr != nil {
-				// The stop landed on the member whose context fired. The
-				// shared run context is always a plain cancel, so restate
-				// the member's own cause (a deadline must surface as
-				// DeadlineExceeded, not Canceled).
-				e.deliver(failing, result{rep: reps[k-1],
-					err: fmt.Errorf("server: %s: %w", failing.u, ownErr)})
-				run = live[k:]
-				continue
-			}
-			// Another member's cancellation tripped the shared run context;
-			// the member at the stop point did nothing wrong. Re-run it and
-			// everything after it.
-			run = live[k-1:]
-			continue
-		}
-		e.deliver(failing, result{rep: reps[k-1], err: err})
-		run = live[k:]
+	}
+	// Publish before fulfilling any promise: a writer whose Update has
+	// returned must be able to read its own write (and its generation)
+	// from the very next Query.
+	stampPublish(e.publish(), reps...)
+	for i, r := range run {
+		e.deliver(r, result{rep: reps[i], err: errs[i]})
 	}
 }
 

@@ -185,36 +185,68 @@ func TestStressPrefixConsistentReads(t *testing.T) {
 	}
 }
 
-// TestConcurrentWritersConverge submits commuting insertions from several
-// goroutines at once — the shape the coalescer absorbs into Batch runs —
-// and checks every submission gets exactly one applied verdict and the
-// final state is exact.
+// TestConcurrentWritersConverge submits commuting updates from several
+// goroutines at once — the shape the apply loop absorbs into shared runs.
+// Every writer inserts its own students; the odd ones delete each one again
+// right after, so insertions and deletions ride the same runs. Every
+// submission gets exactly one applied verdict and the final state equals a
+// sequential oracle's.
 func TestConcurrentWritersConverge(t *testing.T) {
 	ctx := context.Background()
 	eng, view := mustRegistrarEngine(t, rxview.WithForceSideEffects())
 
-	base, err := eng.Query(ctx, `//student`)
+	const writers, perWriter = 4, 20
+	script := func(w int) []rxview.Update {
+		var out []rxview.Update
+		for i := 0; i < perWriter; i++ {
+			ssn := fmt.Sprintf("SW%d-%02d", w, i)
+			out = append(out, rxview.Insert(`//course[cno="CS650"]/takenBy`, "student",
+				rxview.Str(ssn), rxview.Str("Load")))
+			if w%2 == 1 {
+				out = append(out, rxview.Delete(fmt.Sprintf(`//student[ssn=%q]`, ssn)))
+			}
+		}
+		return out
+	}
+
+	// The writers' scripts commute with each other, so any interleaving must
+	// end where running them one after another does.
+	atg, db, err := rxview.NewRegistrar()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := rxview.Open(atg, db, rxview.WithForceSideEffects())
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for w := 0; w < writers; w++ {
+		for _, u := range script(w) {
+			if rep, err := oracle.Apply(ctx, u); err != nil || !rep.Applied {
+				t.Fatalf("oracle %s: applied=%v err=%v", u, rep.Applied, err)
+			}
+			total++
+		}
+	}
+	want, err := oracle.Query(ctx, `//student`)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	const writers, perWriter = 4, 20
 	var wg sync.WaitGroup
-	errc := make(chan error, writers*perWriter)
+	errc := make(chan error, writers)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				u := rxview.Insert(`//course[cno="CS650"]/takenBy`, "student",
-					rxview.Str(fmt.Sprintf("SW%d-%02d", w, i)), rxview.Str("Load"))
+			for _, u := range script(w) {
 				rep, err := eng.Update(ctx, u)
 				if err != nil {
-					errc <- fmt.Errorf("writer %d update %d: %w", w, i, err)
+					errc <- fmt.Errorf("writer %d, %s: %w", w, u, err)
 					return
 				}
 				if !rep.Applied {
-					errc <- fmt.Errorf("writer %d update %d not applied", w, i)
+					errc <- fmt.Errorf("writer %d, %s: not applied", w, u)
 					return
 				}
 			}
@@ -231,12 +263,12 @@ func TestConcurrentWritersConverge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(base.Nodes) + writers*perWriter; len(after.Nodes) != want {
-		t.Errorf("students after concurrent writers = %d, want %d", len(after.Nodes), want)
+	if got := render(after.Nodes); got != render(want) {
+		t.Errorf("students after concurrent writers differ from the sequential oracle:\n got %s\nwant %s", got, render(want))
 	}
 	st := eng.Stats()
-	if st.UpdatesApplied != writers*perWriter {
-		t.Errorf("UpdatesApplied = %d, want %d", st.UpdatesApplied, writers*perWriter)
+	if st.UpdatesApplied != uint64(total) || st.Generation != uint64(total) {
+		t.Errorf("UpdatesApplied = %d at generation %d, want %d at %d", st.UpdatesApplied, st.Generation, total, total)
 	}
 	t.Logf("coalescing: %d runs absorbed %d updates", st.CoalescedRuns, st.CoalescedUpdates)
 

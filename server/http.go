@@ -83,8 +83,8 @@ func NewHandler(e *Engine, opts HandlerOptions) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", h.query)
 	mux.HandleFunc("POST /update", h.update)
-	mux.HandleFunc("POST /batch", h.batch)
-	mux.HandleFunc("POST /tx", h.tx)
+	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) { h.group(w, r, false) })
+	mux.HandleFunc("POST /tx", func(w http.ResponseWriter, r *http.Request) { h.group(w, r, true) })
 	mux.HandleFunc("GET /stats", h.stats)
 	mux.HandleFunc("GET /healthz", h.healthz)
 	mux.HandleFunc("GET /livez", h.livez)
@@ -332,18 +332,16 @@ func (h *handler) update(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := h.requestCtx(r)
 	defer cancel()
-	rep, gen, err := h.e.updateWithGen(ctx, u)
-	if err != nil {
+	res := h.e.do(ctx, &request{u: u})
+	if res.err != nil {
 		var reps []*rxview.Report
-		if rep != nil {
-			reps = []*rxview.Report{rep}
+		if res.rep != nil {
+			reps = []*rxview.Report{res.rep}
 		}
-		writeError(w, statusOf(err), err, reps)
+		writeError(w, statusOf(res.err), res.err, reps)
 		return
 	}
-	// gen was stamped by the apply loop with this write's verdict, so it
-	// cannot misattribute other clients' later writes.
-	writeJSON(w, http.StatusOK, updateResponse{Generation: gen, Report: reportOf(rep)})
+	writeJSON(w, http.StatusOK, updateResponse{Generation: res.gen, Report: reportOf(res.rep)})
 }
 
 type batchRequest struct {
@@ -353,32 +351,6 @@ type batchRequest struct {
 type batchResponse struct {
 	Generation uint64        `json:"generation"`
 	Reports    []*reportJSON `json:"reports"`
-}
-
-func (h *handler) batch(w http.ResponseWriter, r *http.Request) {
-	var in batchRequest
-	if !h.decode(w, r, &in) {
-		return
-	}
-	updates := make([]rxview.Update, len(in.Updates))
-	for i, uj := range in.Updates {
-		u, err := uj.compile()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("updates[%d]: %w", i, err), nil)
-			return
-		}
-		updates[i] = u
-	}
-	ctx, cancel := h.requestCtx(r)
-	defer cancel()
-	reps, gen, err := h.e.batchWithGen(ctx, updates...)
-	if err != nil {
-		// Prefix semantics: the reports cover what ran; surface them with
-		// the error so the client knows exactly how far the batch got.
-		writeError(w, statusOf(err), err, reps)
-		return
-	}
-	writeJSON(w, http.StatusOK, batchResponse{Generation: gen, Reports: reportsJSON(reps)})
 }
 
 // txStatusOf maps an atomic group's rejection onto HTTP statuses: any
@@ -394,11 +366,13 @@ func txStatusOf(err error) int {
 	return statusOf(err)
 }
 
-// tx applies an atomic group: all updates or none, one generation step, one
-// published epoch. The response mirrors /batch's shape; on rejection the
-// reports still describe every staged update (ending with the rejected
-// one), but — unlike /batch — nothing was applied.
-func (h *handler) tx(w http.ResponseWriter, r *http.Request) {
+// group serves /batch and /tx, which share a request and a response shape.
+// A batch has prefix semantics: on failure the reports cover what ran, so
+// the client knows exactly how far it got. An atomic group is all updates or
+// none, one generation step, one published epoch: on rejection the reports
+// still describe every staged update (ending with the rejected one), but
+// nothing was applied.
+func (h *handler) group(w http.ResponseWriter, r *http.Request, atomic bool) {
 	var in batchRequest
 	if !h.decode(w, r, &in) {
 		return
@@ -414,12 +388,16 @@ func (h *handler) tx(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := h.requestCtx(r)
 	defer cancel()
-	reps, gen, err := h.e.txWithGen(ctx, updates...)
-	if err != nil {
-		writeError(w, txStatusOf(err), err, reps)
+	res := h.e.do(ctx, groupRequest(updates, atomic))
+	if res.err != nil {
+		status := statusOf(res.err)
+		if atomic {
+			status = txStatusOf(res.err)
+		}
+		writeError(w, status, res.err, res.reps)
 		return
 	}
-	writeJSON(w, http.StatusOK, batchResponse{Generation: gen, Reports: reportsJSON(reps)})
+	writeJSON(w, http.StatusOK, batchResponse{Generation: res.gen, Reports: reportsJSON(res.reps)})
 }
 
 func (h *handler) stats(w http.ResponseWriter, r *http.Request) {

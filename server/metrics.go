@@ -70,9 +70,9 @@ func newEngineMetrics() engineMetrics {
 		txRejected: r.NewCounter("xview_engine_tx_rejected_total",
 			"Atomic groups rejected or rolled back."),
 		coalRuns: r.NewCounter("xview_engine_coalesced_runs_total",
-			"Multi-member coalesced insert runs executed."),
+			"Runs of two or more queued updates that shared one commit."),
 		coalUpds: r.NewCounter("xview_engine_coalesced_updates_total",
-			"Updates absorbed into coalesced runs."),
+			"Updates staged in such runs."),
 		snapSwaps: r.NewCounter("xview_engine_snapshot_swaps_total",
 			"Epoch publications (snapshot seal + swap)."),
 		memoHits: r.NewCounter("xview_engine_memo_hits_total",
@@ -104,7 +104,7 @@ func newEngineMetrics() engineMetrics {
 			"Epoch publication latency: sealing the copy-on-write snapshot plus the pointer swap.",
 			obs.LatencyBounds()),
 		runSize: r.NewHistogram("xview_engine_coalesced_run_updates",
-			"Members per coalesced insert run.", obs.CountBounds(8)),
+			"Updates per such run (a run of one is not observed).", obs.CountBounds(8)),
 		readerLag: r.NewHistogram("xview_engine_reader_generation_lag",
 			"Generations between the epoch a memo-missing query read and the newest delivered write at that moment.",
 			obs.CountBounds(12)),

@@ -71,7 +71,7 @@ func (e *Engine) admit(deadline time.Time, hasDeadline bool) error {
 // estWait estimates how long a write joining the queue behind depth
 // waiting requests will sit before the loop picks it up: depth times the
 // loop's EWMA per-request service time. Coalescing makes the estimate
-// conservative — a run retires many inserts in one batch — which is the
+// conservative — a run retires many updates with one commit — which is the
 // right direction for an admission decision.
 func (e *Engine) estWait(depth int64) time.Duration {
 	svc := e.svcNanos.Load()
@@ -130,11 +130,10 @@ func (e *Engine) probeRecovery() {
 		case <-e.stopCtx.Done():
 			return
 		}
-		req := &request{ctx: e.stopCtx, recover: true, done: make(chan result, 1)}
-		if err := e.submit(e.stopCtx, req); err != nil {
-			return // engine closed (or closing): the next boot replays the log instead
-		}
-		res := <-req.done
+		// A probe the queue refuses means the engine is closing: Close cancels
+		// stopCtx, which ends the wait above — the next boot replays the log
+		// instead.
+		res := e.do(e.stopCtx, &request{recover: true})
 		if res.err == nil && !e.view.Degraded() {
 			e.met.recoveries.Inc()
 			e.met.degradedG.Set(0)

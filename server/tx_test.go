@@ -153,9 +153,9 @@ func TestTxReadersNeverObserveMidTransaction(t *testing.T) {
 }
 
 // Atomic groups submitted concurrently with plain inserts must be applied
-// as groups, never coalesced into an insert run (regression: gather() once
-// pulled tx requests into runs as zero-value updates, silently dropping the
-// group).
+// as groups, never coalesced into a run of single updates (regression:
+// gather() once pulled tx requests into runs as zero-value updates, silently
+// dropping the group).
 func TestTxConcurrentWithPlainInsertsIsNotCoalesced(t *testing.T) {
 	ctx := context.Background()
 	e, _ := mustRegistrarEngine(t)

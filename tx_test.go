@@ -293,6 +293,87 @@ func TestTxLifecycleAndGuards(t *testing.T) {
 	}
 }
 
+// A prefix group (BeginBatch) is a sequence of independent updates sharing
+// one commit: a rejected, malformed or canceled stage fails alone, with the
+// verdict a lone Apply gives against the same state, and the group stays
+// open for the next one.
+func TestBeginBatchStagesStandAlone(t *testing.T) {
+	ctx := context.Background()
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	steps := []struct {
+		ctx  context.Context
+		u    rxview.Update
+		want error // nil: applies
+	}{
+		{ctx, txGroup()[0], nil},
+		{ctx, sharedInsert, rxview.ErrSideEffect},
+		{ctx, rxview.Delete("///["), rxview.ErrParse},
+		{canceled, txGroup()[1], context.Canceled},
+		{ctx, txGroup()[1], nil}, // the canceled update, retried: reads the first stage's write
+		{ctx, txGroup()[2], nil}, // a deletion rides the same group
+	}
+
+	view, oracle := mustView(t), mustView(t)
+	tx, err := view.BeginBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := view.BeginBatch(); !errors.Is(err, rxview.ErrTxOpen) {
+		t.Fatalf("second BeginBatch = %v, want ErrTxOpen", err)
+	}
+	if _, err := view.Apply(ctx, txGroup()[3]); !errors.Is(err, rxview.ErrTxOpen) {
+		t.Fatalf("Apply during a prefix group = %v, want ErrTxOpen", err)
+	}
+	applied := 0
+	for i, st := range steps {
+		rep, err := tx.Stage(st.ctx, st.u)
+		wantRep, wantErr := oracle.Apply(st.ctx, st.u)
+		if !errors.Is(err, st.want) { // for want == nil: err must be nil
+			t.Fatalf("stage %d (%s): err = %v, want %v", i, st.u, err, st.want)
+		}
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) && !errors.Is(err, rxview.ErrParse) {
+			// (A group names the member in a parse error; a lone Apply has
+			// no need to.)
+			t.Errorf("stage %d (%s): err = %v, a lone Apply gives %v", i, st.u, err, wantErr)
+		}
+		if rep.Applied != wantRep.Applied || rep.Applied != (st.want == nil) {
+			t.Errorf("stage %d (%s): applied = %v, a lone Apply gives %v", i, st.u, rep.Applied, wantRep.Applied)
+		}
+		if rep.Applied {
+			applied++
+		}
+		if got := view.Generation(); got != uint64(applied) {
+			t.Fatalf("after stage %d: generation %d, want %d (one per applied update, as it stages)", i, got, applied)
+		}
+	}
+	if tx.Validate() != nil || tx.Applied() != applied {
+		t.Errorf("Validate = %v, Applied = %d; want nil, %d: nothing dooms a prefix group", tx.Validate(), tx.Applied(), applied)
+	}
+	if reps := tx.Reports(); len(reps) != len(steps) {
+		t.Errorf("Reports has %d entries, want one per stage (%d)", len(reps), len(steps))
+	} else {
+		for i, rep := range reps {
+			if rep.Op != steps[i].u.String() {
+				t.Errorf("report %d is for %q, want %q", i, rep.Op, steps[i].u)
+			}
+		}
+	}
+	// Commit consults no context in prefix mode: the stages are applied.
+	if err := tx.Commit(canceled); err != nil {
+		t.Fatalf("Commit = %v", err)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatalf("Rollback after Commit = %v, want a no-op", err)
+	}
+	if got, want := viewFingerprint(t, view), viewFingerprint(t, oracle); got != want {
+		t.Errorf("prefix group diverged from sequential applies:\n--- group ---\n%s\n--- applies ---\n%s", got, want)
+	}
+	if err := view.CheckConsistency(); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestTxNoOpGroupDoesNotAdvanceGeneration(t *testing.T) {
 	ctx := context.Background()
 	view := mustView(t)

@@ -30,8 +30,9 @@ func (n Node) String() string {
 }
 
 // Mutation is one base-table change; the translation ΔR of an update is a
-// []Mutation. The json tags are the stable wire names used by the server's
-// /update, /batch and /tx payloads.
+// []Mutation. The json tags name the fields for programs that marshal a
+// Report themselves; the server's HTTP payloads carry each change as its
+// String() rendering instead.
 type Mutation struct {
 	Table  string  `json:"table"`
 	Insert bool    `json:"insert"` // true = insert, false = delete
@@ -101,8 +102,11 @@ func timingsOf(t core.Timings) Timings {
 	}
 }
 
-// Report describes one processed update. The json tags are the stable wire
-// names shared with the server's /update, /batch and /tx payloads.
+// Report describes one processed update. The json tags are for programs that
+// marshal a Report themselves. They are not the server's wire format:
+// /update, /batch and /tx answer with their own, smaller shape under the same
+// names where the fields coincide — changes as rendered strings, the phase
+// timings folded into one total_ns, no route (server/http.go, reportJSON).
 // Timings.Maintain is the time spent repairing L and collecting the Removed
 // nodes (with the DVDeletes their deaths cascade into); no M is maintained.
 type Report struct {
@@ -136,14 +140,6 @@ func reportOf(r *core.Report) *Report {
 		Route:       r.Route,
 		Timings:     timingsOf(r.Timings),
 	}
-}
-
-func reportsOf(rs []*core.Report) []*Report {
-	out := make([]*Report, len(rs))
-	for i, r := range rs {
-		out[i] = reportOf(r)
-	}
-	return out
 }
 
 // Stats summarizes the view and its auxiliary structures — the quantities of

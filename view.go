@@ -91,29 +91,18 @@ func (v *View) Query(ctx context.Context, path string) ([]Node, error) {
 // evaluation with side-effect detection, ΔX→ΔV→ΔR translation, execution of
 // ΔR against the database and ΔV against the view, and maintenance of L.
 // Cancellation is honored between the phases; once ΔR has executed the
-// update is carried through, so a cancelled context never leaves L stale. It is a one-shot transaction — for a single
-// update, atomicity and prefix semantics coincide; for an all-or-nothing
-// group use Begin.
+// update is carried through, so a cancelled context never leaves L stale. It
+// is a one-shot group (BeginBatch, Stage, Commit) — for a single update,
+// atomicity and prefix semantics coincide; for an all-or-nothing group use
+// Begin.
 //
 // The error, if any, matches ErrParse, ErrSideEffect or ErrNotUpdatable
 // under errors.Is when the update was rejected for the corresponding
-// reason (ErrTxOpen while a Begin transaction is open); the report is
-// always returned with whatever phases completed.
+// reason (ErrTxOpen while a group is open, ErrDegraded when the log refuses
+// the commit); the report is always returned with whatever phases completed.
 func (v *View) Apply(ctx context.Context, u Update) (*Report, error) {
 	op, err := u.compile()
-	if err != nil {
-		return &Report{Op: u.String()}, err
-	}
-	if v.degraded.Load() {
-		return &Report{Op: op.String()}, &DegradedError{Cause: v.degradedCause}
-	}
-	rep, err := v.sys.ApplyCtx(ctx, op)
-	out := reportOf(rep)
-	err = wrapErr(op.String(), err)
-	if out != nil && out.Applied {
-		err = degradedApplied(err)
-	}
-	return out, err
+	return v.applyOne(ctx, u.String(), op, err)
 }
 
 // DryRun answers the updatability question for one update without changing
@@ -135,8 +124,9 @@ func (v *View) DryRun(ctx context.Context, u Update) (*Report, error) {
 // is validated, evaluated, translated, applied and maintained individually
 // (the result state is identical to the same sequence of Apply calls), and
 // on a durable view the whole applied prefix reaches the log in one append
-// and one sync instead of one per update. It is a one-shot non-atomic
-// transaction; for an all-or-nothing group use Begin.
+// and one sync instead of one per update. It is the loop over a prefix group
+// (BeginBatch) that stops at the first failure; for an all-or-nothing group
+// use Begin.
 //
 // The batch is not atomic: it stops at the first failing update, with every
 // earlier update already applied and L repaired. The returned reports cover
@@ -145,47 +135,21 @@ func (v *View) DryRun(ctx context.Context, u Update) (*Report, error) {
 // run — and the error names that update, never the last one that succeeded;
 // a malformed update is named the same way, wherever it sits in the batch.
 func (v *View) Batch(ctx context.Context, updates ...Update) ([]*Report, error) {
-	if v.degraded.Load() {
-		return nil, &DegradedError{Cause: v.degradedCause}
+	tx, err := v.BeginBatch()
+	if err != nil {
+		return nil, err
 	}
-	// Compile up to the first malformed update: the prefix before it still
-	// runs, preserving the Apply-sequence equivalence.
-	ops := make([]*update.Op, 0, len(updates))
-	var compileErr error
-	var failed Update
 	for _, u := range updates {
-		op, err := u.compile()
-		if err != nil {
-			compileErr, failed = err, u
+		if _, err = tx.Stage(ctx, u); err != nil {
 			break
 		}
-		ops = append(ops, op)
 	}
-	reps, err := v.sys.ApplyBatch(ctx, ops)
-	out := reportsOf(reps)
-	if err != nil {
-		// The failing update is the last processed one; attribute the error
-		// to it. An empty prefix means the batch could not start at all
-		// (e.g. an open transaction owns the write path).
-		if len(out) > 0 {
-			err = wrapErr(out[len(out)-1].Op, err)
-			if out[len(out)-1].Applied {
-				// A durability failure at the batch commit: the processed
-				// prefix is applied in memory but not on disk.
-				err = degradedApplied(err)
-			}
-		} else {
-			err = wrapErr("batch", err)
-		}
-		return out, err
+	// The applied prefix goes to the log even when the batch stopped early;
+	// the error that stopped it outranks a durability failure of the rest.
+	if cerr := tx.Commit(ctx); err == nil {
+		err = cerr
 	}
-	if compileErr != nil {
-		// One consistent shape wherever the malformed update sits — leading
-		// included: the reports end with an unapplied report for it and the
-		// error names it, exactly like a runtime rejection.
-		return append(out, &Report{Op: failed.String()}), withOp(compileErr, failed.String())
-	}
-	return out, nil
+	return tx.Reports(), err
 }
 
 // Execute parses and applies one textual update statement, as a one-shot
@@ -195,19 +159,25 @@ func (v *View) Batch(ctx context.Context, updates ...Update) ([]*Report, error) 
 //	delete xpath
 func (v *View) Execute(ctx context.Context, stmt string) (*Report, error) {
 	op, err := update.ParseStatement(v.sys.ATG, stmt)
+	return v.applyOne(ctx, stmt, op, parseErr(stmt, err))
+}
+
+// applyOne runs one compiled update as a one-shot prefix group — the tail
+// Apply and Execute share. For a single update prefix semantics and
+// atomicity coincide.
+func (v *View) applyOne(ctx context.Context, opName string, op *update.Op, compileErr error) (*Report, error) {
+	if compileErr != nil {
+		return &Report{Op: opName}, compileErr
+	}
+	tx, err := v.BeginBatch()
 	if err != nil {
-		return &Report{Op: stmt}, parseErr(stmt, err)
+		return &Report{Op: opName}, err
 	}
-	if v.degraded.Load() {
-		return &Report{Op: op.String()}, &DegradedError{Cause: v.degradedCause}
+	rep, err := tx.stage(ctx, opName, op, nil)
+	if cerr := tx.Commit(ctx); err == nil {
+		err = cerr
 	}
-	rep, err := v.sys.ApplyCtx(ctx, op)
-	out := reportOf(rep)
-	err = wrapErr(op.String(), err)
-	if out != nil && out.Applied {
-		err = degradedApplied(err)
-	}
-	return out, err
+	return rep, err
 }
 
 // Stats computes current view statistics.
