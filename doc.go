@@ -70,7 +70,10 @@
 // re-verified with CheckConsistency) before serving. Every commit — an
 // Apply, a Batch member, a whole Begin/Commit group — is in the log before
 // its verdict returns, under the fsync policy of WithFsync; View.Close
-// seals a final checkpoint so the next Open replays nothing. Damage
+// seals a final checkpoint so the next Open replays nothing. An automatic
+// checkpoint (WithCheckpointEvery) stalls the writer only to encode the
+// state and rotate the log; its file is written behind the writer, and no
+// acknowledged commit depends on it having landed. Damage
 // surfaces as ErrCorruptLog or ErrCheckpointMismatch (a torn final record
 // is truncated with a WithRecoveryWarn warning instead). Views opened
 // without WithDurability pay nothing for any of this.

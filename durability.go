@@ -1,11 +1,12 @@
 package rxview
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
-	"strings"
 
 	"rxview/internal/core"
 	"rxview/internal/dag"
@@ -28,7 +29,8 @@ const ckptVersion = 1
 
 // openDurable is Open with WithDurability: recover the newest durable state
 // from the directory (or establish the genesis epoch from the provided DB),
-// install the commit sink, and seal the boot state with a checkpoint.
+// give the log an active segment at that generation, and install the commit
+// sink.
 func openDurable(a *ATG, db *DB, cfg *config) (*View, error) {
 	var pol wal.SyncPolicy
 	switch cfg.fsync {
@@ -70,16 +72,24 @@ func openDurable(a *ATG, db *DB, cfg *config) (*View, error) {
 		log:       log,
 		warn:      cfg.warn,
 		ckptEvery: uint64(cfg.ckptEvery),
-		ckptGen:   sys.Generation(),
 	}
 	if v.ckptEvery == 0 {
 		v.ckptEvery = defaultCheckpointEvery
 	}
-	// Seal the boot state before serving: recovery never appends to old
-	// segments, so the boot checkpoint is what gives the log an active
-	// segment again (and prunes what the recovered state supersedes).
-	if err := log.WriteCheckpoint(sys.Generation(), encodeCheckpoint(sys)); err != nil {
-		return nil, fmt.Errorf("rxview: boot checkpoint: %w", err)
+	// Recovery never appends to an old segment, so the log needs a fresh
+	// one before the view serves. Genesis has nothing on disk and writes
+	// checkpoint 0. A recovered state is on disk already — the checkpoint
+	// it was read from plus the replayed records — so the old tail is
+	// sealed and that is all; the replayed suffix stays ahead of ckptGen
+	// and counts toward the next automatic checkpoint.
+	if boot == nil {
+		err = log.WriteCheckpoint(sys.Generation(), encodeCheckpoint(sys))
+	} else {
+		v.ckptGen = boot.Gen
+		err = log.Seal(sys.Generation())
+	}
+	if err != nil {
+		return nil, fmt.Errorf("rxview: sealing the boot state: %w", err)
 	}
 	sys.SetCommitSink(v.sinkRecords, v.afterDurable)
 	return v, nil
@@ -199,6 +209,7 @@ func (v *View) Recover() error {
 	if v.sys.InTxn() {
 		return ErrTxOpen
 	}
+	v.reapCheckpoint(true)
 	warning, err := v.log.Reopen()
 	if warning != "" {
 		warnTo(v.warn, "rxview: recovery: %s", warning)
@@ -206,12 +217,9 @@ func (v *View) Recover() error {
 	if err != nil {
 		return err
 	}
-	v.ckptBusy.Store(true)
-	defer v.ckptBusy.Store(false)
-	if err := v.log.WriteCheckpoint(v.sys.Generation(), encodeCheckpoint(v.sys)); err != nil {
+	if err := v.checkpointNow(); err != nil {
 		return err
 	}
-	v.ckptGen = v.sys.Generation()
 	v.degradedCause = nil
 	v.degraded.Store(false)
 	warnTo(v.warn, "rxview: recovered from degraded mode at generation %d", v.ckptGen)
@@ -219,50 +227,104 @@ func (v *View) Recover() error {
 }
 
 // afterDurable runs after each durable commit, once the system is quiescent:
-// the periodic checkpoint trigger. A failed checkpoint is reported and
+// the periodic checkpoint trigger. The writer does the part that reads the
+// state — encode it, seal the log at this generation — and hands the bytes
+// to a goroutine that writes the file behind it; the verdict is collected
+// here, at a later commit. A failed checkpoint, either half, is reported and
 // retried at the next commit — the log keeps every record since the last
-// successful one, so nothing is lost, the log just grows.
+// one that landed, so nothing is lost, the log just grows. While a file is
+// being written the trigger is skipped, not queued: there is never a second
+// goroutine, and the next commit tests again.
 func (v *View) afterDurable(gen uint64) {
-	if gen-v.ckptGen < v.ckptEvery {
+	v.reapCheckpoint(false)
+	if v.ckptDone != nil || gen-v.ckptGen < v.ckptEvery {
 		return
 	}
-	if err := v.Checkpoint(); err != nil {
-		warnTo(v.warn, "rxview: checkpoint at generation %d failed: %v", gen, err)
+	at := v.sys.Generation() // the generation of the state being encoded
+	v.ckptBusy.Store(true)
+	write, err := v.log.BeginCheckpoint(at, encodeCheckpoint(v.sys))
+	v.ckptBusy.Store(false)
+	if err != nil {
+		warnTo(v.warn, "rxview: checkpoint at generation %d failed: %v", at, err)
+		return
 	}
+	// The goroutine owns the encoded state and nothing else; it ends with
+	// the one send, so once the file has landed nothing holds those bytes.
+	done := make(chan error, 1)
+	v.ckptDone, v.ckptPending = done, at
+	go func() { done <- write() }()
+}
+
+// reapCheckpoint collects the verdict of the checkpoint file being written
+// behind the writer, if there is one: always when wait is set, otherwise
+// only if it is already in.
+func (v *View) reapCheckpoint(wait bool) {
+	if v.ckptDone == nil {
+		return
+	}
+	var err error
+	if wait {
+		err = <-v.ckptDone
+	} else {
+		select {
+		case err = <-v.ckptDone:
+		default:
+			return
+		}
+	}
+	v.ckptDone = nil
+	if err != nil {
+		warnTo(v.warn, "rxview: checkpoint at generation %d failed: %v", v.ckptPending, err)
+		return
+	}
+	v.ckptGen = v.ckptPending
+}
+
+// checkpointNow writes a checkpoint of the current state, both halves on
+// the calling (writer) goroutine.
+func (v *View) checkpointNow() error {
+	v.ckptBusy.Store(true)
+	defer v.ckptBusy.Store(false)
+	gen := v.sys.Generation()
+	if err := v.log.WriteCheckpoint(gen, encodeCheckpoint(v.sys)); err != nil {
+		return err
+	}
+	v.ckptGen = gen
+	return nil
 }
 
 // Checkpoint seals the current epoch: the full view state is serialized at
 // the current generation, the log rotates to a fresh segment, and the
 // prefix the checkpoint supersedes is pruned. Durable views checkpoint
-// automatically (WithCheckpointEvery); an explicit call bounds recovery
-// time before a planned stop. No-op on a view without durability; ErrTxOpen
-// while a transaction is open.
+// automatically (WithCheckpointEvery) and write the file behind the writer;
+// an explicit call waits for that file, if one is in flight, and then runs
+// to completion before it returns — it bounds recovery time before a
+// planned stop. No-op on a view without durability; ErrTxOpen while a
+// transaction is open.
 func (v *View) Checkpoint() error {
 	if v.log == nil {
 		return nil
 	}
+	v.reapCheckpoint(true)
 	if v.sys.InTxn() {
 		return ErrTxOpen
 	}
-	v.ckptBusy.Store(true)
-	defer v.ckptBusy.Store(false)
-	if err := v.log.WriteCheckpoint(v.sys.Generation(), encodeCheckpoint(v.sys)); err != nil {
-		return err
-	}
-	v.ckptGen = v.sys.Generation()
-	return nil
+	return v.checkpointNow()
 }
 
-// Checkpointing reports whether a checkpoint is being written right now —
-// the full state is serialized, fsynced and rotated in, which stalls the
-// writer for the duration. Unlike the View's other methods it is safe to
-// call from any goroutine: it is the readiness probe serving layers fold
-// into /healthz so load balancers drain a node during the stall. Always
-// false without durability.
+// Checkpointing reports whether a checkpoint is stalling the writer right
+// now: the full state is being serialized and the log rotated (an explicit
+// Checkpoint, Close or Recover also writes the file before it lets go). The
+// file an automatic checkpoint writes behind the writer does not count — it
+// stalls nobody. Unlike the View's other methods it is safe to call from any
+// goroutine: it is the readiness probe serving layers fold into /healthz so
+// load balancers drain a node during the stall. Always false without
+// durability.
 func (v *View) Checkpointing() bool { return v.ckptBusy.Load() }
 
-// Close flushes a final checkpoint and closes the log, so the next Open
-// recovers without replaying anything. No-op on a view without durability
+// Close flushes a final checkpoint (after the one in flight, if any, has
+// landed) and closes the log, so the next Open recovers without replaying
+// anything. No-op on a view without durability
 // (and on repeat calls); the view itself stays usable, just no longer
 // durable.
 func (v *View) Close() error {
@@ -311,57 +373,87 @@ type ckptTable struct {
 	tuples []relational.Tuple
 }
 
-// encodeCheckpoint serializes the full state of the system. The layout is
-// version, generation, the tables (tuples sorted by their injective
-// encoding, so the payload is byte-stable), the DAG state, and L.
+// encodeCheckpoint serializes the full state of the system into one buffer:
+// wal.CheckpointHeadroom free bytes for the file's framing, then the
+// payload — version, generation, the tables (rows in ascending order of
+// their injective encoding, so the payload is byte-stable), the DAG state,
+// and L.
+//
+// The writer pays for this inside the checkpoint stall, and for collecting
+// what it leaves behind, so it allocates a fixed handful of objects: the
+// buffer, at exactly its size (one pass over the tables measures them
+// without encoding anything), and an arena the size of the largest table.
+// Each tuple is encoded once, into the arena; a table's rows are ordered by
+// sorting their spans over those bytes and copied out in that order. The
+// DAG state cannot be measured without encoding it, so it passes through
+// the arena as well, first, and is put in its place behind the tables
+// before they need the arena.
 func encodeCheckpoint(sys *core.System) []byte {
-	// Each tuple is encoded once, into its sort key; the keys are distinct
-	// (the encoding is injective), so the order is total.
-	type keyed struct {
-		key string
-		t   relational.Tuple
-	}
+	gen := sys.Generation()
 	names := sys.DB.Schema.TableNames()
-	tables := make([][]keyed, len(names))
-	size := 0
-	for i, name := range names {
-		rel := sys.DB.Rel(name)
-		rows := make([]keyed, 0, rel.Len())
+	tablesEnd := wal.CheckpointHeadroom + 1 + uvarintLen(gen) + uvarintLen(uint64(len(names)))
+	arenaCap, maxRows := 0, 0
+	for _, name := range names {
+		rel, n := sys.DB.Rel(name), 0
 		rel.Scan(func(t relational.Tuple) bool {
-			key := t.Encode()
-			rows = append(rows, keyed{key, t})
-			size += len(key) + 1 // what AppendTuple writes: a count, then the key
+			n += relational.TupleLen(t)
 			return true
 		})
-		slices.SortFunc(rows, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
-		tables[i] = rows
+		tablesEnd += uvarintLen(uint64(len(name))) + len(name) + uvarintLen(uint64(rel.Len())) + n
+		arenaCap, maxRows = max(arenaCap, n), max(maxRows, rel.Len())
 	}
-	dagState := sys.DAG.AppendState(nil)
+	arena := sys.DAG.AppendState(make([]byte, 0, arenaCap))
 	order := sys.Topo.Nodes()
-
-	// The payload is allocated once, at (a little over) its size: grown by
-	// append, a slice of megabytes costs several times its size in garbage,
-	// and the writer pays for collecting it inside the checkpoint stall.
-	size += len(dagState) + binary.MaxVarintLen32*len(order) + 64*(len(names)+1)
-	dst := append(make([]byte, 0, size), ckptVersion)
-	dst = binary.AppendUvarint(dst, sys.Generation())
-	dst = binary.AppendUvarint(dst, uint64(len(names)))
-	for i, name := range names {
-		dst = binary.AppendUvarint(dst, uint64(len(name)))
-		dst = append(dst, name...)
-		dst = binary.AppendUvarint(dst, uint64(len(tables[i])))
-		for _, r := range tables[i] {
-			dst = relational.AppendTuple(dst, r.t)
-		}
+	size := tablesEnd + uvarintLen(uint64(len(arena))) + len(arena) + uvarintLen(uint64(len(order)))
+	for _, id := range order {
+		size += uvarintLen(uint64(id))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(dagState)))
-	dst = append(dst, dagState...)
+
+	buf := make([]byte, size)
+	dst := binary.AppendUvarint(buf[:tablesEnd], uint64(len(arena)))
+	dst = append(dst, arena...)
 	dst = binary.AppendUvarint(dst, uint64(len(order)))
 	for _, id := range order {
 		dst = binary.AppendUvarint(dst, uint64(id))
 	}
-	return dst
+	if len(dst) != size {
+		panic(fmt.Sprintf("rxview: checkpoint measured %d bytes, encoded %d", size, len(dst)))
+	}
+
+	dst = append(buf[:wal.CheckpointHeadroom], ckptVersion)
+	dst = binary.AppendUvarint(dst, gen)
+	dst = binary.AppendUvarint(dst, uint64(len(names)))
+	type span struct{ off, end int }
+	rows := make([]span, 0, maxRows)
+	for _, name := range names {
+		arena, rows = arena[:0], rows[:0]
+		sys.DB.Rel(name).Scan(func(t relational.Tuple) bool {
+			off := len(arena)
+			arena = relational.AppendTuple(arena, t)
+			rows = append(rows, span{off, len(arena)})
+			return true
+		})
+		// Every row of a table starts with the same count prefix, so this
+		// is the order of the tuples' injective encodings; they are
+		// distinct, so the order is total.
+		slices.SortFunc(rows, func(a, b span) int {
+			return bytes.Compare(arena[a.off:a.end], arena[b.off:b.end])
+		})
+		dst = binary.AppendUvarint(dst, uint64(len(name)))
+		dst = append(dst, name...)
+		dst = binary.AppendUvarint(dst, uint64(len(rows)))
+		for _, r := range rows {
+			dst = append(dst, arena[r.off:r.end]...)
+		}
+	}
+	if len(dst) != tablesEnd {
+		panic(fmt.Sprintf("rxview: checkpoint tables measured to end at %d, encoded to %d", tablesEnd, len(dst)))
+	}
+	return buf
 }
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 func decodeCheckpoint(b []byte) (*checkpoint, error) {
 	if len(b) == 0 || b[0] != ckptVersion {

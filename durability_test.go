@@ -256,13 +256,33 @@ func oracleFingerprints(t *testing.T) []string {
 // durably, then cut the log at every byte, recover, and require the result
 // to equal the in-memory oracle at the last durable generation.
 func TestCrashPointRecovery(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
 	// Huge checkpoint interval: the whole workload lands in one segment
 	// after the genesis checkpoint.
-	v := mustDurableView(t, dir, rxview.WithFsync(rxview.FsyncOff), rxview.WithCheckpointEvery(1<<30))
+	crashPointRecovery(t, 1<<30, 1)
+}
+
+// TestCrashPointRecoveryAcrossCheckpoint cuts inside the window the
+// write-behind checkpoint opens: the log has rotated to the segment of a
+// checkpoint whose file never landed — a temp file is all there is of it —
+// and acknowledged records sit in that segment. Recovery starts from the
+// older checkpoint and replays across both segments.
+func TestCrashPointRecoveryAcrossCheckpoint(t *testing.T) {
+	// Every 6: the one automatic checkpoint falls on generation 6 of 11.
+	crashPointRecovery(t, 6, 2)
+}
+
+// crashPointRecovery runs the crash workload checkpointing at the given
+// interval, which must leave wantSegs segments and as many checkpoints, and
+// recovers from every cut of the last segment. With more than one segment
+// the crash is placed before the newest checkpoint landed: its file is left
+// out of the image and a stale temp file put in.
+func crashPointRecovery(t *testing.T, every, wantSegs int) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	v := mustDurableView(t, dir, rxview.WithFsync(rxview.FsyncOff), rxview.WithCheckpointEvery(every))
 	for _, s := range crashSteps() {
 		runCrashStep(t, ctx, v, s)
+		v.AwaitCheckpoint()
 	}
 	finalGen := v.Generation()
 	// No Close, no final checkpoint: the process "dies" here with the
@@ -277,14 +297,36 @@ func TestCrashPointRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(info.Segments) != 1 || len(info.Checkpoints) != 1 {
-		t.Fatalf("expected 1 segment + 1 checkpoint, got %+v", info)
+	if len(info.Segments) != wantSegs || len(info.Checkpoints) != wantSegs {
+		t.Fatalf("expected %d segment(s) and as many checkpoints, got %+v", wantSegs, info)
 	}
-	seg := info.Segments[0]
-	if uint64(len(seg.Records)) != finalGen {
+	// What every image holds whole: the segments before the last, and the
+	// checkpoints that had landed when the process died.
+	whole := map[string][]byte{}
+	landed := info.Checkpoints
+	if wantSegs > 1 {
+		landed = landed[:len(landed)-1]
+		whole["ckpt-0000000000.tmp"] = []byte("a checkpoint the crash caught half written")
+	}
+	for _, c := range landed {
+		if whole[filepath.Base(c.Path)], err = os.ReadFile(c.Path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range info.Segments[:len(info.Segments)-1] {
+		if whole[filepath.Base(s.Path)], err = os.ReadFile(s.Path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seg := info.Segments[len(info.Segments)-1]
+	firstGen := finalGen - uint64(len(seg.Records)) // the generation the last segment starts after
+	if wantSegs == 1 && uint64(len(seg.Records)) != finalGen {
 		t.Fatalf("log has %d records for %d generations", len(seg.Records), finalGen)
 	}
-	whole, err := os.ReadFile(seg.Path)
+	if len(seg.Records) < 3 {
+		t.Fatalf("only %d records in the segment being cut", len(seg.Records))
+	}
+	last, err := os.ReadFile(seg.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,22 +337,18 @@ func TestCrashPointRecovery(t *testing.T) {
 		total += r.Bytes
 	}
 	recEnd := make([]int, len(seg.Records)) // recEnd[i] = bytes that fully contain records 0..i
-	off := len(whole) - total
+	off := len(last) - total
 	for i, r := range seg.Records {
 		off += r.Bytes
 		recEnd[i] = off
 	}
-	ckptBytes, err := os.ReadFile(info.Checkpoints[0].Path)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	cuts := make([]int, 0, len(whole)+1)
+	cuts := make([]int, 0, len(last)+1)
 	if testing.Short() {
 		// Record boundaries ±1 plus frame midpoints.
 		seen := map[int]bool{}
 		add := func(c int) {
-			if c >= 0 && c <= len(whole) && !seen[c] {
+			if c >= 0 && c <= len(last) && !seen[c] {
 				seen[c] = true
 				cuts = append(cuts, c)
 			}
@@ -324,25 +362,27 @@ func TestCrashPointRecovery(t *testing.T) {
 			prev = e
 		}
 		add(0)
-		add(len(whole))
+		add(len(last))
 	} else {
-		for c := 0; c <= len(whole); c++ {
+		for c := 0; c <= len(last); c++ {
 			cuts = append(cuts, c)
 		}
 	}
 
 	for _, cut := range cuts {
 		sub := t.TempDir()
-		if err := os.WriteFile(filepath.Join(sub, filepath.Base(seg.Path)), whole[:cut], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(sub, filepath.Base(seg.Path)), last[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(sub, filepath.Base(info.Checkpoints[0].Path)), ckptBytes, 0o644); err != nil {
-			t.Fatal(err)
+		for name, b := range whole {
+			if err := os.WriteFile(filepath.Join(sub, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		wantGen := uint64(0)
+		wantGen := firstGen
 		for i, e := range recEnd {
 			if e <= cut {
-				wantGen = uint64(i + 1)
+				wantGen = firstGen + uint64(i+1)
 			}
 		}
 		rv := mustDurableView(t, sub)
@@ -359,6 +399,9 @@ func TestCrashPointRecovery(t *testing.T) {
 		if err := rv.Close(); err != nil {
 			t.Fatalf("cut at %d: close: %v", cut, err)
 		}
+		if stale, _ := filepath.Glob(filepath.Join(sub, "*.tmp")); len(stale) != 0 {
+			t.Fatalf("cut at %d: %v survived the reopen", cut, stale)
+		}
 	}
 }
 
@@ -372,6 +415,10 @@ func TestCheckpointEveryRotatesAndPrunes(t *testing.T) {
 		if _, err := v.Apply(ctx, u); err != nil {
 			t.Fatal(err)
 		}
+		// The checkpoint file is written behind the writer: let it land
+		// before the next commit tests the trigger, and before the
+		// directory is listed.
+		v.AwaitCheckpoint()
 	}
 	info, err := rxview.InspectWAL(dir)
 	if err != nil {
@@ -394,6 +441,204 @@ func TestCheckpointEveryRotatesAndPrunes(t *testing.T) {
 	if got := fingerprint(t, v2); got != want {
 		t.Fatalf("recovered state differs after rotation:\n%s\nvs\n%s", got, want)
 	}
+}
+
+// copyWALDir copies a durability directory byte for byte — what a crash
+// leaves behind of a view that is still open.
+func copyWALDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+func insertStudent(t *testing.T, v *rxview.View, ssn string) {
+	t.Helper()
+	u := rxview.Insert(`//course[cno="CS650"]/takenBy`, "student", rxview.Str(ssn), rxview.Str("X"))
+	if _, err := v.Apply(context.Background(), u); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// walShape lists a directory's checkpoint and segment generations.
+func walShape(t *testing.T, dir string) (ckpts, segs []uint64) {
+	t.Helper()
+	info, err := rxview.InspectWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range info.Checkpoints {
+		ckpts = append(ckpts, c.Gen)
+	}
+	for _, s := range info.Segments {
+		segs = append(segs, s.Start)
+	}
+	return ckpts, segs
+}
+
+// TestCheckpointFileFaultWarnedAndRetried: the file half of an automatic
+// checkpoint fails (the injected wal.checkpoint fault is delivered there)
+// after the segment has rotated. The failure is a warning, the newest
+// landed checkpoint does not move, the next commit retries, and a crash at
+// any point along the way loses nothing.
+func TestCheckpointFileFaultWarnedAndRetried(t *testing.T) {
+	dir := t.TempDir()
+	var warnings []string
+	v := mustDurableView(t, dir, rxview.WithCheckpointEvery(2),
+		rxview.WithRecoveryWarn(func(msg string) { warnings = append(warnings, msg) }))
+	defer v.Close()
+	if err := rxview.EnableChaos("wal.checkpoint:count=1", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer rxview.DisableChaos()
+
+	insertStudent(t, v, "S501")
+	insertStudent(t, v, "S502") // generation 2: the checkpoint that fails
+	v.AwaitCheckpoint()
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "checkpoint at generation 2 failed") {
+		t.Fatalf("warnings after the failed checkpoint: %q", warnings)
+	}
+	if got := v.LandedCheckpoint(); got != 0 {
+		t.Fatalf("newest landed checkpoint %d after a failed write, want 0", got)
+	}
+	if ckpts, segs := walShape(t, dir); fmt.Sprint(ckpts, segs) != "[0] [0 2]" {
+		t.Fatalf("after the failed checkpoint: checkpoints %v, segments %v", ckpts, segs)
+	}
+	crashed := copyWALDir(t, dir)
+
+	insertStudent(t, v, "S503") // generation 3: the retry
+	v.AwaitCheckpoint()
+	if len(warnings) != 1 {
+		t.Fatalf("the retry warned too: %q", warnings)
+	}
+	if got := v.LandedCheckpoint(); got != 3 {
+		t.Fatalf("newest landed checkpoint %d after the retry, want 3", got)
+	}
+	if ckpts, segs := walShape(t, dir); fmt.Sprint(ckpts, segs) != "[0 3] [0 2 3]" {
+		t.Fatalf("after the retry: checkpoints %v, segments %v", ckpts, segs)
+	}
+	rxview.DisableChaos()
+
+	for image, gen := range map[string]uint64{crashed: 2, copyWALDir(t, dir): 3} {
+		rv := mustDurableView(t, image)
+		if rv.Generation() != gen {
+			t.Fatalf("reopened at generation %d, want %d", rv.Generation(), gen)
+		}
+		if err := rv.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(1); i <= gen; i++ {
+			if n := len(mustQuery(t, rv, fmt.Sprintf(`//student[ssn="S50%d"]`, i))); n == 0 {
+				t.Fatalf("image at generation %d lost student S50%d", gen, i)
+			}
+		}
+		if err := rv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRecoveredViewSealsInsteadOfCheckpointing: a view that recovered its
+// state from disk starts a fresh segment and serves; it does not write the
+// state it has just read back out. The suffix it replayed keeps counting
+// toward the next automatic checkpoint, and a crash before that checkpoint
+// recovers across three segments from the one checkpoint there is.
+func TestRecoveredViewSealsInsteadOfCheckpointing(t *testing.T) {
+	const every = 8
+	dir := t.TempDir()
+	v := mustDurableView(t, dir, rxview.WithCheckpointEvery(every))
+	for i := 0; i < 3; i++ {
+		insertStudent(t, v, fmt.Sprintf("S40%d", i))
+	}
+	// Crash, reopen, fewer than `every` commits; twice.
+	image := copyWALDir(t, dir)
+	for round := 1; round <= 2; round++ {
+		rv := mustDurableView(t, image, rxview.WithCheckpointEvery(every))
+		if ckpts, _ := walShape(t, image); fmt.Sprint(ckpts) != "[0]" {
+			t.Fatalf("round %d: reopening wrote a checkpoint: %v", round, ckpts)
+		}
+		if got := rv.LandedCheckpoint(); got != 0 {
+			t.Fatalf("round %d: recovered view counts from checkpoint %d, want 0", round, got)
+		}
+		for i := 0; i < 2; i++ {
+			insertStudent(t, rv, fmt.Sprintf("S4%d%d", round, i))
+		}
+		image = copyWALDir(t, image)
+	}
+	if ckpts, segs := walShape(t, image); fmt.Sprint(ckpts, segs) != "[0] [0 3 5]" {
+		t.Fatalf("crash image: checkpoints %v, segments %v", ckpts, segs)
+	}
+	rv := mustDurableView(t, image, rxview.WithCheckpointEvery(every))
+	defer rv.Close()
+	if rv.Generation() != 7 {
+		t.Fatalf("recovered generation %d across three segments, want 7", rv.Generation())
+	}
+	if err := rv.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(mustQuery(t, rv, `//course[cno="CS650"]/takenBy/student`)); n < 7 {
+		t.Fatalf("%d students under CS650 after recovery, want the 7 inserted and the original ones", n)
+	}
+	// The eighth commit since checkpoint 0 is the first this view makes.
+	insertStudent(t, rv, "S499")
+	rv.AwaitCheckpoint()
+	if got := rv.LandedCheckpoint(); got != 8 {
+		t.Fatalf("newest landed checkpoint %d, want the automatic one at 8", got)
+	}
+}
+
+// TestOpensDirectoryWrittenByParentCommit: testdata/wal-parent-6e107b9 was
+// written by the commit before the checkpoint left the write path (registrar
+// example, a checkpoint every 2 commits, seven commits, no Close). Same file
+// formats, so it must open, at the state an in-memory view reaches by the
+// same seven updates.
+func TestOpensDirectoryWrittenByParentCommit(t *testing.T) {
+	ctx := context.Background()
+	image := copyWALDir(t, filepath.Join("testdata", "wal-parent-6e107b9"))
+	if ckpts, segs := walShape(t, image); fmt.Sprint(ckpts, segs) != "[4 6] [4 6]" {
+		t.Fatalf("the committed image holds checkpoints %v, segments %v", ckpts, segs)
+	}
+	rv := mustDurableView(t, image)
+	defer rv.Close()
+
+	atg, db, err := rxview.NewRegistrar()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := rxview.Open(atg, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		insertStudent(t, oracle, fmt.Sprintf("S6%02d", i))
+	}
+	for _, u := range []rxview.Update{
+		rxview.Delete(`//course[cno="CS320"]//student[ssn="S02"]`),
+		rxview.Insert(`.`, "course", rxview.Str("CS800"), rxview.Str("Alpha")),
+	} {
+		if _, err := oracle.Apply(ctx, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := fingerprint(t, rv), fingerprint(t, oracle); got != want {
+		t.Fatalf("state recovered from the parent's directory differs:\n%s\nvs\n%s", got, want)
+	}
+	if err := rv.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	insertStudent(t, rv, "S700")
 }
 
 func TestCorruptLogErrorRoundTrip(t *testing.T) {

@@ -17,7 +17,9 @@
 package reach
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rxview/internal/dag"
@@ -269,27 +271,28 @@ func (t *Topo) compact() {
 // descendants-or-self of v are moved immediately in front of u — the
 // procedure swap(L, u, v) of §3.4. The move preserves the relative order of
 // both groups, which keeps every previously valid constraint valid.
+//
+// The window is permuted in place. A node appended to L and then hung under
+// an old one has most of L between the two, and this runs once per inserted
+// edge: what is allocated here must follow the descendants that move (few),
+// never the window.
 func (t *Topo) FixEdge(d *dag.DAG, u, v dag.NodeID) {
-	pu, pv := t.pos[u], t.pos[v]
-	if pv < pu {
+	lo, hi := t.pos[u], t.pos[v]
+	if hi < lo {
 		return
 	}
-	lo, hi := pu, pv
-	// Mark descendants-or-self of v that sit inside the window. The mark and
-	// visited sets are bitset rows — FixEdge runs once per inserted edge, so
-	// this walk is on the maintenance hot path.
-	inWindow := func(id dag.NodeID) bool {
-		p := t.pos[id]
-		return p >= lo && p <= hi
-	}
-	var mark, seen Row
+	// Collect the descendants-or-self of v that sit inside the window. The
+	// visited set is a bitset row — this walk is on the maintenance hot
+	// path.
+	var seen Row
+	var descs []dag.NodeID
 	stack := []dag.NodeID{v}
 	seen.Set(v)
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if inWindow(x) {
-			mark.Set(x)
+		if p := t.pos[x]; p >= lo && p <= hi {
+			descs = append(descs, x)
 		}
 		for _, c := range d.Children(x) {
 			if seen.Set(c) {
@@ -297,25 +300,33 @@ func (t *Topo) FixEdge(d *dag.DAG, u, v dag.NodeID) {
 			}
 		}
 	}
-	// Rebuild the window: descendants of v first (in relative order), then
-	// the rest (starting with u). Tombstones ride along with the rest.
-	segment := make([]dag.NodeID, 0, hi-lo+1)
-	var descs, others []dag.NodeID
-	for i := lo; i <= hi; i++ {
-		id := t.at(int(i))
-		if id != dag.InvalidNode && mark.Contains(id) {
-			descs = append(descs, id)
-		} else {
-			others = append(others, id)
+	slices.SortFunc(descs, func(a, b dag.NodeID) int { return cmp.Compare(t.pos[a], t.pos[b]) })
+	// The rest (starting with u; tombstones ride along) slides to the back
+	// of the window, last entry first, over the places the descendants
+	// leave; the descendants then take the front, in their relative order.
+	w, next := hi, len(descs)-1
+	for i := hi; i >= lo; i-- {
+		if next >= 0 && t.pos[descs[next]] == i {
+			next--
+			continue
 		}
+		t.place(w, t.at(int(i)))
+		w--
 	}
-	segment = append(segment, descs...)
-	segment = append(segment, others...)
-	for i, id := range segment {
-		t.set(int(lo)+i, id)
-		if id != dag.InvalidNode {
-			t.pos[id] = lo + int32(i)
-		}
+	for i, id := range descs {
+		t.place(lo+int32(i), id)
+	}
+}
+
+// place puts id (or a tombstone) at entry i. An entry that already holds the
+// value is left alone, so a run of tombstones sliding over itself copies no
+// chunk a sealed version shares.
+func (t *Topo) place(i int32, id dag.NodeID) {
+	if t.at(int(i)) != id {
+		t.set(int(i), id)
+	}
+	if id != dag.InvalidNode {
+		t.pos[id] = i
 	}
 }
 

@@ -57,6 +57,26 @@ func AppendTuple(dst []byte, t Tuple) []byte {
 	return dst
 }
 
+// TupleLen returns the number of bytes AppendTuple writes for t, so a caller
+// encoding many tuples can size its buffer before encoding any.
+func TupleLen(t Tuple) int {
+	n := 1
+	for c := len(t); c >= 0x80; c >>= 7 {
+		n++
+	}
+	for _, v := range t {
+		n++ // the kind byte
+		switch v.K {
+		case KindString:
+			n += 4 + len(v.S)
+		case KindNull:
+		default:
+			n += 8
+		}
+	}
+	return n
+}
+
 // DecodeTuple decodes one tuple from the front of b, returning the tuple and
 // the remaining bytes. A zero-length tuple decodes as nil, matching the nil
 // attribute tuples of root nodes.

@@ -50,8 +50,12 @@ func TestTupleCodecRoundTrip(t *testing.T) {
 		{},
 		{Int(1)},
 		{Str("CS650"), Str("Advanced"), Null(), Bool(false), Int(-1)},
+		make(Tuple, 200), // a two-byte count prefix
 	} {
 		buf := AppendTuple([]byte{0xAA}, tup) // leading noise: decode from offset
+		if got := TupleLen(tup); got != len(buf)-1 {
+			t.Fatalf("%v: TupleLen = %d, AppendTuple wrote %d bytes", tup, got, len(buf)-1)
+		}
 		got, rest, err := DecodeTuple(buf[1:])
 		if err != nil {
 			t.Fatalf("%v: %v", tup, err)

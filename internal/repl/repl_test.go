@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -31,7 +32,7 @@ func seed(t *testing.T, n uint64) (*wal.Log, *Source) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	if err := l.WriteCheckpoint(0, []byte("genesis")); err != nil {
+	if err := l.WriteCheckpoint(0, append(make([]byte, wal.CheckpointHeadroom), "genesis"...)); err != nil {
 		t.Fatal(err)
 	}
 	tail := NewTail(0, 8)
@@ -121,14 +122,14 @@ func TestStreamWakesOnPublish(t *testing.T) {
 func TestStreamReportsPrunedRange(t *testing.T) {
 	l, s := seed(t, 3)
 	// Two checkpoints prune the segment holding generations 1..3.
-	if err := l.WriteCheckpoint(3, []byte("at3")); err != nil {
+	if err := l.WriteCheckpoint(3, append(make([]byte, wal.CheckpointHeadroom), "at3"...)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append([]wal.Record{rec(4)}); err != nil {
 		t.Fatal(err)
 	}
 	s.Tail().Publish(4, wal.AppendFramedRecord(nil, rec(4)))
-	if err := l.WriteCheckpoint(4, []byte("at4")); err != nil {
+	if err := l.WriteCheckpoint(4, append(make([]byte, wal.CheckpointHeadroom), "at4"...)); err != nil {
 		t.Fatal(err)
 	}
 	// A fresh tail models a restarted primary: the ring is empty, so the
@@ -157,5 +158,37 @@ func TestTailWatermarkGatesEmission(t *testing.T) {
 	s.Tail().Publish(3, wal.AppendFramedRecord(nil, rec(3)))
 	if gens = collect(t, s, 2, 10*time.Millisecond); len(gens) != 1 || gens[0] != 3 {
 		t.Fatalf("post-publish stream got %v", gens)
+	}
+}
+
+// TestTailPublishDoesNotCopyTheRing: past its capacity the ring is compacted
+// once per quarter-capacity of publishes, not on each — a publish costs its
+// wake-up channel, not a copy of the ring — and it still serves exactly the
+// newest records.
+func TestTailPublishDoesNotCopyTheRing(t *testing.T) {
+	const capacity = 1024
+	tail := NewTail(0, capacity)
+	frame := []byte("frame")
+	gen := uint64(0)
+	publish := func(n int) {
+		for i := 0; i < n; i++ {
+			gen++
+			tail.Publish(gen, frame)
+		}
+	}
+	publish(2 * capacity)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	publish(4 * capacity)
+	runtime.ReadMemStats(&ms)
+	if perPublish := (ms.TotalAlloc - before) / (4 * capacity); perPublish > 512 {
+		t.Fatalf("%d bytes allocated per publish past the ring's capacity", perPublish)
+	}
+	if frames, ok := tail.Frames(gen-capacity, gen); !ok || len(frames) != capacity {
+		t.Fatalf("newest %d records: ok=%v, %d frames", capacity, ok, len(frames))
+	}
+	if _, ok := tail.Frames(gen-2*capacity, gen); ok {
+		t.Fatal("the ring still serves records twice its capacity back")
 	}
 }

@@ -14,7 +14,7 @@ import (
 func seedLog(t *testing.T, dir string, n uint64) *Log {
 	t.Helper()
 	l, _ := mustOpen(t, dir, Options{Policy: SyncOff})
-	if err := l.WriteCheckpoint(0, []byte("genesis")); err != nil {
+	if err := l.WriteCheckpoint(0, ckptBuf("genesis")); err != nil {
 		t.Fatalf("genesis checkpoint: %v", err)
 	}
 	for g := uint64(1); g <= n; g++ {
@@ -101,7 +101,7 @@ func TestScanFromSpansCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	l := seedLog(t, dir, 3)
 	defer l.Close()
-	if err := l.WriteCheckpoint(3, []byte("at3")); err != nil {
+	if err := l.WriteCheckpoint(3, ckptBuf("at3")); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	for g := uint64(4); g <= 6; g++ {
@@ -124,13 +124,13 @@ func TestScanFromPruned(t *testing.T) {
 	defer l.Close()
 	// Two checkpoints on top of genesis: Keep=2 prunes wal-0, the segment
 	// that held generations 1..3.
-	if err := l.WriteCheckpoint(3, []byte("at3")); err != nil {
+	if err := l.WriteCheckpoint(3, ckptBuf("at3")); err != nil {
 		t.Fatalf("checkpoint 3: %v", err)
 	}
 	if err := l.Append([]Record{rec(4)}); err != nil {
 		t.Fatalf("append 4: %v", err)
 	}
-	if err := l.WriteCheckpoint(4, []byte("at4")); err != nil {
+	if err := l.WriteCheckpoint(4, ckptBuf("at4")); err != nil {
 		t.Fatalf("checkpoint 4: %v", err)
 	}
 

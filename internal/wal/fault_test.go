@@ -20,7 +20,7 @@ func openForAppend(t *testing.T, pol SyncPolicy) *Log {
 	if boot != nil {
 		t.Fatal("fresh dir returned boot state")
 	}
-	if err := l.WriteCheckpoint(0, []byte("state-0")); err != nil {
+	if err := l.WriteCheckpoint(0, ckptBuf("state-0")); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
@@ -164,7 +164,7 @@ func TestReopenRevivesDeadLog(t *testing.T) {
 	}
 	// Like boot: the caller checkpoints the authoritative state (here,
 	// generation 1) to re-establish the active segment.
-	if err := l.WriteCheckpoint(1, []byte("state-1")); err != nil {
+	if err := l.WriteCheckpoint(1, ckptBuf("state-1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append([]Record{rec(2)}); err != nil {
@@ -190,7 +190,7 @@ func TestCheckpointWriteFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	armed(t, 1, fault.Rule{Point: fault.CheckpointWrite, Count: 1})
-	err := l.WriteCheckpoint(1, []byte("state-1"))
+	err := l.WriteCheckpoint(1, ckptBuf("state-1"))
 	if !errors.Is(err, ErrDiskFailure) {
 		t.Fatalf("checkpoint fault: %v", err)
 	}

@@ -21,20 +21,28 @@ type BootState struct {
 // state it holds first. A fresh (or empty) directory returns a nil BootState:
 // the caller establishes the genesis epoch with WriteCheckpoint before the
 // first Append. Otherwise the newest readable checkpoint is chosen (a corrupt
-// newest checkpoint falls back to the one before it, with a warning), the
-// segments are replayed past it, and a torn final record — an append the
-// crash interrupted — is truncated away with a warning. A checksum failure
-// anywhere it cannot be a torn append wraps ErrCorrupt; a generation gap
-// between checkpoint and records wraps ErrMismatch.
+// newest checkpoint falls back to the one before it, with a warning; a
+// segment newer than every checkpoint is a checkpoint that never landed, and
+// no finding at all), the segments are replayed past it, and a torn final
+// record — an append the crash interrupted — is truncated away with a
+// warning. A checksum failure anywhere it cannot be a torn append wraps
+// ErrCorrupt; a generation gap between checkpoint and records wraps
+// ErrMismatch.
 //
-// The returned Log has no active segment yet: the caller must seal the
-// recovered (or genesis) state with WriteCheckpoint, which also rotates to a
-// fresh segment and prunes superseded files. Recovery itself never appends
-// to an old segment.
+// The returned Log has no active segment yet: the caller starts one at the
+// generation it recovered to with Seal (the state is already on disk, as the
+// chosen checkpoint plus the replayed records) or, at genesis, with
+// WriteCheckpoint. Recovery itself never appends to an old segment.
 func Open(dir string, opts Options) (*Log, *BootState, error) {
 	l, err := create(dir, opts)
 	if err != nil {
 		return nil, nil, err
+	}
+	// A checkpoint the crash caught before its rename: megabytes nothing
+	// else would ever delete. No writer exists yet, so none is in use.
+	tmps, _ := filepath.Glob(filepath.Join(dir, "ckpt-*"+tmpExt))
+	for _, tmp := range tmps {
+		os.Remove(tmp)
 	}
 	ckpts, segs := listDir(dir)
 	if len(ckpts) == 0 {
@@ -134,10 +142,26 @@ func readCheckpoint(path string, gen uint64) ([]byte, error) {
 // re-judge it) and reported as a warning. Anywhere else, a bad frame wraps
 // ErrCorrupt: fully synced segments have no torn appends, and a bad record
 // with valid data after it is damage, not an interrupted write.
+//
+// The last segment is fsynced before it is accepted — the truncation, and
+// whatever records a SyncBatch or SyncOff writer left in the page cache. The
+// caller is about to start a newer segment, and from then on this one is
+// judged by the strict rule: a truncation or a tail that a power cut took
+// back would be a bad frame, or a generation gap, in a non-last segment.
 func readSegment(path string, gen uint64, last bool) (recs []Record, warning string, err error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, "", fmt.Errorf("wal: %s: %w", path, err)
+	}
+	if last {
+		defer func() {
+			if err != nil {
+				return
+			}
+			if err = syncPath(path); err != nil {
+				recs, err = nil, fmt.Errorf("wal: %s: %w", path, err)
+			}
+		}()
 	}
 	name := filepath.Base(path)
 	if len(b) == 0 {

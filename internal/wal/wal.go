@@ -11,19 +11,36 @@
 //	wal-<gen>.xvl   — a log segment: the records of generations
 //	                  (<gen>, next checkpoint], one CRC-framed record each.
 //
-// A checkpoint seals the epoch before it: writing ckpt-G rotates the log to
-// a fresh segment wal-G and prunes everything older than the previous
-// checkpoint (two checkpoints are kept so a corrupt newest checkpoint still
-// recovers from the one before it plus its segments). Recovery reads the
-// newest valid checkpoint and replays the segments at or after it; a torn
-// final record — an append interrupted mid-write — is truncated away with a
-// warning, while a checksum failure anywhere else refuses the log rather
-// than resurrect a wrong state.
+// A checkpoint seals the epoch before it, segment first: the log rotates to
+// a fresh segment wal-G, and only then is ckpt-G written and everything older
+// than the previous checkpoint pruned (two checkpoints are kept so a corrupt
+// newest checkpoint still recovers from the one before it plus its
+// segments). Recovery reads the newest valid checkpoint and replays the
+// segments at or after it; a torn final record — an append interrupted
+// mid-write — is truncated away with a warning, while a checksum failure
+// anywhere else refuses the log rather than resurrect a wrong state.
+//
+// Because the segment comes first, a directory may hold wal-G and no ckpt-G:
+// the checkpoint file was still being written when the process died, or its
+// write failed, or the view that recovered to G sealed the old tail without
+// re-serializing the state it had just read (Seal). Recovery needs no case
+// for it — it is the corrupt-newest-checkpoint case without the corrupt
+// file: the newest checkpoint that does exist is older, and the replay runs
+// across both segments. A segment is made stable before the next one is
+// created and a new segment's directory entry is fsynced before anything is
+// acknowledged into it, so only the physically last segment can end torn.
+//
+// A Log belongs to one goroutine, the view's writer, with one exception: the
+// function BeginCheckpoint returns — the file half of a checkpoint: temp
+// file, write, fsync, rename, directory fsync, prune — reads no field of the
+// Log and may run on any goroutine while the writer keeps appending.
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -105,7 +122,8 @@ func (o *Options) norm() {
 
 // Log is an open write-ahead log: one active segment file being appended to,
 // plus the checkpoint machinery. It is not internally locked; the view's
-// single-writer discipline covers it.
+// single-writer discipline covers it (dir and opts never change after Open,
+// which is what lets a checkpoint's file half run elsewhere).
 type Log struct {
 	dir  string
 	opts Options
@@ -123,6 +141,7 @@ const (
 	ckptMagic = "XVC1"
 	segExt    = ".xvl"
 	ckptExt   = ".xvc"
+	tmpExt    = ".tmp" // a checkpoint file until it is complete and renamed
 )
 
 func segName(gen uint64) string  { return fmt.Sprintf("wal-%020d%s", gen, segExt) }
@@ -141,8 +160,8 @@ func parseGen(name, prefix, ext string) (uint64, bool) {
 }
 
 // create opens the log directory for appending; recovery (Open) chose the
-// boot state first. The caller must follow with WriteCheckpoint to establish
-// the invariant that the newest checkpoint and the active segment agree.
+// boot state first. The caller must follow with WriteCheckpoint or Seal to
+// give the log an active segment.
 func create(dir string, opts Options) (*Log, error) {
 	opts.norm()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -269,8 +288,8 @@ func (l *Log) diskErr(op string, off int64, err error) error {
 }
 
 // Failed returns the first disk failure that killed the log, or nil while
-// it is healthy. A dead log refuses Append, Sync and WriteCheckpoint with
-// the original cause until Reopen.
+// it is healthy. A dead log refuses Append, Sync, Seal and BeginCheckpoint
+// with the original cause until Reopen.
 func (l *Log) Failed() error { return l.dead }
 
 // Reopen revives a dead log in place: it closes the stale descriptor
@@ -278,9 +297,10 @@ func (l *Log) Failed() error { return l.dead }
 // repairs whatever tail the failed append left in the newest segment —
 // the same torn-tail tolerance boot recovery applies, legitimate here
 // because only the physically last segment can hold an interrupted
-// append. The caller must follow with WriteCheckpoint, exactly as after
-// Open, to give the log an active segment again. The returned warning,
-// when non-empty, describes a truncated tail.
+// append. The caller must follow with WriteCheckpoint to give the log an
+// active segment again (memory, not the disk, is the authority after a
+// failure, so the state is written out whole). The returned warning, when
+// non-empty, describes a truncated tail.
 func (l *Log) Reopen() (warning string, err error) {
 	if l.f != nil {
 		l.f.Close()
@@ -317,38 +337,101 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// WriteCheckpoint seals the epoch: it writes the full state at gen as
-// ckpt-<gen> (temp file, fsync, rename, fsync the directory), rotates the
-// log to a fresh segment wal-<gen>, and prunes files older than the Keep'th
-// newest checkpoint.
-func (l *Log) WriteCheckpoint(gen uint64, state []byte) error {
+// CheckpointHeadroom is the free space a checkpoint buffer carries in front
+// of the state: the file's magic, generation frame and the state frame's
+// length and checksum are written into it, so the state — megabytes — is
+// framed where it was encoded instead of being copied behind a header.
+const CheckpointHeadroom = 32
+
+// frameCheckpoint turns buf — CheckpointHeadroom free bytes, then the state —
+// into the checkpoint file's bytes, in place. File layout: magic, one frame
+// holding the generation, one frame holding the (opaque) state; the header is
+// right-aligned in the headroom because the state length is a varint.
+func frameCheckpoint(gen uint64, buf []byte) []byte {
+	state := buf[CheckpointHeadroom:]
+	var scratch [CheckpointHeadroom]byte
+	hdr := append(scratch[:0], ckptMagic...)
+	hdr = appendFrame(hdr, u64bytes(gen))
+	hdr = binary.AppendUvarint(hdr, uint64(len(state)))
+	hdr = binary.BigEndian.AppendUint32(hdr, crc32.Checksum(state, castagnoli))
+	file := buf[CheckpointHeadroom-len(hdr):]
+	copy(file, hdr)
+	return file
+}
+
+// Seal ends the active segment at gen and starts wal-<gen>: the old segment
+// is made stable first (a torn tail is only ever tolerated in the last
+// segment), and the directory is fsynced after, so no record is acknowledged
+// into a segment whose directory entry a crash can still take back. It is
+// the writer's half of a checkpoint, and all a recovered view needs in order
+// to serve: the state it restored is already on disk as a checkpoint plus
+// the segments it replayed.
+func (l *Log) Seal(gen uint64) error {
 	if l.dead != nil {
-		return l.diskErr("checkpoint", l.size, fmt.Errorf("log has failed: %w", l.dead))
+		return l.diskErr("seal", l.size, fmt.Errorf("log has failed: %w", l.dead))
 	}
-	if err := fault.Hit(fault.CheckpointWrite); err != nil {
-		return &DiskFailureError{Path: filepath.Join(l.dir, ckptName(gen)), Op: "checkpoint", Offset: -1, Err: err}
-	}
-	m := walmetrics()
-	sp := obs.StartSpan(m.ckptDur)
-	// The log up to here must be stable before the checkpoint that
-	// supersedes it claims the epoch is sealed.
 	if l.f != nil {
 		if err := l.Sync(); err != nil {
 			return err
 		}
 	}
-	// File layout: magic, one frame holding the generation, one frame
-	// holding the (opaque) state.
-	buf := append(make([]byte, 0, len(ckptMagic)+len(state)+32), ckptMagic...)
-	buf = appendFrame(buf, u64bytes(gen))
-	buf = appendFrame(buf, state)
+	if err := l.rotate(gen); err != nil {
+		return err
+	}
+	if err := syncPath(l.dir); err != nil {
+		return fmt.Errorf("wal: seal at %d: %w", gen, err)
+	}
+	return nil
+}
 
-	tmp, err := os.CreateTemp(l.dir, "ckpt-*.tmp")
+// BeginCheckpoint is the writer's half of a checkpoint of the full state at
+// gen: Seal, and the attempt's one hit of the wal.checkpoint fault point
+// (taken here so a seeded fault plan fires on the same commit whatever the
+// scheduler does). buf is CheckpointHeadroom free bytes followed by the
+// state; it belongs to the returned function from here on.
+//
+// That function, write, is the other half: it frames buf in place, writes
+// ckpt-<gen> (temp file, fsync, rename, fsync the directory) and prunes the
+// files older than the Keep'th newest checkpoint. It reads no field of the
+// Log, so it may run on another goroutine while the writer appends to the
+// new segment; an injected fault is delivered as its failure. Until it has
+// returned nil the directory holds wal-<gen> without ckpt-<gen>, which
+// recovery reads as the older checkpoint plus both segments.
+func (l *Log) BeginCheckpoint(gen uint64, buf []byte) (write func() error, err error) {
+	if err := l.Seal(gen); err != nil {
+		return nil, err
+	}
+	dir, keep := l.dir, l.opts.Keep
+	if err := fault.Hit(fault.CheckpointWrite); err != nil {
+		return func() error {
+			return &DiskFailureError{Path: filepath.Join(dir, ckptName(gen)), Op: "checkpoint", Offset: -1, Err: err}
+		}, nil
+	}
+	return func() error { return writeCheckpointFile(dir, keep, gen, buf) }, nil
+}
+
+// WriteCheckpoint seals the epoch at gen in one synchronous call — both
+// halves of BeginCheckpoint on the writer: genesis, Close, degraded-mode
+// recovery.
+func (l *Log) WriteCheckpoint(gen uint64, buf []byte) error {
+	write, err := l.BeginCheckpoint(gen, buf)
+	if err != nil {
+		return err
+	}
+	return write()
+}
+
+// writeCheckpointFile is the file half of every checkpoint.
+func writeCheckpointFile(dir string, keep int, gen uint64, buf []byte) error {
+	m := walmetrics()
+	sp := obs.StartSpan(m.ckptDur)
+	file := frameCheckpoint(gen, buf)
+	tmp, err := os.CreateTemp(dir, "ckpt-*"+tmpExt)
 	if err != nil {
 		return fmt.Errorf("wal: checkpoint %d: %w", gen, err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf); err == nil {
+	if _, err = tmp.Write(file); err == nil {
 		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
@@ -358,20 +441,16 @@ func (l *Log) WriteCheckpoint(gen uint64, state []byte) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("wal: checkpoint %d: %w", gen, err)
 	}
-	final := filepath.Join(l.dir, ckptName(gen))
-	if err := os.Rename(tmpName, final); err != nil {
+	if err := os.Rename(tmpName, filepath.Join(dir, ckptName(gen))); err != nil {
 		os.Remove(tmpName)
 		return fmt.Errorf("wal: checkpoint %d: %w", gen, err)
 	}
-	if err := syncDir(l.dir); err != nil {
+	if err := syncPath(dir); err != nil {
 		return fmt.Errorf("wal: checkpoint %d: %w", gen, err)
 	}
-	if err := l.rotate(gen); err != nil {
-		return err
-	}
-	l.prune()
+	prune(dir, keep)
 	m.ckpts.Inc()
-	m.ckptBytes.ObserveValue(float64(len(buf)))
+	m.ckptBytes.ObserveValue(float64(len(file)))
 	sp.End()
 	return nil
 }
@@ -415,23 +494,23 @@ func (l *Log) rotate(gen uint64) error {
 	return nil
 }
 
-// prune removes checkpoints beyond the Keep newest and segments older than
+// prune removes checkpoints beyond the keep newest and segments older than
 // the oldest kept checkpoint. Best-effort: pruning failures leave garbage,
 // never lose data.
-func (l *Log) prune() {
-	ckpts, segs := listDir(l.dir)
-	if len(ckpts) <= l.opts.Keep {
+func prune(dir string, keep int) {
+	ckpts, segs := listDir(dir)
+	if len(ckpts) <= keep {
 		return
 	}
-	keepFrom := ckpts[len(ckpts)-l.opts.Keep]
+	keepFrom := ckpts[len(ckpts)-keep]
 	for _, g := range ckpts {
 		if g < keepFrom {
-			os.Remove(filepath.Join(l.dir, ckptName(g)))
+			os.Remove(filepath.Join(dir, ckptName(g)))
 		}
 	}
 	for _, g := range segs {
 		if g < keepFrom {
-			os.Remove(filepath.Join(l.dir, segName(g)))
+			os.Remove(filepath.Join(dir, segName(g)))
 		}
 	}
 }
@@ -493,8 +572,10 @@ func u64from(b []byte) (uint64, bool) {
 	return v, true
 }
 
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+// syncPath fsyncs a file by path, or a directory — the entries created or
+// renamed in it survive a crash from then on.
+func syncPath(path string) error {
+	d, err := os.Open(path)
 	if err != nil {
 		return err
 	}

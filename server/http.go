@@ -23,8 +23,10 @@ type HandlerOptions struct {
 	Timeout time.Duration
 	// MaxBody bounds request bodies in bytes. Zero means 1 MiB.
 	MaxBody int64
-	// Checkpointing, when non-nil, reports whether a checkpoint is being
-	// written right now (View.Checkpointing of a durable view). While true,
+	// Checkpointing, when non-nil, reports whether a checkpoint is
+	// stalling the writer right now (View.Checkpointing of a durable view:
+	// the state is being encoded and the log rotated; the file an automatic
+	// checkpoint then writes behind the writer does not count). While true,
 	// /healthz answers 503 so load balancers drain the node for the stall;
 	// /livez is unaffected.
 	Checkpointing func() bool
