@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -351,5 +352,128 @@ func TestDegradedRecoveryGenerationMonotonic(t *testing.T) {
 	}
 	if err := v2.CheckConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGenesisCheckpointFaultLeavesDirectoryOpenable: nothing is on disk when
+// a fresh directory's checkpoint 0 is written, so a genesis that fails —
+// here by an injected wal.checkpoint fault, in production by a full disk or
+// a crash — must leave a directory the next Open treats as fresh. A segment
+// created ahead of that checkpoint would be refused as a corrupt log until
+// someone deleted it by hand.
+func TestGenesisCheckpointFaultLeavesDirectoryOpenable(t *testing.T) {
+	dir := t.TempDir()
+	if err := rxview.EnableChaos("wal.checkpoint:count=1", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer rxview.DisableChaos()
+	atg, db, err := rxview.NewRegistrar()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rxview.Open(atg, db, rxview.WithDurability(dir)); err == nil || !strings.Contains(err.Error(), "checkpoint") {
+		t.Fatalf("genesis under the fault: %v, want the checkpoint's failure", err)
+	}
+	if ckpts, segs := walShape(t, dir); len(ckpts)+len(segs) != 0 {
+		t.Fatalf("a failed genesis left checkpoints %v, segments %v", ckpts, segs)
+	}
+
+	v := mustDurableView(t, dir) // the fault is spent: genesis runs again
+	defer v.Close()
+	if v.Generation() != 0 {
+		t.Fatalf("generation %d after the second genesis, want 0", v.Generation())
+	}
+	insertStudent(t, v, "S901")
+	rv := mustDurableView(t, copyWALDir(t, dir))
+	defer rv.Close()
+	if rv.Generation() != 1 || len(mustQuery(t, rv, `//student[ssn="S901"]`)) == 0 {
+		t.Fatalf("reopened at generation %d without the acknowledged insert", rv.Generation())
+	}
+}
+
+// TestDegradedRecoverCheckpointFaultLeavesNoSegmentAhead: a refused append
+// leaves memory one generation ahead of the log, and the Recover that would
+// seal memory fails at its checkpoint. The directory must then hold no
+// segment named for the generation only memory reached: the process is
+// restarted while degraded, recovers to the generation on disk, serves, and
+// is killed mid-append — the torn record is in the physically last segment
+// and is truncated, where an empty later segment would have had the log
+// refused as corrupt. The view that stayed up recovers at the next attempt.
+func TestDegradedRecoverCheckpointFaultLeavesNoSegmentAhead(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	v := mustDurableView(t, dir)
+	defer v.Close()
+	defer rxview.DisableChaos()
+	if _, err := v.Apply(ctx, chaosIns("CF100")); err != nil {
+		t.Fatal(err)
+	}
+	if err := rxview.EnableChaos("wal.disk-full:count=1;wal.checkpoint:count=1", 1); err != nil {
+		t.Fatal(err)
+	}
+	var de *rxview.DegradedError
+	if _, err := v.Apply(ctx, chaosIns("CF101")); !errors.As(err, &de) || !de.Applied {
+		t.Fatalf("faulted write: %v, want DegradedError with Applied=true", err)
+	}
+	if err := v.Recover(); err == nil || !v.Degraded() {
+		t.Fatalf("Recover under the checkpoint fault: %v (degraded=%v)", err, v.Degraded())
+	}
+	if ckpts, segs := walShape(t, dir); fmt.Sprint(ckpts, segs) != "[0] [0]" {
+		t.Fatalf("after the failed Recover: checkpoints %v, segments %v", ckpts, segs)
+	}
+	rxview.DisableChaos()
+
+	// Restarted while degraded: the indeterminate write is gone with the
+	// memory that held it, and two more are acknowledged.
+	image := copyWALDir(t, dir)
+	rv := mustDurableView(t, image)
+	if rv.Generation() != 1 || len(mustQuery(t, rv, `//course[cno="CF101"]`)) != 0 {
+		t.Fatalf("restart recovered generation %d", rv.Generation())
+	}
+	for _, cno := range []string{"CF102", "CF103"} {
+		if _, err := rv.Apply(ctx, chaosIns(cno)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	torn := copyWALDir(t, image)
+	if err := rv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := rxview.InspectWAL(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := info.Segments[len(info.Segments)-1]
+	if last.Start != 1 || len(last.Records) != 2 {
+		t.Fatalf("last segment starts at %d with %d records, want the active one: 1, 2", last.Start, len(last.Records))
+	}
+	b, err := os.ReadFile(last.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(last.Path, b[:len(b)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tv := mustDurableView(t, torn)
+	defer tv.Close()
+	if tv.Generation() != 2 || len(mustQuery(t, tv, `//course[cno="CF102"]`)) != 1 {
+		t.Fatalf("after the torn tail: generation %d, want 2 with CF102", tv.Generation())
+	}
+	if err := tv.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Meanwhile the view that was never restarted heals on the next probe,
+	// and the write it held in memory becomes durable after all.
+	if err := v.Recover(); err != nil || v.Degraded() {
+		t.Fatalf("second Recover: %v (degraded=%v)", err, v.Degraded())
+	}
+	if ckpts, segs := walShape(t, dir); fmt.Sprint(ckpts, segs) != "[0 2] [0 2]" {
+		t.Fatalf("after Recover: checkpoints %v, segments %v", ckpts, segs)
+	}
+	hv := mustDurableView(t, copyWALDir(t, dir))
+	defer hv.Close()
+	if hv.Generation() != 2 || len(mustQuery(t, hv, `//course[cno="CF101"]`)) != 1 {
+		t.Fatalf("healed view reopened at generation %d without CF101", hv.Generation())
 	}
 }

@@ -78,10 +78,11 @@ func openDurable(a *ATG, db *DB, cfg *config) (*View, error) {
 	}
 	// Recovery never appends to an old segment, so the log needs a fresh
 	// one before the view serves. Genesis has nothing on disk and writes
-	// checkpoint 0. A recovered state is on disk already — the checkpoint
-	// it was read from plus the replayed records — so the old tail is
-	// sealed and that is all; the replayed suffix stays ahead of ckptGen
-	// and counts toward the next automatic checkpoint.
+	// checkpoint 0, file before segment, so a genesis that fails leaves a
+	// fresh directory. A recovered state is on disk already — the
+	// checkpoint it was read from plus the replayed records — so the old
+	// tail is sealed and that is all; the replayed suffix stays ahead of
+	// ckptGen and counts toward the next automatic checkpoint.
 	if boot == nil {
 		err = log.WriteCheckpoint(sys.Generation(), encodeCheckpoint(sys))
 	} else {
@@ -281,7 +282,9 @@ func (v *View) reapCheckpoint(wait bool) {
 }
 
 // checkpointNow writes a checkpoint of the current state, both halves on
-// the calling (writer) goroutine.
+// the calling (writer) goroutine and the file first: in Recover memory is
+// ahead of the log, and a segment must not be created at a generation that
+// nothing on disk reaches yet.
 func (v *View) checkpointNow() error {
 	v.ckptBusy.Store(true)
 	defer v.ckptBusy.Store(false)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -158,37 +157,5 @@ func TestTailWatermarkGatesEmission(t *testing.T) {
 	s.Tail().Publish(3, wal.AppendFramedRecord(nil, rec(3)))
 	if gens = collect(t, s, 2, 10*time.Millisecond); len(gens) != 1 || gens[0] != 3 {
 		t.Fatalf("post-publish stream got %v", gens)
-	}
-}
-
-// TestTailPublishDoesNotCopyTheRing: past its capacity the ring is compacted
-// once per quarter-capacity of publishes, not on each — a publish costs its
-// wake-up channel, not a copy of the ring — and it still serves exactly the
-// newest records.
-func TestTailPublishDoesNotCopyTheRing(t *testing.T) {
-	const capacity = 1024
-	tail := NewTail(0, capacity)
-	frame := []byte("frame")
-	gen := uint64(0)
-	publish := func(n int) {
-		for i := 0; i < n; i++ {
-			gen++
-			tail.Publish(gen, frame)
-		}
-	}
-	publish(2 * capacity)
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	before := ms.TotalAlloc
-	publish(4 * capacity)
-	runtime.ReadMemStats(&ms)
-	if perPublish := (ms.TotalAlloc - before) / (4 * capacity); perPublish > 512 {
-		t.Fatalf("%d bytes allocated per publish past the ring's capacity", perPublish)
-	}
-	if frames, ok := tail.Frames(gen-capacity, gen); !ok || len(frames) != capacity {
-		t.Fatalf("newest %d records: ok=%v, %d frames", capacity, ok, len(frames))
-	}
-	if _, ok := tail.Frames(gen-2*capacity, gen); ok {
-		t.Fatal("the ring still serves records twice its capacity back")
 	}
 }

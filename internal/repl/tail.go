@@ -35,7 +35,7 @@ type Tail struct {
 	durable atomic.Uint64
 
 	mu   sync.Mutex
-	ring []framed // generation-ascending; compacted back to max when a quarter past it
+	ring []framed // generation-ascending, bounded by max
 	max  int
 	wake chan struct{} // closed and replaced on every publish
 }
@@ -58,11 +58,8 @@ func NewTail(start uint64, capacity int) *Tail {
 func (t *Tail) Publish(gen uint64, frame []byte) {
 	t.mu.Lock()
 	t.ring = append(t.ring, framed{gen: gen, bytes: frame})
-	if len(t.ring) > t.max && len(t.ring) == cap(t.ring) {
-		// Compact to a fresh backing array so dropped frames are
-		// collectable — when the array is full, a quarter of the capacity
-		// past max, not on every publish past it: that would copy the whole
-		// ring once per commit.
+	if len(t.ring) > t.max {
+		// Compact to a fresh backing array so dropped frames are collectable.
 		keep := t.ring[len(t.ring)-t.max:]
 		t.ring = append(make([]framed, 0, t.max+t.max/4), keep...)
 	}

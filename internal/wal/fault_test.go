@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -201,6 +202,9 @@ func TestCheckpointWriteFault(t *testing.T) {
 	if want := filepath.Join(l.Dir(), ckptName(1)); dfe.Path != want {
 		t.Fatalf("path = %q, want %q", dfe.Path, want)
 	}
+	if _, segs := listDir(l.Dir()); len(segs) != 1 {
+		t.Fatalf("segments %v: a synchronous checkpoint rotated before its file existed", segs)
+	}
 	if err := l.Append([]Record{rec(2)}); err != nil {
 		t.Fatalf("append after failed checkpoint: %v", err)
 	}
@@ -225,5 +229,106 @@ func TestDiskFullAndWriteFaults(t *testing.T) {
 	}
 	if err := l.Append([]Record{rec(1)}); err != nil {
 		t.Fatalf("append after exhausted faults: %v", err)
+	}
+}
+
+// TestGenesisCheckpointFaultLeavesAFreshDirectory: nothing is on disk at
+// genesis, so the checkpoint file comes before the segment — a genesis whose
+// checkpoint fails leaves neither, and the next Open finds a fresh directory
+// and runs genesis again. Segment first would leave wal-0 without a
+// checkpoint, a shape Open refuses.
+func TestGenesisCheckpointFaultLeavesAFreshDirectory(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{Policy: SyncAlways})
+	armed(t, 1, fault.Rule{Point: fault.CheckpointWrite, Count: 1})
+	if err := l.WriteCheckpoint(0, ckptBuf("s0")); !errors.Is(err, ErrDiskFailure) {
+		t.Fatalf("genesis checkpoint under the fault: %v", err)
+	}
+	if ckpts, segs := listDir(dir); len(ckpts)+len(segs) != 0 {
+		t.Fatalf("a failed genesis left checkpoints %v, segments %v", ckpts, segs)
+	}
+	l.Close()
+
+	l, boot := mustOpen(t, dir, Options{Policy: SyncAlways})
+	defer l.Close()
+	if boot != nil {
+		t.Fatalf("reopen after a failed genesis found state: %+v", boot)
+	}
+	if err := l.WriteCheckpoint(0, ckptBuf("s0")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]Record{rec(1)}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedRecoveryCheckpointFaultLeavesNoSegmentAhead: after a refused
+// append memory is ahead of the log, so the checkpoint that ends degraded
+// mode writes its file before it rotates. When that file fails, the
+// directory is as the failed append left it: no empty segment named for a
+// generation the records do not reach. A restart then rotates at the
+// generation on disk, its segment is the physically last one, and a torn
+// tail in it is truncated — not judged by the rule for sealed segments.
+func TestFailedRecoveryCheckpointFaultLeavesNoSegmentAhead(t *testing.T) {
+	l := openForAppend(t, SyncAlways)
+	dir := l.Dir()
+	for g := uint64(1); g <= 2; g++ {
+		if err := l.Append([]Record{rec(g)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	armed(t, 1, fault.Rule{Point: fault.WALAppend, Count: 1},
+		fault.Rule{Point: fault.CheckpointWrite, Count: 1})
+	// Generation 3 is applied in memory and refused by the log.
+	if err := l.Append([]Record{rec(3)}); !errors.Is(err, ErrDiskFailure) {
+		t.Fatalf("append under the fault: %v", err)
+	}
+	if _, err := l.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WriteCheckpoint(3, ckptBuf("s3")); !errors.Is(err, ErrDiskFailure) {
+		t.Fatalf("recovery checkpoint under the fault: %v", err)
+	}
+	if ckpts, segs := listDir(dir); len(ckpts) != 1 || len(segs) != 1 || segs[0] != 0 {
+		t.Fatalf("a failed recovery checkpoint left checkpoints %v, segments %v", ckpts, segs)
+	}
+	fault.Uninstall()
+
+	// The process is restarted while degraded: recovery reaches generation
+	// 2, the new segment takes an acknowledged record, and the crash tears
+	// the one after it.
+	l2, boot := mustOpen(t, dir, Options{Policy: SyncAlways})
+	if boot.Gen != 0 || len(boot.Records) != 2 {
+		t.Fatalf("restart recovered checkpoint %d + %d records, want 0 + 2", boot.Gen, len(boot.Records))
+	}
+	if err := l2.Seal(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Append([]Record{rec(3)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Append([]Record{rec(4)}); err != nil {
+		t.Fatal(err)
+	}
+	l2.Close()
+	_, segs := listDir(dir)
+	last := filepath.Join(dir, segName(segs[len(segs)-1]))
+	if segs[len(segs)-1] != 2 {
+		t.Fatalf("segments %v: the active segment is not the last one", segs)
+	}
+	b, err := os.ReadFile(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(last, b[:len(b)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l3, boot := mustOpen(t, dir, Options{Policy: SyncAlways})
+	defer l3.Close()
+	if g := recordGens(boot.Records); len(g) != 3 || g[2] != 3 {
+		t.Fatalf("after the torn tail: generations %v, want 1 2 3", g)
+	}
+	if len(boot.Warnings) != 1 {
+		t.Fatalf("warnings %q, want the one truncation", boot.Warnings)
 	}
 }

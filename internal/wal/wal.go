@@ -11,23 +11,30 @@
 //	wal-<gen>.xvl   — a log segment: the records of generations
 //	                  (<gen>, next checkpoint], one CRC-framed record each.
 //
-// A checkpoint seals the epoch before it, segment first: the log rotates to
-// a fresh segment wal-G, and only then is ckpt-G written and everything older
-// than the previous checkpoint pruned (two checkpoints are kept so a corrupt
-// newest checkpoint still recovers from the one before it plus its
-// segments). Recovery reads the newest valid checkpoint and replays the
-// segments at or after it; a torn final record — an append interrupted
-// mid-write — is truncated away with a warning, while a checksum failure
-// anywhere else refuses the log rather than resurrect a wrong state.
+// A checkpoint seals the epoch before it: ckpt-G holds the state, the log
+// rotates to a fresh segment wal-G, and everything older than the previous
+// checkpoint is pruned (two checkpoints are kept so a corrupt newest
+// checkpoint still recovers from the one before it plus its segments).
+// Recovery reads the newest valid checkpoint and replays the segments at or
+// after it; a torn final record — an append interrupted mid-write — is
+// truncated away with a warning, while a checksum failure anywhere else
+// refuses the log rather than resurrect a wrong state.
 //
-// Because the segment comes first, a directory may hold wal-G and no ckpt-G:
-// the checkpoint file was still being written when the process died, or its
-// write failed, or the view that recovered to G sealed the old tail without
-// re-serializing the state it had just read (Seal). Recovery needs no case
-// for it — it is the corrupt-newest-checkpoint case without the corrupt
-// file: the newest checkpoint that does exist is older, and the replay runs
-// across both segments. A segment is made stable before the next one is
-// created and a new segment's directory entry is fsynced before anything is
+// Which of the two files comes first depends on whether the directory already
+// holds the state. It does at an automatic checkpoint — an older checkpoint
+// plus a gapless run of records up to G, the last of them just acknowledged —
+// so there the segment comes first (BeginCheckpoint) and the file is written
+// behind the writer. A directory may therefore hold wal-G and no ckpt-G: the
+// file was still being written when the process died, or its write failed, or
+// the view that recovered to G sealed the old tail without re-serializing the
+// state it had just read (Seal). Recovery needs no case for it — it is the
+// corrupt-newest-checkpoint case without the corrupt file: the newest
+// checkpoint that does exist is older, and the replay runs across both
+// segments. Where the directory does not hold the state — genesis, and a
+// degraded view whose memory is ahead of its log — the file comes first
+// (WriteCheckpoint): a segment is never created at a generation that nothing
+// on disk reaches. A segment is made stable before the next one is created
+// and a new segment's directory entry is fsynced before anything is
 // acknowledged into it, so only the physically last segment can end torn.
 //
 // A Log belongs to one goroutine, the view's writer, with one exception: the
@@ -384,10 +391,10 @@ func (l *Log) Seal(gen uint64) error {
 	return nil
 }
 
-// BeginCheckpoint is the writer's half of a checkpoint of the full state at
-// gen: Seal, and the attempt's one hit of the wal.checkpoint fault point
-// (taken here so a seeded fault plan fires on the same commit whatever the
-// scheduler does). buf is CheckpointHeadroom free bytes followed by the
+// BeginCheckpoint is the writer's half of an automatic checkpoint of the full
+// state at gen: Seal, and the attempt's one hit of the wal.checkpoint fault
+// point (taken here so a seeded fault plan fires on the same commit whatever
+// the scheduler does). buf is CheckpointHeadroom free bytes followed by the
 // state; it belongs to the returned function from here on.
 //
 // That function, write, is the other half: it frames buf in place, writes
@@ -397,32 +404,68 @@ func (l *Log) Seal(gen uint64) error {
 // new segment; an injected fault is delivered as its failure. Until it has
 // returned nil the directory holds wal-<gen> without ckpt-<gen>, which
 // recovery reads as the older checkpoint plus both segments.
+//
+// Segment first is safe only because the state at gen is on disk already, as
+// an older checkpoint and a gapless run of records up to gen: the caller is
+// the commit that made gen durable. A caller whose state is not on disk uses
+// WriteCheckpoint.
 func (l *Log) BeginCheckpoint(gen uint64, buf []byte) (write func() error, err error) {
 	if err := l.Seal(gen); err != nil {
 		return nil, err
 	}
 	dir, keep := l.dir, l.opts.Keep
 	if err := fault.Hit(fault.CheckpointWrite); err != nil {
-		return func() error {
-			return &DiskFailureError{Path: filepath.Join(dir, ckptName(gen)), Op: "checkpoint", Offset: -1, Err: err}
-		}, nil
+		return func() error { return checkpointFault(dir, gen, err) }, nil
 	}
-	return func() error { return writeCheckpointFile(dir, keep, gen, buf) }, nil
+	return func() error {
+		if err := writeCheckpointFile(dir, gen, buf); err != nil {
+			return err
+		}
+		prune(dir, keep)
+		return nil
+	}, nil
 }
 
-// WriteCheckpoint seals the epoch at gen in one synchronous call — both
-// halves of BeginCheckpoint on the writer: genesis, Close, degraded-mode
-// recovery.
+// WriteCheckpoint seals the epoch at gen in one synchronous call, file
+// first: ckpt-<gen> is written and made durable, and only then does the log
+// rotate to wal-<gen>. This is the order for a state the directory does not
+// hold yet — genesis, where nothing is on disk, and degraded-mode recovery,
+// where memory is ahead of the log — because a failure or a crash part-way
+// leaves what was there before plus, at most, a temp file: never a segment
+// without the checkpoint that makes it readable (genesis), nor an empty
+// segment ahead of the records (recovery). An explicit Checkpoint and Close
+// use it as well; they gain nothing from the other order.
 func (l *Log) WriteCheckpoint(gen uint64, buf []byte) error {
-	write, err := l.BeginCheckpoint(gen, buf)
-	if err != nil {
+	if l.dead != nil {
+		return l.diskErr("checkpoint", l.size, fmt.Errorf("log has failed: %w", l.dead))
+	}
+	if err := fault.Hit(fault.CheckpointWrite); err != nil {
+		return checkpointFault(l.dir, gen, err)
+	}
+	// The log up to here must be stable before the checkpoint that
+	// supersedes it claims the epoch is sealed.
+	if err := l.Sync(); err != nil {
 		return err
 	}
-	return write()
+	if err := writeCheckpointFile(l.dir, gen, buf); err != nil {
+		return err
+	}
+	if err := l.Seal(gen); err != nil {
+		return err
+	}
+	prune(l.dir, l.opts.Keep)
+	return nil
 }
 
-// writeCheckpointFile is the file half of every checkpoint.
-func writeCheckpointFile(dir string, keep int, gen uint64, buf []byte) error {
+// checkpointFault types an injected wal.checkpoint fault as the failure to
+// write ckpt-<gen>.
+func checkpointFault(dir string, gen uint64, err error) error {
+	return &DiskFailureError{Path: filepath.Join(dir, ckptName(gen)), Op: "checkpoint", Offset: -1, Err: err}
+}
+
+// writeCheckpointFile is the file half of every checkpoint: frame buf in
+// place, temp file, write, fsync, rename, fsync the directory.
+func writeCheckpointFile(dir string, gen uint64, buf []byte) error {
 	m := walmetrics()
 	sp := obs.StartSpan(m.ckptDur)
 	file := frameCheckpoint(gen, buf)
@@ -448,7 +491,6 @@ func writeCheckpointFile(dir string, keep int, gen uint64, buf []byte) error {
 	if err := syncPath(dir); err != nil {
 		return fmt.Errorf("wal: checkpoint %d: %w", gen, err)
 	}
-	prune(dir, keep)
 	m.ckpts.Inc()
 	m.ckptBytes.ObserveValue(float64(len(file)))
 	sp.End()
