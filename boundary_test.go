@@ -1,11 +1,12 @@
 package rxview
 
-// Guards the API boundary: nothing outside internal/ may import
-// rxview/internal/... except the root rxview package itself (the single
-// supported gateway to the implementation) and cmd/xviewlint (which links
-// the analyzer suite).
+// Guards the API boundary: rxview/internal/... may be imported only from
+// inside internal/, by this root package, by rxview/obs and by the module's
+// own cmd/ tools — and rxview/internal/bench, the paper's experiment
+// harness, only by cmd/benchrunner, so no re-export mirror of it can grow
+// back here.
 //
-// The predicate lives in internal/lint/internalboundary so `go test` and
+// The predicates live in internal/lint/internalboundary so `go test` and
 // `go vet -vettool=xviewlint` enforce exactly the same rule; this test is
 // a thin wrapper over its tree walk. It is in package rxview (not
 // rxview_test) because an external test package could not import
@@ -23,7 +24,6 @@ func TestOnlyRootPackageImportsInternal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range violations {
-		t.Errorf("%s: package %s imports %s: only the root rxview package may import internal packages",
-			v.Pos, v.PkgPath, v.Import)
+		t.Errorf("%s: package %s imports %s: %s", v.Pos, v.PkgPath, v.Import, v.Why)
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -436,5 +438,43 @@ func TestReplStatusUsageAndNonReplNode(t *testing.T) {
 	var xe *exitCodeError
 	if errors.As(err, &xe) {
 		t.Fatalf("transport-level failure carried exit code %d, want generic 1", xe.code)
+	}
+}
+
+// fetch is the client half of the overload contract: 429 and 503 are
+// retried, a Retry-After header is the floor of the wait (the jitter takes
+// at most half off), and any other status is reported at once.
+func TestFetchRetriesOverloadAndHonorsRetryAfter(t *testing.T) {
+	var hits atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch hits.Add(1) {
+		case 1:
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, "shed", http.StatusTooManyRequests)
+		case 2:
+			http.Error(w, "checkpointing", http.StatusServiceUnavailable)
+		default:
+			_, _ = io.WriteString(w, "served")
+		}
+	}))
+	defer srv.Close()
+	start := time.Now()
+	body, err := fetch(srv.URL, "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(body)
+	body.Close()
+	if n := hits.Load(); string(got) != "served" || n != 3 {
+		t.Errorf("fetch = %q after %d requests, want the third answer", got, n)
+	}
+	if waited := time.Since(start); waited < 500*time.Millisecond {
+		t.Errorf("waited %v across a Retry-After: 1 answer, want at least half of it", waited)
+	}
+
+	gone := httptest.NewServer(http.NotFoundHandler())
+	defer gone.Close()
+	if _, err := fetch(gone.URL, "/metrics"); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Errorf("fetch of a 404 = %v, want the status reported without a retry", err)
 	}
 }

@@ -56,13 +56,11 @@
 // mutations, so every snapshot identifies the exact write-history prefix it
 // reflects. Sealing is copy-on-write — O(Δ) in what changed since the last
 // snapshot, not O(n) in the view — so a serving layer can afford one epoch
-// per applied write; View.CloneSnapshot is the deep-copy equivalent, kept
-// as the differential baseline and aliasing-test oracle. Reads served from
-// snapshots are snapshot-consistent — they observe the view after some
-// prefix of the applied updates, never a partial one — while writes stay
-// serialized on the live View. Query texts compile once through a
-// process-wide compiled-path cache shared by View.Query, Snapshot.Query
-// and the server handlers.
+// per applied write. Reads served from snapshots are snapshot-consistent
+// — they observe the view after some prefix of the applied updates, never
+// a partial one — while writes stay serialized on the live View. Query
+// texts compile once through a process-wide compiled-path cache shared by
+// View.Query, Snapshot.Query and the server handlers.
 //
 // Views are in-memory by default; WithDurability(dir) adds a write-ahead
 // log of committed write units plus sealed-epoch checkpoints, and Open then
@@ -108,15 +106,16 @@
 // The whole stack is instrumented through the rxview/obs telemetry core:
 // the pipeline's per-phase timings (Timings carries the same split, publish
 // included), the compiled-path cache, the WAL and the serving engine record
-// into atomic counters and fixed-bucket latency histograms cheap enough for
-// the hot paths (≤3% measured overhead, strippable with obs.SetEnabled).
+// into atomic counters and fixed-bucket latency histograms: a memo hit
+// records counters only, and obs.SetEnabled(false) strips every timer down
+// to one atomic load per site.
 // The server exposes it all as Prometheus text on GET /metrics; see
 // README.md ("Observability").
 //
 // The implementation lives under internal/; internal/core wires it together
 // behind this package. See README.md for a tour and for how to run the
-// benchmarks. The root bench_test.go regenerates every table and figure of
-// the paper's evaluation:
+// benchmarks. internal/bench regenerates every table and figure of the
+// paper's evaluation:
 //
-//	go test -bench=. -benchmem .
+//	go test -run '^$' -bench . -benchmem ./internal/bench/
 package rxview

@@ -8,11 +8,10 @@ import (
 
 // Chaos gateway: the public face of the internal fault-injection framework
 // (internal/fault), for operators and load generators. The internal package
-// is behind the module's internal boundary; xviewd's -chaos flag, the
-// server tests and benchrunner's chaos experiment all arm faults through
-// here. Injection is process-wide and deterministic for a given (spec,
-// seed) pair; when disarmed the instrumented code paths cost one atomic
-// load.
+// is behind the module's internal boundary; xviewd's -chaos flag and the
+// server tests arm faults through here. Injection is process-wide and
+// deterministic for a given (spec, seed) pair; when disarmed the
+// instrumented code paths cost one atomic load.
 
 // EnableChaos arms a process-wide fault-injection plan from a chaos spec —
 // a semicolon-separated list of fault points with options:
@@ -68,9 +67,6 @@ func ChaosFires() map[string]uint64 {
 // DisableChaos disarms fault injection, restoring the zero-cost disabled
 // path. Safe to call when nothing is armed.
 func DisableChaos() { fault.Uninstall() }
-
-// ChaosActive reports whether a fault-injection plan is armed.
-func ChaosActive() bool { return fault.Active() }
 
 // FaultPoints returns the catalog of named fault points a chaos spec may
 // reference, in stable order.

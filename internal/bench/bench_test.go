@@ -1,4 +1,4 @@
-package rxview_test
+package bench
 
 // One benchmark per table/figure of the paper's evaluation (§5). Each
 // reports the phase breakdown of Fig.11 as custom metrics (ms/op):
@@ -14,12 +14,12 @@ import (
 	"fmt"
 	"testing"
 
-	"rxview"
+	"rxview/internal/workload"
 )
 
 var benchSizes = []int{1000, 5000, 20000}
 
-func reportPhases(b *testing.B, p rxview.Phases, ops int) {
+func reportPhases(b *testing.B, p Phases, ops int) {
 	if ops == 0 {
 		return
 	}
@@ -34,14 +34,14 @@ func BenchmarkFig10bStats(b *testing.B) {
 	for _, nc := range benchSizes {
 		b.Run(fmt.Sprintf("C=%d", nc), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				st, _, err := rxview.DatasetStats(nc, 42)
+				st, pairs, _, err := DatasetStats(nc, 42)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
 					b.ReportMetric(float64(st.Nodes), "dag-nodes")
 					b.ReportMetric(st.TreeSize, "tree-nodes")
-					b.ReportMetric(float64(st.MatrixPairs), "M-pairs")
+					b.ReportMetric(float64(pairs), "M-pairs")
 					b.ReportMetric(100*st.SharedFrac, "shared-pct")
 				}
 			}
@@ -51,11 +51,11 @@ func BenchmarkFig10bStats(b *testing.B) {
 
 func benchWorkload(b *testing.B, deletes bool) {
 	for _, nc := range benchSizes {
-		for _, class := range []rxview.WorkloadClass{rxview.W1, rxview.W2, rxview.W3} {
+		for _, class := range []workload.Class{workload.W1, workload.W2, workload.W3} {
 			b.Run(fmt.Sprintf("C=%d/%s", nc, class), func(b *testing.B) {
-				var last rxview.RunResult
+				var last RunResult
 				for i := 0; i < b.N; i++ {
-					res, err := rxview.RunWorkload(nc, class, deletes, 5, int64(42+i))
+					res, err := RunWorkload(nc, class, deletes, 5, int64(42+i))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -81,9 +81,9 @@ func BenchmarkFig11gVarySelection(b *testing.B) {
 	nc := benchSizes[len(benchSizes)-1]
 	for _, target := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("targets=%d", target), func(b *testing.B) {
-			var pts []rxview.SelectionPoint
+			var pts []SelResult
 			for i := 0; i < b.N; i++ {
-				out, err := rxview.VarySelection(nc, []int{target}, int64(42+i))
+				out, err := VarySelection(nc, []int{target}, int64(42+i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -105,9 +105,9 @@ func BenchmarkFig11hVarySubtree(b *testing.B) {
 	nc := benchSizes[len(benchSizes)-1]
 	for _, fanout := range []int{0, 8, 32} {
 		b.Run(fmt.Sprintf("fanout=%d", fanout), func(b *testing.B) {
-			var pts []rxview.SubtreePoint
+			var pts []SubtreeResult
 			for i := 0; i < b.N; i++ {
-				out, err := rxview.VarySubtree(nc, []int{fanout}, int64(42+i))
+				out, err := VarySubtree(nc, []int{fanout}, int64(42+i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -127,9 +127,9 @@ func BenchmarkFig11hVarySubtree(b *testing.B) {
 func BenchmarkTable1Incremental(b *testing.B) {
 	for _, nc := range benchSizes {
 		b.Run(fmt.Sprintf("C=%d", nc), func(b *testing.B) {
-			var last rxview.MaintenanceResult
+			var last Table1Result
 			for i := 0; i < b.N; i++ {
-				res, err := rxview.MaintenanceTable(nc, int64(42+i))
+				res, err := Table1(nc, int64(42+i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -149,7 +149,7 @@ func BenchmarkAblationReachVsNaive(b *testing.B) {
 	nc := benchSizes[0]
 	b.Run(fmt.Sprintf("C=%d", nc), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fig4, naive, _, err := rxview.ReachAblation(nc, 42)
+			fig4, naive, _, err := ReachAblation(nc, 42)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -168,7 +168,7 @@ func BenchmarkAblationMatrixRepresentation(b *testing.B) {
 	nc := benchSizes[0]
 	b.Run(fmt.Sprintf("C=%d", nc), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			bitset, sparse, pairs, err := rxview.MatrixAblation(nc, 42)
+			bitset, sparse, pairs, err := MatrixAblation(nc, 42)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -187,7 +187,7 @@ func BenchmarkAblationDAGvsTree(b *testing.B) {
 	nc := benchSizes[0]
 	b.Run(fmt.Sprintf("C=%d", nc), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			dagT, treeT, dagN, treeN, err := rxview.DAGvsTree(nc, 42)
+			dagT, treeT, dagN, treeN, err := DAGvsTree(nc, 42)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -206,7 +206,7 @@ func BenchmarkAblationGreedyVsExactMinDelete(b *testing.B) {
 	nc := benchSizes[0]
 	b.Run(fmt.Sprintf("C=%d", nc), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			gT, eT, _, _, err := rxview.MinDeleteAblation(nc, 42)
+			gT, eT, _, _, err := MinDeleteAblation(nc, 42)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -224,7 +224,7 @@ func BenchmarkAblationSideEffectDetection(b *testing.B) {
 	nc := benchSizes[0]
 	b.Run(fmt.Sprintf("C=%d", nc), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			full, fast, err := rxview.SideEffectAblation(nc, 42)
+			full, fast, err := SideEffectAblation(nc, 42)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -243,7 +243,7 @@ func BenchmarkAblationEvalStrategy(b *testing.B) {
 	nc := benchSizes[0]
 	b.Run(fmt.Sprintf("C=%d", nc), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sweep, frontier, anchored, err := rxview.EvalStrategyAblation(nc, 42)
+			sweep, frontier, anchored, err := EvalStrategyAblation(nc, 42)
 			if err != nil {
 				b.Fatal(err)
 			}

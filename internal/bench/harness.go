@@ -2,9 +2,9 @@
 // figure of the paper's evaluation (§5): the dataset statistics of
 // Fig.10(b), the update-performance series of Fig.11(a)–(h), the
 // incremental-vs-recomputation comparison of Table 1, and the ablations.
-// The root package re-exports it (experiments.go); bench_test.go
-// (testing.B entry points) and cmd/benchrunner (paper-style tables) go
-// through those re-exports.
+// bench_test.go (testing.B entry points) and cmd/benchrunner (paper-style
+// tables) are its only callers; the internalboundary analyzer keeps it out
+// of every other package's imports.
 package bench
 
 import (

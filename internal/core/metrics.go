@@ -7,7 +7,7 @@ package core
 // update the process applies — exactly the shape the paper's Fig.11
 // reports per workload. Recording uses only the atomic fast-path API;
 // every time.Now pair added here is behind obs.Enabled so a stripped run
-// (benchrunner -exp obs) pays one atomic load per site.
+// (obs.SetEnabled(false)) pays one atomic load per site.
 
 import (
 	"sync"

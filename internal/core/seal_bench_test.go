@@ -7,9 +7,9 @@ import (
 
 // BenchmarkSnapshotSeal measures the O(Δ) publication primitive alone (no
 // writes between seals — the floor), and BenchmarkCloneSnapshot the O(n)
-// deep-clone baseline. The benchrunner's snapshot experiment measures the
-// same pair in the per-write regime across the full size sweep; nc=25000
-// (~110k nodes) takes seconds to build, so it only runs when benching.
+// deep-clone baseline. The per-write regime is core.seal_us in a traced
+// bench/run.sh run; nc=25000 (~110k nodes) takes seconds to build, so it
+// only runs when benching.
 func BenchmarkSnapshotSeal(b *testing.B) {
 	for _, nc := range []int{250, 2500, 25000} {
 		_, s := openSynthetic(b, nc, 7)

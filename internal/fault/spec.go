@@ -1,7 +1,6 @@
 package fault
 
-// The chaos spec grammar, shared by `xviewd -chaos` and the benchrunner
-// chaos experiment:
+// The chaos spec grammar of `xviewd -chaos` and rxview.EnableChaos:
 //
 //	spec  := arm (";" arm)*
 //	arm   := point [":" opt ("," opt)*]

@@ -1,15 +1,22 @@
-// Package internalboundary enforces the repository's API boundary:
-// nothing outside internal/ may import rxview/internal/... except the
-// sanctioned gateways — the root rxview package, the rxview/obs telemetry
-// facade (pure aliases over internal/obs), and cmd/xviewlint itself (the
-// vettool must link the analyzer suite, which lives behind the boundary
-// on purpose — it reasons about implementation invariants, not public
-// API).
+// Package internalboundary enforces the repository's API boundary with
+// two predicates on import paths.
 //
-// The rule predates this analyzer as a hand-written AST walk in
-// boundary_test.go; the analyzer is the single source of truth now, and
-// the test invokes CheckTree so `go test` and `go vet -vettool` enforce
-// the same predicate.
+// Who may import rxview/internal/... at all: packages under internal/
+// itself, the root rxview package (the public API gateway), rxview/obs (the
+// telemetry facade: pure aliases over internal/obs) and the module's own
+// command-line tools, rxview/cmd/... — xviewlint links the analyzer suite,
+// benchrunner calls the paper's experiment harness. Everything else —
+// server, examples, external test packages, bench/ — goes through the
+// public API.
+//
+// Who may import rxview/internal/bench: rxview/cmd/benchrunner and the
+// package itself. The harness pulls in the reference implementations no
+// serving path reads (reach.Matrix, xpath.FrontierEvaluator); this keeps
+// them out of every other package's dependency closure, the root
+// package's included.
+//
+// The root package's boundary_test.go calls CheckTree, so `go test` and
+// `go vet -vettool` enforce the same predicates.
 package internalboundary
 
 import (
@@ -24,31 +31,36 @@ import (
 	"rxview/internal/lint/analysis"
 )
 
-const internalPrefix = "rxview/internal/"
+const (
+	internalPrefix = "rxview/internal/"
+	cmdPrefix      = "rxview/cmd/"
+	benchPkg       = "rxview/internal/bench"
+	benchImporter  = "rxview/cmd/benchrunner"
+)
 
-// gatewayImporters lists the package paths allowed to import
+// gatewayImporters lists the library packages allowed to import
 // rxview/internal/... from outside internal/ itself.
 var gatewayImporters = map[string]bool{
-	"rxview":               true, // the public API gateway (tests in package rxview included)
-	"rxview/cmd/xviewlint": true, // links the analyzer suite
-	"rxview/obs":           true, // telemetry gateway: aliases internal/obs for server and cmd tools
+	"rxview":     true, // the public API gateway (tests in package rxview included)
+	"rxview/obs": true, // telemetry gateway: aliases internal/obs for the server layer and bench/
 }
 
 var Analyzer = &analysis.Analyzer{
 	Name: "internalboundary",
-	Doc: "only the sanctioned gateways (rxview, rxview/obs, cmd/xviewlint) may import rxview/internal/...\n\n" +
-		"The root package is the single supported gateway to the implementation " +
-		"(rxview/obs aliases the telemetry core, nothing more); everything else — " +
-		"cmd tools, server, examples, external test packages — " +
-		"must go through the public API.",
+	Doc: "only rxview, rxview/obs and rxview/cmd/... may import rxview/internal/..., and only cmd/benchrunner rxview/internal/bench\n\n" +
+		"The root package is the supported gateway to the implementation " +
+		"(rxview/obs aliases the telemetry core, nothing more) and the module's own " +
+		"cmd/ tools may reach behind it; server, examples and external test packages " +
+		"must go through the public API. The paper's experiment harness, " +
+		"internal/bench, is for cmd/benchrunner alone.",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) (any, error) {
 	path := pass.Pkg.Path()
 	for _, f := range pass.Files {
-		checkFile(path, f, func(pos token.Pos, imp string) {
-			pass.Reportf(pos, "package %s imports %s: only the root rxview package may import internal packages", path, imp)
+		checkFile(path, f, func(pos token.Pos, imp, why string) {
+			pass.Reportf(pos, "package %s imports %s: %s", path, imp, why)
 		})
 	}
 	return nil, nil
@@ -56,20 +68,32 @@ func run(pass *analysis.Pass) (any, error) {
 
 // allowed reports whether a package at path may import rxview/internal/...
 func allowed(path string) bool {
-	return gatewayImporters[path] ||
+	return gatewayImporters[path] || strings.HasPrefix(path, cmdPrefix) ||
 		path == "rxview/internal" || strings.HasPrefix(path, internalPrefix)
 }
 
-// checkFile applies the boundary predicate to one file. It is the shared
-// core of the analyzer and CheckTree.
-func checkFile(pkgPath string, f *ast.File, report func(pos token.Pos, imp string)) {
-	if allowed(pkgPath) {
-		return
+func isBench(path string) bool {
+	return path == benchPkg || strings.HasPrefix(path, benchPkg+"/")
+}
+
+// breach says why a package at pkgPath may not import imp; "" if it may.
+func breach(pkgPath, imp string) string {
+	switch {
+	case isBench(imp) && pkgPath != benchImporter && !isBench(pkgPath):
+		return "only " + benchImporter + " may import the experiment harness"
+	case strings.HasPrefix(imp, internalPrefix) && !allowed(pkgPath):
+		return "only rxview, rxview/obs and rxview/cmd/... may import internal packages"
 	}
+	return ""
+}
+
+// checkFile applies both predicates to one file. It is the shared core of
+// the analyzer and CheckTree.
+func checkFile(pkgPath string, f *ast.File, report func(pos token.Pos, imp, why string)) {
 	for _, imp := range f.Imports {
 		val, _ := strconv.Unquote(imp.Path.Value)
-		if strings.HasPrefix(val, internalPrefix) {
-			report(imp.Path.Pos(), val)
+		if why := breach(pkgPath, val); why != "" {
+			report(imp.Path.Pos(), val, why)
 		}
 	}
 }
@@ -79,14 +103,13 @@ type Violation struct {
 	Pos     token.Position
 	PkgPath string
 	Import  string
+	Why     string
 }
 
 // CheckTree walks a repository tree rooted at the module directory and
-// applies the boundary rule to every non-internal Go file, test files
-// included — the imports-only parse the old boundary_test.go did, now
-// delegating the decision to the analyzer's predicate. internal/ and
-// testdata/ subtrees are skipped: the compiler already polices the former
-// and fixtures deliberately violate rules in the latter.
+// applies the boundary rule to every Go file, test files included, by an
+// imports-only parse. testdata/ subtrees are skipped: fixtures deliberately
+// violate rules there.
 func CheckTree(root string) ([]Violation, error) {
 	var out []Violation
 	fset := token.NewFileSet()
@@ -96,8 +119,7 @@ func CheckTree(root string) ([]Violation, error) {
 		}
 		if d.IsDir() {
 			name := d.Name()
-			if name == "internal" || name == "testdata" ||
-				(strings.HasPrefix(name, ".") && path != root) {
+			if name == "testdata" || (strings.HasPrefix(name, ".") && path != root) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -121,8 +143,8 @@ func CheckTree(root string) ([]Violation, error) {
 			// package clause) are not the gateway package.
 			pkgPath = "rxview_test"
 		}
-		checkFile(pkgPath, f, func(pos token.Pos, imp string) {
-			out = append(out, Violation{Pos: fset.Position(pos), PkgPath: pkgPath, Import: imp})
+		checkFile(pkgPath, f, func(pos token.Pos, imp, why string) {
+			out = append(out, Violation{Pos: fset.Position(pos), PkgPath: pkgPath, Import: imp, Why: why})
 		})
 		return nil
 	})

@@ -3,7 +3,7 @@ package server
 
 import (
 	"rxview"
-	"rxview/internal/dag" // want "only the root rxview package"
+	"rxview/internal/dag" // want "only rxview, rxview/obs and rxview/cmd/... may import internal packages"
 )
 
 type Engine struct {

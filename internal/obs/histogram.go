@@ -47,14 +47,6 @@ func (h *Histogram) ObserveValue(v float64) {
 	if !enabled.Load() {
 		return
 	}
-	h.RecordValue(v)
-}
-
-// RecordValue records a sample regardless of the global Enabled switch —
-// for measurement harnesses (the server package's LoadGen) where the
-// samples are the product of the run, not instrumentation overhead that
-// SetEnabled(false) should strip.
-func (h *Histogram) RecordValue(v float64) {
 	h.buckets[h.bucketIdx(v)].Add(1)
 	h.count.Add(1)
 	addFloat(&h.sumBits, v)

@@ -20,9 +20,9 @@
 //
 // SetEnabled(false) strips the timing instrumentation: histogram observes,
 // slow-log recording and the Enabled() guards around time.Now pairs become
-// no-ops, which is what the benchrunner obs experiment measures the
-// instrumented hot paths against. Counters and gauges keep counting either
-// way — they double as the serving layer's Stats source.
+// no-ops, one atomic load per site (TestSpanDisabledIsFree). Counters and
+// gauges keep counting either way — they double as the serving layer's
+// Stats source.
 package obs
 
 import (

@@ -1,15 +1,17 @@
 // Package obs is the public face of the telemetry core in
 // rxview/internal/obs. It contains no logic of its own — only type
-// aliases and thin forwards — and exists so packages outside the
-// internal tree (the server layer, the command-line tools) can register
-// and read metrics without importing internal packages directly. The
-// internal-boundary lint rule lists this package as a sanctioned
-// gateway, the same standing the root rxview package has.
+// aliases and thin forwards — and exists so packages the internal
+// boundary keeps out (the server layer, bench/, programs built on the
+// library) can register and read metrics without importing internal
+// packages. The internalboundary lint rule lists this package as a
+// sanctioned gateway, the same standing the root rxview package has;
+// first-party cmd/ tools may import internal packages directly but use
+// this facade wherever they share values with the server package.
 //
 // See the internal package's documentation for the design: atomic
 // fast-path recording vs the locked Gather/snapshot side, the Default
-// versus per-instance registry split, and the SetEnabled switch the
-// overhead benchmark uses.
+// versus per-instance registry split, and the SetEnabled switch that
+// strips the timing instrumentation.
 package obs
 
 import (

@@ -15,9 +15,9 @@
 //     chunks of per-node state are shared between the live view and every
 //     sealed epoch, and the writer copies only what it dirties, when it
 //     dirties it. Publishing after a write therefore costs microseconds
-//     independent of view size (the deep-clone path survives as
-//     View.CloneSnapshot — the aliasing-test oracle and differential
-//     baseline, not a serving primitive). Versioned epochs change nothing
+//     independent of view size (the deep-clone path survives inside the
+//     implementation as the aliasing-test oracle and differential
+//     baseline, not as a serving primitive). Versioned epochs change nothing
 //     about the consistency model: the same states are published at the
 //     same generations, merely cheaper.
 //
@@ -98,12 +98,10 @@
 //     and a recovery prober retries View.Recover with jittered
 //     exponential backoff (WithRecoveryBackoff) until the log heals;
 //     /healthz reports "degraded" meanwhile. Stats exposes WritesShed,
-//     Degraded and Recoveries; LoadGen's writer honors Retry-After and
-//     retries only verdicts that guarantee non-application.
+//     Degraded and Recoveries.
 //
 // NewHandler exposes the Engine over HTTP/JSON (the cmd/xviewd daemon and
-// xviewctl -serve share it), and LoadGen drives an Engine with concurrent
-// readers and a background writer for throughput/latency measurement.
+// xviewctl -serve share it).
 //
 // # Replication
 //
@@ -116,8 +114,8 @@
 // reconnects with jittered backoff, re-syncing from a fresh checkpoint on a
 // generation gap or a 410. A follower engine refuses writes with
 // ErrReadOnlyReplica, which HTTP maps to 421 Misdirected Request carrying
-// the primary's address (X-Xview-Primary header + "primary" body field);
-// LoadGen.Lookup follows that redirect once per attempt. Readiness composes:
+// the primary's address (X-Xview-Primary header + "primary" body field).
+// Readiness composes:
 // with HandlerOptions.Follow set, /healthz (and a Gate) answers
 // 503 "following" until the replica is within WithFollowWatermark
 // generations of the primary's durable watermark, and GET /repl/info
@@ -148,9 +146,8 @@
 // scrapes it together with the process-wide registry on GET /metrics
 // (Prometheus text) and GET /debug/vars (JSON); GET /debug/slow dumps the
 // slow log. Recording sites use only the atomic fast-path obs API — one or
-// two atomic operations, nothing on the memo-hit path but counters — so
-// instrumentation stays within the repo's ≤3% overhead budget (measured by
-// `benchrunner -exp obs`). NewGate wraps a Handler with a readiness
+// two atomic operations, nothing on the memo-hit path but counters (the
+// obshotpath analyzer enforces it). NewGate wraps a Handler with a readiness
 // lifecycle: while the view is still replaying its WAL the gate answers
 // 503 with the recovery state, /livez answers 200 throughout, and
 // SetReady atomically switches to the real handler.

@@ -28,7 +28,6 @@ func (v *View) Generation() uint64 { return v.sys.Generation() }
 // the previous Snapshot call (O(Δ)), not to the view size — unchanged
 // state is shared between the live view and every sealed epoch, which is
 // what lets a serving layer publish a fresh snapshot per applied write.
-// CloneSnapshot is the deep-copy equivalent.
 //
 // Taking the snapshot itself is a read of the live view and must not run
 // concurrently with Apply/Batch on the same View — a View is single-writer.
@@ -41,15 +40,6 @@ func (v *View) Generation() uint64 { return v.sys.Generation() }
 // Engine publishes only between write units, so it can never hit this).
 func (v *View) Snapshot() *Snapshot {
 	return &Snapshot{sn: v.sys.Snapshot()}
-}
-
-// CloneSnapshot freezes the current view state by deep copy — O(n) in the
-// view size, where Snapshot is O(Δ). The two answer identically at the
-// same generation; CloneSnapshot exists as the full-copy baseline: the
-// oracle in copy-on-write aliasing tests and the comparison point in the
-// snapshot-publication benchmarks. Serving layers should use Snapshot.
-func (v *View) CloneSnapshot() *Snapshot {
-	return &Snapshot{sn: v.sys.CloneSnapshot()}
 }
 
 // PathCacheStats returns the hit/miss counters of the process-wide

@@ -65,7 +65,7 @@ func mutationsOf(dr []relational.Mutation) []Mutation {
 // publication phase of the serving layer. Phase (c) here is the maintenance
 // of L and the collection of what the update left unreachable; the paper's
 // also maintains M, which a View does not carry (the experiments add that
-// half themselves, see MaintenanceTable).
+// half themselves, see internal/bench's Table1).
 // Durations marshal as integer nanoseconds; the _ns tags make that explicit
 // in the wire names.
 type Timings struct {
@@ -145,8 +145,9 @@ func reportOf(r *core.Report) *Report {
 // Stats summarizes the view and its auxiliary structures — the quantities of
 // Fig.10(b) in the paper: DAG size, uncompressed tree size, sharing, |L|
 // and |M|. A View carries L but no reachability matrix, so MatrixPairs is 0
-// from View.Stats and Snapshot.Stats; only DatasetStats, which computes M for
-// the figure, fills it.
+// on every view and snapshot; the field stays for the wire shape and its
+// readers. |M| for the figure is the experiments' (internal/bench) to
+// compute.
 type Stats struct {
 	BaseRows    int     `json:"base_rows"`    // total tuples in the published database
 	Nodes       int     `json:"nodes"`        // DAG nodes (n)
@@ -156,7 +157,7 @@ type Stats struct {
 	SharedNodes int     `json:"shared_nodes"` // nodes with >1 parent
 	SharedFrac  float64 `json:"shared_frac"`  // SharedNodes / Nodes
 	TopoLen     int     `json:"topo_len"`     // |L|
-	MatrixPairs int     `json:"matrix_pairs"` // |M|; 0 unless from DatasetStats
+	MatrixPairs int     `json:"matrix_pairs"` // |M|; always 0, a View has no M
 }
 
 // String renders the statistics in a Fig.10(b)-style line.
