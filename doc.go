@@ -92,14 +92,17 @@
 // these paths are testable on demand; see README.md ("Resilience").
 //
 // A durable view's log doubles as a replication change log.
-// View.ReplSource streams the gen-contiguous CommitRecord suffix
+// View.ReplSource streams the gen-contiguous suffix of commit records
 // (sealed WAL segments, then a live in-memory tail) and hands out the
-// newest checkpoint; OpenReplica builds the follower side, whose
-// Restore and ApplyRecord replay that stream through the same
-// machinery boot recovery uses — one generation per record, refusing
-// gaps (ErrCheckpointMismatch) and pruned-past positions
-// (ErrReplicaStale) so a follower re-syncs rather than replay into a
-// wrong state. The HTTP transport, the read-only follower engine
+// newest checkpoint. The record is declared once, in internal/wal
+// beside its codec, and encoded once, by the log's append: a follower
+// receives the bytes the log wrote, which the commit sink publishes to
+// the tail only after the append was accepted. OpenReplica builds the
+// follower side, whose Restore and ApplyRecord replay that stream
+// through the same machinery boot recovery uses — one generation per
+// record, refusing gaps (ErrCheckpointMismatch) and pruned-past
+// positions (ErrReplicaStale) so a follower re-syncs rather than replay
+// into a wrong state. The HTTP transport, the read-only follower engine
 // (421 + primary address on writes) and multi-tenant hosting live in
 // rxview/server; see README.md ("Replication & multi-tenancy").
 //

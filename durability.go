@@ -16,9 +16,9 @@ import (
 )
 
 // Durability glue: the root package owns the checkpoint payload format and
-// converts between core's commit records and the wal's on-disk records —
-// core cannot import wal (core owns the commit path and must stay
-// storage-agnostic) and wal cannot import core, so the two meet here.
+// installs the commit sink. The commit record needs no glue: core fills in a
+// wal.Record (core.CommitRecord is that type), the sink passes the slice to
+// the log as it is, and recovery passes what the log read back to core.
 
 // defaultCheckpointEvery is the commit count between automatic checkpoints
 // when WithCheckpointEvery is not given.
@@ -32,18 +32,7 @@ const ckptVersion = 1
 // give the log an active segment at that generation, and install the commit
 // sink.
 func openDurable(a *ATG, db *DB, cfg *config) (*View, error) {
-	var pol wal.SyncPolicy
-	switch cfg.fsync {
-	case FsyncAlways:
-		pol = wal.SyncAlways
-	case FsyncBatch:
-		pol = wal.SyncBatch
-	case FsyncOff:
-		pol = wal.SyncOff
-	default:
-		return nil, fmt.Errorf("rxview: unknown fsync policy %d", int(cfg.fsync))
-	}
-	log, boot, err := wal.Open(cfg.durDir, wal.Options{Policy: pol})
+	log, boot, err := wal.Open(cfg.durDir, wal.Options{Policy: cfg.fsync})
 	if err != nil {
 		return nil, walErr(cfg.durDir, err)
 	}
@@ -123,11 +112,7 @@ func restoreSystem(a *ATG, db *DB, opts core.Options, src string, gen uint64, st
 			}
 		}
 	}
-	recs := make([]core.CommitRecord, len(suffix))
-	for i, r := range suffix {
-		recs[i] = commitRecordOf(r)
-	}
-	sys, err := core.Recover(a.c, storage.NewMemory(db.db), d, ck.order, gen, recs, opts)
+	sys, err := core.Recover(a.c, storage.NewMemory(db.db), d, ck.order, gen, suffix, opts)
 	if err != nil {
 		return nil, &CheckpointMismatchError{Dir: src, Err: err}
 	}
@@ -138,32 +123,26 @@ func restoreSystem(a *ATG, db *DB, opts core.Options, src string, gen uint64, st
 	return sys, nil
 }
 
-// A commit record is the same three fields on both sides of the glue: core
-// produces and replays it, the wal frames it. These two are the only places
-// that know.
-func commitRecordOf(r wal.Record) core.CommitRecord {
-	return core.CommitRecord{Gen: r.Gen, Delta: r.Delta, DR: r.DR}
-}
-
-func walRecordOf(r core.CommitRecord) wal.Record {
-	return wal.Record{Gen: r.Gen, Delta: r.Delta, DR: r.DR}
-}
-
-// sinkRecords is the core.CommitSink of a durable view: it appends the
-// commit's records to the log before the commit verdict is returned. A
-// refused append flips the view into degraded mode and surfaces as a
-// DegradedError; the log's all-or-nothing append guarantees the refused
-// records can never resurface in a later recovery, so Applied:false is a
-// true verdict at this layer (Tx.Commit upgrades it to Applied:true for a
-// prefix group, whose applied stages stay in memory).
-func (v *View) sinkRecords(recs []core.CommitRecord) error {
-	wrecs := make([]wal.Record, len(recs))
-	for i, r := range recs {
-		wrecs[i] = walRecordOf(r)
-	}
-	if err := v.log.Append(wrecs); err != nil {
+// sinkRecords is the core.CommitSink of a durable view, the one hook on the
+// commit path: it appends the commit's records to the log before the commit
+// verdict is returned, and publishes to the replication tail, when there is
+// one, the frames that append wrote. "A follower sees only what the log
+// accepted" is those two statements in that order; the copy is the only one
+// a frame gets between the log's buffer and a follower's socket. A refused
+// append flips the view into degraded mode and surfaces as a DegradedError;
+// the log's all-or-nothing append guarantees the refused records can never
+// resurface in a later recovery, so Applied:false is a true verdict at this
+// layer (Tx.Commit upgrades it to Applied:true for a prefix group, whose
+// applied stages stay in memory).
+func (v *View) sinkRecords(recs []wal.Record) error {
+	if err := v.log.Append(recs); err != nil {
 		v.markDegraded(err)
 		return &DegradedError{Cause: err}
+	}
+	if v.tail != nil {
+		for i, r := range recs {
+			v.tail.Publish(r.Gen, bytes.Clone(v.log.Frame(i)))
+		}
 	}
 	// The append can succeed and still kill the log (crash-after-fsync:
 	// the record is durable, the verdict stands, but the log refuses

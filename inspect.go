@@ -11,61 +11,20 @@ import (
 // checkpoint, so they are safe to point at the live directory of a running
 // process.
 
-// WALRecord summarizes one committed write unit in the log.
-type WALRecord struct {
-	Gen       uint64 `json:"gen"`
-	DeltaOps  int    `json:"delta_ops"` // DAG mutations (ΔV) in the record
-	Mutations int    `json:"mutations"` // relational mutations (ΔR)
-	Bytes     int    `json:"bytes"`     // framed size on disk
-}
-
-// WALSegment summarizes one log segment file.
-type WALSegment struct {
-	Path    string      `json:"path"`
-	Start   uint64      `json:"start"` // generation the segment starts after
-	Records []WALRecord `json:"records,omitempty"`
-	Note    string      `json:"note,omitempty"` // torn tail / damage finding
-}
-
-// WALCheckpoint summarizes one checkpoint file.
-type WALCheckpoint struct {
-	Path  string `json:"path"`
-	Gen   uint64 `json:"gen"`
-	Bytes int    `json:"bytes"`         // state payload size
-	Err   string `json:"err,omitempty"` // non-empty when the file fails validation
-}
-
-// WALInfo is the inspection view of a durability directory.
-type WALInfo struct {
-	Checkpoints []WALCheckpoint `json:"checkpoints"`
-	Segments    []WALSegment    `json:"segments"`
-}
+// The inspection view of a durability directory is the log's own (the JSON
+// field names are on the wal types): a WALInfo lists every checkpoint as a
+// WALCheckpoint and every segment as a WALSegment of WALRecords.
+type (
+	WALInfo       = wal.DirInfo
+	WALSegment    = wal.SegmentInfo
+	WALRecord     = wal.RecordInfo
+	WALCheckpoint = wal.CheckpointInfo
+)
 
 // InspectWAL lists a durability directory: every checkpoint with its
 // validity, every log segment with its records. Damage is reported in the
 // Err/Note fields rather than failing the listing.
-func InspectWAL(dir string) (*WALInfo, error) {
-	di, err := wal.Inspect(dir)
-	if err != nil {
-		return nil, err
-	}
-	info := &WALInfo{}
-	for _, c := range di.Checkpoints {
-		info.Checkpoints = append(info.Checkpoints, WALCheckpoint{
-			Path: c.Path, Gen: c.Gen, Bytes: c.Bytes, Err: c.Err,
-		})
-	}
-	for _, s := range di.Segments {
-		seg := WALSegment{Path: s.Path, Start: s.Start, Note: s.Note}
-		for _, r := range s.Records {
-			seg.Records = append(seg.Records, WALRecord{
-				Gen: r.Gen, DeltaOps: r.DeltaOps, Mutations: r.Mutations, Bytes: r.Bytes,
-			})
-		}
-		info.Segments = append(info.Segments, seg)
-	}
-	return info, nil
-}
+func InspectWAL(dir string) (*WALInfo, error) { return wal.Inspect(dir) }
 
 // CheckpointDetail describes the newest readable checkpoint in a durability
 // directory: the sealed epoch a recovery would boot from.

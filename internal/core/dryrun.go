@@ -71,12 +71,5 @@ func (s *System) DryRunCtx(ctx context.Context, op *update.Op) (*Report, error) 
 	}
 }
 
-// Updatable reports whether ΔX can be carried out without relational side
-// effects (and, unless ForceSideEffects is set, without XML side effects).
-func (s *System) Updatable(op *update.Op) bool {
-	_, err := s.DryRun(op)
-	return err == nil
-}
-
 // ensure viewupdate stays linked for the doc reference above
 var _ = viewupdate.RejectedError{}

@@ -6,22 +6,17 @@ import (
 	"rxview/internal/atg"
 	"rxview/internal/dag"
 	"rxview/internal/reach"
-	"rxview/internal/relational"
 	"rxview/internal/storage"
 	"rxview/internal/viewupdate"
+	"rxview/internal/wal"
 )
 
-// CommitRecord is everything a committed write unit changed, in replayable
-// form: the generation it produced, the chronological DAG delta (ΔV at the
-// instance level, deletions included — dag.DeltaOp, not the grouped change
-// summary) and the executed relational group update ΔR. Replaying the record
-// against the state at generation Gen-1 reproduces the state at Gen exactly,
-// node identities included.
-type CommitRecord struct {
-	Gen   uint64
-	Delta []dag.DeltaOp
-	DR    []relational.Mutation
-}
+// CommitRecord is the commit record under the name this package has always
+// used for it. It is declared once, beside its codec, as wal.Record: a Txn
+// fills one in, the sink hands it to the log unconverted, and what
+// ApplyCommitRecord is given — at boot or on a follower — is the same value
+// decoded from the frame the log wrote.
+type CommitRecord = wal.Record
 
 // CommitSink receives the records of a committing write unit before its
 // verdict is returned to the caller: an atomic transaction sends exactly one
@@ -29,6 +24,9 @@ type CommitRecord struct {
 // the sink fails the commit — atomic groups roll back, non-atomic groups
 // stay applied in memory and surface the error. The sink must make the
 // records durable (to its configured fsync policy) before returning nil.
+// It is the one hook on the commit path: whatever else may learn of a commit
+// only once it is durable — a replication tail — is told by the sink, after
+// its own append.
 type CommitSink func(recs []CommitRecord) error
 
 // SetCommitSink installs the durability hook. afterSync, if non-nil, runs
@@ -40,34 +38,6 @@ type CommitSink func(recs []CommitRecord) error
 func (s *System) SetCommitSink(sink CommitSink, afterSync func(gen uint64)) {
 	s.sink = sink
 	s.afterSync = afterSync
-}
-
-// CommitObserver receives the records of each durably committed write unit.
-// Observers run synchronously on the write path, after the sink accepted the
-// records — a record a crash could still lose is never observed, which is
-// what lets a replication tail treat every observed generation as part of
-// the primary's durable history. Observers must be fast and must not call
-// back into the system.
-type CommitObserver func(recs []CommitRecord)
-
-// AddCommitObserver registers a post-durability tap. Observers require a
-// commit sink: without one there is no durable history to stream. Not safe
-// for concurrent use with the write path — install observers at setup time,
-// like the sink itself.
-func (s *System) AddCommitObserver(fn CommitObserver) {
-	s.observers = append(s.observers, fn)
-}
-
-// commitRecords feeds a committing unit's records to the durability sink
-// and, only on acceptance, to the observers.
-func (s *System) commitRecords(recs []CommitRecord) error {
-	if err := s.sink(recs); err != nil {
-		return err
-	}
-	for _, fn := range s.observers {
-		fn(recs)
-	}
-	return nil
 }
 
 // ApplyCommitRecord replays one committed record against the live system —

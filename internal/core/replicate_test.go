@@ -2,55 +2,18 @@ package core
 
 import (
 	"context"
-	"errors"
 	"testing"
 )
 
-// White-box tests of the replication seam: the commit observer (fires only
-// for records the sink accepted) and ApplyCommitRecord (the follower's
-// incremental replay, which must reproduce the primary's state exactly —
-// node identities, the entry sequence of L and all).
-
-func TestObserverFiresOnlyAfterSinkAccepts(t *testing.T) {
-	ctx := context.Background()
-	s := openRegistrar(t, Options{})
-	sinkErr := errors.New("disk gone")
-	fail := false
-	s.SetCommitSink(func([]CommitRecord) error {
-		if fail {
-			return sinkErr
-		}
-		return nil
-	}, nil)
-	var seen []uint64
-	s.AddCommitObserver(func(recs []CommitRecord) {
-		for _, r := range recs {
-			seen = append(seen, r.Gen)
-		}
-	})
-
-	if _, err := s.Execute(`insert course(cno="CS111", title="Intro") into .`); err != nil {
-		t.Fatal(err)
-	}
-	fail = true
-	tx, err := s.Begin(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.Stage(ctx, mustOp(t, s, `insert course(cno="CS112", title="Intro II") into .`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(ctx); !errors.Is(err, sinkErr) {
-		t.Fatalf("commit error = %v, want the sink error", err)
-	}
-	if len(seen) != 1 || seen[0] != 1 {
-		t.Fatalf("observer saw generations %v, want [1]: a refused commit must never be observed", seen)
-	}
-}
+// White-box test of the replication seam: ApplyCommitRecord, the follower's
+// incremental replay, which must reproduce the primary's state exactly — node
+// identities, the entry sequence of L and all. (That a follower is told of a
+// commit only once the sink's log accepted it is the root package's
+// TestReplSourceSeesOnlyAcceptedAppends: the sink is the one hook.)
 
 // TestApplyCommitRecordReplaysTwin drives a mixed workload — one-shot
 // applies, an atomic group with a GC cascade, shared-edge insertion and
-// removal — on a primary while an observer captures the record stream, then
+// removal — on a primary while its sink captures the record stream, then
 // replays the stream record by record onto a twin system. The twin must
 // track the primary's generation exactly and end bit-identical;
 // CheckConsistency on the twin proves that the per-op maintenance of L and
@@ -61,10 +24,10 @@ func TestApplyCommitRecordReplaysTwin(t *testing.T) {
 	twin := openRegistrar(t, Options{ForceSideEffects: true})
 
 	var stream []CommitRecord
-	primary.SetCommitSink(func([]CommitRecord) error { return nil }, nil)
-	primary.AddCommitObserver(func(recs []CommitRecord) {
+	primary.SetCommitSink(func(recs []CommitRecord) error {
 		stream = append(stream, recs...)
-	})
+		return nil
+	}, nil)
 
 	apply := func(rec CommitRecord) {
 		t.Helper()

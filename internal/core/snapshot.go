@@ -29,9 +29,9 @@ func (s *System) Generation() uint64 { return s.gen }
 // Snapshots are copy-on-write versions, not clones: System.Snapshot seals
 // the live structures in time proportional to what changed since the
 // previous seal (O(Δ)), sharing every untouched chunk and row with the
-// live view and with neighboring snapshots. CloneSnapshot builds the same
-// Snapshot by deep copy (O(n)) — the differential baseline for the COW
-// machinery and the oracle in aliasing tests.
+// live view and with neighboring snapshots. (The tests build the same
+// Snapshot by deep copy, CloneSnapshot in export_test.go, as the
+// differential baseline for the COW machinery and the aliasing oracle.)
 //
 // A Snapshot never reads the database: text content lives in the sealed
 // attribute tuples, and the base-row count is captured at snapshot time.
@@ -63,26 +63,6 @@ func (s *System) Snapshot() *Snapshot {
 		topo:     s.Topo.Seal(),
 		text:     s.ATG.Text(v),
 		textEq:   s.ATG.TextEquals(v),
-		baseRows: s.DB.TotalRows(),
-	}
-}
-
-// CloneSnapshot freezes the current view state by deep copy (O(n) in the
-// view size). It answers exactly like Snapshot at the same generation;
-// keep using it where full physical independence is the point — as the
-// aliasing-test oracle and the baseline the snapshot benchmarks compare
-// the O(Δ) seal against.
-func (s *System) CloneSnapshot() *Snapshot {
-	if s.txn != nil {
-		panic("core: CloneSnapshot inside an open transaction (commit or roll back first)")
-	}
-	d := s.DAG.Clone()
-	return &Snapshot{
-		gen:      s.gen,
-		dag:      d,
-		topo:     s.Topo.Clone(),
-		text:     s.ATG.Text(d),
-		textEq:   s.ATG.TextEquals(d),
 		baseRows: s.DB.TotalRows(),
 	}
 }

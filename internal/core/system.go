@@ -156,7 +156,6 @@ type System struct {
 	store     storage.Backend // every ΔR mutation goes through here
 	sink      CommitSink      // durability hook, nil when the view is not durable
 	afterSync func(gen uint64)
-	observers []CommitObserver // replication taps; fire only after the sink accepts
 
 	opts Options
 	text func(dag.NodeID) (string, bool)

@@ -234,7 +234,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 			// until DAG.Commit, and DeltaSince(0) is the whole group's
 			// chronological op stream.
 			rec := CommitRecord{Gen: s.gen + 1, Delta: s.DAG.DeltaSince(0), DR: t.dbLog}
-			if err := s.commitRecords([]CommitRecord{rec}); err != nil {
+			if err := s.sink([]CommitRecord{rec}); err != nil {
 				if rerr := t.rollback(); rerr != nil {
 					return rerr
 				}
@@ -285,7 +285,7 @@ func (t *Txn) sinkPrefix() (through uint64, err error) {
 	if t.s.sink == nil || len(t.recs) == 0 {
 		return 0, nil
 	}
-	if err := t.s.commitRecords(t.recs); err != nil {
+	if err := t.s.sink(t.recs); err != nil {
 		return 0, err
 	}
 	return t.recs[len(t.recs)-1].Gen, nil

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -294,10 +293,4 @@ func unescapeHelp(s string) string {
 		}
 	}
 	return b.String()
-}
-
-// SortFamilies orders families by name — handy for stable golden output
-// when merging several registries.
-func SortFamilies(fams []ParsedFamily) {
-	sort.Slice(fams, func(i, j int) bool { return fams[i].Name < fams[j].Name })
 }

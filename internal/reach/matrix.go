@@ -90,11 +90,6 @@ func (m *Matrix) AncestorList(d dag.NodeID) []dag.NodeID {
 	return m.AncestorRow(d).Slice()
 }
 
-// DescendantList returns the descendants of a as a sorted slice.
-func (m *Matrix) DescendantList(a dag.NodeID) []dag.NodeID {
-	return m.DescendantRow(a).Slice()
-}
-
 // AddPair records that a is an ancestor of d.
 func (m *Matrix) AddPair(a, d dag.NodeID) {
 	if a == d {

@@ -22,6 +22,16 @@ func rec(g uint64) wal.Record {
 	}
 }
 
+// commit appends rec(g) to the log and, the way a durable view's sink does,
+// publishes the frame the log wrote to the tail.
+func commit(t *testing.T, l *wal.Log, tail *Tail, g uint64) {
+	t.Helper()
+	if err := l.Append([]wal.Record{rec(g)}); err != nil {
+		t.Fatal(err)
+	}
+	tail.Publish(g, bytes.Clone(l.Frame(0)))
+}
+
 // seed opens a WAL with records 1..n and returns it with a matching source.
 func seed(t *testing.T, n uint64) (*wal.Log, *Source) {
 	t.Helper()
@@ -36,10 +46,7 @@ func seed(t *testing.T, n uint64) (*wal.Log, *Source) {
 	}
 	tail := NewTail(0, 8)
 	for g := uint64(1); g <= n; g++ {
-		if err := l.Append([]wal.Record{rec(g)}); err != nil {
-			t.Fatal(err)
-		}
-		tail.Publish(g, wal.AppendFramedRecord(nil, rec(g)))
+		commit(t, l, tail, g)
 	}
 	return l, NewSource(dir, tail)
 }
@@ -67,7 +74,7 @@ func collect(t *testing.T, s *Source, from uint64, window time.Duration) []uint6
 }
 
 func TestStreamServesRingAndFiles(t *testing.T) {
-	_, s := seed(t, 12) // ring capacity 8: generations 1..4 have aged out
+	l, s := seed(t, 12) // ring capacity 8: generations 1..4 have aged out
 	if d := s.Durable(); d != 12 {
 		t.Fatalf("durable = %d, want 12", d)
 	}
@@ -80,6 +87,19 @@ func TestStreamServesRingAndFiles(t *testing.T) {
 	gens = collect(t, s, 6, 10*time.Millisecond)
 	if len(gens) != 6 || gens[0] != 7 {
 		t.Fatalf("hot stream got %v", gens)
+	}
+	// One encoding per commit: the frame the ring serves for a generation
+	// and the frame a cold scan reads out of the segment for it are the same
+	// bytes, both the ones Append wrote.
+	hot, ok := s.Tail().Frames(6, 12)
+	cold, err := wal.ScanFrom(l.Dir(), 6, 12)
+	if !ok || err != nil || len(hot) != 6 || len(cold) != 6 {
+		t.Fatalf("ring served %d frames (ok=%v), scan %d (err %v); want 6 and 6", len(hot), ok, len(cold), err)
+	}
+	for i := range hot {
+		if !bytes.Equal(hot[i], cold[i].Frame) {
+			t.Fatalf("generation %d: ring frame and file frame differ", cold[i].Gen)
+		}
 	}
 	// Caught up: the poll window elapses cleanly with nothing emitted.
 	if gens = collect(t, s, 12, 10*time.Millisecond); len(gens) != 0 {
@@ -103,10 +123,7 @@ func TestStreamWakesOnPublish(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond) // the stream is parked in Wait now
 	for g := uint64(4); g <= 5; g++ {
-		if err := l.Append([]wal.Record{rec(g)}); err != nil {
-			t.Fatal(err)
-		}
-		s.Tail().Publish(g, wal.AppendFramedRecord(nil, rec(g)))
+		commit(t, l, s.Tail(), g)
 	}
 	select {
 	case gens := <-done:
@@ -124,10 +141,7 @@ func TestStreamReportsPrunedRange(t *testing.T) {
 	if err := l.WriteCheckpoint(3, append(make([]byte, wal.CheckpointHeadroom), "at3"...)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]wal.Record{rec(4)}); err != nil {
-		t.Fatal(err)
-	}
-	s.Tail().Publish(4, wal.AppendFramedRecord(nil, rec(4)))
+	commit(t, l, s.Tail(), 4)
 	if err := l.WriteCheckpoint(4, append(make([]byte, wal.CheckpointHeadroom), "at4"...)); err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +168,45 @@ func TestTailWatermarkGatesEmission(t *testing.T) {
 	if len(gens) != 2 {
 		t.Fatalf("stream emitted %v past the durable watermark", gens)
 	}
-	s.Tail().Publish(3, wal.AppendFramedRecord(nil, rec(3)))
+	s.Tail().Publish(3, bytes.Clone(l.Frame(0)))
 	if gens = collect(t, s, 2, 10*time.Millisecond); len(gens) != 1 || gens[0] != 3 {
 		t.Fatalf("post-publish stream got %v", gens)
+	}
+}
+
+// TestTailPublishPastCapacityDoesNotReallocate: a ring that has reached max
+// compacts into a fresh array once per max/4 publishes — when the headroom
+// the last compaction left is used up — not on every publish, and it still
+// serves the newest max generations at any point in between.
+func TestTailPublishPastCapacityDoesNotReallocate(t *testing.T) {
+	const max = 64
+	tail := NewTail(0, max)
+	frame := []byte("f")
+	gen := uint64(0)
+	publish := func() { gen++; tail.Publish(gen, frame) }
+	for gen < 2*max {
+		publish()
+	}
+	// AllocsPerRun rounds the average down: a wake channel per publish and a
+	// ring every max/4 publishes is 1, a ring per publish would be 2.
+	if allocs := testing.AllocsPerRun(max, publish); allocs >= 2 {
+		t.Fatalf("a publish past capacity allocates %.0f objects; compacting on every one of them again?", allocs)
+	}
+	arrays := 0
+	var last *framed
+	for i := 0; i < max; i++ {
+		publish()
+		if first := &tail.ring[:1][0]; first != last {
+			arrays, last = arrays+1, first
+		}
+		if len(tail.ring) < max || len(tail.ring) > max+max/4 {
+			t.Fatalf("ring holds %d frames, want between %d and %d", len(tail.ring), max, max+max/4)
+		}
+		if frames, ok := tail.Frames(gen-max, gen); !ok || len(frames) != max {
+			t.Fatalf("at generation %d the ring serves %d of the newest %d (ok=%v)", gen, len(frames), max, ok)
+		}
+	}
+	if arrays > 1+max/(max/4) {
+		t.Fatalf("%d ring arrays in %d publishes, want one per %d", arrays, max, max/4)
 	}
 }

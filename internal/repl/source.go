@@ -16,7 +16,10 @@ var ErrPruned = wal.ErrPruned
 
 // Source streams a primary's committed change log from a given generation:
 // the cold range comes from read-only WAL scans, the hot range from the
-// Tail's ring, and a caught-up stream long-polls the Tail's broadcast.
+// Tail's ring, and a caught-up stream long-polls the Tail's broadcast. Either
+// way a frame is the bytes the log's one Append wrote for that record — a
+// copy of them in the ring, the segment's own on the cold path — so a
+// follower cannot tell the two apart and nothing here encodes.
 type Source struct {
 	dir  string
 	tail *Tail
@@ -28,7 +31,7 @@ func NewSource(dir string, tail *Tail) *Source {
 	return &Source{dir: dir, tail: tail}
 }
 
-// Tail returns the live tail (the commit observer publishes into it).
+// Tail returns the live tail (the durable view's sink publishes into it).
 func (s *Source) Tail() *Tail { return s.tail }
 
 // Durable returns the newest streamable generation.
@@ -95,12 +98,11 @@ func (s *Source) emitRange(ctx context.Context, from, to uint64, emit func(gen u
 		if err := ctx.Err(); err != nil {
 			return from, err
 		}
-		frame := wal.AppendFramedRecord(nil, r)
-		if err := emit(r.Gen, frame); err != nil {
+		if err := emit(r.Gen, r.Frame); err != nil {
 			return from, err
 		}
 		m.recs.Inc()
-		m.bytes.Add(uint64(len(frame)))
+		m.bytes.Add(uint64(len(r.Frame)))
 		from = r.Gen
 	}
 	return from, nil

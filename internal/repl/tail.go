@@ -8,10 +8,10 @@
 // The correctness pivot is the durable watermark. WAL segment bytes are
 // visible to concurrent readers the moment write(2) returns, including
 // bytes a failed fsync is about to truncate back out — so nothing here
-// trusts the files alone. A record is streamable only once the commit
-// observer has published it to the Tail, which happens strictly after the
-// sink accepted it; the watermark the Tail advances is what separates the
-// primary's acknowledged history from in-flight bytes.
+// trusts the files alone. A record is streamable only once the durable
+// view's commit sink has published it to the Tail, which is the statement
+// after the log's Append returned nil; the watermark the Tail advances is
+// what separates the primary's acknowledged history from in-flight bytes.
 package repl
 
 import (
@@ -29,13 +29,13 @@ type framed struct {
 
 // Tail is the live end of the change log: a bounded ring of the newest
 // framed records plus the durable watermark and a broadcast that wakes
-// long-polling streams. One producer (the writer goroutine, via the commit
-// observer), many concurrent readers.
+// long-polling streams. One producer (the writer goroutine, in the commit
+// sink), many concurrent readers.
 type Tail struct {
 	durable atomic.Uint64
 
 	mu   sync.Mutex
-	ring []framed // generation-ascending, bounded by max
+	ring []framed // generation-ascending; the newest max at least, max+max/4 at most
 	max  int
 	wake chan struct{} // closed and replaced on every publish
 }
@@ -47,7 +47,7 @@ func NewTail(start uint64, capacity int) *Tail {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	t := &Tail{max: capacity, wake: make(chan struct{})}
+	t := &Tail{ring: make([]framed, 0, capacity+capacity/4), max: capacity, wake: make(chan struct{})}
 	t.durable.Store(start)
 	return t
 }
@@ -58,8 +58,10 @@ func NewTail(start uint64, capacity int) *Tail {
 func (t *Tail) Publish(gen uint64, frame []byte) {
 	t.mu.Lock()
 	t.ring = append(t.ring, framed{gen: gen, bytes: frame})
-	if len(t.ring) > t.max {
-		// Compact to a fresh backing array so dropped frames are collectable.
+	if len(t.ring) > t.max && len(t.ring) == cap(t.ring) {
+		// Out of headroom: compact to a fresh backing array so dropped
+		// frames are collectable. The new array has a quarter of max to
+		// spare, so this runs once per max/4 publishes, not on each.
 		keep := t.ring[len(t.ring)-t.max:]
 		t.ring = append(make([]framed, 0, t.max+t.max/4), keep...)
 	}

@@ -11,7 +11,6 @@ package wal
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -26,17 +25,12 @@ import (
 // restarts from the newest checkpoint instead.
 var ErrPruned = errors.New("wal: generations pruned")
 
-// AppendFramedRecord appends r to dst in the exact on-disk frame format
-// Append uses (uvarint length, CRC-32C, payload), so a follower can feed the
-// bytes straight into a FrameReader.
-func AppendFramedRecord(dst []byte, r Record) []byte {
-	return appendFrame(dst, appendRecord(nil, r))
-}
-
-// FrameReader decodes a stream of CRC-framed records from r — the wire twin
-// of a segment's record region. Next returns io.EOF at a clean stream end,
-// io.ErrUnexpectedEOF when the stream ends inside a frame, and an error
-// wrapping ErrCorrupt on a checksum or decode failure.
+// FrameReader decodes a stream of CRC-framed records from r: a segment's
+// record region as it arrives on a socket, where parseSegment has it in a
+// buffer (FuzzParseSegment holds the two to the same records). Next returns
+// io.EOF at a clean stream end, io.ErrUnexpectedEOF when the stream ends
+// inside a frame, and an error wrapping ErrCorrupt on a checksum or decode
+// failure.
 type FrameReader struct {
 	r   *bufio.Reader
 	buf []byte
@@ -94,14 +88,17 @@ func Oldest(dir string) (uint64, error) {
 }
 
 // ScanFrom reads the records of generations in (from, max] out of dir
-// without modifying anything — the replication catch-up path. The records
-// come back gen-contiguous from from+1; a gap wraps ErrMismatch and damage
-// in a sealed segment wraps ErrCorrupt, but a torn or corrupt tail of the
-// physically last segment just ends the scan: the writer may be appending
-// there concurrently, and max (the caller's durability watermark) is what
-// separates committed history from in-flight bytes. When the segments that
-// held from+1 have been pruned by checkpointing, ScanFrom wraps ErrPruned.
-func ScanFrom(dir string, from, max uint64) ([]Record, error) {
+// without modifying anything — the replication catch-up path. Each comes
+// back with the frame it was read from, so the caller forwards the bytes the
+// log wrote and encodes nothing. The records are gen-contiguous from from+1;
+// a gap wraps ErrMismatch and anything parsed.refuse refuses wraps
+// ErrCorrupt, but a torn tail of the physically last segment just ends the
+// scan, silently and without repair (that is recovery's job, and only
+// recovery's): the writer may be appending there concurrently, and max (the
+// caller's durability watermark) is what separates committed history from
+// in-flight bytes. When the segments that held from+1 have been pruned by
+// checkpointing, ScanFrom wraps ErrPruned.
+func ScanFrom(dir string, from, max uint64) ([]Framed, error) {
 	if max <= from {
 		return nil, nil
 	}
@@ -113,7 +110,7 @@ func ScanFrom(dir string, from, max uint64) ([]Record, error) {
 		return nil, fmt.Errorf("wal: %s: generation %d predates oldest segment %d: %w",
 			dir, from+1, segs[0], ErrPruned)
 	}
-	var out []Record
+	var out []Framed
 	prev := from
 	for i, g := range segs {
 		// Segment wal-g holds generations in (g, next checkpoint]; when the
@@ -122,11 +119,16 @@ func ScanFrom(dir string, from, max uint64) ([]Record, error) {
 		if i+1 < len(segs) && segs[i+1] <= from {
 			continue
 		}
-		recs, err := scanSegment(filepath.Join(dir, segName(g)), g, i == len(segs)-1)
+		path := filepath.Join(dir, segName(g))
+		b, err := os.ReadFile(path)
 		if err != nil {
+			return nil, fmt.Errorf("wal: %s: %w", path, err)
+		}
+		p := parseSegment(b, g)
+		if err := p.refuse(segName(g), i == len(segs)-1); err != nil {
 			return nil, err
 		}
-		for _, r := range recs {
+		for _, r := range p.recs {
 			if r.Gen <= from {
 				continue
 			}
@@ -142,63 +144,4 @@ func ScanFrom(dir string, from, max uint64) ([]Record, error) {
 		}
 	}
 	return out, nil
-}
-
-// scanSegment is readSegment's read-only twin: same parse, no repair. In the
-// physically last segment any tail problem — torn frame, checksum failure on
-// the final frame, undecodable record — ends the scan silently (an append
-// may be in flight there); anywhere else it wraps ErrCorrupt.
-func scanSegment(path string, gen uint64, last bool) ([]Record, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %s: %w", path, err)
-	}
-	name := filepath.Base(path)
-	if len(b) == 0 {
-		return nil, nil
-	}
-	if len(b) < len(segMagic) || !bytes.Equal(b[:len(segMagic)], []byte(segMagic)) {
-		if len(b) < len(segMagic) && last {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("wal: %s: bad magic: %w", name, ErrCorrupt)
-	}
-	hdr, rest, res := readFrame(b[len(segMagic):])
-	if res != frameOK {
-		if (res == frameTorn || res == frameEOF) && last {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("wal: %s: bad header frame: %w", name, ErrCorrupt)
-	}
-	if g, ok := u64from(hdr); !ok || g != gen {
-		return nil, fmt.Errorf("wal: %s: header generation %d does not match file name: %w", name, g, ErrCorrupt)
-	}
-	var recs []Record
-	off := len(b) - len(rest)
-	for {
-		payload, rest, res := readFrame(b[off:])
-		switch res {
-		case frameEOF:
-			return recs, nil
-		case frameTorn:
-			if last {
-				return recs, nil
-			}
-			return nil, fmt.Errorf("wal: %s: torn record at offset %d: %w", name, off, ErrCorrupt)
-		case frameCorrupt:
-			if last && tailEndsAt(b, off) {
-				return recs, nil
-			}
-			return nil, fmt.Errorf("wal: %s: corrupt record at offset %d: %w", name, off, ErrCorrupt)
-		}
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			if last {
-				return recs, nil
-			}
-			return nil, fmt.Errorf("wal: %s: undecodable record at offset %d: %w: %w", name, off, err, ErrCorrupt)
-		}
-		recs = append(recs, rec)
-		off = len(b) - len(rest)
-	}
 }

@@ -76,8 +76,13 @@ func TestScanFromTail(t *testing.T) {
 		t.Fatalf("scanned %d records, want 5", len(recs))
 	}
 	for i, r := range recs {
-		if !reflect.DeepEqual(r, rec(uint64(i+4))) {
+		if !reflect.DeepEqual(r.Record, rec(uint64(i+4))) {
 			t.Fatalf("record %d: %+v", i, r)
+		}
+		// The frame that comes back is the one Append wrote, not a re-encoding
+		// that happens to match: it is a span of the segment's bytes.
+		if want := AppendFramedRecord(nil, rec(uint64(i+4))); !bytes.Equal(r.Frame, want) {
+			t.Fatalf("record %d: frame of %d bytes, Append wrote %d", i, len(r.Frame), len(want))
 		}
 	}
 

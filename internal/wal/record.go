@@ -9,15 +9,26 @@ import (
 	"rxview/internal/relational"
 )
 
-// Record is one committed write unit in replayable form — the wal-side twin
-// of core.CommitRecord (wal cannot import core: core owns the commit path
-// and the root package glues the two together). Gen is the generation the
-// unit produced; Delta is the chronological DAG delta; DR is the executed
-// relational group update.
+// Record is everything a committed write unit changed, in replayable form,
+// and the one declaration of it: core produces and replays it under the name
+// core.CommitRecord, this package frames it, a follower receives the frame.
+// Gen is the generation the unit produced; Delta is the chronological DAG
+// delta (ΔV at the instance level, deletions included — dag.DeltaOp, not the
+// grouped change summary); DR is the executed relational group update ΔR.
+// Replaying the record against the state at generation Gen-1 reproduces the
+// state at Gen exactly, node identities included.
 type Record struct {
 	Gen   uint64
 	Delta []dag.DeltaOp
 	DR    []relational.Mutation
+}
+
+// Framed is a record read back from a segment together with its frame: the
+// bytes Append wrote for it, checksum verified, aliasing the buffer the
+// segment was read into. A follower is sent Frame as it stands.
+type Framed struct {
+	Record
+	Frame []byte
 }
 
 // castagnoli is the CRC-32C polynomial table; hardware-accelerated on the

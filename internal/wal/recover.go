@@ -77,7 +77,7 @@ func Open(dir string, opts Options) (*Log, *BootState, error) {
 	prev := boot.Gen
 	for i, g := range segs {
 		path := filepath.Join(dir, segName(g))
-		recs, warn, err := readSegment(path, g, i == len(segs)-1)
+		recs, warn, err := recoverSegment(path, g, i == len(segs)-1)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -94,7 +94,7 @@ func Open(dir string, opts Options) (*Log, *BootState, error) {
 					filepath.Base(path), r.Gen, prev, ErrMismatch)
 			}
 			prev = r.Gen
-			boot.Records = append(boot.Records, r)
+			boot.Records = append(boot.Records, r.Record)
 			m.replayRecs.Inc()
 		}
 	}
@@ -136,129 +136,40 @@ func readCheckpoint(path string, gen uint64) ([]byte, error) {
 	return state, nil
 }
 
-// readSegment parses one log segment. In the physically last segment a torn
-// tail — a frame the file ends inside, or a checksum failure on the very
-// last frame — is truncated away on disk (so a later recovery does not
-// re-judge it) and reported as a warning. Anywhere else, a bad frame wraps
-// ErrCorrupt: fully synced segments have no torn appends, and a bad record
-// with valid data after it is damage, not an interrupted write.
+// recoverSegment is recovery's reading of one segment: refuse what the
+// shared rule refuses, and in the physically last segment cut a torn tail
+// off on disk — so a later recovery does not re-judge it — and report it as
+// a warning.
 //
 // The last segment is fsynced before it is accepted — the truncation, and
 // whatever records a SyncBatch or SyncOff writer left in the page cache. The
 // caller is about to start a newer segment, and from then on this one is
 // judged by the strict rule: a truncation or a tail that a power cut took
 // back would be a bad frame, or a generation gap, in a non-last segment.
-func readSegment(path string, gen uint64, last bool) (recs []Record, warning string, err error) {
+func recoverSegment(path string, gen uint64, last bool) (recs []Framed, warning string, err error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, "", fmt.Errorf("wal: %s: %w", path, err)
 	}
-	if last {
-		defer func() {
-			if err != nil {
-				return
-			}
-			if err = syncPath(path); err != nil {
-				recs, err = nil, fmt.Errorf("wal: %s: %w", path, err)
-			}
-		}()
-	}
 	name := filepath.Base(path)
-	if len(b) == 0 {
-		// A crash between segment creation and header write; nothing in it.
-		return nil, "", nil
+	p := parseSegment(b, gen)
+	if err := p.refuse(name, last); err != nil {
+		return nil, "", err
 	}
-	truncate := func(keep int, why string) (warn string, err error) {
-		if !last {
-			return "", fmt.Errorf("wal: %s: %s at offset %d: %w", name, why, keep, ErrCorrupt)
+	if p.stop > stopEmpty {
+		// Past clean and empty, refuse lets through only a torn tail, and
+		// only here in the last segment.
+		if err := os.Truncate(path, int64(p.good)); err != nil {
+			return nil, "", fmt.Errorf("wal: %s: truncating %s: %w", name, p.why, err)
 		}
-		if terr := os.Truncate(path, int64(keep)); terr != nil {
-			return "", fmt.Errorf("wal: %s: truncating %s at offset %d: %w", name, why, keep, terr)
-		}
-		return fmt.Sprintf("%s: truncated %s at offset %d (%d bytes dropped)", name, why, keep, len(b)-keep), nil
+		warning = fmt.Sprintf("%s: truncated %s (%d bytes dropped)", name, p.why, len(b)-p.good)
 	}
-	if len(b) < len(segMagic) || !bytes.Equal(b[:len(segMagic)], []byte(segMagic)) {
-		if len(b) < len(segMagic) && last {
-			warning, err = truncate(0, "torn segment header")
-			return nil, warning, err
-		}
-		return nil, "", fmt.Errorf("wal: %s: bad magic: %w", name, ErrCorrupt)
-	}
-	off := len(segMagic)
-	hdr, rest, res := readFrame(b[off:])
-	if res != frameOK {
-		// frameEOF here means the file ends right after the magic — the
-		// header write itself was interrupted.
-		if (res == frameTorn || res == frameEOF) && last {
-			warning, err = truncate(0, "torn segment header")
-			return nil, warning, err
-		}
-		return nil, "", fmt.Errorf("wal: %s: bad header frame: %w", name, ErrCorrupt)
-	}
-	g, ok := u64from(hdr)
-	if !ok || g != gen {
-		return nil, "", fmt.Errorf("wal: %s: header generation %d does not match file name: %w", name, g, ErrCorrupt)
-	}
-	off = len(b) - len(rest)
-	for {
-		payload, rest, res := readFrame(b[off:])
-		switch res {
-		case frameEOF:
-			return recs, "", nil
-		case frameTorn:
-			warning, err = truncate(off, "torn record")
-			return recs, warning, err
-		case frameCorrupt:
-			// A complete frame with a bad checksum can still be the torn
-			// final append when nothing follows the announced frame end —
-			// writeback reordering under SyncOff can complete the length
-			// prefix without the payload. If parseable or garbage bytes
-			// follow, it is damage.
-			if last && tailEndsAt(b, off) {
-				warning, err = truncate(off, "corrupt final record")
-				return recs, warning, err
-			}
-			return nil, "", fmt.Errorf("wal: %s: corrupt record at offset %d: %w", name, off, ErrCorrupt)
-		}
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			warn, terr := truncate(off, "undecodable record")
-			if terr != nil {
-				return nil, "", fmt.Errorf("%w (decode: %w)", terr, err)
-			}
-			return recs, warn, nil
-		}
-		recs = append(recs, rec)
-		off = len(b) - len(rest)
-	}
-}
-
-// tailEndsAt reports whether the frame starting at off is the last thing in
-// the file: its announced end is at or beyond EOF once the checksum and
-// length prefix are accounted for.
-func tailEndsAt(b []byte, off int) bool {
-	size, n := uvarintAt(b, off)
-	if n <= 0 {
-		return true
-	}
-	return off+n+4+int(size) >= len(b)
-}
-
-func uvarintAt(b []byte, off int) (uint64, int) {
-	var v uint64
-	var s uint
-	for i := off; i < len(b); i++ {
-		c := b[i]
-		if c < 0x80 {
-			return v | uint64(c)<<s, i - off + 1
-		}
-		v |= uint64(c&0x7f) << s
-		s += 7
-		if s > 63 {
-			return 0, -1
+	if last {
+		if err := syncPath(path); err != nil {
+			return nil, "", fmt.Errorf("wal: %s: %w", path, err)
 		}
 	}
-	return 0, 0
+	return p.recs, warning, nil
 }
 
 // NewestCheckpoint returns the newest readable checkpoint in dir — the one
@@ -280,32 +191,32 @@ func NewestCheckpoint(dir string) (gen uint64, state []byte, path string, err er
 
 // RecordInfo summarizes one log record for inspection tooling.
 type RecordInfo struct {
-	Gen       uint64
-	DeltaOps  int // DAG mutations (ΔV) in the record
-	Mutations int // relational mutations (ΔR) in the record
-	Bytes     int // framed size on disk
+	Gen       uint64 `json:"gen"`
+	DeltaOps  int    `json:"delta_ops"` // DAG mutations (ΔV) in the record
+	Mutations int    `json:"mutations"` // relational mutations (ΔR) in the record
+	Bytes     int    `json:"bytes"`     // framed size on disk
 }
 
 // SegmentInfo summarizes one log segment.
 type SegmentInfo struct {
-	Path    string
-	Start   uint64 // generation the segment starts after
-	Records []RecordInfo
-	Note    string // non-empty when the tail is torn or a record undecodable
+	Path    string       `json:"path"`
+	Start   uint64       `json:"start"` // generation the segment starts after
+	Records []RecordInfo `json:"records,omitempty"`
+	Note    string       `json:"note,omitempty"` // why the parse stopped short of a clean end: torn tail, damage
 }
 
 // CheckpointInfo summarizes one checkpoint file.
 type CheckpointInfo struct {
-	Path  string
-	Gen   uint64
-	Bytes int    // state payload size
-	Err   string // non-empty when the file fails validation
+	Path  string `json:"path"`
+	Gen   uint64 `json:"gen"`
+	Bytes int    `json:"bytes"`         // state payload size
+	Err   string `json:"err,omitempty"` // non-empty when the file fails validation
 }
 
 // DirInfo is the inspection view of a log directory.
 type DirInfo struct {
-	Checkpoints []CheckpointInfo
-	Segments    []SegmentInfo
+	Checkpoints []CheckpointInfo `json:"checkpoints"`
+	Segments    []SegmentInfo    `json:"segments"`
 }
 
 // Inspect lists a log directory without recovering from it: every
@@ -337,45 +248,12 @@ func Inspect(dir string) (*DirInfo, error) {
 			info.Segments = append(info.Segments, si)
 			continue
 		}
-		si.Records, si.Note = scanRecords(b, g)
+		p := parseSegment(b, g)
+		for _, r := range p.recs {
+			si.Records = append(si.Records, RecordInfo{Gen: r.Gen, DeltaOps: len(r.Delta), Mutations: len(r.DR), Bytes: len(r.Frame)})
+		}
+		si.Note = p.why
 		info.Segments = append(info.Segments, si)
 	}
 	return info, nil
-}
-
-// scanRecords parses as many records as the segment bytes allow, reporting
-// the first problem as a note rather than an error.
-func scanRecords(b []byte, gen uint64) (recs []RecordInfo, note string) {
-	if len(b) < len(segMagic) || !bytes.Equal(b[:len(segMagic)], []byte(segMagic)) {
-		if len(b) == 0 {
-			return nil, "empty (no header)"
-		}
-		return nil, "bad magic"
-	}
-	hdr, rest, res := readFrame(b[len(segMagic):])
-	if res != frameOK {
-		return nil, "bad header frame"
-	}
-	if g, ok := u64from(hdr); !ok || g != gen {
-		return nil, fmt.Sprintf("header generation %d does not match file name", g)
-	}
-	off := len(b) - len(rest)
-	for {
-		payload, rest, res := readFrame(b[off:])
-		switch res {
-		case frameEOF:
-			return recs, note
-		case frameTorn:
-			return recs, fmt.Sprintf("torn record at offset %d", off)
-		case frameCorrupt:
-			return recs, fmt.Sprintf("corrupt record at offset %d", off)
-		}
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			return recs, fmt.Sprintf("undecodable record at offset %d: %v", off, err)
-		}
-		framed := len(b) - len(rest) - off
-		recs = append(recs, RecordInfo{Gen: rec.Gen, DeltaOps: len(rec.Delta), Mutations: len(rec.DR), Bytes: framed})
-		off = len(b) - len(rest)
-	}
 }

@@ -138,7 +138,9 @@ type Log struct {
 	f        *os.File // active segment
 	segStart uint64   // generation the active segment starts after
 	unsynced int      // appends since the last fsync (SyncBatch)
-	buf      []byte   // frame scratch, reused across appends
+	payload  []byte   // one record's encoding, reused across records
+	buf      []byte   // the frames of one Append, back to back, reused across appends
+	ends     []int    // ends[i] is where record i's frame ends in buf
 	size     int64    // bytes in the active segment (offset attribution)
 	dead     error    // first disk failure; non-nil refuses writes until Reopen
 }
@@ -171,6 +173,9 @@ func parseGen(name, prefix, ext string) (uint64, bool) {
 // give the log an active segment.
 func create(dir string, opts Options) (*Log, error) {
 	opts.norm()
+	if opts.Policy < SyncAlways || opts.Policy > SyncOff {
+		return nil, fmt.Errorf("wal: unknown fsync policy %d", int(opts.Policy))
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create %s: %w", dir, err)
 	}
@@ -178,7 +183,10 @@ func create(dir string, opts Options) (*Log, error) {
 }
 
 // Append writes the records as one frame each, then syncs per policy. The
-// records are durable (to the policy's guarantee) when Append returns nil.
+// records are durable (to the policy's guarantee) when Append returns nil,
+// and Frame then hands back what was written. This is the one place a record
+// is encoded: whoever else needs its bytes — the replication tail now, a
+// catch-up scan later — gets these.
 //
 // Append is all-or-nothing: any failure past the write — a short write, a
 // failed fsync, an injected crash-before-fsync — truncates the batch back
@@ -207,10 +215,11 @@ func (l *Log) Append(recs []Record) error {
 			return l.diskErr("append", l.size, fmt.Errorf("no space left on device: %w", err))
 		}
 	}
-	l.buf = l.buf[:0]
+	l.buf, l.ends = l.buf[:0], l.ends[:0]
 	for _, r := range recs {
-		payload := appendRecord(nil, r)
-		l.buf = appendFrame(l.buf, payload)
+		l.payload = appendRecord(l.payload[:0], r)
+		l.buf = appendFrame(l.buf, l.payload)
+		l.ends = append(l.ends, len(l.buf))
 	}
 	start := l.size
 	if _, err := l.f.Write(l.buf); err != nil {
@@ -251,6 +260,17 @@ func (l *Log) Append(recs []Record) error {
 		}
 	}
 	return nil
+}
+
+// Frame returns the frame of the i'th record of the last Append, which must
+// have returned nil: the exact bytes now in the segment. It aliases the
+// log's buffer, so the caller copies what it keeps past the next Append.
+func (l *Log) Frame(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = l.ends[i-1]
+	}
+	return l.buf[start:l.ends[i]]
 }
 
 // appendSync is Append's policy fsync with fault injection and typed
@@ -319,7 +339,7 @@ func (l *Log) Reopen() (warning string, err error) {
 	_, segs := listDir(l.dir)
 	if len(segs) > 0 {
 		g := segs[len(segs)-1]
-		_, warning, err = readSegment(filepath.Join(l.dir, segName(g)), g, true)
+		_, warning, err = recoverSegment(filepath.Join(l.dir, segName(g)), g, true)
 		if err != nil {
 			l.dead = err
 			return warning, fmt.Errorf("wal: reopen %s: %w", l.dir, err)

@@ -27,6 +27,13 @@ func rec(g uint64) Record {
 	}
 }
 
+// AppendFramedRecord appends r to dst as one frame, the way Log.Append lays a
+// record down. Tests build wire and segment bytes with it; outside tests
+// Append is the only encoder.
+func AppendFramedRecord(dst []byte, r Record) []byte {
+	return appendFrame(dst, appendRecord(nil, r))
+}
+
 // ckptBuf is a checkpoint buffer as WriteCheckpoint takes it: the headroom,
 // then the state.
 func ckptBuf(state string) []byte {
@@ -399,6 +406,9 @@ func TestParsePolicy(t *testing.T) {
 	if _, err := ParsePolicy("sometimes"); err == nil {
 		t.Fatal("bad policy accepted")
 	}
+	if _, _, err := Open(t.TempDir(), Options{Policy: SyncOff + 1}); err == nil {
+		t.Fatal("Open accepted a policy that is none of the three")
+	}
 }
 
 func TestInspect(t *testing.T) {
@@ -447,6 +457,17 @@ func TestInspect(t *testing.T) {
 	}
 	if info.Segments[0].Note == "" || len(info.Segments[0].Records) != 2 {
 		t.Fatalf("torn segment: %+v", info.Segments[0])
+	}
+	// One parser: the listing counts the records a catch-up scan of the same
+	// damaged directory returns, and names the stop the scan ended at.
+	scanned, err := ScanFrom(dir, 0, 3)
+	if err != nil || len(scanned) != len(info.Segments[0].Records) {
+		t.Fatalf("ScanFrom returned %d records (err %v), Inspect lists %d", len(scanned), err, len(info.Segments[0].Records))
+	}
+	for i, r := range scanned {
+		if got := info.Segments[0].Records[i]; got.Gen != r.Gen || got.Bytes != len(r.Frame) {
+			t.Fatalf("record %d: listed %+v, scanned generation %d in %d bytes", i, got, r.Gen, len(r.Frame))
+		}
 	}
 	if _, err := Inspect(filepath.Join(dir, "nope")); err == nil {
 		t.Fatal("missing dir accepted")

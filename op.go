@@ -35,9 +35,6 @@ func Delete(path string) Update {
 	return Update{delete: true, path: path}
 }
 
-// IsDelete reports whether the update is a deletion.
-func (u Update) IsDelete() bool { return u.delete }
-
 // Path returns the update's XPath expression.
 func (u Update) Path() string { return u.path }
 

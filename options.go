@@ -1,9 +1,8 @@
 package rxview
 
 import (
-	"fmt"
-
 	"rxview/internal/core"
+	"rxview/internal/wal"
 )
 
 // Option configures a View at Open time.
@@ -20,36 +19,26 @@ type config struct {
 }
 
 // FsyncPolicy selects when committed records reach stable storage; see
-// WithFsync.
-type FsyncPolicy int
+// WithFsync. It is the log's own policy type.
+type FsyncPolicy = wal.SyncPolicy
 
 const (
 	// FsyncAlways syncs the log after every commit: a returned verdict
 	// implies the transaction survives power loss. The slowest policy.
-	FsyncAlways FsyncPolicy = iota
+	FsyncAlways = wal.SyncAlways
 	// FsyncBatch syncs the log every few commits (group commit) and on
 	// checkpoint and Close. A crash can lose the last unsynced commits,
 	// never an interior subset.
-	FsyncBatch
+	FsyncBatch = wal.SyncBatch
 	// FsyncOff never syncs explicitly: records still reach the kernel on
 	// every commit, so a process kill loses nothing, but an OS crash or
 	// power loss can lose the tail.
-	FsyncOff
+	FsyncOff = wal.SyncOff
 )
 
 // ParseFsyncPolicy parses the textual policy names used by the command-line
 // tools: "always", "batch" or "off".
-func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
-	switch s {
-	case "always":
-		return FsyncAlways, nil
-	case "batch":
-		return FsyncBatch, nil
-	case "off":
-		return FsyncOff, nil
-	}
-	return 0, fmt.Errorf("rxview: unknown fsync policy %q (want always, batch or off)", s)
-}
+func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return wal.ParsePolicy(s) }
 
 // WithDurability makes the view durable: committed write units are appended
 // to a write-ahead log in dir before their verdict is returned, sealed

@@ -13,13 +13,13 @@ import (
 )
 
 // Replication glue. The primary side exposes its durable change log — the
-// exact CommitRecord stream the WAL already serializes — as a ReplSource: a
-// checkpoint fetch plus a generation-contiguous record stream. The follower
-// side is a Replica: a read-only view that restores from a checkpoint
-// payload and replays streamed records one epoch per record through the
-// same loop boot recovery uses (core's ApplyCommitRecord).
-// The HTTP transport between the two lives in the server package; this file
-// only defines the state machines and the wire framing.
+// frames the WAL wrote, byte for byte — as a ReplSource: a checkpoint fetch
+// plus a generation-contiguous record stream. The follower side is a
+// Replica: a read-only view that restores from a checkpoint payload and
+// replays streamed records one epoch per record through the same loop boot
+// recovery uses (core's ApplyCommitRecord). The HTTP transport between the
+// two lives in the server package; this file only defines the state machines
+// and the wire framing.
 
 // ErrReplicaStale marks a follower that cannot continue from its current
 // generation because the primary's log no longer holds the range — the
@@ -35,23 +35,21 @@ type ReplSource struct {
 	src *repl.Source
 }
 
-// ReplSource turns a durable view into a change-log source: every commit
-// the log accepts is also published (in wire framing) to an in-memory tail,
-// and the WAL segments serve as the cold catch-up range. Call it once,
-// before the view starts serving writes — it installs a commit observer,
-// which is a setup-time operation like SetCommitSink. Views opened without
-// WithDurability cannot stream: their history is not retained anywhere.
+// ReplSource turns a durable view into a change-log source: from here on the
+// view's commit sink publishes the frames of every append the log accepts to
+// an in-memory tail, and the WAL segments serve as the cold catch-up range —
+// the same bytes either way. Call it before the view starts serving writes:
+// like SetCommitSink it is a setup-time operation, and the writer reads the
+// tail it installs. Views opened without WithDurability cannot stream: their
+// history is not retained anywhere.
 func (v *View) ReplSource() (*ReplSource, error) {
 	if v.log == nil {
 		return nil, fmt.Errorf("rxview: replication requires a durable view (WithDurability)")
 	}
-	tail := repl.NewTail(v.sys.Generation(), 0)
-	v.sys.AddCommitObserver(func(recs []core.CommitRecord) {
-		for _, r := range recs {
-			tail.Publish(r.Gen, wal.AppendFramedRecord(nil, walRecordOf(r)))
-		}
-	})
-	return &ReplSource{v: v, src: repl.NewSource(v.log.Dir(), tail)}, nil
+	if v.tail == nil {
+		v.tail = repl.NewTail(v.sys.Generation(), 0)
+	}
+	return &ReplSource{v: v, src: repl.NewSource(v.log.Dir(), v.tail)}, nil
 }
 
 // Generation returns the newest streamable generation: the durable
@@ -87,7 +85,7 @@ func (rs *ReplSource) Stream(ctx context.Context, from uint64, window time.Durat
 // ReplRecord is one committed write unit in replay form, decoded from a
 // stream frame. Opaque: followers pass it to Replica.ApplyRecord.
 type ReplRecord struct {
-	rec core.CommitRecord
+	rec wal.Record
 }
 
 // Generation returns the generation this record produces when applied.
@@ -113,7 +111,7 @@ func (r *ReplFrameReader) Next() (ReplRecord, error) {
 	if err != nil {
 		return ReplRecord{}, err
 	}
-	return ReplRecord{rec: commitRecordOf(rec)}, nil
+	return ReplRecord{rec: rec}, nil
 }
 
 // Replica is a read-only follower of a durable primary: it restores from a

@@ -212,3 +212,66 @@ func TestReplicaRefusesGapsAndDurability(t *testing.T) {
 		t.Fatal("durable replica was allowed")
 	}
 }
+
+// TestReplSourceSeesOnlyAcceptedAppends: the commit sink is the one hook on
+// the commit path — append, then publish what the append wrote — so a
+// follower can be sent exactly the commits the log accepted. An append the
+// log refuses (its fsync fails) moves neither the source's watermark nor a
+// stream; an append the log accepts is published even when accepting it is
+// the last thing that log does (crash-after-fsync: the record is durable,
+// the log is dead).
+func TestReplSourceSeesOnlyAcceptedAppends(t *testing.T) {
+	ctx := context.Background()
+	defer rxview.DisableChaos()
+	open := func() (*rxview.View, *rxview.ReplSource) {
+		v := mustDurableView(t, t.TempDir())
+		src, err := v.ReplSource()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := v.Apply(ctx, chaosIns("CR1")); err != nil {
+			t.Fatal(err)
+		}
+		if src.Generation() != 1 || len(pull(t, src, 0)) == 0 {
+			t.Fatalf("an accepted commit was not published: source at generation %d", src.Generation())
+		}
+		return v, src
+	}
+
+	v, src := open()
+	if err := rxview.EnableChaos("wal.fsync:count=1", 1); err != nil {
+		t.Fatal(err)
+	}
+	_, err := v.Apply(ctx, chaosIns("CR2"))
+	rxview.DisableChaos()
+	if !errors.Is(err, rxview.ErrDegraded) {
+		t.Fatalf("write under a failing fsync: %v, want ErrDegraded", err)
+	}
+	if got := src.Generation(); got != 1 {
+		t.Fatalf("the refused commit moved the source to generation %d", got)
+	}
+	if wire := pull(t, src, 1); len(wire) != 0 {
+		t.Fatalf("a stream emitted %d bytes for a commit the log refused", len(wire))
+	}
+	recoverDegraded(t, v)
+	v.Close()
+
+	v, src = open()
+	defer v.Close()
+	if err := rxview.EnableChaos("wal.crash-after-fsync:count=1", 1); err != nil {
+		t.Fatal(err)
+	}
+	_, err = v.Apply(ctx, chaosIns("CR2"))
+	rxview.DisableChaos()
+	if err != nil || !v.Degraded() {
+		t.Fatalf("write whose append is accepted by a log that then dies: err=%v degraded=%v, want an acknowledged write on a degraded view", err, v.Degraded())
+	}
+	if got := src.Generation(); got != 2 {
+		t.Fatalf("the accepted commit left the source at generation %d, want 2", got)
+	}
+	rec, err := rxview.NewReplFrameReader(bytes.NewReader(pull(t, src, 1))).Next()
+	if err != nil || rec.Generation() != 2 {
+		t.Fatalf("stream past generation 1: record for generation %d, err %v; want the accepted commit", rec.Generation(), err)
+	}
+	recoverDegraded(t, v)
+}

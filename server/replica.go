@@ -60,7 +60,6 @@ type replicaConfig struct {
 	window      time.Duration
 	backoffBase time.Duration
 	backoffMax  time.Duration
-	client      *http.Client
 	logf        func(string, ...any)
 	engOpts     []Option
 }
@@ -95,15 +94,6 @@ func WithFollowBackoff(base, max time.Duration) ReplicaOption {
 		}
 		if max > 0 {
 			c.backoffMax = max
-		}
-	}
-}
-
-// WithFollowClient sets the HTTP client used against the primary.
-func WithFollowClient(cl *http.Client) ReplicaOption {
-	return func(c *replicaConfig) {
-		if cl != nil {
-			c.client = cl
 		}
 	}
 }
@@ -151,7 +141,6 @@ func NewReplica(rep *rxview.Replica, primary string, opts ...ReplicaOption) *Rep
 		window:      25 * time.Second,
 		backoffBase: 50 * time.Millisecond,
 		backoffMax:  5 * time.Second,
-		client:      &http.Client{},
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -350,7 +339,7 @@ func (f *Replica) get(path string) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return f.cfg.client.Do(req)
+	return http.DefaultClient.Do(req)
 }
 
 // readStatus summarizes a non-200 response for an error message.

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"rxview/internal/core"
+	"rxview/internal/repl"
 	"rxview/internal/update"
 	"rxview/internal/wal"
 )
@@ -27,6 +28,7 @@ type View struct {
 	// Durability state; all nil/zero on a view opened without
 	// WithDurability.
 	log       *wal.Log
+	tail      *repl.Tail // where accepted appends are published; nil until ReplSource
 	warn      func(msg string)
 	ckptEvery uint64      // commits between automatic checkpoints
 	ckptGen   uint64      // generation of the newest checkpoint that has landed
