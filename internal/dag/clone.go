@@ -28,7 +28,7 @@ func (d *DAG) Clone() *DAG {
 		attrs:     append([]relational.Tuple(nil), d.attrs...),
 		children:  d.children.clone(),
 		parents:   d.parents.clone(),
-		alive:     d.alive.clone(),
+		alive:     d.alive.Clone(),
 		root:      d.root,
 		gen:       maps.Clone(d.gen),
 		byType:    make(map[string][]NodeID, len(d.byType)),

@@ -1,102 +1,35 @@
 package dag
 
-import "rxview/internal/relational"
-
-// Copy-on-write storage for the DAG's mutable per-node state.
-//
-// The serving layer publishes one immutable epoch per applied write (PR 3);
-// cloning the whole DAG per epoch made publication O(n) regardless of update
-// size, undoing the paper's everywhere-incremental design at the last step.
-// The stores below make sealing an epoch O(Δ): per-node state lives in
-// fixed-size chunks (256 rows), chunk pointers live in fixed-size spine
-// blocks (256 chunks, so one block covers 65536 rows), and the writer
-// copies a block, chunk, or row only the first time it touches it after a
-// seal. Seal itself copies just the top-level block list — n/65536
-// pointers, one or two words for any view under 131k nodes — so
-// publication cost tracks the write that preceded it, not the view size.
-//
-// Safety argument for the sharing:
-//   - sealed versions hold their own top-level block list, so the writer
-//     may swap block pointers freely;
-//   - a block or chunk reachable from any sealed version is never written:
-//     the writer replaces it (ownChunk → ownBlock) before the first
-//     post-seal write, except for slots at indexes ≥ the sealed length,
-//     which no sealed reader accesses (node ids are never reused and
-//     lengths only grow);
-//   - a row slice reachable from a sealed chunk is never written: ownRow
-//     copies it before the first post-seal mutation (rEpoch tracks backing
-//     ownership, so in-epoch in-place appends/compactions stay cheap).
-
-const (
-	chunkBits = 8
-	chunkSize = 1 << chunkBits
-	chunkMask = chunkSize - 1
-	blockBits = 8 // chunks per spine block
-	blockSize = 1 << blockBits
-	blockMask = blockSize - 1
-	rowBlock  = chunkBits + blockBits // row index -> block index shift
+import (
+	"rxview/internal/cow"
+	"rxview/internal/relational"
 )
 
-// refChunk holds one chunk of adjacency rows; refBlock one spine block of
-// chunk pointers.
-type (
-	refChunk [chunkSize][]NodeID
-	refBlock [blockSize]*refChunk
-)
-
-// refStore is a chunked copy-on-write array of adjacency rows (children or
-// parents), indexed by NodeID.
+// refStore is the DAG's adjacency (children or parents), indexed by NodeID:
+// a cow.Array of rows — see that package for the chunk sharing and why it is
+// safe — plus the one thing that is this store's own. A row is a slice, so a
+// sealed chunk shares its backing array: ownRow copies a row before the
+// first mutation after a seal, and rEpoch records which epoch allocated each
+// row's backing, so appends and compactions within an epoch stay in place.
 type refStore struct {
-	blocks []*refBlock
-	bEpoch []uint64 // per block: epoch its pointer was installed at
-	cEpoch []uint64 // per chunk: epoch its pointer was installed at
+	rows   cow.Array[[]NodeID]
 	rEpoch []uint64 // per row: epoch its backing array was allocated at
-	epoch  uint64   // bumped by seal; anything older is shared
-	n      int
+	epoch  uint64   // bumped by seal; a backing older than this is shared
 }
 
-func (s *refStore) row(i NodeID) []NodeID {
-	return s.blocks[i>>rowBlock][(i>>chunkBits)&blockMask][i&chunkMask]
-}
-
-// ownBlock makes spine block bi writable in the current epoch, copying it
-// if a sealed version may still reference it.
-//
-// xviewlint:cow-primitive
-func (s *refStore) ownBlock(bi int) *refBlock {
-	if s.bEpoch[bi] != s.epoch {
-		cp := *s.blocks[bi]
-		s.blocks[bi] = &cp
-		s.bEpoch[bi] = s.epoch
-	}
-	return s.blocks[bi]
-}
-
-// ownChunk makes chunk ci writable in the current epoch, copying it (and
-// its spine block) if a sealed version may still reference it.
-func (s *refStore) ownChunk(ci int) *refChunk {
-	b := s.ownBlock(ci >> blockBits)
-	if s.cEpoch[ci] != s.epoch {
-		cp := *b[ci&blockMask]
-		b[ci&blockMask] = &cp
-		s.cEpoch[ci] = s.epoch
-	}
-	return b[ci&blockMask]
-}
+func (s *refStore) row(i NodeID) []NodeID { return s.rows.At(int(i)) }
 
 // ownRow returns row i with a backing array owned by the current epoch,
 // copying it (with extraCap growth room) if it is shared with a sealed
 // version. The caller may mutate the returned slice in place and must store
 // the final header with setRow.
 func (s *refStore) ownRow(i NodeID, extraCap int) []NodeID {
-	ch := s.ownChunk(int(i) >> chunkBits)
-	r := ch[i&chunkMask]
+	r := s.rows.At(int(i))
 	if s.rEpoch[i] != s.epoch {
 		nr := make([]NodeID, len(r), len(r)+extraCap)
 		copy(nr, r)
 		r = nr
-		ch[i&chunkMask] = r
-		s.rEpoch[i] = s.epoch
+		s.setRow(i, r)
 	}
 	return r
 }
@@ -104,174 +37,28 @@ func (s *refStore) ownRow(i NodeID, extraCap int) []NodeID {
 // setRow stores a row header. The row's backing must be owned by the current
 // epoch (came from ownRow, or is freshly allocated by the caller).
 func (s *refStore) setRow(i NodeID, r []NodeID) {
-	s.ownChunk(int(i) >> chunkBits)[i&chunkMask] = r
+	s.rows.Set(int(i), r)
 	s.rEpoch[i] = s.epoch
 }
 
-// grow appends an empty row. Fresh block, chunk, and row slots need no
-// copy-on-write: their indexes are beyond every sealed length, so no sealed
-// reader can see them.
-//
-// xviewlint:cow-primitive
+// grow appends an empty row.
 func (s *refStore) grow() {
-	ci := s.n >> chunkBits
-	if bi := ci >> blockBits; bi == len(s.blocks) {
-		s.blocks = append(s.blocks, &refBlock{})
-		s.bEpoch = append(s.bEpoch, s.epoch)
-	}
-	if ci == len(s.cEpoch) {
-		s.blocks[ci>>blockBits][ci&blockMask] = &refChunk{}
-		s.cEpoch = append(s.cEpoch, s.epoch)
-	}
+	s.rows.Push(nil)
 	s.rEpoch = append(s.rEpoch, s.epoch)
-	s.n++
 }
 
-// seal freezes the current contents into an immutable view and starts a new
-// epoch. Only the top-level block list is copied — O(n / 65536) words.
-func (s *refStore) seal() sealedRefs {
+func (s *refStore) seal() cow.Sealed[[]NodeID] {
 	s.epoch++
-	return sealedRefs{blocks: append([]*refBlock(nil), s.blocks...), n: s.n}
+	return s.rows.Seal()
 }
 
-// clone deep-copies the store (rows included) for the full-clone path.
+// clone deep-copies the store, rows included, for the full-clone path.
 func (s *refStore) clone() refStore {
-	c := refStore{
-		blocks: make([]*refBlock, len(s.blocks)),
-		bEpoch: make([]uint64, len(s.bEpoch)),
-		cEpoch: make([]uint64, len(s.cEpoch)),
-		rEpoch: make([]uint64, len(s.rEpoch)),
-		n:      s.n,
-	}
-	for bi := range s.blocks {
-		nb := &refBlock{}
-		for off, ch := range s.blocks[bi] {
-			if ch == nil {
-				continue
-			}
-			nc := &refChunk{}
-			for j, r := range ch {
-				if len(r) > 0 {
-					nc[j] = append([]NodeID(nil), r...)
-				}
-			}
-			nb[off] = nc
-		}
-		c.blocks[bi] = nb
+	c := refStore{rows: s.rows.Clone(), rEpoch: make([]uint64, len(s.rEpoch))}
+	for i := range c.rEpoch {
+		c.rows.Set(i, append([]NodeID(nil), s.rows.At(i)...))
 	}
 	return c
-}
-
-// sealedRefs is the immutable reader side of a refStore at one epoch.
-type sealedRefs struct {
-	blocks []*refBlock
-	n      int
-}
-
-func (v sealedRefs) row(i NodeID) []NodeID {
-	return v.blocks[i>>rowBlock][(i>>chunkBits)&blockMask][i&chunkMask]
-}
-
-// chunk returns the chunk pointer covering row index i (tests use it to
-// assert sharing).
-func (v sealedRefs) chunk(ci int) *refChunk {
-	return v.blocks[ci>>blockBits][ci&blockMask]
-}
-
-// boolChunk holds one chunk of per-node flags; boolBlock one spine block.
-type (
-	boolChunk [chunkSize]bool
-	boolBlock [blockSize]*boolChunk
-)
-
-// boolStore is a chunked copy-on-write array of flags (the alive set).
-type boolStore struct {
-	blocks []*boolBlock
-	bEpoch []uint64
-	cEpoch []uint64
-	epoch  uint64
-	n      int
-}
-
-func (s *boolStore) get(i NodeID) bool {
-	return s.blocks[i>>rowBlock][(i>>chunkBits)&blockMask][i&chunkMask]
-}
-
-// ownChunk makes chunk ci (and its spine block) writable in the current
-// epoch, copying shared nodes first.
-//
-// xviewlint:cow-primitive
-func (s *boolStore) ownChunk(ci int) *boolChunk {
-	bi := ci >> blockBits
-	if s.bEpoch[bi] != s.epoch {
-		cp := *s.blocks[bi]
-		s.blocks[bi] = &cp
-		s.bEpoch[bi] = s.epoch
-	}
-	b := s.blocks[bi]
-	if s.cEpoch[ci] != s.epoch {
-		cp := *b[ci&blockMask]
-		b[ci&blockMask] = &cp
-		s.cEpoch[ci] = s.epoch
-	}
-	return b[ci&blockMask]
-}
-
-func (s *boolStore) set(i NodeID, v bool) {
-	s.ownChunk(int(i) >> chunkBits)[i&chunkMask] = v
-}
-
-// grow appends a fresh flag; like refStore.grow it writes fresh slots
-// directly because they are beyond every sealed length.
-//
-// xviewlint:cow-primitive
-func (s *boolStore) grow(v bool) {
-	ci := s.n >> chunkBits
-	if bi := ci >> blockBits; bi == len(s.blocks) {
-		s.blocks = append(s.blocks, &boolBlock{})
-		s.bEpoch = append(s.bEpoch, s.epoch)
-	}
-	if ci == len(s.cEpoch) {
-		s.blocks[ci>>blockBits][ci&blockMask] = &boolChunk{}
-		s.cEpoch = append(s.cEpoch, s.epoch)
-	}
-	s.blocks[ci>>blockBits][ci&blockMask][s.n&chunkMask] = v
-	s.n++
-}
-
-func (s *boolStore) seal() sealedBools {
-	s.epoch++
-	return sealedBools{blocks: append([]*boolBlock(nil), s.blocks...), n: s.n}
-}
-
-func (s *boolStore) clone() boolStore {
-	c := boolStore{
-		blocks: make([]*boolBlock, len(s.blocks)),
-		bEpoch: make([]uint64, len(s.bEpoch)),
-		cEpoch: make([]uint64, len(s.cEpoch)),
-		n:      s.n,
-	}
-	for bi := range s.blocks {
-		nb := &boolBlock{}
-		for off, ch := range s.blocks[bi] {
-			if ch != nil {
-				cp := *ch
-				nb[off] = &cp
-			}
-		}
-		c.blocks[bi] = nb
-	}
-	return c
-}
-
-// sealedBools is the immutable reader side of a boolStore at one epoch.
-type sealedBools struct {
-	blocks []*boolBlock
-	n      int
-}
-
-func (v sealedBools) get(i NodeID) bool {
-	return v.blocks[i>>rowBlock][(i>>chunkBits)&blockMask][i&chunkMask]
 }
 
 // Version is an immutable copy-on-write snapshot of a DAG, sealed by
@@ -287,9 +74,9 @@ func (v sealedBools) get(i NodeID) bool {
 type Version struct {
 	types     []string
 	attrs     []relational.Tuple
-	children  sealedRefs
-	parents   sealedRefs
-	alive     sealedBools
+	children  cow.Sealed[[]NodeID]
+	parents   cow.Sealed[[]NodeID]
+	alive     cow.Sealed[bool]
 	byType    map[string][]NodeID
 	root      NodeID
 	edgeCount int
@@ -318,7 +105,7 @@ func (d *DAG) Seal() *Version {
 		attrs:     d.attrs[:len(d.attrs):len(d.attrs)],
 		children:  d.children.seal(),
 		parents:   d.parents.seal(),
-		alive:     d.alive.seal(),
+		alive:     d.alive.Seal(),
 		byType:    byType,
 		root:      d.root,
 		edgeCount: d.edgeCount,
@@ -340,7 +127,7 @@ func (v *Version) Cap() int { return len(v.types) }
 
 // Alive reports whether the id refers to a node live at the sealed epoch.
 func (v *Version) Alive(id NodeID) bool {
-	return id >= 0 && int(id) < v.alive.n && v.alive.get(id)
+	return id >= 0 && int(id) < v.alive.Len() && v.alive.At(int(id))
 }
 
 // Type returns the element type of the node.
@@ -351,16 +138,16 @@ func (v *Version) Attr(id NodeID) relational.Tuple { return v.attrs[id] }
 
 // Children returns the ordered child list at the sealed epoch. Callers must
 // not mutate the returned slice.
-func (v *Version) Children(id NodeID) []NodeID { return v.children.row(id) }
+func (v *Version) Children(id NodeID) []NodeID { return v.children.At(int(id)) }
 
 // Parents returns the parent list at the sealed epoch. Callers must not
 // mutate the returned slice.
-func (v *Version) Parents(id NodeID) []NodeID { return v.parents.row(id) }
+func (v *Version) Parents(id NodeID) []NodeID { return v.parents.At(int(id)) }
 
 // NodesOfType returns the nodes of an element type live at the sealed
 // epoch, in id order.
 func (v *Version) NodesOfType(typ string) []NodeID {
-	return liveSorted(v.byType[typ], v.alive.get)
+	return liveSorted(v.byType[typ], v.alive.At)
 }
 
 // IDsOfType returns the raw gen_A list of the type as of the sealed epoch;
@@ -371,7 +158,7 @@ func (v *Version) IDsOfType(typ string) []NodeID { return v.byType[typ] }
 func (v *Version) Nodes() []NodeID {
 	out := make([]NodeID, 0, v.liveCount)
 	for id := 0; id < len(v.types); id++ {
-		if v.alive.get(NodeID(id)) {
+		if v.alive.At(id) {
 			out = append(out, NodeID(id))
 		}
 	}

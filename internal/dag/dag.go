@@ -6,7 +6,7 @@
 // V_σ = { edge_A_B } of the view. The per-type node sets are the gen_A
 // relations the paper maintains in the background.
 //
-// Per-node state is stored copy-on-write (see cow.go): DAG.Seal freezes the
+// Per-node state is stored copy-on-write (internal/cow): DAG.Seal freezes the
 // live view into an immutable Version in time proportional to what changed
 // since the previous seal, which is what makes serving-layer snapshot
 // publication O(Δ) instead of O(n).
@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"slices"
 
+	"rxview/internal/cow"
 	"rxview/internal/relational"
 )
 
@@ -80,7 +81,7 @@ type DAG struct {
 	attrs    []relational.Tuple // node -> semantic attribute $A (append-only)
 	children refStore           // ordered adjacency, copy-on-write
 	parents  refStore
-	alive    boolStore
+	alive    cow.Array[bool]
 	root     NodeID
 
 	gen       map[string]NodeID   // Skolem registry: (type, attr) -> id
@@ -121,7 +122,7 @@ func (d *DAG) Cap() int { return len(d.types) }
 
 // Alive reports whether the id refers to a live node.
 func (d *DAG) Alive(id NodeID) bool {
-	return id >= 0 && int(id) < d.alive.n && d.alive.get(id)
+	return id >= 0 && int(id) < d.alive.Len() && d.alive.At(int(id))
 }
 
 // Type returns the element type of the node.
@@ -145,7 +146,7 @@ func genKey(typ string, attr relational.Tuple) string {
 // alive. This is gen_id as a partial lookup.
 func (d *DAG) Lookup(typ string, attr relational.Tuple) (NodeID, bool) {
 	id, ok := d.gen[genKey(typ, attr)]
-	if !ok || !d.alive.get(id) {
+	if !ok || !d.alive.At(int(id)) {
 		return InvalidNode, false
 	}
 	return id, true
@@ -157,7 +158,7 @@ func (d *DAG) Lookup(typ string, attr relational.Tuple) (NodeID, bool) {
 func (d *DAG) AddNode(typ string, attr relational.Tuple) (id NodeID, created bool) {
 	k := genKey(typ, attr)
 	if id, ok := d.gen[k]; ok {
-		if d.alive.get(id) {
+		if d.alive.At(int(id)) {
 			return id, false
 		}
 		// Resurrect a previously deleted identity, reusing its id so the
@@ -171,7 +172,7 @@ func (d *DAG) AddNode(typ string, attr relational.Tuple) (id NodeID, created boo
 	d.attrs = append(d.attrs, attr.Clone())
 	d.children.grow()
 	d.parents.grow()
-	d.alive.grow(true)
+	d.alive.Push(true)
 	d.gen[k] = id
 	d.list(id)
 	d.logOp(jop{kind: jNodeAdd, node: id})
@@ -205,16 +206,16 @@ func (d *DAG) unlist(id NodeID) {
 	d.typeLive[typ]--
 	d.liveCount--
 	if raw := d.byType[typ]; len(raw) > 2*d.typeLive[typ]+byTypeSlack {
-		d.byType[typ] = liveSorted(raw, d.alive.get)
+		d.byType[typ] = liveSorted(raw, d.alive.At)
 	}
 }
 
 // liveSorted returns the live ids of a raw gen_A list, in id order and
 // without duplicates, in a fresh array.
-func liveSorted(raw []NodeID, alive func(NodeID) bool) []NodeID {
+func liveSorted(raw []NodeID, alive func(int) bool) []NodeID {
 	out := make([]NodeID, 0, len(raw))
 	for _, id := range raw {
-		if alive(id) {
+		if alive(int(id)) {
 			out = append(out, id)
 		}
 	}
@@ -307,7 +308,7 @@ func (d *DAG) RemoveNode(id NodeID) {
 	for _, p := range append([]NodeID(nil), d.parents.row(id)...) {
 		d.RemoveEdge(p, id)
 	}
-	d.alive.set(id, false)
+	d.alive.Set(int(id), false)
 	d.unlist(id)
 	d.logOp(jop{kind: jNodeDel, node: id})
 }
@@ -315,7 +316,7 @@ func (d *DAG) RemoveNode(id NodeID) {
 // NodesOfType returns the live nodes of an element type in id order: the
 // gen_A relation of §2.3.
 func (d *DAG) NodesOfType(typ string) []NodeID {
-	return liveSorted(d.byType[typ], d.alive.get)
+	return liveSorted(d.byType[typ], d.alive.At)
 }
 
 // IDsOfType returns the raw gen_A list of the type; see Reader.
@@ -325,7 +326,7 @@ func (d *DAG) IDsOfType(typ string) []NodeID { return d.byType[typ] }
 func (d *DAG) Nodes() []NodeID {
 	out := make([]NodeID, 0, d.liveCount)
 	for id := range d.types {
-		if d.alive.get(NodeID(id)) {
+		if d.alive.At(id) {
 			out = append(out, NodeID(id))
 		}
 	}

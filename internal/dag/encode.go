@@ -215,7 +215,7 @@ func (d *DAG) AppendState(dst []byte) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(d.types[id])))
 		dst = append(dst, d.types[id]...)
 		dst = relational.AppendTuple(dst, d.attrs[id])
-		if d.alive.get(NodeID(id)) {
+		if d.alive.At(id) {
 			dst = append(dst, 1)
 		} else {
 			dst = append(dst, 0)
@@ -279,7 +279,7 @@ func DecodeState(b []byte) (*DAG, error) {
 		d.attrs = append(d.attrs, attr)
 		d.children.grow()
 		d.parents.grow()
-		d.alive.grow(alive[id])
+		d.alive.Push(alive[id])
 		d.gen[genKey(typ, attr)] = NodeID(id)
 		if alive[id] {
 			d.list(NodeID(id))

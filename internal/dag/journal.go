@@ -135,8 +135,8 @@ func (d *DAG) undo(ops []jop) {
 		case jNodeAdd:
 			// Incident edges were necessarily added after the node and
 			// have already been removed above.
-			if d.alive.get(op.node) {
-				d.alive.set(op.node, false)
+			if d.alive.At(int(op.node)) {
+				d.alive.Set(int(op.node), false)
 				d.unlist(op.node)
 			}
 		case jNodeDel:
@@ -148,9 +148,9 @@ func (d *DAG) undo(ops []jop) {
 // resurrect brings a dead identity back under its old id, so the Skolem
 // function stays a function.
 func (d *DAG) resurrect(id NodeID) {
-	if d.alive.get(id) {
+	if d.alive.At(int(id)) {
 		return
 	}
-	d.alive.set(id, true)
+	d.alive.Set(int(id), true)
 	d.list(id)
 }

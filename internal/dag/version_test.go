@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rxview/internal/cow"
 	"rxview/internal/relational"
 )
 
@@ -135,7 +136,7 @@ func TestSealResurrectByType(t *testing.T) {
 func TestSealSharesUntouchedChunks(t *testing.T) {
 	d := New("db")
 	var ids []NodeID
-	for i := 0; i < 4*chunkSize; i++ {
+	for i := 0; i < 4*cow.ChunkSize; i++ {
 		id, _ := d.AddNode("C", relational.Tuple{relational.Int(int64(i))})
 		if len(ids) > 0 {
 			d.AddEdge(ids[len(ids)-1], id)
@@ -149,25 +150,19 @@ func TestSealSharesUntouchedChunks(t *testing.T) {
 	d.RemoveEdge(ids[0], ids[1])
 	v2 := d.Seal()
 
-	totalCh := (v1.children.n + chunkSize - 1) / chunkSize
-	sharedCh := 0
-	for ci := 0; ci < totalCh; ci++ {
-		if v1.children.chunk(ci) == v2.children.chunk(ci) {
-			sharedCh++
+	copiedCh := 0
+	for i := 0; i < v1.children.Len(); i += cow.ChunkSize {
+		if !v1.children.SameChunk(v2.children, i) {
+			copiedCh++
 		}
 	}
-	if totalCh-sharedCh > 1 {
-		t.Errorf("children: %d of %d chunks copied for a one-edge delete", totalCh-sharedCh, totalCh)
+	if copiedCh > 1 {
+		t.Errorf("children: %d chunks copied for a one-edge delete", copiedCh)
 	}
-	aliveChunks := (v1.alive.n + chunkSize - 1) / chunkSize
-	shared := 0
-	for ci := 0; ci < aliveChunks; ci++ {
-		if v1.alive.blocks[ci>>blockBits][ci&blockMask] == v2.alive.blocks[ci>>blockBits][ci&blockMask] {
-			shared++
+	for i := 0; i < v1.alive.Len(); i += cow.ChunkSize {
+		if !v1.alive.SameChunk(v2.alive, i) {
+			t.Errorf("alive: chunk of node %d copied for an edge-only change", i)
 		}
-	}
-	if shared != aliveChunks {
-		t.Errorf("alive: %d chunks copied for an edge-only change", aliveChunks-shared)
 	}
 	// And the removed edge is visible only in v2.
 	if !v1.hasEdgeIn(ids[0], ids[1]) {

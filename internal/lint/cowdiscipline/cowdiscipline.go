@@ -1,16 +1,16 @@
 // Package cowdiscipline enforces the copy-on-write discipline inside the
-// two packages that implement it, internal/dag and internal/reach. Their
-// stores share a two-level block spine across epochs: a block, chunk or
-// row reached from `.blocks` may be referenced by an already-published
-// sealed version, so storing into it in place corrupts history. Every
-// such store must instead go through the own* primitives (ownBlock,
-// ownChunk, ownRow), which copy a shared node before handing out a
-// mutable one.
+// one package that implements it, internal/cow. An Array shares a two-level
+// block spine across epochs: a block or chunk reached from `.blocks` may be
+// referenced by an already-published Sealed, so storing into it in place
+// corrupts history. Every such store must instead go through own, which
+// copies a shared block or chunk before handing out a mutable one. Other
+// packages cannot reach the spine at all — its fields are unexported — so
+// the package boundary enforces there what this analyzer enforces here.
 //
 // The analyzer classifies each local value by provenance, in source
 // order:
 //
-//   - owned:  the result of an own*/clone call, a fresh make/new/
+//   - owned:  the result of an own call, a fresh make/new/
 //     composite literal, or append over an owned slice — safe to
 //     mutate;
 //   - spine:  anything reached from a `.blocks` field, or derived from a
@@ -28,7 +28,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"rxview/internal/lint/analysis"
 	"rxview/internal/lint/lintutil"
@@ -36,16 +35,14 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "cowdiscipline",
-	Doc: "in internal/dag and internal/reach, stores into spine-reachable blocks/chunks/rows " +
-		"must go through ownBlock/ownChunk/ownRow (or be annotated // xviewlint:cow-primitive)",
+	Doc: "in internal/cow, stores into spine-reachable blocks and chunks " +
+		"must go through own (or be annotated // xviewlint:cow-primitive)",
 	Run: run,
 }
 
-// checkedPkg limits the analyzer to the packages that own a block spine.
-// Everything else is out of scope; the fixtures use the same import paths.
-func checkedPkg(path string) bool {
-	return path == "rxview/internal/dag" || path == "rxview/internal/reach"
-}
+// checkedPkg limits the analyzer to the package that owns the block spine.
+// Everything else is out of scope; the fixtures use the same import path.
+func checkedPkg(path string) bool { return path == "rxview/internal/cow" }
 
 type provenance int
 
@@ -141,7 +138,7 @@ func (c *checker) classify(e ast.Expr) provenance {
 		}
 		return unknown
 	case *ast.SelectorExpr:
-		// The spine of a freshly built store (clone's `c := &refStore{}`)
+		// The spine of a freshly built array (Clone's `c := Array[T]{}`)
 		// is owned; only a spine hanging off shared state is shared.
 		if base := c.classify(e.X); base == owned {
 			return owned
@@ -193,10 +190,8 @@ func (c *checker) classifyCall(call *ast.CallExpr) provenance {
 }
 
 // ownsResult reports whether a callee by this name hands back mutable
-// memory: the own* primitives and clone (which builds a fresh spine).
-func ownsResult(name string) bool {
-	return strings.HasPrefix(name, "own") || name == "clone"
-}
+// memory: own, which copies a shared chunk before returning it.
+func ownsResult(name string) bool { return name == "own" }
 
 // checkDest flags a store whose destination has spine provenance.
 func (c *checker) checkDest(dest ast.Expr) {
@@ -222,6 +217,6 @@ func (c *checker) checkDest(dest ast.Expr) {
 
 func (c *checker) report(dest ast.Expr) {
 	c.pass.Reportf(dest.Pos(),
-		"store into spine-reachable memory without ownBlock/ownChunk/ownRow: "+
+		"store into spine-reachable memory without own: "+
 			"the destination may be shared with a sealed epoch")
 }

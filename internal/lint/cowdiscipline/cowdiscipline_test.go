@@ -8,5 +8,5 @@ import (
 )
 
 func TestCowDiscipline(t *testing.T) {
-	linttest.Run(t, "testdata", cowdiscipline.Analyzer, "rxview/internal/dag")
+	linttest.Run(t, "testdata", cowdiscipline.Analyzer, "rxview/internal/cow")
 }

@@ -47,7 +47,7 @@ func fixEdgeReference(t *Topo, d *dag.DAG, u, v dag.NodeID) {
 	segment = append(segment, descs...)
 	segment = append(segment, others...)
 	for i, id := range segment {
-		t.set(int(lo)+i, id)
+		t.list.Set(int(lo)+i, id)
 		if id != dag.InvalidNode {
 			t.pos[id] = lo + int32(i)
 		}
@@ -57,7 +57,7 @@ func fixEdgeReference(t *Topo, d *dag.DAG, u, v dag.NodeID) {
 // rawOrder renders L entry by entry, tombstones included, and the position
 // index next to it.
 func rawOrder(t *Topo) string {
-	entries := make([]dag.NodeID, t.n)
+	entries := make([]dag.NodeID, t.list.Len())
 	for i := range entries {
 		entries[i] = t.at(i)
 	}

@@ -22,6 +22,7 @@ import (
 	"slices"
 	"sort"
 
+	"rxview/internal/cow"
 	"rxview/internal/dag"
 )
 
@@ -39,97 +40,29 @@ var (
 	_ Order = (*TopoVersion)(nil)
 )
 
-// idChunk holds one chunk of the order's entry list; idBlock one spine
-// block of chunk pointers (mirroring the dag package's two-level
-// copy-on-write layout, so sealing copies only the top-level block list).
-type (
-	idChunk [chunkSize]dag.NodeID
-	idBlock [blockSize]*idChunk
-)
-
-const (
-	chunkBits = 8
-	chunkSize = 1 << chunkBits
-	chunkMask = chunkSize - 1
-	blockBits = 8
-	blockSize = 1 << blockBits
-	blockMask = blockSize - 1
-	rowBlock  = chunkBits + blockBits
-)
-
 // Topo is the topological order L over the live nodes of a DAG. Deletions
 // leave tombstones that are compacted once they outnumber live entries;
 // positions only ever shrink relative to each other during compaction, so
 // callers must compare positions, not store them across mutations.
 //
-// The entry list is stored copy-on-write in fixed-size chunks behind a
-// two-level spine: Seal freezes the current order into an immutable
-// TopoVersion by copying only the top-level block list (n/65536 words),
-// sharing every block and chunk the writer has not touched since the
-// previous seal — the unchanged prefix (and any unchanged interior run)
-// of L is shared between versions instead of copied. The pos index is
+// The entry list is a cow.Array: Seal freezes the current order into an
+// immutable TopoVersion that shares every chunk the writer has not touched
+// since the previous seal — the unchanged prefix (and any unchanged interior
+// run) of L is shared between versions instead of copied. The pos index is
 // writer-private and never sealed; sealed readers only iterate.
 type Topo struct {
-	blocks  []*idBlock
-	bEpoch  []uint64 // per block: epoch its pointer was installed at
-	cEpoch  []uint64 // per chunk: epoch its pointer was installed at
-	epoch   uint64   // bumped by Seal; anything older is shared
-	n       int      // entries, tombstones included
-	chunks  int      // chunk slots ever allocated (n can shrink; this not)
-	sealedN int      // max n ever sealed: slots below it may have readers
-	pos     []int32  // node id -> index into the list; -1 when absent
-	holes   int
+	list  cow.Array[dag.NodeID] // entries, tombstones included
+	pos   []int32               // node id -> index into the list; -1 when absent
+	holes int
 }
 
 // at returns entry i of the list.
-func (t *Topo) at(i int) dag.NodeID {
-	return t.blocks[i>>rowBlock][(i>>chunkBits)&blockMask][i&chunkMask]
-}
+func (t *Topo) at(i int) dag.NodeID { return t.list.At(i) }
 
-// set overwrites entry i, copying the chunk (and its spine block) if a
-// sealed version may still reference them.
-//
-// xviewlint:cow-primitive
-func (t *Topo) set(i int, v dag.NodeID) {
-	ci := i >> chunkBits
-	bi := ci >> blockBits
-	if t.bEpoch[bi] != t.epoch {
-		cp := *t.blocks[bi]
-		t.blocks[bi] = &cp
-		t.bEpoch[bi] = t.epoch
-	}
-	b := t.blocks[bi]
-	if t.cEpoch[ci] != t.epoch {
-		cp := *b[ci&blockMask]
-		b[ci&blockMask] = &cp
-		t.cEpoch[ci] = t.epoch
-	}
-	b[ci&blockMask][i&chunkMask] = v
-}
-
-// push appends an entry. A fresh slot below sealedN can be visible to a
-// sealed reader (compaction shrank the list since that seal), so it goes
-// through the copy-on-write set; slots beyond every sealed length are
-// written directly.
-//
-// xviewlint:cow-primitive
-func (t *Topo) push(v dag.NodeID) {
-	ci := t.n >> chunkBits
-	if ci == t.chunks {
-		if bi := ci >> blockBits; bi == len(t.blocks) {
-			t.blocks = append(t.blocks, &idBlock{})
-			t.bEpoch = append(t.bEpoch, t.epoch)
-		}
-		t.blocks[ci>>blockBits][ci&blockMask] = &idChunk{}
-		t.cEpoch = append(t.cEpoch, t.epoch)
-		t.chunks++
-	}
-	if t.n < t.sealedN {
-		t.set(t.n, v)
-	} else {
-		t.blocks[ci>>blockBits][ci&blockMask][t.n&chunkMask] = v
-	}
-	t.n++
+// push appends id to the list and records its position.
+func (t *Topo) push(id dag.NodeID) {
+	t.pos[id] = int32(t.list.Len())
+	t.list.Push(id)
 }
 
 // ComputeTopo builds L for the DAG with Kahn's algorithm over reversed edges
@@ -152,7 +85,6 @@ func ComputeTopo(d *dag.DAG) *Topo {
 	for len(queue) > 0 {
 		id := queue[0]
 		queue = queue[1:]
-		t.pos[id] = int32(t.n)
 		t.push(id)
 		for _, p := range d.Parents(id) {
 			outdeg[p]--
@@ -161,11 +93,11 @@ func ComputeTopo(d *dag.DAG) *Topo {
 			}
 		}
 	}
-	if t.n != d.NumNodes() {
+	if t.list.Len() != d.NumNodes() {
 		// Impossible for acyclic input; surface loudly rather than return a
 		// partial order.
 		panic(fmt.Sprintf("reach: topological sort covered %d of %d nodes (cycle?)",
-			t.n, d.NumNodes()))
+			t.list.Len(), d.NumNodes()))
 	}
 	return t
 }
@@ -187,14 +119,13 @@ func RestoreTopo(order []dag.NodeID) *Topo {
 		t.pos[i] = -1
 	}
 	for _, id := range order {
-		t.pos[id] = int32(t.n)
 		t.push(id)
 	}
 	return t
 }
 
 // Len returns the number of live entries.
-func (t *Topo) Len() int { return t.n - t.holes }
+func (t *Topo) Len() int { return t.list.Len() - t.holes }
 
 // Pos returns the position of a node, or -1 if absent. Positions order nodes
 // (smaller = closer to the leaves); absolute values are meaningless.
@@ -211,7 +142,7 @@ func (t *Topo) Contains(id dag.NodeID) bool { return t.Pos(id) >= 0 }
 // Nodes returns the live entries in order (descendants first).
 func (t *Topo) Nodes() []dag.NodeID {
 	out := make([]dag.NodeID, 0, t.Len())
-	for i := 0; i < t.n; i++ {
+	for i := 0; i < t.list.Len(); i++ {
 		if id := t.at(i); id != dag.InvalidNode {
 			out = append(out, id)
 		}
@@ -233,7 +164,6 @@ func (t *Topo) Append(id dag.NodeID) {
 	if t.pos[id] >= 0 {
 		return
 	}
-	t.pos[id] = int32(t.n)
 	t.push(id)
 }
 
@@ -243,26 +173,26 @@ func (t *Topo) Delete(id dag.NodeID) {
 	if !t.Contains(id) {
 		return
 	}
-	t.set(int(t.pos[id]), dag.InvalidNode)
+	t.list.Set(int(t.pos[id]), dag.InvalidNode)
 	t.pos[id] = -1
 	t.holes++
-	if t.holes > 64 && t.holes*2 > t.n {
+	if t.holes > 64 && t.holes*2 > t.list.Len() {
 		t.compact()
 	}
 }
 
 func (t *Topo) compact() {
 	w := 0
-	for i := 0; i < t.n; i++ {
+	for i := 0; i < t.list.Len(); i++ {
 		if id := t.at(i); id != dag.InvalidNode {
 			if w != i {
 				t.pos[id] = int32(w)
-				t.set(w, id)
+				t.list.Set(w, id)
 			}
 			w++
 		}
 	}
-	t.n = w
+	t.list.Truncate(w)
 	t.holes = 0
 }
 
@@ -323,7 +253,7 @@ func (t *Topo) FixEdge(d *dag.DAG, u, v dag.NodeID) {
 // chunk a sealed version shares.
 func (t *Topo) place(i int32, id dag.NodeID) {
 	if t.at(int(i)) != id {
-		t.set(int(i), id)
+		t.list.Set(int(i), id)
 	}
 	if id != dag.InvalidNode {
 		t.pos[id] = i
@@ -331,37 +261,33 @@ func (t *Topo) place(i int32, id dag.NodeID) {
 }
 
 // Seal freezes the current order into an immutable TopoVersion in
-// O(n/65536): only the top-level block list is copied; every block and
-// chunk the writer did not touch since the previous seal is shared with
-// it.
+// O(n/65536), sharing every chunk the writer did not touch since the
+// previous seal.
 func (t *Topo) Seal() *TopoVersion {
-	t.epoch++
-	if t.n > t.sealedN {
-		t.sealedN = t.n
-	}
-	return &TopoVersion{
-		blocks: append([]*idBlock(nil), t.blocks...),
-		n:      t.n,
-		holes:  t.holes,
-	}
+	return &TopoVersion{list: t.list.Seal(), holes: t.holes}
+}
+
+// Clone returns an independent, mutable copy of the topological order.
+// Snapshot publication uses Seal instead.
+func (t *Topo) Clone() *Topo {
+	return &Topo{list: t.list.Clone(), pos: slices.Clone(t.pos), holes: t.holes}
 }
 
 // TopoVersion is an immutable snapshot of a topological order, sealed by
 // Topo.Seal. Safe for concurrent use by any number of goroutines.
 type TopoVersion struct {
-	blocks []*idBlock
-	n      int
-	holes  int
+	list  cow.Sealed[dag.NodeID]
+	holes int
 }
 
 // Len returns the number of live entries at the sealed epoch.
-func (tv *TopoVersion) Len() int { return tv.n - tv.holes }
+func (tv *TopoVersion) Len() int { return tv.list.Len() - tv.holes }
 
 // Nodes returns the live entries in order (descendants first).
 func (tv *TopoVersion) Nodes() []dag.NodeID {
 	out := make([]dag.NodeID, 0, tv.Len())
-	for i := 0; i < tv.n; i++ {
-		if id := tv.blocks[i>>rowBlock][(i>>chunkBits)&blockMask][i&chunkMask]; id != dag.InvalidNode {
+	for i := 0; i < tv.list.Len(); i++ {
+		if id := tv.list.At(i); id != dag.InvalidNode {
 			out = append(out, id)
 		}
 	}
@@ -372,7 +298,7 @@ func (tv *TopoVersion) Nodes() []dag.NodeID {
 // present exactly once and every edge satisfies pos(child) < pos(parent).
 func (t *Topo) Validate(d *dag.DAG) error {
 	count := 0
-	for i := 0; i < t.n; i++ {
+	for i := 0; i < t.list.Len(); i++ {
 		id := t.at(i)
 		if id == dag.InvalidNode {
 			continue

@@ -615,23 +615,15 @@ func listDir(dir string) (ckpts, segs []uint64) {
 	return ckpts, segs
 }
 
-func u64bytes(v uint64) []byte {
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[7-i] = byte(v >> (8 * i))
-	}
-	return b[:]
-}
+func u64bytes(v uint64) []byte { return binary.BigEndian.AppendUint64(nil, v) }
 
+// u64from reads what u64bytes wrote; b comes from disk, so its length is
+// checked, not assumed.
 func u64from(b []byte) (uint64, bool) {
 	if len(b) != 8 {
 		return 0, false
 	}
-	var v uint64
-	for _, x := range b {
-		v = v<<8 | uint64(x)
-	}
-	return v, true
+	return binary.BigEndian.Uint64(b), true
 }
 
 // syncPath fsyncs a file by path, or a directory — the entries created or

@@ -133,11 +133,8 @@ func (ev *Evaluator) anchored(r *run, pl *plan) {
 // fit sizes the anchored route's per-node arrays for a view of n node ids.
 // Growing keeps the stamps: a fresh zero never equals a live epoch.
 func (sc *scratch) fit(n int) {
-	if len(sc.stamp) < n {
-		sc.stamp = append(sc.stamp, make([]uint32, n-len(sc.stamp))...)
-		sc.indeg = make([]int32, len(sc.stamp))
-		sc.known, sc.truth = make([]uint64, len(sc.stamp)), make([]uint64, len(sc.stamp))
-	}
+	sc.stamp, sc.indeg = grown(sc.stamp, n), grown(sc.indeg, n)
+	sc.known, sc.truth = grown(sc.known, n), grown(sc.truth, n)
 }
 
 // newSet opens an empty node set and returns its epoch; the previous set

@@ -253,14 +253,25 @@ func (sc *scratch) putTable(b []bool) {
 // the entries of the nodes it visits as it meets them, so its cost does not
 // depend on n.
 func (sc *scratch) maskIndex(n int, zero bool) []maskSet {
-	if cap(sc.masks) < n {
-		sc.masks = make([]maskSet, n)
-	} else if zero {
+	sc.masks = grown(sc.masks, n)
+	if zero {
 		clear(sc.masks[:n])
 	}
-	sc.masks = sc.masks[:n]
 	sc.off = 0
-	return sc.masks
+	return sc.masks[:n]
+}
+
+// grown returns s with at least n elements, reallocating the way append
+// does — geometrically — when it is short: a view gains an identity with
+// every insertion, and a Cap-sized array re-made at exactly the new size
+// would be re-made by every evaluation that follows one. What s held is
+// kept and the rest is zero.
+func grown[T any](s []T, n int) []T {
+	if len(s) >= n {
+		return s
+	}
+	s = append(s, make([]T, n-len(s))...)
+	return s[:cap(s)]
 }
 
 // maskSlot carves an empty 2-capacity mask set out of the arena: the

@@ -3,6 +3,7 @@ package xpath
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"rxview/internal/dag"
@@ -99,5 +100,53 @@ func BenchmarkEvalRoutes(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestNewIdentityDoesNotRemakeScratch: an insertion gives the view one more
+// node id, and the evaluation that follows must not pay for it with fresh
+// Cap-sized scratch arrays (node sets, in-degrees, filter bits, the
+// state-set index: ≥ 44 bytes per id when each is re-made at exactly the
+// new size). The bytes of an evaluation right after a new identity are held
+// against the bytes of one on an unchanged view. Each is the cheapest of a
+// few, because the pool may hand out a fresh scratch at any time (it drops
+// entries at random under -race, and at every GC) and a geometric growth
+// step has to land somewhere.
+func TestNewIdentityDoesNotRemakeScratch(t *testing.T) {
+	d, topo, text := benchDAG(20000)
+	ev := &Evaluator{D: d, Topo: topo, Text: text}
+	fresh := 0
+	addNode := func() {
+		c, _ := d.AddNode("C", relational.Tuple{relational.Str(fmt.Sprint("fresh", fresh))})
+		fresh++
+		d.AddEdge(d.Root(), c)
+		topo.Append(c)
+		topo.FixEdge(d, d.Root(), c)
+	}
+	for name, p := range map[string]*Path{
+		"anchored": MustParse(`//C[C="v3"]/C`),
+		"sweep":    MustParse(`//C[C]/C`),
+	} {
+		cheapest := func(prepare func()) uint64 {
+			least := ^uint64(0)
+			var before, after runtime.MemStats
+			for i := 0; i < 8; i++ {
+				prepare()
+				runtime.ReadMemStats(&before)
+				if _, err := ev.Eval(p); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			return least
+		}
+		steady := cheapest(func() {})
+		afterNew := cheapest(addNode)
+		t.Logf("%s: %d bytes per evaluation, %d after a new identity (Cap %d)", name, steady, afterNew, d.Cap())
+		if limit := steady + uint64(8*d.Cap()); afterNew > limit {
+			t.Errorf("%s: an evaluation after a new identity allocated %d bytes, one on an unchanged view %d: "+
+				"want at most 8 more per node id (%d)", name, afterNew, steady, limit)
+		}
 	}
 }
