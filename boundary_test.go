@@ -7,7 +7,7 @@ package rxview
 // back here.
 //
 // The predicates live in internal/lint/internalboundary so `go test` and
-// `go vet -vettool=xviewlint` enforce exactly the same rule; this test is
+// `go run ./cmd/xviewlint ./...` enforce exactly the same rule; this test is
 // a thin wrapper over its tree walk. It is in package rxview (not
 // rxview_test) because an external test package could not import
 // internal/lint without itself breaching the boundary it checks.

@@ -1,16 +1,13 @@
 // Command xviewlint runs the repository's analyzer suite (see
-// internal/lint): the mechanical form of the COW-epoch, single-writer,
-// error-contract, context-flow, API-boundary and telemetry-hot-path
+// internal/lint): the mechanical form of the sealed-epoch, error-contract,
+// fault-catalog, context-flow, API-boundary and telemetry-hot-path
 // conventions.
 //
-// Two modes, selected automatically:
+//	xviewlint [packages]        # go package patterns; default ./...
 //
-//	xviewlint ./...                   # direct: load packages, analyze, report
-//	go vet -vettool=$(which xviewlint) ./...   # vettool: unitchecker protocol
-//
-// Direct mode loads packages with `go list -export`, so it works offline
-// and analyzes test files too. Exit status is 1 if any finding is
-// reported, 0 otherwise. Findings are suppressed line by line with
+// Packages are loaded with `go list -export`, so it works offline and
+// analyzes test files too. Exit status is 1 if any finding is reported, 0
+// otherwise. Findings are suppressed line by line with
 //
 //	//lint:ignore xviewlint/<analyzer> <justification>
 //
@@ -20,26 +17,14 @@ package main
 import (
 	"fmt"
 	"os"
-	"strings"
 
 	"rxview/internal/lint"
 	"rxview/internal/lint/driver"
 	"rxview/internal/lint/loader"
-	"rxview/internal/lint/unitchecker"
 )
 
 func main() {
-	args := os.Args[1:]
-	// The go command probes -V=full and -flags first, then hands over a
-	// single unit.cfg; anything else is a direct invocation.
-	for _, a := range args {
-		if strings.HasPrefix(a, "-V") || a == "-flags" || a == "--flags" ||
-			strings.HasSuffix(a, ".cfg") {
-			unitchecker.Main("xviewlint", lint.All(), args)
-			return
-		}
-	}
-	patterns := args
+	patterns := os.Args[1:]
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}

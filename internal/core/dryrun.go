@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"rxview/internal/update"
-	"rxview/internal/viewupdate"
 )
 
 // DryRun answers the updatability question for ΔX without changing anything:
@@ -70,6 +69,3 @@ func (s *System) DryRunCtx(ctx context.Context, op *update.Op) (*Report, error) 
 		return rep, nil
 	}
 }
-
-// ensure viewupdate stays linked for the doc reference above
-var _ = viewupdate.RejectedError{}

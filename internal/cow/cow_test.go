@@ -2,6 +2,7 @@ package cow
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -98,6 +99,29 @@ func TestArrayMatchesSliceModel(t *testing.T) {
 			func(a, b bool) bool { return a == b })
 		runModel(t, seed, (*rand.Rand).Int31,
 			func(a, b int32) bool { return a == b })
+	}
+}
+
+// TestMethodInventory pins the exported surface to what the tests here
+// drive (runModel's op table; SameChunk below). A method added to Array or
+// Sealed without a case there is a path to the shared chunks that nothing
+// holds to the package comment — an in-place store in it would go unseen.
+func TestMethodInventory(t *testing.T) {
+	for _, c := range []struct {
+		typ  reflect.Type
+		want []string // sorted, as reflect lists them
+	}{
+		{reflect.TypeFor[*Array[int]](), []string{"At", "Clone", "Len", "Push", "Seal", "Set", "Truncate"}},
+		{reflect.TypeFor[Sealed[int]](), []string{"At", "Len", "SameChunk"}},
+	} {
+		var got []string
+		for i := 0; i < c.typ.NumMethod(); i++ {
+			got = append(got, c.typ.Method(i).Name)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%v has methods %v, the tests drive %v: add the method to the model's op table in runModel, then to this list",
+				c.typ, got, c.want)
+		}
 	}
 }
 

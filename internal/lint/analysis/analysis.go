@@ -36,8 +36,6 @@ type Analyzer struct {
 	Run func(*Pass) (any, error)
 }
 
-func (a *Analyzer) String() string { return a.Name }
-
 // Validate reports duplicate or malformed analyzer registrations.
 func Validate(analyzers []*Analyzer) error {
 	seen := make(map[string]bool)
@@ -51,6 +49,21 @@ func Validate(analyzers []*Analyzer) error {
 		seen[a.Name] = true
 	}
 	return nil
+}
+
+// NewTypesInfo returns a types.Info with every map the analyzers read
+// allocated, for whoever type-checks a package on a Pass's behalf (the
+// loader, the fixture runner).
+func NewTypesInfo() *types.Info {
+	return &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Implicits:  make(map[ast.Node]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Scopes:     make(map[ast.Node]*types.Scope),
+		Instances:  make(map[*ast.Ident]types.Instance),
+	}
 }
 
 // A Pass provides one analyzer with the parsed, type-checked view of one
@@ -72,14 +85,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-func (p *Pass) String() string {
-	return fmt.Sprintf("%s@%s", p.Analyzer.Name, p.Pkg.Path())
-}
-
 // A Diagnostic is one finding: a position and a message, plus the name of
 // the analyzer that produced it (stamped by the driver).
 type Diagnostic struct {
 	Pos     token.Pos
-	End     token.Pos // optional
 	Message string
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 
@@ -22,13 +23,9 @@ type Finding struct {
 	Message  string
 }
 
-func (f Finding) String() string {
-	return fmt.Sprintf("%s: %s (%s)", f.Pos, f.Message, f.Analyzer)
-}
-
 // suppression is one parsed //lint:ignore directive.
 type suppression struct {
-	analyzers     []string // analyzer names, or ["*"]
+	analyzers     []string // analyzer names
 	justification string
 	used          bool
 	pos           token.Position
@@ -72,15 +69,6 @@ func parseSuppressions(fset *token.FileSet, files []*ast.File) map[string]map[in
 	return byFile
 }
 
-func (s *suppression) covers(analyzer string) bool {
-	for _, a := range s.analyzers {
-		if a == analyzer || a == "*" {
-			return true
-		}
-	}
-	return false
-}
-
 // Run applies every analyzer to every package and returns the surviving
 // findings, sorted by position. Suppressed diagnostics are dropped;
 // malformed suppressions (no justification) and unused ones are reported
@@ -104,7 +92,7 @@ func Run(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([]Finding, err
 				pos := p.Fset.Position(d.Pos)
 				if m := sups[pos.Filename]; m != nil {
 					for _, line := range []int{pos.Line, pos.Line - 1} {
-						if s := m[line]; s != nil && s.covers(a.Name) && s.justification != "" {
+						if s := m[line]; s != nil && slices.Contains(s.analyzers, a.Name) && s.justification != "" {
 							s.used = true
 							return
 						}

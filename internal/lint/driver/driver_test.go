@@ -76,7 +76,6 @@ func run(t *testing.T, src string) []Finding {
 	}
 	findings, err := Run([]*loader.Package{{
 		ImportPath: "p",
-		Name:       "p",
 		Fset:       fset,
 		Files:      []*ast.File{f},
 		Pkg:        pkg,

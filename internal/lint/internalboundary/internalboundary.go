@@ -16,7 +16,7 @@
 // package's included.
 //
 // The root package's boundary_test.go calls CheckTree, so `go test` and
-// `go vet -vettool` enforce the same predicates.
+// `go run ./cmd/xviewlint ./...` enforce the same predicates.
 package internalboundary
 
 import (

@@ -95,15 +95,7 @@ func (l *fixtureLoader) load(path string) (*fixturePkg, error) {
 	if len(p.files) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
-	p.info = &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
-	}
+	p.info = analysis.NewTypesInfo()
 	conf := types.Config{
 		Importer: importerFunc(func(ipath string) (*types.Package, error) {
 			dep, err := l.load(ipath)
@@ -201,46 +193,21 @@ func check(t *testing.T, fset *token.FileSet, p *fixturePkg, a *analysis.Analyze
 // literals) into compiled regexps.
 func parseWants(s string) ([]*regexp.Regexp, error) {
 	var out []*regexp.Regexp
-	s = strings.TrimSpace(s)
-	for s != "" {
-		var lit string
-		switch s[0] {
-		case '"':
-			end := -1
-			for i := 1; i < len(s); i++ {
-				if s[i] == '\\' {
-					i++
-					continue
-				}
-				if s[i] == '"' {
-					end = i
-					break
-				}
-			}
-			if end < 0 {
-				return nil, fmt.Errorf("unterminated string in %q", s)
-			}
-			var err error
-			lit, err = strconv.Unquote(s[:end+1])
-			if err != nil {
-				return nil, err
-			}
-			s = strings.TrimSpace(s[end+1:])
-		case '`':
-			end := strings.IndexByte(s[1:], '`')
-			if end < 0 {
-				return nil, fmt.Errorf("unterminated raw string in %q", s)
-			}
-			lit = s[1 : end+1]
-			s = strings.TrimSpace(s[end+2:])
-		default:
+	for s = strings.TrimSpace(s); s != ""; {
+		quoted, err := strconv.QuotedPrefix(s)
+		if err != nil {
 			return nil, fmt.Errorf("expected quoted regexp at %q", s)
+		}
+		lit, err := strconv.Unquote(quoted)
+		if err != nil {
+			return nil, err
 		}
 		re, err := regexp.Compile(lit)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, re)
+		s = strings.TrimSpace(s[len(quoted):])
 	}
 	return out, nil
 }

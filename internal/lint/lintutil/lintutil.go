@@ -9,43 +9,23 @@ import (
 	"strings"
 )
 
-// Directive is one parsed // xviewlint:<key> [args...] annotation.
-type Directive struct {
-	Key  string // e.g. "writer-only", "writer-loop", "cow-primitive"
-	Args string // rest of the line, trimmed
-}
-
 const directivePrefix = "xviewlint:"
 
-// Directives extracts xviewlint annotations from a comment group. Both
-// doc comments and trailing line comments participate, so field
-// annotations can be written either above or beside the field.
-func Directives(groups ...*ast.CommentGroup) []Directive {
-	var out []Directive
+// HasDirective reports whether any of the comment groups carries the
+// annotation `// xviewlint:<key>` (e.g. "writer-loop", "hot-path"),
+// optionally followed by free text.
+func HasDirective(key string, groups ...*ast.CommentGroup) bool {
 	for _, g := range groups {
 		if g == nil {
 			continue
 		}
 		for _, c := range g.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			text = strings.TrimSpace(text)
-			if !strings.HasPrefix(text, directivePrefix) {
-				continue
+			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+			if rest, ok := strings.CutPrefix(text, directivePrefix); ok {
+				if k, _, _ := strings.Cut(rest, " "); k == key {
+					return true
+				}
 			}
-			rest := strings.TrimPrefix(text, directivePrefix)
-			key, args, _ := strings.Cut(rest, " ")
-			out = append(out, Directive{Key: key, Args: strings.TrimSpace(args)})
-		}
-	}
-	return out
-}
-
-// HasDirective reports whether any of the comment groups carries the
-// annotation key.
-func HasDirective(key string, groups ...*ast.CommentGroup) bool {
-	for _, d := range Directives(groups...) {
-		if d.Key == key {
-			return true
 		}
 	}
 	return false

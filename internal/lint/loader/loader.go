@@ -23,15 +23,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+
+	"rxview/internal/lint/analysis"
 )
 
 // Package is one type-checked package under analysis.
 type Package struct {
 	ImportPath string // canonical path ("rxview/server"), brackets stripped
-	Raw        string // as go list printed it, e.g. "rxview/server [rxview/server.test]"
-	Dir        string
-	Name       string
-	GoFiles    []string
 
 	Fset      *token.FileSet
 	Files     []*ast.File
@@ -47,14 +45,10 @@ type Package struct {
 type listEntry struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	Export     string
 	GoFiles    []string
-	Imports    []string
-	Standard   bool
 	ForTest    string
 	Module     *struct {
-		Path      string
 		Main      bool
 		GoVersion string
 	}
@@ -119,7 +113,7 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 
 	fullOut, err := runGoList(dir, append([]string{
 		"list", "-e", "-export", "-deps", "-test",
-		"-json=ImportPath,Dir,Name,Export,GoFiles,Imports,Standard,ForTest,Module,Error", "--",
+		"-json=ImportPath,Dir,Export,GoFiles,ForTest,Module,Error", "--",
 	}, patterns...)...)
 	if err != nil {
 		return nil, err
@@ -169,10 +163,6 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 func typeCheck(fset *token.FileSet, e *listEntry, byRaw map[string]*listEntry) (*Package, error) {
 	p := &Package{
 		ImportPath: stripVariant(e.ImportPath),
-		Raw:        e.ImportPath,
-		Dir:        e.Dir,
-		Name:       e.Name,
-		GoFiles:    e.GoFiles,
 		Fset:       fset,
 	}
 	for _, f := range e.GoFiles {
@@ -196,15 +186,7 @@ func typeCheck(fset *token.FileSet, e *listEntry, byRaw map[string]*listEntry) (
 		GoVersion: goVersion,
 		Error:     func(err error) { p.TypeErrors = append(p.TypeErrors, err) },
 	}
-	p.TypesInfo = &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
-	}
+	p.TypesInfo = analysis.NewTypesInfo()
 	pkg, err := conf.Check(p.ImportPath, fset, p.Files, p.TypesInfo)
 	if err != nil && pkg == nil {
 		return nil, fmt.Errorf("loader: type-checking %s: %w", e.ImportPath, err)

@@ -85,7 +85,7 @@ func isObsPkg(pkg *types.Package) bool {
 // hotReachable computes the function objects reachable from the hot roots
 // (writer-loop and hot-path annotations) through static intra-package
 // calls, including calls made inside function literals of a reachable
-// function — the same closure singlewriter builds for its writer graph.
+// function.
 func hotReachable(pass *analysis.Pass) map[types.Object]bool {
 	callees := make(map[types.Object][]types.Object)
 	var roots []types.Object

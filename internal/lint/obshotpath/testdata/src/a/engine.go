@@ -13,8 +13,6 @@ type engine struct {
 
 // newEngine registers handles before the loop starts. Registration is not
 // the locked snapshot side, so nothing here is flagged.
-//
-// xviewlint:writer-init
 func newEngine() *engine {
 	r := obs.NewRegistry()
 	return &engine{

@@ -12,7 +12,10 @@
 //   - element stores into slices returned by the aliasing accessors
 //     (Children, Parents, Attr, Nodes) of a sealed type or of the
 //     dag.Reader / reach.Order interfaces, and copy() with such a slice
-//     as destination;
+//     as destination — directly on the call, or through a local bound to
+//     the call by its only := or = in the function (ks := v.Children(u);
+//     ks[0] = x). Provenance is not followed any further: not through a
+//     second binding, a reslice, a struct field, a return or a call;
 //   - the same stores through the read-only interfaces themselves.
 //
 // Not flagged: writes to a sealed value freshly constructed in the same
@@ -79,20 +82,20 @@ func run(pass *analysis.Pass) (any, error) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			fresh := freshLocals(pass.TypesInfo, fd.Body)
+			fresh, aliased := localBindings(pass.TypesInfo, fd.Body)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
 					for _, lhs := range n.Lhs {
-						checkDest(pass, lhs, fresh)
+						checkDest(pass, lhs, fresh, aliased)
 					}
 				case *ast.IncDecStmt:
-					checkDest(pass, n.X, fresh)
+					checkDest(pass, n.X, fresh, aliased)
 				case *ast.CallExpr:
 					// copy(dst, src) mutates dst exactly like dst[i] = v.
 					if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "copy" &&
 						pass.TypesInfo.Uses[id] == types.Universe.Lookup("copy") && len(n.Args) == 2 {
-						checkDest(pass, n.Args[0], fresh)
+						checkDest(pass, &ast.IndexExpr{X: n.Args[0]}, fresh, aliased)
 					}
 				}
 				return true
@@ -102,32 +105,60 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// freshLocals collects local variables bound to a sealed value constructed
-// in this function (composite literal, &composite, or new(T)). Writing
-// through those is construction, not mutation.
-func freshLocals(info *types.Info, body ast.Node) map[types.Object]bool {
-	fresh := make(map[types.Object]bool)
+// localBindings classifies the function's local variables by what := or =
+// binds them to. fresh: a sealed value constructed here (composite literal,
+// &composite, or new(T)) — writing through it is construction, not
+// mutation. aliased: the result of an aliasing accessor, mapped to that
+// call — the slice still aliases the sealed version. Both are
+// flow-insensitive; a local bound a second time drops out of aliased (maps
+// to nil), so that miss is a false negative, never a false alarm.
+func localBindings(info *types.Info, body ast.Node) (fresh map[types.Object]bool, aliased map[types.Object]*ast.CallExpr) {
+	fresh = make(map[types.Object]bool)
+	aliased = make(map[types.Object]*ast.CallExpr)
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
+		if !ok {
 			return true
 		}
+		paired := len(as.Lhs) == len(as.Rhs)
 		for i, lhs := range as.Lhs {
 			id, ok := lhs.(*ast.Ident)
 			if !ok {
 				continue
 			}
-			if constructsSealed(info, as.Rhs[i]) {
-				if obj := info.Defs[id]; obj != nil {
-					fresh[obj] = true
-				} else if obj := info.Uses[id]; obj != nil {
-					fresh[obj] = true
-				}
+			obj := info.Defs[id]
+			if obj == nil {
+				obj = info.Uses[id]
 			}
+			if obj == nil {
+				continue // the blank identifier
+			}
+			if paired && constructsSealed(info, as.Rhs[i]) {
+				fresh[obj] = true
+			}
+			var call *ast.CallExpr
+			if _, rebound := aliased[obj]; paired && !rebound {
+				call = aliasCallOf(info, as.Rhs[i])
+			}
+			aliased[obj] = call
 		}
 		return true
 	})
-	return fresh
+	return fresh, aliased
+}
+
+// aliasCallOf returns e if it is a call of an aliasing accessor on a sealed
+// value or read-only interface, else nil.
+func aliasCallOf(info *types.Info, e ast.Expr) *ast.CallExpr {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return nil
+	}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok &&
+		aliasMethods[sel.Sel.Name] && sealedExpr(info, sel.X) {
+		return call
+	}
+	return nil
 }
 
 func constructsSealed(info *types.Info, e ast.Expr) bool {
@@ -150,9 +181,9 @@ func constructsSealed(info *types.Info, e ast.Expr) bool {
 
 // checkDest walks a store destination toward its root. The store is a
 // violation if the access path passes through a sealed-typed expression
-// or through an aliasing accessor call, unless the path's root is a
-// fresh local under construction.
-func checkDest(pass *analysis.Pass, dest ast.Expr, fresh map[types.Object]bool) {
+// or through an aliasing accessor call (or a local bound to one), unless
+// the path's root is a fresh local under construction.
+func checkDest(pass *analysis.Pass, dest ast.Expr, fresh map[types.Object]bool, aliased map[types.Object]*ast.CallExpr) {
 	var sealedAt ast.Expr // deepest sealed expression on the path
 	var aliasCall *ast.CallExpr
 	e := ast.Unparen(dest)
@@ -173,18 +204,19 @@ walk:
 			}
 			e = ast.Unparen(x.X)
 		case *ast.CallExpr:
-			if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok &&
-				aliasMethods[sel.Sel.Name] && sealedExpr(pass.TypesInfo, sel.X) {
-				aliasCall = x
-			}
+			aliasCall = aliasCallOf(pass.TypesInfo, x)
 			break walk // a call result has no further addressable root
 		case *ast.Ident:
-			if obj := pass.TypesInfo.Uses[e.(*ast.Ident)]; obj != nil && fresh[obj] {
+			obj := pass.TypesInfo.Uses[x]
+			if fresh[obj] {
 				return // construction of a fresh value
 			}
-			if dest != e && sealedExpr(pass.TypesInfo, e) {
-				// e.g. *p where p is *Version: the root itself is sealed.
-				sealedAt = e
+			if dest != e { // a store through the variable, not a rebinding of it
+				aliasCall = aliased[obj]
+				if sealedExpr(pass.TypesInfo, e) {
+					// e.g. *p where p is *Version: the root itself is sealed.
+					sealedAt = e
+				}
 			}
 			break walk
 		default:

@@ -42,3 +42,20 @@ func snapshotStore(s *rxview.Snapshot) {
 func incDec(v *dag.Version) {
 	v.Blocks[1]++ // want "mutating sealed"
 }
+
+// The same stores through a local bound to the accessor's result.
+func aliasedLocal(v *dag.Version, x dag.NodeID) {
+	ks := v.Children(3)
+	ks[0] = x // want "aliasing accessor"
+}
+
+func aliasedLocalCopy(r dag.Reader, src []dag.NodeID) {
+	var ps []dag.NodeID
+	ps = r.Parents(3)
+	copy(ps, src) // want "aliasing accessor"
+}
+
+func aliasedLocalSwap(v *dag.Version) {
+	ks := v.Children(v.Root)
+	ks[0], ks[1] = ks[1], ks[0] // want "aliasing accessor"
+}

@@ -34,3 +34,16 @@ func sealSnapshot(gen uint64) *rxview.Snapshot {
 func copyOut(v *dag.Version, dst []dag.NodeID) {
 	copy(dst, v.Children(0)) // reading through the accessor is fine
 }
+
+// A copy of the accessor's result is the caller's own.
+func copyThenStore(v *dag.Version, x dag.NodeID) {
+	ks := append([]dag.NodeID(nil), v.Children(0)...)
+	ks[0] = x
+}
+
+// Bound twice: the analyzer does not follow the flow, and says nothing.
+func reboundLocal(v *dag.Version, x dag.NodeID) {
+	ks := v.Children(0)
+	ks = append([]dag.NodeID(nil), ks...)
+	ks[0] = x
+}

@@ -154,34 +154,31 @@
 //
 // # Writer annotations
 //
-// The single-writer contract is machine-checked by the xviewlint suite
-// (internal/lint, run via `go run ./cmd/xviewlint ./...` or as a go vet
-// vettool). Four comment directives drive its singlewriter and obshotpath
-// analyzers:
+// The single-writer contract — the live View is touched by the apply
+// goroutine only; every other goroutine reads published epochs, atomics
+// and the View methods documented as safe for concurrent use (Degraded) —
+// is checked dynamically: `go test -race ./server` runs
+// TestReadSideNeverTouchesLiveView, which calls every Engine method and
+// HTTP route documented as safe for concurrent use while a writer
+// commits, beside the stress tests (TestStressPrefixConsistentReads,
+// TestEngineChaosSoak) that catch a store into a published epoch or a
+// second writer. A new read-side method joins that test's reader loop.
+// Why this is a test and not an analyzer: internal/lint's package comment.
 //
-//	// xviewlint:writer-only   on a struct field: the field may be
-//	                           written only from the writer call graph
-//	                           (reads are unrestricted — that is the
-//	                           point of the architecture)
-//	// xviewlint:writer-loop   on a function: a writer-graph root — the
-//	                           apply loop itself (Engine.run)
-//	// xviewlint:writer-init   on a function: a constructor that runs
-//	                           before the loop exists (New)
+// Two comment directives are read by xviewlint's obshotpath analyzer
+// (internal/lint, run via `go run ./cmd/xviewlint ./...`):
+//
+//	// xviewlint:writer-loop   on a function: the apply loop itself
+//	                           (Engine.run)
 //	// xviewlint:hot-path      on a function: a latency-critical root
-//	                           outside the writer graph (Engine.Query);
-//	                           its call graph may record telemetry only
-//	                           through the atomic fast-path obs API,
-//	                           never the locked Gather/snapshot side
+//	                           outside the writer graph (Engine.Query)
 //
-// The writer call graph is the transitive closure of intra-package calls
-// from the writer-loop and writer-init roots. Engine.view carries
-// writer-only: after New hands the view to the loop, any write to the
-// field outside run's call graph is a finding. Independently, a value
-// obtained from an atomic.Pointer Load (a published epoch) is flagged if
-// anything is stored through it — snapshots are immutable once published.
+// The transitive closure of intra-package calls from those roots may
+// record telemetry only through the atomic fast-path obs API, never the
+// locked Gather/snapshot side.
 //
 // A directive is a statement of architecture, not a suppression: adding
-// one widens what the analyzer accepts, so new annotations get the same
+// one widens what the analyzer checks, so new annotations get the same
 // review scrutiny as a lock-ordering change. Deliberate per-line
 // exceptions use the //lint:ignore grammar described in the repository
 // README ("Static analysis"), which requires a justification.

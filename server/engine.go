@@ -87,7 +87,10 @@ type epoch struct {
 // the consistency model. Create one with New; after that the View must not
 // be used directly (the Engine owns it).
 type Engine struct {
-	view *rxview.View // xviewlint:writer-only
+	// view is set once by New and belongs to the apply loop: off the loop
+	// only View.Degraded (an atomic load) may be called on it. Checked by
+	// TestReadSideNeverTouchesLiveView under -race; see doc.go.
+	view *rxview.View
 	cfg  config
 	ep   atomic.Pointer[epoch]
 	reqs chan *request
@@ -142,8 +145,6 @@ type result struct {
 // New starts the serving layer over a view: it publishes the initial
 // snapshot and launches the apply loop. The caller hands the view over —
 // all further access must go through the Engine.
-//
-// xviewlint:writer-init
 func New(view *rxview.View, opts ...Option) *Engine {
 	cfg := config{queue: 256, probeBase: 25 * time.Millisecond, probeMax: 2 * time.Second}
 	for _, o := range opts {
@@ -333,7 +334,7 @@ func (e *Engine) applyTx(ctx context.Context, updates []rxview.Update) ([]*rxvie
 // exec runs fn on the apply goroutine, serialized with every write, and
 // publishes any epoch fn moved the view to. It is the follower's apply
 // path: restores and streamed records go through the same single-writer
-// loop as client writes, which is what keeps the writer-only discipline
+// loop as client writes, which is what keeps the single-writer discipline
 // intact on replicas. Bypasses admission control like recovery probes —
 // replication steps end staleness, so shedding them would be backwards.
 func (e *Engine) exec(ctx context.Context, fn func() error) error {
@@ -575,10 +576,6 @@ func (e *Engine) processRun(run []*request) {
 	}
 }
 
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // deliver fulfills a request's promise exactly once, stamps the covering
 // generation, and keeps the applied / rejected counters and the slow-
 // commit log. Called only from the apply loop, always after the snapshot
@@ -623,23 +620,20 @@ func (e *Engine) publish() time.Duration {
 	if e.ep.Load().sn.Generation() == e.view.Generation() {
 		return 0
 	}
+	return e.republish()
+}
+
+// republish seals and swaps in a fresh epoch unconditionally — the
+// replication-step variant of publish, where state can change under an
+// unchanged generation — and returns the publication duration. Called only
+// from the apply loop.
+func (e *Engine) republish() time.Duration {
 	sp := obs.StartSpan(e.met.publishDur)
 	e.ep.Store(&epoch{sn: e.view.Snapshot(), memo: newResultMemo(memoCap)})
 	d := sp.End()
 	e.met.snapSwaps.Inc()
 	rxview.ObservePublish(d)
 	return d
-}
-
-// republish seals and swaps in a fresh epoch unconditionally — the
-// replication-step variant of publish, where state can change under an
-// unchanged generation. Called only from the apply loop.
-func (e *Engine) republish() {
-	sp := obs.StartSpan(e.met.publishDur)
-	e.ep.Store(&epoch{sn: e.view.Snapshot(), memo: newResultMemo(memoCap)})
-	d := sp.End()
-	e.met.snapSwaps.Inc()
-	rxview.ObservePublish(d)
 }
 
 // Stats describes the serving layer: the published epoch's view statistics

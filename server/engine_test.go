@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
@@ -182,6 +183,68 @@ func TestStressPrefixConsistentReads(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Queries == 0 || st.UpdatesApplied != uint64(nOps) {
 		t.Errorf("stats: %+v (want %d applied, >0 queries)", st, nOps)
+	}
+}
+
+// TestReadSideNeverTouchesLiveView is the single-writer contract seen from
+// the read side, and has a verdict only under -race: while a writer commits
+// (and checkpoints), reader goroutines call every Engine method and HTTP
+// route documented as safe for concurrent use. Each must be served from
+// the published epoch, atomics, or the View methods documented as safe off
+// the loop; one that reads the live view (Engine.Stats calling
+// e.view.Stats()) or writes a field the loop owns is a reported race. A new
+// read-side method or route joins the two lists below.
+func TestReadSideNeverTouchesLiveView(t *testing.T) {
+	ctx := context.Background()
+	eng, view := mustRegistrarEngine(t, rxview.WithForceSideEffects(),
+		rxview.WithDurability(t.TempDir()), rxview.WithFsync(rxview.FsyncOff), rxview.WithCheckpointEvery(8))
+	h := server.NewHandler(eng, server.HandlerOptions{Checkpointing: view.Checkpointing})
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				_ = eng.Stats()
+				_ = eng.Generation()
+				_ = eng.Snapshot().Stats()
+				_ = eng.Degraded()
+				_ = eng.Primary()
+				_ = eng.Metrics().Gather()
+				_, _ = eng.SlowLog().Entries()
+				for _, route := range []string{"/stats", "/healthz", "/metrics", "/debug/vars"} {
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest("GET", route, nil))
+					if rec.Code != 200 && route != "/healthz" { // 503 while a checkpoint stalls the writer
+						t.Errorf("GET %s = %d", route, rec.Code)
+						return
+					}
+				}
+			}
+		}()
+	}
+	const target = `//course[cno="CS650"]/takenBy`
+	for i := 0; i < 40; i++ {
+		ssn := fmt.Sprintf("R%02d", i)
+		if rep, err := eng.Update(ctx, rxview.Insert(target, "student", rxview.Str(ssn), rxview.Str("x"))); err != nil || !rep.Applied {
+			t.Fatalf("insert %s: applied=%v err=%v", ssn, rep != nil && rep.Applied, err)
+		}
+		if rep, err := eng.Update(ctx, rxview.Delete(fmt.Sprintf(`//student[ssn="%s"]`, ssn))); err != nil || !rep.Applied {
+			t.Fatalf("delete %s: applied=%v err=%v", ssn, rep != nil && rep.Applied, err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	eng.Close()
+	if err := view.Close(); err != nil {
+		t.Error(err)
 	}
 }
 
