@@ -44,6 +44,10 @@ func encodeCheckpointReference(sys *core.System) []byte {
 	}
 	dst := []byte{ckptVersion}
 	dst = binary.AppendUvarint(dst, sys.Generation())
+	sum, _ := sys.Digest()
+	dst = sum.Append(dst)
+	fp := sys.ATG.Fingerprint()
+	dst = append(dst, fp[:]...)
 	dst = binary.AppendUvarint(dst, uint64(len(names)))
 	for i, name := range names {
 		dst = binary.AppendUvarint(dst, uint64(len(name)))

@@ -93,13 +93,14 @@ func healthCheck(out io.Writer, addr string) error {
 		OK         bool   `json:"ok"`
 		State      string `json:"state"`
 		Generation uint64 `json:"generation"`
+		Digest     string `json:"digest"`
 		QueueDepth int64  `json:"queue_depth"`
 	}
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&in); err != nil {
 		return fmt.Errorf("decoding /healthz: %w", err)
 	}
-	fmt.Fprintf(out, "  state=%s generation=%d queue_depth=%d (HTTP %d)\n",
-		in.State, in.Generation, in.QueueDepth, resp.StatusCode)
+	fmt.Fprintf(out, "  state=%s generation=%d digest=%s queue_depth=%d (HTTP %d)\n",
+		in.State, in.Generation, orNone(in.Digest), in.QueueDepth, resp.StatusCode)
 	switch {
 	case in.OK:
 		return nil

@@ -27,10 +27,15 @@
 //	check                          verify ΔX(T) = σ(ΔR(I)) and index health
 //	tables                         row counts of the base relations
 //	wal inspect <dir>              list a durability directory: checkpoints,
-//	                               log segments, per-record sizes (offline,
-//	                               read-only)
+//	                               log segments, per-record sizes and state
+//	                               digests (offline, read-only)
 //	checkpoint <dir>               describe the newest readable checkpoint —
 //	                               the sealed epoch a recovery would boot from
+//	verify <dir>                   restore what a recovery of the directory
+//	                               would serve (under -dataset's ATG) and run
+//	                               the full consistency check on it: the
+//	                               ground truth a reopen no longer pays for
+//	                               (offline, read-only)
 //	metrics <addr>                 scrape a running daemon's /metrics and
 //	                               summarize every family (counters, gauges,
 //	                               histogram p50/p95/p99)
@@ -236,21 +241,26 @@ func open() (*rxview.View, error) {
 	if *force {
 		opts = append(opts, rxview.WithForceSideEffects())
 	}
+	atg, db, err := openDataset()
+	if err != nil {
+		return nil, err
+	}
+	return rxview.Open(atg, db, opts...)
+}
+
+// openDataset builds the ATG and a freshly seeded database of -dataset.
+func openDataset() (*rxview.ATG, *rxview.DB, error) {
 	switch *dataset {
 	case "registrar":
-		atg, db, err := rxview.NewRegistrar()
-		if err != nil {
-			return nil, err
-		}
-		return rxview.Open(atg, db, opts...)
+		return rxview.NewRegistrar()
 	case "synthetic":
 		syn, err := rxview.NewSynthetic(rxview.SyntheticConfig{NC: *nc, Seed: *seed})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return rxview.Open(syn.ATG, syn.DB, opts...)
+		return syn.ATG, syn.DB, nil
 	default:
-		return nil, fmt.Errorf("unknown dataset %q", *dataset)
+		return nil, nil, fmt.Errorf("unknown dataset %q", *dataset)
 	}
 }
 
@@ -264,7 +274,7 @@ func (s *session) dispatch(out io.Writer, line string) error {
   delete <xpath>
   begin | stage <stmt> | commit | rollback | tx
   xml | stats | check | tables | quit
-  wal inspect <dir> | checkpoint <dir>
+  wal inspect <dir> | checkpoint <dir> | verify <dir>
   metrics <addr> | slow <addr> | health <addr>
   repl status <addr>`)
 		return nil
@@ -354,6 +364,8 @@ func (s *session) dispatch(out io.Writer, line string) error {
 		return walInspect(out, strings.TrimSpace(strings.TrimPrefix(line, "wal inspect")))
 	case strings.HasPrefix(line, "checkpoint "):
 		return checkpointDescribe(out, strings.TrimSpace(strings.TrimPrefix(line, "checkpoint")))
+	case strings.HasPrefix(line, "verify "):
+		return verifyDir(out, strings.TrimSpace(strings.TrimPrefix(line, "verify")))
 	case strings.HasPrefix(line, "metrics "):
 		return metricsScrape(out, strings.TrimSpace(strings.TrimPrefix(line, "metrics")))
 	case strings.HasPrefix(line, "slow "):
@@ -408,8 +420,8 @@ func walInspect(out io.Writer, dir string) error {
 		if c.Err != "" {
 			status = c.Err
 		}
-		fmt.Fprintf(out, "  checkpoint gen=%d %s (%d bytes state) [%s]\n",
-			c.Gen, c.Path, c.Bytes, status)
+		fmt.Fprintf(out, "  checkpoint gen=%d %s (%d bytes state) digest=%s atg=%s [%s]\n",
+			c.Gen, c.Path, c.Bytes, orNone(c.Digest), orNone(c.ATG), status)
 	}
 	for _, s := range info.Segments {
 		var ops, muts, bytes int
@@ -421,7 +433,7 @@ func walInspect(out io.Writer, dir string) error {
 		fmt.Fprintf(out, "  segment start=%d %s: %d record(s), ΔV ops=%d ΔR=%d (%d bytes)\n",
 			s.Start, s.Path, len(s.Records), ops, muts, bytes)
 		for _, r := range s.Records {
-			fmt.Fprintf(out, "    gen=%d ΔV=%d ΔR=%d %d bytes\n", r.Gen, r.DeltaOps, r.Mutations, r.Bytes)
+			fmt.Fprintf(out, "    gen=%d ΔV=%d ΔR=%d %d bytes digest=%s\n", r.Gen, r.DeltaOps, r.Mutations, r.Bytes, r.Digest)
 		}
 		if s.Note != "" {
 			fmt.Fprintf(out, "    note: %s\n", s.Note)
@@ -441,12 +453,40 @@ func checkpointDescribe(out io.Writer, dir string) error {
 		return err
 	}
 	fmt.Fprintf(out, "  checkpoint %s\n", det.Path)
-	fmt.Fprintf(out, "  sealed at generation %d (%d bytes state)\n", det.Gen, det.StateBytes)
+	fmt.Fprintf(out, "  sealed at generation %d (%d bytes state, format version %d)\n", det.Gen, det.StateBytes, det.Version)
+	fmt.Fprintf(out, "  state digest %s, written under ATG %s\n", det.Digest, det.ATG)
 	fmt.Fprintf(out, "  DAG: %d live node(s) of %d, %d edge(s); |L|=%d\n",
 		det.LiveNodes, det.Nodes, det.Edges, det.OrderLen)
 	for _, t := range det.Tables {
 		fmt.Fprintf(out, "  %-12s %d rows\n", t.Name, t.Rows)
 	}
+	return nil
+}
+
+// orNone renders a stamp an unreadable checkpoint does not have.
+func orNone(s string) string {
+	if s == "" {
+		return "none"
+	}
+	return s
+}
+
+// verifyDir is the operator's ground-truth check of a durability directory:
+// restore what a recovery would serve, under the ATG of -dataset, and hold it
+// to a fresh publication of its own base tables.
+func verifyDir(out io.Writer, dir string) error {
+	if dir == "" {
+		return fmt.Errorf("usage: verify <dir>")
+	}
+	atg, db, err := openDataset()
+	if err != nil {
+		return err
+	}
+	gen, d, err := rxview.VerifyDir(atg, db, dir)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "  consistent at generation %d, state digest %s: the restored view equals a fresh publication of the restored tables; L and the source index verified\n", gen, d)
 	return nil
 }
 

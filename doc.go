@@ -64,8 +64,12 @@
 //
 // Views are in-memory by default; WithDurability(dir) adds a write-ahead
 // log of committed write units plus sealed-epoch checkpoints, and Open then
-// recovers the newest durable state from dir (checkpoint + log replay,
-// re-verified with CheckConsistency) before serving. Every commit — an
+// recovers the newest durable state from dir before serving: the checkpoint
+// is held to the state digest it carries and to the fingerprint of the ATG it
+// was written under, and the log is replayed with the digest compared after
+// every record (View.Digest; the full CheckConsistency stays an operator's
+// and a test's tool — `xviewctl verify` — and runs on a reopen only for a
+// checkpoint written before digests). Every commit — an
 // Apply, a Batch member, a whole Begin/Commit group — is in the log before
 // its verdict returns, under the fsync policy of WithFsync; View.Close
 // seals a final checkpoint so the next Open replays nothing. An automatic

@@ -5,11 +5,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
+	"rxview/internal/atg"
 	"rxview/internal/core"
 	"rxview/internal/dag"
+	"rxview/internal/digest"
 	"rxview/internal/relational"
 	"rxview/internal/storage"
 	"rxview/internal/wal"
@@ -24,8 +27,28 @@ import (
 // when WithCheckpointEvery is not given.
 const defaultCheckpointEvery = 256
 
-// ckptVersion versions the checkpoint payload layout.
-const ckptVersion = 1
+// What a restore verifies. A checkpoint carries the state digest (package
+// digest) of the state it holds, and every commit record the digest of the
+// state it leaves; the primary stepped that digest over each record as it built
+// it. A restore holds the decoded payload to the checkpoint's digest in one
+// pass, replays the suffix through core's ApplyCommitRecord, which steps the
+// digest by the same function and compares after every record, and validates
+// L, which the digest does not cover. It no longer republishes the view: equal
+// digests prove that the restored state is the state the primary had — nodes,
+// edges and rows alike — and what the primary had went through the translator
+// whose output the tests hold to σ(I) with the full CheckConsistency after
+// every kind of commit. That check stays the ground truth — View.
+// CheckConsistency, `xviewctl check` and `verify`, every test — it is just no
+// longer what a reopen pays for. A version-1 checkpoint carries nothing to
+// compare with, so it alone is still verified by CheckConsistency, once, and
+// says so in a warning; the next checkpoint written is version 2.
+
+// Checkpoint payload versions: version 1 has no digest and no grammar
+// fingerprint. Writers write ckptVersion only; readers accept both.
+const (
+	ckptVersionLegacy = 1
+	ckptVersion       = 2
+)
 
 // openDurable is Open with WithDurability: recover the newest durable state
 // from the directory (or establish the genesis epoch from the provided DB),
@@ -45,11 +68,12 @@ func openDurable(a *ATG, db *DB, cfg *config) (*View, error) {
 		if err != nil {
 			return nil, err
 		}
+		sys.StartDigest()
 	} else {
 		for _, w := range boot.Warnings {
 			warnTo(cfg.warn, "rxview: recovery: %s", w)
 		}
-		sys, err = restoreSystem(a, db, cfg.opts, cfg.durDir, boot.Gen, boot.State, boot.Records)
+		sys, err = restoreSystem(a, db, cfg.opts, cfg.warn, cfg.durDir, boot.Gen, boot.State, boot.Records)
 		if err != nil {
 			return nil, err
 		}
@@ -87,10 +111,14 @@ func openDurable(a *ATG, db *DB, cfg *config) (*View, error) {
 
 // restoreSystem rebuilds a system from a checkpoint payload sealed at gen
 // plus the records that follow it — boot recovery's log suffix, nothing for a
-// follower's restore: decode, replace the DB's contents, replay, verify. src
-// names where the payload came from in the errors. Everything is decoded
-// before the DB is touched, so an undecodable payload changes nothing.
-func restoreSystem(a *ATG, db *DB, opts core.Options, src string, gen uint64, state []byte, suffix []wal.Record) (*core.System, error) {
+// follower's restore: decode, verify, replace the DB's contents, replay. src
+// names where the payload came from in the errors. The payload is decoded
+// into a DAG and a database of its own and held to its grammar fingerprint
+// and its state digest before the caller's DB is touched, and a restore that
+// is refused later — a record that does not replay to its digest, an L that
+// is no order of the DAG — puts the DB's contents back: a refused restore
+// changes nothing.
+func restoreSystem(a *ATG, db *DB, opts core.Options, warn func(string), src string, gen uint64, state []byte, suffix []wal.Record) (*core.System, error) {
 	ck, err := decodeCheckpoint(state)
 	if err != nil {
 		return nil, &CorruptLogError{Dir: src, Err: err}
@@ -99,26 +127,48 @@ func restoreSystem(a *ATG, db *DB, opts core.Options, src string, gen uint64, st
 		return nil, &CheckpointMismatchError{Dir: src,
 			Err: fmt.Errorf("checkpoint payload is for generation %d, its source says %d", ck.gen, gen)}
 	}
+	legacy := ck.version == ckptVersionLegacy
+	if fp := a.c.Fingerprint(); !legacy && ck.atg != fp {
+		return nil, &CheckpointMismatchError{Dir: src,
+			Err: fmt.Errorf("checkpoint was written under ATG %s, this view was opened with ATG %s", ck.atg, fp)}
+	}
 	d, err := dag.DecodeState(ck.dagState)
 	if err != nil {
 		return nil, &CorruptLogError{Dir: src, Err: err}
 	}
-	db.db.Reset()
+	for _, id := range ck.order {
+		if int(id) >= d.Cap() {
+			return nil, &CorruptLogError{Dir: src, Err: fmt.Errorf("checkpoint: L names node %d of %d", id, d.Cap())}
+		}
+	}
+	loaded := relational.NewDatabase(db.db.Schema)
 	for _, tb := range ck.tables {
 		for _, t := range tb.tuples {
-			if err := db.db.Insert(tb.name, t); err != nil {
+			if err := loaded.Insert(tb.name, t); err != nil {
 				return nil, &CorruptLogError{Dir: src,
 					Err: fmt.Errorf("checkpointed tuple rejected: %w", err)}
 			}
 		}
 	}
-	sys, err := core.Recover(a.c, storage.NewMemory(db.db), d, ck.order, gen, suffix, opts)
-	if err != nil {
-		return nil, &CheckpointMismatchError{Dir: src, Err: err}
-	}
-	if err := sys.CheckConsistency(); err != nil {
+	sum := digest.Of(d, loaded)
+	if err := digest.Compare(ck.digest, sum); err != nil {
 		return nil, &CheckpointMismatchError{Dir: src,
-			Err: fmt.Errorf("restored state fails consistency check: %w", err)}
+			Err: fmt.Errorf("checkpoint payload at generation %d: %w", gen, err)}
+	}
+
+	db.db.Swap(loaded) // loaded holds the previous contents from here on
+	sys, err := core.Recover(a.c, storage.NewMemory(db.db), d, ck.order, gen, sum, suffix, opts)
+	switch {
+	case err != nil:
+	case legacy:
+		warnTo(warn, "rxview: recovery: %s: version-1 checkpoint at generation %d carries no state digest; verifying the restored state with a full consistency check", src, gen)
+		err = sys.CheckConsistency()
+	default:
+		err = sys.Topo.Validate(sys.DAG)
+	}
+	if err != nil {
+		db.db.Swap(loaded)
+		return nil, &CheckpointMismatchError{Dir: src, Err: fmt.Errorf("restoring generation %d: %w", gen, err)}
 	}
 	return sys, nil
 }
@@ -340,11 +390,14 @@ func walErr(dir string, err error) error {
 	return err
 }
 
-// checkpoint is the decoded payload: the relational instance, the DAG with
-// its full identity table, the topological order, and the generation — all
-// of it at one sealed epoch.
+// checkpoint is the decoded payload: the generation, the state digest and the
+// grammar fingerprint, then the relational instance, the DAG with its full
+// identity table, and the topological order — all of it at one sealed epoch.
 type checkpoint struct {
+	version  byte
 	gen      uint64
+	digest   digest.Sum      // of the state below; zero in a version-1 payload
+	atg      atg.Fingerprint // of the grammar the state was published under; version 2
 	tables   []ckptTable
 	dagState []byte
 	order    []dag.NodeID
@@ -357,9 +410,9 @@ type ckptTable struct {
 
 // encodeCheckpoint serializes the full state of the system into one buffer:
 // wal.CheckpointHeadroom free bytes for the file's framing, then the
-// payload — version, generation, the tables (rows in ascending order of
-// their injective encoding, so the payload is byte-stable), the DAG state,
-// and L.
+// payload — version, generation, the state digest, the grammar fingerprint,
+// the tables (rows in ascending order of their injective encoding, so the
+// payload is byte-stable), the DAG state, and L.
 //
 // The writer pays for this inside the checkpoint stall, and for collecting
 // what it leaves behind, so it allocates a fixed handful of objects: the
@@ -373,7 +426,9 @@ type ckptTable struct {
 func encodeCheckpoint(sys *core.System) []byte {
 	gen := sys.Generation()
 	names := sys.DB.Schema.TableNames()
-	tablesEnd := wal.CheckpointHeadroom + 1 + uvarintLen(gen) + uvarintLen(uint64(len(names)))
+	sum, _ := sys.Digest()
+	fp := sys.ATG.Fingerprint()
+	tablesEnd := wal.CheckpointHeadroom + 1 + uvarintLen(gen) + digest.Size + len(fp) + uvarintLen(uint64(len(names)))
 	arenaCap, maxRows := 0, 0
 	for _, name := range names {
 		rel, n := sys.DB.Rel(name), 0
@@ -404,6 +459,8 @@ func encodeCheckpoint(sys *core.System) []byte {
 
 	dst = append(buf[:wal.CheckpointHeadroom], ckptVersion)
 	dst = binary.AppendUvarint(dst, gen)
+	dst = sum.Append(dst)
+	dst = append(dst, fp[:]...)
 	dst = binary.AppendUvarint(dst, uint64(len(names)))
 	type span struct{ off, end int }
 	rows := make([]span, 0, maxRows)
@@ -437,12 +494,36 @@ func encodeCheckpoint(sys *core.System) []byte {
 // uvarintLen is the number of bytes binary.AppendUvarint writes for x.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-func decodeCheckpoint(b []byte) (*checkpoint, error) {
-	if len(b) == 0 || b[0] != ckptVersion {
-		return nil, fmt.Errorf("checkpoint: unsupported version")
+// decodeCheckpointHeader decodes what a payload says about itself — version,
+// generation and, from version 2 on, state digest and grammar fingerprint —
+// and returns the rest of the payload.
+func decodeCheckpointHeader(b []byte) (*checkpoint, []byte, error) {
+	if len(b) == 0 || b[0] != ckptVersionLegacy && b[0] != ckptVersion {
+		return nil, nil, fmt.Errorf("checkpoint: unsupported version")
 	}
-	b = b[1:]
-	ck := &checkpoint{}
+	ck := &checkpoint{version: b[0]}
+	gen, w := binary.Uvarint(b[1:])
+	if w <= 0 {
+		return nil, nil, fmt.Errorf("checkpoint: bad generation")
+	}
+	ck.gen, b = gen, b[1+w:]
+	if ck.version == ckptVersionLegacy {
+		return ck, b, nil
+	}
+	if len(b) < digest.Size+len(ck.atg) {
+		return nil, nil, fmt.Errorf("checkpoint: bad digest")
+	}
+	ck.digest = digest.Decode(b)
+	b = b[digest.Size:]
+	b = b[copy(ck.atg[:], b):]
+	return ck, b, nil
+}
+
+func decodeCheckpoint(b []byte) (*checkpoint, error) {
+	ck, b, err := decodeCheckpointHeader(b)
+	if err != nil {
+		return nil, err
+	}
 	var w int
 	var u uint64
 	next := func(what string) (uint64, error) {
@@ -453,11 +534,6 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 		b = b[w:]
 		return u, nil
 	}
-	gen, err := next("generation")
-	if err != nil {
-		return nil, err
-	}
-	ck.gen = gen
 	nt, err := next("table count")
 	if err != nil {
 		return nil, err
@@ -501,8 +577,8 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 	}
 	for i := uint64(0); i < on; i++ {
 		id, err := next("order entry")
-		if err != nil {
-			return nil, err
+		if err != nil || id > math.MaxInt32 {
+			return nil, fmt.Errorf("checkpoint: bad order entry")
 		}
 		ck.order = append(ck.order, dag.NodeID(id))
 	}

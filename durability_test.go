@@ -803,6 +803,13 @@ func TestNonDurableViewHasNoDurabilitySurface(t *testing.T) {
 	if _, err := view.Apply(ctx, rxview.Insert(`.`, "course", rxview.Str("CS831"), rxview.Str("Still"))); err != nil {
 		t.Fatal(err)
 	}
+	// It builds no commit records, so it keeps no state digest either.
+	if d, ok := view.Digest(); ok || d != (rxview.Digest{}) || d.String() != "none" {
+		t.Fatalf("Digest on non-durable view: %s, %v", d, ok)
+	}
+	if _, ok := view.Snapshot().Digest(); ok {
+		t.Fatal("a non-durable view's snapshot carries a digest")
+	}
 }
 
 func TestCheckpointDuringOpenTxRefused(t *testing.T) {

@@ -37,10 +37,12 @@ var (
 	// unreadable. The concrete type is *CorruptLogError. (A torn final
 	// record is not corruption — recovery truncates it and continues.)
 	ErrCorruptLog = errors.New("rxview: durability log is corrupt")
-	// ErrCheckpointMismatch marks a durability directory whose files are
-	// individually valid but do not continue each other — a generation gap
-	// between the checkpoint and the log, or a replayed log that fails to
-	// reproduce a consistent state. The concrete type is
+	// ErrCheckpointMismatch marks a durability directory, or a replication
+	// stream, whose pieces are individually well-formed but are not the
+	// history they claim to be: a generation gap between the checkpoint and
+	// the log, a checkpoint payload or a replayed record that does not
+	// produce the state its digest names, a checkpoint written under another
+	// ATG, an L that is no order of the restored view. The concrete type is
 	// *CheckpointMismatchError.
 	ErrCheckpointMismatch = errors.New("rxview: checkpoint and log disagree")
 	// ErrDegraded marks a write rejected because a durable view is in
@@ -68,9 +70,10 @@ func (e *CorruptLogError) Is(target error) bool { return target == ErrCorruptLog
 func (e *CorruptLogError) Unwrap() error { return e.Err }
 
 // CheckpointMismatchError reports that the checkpoint and the log in a
-// durability directory disagree: replaying the log onto the checkpointed
-// state either hit a generation gap or failed to reproduce a consistent
-// system.
+// durability directory (or a follower's checkpoint and stream) disagree:
+// restoring hit a generation gap, a state that does not match the digest
+// stamped on it — Err then names both digests and the generation — or a
+// checkpoint of another ATG.
 type CheckpointMismatchError struct {
 	Dir string
 	Err error

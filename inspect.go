@@ -1,6 +1,10 @@
 package rxview
 
 import (
+	"fmt"
+	"math"
+
+	"rxview/internal/core"
 	"rxview/internal/dag"
 	"rxview/internal/wal"
 )
@@ -22,15 +26,50 @@ type (
 )
 
 // InspectWAL lists a durability directory: every checkpoint with its
-// validity, every log segment with its records. Damage is reported in the
-// Err/Note fields rather than failing the listing.
-func InspectWAL(dir string) (*WALInfo, error) { return wal.Inspect(dir) }
+// validity, the state digest it carries and the fingerprint of the ATG it was
+// written under, every log segment with its records and theirs ("none" where a
+// file predates digests). Damage is reported in the Err/Note fields rather
+// than failing the listing.
+func InspectWAL(dir string) (*WALInfo, error) {
+	info, err := wal.Inspect(dir)
+	if err != nil {
+		return nil, err
+	}
+	for i := range info.Checkpoints {
+		c := &info.Checkpoints[i]
+		if c.Err != "" {
+			continue
+		}
+		state, err := wal.ReadCheckpoint(c.Path, c.Gen)
+		if err == nil {
+			var ck *checkpoint
+			if ck, _, err = decodeCheckpointHeader(state); err == nil {
+				c.Digest, c.ATG = ck.stamps()
+				continue
+			}
+		}
+		c.Err = err.Error()
+	}
+	return info, nil
+}
+
+// stamps renders what a payload says about the state it holds: its digest
+// and the fingerprint of its grammar, "none" for both in a version-1 payload.
+func (ck *checkpoint) stamps() (sum, atg string) {
+	if ck.version == ckptVersionLegacy {
+		return "none", "none"
+	}
+	return ck.digest.String(), ck.atg.String()
+}
 
 // CheckpointDetail describes the newest readable checkpoint in a durability
 // directory: the sealed epoch a recovery would boot from.
 type CheckpointDetail struct {
 	Path       string      `json:"path"`
 	Gen        uint64      `json:"gen"`
+	Version    int         `json:"version"`     // payload format: 2 carries the two stamps below, 1 predates them
+	Digest     string      `json:"digest"`      // state digest of the sealed epoch; "none" in a version-1 payload
+	ATG        string      `json:"atg"`         // fingerprint of the ATG it was written under; "none" likewise
 	Tables     []TableInfo `json:"tables"`      // base relations with row counts
 	Nodes      int         `json:"nodes"`       // identity-table size, dead entries included
 	LiveNodes  int         `json:"live_nodes"`  // nodes alive at the sealed epoch
@@ -58,14 +97,48 @@ func InspectCheckpoint(dir string) (*CheckpointDetail, error) {
 	det := &CheckpointDetail{
 		Path:       path,
 		Gen:        gen,
+		Version:    int(ck.version),
 		Nodes:      d.Cap(),
 		LiveNodes:  d.NumNodes(),
 		Edges:      d.NumEdges(),
 		OrderLen:   len(ck.order),
 		StateBytes: len(state),
 	}
+	det.Digest, det.ATG = ck.stamps()
 	for _, tb := range ck.tables {
 		det.Tables = append(det.Tables, TableInfo{Name: tb.name, Rows: len(tb.tuples)})
 	}
 	return det, nil
+}
+
+// VerifyDir is the ground-truth check of a durability directory, for an
+// operator: it restores into db the state a recovery of dir would serve — the
+// newest readable checkpoint, then the log past it, verified record by record
+// like any restore — and runs the full CheckConsistency on the result: the
+// view republished from the restored base tables must equal the restored
+// view. It returns the generation and state digest it verified. Like the
+// other inspections it never modifies the directory; a torn tail simply ends
+// the log.
+func VerifyDir(a *ATG, db *DB, dir string) (gen uint64, d Digest, err error) {
+	gen, state, _, err := wal.NewestCheckpoint(dir)
+	if err != nil {
+		return 0, Digest{}, walErr(dir, err)
+	}
+	recs, err := wal.ScanFrom(dir, gen, math.MaxUint64)
+	if err != nil {
+		return 0, Digest{}, walErr(dir, err)
+	}
+	suffix := make([]wal.Record, len(recs))
+	for i, r := range recs {
+		suffix[i] = r.Record
+	}
+	sys, err := restoreSystem(a, db, core.Options{}, nil, dir, gen, state, suffix)
+	if err != nil {
+		return 0, Digest{}, err
+	}
+	if err := sys.CheckConsistency(); err != nil {
+		return 0, Digest{}, fmt.Errorf("rxview: %s: the state at generation %d fails the consistency check: %w", dir, sys.Generation(), err)
+	}
+	d, _ = sys.Digest()
+	return sys.Generation(), d, nil
 }

@@ -32,6 +32,8 @@ type Compiled struct {
 	*ATG
 	rules   map[string]map[string]*CompiledRule
 	textIdx map[string]int // PCDATA type -> attribute component holding its text
+
+	fingerprint Fingerprint
 }
 
 // Compile validates the ATG against its DTD and schema:
@@ -99,6 +101,7 @@ func Compile(a *ATG) (*Compiled, error) {
 			m[child] = cr
 		}
 	}
+	c.fingerprint = c.computeFingerprint()
 	return c, nil
 }
 

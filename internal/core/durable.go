@@ -5,6 +5,7 @@ import (
 
 	"rxview/internal/atg"
 	"rxview/internal/dag"
+	"rxview/internal/digest"
 	"rxview/internal/reach"
 	"rxview/internal/storage"
 	"rxview/internal/viewupdate"
@@ -40,6 +41,34 @@ func (s *System) SetCommitSink(sink CommitSink, afterSync func(gen uint64)) {
 	s.afterSync = afterSync
 }
 
+// StartDigest computes the state digest with one full pass and keeps it
+// current from here on: every commit steps it over the record it builds and
+// stamps the record with it, and every ApplyCommitRecord steps it the same way
+// and holds the result to the record's stamp. A durable view starts it at its
+// genesis and a replica when it opens; Recover is handed the digest its
+// checkpoint carried instead. A system that never starts one builds no
+// records and pays nothing.
+func (s *System) StartDigest() {
+	s.digest = digest.Of(s.DAG, s.DB)
+}
+
+// Digest returns the state digest at the current generation; ok is false when
+// the system keeps none. While a transaction is open it covers the stages
+// applied so far of a prefix group and nothing of an atomic one, like the
+// generation.
+func (s *System) Digest() (sum digest.Sum, ok bool) { return s.digest, !s.digest.IsZero() }
+
+// stepDigest is the digest a commit stamps on rec, the record it is about to
+// log: the digest of the state rec leaves, stepped from the digest of the
+// state it was applied to. The zero digest — none — when the system keeps
+// none.
+func (s *System) stepDigest(rec CommitRecord) digest.Sum {
+	if s.digest.IsZero() {
+		return digest.Sum{}
+	}
+	return s.digest.Step(s.DAG, rec.Delta, rec.DR)
+}
+
 // ApplyCommitRecord replays one committed record against the live system —
 // the one replay loop, shared by the follower's apply path and by Recover:
 // ΔR goes through the backend, then the DAG delta op by op with L and the
@@ -49,7 +78,10 @@ func (s *System) SetCommitSink(sink CommitSink, afterSync func(gen uint64)) {
 // invalidates a topological order). The record must continue the current
 // generation exactly; a gap means the caller lost part of the stream (or the
 // log and checkpoint disagree) and must re-sync from a checkpoint rather than
-// replay into a wrong state.
+// replay into a wrong state. So does a replay that ends in a state other than
+// the one the record's digest names: the error wraps a *digest.MismatchError
+// with both, the generation is not advanced, and the caller's state is no
+// longer any generation's — restore it from a checkpoint or discard it.
 func (s *System) ApplyCommitRecord(rec CommitRecord) error {
 	if s.txn != nil {
 		return ErrTxOpen
@@ -76,16 +108,24 @@ func (s *System) ApplyCommitRecord(rec CommitRecord) error {
 			s.Translator.NoteEdgeDeleted(op.Edge)
 		}
 	}
+	if !s.digest.IsZero() {
+		next := s.digest.Step(s.DAG, rec.Delta, rec.DR)
+		if err := digest.Compare(rec.Digest, next); err != nil {
+			return fmt.Errorf("core: apply record: generation %d: %w", rec.Gen, err)
+		}
+		s.digest = next
+	}
 	s.gen = rec.Gen
 	return nil
 }
 
 // Recover rebuilds a System from durable state: a checkpoint (the backend
 // holding the checkpointed instance, the decoded DAG and its serialized
-// topological order, at generation gen) plus the log suffix recs, replayed
-// in order through ApplyCommitRecord. Generations must be contiguous from
-// gen+1.
-func Recover(c *atg.Compiled, store storage.Backend, d *dag.DAG, order []dag.NodeID, gen uint64, recs []CommitRecord, opts Options) (*System, error) {
+// topological order, at generation gen, with state digest sum — the caller
+// has held the decoded state to it, or computed it where the checkpoint
+// carried none) plus the log suffix recs, replayed in order through
+// ApplyCommitRecord. Generations must be contiguous from gen+1.
+func Recover(c *atg.Compiled, store storage.Backend, d *dag.DAG, order []dag.NodeID, gen uint64, sum digest.Sum, recs []CommitRecord, opts Options) (*System, error) {
 	db := store.DB()
 	s := &System{
 		ATG:        c,
@@ -98,6 +138,7 @@ func Recover(c *atg.Compiled, store storage.Backend, d *dag.DAG, order []dag.Nod
 		text:       c.Text(d),
 		textEq:     c.TextEquals(d),
 		gen:        gen,
+		digest:     sum,
 	}
 	for _, rec := range recs {
 		if err := s.ApplyCommitRecord(rec); err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rxview/internal/dag"
+	"rxview/internal/digest"
 	"rxview/internal/reach"
 	"rxview/internal/update"
 	"rxview/internal/workload"
@@ -23,7 +24,11 @@ import (
 // experiments' side: a reachability matrix kept from nothing but the commit
 // records — tapped by an in-memory sink, the way internal/bench does it —
 // equals both from-scratch oracles, mirror intact. A rolled-back unit emits
-// no record, so the matrix must still be exact for the restored state.
+// no record, so the matrix must still be exact for the restored state. And
+// the state digest's side: stepped over each commit's record, it equals the
+// full pass over the state after every unit — applied, rejected (it must not
+// have moved: group compares the fingerprint, which carries it), rolled back,
+// or resurrecting a dead identity.
 type maintenanceOracle struct {
 	t     *testing.T
 	s     *System
@@ -33,6 +38,7 @@ type maintenanceOracle struct {
 
 func newMaintenanceOracle(t *testing.T, s *System) *maintenanceOracle {
 	o := &maintenanceOracle{t: t, s: s, m: reach.Compute(s.DAG, s.Topo)}
+	s.StartDigest()
 	s.SetCommitSink(func(recs []CommitRecord) error {
 		for _, r := range recs {
 			o.delta = append(o.delta, r.Delta...)
@@ -47,6 +53,9 @@ func (o *maintenanceOracle) check(unit string) {
 	s := o.s
 	if err := s.CheckConsistency(); err != nil {
 		o.t.Fatalf("%s: %v", unit, err)
+	}
+	if got, want := s.digest, digest.Of(s.DAG, s.DB); got != want {
+		o.t.Fatalf("%s: incremental digest %s, a full pass over the state says %s", unit, got, want)
 	}
 	reachable := dag.Reachable(s.DAG)
 	for id := 0; id < s.DAG.Cap(); id++ {
@@ -94,10 +103,13 @@ func (o *maintenanceOracle) apply(stmt string) {
 			}
 		}
 	}
-	before := s.DAG.Nodes()
+	before, sumBefore := s.DAG.Nodes(), s.digest
 	rep, err := s.Apply(op)
 	if err != nil && !benignRejection(err) {
 		o.t.Fatalf("%s: %v", stmt, err)
+	}
+	if !rep.Applied && s.digest != sumBefore {
+		o.t.Fatalf("%s: not applied (%v), yet the digest moved from %s to %s", stmt, err, sumBefore, s.digest)
 	}
 	if op.Kind == update.OpDelete && rep.Applied {
 		var got []dag.NodeID
@@ -253,6 +265,12 @@ func TestReplayIsOneLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// All three keep a state digest, so every replayed record is also held
+	// to the digest the primary stamped on it.
+	primary.StartDigest()
+	follower.StartDigest()
+	ckptSum := digest.Of(ckptDAG, ckpt.DB)
+
 	var stream []CommitRecord
 	primary.SetCommitSink(func(recs []CommitRecord) error {
 		stream = append(stream, recs...)
@@ -288,7 +306,7 @@ func TestReplayIsOneLoop(t *testing.T) {
 			t.Fatalf("follower: generation %d: %v", rec.Gen, err)
 		}
 	}
-	recovered, err := Recover(ckpt.ATG, ckpt.Store(), ckptDAG, ckpt.Topo.Nodes(), 0, stream, Options{ForceSideEffects: true})
+	recovered, err := Recover(ckpt.ATG, ckpt.Store(), ckptDAG, ckpt.Topo.Nodes(), 0, ckptSum, stream, Options{ForceSideEffects: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +329,7 @@ func TestReplayIsOneLoop(t *testing.T) {
 
 	// A record that does not continue the generation is refused by both.
 	gap := []CommitRecord{{Gen: 2}}
-	if _, err := Recover(ckpt.ATG, ckpt.Store(), ckptDAG, ckpt.Topo.Nodes(), 0, gap, Options{}); err == nil {
+	if _, err := Recover(ckpt.ATG, ckpt.Store(), ckptDAG, ckpt.Topo.Nodes(), 0, ckptSum, gap, Options{}); err == nil {
 		t.Error("recovery replayed across a generation gap")
 	}
 }

@@ -32,6 +32,7 @@ type pipelineMetrics struct {
 	rollbacks   *obs.Counter
 	stagesOK    *obs.Counter
 	stagesRej   *obs.Counter
+	fullChecks  *obs.Counter
 }
 
 var (
@@ -75,6 +76,8 @@ func metrics() *pipelineMetrics {
 		m.rollbacks = r.NewCounter("xview_txn_rollbacks_total", "Transactions rolled back (explicit or doomed-at-commit).")
 		m.stagesOK = r.NewCounter("xview_txn_stages_total", "Staged updates that applied.")
 		m.stagesRej = r.NewCounter("xview_txn_stage_rejections_total", "Staged updates that were rejected.")
+		m.fullChecks = r.NewCounter("xview_consistency_checks_total",
+			"Full consistency checks run: the view republished from the base tables and compared (operator checks, tests, and the restore of a version-1 checkpoint — never a digest-verified restore).")
 		r.NewCounterFunc("xview_path_cache_hits_total",
 			"Compiled-XPath cache hits (process-wide LRU).", func() float64 {
 				h, _ := PathCacheStats()

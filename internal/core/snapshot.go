@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"rxview/internal/dag"
+	"rxview/internal/digest"
 	"rxview/internal/reach"
 	"rxview/internal/xpath"
 )
@@ -43,6 +44,7 @@ type Snapshot struct {
 	text     func(dag.NodeID) (string, bool)
 	textEq   func(typ, s string) func(dag.NodeID) bool
 	baseRows int
+	digest   digest.Sum // the state digest at gen; zero when the system keeps none
 }
 
 // Snapshot freezes the current view state in O(Δ): it seals the DAG and L
@@ -64,11 +66,16 @@ func (s *System) Snapshot() *Snapshot {
 		text:     s.ATG.Text(v),
 		textEq:   s.ATG.TextEquals(v),
 		baseRows: s.DB.TotalRows(),
+		digest:   s.digest,
 	}
 }
 
 // Generation returns the write-history prefix this snapshot reflects.
 func (sn *Snapshot) Generation() uint64 { return sn.gen }
+
+// Digest returns the state digest at the snapshot's generation; ok is false
+// when the system it was taken from keeps none (System.StartDigest).
+func (sn *Snapshot) Digest() (sum digest.Sum, ok bool) { return sn.digest, !sn.digest.IsZero() }
 
 // DAG exposes the frozen view structure (for node rendering in the public
 // layer). Callers must treat it as read-only.

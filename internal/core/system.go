@@ -20,10 +20,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"rxview/internal/atg"
 	"rxview/internal/dag"
+	"rxview/internal/digest"
 	"rxview/internal/obs"
 	"rxview/internal/reach"
 	"rxview/internal/relational"
@@ -156,6 +158,10 @@ type System struct {
 	store     storage.Backend // every ΔR mutation goes through here
 	sink      CommitSink      // durability hook, nil when the view is not durable
 	afterSync func(gen uint64)
+
+	// The state digest at gen (package digest). Zero — none — until
+	// StartDigest or Recover turns it on, for durable views and replicas.
+	digest digest.Sum
 
 	opts Options
 	text func(dag.NodeID) (string, bool)
@@ -532,6 +538,7 @@ func (s *System) noteDeleted(t *Txn, e dag.Edge) {
 // fresh publication of the current database, L must be a valid topological
 // order of it, and the translator's source index must match a rebuild.
 func (s *System) CheckConsistency() error {
+	metrics().fullChecks.Inc()
 	fresh, err := s.ATG.PublishDAG(s.DB)
 	if err != nil {
 		return fmt.Errorf("core: republish: %w", err)
@@ -549,47 +556,48 @@ func (s *System) CheckConsistency() error {
 }
 
 // EquivalentDAGs compares two DAGs up to node identity (type, attribute):
-// same node set, same edge set.
+// same node set, same edge set. Nodes are matched through b's Skolem registry
+// and edges compared as pairs of b's ids, a parent's children at a time; a
+// key is rendered only for the node or edge that fails.
 func EquivalentDAGs(a, b *dag.DAG) error {
 	keyOf := func(d *dag.DAG, id dag.NodeID) string {
 		return d.Type(id) + "(" + d.Attr(id).String() + ")"
 	}
-	aN := map[string]bool{}
+	toB := make([]dag.NodeID, a.Cap()) // a's live ids → b's
 	for _, id := range a.Nodes() {
-		aN[keyOf(a, id)] = true
-	}
-	bN := map[string]bool{}
-	for _, id := range b.Nodes() {
-		bN[keyOf(b, id)] = true
-	}
-	for k := range aN {
-		if !bN[k] {
-			return fmt.Errorf("node %s missing from republished view", k)
+		bid, ok := b.Lookup(a.Type(id), a.Attr(id))
+		if !ok {
+			return fmt.Errorf("node %s missing from republished view", keyOf(a, id))
 		}
+		toB[id] = bid
 	}
-	for k := range bN {
-		if !aN[k] {
-			return fmt.Errorf("node %s missing from maintained view", k)
-		}
-	}
-	edges := func(d *dag.DAG) map[string]bool {
-		out := map[string]bool{}
-		for _, u := range d.Nodes() {
-			for _, v := range d.Children(u) {
-				out[keyOf(d, u)+"→"+keyOf(d, v)] = true
+	if a.NumNodes() != b.NumNodes() {
+		// Every node of a is in b, so b has one that a lacks.
+		for _, id := range b.Nodes() {
+			if _, ok := a.Lookup(b.Type(id), b.Attr(id)); !ok {
+				return fmt.Errorf("node %s missing from maintained view", keyOf(b, id))
 			}
 		}
-		return out
 	}
-	aE, bE := edges(a), edges(b)
-	for k := range aE {
-		if !bE[k] {
-			return fmt.Errorf("edge %s missing from republished view", k)
+	// The node sets are equal, so every edge of b hangs under the image of
+	// some node of a: comparing child sets parent by parent covers both.
+	var ca, cb []dag.NodeID
+	for _, u := range a.Nodes() {
+		ca = ca[:0]
+		for _, v := range a.Children(u) {
+			ca = append(ca, toB[v])
 		}
-	}
-	for k := range bE {
-		if !aE[k] {
-			return fmt.Errorf("edge %s missing from maintained view", k)
+		cb = append(cb[:0], b.Children(toB[u])...)
+		slices.Sort(ca)
+		slices.Sort(cb)
+		for i, j := 0, 0; i < len(ca) || j < len(cb); {
+			switch {
+			case j == len(cb) || i < len(ca) && ca[i] < cb[j]:
+				return fmt.Errorf("edge %s→%s missing from republished view", keyOf(a, u), keyOf(b, ca[i]))
+			case i == len(ca) || cb[j] < ca[i]:
+				return fmt.Errorf("edge %s→%s missing from maintained view", keyOf(a, u), keyOf(b, cb[j]))
+			}
+			i, j = i+1, j+1
 		}
 	}
 	return nil

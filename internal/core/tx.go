@@ -92,11 +92,13 @@ func (s *System) Begin(atomic bool) (*Txn, error) {
 		// an O(1) pointer swap later.
 		t.topoSave = s.Topo.Clone()
 		s.DAG.Begin()
-	} else if s.sink != nil {
+	} else if s.sink != nil || !s.digest.IsZero() {
 		// Durable non-atomic groups persist per applied stage, and the
-		// per-stage delta comes from a DAG journal the transaction opens for
-		// itself. Views without a sink skip this branch entirely, so the
-		// non-durable batch write path stays journal-free as it always was.
+		// per-stage delta — what the record carries and what the state digest
+		// steps over — comes from a DAG journal the transaction opens for
+		// itself. Views with neither a sink nor a digest skip this branch
+		// entirely, so the non-durable batch write path stays journal-free as
+		// it always was.
 		s.DAG.Begin()
 		t.journalOwned = true
 	}
@@ -151,7 +153,7 @@ func (t *Txn) Stage(ctx context.Context, op *update.Op) (*Report, error) {
 		stageT0 = time.Now()
 	}
 	var mark int
-	capture := t.journalOwned // non-atomic + durable: one record per stage
+	capture := t.journalOwned // non-atomic + durable: one record, one digest step per stage
 	if capture {
 		mark = t.s.DAG.Mark()
 	}
@@ -162,11 +164,14 @@ func (t *Txn) Stage(ctx context.Context, op *update.Op) (*Report, error) {
 		if !t.atomic {
 			t.s.gen++
 			if capture {
-				t.recs = append(t.recs, CommitRecord{
-					Gen:   t.s.gen,
-					Delta: t.s.DAG.DeltaSince(mark),
-					DR:    rep.DR,
-				})
+				// The digest follows memory: the stage is applied whatever the
+				// sink says at close, so the step is taken here and stands.
+				rec := CommitRecord{Gen: t.s.gen, Delta: t.s.DAG.DeltaSince(mark), DR: rep.DR}
+				rec.Digest = t.s.stepDigest(rec)
+				t.s.digest = rec.Digest
+				if t.s.sink != nil {
+					t.recs = append(t.recs, rec)
+				}
 			}
 		}
 	}
@@ -228,23 +233,29 @@ func (t *Txn) Commit(ctx context.Context) error {
 			}
 			return err
 		}
-		if s.sink != nil && t.applied > 0 {
+		var rec CommitRecord
+		if t.applied > 0 && (s.sink != nil || !s.digest.IsZero()) {
 			// Durable before irreversible: the group's record must reach
 			// the sink while the journal is still open — rollback is clean
 			// until DAG.Commit, and DeltaSince(0) is the whole group's
-			// chronological op stream.
-			rec := CommitRecord{Gen: s.gen + 1, Delta: s.DAG.DeltaSince(0), DR: t.dbLog}
-			if err := s.sink([]CommitRecord{rec}); err != nil {
-				if rerr := t.rollback(); rerr != nil {
-					return rerr
+			// chronological op stream. The digest it carries is adopted only
+			// once the sink has accepted it: a rollback leaves the old one.
+			rec = CommitRecord{Gen: s.gen + 1, Delta: s.DAG.DeltaSince(0), DR: t.dbLog}
+			rec.Digest = s.stepDigest(rec)
+			if s.sink != nil {
+				if err := s.sink([]CommitRecord{rec}); err != nil {
+					if rerr := t.rollback(); rerr != nil {
+						return rerr
+					}
+					return err
 				}
-				return err
+				through = rec.Gen
 			}
-			through = rec.Gen
 		}
 		s.DAG.Commit()
 		if t.applied > 0 {
 			s.gen++
+			s.digest = rec.Digest
 		}
 	} else {
 		through, durErr = t.sinkPrefix()

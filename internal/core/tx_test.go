@@ -20,7 +20,7 @@ import (
 // CheckConsistency.)
 func stateFingerprint(s *System) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "gen=%d\n", s.Generation())
+	fmt.Fprintf(&b, "gen=%d\ndigest=%s\n", s.Generation(), s.digest)
 	b.WriteString("dag:\n")
 	for _, u := range s.DAG.Nodes() {
 		fmt.Fprintf(&b, "  %s(%s):", s.DAG.Type(u), s.DAG.Attr(u))

@@ -245,6 +245,9 @@ func DecodeState(b []byte) (*DAG, error) {
 		return nil, fmt.Errorf("dag: decode state: bad root")
 	}
 	b = b[w:]
+	if nU > uint64(len(b)) { // a node takes four bytes at the least
+		return nil, fmt.Errorf("dag: decode state: %d nodes exceed input", nU)
+	}
 	n := int(nU)
 	if rootU >= nU && n > 0 {
 		return nil, fmt.Errorf("dag: decode state: root %d out of range", rootU)

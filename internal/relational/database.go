@@ -41,13 +41,12 @@ func (db *Database) Delete(table string, t Tuple) bool {
 	return r.DeleteTuple(t)
 }
 
-// Reset drops every tuple, leaving fresh empty relations over the same
-// schema — the checkpoint-restore path replaces the instance contents
-// wholesale while keeping the identity of the Database that callers hold.
-func (db *Database) Reset() {
-	for name := range db.rels {
-		db.rels[name] = NewRelation(db.rels[name].Schema)
-	}
+// Swap exchanges the contents of two instances of the same schema, keeping the
+// identity of both: the checkpoint-restore path loads and verifies a fresh
+// instance, swaps it into the Database that callers hold, and swaps back if
+// the restore is refused after all.
+func (db *Database) Swap(other *Database) {
+	db.rels, other.rels = other.rels, db.rels
 }
 
 // Clone deep-copies the database; used by what-if analyses and tests.

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 
 	"rxview/internal/dag"
+	"rxview/internal/digest"
 	"rxview/internal/relational"
 )
 
@@ -16,11 +17,16 @@ import (
 // delta (ΔV at the instance level, deletions included — dag.DeltaOp, not the
 // grouped change summary); DR is the executed relational group update ΔR.
 // Replaying the record against the state at generation Gen-1 reproduces the
-// state at Gen exactly, node identities included.
+// state at Gen exactly, node identities included — and Digest is what checks
+// that sentence: the state digest at Gen, stepped by the commit that built the
+// record and again by whoever replays it (core.ApplyCommitRecord), which
+// refuses a replay that ends anywhere else. It is zero in a record read from a
+// log written before digests existed; such a record verifies nothing.
 type Record struct {
-	Gen   uint64
-	Delta []dag.DeltaOp
-	DR    []relational.Mutation
+	Gen    uint64
+	Delta  []dag.DeltaOp
+	DR     []relational.Mutation
+	Digest digest.Sum
 }
 
 // Framed is a record read back from a segment together with its frame: the
@@ -35,7 +41,11 @@ type Framed struct {
 // platforms that matter and a better error-detection polynomial than IEEE.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendRecord encodes the record payload (no framing).
+// appendRecord encodes the record payload (no framing): generation, delta,
+// ΔR, and the digest as a fixed trailer. The trailer is what makes the payload
+// self-describing — a follower receives frames without a segment header to
+// carry a version — and it is always written; only a legacy payload ends
+// right after ΔR.
 func appendRecord(dst []byte, r Record) []byte {
 	dst = binary.AppendUvarint(dst, r.Gen)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Delta)))
@@ -46,11 +56,11 @@ func appendRecord(dst []byte, r Record) []byte {
 	for _, m := range r.DR {
 		dst = relational.AppendMutation(dst, m)
 	}
-	return dst
+	return r.Digest.Append(dst)
 }
 
 // decodeRecord decodes one record payload; the payload must be consumed
-// exactly.
+// exactly, by the digest trailer or, in a legacy payload, without one.
 func decodeRecord(b []byte) (Record, error) {
 	var r Record
 	gen, n := binary.Uvarint(b)
@@ -85,7 +95,11 @@ func decodeRecord(b []byte) (Record, error) {
 		r.DR = append(r.DR, m)
 		b = rest
 	}
-	if len(b) != 0 {
+	switch len(b) {
+	case 0:
+	case digest.Size:
+		r.Digest = digest.Decode(b)
+	default:
 		return r, fmt.Errorf("wal: record: %d trailing bytes", len(b))
 	}
 	return r, nil

@@ -56,7 +56,7 @@ func Open(dir string, opts Options) (*Log, *BootState, error) {
 	chosen := false
 	for i := len(ckpts) - 1; i >= 0; i-- {
 		g := ckpts[i]
-		state, err := readCheckpoint(filepath.Join(dir, ckptName(g)), g)
+		state, err := ReadCheckpoint(filepath.Join(dir, ckptName(g)), g)
 		if err == nil {
 			boot.Gen, boot.State, chosen = g, state, true
 			break
@@ -102,11 +102,11 @@ func Open(dir string, opts Options) (*Log, *BootState, error) {
 	return l, boot, nil
 }
 
-// readCheckpoint reads and validates one checkpoint file, returning the
+// ReadCheckpoint reads and validates one checkpoint file, returning the
 // opaque state payload. Checkpoints are renamed into place after an fsync,
 // so any incompleteness or checksum failure is an error — the caller decides
 // whether an older checkpoint can absorb it.
-func readCheckpoint(path string, gen uint64) ([]byte, error) {
+func ReadCheckpoint(path string, gen uint64) ([]byte, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -179,7 +179,7 @@ func NewestCheckpoint(dir string) (gen uint64, state []byte, path string, err er
 	ckpts, _ := listDir(dir)
 	for i := len(ckpts) - 1; i >= 0; i-- {
 		path = filepath.Join(dir, ckptName(ckpts[i]))
-		if state, err = readCheckpoint(path, ckpts[i]); err == nil {
+		if state, err = ReadCheckpoint(path, ckpts[i]); err == nil {
 			return ckpts[i], state, path, nil
 		}
 	}
@@ -195,6 +195,7 @@ type RecordInfo struct {
 	DeltaOps  int    `json:"delta_ops"` // DAG mutations (ΔV) in the record
 	Mutations int    `json:"mutations"` // relational mutations (ΔR) in the record
 	Bytes     int    `json:"bytes"`     // framed size on disk
+	Digest    string `json:"digest"`    // state digest the record leaves; "none" in a legacy record
 }
 
 // SegmentInfo summarizes one log segment.
@@ -211,6 +212,12 @@ type CheckpointInfo struct {
 	Gen   uint64 `json:"gen"`
 	Bytes int    `json:"bytes"`         // state payload size
 	Err   string `json:"err,omitempty"` // non-empty when the file fails validation
+	// What the payload says about itself. It is opaque to this package, so
+	// Inspect leaves these empty and the payload's owner fills them in: the
+	// state digest it carries ("none" in a legacy payload) and the
+	// fingerprint of the grammar it was written under.
+	Digest string `json:"digest,omitempty"`
+	ATG    string `json:"atg,omitempty"`
 }
 
 // DirInfo is the inspection view of a log directory.
@@ -232,7 +239,7 @@ func Inspect(dir string) (*DirInfo, error) {
 	for _, g := range ckpts {
 		path := filepath.Join(dir, ckptName(g))
 		ci := CheckpointInfo{Path: path, Gen: g}
-		if state, err := readCheckpoint(path, g); err != nil {
+		if state, err := ReadCheckpoint(path, g); err != nil {
 			ci.Err = err.Error()
 		} else {
 			ci.Bytes = len(state)
@@ -250,7 +257,7 @@ func Inspect(dir string) (*DirInfo, error) {
 		}
 		p := parseSegment(b, g)
 		for _, r := range p.recs {
-			si.Records = append(si.Records, RecordInfo{Gen: r.Gen, DeltaOps: len(r.Delta), Mutations: len(r.DR), Bytes: len(r.Frame)})
+			si.Records = append(si.Records, RecordInfo{Gen: r.Gen, DeltaOps: len(r.Delta), Mutations: len(r.DR), Bytes: len(r.Frame), Digest: r.Digest.String()})
 		}
 		si.Note = p.why
 		info.Segments = append(info.Segments, si)

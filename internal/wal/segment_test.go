@@ -13,8 +13,11 @@ import (
 // FuzzParseSegment drives the one segment parser, and the rule its three
 // readers apply to the verdict, with arbitrary bytes; it touches no file, so
 // an execution costs microseconds. The committed corpus is the two segments of
-// testdata/wal-parent-6e107b9 (written by an earlier commit's Append) and
-// truncated, bit-flipped and garbage-extended copies of them.
+// testdata/wal-parent-6e107b9 (written by an earlier commit's Append, before
+// records carried a digest) and truncated, bit-flipped and garbage-extended
+// copies of them, and the two of testdata/wal-digest-fd35873, whose records
+// end in the digest trailer, with that trailer torn, flipped, cut by one byte
+// behind a valid checksum, and cut off whole — the legacy form.
 func FuzzParseSegment(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte, gen uint64) {
 		p := parseSegment(b, gen)

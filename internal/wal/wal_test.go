@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rxview/internal/dag"
+	"rxview/internal/digest"
 	"rxview/internal/relational"
 )
 
@@ -24,6 +25,7 @@ func rec(g uint64) Record {
 		DR: []relational.Mutation{
 			{Table: "r1", Insert: true, Tuple: relational.Tuple{relational.Int(int64(g)), relational.Null()}},
 		},
+		Digest: digest.Sum{A: g, B: ^g},
 	}
 }
 
@@ -59,9 +61,19 @@ func TestRecordRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip:\n in  %+v\n out %+v", in, out)
 	}
-	// Truncation at every byte must error, never panic or succeed.
+	// Truncation at every byte must error, never panic or succeed — except
+	// where exactly the digest trailer is gone: that is the legacy form of
+	// the same record, and decodes as it with no digest. (Inside a frame the
+	// CRC covers the trailer, so a log cannot lose one unnoticed.)
+	legacy := in
+	legacy.Digest = digest.Sum{}
 	for i := 0; i < len(payload); i++ {
-		if _, err := decodeRecord(payload[:i]); err == nil {
+		out, err := decodeRecord(payload[:i])
+		if i == len(payload)-digest.Size {
+			if err != nil || !reflect.DeepEqual(out, legacy) {
+				t.Fatalf("payload without its trailer: %+v, %v; want the record with no digest", out, err)
+			}
+		} else if err == nil {
 			t.Fatalf("decode of %d/%d bytes succeeded", i, len(payload))
 		}
 	}

@@ -142,6 +142,7 @@ func OpenReplica(a *ATG, db *DB, opts ...Option) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
+	sys.StartDigest()
 	return &Replica{v: &View{sys: sys, db: db}, a: a, cfg: cfg}, nil
 }
 
@@ -157,15 +158,16 @@ func (r *Replica) View() *View { return r.v }
 func (r *Replica) Generation() uint64 { return r.v.sys.Generation() }
 
 // Restore replaces the replica's entire state with a checkpoint payload at
-// gen, as fetched from the primary, and verifies it with CheckConsistency
-// — a corrupt or inconsistent payload is refused with the same taxonomy
-// boot recovery uses, leaving the previous state in place. Single-writer:
-// see Replica.
+// gen, as fetched from the primary, once the decoded payload matches the
+// state digest and the ATG fingerprint it carries — a corrupt payload, one
+// that is not the state the primary sealed, or one written under another ATG
+// is refused with the same taxonomy boot recovery uses, leaving the previous
+// state, database included, in place. Single-writer: see Replica.
 func (r *Replica) Restore(gen uint64, state []byte) error {
-	// Resetting the DB is safe under concurrent readers: sealed snapshots
-	// evaluate against the frozen DAG and never touch the relational
-	// instance.
-	sys, err := restoreSystem(r.a, r.v.db, r.cfg.opts, "replica checkpoint", gen, state, nil)
+	// Replacing the DB's contents is safe under concurrent readers: sealed
+	// snapshots evaluate against the frozen DAG and never touch the
+	// relational instance.
+	sys, err := restoreSystem(r.a, r.v.db, r.cfg.opts, r.cfg.warn, "replica checkpoint", gen, state, nil)
 	if err != nil {
 		return err
 	}
@@ -174,10 +176,12 @@ func (r *Replica) Restore(gen uint64, state []byte) error {
 }
 
 // ApplyRecord replays one streamed record, advancing the replica by exactly
-// one generation. A record that does not continue the replica's generation
-// returns ErrReplicaStale-compatible ErrCheckpointMismatch: the follower
-// lost part of the stream and must Restore from a fresh checkpoint rather
-// than replay into a wrong state. Single-writer: see Replica.
+// one generation. A record that does not continue the replica's generation,
+// or whose replay leaves a state other than the one its digest names (the
+// error carries both digests), returns ErrCheckpointMismatch: the follower
+// lost part of the stream, or is no longer what the primary was, and must
+// Restore from a fresh checkpoint rather than go on from a wrong state.
+// Single-writer: see Replica.
 func (r *Replica) ApplyRecord(rec ReplRecord) error {
 	if err := r.v.sys.ApplyCommitRecord(rec.rec); err != nil {
 		return &CheckpointMismatchError{Dir: "replication stream", Err: err}

@@ -413,6 +413,9 @@ type healthResponse struct {
 	OK         bool   `json:"ok"`
 	State      string `json:"state"`
 	Generation uint64 `json:"generation,omitempty"`
+	// Digest is the state digest at Generation, on durable primaries and
+	// followers: two nodes reporting the same pair serve the same state.
+	Digest     string `json:"digest,omitempty"`
 	QueueDepth int64  `json:"queue_depth,omitempty"`
 	// Lag is reported on followers: generations behind the primary's
 	// durable watermark at probe time.
@@ -430,11 +433,15 @@ type livenessResponse struct {
 // snapshot reads keep serving — the 503 routes writes elsewhere, and the
 // recovery prober flips the state back without a restart.
 func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
+	sn := h.e.Snapshot() // one epoch: the generation and the digest belong together
 	out := healthResponse{
 		OK:         true,
 		State:      "ready",
-		Generation: h.e.Generation(),
+		Generation: sn.Generation(),
 		QueueDepth: h.e.met.depth.Value(),
+	}
+	if d, ok := sn.Digest(); ok {
+		out.Digest = d.String()
 	}
 	status := http.StatusOK
 	if h.opts.Checkpointing != nil && h.opts.Checkpointing() {

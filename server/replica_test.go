@@ -296,6 +296,86 @@ func TestReplicaDifferentialStress(t *testing.T) {
 	}
 }
 
+// TestReplicaDigestsMatchThePrimary: the state digest is one word per
+// generation, so "is the follower what the primary was" needs no view
+// comparison. The writer notes the primary's digest at every generation it
+// acknowledges; a sampler reads (generation, digest) pairs off the follower's
+// published epochs while it replays; every pair the follower reported at a
+// generation the primary reported too must be equal, and /healthz on both
+// ends says so in two strings.
+func TestReplicaDigestsMatchThePrimary(t *testing.T) {
+	const writes = 60
+	ts, eng, _ := mustPrimary(t)
+	digestAt := func(e *server.Engine) (uint64, string) {
+		sn := e.Snapshot()
+		d, ok := sn.Digest()
+		if !ok {
+			t.Errorf("generation %d carries no digest", sn.Generation())
+		}
+		return sn.Generation(), d.String()
+	}
+	primary := map[uint64]string{}
+	gen, d := digestAt(eng)
+	primary[gen] = d
+
+	f := mustFollower(t, ts.URL)
+	defer f.Close()
+	type pair struct {
+		gen uint64
+		d   string
+	}
+	var seen []pair
+	done := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			gen, d := digestAt(f.Engine())
+			if n := len(seen); n == 0 || seen[n-1].gen != gen {
+				seen = append(seen, pair{gen, d})
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	for i := 0; i < writes; i++ {
+		if _, err := eng.Update(t.Context(), churnUpdate(i)); err != nil {
+			t.Fatal(err)
+		}
+		gen, d := digestAt(eng)
+		primary[gen] = d
+	}
+	waitConverged(t, f, eng.Generation())
+	close(done)
+	<-sampled
+
+	compared := 0
+	for _, p := range seen {
+		// Generation 0 before the first restore is the follower's own
+		// provisional state, which here is the primary's genesis too.
+		if want, ok := primary[p.gen]; ok {
+			compared++
+			if p.d != want {
+				t.Errorf("generation %d: follower digest %s, primary %s", p.gen, p.d, want)
+			}
+		}
+	}
+	if len(primary) < 2 || compared < 2 {
+		t.Fatalf("compared %d of the follower's %d generations against the primary's %d", compared, len(seen), len(primary))
+	}
+
+	fts := httptest.NewServer(server.NewHandler(f.Engine(), server.HandlerOptions{Timeout: 5 * time.Second, Follow: f.Status}))
+	defer fts.Close()
+	_, ph := get(t, ts, "/healthz")
+	_, fh := get(t, fts, "/healthz")
+	if ph["digest"] == nil || ph["digest"] != fh["digest"] || ph["generation"] != fh["generation"] {
+		t.Errorf("/healthz: primary %v, follower %v", ph, fh)
+	}
+}
+
 // TestReplicaKillAndRestart: a follower is killed mid-stream (Close is the
 // in-process SIGKILL — no graceful handoff to the primary), the primary
 // keeps writing, and a fresh follower booted later re-syncs from the

@@ -65,6 +65,10 @@ type Snapshot struct {
 // Generation returns the write-history prefix this snapshot reflects.
 func (s *Snapshot) Generation() uint64 { return s.sn.Generation() }
 
+// Digest returns the state digest at the snapshot's generation, as
+// View.Digest would have at the moment the snapshot was taken.
+func (s *Snapshot) Digest() (d Digest, ok bool) { return s.sn.Digest() }
+
 // Query evaluates an XPath expression against the frozen state and returns
 // the selected nodes r[[p]] — the same fragment and semantics as
 // View.Query, at this snapshot's epoch. The path text is compiled through

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"rxview/internal/core"
+	"rxview/internal/digest"
 	"rxview/internal/repl"
 	"rxview/internal/update"
 	"rxview/internal/wal"
@@ -56,8 +57,10 @@ type View struct {
 //
 // With WithDurability, Open instead recovers the durable state from the log
 // directory (the caller-provided DB supplies the schema; its contents are
-// replaced by the recovered instance), verifies it with CheckConsistency,
-// and makes every subsequent commit durable before its verdict is returned.
+// replaced by the recovered instance — or left as they were, if the
+// directory is refused), verifies it against the state digests the checkpoint
+// and every log record carry, and makes every subsequent commit durable
+// before its verdict is returned.
 func Open(a *ATG, db *DB, opts ...Option) (*View, error) {
 	var cfg config
 	for _, o := range opts {
@@ -196,6 +199,19 @@ func (v *View) Stats() Stats { return statsOf(v.sys.Stats()) }
 // database, L must be a valid topological order of it, and the translator's
 // source index must equal a rebuild.
 func (v *View) CheckConsistency() error { return v.sys.CheckConsistency() }
+
+// Digest is a view's state digest: a 128-bit multiset hash over the live
+// nodes, the edges and the base rows, keyed by (type, attribute) and never by
+// internal node id. A durable view steps it forward with every commit and
+// stamps it on the commit's log record and on every checkpoint; recovery and
+// followers hold what they rebuild to those stamps. Two views are in the same
+// state exactly when their digests — or the digests' String forms — are equal.
+type Digest = digest.Sum
+
+// Digest returns the view's state digest at its current generation. Only
+// durable views and replicas keep one; ok is false, and the digest zero, for
+// any other view — it builds no commit records and pays nothing for this.
+func (v *View) Digest() (d Digest, ok bool) { return v.sys.Digest() }
 
 // WriteXML serializes the unfolded XML view; maxNodes bounds the tree size
 // (recursive views can be exponentially larger than their DAG).
