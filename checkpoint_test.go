@@ -174,6 +174,56 @@ func TestEncodeCheckpointAllocationBound(t *testing.T) {
 	}
 }
 
+// TestRestoreAllocationBound pins what a restore costs in objects: it
+// allocates per structure — a slab chunk, a map, an index — and not per item,
+// so the count stays under a fixed part plus a quarter of an object per row
+// and node (every index key and every source key belongs to one of those). The
+// registrar, a few dozen items, holds the fixed part down; the |C| = 250
+// synthetic image, a few thousand, would go red on one allocation per row,
+// per node or per key. Log replay is left out: it costs per record, whatever
+// the size of the state.
+func TestRestoreAllocationBound(t *testing.T) {
+	var ms runtime.MemStats
+	measure := func(a *ATG, db *DB, state []byte) (items int, objects uint64) {
+		t.Helper()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		o0 := ms.Mallocs
+		sys, err := restoreSystem(a, db, core.Options{}, nil, "test", 0, state, nil)
+		runtime.ReadMemStats(&ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys.DB.TotalRows() + sys.DAG.Cap(), ms.Mallocs - o0
+	}
+	const fixed = 300
+	check := func(name string, items int, objects uint64) {
+		t.Helper()
+		t.Logf("%s: %d rows and nodes, %d objects", name, items, objects)
+		if limit := uint64(fixed + items/4); objects > limit {
+			t.Errorf("%s: restoring %d rows and nodes allocated %d objects, more than %d + items/4 = %d",
+				name, items, objects, fixed, limit)
+		}
+	}
+
+	dir := t.TempDir()
+	v, _ := durableRegistrar(t, dir, 1<<30)
+	_, state, _ := readDurable(t, dir)
+	v.log.Close()
+	atg, db := MustRegistrar()
+	items, objects := measure(atg, db, state)
+	check("registrar", items, objects)
+
+	syn, state, _ := syntheticCrashImage(t, 250, 0)
+	items, objects = measure(syn.ATG, syn.DB, state)
+	check("synthetic |C|=250", items, objects)
+	// One object per row, or per node, is about items/2 more: red as long
+	// as that exceeds the whole limit's slack, fixed + items/4.
+	if items < 4*fixed {
+		t.Fatalf("the synthetic image has %d rows and nodes: too few for a per-item allocation to show above the fixed %d", items, fixed)
+	}
+}
+
 func BenchmarkEncodeCheckpoint(b *testing.B) {
 	_, v := syntheticView(b, 5000)
 	b.ReportAllocs()

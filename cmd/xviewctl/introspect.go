@@ -101,6 +101,7 @@ func healthCheck(out io.Writer, addr string) error {
 	}
 	fmt.Fprintf(out, "  state=%s generation=%d digest=%s queue_depth=%d (HTTP %d)\n",
 		in.State, in.Generation, orNone(in.Digest), in.QueueDepth, resp.StatusCode)
+	printLastRecovery(out, cl, addr)
 	switch {
 	case in.OK:
 		return nil
@@ -110,6 +111,38 @@ func healthCheck(out io.Writer, addr string) error {
 		return &exitCodeError{code: 3, msg: "node is degraded (read-only)"}
 	default:
 		return &exitCodeError{code: 2, msg: "node is not ready: " + in.State}
+	}
+}
+
+// printLastRecovery adds what the node's last restore cost — the
+// xview_recovery_last_* gauges of /metrics — to a health report. A node that
+// never restored (non-durable, or a genesis boot) has no such series, and a
+// failed scrape is not a health verdict: both print nothing.
+func printLastRecovery(out io.Writer, cl *http.Client, addr string) {
+	resp, err := cl.Get(baseURL(addr) + "/metrics")
+	if err != nil {
+		return
+	}
+	defer resp.Body.Close()
+	fams, err := obs.ParseExposition(resp.Body)
+	if err != nil {
+		return
+	}
+	var secs, recs float64
+	found := false
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			switch s.Name {
+			case "xview_recovery_last_seconds":
+				secs, found = s.Value, true
+			case "xview_recovery_last_records":
+				recs = s.Value
+			}
+		}
+	}
+	if found {
+		fmt.Fprintf(out, "  last recovery: %s, %d records replayed\n",
+			time.Duration(secs*float64(time.Second)).Round(time.Microsecond), int(recs))
 	}
 }
 

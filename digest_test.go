@@ -251,6 +251,51 @@ func fullChecks() float64 {
 	return 0
 }
 
+// lastRecovery reads the xview_recovery_last_* gauges; ok is false while the
+// process has restored nothing.
+func lastRecovery() (seconds, records float64, ok bool) {
+	for _, f := range obs.Default().Gather() {
+		switch f.Name {
+		case "xview_recovery_last_seconds":
+			seconds, ok = f.Samples[0].Value, true
+		case "xview_recovery_last_records":
+			records = f.Samples[0].Value
+		}
+	}
+	return seconds, records, ok
+}
+
+// TestRecoveryGauges: every restore that succeeds — a boot recovery, a
+// follower's Restore — leaves its duration and the records it replayed in the
+// gauges, and one that is refused leaves them alone.
+func TestRecoveryGauges(t *testing.T) {
+	v, dir, _, _ := openImage(t, "wal-digest-fd35873") // ckpt-6 and the record of generation 7
+	defer v.Close()
+	secs, recs, ok := lastRecovery()
+	if !ok || secs <= 0 || secs > 60 || recs != 1 {
+		t.Fatalf("after a boot recovery: %v s, %v records (registered: %v), want a duration and 1 record", secs, recs, ok)
+	}
+
+	_, state, _ := readDurable(t, dir)
+	ratg, rdb := MustRegistrar()
+	rep, err := OpenReplica(ratg, rdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Restore(5, state); err == nil { // the payload is for generation 6
+		t.Fatal("a restore under the wrong generation was accepted")
+	}
+	if s, r, _ := lastRecovery(); s != secs || r != 1 {
+		t.Fatalf("a refused restore moved the gauges to %v s, %v records", s, r)
+	}
+	if err := rep.Restore(6, state); err != nil {
+		t.Fatal(err)
+	}
+	if s, r, _ := lastRecovery(); s <= 0 || r != 0 {
+		t.Fatalf("after a follower's restore: %v s, %v records, want a duration and no record", s, r)
+	}
+}
+
 // openImage opens a copy of a committed durability directory, collecting the
 // recovery warnings and counting the full consistency checks the Open ran.
 func openImage(t *testing.T, name string) (v *View, dir string, warnings []string, checks float64) {

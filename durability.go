@@ -8,11 +8,15 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"rxview/internal/atg"
 	"rxview/internal/core"
 	"rxview/internal/dag"
 	"rxview/internal/digest"
+	"rxview/internal/obs"
 	"rxview/internal/relational"
 	"rxview/internal/storage"
 	"rxview/internal/wal"
@@ -95,10 +99,19 @@ func openDurable(a *ATG, db *DB, cfg *config) (*View, error) {
 	// fresh directory. A recovered state is on disk already — the
 	// checkpoint it was read from plus the replayed records — so the old
 	// tail is sealed and that is all; the replayed suffix stays ahead of
-	// ckptGen and counts toward the next automatic checkpoint.
-	if boot == nil {
+	// ckptGen and counts toward the next automatic checkpoint. The exception
+	// is a recovery that fell back past an unreadable checkpoint: it would
+	// serve on the one good checkpoint left until the next trigger, so it
+	// drops the unreadable files and writes the state it has just verified.
+	switch {
+	case boot == nil:
 		err = log.WriteCheckpoint(sys.Generation(), encodeCheckpoint(sys))
-	} else {
+	case len(boot.Unreadable) > 0:
+		for _, g := range boot.Unreadable {
+			log.DropCheckpoint(g)
+		}
+		err = v.checkpointNow()
+	default:
 		v.ckptGen = boot.Gen
 		err = log.Seal(sys.Generation())
 	}
@@ -119,6 +132,7 @@ func openDurable(a *ATG, db *DB, cfg *config) (*View, error) {
 // is no order of the DAG — puts the DB's contents back: a refused restore
 // changes nothing.
 func restoreSystem(a *ATG, db *DB, opts core.Options, warn func(string), src string, gen uint64, state []byte, suffix []wal.Record) (*core.System, error) {
+	start := time.Now()
 	ck, err := decodeCheckpoint(state)
 	if err != nil {
 		return nil, &CorruptLogError{Dir: src, Err: err}
@@ -143,11 +157,11 @@ func restoreSystem(a *ATG, db *DB, opts core.Options, warn func(string), src str
 	}
 	loaded := relational.NewDatabase(db.db.Schema)
 	for _, tb := range ck.tables {
-		for _, t := range tb.tuples {
-			if err := loaded.Insert(tb.name, t); err != nil {
-				return nil, &CorruptLogError{Dir: src,
-					Err: fmt.Errorf("checkpointed tuple rejected: %w", err)}
-			}
+		// The relation takes the decoded rows as its storage; ck is done
+		// with them.
+		if err := loaded.Load(tb.name, tb.rows); err != nil {
+			return nil, &CorruptLogError{Dir: src,
+				Err: fmt.Errorf("checkpointed tuple rejected: %w", err)}
 		}
 	}
 	sum := digest.Of(d, loaded)
@@ -170,7 +184,30 @@ func restoreSystem(a *ATG, db *DB, opts core.Options, warn func(string), src str
 		db.db.Swap(loaded)
 		return nil, &CheckpointMismatchError{Dir: src, Err: fmt.Errorf("restoring generation %d: %w", gen, err)}
 	}
+	noteRecovery(time.Since(start), len(suffix))
 	return sys, nil
+}
+
+// What the last successful restore in this process cost — a boot recovery or
+// a follower's re-bootstrap: one reading per restore, taken around the whole
+// of it, so there is no timer inside the decode and load loops.
+var (
+	recoveryOnce    sync.Once
+	recoveryNanos   atomic.Int64
+	recoveryRecords *obs.Gauge
+)
+
+func noteRecovery(d time.Duration, records int) {
+	recoveryOnce.Do(func() {
+		r := obs.Default()
+		r.NewGaugeFunc("xview_recovery_last_seconds",
+			"Duration of the last restore: checkpoint decode, load, digest verification and log replay (file reads excluded).",
+			func() float64 { return time.Duration(recoveryNanos.Load()).Seconds() })
+		recoveryRecords = r.NewGauge("xview_recovery_last_records",
+			"Commit records the last restore replayed on top of its checkpoint.")
+	})
+	recoveryNanos.Store(int64(d))
+	recoveryRecords.Set(int64(records))
 }
 
 // sinkRecords is the core.CommitSink of a durable view, the one hook on the
@@ -403,9 +440,11 @@ type checkpoint struct {
 	order    []dag.NodeID
 }
 
+// ckptTable is one decoded table. The rows are cut from slabs (package slab)
+// and meant for one owner: the relation they are loaded into.
 type ckptTable struct {
-	name   string
-	tuples []relational.Tuple
+	name string
+	rows []relational.Tuple
 }
 
 // encodeCheckpoint serializes the full state of the system into one buffer:
@@ -538,6 +577,7 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	var rows relational.Slab
 	for i := uint64(0); i < nt; i++ {
 		nl, err := next("table name length")
 		if err != nil {
@@ -552,13 +592,16 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		for j := uint64(0); j < cnt; j++ {
-			t, rest, err := relational.DecodeTuple(b)
+		if cnt > uint64(len(b)) { // a tuple takes a byte at the least
+			return nil, fmt.Errorf("checkpoint: table %s: %d tuples exceed input", tb.name, cnt)
+		}
+		tb.rows = make([]relational.Tuple, cnt)
+		for j := range tb.rows {
+			t, rest, err := rows.DecodeTuple(b)
 			if err != nil {
 				return nil, fmt.Errorf("checkpoint: table %s tuple %d: %w", tb.name, j, err)
 			}
-			tb.tuples = append(tb.tuples, t)
-			b = rest
+			tb.rows[j], b = t, rest
 		}
 		ck.tables = append(ck.tables, tb)
 	}
@@ -575,12 +618,16 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := uint64(0); i < on; i++ {
+	if on > uint64(len(b)) { // an entry takes a byte at the least
+		return nil, fmt.Errorf("checkpoint: order of %d entries exceeds input", on)
+	}
+	ck.order = make([]dag.NodeID, on)
+	for i := range ck.order {
 		id, err := next("order entry")
 		if err != nil || id > math.MaxInt32 {
 			return nil, fmt.Errorf("checkpoint: bad order entry")
 		}
-		ck.order = append(ck.order, dag.NodeID(id))
+		ck.order[i] = dag.NodeID(id)
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("checkpoint: %d trailing bytes", len(b))

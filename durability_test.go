@@ -862,3 +862,92 @@ func TestInspectCheckpointDetail(t *testing.T) {
 		t.Fatalf("no course rows in %+v", det.Tables)
 	}
 }
+
+// TestFallbackRecoveryCheckpointsAtBoot: a recovery that fell back past an
+// unreadable newest checkpoint must not go on serving with the one good
+// checkpoint it found — it writes another at boot — while a clean reopen
+// still writes none. Two shapes: the view was closed at the damaged
+// checkpoint's generation (the boot checkpoint replaces the damaged file),
+// and it crashed with records past it (the damaged file would otherwise
+// count as one of the two newest and push the good one out at the prune).
+func TestFallbackRecoveryCheckpointsAtBoot(t *testing.T) {
+	ctx := context.Background()
+	for _, past := range []int{0, 2} {
+		t.Run(fmt.Sprintf("records-past-the-checkpoint=%d", past), func(t *testing.T) {
+			dir := t.TempDir()
+			v := mustDurableView(t, dir)
+			insert := func(i int) {
+				t.Helper()
+				u := rxview.Insert(`//course[cno="CS650"]/takenBy`, "student",
+					rxview.Str(fmt.Sprintf("S7%02d", i)), rxview.Str("X"))
+				if _, err := v.Apply(ctx, u); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				insert(i)
+			}
+			if err := v.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < past; i++ {
+				insert(3 + i)
+			}
+			want := fingerprint(t, v)
+			// No Close: the directory is a crash image with ckpt-0 and ckpt-3.
+
+			damaged := filepath.Join(dir, fmt.Sprintf("ckpt-%020d.xvc", 3))
+			b, err := os.ReadFile(damaged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[len(b)/2] ^= 0x40
+			if err := os.WriteFile(damaged, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			var warnings []string
+			warn := rxview.WithRecoveryWarn(func(msg string) { warnings = append(warnings, msg) })
+			v2 := mustDurableView(t, dir, warn)
+			if len(warnings) != 1 || !strings.Contains(warnings[0], "falling back") {
+				t.Fatalf("warnings of the fallback recovery: %q", warnings)
+			}
+			if got := fingerprint(t, v2); got != want {
+				t.Fatalf("recovered state differs:\n%s\nvs\n%s", got, want)
+			}
+			if got, want := v2.LandedCheckpoint(), uint64(3+past); got != want {
+				t.Fatalf("boot checkpoint at generation %d, want %d", got, want)
+			}
+			info, err := rxview.InspectWAL(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(info.Checkpoints) != 2 {
+				t.Fatalf("checkpoints on disk after the boot: %+v", info.Checkpoints)
+			}
+			for _, c := range info.Checkpoints {
+				if c.Err != "" {
+					t.Fatalf("checkpoint %d still unreadable: %s", c.Gen, c.Err)
+				}
+			}
+			// Crash again: the second recovery has nothing to complain
+			// about, and, being clean, writes no checkpoint.
+			warnings = nil
+			v3 := mustDurableView(t, dir, warn)
+			defer v3.Close()
+			if len(warnings) != 0 {
+				t.Fatalf("second reopen warned: %q", warnings)
+			}
+			if got := fingerprint(t, v3); got != want {
+				t.Fatalf("state after the second reopen differs:\n%s\nvs\n%s", got, want)
+			}
+			after, err := rxview.InspectWAL(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(after.Checkpoints) != 2 || after.Checkpoints[1].Gen != info.Checkpoints[1].Gen {
+				t.Fatalf("a clean reopen wrote a checkpoint: %+v", after.Checkpoints)
+			}
+		})
+	}
+}

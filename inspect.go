@@ -106,7 +106,7 @@ func InspectCheckpoint(dir string) (*CheckpointDetail, error) {
 	}
 	det.Digest, det.ATG = ck.stamps()
 	for _, tb := range ck.tables {
-		det.Tables = append(det.Tables, TableInfo{Name: tb.name, Rows: len(tb.tuples)})
+		det.Tables = append(det.Tables, TableInfo{Name: tb.name, Rows: len(tb.rows)})
 	}
 	return det, nil
 }

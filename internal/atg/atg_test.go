@@ -338,6 +338,36 @@ func TestSourceTuples(t *testing.T) {
 	}
 }
 
+// TestSourceKeyAppendForm: the three ways to a source key — the string form,
+// the append form, and the rule's, which skips building the SourceKey — are
+// the same bytes: the table, a zero byte, the key tuple's encoding.
+func TestSourceKeyAppendForm(t *testing.T) {
+	c := registrarATG(t)
+	for _, r := range c.QueryRules() {
+		for _, attrs := range [][2]relational.Tuple{
+			{{relational.Str("CS650")}, {relational.Str("CS320"), relational.Str("Databases")}},
+			{{relational.Str("")}, {relational.Null(), relational.Str("")}},
+		} {
+			parent, child := attrs[0], attrs[1]
+			if r.Parent == "db" {
+				parent = nil
+			}
+			for i, s := range r.SourceTuples(parent, child) {
+				want := s.Table + "\x00" + s.Key.Encode()
+				if got := s.Encode(); got != want {
+					t.Errorf("%s: Encode() = %q, want %q", s, got, want)
+				}
+				if got := string(s.AppendKey([]byte("pre"))); got != "pre"+want {
+					t.Errorf("%s: AppendKey behind a prefix = %q, want %q", s, got, "pre"+want)
+				}
+				if got := string(r.AppendSourceKey(nil, i, parent, child)); got != want {
+					t.Errorf("%s→%s source %d: AppendSourceKey = %q, want %q", r.Parent, r.Child, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestQueryRulesEnumeration(t *testing.T) {
 	c := registrarATG(t)
 	qr := c.QueryRules()

@@ -215,7 +215,31 @@ type SourceKey struct {
 	Key   relational.Tuple
 }
 
-// Encode returns an injective string form, usable as a map key.
-func (s SourceKey) Encode() string { return s.Table + "\x00" + s.Key.Encode() }
+// AppendKey appends the injective encoding of the source key to dst: the
+// table, a zero byte, the key tuple's encoding. It is what the source index
+// is keyed by.
+func (s SourceKey) AppendKey(dst []byte) []byte {
+	dst = append(dst, s.Table...)
+	dst = append(dst, 0)
+	return relational.AppendKey(dst, s.Key, nil)
+}
+
+// Encode returns AppendKey as a string, for callers that keep the key.
+func (s SourceKey) Encode() string {
+	var a [relational.KeyBufLen]byte
+	return string(s.AppendKey(a[:0]))
+}
+
+// AppendSourceKey appends SourceTuples(parentAttr, childAttr)[i].AppendKey to
+// dst without building the SourceKey: maintaining the source index takes one
+// per table of every edge that comes or goes.
+func (r *CompiledRule) AppendSourceKey(dst []byte, i int, parentAttr, childAttr relational.Tuple) []byte {
+	dst = append(dst, r.Prov.Tables[i]...)
+	dst = append(dst, 0)
+	for _, src := range r.Prov.KeySources[i] {
+		dst = relational.AppendValue(dst, src.Resolve(childAttr, parentAttr))
+	}
+	return dst
+}
 
 func (s SourceKey) String() string { return s.Table + s.Key.String() }

@@ -41,6 +41,10 @@ func (s *refStore) setRow(i NodeID, r []NodeID) {
 	s.rEpoch[i] = s.epoch
 }
 
+// reserve sizes an empty store for n rows, for a caller that is about to grow
+// it to exactly that.
+func (s *refStore) reserve(n int) { s.rEpoch = make([]uint64, 0, n) }
+
 // grow appends an empty row.
 func (s *refStore) grow() {
 	s.rows.Push(nil)

@@ -138,14 +138,20 @@ func (d *DAG) Children(id NodeID) []NodeID { return d.children.row(id) }
 // Parents returns the parent list of the node. Callers must not mutate it.
 func (d *DAG) Parents(id NodeID) []NodeID { return d.parents.row(id) }
 
-func genKey(typ string, attr relational.Tuple) string {
-	return typ + "\x00" + attr.Encode()
+// appendGenKey appends the Skolem registry's key for (typ, attr) to dst: the
+// type, a zero byte, and the attribute tuple's injective encoding. Lookups
+// build it in a buffer on their stack; only a new identity pays for a string.
+func appendGenKey(dst []byte, typ string, attr relational.Tuple) []byte {
+	dst = append(dst, typ...)
+	dst = append(dst, 0)
+	return relational.AppendKey(dst, attr, nil)
 }
 
 // Lookup returns the node with the given type and attribute, if present and
 // alive. This is gen_id as a partial lookup.
 func (d *DAG) Lookup(typ string, attr relational.Tuple) (NodeID, bool) {
-	id, ok := d.gen[genKey(typ, attr)]
+	var a [relational.KeyBufLen]byte
+	id, ok := d.gen[string(appendGenKey(a[:0], typ, attr))]
 	if !ok || !d.alive.At(int(id)) {
 		return InvalidNode, false
 	}
@@ -156,8 +162,9 @@ func (d *DAG) Lookup(typ string, attr relational.Tuple) (NodeID, bool) {
 // reports whether a new node was allocated. This is the Skolem function
 // gen_id of §2.3: the id is unique per (type, attribute value).
 func (d *DAG) AddNode(typ string, attr relational.Tuple) (id NodeID, created bool) {
-	k := genKey(typ, attr)
-	if id, ok := d.gen[k]; ok {
+	var a [relational.KeyBufLen]byte
+	k := appendGenKey(a[:0], typ, attr)
+	if id, ok := d.gen[string(k)]; ok {
 		if d.alive.At(int(id)) {
 			return id, false
 		}
@@ -173,7 +180,7 @@ func (d *DAG) AddNode(typ string, attr relational.Tuple) (id NodeID, created boo
 	d.children.grow()
 	d.parents.grow()
 	d.alive.Push(true)
-	d.gen[k] = id
+	d.gen[string(k)] = id
 	d.list(id)
 	d.logOp(jop{kind: jNodeAdd, node: id})
 	return id, true

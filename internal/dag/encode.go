@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"rxview/internal/relational"
+	"rxview/internal/slab"
 )
 
 // Durability support: the chronological mutation delta of a committed
@@ -234,6 +235,12 @@ func (d *DAG) AppendState(dst []byte) []byte {
 // DecodeState reconstructs a DAG serialized by AppendState. The result is
 // id-identical to the original: same identity table, same liveness, same
 // sibling order (parent lists are rebuilt from the child lists in id order).
+//
+// It allocates per structure, not per node: attribute tuples, child and
+// parent rows and registry keys are cut from chunked slabs (package slab has
+// the ownership rules — a row's capacity is its length, so the first append
+// to one moves it), and a type name is one string however many nodes bear it.
+// Nothing in the result aliases b.
 func DecodeState(b []byte) (*DAG, error) {
 	nU, w := binary.Uvarint(b)
 	if w <= 0 || nU > uint64(int32(^uint32(0)>>1)) {
@@ -253,21 +260,36 @@ func DecodeState(b []byte) (*DAG, error) {
 		return nil, fmt.Errorf("dag: decode state: root %d out of range", rootU)
 	}
 	d := &DAG{
+		types:    make([]string, 0, n),
+		attrs:    make([]relational.Tuple, 0, n),
 		gen:      make(map[string]NodeID, n),
 		byType:   make(map[string][]NodeID),
 		typeLive: make(map[string]int),
 		root:     NodeID(rootU),
 	}
-	alive := make([]bool, n)
+	d.children.reserve(n)
+	d.parents.reserve(n)
+	var (
+		attrs relational.Slab
+		keys  slab.Strings
+		rows  slab.Of[NodeID]
+		names = make(map[string]string) // type names, interned
+		a     [relational.KeyBufLen]byte
+		key   = a[:0]
+	)
 	for id := 0; id < n; id++ {
 		tl, w := binary.Uvarint(b)
 		if w <= 0 || tl > uint64(len(b)-w) {
 			return nil, fmt.Errorf("dag: decode state: node %d: bad type", id)
 		}
 		b = b[w:]
-		typ := string(b[:tl])
+		typ, ok := names[string(b[:tl])]
+		if !ok {
+			typ = string(b[:tl])
+			names[typ] = typ
+		}
 		b = b[tl:]
-		attr, rest, err := relational.DecodeTuple(b)
+		attr, rest, err := attrs.DecodeTuple(b)
 		if err != nil {
 			return nil, fmt.Errorf("dag: decode state: node %d attr: %w", id, err)
 		}
@@ -275,19 +297,21 @@ func DecodeState(b []byte) (*DAG, error) {
 		if len(b) == 0 {
 			return nil, fmt.Errorf("dag: decode state: node %d: missing alive flag", id)
 		}
-		alive[id] = b[0] != 0
+		alive := b[0] != 0
 		b = b[1:]
 
 		d.types = append(d.types, typ)
 		d.attrs = append(d.attrs, attr)
 		d.children.grow()
 		d.parents.grow()
-		d.alive.Push(alive[id])
-		d.gen[genKey(typ, attr)] = NodeID(id)
-		if alive[id] {
+		d.alive.Push(alive)
+		key = appendGenKey(key[:0], typ, attr)
+		d.gen[keys.Add(key)] = NodeID(id)
+		if alive {
 			d.list(NodeID(id))
 		}
 	}
+	parents := make([]int32, n) // per node: how many parent entries it gets
 	for id := 0; id < n; id++ {
 		cl, w := binary.Uvarint(b)
 		if w <= 0 {
@@ -300,8 +324,8 @@ func DecodeState(b []byte) (*DAG, error) {
 		if cl == 0 {
 			continue
 		}
-		row := make([]NodeID, 0, cl)
-		for j := uint64(0); j < cl; j++ {
+		row := rows.Make(int(cl))
+		for j := range row {
 			c, rest, err := decodeID(b)
 			if err != nil {
 				return nil, fmt.Errorf("dag: decode state: node %d child %d: %w", id, j, err)
@@ -309,7 +333,8 @@ func DecodeState(b []byte) (*DAG, error) {
 			if int(c) >= n {
 				return nil, fmt.Errorf("dag: decode state: node %d child id %d out of range", id, c)
 			}
-			row = append(row, c)
+			row[j] = c
+			parents[c]++
 			b = rest
 		}
 		d.children.setRow(NodeID(id), row)
@@ -320,10 +345,16 @@ func DecodeState(b []byte) (*DAG, error) {
 	}
 	// Rebuild parent lists from the child lists. Parent-list order is not
 	// semantically observable (sibling order lives in children), so the
-	// deterministic id-order rebuild is sufficient.
+	// deterministic id-order rebuild is sufficient. Each list is cut to its
+	// final size first, so filling it appends in place.
+	for id, k := range parents {
+		if k > 0 {
+			d.parents.setRow(NodeID(id), rows.Make(int(k))[:0])
+		}
+	}
 	for id := 0; id < n; id++ {
 		for _, c := range d.children.row(NodeID(id)) {
-			d.parents.setRow(c, append(d.parents.ownRow(c, 1), NodeID(id)))
+			d.parents.setRow(c, append(d.parents.row(c), NodeID(id)))
 		}
 	}
 	return d, nil

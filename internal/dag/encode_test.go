@@ -54,7 +54,7 @@ func equalDAGsExact(t *testing.T, a, b *DAG) {
 		if int(id) >= a.Cap() {
 			break
 		}
-		got, ok := b.gen[genKey(a.Type(id), a.Attr(id))]
+		got, ok := b.gen[string(appendGenKey(nil, a.Type(id), a.Attr(id)))]
 		if !ok || got != id {
 			t.Fatalf("gen registry: id %d maps to %d (ok=%v)", id, got, ok)
 		}

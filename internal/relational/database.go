@@ -32,6 +32,16 @@ func (db *Database) Insert(table string, t Tuple) error {
 	return r.Insert(t)
 }
 
+// Load fills the named table, which must be empty, with rows and takes
+// ownership of them; see Relation.Load.
+func (db *Database) Load(table string, rows []Tuple) error {
+	r := db.rels[table]
+	if r == nil {
+		return fmt.Errorf("relational: no table %s", table)
+	}
+	return r.Load(rows)
+}
+
 // Delete removes the tuple with the same key as t from the named table.
 func (db *Database) Delete(table string, t Tuple) bool {
 	r := db.rels[table]

@@ -3,6 +3,8 @@ package relational
 import (
 	"encoding/binary"
 	"fmt"
+
+	"rxview/internal/slab"
 )
 
 // Binary codec for values and tuples. The per-value wire format is exactly
@@ -18,7 +20,11 @@ func AppendValue(dst []byte, v Value) []byte { return v.appendEncoded(dst) }
 
 // DecodeValue decodes one value from the front of b, returning the value and
 // the remaining bytes.
-func DecodeValue(b []byte) (Value, []byte, error) {
+func DecodeValue(b []byte) (Value, []byte, error) { return decodeValue(b, nil) }
+
+// decodeValue is DecodeValue with the string bytes copied into s's arena, if
+// there is an s. Either way the value never aliases b.
+func decodeValue(b []byte, s *Slab) (Value, []byte, error) {
 	if len(b) == 0 {
 		return Value{}, nil, fmt.Errorf("relational: decode value: empty input")
 	}
@@ -35,6 +41,9 @@ func DecodeValue(b []byte) (Value, []byte, error) {
 		b = b[4:]
 		if n < 0 || len(b) < n {
 			return Value{}, nil, fmt.Errorf("relational: decode string value: length %d exceeds input", n)
+		}
+		if s != nil {
+			return Str(s.strs.Add(b[:n])), b[n:], nil
 		}
 		return Str(string(b[:n])), b[n:], nil
 	case KindInt, KindBool, KindVar:
@@ -80,7 +89,22 @@ func TupleLen(t Tuple) int {
 // DecodeTuple decodes one tuple from the front of b, returning the tuple and
 // the remaining bytes. A zero-length tuple decodes as nil, matching the nil
 // attribute tuples of root nodes.
-func DecodeTuple(b []byte) (Tuple, []byte, error) {
+func DecodeTuple(b []byte) (Tuple, []byte, error) { return decodeTuple(b, nil) }
+
+// Slab decodes many tuples into few allocations: the values of a tuple are a
+// row of a chunked slab, its strings live in a chunked arena (package slab
+// has the ownership rules). It is for a caller that decodes a whole table and
+// hands the rows to one owner: a checkpoint restore.
+type Slab struct {
+	vals slab.Of[Value]
+	strs slab.Strings
+}
+
+// DecodeTuple is the package's DecodeTuple, allocating from the slab.
+func (s *Slab) DecodeTuple(b []byte) (Tuple, []byte, error) { return decodeTuple(b, s) }
+
+// decodeTuple decodes into s, or into an allocation per tuple when s is nil.
+func decodeTuple(b []byte, s *Slab) (Tuple, []byte, error) {
 	n, w := binary.Uvarint(b)
 	if w <= 0 {
 		return nil, nil, fmt.Errorf("relational: decode tuple: bad length prefix")
@@ -92,13 +116,18 @@ func DecodeTuple(b []byte) (Tuple, []byte, error) {
 	if n > uint64(len(b)) { // each value takes ≥ 1 byte
 		return nil, nil, fmt.Errorf("relational: decode tuple: %d values exceed input", n)
 	}
-	out := make(Tuple, 0, n)
-	for i := uint64(0); i < n; i++ {
-		v, rest, err := DecodeValue(b)
+	var out Tuple
+	if s != nil {
+		out = s.vals.Make(int(n))
+	} else {
+		out = make(Tuple, n)
+	}
+	for i := range out {
+		v, rest, err := decodeValue(b, s)
 		if err != nil {
 			return nil, nil, fmt.Errorf("relational: decode tuple value %d: %w", i, err)
 		}
-		out = append(out, v)
+		out[i] = v
 		b = rest
 	}
 	return out, b, nil

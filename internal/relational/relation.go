@@ -3,6 +3,8 @@ package relational
 import (
 	"fmt"
 	"sort"
+
+	"rxview/internal/slab"
 )
 
 // Relation is an in-memory instance of a table: a set of tuples with a
@@ -15,10 +17,44 @@ type Relation struct {
 	free  []int // reusable slots
 	count int
 
-	// secondary indexes: column -> (encoded value -> row slots). Built on
-	// demand by IndexLookup and maintained incrementally by Insert/Delete.
-	secondary map[int]map[string][]int
+	// secondary indexes by column. Built on demand by IndexLookup and
+	// maintained incrementally by Insert/Delete.
+	secondary map[int]*index
 	version   uint64
+}
+
+// index is a secondary hash index on one column: the row slots that hold each
+// value. The map leads to a bucket number and not to the bucket, so that
+// maintaining a value the index knows already assigns nothing into the map —
+// an assignment, unlike a lookup, has to allocate its key.
+type index struct {
+	ids     map[string]int32 // AppendKey of the value -> bucket
+	buckets [][]int
+}
+
+func (ix *index) add(key []byte, slot int) {
+	id, ok := ix.ids[string(key)]
+	if !ok {
+		id = int32(len(ix.buckets))
+		ix.ids[string(key)] = id
+		ix.buckets = append(ix.buckets, nil)
+	}
+	ix.buckets[id] = append(ix.buckets[id], slot)
+}
+
+func (ix *index) remove(key []byte, slot int) {
+	id, ok := ix.ids[string(key)]
+	if !ok {
+		return
+	}
+	bucket := ix.buckets[id]
+	for i, s := range bucket {
+		if s == slot {
+			bucket[i] = bucket[len(bucket)-1]
+			ix.buckets[id] = bucket[:len(bucket)-1]
+			return
+		}
+	}
 }
 
 // NewRelation returns an empty relation for the schema.
@@ -32,11 +68,9 @@ func (r *Relation) Len() int { return r.count }
 // Version increases on every mutation; used to detect staleness.
 func (r *Relation) Version() uint64 { return r.version }
 
-func (r *Relation) keyOf(t Tuple) string { return t.EncodeCols(r.Schema.Key) }
-
-// Insert adds a tuple. It returns an error if the arity is wrong, a value
-// kind does not match the column type, or a tuple with the same key exists.
-func (r *Relation) Insert(t Tuple) error {
+// check refuses a tuple of the wrong arity or with a value whose kind does
+// not match its column's type.
+func (r *Relation) check(t Tuple) error {
 	if len(t) != len(r.Schema.Columns) {
 		return fmt.Errorf("relational: %s: insert arity %d, want %d", r.Schema.Name, len(t), len(r.Schema.Columns))
 	}
@@ -46,9 +80,24 @@ func (r *Relation) Insert(t Tuple) error {
 				r.Schema.Name, r.Schema.Columns[i].Name, v.K, r.Schema.Columns[i].Type)
 		}
 	}
-	k := r.keyOf(t)
-	if _, dup := r.byKey[k]; dup {
-		return fmt.Errorf("relational: %s: duplicate key %s", r.Schema.Name, Tuple(t).String())
+	return nil
+}
+
+func (r *Relation) errDuplicate(t Tuple) error {
+	return fmt.Errorf("relational: %s: duplicate key %s", r.Schema.Name, t.String())
+}
+
+// Insert adds a copy of a tuple. It returns an error if the arity is wrong, a
+// value kind does not match the column type, or a tuple with the same key
+// exists.
+func (r *Relation) Insert(t Tuple) error {
+	if err := r.check(t); err != nil {
+		return err
+	}
+	var a [KeyBufLen]byte
+	buf := AppendKey(a[:0], t, r.Schema.Key)
+	if _, dup := r.byKey[string(buf)]; dup {
+		return r.errDuplicate(t)
 	}
 	slot := -1
 	if n := len(r.free); n > 0 {
@@ -59,13 +108,41 @@ func (r *Relation) Insert(t Tuple) error {
 		slot = len(r.rows)
 		r.rows = append(r.rows, t.Clone())
 	}
-	r.byKey[k] = slot
+	r.byKey[string(buf)] = slot
 	r.count++
 	r.version++
-	for col, idx := range r.secondary {
-		ek := string(t[col].appendEncoded(nil))
-		idx[ek] = append(idx[ek], slot)
+	for col, ix := range r.secondary {
+		ix.add(t[col].appendEncoded(buf[:0]), slot)
 	}
+	return nil
+}
+
+// Load fills an empty relation with rows, making every check Insert makes,
+// and takes ownership of them — of the slice and of every tuple in it: they
+// become the relation's storage uncopied, so the caller must not touch them
+// again. It is how a decoded checkpoint table becomes a relation: the key
+// index is sized to the row count and its keys share an arena. A relation
+// that refused its rows is left empty.
+func (r *Relation) Load(rows []Tuple) error {
+	if len(r.rows) != 0 || r.secondary != nil {
+		return fmt.Errorf("relational: %s: load into a relation in use", r.Schema.Name)
+	}
+	byKey := make(map[string]int, len(rows))
+	var keys slab.Strings
+	var a [KeyBufLen]byte
+	buf := a[:0]
+	for slot, t := range rows {
+		if err := r.check(t); err != nil {
+			return err
+		}
+		buf = AppendKey(buf[:0], t, r.Schema.Key)
+		if _, dup := byKey[string(buf)]; dup {
+			return r.errDuplicate(t)
+		}
+		byKey[keys.Add(buf)] = slot
+	}
+	r.rows, r.byKey, r.count = rows, byKey, len(rows)
+	r.version++
 	return nil
 }
 
@@ -82,11 +159,8 @@ func (r *Relation) DeleteKey(key Tuple) bool {
 	if len(key) != len(r.Schema.Key) {
 		return false
 	}
-	var buf []byte
-	for _, v := range key {
-		buf = v.appendEncoded(buf)
-	}
-	return r.deleteEncoded(string(buf))
+	var a [KeyBufLen]byte
+	return r.deleteEncoded(AppendKey(a[:0], key, nil))
 }
 
 // DeleteTuple removes the tuple with the same key as t (t must be full-arity).
@@ -94,30 +168,25 @@ func (r *Relation) DeleteTuple(t Tuple) bool {
 	if len(t) != len(r.Schema.Columns) {
 		return false
 	}
-	return r.deleteEncoded(r.keyOf(t))
+	var a [KeyBufLen]byte
+	return r.deleteEncoded(AppendKey(a[:0], t, r.Schema.Key))
 }
 
-func (r *Relation) deleteEncoded(k string) bool {
-	slot, ok := r.byKey[k]
+// deleteEncoded removes the tuple with the encoded key k; it reuses k's
+// backing as scratch once the key is out of the map.
+func (r *Relation) deleteEncoded(k []byte) bool {
+	slot, ok := r.byKey[string(k)]
 	if !ok {
 		return false
 	}
 	row := r.rows[slot]
-	delete(r.byKey, k)
+	delete(r.byKey, string(k))
 	r.rows[slot] = nil
 	r.free = append(r.free, slot)
 	r.count--
 	r.version++
-	for col, idx := range r.secondary {
-		ek := string(row[col].appendEncoded(nil))
-		bucket := idx[ek]
-		for i, s := range bucket {
-			if s == slot {
-				bucket[i] = bucket[len(bucket)-1]
-				idx[ek] = bucket[:len(bucket)-1]
-				break
-			}
-		}
+	for col, ix := range r.secondary {
+		ix.remove(row[col].appendEncoded(k[:0]), slot)
 	}
 	return true
 }
@@ -127,11 +196,8 @@ func (r *Relation) LookupKey(key Tuple) (Tuple, bool) {
 	if len(key) != len(r.Schema.Key) {
 		return nil, false
 	}
-	var buf []byte
-	for _, v := range key {
-		buf = v.appendEncoded(buf)
-	}
-	slot, ok := r.byKey[string(buf)]
+	var a [KeyBufLen]byte
+	slot, ok := r.byKey[string(AppendKey(a[:0], key, nil))]
 	if !ok {
 		return nil, false
 	}
@@ -140,7 +206,8 @@ func (r *Relation) LookupKey(key Tuple) (Tuple, bool) {
 
 // ContainsKeyOf reports whether a tuple with the same key as t exists.
 func (r *Relation) ContainsKeyOf(t Tuple) bool {
-	_, ok := r.byKey[r.keyOf(t)]
+	var a [KeyBufLen]byte
+	_, ok := r.byKey[string(AppendKey(a[:0], t, r.Schema.Key))]
 	return ok
 }
 
@@ -183,31 +250,59 @@ func (r *Relation) Clone() *Relation {
 
 // BuildIndex materializes the secondary hash index on a column (indexes are
 // otherwise built on first lookup). Subsequent mutations maintain it
-// incrementally.
+// incrementally. The build allocates per index, not per value: one pass
+// numbers the buckets and counts them, keys going into an arena, and the
+// second fills buckets cut to their exact size from a slab.
 func (r *Relation) BuildIndex(col int) {
 	if r.secondary == nil {
-		r.secondary = make(map[int]map[string][]int)
+		r.secondary = make(map[int]*index)
 	}
 	if _, ok := r.secondary[col]; ok {
 		return
 	}
-	idx := make(map[string][]int)
+	ix := &index{ids: make(map[string]int32)}
+	var keys slab.Strings
+	var a [KeyBufLen]byte
+	buf := a[:0]
+	bucketOf := make([]int32, len(r.rows)) // per slot
+	var sizes []int32
 	for slot, row := range r.rows {
 		if row == nil {
 			continue
 		}
-		k := string(row[col].appendEncoded(nil))
-		idx[k] = append(idx[k], slot)
+		buf = row[col].appendEncoded(buf[:0])
+		id, ok := ix.ids[string(buf)]
+		if !ok {
+			id = int32(len(sizes))
+			ix.ids[keys.Add(buf)] = id
+			sizes = append(sizes, 0)
+		}
+		bucketOf[slot] = id
+		sizes[id]++
 	}
-	r.secondary[col] = idx
+	var slots slab.Of[int]
+	ix.buckets = make([][]int, len(sizes))
+	for id, n := range sizes {
+		ix.buckets[id] = slots.Make(int(n))[:0]
+	}
+	for slot, row := range r.rows {
+		if row != nil {
+			ix.buckets[bucketOf[slot]] = append(ix.buckets[bucketOf[slot]], slot)
+		}
+	}
+	r.secondary[col] = ix
 }
 
 // IndexLookup returns the tuples whose column col equals v, using the
 // secondary hash index (built on demand).
 func (r *Relation) IndexLookup(col int, v Value) []Tuple {
 	r.BuildIndex(col)
-	idx := r.secondary[col]
-	slots := idx[string(v.appendEncoded(nil))]
+	ix := r.secondary[col]
+	var a [KeyBufLen]byte
+	var slots []int
+	if id, ok := ix.ids[string(v.appendEncoded(a[:0]))]; ok {
+		slots = ix.buckets[id]
+	}
 	out := make([]Tuple, 0, len(slots))
 	for _, s := range slots {
 		if row := r.rows[s]; row != nil {

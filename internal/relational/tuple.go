@@ -55,24 +55,37 @@ func (t Tuple) HasVar() bool {
 	return false
 }
 
-// Encode returns an injective string encoding of the whole tuple, usable as a
-// map key. It is the Skolem-function input representation for gen_id (§2.3).
-func (t Tuple) Encode() string {
-	var buf []byte
-	for _, v := range t {
-		buf = v.appendEncoded(buf)
+// AppendKey appends the injective encoding of t's projection onto the column
+// indices cols — of the whole tuple when cols is nil — to dst. Every map in the
+// system that is keyed by tuple values is keyed by these bytes: a lookup
+// builds them in a buffer on its stack and indexes with m[string(buf)], which
+// allocates nothing, and an insert pays for the one string the map keeps.
+func AppendKey(dst []byte, t Tuple, cols []int) []byte {
+	if cols == nil {
+		for _, v := range t {
+			dst = v.appendEncoded(dst)
+		}
+		return dst
 	}
-	return string(buf)
+	for _, c := range cols {
+		dst = t[c].appendEncoded(dst)
+	}
+	return dst
 }
 
-// EncodeCols returns an injective encoding of the projection of t onto the
-// given column indices; used for key lookups and join hashing.
+// KeyBufLen sizes the stack buffers keys are built in; a longer key spills to
+// the heap and is still correct.
+const KeyBufLen = 128
+
+// Encode returns AppendKey of the whole tuple as a string, for callers that
+// keep the key. It is the Skolem-function input representation for gen_id
+// (§2.3).
+func (t Tuple) Encode() string { return t.EncodeCols(nil) }
+
+// EncodeCols returns AppendKey of t's projection onto cols as a string.
 func (t Tuple) EncodeCols(cols []int) string {
-	var buf []byte
-	for _, c := range cols {
-		buf = t[c].appendEncoded(buf)
-	}
-	return string(buf)
+	var a [KeyBufLen]byte
+	return string(AppendKey(a[:0], t, cols))
 }
 
 // String renders the tuple as (v1, v2, ...).

@@ -48,7 +48,7 @@ func NewMinimalDelete(tr *Translator, dv []dag.Edge) (*MinimalDelete, error) {
 		var vs []string
 		for _, s := range all[i] {
 			enc := s.Encode()
-			if tr.srcCount[enc] == uses[enc] {
+			if tr.src.count(enc) == uses[enc] {
 				vs = append(vs, enc)
 				m.byEnc[enc] = s
 				m.cover[enc] = append(m.cover[enc], i)

@@ -17,6 +17,7 @@ import (
 	"rxview/internal/atg"
 	"rxview/internal/dag"
 	"rxview/internal/relational"
+	"rxview/internal/slab"
 )
 
 // Translator maintains the source index over the edge views: for every base
@@ -28,15 +29,44 @@ type Translator struct {
 	DB *relational.Database
 	D  *dag.DAG
 
-	// srcCount: SourceKey.Encode() -> number of live edges derived from it.
-	srcCount map[string]int
-	fresh    int64 // counter for fresh values (infinite-domain variables)
+	src   sourceIndex
+	fresh int64 // counter for fresh values (infinite-domain variables)
+}
+
+// sourceIndex is the count of live edges derived from each source tuple,
+// keyed by SourceKey.AppendKey. The map leads to a position in n and not to
+// the count, so that moving the count of a known source assigns nothing into
+// the map (an assignment has to allocate its key, a lookup does not). Entries
+// are never removed — a count that drops to zero stays — so the keys share an
+// arena.
+type sourceIndex struct {
+	ids  map[string]int32
+	n    []int32
+	keys slab.Strings
+}
+
+func (x *sourceIndex) add(key []byte, delta int32) {
+	id, ok := x.ids[string(key)]
+	if !ok {
+		id = int32(len(x.n))
+		x.ids[x.keys.Add(key)] = id
+		x.n = append(x.n, 0)
+	}
+	x.n[id] += delta
+}
+
+// count returns the number of live edges the source with the encoded key derives.
+func (x *sourceIndex) count(key string) int {
+	if id, ok := x.ids[key]; ok {
+		return int(x.n[id])
+	}
+	return 0
 }
 
 // NewTranslator builds the translator and its source index by scanning the
 // live edges of the view.
 func NewTranslator(c *atg.Compiled, db *relational.Database, d *dag.DAG) *Translator {
-	tr := &Translator{C: c, DB: db, D: d, srcCount: make(map[string]int)}
+	tr := &Translator{C: c, DB: db, D: d, src: sourceIndex{ids: make(map[string]int32)}}
 	for _, u := range d.Nodes() {
 		for _, v := range d.Children(u) {
 			tr.bump(dag.Edge{Parent: u, Child: v}, +1)
@@ -45,19 +75,34 @@ func NewTranslator(c *atg.Compiled, db *relational.Database, d *dag.DAG) *Transl
 	return tr
 }
 
+// rule returns the rule of an edge if its edges have a deletable source, or
+// nil for projection-rule edges (which have no independent source).
+func (tr *Translator) rule(e dag.Edge) *atg.CompiledRule {
+	if r := tr.C.Rule(tr.D.Type(e.Parent), tr.D.Type(e.Child)); r != nil && r.Prov != nil {
+		return r
+	}
+	return nil
+}
+
 // sources returns the deletable source Sr(Q, t) of an edge, or nil for
-// projection-rule edges (which have no independent source).
+// projection-rule edges.
 func (tr *Translator) sources(e dag.Edge) []atg.SourceKey {
-	r := tr.C.Rule(tr.D.Type(e.Parent), tr.D.Type(e.Child))
-	if r == nil || r.Prov == nil {
+	r := tr.rule(e)
+	if r == nil {
 		return nil
 	}
 	return r.SourceTuples(tr.D.Attr(e.Parent), tr.D.Attr(e.Child))
 }
 
-func (tr *Translator) bump(e dag.Edge, delta int) {
-	for _, s := range tr.sources(e) {
-		tr.srcCount[s.Encode()] += delta
+func (tr *Translator) bump(e dag.Edge, delta int32) {
+	r := tr.rule(e)
+	if r == nil {
+		return
+	}
+	parent, child := tr.D.Attr(e.Parent), tr.D.Attr(e.Child)
+	var a [relational.KeyBufLen]byte
+	for i := range r.Prov.Tables {
+		tr.src.add(r.AppendSourceKey(a[:0], i, parent, child), delta)
 	}
 }
 
@@ -74,9 +119,9 @@ func (tr *Translator) NoteEdgeDeleted(e dag.Edge) { tr.bump(e, -1) }
 // replays it inversely, followers replay it from the log). Zero counts are
 // pruned: a decrement leaves an entry behind where a rebuild has none.
 func (tr *Translator) EqualSources(want *Translator) error {
-	for _, keys := range [2]map[string]int{tr.srcCount, want.srcCount} {
+	for _, keys := range [2]map[string]int32{tr.src.ids, want.src.ids} {
 		for k := range keys {
-			if n, w := tr.srcCount[k], want.srcCount[k]; n != w {
+			if n, w := tr.src.count(k), want.src.count(k); n != w {
 				return fmt.Errorf("viewupdate: source %q derives %d live edges, index says %d", k, w, n)
 			}
 		}
@@ -124,7 +169,7 @@ func (tr *Translator) TranslateDelete(dv []dag.Edge) ([]relational.Mutation, err
 	// A source is valid iff every edge it derives is being deleted.
 	valid := func(s atg.SourceKey) bool {
 		enc := s.Encode()
-		return tr.srcCount[enc] == uses[enc]
+		return tr.src.count(enc) == uses[enc]
 	}
 
 	chosen := make(map[string]atg.SourceKey) // ΔR, deduped

@@ -306,3 +306,28 @@ func TestRejectedErrorMessage(t *testing.T) {
 		t.Error("message lost")
 	}
 }
+
+// TestSourceIndexMaintenanceDoesNotAllocate: moving the count of a source the
+// index knows builds its key on the stack and assigns nothing into the map,
+// and the counts it leaves are the ones a rebuild finds.
+func TestSourceIndexMaintenanceDoesNotAllocate(t *testing.T) {
+	reg, d, tr := fixture(t)
+	e := dag.Edge{Parent: node(t, d, "takenBy", "CS320"), Child: node(t, d, "student", "S02", "Bob")}
+	if len(tr.sources(e)) == 0 {
+		t.Fatal("the edge has no sources")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		tr.NoteEdgeDeleted(e)
+		tr.NoteEdgeInserted(e)
+	}); n != 0 {
+		t.Errorf("NoteEdgeDeleted + NoteEdgeInserted allocate %v objects, want 0", n)
+	}
+	if err := tr.EqualSources(NewTranslator(reg.ATG, reg.DB, d)); err != nil {
+		t.Error(err)
+	}
+	for _, s := range tr.sources(e) {
+		if tr.src.count(s.Encode()) == 0 {
+			t.Errorf("source %s of a live edge counts zero", s)
+		}
+	}
+}

@@ -115,6 +115,12 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// frameLen is the number of bytes appendFrame writes for a payload of n bytes.
+func frameLen(n int) int {
+	var v [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(v[:], uint64(n)) + 4 + n
+}
+
 // frameResult classifies one frame-read attempt.
 type frameResult int
 

@@ -15,6 +15,11 @@ type BootState struct {
 	State    []byte   // the checkpoint payload, opaque to this package
 	Records  []Record // log suffix: the records of generations > Gen, in order
 	Warnings []string // non-fatal findings: a truncated torn tail, a skipped corrupt checkpoint
+	// Unreadable lists the checkpoints newer than the chosen one that could
+	// not be read. Non-empty means recovery fell back: the directory holds
+	// one good checkpoint, and the caller should write another before it
+	// serves (DropCheckpoint, then WriteCheckpoint).
+	Unreadable []uint64
 }
 
 // Open opens a log directory for appending, recovering whatever durable
@@ -61,6 +66,7 @@ func Open(dir string, opts Options) (*Log, *BootState, error) {
 			boot.Gen, boot.State, chosen = g, state, true
 			break
 		}
+		boot.Unreadable = append(boot.Unreadable, g)
 		boot.Warnings = append(boot.Warnings,
 			fmt.Sprintf("checkpoint %d unreadable (%v); falling back", g, err))
 	}
@@ -111,11 +117,18 @@ func ReadCheckpoint(path string, gen uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(b) < len(ckptMagic) || !bytes.Equal(b[:len(ckptMagic)], []byte(ckptMagic)) {
+	return parseCheckpoint(b, gen)
+}
+
+// parseCheckpoint is ReadCheckpoint on the file's bytes; the state it returns
+// is a span of them. It accepts exactly what frameCheckpoint writes: a frame
+// length that is not in its shortest form would pass the checksums, which
+// cover the payloads only, so the file's size is held to its contents.
+func parseCheckpoint(file []byte, gen uint64) ([]byte, error) {
+	if len(file) < len(ckptMagic) || !bytes.Equal(file[:len(ckptMagic)], []byte(ckptMagic)) {
 		return nil, fmt.Errorf("bad magic")
 	}
-	b = b[len(ckptMagic):]
-	genPayload, rest, res := readFrame(b)
+	genPayload, rest, res := readFrame(file[len(ckptMagic):])
 	if res != frameOK {
 		return nil, fmt.Errorf("bad generation frame")
 	}
@@ -132,6 +145,9 @@ func ReadCheckpoint(path string, gen uint64) ([]byte, error) {
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%d trailing bytes", len(rest))
+	}
+	if want := len(ckptMagic) + frameLen(len(genPayload)) + frameLen(len(state)); len(file) != want {
+		return nil, fmt.Errorf("%d bytes where the frames take %d: a length is not in its shortest form", len(file), want)
 	}
 	return state, nil
 }

@@ -203,3 +203,47 @@ func TestAppendEncodesEachRecordOnce(t *testing.T) {
 		t.Fatalf("a 64-record Append allocates %.0f objects, want a constant few", allocs)
 	}
 }
+
+// FuzzReadCheckpoint fuzzes the checkpoint file's framing — ReadCheckpoint
+// behind its file read, so the target touches no file. Whatever the bytes:
+// no panic, and a file that is accepted is the file frameCheckpoint writes
+// for the payload it returned — nothing that reads as a checkpoint carries a
+// byte the payload and the generation do not account for.
+func FuzzReadCheckpoint(f *testing.F) {
+	for _, image := range []string{"wal-parent-6e107b9", "wal-digest-fd35873"} {
+		for _, gen := range []uint64{4, 6} {
+			file, err := os.ReadFile(filepath.Join("..", "..", "testdata", image, ckptName(gen)))
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(file, gen)
+		}
+	}
+	f.Add(frameCheckpoint(0, make([]byte, CheckpointHeadroom)), uint64(0)) // an empty state
+	f.Fuzz(func(t *testing.T, file []byte, gen uint64) {
+		state, err := parseCheckpoint(file, gen)
+		if err != nil {
+			return
+		}
+		buf := append(make([]byte, CheckpointHeadroom, CheckpointHeadroom+len(state)), state...)
+		if again := frameCheckpoint(gen, buf); !bytes.Equal(again, file) {
+			t.Fatalf("accepted a %d-byte file that is not the %d-byte framing of its %d-byte payload at generation %d",
+				len(file), len(again), len(state), gen)
+		}
+	})
+}
+
+// TestCheckpointLengthMustBeShortestForm is the input the round trip above
+// turns on: a frame length padded to two bytes decodes to the same number and
+// leaves both checksums intact, so only the file's size gives it away.
+func TestCheckpointLengthMustBeShortestForm(t *testing.T) {
+	file := frameCheckpoint(7, append(make([]byte, CheckpointHeadroom), "state"...))
+	if state, err := parseCheckpoint(file, 7); err != nil || string(state) != "state" {
+		t.Fatalf("the writer's own file: %q, %v", state, err)
+	}
+	at := len(ckptMagic) // the generation frame's length byte: 8
+	padded := append(append(bytes.Clone(file[:at]), file[at]|0x80, 0x00), file[at+1:]...)
+	if _, err := parseCheckpoint(padded, 7); err == nil {
+		t.Fatal("a checkpoint with a padded frame length was accepted")
+	}
+}

@@ -477,6 +477,15 @@ func (l *Log) WriteCheckpoint(gen uint64, buf []byte) error {
 	return nil
 }
 
+// DropCheckpoint removes ckpt-<gen>, a checkpoint recovery found unreadable
+// (BootState.Unreadable), once the state recovered without it is verified.
+// Left in place it would count as one of the Keep newest, and the next prune
+// would delete a readable checkpoint to keep it. The segment wal-<gen> stays:
+// the older checkpoint needs its records. Best-effort, like prune.
+func (l *Log) DropCheckpoint(gen uint64) {
+	os.Remove(filepath.Join(l.dir, ckptName(gen)))
+}
+
 // checkpointFault types an injected wal.checkpoint fault as the failure to
 // write ckpt-<gen>.
 func checkpointFault(dir string, gen uint64, err error) error {

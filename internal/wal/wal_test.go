@@ -317,6 +317,9 @@ func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
 	if len(boot.Warnings) == 0 {
 		t.Fatal("no warning about the skipped checkpoint")
 	}
+	if !reflect.DeepEqual(boot.Unreadable, []uint64{2}) {
+		t.Fatalf("fallback reports unreadable checkpoints %v, want [2]", boot.Unreadable)
+	}
 	// Damage the older one too: now nothing is recoverable.
 	ck0 := filepath.Join(dir, ckptName(0))
 	b0, _ := os.ReadFile(ck0)
