@@ -1,10 +1,10 @@
 package rxview
 
-// Guards the API boundary: rxview/internal/... may be imported only from
-// inside internal/, by this root package, by rxview/obs and by the module's
-// own cmd/ tools — and rxview/internal/bench, the paper's experiment
-// harness, only by cmd/benchrunner, so no re-export mirror of it can grow
-// back here.
+// Guards the API boundary: the examples/ programs, which document the
+// public API, import no rxview/internal/... package — and
+// rxview/internal/bench, the paper's experiment harness, is imported only by
+// cmd/benchrunner, so no re-export mirror of it can grow back here. (bench/
+// is a module of its own; the compiler keeps it out of internal/.)
 //
 // The predicates live in internal/lint/internalboundary so `go test` and
 // `go run ./cmd/xviewlint ./...` enforce exactly the same rule; this test is

@@ -17,7 +17,7 @@ import (
 	"strings"
 	"time"
 
-	"rxview/obs"
+	"rxview/internal/obs"
 )
 
 // baseURL normalizes an address argument: "localhost:8080", ":8080" and

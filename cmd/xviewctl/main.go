@@ -95,7 +95,8 @@ func main() {
 		log.Printf("xviewctl: serving on %s", *serve)
 		ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 		defer stop()
-		if err := server.ListenAndServe(ctx, *serve, eng, server.HandlerOptions{Timeout: 10 * time.Second}); err != nil {
+		h := server.NewHandler(eng, server.HandlerOptions{Timeout: 10 * time.Second})
+		if err := server.Serve(ctx, *serve, h, eng.Close); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -30,10 +30,23 @@
 // durable itself (-data is rejected) — a restarted follower re-syncs from
 // the primary's checkpoint.
 //
-// With -views FILE, the process hosts many named views (see replication.go
-// for the JSON schema) behind /v/{name}/... routing — each with its own
-// writer loop, optional durability directory or replica-of upstream, and a
-// private metric registry, so tenants are isolated end to end.
+// With -views FILE, the process hosts many named views behind
+// /v/{name}/... routing. The file is a JSON array of entries whose fields
+// are the per-view flags:
+//
+//	[
+//	  {"name": "reg",  "dataset": "registrar", "data": "/var/xview/reg"},
+//	  {"name": "syn",  "dataset": "synthetic", "nc": 500, "seed": 7},
+//	  {"name": "mirr", "replica_of": "http://primary:8080/v/reg"}
+//	]
+//
+// Every entry gets its own writer loop, its own optional durability
+// directory or upstream, and a private metric registry: /v/{name}/metrics
+// shows only that view's engine families, while the top-level /metrics
+// serves the process-wide shared families, /views lists the tenants and
+// /healthz is 200 only when every tenant is ready. The per-view flags
+// (-dataset, -nc, -seed, -force, -data, -fsync, -checkpoint-every,
+// -replica-of) are refused beside -views; the others apply to every view.
 //
 // Endpoints:
 //
@@ -41,15 +54,17 @@
 //	POST /update  {"kind":"insert","type":"student","values":["S1","Ann"],
 //	               "path":"//course[cno=\"CS650\"]/takenBy"}
 //	POST /batch   {"updates":[...]}
+//	POST /tx      {"updates":[...]}
 //	GET  /stats
-//	GET  /healthz      readiness: 503 with the recovery state while boot
-//	                   replay is running or a checkpoint is in flight
+//	GET  /healthz      readiness: 503 with the state while boot replay is
+//	                   running, the view is degraded, a checkpoint stalls
+//	                   the writer or a follower is catching up
 //	GET  /livez        liveness: 200 as soon as the process listens
 //	GET  /metrics      Prometheus text exposition (all layers)
 //	GET  /debug/vars   the same metrics as JSON
 //	GET  /debug/slow   slow-query/slow-commit ring buffer
 //
-// The listener starts before the view loads: /healthz answers 503 (state
+// The listener starts before the views load: /healthz answers 503 (state
 // "loading" or "recovering") until recovery finishes, so load balancers
 // keep a replaying node out of rotation without killing it. After a disk
 // failure /healthz answers 503 with state "degraded" — writes are refused
@@ -59,25 +74,32 @@
 // serves net/http/pprof on a separate, normally-private address.
 //
 // -chaos arms the deterministic fault-injection framework (resilience
-// testing only — never in production): a semicolon-separated list of fault
-// points with options, e.g. "wal.fsync:after=100,count=1" or
-// "wal.slow-io:latency=5ms,every=10"; see rxview.EnableChaos for the
-// grammar and rxview.FaultPoints for the catalog. -chaos-seed makes
-// probabilistic rules reproducible.
+// testing only — never in production) once every view has booted: a
+// semicolon-separated list of fault points with options, e.g.
+// "wal.fsync:after=100,count=1" or "wal.slow-io:latency=5ms,every=10"; see
+// rxview.EnableChaos for the grammar and rxview.FaultPoints for the
+// catalog. -chaos-seed makes probabilistic rules reproducible.
 //
 // SIGINT/SIGTERM triggers a graceful shutdown: in-flight requests drain,
-// then the apply loop stops; a durable view seals a final checkpoint so the
+// then the apply loops stop; a durable view seals a final checkpoint so the
 // next boot recovers without replay.
 package main
 
 import (
+	"cmp"
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"os/signal"
+	"slices"
+	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -117,6 +139,24 @@ var (
 	chaosSeed = flag.Int64("chaos-seed", 1, "fault-injection PRNG seed")
 )
 
+// perViewFlags configure the one view of single-view mode; a -views file
+// sets the same fields per entry.
+var perViewFlags = []string{"dataset", "nc", "seed", "force", "data", "fsync", "checkpoint-every", "replica-of"}
+
+// viewSpec is one view to host: an entry of the -views file, or the
+// per-view flags in single-view mode (Name empty).
+type viewSpec struct {
+	Name            string `json:"name"`
+	Dataset         string `json:"dataset"` // registrar (default) or synthetic
+	NC              int    `json:"nc"`
+	Seed            int64  `json:"seed"`
+	Force           bool   `json:"force"`
+	Data            string `json:"data"` // durability directory; also enables /repl
+	Fsync           string `json:"fsync"`
+	CheckpointEvery int    `json:"checkpoint_every"`
+	ReplicaOf       string `json:"replica_of"` // follow this primary instead of taking writes
+}
+
 func main() {
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -125,99 +165,98 @@ func main() {
 	if *debugAddr != "" {
 		go serveDebug(*debugAddr)
 	}
-
-	var err error
-	switch {
-	case *viewsCfg != "" && *replicaOf != "":
-		err = fmt.Errorf("xviewd: -views and -replica-of are mutually exclusive (a view set names its upstreams per entry)")
-	case *viewsCfg != "":
-		err = runViews(ctx, stop)
-	case *replicaOf != "":
-		err = runFollower(ctx, stop)
-	default:
-		err = runPrimary(ctx, stop)
-	}
-	if err != nil {
+	if err := run(ctx, stop); err != nil {
 		log.Fatal(err)
 	}
 	log.Print("xviewd: shut down cleanly")
 }
 
-// runPrimary is the classic single-view mode: one view, one engine, the
-// full read-write API. Durable primaries additionally serve /repl/* so
-// followers can attach.
-func runPrimary(ctx context.Context, stop context.CancelFunc) error {
-	// Listen before loading: health probes answer immediately, with
-	// readiness gated until the view (and its recovery, if durable) is up.
-	gate := server.NewGate("loading")
-	errc := make(chan error, 1)
-	go func() { errc <- server.ServeGated(ctx, *addr, gate) }()
-	log.Printf("xviewd: listening on %s (readiness gated until the view is up)", *addr)
-
-	if *dataDir != "" {
-		gate.SetState("recovering")
-	}
-	view, err := open()
+// run serves until ctx is canceled: it mounts a gate per view — the gate
+// itself at / in single-view mode, a Registry over them with -views —
+// starts listening, boots the views one by one, and then arms chaos.
+func run(ctx context.Context, stop context.CancelFunc) error {
+	specs, err := loadSpecs()
 	if err != nil {
-		stop()
-		<-errc
 		return err
 	}
-	if *dataDir != "" {
-		log.Printf("xviewd: durable at %s (fsync=%s), recovered generation %d",
-			*dataDir, *fsync, view.Generation())
+	// Every gate is mounted before the listener starts, so health probes
+	// answer while the views boot and /views lists the whole set.
+	gates := make([]*server.Gate, len(specs))
+	var h http.Handler
+	var reg *server.Registry
+	if *viewsCfg != "" {
+		reg = server.NewRegistry()
+		h = reg
 	}
-	log.Printf("xviewd: %s view loaded — %s", *dataset, view.Stats())
+	for i, spec := range specs {
+		gates[i] = server.NewGate("loading")
+		if reg == nil {
+			h = gates[i]
+		} else if err := reg.Add(spec.Name, gates[i]); err != nil {
+			return fmt.Errorf("xviewd: -views: %w", err)
+		}
+	}
 
-	// Arm chaos only after boot recovery: the injected faults target the
-	// serving path, not the replay of a directory that is already healthy.
+	// Shutdown closes the views in reverse boot order. A view whose boot
+	// finishes after the listener's shutdown ran is closed by the second
+	// call below; the mutex orders the two against the boot loop's appends.
+	var (
+		mu       sync.Mutex
+		closers  []func() error
+		closeErr error
+	)
+	shutdown := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for i := len(closers) - 1; i >= 0; i-- {
+			if err := closers[i](); err != nil {
+				closeErr = errors.Join(closeErr, err)
+			}
+		}
+		closers = nil
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- server.Serve(ctx, *addr, h, shutdown) }()
+	log.Printf("xviewd: listening on %s (readiness gated until the views are up)", *addr)
+
+	abort := func(err error) error {
+		stop()
+		<-errc
+		shutdown()
+		return err
+	}
+	opens := make([]func(), len(specs))
+	for i, spec := range specs {
+		open, closer, err := openView(spec, gates[i])
+		if err != nil {
+			if spec.Name != "" {
+				err = fmt.Errorf("view %q: %w", spec.Name, err)
+			}
+			return abort(fmt.Errorf("xviewd: %w", err))
+		}
+		opens[i] = open
+		mu.Lock()
+		closers = append(closers, closer)
+		mu.Unlock()
+	}
+	// Chaos is armed once every view has booted — the injected faults
+	// target the serving path, not the replay of a directory that is
+	// already healthy — and before any gate opens, so no request is served
+	// unarmed.
 	if *chaosSpec != "" {
 		if err := rxview.EnableChaos(*chaosSpec, *chaosSeed); err != nil {
-			stop()
-			<-errc
-			return fmt.Errorf("xviewd: -chaos: %w", err)
+			return abort(fmt.Errorf("xviewd: -chaos: %w", err))
 		}
 		log.Printf("xviewd: CHAOS ARMED (seed %d): %s — injected faults are live, do not use in production",
 			*chaosSeed, *chaosSpec)
 	}
-
-	hopts := server.HandlerOptions{
-		Timeout:       *timeout,
-		Checkpointing: view.Checkpointing,
+	for _, open := range opens {
+		open()
 	}
-	if *dataDir != "" {
-		src, err := view.ReplSource()
-		if err != nil {
-			stop()
-			<-errc
-			return fmt.Errorf("xviewd: replication source: %w", err)
-		}
-		hopts.Repl = src
-		log.Printf("xviewd: replication source on /repl (durable generation %d)", src.Generation())
-	}
-	eng := server.New(view, engineOptions()...)
-	eng.SetSlowThreshold(*slowThresh)
-	gate.SetReady(eng, hopts)
 	log.Print("xviewd: ready")
-
-	if err := <-errc; err != nil {
-		return err
-	}
-	// The engine has stopped: seal the final epoch so the next boot
-	// recovers without replaying the log.
-	if err := view.Close(); err != nil {
-		return fmt.Errorf("xviewd: final checkpoint: %w", err)
-	}
-	return nil
-}
-
-// engineOptions translates the shared engine flags.
-func engineOptions() []server.Option {
-	opts := []server.Option{server.WithQueueDepth(*queue)}
-	if *shedAt > 0 {
-		opts = append(opts, server.WithShedWatermark(*shedAt))
-	}
-	return opts
+	err = <-errc
+	shutdown()
+	return errors.Join(err, closeErr)
 }
 
 // serveDebug mounts the pprof handlers on their own listener — profiling
@@ -236,29 +275,121 @@ func serveDebug(addr string) {
 	}
 }
 
-func open() (*rxview.View, error) {
+// loadSpecs returns the views to host: the -views file's entries, or one
+// entry built from the per-view flags.
+func loadSpecs() ([]viewSpec, error) {
+	if *viewsCfg == "" {
+		return []viewSpec{{Dataset: *dataset, NC: *nc, Seed: *seed, Force: *force, Data: *dataDir,
+			Fsync: *fsync, CheckpointEvery: *ckptEvery, ReplicaOf: *replicaOf}}, nil
+	}
+	var set []string
+	flag.Visit(func(f *flag.Flag) {
+		if slices.Contains(perViewFlags, f.Name) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) > 0 {
+		return nil, fmt.Errorf("xviewd: %s configure one view and cannot be combined with -views: set them per entry in %s",
+			strings.Join(set, ", "), *viewsCfg)
+	}
+	raw, err := os.ReadFile(*viewsCfg)
+	if err != nil {
+		return nil, fmt.Errorf("xviewd: -views: %w", err)
+	}
+	var specs []viewSpec
+	if err := json.Unmarshal(raw, &specs); err != nil {
+		return nil, fmt.Errorf("xviewd: -views %s: %w", *viewsCfg, err)
+	}
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("xviewd: -views %s: no views defined", *viewsCfg)
+	}
+	return specs, nil
+}
+
+// openView boots one view — a primary, durable or in memory, or a follower
+// of spec.ReplicaOf — behind gate. open opens the gate; closer closes the
+// view: the engine, then a primary's view, which seals a final checkpoint
+// so the next boot recovers without replay.
+func openView(spec viewSpec, gate *server.Gate) (open func(), closer func() error, err error) {
+	label := "xviewd:"
+	if spec.Name != "" {
+		label = fmt.Sprintf("xviewd: view %q:", spec.Name)
+	}
+	hopts := server.HandlerOptions{
+		Timeout:            *timeout,
+		PrivateMetricsOnly: spec.Name != "", // a tenant: /v/{name}/metrics shows only this view
+	}
+	engOpts := []server.Option{server.WithQueueDepth(*queue)}
+	if *shedAt > 0 {
+		engOpts = append(engOpts, server.WithShedWatermark(*shedAt))
+	}
+	atg, db, err := sources(spec.Dataset, spec.NC, spec.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
 	var opts []rxview.Option
-	if *force {
+	if spec.Force {
 		opts = append(opts, rxview.WithForceSideEffects())
 	}
-	if *dataDir != "" {
-		pol, err := rxview.ParseFsyncPolicy(*fsync)
+
+	if spec.ReplicaOf != "" {
+		if spec.Data != "" {
+			return nil, nil, errors.New("a follower is not durable itself; drop its data directory (it re-syncs from the primary's checkpoint on restart)")
+		}
+		rep, err := rxview.OpenReplica(atg, db, opts...)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
+		}
+		f := server.NewReplica(rep, spec.ReplicaOf,
+			server.WithFollowWatermark(*followMark),
+			server.WithFollowLog(log.Printf),
+			server.WithEngineOptions(engOpts...))
+		f.Engine().SetSlowThreshold(*slowThresh)
+		hopts.Follow = f.Status
+		log.Printf("%s following %s (ready once lag ≤ %d)", label, spec.ReplicaOf, *followMark)
+		return func() { gate.SetReady(f.Engine(), hopts) }, func() error { f.Close(); return nil }, nil
+	}
+
+	fsyncPolicy := cmp.Or(spec.Fsync, "always")
+	if spec.Data != "" {
+		pol, err := rxview.ParseFsyncPolicy(fsyncPolicy)
+		if err != nil {
+			return nil, nil, err
 		}
 		opts = append(opts,
-			rxview.WithDurability(*dataDir),
+			rxview.WithDurability(spec.Data),
 			rxview.WithFsync(pol),
-			rxview.WithRecoveryWarn(func(msg string) { log.Printf("xviewd: %s", msg) }))
-		if *ckptEvery > 0 {
-			opts = append(opts, rxview.WithCheckpointEvery(*ckptEvery))
+			rxview.WithRecoveryWarn(func(msg string) { log.Printf("%s %s", label, msg) }))
+		if spec.CheckpointEvery > 0 {
+			opts = append(opts, rxview.WithCheckpointEvery(spec.CheckpointEvery))
 		}
+		gate.SetState("recovering")
 	}
-	atg, db, err := sources(*dataset, *nc, *seed)
+	view, err := rxview.Open(atg, db, opts...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return rxview.Open(atg, db, opts...)
+	if spec.Data != "" {
+		log.Printf("%s durable at %s (fsync=%s), recovered generation %d", label, spec.Data, fsyncPolicy, view.Generation())
+		src, err := view.ReplSource()
+		if err != nil {
+			view.Close()
+			return nil, nil, fmt.Errorf("replication source: %w", err)
+		}
+		hopts.Repl = src
+		log.Printf("%s replication source on /repl (durable generation %d)", label, src.Generation())
+	}
+	log.Printf("%s %s view loaded — %s", label, cmp.Or(spec.Dataset, "registrar"), view.Stats())
+	hopts.Checkpointing = view.Checkpointing
+	eng := server.New(view, engOpts...)
+	eng.SetSlowThreshold(*slowThresh)
+	return func() { gate.SetReady(eng, hopts) }, func() error {
+		eng.Close()
+		if err := view.Close(); err != nil {
+			return fmt.Errorf("%s final checkpoint: %w", label, err)
+		}
+		return nil
+	}, nil
 }
 
 // sources builds the schema and base relations for a named dataset.

@@ -16,7 +16,7 @@ import (
 	"syscall"
 	"testing"
 
-	"rxview/obs"
+	"rxview/internal/obs"
 )
 
 func TestMetricsScrapeCoversAllLayers(t *testing.T) {

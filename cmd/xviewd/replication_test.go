@@ -10,12 +10,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -232,5 +235,70 @@ func TestViewsMultiTenantDaemon(t *testing.T) {
 			t.Fatalf("mirror never converged: %s, alpha %s", got, want)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// writeViews writes a -views file.
+func writeViews(t *testing.T, spec string) string {
+	t.Helper()
+	cfg := filepath.Join(t.TempDir(), "views.json")
+	if err := os.WriteFile(cfg, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// TestViewsRefusesPerViewFlags: a flag that configures the one view of
+// single-view mode means nothing beside -views, so the daemon refuses to
+// start and names every such flag it was given.
+func TestViewsRefusesPerViewFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the daemon binary")
+	}
+	bin := buildDaemon(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cfg := writeViews(t, `[{"name": "alpha"}]`)
+	out, err := exec.CommandContext(ctx, bin, "-addr", freePort(t), "-views", cfg,
+		"-data", t.TempDir(), "-force", "-timeout", "5s").CombinedOutput()
+	if ctx.Err() != nil || err == nil {
+		t.Fatalf("xviewd -views -data -force did not refuse to start (err %v):\n%s", err, out)
+	}
+	for _, name := range []string{"-data", "-force"} {
+		if !strings.Contains(string(out), name) {
+			t.Errorf("refusal does not name %s:\n%s", name, out)
+		}
+	}
+	if strings.Contains(string(out), "-timeout") {
+		t.Errorf("refusal names -timeout, which applies to every view:\n%s", out)
+	}
+}
+
+// TestViewsArmsChaos: -chaos is process-wide, so a -views daemon arms it
+// too, before any tenant serves: the first commit meets the injected
+// append failure (503, applied but not durable).
+func TestViewsArmsChaos(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the daemon binary")
+	}
+	bin := buildDaemon(t)
+	addr := freePort(t)
+	cfg := writeViews(t, fmt.Sprintf(`[{"name": "alpha", "data": %q, "fsync": "off"}]`, t.TempDir()))
+	cmd := startDaemon(t, bin, "-addr", addr, "-views", cfg, "-chaos", "wal.append:count=1")
+	defer func() {
+		cmd.Process.Signal(syscall.SIGTERM)
+		cmd.Wait()
+	}()
+	waitHealthy(t, addr)
+
+	body := `{"kind":"insert","type":"student","path":"//course[cno=\"CS650\"]/takenBy","values":["SC1","Chaos"]}`
+	resp, err := http.Post("http://"+addr+"/v/alpha/update", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(out), "injected") {
+		t.Fatalf("first commit under -chaos wal.append:count=1 = %s %s, want 503 naming the injected fault", resp.Status, out)
 	}
 }

@@ -110,7 +110,8 @@
 // (421 + primary address on writes) and multi-tenant hosting live in
 // rxview/server; see README.md ("Replication & multi-tenancy").
 //
-// The whole stack is instrumented through the rxview/obs telemetry core:
+// The whole stack is instrumented through the internal/obs telemetry core
+// (rxview/obs forwards the few names programs outside the module need):
 // the pipeline's per-phase timings (Timings carries the same split, publish
 // included), the compiled-path cache, the WAL and the serving engine record
 // into atomic counters and fixed-bucket latency histograms: a memo hit

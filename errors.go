@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"rxview/internal/core"
+	"rxview/internal/update"
 	"rxview/internal/viewupdate"
 )
 
@@ -17,9 +18,10 @@ var (
 	// occurrences of a shared subtree (§2.1). The concrete type is
 	// *SideEffectError.
 	ErrSideEffect = errors.New("rxview: update has XML side effects")
-	// ErrNotUpdatable marks an update the relational translation rejects:
-	// no side-effect-free ΔR exists (§4). The concrete type is
-	// *NotUpdatableError.
+	// ErrNotUpdatable marks an update the view cannot carry out: the
+	// validation phase refuses it against the DTD and the element type's
+	// attributes (§2.4), or the relational translation finds no
+	// side-effect-free ΔR (§4). The concrete type is *NotUpdatableError.
 	ErrNotUpdatable = errors.New("rxview: update is not translatable to the base relations")
 	// ErrParse marks a malformed XPath expression or update statement.
 	// The concrete type is *ParseError.
@@ -148,10 +150,11 @@ func (e *SideEffectError) Error() string {
 // Is matches ErrSideEffect.
 func (e *SideEffectError) Is(target error) bool { return target == ErrSideEffect }
 
-// NotUpdatableError reports that the relational translation rejected the
-// update: every candidate ΔR would cause relational side effects (changes to
-// the view beyond the requested ΔX), violate a key, or require deleting
-// tuples other sources still need.
+// NotUpdatableError reports that the view rejected the update: validation
+// found it illegal under the DTD or its attribute tuple unfit for the
+// element type, or every candidate ΔR would cause relational side effects
+// (changes to the view beyond the requested ΔX), violate a key, or require
+// deleting tuples other sources still need.
 type NotUpdatableError struct {
 	Op     string
 	Reason string
@@ -202,6 +205,10 @@ func wrapErr(op string, err error) error {
 	var rej *viewupdate.RejectedError
 	if errors.As(err, &rej) {
 		return &NotUpdatableError{Op: op, Reason: rej.Reason}
+	}
+	var inv *update.InvalidError
+	if errors.As(err, &inv) {
+		return &NotUpdatableError{Op: op, Reason: inv.Reason}
 	}
 	switch {
 	case errors.Is(err, core.ErrTxOpen):

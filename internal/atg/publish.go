@@ -33,8 +33,8 @@ func (c *Compiled) PublishSubtree(d *dag.DAG, db *relational.Database, typ strin
 	if _, ok := c.DTD.Elems[typ]; !ok {
 		return dag.InvalidNode, fmt.Errorf("atg: unknown element type %s", typ)
 	}
-	if err := c.checkAttr(typ, attr); err != nil {
-		return dag.InvalidNode, err
+	if err := c.CheckAttr(typ, attr); err != nil {
+		return dag.InvalidNode, fmt.Errorf("atg: %w", err)
 	}
 	root, created := d.AddNode(typ, attr)
 	if !created {
@@ -46,14 +46,17 @@ func (c *Compiled) PublishSubtree(d *dag.DAG, db *relational.Database, typ strin
 	return root, nil
 }
 
-func (c *Compiled) checkAttr(typ string, attr relational.Tuple) error {
+// CheckAttr reports whether attr fits element type typ's attribute
+// declaration: one field per declared attribute, each of the declared kind
+// or null.
+func (c *Compiled) CheckAttr(typ string, attr relational.Tuple) error {
 	decl := c.Attrs[typ]
 	if len(attr) != len(decl) {
-		return fmt.Errorf("atg: %s attribute has %d fields, want %d", typ, len(attr), len(decl))
+		return fmt.Errorf("%s attribute has %d fields, want %d", typ, len(attr), len(decl))
 	}
 	for i, v := range attr {
 		if v.K != decl[i].Type && !v.IsNull() {
-			return fmt.Errorf("atg: %s.%s: kind %v, want %v", typ, decl[i].Name, v.K, decl[i].Type)
+			return fmt.Errorf("%s.%s: kind %v, want %v", typ, decl[i].Name, v.K, decl[i].Type)
 		}
 	}
 	return nil

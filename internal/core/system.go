@@ -371,6 +371,11 @@ func (s *System) stage(ctx context.Context, op *update.Op, rep *Report) (res *xp
 	if err := update.ValidateAgainstDTD(s.ATG.DTD, op); err != nil {
 		return nil, false, err
 	}
+	if op.Kind == update.OpInsert {
+		if err := s.ATG.CheckAttr(op.Type, op.Attr); err != nil {
+			return nil, false, &update.InvalidError{Reason: err.Error()}
+		}
+	}
 	rep.Timings.Validate = time.Since(t0)
 	if err := ctx.Err(); err != nil {
 		return nil, false, err

@@ -143,3 +143,36 @@ func TestParseSpec(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseSpec feeds operator input — what `xviewd -chaos` hands over — to
+// the spec grammar. Oracle: never a panic; a spec it accepts names only
+// catalog points, with every option in range, and arms a plan.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"wal.fsync:after=100,count=5; wal.slow-io:latency=5ms,every=10;storage.apply:prob=0.25",
+		"wal.disk-full:after=1,count=1;wal.checkpoint:count=8",
+		"wal.append:count=1;wal.checkpoint",
+		"", "nope", "wal.fsync:zap=1", "wal.fsync:prob=2", "wal.fsync:after=x",
+		"wal.fsync:latency=-1s", "wal.fsync:after", "storage.apply:prob=NaN",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		rules, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		if len(rules) == 0 {
+			t.Fatalf("%q: accepted with no rules", spec)
+		}
+		for _, r := range rules {
+			if !Registered(r.Point) || r.After < 0 || r.Every < 0 || r.Count < 0 ||
+				!(r.Prob >= 0 && r.Prob <= 1) || r.Latency < 0 {
+				t.Fatalf("%q: accepted out of range: %+v", spec, r)
+			}
+		}
+		if _, err := NewPlan(1, rules...); err != nil {
+			t.Fatalf("%q: accepted, but NewPlan refuses it: %v", spec, err)
+		}
+	})
+}

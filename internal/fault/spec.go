@@ -66,7 +66,7 @@ func setOpt(r *Rule, key, val string) error {
 		}
 	case "prob":
 		f, err := strconv.ParseFloat(val, 64)
-		if err != nil || f < 0 || f > 1 {
+		if err != nil || !(f >= 0 && f <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("fault: spec prob=%q: want a probability in [0,1]", val)
 		}
 		r.Prob = f

@@ -1,13 +1,11 @@
 // Package internalboundary enforces the repository's API boundary with
 // two predicates on import paths.
 //
-// Who may import rxview/internal/... at all: packages under internal/
-// itself, the root rxview package (the public API gateway), rxview/obs (the
-// telemetry facade: pure aliases over internal/obs) and the module's own
-// command-line tools, rxview/cmd/... — xviewlint links the analyzer suite,
-// benchrunner calls the paper's experiment harness. Everything else —
-// server, examples, external test packages, bench/ — goes through the
-// public API.
+// Who may not import rxview/internal/...: the programs under examples/.
+// They are the documentation of the public API, so they are written
+// against it alone. Every other package of the module — the root gateway,
+// obs, server, cmd/ — may reach behind it; bench/ is a module of its own,
+// and Go's internal-package rule already keeps it out, at compile time.
 //
 // Who may import rxview/internal/bench: rxview/cmd/benchrunner and the
 // package itself. The harness pulls in the reference implementations no
@@ -33,26 +31,17 @@ import (
 
 const (
 	internalPrefix = "rxview/internal/"
-	cmdPrefix      = "rxview/cmd/"
+	examplesPkg    = "rxview/examples"
 	benchPkg       = "rxview/internal/bench"
 	benchImporter  = "rxview/cmd/benchrunner"
 )
 
-// gatewayImporters lists the library packages allowed to import
-// rxview/internal/... from outside internal/ itself.
-var gatewayImporters = map[string]bool{
-	"rxview":     true, // the public API gateway (tests in package rxview included)
-	"rxview/obs": true, // telemetry gateway: aliases internal/obs for the server layer and bench/
-}
-
 var Analyzer = &analysis.Analyzer{
 	Name: "internalboundary",
-	Doc: "only rxview, rxview/obs and rxview/cmd/... may import rxview/internal/..., and only cmd/benchrunner rxview/internal/bench\n\n" +
-		"The root package is the supported gateway to the implementation " +
-		"(rxview/obs aliases the telemetry core, nothing more) and the module's own " +
-		"cmd/ tools may reach behind it; server, examples and external test packages " +
-		"must go through the public API. The paper's experiment harness, " +
-		"internal/bench, is for cmd/benchrunner alone.",
+	Doc: "examples/ may not import rxview/internal/..., and only cmd/benchrunner may import rxview/internal/bench\n\n" +
+		"The examples document the public API, so they are written against it " +
+		"alone. The paper's experiment harness, internal/bench, is for " +
+		"cmd/benchrunner alone.",
 	Run: run,
 }
 
@@ -66,23 +55,18 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// allowed reports whether a package at path may import rxview/internal/...
-func allowed(path string) bool {
-	return gatewayImporters[path] || strings.HasPrefix(path, cmdPrefix) ||
-		path == "rxview/internal" || strings.HasPrefix(path, internalPrefix)
-}
-
-func isBench(path string) bool {
-	return path == benchPkg || strings.HasPrefix(path, benchPkg+"/")
+// within reports whether path is pkg or a package below it.
+func within(path, pkg string) bool {
+	return path == pkg || strings.HasPrefix(path, pkg+"/")
 }
 
 // breach says why a package at pkgPath may not import imp; "" if it may.
 func breach(pkgPath, imp string) string {
 	switch {
-	case isBench(imp) && pkgPath != benchImporter && !isBench(pkgPath):
+	case within(imp, benchPkg) && pkgPath != benchImporter && !within(pkgPath, benchPkg):
 		return "only " + benchImporter + " may import the experiment harness"
-	case strings.HasPrefix(imp, internalPrefix) && !allowed(pkgPath):
-		return "only rxview, rxview/obs and rxview/cmd/... may import internal packages"
+	case strings.HasPrefix(imp, internalPrefix) && within(pkgPath, examplesPkg):
+		return "examples are written against the public API alone"
 	}
 	return ""
 }
@@ -138,10 +122,6 @@ func CheckTree(root string) ([]Violation, error) {
 		pkgPath := "rxview"
 		if dir := filepath.ToSlash(filepath.Dir(rel)); dir != "." {
 			pkgPath = "rxview/" + dir
-		} else if f.Name.Name != "rxview" {
-			// Root-directory files in package rxview_test (or any other
-			// package clause) are not the gateway package.
-			pkgPath = "rxview_test"
 		}
 		checkFile(pkgPath, f, func(pos token.Pos, imp, why string) {
 			out = append(out, Violation{Pos: fset.Position(pos), PkgPath: pkgPath, Import: imp, Why: why})

@@ -1,7 +1,7 @@
 // Seeded violation: examples are written against the public API only.
 package main
 
-import "rxview/internal/dag" // want "only rxview, rxview/obs and rxview/cmd/... may import internal packages"
+import "rxview/internal/dag" // want "examples are written against the public API alone"
 
 var _ dag.NodeID
 

@@ -1,9 +1,9 @@
-// Seeded violation: a non-gateway package reaching behind the boundary.
+// A library package of the module may reach behind the boundary.
 package server
 
 import (
 	"rxview"
-	"rxview/internal/dag" // want "only rxview, rxview/obs and rxview/cmd/... may import internal packages"
+	"rxview/internal/dag"
 )
 
 type Engine struct {

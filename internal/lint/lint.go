@@ -29,12 +29,14 @@
 //	 4d d.Children(id)[0] = ... in Unfold's loop    internal/dag/analyze.go:183     ok    ok   RED [f]    RED
 //	 4e the same on Unfold's over-budget branch     internal/dag/analyze.go:174     ok    ok   ok         RED only
 //	internalboundary
-//	 8a server imports rxview/internal/xpath        server/engine.go:3              ok    ok   RED [g]    RED
+//	 8a an example imports rxview/internal/xpath    examples/quickstart/main.go:14  ok    ok   RED [g]    RED
 //
 // [a] TestEngineChaosSoak. [b] TestQueuedDeadlineExpiry. [c] 18 DATA RACE
 // reports, 3 tests. [d] 28 reports, 19 tests. [e] green before PR 26: the
 // false negative that PR fixed. [f] TestSnapshotCOWDifferential. [g] the
-// tier-1 TestOnlyRootPackageImportsInternal.
+// tier-1 TestOnlyRootPackageImportsInternal. Row 8a was re-measured when
+// server/ was allowed behind the boundary (it had seeded the import into
+// server/engine.go), with ./examples/... added to the test run.
 //
 // Why each stays. errwrap, faultpoint and obshotpath guard contracts whose
 // breach changes no test's outcome: a flattened error chain, a fault point

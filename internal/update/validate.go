@@ -7,6 +7,14 @@ import (
 	"rxview/internal/xpath"
 )
 
+// InvalidError rejects an update in the validation phase (§2.4), before
+// any data is read: its path reaches no element type the DTD lets it
+// change, it would delete the root, or its attribute tuple does not fit the
+// element type it inserts.
+type InvalidError struct{ Reason string }
+
+func (e *InvalidError) Error() string { return "update: " + e.Reason }
+
 // ValidateAgainstDTD is the schema-level validation phase of §2.4: it
 // "evaluates" the update's XPath p on the DTD D to find the element types
 // reached by p, and rejects the update unless every affected production has
@@ -104,7 +112,7 @@ func ValidateAgainstDTD(d *dtd.DTD, op *Op) error {
 		}
 	}
 	if len(reached) == 0 {
-		return fmt.Errorf("update: path %s cannot reach any element type of the DTD", op.Path)
+		return invalid("path %s cannot reach any element type of the DTD", op.Path)
 	}
 
 	switch op.Kind {
@@ -113,8 +121,7 @@ func ValidateAgainstDTD(d *dtd.DTD, op *Op) error {
 		for _, t := range reached {
 			prod := d.Elems[t]
 			if prod.Kind != dtd.Star || prod.Children[0] != op.Type {
-				return fmt.Errorf(
-					"update: inserting %s under %s violates the DTD: production is %s %s, need (%s)*",
+				return invalid("inserting %s under %s violates the DTD: production is %s %s, need (%s)*",
 					op.Type, t, t, prod, op.Type)
 			}
 		}
@@ -122,19 +129,21 @@ func ValidateAgainstDTD(d *dtd.DTD, op *Op) error {
 		// Deleting a B child from an A parent is legal only if A → B*.
 		for _, t := range reached {
 			if t == d.Root {
-				return fmt.Errorf("update: cannot delete the document root")
+				return invalid("cannot delete the document root")
 			}
 			for p := range parentsVia[t] {
 				prod := d.Elems[p]
 				if prod.Kind != dtd.Star || prod.Children[0] != t {
-					return fmt.Errorf(
-						"update: deleting %s from %s violates the DTD: production is %s %s",
-						t, p, p, prod)
+					return invalid("deleting %s from %s violates the DTD: production is %s %s", t, p, p, prod)
 				}
 			}
 		}
 	}
 	return nil
+}
+
+func invalid(format string, args ...any) error {
+	return &InvalidError{Reason: fmt.Sprintf(format, args...)}
 }
 
 // filterMayHold over-approximates filter satisfiability at an element type:

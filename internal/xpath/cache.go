@@ -1,9 +1,9 @@
 package xpath
 
 import (
-	"container/list"
-	"sync"
 	"sync/atomic"
+
+	"rxview/internal/lru"
 )
 
 // Cache is a bounded, concurrency-safe LRU of compiled paths. Parsed
@@ -11,71 +11,47 @@ import (
 // them), so one compiled path can back any number of concurrent
 // evaluations — a serving layer parses each distinct query text once.
 //
-// Parse failures are cached too: a malformed query hot in the request
-// stream costs one map hit, not a re-parse, and callers short-circuit
-// before allocating an evaluator.
+// Parse failures are cached too — a path longer than MaxSteps is one — so
+// a malformed query hot in the request stream costs one map hit, not a
+// re-parse, and callers short-circuit before allocating an evaluator.
 type Cache struct {
-	mu     sync.Mutex
-	cap    int
-	lru    *list.List // front = most recent; values are *cacheEntry
-	byText map[string]*list.Element
+	lru *lru.Cache[parsed]
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
-type cacheEntry struct {
-	text string
-	p    *Path
-	err  error
+type parsed struct {
+	p   *Path
+	err error
 }
 
 // NewCache returns a cache bounded to capacity entries (minimum 1).
 func NewCache(capacity int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Cache{
-		cap:    capacity,
-		lru:    list.New(),
-		byText: make(map[string]*list.Element, capacity),
-	}
+	return &Cache{lru: lru.New[parsed](capacity)}
 }
 
 // Parse returns the compiled path (or the cached parse error) for the query
 // text, compiling it on first sight.
 func (c *Cache) Parse(text string) (*Path, error) {
-	c.mu.Lock()
-	if el, ok := c.byText[text]; ok {
-		c.lru.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		c.mu.Unlock()
+	if e, ok := c.lru.Get(text); ok {
 		c.hits.Add(1)
 		return e.p, e.err
 	}
-	c.mu.Unlock()
 	c.misses.Add(1)
-
-	// Parse outside the lock: a slow parse must not stall unrelated hits.
-	// A racing duplicate parse of the same text is harmless — last insert
-	// wins and both results are equivalent.
+	// Parse outside the cache's lock: a slow parse must not stall unrelated
+	// hits. A racing duplicate parse of the same text is harmless — the first
+	// add wins and both results are equivalent.
 	p, err := Parse(text)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byText[text]; ok {
-		c.lru.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		return e.p, e.err
+	if err == nil {
+		// Refuse here what every evaluator would refuse, so a caller meets
+		// a path it cannot use as one error, at compile time.
+		if err = checkLen(p.compiled().steps); err != nil {
+			p = nil
+		}
 	}
-	el := c.lru.PushFront(&cacheEntry{text: text, p: p, err: err})
-	c.byText[text] = el
-	if c.lru.Len() > c.cap {
-		old := c.lru.Back()
-		c.lru.Remove(old)
-		delete(c.byText, old.Value.(*cacheEntry).text)
-	}
-	return p, err
+	e := c.lru.Add(text, parsed{p: p, err: err})
+	return e.p, e.err
 }
 
 // Stats returns the cache's hit/miss counters.
@@ -84,8 +60,4 @@ func (c *Cache) Stats() (hits, misses uint64) {
 }
 
 // Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
+func (c *Cache) Len() int { return c.lru.Len() }

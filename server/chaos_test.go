@@ -54,13 +54,13 @@ func waitReadWrite(t *testing.T, eng *server.Engine) {
 // TestEngineChaosSoak drives a faulted write workload through the engine
 // while concurrent readers assert wait-free, generation-monotone serving
 // the whole way through — across three separate degradations, each healed
-// by the background prober. The per-write ledger is then checked against
-// the reopened directory: acknowledged writes present, rejections absent.
+// by the background prober (on export_test.go's short backoff). The
+// per-write ledger is then checked against the reopened directory:
+// acknowledged writes present, rejections absent.
 func TestEngineChaosSoak(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	eng, view := mustDurableEngine(t, dir,
-		server.WithRecoveryBackoff(time.Millisecond, 8*time.Millisecond))
+	eng, view := mustDurableEngine(t, dir)
 	defer rxview.DisableChaos()
 
 	spec := strings.Join([]string{

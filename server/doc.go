@@ -96,12 +96,29 @@
 //     the loop keeps draining the queue — refusing writes with the view's
 //     DegradedError verdicts, serving reads from the published epoch —
 //     and a recovery prober retries View.Recover with jittered
-//     exponential backoff (WithRecoveryBackoff) until the log heals;
+//     exponential backoff (25ms doubling to 2s; the follow loop of a
+//     Replica retries on the same schedule) until the log heals;
 //     /healthz reports "degraded" meanwhile. Stats exposes WritesShed,
 //     Degraded and Recoveries.
 //
-// NewHandler exposes the Engine over HTTP/JSON (the cmd/xviewd daemon and
-// xviewctl -serve share it).
+// NewHandler exposes the Engine over HTTP/JSON, and Serve runs a handler —
+// NewHandler's, a Gate or a Registry — on an address until its context is
+// canceled, then drains and releases what it serves; the cmd/xviewd daemon
+// and xviewctl -serve share both. The package imports the implementation
+// under internal/ directly; its API speaks the root package's types.
+//
+// # Readiness
+//
+// One function decides readiness, and Gate.State, the handler's /healthz
+// and the Registry's /views and /healthz all report its verdict. The first
+// matching row wins:
+//
+//	state          /healthz  when
+//	loading, ...   503       a Gate before SetReady: its boot phase
+//	degraded       503       the log refused a commit (see above)
+//	checkpointing  503       HandlerOptions.Checkpointing reports a stall
+//	following      503       HandlerOptions.Follow is not within its watermark
+//	ready          200       otherwise
 //
 // # Replication
 //
@@ -115,11 +132,11 @@
 // generation gap or a 410. A follower engine refuses writes with
 // ErrReadOnlyReplica, which HTTP maps to 421 Misdirected Request carrying
 // the primary's address (X-Xview-Primary header + "primary" body field).
-// Readiness composes:
-// with HandlerOptions.Follow set, /healthz (and a Gate) answers
-// 503 "following" until the replica is within WithFollowWatermark
-// generations of the primary's durable watermark, and GET /repl/info
-// reports either side's position for xviewctl repl status.
+// With HandlerOptions.Follow set, readiness answers "following" until
+// the replica is within WithFollowWatermark generations of the primary's
+// durable watermark, and GET /repl/info reports either side's position for
+// xviewctl repl status. A caught-up /repl/stream poll is held 25s before
+// the follower reconnects.
 //
 // What a follower may expose, and when: a commit reaches the change log (the
 // commit sink, then the repl tail) before Engine.Update returns to the
@@ -135,12 +152,13 @@
 // Registry hosts many named views in one process behind /v/{name}/...,
 // each an independent Gate with its own engine, writer loop and private
 // metric registry (HandlerOptions.PrivateMetricsOnly): /views lists the
-// tenants, the top-level /healthz aggregates their states, and the
-// top-level /metrics serves only the process-wide families.
+// tenants with the readiness each one's own /healthz gives, the top-level
+// /healthz is 200 only when every tenant is ready, and the top-level
+// /metrics serves only the process-wide families.
 //
 // # Telemetry
 //
-// Every Engine owns a private obs.Registry (see package rxview/obs): the
+// Every Engine owns a private obs.Registry (package rxview/internal/obs): the
 // counters, queue-depth gauge and latency histograms its hot paths record
 // into, plus a ring-buffer slow log (SetSlowThreshold). The HTTP layer
 // scrapes it together with the process-wide registry on GET /metrics

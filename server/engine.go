@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"rxview"
-	"rxview/obs"
+	"rxview/internal/core"
+	"rxview/internal/lru"
+	"rxview/internal/obs"
 )
 
 // ErrClosed is returned by submissions after Close.
@@ -21,8 +23,6 @@ type Option func(*config)
 type config struct {
 	queue     int
 	highWater int
-	probeBase time.Duration
-	probeMax  time.Duration
 }
 
 const (
@@ -60,26 +60,22 @@ func WithShedWatermark(n int) Option {
 	}
 }
 
-// WithRecoveryBackoff sets the base and cap of the jittered exponential
-// backoff between degraded-mode recovery probes. Defaults: 25ms base, 2s
-// cap.
-func WithRecoveryBackoff(base, max time.Duration) Option {
-	return func(c *config) {
-		if base > 0 {
-			c.probeBase = base
-		}
-		if max > 0 {
-			c.probeMax = max
-		}
-	}
-}
-
 // epoch is one published read unit: an immutable snapshot plus its result
-// memo. The memo lives and dies with the snapshot, which makes (path,
-// generation) the implicit memo key.
+// memo. The memo is keyed by path text alone because its lifetime is the
+// generation: every publication hangs a fresh empty memo off the new
+// snapshot, so a hit can never serve a stale epoch's answer. Only successful
+// evaluations are memoized (parse errors are cached by the compiled-path
+// cache; context errors are the caller's), and every hit shares the cached
+// node slice, which is safe because rxview.Node values are plain data that
+// handlers only read.
 type epoch struct {
 	sn   *rxview.Snapshot
-	memo *resultMemo
+	memo *lru.Cache[[]rxview.Node]
+}
+
+// newEpoch publishes sn with an empty result memo.
+func newEpoch(sn *rxview.Snapshot) *epoch {
+	return &epoch{sn: sn, memo: lru.New[[]rxview.Node](memoCap)}
 }
 
 // Engine wraps a View for concurrent serving: wait-free snapshot-isolated
@@ -146,7 +142,7 @@ type result struct {
 // snapshot and launches the apply loop. The caller hands the view over —
 // all further access must go through the Engine.
 func New(view *rxview.View, opts ...Option) *Engine {
-	cfg := config{queue: 256, probeBase: 25 * time.Millisecond, probeMax: 2 * time.Second}
+	cfg := config{queue: 256}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -162,7 +158,7 @@ func New(view *rxview.View, opts ...Option) *Engine {
 	}
 	//lint:ignore xviewlint/ctxflow the prober's lifetime is the engine's, not any request's; Close cancels it
 	e.stopCtx, e.stopCancel = context.WithCancel(context.Background())
-	e.ep.Store(&epoch{sn: view.Snapshot(), memo: newResultMemo(memoCap)})
+	e.ep.Store(newEpoch(view.Snapshot()))
 	e.committedGen.Store(view.Generation())
 	if view.Degraded() {
 		// Booted into degraded mode (possible when the caller hands over a
@@ -215,7 +211,7 @@ type QueryResult struct {
 func (e *Engine) Query(ctx context.Context, path string) (QueryResult, error) {
 	ep := e.ep.Load()
 	e.met.queries.Inc()
-	if nodes, ok := ep.memo.get(path); ok {
+	if nodes, ok := ep.memo.Get(path); ok {
 		// Memo hit: tens of nanoseconds end to end. Counters only — a span
 		// (two clock reads) would multiply the cost of the hit itself, so
 		// latency is observed where evaluation actually happens, below.
@@ -241,7 +237,7 @@ func (e *Engine) Query(ctx context.Context, path string) (QueryResult, error) {
 	if err != nil {
 		return QueryResult{Nodes: nodes, Generation: ep.sn.Generation()}, err
 	}
-	ep.memo.put(path, nodes)
+	ep.memo.Add(path, nodes)
 	d := sp.End()
 	e.met.slow.RecordRoute("query", path, route, d, ep.sn.Generation())
 	return QueryResult{Nodes: nodes, Generation: ep.sn.Generation()}, nil
@@ -629,10 +625,10 @@ func (e *Engine) publish() time.Duration {
 // from the apply loop.
 func (e *Engine) republish() time.Duration {
 	sp := obs.StartSpan(e.met.publishDur)
-	e.ep.Store(&epoch{sn: e.view.Snapshot(), memo: newResultMemo(memoCap)})
+	e.ep.Store(newEpoch(e.view.Snapshot()))
 	d := sp.End()
 	e.met.snapSwaps.Inc()
-	rxview.ObservePublish(d)
+	core.ObservePublish(d)
 	return d
 }
 
@@ -673,7 +669,7 @@ type Stats struct {
 // Stats reads the current serving statistics. Safe for concurrent use.
 func (e *Engine) Stats() Stats {
 	sn := e.ep.Load().sn
-	pcHits, pcMisses := rxview.PathCacheStats()
+	pcHits, pcMisses := core.PathCacheStats()
 	return Stats{
 		View:             sn.Stats(),
 		Generation:       sn.Generation(),

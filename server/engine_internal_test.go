@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"rxview"
-	"rxview/obs"
+	"rxview/internal/obs"
 )
 
 // newLooplessEngine builds an Engine whose apply loop never starts: the
@@ -38,7 +38,7 @@ func newLooplessEngine(t *testing.T, opts ...rxview.Option) *Engine {
 		met:     newEngineMetrics(),
 		stopCtx: context.Background(),
 	}
-	e.ep.Store(&epoch{sn: view.Snapshot(), memo: newResultMemo(memoCap)})
+	e.ep.Store(newEpoch(view.Snapshot()))
 	return e
 }
 

@@ -13,26 +13,39 @@ package server
 // process from being killed during a long recovery.
 
 import (
-	"context"
-	"errors"
-	"net"
 	"net/http"
 	"sync/atomic"
-	"time"
 )
+
+// readiness is the one readiness verdict: Gate.State, the handler's
+// /healthz and the Registry's /views and /healthz all come here, so they
+// agree at every instant. h is nil until a gate opens, and phase names the
+// boot step meanwhile. The order of the cases is the package
+// documentation's readiness table: "degraded" outranks "checkpointing"
+// because the recovery probe itself checkpoints, and "degraded" is the
+// state that explains why; it outranks "following" because it is the
+// condition a balancer must route writes around, where "following" only
+// says how far behind the reads are.
+func readiness(h *handler, phase string) (state string, status int) {
+	switch {
+	case h == nil:
+		return phase, http.StatusServiceUnavailable
+	case h.e.Degraded():
+		return "degraded", http.StatusServiceUnavailable
+	case h.opts.Checkpointing != nil && h.opts.Checkpointing():
+		return "checkpointing", http.StatusServiceUnavailable
+	case h.opts.Follow != nil && !h.opts.Follow().Following:
+		return "following", http.StatusServiceUnavailable
+	}
+	return "ready", http.StatusOK
+}
 
 // Gate serves readiness 503s until an Engine is attached, then delegates
 // every request to the engine's full handler. Safe for concurrent use; the
 // ready swap is atomic and one-way.
 type Gate struct {
-	state atomic.Pointer[string]
-	ready atomic.Pointer[gateBackend]
-}
-
-type gateBackend struct {
-	h      http.Handler
-	e      *Engine
-	follow func() FollowStatus
+	phase atomic.Pointer[string]
+	ready atomic.Pointer[handler]
 }
 
 // NewGate returns a gate in the not-ready state; state names the startup
@@ -44,36 +57,27 @@ func NewGate(state string) *Gate {
 }
 
 // SetState updates the startup phase reported while not ready.
-func (g *Gate) SetState(state string) { g.state.Store(&state) }
+func (g *Gate) SetState(state string) { g.phase.Store(&state) }
 
-// State returns the current startup phase: "ready" once SetReady ran —
-// or "degraded" when the attached engine's view has flipped read-only
-// after a disk failure (reads keep serving; the recovery prober restores
-// "ready" automatically), or "following" on a follower node that has not
-// yet closed to within the follow watermark of its primary.
+// State returns the gate's readiness state: the startup phase until
+// SetReady, then the attached handler's verdict — "ready", "degraded",
+// "checkpointing" or "following" (the package documentation's readiness
+// table). It is what /healthz reports through the gate.
 func (g *Gate) State() string {
-	if b := g.ready.Load(); b != nil {
-		if b.e != nil && b.e.Degraded() {
-			return "degraded"
-		}
-		if b.follow != nil && !b.follow().Following {
-			return "following"
-		}
-		return "ready"
-	}
-	return *g.state.Load()
+	state, _ := g.readiness()
+	return state
 }
+
+func (g *Gate) readiness() (string, int) { return readiness(g.ready.Load(), *g.phase.Load()) }
 
 // SetReady attaches the engine and opens the gate: from here on every
 // request is served by NewHandler(e, opts).
-func (g *Gate) SetReady(e *Engine, opts HandlerOptions) {
-	g.ready.Store(&gateBackend{h: NewHandler(e, opts), e: e, follow: opts.Follow})
-}
+func (g *Gate) SetReady(e *Engine, opts HandlerOptions) { g.ready.Store(newHandler(e, opts)) }
 
 // engine returns the attached engine, or nil before SetReady.
 func (g *Gate) engine() *Engine {
-	if b := g.ready.Load(); b != nil {
-		return b.e
+	if h := g.ready.Load(); h != nil {
+		return h.e
 	}
 	return nil
 }
@@ -83,75 +87,14 @@ func (g *Gate) engine() *Engine {
 // with the recovery state, so a balancer keeps the node out of rotation
 // without mistaking it for dead.
 func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if b := g.ready.Load(); b != nil {
-		b.h.ServeHTTP(w, r)
+	if h := g.ready.Load(); h != nil {
+		h.ServeHTTP(w, r)
 		return
 	}
 	if r.Method == http.MethodGet && r.URL.Path == "/livez" {
 		writeJSON(w, http.StatusOK, livenessResponse{OK: true})
 		return
 	}
-	writeJSON(w, http.StatusServiceUnavailable, healthResponse{
-		OK:    false,
-		State: g.State(),
-	})
-}
-
-// ServeGated runs the gate on addr until ctx is canceled, then shuts down
-// gracefully (draining in-flight requests) and closes the engine if one was
-// attached. It is ListenAndServe for a process that wants to answer health
-// probes while its view is still loading: start ServeGated first, open the
-// view, then Gate.SetReady.
-func ServeGated(ctx context.Context, addr string, g *Gate) error {
-	return ServeHandler(ctx, addr, g, func() {
-		if e := g.engine(); e != nil {
-			e.Close()
-		}
-	})
-}
-
-// ServeHandler runs any handler — a Gate, a multi-tenant Registry — on addr
-// until ctx is canceled, then shuts down gracefully (draining in-flight
-// requests) and calls shutdown (nil ok) to release whatever the handler
-// owns: the caller decides whether that is one engine or a fleet of them.
-func ServeHandler(ctx context.Context, addr string, h http.Handler, shutdown func()) error {
-	// Long-poll handlers (/repl/stream) hold their connections active for
-	// the whole poll window, which would make every graceful Shutdown of a
-	// primary with connected followers wait out the full drain timeout.
-	// Deriving request contexts from a root canceled by RegisterOnShutdown
-	// ends those polls the moment draining starts — a canceled poll is a
-	// normal stream end, and the follower resumes against the next primary
-	// address it is given. Point requests see the same cancellation but
-	// only at their blocking points; a write canceled in-queue reports
-	// context.Canceled without being applied, per the engine's contract.
-	//lint:ignore xviewlint/ctxflow the connection root must outlive the serve ctx: requests drain after it is canceled
-	connCtx, connCancel := context.WithCancel(context.Background())
-	defer connCancel()
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           h,
-		ReadHeaderTimeout: 5 * time.Second,
-		BaseContext:       func(net.Listener) context.Context { return connCtx },
-	}
-	srv.RegisterOnShutdown(connCancel)
-	if shutdown == nil {
-		shutdown = func() {}
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		shutdown()
-		return err
-	case <-ctx.Done():
-	}
-	//lint:ignore xviewlint/ctxflow graceful shutdown starts when the serve ctx is already canceled; its deadline must be independent of it
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	err := srv.Shutdown(shutCtx)
-	shutdown()
-	if serveErr := <-errc; serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) && err == nil {
-		err = serveErr
-	}
-	return err
+	state, status := readiness(nil, *g.phase.Load())
+	writeJSON(w, status, healthResponse{State: state})
 }

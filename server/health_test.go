@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -9,7 +10,7 @@ import (
 	"time"
 
 	"rxview"
-	"rxview/obs"
+	"rxview/internal/obs"
 	"rxview/server"
 )
 
@@ -75,6 +76,69 @@ func TestHealthzCheckpointing(t *testing.T) {
 	if code, _ := get(t, ts, "/healthz"); code != http.StatusOK {
 		t.Errorf("/healthz after checkpoint = %d, want 200", code)
 	}
+}
+
+// TestRegistryHealthAgreesWithTenant: the registry's /views and /healthz
+// give each tenant the readiness its own /healthz and Gate.State give it —
+// while it checkpoints, while it is degraded, and while it is degraded and
+// following at once.
+func TestRegistryHealthAgreesWithTenant(t *testing.T) {
+	ctx := context.Background()
+	eng, view := mustDurableEngine(t, t.TempDir())
+	t.Cleanup(func() { view.Close() })
+	t.Cleanup(eng.Close)
+	var checkpointing, lagging atomic.Bool
+	g := server.NewGate("loading")
+	g.SetReady(eng, server.HandlerOptions{
+		Checkpointing: checkpointing.Load,
+		Follow:        func() server.FollowStatus { return server.FollowStatus{Following: !lagging.Load()} },
+	})
+	reg := server.NewRegistry()
+	if err := reg.Add("a", g); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(reg)
+	defer ts.Close()
+
+	agree := func(want string) {
+		t.Helper()
+		code, own := get(t, ts, "/v/a/healthz")
+		aggCode, agg := get(t, ts, "/healthz")
+		_, views := get(t, ts, "/views")
+		listed := views["views"].([]any)[0].(map[string]any)["state"]
+		aggState := agg["views"].([]any)[0].(map[string]any)["state"]
+		if own["state"] != want || g.State() != want || listed != want || aggState != want || aggCode != code {
+			t.Errorf("want %q everywhere: tenant /healthz %d %v, Gate.State %q, /views %v, registry /healthz %d %v",
+				want, code, own["state"], g.State(), listed, aggCode, aggState)
+		}
+	}
+	agree("ready")
+	checkpointing.Store(true)
+	agree("checkpointing")
+	checkpointing.Store(false)
+
+	// A refused append degrades the view; failing every checkpoint keeps the
+	// recovery prober from healing it until the faults are lifted.
+	defer rxview.DisableChaos()
+	if err := rxview.EnableChaos("wal.append:count=1;wal.checkpoint", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Update(ctx, resIns("RH001")); !errors.Is(err, rxview.ErrDegraded) {
+		t.Fatalf("update under a refused append: %v, want ErrDegraded", err)
+	}
+	agree("degraded")
+	lagging.Store(true)
+	agree("degraded")
+	checkpointing.Store(true)
+	agree("degraded")
+
+	rxview.DisableChaos()
+	waitReadWrite(t, eng)
+	agree("checkpointing")
+	checkpointing.Store(false)
+	agree("following")
+	lagging.Store(false)
+	agree("ready")
 }
 
 // TestMetricsAndDebugEndpoints drives a little traffic and checks the

@@ -6,12 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"strconv"
 	"time"
 
 	"rxview"
-	"rxview/obs"
+	"rxview/internal/obs"
 )
 
 // HandlerOptions configures the HTTP/JSON surface.
@@ -21,8 +22,6 @@ type HandlerOptions struct {
 	// query's XPath evaluation itself is not preemptible — the deadline is
 	// observed at entry and, for writes, between the pipeline's phases.
 	Timeout time.Duration
-	// MaxBody bounds request bodies in bytes. Zero means 1 MiB.
-	MaxBody int64
 	// Checkpointing, when non-nil, reports whether a checkpoint is
 	// stalling the writer right now (View.Checkpointing of a durable view:
 	// the state is being encoded and the log rotated; the file an automatic
@@ -36,9 +35,6 @@ type HandlerOptions struct {
 	// commit records of generations > G, chunked; 410 when G predates the
 	// retained log) and GET /repl/info.
 	Repl *rxview.ReplSource
-	// StreamWindow bounds how long one caught-up /repl/stream poll is held
-	// open waiting for new commits before recycling. Zero means 25s.
-	StreamWindow time.Duration
 	// Follow, when non-nil, marks a follower node (server.Replica.Status):
 	// /healthz reports "following" (503) until the lag is inside the follow
 	// watermark, and GET /repl/info reports the follower's position.
@@ -50,6 +46,15 @@ type HandlerOptions struct {
 	// registry's top-level /metrics.
 	PrivateMetricsOnly bool
 }
+
+// maxBody bounds request bodies: 1 MiB. A larger one is refused with 413 —
+// split the batch.
+const maxBody = 1 << 20
+
+// streamWindow bounds how long one caught-up /repl/stream poll is held open
+// waiting for new commits before the follower reconnects. A variable only
+// so the package's tests can shorten it (export_test.go).
+var streamWindow = 25 * time.Second
 
 // NewHandler exposes an Engine over HTTP/JSON:
 //
@@ -64,8 +69,8 @@ type HandlerOptions struct {
 //	                                                      one generation;
 //	                                                      409 on rejection)
 //	GET  /stats                                        → serving statistics
-//	GET  /healthz                                      → readiness (503 while
-//	                                                      checkpointing)
+//	GET  /healthz                                      → readiness (503 unless
+//	                                                      ready; see Readiness)
 //	GET  /livez                                        → liveness, always 200
 //	GET  /metrics                                      → Prometheus text
 //	                                                      exposition
@@ -77,12 +82,11 @@ type HandlerOptions struct {
 // wait on writes; writes go through the apply loop. /metrics scrapes the
 // engine's private registry merged with the process-wide obs.Default
 // registry (pipeline, WAL and path-cache families).
-func NewHandler(e *Engine, opts HandlerOptions) http.Handler {
-	if opts.MaxBody <= 0 {
-		opts.MaxBody = 1 << 20
-	}
-	h := &handler{e: e, opts: opts}
+func NewHandler(e *Engine, opts HandlerOptions) http.Handler { return newHandler(e, opts) }
+
+func newHandler(e *Engine, opts HandlerOptions) *handler {
 	mux := http.NewServeMux()
+	h := &handler{e: e, opts: opts, mux: mux}
 	mux.HandleFunc("POST /query", h.query)
 	mux.HandleFunc("POST /update", h.update)
 	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) { h.group(w, r, false) })
@@ -100,13 +104,16 @@ func NewHandler(e *Engine, opts HandlerOptions) http.Handler {
 	if opts.Repl != nil || opts.Follow != nil {
 		mux.HandleFunc("GET /repl/info", h.replInfo)
 	}
-	return mux
+	return h
 }
 
 type handler struct {
 	e    *Engine
 	opts HandlerOptions
+	mux  *http.ServeMux
 }
+
+func (h *handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
 
 // requestCtx applies the per-request timeout.
 func (h *handler) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
@@ -117,7 +124,7 @@ func (h *handler) requestCtx(r *http.Request) (context.Context, context.CancelFu
 }
 
 func (h *handler) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, h.opts.MaxBody))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		status := http.StatusBadRequest
@@ -426,44 +433,24 @@ type livenessResponse struct {
 	OK bool `json:"ok"`
 }
 
-// healthz is the readiness probe. Liveness is /livez; the two are distinct
-// so a balancer can pull a checkpointing (or still-recovering, see Gate)
-// node out of rotation without the orchestrator killing the process.
-// "degraded" means the log failed and writes are being refused while
-// snapshot reads keep serving — the 503 routes writes elsewhere, and the
-// recovery prober flips the state back without a restart.
+// healthz is the readiness probe: the verdict of readiness, with the
+// epoch's generation and digest (and a follower's lag) beside it. Liveness
+// is /livez; the two are distinct so a balancer can pull a node out of
+// rotation without the orchestrator killing the process.
 func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
 	sn := h.e.Snapshot() // one epoch: the generation and the digest belong together
+	state, status := readiness(h, "")
 	out := healthResponse{
-		OK:         true,
-		State:      "ready",
+		OK:         status == http.StatusOK,
+		State:      state,
 		Generation: sn.Generation(),
 		QueueDepth: h.e.met.depth.Value(),
 	}
 	if d, ok := sn.Digest(); ok {
 		out.Digest = d.String()
 	}
-	status := http.StatusOK
-	if h.opts.Checkpointing != nil && h.opts.Checkpointing() {
-		out.OK, out.State = false, "checkpointing"
-		status = http.StatusServiceUnavailable
-	}
-	if h.e.Degraded() {
-		// Takes precedence over "checkpointing": the recovery probe itself
-		// checkpoints, and "degraded" is the state that explains why.
-		out.OK, out.State = false, "degraded"
-		status = http.StatusServiceUnavailable
-	}
 	if h.opts.Follow != nil {
-		// Follower readiness: serve reads only once the replica has restored
-		// a checkpoint and closed to within the follow watermark — a balancer
-		// should not route to a node still pages behind the primary.
-		st := h.opts.Follow()
-		out.Lag = st.Lag
-		if !st.Following {
-			out.OK, out.State = false, "following"
-			status = http.StatusServiceUnavailable
-		}
+		out.Lag = h.opts.Follow().Lag
 	}
 	writeJSON(w, status, out)
 }
@@ -555,14 +542,10 @@ func (h *handler) replStream(w http.ResponseWriter, r *http.Request) {
 		}
 		from = v
 	}
-	window := h.opts.StreamWindow
-	if window <= 0 {
-		window = 25 * time.Second
-	}
 	w.Header().Set("X-Xview-Durable", strconv.FormatUint(h.opts.Repl.Generation(), 10))
 	flusher, _ := w.(http.Flusher)
 	wrote := false
-	err := h.opts.Repl.Stream(r.Context(), from, window, func(_ uint64, frame []byte) error {
+	err := h.opts.Repl.Stream(r.Context(), from, streamWindow, func(_ uint64, frame []byte) error {
 		if !wrote {
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.WriteHeader(http.StatusOK)
@@ -615,13 +598,51 @@ func (h *handler) replInfo(w http.ResponseWriter, r *http.Request) {
 	}{Role: "primary", Generation: h.opts.Repl.Generation(), Oldest: oldest})
 }
 
-// ListenAndServe runs the HTTP API on addr until ctx is canceled, then
-// shuts down gracefully (draining in-flight requests) and closes the
-// engine. It is the lifecycle shared by cmd/xviewd and xviewctl -serve; a
-// process that wants to answer health probes before its view has loaded
-// uses ServeGated directly.
-func ListenAndServe(ctx context.Context, addr string, e *Engine, opts HandlerOptions) error {
-	g := NewGate("starting")
-	g.SetReady(e, opts)
-	return ServeGated(ctx, addr, g)
+// Serve runs h — a handler from NewHandler, a Gate, a Registry — on addr
+// until ctx is canceled, then shuts down gracefully (in-flight requests
+// drain) and calls shutdown (nil ok) to release what h serves: one engine
+// or a fleet of them, the caller decides. It is the one lifecycle of
+// cmd/xviewd and xviewctl -serve. A process that must answer health probes
+// while its view still loads serves a Gate and opens it with SetReady once
+// the view is up.
+func Serve(ctx context.Context, addr string, h http.Handler, shutdown func()) error {
+	// Long-poll handlers (/repl/stream) hold their connections active for
+	// the whole poll window, which would make every graceful Shutdown of a
+	// primary with connected followers wait out the full drain timeout.
+	// Deriving request contexts from a root canceled by RegisterOnShutdown
+	// ends those polls the moment draining starts — a canceled poll is a
+	// normal stream end, and the follower resumes against the next primary
+	// address it is given. Point requests see the same cancellation but
+	// only at their blocking points; a write canceled in-queue reports
+	// context.Canceled without being applied, per the engine's contract.
+	//lint:ignore xviewlint/ctxflow the connection root must outlive the serve ctx: requests drain after it is canceled
+	connCtx, connCancel := context.WithCancel(context.Background())
+	defer connCancel()
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		BaseContext:       func(net.Listener) context.Context { return connCtx },
+	}
+	srv.RegisterOnShutdown(connCancel)
+	if shutdown == nil {
+		shutdown = func() {}
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.ListenAndServe() }()
+	select {
+	case err := <-errc:
+		shutdown()
+		return err
+	case <-ctx.Done():
+	}
+	//lint:ignore xviewlint/ctxflow graceful shutdown starts when the serve ctx is already canceled; its deadline must be independent of it
+	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err := srv.Shutdown(shutCtx)
+	shutdown()
+	if serveErr := <-errc; serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) && err == nil {
+		err = serveErr
+	}
+	return err
 }

@@ -191,6 +191,79 @@ func TestHandlerPerRequestTimeout(t *testing.T) {
 	}
 }
 
+// FuzzHandlerBodies posts arbitrary bytes to the four routes that decode a
+// body, on an in-memory registrar engine (side effects forced when the
+// route byte's high bit is set). Oracle: no panic and never a 5xx — a body
+// the handler cannot use is refused as the client's (400, or 413 past the
+// size limit) and a usable one gets its verdict (200, 409, 422); a 200's
+// generation is one the engine has published; and after Close the view is
+// still σ of its base relations.
+func FuzzHandlerBodies(f *testing.F) {
+	routes := []string{"/query", "/update", "/batch", "/tx"}
+	ins := `{"kind":"insert","type":"student","path":"//course[cno=\"CS650\"]/takenBy","values":["SH1","HTTP"]}`
+	shared := `{"kind":"insert","type":"course","path":"course[cno=\"CS650\"]//course[cno=\"CS320\"]/prereq","values":["CS777","Sharing"]}`
+	for _, s := range []struct {
+		route uint8
+		body  string
+	}{
+		{0, `{"path":"//course[cno=\"CS650\"]/takenBy/student"}`},
+		{0, `{"path":"//course["}`},
+		{0, `{"bogus":1}`},
+		{1, ins},
+		{1, shared},
+		{0x81, shared},
+		{1, `{"kind":"noop","path":"x"}`},
+		{1, `{"kind":"insert","type":"student","path":"//course/takenBy","values":[1.5]}`},
+		{1, `{"kind":"insert","type":"course","path":".","values":["EE100","Circuits"]}`},
+		{1, `{"kind":"delete","path":"//student[ssn=\"S01\"]"}`},
+		{2, `{"updates":[` + ins + `,` + shared + `]}`},
+		{3, `{"updates":[{"kind":"insert","path":".","type":"course","values":["CS111","Intro"]},` +
+			`{"kind":"insert","path":"//course[cno=\"CS111\"]/prereq","type":"course","values":["CS112","II"]}]}`},
+		{3, `{"updates":[{"kind":"insert","path":".","type":"course","values":["CS311","Gone"]},` + shared + `]}`},
+		{3, `{"updates":[{"kind":"frobnicate","path":"."}]}`},
+	} {
+		f.Add(s.route, []byte(s.body))
+	}
+	f.Fuzz(func(t *testing.T, route uint8, body []byte) {
+		atg, db, err := rxview.NewRegistrar()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var opts []rxview.Option
+		if route&0x80 != 0 {
+			opts = append(opts, rxview.WithForceSideEffects())
+		}
+		view, err := rxview.Open(atg, db, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := server.New(view)
+		path := routes[int(route&0x7f)%len(routes)]
+		rec := httptest.NewRecorder()
+		server.NewHandler(eng, server.HandlerOptions{}).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
+		default:
+			t.Fatalf("POST %s %q: status %d: %s", path, body, rec.Code, rec.Body)
+		}
+		if rec.Code == http.StatusOK {
+			var out struct {
+				Generation uint64 `json:"generation"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+				t.Fatalf("POST %s %q: 200 with an undecodable body: %v", path, body, err)
+			}
+			if out.Generation > eng.Generation() {
+				t.Fatalf("POST %s %q: answered at generation %d, the engine published %d", path, body, out.Generation, eng.Generation())
+			}
+		}
+		eng.Close()
+		if err := view.CheckConsistency(); err != nil {
+			t.Fatalf("POST %s %q: %v", path, body, err)
+		}
+	})
+}
+
 func TestListenAndServeGracefulShutdown(t *testing.T) {
 	atg, db, err := rxview.NewRegistrar()
 	if err != nil {
@@ -211,7 +284,8 @@ func TestListenAndServeGracefulShutdown(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- server.ListenAndServe(ctx, addr, eng, server.HandlerOptions{Timeout: 5 * time.Second}) }()
+	h := server.NewHandler(eng, server.HandlerOptions{Timeout: 5 * time.Second})
+	go func() { done <- server.Serve(ctx, addr, h, eng.Close) }()
 
 	// Wait for the daemon to come up, then exercise one round-trip.
 	var up bool
@@ -233,7 +307,7 @@ func TestListenAndServeGracefulShutdown(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("ListenAndServe returned %v after graceful shutdown", err)
+			t.Fatalf("Serve returned %v after graceful shutdown", err)
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("daemon did not shut down")

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"rxview"
-	"rxview/obs"
+	"rxview/internal/obs"
 )
 
 // engineMetrics bundles the handles the engine's hot paths record into.

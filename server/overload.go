@@ -20,6 +20,7 @@ package server
 // discipline — until the log heals and read-write is restored atomically.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -123,13 +124,8 @@ func (e *Engine) kickRecovery() {
 // through the queue, executed by the apply goroutine like any write.
 func (e *Engine) probeRecovery() {
 	defer e.wg.Done()
-	backoff := e.cfg.probeBase
-	for {
-		select {
-		case <-time.After(jitter(backoff)):
-		case <-e.stopCtx.Done():
-			return
-		}
+	var b backoff
+	for b.wait(e.stopCtx) {
 		// A probe the queue refuses means the engine is closing: Close cancels
 		// stopCtx, which ends the wait above — the next boot replays the log
 		// instead.
@@ -141,12 +137,6 @@ func (e *Engine) probeRecovery() {
 			// If a later write re-degrades the view, its delivery kicks a
 			// fresh prober; this one is done.
 			return
-		}
-		if backoff < e.cfg.probeMax {
-			backoff *= 2
-			if backoff > e.cfg.probeMax {
-				backoff = e.cfg.probeMax
-			}
 		}
 	}
 }
@@ -161,11 +151,30 @@ func (e *Engine) runRecover(r *request) {
 	r.done <- result{gen: e.view.Generation(), err: err}
 }
 
-// jitter spreads a backoff delay uniformly over [d/2, d], decorrelating
-// probers across replicas that degraded together.
-func jitter(d time.Duration) time.Duration {
-	if d <= 1 {
-		return d
+// The one retry schedule of the serving layer, shared by the recovery
+// prober and a follower's reconnect loop. Variables only so the package's
+// tests can shorten them (export_test.go); nothing else writes them.
+var (
+	backoffBase = 25 * time.Millisecond
+	backoffCap  = 2 * time.Second
+)
+
+// backoff is a jittered exponential delay: the n-th wait lasts a uniform
+// draw from [d/2, d] with d = backoffBase·2ⁿ capped at backoffCap. The
+// jitter decorrelates nodes that failed together. The zero value is ready.
+type backoff struct{ d time.Duration }
+
+// wait sleeps out the next delay and doubles the one after it. It reports
+// false, early, once ctx is done.
+func (b *backoff) wait(ctx context.Context) bool {
+	if b.d == 0 {
+		b.d = backoffBase
 	}
-	return d/2 + time.Duration(rand.Int63n(int64(d)/2+1))
+	select {
+	case <-time.After(b.d/2 + time.Duration(rand.Int63n(int64(b.d)/2+1))):
+	case <-ctx.Done():
+		return false
+	}
+	b.d = min(2*b.d, backoffCap)
+	return true
 }

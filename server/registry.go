@@ -19,7 +19,7 @@ import (
 	"strings"
 	"sync"
 
-	"rxview/obs"
+	"rxview/internal/obs"
 )
 
 // Registry routes HTTP traffic to named views. Safe for concurrent use;
@@ -107,37 +107,36 @@ type viewEntry struct {
 	Generation uint64 `json:"generation"`
 }
 
-func (reg *Registry) entries() []viewEntry {
+// entries lists every tenant with the readiness verdict its own /healthz
+// gives; ok reports whether every one of them is ready.
+func (reg *Registry) entries() (out []viewEntry, ok bool) {
 	names := reg.Names()
-	out := make([]viewEntry, 0, len(names))
+	out, ok = make([]viewEntry, 0, len(names)), true
 	for _, name := range names {
 		g := reg.Gate(name)
-		ent := viewEntry{Name: name, State: g.State()}
+		state, status := g.readiness()
+		ok = ok && status == http.StatusOK
+		ent := viewEntry{Name: name, State: state}
 		if e := g.engine(); e != nil {
 			ent.Generation = e.Generation()
 		}
 		out = append(out, ent)
 	}
-	return out
+	return out, ok
 }
 
 func (reg *Registry) viewsIndex(w http.ResponseWriter, r *http.Request) {
+	entries, _ := reg.entries()
 	writeJSON(w, http.StatusOK, struct {
 		Views []viewEntry `json:"views"`
-	}{Views: reg.entries()})
+	}{Views: entries})
 }
 
 // healthz aggregates tenant readiness: 200 only when every registered view
 // is ready, else 503 with the per-view states so an operator sees which
-// tenant is still loading, degraded, or catching up.
+// tenant is still loading, degraded, checkpointing or catching up.
 func (reg *Registry) healthz(w http.ResponseWriter, r *http.Request) {
-	entries := reg.entries()
-	ok := true
-	for _, ent := range entries {
-		if ent.State != "ready" {
-			ok = false
-		}
-	}
+	entries, ok := reg.entries()
 	status := http.StatusOK
 	if !ok {
 		status = http.StatusServiceUnavailable

@@ -19,7 +19,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rxview"
 )
@@ -56,12 +55,9 @@ type FollowStatus struct {
 }
 
 type replicaConfig struct {
-	watermark   uint64
-	window      time.Duration
-	backoffBase time.Duration
-	backoffMax  time.Duration
-	logf        func(string, ...any)
-	engOpts     []Option
+	watermark uint64
+	logf      func(string, ...any)
+	engOpts   []Option
 }
 
 // ReplicaOption configures a follower runtime.
@@ -72,30 +68,6 @@ type ReplicaOption func(*replicaConfig)
 // into "ready" on /healthz once lag ≤ n). Default 8.
 func WithFollowWatermark(n uint64) ReplicaOption {
 	return func(c *replicaConfig) { c.watermark = n }
-}
-
-// WithPollWindow sets how long the follower lets one caught-up stream poll
-// ride before reconnecting. Default 25s; tests shrink it.
-func WithPollWindow(d time.Duration) ReplicaOption {
-	return func(c *replicaConfig) {
-		if d > 0 {
-			c.window = d
-		}
-	}
-}
-
-// WithFollowBackoff sets the base and cap of the jittered exponential
-// backoff between reconnect attempts after a transport failure. Defaults:
-// 50ms base, 5s cap.
-func WithFollowBackoff(base, max time.Duration) ReplicaOption {
-	return func(c *replicaConfig) {
-		if base > 0 {
-			c.backoffBase = base
-		}
-		if max > 0 {
-			c.backoffMax = max
-		}
-	}
 }
 
 // WithFollowLog routes the follower's reconnect/re-sync notices somewhere
@@ -136,12 +108,7 @@ type Replica struct {
 // host:port", or "http://host:port/v/name" for a registry-hosted view).
 // Close stops the loop and the engine.
 func NewReplica(rep *rxview.Replica, primary string, opts ...ReplicaOption) *Replica {
-	cfg := replicaConfig{
-		watermark:   8,
-		window:      25 * time.Second,
-		backoffBase: 50 * time.Millisecond,
-		backoffMax:  5 * time.Second,
-	}
+	cfg := replicaConfig{watermark: 8}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -215,12 +182,12 @@ func (f *Replica) notePrimary(gen uint64) {
 // and with jittered exponential backoff on transport failures.
 func (f *Replica) follow() {
 	defer f.wg.Done()
-	backoff := f.cfg.backoffBase
+	var b backoff
 	needRestore := true // the locally seeded state is provisional; boot from the primary's copy of record
 	for f.stopCtx.Err() == nil {
 		err := f.syncOnce(&needRestore)
 		if err == nil {
-			backoff = f.cfg.backoffBase
+			b = backoff{} // a contact succeeded: the next failure waits from the base again
 			continue
 		}
 		if f.stopCtx.Err() != nil {
@@ -228,15 +195,8 @@ func (f *Replica) follow() {
 		}
 		f.e.met.followReconnects.Inc()
 		f.logf("replica: %s: %v (reconnecting)", f.primary, err)
-		select {
-		case <-time.After(jitter(backoff)):
-		case <-f.stopCtx.Done():
+		if !b.wait(f.stopCtx) {
 			return
-		}
-		if backoff < f.cfg.backoffMax {
-			if backoff *= 2; backoff > f.cfg.backoffMax {
-				backoff = f.cfg.backoffMax
-			}
 		}
 	}
 }

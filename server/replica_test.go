@@ -24,8 +24,8 @@ import (
 )
 
 // mustPrimary opens a durable registrar view, wraps it in an engine, and
-// serves it — replication endpoints included — over httptest. A short
-// stream window keeps the long-poll cycles fast under test.
+// serves it — replication endpoints included — over httptest. The short
+// stream window of export_test.go keeps the long-poll cycles fast.
 func mustPrimary(t *testing.T, opts ...rxview.Option) (*httptest.Server, *server.Engine, *rxview.View) {
 	t.Helper()
 	atg, db, err := rxview.NewRegistrar()
@@ -54,16 +54,16 @@ func mustPrimary(t *testing.T, opts ...rxview.Option) (*httptest.Server, *server
 	eng := server.New(view)
 	t.Cleanup(eng.Close)
 	ts := httptest.NewServer(server.NewHandler(eng, server.HandlerOptions{
-		Timeout:      5 * time.Second,
-		Repl:         src,
-		StreamWindow: 50 * time.Millisecond,
+		Timeout: 5 * time.Second,
+		Repl:    src,
 	}))
 	t.Cleanup(ts.Close)
 	return ts, eng, view
 }
 
 // mustFollower boots a follower of the given primary URL over a fresh
-// registrar schema. The caller owns Close.
+// registrar schema; it reconnects on export_test.go's short backoff. The
+// caller owns Close.
 func mustFollower(t *testing.T, primary string, opts ...server.ReplicaOption) *server.Replica {
 	t.Helper()
 	atg, db, err := rxview.NewRegistrar()
@@ -74,11 +74,7 @@ func mustFollower(t *testing.T, primary string, opts ...server.ReplicaOption) *s
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := []server.ReplicaOption{
-		server.WithPollWindow(50 * time.Millisecond),
-		server.WithFollowBackoff(time.Millisecond, 50*time.Millisecond),
-	}
-	return server.NewReplica(rep, primary, append(base, opts...)...)
+	return server.NewReplica(rep, primary, opts...)
 }
 
 // waitConverged blocks until the follower has replayed through target.
@@ -501,8 +497,7 @@ func TestRegistryMultiTenant(t *testing.T) {
 	ea := server.New(va)
 	t.Cleanup(ea.Close)
 	ga.SetReady(ea, server.HandlerOptions{
-		Timeout: 5 * time.Second, Repl: src, StreamWindow: 50 * time.Millisecond,
-		PrivateMetricsOnly: true,
+		Timeout: 5 * time.Second, Repl: src, PrivateMetricsOnly: true,
 	})
 
 	// beta: an in-memory primary, fully independent.

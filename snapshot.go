@@ -2,7 +2,6 @@ package rxview
 
 import (
 	"context"
-	"time"
 
 	"rxview/internal/core"
 	"rxview/internal/obs"
@@ -46,14 +45,6 @@ func (v *View) Snapshot() *Snapshot {
 // compiled-path cache that View.Query, Snapshot.Query and the server
 // handlers parse through. Monotone; shared by every view in the process.
 func PathCacheStats() (hits, misses uint64) { return core.PathCacheStats() }
-
-// ObservePublish records one epoch publication (snapshot seal + pointer
-// swap) into the pipeline's phase telemetry, completing the paper's phase
-// breakdown for a serving layer. The library itself publishes no epochs,
-// so only layers that seal snapshots — the server package's Engine —
-// should call it, once per publication. A no-op while telemetry is
-// disabled.
-func ObservePublish(d time.Duration) { core.ObservePublish(d) }
 
 // Snapshot is an immutable copy of a View at one generation. All methods
 // are safe for concurrent use by any number of goroutines. See
