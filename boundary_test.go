@@ -3,8 +3,10 @@ package rxview
 // Guards the API boundary: the examples/ programs, which document the
 // public API, import no rxview/internal/... package — and
 // rxview/internal/bench, the paper's experiment harness, is imported only by
-// cmd/benchrunner, so no re-export mirror of it can grow back here. (bench/
-// is a module of its own; the compiler keeps it out of internal/.)
+// cmd/benchrunner, so no re-export mirror of it can grow back here; the
+// paper-literal code it times, rxview/internal/paper, only by it and by test
+// files. (bench/ is a module of its own; the compiler keeps it out of
+// internal/.)
 //
 // The predicates live in internal/lint/internalboundary so `go test` and
 // `go run ./cmd/xviewlint ./...` enforce exactly the same rule; this test is

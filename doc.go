@@ -92,7 +92,7 @@
 // when the log refuses a prefix group's one append, that is the verdict
 // of every applied update of the group.
 // EnableChaos arms the deterministic fault-injection framework behind
-// the WAL and storage seams (FaultPoints lists the catalog) so exactly
+// the WAL and the execution of ΔR (FaultPoints lists the catalog) so exactly
 // these paths are testable on demand; see README.md ("Resilience").
 //
 // A durable view's log doubles as a replication change log.

@@ -18,7 +18,6 @@ import (
 	"rxview/internal/digest"
 	"rxview/internal/obs"
 	"rxview/internal/relational"
-	"rxview/internal/storage"
 	"rxview/internal/wal"
 )
 
@@ -68,7 +67,7 @@ func openDurable(a *ATG, db *DB, cfg *config) (*View, error) {
 	if boot == nil {
 		// Fresh directory: publish from the caller-seeded DB as usual; the
 		// checkpoint below makes generation 0 the genesis epoch.
-		sys, err = core.OpenBackend(a.c, storage.NewMemory(db.db), cfg.opts)
+		sys, err = core.Open(a.c, db.db, cfg.opts)
 		if err != nil {
 			return nil, err
 		}
@@ -171,7 +170,7 @@ func restoreSystem(a *ATG, db *DB, opts core.Options, warn func(string), src str
 	}
 
 	db.db.Swap(loaded) // loaded holds the previous contents from here on
-	sys, err := core.Recover(a.c, storage.NewMemory(db.db), d, ck.order, gen, sum, suffix, opts)
+	sys, err := core.Recover(a.c, db.db, d, ck.order, gen, sum, suffix, opts)
 	switch {
 	case err != nil:
 	case legacy:

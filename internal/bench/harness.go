@@ -4,7 +4,8 @@
 // incremental-vs-recomputation comparison of Table 1, and the ablations.
 // bench_test.go (testing.B entry points) and cmd/benchrunner (paper-style
 // tables) are its only callers; the internalboundary analyzer keeps it out
-// of every other package's imports.
+// of every other package's imports. What the paper times beside the serving
+// path — M, Algorithm Reach, the frontier evaluator — is internal/paper's.
 package bench
 
 import (
@@ -15,6 +16,7 @@ import (
 
 	"rxview/internal/core"
 	"rxview/internal/dag"
+	"rxview/internal/paper"
 	"rxview/internal/reach"
 	"rxview/internal/relational"
 	"rxview/internal/update"
@@ -81,12 +83,12 @@ func openSystem(syn *workload.Synthetic, db *relational.Database) (*core.System,
 // incremental columns of Table 1 report the sum of both.
 type paperView struct {
 	sys   *core.System
-	m     *reach.Matrix
+	m     *paper.Matrix
 	delta []dag.DeltaOp // of the commits since M was last brought up to date
 }
 
 func newPaperView(sys *core.System) *paperView {
-	v := &paperView{sys: sys, m: reach.Compute(sys.DAG, sys.Topo)}
+	v := &paperView{sys: sys, m: paper.Compute(sys.DAG, sys.Topo)}
 	sys.SetCommitSink(func(recs []core.CommitRecord) error {
 		for _, r := range recs {
 			v.delta = append(v.delta, r.Delta...)
@@ -173,7 +175,7 @@ func DatasetStats(nc int, seed int64) (st core.Stats, matrixPairs int, took time
 	if err != nil {
 		return core.Stats{}, 0, 0, err
 	}
-	matrixPairs = reach.Compute(sys.DAG, sys.Topo).Size()
+	matrixPairs = paper.Compute(sys.DAG, sys.Topo).Size()
 	return sys.Stats(), matrixPairs, time.Since(t0), nil
 }
 
@@ -365,7 +367,7 @@ func Table1(nc int, seed int64) (Table1Result, error) {
 	topo := reach.ComputeTopo(sys.DAG)
 	res.RecomputeL = time.Since(t0)
 	t0 = time.Now()
-	reach.Compute(sys.DAG, topo)
+	paper.Compute(sys.DAG, topo)
 	res.RecomputeM = time.Since(t0)
 	return res, nil
 }
@@ -379,10 +381,10 @@ func ReachAblation(nc int, seed int64) (fig4, naive time.Duration, pairs int, er
 	}
 	topo := reach.ComputeTopo(sys.DAG)
 	t0 := time.Now()
-	m := reach.Compute(sys.DAG, topo)
+	m := paper.Compute(sys.DAG, topo)
 	fig4 = time.Since(t0)
 	t0 = time.Now()
-	m2 := reach.ComputeNaive(sys.DAG)
+	m2 := paper.ComputeNaive(sys.DAG)
 	naive = time.Since(t0)
 	if !m.Equal(m2) {
 		return 0, 0, 0, fmt.Errorf("bench: Reach implementations disagree")
@@ -403,10 +405,10 @@ func MatrixAblation(nc int, seed int64) (bitset, sparse time.Duration, pairs int
 	}
 	topo := reach.ComputeTopo(sys.DAG)
 	t0 := time.Now()
-	m := reach.Compute(sys.DAG, topo)
+	m := paper.Compute(sys.DAG, topo)
 	bitset = time.Since(t0)
 	t0 = time.Now()
-	sp := reach.ComputeSparseReach(sys.DAG, topo)
+	sp := paper.ComputeSparseReach(sys.DAG, topo)
 	sparse = time.Since(t0)
 	if !m.EqualSparse(sp) {
 		return 0, 0, 0, fmt.Errorf("bench: matrix representations disagree: %s", m.DiffSparse(sp))
@@ -528,7 +530,7 @@ func EvalStrategyAblation(nc int, seed int64) (sweep, frontier, anchored time.Du
 	}
 	path := xpath.MustParse(`//C[val="v1"]//C[sub/C]`)
 	ev := evaluator(sys)
-	fe := &xpath.FrontierEvaluator{D: sys.DAG, Topo: sys.Topo, Matrix: reach.Compute(sys.DAG, sys.Topo), Text: ev.Text}
+	fe := &paper.FrontierEvaluator{D: sys.DAG, Topo: sys.Topo, Matrix: paper.Compute(sys.DAG, sys.Topo), Text: ev.Text}
 
 	timed := func(eval func(*xpath.Path) (*xpath.Result, error)) (*xpath.Result, time.Duration, error) {
 		t0 := time.Now()

@@ -8,6 +8,7 @@ import (
 
 	"rxview/internal/dag"
 	"rxview/internal/digest"
+	"rxview/internal/fault"
 	"rxview/internal/relational"
 )
 
@@ -63,7 +64,9 @@ func TestDigestFollowsMemoryWhenTheSinkRefuses(t *testing.T) {
 // TestApplyCommitRecordStopsAtTheFirstWrongGeneration: a record that replays
 // cleanly but leaves another state than the one its digest names — here one
 // that lost a ΔR mutation, and one that lost its last delta op — is refused at
-// its own generation, with both digests in the error.
+// its own generation, with both digests in the error. A record whose ΔR the
+// base relations refuse (an injected storage.apply) is refused before it
+// changes anything, and the same record applies on the next call.
 func TestApplyCommitRecordStopsAtTheFirstWrongGeneration(t *testing.T) {
 	primary := openRegistrar(t, Options{ForceSideEffects: true})
 	primary.StartDigest()
@@ -97,6 +100,25 @@ func TestApplyCommitRecordStopsAtTheFirstWrongGeneration(t *testing.T) {
 		if !strings.Contains(err.Error(), "generation 2") || follower.Generation() != 1 {
 			t.Fatalf("%s: %v at generation %d, want it stopped at generation 2", name, err, follower.Generation())
 		}
+	}
+
+	follower := openRegistrar(t, Options{ForceSideEffects: true})
+	follower.StartDigest()
+	plan, err := fault.NewPlan(1, fault.Rule{Point: fault.StorageApply, Count: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Install(plan)
+	t.Cleanup(fault.Uninstall)
+	before := stateFingerprint(follower)
+	if err := follower.ApplyCommitRecord(stream[0]); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("replay under storage.apply: %v, want the injected failure", err)
+	}
+	if got := stateFingerprint(follower); got != before {
+		t.Fatalf("the refused record left a trace:\n%s\nvs\n%s", got, before)
+	}
+	if err := follower.ApplyCommitRecord(stream[0]); err != nil || follower.Generation() != 1 {
+		t.Fatalf("the same record once the fault is spent: %v at generation %d", err, follower.Generation())
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"rxview/internal/dag"
 	"rxview/internal/digest"
 	"rxview/internal/reach"
-	"rxview/internal/storage"
+	"rxview/internal/relational"
 	"rxview/internal/viewupdate"
 	"rxview/internal/wal"
 )
@@ -71,7 +71,7 @@ func (s *System) stepDigest(rec CommitRecord) digest.Sum {
 
 // ApplyCommitRecord replays one committed record against the live system —
 // the one replay loop, shared by the follower's apply path and by Recover:
-// ΔR goes through the backend, then the DAG delta op by op with L and the
+// ΔR goes through applyDR, then the DAG delta op by op with L and the
 // translator's source index repaired per op (append for node births,
 // swap-repair for edge insertions, tombstoning for node deaths — cascades
 // and collected nodes arrive as their own ops; removing an edge never
@@ -89,7 +89,7 @@ func (s *System) ApplyCommitRecord(rec CommitRecord) error {
 	if rec.Gen != s.gen+1 {
 		return fmt.Errorf("core: apply record: record for generation %d follows generation %d", rec.Gen, s.gen)
 	}
-	if err := s.store.Apply(rec.DR); err != nil {
+	if err := s.applyDR(rec.DR); err != nil {
 		return fmt.Errorf("core: apply record: generation %d: %w", rec.Gen, err)
 	}
 	for _, op := range rec.Delta {
@@ -119,21 +119,19 @@ func (s *System) ApplyCommitRecord(rec CommitRecord) error {
 	return nil
 }
 
-// Recover rebuilds a System from durable state: a checkpoint (the backend
+// Recover rebuilds a System from durable state: a checkpoint (the database
 // holding the checkpointed instance, the decoded DAG and its serialized
 // topological order, at generation gen, with state digest sum — the caller
 // has held the decoded state to it, or computed it where the checkpoint
 // carried none) plus the log suffix recs, replayed in order through
 // ApplyCommitRecord. Generations must be contiguous from gen+1.
-func Recover(c *atg.Compiled, store storage.Backend, d *dag.DAG, order []dag.NodeID, gen uint64, sum digest.Sum, recs []CommitRecord, opts Options) (*System, error) {
-	db := store.DB()
+func Recover(c *atg.Compiled, db *relational.Database, d *dag.DAG, order []dag.NodeID, gen uint64, sum digest.Sum, recs []CommitRecord, opts Options) (*System, error) {
 	s := &System{
 		ATG:        c,
 		DB:         db,
 		DAG:        d,
 		Topo:       reach.RestoreTopo(order),
 		Translator: viewupdate.NewTranslator(c, db, d),
-		store:      store,
 		opts:       opts,
 		text:       c.Text(d),
 		textEq:     c.TextEquals(d),

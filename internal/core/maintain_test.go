@@ -10,7 +10,7 @@ import (
 
 	"rxview/internal/dag"
 	"rxview/internal/digest"
-	"rxview/internal/reach"
+	"rxview/internal/paper"
 	"rxview/internal/update"
 	"rxview/internal/workload"
 )
@@ -32,12 +32,12 @@ import (
 type maintenanceOracle struct {
 	t     *testing.T
 	s     *System
-	m     *reach.Matrix
+	m     *paper.Matrix
 	delta []dag.DeltaOp
 }
 
 func newMaintenanceOracle(t *testing.T, s *System) *maintenanceOracle {
-	o := &maintenanceOracle{t: t, s: s, m: reach.Compute(s.DAG, s.Topo)}
+	o := &maintenanceOracle{t: t, s: s, m: paper.Compute(s.DAG, s.Topo)}
 	s.StartDigest()
 	s.SetCommitSink(func(recs []CommitRecord) error {
 		for _, r := range recs {
@@ -68,10 +68,10 @@ func (o *maintenanceOracle) check(unit string) {
 	if err := o.m.ValidateMirror(); err != nil {
 		o.t.Fatalf("%s: %v", unit, err)
 	}
-	if want := reach.Compute(s.DAG, s.Topo); !o.m.Equal(want) {
+	if want := paper.Compute(s.DAG, s.Topo); !o.m.Equal(want) {
 		o.t.Fatalf("%s: delta-maintained M differs from Compute: %s", unit, o.m.Diff(want))
 	}
-	if sp := reach.ComputeSparse(s.DAG); !o.m.EqualSparse(sp) {
+	if sp := paper.ComputeSparse(s.DAG); !o.m.EqualSparse(sp) {
 		o.t.Fatalf("%s: delta-maintained M differs from the sparse oracle: %s", unit, o.m.DiffSparse(sp))
 	}
 }
@@ -306,7 +306,7 @@ func TestReplayIsOneLoop(t *testing.T) {
 			t.Fatalf("follower: generation %d: %v", rec.Gen, err)
 		}
 	}
-	recovered, err := Recover(ckpt.ATG, ckpt.Store(), ckptDAG, ckpt.Topo.Nodes(), 0, ckptSum, stream, Options{ForceSideEffects: true})
+	recovered, err := Recover(ckpt.ATG, ckpt.DB, ckptDAG, ckpt.Topo.Nodes(), 0, ckptSum, stream, Options{ForceSideEffects: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestReplayIsOneLoop(t *testing.T) {
 
 	// A record that does not continue the generation is refused by both.
 	gap := []CommitRecord{{Gen: 2}}
-	if _, err := Recover(ckpt.ATG, ckpt.Store(), ckptDAG, ckpt.Topo.Nodes(), 0, ckptSum, gap, Options{}); err == nil {
+	if _, err := Recover(ckpt.ATG, ckpt.DB, ckptDAG, ckpt.Topo.Nodes(), 0, ckptSum, gap, Options{}); err == nil {
 		t.Error("recovery replayed across a generation gap")
 	}
 }

@@ -11,7 +11,7 @@
 // The paper's second auxiliary structure, the reachability matrix M, is not
 // here: the state-set evaluator that serves reads the DAG and L only, so a
 // System neither builds nor maintains M. Whoever wants one (the paper's
-// experiments, internal/bench) builds it in package reach and keeps it exact
+// experiments, internal/bench) builds it in package paper and keeps it exact
 // from each commit's DAG delta (CommitRecord.Delta).
 package core
 
@@ -26,10 +26,10 @@ import (
 	"rxview/internal/atg"
 	"rxview/internal/dag"
 	"rxview/internal/digest"
+	"rxview/internal/fault"
 	"rxview/internal/obs"
 	"rxview/internal/reach"
 	"rxview/internal/relational"
-	"rxview/internal/storage"
 	"rxview/internal/update"
 	"rxview/internal/viewupdate"
 	"rxview/internal/xpath"
@@ -150,13 +150,12 @@ type Report struct {
 // System is a published XML view with update support.
 type System struct {
 	ATG        *atg.Compiled
-	DB         *relational.Database // the storage backend's in-memory image (== store.DB())
+	DB         *relational.Database // the base relations I; every ΔR goes through applyDR
 	DAG        *dag.DAG
 	Topo       *reach.Topo // the topological order L
 	Translator *viewupdate.Translator
 
-	store     storage.Backend // every ΔR mutation goes through here
-	sink      CommitSink      // durability hook, nil when the view is not durable
+	sink      CommitSink // durability hook, nil when the view is not durable
 	afterSync func(gen uint64)
 
 	// The state digest at gen (package digest). Zero — none — until
@@ -172,16 +171,8 @@ type System struct {
 }
 
 // Open publishes σ(I) as a DAG, builds L and the source index, and returns
-// the system, backed by the in-memory store.
+// the system.
 func Open(c *atg.Compiled, db *relational.Database, opts Options) (*System, error) {
-	return OpenBackend(c, storage.NewMemory(db), opts)
-}
-
-// OpenBackend is Open over a pluggable storage backend: publication and
-// query evaluation read the backend's in-memory image, and every mutation
-// the update pipeline produces is applied through the backend.
-func OpenBackend(c *atg.Compiled, store storage.Backend, opts Options) (*System, error) {
-	db := store.DB()
 	d, err := c.PublishDAG(db)
 	if err != nil {
 		return nil, err
@@ -192,7 +183,6 @@ func OpenBackend(c *atg.Compiled, store storage.Backend, opts Options) (*System,
 		DAG:        d,
 		Topo:       reach.ComputeTopo(d),
 		Translator: viewupdate.NewTranslator(c, db, d),
-		store:      store,
 		opts:       opts,
 		text:       c.Text(d),
 		textEq:     c.TextEquals(d),
@@ -201,8 +191,16 @@ func OpenBackend(c *atg.Compiled, store storage.Backend, opts Options) (*System,
 	return s, nil
 }
 
-// Store returns the storage backend the system mutates through.
-func (s *System) Store() storage.Backend { return s.store }
+// applyDR executes ΔR on the base relations — the insert stage, the delete
+// stage and ApplyCommitRecord all go through here. The fault point fires
+// before any mutation lands, so an injected failure is indistinguishable
+// from a refused ΔR: the caller aborts cleanly and nothing is half-applied.
+func (s *System) applyDR(dr []relational.Mutation) error {
+	if err := fault.Hit(fault.StorageApply); err != nil {
+		return err
+	}
+	return s.DB.Apply(dr)
+}
 
 // warmIndexes pre-builds the secondary hash indexes on every column that a
 // rule query can join through, so the first update does not pay the build.
@@ -444,7 +442,7 @@ func (s *System) applyInsert(ctx context.Context, op *update.Op, res *xpath.Resu
 	}
 
 	t0 = time.Now()
-	if err := s.store.Apply(dr); err != nil {
+	if err := s.applyDR(dr); err != nil {
 		sc.abort()
 		return err
 	}
@@ -456,7 +454,7 @@ func (s *System) applyInsert(ctx context.Context, op *update.Op, res *xpath.Resu
 			// A failure here is an internal inconsistency, not a user
 			// rejection; unwind ΔR too so view and database stay aligned.
 			sc.abort()
-			if uerr := undoMutations(s.store, dr); uerr != nil {
+			if uerr := undoMutations(s.DB, dr); uerr != nil {
 				return fmt.Errorf("core: publishing induced %s%s: %w (and %w)", ie.ChildType, ie.Attr, err, uerr)
 			}
 			return fmt.Errorf("core: publishing induced %s%s: %w", ie.ChildType, ie.Attr, err)
@@ -503,7 +501,7 @@ func (s *System) applyDelete(ctx context.Context, op *update.Op, res *xpath.Resu
 	}
 
 	t0 = time.Now()
-	if err := s.store.Apply(dr); err != nil {
+	if err := s.applyDR(dr); err != nil {
 		return err
 	}
 	if t.atomic {

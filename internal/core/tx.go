@@ -10,7 +10,6 @@ import (
 	"rxview/internal/obs"
 	"rxview/internal/reach"
 	"rxview/internal/relational"
-	"rxview/internal/storage"
 	"rxview/internal/update"
 )
 
@@ -314,7 +313,7 @@ func (t *Txn) rollback() error {
 	}
 	s := t.s
 	s.DAG.Rollback()
-	err := undoMutations(s.store, t.dbLog)
+	err := undoMutations(s.DB, t.dbLog)
 	for i := len(t.noteLog) - 1; i >= 0; i-- {
 		n := t.noteLog[i]
 		if n.inserted {
@@ -354,16 +353,16 @@ func (t *Txn) finish(through uint64) {
 	}
 }
 
-// undoMutations replays the inverse of an executed ΔR log, newest first,
-// through the storage backend.
-func undoMutations(store storage.Backend, dr []relational.Mutation) error {
+// undoMutations replays the inverse of an executed ΔR log on db, newest
+// first.
+func undoMutations(db *relational.Database, dr []relational.Mutation) error {
 	for i := len(dr) - 1; i >= 0; i-- {
 		m := dr[i]
 		if m.Insert {
-			if !store.Delete(m.Table, m.Tuple) {
+			if !db.Delete(m.Table, m.Tuple) {
 				return fmt.Errorf("core: rollback: undo insert %s %s: no such tuple", m.Table, m.Tuple)
 			}
-		} else if err := store.Insert(m.Table, m.Tuple); err != nil {
+		} else if err := db.Insert(m.Table, m.Tuple); err != nil {
 			return fmt.Errorf("core: rollback: undo delete %s %s: %w", m.Table, m.Tuple, err)
 		}
 	}

@@ -62,9 +62,9 @@ const (
 	// reject a write that survives recovery — but the log is dead for
 	// every append after it.
 	CrashAfterFsync Point = "wal.crash-after-fsync"
-	// StorageApply fails a Backend.Apply before any mutation lands, so the
-	// relational execution of a translated ΔR is refused and the update
-	// rejects cleanly.
+	// StorageApply fails the execution of a ΔR on the base relations — an
+	// update's or a replayed record's — before any mutation lands, so the
+	// update rejects cleanly and the record is refused.
 	StorageApply Point = "storage.apply"
 )
 

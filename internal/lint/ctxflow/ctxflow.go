@@ -10,10 +10,6 @@
 //  2. An exported function or method that takes a context.Context must
 //     actually use it: dropping the parameter silently breaks the
 //     cancellation contract the signature advertises.
-//  3. Inside a context-carrying function, a loop that contains another
-//     loop (the O(n·m) shape of the evaluator and apply paths) must poll
-//     cancellation somewhere in its body — ctx.Err(), ctx.Done(), or a
-//     callee that receives the ctx.
 package ctxflow
 
 import (
@@ -28,7 +24,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
 	Doc: "contexts must flow: no context.Background/TODO below the API surface, " +
-		"no ignored ctx parameters, and nested loops under a ctx must poll cancellation",
+		"and no ignored ctx parameters",
 	Run: run,
 }
 
@@ -44,18 +40,12 @@ func run(pass *analysis.Pass) (any, error) {
 		checkRoots(pass, f)
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok || fd.Body == nil || !fd.Name.IsExported() {
 				continue
 			}
-			ctxVar := ctxParam(pass.TypesInfo, fd)
-			if ctxVar == nil {
-				continue
-			}
-			if fd.Name.IsExported() && !usesVar(pass.TypesInfo, fd.Body, ctxVar) {
+			if ctxVar := ctxParam(pass.TypesInfo, fd); ctxVar != nil && !usesVar(pass.TypesInfo, fd.Body, ctxVar) {
 				pass.Reportf(fd.Name.Pos(), "exported %s takes a context.Context but never uses it", fd.Name.Name)
-				continue
 			}
-			checkLoops(pass, fd.Body, ctxVar)
 		}
 	}
 	return nil, nil
@@ -95,47 +85,6 @@ func usesVar(info *types.Info, body ast.Node, v *types.Var) bool {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == v {
 			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// checkLoops reports the outermost loops that contain a nested loop but
-// never consult ctx. A loop that polls is still descended into, so a
-// deeper non-polling nest is found on its own.
-func checkLoops(pass *analysis.Pass, body ast.Node, ctxVar *types.Var) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		var loopBody *ast.BlockStmt
-		switch l := n.(type) {
-		case *ast.ForStmt:
-			loopBody = l.Body
-		case *ast.RangeStmt:
-			loopBody = l.Body
-		case *ast.FuncLit:
-			return false // separate cancellation domain
-		default:
-			return true
-		}
-		if !containsLoop(loopBody) {
-			return false
-		}
-		if !usesVar(pass.TypesInfo, loopBody, ctxVar) {
-			pass.Reportf(n.Pos(), "nested loop under a ctx never polls cancellation: check ctx.Err() or pass ctx to the per-iteration work")
-			return false
-		}
-		return true
-	})
-}
-
-func containsLoop(body ast.Node) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-			found = true
-		case *ast.FuncLit:
-			return false
 		}
 		return !found
 	})

@@ -1,5 +1,4 @@
-// Seeded violations: detached contexts, ignored ctx parameters, and
-// nested loops that never poll cancellation.
+// Seeded violations: detached contexts and ignored ctx parameters.
 package a
 
 import "context"
@@ -15,16 +14,4 @@ func todo() context.Context {
 // Query advertises cancellation in its signature but drops the parameter.
 func Query(ctx context.Context, path string) (string, error) { // want "never uses it"
 	return path, nil
-}
-
-// Evaluate has the O(n·m) shape: the outer loop must poll ctx.
-func Evaluate(ctx context.Context, rows [][]int) int {
-	_ = ctx.Err()
-	total := 0
-	for _, row := range rows { // want "polls cancellation"
-		for _, v := range row {
-			total += v
-		}
-	}
-	return total
 }

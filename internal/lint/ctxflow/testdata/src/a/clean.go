@@ -15,30 +15,6 @@ func lower(ctx context.Context, path string) (string, error) {
 	return path, nil
 }
 
-// Scan polls cancellation at the top of the expensive nest.
-func Scan(ctx context.Context, rows [][]int) (int, error) {
-	total := 0
-	for _, row := range rows {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		for _, v := range row {
-			total += v
-		}
-	}
-	return total, nil
-}
-
-// Flat single loops are not held to the polling rule.
-func Sum(ctx context.Context, vs []int) int {
-	_ = ctx
-	total := 0
-	for _, v := range vs {
-		total += v
-	}
-	return total
-}
-
 // unexported helpers may sit below the surface without using ctx eagerly.
 func stash(ctx context.Context) context.Context {
 	return ctx

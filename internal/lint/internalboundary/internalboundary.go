@@ -1,5 +1,5 @@
 // Package internalboundary enforces the repository's API boundary with
-// two predicates on import paths.
+// three predicates on import paths.
 //
 // Who may not import rxview/internal/...: the programs under examples/.
 // They are the documentation of the public API, so they are written
@@ -8,10 +8,11 @@
 // and Go's internal-package rule already keeps it out, at compile time.
 //
 // Who may import rxview/internal/bench: rxview/cmd/benchrunner and the
-// package itself. The harness pulls in the reference implementations no
-// serving path reads (reach.Matrix, xpath.FrontierEvaluator); this keeps
-// them out of every other package's dependency closure, the root
-// package's included.
+// package itself. Who may import rxview/internal/paper: internal/bench, the
+// package itself and test files. It holds the reference implementations no
+// serving path reads (the reachability matrix M, the frontier evaluator);
+// this keeps them out of every serving package's dependency closure, the
+// root package's included, while tests keep M as an oracle.
 //
 // The root package's boundary_test.go calls CheckTree, so `go test` and
 // `go run ./cmd/xviewlint ./...` enforce the same predicates.
@@ -34,21 +35,25 @@ const (
 	examplesPkg    = "rxview/examples"
 	benchPkg       = "rxview/internal/bench"
 	benchImporter  = "rxview/cmd/benchrunner"
+	paperPkg       = "rxview/internal/paper"
 )
 
 var Analyzer = &analysis.Analyzer{
 	Name: "internalboundary",
-	Doc: "examples/ may not import rxview/internal/..., and only cmd/benchrunner may import rxview/internal/bench\n\n" +
+	Doc: "examples/ may not import rxview/internal/..., only cmd/benchrunner may import rxview/internal/bench, " +
+		"and only internal/bench and tests may import rxview/internal/paper\n\n" +
 		"The examples document the public API, so they are written against it " +
 		"alone. The paper's experiment harness, internal/bench, is for " +
-		"cmd/benchrunner alone.",
+		"cmd/benchrunner alone, and the paper-literal code it times is for it " +
+		"and for tests.",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) (any, error) {
 	path := pass.Pkg.Path()
 	for _, f := range pass.Files {
-		checkFile(path, f, func(pos token.Pos, imp, why string) {
+		test := strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go")
+		checkFile(path, test, f, func(pos token.Pos, imp, why string) {
 			pass.Reportf(pos, "package %s imports %s: %s", path, imp, why)
 		})
 	}
@@ -60,23 +65,26 @@ func within(path, pkg string) bool {
 	return path == pkg || strings.HasPrefix(path, pkg+"/")
 }
 
-// breach says why a package at pkgPath may not import imp; "" if it may.
-func breach(pkgPath, imp string) string {
+// breach says why a file of the package at pkgPath, a test file or not, may
+// not import imp; "" if it may.
+func breach(pkgPath string, test bool, imp string) string {
 	switch {
 	case within(imp, benchPkg) && pkgPath != benchImporter && !within(pkgPath, benchPkg):
 		return "only " + benchImporter + " may import the experiment harness"
+	case within(imp, paperPkg) && !test && !within(pkgPath, benchPkg) && !within(pkgPath, paperPkg):
+		return "only the experiment harness and tests may import the paper-literal code"
 	case strings.HasPrefix(imp, internalPrefix) && within(pkgPath, examplesPkg):
 		return "examples are written against the public API alone"
 	}
 	return ""
 }
 
-// checkFile applies both predicates to one file. It is the shared core of
+// checkFile applies the predicates to one file. It is the shared core of
 // the analyzer and CheckTree.
-func checkFile(pkgPath string, f *ast.File, report func(pos token.Pos, imp, why string)) {
+func checkFile(pkgPath string, test bool, f *ast.File, report func(pos token.Pos, imp, why string)) {
 	for _, imp := range f.Imports {
 		val, _ := strconv.Unquote(imp.Path.Value)
-		if why := breach(pkgPath, val); why != "" {
+		if why := breach(pkgPath, test, val); why != "" {
 			report(imp.Path.Pos(), val, why)
 		}
 	}
@@ -123,7 +131,7 @@ func CheckTree(root string) ([]Violation, error) {
 		if dir := filepath.ToSlash(filepath.Dir(rel)); dir != "." {
 			pkgPath = "rxview/" + dir
 		}
-		checkFile(pkgPath, f, func(pos token.Pos, imp, why string) {
+		checkFile(pkgPath, strings.HasSuffix(path, "_test.go"), f, func(pos token.Pos, imp, why string) {
 			out = append(out, Violation{Pos: fset.Position(pos), PkgPath: pkgPath, Import: imp, Why: why})
 		})
 		return nil

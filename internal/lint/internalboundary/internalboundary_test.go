@@ -32,6 +32,7 @@ func TestCheckTreeAgrees(t *testing.T) {
 		"rxview -> rxview/internal/bench",
 		"rxview/cmd/tool -> rxview/internal/bench",
 		"rxview/examples/x -> rxview/internal/dag",
+		"rxview/server -> rxview/internal/paper",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("CheckTree flagged\n  %q\nwant\n  %q", got, want)

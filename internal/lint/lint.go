@@ -16,13 +16,12 @@
 //	 3a `== rxview.ErrDegraded` in deliver          server/engine.go:588            ok    ok   RED [a]    RED
 //	 3b `%v` for the first `%w` in applyTx          server/engine.go:321            ok    ok   ok         RED only
 //	faultpoint
-//	 5a fault.Hit("storage.aply")                   internal/storage/storage.go:70  ok    ok   ok         RED only
+//	 5a fault.Hit("storage.aply")                   internal/core/system.go:199     ok    ok   RED [h]    RED
 //	obshotpath
 //	 6a e.met.queryDur.Snapshot() in Query          server/engine.go:229            ok    ok   ok         RED only
 //	ctxflow
 //	 7a rule 2: Batch passes e.stopCtx, not ctx     server/engine.go:267            ok    ok   RED [b]    RED
 //	 7b rule 1: context.Background() in the prober  server/overload.go:136          ok    ok   ok         RED only
-//	 7c rule 3: scan loop's poll -> an inner loop   internal/repl/source.go:97      ok    ok   ok         RED only
 //	sealedmut
 //	 4c d.Children(root)[0] = ... in the sweep      internal/xpath/eval.go:491      ok    ok   RED [c]    RED
 //	 4b ks := d.Children(root); swap ks[0], ks[1]   internal/xpath/eval.go:491      ok    ok   RED [d]    RED [e]
@@ -34,23 +33,26 @@
 // [a] TestEngineChaosSoak. [b] TestQueuedDeadlineExpiry. [c] 18 DATA RACE
 // reports, 3 tests. [d] 28 reports, 19 tests. [e] green before PR 26: the
 // false negative that PR fixed. [f] TestSnapshotCOWDifferential. [g] the
-// tier-1 TestOnlyRootPackageImportsInternal. Row 8a was re-measured when
-// server/ was allowed behind the boundary (it had seeded the import into
-// server/engine.go), with ./examples/... added to the test run.
+// tier-1 TestOnlyRootPackageImportsInternal. [h] core's
+// TestApplyCommitRecordStopsAtTheFirstWrongGeneration, which arms
+// storage.apply on the replay path. Row 8a was re-measured when server/ was
+// allowed behind the boundary (it had seeded the import into
+// server/engine.go), with ./examples/... added to the test run. Row 5a was
+// re-measured when internal/storage was deleted and the hit moved to core's
+// applyDR.
 //
-// Why each stays. errwrap, faultpoint and obshotpath guard contracts whose
-// breach changes no test's outcome: a flattened error chain, a fault point
-// no chaos spec can name, a mutex on the memo-miss path. No `go vet` pass
-// overlaps errwrap's three rules (vet checks what a %w is applied to, not
-// that an error got one). ctxflow's rules 1 and 3 are alone; rule 3 has no
-// site in the tree today — no function that takes a ctx contains a nested
-// loop (make the rule unconditional: zero reports) — so it guards the day
-// a ctx is threaded into the evaluator's loops. sealedmut overlaps the
-// race detector wherever a test runs the mutated path beside a reader,
-// which is every read path the stress tests drive; it is alone on branches
-// no test takes (4e), and it names the line where -race prints dozens of
-// reports from tests far from the store. Its limit: an aliasing accessor's
-// result is followed through one binding to a local and no further.
+// Why each stays. errwrap and obshotpath guard contracts whose breach
+// changes no test's outcome: a flattened error chain, a mutex on the
+// memo-miss path. No `go vet` pass overlaps errwrap's three rules (vet
+// checks what a %w is applied to, not that an error got one). faultpoint
+// guards against a fault point no chaos spec can name; it is alone wherever
+// no test arms the point, which row 5a no longer shows. ctxflow's rule 1 is
+// alone. sealedmut overlaps the race detector wherever a test runs the
+// mutated path beside a reader, which is every read path the stress tests
+// drive; it is alone on branches no test takes (4e), and it names the line
+// where -race prints dozens of reports from tests far from the store. Its
+// limit: an aliasing accessor's result is followed through one binding to a
+// local and no further.
 // internalboundary and the tier-1 test are one predicate (CheckTree, which
 // also walks bench/, a module xviewlint's ./... does not reach) by
 // construction; the analyzer is 20 lines over what the test needs and is

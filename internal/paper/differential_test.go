@@ -1,4 +1,4 @@
-package reach
+package paper
 
 import (
 	"fmt"
@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"rxview/internal/dag"
+	"rxview/internal/reach"
 	"rxview/internal/relational"
 )
 
@@ -129,7 +130,7 @@ func TestComputeMatchesSparse(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		d := randomDAG(t, rng, 30, 25)
 		sp := ComputeSparse(d)
-		m := Compute(d, ComputeTopo(d))
+		m := Compute(d, reach.ComputeTopo(d))
 		if !m.EqualSparse(sp) {
 			t.Logf("seed %d Compute: %s", seed, m.DiffSparse(sp))
 			return false
@@ -139,7 +140,7 @@ func TestComputeMatchesSparse(t *testing.T) {
 			t.Logf("seed %d ComputeNaive: %s", seed, nv.DiffSparse(sp))
 			return false
 		}
-		dp := ComputeSparseReach(d, ComputeTopo(d))
+		dp := ComputeSparseReach(d, reach.ComputeTopo(d))
 		if !m.EqualSparse(dp) {
 			t.Logf("seed %d ComputeSparseReach: %s", seed, m.DiffSparse(dp))
 			return false
@@ -203,65 +204,5 @@ func TestRowOps(t *testing.T) {
 	b.Set(400)
 	if a.EqualRow(b) {
 		t.Error("EqualRow must see the extra bit")
-	}
-}
-
-// TestLocalTopoDeepChain stresses the iterative post-order of localTopo on a
-// pathologically deep inserted subtree — a 200k-node chain would overflow
-// the goroutine stack budget long before the recursive version finished
-// growing it at a few more orders of magnitude; the iterative walk is flat.
-func TestLocalTopoDeepChain(t *testing.T) {
-	const depth = 200_000
-	d := dag.New("db")
-	nodes := make([]dag.NodeID, depth)
-	prev := d.Root()
-	for i := 0; i < depth; i++ {
-		id, _ := d.AddNode("N", relational.Tuple{relational.Int(int64(i))})
-		nodes[i] = id
-		d.AddEdge(prev, id)
-		prev = id
-	}
-	// Parents-first input order maximizes the walk depth from the first
-	// start node.
-	order := localTopo(d, nodes)
-	if len(order) != depth {
-		t.Fatalf("localTopo covered %d of %d nodes", len(order), depth)
-	}
-	pos := make(map[dag.NodeID]int, depth)
-	for i, id := range order {
-		pos[id] = i
-	}
-	for i := 1; i < depth; i++ {
-		if pos[nodes[i]] >= pos[nodes[i-1]] {
-			t.Fatalf("children-first violated at %d", i)
-		}
-	}
-}
-
-// TestInsertUpdateDeepChain exercises the full ∆(M,L)insert path on a deep
-// chain (localTopo + FixEdge, then the closure unions from the delta) and
-// validates the result.
-func TestInsertUpdateDeepChain(t *testing.T) {
-	const depth = 2_000
-	d := dag.New("db")
-	ix := buildIndex(d)
-	ix.commit(d, func() {
-		nodes := make([]dag.NodeID, 0, depth)
-		edges := make([]dag.Edge, 0, depth)
-		prev := d.Root()
-		for i := 0; i < depth; i++ {
-			id, _ := d.AddNode("N", relational.Tuple{relational.Int(int64(i))})
-			d.AddEdge(prev, id)
-			nodes = append(nodes, id)
-			edges = append(edges, dag.Edge{Parent: prev, Child: id})
-			prev = id
-		}
-		ix.Topo.InsertUpdate(d, nodes, edges)
-	})
-	if err := ix.Validate(d); err != nil {
-		t.Fatal(err)
-	}
-	if got := ix.Matrix.DescendantCount(d.Root()); got != depth {
-		t.Errorf("|desc(root)| = %d, want %d", got, depth)
 	}
 }

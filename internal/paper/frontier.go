@@ -1,10 +1,12 @@
-package xpath
+package paper
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rxview/internal/dag"
 	"rxview/internal/reach"
+	"rxview/internal/xpath"
 )
 
 // FrontierEvaluator is the paper-literal top-down evaluation of §3.2:
@@ -13,54 +15,51 @@ import (
 // reachability matrix M to expand "//" steps ("these nodes can be easily
 // found ... by means of the reachability matrix M when ηi is //").
 //
-// Selection (r[[p]]) and Ep(r) agree with Evaluator.Eval; side effects are
-// detected with the paper's per-step approximation — S collects the Ci
+// Selection (r[[p]]) and Ep(r) agree with xpath.Evaluator.Eval; side effects
+// are detected with the paper's per-step approximation — S collects the Ci
 // nodes whose parents (child steps) or ancestors (// steps) are not reached
 // via p. S flags the intermediate nodes where sharing occurs, so it relates
 // to the exact occurrence-level detector as a boolean screen: an empty S
 // guarantees the update has no side effects, while a non-empty S may
-// over-report (the shared region may not reach an actual target). The
-// NFA-based Evaluator is the default; this one exists for fidelity to the
-// paper's use of M during evaluation and for the strategy ablation.
+// over-report (the shared region may not reach an actual target). It exists
+// for fidelity to the paper's use of M during evaluation and for the
+// strategy ablation.
 type FrontierEvaluator struct {
 	D      *dag.DAG
 	Topo   *reach.Topo
-	Matrix *reach.Matrix
+	Matrix *Matrix
 	Text   func(dag.NodeID) (string, bool)
 }
 
 // Eval runs the two passes and returns selection, Ep(r), and the
 // approximate side-effect set S (as InsertWitnesses; DeleteWitnesses mirror
 // the edges of over-shared parents).
-func (fe *FrontierEvaluator) Eval(p *Path) (*Result, error) {
-	pl := p.compiled()
-	steps := pl.steps
-	if err := checkLen(steps); err != nil {
+func (fe *FrontierEvaluator) Eval(p *xpath.Path) (*xpath.Result, error) {
+	// The sweep's bottom-up pass gives the filter tables; the
+	// suffix-satisfiability tables of the main path, used for pruning Ci,
+	// are computed here.
+	ev := &xpath.Evaluator{D: fe.D, Topo: fe.Topo, Text: fe.Text}
+	steps, filterVals, err := ev.StepFilters(p)
+	if err != nil {
 		return nil, err
 	}
-	// Reuse the sweep's bottom-up machinery for filter tables and compute
-	// suffix-satisfiability tables for the main path, used for pruning Ci.
-	// The nil scratch means plain allocation: this path hands tables to
-	// suffixSat and never releases them.
-	ev := &Evaluator{D: fe.D, Topo: fe.Topo, Text: fe.Text}
-	filterVals := stepTables(pl, ev.evalFilters(pl, fe.Topo.Nodes(), nil))
 	sat := fe.suffixSat(steps, filterVals)
 
 	capn := fe.D.Cap()
 	cur := make([]bool, capn)
 	cur[fe.D.Root()] = true
 	if !sat[0][fe.D.Root()] {
-		return &Result{}, nil
+		return &xpath.Result{}, nil
 	}
 	sideEffect := make(map[dag.NodeID]bool)
-	var lastParents []bool    // frontier before the last child-consuming step
-	var lastClosure reach.Row // descendant closure of the pre-// frontier, for trailing //
-	var haveClosure bool      // lastClosure is valid (a // was the last consuming step)
+	var lastParents []bool // frontier before the last child-consuming step
+	var lastClosure Row    // descendant closure of the pre-// frontier, for trailing //
+	var haveClosure bool   // lastClosure is valid (a // was the last consuming step)
 
 	for i, st := range steps {
 		next := make([]bool, capn)
 		switch st.Kind {
-		case StepSelf:
+		case xpath.StepSelf:
 			fv := filterVals[i]
 			for id := range cur {
 				if !cur[id] {
@@ -70,7 +69,7 @@ func (fe *FrontierEvaluator) Eval(p *Path) (*Result, error) {
 					next[id] = true
 				}
 			}
-		case StepLabel, StepWild:
+		case xpath.StepLabel, xpath.StepWild:
 			lastParents, haveClosure = cur, false
 			for id := range cur {
 				if !cur[id] {
@@ -78,7 +77,7 @@ func (fe *FrontierEvaluator) Eval(p *Path) (*Result, error) {
 				}
 				v := dag.NodeID(id)
 				for _, u := range fe.D.Children(v) {
-					if st.Kind == StepLabel && fe.D.Type(u) != st.Label {
+					if st.Kind == xpath.StepLabel && fe.D.Type(u) != st.Label {
 						continue
 					}
 					if sat[i+1][u] {
@@ -97,13 +96,13 @@ func (fe *FrontierEvaluator) Eval(p *Path) (*Result, error) {
 					}
 				}
 			}
-		case StepDescOrSelf:
+		case xpath.StepDescOrSelf:
 			lastParents = nil
 			// Expand descendants-or-self via M (the paper's use of the
 			// reachability matrix for //): the closure of the frontier is
 			// one row union per frontier node, then a single sweep over its
 			// bits applies the satisfiability pruning.
-			closure := reach.NewRow(capn)
+			closure := NewRow(capn)
 			for id := range cur {
 				if !cur[id] {
 					continue
@@ -133,13 +132,13 @@ func (fe *FrontierEvaluator) Eval(p *Path) (*Result, error) {
 		cur = next
 	}
 
-	res := &Result{}
+	res := &xpath.Result{}
 	for id := range cur {
 		if cur[id] {
 			res.Selected = append(res.Selected, dag.NodeID(id))
 		}
 	}
-	sort.Slice(res.Selected, func(i, j int) bool { return res.Selected[i] < res.Selected[j] })
+	slices.Sort(res.Selected)
 
 	// Ep(r): parents through which p reaches each selected node — the
 	// pre-step frontier for a child step, the descendant closure of the
@@ -154,21 +153,21 @@ func (fe *FrontierEvaluator) Eval(p *Path) (*Result, error) {
 			}
 		}
 	}
-	sortEdges(res.Edges)
+	slices.SortFunc(res.Edges, func(a, b dag.Edge) int {
+		return cmp.Or(cmp.Compare(a.Parent, b.Parent), cmp.Compare(a.Child, b.Child))
+	})
 
 	for id := range sideEffect {
 		res.InsertWitnesses = append(res.InsertWitnesses, id)
 	}
-	sort.Slice(res.InsertWitnesses, func(i, j int) bool {
-		return res.InsertWitnesses[i] < res.InsertWitnesses[j]
-	})
+	slices.Sort(res.InsertWitnesses)
 	return res, nil
 }
 
 // suffixSat computes, for every step index i (0..n), whether the remaining
 // path ηi..ηn can be matched starting at each node — the bottom-up val
 // tables of §3.2 for the main path, used to prune the top-down frontier.
-func (fe *FrontierEvaluator) suffixSat(steps []NStep, filterVals [][]bool) [][]bool {
+func (fe *FrontierEvaluator) suffixSat(steps []xpath.NStep, filterVals [][]bool) [][]bool {
 	capn := fe.D.Cap()
 	nodes := fe.Topo.Nodes()
 	n := len(steps)
@@ -181,7 +180,7 @@ func (fe *FrontierEvaluator) suffixSat(steps []NStep, filterVals [][]bool) [][]b
 	for i := n - 1; i >= 0; i-- {
 		next := make([]bool, capn)
 		switch steps[i].Kind {
-		case StepSelf:
+		case xpath.StepSelf:
 			if steps[i].Filter == nil {
 				copy(next, cur)
 			} else {
@@ -190,7 +189,7 @@ func (fe *FrontierEvaluator) suffixSat(steps []NStep, filterVals [][]bool) [][]b
 					next[v] = fv[v] && cur[v]
 				}
 			}
-		case StepLabel:
+		case xpath.StepLabel:
 			for _, v := range nodes {
 				for _, u := range fe.D.Children(v) {
 					if fe.D.Type(u) == steps[i].Label && cur[u] {
@@ -199,7 +198,7 @@ func (fe *FrontierEvaluator) suffixSat(steps []NStep, filterVals [][]bool) [][]b
 					}
 				}
 			}
-		case StepWild:
+		case xpath.StepWild:
 			for _, v := range nodes {
 				for _, u := range fe.D.Children(v) {
 					if cur[u] {
@@ -208,7 +207,7 @@ func (fe *FrontierEvaluator) suffixSat(steps []NStep, filterVals [][]bool) [][]b
 					}
 				}
 			}
-		case StepDescOrSelf:
+		case xpath.StepDescOrSelf:
 			for _, v := range nodes { // forward L: children first
 				if cur[v] {
 					next[v] = true

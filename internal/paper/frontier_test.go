@@ -1,4 +1,4 @@
-package xpath
+package paper
 
 import (
 	"errors"
@@ -10,30 +10,50 @@ import (
 	"rxview/internal/dag"
 	"rxview/internal/reach"
 	"rxview/internal/relational"
+	"rxview/internal/workload"
+	"rxview/internal/xpath"
 )
 
 func newFrontier(t testing.TB, d *dag.DAG, text func(dag.NodeID) (string, bool)) *FrontierEvaluator {
 	t.Helper()
 	topo := reach.ComputeTopo(d)
-	return &FrontierEvaluator{D: d, Topo: topo, Matrix: reach.Compute(d, topo), Text: text}
+	return &FrontierEvaluator{D: d, Topo: topo, Matrix: Compute(d, topo), Text: text}
+}
+
+func newEval(t testing.TB, d *dag.DAG, text func(dag.NodeID) (string, bool)) *xpath.Evaluator {
+	t.Helper()
+	return &xpath.Evaluator{D: d, Topo: reach.ComputeTopo(d), Text: text}
+}
+
+// fig1DAG publishes the registrar database of Example 1 through its ATG:
+// the view of Fig.1, where CS320 and CS240 are each both a top-level course
+// and a prerequisite, and student S02 hangs under two takenBy nodes.
+func fig1DAG(t testing.TB) (*dag.DAG, func(dag.NodeID) (string, bool)) {
+	t.Helper()
+	reg := workload.MustRegistrar()
+	d, err := reg.ATG.PublishDAG(reg.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, reg.ATG.Text(d)
 }
 
 func TestFrontierMatchesNFAOnFig1(t *testing.T) {
-	d, _, text := fig1DAG(t)
+	d, text := fig1DAG(t)
 	nfa := newEval(t, d, text)
 	fr := newFrontier(t, d, text)
 	paths := []string{
 		"course", "//course", "//student", "*", "//*",
 		`course[cno="CS650"]`, `//course[cno="CS320"]`,
 		`course[cno="CS650"]//course[cno="CS320"]/prereq`,
-		`//course[cno="CS320"]//student[sid="S02"]`,
-		`//student[sid="S02"]`, `//takenBy/student`,
+		`//course[cno="CS320"]//student[ssn="S02"]`,
+		`//student[ssn="S02"]`, `//takenBy/student`,
 		`//course[prereq/course]`, `//course[not(prereq/course)]`,
 		"course/prereq//course", "//prereq/course", "course//student",
 		`course[cno="CS320"]/prereq/course[cno="CS240"]`,
 	}
 	for _, ps := range paths {
-		p := MustParse(ps)
+		p := xpath.MustParse(ps)
 		a, err := nfa.Eval(p)
 		if err != nil {
 			t.Fatal(err)
@@ -80,7 +100,7 @@ func TestFrontierMatchesNFARandom(t *testing.T) {
 			"//a", "//a//b", "a/b", "a//b/c", "//*[a]", "a[not(b)]/c",
 			"//a[b and c]", "a/b/c", "//b[label()=b]",
 		} {
-			p := MustParse(ps)
+			p := xpath.MustParse(ps)
 			a, e1 := nfa.Eval(p)
 			b, e2 := fr.Eval(p)
 			if e1 != nil || e2 != nil {
@@ -109,24 +129,24 @@ func TestFrontierMatchesNFARandom(t *testing.T) {
 // the same typed *PathTooLongError, so the §3.2 strategy ablation cannot
 // silently diverge on deep paths.
 func TestEvaluatorParityPathTooLong(t *testing.T) {
-	d, _, text := fig1DAG(t)
+	d, text := fig1DAG(t)
 	nfa := newEval(t, d, text)
 	fr := newFrontier(t, d, text)
 	long := "a"
-	for i := 0; i < MaxSteps+8; i++ {
+	for i := 0; i < xpath.MaxSteps+8; i++ {
 		long += "/a"
 	}
-	p := MustParse(long)
-	steps := len(Normalize(p))
-	if steps <= MaxSteps {
-		t.Fatalf("test path normalizes to %d steps, want > %d", steps, MaxSteps)
+	p := xpath.MustParse(long)
+	steps := len(xpath.Normalize(p))
+	if steps <= xpath.MaxSteps {
+		t.Fatalf("test path normalizes to %d steps, want > %d", steps, xpath.MaxSteps)
 	}
 
 	_, errNFA := nfa.Eval(p)
 	_, errSel := nfa.EvalSelect(p)
 	_, errFr := fr.Eval(p)
 	for name, err := range map[string]error{"nfa": errNFA, "nfa-select": errSel, "frontier": errFr} {
-		var tooLong *PathTooLongError
+		var tooLong *xpath.PathTooLongError
 		if !errors.As(err, &tooLong) {
 			t.Fatalf("%s: err = %v, want *PathTooLongError", name, err)
 		}
@@ -140,10 +160,10 @@ func TestEvaluatorParityPathTooLong(t *testing.T) {
 
 	// Exactly MaxSteps is accepted by both, and they agree.
 	ok := "*"
-	for i := 1; i < MaxSteps; i++ {
+	for i := 1; i < xpath.MaxSteps; i++ {
 		ok += "/*"
 	}
-	pOK := MustParse(ok)
+	pOK := xpath.MustParse(ok)
 	a, err := nfa.Eval(pOK)
 	if err != nil {
 		t.Fatalf("nfa at limit: %v", err)

@@ -1,11 +1,27 @@
-package reach
+// Package paper holds what the paper maintains and reads but no serving path
+// does: the reachability matrix M of §3.1 (the bitset Matrix, and the sparse
+// relation layout the paper describes as its oracle), Algorithm Reach
+// (Fig.4), the M half of ∆(M,L)insert and ∆(M,L)delete (§3.4, Figs.7–8)
+// driven by a commit's DAG delta, and the paper-literal evaluator of §3.2
+// that expands // through M. A serving view carries the topological order L
+// alone (package reach) and evaluates with package xpath; the experiments of
+// §5 (internal/bench) time this package beside them, and tests hold the
+// serving path to it.
+//
+// It imports dag, reach and xpath and never core, whose tests keep M as an
+// oracle. The internalboundary analyzer keeps it out of every other
+// importer but internal/bench.
+package paper
 
 import (
+	"cmp"
 	"fmt"
 	"iter"
 	"math/bits"
+	"slices"
 
 	"rxview/internal/dag"
+	"rxview/internal/reach"
 )
 
 // Matrix is the reachability matrix M of §3.1, stored densely: per node, the
@@ -231,19 +247,19 @@ func (m *Matrix) ValidateMirror() error {
 		ancPairs += m.anc[d].Count()
 		for a := range m.anc[d].All() {
 			if !m.desc[a].Contains(dag.NodeID(d)) {
-				return fmt.Errorf("reach: pair (%d,%d) present in anc but not mirrored in desc", a, d)
+				return fmt.Errorf("paper: pair (%d,%d) present in anc but not mirrored in desc", a, d)
 			}
 		}
 	}
 	if ancPairs != m.pairs {
-		return fmt.Errorf("reach: anc rows hold %d pairs, counter says %d", ancPairs, m.pairs)
+		return fmt.Errorf("paper: anc rows hold %d pairs, counter says %d", ancPairs, m.pairs)
 	}
 	descPairs := 0
 	for a := range m.desc {
 		descPairs += m.desc[a].Count()
 	}
 	if descPairs != m.pairs {
-		return fmt.Errorf("reach: desc rows hold %d pairs, counter says %d", descPairs, m.pairs)
+		return fmt.Errorf("paper: desc rows hold %d pairs, counter says %d", descPairs, m.pairs)
 	}
 	return nil
 }
@@ -280,7 +296,7 @@ func (m *Matrix) Diff(o *Matrix) string {
 //
 // (Fig.4 line 4 as printed omits the parents themselves; including them is
 // evidently intended, otherwise M would be empty. See DESIGN.md.)
-func Compute(d *dag.DAG, topo *Topo) *Matrix {
+func Compute(d *dag.DAG, topo *reach.Topo) *Matrix {
 	m := NewMatrix(d.Cap())
 	list := topo.Nodes()
 	for k := len(list) - 1; k >= 0; k-- { // backward: ancestors first
@@ -338,4 +354,77 @@ func ComputeNaive(d *dag.DAG) *Matrix {
 		}
 	}
 	return m
+}
+
+// ApplyDelta is the matrix's one maintenance entry point — the M half of
+// ∆(M,L)insert and ∆(M,L)delete, driven by the chronological DAG delta of a
+// commit (dag.DeltaSince, the ΔV a WAL record carries). d and topo are the
+// DAG and L *after* the commit: the closure contribution of an inserted edge
+// is computed from M alone, and the repair after removals reads the surviving
+// parents of each affected node from d. On return M is the transitive closure
+// of d, provided it was the closure of the pre-commit DAG.
+//
+// Repairing against the final DAG is exact: RetainAncestors only intersects,
+// so every row stays a superset of the truth until the pass of the last
+// removal above it, and a pass visits a node after its parents. An update
+// that only removes — every deletion the experiments commit — is one run and
+// one pass, as in Fig.8; TestMatrixMatchesSparseOracle pins the general case,
+// groups that interleave insertions and removals included.
+func (m *Matrix) ApplyDelta(d *dag.DAG, topo *reach.Topo, ops []dag.DeltaOp) {
+	removal := func(k dag.DeltaKind) bool { return k == dag.DeltaEdgeDel || k == dag.DeltaNodeDel }
+	for i := 0; i < len(ops); i++ {
+		switch {
+		case ops[i].Kind == dag.DeltaEdgeAdd:
+			m.InsertEdgeClosure(ops[i].Edge.Parent, ops[i].Edge.Child)
+		case removal(ops[i].Kind):
+			j := i + 1
+			for j < len(ops) && removal(ops[j].Kind) {
+				j++
+			}
+			m.removeRun(d, topo, ops[i:j])
+			i = j - 1
+		}
+	}
+}
+
+// removeRun repairs M after a run of consecutive removals — ∆(M,L)delete's
+// row algebra (Fig.8) stripped of garbage collection, which already happened:
+// the delta carries cascade edge removals and node deaths as ops of their
+// own. L_R is the descendants-or-self of every removed edge's child, walked
+// ancestors first; A_d = ⋃_{a ∈ P_d} ({a} ∪ anc(a)) over the surviving
+// parents P_d is one row union per parent, and removing anc(d) \ A_d one
+// masked subtract with mirrored descendant clearing.
+func (m *Matrix) removeRun(d *dag.DAG, topo *reach.Topo, run []dag.DeltaOp) {
+	// Only descendants-or-self of a removed edge's child can lose ancestors;
+	// the stale matrix rows are supersets of the true sets, which is all the
+	// traversal needs.
+	lrRow := NewRow(d.Cap())
+	for _, op := range run {
+		if op.Kind == dag.DeltaEdgeDel {
+			lrRow.Set(op.Edge.Child)
+			lrRow.Or(m.DescendantRow(op.Edge.Child))
+		}
+	}
+	lr := lrRow.Slice()
+	// Ancestors first (descending position in L): parents are final when read.
+	slices.SortFunc(lr, func(a, b dag.NodeID) int { return cmp.Compare(topo.Pos(b), topo.Pos(a)) })
+
+	ad := NewRow(d.Cap())
+	root := d.Root()
+	for _, n := range lr {
+		if n == root || !d.Alive(n) {
+			continue // a collected node's rows go with its NodeDel below
+		}
+		ad.Reset()
+		for _, p := range d.Parents(n) {
+			ad.Set(p)
+			ad.Or(m.AncestorRow(p))
+		}
+		m.RetainAncestors(n, ad)
+	}
+	for _, op := range run {
+		if op.Kind == dag.DeltaNodeDel {
+			m.DropNode(op.Node)
+		}
+	}
 }

@@ -1,10 +1,11 @@
-package reach
+package paper
 
 import (
 	"math/rand"
 	"testing"
 
 	"rxview/internal/dag"
+	"rxview/internal/reach"
 )
 
 // benchDAG builds a connected random DAG with extra cross edges — the shape
@@ -32,7 +33,7 @@ func cloneSparse(s *Sparse) *Sparse {
 // variant for reference (a different algorithm, not a fair comparison).
 func BenchmarkMatrixCompute(b *testing.B) {
 	d := benchDAG(b, 2000, 2000)
-	topo := ComputeTopo(d)
+	topo := reach.ComputeTopo(d)
 	b.Run("bitset", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			Compute(d, topo)
@@ -56,7 +57,7 @@ func BenchmarkMatrixCompute(b *testing.B) {
 // (bitset) against map iteration into a []bool (sparse).
 func BenchmarkMatrixDescQuery(b *testing.B) {
 	d := benchDAG(b, 2000, 2000)
-	topo := ComputeTopo(d)
+	topo := reach.ComputeTopo(d)
 	m := Compute(d, topo)
 	sp := ComputeSparse(d)
 	frontier := d.Nodes()[:64]
@@ -98,7 +99,7 @@ func BenchmarkMatrixDescQuery(b *testing.B) {
 
 // benchNewEdges picks edges absent from the DAG that respect the topological
 // order (parent later in L than child), so inserting them keeps it acyclic.
-func benchNewEdges(d *dag.DAG, topo *Topo, k int) []dag.Edge {
+func benchNewEdges(d *dag.DAG, topo *reach.Topo, k int) []dag.Edge {
 	rng := rand.New(rand.NewSource(11))
 	nodes := d.Nodes()
 	var out []dag.Edge
@@ -119,7 +120,7 @@ func benchNewEdges(d *dag.DAG, topo *Topo, k int) []dag.Edge {
 // code the bitset Matrix replaced).
 func BenchmarkMaintainInsertClosure(b *testing.B) {
 	d := benchDAG(b, 2000, 2000)
-	topo := ComputeTopo(d)
+	topo := reach.ComputeTopo(d)
 	baseSparse := ComputeSparse(d)
 	edges := benchNewEdges(d, topo, 64)
 
@@ -153,7 +154,7 @@ func BenchmarkMaintainInsertClosure(b *testing.B) {
 func BenchmarkMaintainDelete(b *testing.B) {
 	proto := benchDAG(b, 2000, 2000)
 	// Pick the live edge whose child has the largest descendant set.
-	mp := Compute(proto, ComputeTopo(proto))
+	mp := Compute(proto, reach.ComputeTopo(proto))
 	var bu, bv dag.NodeID = -1, -1
 	best := -1
 	for _, u := range proto.Nodes() {
@@ -167,7 +168,7 @@ func BenchmarkMaintainDelete(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		d := benchDAG(b, 2000, 2000)
-		topo := ComputeTopo(d)
+		topo := reach.ComputeTopo(d)
 		m := Compute(d, topo)
 		d.Begin()
 		d.RemoveEdge(bu, bv)

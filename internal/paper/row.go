@@ -1,4 +1,4 @@
-package reach
+package paper
 
 import (
 	"iter"

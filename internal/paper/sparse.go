@@ -1,10 +1,11 @@
-package reach
+package paper
 
 import (
 	"fmt"
 	"sort"
 
 	"rxview/internal/dag"
+	"rxview/internal/reach"
 )
 
 // Sparse is the relation representation of the reachability matrix M — the
@@ -152,7 +153,7 @@ func (s *Sparse) InsertEdgeClosure(u, v dag.NodeID) {
 // unions — exactly the pre-bitset production code path. Benchmarks compare
 // it against Compute to isolate what the representation change alone buys
 // (same algorithm, same precomputed L).
-func ComputeSparseReach(d *dag.DAG, topo *Topo) *Sparse {
+func ComputeSparseReach(d *dag.DAG, topo *reach.Topo) *Sparse {
 	s := NewSparse(d.Cap())
 	list := topo.Nodes()
 	for k := len(list) - 1; k >= 0; k-- { // backward: ancestors first

@@ -19,17 +19,18 @@ func fixEdgeReference(t *Topo, d *dag.DAG, u, v dag.NodeID) {
 		return
 	}
 	lo, hi := pu, pv
-	var mark, seen Row
+	mark, seen := make([]bool, d.Cap()), make([]bool, d.Cap())
 	stack := []dag.NodeID{v}
-	seen.Set(v)
+	seen[v] = true
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if p := t.pos[x]; p >= lo && p <= hi {
-			mark.Set(x)
+			mark[x] = true
 		}
 		for _, c := range d.Children(x) {
-			if seen.Set(c) {
+			if !seen[c] {
+				seen[c] = true
 				stack = append(stack, c)
 			}
 		}
@@ -38,7 +39,7 @@ func fixEdgeReference(t *Topo, d *dag.DAG, u, v dag.NodeID) {
 	var descs, others []dag.NodeID
 	for i := lo; i <= hi; i++ {
 		id := t.at(int(i))
-		if id != dag.InvalidNode && mark.Contains(id) {
+		if id != dag.InvalidNode && mark[id] {
 			descs = append(descs, id)
 		} else {
 			others = append(others, id)

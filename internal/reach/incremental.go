@@ -4,9 +4,9 @@ import "rxview/internal/dag"
 
 // The paper maintains L and M "at once" (§3.4, Figs.7–8). Here ∆(M,L) is
 // split along its comma: the L half and the garbage collection of
-// ∆(M,L)delete are methods of Topo — what a serving view carries — and the M
-// half is Matrix.ApplyDelta, driven by the DAG delta of a commit after the
-// fact, for whoever holds a Matrix (the paper's experiments and tests).
+// ∆(M,L)delete are methods of Topo, what a serving view carries; the M half
+// is internal/paper's Matrix.ApplyDelta, driven by a commit's DAG delta
+// after the fact.
 
 // InsertUpdate is the L half of Algorithm ∆(M,L)insert (Fig.7): after an
 // insertion that added newNodes (the fresh nodes of the published subtree
@@ -110,76 +110,4 @@ func localTopo(d *dag.DAG, nodes []dag.NodeID) []dag.NodeID {
 		}
 	}
 	return out
-}
-
-// ApplyDelta is the matrix's one maintenance entry point — the M half of
-// ∆(M,L)insert and ∆(M,L)delete, driven by the chronological DAG delta of a
-// commit (dag.DeltaSince, the ΔV a WAL record carries). d and topo are the
-// DAG and L *after* the commit: the closure contribution of an inserted edge
-// is computed from M alone, and the repair after removals reads the surviving
-// parents of each affected node from d. On return M is the transitive closure
-// of d, provided it was the closure of the pre-commit DAG.
-//
-// Repairing against the final DAG is exact: RetainAncestors only intersects,
-// so every row stays a superset of the truth until the pass of the last
-// removal above it, and a pass visits a node after its parents. An update
-// that only removes — every deletion the experiments commit — is one run and
-// one pass, as in Fig.8; TestMatrixMatchesSparseOracle pins the general case,
-// groups that interleave insertions and removals included.
-func (m *Matrix) ApplyDelta(d *dag.DAG, topo *Topo, ops []dag.DeltaOp) {
-	removal := func(k dag.DeltaKind) bool { return k == dag.DeltaEdgeDel || k == dag.DeltaNodeDel }
-	for i := 0; i < len(ops); i++ {
-		switch {
-		case ops[i].Kind == dag.DeltaEdgeAdd:
-			m.InsertEdgeClosure(ops[i].Edge.Parent, ops[i].Edge.Child)
-		case removal(ops[i].Kind):
-			j := i + 1
-			for j < len(ops) && removal(ops[j].Kind) {
-				j++
-			}
-			m.removeRun(d, topo, ops[i:j])
-			i = j - 1
-		}
-	}
-}
-
-// removeRun repairs M after a run of consecutive removals — ∆(M,L)delete's
-// row algebra (Fig.8) stripped of garbage collection, which already happened:
-// the delta carries cascade edge removals and node deaths as ops of their
-// own. L_R is the descendants-or-self of every removed edge's child, walked
-// ancestors first; A_d = ⋃_{a ∈ P_d} ({a} ∪ anc(a)) over the surviving
-// parents P_d is one row union per parent, and removing anc(d) \ A_d one
-// masked subtract with mirrored descendant clearing.
-func (m *Matrix) removeRun(d *dag.DAG, topo *Topo, run []dag.DeltaOp) {
-	// Only descendants-or-self of a removed edge's child can lose ancestors;
-	// the stale matrix rows are supersets of the true sets, which is all the
-	// traversal needs.
-	lrRow := NewRow(d.Cap())
-	for _, op := range run {
-		if op.Kind == dag.DeltaEdgeDel {
-			lrRow.Set(op.Edge.Child)
-			lrRow.Or(m.DescendantRow(op.Edge.Child))
-		}
-	}
-	lr := lrRow.Slice()
-	topo.SortDescending(lr) // ancestors first: parents are final when read
-
-	ad := NewRow(d.Cap())
-	root := d.Root()
-	for _, n := range lr {
-		if n == root || !d.Alive(n) {
-			continue // a collected node's rows go with its NodeDel below
-		}
-		ad.Reset()
-		for _, p := range d.Parents(n) {
-			ad.Set(p)
-			ad.Or(m.AncestorRow(p))
-		}
-		m.RetainAncestors(n, ad)
-	}
-	for _, op := range run {
-		if op.Kind == dag.DeltaNodeDel {
-			m.DropNode(op.Node)
-		}
-	}
 }

@@ -1,7 +1,7 @@
 package reach
 
 import (
-	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -52,53 +52,30 @@ func randomDAG(t testing.TB, rng *rand.Rand, n, extraEdges int) *dag.DAG {
 	return d
 }
 
-// index is L and M side by side, maintained the way the system and the
-// experiments split ∆(M,L): L on the spot by Topo's methods, M afterwards by
-// Matrix.ApplyDelta from the journaled delta of the same update.
-type index struct {
-	Topo   *Topo
-	Matrix *Matrix
+// deleteEdge removes one edge through the L half of the deletion path.
+func deleteEdge(d *dag.DAG, topo *Topo, u, v dag.NodeID) (cascade []dag.Edge, removed []dag.NodeID) {
+	d.RemoveEdge(u, v)
+	return topo.DeleteUpdate(d, []dag.Edge{{Parent: u, Child: v}})
 }
 
-func buildIndex(d *dag.DAG) *index {
-	t := ComputeTopo(d)
-	return &index{Topo: t, Matrix: Compute(d, t)}
-}
-
-// commit brackets one update the way a commit does: mutate changes the DAG
-// and L inside a journal, and the journaled delta then drives the matrix's
-// one maintenance entry point.
-func (ix *index) commit(d *dag.DAG, mutate func()) {
-	d.Begin()
-	mutate()
-	delta := d.DeltaSince(0)
-	d.Commit()
-	ix.Matrix.ApplyDelta(d, ix.Topo, delta)
-}
-
-// deleteEdge removes one edge through the full deletion path.
-func (ix *index) deleteEdge(d *dag.DAG, u, v dag.NodeID) (cascade []dag.Edge, removed []dag.NodeID) {
-	ix.commit(d, func() {
-		d.RemoveEdge(u, v)
-		cascade, removed = ix.Topo.DeleteUpdate(d, []dag.Edge{{Parent: u, Child: v}})
-	})
-	return cascade, removed
-}
-
-// Validate checks both structures against the DAG: L is a topological order
-// covering the live nodes, and M — mirror included — equals the recomputed
-// transitive closure.
-func (ix *index) Validate(d *dag.DAG) error {
-	if err := ix.Topo.Validate(d); err != nil {
-		return err
+// reaches reports whether a path from → … → to exists, by plain DFS.
+func reaches(d *dag.DAG, from, to dag.NodeID) bool {
+	seen := map[dag.NodeID]bool{from: true}
+	stack := []dag.NodeID{from}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if x == to {
+			return true
+		}
+		for _, c := range d.Children(x) {
+			if !seen[c] {
+				seen[c] = true
+				stack = append(stack, c)
+			}
+		}
 	}
-	if err := ix.Matrix.ValidateMirror(); err != nil {
-		return err
-	}
-	if want := Compute(d, ix.Topo); !ix.Matrix.Equal(want) {
-		return fmt.Errorf("reach: matrix mismatch: %s", ix.Matrix.Diff(want))
-	}
-	return nil
+	return false
 }
 
 func TestComputeTopoOrder(t *testing.T) {
@@ -114,94 +91,6 @@ func TestComputeTopoOrder(t *testing.T) {
 	nodes := topo.Nodes()
 	if len(nodes) == 0 || d.Type(nodes[len(nodes)-1]) != "db" {
 		t.Error("root must be last (ancestor-most)")
-	}
-}
-
-func TestComputeMatchesNaive(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		d := randomDAG(t, rng, 30, 25)
-		topo := ComputeTopo(d)
-		m := Compute(d, topo)
-		return m.Equal(ComputeNaive(d))
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMatrixBasics(t *testing.T) {
-	d, ids := buildDAG(t, [][2]int{{0, 1}, {1, 2}, {1, 3}, {2, 4}, {3, 4}})
-	m := Compute(d, ComputeTopo(d))
-	root, n4 := ids[0], ids[4]
-	if !m.IsAncestor(root, n4) {
-		t.Error("root should be ancestor of 4")
-	}
-	if m.IsAncestor(n4, root) {
-		t.Error("4 is not an ancestor of root")
-	}
-	if m.IsAncestor(root, root) {
-		t.Error("self pairs are not stored")
-	}
-	// anc(4) = {0,1,2,3}, desc(0) = {1,2,3,4}
-	if got := m.AncestorCount(n4); got != 4 {
-		t.Errorf("|anc(4)| = %d", got)
-	}
-	if got := m.DescendantCount(root); got != 4 {
-		t.Errorf("|desc(0)| = %d", got)
-	}
-	// |M|: anc sizes: n1:1, n2:2, n3:2, n4:4 => 9
-	if m.Size() != 9 {
-		t.Errorf("|M| = %d", m.Size())
-	}
-	if got := m.AncestorList(n4); len(got) != 4 || got[0] != root {
-		t.Errorf("AncestorList = %v", got)
-	}
-}
-
-func TestMatrixAddRemoveDrop(t *testing.T) {
-	m := NewMatrix(4)
-	m.AddPair(0, 1)
-	m.AddPair(0, 1) // dup ignored
-	m.AddPair(0, 2)
-	m.AddPair(1, 2)
-	if m.Size() != 3 {
-		t.Errorf("Size = %d", m.Size())
-	}
-	m.RemovePair(0, 1)
-	m.RemovePair(0, 1) // absent ignored
-	if m.Size() != 2 || m.IsAncestor(0, 1) {
-		t.Error("RemovePair")
-	}
-	m.AddPair(3, 3) // self ignored
-	if m.Size() != 2 {
-		t.Error("self pair stored")
-	}
-	m.DropNode(2)
-	if m.Size() != 0 {
-		t.Errorf("after DropNode Size = %d", m.Size())
-	}
-	// Out-of-range queries are safe.
-	if m.IsAncestor(99, 98) {
-		t.Error("out of range")
-	}
-	m.RemovePair(99, 98)
-	m.DropNode(99)
-}
-
-func TestMatrixEqualAndDiff(t *testing.T) {
-	a, b := NewMatrix(4), NewMatrix(4)
-	a.AddPair(0, 1)
-	b.AddPair(0, 1)
-	if !a.Equal(b) {
-		t.Error("equal matrices")
-	}
-	b.AddPair(0, 2)
-	if a.Equal(b) || b.Equal(a) {
-		t.Error("different matrices")
-	}
-	if b.Diff(a) == "" {
-		t.Error("Diff should describe")
 	}
 }
 
@@ -237,62 +126,41 @@ func TestTopoAppendDeleteCompact(t *testing.T) {
 }
 
 func TestFixEdgeRepairsOrder(t *testing.T) {
-	// Build two chains and connect them so the order must be repaired.
-	d, ids := buildDAG(t, [][2]int{{0, 1}, {1, 2}, {0, 3}, {3, 4}})
-	topo := ComputeTopo(d)
-	// New edge 2 -> 3 means 3's group must move before 2.
-	d.AddEdge(ids[2], ids[3])
-	if err := d.CheckAcyclic(); err != nil {
-		t.Fatal(err)
-	}
-	topo.FixEdge(d, ids[2], ids[3])
-	if err := topo.Validate(d); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSortHelpers(t *testing.T) {
-	d, ids := buildDAG(t, [][2]int{{0, 1}, {1, 2}})
-	topo := ComputeTopo(d)
-	nodes := []dag.NodeID{ids[0], ids[2], ids[1]}
-	topo.SortDescending(nodes)
-	if nodes[0] != ids[0] || nodes[2] != ids[2] {
-		t.Errorf("descending = %v", nodes)
-	}
-	topo.SortAscending(nodes)
-	if nodes[0] != ids[2] || nodes[2] != ids[0] {
-		t.Errorf("ascending = %v", nodes)
-	}
-}
-
-func TestBuildIndexValidate(t *testing.T) {
-	d, _ := buildDAG(t, [][2]int{{0, 1}, {1, 2}, {1, 3}, {2, 4}, {3, 4}})
-	ix := buildIndex(d)
-	if err := ix.Validate(d); err != nil {
-		t.Fatal(err)
+	// Build two chains and connect them so the order must be repaired — the
+	// second time with FixEdge's visited stamps about to wrap around.
+	for _, walk := range []uint32{0, math.MaxUint32} {
+		d, ids := buildDAG(t, [][2]int{{0, 1}, {1, 2}, {0, 3}, {3, 4}})
+		topo := ComputeTopo(d)
+		topo.seen, topo.walk = make([]uint32, len(topo.pos)), walk
+		// New edge 2 -> 3 means 3's group must move before 2.
+		d.AddEdge(ids[2], ids[3])
+		if err := d.CheckAcyclic(); err != nil {
+			t.Fatal(err)
+		}
+		topo.FixEdge(d, ids[2], ids[3])
+		if err := topo.Validate(d); err != nil {
+			t.Fatalf("walk %d: %v", walk, err)
+		}
 	}
 }
 
 func TestInsertUpdateFreshSubtree(t *testing.T) {
 	d, ids := buildDAG(t, [][2]int{{0, 1}, {1, 2}, {0, 3}})
-	ix := buildIndex(d)
+	topo := ComputeTopo(d)
 	// Publish a fresh subtree {10 -> 11, 10 -> 12} and hang it under 2 and 3.
-	var n11 dag.NodeID
-	ix.commit(d, func() {
-		n10, _ := d.AddNode("N", relational.Tuple{relational.Int(10)})
-		n11, _ = d.AddNode("N", relational.Tuple{relational.Int(11)})
-		n12, _ := d.AddNode("N", relational.Tuple{relational.Int(12)})
-		newEdges := []dag.Edge{}
-		for _, e := range [][2]dag.NodeID{{n10, n11}, {n10, n12}, {ids[2], n10}, {ids[3], n10}} {
-			d.AddEdge(e[0], e[1])
-			newEdges = append(newEdges, dag.Edge{Parent: e[0], Child: e[1]})
-		}
-		ix.Topo.InsertUpdate(d, []dag.NodeID{n10, n11, n12}, newEdges)
-	})
-	if err := ix.Validate(d); err != nil {
+	n10, _ := d.AddNode("N", relational.Tuple{relational.Int(10)})
+	n11, _ := d.AddNode("N", relational.Tuple{relational.Int(11)})
+	n12, _ := d.AddNode("N", relational.Tuple{relational.Int(12)})
+	newEdges := []dag.Edge{}
+	for _, e := range [][2]dag.NodeID{{n10, n11}, {n10, n12}, {ids[2], n10}, {ids[3], n10}} {
+		d.AddEdge(e[0], e[1])
+		newEdges = append(newEdges, dag.Edge{Parent: e[0], Child: e[1]})
+	}
+	topo.InsertUpdate(d, []dag.NodeID{n10, n11, n12}, newEdges)
+	if err := topo.Validate(d); err != nil {
 		t.Fatal(err)
 	}
-	if !ix.Matrix.IsAncestor(ids[0], n11) {
+	if !reaches(d, ids[0], n11) {
 		t.Error("root should reach new leaf")
 	}
 }
@@ -301,16 +169,11 @@ func TestInsertUpdateSharedRoot(t *testing.T) {
 	// Inserting an edge to an existing shared node (the CS320-as-prereq
 	// case): no new nodes, one new edge between existing nodes.
 	d, ids := buildDAG(t, [][2]int{{0, 1}, {0, 2}, {2, 3}})
-	ix := buildIndex(d)
-	ix.commit(d, func() {
-		d.AddEdge(ids[1], ids[3])
-		ix.Topo.InsertUpdate(d, nil, []dag.Edge{{Parent: ids[1], Child: ids[3]}})
-	})
-	if err := ix.Validate(d); err != nil {
+	topo := ComputeTopo(d)
+	d.AddEdge(ids[1], ids[3])
+	topo.InsertUpdate(d, nil, []dag.Edge{{Parent: ids[1], Child: ids[3]}})
+	if err := topo.Validate(d); err != nil {
 		t.Fatal(err)
-	}
-	if !ix.Matrix.IsAncestor(ids[1], ids[3]) {
-		t.Error("new ancestry missing")
 	}
 }
 
@@ -318,18 +181,15 @@ func TestDeleteUpdateSimple(t *testing.T) {
 	// 0 -> 1 -> 2; 0 -> 3 -> 2. Delete edge (1,2): 2 keeps ancestor 0 via 3,
 	// loses 1.
 	d, ids := buildDAG(t, [][2]int{{0, 1}, {1, 2}, {0, 3}, {3, 2}})
-	ix := buildIndex(d)
-	cascade, removed := ix.deleteEdge(d, ids[1], ids[2])
+	topo := ComputeTopo(d)
+	cascade, removed := deleteEdge(d, topo, ids[1], ids[2])
 	if len(cascade) != 0 || len(removed) != 0 {
 		t.Errorf("cascade=%v removed=%v", cascade, removed)
 	}
-	if err := ix.Validate(d); err != nil {
+	if err := topo.Validate(d); err != nil {
 		t.Fatal(err)
 	}
-	if ix.Matrix.IsAncestor(ids[1], ids[2]) {
-		t.Error("stale ancestor pair")
-	}
-	if !ix.Matrix.IsAncestor(ids[0], ids[2]) {
+	if !reaches(d, ids[0], ids[2]) {
 		t.Error("surviving ancestry removed")
 	}
 }
@@ -338,32 +198,32 @@ func TestDeleteUpdateCascade(t *testing.T) {
 	// 0 -> 1 -> 2 -> 3, and 0 -> 4 -> 3. Deleting edge (0,1) strands 1, 2
 	// (cascade) but 3 survives via 4.
 	d, ids := buildDAG(t, [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 4}, {4, 3}})
-	ix := buildIndex(d)
-	cascade, removed := ix.deleteEdge(d, ids[0], ids[1])
+	topo := ComputeTopo(d)
+	cascade, removed := deleteEdge(d, topo, ids[0], ids[1])
 	if len(removed) != 2 {
 		t.Errorf("removed = %v, want nodes 1 and 2", removed)
 	}
 	if len(cascade) != 2 { // (1,2) and (2,3)
 		t.Errorf("cascade = %v", cascade)
 	}
-	if err := ix.Validate(d); err != nil {
+	if err := topo.Validate(d); err != nil {
 		t.Fatal(err)
 	}
 	if !d.Alive(ids[3]) {
 		t.Error("shared node 3 must survive")
 	}
-	if !ix.Matrix.IsAncestor(ids[4], ids[3]) {
+	if !reaches(d, ids[4], ids[3]) {
 		t.Error("surviving ancestry via 4 lost")
 	}
 }
 
-// Property: random edge deletions maintained incrementally match a from-
-// scratch rebuild (the paper's Table 1 comparison, as a correctness check).
+// Property: random edge deletions maintained incrementally leave L a valid
+// order of what the collection leaves of the DAG.
 func TestDeleteUpdateMatchesRebuild(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d := randomDAG(t, rng, 25, 20)
-		ix := buildIndex(d)
+		topo := ComputeTopo(d)
 		for round := 0; round < 5; round++ {
 			// Pick a random live edge.
 			nodes := d.Nodes()
@@ -378,8 +238,8 @@ func TestDeleteUpdateMatchesRebuild(t *testing.T) {
 			if u < 0 {
 				break
 			}
-			ix.deleteEdge(d, u, v)
-			if err := ix.Validate(d); err != nil {
+			deleteEdge(d, topo, u, v)
+			if err := topo.Validate(d); err != nil {
 				t.Logf("seed %d round %d: %v", seed, round, err)
 				return false
 			}
@@ -391,59 +251,56 @@ func TestDeleteUpdateMatchesRebuild(t *testing.T) {
 	}
 }
 
-// Property: random subtree insertions maintained incrementally match a
-// rebuild.
+// Property: random subtree insertions maintained incrementally leave L a
+// valid order of the grown DAG.
 func TestInsertUpdateMatchesRebuild(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d := randomDAG(t, rng, 20, 10)
-		ix := buildIndex(d)
+		topo := ComputeTopo(d)
 		next := int64(1000)
-		ok := true
-		for round := 0; round < 4 && ok; round++ {
+		for round := 0; round < 4; round++ {
 			// Fresh chain of 3 nodes hung under a random existing node,
 			// possibly also linking to an existing node as child.
 			nodes := d.Nodes()
 			target := nodes[rng.Intn(len(nodes))]
-			ix.commit(d, func() {
-				var newNodes []dag.NodeID
-				var newEdges []dag.Edge
-				var prev dag.NodeID = -1
-				for i := 0; i < 3; i++ {
-					id, _ := d.AddNode("N", relational.Tuple{relational.Int(next)})
-					next++
-					newNodes = append(newNodes, id)
-					if prev >= 0 {
-						d.AddEdge(prev, id)
-						newEdges = append(newEdges, dag.Edge{Parent: prev, Child: id})
-					}
-					prev = id
+			var newNodes []dag.NodeID
+			var newEdges []dag.Edge
+			var prev dag.NodeID = -1
+			for i := 0; i < 3; i++ {
+				id, _ := d.AddNode("N", relational.Tuple{relational.Int(next)})
+				next++
+				newNodes = append(newNodes, id)
+				if prev >= 0 {
+					d.AddEdge(prev, id)
+					newEdges = append(newEdges, dag.Edge{Parent: prev, Child: id})
 				}
-				// Link the chain bottom to an existing node to create
-				// sharing, but only if that node is not an ancestor of (or
-				// equal to) the target — the connection edge target→chain
-				// would otherwise close a cycle.
-				exist := nodes[rng.Intn(len(nodes))]
-				if exist != d.Root() && exist != target && !ix.Matrix.IsAncestor(exist, target) {
-					if d.AddEdge(prev, exist) {
-						newEdges = append(newEdges, dag.Edge{Parent: prev, Child: exist})
-					}
+				prev = id
+			}
+			// Link the chain bottom to an existing node to create sharing,
+			// but only if that node is not an ancestor of (or equal to) the
+			// target — the connection edge target→chain would otherwise
+			// close a cycle.
+			exist := nodes[rng.Intn(len(nodes))]
+			if exist != d.Root() && exist != target && !reaches(d, exist, target) {
+				if d.AddEdge(prev, exist) {
+					newEdges = append(newEdges, dag.Edge{Parent: prev, Child: exist})
 				}
-				// Connection edge last, as Xinsert produces.
-				d.AddEdge(target, newNodes[0])
-				newEdges = append(newEdges, dag.Edge{Parent: target, Child: newNodes[0]})
-				if err := d.CheckAcyclic(); err != nil {
-					t.Log(err)
-					ok = false
-				}
-				ix.Topo.InsertUpdate(d, newNodes, newEdges)
-			})
-			if err := ix.Validate(d); err != nil {
+			}
+			// Connection edge last, as Xinsert produces.
+			d.AddEdge(target, newNodes[0])
+			newEdges = append(newEdges, dag.Edge{Parent: target, Child: newNodes[0]})
+			if err := d.CheckAcyclic(); err != nil {
+				t.Log(err)
+				return false
+			}
+			topo.InsertUpdate(d, newNodes, newEdges)
+			if err := topo.Validate(d); err != nil {
 				t.Logf("seed %d round %d: %v", seed, round, err)
 				return false
 			}
 		}
-		return ok
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -453,29 +310,84 @@ func TestInsertUpdateMatchesRebuild(t *testing.T) {
 func TestDeleteThenInsertInterleaved(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	d := randomDAG(t, rng, 30, 25)
-	ix := buildIndex(d)
+	topo := ComputeTopo(d)
 	next := int64(5000)
 	for round := 0; round < 10; round++ {
 		if round%2 == 0 {
 			nodes := d.Nodes()
 			for _, cand := range rng.Perm(len(nodes)) {
 				if ch := d.Children(nodes[cand]); len(ch) > 0 {
-					ix.deleteEdge(d, nodes[cand], ch[0])
+					deleteEdge(d, topo, nodes[cand], ch[0])
 					break
 				}
 			}
 		} else {
 			nodes := d.Nodes()
 			target := nodes[rng.Intn(len(nodes))]
-			ix.commit(d, func() {
-				id, _ := d.AddNode("N", relational.Tuple{relational.Int(next)})
-				d.AddEdge(target, id)
-				ix.Topo.InsertUpdate(d, []dag.NodeID{id}, []dag.Edge{{Parent: target, Child: id}})
-			})
+			id, _ := d.AddNode("N", relational.Tuple{relational.Int(next)})
+			d.AddEdge(target, id)
+			topo.InsertUpdate(d, []dag.NodeID{id}, []dag.Edge{{Parent: target, Child: id}})
 			next++
 		}
-		if err := ix.Validate(d); err != nil {
+		if err := topo.Validate(d); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+	}
+}
+
+// TestLocalTopoDeepChain stresses the iterative post-order of localTopo on a
+// pathologically deep inserted subtree — a 200k-node chain would overflow
+// the goroutine stack budget long before the recursive version finished
+// growing it at a few more orders of magnitude; the iterative walk is flat.
+func TestLocalTopoDeepChain(t *testing.T) {
+	const depth = 200_000
+	d := dag.New("db")
+	nodes := make([]dag.NodeID, depth)
+	prev := d.Root()
+	for i := 0; i < depth; i++ {
+		id, _ := d.AddNode("N", relational.Tuple{relational.Int(int64(i))})
+		nodes[i] = id
+		d.AddEdge(prev, id)
+		prev = id
+	}
+	// Parents-first input order maximizes the walk depth from the first
+	// start node.
+	order := localTopo(d, nodes)
+	if len(order) != depth {
+		t.Fatalf("localTopo covered %d of %d nodes", len(order), depth)
+	}
+	pos := make(map[dag.NodeID]int, depth)
+	for i, id := range order {
+		pos[id] = i
+	}
+	for i := 1; i < depth; i++ {
+		if pos[nodes[i]] >= pos[nodes[i-1]] {
+			t.Fatalf("children-first violated at %d", i)
+		}
+	}
+}
+
+// TestInsertUpdateDeepChain exercises the L half of ∆(M,L)insert on a deep
+// chain (localTopo, then FixEdge per edge) and validates the result.
+func TestInsertUpdateDeepChain(t *testing.T) {
+	const depth = 2_000
+	d := dag.New("db")
+	topo := ComputeTopo(d)
+	nodes := make([]dag.NodeID, 0, depth)
+	edges := make([]dag.Edge, 0, depth)
+	prev := d.Root()
+	for i := 0; i < depth; i++ {
+		id, _ := d.AddNode("N", relational.Tuple{relational.Int(int64(i))})
+		d.AddEdge(prev, id)
+		nodes = append(nodes, id)
+		edges = append(edges, dag.Edge{Parent: prev, Child: id})
+		prev = id
+	}
+	topo.InsertUpdate(d, nodes, edges)
+	if err := topo.Validate(d); err != nil {
+		t.Fatal(err)
+	}
+	if got := topo.Len(); got != depth+1 {
+		t.Errorf("|L| = %d, want %d", got, depth+1)
 	}
 }

@@ -1,14 +1,10 @@
-// Package reach implements the auxiliary structures of §3.1 of the paper —
-// the topological order L and the reachability matrix M — plus Algorithm
-// Reach (Fig.4) and the incremental maintenance algorithms ∆(M,L)insert and
-// ∆(M,L)delete of §3.4 (Figs.7–8).
-//
-// The two structures have different holders. L is what evaluation iterates,
-// so a serving view (internal/core) carries a Topo and maintains it on the
-// commit path: Topo.InsertUpdate and Topo.DeleteUpdate. No evaluator that
-// serves reads M, so no view carries a Matrix: it is a self-contained value
-// that the paper's experiments (internal/bench) and tests build with Compute
-// and keep exact with Matrix.ApplyDelta, from the DAG delta of each commit.
+// Package reach implements the topological order L of §3.1 of the paper and
+// the L half of the incremental maintenance algorithms ∆(M,L)insert and
+// ∆(M,L)delete of §3.4 (Figs.7–8): Topo.InsertUpdate and Topo.DeleteUpdate.
+// L is what evaluation iterates, so a serving view (internal/core) carries a
+// Topo and maintains it on the commit path. The other structure of §3.1, the
+// reachability matrix M, is read by no evaluator that serves; it lives in
+// internal/paper, with Algorithm Reach (Fig.4) and its half of ∆(M,L).
 //
 // Order convention (§3.1): "u precedes v in L only if u is not an ancestor of
 // v". Descendants therefore come first; for every edge (parent u → child v),
@@ -48,12 +44,15 @@ var (
 // The entry list is a cow.Array: Seal freezes the current order into an
 // immutable TopoVersion that shares every chunk the writer has not touched
 // since the previous seal — the unchanged prefix (and any unchanged interior
-// run) of L is shared between versions instead of copied. The pos index is
-// writer-private and never sealed; sealed readers only iterate.
+// run) of L is shared between versions instead of copied. The pos index and
+// FixEdge's visited stamps are writer-private and never sealed; sealed
+// readers only iterate.
 type Topo struct {
 	list  cow.Array[dag.NodeID] // entries, tombstones included
 	pos   []int32               // node id -> index into the list; -1 when absent
 	holes int
+	seen  []uint32 // node id -> the FixEdge walk that last visited it
+	walk  uint32   // the current FixEdge walk; 0 is never one
 }
 
 // at returns entry i of the list.
@@ -212,12 +211,18 @@ func (t *Topo) FixEdge(d *dag.DAG, u, v dag.NodeID) {
 		return
 	}
 	// Collect the descendants-or-self of v that sit inside the window. The
-	// visited set is a bitset row — this walk is on the maintenance hot
-	// path.
-	var seen Row
+	// visited set is a stamp per node: opening it is one increment, and the
+	// stamps grow with pos, not per call.
+	if len(t.seen) < len(t.pos) {
+		t.seen, t.walk = make([]uint32, cap(t.pos)), 0
+	}
+	if t.walk++; t.walk == 0 {
+		clear(t.seen)
+		t.walk = 1
+	}
 	var descs []dag.NodeID
 	stack := []dag.NodeID{v}
-	seen.Set(v)
+	t.seen[v] = t.walk
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -225,7 +230,8 @@ func (t *Topo) FixEdge(d *dag.DAG, u, v dag.NodeID) {
 			descs = append(descs, x)
 		}
 		for _, c := range d.Children(x) {
-			if seen.Set(c) {
+			if t.seen[c] != t.walk {
+				t.seen[c] = t.walk
 				stack = append(stack, c)
 			}
 		}
@@ -323,15 +329,4 @@ func (t *Topo) Validate(d *dag.DAG) error {
 		}
 	}
 	return nil
-}
-
-// SortDescending orders ids by position, ancestors first (the backward
-// traversal order of Algorithm ∆(M,L)delete).
-func (t *Topo) SortDescending(ids []dag.NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return t.pos[ids[i]] > t.pos[ids[j]] })
-}
-
-// SortAscending orders ids by position, descendants first.
-func (t *Topo) SortAscending(ids []dag.NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return t.pos[ids[i]] < t.pos[ids[j]] })
 }

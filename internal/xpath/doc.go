@@ -70,7 +70,8 @@
 // longer makes an update "conservatively side-effecting"; anchored Overflow
 // implies sweep Overflow, never the reverse.
 //
-// FrontierEvaluator (frontier.go) is a third, paper-literal strategy — per
-// step node sets, // expanded through the reachability matrix M — kept for
-// the §3.2 strategy ablation; it shares the sweep's filter tables.
+// The paper-literal strategy — per-step node sets, // expanded through the
+// reachability matrix M — is internal/paper's FrontierEvaluator, which no
+// serving path links. It reads the sweep's filter tables through
+// Evaluator.StepFilters, the one thing this package exports for it.
 package xpath

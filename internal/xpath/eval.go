@@ -106,7 +106,7 @@ func (r *Result) HasDeleteSideEffects() bool {
 const MaxSteps = 62
 
 // PathTooLongError reports a path that normalizes to more than MaxSteps
-// steps. Both Evaluator and FrontierEvaluator return it identically.
+// steps.
 type PathTooLongError struct {
 	Steps int // normalized step count of the offending path
 }
@@ -140,6 +140,19 @@ func (ev *Evaluator) EvalSweep(p *Path) (*Result, error) { return ev.eval(p, tru
 
 // EvalSelectSweep is EvalSelect by the sweep whatever the path's shape.
 func (ev *Evaluator) EvalSelectSweep(p *Path) (*Result, error) { return ev.eval(p, true, true) }
+
+// StepFilters is the bottom-up half of the sweep, for an evaluator that runs
+// its own top-down pass: the path's normal form η1/…/ηn and, per step, the
+// truth table of its filter over the nodes of Topo (nil for a step without
+// one), indexed by NodeID. The steps are shared with every evaluation of p
+// and must not be modified; the tables are the caller's.
+func (ev *Evaluator) StepFilters(p *Path) ([]NStep, [][]bool, error) {
+	pl := p.compiled()
+	if err := checkLen(pl.steps); err != nil {
+		return nil, nil, err
+	}
+	return pl.steps, stepTables(pl, ev.evalFilters(pl, ev.Topo.Nodes(), nil)), nil
+}
 
 func (ev *Evaluator) eval(p *Path, sweep, selectOnly bool) (*Result, error) {
 	pl := p.compiled()
@@ -200,9 +213,9 @@ func (ev *Evaluator) textIs(v dag.NodeID, s string) bool {
 // filter truth tables of the sweep, the per-node state-set index, and the
 // anchored route's node sets and in-degrees — across evaluations, via a
 // package pool. A nil *scratch degrades to plain allocation of filter
-// tables (the frontier evaluator path, which does not manage table
-// lifetimes). Results never alias scratch memory, so pooled buffers are
-// safe to hand to the next evaluation on any goroutine.
+// tables (StepFilters, whose caller keeps them). Results never alias
+// scratch memory, so pooled buffers are safe to hand to the next evaluation
+// on any goroutine.
 type scratch struct {
 	tables [][]bool  // free filter tables, any capacity
 	masks  []maskSet // the node -> state-sets index, reused across evals
