@@ -59,7 +59,7 @@ func ChaosFires() map[string]uint64 {
 	fires := p.Fires()
 	out := make(map[string]uint64, len(fires))
 	for pt, n := range fires {
-		out[string(pt)] = n
+		out[pt.String()] = n
 	}
 	return out
 }
@@ -74,7 +74,7 @@ func FaultPoints() []string {
 	pts := fault.Catalog()
 	out := make([]string, len(pts))
 	for i, p := range pts {
-		out[i] = string(p)
+		out[i] = p.String()
 	}
 	return out
 }

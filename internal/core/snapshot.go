@@ -2,6 +2,7 @@ package core
 
 import (
 	"io"
+	"strings"
 
 	"rxview/internal/dag"
 	"rxview/internal/digest"
@@ -138,7 +139,7 @@ func (sn *Snapshot) WriteXML(w io.Writer, maxNodes int) error {
 // XML returns the serialized frozen view, or an error if it exceeds the
 // budget.
 func (sn *Snapshot) XML(maxNodes int) (string, error) {
-	var b writerBuilder
+	var b strings.Builder
 	if err := sn.WriteXML(&b, maxNodes); err != nil {
 		return "", err
 	}

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 	"time"
 
 	"rxview/internal/atg"
@@ -606,9 +607,6 @@ func EquivalentDAGs(a, b *dag.DAG) error {
 	return nil
 }
 
-// ErrTreeTooLarge re-exports the unfolding budget error.
-var ErrTreeTooLarge = dag.ErrTreeTooLarge
-
 // WriteXML serializes the (unfolded) XML view; maxNodes bounds the tree size
 // (recursive views can be exponentially larger than their DAG).
 func (s *System) WriteXML(w io.Writer, maxNodes int) error {
@@ -622,20 +620,12 @@ func (s *System) WriteXML(w io.Writer, maxNodes int) error {
 // XML returns the serialized view, or an error string if it exceeds the
 // budget.
 func (s *System) XML(maxNodes int) (string, error) {
-	var b writerBuilder
+	var b strings.Builder
 	if err := s.WriteXML(&b, maxNodes); err != nil {
 		return "", err
 	}
 	return b.String(), nil
 }
-
-type writerBuilder struct{ data []byte }
-
-func (w *writerBuilder) Write(p []byte) (int, error) {
-	w.data = append(w.data, p...)
-	return len(p), nil
-}
-func (w *writerBuilder) String() string { return string(w.data) }
 
 // IsRejected reports whether an error means the update was rejected by the
 // relational translation (as opposed to an internal failure).

@@ -11,10 +11,13 @@
 // same workload yields the same fault schedule, which is what lets the
 // chaos soak shrink a failure to a reproducible case.
 //
-// Every point a Hit call names must be declared in the catalog below; the
-// xviewlint faultpoint analyzer rejects call sites that pass anything but
-// a catalog constant, so the catalog is the complete inventory of ways
-// this system can be made to fail.
+// Every point a Hit call names is declared in the catalog below, and the
+// type sees to it: a Point's one field is unexported, so a string, a
+// conversion or a Point constant or literal written in another package does
+// not compile, and the catalog is the complete inventory of ways this
+// system can be made to fail. The price is that the catalog entries are variables, where string
+// constants could not be reassigned; nothing assigns to them, so nothing
+// guards against it.
 package fault
 
 import (
@@ -27,45 +30,48 @@ import (
 	"rxview/internal/obs"
 )
 
-// Point names one instrumented failure site. The value is the spec-string
-// name used by ParseSpec and reported in injected errors.
-type Point string
+// Point names one instrumented failure site. Only this package can make
+// one; the zero Point is no site, and NewPlan refuses it.
+type Point struct{ name string }
 
-// The fault-point catalog. Declaring a point here is what makes it legal
-// to instrument a site with it (the faultpoint analyzer checks call sites
-// against this list) and addressable from a chaos spec.
-const (
+// String returns the point's spec-string name, the one ParseSpec accepts
+// and injected errors report.
+func (p Point) String() string { return p.name }
+
+// The fault-point catalog: the only Points there are, each instrumentable
+// and addressable from a chaos spec.
+var (
 	// WALAppend fails the write(2) of a framed record batch to the active
 	// segment. The log truncates the partial write away, so the records
 	// were never durable and the commit rolls back.
-	WALAppend Point = "wal.append"
+	WALAppend = Point{"wal.append"}
 	// WALFsync fails the fsync after an append: the bytes reached the
 	// kernel but the durability guarantee cannot be given.
-	WALFsync Point = "wal.fsync"
+	WALFsync = Point{"wal.fsync"}
 	// WALDiskFull fails an append with ENOSPC semantics — the classic
 	// slowly-then-suddenly disk failure.
-	WALDiskFull Point = "wal.disk-full"
+	WALDiskFull = Point{"wal.disk-full"}
 	// WALSlowIO stalls an append for the rule's Latency without failing
 	// it — a degrading disk or a saturated volume. It is how the overload
 	// tests pin the writer while reads keep flowing.
-	WALSlowIO Point = "wal.slow-io"
+	WALSlowIO = Point{"wal.slow-io"}
 	// CheckpointWrite fails the checkpoint temp-file write, so sealing the
 	// epoch fails while the log itself keeps accepting appends.
-	CheckpointWrite Point = "wal.checkpoint"
+	CheckpointWrite = Point{"wal.checkpoint"}
 	// CrashBeforeFsync simulates the process dying after write(2) but
 	// before fsync: the record never becomes durable (the partial write is
 	// truncated away), the commit fails, and the log is dead until
 	// reopened.
-	CrashBeforeFsync Point = "wal.crash-before-fsync"
+	CrashBeforeFsync = Point{"wal.crash-before-fsync"}
 	// CrashAfterFsync simulates the process dying just after fsync: the
 	// record IS durable and the commit verdict stands — failing it would
 	// reject a write that survives recovery — but the log is dead for
 	// every append after it.
-	CrashAfterFsync Point = "wal.crash-after-fsync"
+	CrashAfterFsync = Point{"wal.crash-after-fsync"}
 	// StorageApply fails the execution of a ΔR on the base relations — an
 	// update's or a replayed record's — before any mutation lands, so the
 	// update rejects cleanly and the record is refused.
-	StorageApply Point = "storage.apply"
+	StorageApply = Point{"storage.apply"}
 )
 
 // catalog is the registered point set, in stable order.
@@ -93,6 +99,16 @@ func Registered(p Point) bool {
 		}
 	}
 	return false
+}
+
+// named returns the catalog point called name, or the zero Point.
+func named(name string) Point {
+	for _, c := range catalog {
+		if c.name == name {
+			return c
+		}
+	}
+	return Point{}
 }
 
 // ErrInjected is the sentinel every injected failure matches under

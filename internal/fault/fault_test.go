@@ -12,13 +12,13 @@ func TestCatalogRegistered(t *testing.T) {
 			t.Errorf("catalog point %q not Registered", p)
 		}
 	}
-	if Registered("wal.nonexistent") {
+	if Registered(Point{"wal.nonexistent"}) || Registered(Point{}) {
 		t.Error("unknown point reported registered")
 	}
 }
 
 func TestNewPlanRejectsUnknownPoint(t *testing.T) {
-	if _, err := NewPlan(1, Rule{Point: "bogus"}); err == nil {
+	if _, err := NewPlan(1, Rule{Point: Point{}}); err == nil {
 		t.Fatal("NewPlan accepted an uncataloged point")
 	}
 }

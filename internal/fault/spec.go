@@ -26,7 +26,7 @@ func ParseSpec(spec string) ([]Rule, error) {
 			continue
 		}
 		name, opts, _ := strings.Cut(arm, ":")
-		r := Rule{Point: Point(strings.TrimSpace(name))}
+		r := Rule{Point: named(strings.TrimSpace(name))}
 		if !Registered(r.Point) {
 			return nil, fmt.Errorf("fault: unknown point %q in spec (catalog: %v)", name, catalog)
 		}

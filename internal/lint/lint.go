@@ -15,8 +15,6 @@
 //	errwrap
 //	 3a `== rxview.ErrDegraded` in deliver          server/engine.go:588            ok    ok   RED [a]    RED
 //	 3b `%v` for the first `%w` in applyTx          server/engine.go:321            ok    ok   ok         RED only
-//	faultpoint
-//	 5a fault.Hit("storage.aply")                   internal/core/system.go:199     ok    ok   RED [h]    RED
 //	obshotpath
 //	 6a e.met.queryDur.Snapshot() in Query          server/engine.go:229            ok    ok   ok         RED only
 //	ctxflow
@@ -33,26 +31,20 @@
 // [a] TestEngineChaosSoak. [b] TestQueuedDeadlineExpiry. [c] 18 DATA RACE
 // reports, 3 tests. [d] 28 reports, 19 tests. [e] green before PR 26: the
 // false negative that PR fixed. [f] TestSnapshotCOWDifferential. [g] the
-// tier-1 TestOnlyRootPackageImportsInternal. [h] core's
-// TestApplyCommitRecordStopsAtTheFirstWrongGeneration, which arms
-// storage.apply on the replay path. Row 8a was re-measured when server/ was
-// allowed behind the boundary (it had seeded the import into
-// server/engine.go), with ./examples/... added to the test run. Row 5a was
-// re-measured when internal/storage was deleted and the hit moved to core's
-// applyDR.
+// tier-1 TestOnlyRootPackageImportsInternal. Row 8a was re-measured when
+// server/ was allowed behind the boundary (it had seeded the import into
+// server/engine.go), with ./examples/... added to the test run.
 //
 // Why each stays. errwrap and obshotpath guard contracts whose breach
 // changes no test's outcome: a flattened error chain, a mutex on the
 // memo-miss path. No `go vet` pass overlaps errwrap's three rules (vet
-// checks what a %w is applied to, not that an error got one). faultpoint
-// guards against a fault point no chaos spec can name; it is alone wherever
-// no test arms the point, which row 5a no longer shows. ctxflow's rule 1 is
-// alone. sealedmut overlaps the race detector wherever a test runs the
-// mutated path beside a reader, which is every read path the stress tests
-// drive; it is alone on branches no test takes (4e), and it names the line
-// where -race prints dozens of reports from tests far from the store. Its
-// limit: an aliasing accessor's result is followed through one binding to a
-// local and no further.
+// checks what a %w is applied to, not that an error got one). ctxflow's
+// rule 1 is alone. sealedmut overlaps the race detector wherever a test
+// runs the mutated path beside a reader, which is every read path the
+// stress tests drive; it is alone on branches no test takes (4e), and it
+// names the line where -race prints dozens of reports from tests far from
+// the store. Its limit: an aliasing accessor's result is followed through
+// one binding to a local and no further.
 // internalboundary and the tier-1 test are one predicate (CheckTree, which
 // also walks bench/, a module xviewlint's ./... does not reach) by
 // construction; the analyzer is 20 lines over what the test needs and is
@@ -73,13 +65,18 @@
 // Engine.Stats, green everywhere before — is now red in server's
 // TestReadSideNeverTouchesLiveView. Both contracts rest on `go test -race`,
 // which CI gates on.
+//
+// faultpoint (no fault.Point a chaos spec cannot name) went when the type
+// took its rule over: a Point is a struct with one unexported field, so
+// each of its probes — `fault.Hit("storage.aply")` seeded into core's
+// applyDR, a `fault.Point("x")` conversion, a `Point` constant declared
+// outside internal/fault — fails `go build ./...`.
 package lint
 
 import (
 	"rxview/internal/lint/analysis"
 	"rxview/internal/lint/ctxflow"
 	"rxview/internal/lint/errwrap"
-	"rxview/internal/lint/faultpoint"
 	"rxview/internal/lint/internalboundary"
 	"rxview/internal/lint/obshotpath"
 	"rxview/internal/lint/sealedmut"
@@ -90,7 +87,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		ctxflow.Analyzer,
 		errwrap.Analyzer,
-		faultpoint.Analyzer,
 		internalboundary.Analyzer,
 		obshotpath.Analyzer,
 		sealedmut.Analyzer,

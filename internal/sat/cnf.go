@@ -1,8 +1,8 @@
 // Package sat implements the propositional satisfiability machinery the
 // paper's view-insertion translator needs (Section 4.3): a CNF
-// representation, the WalkSAT local-search solver (the paper uses Selman &
-// Kautz's Walksat [30]), and a complete DPLL solver used as an exact oracle
-// in tests and for small instances.
+// representation and one complete solver, DPLL. The paper solves with
+// Selman & Kautz's incomplete Walksat [30]; a complete solver answers the
+// same question without a give-up case.
 package sat
 
 import (
@@ -121,15 +121,6 @@ func (f *CNF) Satisfied(assign []bool) bool {
 		}
 	}
 	return true
-}
-
-// Clone deep-copies the formula.
-func (f *CNF) Clone() *CNF {
-	out := &CNF{NumVars: f.NumVars, Clauses: make([]Clause, len(f.Clauses))}
-	for i, c := range f.Clauses {
-		out.Clauses[i] = append(Clause(nil), c...)
-	}
-	return out
 }
 
 func (f *CNF) String() string {

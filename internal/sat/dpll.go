@@ -2,9 +2,10 @@ package sat
 
 // DPLL is a complete SAT solver (Davis–Putnam–Logemann–Loveland with unit
 // propagation and pure-literal elimination). It decides satisfiability
-// exactly, unlike WalkSAT; the translator uses it as a fallback oracle for
-// small encodings, and tests use it to verify WalkSAT answers and the
-// paper's NP-completeness gadgets (Theorems 2 and 3).
+// exactly: the insertion translator's step 4 solves every encoding with it,
+// and tests use it on the paper's NP-completeness gadgets (Theorems 2
+// and 3). It returns a model and true, or nil and false when f is
+// unsatisfiable.
 func DPLL(f *CNF) ([]bool, bool) {
 	assign := make([]int8, f.NumVars) // 0 unknown, 1 true, -1 false
 	if !dpll(f.Clauses, assign) {

@@ -46,11 +46,6 @@ func TestCNFBuilders(t *testing.T) {
 	if f.Satisfied([]bool{false, false, false}) {
 		t.Error("zero-hot assignment should not satisfy")
 	}
-	g := f.Clone()
-	g.AddClause(Neg(a))
-	if len(f.Clauses) == len(g.Clauses) {
-		t.Error("Clone aliases clause slice")
-	}
 	if f.String() == "" || NewCNF().String() != "⊤" {
 		t.Error("String")
 	}
@@ -120,45 +115,13 @@ func TestDPLLEmptyFormula(t *testing.T) {
 	}
 }
 
-func TestWalkSATFindsModels(t *testing.T) {
-	f := NewCNF()
-	vars := make([]int, 6)
-	for i := range vars {
-		vars[i] = f.NewVar()
-	}
-	// Chain of implications plus an exactly-one block.
-	f.AddClause(Neg(vars[0]), Pos(vars[1]))
-	f.AddClause(Neg(vars[1]), Pos(vars[2]))
-	f.AddExactlyOne(Pos(vars[3]), Pos(vars[4]), Pos(vars[5]))
-	m, ok := WalkSAT(f, WalkSATOptions{Seed: 1})
-	if !ok {
-		t.Fatal("WalkSAT failed on easy SAT instance")
-	}
-	if !f.Satisfied(m) {
-		t.Fatal("WalkSAT returned non-model")
-	}
-}
-
-func TestWalkSATTrivialAndContradiction(t *testing.T) {
-	f := NewCNF()
-	f.NumVars = 3
-	if m, ok := WalkSAT(f, WalkSATOptions{Seed: 1}); !ok || len(m) != 3 {
-		t.Error("empty formula should be SAT")
-	}
-	f.AddClause()
-	if _, ok := WalkSAT(f, WalkSATOptions{Seed: 1}); ok {
-		t.Error("empty clause should fail fast")
-	}
-}
-
-// randomCNF generates a random 3-CNF with the given clause/variable ratio.
+// randomCNF returns nClauses random clauses of width 1–3 over nVars variables.
 func randomCNF(rng *rand.Rand, nVars, nClauses int) *CNF {
 	f := &CNF{NumVars: nVars}
 	for i := 0; i < nClauses; i++ {
-		c := make(Clause, 3)
+		c := make(Clause, 1+rng.Intn(3))
 		for j := range c {
-			v := rng.Intn(nVars)
-			if rng.Intn(2) == 0 {
+			if v := rng.Intn(nVars); rng.Intn(2) == 0 {
 				c[j] = Pos(v)
 			} else {
 				c[j] = Neg(v)
@@ -169,43 +132,76 @@ func randomCNF(rng *rand.Rand, nVars, nClauses int) *CNF {
 	return f
 }
 
-// Property: on random instances, WalkSAT never returns a wrong model, and
-// whenever DPLL says SAT on an easy (underconstrained) instance, WalkSAT
-// finds a model too.
-func TestWalkSATAgreesWithDPLL(t *testing.T) {
+// bruteForceSAT enumerates every assignment of f's variables.
+func bruteForceSAT(f *CNF) bool {
+	assign := make([]bool, f.NumVars)
+	for bits := 0; bits < 1<<f.NumVars; bits++ {
+		for v := range assign {
+			assign[v] = bits>>v&1 == 1
+		}
+		if f.Satisfied(assign) {
+			return true
+		}
+	}
+	return false
+}
+
+// Property: DPLL says SAT exactly when some assignment is a model, and the
+// model it returns is one. Enumeration is the independent answer.
+func TestDPLLMatchesBruteForce(t *testing.T) {
+	seen := map[bool]int{}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		f := randomCNF(rng, 10, 25) // ratio 2.5: almost surely SAT
-		mDPLL, satDPLL := DPLL(f)
-		if satDPLL && !f.Satisfied(mDPLL) {
+		f := randomCNF(rng, 1+rng.Intn(10), rng.Intn(40))
+		m, ok := DPLL(f)
+		want := bruteForceSAT(f)
+		seen[want]++
+		if ok != want || ok && !f.Satisfied(m) {
+			t.Logf("seed %d: %s: DPLL (%v, %v), enumeration %v", seed, f, m, ok, want)
 			return false
-		}
-		mWalk, satWalk := WalkSAT(f, WalkSATOptions{Seed: seed, MaxFlips: 20000, MaxRestarts: 20})
-		if satWalk && !f.Satisfied(mWalk) {
-			return false
-		}
-		if satWalk && !satDPLL {
-			return false // WalkSAT found a model DPLL says cannot exist
-		}
-		if satDPLL && !satWalk {
-			return false // easy instance: WalkSAT should find it
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Fatalf("random formulas were all one way: %v", seen)
 	}
 }
 
-func TestWalkSATNeverClaimsUnsatModels(t *testing.T) {
-	// Over-constrained instances: WalkSAT must never return ok with a
-	// non-satisfying assignment.
+// Past enumeration's reach, a hidden model stands in for the oracle: random
+// 3-CNFs over 40 variables near the hard ratio keep only clauses a planted
+// assignment satisfies, so each is SAT, and DPLL must say so with a model of
+// its own that satisfies every clause.
+func TestDPLLSolvesPlantedFormulas(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 20; i++ {
-		f := randomCNF(rng, 8, 60) // ratio 7.5: almost surely UNSAT
-		m, ok := WalkSAT(f, WalkSATOptions{Seed: int64(i), MaxFlips: 2000, MaxRestarts: 3})
-		if ok && !f.Satisfied(m) {
-			t.Fatal("WalkSAT returned non-model")
+	const nVars, nClauses = 40, 170
+	for i := 0; i < 30; i++ {
+		planted := make([]bool, nVars)
+		for v := range planted {
+			planted[v] = rng.Intn(2) == 0
+		}
+		f := &CNF{NumVars: nVars}
+		for len(f.Clauses) < nClauses {
+			c := make(Clause, 3)
+			for j := range c {
+				if v := rng.Intn(nVars); rng.Intn(2) == 0 {
+					c[j] = Pos(v)
+				} else {
+					c[j] = Neg(v)
+				}
+			}
+			if c.Satisfied(planted) {
+				f.Clauses = append(f.Clauses, c)
+			}
+		}
+		m, ok := DPLL(f)
+		if !ok {
+			t.Fatalf("formula %d: DPLL says UNSAT, but %v is a model", i, planted)
+		}
+		if len(m) != nVars || !f.Satisfied(m) {
+			t.Fatalf("formula %d: DPLL returned non-model %v", i, m)
 		}
 	}
 }
@@ -226,16 +222,5 @@ func TestTautology(t *testing.T) {
 	// (x∧y) ∨ (¬x∧¬y) is not (x=T,y=F escapes).
 	if Tautology(2, [][]Lit{{Pos(0), Pos(1)}, {Neg(0), Neg(1)}}) {
 		t.Error("xor-ish DNF should not be a tautology")
-	}
-}
-
-func TestWalkSATOptionsDefaults(t *testing.T) {
-	o := WalkSATOptions{}.withDefaults()
-	if o.MaxFlips <= 0 || o.MaxRestarts <= 0 || o.Noise <= 0 || o.Noise > 1 {
-		t.Errorf("bad defaults: %+v", o)
-	}
-	o = WalkSATOptions{Noise: 2}.withDefaults()
-	if o.Noise != 0.5 {
-		t.Errorf("out-of-range noise not clamped: %v", o.Noise)
 	}
 }

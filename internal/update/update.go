@@ -8,6 +8,8 @@ package update
 import (
 	"fmt"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"rxview/internal/atg"
 	"rxview/internal/dag"
@@ -141,41 +143,54 @@ func Xdelete(ep []dag.Edge) *ViewDelta {
 // must be given (the semantic attribute determines the node identity).
 func ParseStatement(c *atg.Compiled, stmt string) (*Op, error) {
 	s := strings.TrimSpace(stmt)
-	switch {
-	case strings.HasPrefix(s, "delete"):
-		p, err := xpath.Parse(strings.TrimSpace(strings.TrimPrefix(s, "delete")))
+	if rest, ok := keyword(s, "delete"); ok {
+		p, err := xpath.Parse(rest)
 		if err != nil {
 			return nil, err
 		}
 		return &Op{Kind: OpDelete, Path: p}, nil
-	case strings.HasPrefix(s, "insert"):
-		rest := strings.TrimSpace(strings.TrimPrefix(s, "insert"))
-		open := strings.Index(rest, "(")
-		if open < 0 {
-			return nil, fmt.Errorf("update: expected '(' after element type in %q", stmt)
-		}
-		elemType := strings.TrimSpace(rest[:open])
-		closeIdx := strings.Index(rest, ")")
-		if closeIdx < open {
-			return nil, fmt.Errorf("update: expected ')' in %q", stmt)
-		}
-		fieldPart := rest[open+1 : closeIdx]
-		after := strings.TrimSpace(rest[closeIdx+1:])
-		if !strings.HasPrefix(after, "into") {
-			return nil, fmt.Errorf("update: expected 'into' in %q", stmt)
-		}
-		p, err := xpath.Parse(strings.TrimSpace(strings.TrimPrefix(after, "into")))
-		if err != nil {
-			return nil, err
-		}
-		attr, err := parseAttr(c, elemType, fieldPart)
-		if err != nil {
-			return nil, err
-		}
-		return &Op{Kind: OpInsert, Path: p, Type: elemType, Attr: attr}, nil
-	default:
+	}
+	rest, ok := keyword(s, "insert")
+	if !ok {
 		return nil, fmt.Errorf("update: statement must start with insert or delete: %q", stmt)
 	}
+	open := strings.Index(rest, "(")
+	if open < 0 {
+		return nil, fmt.Errorf("update: expected '(' after element type in %q", stmt)
+	}
+	elemType := strings.TrimSpace(rest[:open])
+	fieldPart := rest[open+1:]
+	closeIdx := indexTop(fieldPart, ')')
+	if closeIdx < 0 {
+		return nil, fmt.Errorf("update: expected ')' in %q", stmt)
+	}
+	fieldPart, rest = fieldPart[:closeIdx], strings.TrimSpace(fieldPart[closeIdx+1:])
+	rest, ok = keyword(rest, "into")
+	if !ok {
+		return nil, fmt.Errorf("update: expected 'into' in %q", stmt)
+	}
+	p, err := xpath.Parse(rest)
+	if err != nil {
+		return nil, err
+	}
+	attr, err := parseAttr(c, elemType, fieldPart)
+	if err != nil {
+		return nil, err
+	}
+	return &Op{Kind: OpInsert, Path: p, Type: elemType, Attr: attr}, nil
+}
+
+// keyword reports whether s starts with the whole word kw, and returns what
+// follows it, trimmed: "deletefoo" does not start with delete.
+func keyword(s, kw string) (string, bool) {
+	rest, ok := strings.CutPrefix(s, kw)
+	if !ok {
+		return "", false
+	}
+	if r, _ := utf8.DecodeRuneInString(rest); unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' {
+		return "", false
+	}
+	return strings.TrimSpace(rest), true
 }
 
 func parseAttr(c *atg.Compiled, elemType, fields string) (relational.Tuple, error) {
@@ -207,6 +222,9 @@ func parseAttr(c *atg.Compiled, elemType, fields string) (relational.Tuple, erro
 		if idx < 0 {
 			return nil, fmt.Errorf("update: %s has no attribute field %q", elemType, name)
 		}
+		if given[idx] {
+			return nil, fmt.Errorf("update: attribute field %s.%s given twice", elemType, name)
+		}
 		v, err := relational.ParseValue(decl[idx].Type, raw)
 		if err != nil {
 			return nil, err
@@ -222,25 +240,30 @@ func parseAttr(c *atg.Compiled, elemType, fields string) (relational.Tuple, erro
 	return attr, nil
 }
 
+// indexTop returns the index of the first sep outside quotes in s, or -1.
+func indexTop(s string, sep byte) int {
+	quote := byte(0)
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case quote != 0:
+			if c == quote {
+				quote = 0
+			}
+		case c == '"' || c == '\'':
+			quote = c
+		case c == sep:
+			return i
+		}
+	}
+	return -1
+}
+
 // splitTop splits on sep outside quotes.
 func splitTop(s string, sep byte) []string {
 	var out []string
-	depth := byte(0)
-	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case depth != 0:
-			if c == depth {
-				depth = 0
-			}
-		case c == '"' || c == '\'':
-			depth = c
-		case c == sep:
-			out = append(out, s[start:i])
-			start = i + 1
-		}
+	for i := indexTop(s, sep); i >= 0; i = indexTop(s, sep) {
+		out = append(out, s[:i])
+		s = s[i+1:]
 	}
-	out = append(out, s[start:])
-	return out
+	return append(out, s)
 }

@@ -1,6 +1,7 @@
 package update
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -73,6 +74,90 @@ func TestParseStatementErrors(t *testing.T) {
 			t.Errorf("statement %q accepted", stmt)
 		}
 	}
+}
+
+// TestParseStatementReadsWhatWasWritten holds one row per statement the
+// parser used to misread: a quoted ')' taken for the close paren, a repeated
+// field whose last value silently won, and keywords matched as prefixes.
+func TestParseStatementReadsWhatWasWritten(t *testing.T) {
+	reg := workload.MustRegistrar()
+	for _, c := range []struct {
+		name, stmt string
+		title      string // the accepted title; "" means the statement is refused
+	}{
+		{"quoted close paren", `insert course(cno="CS9", title="Logic (intro)") into //prereq`, "Logic (intro)"},
+		{"field given twice", `insert course(cno="CS999", cno="CS998", title="T") into //prereq`, ""},
+		{"delete glued to its path", `deletefoo`, ""},
+		{"insert glued to its type", `insertcourse(cno="C", title="T") into //prereq`, ""},
+		{"into glued to its path", `insert course(cno="C", title="T") intox`, ""},
+	} {
+		op, err := ParseStatement(reg.ATG, c.stmt)
+		switch {
+		case c.title == "" && err == nil:
+			t.Errorf("%s: %q accepted as %s", c.name, c.stmt, op)
+		case c.title != "" && err != nil:
+			t.Errorf("%s: %q refused: %v", c.name, c.stmt, err)
+		case c.title != "" && op.Attr[1].S != c.title:
+			t.Errorf("%s: title = %q, want %q", c.name, op.Attr[1].S, c.title)
+		}
+	}
+}
+
+// FuzzParseStatement feeds arbitrary statements to the parser over the
+// registrar ATG. Oracle: never a panic; an accepted insert names a declared
+// type and gives each of its fields exactly once (counted on the statement
+// with its quoted strings cut out, not with the parser's scanner); an
+// accepted delete has a path.
+func FuzzParseStatement(f *testing.F) {
+	for _, seed := range []string{
+		`insert course(cno="CS9", title="Topics") into //course[cno="CS320"]/prereq`,
+		`insert student(name="Zoe", ssn="S09") into //takenBy`,
+		`insert course(cno="CS9", title="Logic, and more") into //prereq`,
+		`insert student(ssn="S", name="N") into //*[label()=takenBy]`,
+		`delete //course[cno="X"]`, `delete .`, "", "delete ",
+		"upsert course(cno=\"C\") into //x",
+		"insert course cno=\"C\" into //x",
+		"insert course(cno=\"C\" title) into //x",
+		`insert course(cno="CS9", title="Logic (intro)") into //prereq`,
+		`insert course(cno="CS999", cno="CS998", title="T") into //prereq`,
+		`deletefoo`, `insertcourse(cno="C", title="T") into //prereq`,
+		`insert course(cno="C", title="T") intox`,
+	} {
+		f.Add(seed)
+	}
+	reg := workload.MustRegistrar()
+	quoted := regexp.MustCompile(`"[^"]*"|'[^']*'`)
+	f.Fuzz(func(t *testing.T, stmt string) {
+		op, err := ParseStatement(reg.ATG, stmt)
+		if err != nil {
+			return
+		}
+		if op.Path == nil {
+			t.Fatalf("%q: accepted without a path", stmt)
+		}
+		if op.Kind == OpDelete {
+			return
+		}
+		decl, ok := reg.ATG.Attrs[op.Type]
+		if !ok || len(op.Attr) != len(decl) {
+			t.Fatalf("%q: accepted as %s, not a declared type with its %d fields", stmt, op, len(decl))
+		}
+		bare := quoted.ReplaceAllString(stmt, `""`)
+		open := strings.IndexByte(bare, '(')
+		fields := bare[open+1:]
+		fields = fields[:strings.IndexByte(fields, ')')]
+		count := map[string]int{}
+		for _, part := range strings.Split(fields, ",") {
+			if name, _, ok := strings.Cut(part, "="); ok {
+				count[strings.TrimSpace(name)]++
+			}
+		}
+		for _, fd := range decl {
+			if count[fd.Name] != 1 {
+				t.Fatalf("%q: accepted with field %s given %d times", stmt, fd.Name, count[fd.Name])
+			}
+		}
+	})
 }
 
 func TestValidateAgainstDTDInsert(t *testing.T) {

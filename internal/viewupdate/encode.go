@@ -220,18 +220,14 @@ func (e *encoder) encode() *sat.CNF {
 	return e.cnf
 }
 
-// solve runs step 4: encode, solve (WalkSAT with a DPLL fallback — WalkSAT
-// is incomplete, and the paper accepts rejecting satisfiable updates when
-// the solver fails; the complete fallback removes that failure mode for the
-// modest formulas this encoding produces), then instantiate the templates
-// and the induced subtree content from the model.
+// solve runs step 4: encode, solve with the complete DPLL (the paper's
+// Walksat is incomplete and may reject a satisfiable update when it gives
+// up; here an update is rejected exactly when its encoding is
+// unsatisfiable), then instantiate the templates and the induced subtree
+// content from the model.
 func (st *insertState) solve() ([]relational.Mutation, []InducedEdge, error) {
 	e := newEncoder(st)
-	f := e.encode()
-	model, ok := sat.WalkSAT(f, sat.WalkSATOptions{Seed: 1, MaxFlips: 20000, MaxRestarts: 10})
-	if !ok {
-		model, ok = sat.DPLL(f)
-	}
+	model, ok := sat.DPLL(e.encode())
 	if !ok {
 		return nil, nil, &RejectedError{Reason: "no side-effect-free instantiation exists (SAT unsatisfiable)"}
 	}

@@ -96,9 +96,9 @@ func (st *insertState) newParamVar(name string) relational.Value {
 //     type-1/type-2 side-effect rows; concrete unexpected rows reject ΔV,
 //     conditional ones contribute ¬φt conjuncts (or guarded disjunctions
 //     when the produced attribute still contains variables);
-//  4. encode to SAT, solve with WalkSAT (DPLL fallback), and instantiate
-//     the templates from the model. Unconstrained infinite-domain
-//     variables get fresh values outside the active domain.
+//  4. encode to SAT, solve with DPLL, and instantiate the templates from
+//     the model; an unsatisfiable encoding rejects ΔV. Unconstrained
+//     infinite-domain variables get fresh values outside the active domain.
 func (tr *Translator) TranslateInsert(dv []dag.Edge, newNodes []dag.NodeID) ([]relational.Mutation, []InducedEdge, error) {
 	st := &insertState{
 		tr:        tr,

@@ -16,51 +16,26 @@ import (
 // (the classic ln(n)-approximate set-cover greedy).
 type MinimalDelete struct {
 	tr *Translator
+	*deleteInstance
 
-	edges   []dag.Edge
-	valid   [][]string       // per edge, encoded valid sources
-	cover   map[string][]int // source -> edges it covers
 	byEnc   map[string]atg.SourceKey
 	uniqSrc []string // all distinct valid sources, sorted
 }
 
-// NewMinimalDelete prepares the instance; it returns a *RejectedError if
-// some edge has no valid source (then no ΔR exists at all).
+// NewMinimalDelete prepares the instance; it returns TranslateDelete's
+// *RejectedError if some edge has no valid source (then no ΔR exists at all).
 func NewMinimalDelete(tr *Translator, dv []dag.Edge) (*MinimalDelete, error) {
-	m := &MinimalDelete{
-		tr:    tr,
-		cover: make(map[string][]int),
-		byEnc: make(map[string]atg.SourceKey),
+	in, err := tr.deleteInstance(dv)
+	if err != nil {
+		return nil, err
 	}
-	uses := make(map[string]int)
-	all := make([][]atg.SourceKey, len(dv))
-	for i, e := range dv {
-		srcs := tr.sources(e)
-		if len(srcs) == 0 {
-			return nil, &RejectedError{Reason: "edge " + e.String() + " has no deletable source"}
-		}
-		all[i] = srcs
-		for _, s := range srcs {
-			uses[s.Encode()]++
+	m := &MinimalDelete{tr: tr, deleteInstance: in, byEnc: make(map[string]atg.SourceKey, len(in.cover))}
+	for i, encs := range in.enc {
+		for k, enc := range encs {
+			m.byEnc[enc] = in.valid[i][k]
 		}
 	}
-	for i, e := range dv {
-		var vs []string
-		for _, s := range all[i] {
-			enc := s.Encode()
-			if tr.src.count(enc) == uses[enc] {
-				vs = append(vs, enc)
-				m.byEnc[enc] = s
-				m.cover[enc] = append(m.cover[enc], i)
-			}
-		}
-		if len(vs) == 0 {
-			return nil, &RejectedError{Reason: "edge " + e.String() + " has no side-effect-free source"}
-		}
-		m.edges = append(m.edges, e)
-		m.valid = append(m.valid, vs)
-	}
-	for enc := range m.cover {
+	for enc := range in.cover {
 		m.uniqSrc = append(m.uniqSrc, enc)
 	}
 	sort.Strings(m.uniqSrc)
@@ -70,8 +45,8 @@ func NewMinimalDelete(tr *Translator, dv []dag.Edge) (*MinimalDelete, error) {
 // Greedy returns a small (not necessarily minimum) ΔR by repeatedly picking
 // the source covering the most uncovered edges.
 func (m *MinimalDelete) Greedy() ([]relational.Mutation, error) {
-	covered := make([]bool, len(m.edges))
-	remaining := len(m.edges)
+	covered := make([]bool, len(m.valid))
+	remaining := len(m.valid)
 	chosen := map[string]atg.SourceKey{}
 	for remaining > 0 {
 		best, bestN := "", 0
@@ -115,7 +90,7 @@ func (m *MinimalDelete) Exact() ([]relational.Mutation, error) {
 	bestSize := len(greedy)
 	var bestSet map[string]atg.SourceKey
 
-	n := len(m.edges)
+	n := len(m.valid)
 	var chosen []string
 	var search func(edgeIdx int, covered []bool, count int)
 	search = func(edgeIdx int, covered []bool, count int) {
@@ -134,7 +109,7 @@ func (m *MinimalDelete) Exact() ([]relational.Mutation, error) {
 			}
 			return
 		}
-		for _, enc := range m.valid[edgeIdx] {
+		for _, enc := range m.enc[edgeIdx] {
 			newlyCovered := []int{}
 			for _, j := range m.cover[enc] {
 				if !covered[j] {

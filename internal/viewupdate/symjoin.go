@@ -267,18 +267,16 @@ func (st *insertState) pickNext(q *relational.SPJ, placed []bool, resolve func(r
 		if fallback < 0 {
 			fallback = pos
 		}
-		if c, _ := st.indexBindingResolved(q, pos, placed, resolve); c >= 0 {
+		if c, _ := st.indexBinding(q, pos, placed, resolve); c >= 0 {
 			return pos
 		}
 	}
 	return fallback
 }
 
+// indexBinding returns a column of FROM position pos that a predicate equates
+// to a concretely known value, and that value, or -1 if there is none.
 func (st *insertState) indexBinding(q *relational.SPJ, pos int, placed []bool, resolve func(relational.Operand) (relational.Value, bool)) (int, relational.Value) {
-	return st.indexBindingResolved(q, pos, placed, resolve)
-}
-
-func (st *insertState) indexBindingResolved(q *relational.SPJ, pos int, placed []bool, resolve func(relational.Operand) (relational.Value, bool)) (int, relational.Value) {
 	for _, p := range q.Where {
 		l, r := p.Left, p.Right
 		if r.IsCol() && r.Tab == pos {

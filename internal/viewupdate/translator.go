@@ -4,10 +4,13 @@
 //
 //   - Deletions: Algorithm delete (Fig.9) — PTIME under key preservation
 //     (Theorem 1), plus the minimal-deletion variants of Theorem 3 (exact
-//     branch-and-bound and a greedy set-cover heuristic).
+//     branch-and-bound and a greedy set-cover heuristic). All three choose
+//     from one instance: the valid sources of every ΔV edge.
 //   - Insertions: the heuristic Algorithm insert of §4.3/Appendix A — tuple
 //     templates with variables, symbolic evaluation to find type-1/type-2
-//     side effects, a SAT encoding, and a WalkSAT solve.
+//     side effects, a SAT encoding, and a DPLL solve. The paper's Walksat
+//     may give up on a satisfiable encoding; DPLL rejects exactly the
+//     unsatisfiable ones.
 package viewupdate
 
 import (
@@ -146,78 +149,89 @@ func (e *RejectedError) Error() string { return "viewupdate: rejected: " + e.Rea
 // covered ΔV edges, so ΔR also tends to be small (exact minimality is
 // NP-complete — Theorem 3; see MinimalDelete).
 func (tr *Translator) TranslateDelete(dv []dag.Edge) ([]relational.Mutation, error) {
-	type edgeInfo struct {
-		edge dag.Edge
-		srcs []atg.SourceKey
+	in, err := tr.deleteInstance(dv)
+	if err != nil {
+		return nil, err
 	}
-	infos := make([]edgeInfo, 0, len(dv))
-	// uses[s]: how many ΔV edges list s among their sources.
-	uses := make(map[string]int)
-	for _, e := range dv {
+	chosen := make(map[string]atg.SourceKey) // ΔR, deduped
+	covered := make([]bool, len(dv))
+	for i, srcs := range in.valid {
+		if covered[i] {
+			continue
+		}
+		best, bestCover := 0, -1
+		for k, enc := range in.enc[i] {
+			n := 0
+			for _, j := range in.cover[enc] {
+				if !covered[j] {
+					n++
+				}
+			}
+			if n > bestCover {
+				best, bestCover = k, n
+			}
+		}
+		enc := in.enc[i][best]
+		if _, dup := chosen[enc]; !dup {
+			chosen[enc] = srcs[best]
+			for _, j := range in.cover[enc] {
+				covered[j] = true
+			}
+		}
+	}
+	return tr.sourcesToDeletions(chosen)
+}
+
+// deleteInstance is a group deletion ΔV seen through its valid sources. A
+// source tuple is valid iff every live edge it derives is in ΔV, so deleting
+// it has no side effect; a valid ΔR is a set of valid sources that covers
+// every ΔV edge.
+type deleteInstance struct {
+	valid [][]atg.SourceKey // per ΔV edge, its valid sources in Sr(Q, t) order
+	enc   [][]string        // their encodings, parallel to valid
+	cover map[string][]int  // valid source -> the ΔV edges it derives
+}
+
+// deleteInstance builds the instance for dv, or returns a *RejectedError
+// naming the first edge that has no deletable source, else the first edge
+// that has no valid one.
+func (tr *Translator) deleteInstance(dv []dag.Edge) (*deleteInstance, error) {
+	in := &deleteInstance{
+		valid: make([][]atg.SourceKey, len(dv)),
+		enc:   make([][]string, len(dv)),
+		cover: make(map[string][]int),
+	}
+	uses := make(map[string]int) // how many ΔV edges list each source
+	for i, e := range dv {
 		srcs := tr.sources(e)
 		if len(srcs) == 0 {
 			return nil, &RejectedError{Reason: fmt.Sprintf(
 				"edge %s of relation %s has no deletable source (sequence-child edge)",
 				e, tr.D.EdgeRelationName(e))}
 		}
-		for _, s := range srcs {
-			uses[s.Encode()]++
+		encs := make([]string, len(srcs))
+		for k, s := range srcs {
+			encs[k] = s.Encode()
+			uses[encs[k]]++
 		}
-		infos = append(infos, edgeInfo{edge: e, srcs: srcs})
+		in.valid[i], in.enc[i] = srcs, encs
 	}
-
-	// A source is valid iff every edge it derives is being deleted.
-	valid := func(s atg.SourceKey) bool {
-		enc := s.Encode()
-		return tr.src.count(enc) == uses[enc]
-	}
-
-	chosen := make(map[string]atg.SourceKey) // ΔR, deduped
-	covered := make([]bool, len(infos))
-	// coverage count per source over ΔV edges, for the greedy preference.
-	cover := make(map[string][]int)
-	for i, inf := range infos {
-		for _, s := range inf.srcs {
-			cover[s.Encode()] = append(cover[s.Encode()], i)
-		}
-	}
-
-	for i, inf := range infos {
-		if covered[i] {
-			continue
-		}
-		var best atg.SourceKey
-		bestCover := -1
-		found := false
-		for _, s := range inf.srcs {
-			if !valid(s) {
-				continue
-			}
-			n := 0
-			for _, j := range cover[s.Encode()] {
-				if !covered[j] {
-					n++
-				}
-			}
-			if n > bestCover {
-				best, bestCover, found = s, n, true
+	for i, e := range dv {
+		srcs, encs := in.valid[i][:0], in.enc[i][:0]
+		for k, enc := range in.enc[i] {
+			if tr.src.count(enc) == uses[enc] {
+				srcs, encs = append(srcs, in.valid[i][k]), append(encs, enc)
+				in.cover[enc] = append(in.cover[enc], i)
 			}
 		}
-		if !found {
+		if len(srcs) == 0 {
 			return nil, &RejectedError{Reason: fmt.Sprintf(
 				"edge %s: every source tuple also derives a surviving view tuple (deletion has relational side effects)",
-				inf.edge)}
+				e)}
 		}
-		enc := best.Encode()
-		if _, dup := chosen[enc]; !dup {
-			chosen[enc] = best
-			for _, j := range cover[enc] {
-				covered[j] = true
-			}
-		}
+		in.valid[i], in.enc[i] = srcs, encs
 	}
-
-	return tr.sourcesToDeletions(chosen)
+	return in, nil
 }
 
 func (tr *Translator) sourcesToDeletions(chosen map[string]atg.SourceKey) ([]relational.Mutation, error) {

@@ -83,7 +83,7 @@ func TestDiskFailureRoundTrip(t *testing.T) {
 // contract under faults.
 func TestFailedAppendNeverReplays(t *testing.T) {
 	for _, point := range []fault.Point{fault.WALFsync, fault.CrashBeforeFsync} {
-		t.Run(string(point), func(t *testing.T) {
+		t.Run(point.String(), func(t *testing.T) {
 			l := openForAppend(t, SyncAlways)
 			dir := l.Dir()
 			if err := l.Append([]Record{rec(1)}); err != nil {
