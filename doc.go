@@ -28,14 +28,17 @@
 // Apply, Execute and Batch are one-shot prefix groups; Batch is the loop
 // that stops at the first failure.
 //
-// XPath evaluation takes one of two routes, chosen from the compiled path's
-// shape alone: a path with a value-equality filter (every update class of
-// the paper's §5 has one) is evaluated over the ancestor cone of the nodes
-// the filter can hold at; any other path by §3.2's O(|p|·|V|) sweep of the
-// whole view. Both run the same state-set propagation and return identical
+// An update's XPath evaluation takes one of two routes, chosen from the
+// compiled path's shape alone: a path with a value-equality filter (every
+// update class of the paper's §5 has one) is evaluated over the ancestor
+// cone of the nodes the filter can hold at; any other path by §3.2's
+// O(|p|·|V|) sweep of the whole view. Both run the same state-set propagation and return identical
 // selections, Ep(r) and side-effect witnesses — package internal/xpath has
 // the argument, README.md ("XPath evaluation") the sizes — and Report.Route
-// names the route an update's path took.
+// names the route an update's path took. A read needs the selection alone,
+// so a query whose path starts // then one label or * step then the value
+// filter (//C[key="r"]/sub/C, //C[val="v"]) takes a third route: from the
+// nodes the filter holds at downward, with no ancestor cone.
 //
 // The paper keeps two auxiliary structures, the topological order L and the
 // reachability matrix M, and maintains them together (∆(M,L), §3.4) because

@@ -22,7 +22,7 @@ type pipelineMetrics struct {
 	phase    map[string]*obs.Histogram // §2.4 phases, labeled
 	queryDur *obs.Histogram
 
-	evals       [2]*obs.Counter // XPath evaluations, indexed by xpath.Route
+	evals       [3]*obs.Counter // XPath evaluations, indexed by xpath.Route
 	evalVisited *obs.Histogram
 
 	stageDur    *obs.Histogram
@@ -55,13 +55,13 @@ func metrics() *pipelineMetrics {
 		m.queryDur = r.NewHistogram("xview_query_eval_seconds",
 			"XPath evaluation latency over the live view (parse through NFA/frontier eval).",
 			obs.LatencyBounds())
-		for _, route := range []xpath.Route{xpath.RouteSweep, xpath.RouteAnchored} {
+		for _, route := range []xpath.Route{xpath.RouteSweep, xpath.RouteAnchored, xpath.RouteDown} {
 			m.evals[route] = r.NewCounter("xview_xpath_eval_total",
-				"XPath evaluations by route: anchored (ancestor cone of value-matched candidates) or sweep (the whole view).",
+				"XPath evaluations by route: anchored (ancestor cone of value-matched candidates), down (a read of a //-led anchored path, from the anchor nodes downward) or sweep (the whole view).",
 				obs.Label{Key: "route", Value: route.String()})
 		}
 		m.evalVisited = r.NewHistogram("xview_xpath_eval_visited_nodes",
-			"Nodes one XPath evaluation propagated over: the cone size, or |L| for a sweep.",
+			"Nodes one XPath evaluation propagated over: the cone size, the down set's, or |L| for a sweep.",
 			obs.ExpBounds(1, 4, 12))
 		m.stageDur = r.NewHistogram("xview_txn_stage_seconds",
 			"Latency of one staged update inside a transaction (full pipeline run).",

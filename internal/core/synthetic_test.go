@@ -230,7 +230,7 @@ func TestEvalRoutesAgreeOnSynthetic(t *testing.T) {
 
 // TestQueryInsideTransactionTakesTheAnchoredRoute: the write path evaluates
 // on the live DAG inside an open transaction; reads there see the staged
-// writes whichever route answers them.
+// writes whichever route answers them, the down route's included.
 func TestQueryInsideTransactionTakesTheAnchoredRoute(t *testing.T) {
 	syn, s := openSynthetic(t, 200, 12)
 	txn, err := s.Begin(true)
@@ -245,7 +245,11 @@ func TestQueryInsideTransactionTakesTheAnchoredRoute(t *testing.T) {
 	if rep, err := txn.Stage(context.Background(), op); err != nil || !rep.Applied || rep.Route != "anchored" {
 		t.Fatalf("stage: %+v, %v", rep, err)
 	}
-	for _, ps := range []string{fmt.Sprintf(`//C[key="%d"]`, key), `//C[val="tx"]`, fmt.Sprintf(`C[key="%d"]/sub/C[val="tx"]/key`, root)} {
+	for ps, selRoute := range map[string]xpath.Route{
+		fmt.Sprintf(`//C[key="%d"]`, key):                    xpath.RouteDown,
+		`//C[val="tx"]`:                                      xpath.RouteDown,
+		fmt.Sprintf(`C[key="%d"]/sub/C[val="tx"]/key`, root): xpath.RouteAnchored,
+	} {
 		p := xpath.MustParse(ps)
 		routed, err := s.Eval(p)
 		if err != nil {
@@ -257,6 +261,17 @@ func TestQueryInsideTransactionTakesTheAnchoredRoute(t *testing.T) {
 		}
 		if len(routed.Selected) != 1 || !reflect.DeepEqual(routed.Selected, swept.Selected) || !reflect.DeepEqual(routed.Edges, swept.Edges) {
 			t.Errorf("%s inside the transaction: %v | %v, sweep %v | %v", ps, routed.Selected, routed.Edges, swept.Selected, swept.Edges)
+		}
+		fast, err := s.evaluator().EvalSelect(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fastSwept, err := s.evaluator().EvalSelectSweep(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fast.Route != selRoute || !reflect.DeepEqual(fast.Selected, fastSwept.Selected) || !reflect.DeepEqual(fast.Selected, swept.Selected) {
+			t.Errorf("%s inside the transaction: select-only %v by the %s route, %v by the sweep", ps, fast.Selected, fast.Route, fastSwept.Selected)
 		}
 	}
 	if err := txn.Rollback(); err != nil {

@@ -144,7 +144,7 @@ type Report struct {
 	DVDeletes   int
 	DR          []relational.Mutation
 	Removed     int    // garbage-collected nodes
-	Route       string // how the path was evaluated: "anchored" or "sweep" (xpath.Route)
+	Route       string // how the path was evaluated: "anchored" or "sweep" (xpath.Route; "down" is a read's only)
 	Timings     Timings
 }
 

@@ -24,12 +24,14 @@ type entry[V any] struct {
 	val V
 }
 
-// New returns a cache bounded to capacity entries (minimum 1).
+// New returns a cache bounded to capacity entries (minimum 1). The map
+// grows with its entries, not to the capacity up front: a published server
+// epoch makes a cache whether or not anyone reads it.
 func New[V any](capacity int) *Cache[V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Cache[V]{cap: capacity, ll: list.New(), byKey: make(map[string]*list.Element, capacity)}
+	return &Cache[V]{cap: capacity, ll: list.New(), byKey: make(map[string]*list.Element)}
 }
 
 // Get returns the value cached under key and marks it most recently used.

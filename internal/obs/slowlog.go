@@ -12,7 +12,7 @@ type SlowEntry struct {
 	At       time.Time     `json:"at"`
 	Kind     string        `json:"kind"` // "query" | "commit" | ...
 	Detail   string        `json:"detail"`
-	Route    string        `json:"route,omitempty"` // how Detail's XPath was evaluated: "anchored" | "sweep"
+	Route    string        `json:"route,omitempty"` // how Detail's XPath was evaluated: "anchored" | "down" | "sweep"
 	Duration time.Duration `json:"duration_ns"`
 	Gen      uint64        `json:"gen"`
 }

@@ -27,7 +27,8 @@ var ErrPruned = errors.New("wal: generations pruned")
 
 // FrameReader decodes a stream of CRC-framed records from r: a segment's
 // record region as it arrives on a socket, where parseSegment has it in a
-// buffer (FuzzParseSegment holds the two to the same records). Next returns
+// buffer (FuzzParseSegment and FuzzFrameReader hold the two to the same
+// records and the same stop). Next returns
 // io.EOF at a clean stream end, io.ErrUnexpectedEOF when the stream ends
 // inside a frame, and an error wrapping ErrCorrupt on a checksum or decode
 // failure.
@@ -43,12 +44,9 @@ func NewFrameReader(r io.Reader) *FrameReader {
 
 // Next reads one framed record.
 func (fr *FrameReader) Next() (Record, error) {
-	size, err := binary.ReadUvarint(fr.r)
+	size, err := fr.length()
 	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return Record{}, io.EOF
-		}
-		return Record{}, fmt.Errorf("wal: frame length: %w", err)
+		return Record{}, err
 	}
 	if size > maxFrame {
 		return Record{}, fmt.Errorf("wal: frame of %d bytes exceeds limit: %w", size, ErrCorrupt)
@@ -74,6 +72,34 @@ func (fr *FrameReader) Next() (Record, error) {
 		return Record{}, fmt.Errorf("%w: %w", err, ErrCorrupt)
 	}
 	return rec, nil
+}
+
+// length reads a frame's uvarint length prefix with readFrame's verdicts:
+// io.EOF before its first byte, io.ErrUnexpectedEOF when the stream ends
+// inside it, ErrCorrupt when it overflows 64 bits. Uvarint calls ten
+// continuation bytes short, not overflowing, so the buffer holds one more.
+func (fr *FrameReader) length() (uint64, error) {
+	var b [binary.MaxVarintLen64 + 1]byte
+	for i := range b {
+		c, err := fr.r.ReadByte()
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				if i == 0 {
+					return 0, io.EOF
+				}
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, fmt.Errorf("wal: frame length: %w", err)
+		}
+		b[i] = c
+		if size, n := binary.Uvarint(b[:i+1]); n != 0 {
+			if n < 0 {
+				break
+			}
+			return size, nil
+		}
+	}
+	return 0, fmt.Errorf("wal: frame length overflows 64 bits: %w", ErrCorrupt)
 }
 
 // Oldest returns the oldest generation a catch-up scan of dir can start

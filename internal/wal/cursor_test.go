@@ -3,11 +3,13 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"testing/iotest"
 )
 
 // seedLog creates a durable dir with a genesis checkpoint and records 1..n.
@@ -61,6 +63,98 @@ func TestFrameReaderTornAndCorrupt(t *testing.T) {
 	if _, err := fr.Next(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt frame: %v, want ErrCorrupt", err)
 	}
+
+	// A length varint longer than any uint64 is damage, not a short read;
+	// ten continuation bytes and then the end of the stream are a torn one.
+	fr = NewFrameReader(bytes.NewReader(bytes.Repeat([]byte{0xff}, 11)))
+	if _, err := fr.Next(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("overflowing length: %v, want ErrCorrupt", err)
+	}
+	fr = NewFrameReader(bytes.NewReader(bytes.Repeat([]byte{0xff}, 10)))
+	if _, err := fr.Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("torn length: %v, want ErrUnexpectedEOF", err)
+	}
+}
+
+// FuzzFrameReader: the stream reader on bytes it did not write, read whole
+// and one byte at a time. Never a panic, and both readings give the records
+// readFrame and decodeRecord find in the same bytes, then the error of the
+// place they stop: io.EOF only at a frame boundary, io.ErrUnexpectedEOF
+// inside a frame, ErrCorrupt otherwise. Seeds: frames Log.Append wrote, and
+// their truncations.
+func FuzzFrameReader(f *testing.F) {
+	l, _, err := Open(f.TempDir(), Options{Policy: SyncOff})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.WriteCheckpoint(0, ckptBuf("genesis")); err != nil {
+		f.Fatal(err)
+	}
+	if err := l.Append([]Record{rec(1), rec(2), rec(3)}); err != nil {
+		f.Fatal(err)
+	}
+	var wire []byte
+	for i := range 3 {
+		wire = append(wire, l.Frame(i)...)
+	}
+	first := len(l.Frame(0))
+	for _, n := range []int{len(wire), len(wire) - 1, first, first + 1, first + 3, first / 2, 0} {
+		f.Add(wire[:n])
+	}
+	f.Add(bytes.Repeat([]byte{0xff}, 11))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var want []Record
+		wantErr := io.EOF
+	parse:
+		for rest := b; ; {
+			payload, next, res := readFrame(rest)
+			switch res {
+			case frameEOF:
+				break parse
+			case frameTorn:
+				wantErr = io.ErrUnexpectedEOF
+				break parse
+			case frameCorrupt:
+				wantErr = ErrCorrupt
+				break parse
+			}
+			r, err := decodeRecord(payload)
+			if err != nil {
+				wantErr = ErrCorrupt
+				break parse
+			}
+			want, rest = append(want, r), next
+		}
+		for name, r := range map[string]io.Reader{
+			"whole":              bytes.NewReader(b),
+			"one byte at a time": iotest.OneByteReader(bytes.NewReader(b)),
+		} {
+			fr := NewFrameReader(r)
+			for i, w := range want {
+				if got, err := fr.Next(); err != nil || !reflect.DeepEqual(got, w) {
+					t.Fatalf("%s: record %d: %+v (%v), the parser read %+v", name, i, got, err, w)
+				}
+			}
+			if _, err := fr.Next(); errClass(err) != errClass(wantErr) {
+				t.Fatalf("%s: after %d records: %v, the parser stopped with %v", name, len(want), err, wantErr)
+			}
+		}
+	})
+}
+
+// errClass names which of FrameReader's three stops err is.
+func errClass(err error) string {
+	switch {
+	case errors.Is(err, ErrCorrupt):
+		return "corrupt"
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return "torn"
+	case errors.Is(err, io.EOF):
+		return "end"
+	}
+	return fmt.Sprintf("other (%v)", err)
 }
 
 func TestScanFromTail(t *testing.T) {

@@ -5,9 +5,9 @@ import "rxview/internal/dag"
 // anchored evaluates a path with an anchor (plan.anchor) over the ancestor
 // cone of the nodes that can matter instead of the whole view:
 //
-//  1. seeds → A: the nodes of type lk whose text equals s, from the raw
-//     per-type list, climbed k levels through Parents against lk-1 … l1.
-//     A ⊇ {v : the anchoring filter holds at v}.
+//  1. seeds → A (climb): the nodes of type lk whose text equals s, from
+//     the raw per-type list, climbed k levels through Parents against
+//     lk-1 … l1. A ⊇ {v : the anchoring filter holds at v}.
 //  2. down → X: from A, the steps after the anchor by Children; ε[q] steps
 //     are skipped (a superset is enough). X ⊇ r[[p]], because every
 //     accepting root path crosses the anchor step at a node of A.
@@ -21,40 +21,18 @@ import "rxview/internal/dag"
 // Nothing is kept between evaluations; the working sets live in the pooled
 // scratch and cost nothing proportional to the view.
 func (ev *Evaluator) anchored(r *run, pl *plan) {
-	d, sc, a := ev.D, r.sc, pl.anchor
+	d, sc := ev.D, r.sc
 	r.res.Route = RouteAnchored
 	sc.fit(d.Cap())
-	cur, next, cone := sc.ids[0][:0], sc.ids[1][:0], sc.ids[2][:0]
+	cur, next, cone := ev.climb(sc, pl.anchor)
 	defer func() { sc.ids = [3][]dag.NodeID{cur, next, cone} }()
 
-	// Seeds, then up the label chain: at level j cur holds nodes of type
-	// labels[j]; their parents must be labels[j-1], and the parents of the
-	// l1 level — any type — are A.
-	k := len(a.labels)
-	eq := ev.textEq(a.labels[k-1], a.value)
-	set := sc.newSet()
-	for _, v := range d.IDsOfType(a.labels[k-1]) {
-		if eq(v) && d.Alive(v) && sc.add(set, v) { // eq first: it is the selective test
-			cur = append(cur, v)
-		}
-	}
-	for j := k - 1; j >= 0; j-- {
-		set, next = sc.newSet(), next[:0]
-		for _, v := range cur {
-			for _, p := range d.Parents(v) {
-				if (j == 0 || d.Type(p) == a.labels[j-1]) && sc.add(set, p) {
-					next = append(next, p)
-				}
-			}
-		}
-		cur, next = next, cur
-	}
-
 	// Down the remaining steps to X.
-	for _, st := range pl.steps[a.step+1:] {
+	for _, st := range pl.steps[pl.anchor.step+1:] {
 		switch st.Kind {
 		case StepLabel, StepWild:
-			set, next = sc.newSet(), next[:0]
+			set := sc.newSet()
+			next = next[:0]
 			for _, v := range cur {
 				for _, c := range d.Children(v) {
 					if (st.Kind == StepWild || d.Type(c) == st.Label) && sc.add(set, c) {
@@ -64,7 +42,7 @@ func (ev *Evaluator) anchored(r *run, pl *plan) {
 			}
 			cur, next = next, cur
 		case StepDescOrSelf:
-			set = sc.newSet()
+			set := sc.newSet()
 			for _, v := range cur { // cur is duplicate-free: this marks, never drops
 				sc.add(set, v)
 			}
@@ -83,7 +61,7 @@ func (ev *Evaluator) anchored(r *run, pl *plan) {
 
 	// The cone, with the propagation state of each node reset as it joins.
 	r.masks = sc.maskIndex(d.Cap(), false)
-	set = sc.newSet()
+	set := sc.newSet()
 	join := func(v dag.NodeID) {
 		if sc.add(set, v) {
 			r.masks[v], sc.known[v], sc.truth[v] = nil, 0, 0
@@ -130,7 +108,40 @@ func (ev *Evaluator) anchored(r *run, pl *plan) {
 	r.collect(cur)
 }
 
-// fit sizes the anchored route's per-node arrays for a view of n node ids.
+// climb is step 1 of both routes that start from an anchor: A, the seeds of
+// type lk whose text equals s climbed k levels, in the first of the
+// scratch's three node lists, duplicate-free; the other two come back empty
+// for the caller's use. The caller hands all three back to sc.ids when done.
+func (ev *Evaluator) climb(sc *scratch, a *anchor) (cur, next, spare []dag.NodeID) {
+	d := ev.D
+	cur, next, spare = sc.ids[0][:0], sc.ids[1][:0], sc.ids[2][:0]
+	// Seeds, then up the label chain: at level j cur holds nodes of type
+	// labels[j]; their parents must be labels[j-1], and the parents of the
+	// l1 level — any type — are A.
+	k := len(a.labels)
+	eq := ev.textEq(a.labels[k-1], a.value)
+	set := sc.newSet()
+	for _, v := range d.IDsOfType(a.labels[k-1]) {
+		if eq(v) && d.Alive(v) && sc.add(set, v) { // eq first: it is the selective test
+			cur = append(cur, v)
+		}
+	}
+	for j := k - 1; j >= 0; j-- {
+		set, next = sc.newSet(), next[:0]
+		for _, v := range cur {
+			for _, p := range d.Parents(v) {
+				if (j == 0 || d.Type(p) == a.labels[j-1]) && sc.add(set, p) {
+					next = append(next, p)
+				}
+			}
+		}
+		cur, next = next, cur
+	}
+	return cur, next[:0], spare
+}
+
+// fit sizes the anchored and down routes' per-node arrays for a view of n
+// node ids.
 // Growing keeps the stamps: a fresh zero never equals a live epoch.
 func (sc *scratch) fit(n int) {
 	sc.stamp, sc.indeg = grown(sc.stamp, n), grown(sc.indeg, n)

@@ -7,7 +7,7 @@
 // the selected node set r[[p]], the parent-edge set Ep(r), and the
 // side-effect witnesses S.
 //
-// # One propagation, two routes
+// # One propagation, three routes
 //
 // A path is normalized to η1/…/ηn (normal.go) and run as an NFA over
 // root-to-node paths. Every node accumulates the set of distinct NFA
@@ -21,7 +21,7 @@
 // makes the witnesses conservative, and raises Result.Overflow.
 //
 // That propagation (type run in eval.go: move, closure, addMask, push,
-// collect) is written once. Two routes drive it, and differ only in which
+// collect) is written once. Three routes drive it, and differ only in which
 // nodes they visit and where filter truth comes from:
 //
 //   - The sweep (Evaluator.EvalSweep) is §3.2's algorithm in O(|p|·|V|): a
@@ -35,11 +35,16 @@
 //     remaining steps to a candidate superset X ⊇ r[[p]], closes X upward
 //     into its ancestor cone, and propagates over the cone only, in Kahn's
 //     order, deciding filters pointwise from each node's children.
+//   - The down route (down.go) answers reads of //-led anchored paths. It
+//     keeps the anchor nodes whose label and filters admit them and which
+//     the root reaches, and propagates from them downward only, with one
+//     union mask per node and no cone.
 //
 // # Which route a path takes
 //
 // Evaluator.Eval and EvalSelect decide from the compiled path alone
-// (Path.Route; no option, no threshold, nothing about the view): anchored
+// (Path.Route names Eval's; no option, no threshold, nothing about the
+// view): anchored
 // iff, on the normalized steps, some ε[q] has a top-level conjunct
 // l1/…/lk = "s" — a pure child-label chain, k ≥ 1 — and no filter anywhere
 // on the path contains //. The first such ε[q] is the anchor. Every path of
@@ -50,6 +55,12 @@
 // right algorithm for that. There is no switch back to the sweep on large
 // cones: a cone that is the whole view costs about what the sweep costs, as
 // filters are still decided once per (step, node).
+//
+// EvalSelect takes the down route instead of the cone when the anchored
+// path's normal form is //, then one label or * step, then ε steps up to
+// the anchor: //C[key="r"]/sub/C and //C[val="v"], every read bench/
+// sends. .//C[key="r"] and C[key="r"]/sub keep the cone. Eval never takes it: the
+// witnesses an update needs are read off every occurrence of a node.
 //
 // # Why the anchored route is exact
 //
@@ -69,6 +80,20 @@
 // exceeds MaskLimit. A collapse in some unrelated corner of the view no
 // longer makes an update "conservatively side-effecting"; anchored Overflow
 // implies sweep Overflow, never the reverse.
+//
+// # Why the down route is exact
+//
+// It computes r[[p]] only. Every accepting root path crosses the anchor
+// step at some a ∈ A, as above. The prefix before the anchor is //, then
+// steps[1], then ε steps, so it accepts a root path into a iff a is
+// reachable from the root, is not the root, has steps[1]'s label, and
+// every filter of those ε steps holds at a: those are the nodes A′ the
+// route starts from. From a on, an accepting path is a run of the NFA
+// begun in the state after the anchor, which is exactly what the
+// propagation from A′ computes, union masks being exact for selection
+// (transitions are bit-linear). It sees only the paths that start in A′,
+// not every occurrence of a node, so it yields no Ep(r) and no witnesses:
+// select-only results carry neither on any route.
 //
 // The paper-literal strategy — per-step node sets, // expanded through the
 // reachability matrix M — is internal/paper's FrontierEvaluator, which no

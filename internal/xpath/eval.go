@@ -17,7 +17,7 @@ import (
 // occurrences (root paths) can arrive with. A node is in r[[p]] iff some
 // occurrence accepts; an update has side effects iff some occurrence of an
 // updated node does not accept — exactly the paper's tree-unfolding
-// semantics, computed on the DAG. Two routes drive that one propagation
+// semantics, computed on the DAG. Three routes drive that one propagation
 // (doc.go has the argument for why they agree):
 //
 //   - the sweep, §3.2's two passes in O(|p|·|V|): filter truth tables
@@ -26,12 +26,15 @@ import (
 //   - the anchored route, for paths with a value-equality filter: find the
 //     nodes the filter can hold at from the per-type node lists, walk down to
 //     a superset of r[[p]], close it upward into its ancestor cone, and
-//     propagate over the cone only, deciding filters pointwise.
+//     propagate over the cone only, deciding filters pointwise;
+//   - the down route, EvalSelect's for anchored paths led by // and one
+//     label or * step: keep the anchor nodes that filter and label admit and
+//     the root reaches, and propagate from them downward only.
 //
-// Eval and EvalSelect pick the route from the path's shape (Path.Route);
-// EvalSweep and EvalSelectSweep always sweep — the reference the anchored
-// route is tested against, and what the paper-reproduction experiments
-// measure.
+// Eval and EvalSelect pick the route from the path's shape (Path.Route
+// names Eval's); EvalSweep and EvalSelectSweep always sweep — the reference
+// the other routes are tested against, and what the paper-reproduction
+// experiments measure.
 //
 // D and Topo are read-only interfaces, so an Evaluator runs equally over
 // the live view (*dag.DAG + *reach.Topo) and over a sealed snapshot epoch
@@ -40,7 +43,8 @@ import (
 type Evaluator struct {
 	D dag.Reader
 	// Topo is the topological order L the sweep iterates; the anchored
-	// route orders its cone itself and does not read it.
+	// route orders its cone itself and the down route needs no order, so
+	// neither reads it.
 	Topo reach.Order
 	// Text returns the text value of a node (PCDATA elements); nil means no
 	// node has text, making all value comparisons false.
@@ -80,7 +84,8 @@ type Result struct {
 	Overflow bool
 
 	// Route is the route the evaluation took and Visited the number of
-	// nodes it propagated over: the size of the cone, or |L| for a sweep.
+	// nodes it propagated over: the size of the cone or of the down set, or
+	// |L| for a sweep.
 	Route   Route
 	Visited int
 }
@@ -127,12 +132,12 @@ func checkLen(steps []NStep) error {
 // side-effect witnesses, by the route the path's shape allows.
 func (ev *Evaluator) Eval(p *Path) (*Result, error) { return ev.eval(p, false, false) }
 
-// EvalSelect computes only r[[p]] and Ep(r), skipping side-effect
-// bookkeeping: state-sets collapse to a single union mask per node, which
-// keeps selection and Ep exact (transitions are bit-linear) while touching
-// every visited node at most once. Use it for read-only queries; updates
-// need Eval's side-effect detection. The result carries no witnesses and no
-// Overflow.
+// EvalSelect computes only r[[p]]: state-sets collapse to a single union
+// mask per node, which keeps selection exact (transitions are bit-linear),
+// and an anchored path led by // and one label or * step reads by the down
+// route, from its anchor nodes downward. Use it for read-only queries;
+// updates need Eval's Ep(r) and side-effect detection. The result carries
+// Selected, Route and Visited only: no Ep(r), no witnesses, no Overflow.
 func (ev *Evaluator) EvalSelect(p *Path) (*Result, error) { return ev.eval(p, false, true) }
 
 // EvalSweep is Eval by the sweep whatever the path's shape.
@@ -168,17 +173,21 @@ func (ev *Evaluator) eval(p *Path, sweep, selectOnly bool) (*Result, error) {
 	}
 	sc := scratchPool.Get().(*scratch)
 	r := &run{
-		ev:     ev,
-		steps:  pl.steps,
-		accept: 1 << uint(len(pl.steps)),
-		limit:  limit,
-		sc:     sc,
-		res:    &Result{},
+		ev:         ev,
+		steps:      pl.steps,
+		accept:     1 << uint(len(pl.steps)),
+		limit:      limit,
+		selectOnly: selectOnly,
+		sc:         sc,
+		res:        &Result{},
 	}
-	if pl.anchor != nil && !sweep {
-		ev.anchored(r, pl)
-	} else {
+	switch {
+	case sweep || pl.anchor == nil:
 		ev.sweep(r, pl)
+	case selectOnly && pl.down:
+		ev.down(r, pl)
+	default:
+		ev.anchored(r, pl)
 	}
 	scratchPool.Put(sc)
 	res := r.res
@@ -222,13 +231,13 @@ type scratch struct {
 	arena  []uint64  // backing for small per-node mask sets
 	off    int
 
-	// Anchored route. stamp implements node sets without clearing: v is in
-	// the set opened last iff stamp[v] == epoch, so opening a set is one
-	// increment. Only the newest set is readable, which is all the route
-	// needs: its phases build one set at a time and the cone is the last.
+	// Anchored and down routes. stamp implements node sets without
+	// clearing: v is in the set opened last iff stamp[v] == epoch, so
+	// opening a set is one increment. Only the newest set is readable, which
+	// is all the routes need: their phases build one set at a time.
 	stamp []uint32
 	epoch uint32
-	indeg []int32 // per cone node: parents not yet expanded
+	indeg []int32 // per cone node: parents not yet expanded; on the down route, reachability verdicts
 	// Per cone node, pointwise filter truth: bit i of known[v] says
 	// steps[i].Filter has been decided at v, bit i of truth[v] how.
 	known, truth []uint64
@@ -325,6 +334,8 @@ type run struct {
 	steps  []NStep
 	accept uint64 // the bit of the accepting state
 	limit  int    // state-sets kept per node before collapsing to their union
+	// selectOnly skips Ep(r): push records no edge.
+	selectOnly bool
 	// tables[i] is the truth table of steps[i].Filter (nil where the step
 	// has none) when the route computed filters bottom-up; a nil tables
 	// means filters are decided pointwise at the node, once per (step,
@@ -442,7 +453,7 @@ func (r *run) push(u, c dag.NodeID) {
 			rej = true
 		}
 	}
-	if acc {
+	if acc && !r.selectOnly {
 		e := dag.Edge{Parent: u, Child: c}
 		r.res.Edges = append(r.res.Edges, e)
 		if rej {

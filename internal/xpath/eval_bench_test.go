@@ -86,12 +86,15 @@ func BenchmarkEvalSelect(b *testing.B) {
 }
 
 // BenchmarkEvalRoutes runs one value-filtered path by the route Eval picks
-// for it (anchored) and by the sweep, on the same view.
+// for it (anchored) and by the sweep, and select-only by the route
+// EvalSelect picks (down) and by the sweep, on the same view.
 func BenchmarkEvalRoutes(b *testing.B) {
 	d, topo, text := benchDAG(10000)
 	ev := &Evaluator{D: d, Topo: topo, Text: text}
 	p := MustParse(`//C[C="v3"]/C`)
-	for name, eval := range map[string]func(*Path) (*Result, error){"anchored": ev.Eval, "sweep": ev.EvalSweep} {
+	for name, eval := range map[string]func(*Path) (*Result, error){
+		"anchored": ev.Eval, "sweep": ev.EvalSweep, "select-down": ev.EvalSelect, "select-sweep": ev.EvalSelectSweep,
+	} {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -107,7 +110,7 @@ func BenchmarkEvalRoutes(b *testing.B) {
 // node id, and the evaluation that follows must not pay for it with fresh
 // Cap-sized scratch arrays (node sets, in-degrees, filter bits, the
 // state-set index: ≥ 44 bytes per id when each is re-made at exactly the
-// new size). The bytes of an evaluation right after a new identity are held
+// new size), on any of the three routes. The bytes of an evaluation right after a new identity are held
 // against the bytes of one on an unchanged view. Each is the cheapest of a
 // few, because the pool may hand out a fresh scratch at any time (it drops
 // entries at random under -race, and at every GC) and a geometric growth
@@ -123,9 +126,13 @@ func TestNewIdentityDoesNotRemakeScratch(t *testing.T) {
 		topo.Append(c)
 		topo.FixEdge(d, d.Root(), c)
 	}
-	for name, p := range map[string]*Path{
-		"anchored": MustParse(`//C[C="v3"]/C`),
-		"sweep":    MustParse(`//C[C]/C`),
+	for name, c := range map[string]struct {
+		eval func(*Path) (*Result, error)
+		p    *Path
+	}{
+		"anchored": {ev.Eval, MustParse(`//C[C="v3"]/C`)},
+		"sweep":    {ev.Eval, MustParse(`//C[C]/C`)},
+		"down":     {ev.EvalSelect, MustParse(`//C[C="v3"]`)},
 	} {
 		cheapest := func(prepare func()) uint64 {
 			least := ^uint64(0)
@@ -133,7 +140,7 @@ func TestNewIdentityDoesNotRemakeScratch(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				prepare()
 				runtime.ReadMemStats(&before)
-				if _, err := ev.Eval(p); err != nil {
+				if _, err := c.eval(c.p); err != nil {
 					t.Fatal(err)
 				}
 				runtime.ReadMemStats(&after)

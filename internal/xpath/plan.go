@@ -1,6 +1,6 @@
 package xpath
 
-// Route names one of the two ways a path is evaluated; see Evaluator.
+// Route names one of the three ways a path is evaluated; see Evaluator.
 type Route uint8
 
 // The evaluation routes.
@@ -10,11 +10,17 @@ const (
 	// RouteAnchored is the exact pass over the ancestor cone of the nodes a
 	// value filter can hold at.
 	RouteAnchored
+	// RouteDown is the select-only pass of a //-led anchored path, from the
+	// anchor nodes downward with no ancestor cone.
+	RouteDown
 )
 
 func (r Route) String() string {
-	if r == RouteAnchored {
+	switch r {
+	case RouteAnchored:
 		return "anchored"
+	case RouteDown:
+		return "down"
 	}
 	return "sweep"
 }
@@ -28,6 +34,9 @@ type plan struct {
 	filters []Expr       // every filter sub-expression, sub-filters first (§3.2's list Q)
 	index   map[Expr]int // position of a filter in filters
 	anchor  *anchor      // where the anchored route starts; nil means the path is swept
+	// down reports that EvalSelect takes the down route: the normal form is
+	// //, then a label or *, then ε steps up to and including the anchor.
+	down bool
 }
 
 // anchor is the step the anchored route starts from: steps[step] is an ε[q]
@@ -51,20 +60,42 @@ func (p *Path) compiled() *plan {
 			pl.index[q] = i
 		}
 		pl.anchor = findAnchor(pl)
+		pl.down = selectsDown(pl)
 		p.plan = pl
 	})
 	return p.plan
 }
 
-// Route reports which route Eval and EvalSelect take for the path. It is a
-// function of the path's shape alone: anchored iff some ε[q] step of the
-// normal form has a top-level conjunct l1/…/lk = "s" (a pure child-label
-// chain) and no filter anywhere on the path contains //.
+// Route reports which route Eval takes for the path. It is a function of
+// the path's shape alone: anchored iff some ε[q] step of the normal form has
+// a top-level conjunct l1/…/lk = "s" (a pure child-label chain) and no
+// filter anywhere on the path contains //. EvalSelect takes the same route,
+// except that an anchored path whose normal form is //, then a label or *,
+// then ε steps up to the anchor (//C[key="r"]/sub/C, //C[val="v"]) reads
+// by the down route.
 func (p *Path) Route() Route {
 	if p.compiled().anchor != nil {
 		return RouteAnchored
 	}
 	return RouteSweep
+}
+
+// selectsDown decides plan.down: an anchored path whose steps before the
+// anchor are //, a label or *, and ε steps.
+func selectsDown(pl *plan) bool {
+	a := pl.anchor
+	if a == nil || a.step < 2 || pl.steps[0].Kind != StepDescOrSelf {
+		return false
+	}
+	if k := pl.steps[1].Kind; k != StepLabel && k != StepWild {
+		return false
+	}
+	for _, s := range pl.steps[2:a.step] {
+		if s.Kind != StepSelf {
+			return false
+		}
+	}
+	return true
 }
 
 // findAnchor picks the first ε[q] step with a value-chain conjunct. Filters

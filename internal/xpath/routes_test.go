@@ -1,9 +1,10 @@
 package xpath
 
-// Tests that pin the two evaluation routes to each other and to the tree
+// Tests that pin the three evaluation routes to each other and to the tree
 // oracle: whatever route Eval picks, the sweep and the unfolded-tree
-// semantics must give the same four result fields — over the live DAG and
-// over a sealed Version, before and after updates.
+// semantics must give the same four result fields, and whatever route
+// EvalSelect picks, the same selection — over the live DAG and over a
+// sealed Version, before and after updates.
 
 import (
 	"errors"
@@ -39,10 +40,19 @@ func showResult(r *Result) string {
 		r.Selected, r.Edges, r.InsertWitnesses, r.DeleteWitnesses, r.Overflow, r.Route, r.Visited)
 }
 
+// selectRoute is the route EvalSelect takes for p.
+func selectRoute(p *Path) Route {
+	if p.compiled().down {
+		return RouteDown
+	}
+	return p.Route()
+}
+
 // checkRoutes evaluates p every way there is — the route Eval picks, the
-// sweep, select-only on both — over the live and the sealed view, and
-// compares everything with the tree oracle. It returns an error rather than
-// failing so property tests and the fuzz target can report their input.
+// sweep, select-only by its route and by the sweep — over the live and the
+// sealed view, and compares everything with the tree oracle. It returns an
+// error rather than failing so property tests and the fuzz target can
+// report their input.
 func checkRoutes(d *dag.DAG, text textFn, or *oracle, p *Path) error {
 	want := or.eval(p)
 	wantRes := &Result{Selected: want.selected, Edges: want.edges,
@@ -70,17 +80,25 @@ func checkRoutes(d *dag.DAG, text textFn, or *oracle, p *Path) error {
 		if routed.Visited > swept.Visited {
 			return fmt.Errorf("%s: the %s route visited %d nodes, the sweep %d", name, routed.Route, routed.Visited, swept.Visited)
 		}
-		for route, sel := range map[string]func(*Path) (*Result, error){"routed": ev.EvalSelect, "sweep": ev.EvalSelectSweep} {
-			fast, err := sel(p)
+		for _, sel := range []struct {
+			eval func(*Path) (*Result, error)
+			want Route
+		}{{ev.EvalSelect, selectRoute(p)}, {ev.EvalSelectSweep, RouteSweep}} {
+			fast, err := sel.eval(p)
 			if err != nil {
-				return fmt.Errorf("%s select-only %s: %w", name, route, err)
+				return fmt.Errorf("%s select-only %s: %w", name, sel.want, err)
 			}
-			if !reflect.DeepEqual(fast.Selected, routed.Selected) || !reflect.DeepEqual(fast.Edges, routed.Edges) {
-				return fmt.Errorf("%s select-only %s: %v | %v, full %v | %v",
-					name, route, fast.Selected, fast.Edges, routed.Selected, routed.Edges)
+			if fast.Route != sel.want {
+				return fmt.Errorf("%s select-only: route %s, want %s", name, fast.Route, sel.want)
 			}
-			if len(fast.InsertWitnesses) != 0 || len(fast.DeleteWitnesses) != 0 || fast.Overflow {
-				return fmt.Errorf("%s select-only %s reports side effects", name, route)
+			if !reflect.DeepEqual(fast.Selected, want.selected) {
+				return fmt.Errorf("%s select-only %s: %v, want %v", name, sel.want, fast.Selected, want.selected)
+			}
+			if fast.Edges != nil || fast.InsertWitnesses != nil || fast.DeleteWitnesses != nil || fast.Overflow {
+				return fmt.Errorf("%s select-only %s carries more than the selection: %s", name, sel.want, showResult(fast))
+			}
+			if fast.Visited > swept.Visited {
+				return fmt.Errorf("%s: the select-only %s route visited %d nodes, the sweep %d", name, sel.want, fast.Visited, swept.Visited)
 			}
 		}
 	}
@@ -155,11 +173,23 @@ var synthCorpus = []string{
 	`//C[val="v1"]`, `C[key="0"]/sub/C[key="4"]/sub/C[key="6"]`, `//C[key="4"]/sub/C[key="6"]`,
 	`//C[val="v0"]//C[sub/C]`, `//C[key="1" or key="2"]`, `//C`, `C/sub/C`, `//C[sub/C/key="6"]/key`,
 	`//C[key="6"]/val`, `//sub[C/key="6"]`, `//C[val="v2"][key="5"]//`, `//*[key="3"]/*/*`,
+	`.//C[key="3"]`,
 }
 
 func TestRoutesAgreeOnSynthetic(t *testing.T) {
 	d, text := synthDAG(t)
 	or := newOracle(d, text)
+	// Reads back to back first: nothing between two down-route evaluations
+	// resets the pooled per-node filter bits but the route itself
+	// (`//C[key="4"]/sub/C[key="6"]` then `//C[val="v0"]//C[sub/C]` decide
+	// their step-5 filters at the same C).
+	ev := &Evaluator{D: d, Topo: reach.ComputeTopo(d), Text: text}
+	for _, ps := range synthCorpus {
+		p := MustParse(ps)
+		if got, err := ev.EvalSelect(p); err != nil || !reflect.DeepEqual(got.Selected, or.eval(p).selected) {
+			t.Errorf("%s: EvalSelect by the %s route: %v (%v), want %v", ps, selectRoute(p), got.Selected, err, or.eval(p).selected)
+		}
+	}
 	for _, ps := range synthCorpus {
 		if err := checkRoutes(d, text, or, MustParse(ps)); err != nil {
 			t.Errorf("%s: %v", ps, err)
@@ -167,50 +197,66 @@ func TestRoutesAgreeOnSynthetic(t *testing.T) {
 	}
 }
 
-// TestRouteTable pins which route each path shape takes, so a refactor
-// cannot silently send the hot shapes back to the sweep.
+// TestRouteTable pins which route Eval and EvalSelect take for each path
+// shape, so a refactor cannot silently send the hot shapes back to the
+// sweep, or reads back through the cone.
 func TestRouteTable(t *testing.T) {
+	const A, D, S = RouteAnchored, RouteDown, RouteSweep
 	cases := []struct {
-		path string
-		want Route
+		path      string
+		eval, sel Route
 	}{
 		// The benchmark's five shapes.
-		{`C[key="17"]/sub`, RouteAnchored},
-		{`//C[key="17"]/sub/C`, RouteAnchored},
-		{`//C[key="17"]`, RouteAnchored},
-		{`//C[val="v3"]/sub`, RouteAnchored},
-		{`//C[val="v3"]`, RouteAnchored},
+		{`C[key="17"]/sub`, A, A},
+		{`//C[key="17"]/sub/C`, A, D},
+		{`//C[key="17"]`, A, D},
+		{`//C[val="v3"]/sub`, A, D},
+		{`//C[val="v3"]`, A, D},
 		// W1 (value-selected), W2 (rooted key chain), W3 (// then key chain).
-		{`//C[val="v7"]/sub`, RouteAnchored},
-		{`C[key="1"]/sub/C[key="2"]/sub/C[key="3"]`, RouteAnchored},
-		{`//C[key="2"]/sub/C[key="3"]`, RouteAnchored},
+		{`//C[val="v7"]/sub`, A, D},
+		{`C[key="1"]/sub/C[key="2"]/sub/C[key="3"]`, A, A},
+		{`//C[key="2"]/sub/C[key="3"]`, A, D},
 		// Other anchors: bare values, deeper chains, conjunctions, nested
 		// child filters, an anchor behind a non-anchoring filter.
-		{`//course[cno=CS650]//course[cno=CS320]/prereq`, RouteAnchored},
-		{`//course[takenBy/student/sid="S02"]`, RouteAnchored},
-		{`//C[sub/C and key="5"]`, RouteAnchored},
-		{`//C[not(sub/C)][val="v1"]//`, RouteAnchored},
-		{`//C[sub/C]/sub/C[key="9"]`, RouteAnchored},
-		{`//C[sub[C[key="9"]] and val="v1"]`, RouteAnchored},
-		{`.[C/key="1"]`, RouteAnchored},
+		{`//course[cno=CS650]//course[cno=CS320]/prereq`, A, D},
+		{`//course[takenBy/student/sid="S02"]`, A, D},
+		{`//C[sub/C and key="5"]`, A, D},
+		{`//C[not(sub/C)][val="v1"]//`, A, D},
+		{`//C/.[sub/C]/.[val="v1"]`, A, D},
+		{`//C[sub[C[key="9"]] and val="v1"]`, A, D},
+		{`//*[key="3"]/*/*`, A, D},
+		{`.[C/key="1"]`, A, A},
+		// Anchored, but not // then one label or * then the anchor: the cone.
+		{`//C[sub/C]/sub/C[key="9"]`, A, A},
+		{`.//C[key="3"]`, A, A},
+		{`//sub/C[key="3"]`, A, A},
+		{`//C//C[key="3"]`, A, A},
 		// Fall-backs.
-		{`//C`, RouteSweep},
-		{`C/sub/C`, RouteSweep},
-		{`//*`, RouteSweep},
-		{`.`, RouteSweep},
-		{`//C[sub/C]`, RouteSweep},
-		{`//C[key="1" or key="2"]`, RouteSweep},
-		{`//C[not(key="1")]`, RouteSweep},
-		{`//C[.//key="1"]`, RouteSweep},
-		{`//key[.="1"]`, RouteSweep},
-		{`//C[*="1"]`, RouteSweep},
-		{`//C[sub[C]/key="1"]`, RouteSweep},
-		{`//C[key="1" and .//C]`, RouteSweep}, // // anywhere in a filter rules the route out
-		{`//C[key="1"]/sub/C[sub//C]`, RouteSweep},
+		{`//C`, S, S},
+		{`C/sub/C`, S, S},
+		{`//*`, S, S},
+		{`.`, S, S},
+		{`//C[sub/C]`, S, S},
+		{`//C[key="1" or key="2"]`, S, S},
+		{`//C[not(key="1")]`, S, S},
+		{`//C[.//key="1"]`, S, S},
+		{`//key[.="1"]`, S, S},
+		{`//C[*="1"]`, S, S},
+		{`//C[sub[C]/key="1"]`, S, S},
+		{`//C[key="1" and .//C]`, S, S}, // // anywhere in a filter rules the route out
+		{`//C[key="1"]/sub/C[sub//C]`, S, S},
 	}
+	d, text := synthDAG(t)
+	ev := &Evaluator{D: d, Topo: reach.ComputeTopo(d), Text: text}
 	for _, c := range cases {
-		if got := MustParse(c.path).Route(); got != c.want {
-			t.Errorf("%s: route %s, want %s", c.path, got, c.want)
+		p := MustParse(c.path)
+		if got := p.Route(); got != c.eval {
+			t.Errorf("%s: route %s, want %s", c.path, got, c.eval)
+		}
+		if res, err := ev.EvalSelect(p); err != nil {
+			t.Errorf("%s: EvalSelect: %v", c.path, err)
+		} else if res.Route != c.sel {
+			t.Errorf("%s: EvalSelect took route %s, want %s", c.path, res.Route, c.sel)
 		}
 	}
 }
@@ -265,16 +311,53 @@ func TestOverflowIsRaisedOnlyInsideTheCone(t *testing.T) {
 // TestAnchoredDrainsParentlessNodes: inside an open transaction the live
 // view can hold a parentless node other than the root above the cone. It
 // contributes no state-set, but the nodes below it must still be reached.
+// The down route must tell the nodes it hangs over apart: C7's first parent
+// is the orphan and its second a reachable sub, C8 hangs under the orphan
+// alone, C9's first parent is C8's sub and its second a reachable sub, and
+// C10 hangs under C8's sub alone — so both ways out of the first-parent walk
+// (a parentless node, a node already found unreachable) reach the full
+// search, which finds C7 and C9 and not C8 or C10. C11 hangs under sub1,
+// which C9's search passed on its way up: a search that finds the root
+// decides only the node it started from.
 func TestAnchoredDrainsParentlessNodes(t *testing.T) {
-	d, text := synthDAG(t)
+	d, synthText := synthDAG(t)
 	target, _ := d.Lookup("C", relational.Tuple{relational.Int(6)})
 	orphan, _ := d.AddNode("sub", relational.Tuple{relational.Int(99)})
 	d.AddEdge(orphan, target)
 
+	texts := map[dag.NodeID]string{}
+	text := func(v dag.NodeID) (string, bool) {
+		if s, ok := texts[v]; ok {
+			return s, true
+		}
+		return synthText(v)
+	}
+	addC := func(i int64, parents ...dag.NodeID) (c, sub dag.NodeID) {
+		c, _ = d.AddNode("C", relational.Tuple{relational.Int(i)})
+		k, _ := d.AddNode("key", relational.Tuple{relational.Int(i)})
+		v, _ := d.AddNode("val", relational.Tuple{relational.Int(i), relational.Str("v")})
+		sub, _ = d.AddNode("sub", relational.Tuple{relational.Int(i)})
+		texts[k], texts[v] = fmt.Sprint(i), "v1"
+		for _, x := range []dag.NodeID{k, v, sub} {
+			d.AddEdge(c, x)
+		}
+		for _, p := range parents {
+			d.AddEdge(p, c)
+		}
+		return c, sub
+	}
+	sub := func(i int64) dag.NodeID { n, _ := d.Lookup("sub", relational.Tuple{relational.Int(i)}); return n }
+	addC(7, orphan, sub(0))
+	_, sub8 := addC(8, orphan)
+	addC(9, sub8, sub(1))
+	addC(10, sub8)
+	addC(11, sub(1))
+
 	// The oracle unfolds from the root, so the orphan is invisible to it —
 	// as it is to the sweep, whose propagation never reaches it.
 	or := newOracle(d, text)
-	for _, ps := range []string{`//C[key="6"]`, `//C[key="6"]/val`, `//C[key="4"]/sub/C`, `//sub[C/key="6"]`} {
+	for _, ps := range []string{`//C[key="6"]`, `//C[key="6"]/val`, `//C[key="4"]/sub/C`, `//sub[C/key="6"]`,
+		`//C[key="7"]`, `//C[key="8"]`, `//C[key="9"]/sub`, `//C[val="v1"]`, `//C[val="v1"]/sub/C`, `//C[key="8"]//C`, `//C[key="10"]`} {
 		if err := checkRoutes(d, text, or, MustParse(ps)); err != nil {
 			t.Errorf("%s: %v", ps, err)
 		}
@@ -375,14 +458,20 @@ func FuzzEvalRoutesAgree(f *testing.F) {
 				ev := &Evaluator{D: fx.d, Topo: reach.ComputeTopo(fx.d), Text: fx.text}
 				routed, err1 := ev.Eval(p)
 				swept, err2 := ev.EvalSweep(p)
+				fast, err3 := ev.EvalSelect(p)
+				fastSwept, err4 := ev.EvalSelectSweep(p)
 				var tooLong *PathTooLongError
 				switch {
-				case err1 != nil || err2 != nil:
-					if !errors.As(err1, &tooLong) || !errors.As(err2, &tooLong) {
-						t.Fatalf("%q: Eval: %v, EvalSweep: %v", text, err1, err2)
+				case err1 != nil || err2 != nil || err3 != nil || err4 != nil:
+					if !errors.As(err1, &tooLong) || !errors.As(err2, &tooLong) ||
+						!errors.As(err3, &tooLong) || !errors.As(err4, &tooLong) {
+						t.Fatalf("%q: Eval: %v, EvalSweep: %v, EvalSelect: %v, EvalSelectSweep: %v", text, err1, err2, err3, err4)
 					}
 				case !sameFields(routed, swept):
 					t.Fatalf("%q:\n %s\n %s", text, showResult(routed), showResult(swept))
+				case !reflect.DeepEqual(fast.Selected, fastSwept.Selected) || !reflect.DeepEqual(fast.Selected, routed.Selected):
+					t.Fatalf("%q: select-only %v by the %s route, %v by the sweep; full %v",
+						text, fast.Selected, fast.Route, fastSwept.Selected, routed.Selected)
 				}
 				continue
 			}

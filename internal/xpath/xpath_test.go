@@ -507,18 +507,15 @@ func TestEvalSelectMatchesEval(t *testing.T) {
 			if !reflect.DeepEqual(full.Selected, fast.Selected) {
 				t.Errorf("%s: selection differs: %v vs %v", ps, full.Selected, fast.Selected)
 			}
-			if !reflect.DeepEqual(full.Edges, fast.Edges) {
-				t.Errorf("%s: Ep differs: %v vs %v", ps, full.Edges, fast.Edges)
-			}
-			if len(fast.InsertWitnesses) != 0 || len(fast.DeleteWitnesses) != 0 {
-				t.Errorf("%s: EvalSelect must not report witnesses", ps)
+			if fast.Edges != nil || len(fast.InsertWitnesses) != 0 || len(fast.DeleteWitnesses) != 0 {
+				t.Errorf("%s: EvalSelect must report neither Ep nor witnesses", ps)
 			}
 		}
 	}
 }
 
-// Property: EvalSelect's union-mask collapse preserves selection and Ep on
-// random DAGs (transitions are bit-linear).
+// Property: EvalSelect's union-mask collapse preserves selection on random
+// DAGs (transitions are bit-linear).
 func TestEvalSelectProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -541,8 +538,7 @@ func TestEvalSelectProperty(t *testing.T) {
 			}
 			for _, sel := range []func(*Path) (*Result, error){ev.EvalSelect, ev.EvalSelectSweep} {
 				fast, err := sel(p)
-				if err != nil || !reflect.DeepEqual(full.Selected, fast.Selected) ||
-					!reflect.DeepEqual(full.Edges, fast.Edges) {
+				if err != nil || !reflect.DeepEqual(full.Selected, fast.Selected) || fast.Edges != nil {
 					return false
 				}
 			}

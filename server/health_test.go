@@ -185,7 +185,7 @@ func TestMetricsAndDebugEndpoints(t *testing.T) {
 		"xview_pipeline_phase_seconds",   // process-wide pipeline registry
 		"xview_path_cache_hits_total",    // process-wide cache counters
 		"xview_xpath_eval_total",         // evaluations by route
-		"xview_xpath_eval_visited_nodes", // cone size, or |L| for a sweep
+		"xview_xpath_eval_visited_nodes", // cone or down-set size, or |L| for a sweep
 	} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("/metrics missing family %s", want)
@@ -198,10 +198,11 @@ func TestMetricsAndDebugEndpoints(t *testing.T) {
 	for _, sm := range byName["xview_xpath_eval_total"].Samples {
 		routes[sm.Labels["route"]] = sm.Value
 	}
-	// The update and the first //student[ssn=…] read anchor (the repeats are
-	// memo hits and evaluate nothing); //student sweeps.
-	if routes["anchored"] < 2 || routes["sweep"] < 1 {
-		t.Errorf("xview_xpath_eval_total by route = %v, want anchored ≥ 2 and sweep ≥ 1", routes)
+	// The update anchors, the first //student[ssn=…] read goes down from its
+	// anchor (the repeats are memo hits and evaluate nothing); //student
+	// sweeps.
+	if routes["anchored"] < 1 || routes["down"] < 1 || routes["sweep"] < 1 {
+		t.Errorf("xview_xpath_eval_total by route = %v, want anchored, down and sweep ≥ 1", routes)
 	}
 
 	code, vars := get(t, ts, "/debug/vars")
@@ -234,9 +235,9 @@ func TestMetricsAndDebugEndpoints(t *testing.T) {
 	}
 	// Every entry names the route its path was evaluated by.
 	for detail, route := range slowRoutes {
-		want := "anchored"
-		if detail == `//student` {
-			want = "sweep"
+		want := map[string]string{`//student`: "sweep", `//student[ssn="SM1"]`: "down"}[detail]
+		if want == "" {
+			want = "anchored"
 		}
 		if route != want {
 			t.Errorf("/debug/slow entry %q: route %q, want %q", detail, route, want)

@@ -119,7 +119,7 @@ type Report struct {
 	DVDeletes   int        `json:"dv_deletes"`        // edges removed (including the GC cascade)
 	Changes     []Mutation `json:"changes,omitempty"` // the relational translation ΔR, as executed
 	Removed     int        `json:"removed"`           // garbage-collected nodes
-	Route       string     `json:"route,omitempty"`   // how the path was evaluated: "anchored" or "sweep"; empty if rejected before evaluation
+	Route       string     `json:"route,omitempty"`   // how the path was evaluated: "anchored" or "sweep" ("down" is a read's only); empty if rejected before evaluation
 	Timings     Timings    `json:"timings"`
 }
 
