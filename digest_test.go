@@ -557,7 +557,9 @@ func registrarVariant(t *testing.T) (*ATG, *DB) {
 // refused as ErrCorruptLog or ErrCheckpointMismatch with the database left
 // alone; and whatever is accepted is a consistent view (a version-2 payload
 // the fuzzer altered must still match its digest, a version-1 payload goes
-// through the full check). The target touches no file.
+// through the full check). The target touches no file. Besides the committed
+// images, whose rows were written sorted, it is seeded with what the writer
+// writes now: rows in slot order, after a run that refilled freed slots.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	for _, image := range []string{"wal-parent-6e107b9", "wal-digest-fd35873"} {
 		for _, gen := range []uint64{4, 6} {
@@ -568,6 +570,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			f.Add(state)
 		}
 	}
+	f.Add(registrarSlotOrderPayload(f))
 	atg, db := MustRegistrar()
 	f.Fuzz(func(t *testing.T, state []byte) {
 		var gen uint64

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,7 +103,7 @@ func openDurable(a *ATG, db *DB, cfg *config) (*View, error) {
 	// drops the unreadable files and writes the state it has just verified.
 	switch {
 	case boot == nil:
-		err = log.WriteCheckpoint(sys.Generation(), encodeCheckpoint(sys))
+		err = log.WriteCheckpoint(sys.Generation(), encodeCheckpointTimed(sys))
 	case len(boot.Unreadable) > 0:
 		for _, g := range boot.Unreadable {
 			log.DropCheckpoint(g)
@@ -209,6 +208,23 @@ func noteRecovery(d time.Duration, records int) {
 	recoveryRecords.Set(int64(records))
 }
 
+// ckptEncodeSeconds times the part of a checkpoint that
+// xview_wal_checkpoint_seconds leaves out: serializing the state, on the
+// writer.
+var ckptEncodeSeconds = sync.OnceValue(func() *obs.Histogram {
+	return obs.Default().NewHistogram("xview_checkpoint_encode_seconds",
+		"Checkpoint state serialization on the writer goroutine (log rotation and the file write excluded).",
+		obs.LatencyBounds())
+})
+
+// encodeCheckpointTimed is encodeCheckpoint inside a span over
+// ckptEncodeSeconds: what every checkpoint calls.
+func encodeCheckpointTimed(sys *core.System) []byte {
+	sp := obs.StartSpan(ckptEncodeSeconds())
+	defer sp.End()
+	return encodeCheckpoint(sys)
+}
+
 // sinkRecords is the core.CommitSink of a durable view, the one hook on the
 // commit path: it appends the commit's records to the log before the commit
 // verdict is returned, and publishes to the replication tail, when there is
@@ -308,7 +324,7 @@ func (v *View) afterDurable(gen uint64) {
 	}
 	at := v.sys.Generation() // the generation of the state being encoded
 	v.ckptBusy.Store(true)
-	write, err := v.log.BeginCheckpoint(at, encodeCheckpoint(v.sys))
+	write, err := v.log.BeginCheckpoint(at, encodeCheckpointTimed(v.sys))
 	v.ckptBusy.Store(false)
 	if err != nil {
 		warnTo(v.warn, "rxview: checkpoint at generation %d failed: %v", at, err)
@@ -354,7 +370,7 @@ func (v *View) checkpointNow() error {
 	v.ckptBusy.Store(true)
 	defer v.ckptBusy.Store(false)
 	gen := v.sys.Generation()
-	if err := v.log.WriteCheckpoint(gen, encodeCheckpoint(v.sys)); err != nil {
+	if err := v.log.WriteCheckpoint(gen, encodeCheckpointTimed(v.sys)); err != nil {
 		return err
 	}
 	v.ckptGen = gen
@@ -449,44 +465,63 @@ type ckptTable struct {
 // encodeCheckpoint serializes the full state of the system into one buffer:
 // wal.CheckpointHeadroom free bytes for the file's framing, then the
 // payload — version, generation, the state digest, the grammar fingerprint,
-// the tables (rows in ascending order of their injective encoding, so the
-// payload is byte-stable), the DAG state, and L.
+// the tables, the DAG state, and L.
 //
 // The writer pays for this inside the checkpoint stall, and for collecting
-// what it leaves behind, so it allocates a fixed handful of objects: the
-// buffer, at exactly its size (one pass over the tables measures them
-// without encoding anything), and an arena the size of the largest table.
-// Each tuple is encoded once, into the arena; a table's rows are ordered by
-// sorting their spans over those bytes and copied out in that order. The
-// DAG state cannot be measured without encoding it, so it passes through
-// the arena as well, first, and is put in its place behind the tables
-// before they need the arena.
+// what it leaves behind, so the buffer is sized before anything is encoded
+// and everything is encoded once, in order, straight into it: each relation
+// knows the encoded length of its rows (Relation.EncodedLen), and the DAG
+// state is measured by dagStateLen.
+//
+// A table's rows are written in Scan order — slot order, the order the
+// relation holds them in, not the order of their values — because no reader
+// needs another: the decoder loads rows in whatever order it is given, and a
+// restore is held to the state digest, a multiset hash that no order changes.
+// The digest, not the payload's bytes, is what identifies a state: one
+// in-memory state always writes the same bytes, but two nodes at one
+// generation may write their rows in different orders.
 func encodeCheckpoint(sys *core.System) []byte {
 	gen := sys.Generation()
 	names := sys.DB.Schema.TableNames()
 	sum, _ := sys.Digest()
 	fp := sys.ATG.Fingerprint()
 	tablesEnd := wal.CheckpointHeadroom + 1 + uvarintLen(gen) + digest.Size + len(fp) + uvarintLen(uint64(len(names)))
-	arenaCap, maxRows := 0, 0
 	for _, name := range names {
-		rel, n := sys.DB.Rel(name), 0
-		rel.Scan(func(t relational.Tuple) bool {
-			n += relational.TupleLen(t)
-			return true
-		})
-		tablesEnd += uvarintLen(uint64(len(name))) + len(name) + uvarintLen(uint64(rel.Len())) + n
-		arenaCap, maxRows = max(arenaCap, n), max(maxRows, rel.Len())
+		rel := sys.DB.Rel(name)
+		tablesEnd += uvarintLen(uint64(len(name))) + len(name) + uvarintLen(uint64(rel.Len())) + rel.EncodedLen()
 	}
-	arena := sys.DAG.AppendState(make([]byte, 0, arenaCap))
+	stateLen := dagStateLen(sys.DAG)
 	order := sys.Topo.Nodes()
-	size := tablesEnd + uvarintLen(uint64(len(arena))) + len(arena) + uvarintLen(uint64(len(order)))
+	size := tablesEnd + uvarintLen(uint64(stateLen)) + stateLen + uvarintLen(uint64(len(order)))
 	for _, id := range order {
 		size += uvarintLen(uint64(id))
 	}
 
 	buf := make([]byte, size)
-	dst := binary.AppendUvarint(buf[:tablesEnd], uint64(len(arena)))
-	dst = append(dst, arena...)
+	dst := append(buf[:wal.CheckpointHeadroom], ckptVersion)
+	dst = binary.AppendUvarint(dst, gen)
+	dst = sum.Append(dst)
+	dst = append(dst, fp[:]...)
+	dst = binary.AppendUvarint(dst, uint64(len(names)))
+	for _, name := range names {
+		rel := sys.DB.Rel(name)
+		dst = binary.AppendUvarint(dst, uint64(len(name)))
+		dst = append(dst, name...)
+		dst = binary.AppendUvarint(dst, uint64(rel.Len()))
+		rel.Scan(func(t relational.Tuple) bool {
+			dst = relational.AppendTuple(dst, t)
+			return true
+		})
+	}
+	if len(dst) != tablesEnd {
+		panic(fmt.Sprintf("rxview: checkpoint tables measured to end at %d, encoded to %d", tablesEnd, len(dst)))
+	}
+	dst = binary.AppendUvarint(dst, uint64(stateLen))
+	stateStart := len(dst)
+	dst = sys.DAG.AppendState(dst)
+	if len(dst)-stateStart != stateLen {
+		panic(fmt.Sprintf("rxview: checkpoint DAG state measured %d bytes, encoded %d", stateLen, len(dst)-stateStart))
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(order)))
 	for _, id := range order {
 		dst = binary.AppendUvarint(dst, uint64(id))
@@ -494,39 +529,26 @@ func encodeCheckpoint(sys *core.System) []byte {
 	if len(dst) != size {
 		panic(fmt.Sprintf("rxview: checkpoint measured %d bytes, encoded %d", size, len(dst)))
 	}
+	return buf
+}
 
-	dst = append(buf[:wal.CheckpointHeadroom], ckptVersion)
-	dst = binary.AppendUvarint(dst, gen)
-	dst = sum.Append(dst)
-	dst = append(dst, fp[:]...)
-	dst = binary.AppendUvarint(dst, uint64(len(names)))
-	type span struct{ off, end int }
-	rows := make([]span, 0, maxRows)
-	for _, name := range names {
-		arena, rows = arena[:0], rows[:0]
-		sys.DB.Rel(name).Scan(func(t relational.Tuple) bool {
-			off := len(arena)
-			arena = relational.AppendTuple(arena, t)
-			rows = append(rows, span{off, len(arena)})
-			return true
-		})
-		// Every row of a table starts with the same count prefix, so this
-		// is the order of the tuples' injective encodings; they are
-		// distinct, so the order is total.
-		slices.SortFunc(rows, func(a, b span) int {
-			return bytes.Compare(arena[a.off:a.end], arena[b.off:b.end])
-		})
-		dst = binary.AppendUvarint(dst, uint64(len(name)))
-		dst = append(dst, name...)
-		dst = binary.AppendUvarint(dst, uint64(len(rows)))
-		for _, r := range rows {
-			dst = append(dst, arena[r.off:r.end]...)
+// dagStateLen is the length of what d.AppendState writes, measured over the
+// DAG's accessors without encoding anything, so that the state can be
+// encoded in place. It mirrors AppendState field by field; encodeCheckpoint
+// panics if the two ever disagree.
+func dagStateLen(d *dag.DAG) int {
+	n := d.Cap()
+	size := uvarintLen(uint64(n)) + uvarintLen(uint64(d.Root()))
+	for i := range n {
+		id := dag.NodeID(i)
+		typ, row := d.Type(id), d.Children(id)
+		size += uvarintLen(uint64(len(typ))) + len(typ) + relational.TupleLen(d.Attr(id)) + 1 // + the liveness byte
+		size += uvarintLen(uint64(len(row)))
+		for _, c := range row {
+			size += uvarintLen(uint64(c))
 		}
 	}
-	if len(dst) != tablesEnd {
-		panic(fmt.Sprintf("rxview: checkpoint tables measured to end at %d, encoded to %d", tablesEnd, len(dst)))
-	}
-	return buf
+	return size
 }
 
 // uvarintLen is the number of bytes binary.AppendUvarint writes for x.

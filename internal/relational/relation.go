@@ -16,6 +16,7 @@ type Relation struct {
 	byKey map[string]int
 	free  []int // reusable slots
 	count int
+	size  int // Σ TupleLen over the live rows
 
 	// secondary indexes by column. Built on demand by IndexLookup and
 	// maintained incrementally by Insert/Delete.
@@ -65,6 +66,11 @@ func NewRelation(ts *TableSchema) *Relation {
 // Len returns the number of live tuples.
 func (r *Relation) Len() int { return r.count }
 
+// EncodedLen returns Σ TupleLen over the live tuples: the bytes AppendTuple
+// writes for all of them, kept up to date by every mutation so that an
+// encoder can size its buffer without a pass over the rows.
+func (r *Relation) EncodedLen() int { return r.size }
+
 // Version increases on every mutation; used to detect staleness.
 func (r *Relation) Version() uint64 { return r.version }
 
@@ -110,6 +116,7 @@ func (r *Relation) Insert(t Tuple) error {
 	}
 	r.byKey[string(buf)] = slot
 	r.count++
+	r.size += TupleLen(t)
 	r.version++
 	for col, ix := range r.secondary {
 		ix.add(t[col].appendEncoded(buf[:0]), slot)
@@ -131,6 +138,7 @@ func (r *Relation) Load(rows []Tuple) error {
 	var keys slab.Strings
 	var a [KeyBufLen]byte
 	buf := a[:0]
+	size := 0
 	for slot, t := range rows {
 		if err := r.check(t); err != nil {
 			return err
@@ -140,8 +148,9 @@ func (r *Relation) Load(rows []Tuple) error {
 			return r.errDuplicate(t)
 		}
 		byKey[keys.Add(buf)] = slot
+		size += TupleLen(t)
 	}
-	r.rows, r.byKey, r.count = rows, byKey, len(rows)
+	r.rows, r.byKey, r.count, r.size = rows, byKey, len(rows), size
 	r.version++
 	return nil
 }
@@ -173,7 +182,9 @@ func (r *Relation) DeleteTuple(t Tuple) bool {
 }
 
 // deleteEncoded removes the tuple with the encoded key k; it reuses k's
-// backing as scratch once the key is out of the map.
+// backing as scratch once the key is out of the map. The encoded length it
+// takes off is the stored row's: the caller's tuple may carry only the key,
+// or non-key values the stored row does not.
 func (r *Relation) deleteEncoded(k []byte) bool {
 	slot, ok := r.byKey[string(k)]
 	if !ok {
@@ -184,6 +195,7 @@ func (r *Relation) deleteEncoded(k []byte) bool {
 	r.rows[slot] = nil
 	r.free = append(r.free, slot)
 	r.count--
+	r.size -= TupleLen(row)
 	r.version++
 	for col, ix := range r.secondary {
 		ix.remove(row[col].appendEncoded(k[:0]), slot)

@@ -53,7 +53,7 @@ func walmetrics() *walMetrics {
 			rotations: r.NewCounter("xview_wal_rotations_total",
 				"Segment rotations (one per checkpoint)."),
 			ckptDur: r.NewHistogram("xview_wal_checkpoint_seconds",
-				"Checkpoint duration: state serialization excluded, sync+write+rename+rotate+prune included.",
+				"Checkpoint file write, for files that landed: frame, temp file, write, fsync, rename, directory fsync (state serialization, log rotation and pruning excluded).",
 				obs.LatencyBounds()),
 			ckptBytes: r.NewHistogram("xview_wal_checkpoint_bytes",
 				"Checkpoint file sizes.", obs.ExpBounds(1024, 4, 12)),
