@@ -208,3 +208,34 @@ func (c *Compiled) TextEquals(d dag.Reader) func(typ, s string) func(dag.NodeID)
 		}
 	}
 }
+
+// TextSeeds returns the live view's seed function: the live nodes of an
+// element type whose text is s, appended to dst, found through the Skolem
+// registry gen_id (§2.3) instead of a scan of the type's node list. It
+// reports false where the registry cannot answer, and the caller scans.
+//
+// A PCDATA type whose attribute is one field has text $A[0].String(), so its
+// nodes with text s are exactly the live gen_id(type, (c)) for c among
+// relational.Renderings(s): ids are never reused, and every node's attribute
+// has its type's declared arity (CheckAttr). A type without text has no such
+// node. A type with more fields (text is one of them) reports false.
+//
+// It takes the *dag.DAG, not a dag.Reader: a sealed Version carries no
+// registry, so reads over snapshots keep the scan.
+func (c *Compiled) TextSeeds(d *dag.DAG) func(typ, s string, dst []dag.NodeID) ([]dag.NodeID, bool) {
+	return func(typ, s string, dst []dag.NodeID) ([]dag.NodeID, bool) {
+		if _, ok := c.textIdx[typ]; !ok {
+			return dst, true
+		}
+		if len(c.Attrs[typ]) != 1 {
+			return dst, false
+		}
+		var buf [2]relational.Value
+		for _, v := range relational.Renderings(s, buf[:0]) {
+			if id, ok := d.Lookup(typ, relational.Tuple{v}); ok {
+				dst = append(dst, id)
+			}
+		}
+		return dst, true
+	}
+}

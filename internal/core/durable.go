@@ -135,6 +135,7 @@ func Recover(c *atg.Compiled, db *relational.Database, d *dag.DAG, order []dag.N
 		opts:       opts,
 		text:       c.Text(d),
 		textEq:     c.TextEquals(d),
+		seeds:      c.TextSeeds(d),
 		gen:        gen,
 		digest:     sum,
 	}

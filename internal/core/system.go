@@ -167,8 +167,11 @@ type System struct {
 	text func(dag.NodeID) (string, bool)
 	// textEq is the typed form of text(v) == s; see atg.Compiled.TextEquals.
 	textEq func(typ, s string) func(dag.NodeID) bool
-	gen    uint64 // count of committed write units; see Generation
-	txn    *Txn   // the open transaction, if any (see Begin)
+	// seeds finds anchored paths' seeds through the live DAG's Skolem
+	// registry; see atg.Compiled.TextSeeds.
+	seeds func(typ, s string, dst []dag.NodeID) ([]dag.NodeID, bool)
+	gen   uint64 // count of committed write units; see Generation
+	txn   *Txn   // the open transaction, if any (see Begin)
 }
 
 // Open publishes σ(I) as a DAG, builds L and the source index, and returns
@@ -187,6 +190,7 @@ func Open(c *atg.Compiled, db *relational.Database, opts Options) (*System, erro
 		opts:       opts,
 		text:       c.Text(d),
 		textEq:     c.TextEquals(d),
+		seeds:      c.TextSeeds(d),
 	}
 	s.warmIndexes()
 	return s, nil
@@ -241,13 +245,15 @@ func PathCacheStats() (hits, misses uint64) {
 
 // evaluator returns a fresh XPath evaluator over the current view. The
 // route each evaluation takes — anchored cone or full sweep — is the
-// evaluator's choice, made from the compiled path's shape alone.
+// evaluator's choice, made from the compiled path's shape alone; an anchored
+// one finds its seeds through gen_id, which only the live view has.
 func (s *System) evaluator() *xpath.Evaluator {
 	return &xpath.Evaluator{
 		D:          s.DAG,
 		Topo:       s.Topo,
 		Text:       s.text,
 		TextEquals: s.textEq,
+		Seeds:      s.seeds,
 	}
 }
 

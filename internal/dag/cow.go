@@ -74,7 +74,11 @@ func (s *refStore) clone() refStore {
 //
 // A Version answers the whole read surface (Reader); mutation and the
 // Skolem registry (AddNode/Lookup) are intentionally absent — versions are
-// the epoch unit of the serving layer, not working state.
+// the epoch unit of the serving layer, not working state. The registry's
+// absence is also why a read over a Version finds an anchored path's seeds
+// by scanning IDsOfType, where the live view's writes look them up in gen
+// (atg.Compiled.TextSeeds takes a *DAG): the map is the writer's, and
+// sharing it would take a lock or a persistent registry.
 type Version struct {
 	types     []string
 	attrs     []relational.Tuple

@@ -149,6 +149,37 @@ func (v Value) String() string {
 	}
 }
 
+// Renderings is the inverse of String: it appends to dst every Value whose
+// String() is s and returns the extended slice. That is Str(s), plus at most
+// one of Int(i) where s is the canonical decimal of i ("007" and "-0" are
+// none), Bool where s is "true" or "false", NULL where s is "NULL", and the
+// variable n where s is "?z" and the canonical decimal of n.
+func Renderings(s string, dst []Value) []Value {
+	dst = append(dst, Str(s))
+	switch s {
+	case "true":
+		return append(dst, Bool(true))
+	case "false":
+		return append(dst, Bool(false))
+	case "NULL":
+		return append(dst, Null())
+	}
+	rest, isVar := strings.CutPrefix(s, "?z")
+	if n, ok := canonicalInt(rest); ok {
+		if isVar {
+			return append(dst, Value{K: KindVar, I: n})
+		}
+		return append(dst, Int(n))
+	}
+	return dst
+}
+
+// canonicalInt parses s as the decimal FormatInt renders, and nothing else.
+func canonicalInt(s string) (int64, bool) {
+	i, err := strconv.ParseInt(s, 10, 64)
+	return i, err == nil && strconv.FormatInt(i, 10) == s
+}
+
 // ParseValue parses a textual value into the given kind. It is the inverse of
 // String for the concrete kinds and is used by the CLI and text filters.
 func ParseValue(k Kind, s string) (Value, error) {

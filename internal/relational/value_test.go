@@ -3,6 +3,7 @@ package relational
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -136,6 +137,72 @@ func TestValueEncodingInjective(t *testing.T) {
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: Renderings inverts String. Every value is among the renderings
+// of its own text, and every rendering of a string renders back to it — for
+// random values of all five kinds and for random strings drawn from the
+// fragments that look like another kind's text.
+func TestRenderingsInvertsString(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	num := func() int64 {
+		switch r.Intn(4) {
+		case 0:
+			return int64(r.Intn(21) - 10)
+		case 1:
+			return r.Int63()
+		case 2:
+			return -r.Int63() - 1 // reaches math.MinInt64
+		}
+		return int64(r.Intn(1000))
+	}
+	frags := []string{"0", "7", "00", "-", "+", " ", "?z", "?", "z", "true", "false", "NULL", "null", "x", "9223372036854775808"}
+	for i := 0; i < 5000; i++ {
+		var v Value
+		switch Kind(r.Intn(5)) {
+		case KindNull:
+			v = Null()
+		case KindInt:
+			v = Int(num())
+		case KindBool:
+			v = Bool(r.Intn(2) == 0)
+		case KindString:
+			var s string
+			for n := r.Intn(4); n > 0; n-- {
+				s += frags[r.Intn(len(frags))]
+			}
+			v = Str(s)
+		case KindVar:
+			v = Value{K: KindVar, I: num()}
+		}
+		if rs := Renderings(v.String(), nil); !slices.ContainsFunc(rs, v.Equal) {
+			t.Errorf("%#v is not among the renderings %v of %q", v, rs, v.String())
+		}
+
+		var s string
+		for n := r.Intn(4); n > 0; n-- {
+			s += frags[r.Intn(len(frags))]
+		}
+		rs := Renderings(s, nil)
+		if len(rs) == 0 || len(rs) > 2 {
+			t.Errorf("Renderings(%q) = %v: want Str and at most one more", s, rs)
+		}
+		for _, w := range rs {
+			if w.String() != s {
+				t.Errorf("Renderings(%q) holds %#v, which renders %q", s, w, w.String())
+			}
+		}
+	}
+	for s, want := range map[string][]Value{
+		"7": {Str("7"), Int(7)}, "-3": {Str("-3"), Int(-3)}, "?z4": {Str("?z4"), Var(4)},
+		"true": {Str("true"), Bool(true)}, "NULL": {Str("NULL"), Null()},
+		"007": {Str("007")}, "-0": {Str("-0")}, " 7": {Str(" 7")}, "+7": {Str("+7")}, "?z07": {Str("?z07")},
+		"": {Str("")}, "True": {Str("True")},
+	} {
+		if got := Renderings(s, nil); !reflect.DeepEqual(got, want) {
+			t.Errorf("Renderings(%q) = %v, want %v", s, got, want)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ package viewupdate
 // tests exercise it directly.
 
 import (
+	"sort"
 	"testing"
 
 	"rxview/internal/dag"
@@ -253,4 +254,11 @@ func TestSymAtomAndVarHelpers(t *testing.T) {
 	if atoms[0].L.VarID() != 0 {
 		t.Error("sortAtoms order")
 	}
+}
+
+// sortAtoms orders atoms by their rendering.
+func sortAtoms(atoms []symAtom) {
+	sort.Slice(atoms, func(i, j int) bool {
+		return atoms[i].String() < atoms[j].String()
+	})
 }

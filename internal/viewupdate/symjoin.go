@@ -2,9 +2,7 @@ package viewupdate
 
 import (
 	"fmt"
-	"sort"
 
-	"rxview/internal/dag"
 	"rxview/internal/relational"
 )
 
@@ -389,13 +387,3 @@ func (st *insertState) classify(parentType, childType string, cb combo) error {
 	st.guarded = append(st.guarded, guardedRow{conds: conds, matches: matches})
 	return nil
 }
-
-// sortAtoms gives deterministic ordering for tests and encoding.
-func sortAtoms(atoms []symAtom) {
-	sort.Slice(atoms, func(i, j int) bool {
-		return atoms[i].String() < atoms[j].String()
-	})
-}
-
-var _ = sortAtoms // used by tests
-var _ = dag.InvalidNode

@@ -5,8 +5,9 @@ import "rxview/internal/dag"
 // anchored evaluates a path with an anchor (plan.anchor) over the ancestor
 // cone of the nodes that can matter instead of the whole view:
 //
-//  1. seeds → A (climb): the nodes of type lk whose text equals s, from
-//     the raw per-type list, climbed k levels through Parents against
+//  1. seeds → A (climb): the nodes of type lk whose text equals s — from
+//     Evaluator.Seeds where it answers (the live view's gen_id), else from
+//     the raw per-type list — climbed k levels through Parents against
 //     lk-1 … l1. A ⊇ {v : the anchoring filter holds at v}.
 //  2. down → X: from A, the steps after the anchor by Children; ε[q] steps
 //     are skipped (a superset is enough). X ⊇ r[[p]], because every
@@ -115,15 +116,29 @@ func (ev *Evaluator) anchored(r *run, pl *plan) {
 func (ev *Evaluator) climb(sc *scratch, a *anchor) (cur, next, spare []dag.NodeID) {
 	d := ev.D
 	cur, next, spare = sc.ids[0][:0], sc.ids[1][:0], sc.ids[2][:0]
-	// Seeds, then up the label chain: at level j cur holds nodes of type
-	// labels[j]; their parents must be labels[j-1], and the parents of the
-	// l1 level — any type — are A.
+	// Seeds, by ev.Seeds or else a scan of the type's list, then up the
+	// label chain: at level j cur holds nodes of type labels[j]; their
+	// parents must be labels[j-1], and the parents of the l1 level — any
+	// type — are A.
 	k := len(a.labels)
-	eq := ev.textEq(a.labels[k-1], a.value)
+	typ := a.labels[k-1]
 	set := sc.newSet()
-	for _, v := range d.IDsOfType(a.labels[k-1]) {
-		if eq(v) && d.Alive(v) && sc.add(set, v) { // eq first: it is the selective test
-			cur = append(cur, v)
+	found := false
+	if ev.Seeds != nil {
+		next, found = ev.Seeds(typ, a.value, next)
+	}
+	if found {
+		for _, v := range next {
+			if sc.add(set, v) {
+				cur = append(cur, v)
+			}
+		}
+	} else {
+		eq := ev.textEq(typ, a.value)
+		for _, v := range d.IDsOfType(typ) {
+			if eq(v) && d.Alive(v) && sc.add(set, v) { // eq first: it is the selective test
+				cur = append(cur, v)
+			}
 		}
 	}
 	for j := k - 1; j >= 0; j-- {

@@ -31,10 +31,12 @@
 //   - The anchored route (anchored.go) starts from the path's value filter.
 //     The filter names the few nodes that can matter and the DAG's Parents
 //     lists name everything that can reach them: it finds the nodes the
-//     filter can hold at from the per-type node lists, walks down the
-//     remaining steps to a candidate superset X ⊇ r[[p]], closes X upward
-//     into its ancestor cone, and propagates over the cone only, in Kahn's
-//     order, deciding filters pointwise from each node's children.
+//     filter can hold at — by Evaluator.Seeds, which on the live view is a
+//     lookup in the Skolem registry gen_id (§2.3), or else by a scan of the
+//     per-type node list — walks down the remaining steps to a candidate
+//     superset X ⊇ r[[p]], closes X upward into its ancestor cone, and
+//     propagates over the cone only, in Kahn's order, deciding filters
+//     pointwise from each node's children.
 //   - The down route (down.go) answers reads of //-led anchored paths. It
 //     keeps the anchor nodes whose label and filters admit them and which
 //     the root reaches, and propagates from them downward only, with one

@@ -24,9 +24,9 @@ import (
 //     bottom-up along the topological order L, then the propagation over
 //     every node of L, ancestors first;
 //   - the anchored route, for paths with a value-equality filter: find the
-//     nodes the filter can hold at from the per-type node lists, walk down to
-//     a superset of r[[p]], close it upward into its ancestor cone, and
-//     propagate over the cone only, deciding filters pointwise;
+//     nodes the filter can hold at (Seeds, or the per-type node lists), walk
+//     down to a superset of r[[p]], close it upward into its ancestor cone,
+//     and propagate over the cone only, deciding filters pointwise;
 //   - the down route, EvalSelect's for anchored paths led by // and one
 //     label or * step: keep the anchor nodes that filter and label admit and
 //     the root reaches, and propagate from them downward only.
@@ -54,6 +54,12 @@ type Evaluator struct {
 	// the type, without rendering (atg.Compiled.TextEquals). Nil derives it
 	// from Text.
 	TextEquals func(typ, s string) func(dag.NodeID) bool
+	// Seeds, when set, appends to dst the live nodes of an element type
+	// whose text equals s, without scanning the type's node list
+	// (atg.Compiled.TextSeeds, through the live view's Skolem registry), and
+	// reports false where it cannot tell. The anchored and down routes start
+	// from these; nil, or false, means they scan IDsOfType with TextEquals.
+	Seeds func(typ, s string, dst []dag.NodeID) ([]dag.NodeID, bool)
 	// MaskLimit caps the number of distinct state-sets kept per node before
 	// collapsing to their union. Selection and Ep(r) stay exact under
 	// collapse; side-effect detection becomes conservative and the result's

@@ -17,14 +17,18 @@ import (
 	"rxview/internal/relational"
 )
 
-type textFn = func(dag.NodeID) (string, bool)
+type (
+	textFn = func(dag.NodeID) (string, bool)
+	seedFn = func(typ, s string, dst []dag.NodeID) ([]dag.NodeID, bool)
+)
 
 // views returns evaluators over the live DAG and over a sealed Version of
-// it (with a sealed L), built fresh from the DAG's current state.
-func views(d *dag.DAG, text textFn, maskLimit int) map[string]*Evaluator {
+// it (with a sealed L), built fresh from the DAG's current state. Only the
+// live one gets the seed function, as only the live view has a registry.
+func views(d *dag.DAG, text textFn, seeds seedFn, maskLimit int) map[string]*Evaluator {
 	topo := reach.ComputeTopo(d)
 	return map[string]*Evaluator{
-		"live":   {D: d, Topo: topo, Text: text, MaskLimit: maskLimit},
+		"live":   {D: d, Topo: topo, Text: text, Seeds: seeds, MaskLimit: maskLimit},
 		"sealed": {D: d.Seal(), Topo: topo.Seal(), Text: text, MaskLimit: maskLimit},
 	}
 }
@@ -49,15 +53,15 @@ func selectRoute(p *Path) Route {
 }
 
 // checkRoutes evaluates p every way there is — the route Eval picks, the
-// sweep, select-only by its route and by the sweep — over the live and the
-// sealed view, and compares everything with the tree oracle. It returns an
-// error rather than failing so property tests and the fuzz target can
-// report their input.
-func checkRoutes(d *dag.DAG, text textFn, or *oracle, p *Path) error {
+// sweep, select-only by its route and by the sweep — over the live view
+// (with seeds, when given) and the sealed view, and compares everything
+// with the tree oracle. It returns an error rather than failing so property
+// tests and the fuzz target can report their input.
+func checkRoutes(d *dag.DAG, text textFn, seeds seedFn, or *oracle, p *Path) error {
 	want := or.eval(p)
 	wantRes := &Result{Selected: want.selected, Edges: want.edges,
 		InsertWitnesses: want.insertWitnesses, DeleteWitnesses: want.deleteWitnesses}
-	for name, ev := range views(d, text, 0) {
+	for name, ev := range views(d, text, seeds, 0) {
 		routed, err := ev.Eval(p)
 		if err != nil {
 			return fmt.Errorf("%s: Eval: %w", name, err)
@@ -191,10 +195,58 @@ func TestRoutesAgreeOnSynthetic(t *testing.T) {
 		}
 	}
 	for _, ps := range synthCorpus {
-		if err := checkRoutes(d, text, or, MustParse(ps)); err != nil {
+		if err := checkRoutes(d, text, nil, or, MustParse(ps)); err != nil {
 			t.Errorf("%s: %v", ps, err)
 		}
 	}
+}
+
+// registryDAG is synthDAG with the key text a live view's seed function can
+// invert — each key's text is its one attribute field rendered — and with
+// four more C's under the root whose keys are the string "3" (the same text
+// as the integer 3), the string "007", NULL and true. Its seed function
+// finds key nodes by Lookup over relational.Renderings, reports false for
+// val (whose text is not its attribute) and finds nothing for the types
+// without text.
+func registryDAG(t testing.TB) (*dag.DAG, textFn, seedFn) {
+	t.Helper()
+	d, synthText := synthDAG(t)
+	for i, k := range []relational.Value{relational.Str("3"), relational.Str("007"), relational.Null(), relational.Bool(true)} {
+		c, _ := d.AddNode("C", relational.Tuple{relational.Int(int64(100 + i))})
+		key, _ := d.AddNode("key", relational.Tuple{k})
+		d.AddEdge(c, key)
+		d.AddEdge(d.Root(), c)
+	}
+	text := func(v dag.NodeID) (string, bool) {
+		if d.Type(v) == "key" {
+			return d.Attr(v)[0].String(), true
+		}
+		return synthText(v)
+	}
+	seeds := func(typ, s string, dst []dag.NodeID) ([]dag.NodeID, bool) {
+		switch typ {
+		case "key":
+			for _, c := range relational.Renderings(s, nil) {
+				if id, ok := d.Lookup(typ, relational.Tuple{c}); ok {
+					dst = append(dst, id)
+				}
+			}
+		case "val":
+			return dst, false
+		}
+		return dst, true
+	}
+	if got, _ := seeds("key", "3", nil); len(got) != 2 {
+		t.Fatalf(`registryDAG: key seeds for "3" are %v, want the integer key and the string key`, got)
+	}
+	return d, text, seeds
+}
+
+// registryCorpus probes registryDAG's keys: texts several values render to,
+// keys of the other kinds, and texts that only look like a rendering.
+var registryCorpus = []string{
+	`//C[key="3"]/key`, `//*[key="3"]`, `//C[key="007"]`, `//C[key="00"]`, `//C[key="003"]`,
+	`//C[key="NULL"]`, `//C[key="true"]`, `//C[val="NULL"]`, `//C[key=""]`,
 }
 
 // TestRouteTable pins which route Eval and EvalSelect take for each path
@@ -276,7 +328,7 @@ func TestOverflowIsRaisedOnlyInsideTheCone(t *testing.T) {
 	for _, ps := range corpus {
 		p := MustParse(ps)
 		want := or.eval(p)
-		for name, ev := range views(d, text, 1) {
+		for name, ev := range views(d, text, nil, 1) {
 			routed, err := ev.Eval(p)
 			if err != nil {
 				t.Fatal(err)
@@ -358,7 +410,7 @@ func TestAnchoredDrainsParentlessNodes(t *testing.T) {
 	or := newOracle(d, text)
 	for _, ps := range []string{`//C[key="6"]`, `//C[key="6"]/val`, `//C[key="4"]/sub/C`, `//sub[C/key="6"]`,
 		`//C[key="7"]`, `//C[key="8"]`, `//C[key="9"]/sub`, `//C[val="v1"]`, `//C[val="v1"]/sub/C`, `//C[key="8"]//C`, `//C[key="10"]`} {
-		if err := checkRoutes(d, text, or, MustParse(ps)); err != nil {
+		if err := checkRoutes(d, text, nil, or, MustParse(ps)); err != nil {
 			t.Errorf("%s: %v", ps, err)
 		}
 	}
@@ -390,9 +442,10 @@ func TestResultsDoNotAliasScratch(t *testing.T) {
 // ---------- fuzzing ----------
 
 type fuzzFixture struct {
-	d    *dag.DAG
-	text textFn
-	or   *oracle
+	d     *dag.DAG
+	text  textFn
+	seeds seedFn
+	or    *oracle
 }
 
 // oracleAffordable bounds the tree oracle's work: it re-evaluates a filter
@@ -431,9 +484,10 @@ func oracleAffordable(p *Path) bool {
 
 // FuzzEvalRoutesAgree: whatever parses never panics, and the route Eval
 // picks, the sweep and the unfolded-tree oracle agree on all four result
-// fields — over the Fig.1 registrar view and the miniature synthetic view,
-// live and sealed. The seed corpus (testdata/fuzz/FuzzEvalRoutesAgree) holds
-// the shapes of TestRouteTable.
+// fields — over the Fig.1 registrar view, the miniature synthetic view and
+// its registry variant (whose live evaluator takes its seeds from Lookup),
+// live and sealed. The seed corpus is the three corpora above plus, in
+// testdata/fuzz/FuzzEvalRoutesAgree, the shapes of TestRouteTable.
 func FuzzEvalRoutesAgree(f *testing.F) {
 	for _, ps := range fig1Corpus {
 		f.Add(ps)
@@ -441,11 +495,16 @@ func FuzzEvalRoutesAgree(f *testing.F) {
 	for _, ps := range synthCorpus {
 		f.Add(ps)
 	}
+	for _, ps := range registryCorpus {
+		f.Add(ps)
+	}
 	var fixtures []fuzzFixture
 	d, _, text := fig1DAG(f)
-	fixtures = append(fixtures, fuzzFixture{d, text, newOracle(d, text)})
+	fixtures = append(fixtures, fuzzFixture{d, text, nil, newOracle(d, text)})
 	d, text = synthDAG(f)
-	fixtures = append(fixtures, fuzzFixture{d, text, newOracle(d, text)})
+	fixtures = append(fixtures, fuzzFixture{d, text, nil, newOracle(d, text)})
+	d, text, seeds := registryDAG(f)
+	fixtures = append(fixtures, fuzzFixture{d, text, seeds, newOracle(d, text)})
 	f.Fuzz(func(t *testing.T, text string) {
 		p, err := Parse(text)
 		if err != nil {
@@ -455,7 +514,7 @@ func FuzzEvalRoutesAgree(f *testing.F) {
 			if len(p.compiled().steps) > MaxSteps || !oracleAffordable(p) {
 				// No oracle: the routes must still agree with each other,
 				// down to the error for an over-long path.
-				ev := &Evaluator{D: fx.d, Topo: reach.ComputeTopo(fx.d), Text: fx.text}
+				ev := &Evaluator{D: fx.d, Topo: reach.ComputeTopo(fx.d), Text: fx.text, Seeds: fx.seeds}
 				routed, err1 := ev.Eval(p)
 				swept, err2 := ev.EvalSweep(p)
 				fast, err3 := ev.EvalSelect(p)
@@ -475,7 +534,7 @@ func FuzzEvalRoutesAgree(f *testing.F) {
 				}
 				continue
 			}
-			if err := checkRoutes(fx.d, fx.text, fx.or, p); err != nil {
+			if err := checkRoutes(fx.d, fx.text, fx.seeds, fx.or, p); err != nil {
 				t.Fatalf("%q: %v", text, err)
 			}
 		}

@@ -326,7 +326,7 @@ func TestEvalAgainstOracleFig1(t *testing.T) {
 		t.Helper()
 		or := newOracle(d, text)
 		for _, ps := range fig1Corpus {
-			if err := checkRoutes(d, text, or, MustParse(ps)); err != nil {
+			if err := checkRoutes(d, text, nil, or, MustParse(ps)); err != nil {
 				t.Errorf("%s: %s: %v", stage, ps, err)
 			}
 		}
@@ -440,7 +440,7 @@ func TestEvalAgainstOracleRandom(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				if err := checkRoutes(d, text, or, p); err != nil {
+				if err := checkRoutes(d, text, nil, or, p); err != nil {
 					t.Logf("seed %d round %d path %q: %v", seed, round, ps, err)
 					return false
 				}
