@@ -29,7 +29,7 @@ import (
 // way, every tuple encoded twice (a string sort key, then AppendTuple) and
 // the DAG state in a slice of its own, copied in.
 func encodeCheckpointReference(sys *core.System) (head, tables, tail []byte) {
-	head = []byte{ckptVersion}
+	head = []byte{wal.Format}
 	head = binary.AppendUvarint(head, sys.Generation())
 	sum, _ := sys.Digest()
 	head = sum.Append(head)
@@ -175,7 +175,7 @@ func registrarSlotOrderPayload(tb testing.TB) []byte {
 		tb.Fatal("the payload lists every table in order")
 	}
 	atg, db = MustRegistrar()
-	if _, err := restoreSystem(atg, db, core.Options{}, nil, "test", v.Generation(), payload, nil); err != nil {
+	if _, err := restoreSystem(atg, db, core.Options{}, "test", v.Generation(), payload, nil); err != nil {
 		tb.Fatalf("the payload does not restore: %v", err)
 	}
 	return payload
@@ -294,7 +294,7 @@ func TestEncodeCheckpointMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys, err := restoreSystem(fresh.ATG, fresh.DB, core.Options{ForceSideEffects: true}, nil, "test", v.sys.Generation(), payload, nil)
+		sys, err := restoreSystem(fresh.ATG, fresh.DB, core.Options{ForceSideEffects: true}, "test", v.sys.Generation(), payload, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +364,7 @@ func TestRestoreAllocationBound(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		o0 := ms.Mallocs
-		sys, err := restoreSystem(a, db, core.Options{}, nil, "test", 0, state, nil)
+		sys, err := restoreSystem(a, db, core.Options{}, "test", 0, state, nil)
 		runtime.ReadMemStats(&ms)
 		if err != nil {
 			t.Fatal(err)

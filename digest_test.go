@@ -2,20 +2,24 @@ package rxview
 
 // White-box tests of what a restore verifies since the state digest: damage
 // that every checksum passes over — a payload or a record altered and then
-// re-framed by the log's own writer — is refused by the digest, at the
-// generation it belongs to, with nothing touched; a directory opened under
-// another ATG is refused by its fingerprint; and the full consistency check
-// runs only for a version-1 checkpoint.
+// re-framed by the log's own writer, its digest zeroed included — is refused
+// by the digest, at the generation it belongs to, with nothing touched; a
+// directory opened under another ATG is refused by its fingerprint, one
+// written in another format by every reader; and no restore runs the full
+// consistency check.
 
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -110,23 +114,34 @@ func wantDigestRefusal(t *testing.T, what string, err error, gen string) {
 }
 
 // TestBitFlipBehindValidChecksumRefused: one bit of a checkpoint payload —
-// inside a base tuple, then inside the DAG state — is flipped and the payload
-// written back through the log's writer, so its CRC is good. Open and
-// Replica.Restore refuse it by the digest, before they touch anything: the
-// caller's database keeps its rows and the replica its previous state.
+// inside a base tuple, then inside the DAG state — is flipped, or its digest
+// zeroed, and the payload written back through the log's writer, so its CRC is
+// good. Open and Replica.Restore refuse it by the digest, before they touch
+// anything: the caller's database keeps its rows and the replica its previous
+// state.
 func TestBitFlipBehindValidChecksumRefused(t *testing.T) {
 	state, _ := registrarImage(t, 0)
 	// "Advanced Topics" is CS650's title: once in the course table, and
 	// after it in the DAG state's attribute tuples.
 	inTuple := bytes.Index(state, []byte("Advanced Topics"))
 	inDAG := bytes.LastIndex(state, []byte("Advanced Topics"))
-	if inTuple < 0 || inDAG <= inTuple {
-		t.Fatalf("payload layout: title at %d and %d", inTuple, inDAG)
+	ck, _, err := decodeCheckpointHeader(state)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, at := range map[string]int{"a base tuple": inTuple, "the DAG state": inDAG} {
+	inDigest := bytes.Index(state, ck.digest.Append(nil))
+	if inTuple < 0 || inDAG <= inTuple || inDigest < 0 {
+		t.Fatalf("payload layout: title at %d and %d, digest at %d", inTuple, inDAG, inDigest)
+	}
+	damage := map[string]func([]byte){
+		"a base tuple":      func(b []byte) { b[inTuple] ^= 1 },
+		"the DAG state":     func(b []byte) { b[inDAG] ^= 1 },
+		"the digest zeroed": func(b []byte) { clear(b[inDigest : inDigest+digest.Size]) },
+	}
+	for name, apply := range damage {
 		t.Run(name, func(t *testing.T) {
 			bad := bytes.Clone(state)
-			bad[at] ^= 1
+			apply(bad)
 			dir, _ := writeDurable(t, 0, bad, nil)
 
 			atg, db := MustRegistrar()
@@ -180,12 +195,15 @@ func mustDigest(t *testing.T, v *View) Digest {
 // loses one delta op — and, separately, one ΔR mutation — and is re-framed
 // with a valid CRC. It still replays without an error of its own, into a
 // state the primary never had. Boot recovery and a follower's ApplyRecord
-// both stop at exactly generation 3, with both digests in the error.
+// both stop at exactly generation 3, with both digests in the error. So do
+// they at a record whose replay is right but whose digest is zeroed: zero is
+// no stamp that waves a replay through.
 func TestWrongReplayStopsAtItsGeneration(t *testing.T) {
 	state, recs := registrarImage(t, 5)
 	damage := map[string]func(*wal.Record){
 		"one delta op dropped": func(r *wal.Record) { r.Delta = r.Delta[:len(r.Delta)-1] },
 		"one mutation dropped": func(r *wal.Record) { r.DR = r.DR[:len(r.DR)-1] },
+		"the digest zeroed":    func(r *wal.Record) { r.Digest = digest.Sum{} },
 	}
 	for name, drop := range damage {
 		t.Run(name, func(t *testing.T) {
@@ -239,6 +257,71 @@ func TestWrongReplayStopsAtItsGeneration(t *testing.T) {
 	}
 }
 
+// TestForeignFormatRefusedByEveryReader: a checkpoint payload and a record
+// that state another format than wal.Format, each whole and behind a valid
+// checksum, as a newer build would write them. Open refuses the directory —
+// the record is the last one of the last segment, where a torn tail would be
+// cut off, and the file keeps every byte — a follower's stream reader refuses
+// the frame, and Replica.Restore the payload; each error names both formats.
+func TestForeignFormatRefusedByEveryReader(t *testing.T) {
+	const foreign = wal.Format + 1
+	names := []string{fmt.Sprintf("format %d", foreign), fmt.Sprintf("format %d", wal.Format)}
+	wantNamed := func(what string, err error, sentinel error) {
+		t.Helper()
+		if !errors.Is(err, sentinel) {
+			t.Fatalf("%s: %v, want %v", what, err, sentinel)
+		}
+		for _, name := range names {
+			if !strings.Contains(err.Error(), name) {
+				t.Fatalf("%s: %q does not name %q", what, err, name)
+			}
+		}
+	}
+
+	state, recs := registrarImage(t, 2)
+	dir, frames := writeDurable(t, 0, state, recs)
+	last := frames[len(frames)-1]
+	seg := filepath.Join(dir, fmt.Sprintf("wal-%020d.xvl", 0))
+	b, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := reframe(last, foreign)
+	copy(b[len(b)-len(last):], bad)
+	if err := os.WriteFile(seg, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	atg, db := MustRegistrar()
+	_, err = Open(atg, db, WithDurability(dir))
+	wantNamed("Open", err, ErrCorruptLog)
+	if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, b) {
+		t.Fatalf("the refused Open left the segment at %d bytes (%v), was %d", len(after), err, len(b))
+	}
+
+	_, err = NewReplFrameReader(bytes.NewReader(bad)).Next()
+	wantNamed("ReplFrameReader.Next", err, wal.ErrCorrupt)
+
+	rep, err := OpenReplica(MustRegistrar())
+	if err != nil {
+		t.Fatal(err)
+	}
+	newer := bytes.Clone(state)
+	newer[0] = foreign
+	wantNamed("Replica.Restore", rep.Restore(0, newer), ErrCorruptLog)
+}
+
+// reframe is frame — one record as the log frames it: uvarint length, CRC-32C,
+// payload — with the payload's format byte set to format and the checksum
+// recomputed, so that only the format is wrong.
+func reframe(frame []byte, format byte) []byte {
+	out := bytes.Clone(frame)
+	_, n := binary.Uvarint(out)
+	payload := out[n+4:]
+	payload[0] = format
+	binary.BigEndian.PutUint32(out[n:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return out
+}
+
 // fullChecks reads the process-wide count of full consistency checks. The
 // pipeline's families register at the first commit or check of the process,
 // so an absent family is a count of zero.
@@ -269,7 +352,7 @@ func lastRecovery() (seconds, records float64, ok bool) {
 // follower's Restore — leaves its duration and the records it replayed in the
 // gauges, and one that is refused leaves them alone.
 func TestRecoveryGauges(t *testing.T) {
-	v, dir, _, _ := openImage(t, "wal-digest-fd35873") // ckpt-6 and the record of generation 7
+	v, dir, _, _ := openImage(t, "wal-format2") // ckpt-6 and the record of generation 7
 	defer v.Close()
 	secs, recs, ok := lastRecovery()
 	if !ok || secs <= 0 || secs > 60 || recs != 1 {
@@ -323,71 +406,17 @@ func openImage(t *testing.T, name string) (v *View, dir string, warnings []strin
 	return v, dir, warnings, fullChecks() - before
 }
 
-// TestVersion1CheckpointTakesTheFullCheckOnce: the image the parent of the
-// digest wrote carries version-1 checkpoints and records without a trailer.
-// It has nothing to compare with, so it opens through the full consistency
-// check, says so, and keeps a digest from there on; once it has written a
-// checkpoint of its own, the next open verifies by digest and republishes
-// nothing.
-func TestVersion1CheckpointTakesTheFullCheckOnce(t *testing.T) {
-	v, dir, warnings, checks := openImage(t, "wal-parent-6e107b9")
-	const want = "version-1 checkpoint at generation 6 carries no state digest; verifying the restored state with a full consistency check"
-	if len(warnings) != 1 || !strings.Contains(warnings[0], want) {
-		t.Fatalf("warnings %q, want one saying %q", warnings, want)
-	}
-	if checks != 1 {
-		t.Fatalf("%v full consistency checks on the version-1 path, want 1", checks)
-	}
-	info, err := InspectWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range info.Checkpoints {
-		if c.Digest != "none" || c.ATG != "none" {
-			t.Errorf("legacy checkpoint %d lists digest %s, ATG %s", c.Gen, c.Digest, c.ATG)
-		}
-	}
-	for _, s := range info.Segments {
-		for _, r := range s.Records {
-			if r.Digest != "none" {
-				t.Errorf("legacy record %d lists digest %s", r.Gen, r.Digest)
-			}
-		}
-	}
-	sum := mustDigest(t, v)
-	if want := digest.Of(v.sys.DAG, v.sys.DB); sum != want {
-		t.Fatalf("digest %s after the legacy replay, a full pass says %s", sum, want)
-	}
-	if err := v.Close(); err != nil { // writes a version-2 checkpoint
-		t.Fatal(err)
-	}
-
-	atg, db := MustRegistrar()
-	warnings = nil
-	before := fullChecks()
-	v2, err := Open(atg, db, WithDurability(dir), WithRecoveryWarn(func(msg string) { warnings = append(warnings, msg) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-	if len(warnings) != 0 || fullChecks() != before {
-		t.Fatalf("reopen after the upgrade: warnings %q, %v full checks", warnings, fullChecks()-before)
-	}
-	if got := mustDigest(t, v2); got != sum {
-		t.Fatalf("digest %s after the reopen, %s before the close", got, sum)
-	}
-}
-
-// TestOpensDirectoryWrittenWithDigests: testdata/wal-digest-fd35873 was
-// written by the commit that introduced the state digest (registrar example,
-// a checkpoint every 2 commits, the seven updates of the parent image, no
-// Close): version-2 checkpoints, a digest on every record. It is the fixture
-// the next format change must keep opening. It opens without a warning and
-// without republishing anything, at the state — and the digest — an
-// in-memory view reaches by the same seven updates.
+// TestOpensDirectoryWrittenWithDigests: testdata/wal-format2 is what this
+// on-disk format writes (registrar example, a checkpoint every 2 commits, each
+// file landed before the next commit, the seven updates below, no Close):
+// checkpoints 4 and 6, records 5 to 7. An unintended change to the encoding
+// turns this test red; an intended one bumps wal.Format and regenerates the
+// image. It opens without a warning and without republishing anything, at the
+// state — and the digest — an in-memory view reaches by the same seven
+// updates.
 func TestOpensDirectoryWrittenWithDigests(t *testing.T) {
 	ctx := context.Background()
-	v, dir, warnings, checks := openImage(t, "wal-digest-fd35873")
+	v, dir, warnings, checks := openImage(t, "wal-format2")
 	defer v.Close()
 	if len(warnings) != 0 || checks != 0 {
 		t.Fatalf("warnings %q, %v full consistency checks: the restore was not verified by digest alone", warnings, checks)
@@ -475,8 +504,8 @@ func TestOpenUnderAnotherATGRefused(t *testing.T) {
 		t.Fatalf("the refused Open left the database at %s, was %s", got, seeded)
 	}
 	det, err := InspectCheckpoint(dir)
-	if err != nil || det.ATG != written || det.Version != ckptVersion {
-		t.Fatalf("InspectCheckpoint: %+v, %v; want version %d under ATG %s", det, err, ckptVersion, written)
+	if err != nil || det.ATG != written || det.Version != wal.Format {
+		t.Fatalf("InspectCheckpoint: %+v, %v; want version %d under ATG %s", det, err, wal.Format, written)
 	}
 }
 
@@ -553,24 +582,32 @@ func registrarVariant(t *testing.T) (*ATG, *DB) {
 // FuzzDecodeCheckpoint drives the three decoders of a checkpoint payload —
 // decodeCheckpoint, dag.DecodeState, the digest pass — and everything else a
 // restore does to bytes this process did not write, seeded with the
-// checkpoints of both committed images. Nothing panics; what is refused is
+// checkpoints of the committed image. Nothing panics; what is refused is
 // refused as ErrCorruptLog or ErrCheckpointMismatch with the database left
-// alone; and whatever is accepted is a consistent view (a version-2 payload
-// the fuzzer altered must still match its digest, a version-1 payload goes
-// through the full check). The target touches no file. Besides the committed
-// images, whose rows were written sorted, it is seeded with what the writer
-// writes now: rows in slot order, after a run that refilled freed slots.
+// alone; and whatever is accepted is a consistent view (a payload the fuzzer
+// altered must still match its digest). The target touches no file. Besides
+// the committed image it is seeded with a payload whose tables list their rows
+// out of order, written after a run that refilled freed slots, and with that
+// payload in a foreign format and with its digest zeroed.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	for _, image := range []string{"wal-parent-6e107b9", "wal-digest-fd35873"} {
-		for _, gen := range []uint64{4, 6} {
-			state, err := wal.ReadCheckpoint(filepath.Join("testdata", image, fmt.Sprintf("ckpt-%020d.xvc", gen)), gen)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(state)
+	for _, gen := range []uint64{4, 6} {
+		state, err := wal.ReadCheckpoint(filepath.Join("testdata", "wal-format2", fmt.Sprintf("ckpt-%020d.xvc", gen)), gen)
+		if err != nil {
+			f.Fatal(err)
 		}
+		f.Add(state)
 	}
-	f.Add(registrarSlotOrderPayload(f))
+	slotOrder := registrarSlotOrderPayload(f)
+	f.Add(slotOrder)
+	foreign := bytes.Clone(slotOrder)
+	foreign[0] = wal.Format + 1
+	f.Add(foreign)
+	ck, _, err := decodeCheckpointHeader(slotOrder)
+	if err != nil {
+		f.Fatal(err)
+	}
+	at := bytes.Index(slotOrder, ck.digest.Append(nil))
+	f.Add(slices.Concat(slotOrder[:at], make([]byte, digest.Size), slotOrder[at+digest.Size:]))
 	atg, db := MustRegistrar()
 	f.Fuzz(func(t *testing.T, state []byte) {
 		var gen uint64
@@ -578,7 +615,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			gen = ck.gen
 		}
 		before := dbShape(db)
-		sys, err := restoreSystem(atg, db, core.Options{}, nil, "fuzz", gen, state, nil)
+		sys, err := restoreSystem(atg, db, core.Options{}, "fuzz", gen, state, nil)
 		if err != nil {
 			if !errors.Is(err, ErrCorruptLog) && !errors.Is(err, ErrCheckpointMismatch) {
 				t.Fatalf("refused outside the taxonomy: %v", err)
@@ -649,7 +686,7 @@ func BenchmarkRestore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys, err := restoreSystem(syn.ATG, syn.DB, core.Options{ForceSideEffects: true}, nil, "bench", 0, state, recs)
+		sys, err := restoreSystem(syn.ATG, syn.DB, core.Options{ForceSideEffects: true}, "bench", 0, state, recs)
 		if err != nil || sys.Generation() != 48 {
 			b.Fatal(err)
 		}

@@ -71,9 +71,10 @@
 // is held to the state digest it carries and to the fingerprint of the ATG it
 // was written under, and the log is replayed with the digest compared after
 // every record (View.Digest; the full CheckConsistency stays an operator's
-// and a test's tool — `xviewctl verify` — and runs on a reopen only for a
-// checkpoint written before digests). Every commit — an
-// Apply, a Batch member, a whole Begin/Commit group — is in the log before
+// and a test's tool — `xviewctl verify` — and never runs on a reopen). A
+// directory in another on-disk format than this build's is refused, not
+// upgraded. Every commit — an Apply, a Batch member, a whole Begin/Commit
+// group — is in the log before
 // its verdict returns, under the fsync policy of WithFsync; View.Close
 // seals a final checkpoint so the next Open replays nothing. An automatic
 // checkpoint (WithCheckpointEvery) stalls the writer only to encode the

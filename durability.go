@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,22 +34,15 @@ const defaultCheckpointEvery = 256
 // it. A restore holds the decoded payload to the checkpoint's digest in one
 // pass, replays the suffix through core's ApplyCommitRecord, which steps the
 // digest by the same function and compares after every record, and validates
-// L, which the digest does not cover. It no longer republishes the view: equal
-// digests prove that the restored state is the state the primary had — nodes,
+// L, which the digest does not cover. It republishes nothing: equal digests
+// prove that the restored state is the state the primary had — nodes,
 // edges and rows alike — and what the primary had went through the translator
 // whose output the tests hold to σ(I) with the full CheckConsistency after
 // every kind of commit. That check stays the ground truth — View.
-// CheckConsistency, `xviewctl check` and `verify`, every test — it is just no
-// longer what a reopen pays for. A version-1 checkpoint carries nothing to
-// compare with, so it alone is still verified by CheckConsistency, once, and
-// says so in a warning; the next checkpoint written is version 2.
-
-// Checkpoint payload versions: version 1 has no digest and no grammar
-// fingerprint. Writers write ckptVersion only; readers accept both.
-const (
-	ckptVersionLegacy = 1
-	ckptVersion       = 2
-)
+// CheckConsistency, `xviewctl check` and `verify`, every test — it is just not
+// what a reopen pays for. There is one on-disk format, wal.Format: the first
+// byte of every checkpoint payload and every record, and the only one a reader
+// accepts; a directory written in another format is refused, not upgraded.
 
 // openDurable is Open with WithDurability: recover the newest durable state
 // from the directory (or establish the genesis epoch from the provided DB),
@@ -75,7 +67,7 @@ func openDurable(a *ATG, db *DB, cfg *config) (*View, error) {
 		for _, w := range boot.Warnings {
 			warnTo(cfg.warn, "rxview: recovery: %s", w)
 		}
-		sys, err = restoreSystem(a, db, cfg.opts, cfg.warn, cfg.durDir, boot.Gen, boot.State, boot.Records)
+		sys, err = restoreSystem(a, db, cfg.opts, cfg.durDir, boot.Gen, boot.State, boot.Records)
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +121,7 @@ func openDurable(a *ATG, db *DB, cfg *config) (*View, error) {
 // is refused later — a record that does not replay to its digest, an L that
 // is no order of the DAG — puts the DB's contents back: a refused restore
 // changes nothing.
-func restoreSystem(a *ATG, db *DB, opts core.Options, warn func(string), src string, gen uint64, state []byte, suffix []wal.Record) (*core.System, error) {
+func restoreSystem(a *ATG, db *DB, opts core.Options, src string, gen uint64, state []byte, suffix []wal.Record) (*core.System, error) {
 	start := time.Now()
 	ck, err := decodeCheckpoint(state)
 	if err != nil {
@@ -139,8 +131,7 @@ func restoreSystem(a *ATG, db *DB, opts core.Options, warn func(string), src str
 		return nil, &CheckpointMismatchError{Dir: src,
 			Err: fmt.Errorf("checkpoint payload is for generation %d, its source says %d", ck.gen, gen)}
 	}
-	legacy := ck.version == ckptVersionLegacy
-	if fp := a.c.Fingerprint(); !legacy && ck.atg != fp {
+	if fp := a.c.Fingerprint(); ck.atg != fp {
 		return nil, &CheckpointMismatchError{Dir: src,
 			Err: fmt.Errorf("checkpoint was written under ATG %s, this view was opened with ATG %s", ck.atg, fp)}
 	}
@@ -170,12 +161,7 @@ func restoreSystem(a *ATG, db *DB, opts core.Options, warn func(string), src str
 
 	db.db.Swap(loaded) // loaded holds the previous contents from here on
 	sys, err := core.Recover(a.c, db.db, d, ck.order, gen, sum, suffix, opts)
-	switch {
-	case err != nil:
-	case legacy:
-		warnTo(warn, "rxview: recovery: %s: version-1 checkpoint at generation %d carries no state digest; verifying the restored state with a full consistency check", src, gen)
-		err = sys.CheckConsistency()
-	default:
+	if err == nil {
 		err = sys.Topo.Validate(sys.DAG)
 	}
 	if err != nil {
@@ -446,10 +432,9 @@ func walErr(dir string, err error) error {
 // grammar fingerprint, then the relational instance, the DAG with its full
 // identity table, and the topological order — all of it at one sealed epoch.
 type checkpoint struct {
-	version  byte
 	gen      uint64
-	digest   digest.Sum      // of the state below; zero in a version-1 payload
-	atg      atg.Fingerprint // of the grammar the state was published under; version 2
+	digest   digest.Sum      // of the state below
+	atg      atg.Fingerprint // of the grammar the state was published under
 	tables   []ckptTable
 	dagState []byte
 	order    []dag.NodeID
@@ -464,14 +449,14 @@ type ckptTable struct {
 
 // encodeCheckpoint serializes the full state of the system into one buffer:
 // wal.CheckpointHeadroom free bytes for the file's framing, then the
-// payload — version, generation, the state digest, the grammar fingerprint,
+// payload — format, generation, the state digest, the grammar fingerprint,
 // the tables, the DAG state, and L.
 //
 // The writer pays for this inside the checkpoint stall, and for collecting
 // what it leaves behind, so the buffer is sized before anything is encoded
 // and everything is encoded once, in order, straight into it: each relation
 // knows the encoded length of its rows (Relation.EncodedLen), and the DAG
-// state is measured by dagStateLen.
+// the length of its state (DAG.StateLen).
 //
 // A table's rows are written in Scan order — slot order, the order the
 // relation holds them in, not the order of their values — because no reader
@@ -481,24 +466,25 @@ type ckptTable struct {
 // in-memory state always writes the same bytes, but two nodes at one
 // generation may write their rows in different orders.
 func encodeCheckpoint(sys *core.System) []byte {
+	vlen := relational.UvarintLen
 	gen := sys.Generation()
 	names := sys.DB.Schema.TableNames()
 	sum, _ := sys.Digest()
 	fp := sys.ATG.Fingerprint()
-	tablesEnd := wal.CheckpointHeadroom + 1 + uvarintLen(gen) + digest.Size + len(fp) + uvarintLen(uint64(len(names)))
+	tablesEnd := wal.CheckpointHeadroom + 1 + vlen(gen) + digest.Size + len(fp) + vlen(uint64(len(names)))
 	for _, name := range names {
 		rel := sys.DB.Rel(name)
-		tablesEnd += uvarintLen(uint64(len(name))) + len(name) + uvarintLen(uint64(rel.Len())) + rel.EncodedLen()
+		tablesEnd += vlen(uint64(len(name))) + len(name) + vlen(uint64(rel.Len())) + rel.EncodedLen()
 	}
-	stateLen := dagStateLen(sys.DAG)
+	stateLen := sys.DAG.StateLen()
 	order := sys.Topo.Nodes()
-	size := tablesEnd + uvarintLen(uint64(stateLen)) + stateLen + uvarintLen(uint64(len(order)))
+	size := tablesEnd + vlen(uint64(stateLen)) + stateLen + vlen(uint64(len(order)))
 	for _, id := range order {
-		size += uvarintLen(uint64(id))
+		size += vlen(uint64(id))
 	}
 
 	buf := make([]byte, size)
-	dst := append(buf[:wal.CheckpointHeadroom], ckptVersion)
+	dst := append(buf[:wal.CheckpointHeadroom], wal.Format)
 	dst = binary.AppendUvarint(dst, gen)
 	dst = sum.Append(dst)
 	dst = append(dst, fp[:]...)
@@ -532,44 +518,19 @@ func encodeCheckpoint(sys *core.System) []byte {
 	return buf
 }
 
-// dagStateLen is the length of what d.AppendState writes, measured over the
-// DAG's accessors without encoding anything, so that the state can be
-// encoded in place. It mirrors AppendState field by field; encodeCheckpoint
-// panics if the two ever disagree.
-func dagStateLen(d *dag.DAG) int {
-	n := d.Cap()
-	size := uvarintLen(uint64(n)) + uvarintLen(uint64(d.Root()))
-	for i := range n {
-		id := dag.NodeID(i)
-		typ, row := d.Type(id), d.Children(id)
-		size += uvarintLen(uint64(len(typ))) + len(typ) + relational.TupleLen(d.Attr(id)) + 1 // + the liveness byte
-		size += uvarintLen(uint64(len(row)))
-		for _, c := range row {
-			size += uvarintLen(uint64(c))
-		}
-	}
-	return size
-}
-
-// uvarintLen is the number of bytes binary.AppendUvarint writes for x.
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-// decodeCheckpointHeader decodes what a payload says about itself — version,
-// generation and, from version 2 on, state digest and grammar fingerprint —
-// and returns the rest of the payload.
+// decodeCheckpointHeader decodes what a payload says about itself — format,
+// generation, state digest and grammar fingerprint — and returns the rest of
+// the payload.
 func decodeCheckpointHeader(b []byte) (*checkpoint, []byte, error) {
-	if len(b) == 0 || b[0] != ckptVersionLegacy && b[0] != ckptVersion {
-		return nil, nil, fmt.Errorf("checkpoint: unsupported version")
+	if err := wal.CheckFormat(b); err != nil {
+		return nil, nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	ck := &checkpoint{version: b[0]}
+	ck := &checkpoint{}
 	gen, w := binary.Uvarint(b[1:])
 	if w <= 0 {
 		return nil, nil, fmt.Errorf("checkpoint: bad generation")
 	}
 	ck.gen, b = gen, b[1+w:]
-	if ck.version == ckptVersionLegacy {
-		return ck, b, nil
-	}
 	if len(b) < digest.Size+len(ck.atg) {
 		return nil, nil, fmt.Errorf("checkpoint: bad digest")
 	}

@@ -599,48 +599,6 @@ func TestRecoveredViewSealsInsteadOfCheckpointing(t *testing.T) {
 	}
 }
 
-// TestOpensDirectoryWrittenByParentCommit: testdata/wal-parent-6e107b9 was
-// written by the commit before the checkpoint left the write path (registrar
-// example, a checkpoint every 2 commits, seven commits, no Close). Same file
-// formats, so it must open, at the state an in-memory view reaches by the
-// same seven updates.
-func TestOpensDirectoryWrittenByParentCommit(t *testing.T) {
-	ctx := context.Background()
-	image := copyWALDir(t, filepath.Join("testdata", "wal-parent-6e107b9"))
-	if ckpts, segs := walShape(t, image); fmt.Sprint(ckpts, segs) != "[4 6] [4 6]" {
-		t.Fatalf("the committed image holds checkpoints %v, segments %v", ckpts, segs)
-	}
-	rv := mustDurableView(t, image)
-	defer rv.Close()
-
-	atg, db, err := rxview.NewRegistrar()
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := rxview.Open(atg, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		insertStudent(t, oracle, fmt.Sprintf("S6%02d", i))
-	}
-	for _, u := range []rxview.Update{
-		rxview.Delete(`//course[cno="CS320"]//student[ssn="S02"]`),
-		rxview.Insert(`.`, "course", rxview.Str("CS800"), rxview.Str("Alpha")),
-	} {
-		if _, err := oracle.Apply(ctx, u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, want := fingerprint(t, rv), fingerprint(t, oracle); got != want {
-		t.Fatalf("state recovered from the parent's directory differs:\n%s\nvs\n%s", got, want)
-	}
-	if err := rv.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	insertStudent(t, rv, "S700")
-}
-
 func TestCorruptLogErrorRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()

@@ -27,9 +27,9 @@ type (
 
 // InspectWAL lists a durability directory: every checkpoint with its
 // validity, the state digest it carries and the fingerprint of the ATG it was
-// written under, every log segment with its records and theirs ("none" where a
-// file predates digests). Damage is reported in the Err/Note fields rather
-// than failing the listing.
+// written under, every log segment with its records and theirs. Damage —
+// a file in another format included — is reported in the Err/Note fields
+// rather than failing the listing.
 func InspectWAL(dir string) (*WALInfo, error) {
 	info, err := wal.Inspect(dir)
 	if err != nil {
@@ -44,7 +44,7 @@ func InspectWAL(dir string) (*WALInfo, error) {
 		if err == nil {
 			var ck *checkpoint
 			if ck, _, err = decodeCheckpointHeader(state); err == nil {
-				c.Digest, c.ATG = ck.stamps()
+				c.Digest, c.ATG = ck.digest.String(), ck.atg.String()
 				continue
 			}
 		}
@@ -53,23 +53,14 @@ func InspectWAL(dir string) (*WALInfo, error) {
 	return info, nil
 }
 
-// stamps renders what a payload says about the state it holds: its digest
-// and the fingerprint of its grammar, "none" for both in a version-1 payload.
-func (ck *checkpoint) stamps() (sum, atg string) {
-	if ck.version == ckptVersionLegacy {
-		return "none", "none"
-	}
-	return ck.digest.String(), ck.atg.String()
-}
-
 // CheckpointDetail describes the newest readable checkpoint in a durability
 // directory: the sealed epoch a recovery would boot from.
 type CheckpointDetail struct {
 	Path       string      `json:"path"`
 	Gen        uint64      `json:"gen"`
-	Version    int         `json:"version"`     // payload format: 2 carries the two stamps below, 1 predates them
-	Digest     string      `json:"digest"`      // state digest of the sealed epoch; "none" in a version-1 payload
-	ATG        string      `json:"atg"`         // fingerprint of the ATG it was written under; "none" likewise
+	Version    int         `json:"version"`     // on-disk format: wal.Format, the only one a reader accepts
+	Digest     string      `json:"digest"`      // state digest of the sealed epoch
+	ATG        string      `json:"atg"`         // fingerprint of the ATG it was written under
 	Tables     []TableInfo `json:"tables"`      // base relations with row counts
 	Nodes      int         `json:"nodes"`       // identity-table size, dead entries included
 	LiveNodes  int         `json:"live_nodes"`  // nodes alive at the sealed epoch
@@ -97,14 +88,15 @@ func InspectCheckpoint(dir string) (*CheckpointDetail, error) {
 	det := &CheckpointDetail{
 		Path:       path,
 		Gen:        gen,
-		Version:    int(ck.version),
+		Version:    wal.Format,
+		Digest:     ck.digest.String(),
+		ATG:        ck.atg.String(),
 		Nodes:      d.Cap(),
 		LiveNodes:  d.NumNodes(),
 		Edges:      d.NumEdges(),
 		OrderLen:   len(ck.order),
 		StateBytes: len(state),
 	}
-	det.Digest, det.ATG = ck.stamps()
 	for _, tb := range ck.tables {
 		det.Tables = append(det.Tables, TableInfo{Name: tb.name, Rows: len(tb.rows)})
 	}
@@ -132,7 +124,7 @@ func VerifyDir(a *ATG, db *DB, dir string) (gen uint64, d Digest, err error) {
 	for i, r := range recs {
 		suffix[i] = r.Record
 	}
-	sys, err := restoreSystem(a, db, core.Options{}, nil, dir, gen, state, suffix)
+	sys, err := restoreSystem(a, db, core.Options{}, dir, gen, state, suffix)
 	if err != nil {
 		return 0, Digest{}, err
 	}

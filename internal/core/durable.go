@@ -122,9 +122,8 @@ func (s *System) ApplyCommitRecord(rec CommitRecord) error {
 // Recover rebuilds a System from durable state: a checkpoint (the database
 // holding the checkpointed instance, the decoded DAG and its serialized
 // topological order, at generation gen, with state digest sum — the caller
-// has held the decoded state to it, or computed it where the checkpoint
-// carried none) plus the log suffix recs, replayed in order through
-// ApplyCommitRecord. Generations must be contiguous from gen+1.
+// has held the decoded state to it) plus the log suffix recs, replayed in
+// order through ApplyCommitRecord. Generations must be contiguous from gen+1.
 func Recover(c *atg.Compiled, db *relational.Database, d *dag.DAG, order []dag.NodeID, gen uint64, sum digest.Sum, recs []CommitRecord, opts Options) (*System, error) {
 	s := &System{
 		ATG:        c,

@@ -77,7 +77,7 @@ func metrics() *pipelineMetrics {
 		m.stagesOK = r.NewCounter("xview_txn_stages_total", "Staged updates that applied.")
 		m.stagesRej = r.NewCounter("xview_txn_stage_rejections_total", "Staged updates that were rejected.")
 		m.fullChecks = r.NewCounter("xview_consistency_checks_total",
-			"Full consistency checks run: the view republished from the base tables and compared (operator checks, tests, and the restore of a version-1 checkpoint — never a digest-verified restore).")
+			"Full consistency checks run: the view republished from the base tables and compared (operator checks and tests; a restore is verified by digest and never runs one).")
 		r.NewCounterFunc("xview_path_cache_hits_total",
 			"Compiled-XPath cache hits (process-wide LRU).", func() float64 {
 				h, _ := PathCacheStats()

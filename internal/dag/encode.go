@@ -232,6 +232,24 @@ func (d *DAG) AppendState(dst []byte) []byte {
 	return dst
 }
 
+// StateLen is the number of bytes AppendState writes, measured without
+// encoding anything, so that a caller can size one buffer for the state and
+// whatever surrounds it. It mirrors AppendState field by field.
+func (d *DAG) StateLen() int {
+	vlen := relational.UvarintLen
+	n := len(d.types)
+	size := vlen(uint64(n)) + vlen(uint64(d.root))
+	for id := 0; id < n; id++ {
+		row := d.children.row(NodeID(id))
+		size += vlen(uint64(len(d.types[id]))) + len(d.types[id]) + relational.TupleLen(d.attrs[id]) + 1 // + the alive flag
+		size += vlen(uint64(len(row)))
+		for _, c := range row {
+			size += vlen(uint64(c))
+		}
+	}
+	return size
+}
+
 // DecodeState reconstructs a DAG serialized by AppendState. The result is
 // id-identical to the original: same identity table, same liveness, same
 // sibling order (parent lists are rebuilt from the child lists in id order).

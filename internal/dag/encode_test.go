@@ -77,6 +77,44 @@ func TestStateCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStateLenMatchesAppendState holds the measure to the encoder after every
+// kind of step: an empty DAG, multi-field and NULL attributes, node deaths
+// (the dead ids stay in the table), a resurrection, and counts, ids and names
+// past one varint byte.
+func TestStateLenMatchesAppendState(t *testing.T) {
+	d := New("db")
+	check := func(when string) {
+		t.Helper()
+		if got, want := d.StateLen(), len(d.AppendState(nil)); got != want {
+			t.Fatalf("%s: StateLen %d, AppendState writes %d bytes", when, got, want)
+		}
+	}
+	check("empty")
+	a, _ := d.AddNode("course", relational.Tuple{relational.Str("CS650"), relational.Int(3), relational.Null()})
+	b, _ := d.AddNode("student", relational.Tuple{relational.Null()})
+	d.AddEdge(d.Root(), a)
+	d.AddEdge(a, b)
+	check("multi-field and NULL attributes")
+	d.RemoveEdge(a, b)
+	d.RemoveNode(b)
+	check("a node death")
+	if id, created := d.AddNode("student", relational.Tuple{relational.Null()}); !created || id != b {
+		t.Fatalf("resurrection allocated %d (created=%v), want %d", id, created, b)
+	}
+	d.AddEdge(d.Root(), b)
+	check("a resurrection")
+	long := strings.Repeat("t", 200)
+	for i := range 300 {
+		c, _ := d.AddNode(long, relational.Tuple{relational.Int(int64(i))})
+		d.AddEdge(a, c)
+		if i%3 == 0 {
+			d.RemoveEdge(a, c)
+			d.RemoveNode(c)
+		}
+	}
+	check("300 children, a third dead, a 200-byte type name")
+}
+
 func TestStateCodecTruncated(t *testing.T) {
 	full := buildSample(t).AppendState(nil)
 	for cut := 0; cut < len(full); cut++ {

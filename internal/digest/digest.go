@@ -34,10 +34,10 @@ import (
 	"rxview/internal/relational"
 )
 
-// Sum is a state digest. The zero Sum stands for "no digest": a log record or
-// checkpoint written before digests existed carries none, and a reader
-// verifies nothing against it. Of never returns it for lack of items (the sum
-// starts from a non-zero basis).
+// Sum is a state digest. The zero Sum means only "this in-memory system keeps
+// no digest"; it is never a stamp that was written, and Of never returns it
+// (the sum starts from a non-zero basis). A record or checkpoint that carries
+// it is held to it like to any other stamp, and fails.
 type Sum struct{ A, B uint64 }
 
 // Size is the length of a Sum's wire form: lane A then lane B, big-endian.
@@ -76,10 +76,9 @@ func (e *MismatchError) Error() string {
 }
 
 // Compare holds got — the digest of the state a reader has built — to want,
-// the digest its source stamped. A zero want is a source that stamped
-// nothing, and passes.
+// the digest its source stamped.
 func Compare(want, got Sum) error {
-	if want.IsZero() || want == got {
+	if want == got {
 		return nil
 	}
 	return &MismatchError{Want: want, Got: got}

@@ -150,8 +150,8 @@ func TestWireFormAndCompare(t *testing.T) {
 	if err := Compare(s, s); err != nil {
 		t.Errorf("equal digests: %v", err)
 	}
-	if err := Compare(Sum{}, s); err != nil {
-		t.Errorf("a source that stamped nothing: %v", err)
+	if err := Compare(Sum{}, s); !errors.As(err, new(*MismatchError)) {
+		t.Errorf("a zero stamp: %v, want a MismatchError", err)
 	}
 	var mm *MismatchError
 	if err := Compare(s, Sum{A: 1}); !errors.As(err, &mm) || mm.Want != s || mm.Got != (Sum{A: 1}) {

@@ -3,6 +3,7 @@ package relational
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"rxview/internal/slab"
 )
@@ -69,10 +70,7 @@ func AppendTuple(dst []byte, t Tuple) []byte {
 // TupleLen returns the number of bytes AppendTuple writes for t, so a caller
 // encoding many tuples can size its buffer before encoding any.
 func TupleLen(t Tuple) int {
-	n := 1
-	for c := len(t); c >= 0x80; c >>= 7 {
-		n++
-	}
+	n := UvarintLen(uint64(len(t)))
 	for _, v := range t {
 		n++ // the kind byte
 		switch v.K {
@@ -85,6 +83,10 @@ func TupleLen(t Tuple) int {
 	}
 	return n
 }
+
+// UvarintLen is the number of bytes binary.AppendUvarint writes for x: what
+// every length measure over these encodings counts a varint as.
+func UvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // DecodeTuple decodes one tuple from the front of b, returning the tuple and
 // the remaining bytes. A zero-length tuple decodes as nil, matching the nil

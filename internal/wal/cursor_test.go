@@ -80,8 +80,8 @@ func TestFrameReaderTornAndCorrupt(t *testing.T) {
 // and one byte at a time. Never a panic, and both readings give the records
 // readFrame and decodeRecord find in the same bytes, then the error of the
 // place they stop: io.EOF only at a frame boundary, io.ErrUnexpectedEOF
-// inside a frame, ErrCorrupt otherwise. Seeds: frames Log.Append wrote, and
-// their truncations.
+// inside a frame, ErrCorrupt otherwise. Seeds: frames Log.Append wrote,
+// their truncations, and a whole frame in a foreign format.
 func FuzzFrameReader(f *testing.F) {
 	l, _, err := Open(f.TempDir(), Options{Policy: SyncOff})
 	if err != nil {
@@ -103,6 +103,8 @@ func FuzzFrameReader(f *testing.F) {
 		f.Add(wire[:n])
 	}
 	f.Add(bytes.Repeat([]byte{0xff}, 11))
+	payload, _, _ := readFrame(l.Frame(1))
+	f.Add(appendFrame(bytes.Clone(wire[:first]), append([]byte{Format + 1}, payload[1:]...)))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var want []Record

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -20,8 +21,8 @@ import (
 // state at Gen exactly, node identities included — and Digest is what checks
 // that sentence: the state digest at Gen, stepped by the commit that built the
 // record and again by whoever replays it (core.ApplyCommitRecord), which
-// refuses a replay that ends anywhere else. It is zero in a record read from a
-// log written before digests existed; such a record verifies nothing.
+// refuses a replay that ends anywhere else. Every record carries one: a record
+// decoded with a zero Digest is refused by a replay that keeps a digest.
 type Record struct {
 	Gen    uint64
 	Delta  []dag.DeltaOp
@@ -41,12 +42,32 @@ type Framed struct {
 // platforms that matter and a better error-detection polynomial than IEEE.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendRecord encodes the record payload (no framing): generation, delta,
-// ΔR, and the digest as a fixed trailer. The trailer is what makes the payload
-// self-describing — a follower receives frames without a segment header to
-// carry a version — and it is always written; only a legacy payload ends
-// right after ΔR.
+// Format is the number of the on-disk format: the first byte of every record
+// payload and of every checkpoint payload. A follower receives frames without
+// a segment header, so the record states its format itself. Readers accept
+// this number and no other; a change to either payload bumps it.
+const Format = 2
+
+// errFormat marks a payload that states another format than Format — written
+// by another build, not torn by a crash: parseSegment never tolerates it.
+var errFormat = errors.New("foreign on-disk format")
+
+// CheckFormat holds the first byte of a record or checkpoint payload to
+// Format; the error of a payload in another format names both numbers.
+func CheckFormat(payload []byte) error {
+	if len(payload) == 0 {
+		return fmt.Errorf("empty payload")
+	}
+	if payload[0] != Format {
+		return fmt.Errorf("format %d, this build reads format %d: %w", payload[0], Format, errFormat)
+	}
+	return nil
+}
+
+// appendRecord encodes the record payload (no framing): the format, the
+// generation, the delta, ΔR and the digest.
 func appendRecord(dst []byte, r Record) []byte {
+	dst = append(dst, Format)
 	dst = binary.AppendUvarint(dst, r.Gen)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Delta)))
 	for _, op := range r.Delta {
@@ -59,10 +80,14 @@ func appendRecord(dst []byte, r Record) []byte {
 	return r.Digest.Append(dst)
 }
 
-// decodeRecord decodes one record payload; the payload must be consumed
-// exactly, by the digest trailer or, in a legacy payload, without one.
+// decodeRecord decodes one record payload, which must state Format
+// (CheckFormat) and end with the digest.
 func decodeRecord(b []byte) (Record, error) {
 	var r Record
+	if err := CheckFormat(b); err != nil {
+		return r, fmt.Errorf("wal: record: %w", err)
+	}
+	b = b[1:]
 	gen, n := binary.Uvarint(b)
 	if n <= 0 {
 		return r, fmt.Errorf("wal: record: bad generation")
@@ -95,13 +120,10 @@ func decodeRecord(b []byte) (Record, error) {
 		r.DR = append(r.DR, m)
 		b = rest
 	}
-	switch len(b) {
-	case 0:
-	case digest.Size:
-		r.Digest = digest.Decode(b)
-	default:
-		return r, fmt.Errorf("wal: record: %d trailing bytes", len(b))
+	if len(b) != digest.Size {
+		return r, fmt.Errorf("wal: record: %d bytes where the digest takes %d", len(b), digest.Size)
 	}
+	r.Digest = digest.Decode(b)
 	return r, nil
 }
 
@@ -116,10 +138,7 @@ func appendFrame(dst, payload []byte) []byte {
 }
 
 // frameLen is the number of bytes appendFrame writes for a payload of n bytes.
-func frameLen(n int) int {
-	var v [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(v[:], uint64(n)) + 4 + n
-}
+func frameLen(n int) int { return relational.UvarintLen(uint64(n)) + 4 + n }
 
 // frameResult classifies one frame-read attempt.
 type frameResult int

@@ -211,7 +211,7 @@ type RecordInfo struct {
 	DeltaOps  int    `json:"delta_ops"` // DAG mutations (ΔV) in the record
 	Mutations int    `json:"mutations"` // relational mutations (ΔR) in the record
 	Bytes     int    `json:"bytes"`     // framed size on disk
-	Digest    string `json:"digest"`    // state digest the record leaves; "none" in a legacy record
+	Digest    string `json:"digest"`    // state digest the record leaves
 }
 
 // SegmentInfo summarizes one log segment.
@@ -230,8 +230,8 @@ type CheckpointInfo struct {
 	Err   string `json:"err,omitempty"` // non-empty when the file fails validation
 	// What the payload says about itself. It is opaque to this package, so
 	// Inspect leaves these empty and the payload's owner fills them in: the
-	// state digest it carries ("none" in a legacy payload) and the
-	// fingerprint of the grammar it was written under.
+	// state digest it carries and the fingerprint of the grammar it was
+	// written under.
 	Digest string `json:"digest,omitempty"`
 	ATG    string `json:"atg,omitempty"`
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -17,7 +18,7 @@ const (
 	stopTornRecord               // the file ends inside a record's frame
 	stopCorruptFinal             // a complete frame, wrong checksum, nothing after its announced end
 	stopUndecodable              // a frame that checks out around a payload that does not decode
-	stopDamage                   // bad magic or header, or a bad frame with bytes after it
+	stopDamage                   // bad magic or header, a bad frame with bytes after it, or a foreign format
 )
 
 // parsed is what a segment's bytes hold: the records of the good prefix,
@@ -79,6 +80,10 @@ func parseSegment(b []byte, gen uint64) parsed {
 			return p.end(stopDamage, "corrupt record at offset %d", p.good)
 		}
 		rec, err := decodeRecord(payload)
+		if errors.Is(err, errFormat) {
+			// Whole and checksummed: another build wrote it, no crash tore it.
+			return p.end(stopDamage, "record at offset %d: %v", p.good, err)
+		}
 		if err != nil {
 			return p.end(stopUndecodable, "undecodable record at offset %d: %v", p.good, err)
 		}

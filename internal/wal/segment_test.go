@@ -13,11 +13,12 @@ import (
 // FuzzParseSegment drives the one segment parser, and the rule its three
 // readers apply to the verdict, with arbitrary bytes; it touches no file, so
 // an execution costs microseconds. The committed corpus is the two segments of
-// testdata/wal-parent-6e107b9 (written by an earlier commit's Append, before
-// records carried a digest) and truncated, bit-flipped and garbage-extended
-// copies of them, and the two of testdata/wal-digest-fd35873, whose records
-// end in the digest trailer, with that trailer torn, flipped, cut by one byte
-// behind a valid checksum, and cut off whole — the legacy form.
+// testdata/wal-format2 (digest-wal-*) and truncated, bit-flipped,
+// garbage-extended and misnamed copies of them: the digest that ends a record
+// torn, flipped, or cut by one byte or whole behind a valid checksum, and one
+// whole record in a foreign format; and the two segments an earlier build
+// wrote before records stated their format (parent-wal-*), which this one
+// refuses as damage.
 func FuzzParseSegment(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte, gen uint64) {
 		p := parseSegment(b, gen)
@@ -83,13 +84,15 @@ func FuzzParseSegment(f *testing.F) {
 	})
 }
 
-// TestSegmentReadersShareOneVerdict takes the two parent-written segments,
-// cut short at every length and with one bit flipped in every byte, through
-// the three readers on real files: what recovery truncates to, where a scan
-// ends and what the listing shows all follow from the one parse.
+// TestSegmentReadersShareOneVerdict takes the two segments of the committed
+// image, cut short at every length and with one bit flipped in every byte,
+// through the three readers on real files: what recovery truncates to, where a
+// scan ends and what the listing shows all follow from the one parse. So does
+// each segment with its final record re-framed in a foreign format, which is
+// damage: a newer writer's record, never a torn tail to cut off.
 func TestSegmentReadersShareOneVerdict(t *testing.T) {
 	for _, gen := range []uint64{4, 6} {
-		whole, err := os.ReadFile(filepath.Join("..", "..", "testdata", "wal-parent-6e107b9", segName(gen)))
+		whole, err := os.ReadFile(filepath.Join("..", "..", "testdata", "wal-format2", segName(gen)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,6 +104,15 @@ func TestSegmentReadersShareOneVerdict(t *testing.T) {
 			b[i] ^= 1 << (i % 8)
 			checkReaders(t, b, gen)
 		}
+		recs := parseSegment(whole, gen).recs
+		final := recs[len(recs)-1].Frame
+		payload, _, _ := readFrame(final)
+		foreign := append([]byte{Format + 1}, payload[1:]...)
+		b := appendFrame(bytes.Clone(whole[:len(whole)-len(final)]), foreign)
+		if p := parseSegment(b, gen); p.stop != stopDamage {
+			t.Fatalf("a foreign-format record stops the parse with %d (%s), want damage", p.stop, p.why)
+		}
+		checkReaders(t, b, gen)
 	}
 }
 
@@ -210,16 +222,19 @@ func TestAppendEncodesEachRecordOnce(t *testing.T) {
 // for the payload it returned — nothing that reads as a checkpoint carries a
 // byte the payload and the generation do not account for.
 func FuzzReadCheckpoint(f *testing.F) {
-	for _, image := range []string{"wal-parent-6e107b9", "wal-digest-fd35873"} {
-		for _, gen := range []uint64{4, 6} {
-			file, err := os.ReadFile(filepath.Join("..", "..", "testdata", image, ckptName(gen)))
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(file, gen)
+	var file []byte
+	for _, gen := range []uint64{4, 6} {
+		var err error
+		if file, err = os.ReadFile(filepath.Join("..", "..", "testdata", "wal-format2", ckptName(gen))); err != nil {
+			f.Fatal(err)
 		}
+		f.Add(file, gen)
 	}
 	f.Add(frameCheckpoint(0, make([]byte, CheckpointHeadroom)), uint64(0)) // an empty state
+	f.Add(file, uint64(4))                                                 // ckpt-6 under the name of ckpt-4
+	// ckpt-6 with its generation frame's length padded to two bytes
+	at := len(ckptMagic)
+	f.Add(append(append(bytes.Clone(file[:at]), file[at]|0x80, 0x00), file[at+1:]...), uint64(6))
 	f.Fuzz(func(t *testing.T, file []byte, gen uint64) {
 		state, err := parseCheckpoint(file, gen)
 		if err != nil {

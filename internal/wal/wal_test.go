@@ -1,11 +1,13 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rxview/internal/dag"
@@ -61,21 +63,18 @@ func TestRecordRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip:\n in  %+v\n out %+v", in, out)
 	}
-	// Truncation at every byte must error, never panic or succeed — except
-	// where exactly the digest trailer is gone: that is the legacy form of
-	// the same record, and decodes as it with no digest. (Inside a frame the
-	// CRC covers the trailer, so a log cannot lose one unnoticed.)
-	legacy := in
-	legacy.Digest = digest.Sum{}
+	// Truncation at every byte must error, never panic or succeed.
 	for i := 0; i < len(payload); i++ {
-		out, err := decodeRecord(payload[:i])
-		if i == len(payload)-digest.Size {
-			if err != nil || !reflect.DeepEqual(out, legacy) {
-				t.Fatalf("payload without its trailer: %+v, %v; want the record with no digest", out, err)
-			}
-		} else if err == nil {
+		if _, err := decodeRecord(payload[:i]); err == nil {
 			t.Fatalf("decode of %d/%d bytes succeeded", i, len(payload))
 		}
+	}
+	// A payload that states another format is refused as such, by number.
+	foreign := bytes.Clone(payload)
+	foreign[0] = Format + 1
+	_, err = decodeRecord(foreign)
+	if !errors.Is(err, errFormat) || !strings.Contains(err.Error(), fmt.Sprintf("format %d, this build reads format %d", Format+1, Format)) {
+		t.Fatalf("foreign format: %v", err)
 	}
 }
 

@@ -167,7 +167,7 @@ func (r *Replica) Restore(gen uint64, state []byte) error {
 	// Replacing the DB's contents is safe under concurrent readers: sealed
 	// snapshots evaluate against the frozen DAG and never touch the
 	// relational instance.
-	sys, err := restoreSystem(r.a, r.v.db, r.cfg.opts, r.cfg.warn, "replica checkpoint", gen, state, nil)
+	sys, err := restoreSystem(r.a, r.v.db, r.cfg.opts, "replica checkpoint", gen, state, nil)
 	if err != nil {
 		return err
 	}
