@@ -113,7 +113,7 @@ var (
 	nc      = flag.Int("nc", 1000, "synthetic dataset size |C|")
 	seed    = flag.Int64("seed", 42, "synthetic generator seed")
 	force   = flag.Bool("force", false, "carry out updates with XML side effects (revised semantics)")
-	timeout = flag.Duration("timeout", 10*time.Second, "per-request timeout (0 = none)")
+	timeout = flag.Duration("timeout", 10*time.Second, "per-request timeout of writes and query evaluations; a memo hit evaluates nothing (0 = none)")
 	queue   = flag.Int("queue", 256, "apply-loop queue depth")
 	shedAt  = flag.Int("shed-watermark", 0,
 		"queue depth at which writes are shed with 429 (0 = the queue depth itself)")

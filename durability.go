@@ -298,11 +298,16 @@ func (v *View) Recover() error {
 // the periodic checkpoint trigger. The writer does the part that reads the
 // state — encode it, seal the log at this generation — and hands the bytes
 // to a goroutine that writes the file behind it; the verdict is collected
-// here, at a later commit. A failed checkpoint, either half, is reported and
-// retried at the next commit — the log keeps every record since the last
-// one that landed, so nothing is lost, the log just grows. While a file is
-// being written the trigger is skipped, not queued: there is never a second
-// goroutine, and the next commit tests again.
+// here, at a later commit. No commit waits for that goroutine, but on one P
+// (GOMAXPROCS=1) it still delays the next request: a goroutine in a system
+// call keeps its P until the runtime's monitor thread retakes it, which
+// takes one call lasting across two of the monitor's wake-ups (20 µs apart
+// at first, up to 10 ms apart in a busy process), and the file's write,
+// fsyncs, rename and prune are each shorter. A failed checkpoint, either
+// half, is reported and retried at the next commit — the log keeps every
+// record since the last one that landed, so nothing is lost, the log just
+// grows. While a file is being written the trigger is skipped, not queued:
+// there is never a second goroutine, and the next commit tests again.
 func (v *View) afterDurable(gen uint64) {
 	v.reapCheckpoint(false)
 	if v.ckptDone != nil || gen-v.ckptGen < v.ckptEvery {
@@ -385,8 +390,10 @@ func (v *View) Checkpoint() error {
 // Checkpointing reports whether a checkpoint is stalling the writer right
 // now: the full state is being serialized and the log rotated (an explicit
 // Checkpoint, Close or Recover also writes the file before it lets go). The
-// file an automatic checkpoint writes behind the writer does not count — it
-// stalls nobody. Unlike the View's other methods it is safe to call from any
+// file an automatic checkpoint writes behind the writer does not count: no
+// commit waits for it. It is not free, though — on one P its I/O runs before
+// the next request is served (see afterDurable); only a second P overlaps
+// the two. Unlike the View's other methods it is safe to call from any
 // goroutine: it is the readiness probe serving layers fold into /healthz so
 // load balancers drain a node during the stall. Always false without
 // durability.

@@ -142,6 +142,7 @@ type Log struct {
 	buf      []byte   // the frames of one Append, back to back, reused across appends
 	ends     []int    // ends[i] is where record i's frame ends in buf
 	size     int64    // bytes in the active segment (offset attribution)
+	synced   int64    // the active segment's prefix known stable: Sync skips when it is all of size
 	dead     error    // first disk failure; non-nil refuses writes until Reopen
 }
 
@@ -287,6 +288,7 @@ func (l *Log) appendSync(start int64) error {
 		l.failAppend(start, err)
 		return l.diskErr("fsync", start, err)
 	}
+	l.synced = l.size
 	return nil
 }
 
@@ -335,7 +337,7 @@ func (l *Log) Reopen() (warning string, err error) {
 	}
 	l.dead = nil
 	l.unsynced = 0
-	l.size = 0
+	l.size, l.synced = 0, 0
 	_, segs := listDir(l.dir)
 	if len(segs) > 0 {
 		g := segs[len(segs)-1]
@@ -349,6 +351,9 @@ func (l *Log) Reopen() (warning string, err error) {
 }
 
 // Sync flushes the active segment to stable storage regardless of policy.
+// A segment with nothing written since its last fsync is not synced again:
+// under SyncAlways every Append ends with one, so sealing the log at a
+// checkpoint costs no segment fsync there.
 func (l *Log) Sync() error {
 	if l.dead != nil {
 		return l.diskErr("fsync", l.size, fmt.Errorf("log has failed: %w", l.dead))
@@ -357,10 +362,14 @@ func (l *Log) Sync() error {
 		return nil
 	}
 	l.unsynced = 0
+	if l.synced == l.size {
+		return nil
+	}
 	if err := l.syncTimed(); err != nil {
 		l.failAppend(l.size, err)
 		return l.diskErr("fsync", l.size, err)
 	}
+	l.synced = l.size
 	return nil
 }
 
@@ -544,7 +553,7 @@ func (l *Log) rotate(gen uint64) error {
 		f.Close()
 		return fmt.Errorf("wal: stat segment %s: %w", path, err)
 	}
-	size := st.Size()
+	size, synced := st.Size(), int64(0) // a segment reopened with bytes in it may be unsynced
 	if size == 0 {
 		hdr := append([]byte(segMagic), nil...)
 		hdr = appendFrame(hdr, u64bytes(gen))
@@ -556,9 +565,9 @@ func (l *Log) rotate(gen uint64) error {
 			f.Close()
 			return fmt.Errorf("wal: segment header %s: %w", path, err)
 		}
-		size = int64(len(hdr))
+		size, synced = int64(len(hdr)), int64(len(hdr))
 	}
-	l.f, l.segStart, l.unsynced, l.size = f, gen, 0, size
+	l.f, l.segStart, l.unsynced, l.size, l.synced = f, gen, 0, size, synced
 	m := walmetrics()
 	m.rotations.Inc()
 	m.segBytes.Set(size)

@@ -404,6 +404,41 @@ func TestSyncPolicies(t *testing.T) {
 	}
 }
 
+// TestSealSyncsOnlyUnsyncedBytes counts xview_wal_fsyncs_total across the
+// writer's half of an automatic checkpoint: under SyncAlways every Append
+// already ended with an fsync, so sealing adds none; under SyncBatch the
+// appends since the last batch fsync are made stable, with exactly one.
+func TestSealSyncsOnlyUnsyncedBytes(t *testing.T) {
+	for _, tc := range []struct {
+		policy SyncPolicy
+		want   uint64
+	}{{SyncAlways, 0}, {SyncBatch, 1}} {
+		l, _ := mustOpen(t, t.TempDir(), Options{Policy: tc.policy, BatchEvery: 8})
+		if err := l.WriteCheckpoint(0, ckptBuf("s0")); err != nil {
+			t.Fatal(err)
+		}
+		for g := uint64(1); g <= 3; g++ {
+			if err := l.Append([]Record{rec(g)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := walmetrics().fsyncs.Value()
+		write, err := l.BeginCheckpoint(3, ckptBuf("s3"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := walmetrics().fsyncs.Value() - before; got != tc.want {
+			t.Errorf("%v: sealing at 3 issued %d segment fsyncs, want %d", tc.policy, got, tc.want)
+		}
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestParsePolicy(t *testing.T) {
 	for _, tc := range []struct {
 		in   string

@@ -11,8 +11,9 @@ import (
 // TestQueryMemoServesRepeatsAndResetsPerEpoch checks the per-epoch result
 // memo: repeats of a query within one epoch are memo hits returning the
 // same answer; an applied write publishes a fresh epoch whose first read
-// misses the memo and sees the write (read-your-writes is not weakened by
-// caching).
+// misses the memo and sees the write at the new generation (read-your-writes
+// is not weakened by caching). TestQueryHitIsTheMissResponse holds the hit's
+// HTTP response to the miss's, byte for byte.
 func TestQueryMemoServesRepeatsAndResetsPerEpoch(t *testing.T) {
 	ctx := context.Background()
 	e, _ := mustRegistrarEngine(t, rxview.WithForceSideEffects())
@@ -49,8 +50,9 @@ func TestQueryMemoServesRepeatsAndResetsPerEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(after.Nodes) != len(first.Nodes)+1 {
-		t.Fatalf("post-write read = %d nodes, want %d", len(after.Nodes), len(first.Nodes)+1)
+	if len(after.Nodes) != len(first.Nodes)+1 || after.Generation != first.Generation+1 {
+		t.Fatalf("post-write read = %d nodes at generation %d, want %d at %d",
+			len(after.Nodes), after.Generation, len(first.Nodes)+1, first.Generation+1)
 	}
 	st2 := e.Stats()
 	if st2.QueryMemoMisses != st1.QueryMemoMisses+1 {

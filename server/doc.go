@@ -26,7 +26,10 @@
 //     queries fail fast), and each published epoch carries a result memo
 //     keyed by path text: the memo's lifetime is the epoch, so a hit can
 //     never cross generations. Memo hits return a shared Node slice;
-//     callers must treat it as read-only.
+//     callers must treat it as read-only. Each entry also holds its POST
+//     /query response body, encoded once by the miss that filled it, so a
+//     hit over HTTP writes stored bytes: no JSON encoding, and no timeout
+//     context (HandlerOptions.Timeout bounds evaluations and writes).
 //
 //   - Writes are serialized through a single-writer apply loop. Updates are
 //     submitted to a channel-fed goroutine, and there is one write path
@@ -189,7 +192,8 @@
 //	// xviewlint:writer-loop   on a function: the apply loop itself
 //	                           (Engine.run)
 //	// xviewlint:hot-path      on a function: a latency-critical root
-//	                           outside the writer graph (Engine.Query)
+//	                           outside the writer graph (Engine.Query,
+//	                           the POST /query handler)
 //
 // The transitive closure of intra-package calls from those roots may
 // record telemetry only through the atomic fast-path obs API, never the

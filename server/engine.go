@@ -66,16 +66,24 @@ func WithShedWatermark(n int) Option {
 // snapshot, so a hit can never serve a stale epoch's answer. Only successful
 // evaluations are memoized (parse errors are cached by the compiled-path
 // cache; context errors are the caller's), and every hit shares the cached
-// node slice, which is safe because rxview.Node values are plain data that
-// handlers only read.
+// answer, which is safe because an answer is never written after the miss
+// that built it and handlers only read it.
 type epoch struct {
 	sn   *rxview.Snapshot
-	memo *lru.Cache[[]rxview.Node]
+	memo *lru.Cache[answer]
+}
+
+// answer is one memoized query result as it is served: the nodes, and the
+// /query response body encoding them at the epoch's generation (encodeQuery),
+// which a hit over HTTP writes as is.
+type answer struct {
+	nodes []rxview.Node
+	body  []byte
 }
 
 // newEpoch publishes sn with an empty result memo.
 func newEpoch(sn *rxview.Snapshot) *epoch {
-	return &epoch{sn: sn, memo: lru.New[[]rxview.Node](memoCap)}
+	return &epoch{sn: sn, memo: lru.New[answer](memoCap)}
 }
 
 // Engine wraps a View for concurrent serving: wait-free snapshot-isolated
@@ -210,23 +218,44 @@ type QueryResult struct {
 // xviewlint:hot-path
 func (e *Engine) Query(ctx context.Context, path string) (QueryResult, error) {
 	ep := e.ep.Load()
-	e.met.queries.Inc()
-	if nodes, ok := ep.memo.Get(path); ok {
-		// Memo hit: tens of nanoseconds end to end. Counters only — a span
-		// (two clock reads) would multiply the cost of the hit itself, so
-		// latency is observed where evaluation actually happens, below.
-		e.met.memoHits.Inc()
-		if err := ctx.Err(); err != nil {
-			return QueryResult{}, err
-		}
-		return QueryResult{Nodes: nodes, Generation: ep.sn.Generation()}, nil
+	a, hit := e.memoized(ep, path)
+	var err error
+	if hit {
+		err = ctx.Err()
+	} else {
+		a, err = e.evaluate(ctx, ep, path)
 	}
-	e.met.memoMisses.Inc()
+	if err != nil {
+		return QueryResult{}, err
+	}
+	return QueryResult{Nodes: a.nodes, Generation: ep.sn.Generation()}, nil
+}
+
+// memoized counts one query read at ep and returns ep's memoized answer to
+// path, if there is one. A hit is the engine's share of a hot read — one LRU
+// lookup and two counters, tens of nanoseconds. Counters only: a span (two
+// clock reads) would multiply the cost of the hit itself, so latency is
+// observed where evaluation actually happens, in evaluate.
+func (e *Engine) memoized(ep *epoch, path string) (answer, bool) {
+	e.met.queries.Inc()
+	a, ok := ep.memo.Get(path)
+	if !ok {
+		e.met.memoMisses.Inc()
+		return answer{}, false
+	}
+	e.met.memoHits.Inc()
+	return a, true
+}
+
+// evaluate answers path at ep past the memo, under ctx, and memoizes the
+// answer with its /query body encoded once for every later hit of the epoch.
+func (e *Engine) evaluate(ctx context.Context, ep *epoch, path string) (answer, error) {
 	sp := obs.StartSpan(e.met.queryDur)
+	gen := ep.sn.Generation()
 	if sp.Active() {
 		// How stale is the epoch being read, in generations, against the
 		// newest write any client has been acknowledged for?
-		if lead, gen := e.committedGen.Load(), ep.sn.Generation(); lead > gen {
+		if lead := e.committedGen.Load(); lead > gen {
 			e.met.readerLag.ObserveValue(float64(lead - gen))
 		} else {
 			e.met.readerLag.ObserveValue(0)
@@ -235,12 +264,12 @@ func (e *Engine) Query(ctx context.Context, path string) (QueryResult, error) {
 	var route string // filled by the evaluation below, for the slow log
 	nodes, err := ep.sn.Query(obs.WithRouteSlot(ctx, &route), path)
 	if err != nil {
-		return QueryResult{Nodes: nodes, Generation: ep.sn.Generation()}, err
+		return answer{}, err
 	}
-	ep.memo.Add(path, nodes)
 	d := sp.End()
-	e.met.slow.RecordRoute("query", path, route, d, ep.sn.Generation())
-	return QueryResult{Nodes: nodes, Generation: ep.sn.Generation()}, nil
+	a := ep.memo.Add(path, answer{nodes: nodes, body: encodeQuery(gen, nodes)})
+	e.met.slow.RecordRoute("query", path, route, d, gen)
+	return a, nil
 }
 
 // Update submits one update to the apply loop and blocks until the loop

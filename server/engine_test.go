@@ -19,7 +19,7 @@ import (
 	"rxview/server"
 )
 
-func mustRegistrarEngine(t *testing.T, opts ...rxview.Option) (*server.Engine, *rxview.View) {
+func mustRegistrarEngine(t testing.TB, opts ...rxview.Option) (*server.Engine, *rxview.View) {
 	t.Helper()
 	atg, db, err := rxview.NewRegistrar()
 	if err != nil {

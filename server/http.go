@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,15 +18,19 @@ import (
 
 // HandlerOptions configures the HTTP/JSON surface.
 type HandlerOptions struct {
-	// Timeout bounds each request's context (queue wait included for
-	// writes). Zero means no per-request timeout. Like View.Query, a
-	// query's XPath evaluation itself is not preemptible — the deadline is
-	// observed at entry and, for writes, between the pipeline's phases.
+	// Timeout bounds each evaluation and each write: a memo-missing
+	// /query's evaluation, and a write's queue wait and pipeline. Zero means
+	// no per-request timeout. A /query the epoch's memo answers does no
+	// evaluation, so it runs under the request's own context, unbounded.
+	// Like View.Query, a query's XPath evaluation itself is not preemptible —
+	// the deadline is observed at entry and, for writes, between the
+	// pipeline's phases.
 	Timeout time.Duration
 	// Checkpointing, when non-nil, reports whether a checkpoint is
 	// stalling the writer right now (View.Checkpointing of a durable view:
-	// the state is being encoded and the log rotated; the file an automatic
-	// checkpoint then writes behind the writer does not count). While true,
+	// the state is being encoded and the log rotated). The file an
+	// automatic checkpoint then writes behind the writer does not count,
+	// although on one P its I/O still delays the next request. While true,
 	// /healthz answers 503 so load balancers drain the node for the stall;
 	// /livez is unaffected.
 	Checkpointing func() bool
@@ -217,19 +222,41 @@ type queryResponse struct {
 	Nodes      []rxview.Node `json:"nodes"`
 }
 
+// encodeQuery is the /query response body for nodes at gen: the bytes
+// writeJSON writes for the queryResponse, held at exact size.
+func encodeQuery(gen uint64, nodes []rxview.Node) []byte {
+	var buf bytes.Buffer
+	_ = json.NewEncoder(&buf).Encode(queryResponse{Generation: gen, Count: len(nodes), Nodes: nodes})
+	return bytes.Clone(buf.Bytes())
+}
+
+// query serves POST /query. A memo hit is answered under the request's own
+// context with the body its miss encoded; only a miss builds the Timeout
+// context and evaluates.
+//
+// xviewlint:hot-path
 func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 	var in queryRequest
 	if !h.decode(w, r, &in) {
 		return
 	}
-	ctx, cancel := h.requestCtx(r)
-	defer cancel()
-	res, err := h.e.Query(ctx, in.Path)
+	ep := h.e.ep.Load()
+	a, hit := h.e.memoized(ep, in.Path)
+	var err error
+	if hit {
+		err = r.Context().Err()
+	} else {
+		ctx, cancel := h.requestCtx(r)
+		a, err = h.e.evaluate(ctx, ep, in.Path)
+		cancel()
+	}
 	if err != nil {
 		writeError(w, statusOf(err), err, nil)
 		return
 	}
-	writeJSON(w, http.StatusOK, queryResponse{Generation: res.Generation, Count: len(res.Nodes), Nodes: res.Nodes})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(a.body)
 }
 
 // updateJSON is the wire form of one update. Values are the element type's

@@ -196,8 +196,10 @@ func TestHandlerPerRequestTimeout(t *testing.T) {
 // route byte's high bit is set). Oracle: no panic and never a 5xx — a body
 // the handler cannot use is refused as the client's (400, or 413 past the
 // size limit) and a usable one gets its verdict (200, 409, 422); a 200's
-// generation is one the engine has published; and after Close the view is
-// still σ of its base relations.
+// generation is one the engine has published; a /query body posted twice
+// gets the same status and bytes both times (the second a memo hit when the
+// first evaluated); and after Close the view is still σ of its base
+// relations.
 func FuzzHandlerBodies(f *testing.F) {
 	routes := []string{"/query", "/update", "/batch", "/tx"}
 	ins := `{"kind":"insert","type":"student","path":"//course[cno=\"CS650\"]/takenBy","values":["SH1","HTTP"]}`
@@ -238,9 +240,19 @@ func FuzzHandlerBodies(f *testing.F) {
 			t.Fatal(err)
 		}
 		eng := server.New(view)
+		h := server.NewHandler(eng, server.HandlerOptions{})
 		path := routes[int(route&0x7f)%len(routes)]
 		rec := httptest.NewRecorder()
-		server.NewHandler(eng, server.HandlerOptions{}).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if path == "/query" {
+			// Again, at the same epoch: a memo hit now if the first one
+			// evaluated, and either way the same answer.
+			again := httptest.NewRecorder()
+			h.ServeHTTP(again, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			if again.Code != rec.Code || !bytes.Equal(again.Body.Bytes(), rec.Body.Bytes()) {
+				t.Fatalf("POST /query %q twice: %d %q, then %d %q", body, rec.Code, rec.Body, again.Code, again.Body)
+			}
+		}
 		switch rec.Code {
 		case http.StatusOK, http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
 		default:
@@ -315,5 +327,67 @@ func TestListenAndServeGracefulShutdown(t *testing.T) {
 	// The engine was closed by the shutdown path.
 	if _, err := eng.Update(context.Background(), rxview.Delete(`//student[ssn="none"]`)); err == nil {
 		t.Error("engine still accepts writes after shutdown")
+	}
+}
+
+// discardWriter is an http.ResponseWriter that keeps the status, drops the
+// body and reuses one header map, so what is counted around it is the
+// handler's own work.
+type discardWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// queryHit returns a function that serves one POST /query of a warm path
+// through NewHandler and reports its status: every call after the first is
+// a memo hit.
+func queryHit(tb testing.TB) func() int {
+	eng, _ := mustRegistrarEngine(tb)
+	h := server.NewHandler(eng, server.HandlerOptions{Timeout: 5 * time.Second})
+	body := []byte(`{"path":"//course[cno=\"CS650\"]/takenBy/student"}`)
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/query", rd)
+	w := &discardWriter{header: http.Header{}}
+	serve := func() int {
+		rd.Reset(body)
+		w.status = 0
+		h.ServeHTTP(w, req)
+		return w.status
+	}
+	if code := serve(); code != http.StatusOK {
+		tb.Fatalf("warming /query: status %d", code)
+	}
+	return serve
+}
+
+// BenchmarkHandlerQueryHit prices a memo hit through the HTTP handler:
+// decode the request, look the path up, write the stored body.
+func BenchmarkHandlerQueryHit(b *testing.B) {
+	serve := queryHit(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if code := serve(); code != http.StatusOK {
+			b.Fatalf("status %d", code)
+		}
+	}
+}
+
+// TestHandlerQueryHitAllocs bounds the allocations of one /query memo hit at
+// the count measured once answers became stored bodies: the request's
+// decoding (the body limit, the decoder with its buffer and scan state, the
+// request value and its path string) and the Content-Type header's value
+// slice. A hit that encoded its answer as JSON again, or built the Timeout
+// context, allocates sixteen.
+func TestHandlerQueryHitAllocs(t *testing.T) {
+	const max = 11
+	serve := queryHit(t)
+	got := testing.AllocsPerRun(100, func() { serve() })
+	if got > max {
+		t.Fatalf("a /query memo hit allocates %.0f objects, want at most %d", got, max)
 	}
 }
