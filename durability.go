@@ -168,7 +168,7 @@ func restoreSystem(a *ATG, db *DB, opts core.Options, src string, gen uint64, st
 		db.db.Swap(loaded)
 		return nil, &CheckpointMismatchError{Dir: src, Err: fmt.Errorf("restoring generation %d: %w", gen, err)}
 	}
-	noteRecovery(time.Since(start), len(suffix))
+	observeRecovery(time.Since(start), len(suffix))
 	return sys, nil
 }
 
@@ -181,7 +181,7 @@ var (
 	recoveryRecords *obs.Gauge
 )
 
-func noteRecovery(d time.Duration, records int) {
+func observeRecovery(d time.Duration, records int) {
 	recoveryOnce.Do(func() {
 		r := obs.Default()
 		r.NewGaugeFunc("xview_recovery_last_seconds",

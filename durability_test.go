@@ -115,6 +115,28 @@ func TestDurableRecoveryWithoutClose(t *testing.T) {
 	}
 }
 
+// A rejected insert that published fresh nodes before its translation
+// failed must leave nothing the log cannot reproduce: the next update's
+// nodes get the ids a replay of the log gives them, so the reopen recovers.
+func TestDurableRecoveryAfterRejectedInsert(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	v := mustDurableView(t, dir)
+	// EE100 exists outside the view's CS selection: not updatable.
+	if _, err := v.Apply(ctx, rxview.Insert(`.`, "course", rxview.Str("EE100"), rxview.Str("Circuits"))); !errors.Is(err, rxview.ErrNotUpdatable) {
+		t.Fatalf("EE100 insert = %v, want ErrNotUpdatable", err)
+	}
+	if _, err := v.Apply(ctx, rxview.Insert(`.`, "course", rxview.Str("CS811"), rxview.Str("After"))); err != nil {
+		t.Fatal(err)
+	}
+	want := fingerprint(t, v)
+	v2 := mustDurableView(t, dir) // no Close: replay the log suffix
+	defer v2.Close()
+	if got := fingerprint(t, v2); got != want {
+		t.Fatalf("recovered state differs:\n%s\nvs\n%s", got, want)
+	}
+}
+
 func TestDurableAtomicTxRecovery(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()

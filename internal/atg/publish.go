@@ -26,9 +26,9 @@ func (c *Compiled) PublishDAG(db *relational.Database) (*dag.DAG, error) {
 // Already-present nodes are reused without re-expansion (their subtrees are
 // consistent by the system invariant). It returns the subtree root.
 //
-// Callers that may reject the enclosing update should wrap the call in
-// d.Begin()/d.Rollback(); the new nodes and edges are available from
-// d.Changes().
+// Callers that may reject the enclosing update should run it inside an open
+// DAG journal and unwind with d.RollbackTo(mark) (or d.Rollback()); the new
+// nodes and edges are available from d.ChangesSince(mark).
 func (c *Compiled) PublishSubtree(d *dag.DAG, db *relational.Database, typ string, attr relational.Tuple) (dag.NodeID, error) {
 	if _, ok := c.DTD.Elems[typ]; !ok {
 		return dag.InvalidNode, fmt.Errorf("atg: unknown element type %s", typ)

@@ -32,11 +32,13 @@ func (s *System) DryRunCtx(ctx context.Context, op *update.Op) (*Report, error) 
 
 	switch op.Kind {
 	case update.OpInsert:
-		// A savepoint-scoped journal: standalone DryRun opens its own,
-		// inside an open transaction it marks the transaction's journal, so
-		// "what would Apply do next" can be asked about staged state too.
-		sc := s.beginDAGScope()
-		defer sc.abort()
+		// Unwound on return to a mark in the open group's journal, so "what
+		// would Apply do next" can be asked about staged state too.
+		if s.txn == nil {
+			s.DAG.Begin()
+			defer s.DAG.Rollback()
+		}
+		defer s.DAG.RollbackTo(s.DAG.Mark())
 		dv, err := update.Xinsert(s.ATG, s.DAG, s.DB, res.Selected, op.Type, op.Attr)
 		if err != nil {
 			return rep, err

@@ -33,9 +33,7 @@ type CommitSink func(recs []CommitRecord) error
 // SetCommitSink installs the durability hook. afterSync, if non-nil, runs
 // after each successful commit with the highest generation the sink
 // accepted, once the system is quiescent again — the checkpoint trigger.
-// Installing a sink also makes non-atomic transactions open a DAG journal to
-// capture per-stage deltas; with a nil sink (the default) the write path is
-// exactly the non-durable one.
+// A record's delta is read from the DAG journal every transaction keeps.
 func (s *System) SetCommitSink(sink CommitSink, afterSync func(gen uint64)) {
 	s.sink = sink
 	s.afterSync = afterSync
@@ -71,14 +69,14 @@ func (s *System) stepDigest(rec CommitRecord) digest.Sum {
 
 // ApplyCommitRecord replays one committed record against the live system —
 // the one replay loop, shared by the follower's apply path and by Recover:
-// ΔR goes through applyDR, then the DAG delta op by op with L and the
-// translator's source index repaired per op (append for node births,
-// swap-repair for edge insertions, tombstoning for node deaths — cascades
-// and collected nodes arrive as their own ops; removing an edge never
-// invalidates a topological order). The record must continue the current
-// generation exactly; a gap means the caller lost part of the stream (or the
-// log and checkpoint disagree) and must re-sync from a checkpoint rather than
-// replay into a wrong state. So does a replay that ends in a state other than
+// ΔR goes through applyDR, then the DAG delta op by op with L repaired per
+// op (append for node births, swap-repair for edge insertions, tombstoning
+// for node deaths — cascades and collected nodes arrive as their own ops;
+// removing an edge never invalidates a topological order), then the source
+// index from the whole delta (noteDelta). The record must continue the
+// current generation exactly; a gap means the caller lost part of the stream
+// (or the log and checkpoint disagree) and must re-sync from a checkpoint
+// rather than replay into a wrong state. So does a replay that ends in a state other than
 // the one the record's digest names: the error wraps a *digest.MismatchError
 // with both, the generation is not advanced, and the caller's state is no
 // longer any generation's — restore it from a checkpoint or discard it.
@@ -103,11 +101,9 @@ func (s *System) ApplyCommitRecord(rec CommitRecord) error {
 			s.Topo.Delete(op.Node)
 		case dag.DeltaEdgeAdd:
 			s.Topo.FixEdge(s.DAG, op.Edge.Parent, op.Edge.Child)
-			s.Translator.NoteEdgeInserted(op.Edge)
-		case dag.DeltaEdgeDel:
-			s.Translator.NoteEdgeDeleted(op.Edge)
 		}
 	}
+	s.noteDelta(rec.Delta, +1)
 	if !s.digest.IsZero() {
 		next := s.digest.Step(s.DAG, rec.Delta, rec.DR)
 		if err := digest.Compare(rec.Digest, next); err != nil {

@@ -6,35 +6,9 @@ import (
 	"testing"
 )
 
-// White-box tests of the commit-sink contract: the zero-overhead guarantee
-// without a sink, per-stage record capture with one, durable-before-verdict
-// ordering for atomic groups, and the afterSync trigger.
-
-func TestNonDurableTxnOpensNoJournal(t *testing.T) {
-	s := openRegistrar(t, Options{})
-	tx, err := s.Begin(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tx.journalOwned {
-		t.Fatal("non-durable non-atomic txn opened a DAG journal")
-	}
-	if err := tx.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-
-	s.SetCommitSink(func([]CommitRecord) error { return nil }, nil)
-	tx, err = s.Begin(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tx.journalOwned {
-		t.Fatal("durable non-atomic txn did not open a DAG journal")
-	}
-	if err := tx.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-}
+// White-box tests of the commit-sink contract: per-stage record capture,
+// durable-before-verdict ordering for atomic groups, and the afterSync
+// trigger.
 
 func TestSinkGetsOneRecordPerStage(t *testing.T) {
 	ctx := context.Background()

@@ -70,7 +70,7 @@ func metrics() *pipelineMetrics {
 			"Transaction commit latency (durability sink, journal commit).",
 			obs.LatencyBounds())
 		m.rollbackDur = r.NewHistogram("xview_txn_rollback_seconds",
-			"Transaction rollback latency (DAG journal unwind, inverse ΔR replay, L restore).",
+			"Transaction rollback latency (source index undone from the DAG journal's delta, journal unwind, inverse ΔR from the applied reports, L restore).",
 			obs.LatencyBounds())
 		m.commits = r.NewCounter("xview_txn_commits_total", "Transactions committed.")
 		m.rollbacks = r.NewCounter("xview_txn_rollbacks_total", "Transactions rolled back (explicit or doomed-at-commit).")

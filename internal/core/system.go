@@ -344,25 +344,52 @@ func (s *System) ApplyCtx(ctx context.Context, op *update.Op) (*Report, error) {
 	return rep, err
 }
 
-// apply runs one staged update inside transaction t (never nil: every write
-// path goes through a Txn).
+// apply runs one staged update inside the open transaction's DAG journal
+// and returns, with the report, the update's own delta: the journal since a
+// mark taken before the update mutates anything. An update that does not
+// apply is unwound to the mark and has no delta.
 //
 // xviewlint:hot-path
-func (s *System) apply(ctx context.Context, op *update.Op, t *Txn) (*Report, error) {
+func (s *System) apply(ctx context.Context, op *update.Op) (*Report, []dag.DeltaOp, error) {
 	rep := &Report{Op: op.String()}
 	res, proceed, err := s.stage(ctx, op, rep)
 	if !proceed {
-		return rep, err
+		return rep, nil, err
 	}
+	mark := s.DAG.Mark()
 	if op.Kind == update.OpInsert {
-		err = s.applyInsert(ctx, op, res, rep, t)
+		err = s.applyInsert(ctx, op, res, rep, mark)
 	} else {
-		err = s.applyDelete(ctx, op, res, rep, t)
+		err = s.applyDelete(ctx, op, res, rep)
 	}
-	if rep.Applied && obs.Enabled() {
+	if !rep.Applied {
+		s.DAG.RollbackTo(mark)
+		return rep, nil, err
+	}
+	t0 := time.Now()
+	delta := s.DAG.DeltaSince(mark)
+	s.noteDelta(delta, +1)
+	rep.Timings.Apply += time.Since(t0)
+	if obs.Enabled() {
 		observeTimings(rep.Timings)
 	}
-	return rep, err
+	return rep, delta, err
+}
+
+// noteDelta keeps the translator's source index in step with a DAG delta:
+// sign +1 once the delta is applied, -1 when it is undone. The index counts
+// sources per edge, so the order of the ops does not matter.
+func (s *System) noteDelta(delta []dag.DeltaOp, sign int) {
+	for _, op := range delta {
+		if op.Kind != dag.DeltaEdgeAdd && op.Kind != dag.DeltaEdgeDel {
+			continue
+		}
+		if (op.Kind == dag.DeltaEdgeAdd) == (sign > 0) {
+			s.Translator.NoteEdgeInserted(op.Edge)
+		} else {
+			s.Translator.NoteEdgeDeleted(op.Edge)
+		}
+	}
 }
 
 // stage runs the phases Apply and DryRun share — DTD validation, XPath
@@ -421,36 +448,32 @@ func (s *System) stage(ctx context.Context, op *update.Op, rep *Report) (res *xp
 	return res, true, nil
 }
 
-func (s *System) applyInsert(ctx context.Context, op *update.Op, res *xpath.Result, rep *Report, t *Txn) error {
+// applyInsert leaves a rejected, canceled or no-op insertion's speculative
+// ΔV for apply to unwind.
+func (s *System) applyInsert(ctx context.Context, op *update.Op, res *xpath.Result, rep *Report, mark int) error {
 	t0 := time.Now()
-	sc := s.beginDAGScope()
 	dv, err := update.Xinsert(s.ATG, s.DAG, s.DB, res.Selected, op.Type, op.Attr)
 	if err != nil {
-		sc.abort()
 		return err
 	}
 	rep.Timings.XToDV = time.Since(t0)
 	if len(dv.Inserts) == 0 {
-		sc.abort() // the edge(s) already exist: nothing to do
-		rep.Timings.Translate = rep.Timings.XToDV
+		rep.Timings.Translate = rep.Timings.XToDV // the edge(s) already exist: nothing to do
 		return nil
 	}
 	t0 = time.Now()
 	dr, induced, err := s.Translator.TranslateInsert(dv.Inserts, dv.NewNodes)
 	if err != nil {
-		sc.abort()
 		return err
 	}
 	rep.Timings.DVToDR = time.Since(t0)
 	rep.Timings.Translate = rep.Timings.XToDV + rep.Timings.DVToDR
 	if err := ctx.Err(); err != nil {
-		sc.abort() // nothing executed yet: cancellation is clean
-		return err
+		return err // nothing executed yet: cancellation is clean
 	}
 
 	t0 = time.Now()
 	if err := s.applyDR(dr); err != nil {
-		sc.abort()
 		return err
 	}
 	// Materialize induced content (children the new base tuples generate
@@ -460,7 +483,6 @@ func (s *System) applyInsert(ctx context.Context, op *update.Op, res *xpath.Resu
 		if err != nil {
 			// A failure here is an internal inconsistency, not a user
 			// rejection; unwind ΔR too so view and database stay aligned.
-			sc.abort()
 			if uerr := undoMutations(s.DB, dr); uerr != nil {
 				return fmt.Errorf("core: publishing induced %s%s: %w (and %w)", ie.ChildType, ie.Attr, err, uerr)
 			}
@@ -468,17 +490,7 @@ func (s *System) applyInsert(ctx context.Context, op *update.Op, res *xpath.Resu
 		}
 		s.DAG.AddEdge(ie.Parent, croot)
 	}
-	newNodes, edgeAdds, _ := sc.changes()
-	sc.keep()
-	if t.atomic {
-		t.dbLog = append(t.dbLog, dr...)
-	}
-	for _, e := range edgeAdds {
-		s.Translator.NoteEdgeInserted(e)
-		if t.atomic {
-			t.noteLog = append(t.noteLog, noteRec{edge: e, inserted: true})
-		}
-	}
+	newNodes, edgeAdds, _ := s.DAG.ChangesSince(mark)
 	rep.DR = dr
 	rep.DVInserts = len(edgeAdds)
 	rep.Applied = true
@@ -492,7 +504,7 @@ func (s *System) applyInsert(ctx context.Context, op *update.Op, res *xpath.Resu
 	return nil
 }
 
-func (s *System) applyDelete(ctx context.Context, op *update.Op, res *xpath.Result, rep *Report, t *Txn) error {
+func (s *System) applyDelete(ctx context.Context, op *update.Op, res *xpath.Result, rep *Report) error {
 	t0 := time.Now()
 	dv := update.Xdelete(res.Edges)
 	rep.Timings.XToDV = time.Since(t0)
@@ -511,12 +523,8 @@ func (s *System) applyDelete(ctx context.Context, op *update.Op, res *xpath.Resu
 	if err := s.applyDR(dr); err != nil {
 		return err
 	}
-	if t.atomic {
-		t.dbLog = append(t.dbLog, dr...)
-	}
 	for _, e := range dv.Deletes {
 		s.DAG.RemoveEdge(e.Parent, e.Child)
-		s.noteDeleted(t, e)
 	}
 	rep.DR = dr
 	rep.DVDeletes = len(dv.Deletes)
@@ -525,22 +533,10 @@ func (s *System) applyDelete(ctx context.Context, op *update.Op, res *xpath.Resu
 
 	t0 = time.Now()
 	cascade, removed := s.Topo.DeleteUpdate(s.DAG, dv.Deletes)
-	for _, e := range cascade {
-		s.noteDeleted(t, e)
-	}
 	rep.Removed = len(removed)
 	rep.DVDeletes += len(cascade)
 	rep.Timings.Maintain = time.Since(t0)
 	return nil
-}
-
-// noteDeleted keeps the translator's source index current for a removed
-// edge, recording the adjustment for inverse replay in atomic transactions.
-func (s *System) noteDeleted(t *Txn, e dag.Edge) {
-	s.Translator.NoteEdgeDeleted(e)
-	if t.atomic {
-		t.noteLog = append(t.noteLog, noteRec{edge: e})
-	}
 }
 
 // CheckConsistency verifies the system invariant ΔX(T) = σ(ΔR(I)) over

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"rxview/internal/dag"
 	"rxview/internal/obs"
 	"rxview/internal/reach"
 	"rxview/internal/relational"
@@ -31,6 +30,13 @@ var (
 // the database, ΔV against the view and the maintenance of L — so queries
 // between stages read the transaction's own writes.
 //
+// Every transaction opens the DAG journal at Begin, and that journal is its
+// one undo log: a stage runs from a mark in it, the delta since the mark is
+// the stage's ΔV (what a prefix stage's record carries), and a rejected
+// insert unwinds to its mark. The database needs no log of its own — an
+// applied stage's ΔR is in its report — and the translator's source index
+// follows the journal's delta (System.noteDelta).
+//
 // In atomic mode (System.Begin(true)) the group is all-or-nothing: a staged
 // rejection dooms the whole transaction, and Commit or Rollback restores
 // the DAG, the database, the translator's source index and L exactly to
@@ -50,28 +56,17 @@ type Txn struct {
 	reports []*Report
 	applied int
 
-	// Atomic-mode rollback state. The DAG itself is covered by a journal
-	// opened at Begin; these cover everything the journal cannot see.
-	topoSave *reach.Topo // deep copy of L at Begin
-	dbLog    []relational.Mutation
-	noteLog  []noteRec
+	// Atomic mode: a deep copy of L at Begin, the one piece of state the
+	// journal does not cover.
+	topoSave *reach.Topo
 
-	// Durability state, populated only when the system has a commit sink.
-	// Non-atomic mode opens its own DAG journal (journalOwned) purely to
-	// capture per-stage deltas; recs buffers the records of applied stages
-	// until the sink writes them at close.
-	recs         []CommitRecord
-	journalOwned bool
+	// Non-atomic mode with a commit sink: the records of applied stages,
+	// buffered until the sink writes them at close.
+	recs []CommitRecord
 
 	err    error  // atomic mode: the rejection that doomed the group
 	errOp  string // the staged update the rejection belongs to
 	closed bool
-}
-
-// noteRec records one translator source-index adjustment for inverse replay.
-type noteRec struct {
-	edge     dag.Edge
-	inserted bool
 }
 
 // Begin opens a transaction on the system. atomic selects all-or-nothing
@@ -90,17 +85,8 @@ func (s *System) Begin(atomic bool) (*Txn, error) {
 		// tombstoning for deletes); a deep copy now is what makes rollback
 		// an O(1) pointer swap later.
 		t.topoSave = s.Topo.Clone()
-		s.DAG.Begin()
-	} else if s.sink != nil || !s.digest.IsZero() {
-		// Durable non-atomic groups persist per applied stage, and the
-		// per-stage delta — what the record carries and what the state digest
-		// steps over — comes from a DAG journal the transaction opens for
-		// itself. Views with neither a sink nor a digest skip this branch
-		// entirely, so the non-durable batch write path stays journal-free as
-		// it always was.
-		s.DAG.Begin()
-		t.journalOwned = true
 	}
+	s.DAG.Begin()
 	s.txn = t
 	return t, nil
 }
@@ -151,21 +137,17 @@ func (t *Txn) Stage(ctx context.Context, op *update.Op) (*Report, error) {
 	if obs.Enabled() {
 		stageT0 = time.Now()
 	}
-	var mark int
-	capture := t.journalOwned // non-atomic + durable: one record, one digest step per stage
-	if capture {
-		mark = t.s.DAG.Mark()
-	}
-	rep, err := t.s.apply(ctx, op, t)
+	rep, delta, err := t.s.apply(ctx, op)
 	t.reports = append(t.reports, rep)
 	if rep.Applied {
 		t.applied++
 		if !t.atomic {
 			t.s.gen++
-			if capture {
-				// The digest follows memory: the stage is applied whatever the
-				// sink says at close, so the step is taken here and stands.
-				rec := CommitRecord{Gen: t.s.gen, Delta: t.s.DAG.DeltaSince(mark), DR: rep.DR}
+			if t.s.sink != nil || !t.s.digest.IsZero() {
+				// One record, one digest step per stage. The digest follows
+				// memory: the stage is applied whatever the sink says at
+				// close, so the step is taken here and stands.
+				rec := CommitRecord{Gen: t.s.gen, Delta: delta, DR: rep.DR}
 				rec.Digest = t.s.stepDigest(rec)
 				t.s.digest = rec.Digest
 				if t.s.sink != nil {
@@ -239,7 +221,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 			// until DAG.Commit, and DeltaSince(0) is the whole group's
 			// chronological op stream. The digest it carries is adopted only
 			// once the sink has accepted it: a rollback leaves the old one.
-			rec = CommitRecord{Gen: s.gen + 1, Delta: s.DAG.DeltaSince(0), DR: t.dbLog}
+			rec = CommitRecord{Gen: s.gen + 1, Delta: s.DAG.DeltaSince(0), DR: t.appliedDR()}
 			rec.Digest = s.stepDigest(rec)
 			if s.sink != nil {
 				if err := s.sink([]CommitRecord{rec}); err != nil {
@@ -251,7 +233,6 @@ func (t *Txn) Commit(ctx context.Context) error {
 				through = rec.Gen
 			}
 		}
-		s.DAG.Commit()
 		if t.applied > 0 {
 			s.gen++
 			s.digest = rec.Digest
@@ -301,27 +282,33 @@ func (t *Txn) sinkPrefix() (through uint64, err error) {
 	return t.recs[len(t.recs)-1].Gen, nil
 }
 
-// rollback restores the pre-Begin state: the DAG from its journal, the
-// database by inverse mutations in reverse order, the translator's source
-// index by inverse note replay and L from the Begin-time copy. An
-// inverse-mutation failure means the undo log and the database disagree;
-// it is returned as an internal error, never silently swallowed.
+// appliedDR is the group's ΔR so far: the applied stages' ΔR in stage
+// order.
+func (t *Txn) appliedDR() []relational.Mutation {
+	var dr []relational.Mutation
+	for _, rep := range t.reports {
+		if rep.Applied {
+			dr = append(dr, rep.DR...)
+		}
+	}
+	return dr
+}
+
+// rollback restores the pre-Begin state: the translator's source index by
+// undoing the journal's whole delta, the DAG by unwinding the journal, the
+// database by inverting the applied ΔR newest first and L from the
+// Begin-time copy. An inverse-mutation failure means the reports and the
+// database disagree; it is returned as an internal error, never silently
+// swallowed.
 func (t *Txn) rollback() error {
 	var t0 time.Time
 	if obs.Enabled() {
 		t0 = time.Now()
 	}
 	s := t.s
+	s.noteDelta(s.DAG.DeltaSince(0), -1)
 	s.DAG.Rollback()
-	err := undoMutations(s.DB, t.dbLog)
-	for i := len(t.noteLog) - 1; i >= 0; i-- {
-		n := t.noteLog[i]
-		if n.inserted {
-			s.Translator.NoteEdgeDeleted(n.edge)
-		} else {
-			s.Translator.NoteEdgeInserted(n.edge)
-		}
-	}
+	err := undoMutations(s.DB, t.appliedDR())
 	s.Topo = t.topoSave
 	t.close()
 	m := metrics()
@@ -333,20 +320,16 @@ func (t *Txn) rollback() error {
 }
 
 func (t *Txn) close() {
-	if t.journalOwned {
-		// The delta-capture journal: nothing was unwound through it, so
-		// committing it just detaches it and keeps the mutations.
-		t.s.DAG.Commit()
-	}
 	t.closed = true
 	t.s.txn = nil
 }
 
-// finish closes the transaction and fires the post-sync hook for the
-// generations the sink accepted. The hook runs after close so that a
-// checkpoint it triggers sees a quiescent system — no open transaction, no
-// attached DAG journal.
+// finish keeps the group's mutations — it commits the DAG journal — closes
+// the transaction and fires the post-sync hook for the generations the sink
+// accepted. The hook runs after close so that a checkpoint it triggers sees
+// a quiescent system — no open transaction, no attached DAG journal.
 func (t *Txn) finish(through uint64) {
+	t.s.DAG.Commit()
 	t.close()
 	if through > 0 && t.s.afterSync != nil {
 		t.s.afterSync(through)
@@ -371,47 +354,4 @@ func undoMutations(db *relational.Database, dr []relational.Mutation) error {
 
 func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// dagScope adapts one update's speculative DAG mutations to whichever
-// journal context it runs in: standalone (the op opens and closes its own
-// journal, as Apply always did) or inside an open transaction journal (the
-// op gets a savepoint, so it can unwind alone while the journal keeps
-// covering the whole group).
-type dagScope struct {
-	d     *dag.DAG
-	mark  int
-	owned bool
-}
-
-func (s *System) beginDAGScope() dagScope {
-	if s.DAG.InTxn() {
-		return dagScope{d: s.DAG, mark: s.DAG.Mark()}
-	}
-	s.DAG.Begin()
-	return dagScope{d: s.DAG, owned: true}
-}
-
-// abort unwinds the op's mutations (only them).
-func (sc dagScope) abort() {
-	if sc.owned {
-		sc.d.Rollback()
-	} else {
-		sc.d.RollbackTo(sc.mark)
-	}
-}
-
-// changes returns the op's own mutations.
-func (sc dagScope) changes() (nodeAdds []dag.NodeID, edgeAdds, edgeDels []dag.Edge) {
-	if sc.owned {
-		return sc.d.Changes()
-	}
-	return sc.d.ChangesSince(sc.mark)
-}
-
-// keep retains the op's mutations; a transaction-owned journal stays open.
-func (sc dagScope) keep() {
-	if sc.owned {
-		sc.d.Commit()
-	}
 }

@@ -160,9 +160,9 @@ func TestTxnExplicitRollbackAfterDeletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mix inserts and deletes so the rollback exercises every save: the
-	// journal (DAG), inverse ΔR (database), inverse note replay (the source
-	// index, checked by CheckConsistency below) and the Topo swap (L).
+	// Mix inserts and deletes so the rollback exercises every restore: the
+	// journal (DAG), inverse ΔR (database), the journal's delta undone (the
+	// source index, checked by CheckConsistency below) and the Topo swap (L).
 	stmts := []string{
 		txGroup[0],
 		txGroup[1],
@@ -264,7 +264,7 @@ func TestTxnWriteGuardsWhileOpen(t *testing.T) {
 // A staged insert's ΔV must cover only its own mutations, not everything
 // the transaction journal has seen: insert X, delete X, then insert Y must
 // behave exactly like the same three Apply calls (regression: Xinsert once
-// read d.Changes() from the journal's start, so Y's translation re-saw X's
+// read the journal's changes from its start, so Y's translation re-saw X's
 // edges and rejected the group).
 func TestTxnStageDeltaIsPerUpdate(t *testing.T) {
 	ctx := context.Background()

@@ -51,6 +51,12 @@ func (s *refStore) grow() {
 	s.rEpoch = append(s.rEpoch, s.epoch)
 }
 
+// truncate drops the rows from n on (see cow.Array.Truncate).
+func (s *refStore) truncate(n NodeID) {
+	s.rows.Truncate(int(n))
+	s.rEpoch = s.rEpoch[:n]
+}
+
 func (s *refStore) seal() cow.Sealed[[]NodeID] {
 	s.epoch++
 	return s.rows.Seal()

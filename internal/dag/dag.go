@@ -182,7 +182,7 @@ func (d *DAG) AddNode(typ string, attr relational.Tuple) (id NodeID, created boo
 	d.alive.Push(true)
 	d.gen[string(k)] = id
 	d.list(id)
-	d.logOp(jop{kind: jNodeAdd, node: id})
+	d.logOp(jop{kind: jNodeAdd, fresh: true, node: id})
 	return id, true
 }
 

@@ -247,7 +247,7 @@ func TestJournalRollbackRestoresState(t *testing.T) {
 	d.AddEdge(c1, n)
 	d.RemoveEdge(c2, sh)
 	d.RemoveNode(c2)
-	adds, eAdds, eDels := d.Changes()
+	adds, eAdds, eDels := d.ChangesSince(0)
 	if len(adds) != 1 || len(eAdds) != 1 || len(eDels) == 0 {
 		t.Errorf("Changes = %v %v %v", adds, eAdds, eDels)
 	}
@@ -257,6 +257,50 @@ func TestJournalRollbackRestoresState(t *testing.T) {
 	}
 	if d.Alive(n) {
 		t.Error("added node still alive after rollback")
+	}
+}
+
+// An undone allocation gives its id back: a replica that never saw the
+// unwound update allocates the same ids for what follows. An undone
+// resurrection keeps its id, dead, under the same identity.
+func TestJournalRollbackFreesNewIDs(t *testing.T) {
+	d, _, c2, _ := chainDAG(t)
+	d.RemoveNode(c2) // dead before the journal opens
+	cap0 := d.Cap()
+	d.Begin()
+	kept, _ := d.AddNode("C", relational.Tuple{relational.Int(90)})
+	mark := d.Mark()
+	n, _ := d.AddNode("C", relational.Tuple{relational.Int(91)})
+	d.AddEdge(kept, n)
+	d.RemoveNode(n)
+	d.AddNode("C", relational.Tuple{relational.Int(91)}) // resurrects n
+	if back, created := d.AddNode("C", relational.Tuple{relational.Int(2)}); !created || back != c2 {
+		t.Fatalf("resurrecting c2 = %d, %v; want %d, true", back, created, c2)
+	}
+	d.RollbackTo(mark)
+	if d.Cap() != int(n) || d.Alive(c2) {
+		t.Fatalf("after RollbackTo: Cap = %d, want %d; c2 alive = %v", d.Cap(), n, d.Alive(c2))
+	}
+	if _, ok := d.Lookup("C", relational.Tuple{relational.Int(91)}); ok {
+		t.Error("the freed identity is still registered")
+	}
+	if other, _ := d.AddNode("D", nil); other != n {
+		t.Errorf("next allocation = %d, want the freed id %d", other, n)
+	}
+	d.Rollback()
+	if d.Cap() != cap0 {
+		t.Errorf("after Rollback: Cap = %d, want %d", d.Cap(), cap0)
+	}
+	for _, id := range d.IDsOfType("C") {
+		if int(id) >= cap0 {
+			t.Errorf("type list still holds freed id %d", id)
+		}
+	}
+	if len(d.IDsOfType("D")) != 0 {
+		t.Errorf("type list D = %v, want empty", d.IDsOfType("D"))
+	}
+	if back, created := d.AddNode("C", relational.Tuple{relational.Int(2)}); !created || back != c2 {
+		t.Errorf("c2's identity comes back as %d, %v; want %d, true", back, created, c2)
 	}
 }
 
@@ -275,7 +319,7 @@ func TestJournalPanics(t *testing.T) {
 	d := New("db")
 	mustPanic(t, func() { d.Commit() })
 	mustPanic(t, func() { d.Rollback() })
-	mustPanic(t, func() { d.Changes() })
+	mustPanic(t, func() { d.ChangesSince(0) })
 	d.Begin()
 	mustPanic(t, func() { d.Begin() })
 	d.Commit()

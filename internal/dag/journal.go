@@ -1,5 +1,11 @@
 package dag
 
+import (
+	"slices"
+
+	"rxview/internal/relational"
+)
+
 // journal records DAG mutations so a speculative update (e.g. publishing a
 // subtree ST(A,t) before the relational translation is accepted) can be
 // rolled back if the update is rejected — the paper's framework rejects ΔX
@@ -13,6 +19,7 @@ type journal struct {
 
 type jop struct {
 	kind                jopKind
+	fresh               bool // jNodeAdd: a new id, not a resurrection
 	node                NodeID
 	edge                Edge
 	childPos, parentPos int // original positions for jEdgeDel undo
@@ -64,13 +71,9 @@ func (d *DAG) Mark() int {
 	return len(d.journal.ops)
 }
 
-// Changes returns the mutations recorded since Begin: added nodes, added
-// edges and removed edges. Valid only inside a transaction.
-func (d *DAG) Changes() (nodeAdds []NodeID, edgeAdds, edgeDels []Edge) {
-	return d.ChangesSince(0)
-}
-
-// ChangesSince returns the mutations recorded since the given savepoint.
+// ChangesSince returns the mutations recorded since the given savepoint:
+// added nodes, added edges and removed edges. Valid only inside a
+// transaction; ChangesSince(0) covers everything since Begin.
 func (d *DAG) ChangesSince(mark int) (nodeAdds []NodeID, edgeAdds, edgeDels []Edge) {
 	if d.journal == nil {
 		panic("dag: ChangesSince without Begin")
@@ -139,10 +142,31 @@ func (d *DAG) undo(ops []jop) {
 				d.alive.Set(int(op.node), false)
 				d.unlist(op.node)
 			}
+			if op.fresh {
+				d.free(op.node)
+			}
 		case jNodeDel:
 			d.resurrect(op.node)
 		}
 	}
+}
+
+// free takes back the id of an undone allocation, so that an unwound update
+// leaves no trace in the id space: the next allocation gets the same id
+// here and on a replica that never saw the unwound one, which is what lets
+// the replica replay the log. Undo runs newest first, so the id is always
+// the newest one. A sealed version never covers it (Seal refuses an open
+// journal), so the arrays shrink in place and the type's list drops it in
+// place.
+func (d *DAG) free(id NodeID) {
+	typ := d.types[id]
+	var a [relational.KeyBufLen]byte
+	delete(d.gen, string(appendGenKey(a[:0], typ, d.attrs[id])))
+	d.byType[typ] = slices.DeleteFunc(d.byType[typ], func(x NodeID) bool { return x == id })
+	d.types, d.attrs = d.types[:id], d.attrs[:id]
+	d.children.truncate(id)
+	d.parents.truncate(id)
+	d.alive.Truncate(int(id))
 }
 
 // resurrect brings a dead identity back under its old id, so the Skolem

@@ -26,7 +26,7 @@ func insertAndCheck(t *testing.T, reg *workload.Registrar, d *dag.DAG, tr *Trans
 	for _, u := range targets {
 		d.AddEdge(u, root)
 	}
-	newNodes, edgeAdds, _ := d.Changes()
+	newNodes, edgeAdds, _ := d.ChangesSince(0)
 	dr, induced, err := tr.TranslateInsert(edgeAdds, newNodes)
 	if err != nil {
 		d.Rollback()
@@ -124,7 +124,7 @@ func TestInsertRejectsHardSideEffect(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.AddEdge(d.Root(), root)
-	newNodes, edgeAdds, _ := d.Changes()
+	newNodes, edgeAdds, _ := d.ChangesSince(0)
 	_, _, err = tr.TranslateInsert(edgeAdds, newNodes)
 	var rej *RejectedError
 	if !errors.As(err, &rej) {
@@ -240,7 +240,7 @@ func TestInsertUnsatisfiableRejected(t *testing.T) {
 	defer dg.Rollback()
 	item, _ := dg.AddNode("item", relational.Tuple{relational.Int(9)})
 	dg.AddEdge(box1, item)
-	newNodes, edgeAdds, _ := dg.Changes()
+	newNodes, edgeAdds, _ := dg.ChangesSince(0)
 	_, _, err := tr.TranslateInsert(edgeAdds, newNodes)
 	var rej *RejectedError
 	if !errors.As(err, &rej) {
@@ -256,7 +256,7 @@ func TestInsertSatisfiableFlagVariant(t *testing.T) {
 	dg.Begin()
 	item, _ := dg.AddNode("item", relational.Tuple{relational.Int(9)})
 	dg.AddEdge(box1, item)
-	newNodes, edgeAdds, _ := dg.Changes()
+	newNodes, edgeAdds, _ := dg.ChangesSince(0)
 	dr, induced, err := tr.TranslateInsert(edgeAdds, newNodes)
 	if err != nil {
 		dg.Rollback()
@@ -308,7 +308,7 @@ func TestInsertWithInducedContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.AddEdge(target, root)
-	newNodes, edgeAdds, _ := d.Changes()
+	newNodes, edgeAdds, _ := d.ChangesSince(0)
 	dr, induced, err := tr.TranslateInsert(edgeAdds, newNodes)
 	if err != nil {
 		d.Rollback()

@@ -165,7 +165,7 @@ func updatableInsertion(t *testing.T, k int, clauses []dnfClause) bool {
 		n, _ := dg.AddNode("asg", relational.Tuple{relational.Int(int64(i))})
 		dg.AddEdge(asgs, n)
 	}
-	newNodes, edgeAdds, _ := dg.Changes()
+	newNodes, edgeAdds, _ := dg.ChangesSince(0)
 	dr, induced, err := tr.TranslateInsert(edgeAdds, newNodes)
 	if err != nil {
 		var rej *RejectedError

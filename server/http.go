@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -260,13 +259,14 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 }
 
 // updateJSON is the wire form of one update. Values are the element type's
-// attribute fields in ATG declaration order; JSON strings, integral
-// numbers, booleans and null map onto the view's value kinds.
+// attribute fields in ATG declaration order, decoded by rxview.Value:
+// JSON strings, integers in the full int64 range, booleans and null map
+// onto the view's value kinds.
 type updateJSON struct {
-	Kind   string `json:"kind"` // "insert" | "delete"
-	Path   string `json:"path"`
-	Type   string `json:"type,omitempty"`
-	Values []any  `json:"values,omitempty"`
+	Kind   string         `json:"kind"` // "insert" | "delete"
+	Path   string         `json:"path"`
+	Type   string         `json:"type,omitempty"`
+	Values []rxview.Value `json:"values,omitempty"`
 }
 
 func (u updateJSON) compile() (rxview.Update, error) {
@@ -274,35 +274,9 @@ func (u updateJSON) compile() (rxview.Update, error) {
 	case "delete":
 		return rxview.Delete(u.Path), nil
 	case "insert":
-		vals := make([]rxview.Value, len(u.Values))
-		for i, raw := range u.Values {
-			v, err := valueOf(raw)
-			if err != nil {
-				return rxview.Update{}, fmt.Errorf("values[%d]: %w", i, err)
-			}
-			vals[i] = v
-		}
-		return rxview.Insert(u.Path, u.Type, vals...), nil
+		return rxview.Insert(u.Path, u.Type, u.Values...), nil
 	default:
 		return rxview.Update{}, fmt.Errorf("unknown update kind %q (want insert or delete)", u.Kind)
-	}
-}
-
-func valueOf(raw any) (rxview.Value, error) {
-	switch v := raw.(type) {
-	case nil:
-		return rxview.Null(), nil
-	case string:
-		return rxview.Str(v), nil
-	case bool:
-		return rxview.Bool(v), nil
-	case float64:
-		if v != math.Trunc(v) || math.Abs(v) >= 1<<53 {
-			return rxview.Value{}, fmt.Errorf("number %v is not an exact integer", v)
-		}
-		return rxview.Int(int64(v)), nil
-	default:
-		return rxview.Value{}, fmt.Errorf("unsupported value type %T", raw)
 	}
 }
 

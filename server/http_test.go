@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -168,6 +169,39 @@ func TestHandlerBatchPrefixAndErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body status = %d, want 413", resp.StatusCode)
+	}
+}
+
+// Update values go through rxview.Value's decoder, the library's one: an
+// integer past 2⁵³ reaches the pipeline exactly, on every write endpoint
+// (here the student's string-typed ssn refuses it, and the report renders
+// the value it was given), while a fraction or an exponent form is a
+// malformed request.
+func TestHandlerValuesDecodeAsExactInt64(t *testing.T) {
+	ts, _ := newTestServer(t, 5*time.Second)
+	ins := func(value string) json.RawMessage {
+		return json.RawMessage(`{"kind":"insert","type":"student","path":"//course[cno=\"CS650\"]/takenBy","values":[` + value + `,"Big"]}`)
+	}
+	group := func(value string) json.RawMessage {
+		return json.RawMessage(`{"updates":[` + string(ins(value)) + `]}`)
+	}
+	for _, c := range []struct {
+		path string
+		body func(string) json.RawMessage
+	}{{"/update", ins}, {"/batch", group}, {"/tx", group}} {
+		code, out := post(t, ts, c.path, c.body("9007199254740993"))
+		reps, _ := out["reports"].([]any)
+		if len(reps) != 1 {
+			t.Fatalf("POST %s 2⁵³+1: status %d, no report from the pipeline: %v", c.path, code, out)
+		}
+		if op, _ := reps[0].(map[string]any)["op"].(string); !strings.Contains(op, "9007199254740993") {
+			t.Errorf("POST %s 2⁵³+1: the pipeline saw %q", c.path, op)
+		}
+		for _, v := range []string{"1.5", "1e3"} {
+			if code, out := post(t, ts, c.path, c.body(v)); code != http.StatusBadRequest {
+				t.Errorf("POST %s value %s: status = %d, want 400 (%v)", c.path, v, code, out)
+			}
+		}
 	}
 }
 

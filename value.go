@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"rxview/internal/relational"
 )
@@ -82,29 +83,30 @@ func (v Value) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON accepts the same forms MarshalJSON emits. Numbers must be
 // exact integers (the value model has no floats) and are parsed as full
-// int64 — not through float64, which would corrupt magnitudes ≥ 2⁵³.
+// int64 — not through float64, which would corrupt magnitudes ≥ 2⁵³. The
+// literal is read in place, with no decoder per value: this is the HTTP
+// write path's decoder for every update value.
 func (v *Value) UnmarshalJSON(data []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	var raw any
-	if err := dec.Decode(&raw); err != nil {
-		return err
-	}
-	switch x := raw.(type) {
-	case nil:
+	data = bytes.TrimSpace(data)
+	switch lit := string(data); {
+	case lit == "null":
 		*v = Null()
-	case bool:
-		*v = Bool(x)
-	case string:
-		*v = Str(x)
-	case json.Number:
-		n, err := strconv.ParseInt(string(x), 10, 64)
+	case lit == "true" || lit == "false":
+		*v = Bool(lit == "true")
+	case strings.HasPrefix(lit, `"`):
+		var s string
+		if err := json.Unmarshal(data, &s); err != nil {
+			return err
+		}
+		*v = Str(s)
+	case strings.HasPrefix(lit, "-") || lit != "" && '0' <= lit[0] && lit[0] <= '9':
+		n, err := strconv.ParseInt(lit, 10, 64)
 		if err != nil {
-			return fmt.Errorf("rxview: number %s is not an exact int64", x)
+			return fmt.Errorf("rxview: number %s is not an exact int64", lit)
 		}
 		*v = Int(n)
 	default:
-		return fmt.Errorf("rxview: unsupported JSON value %T", raw)
+		return fmt.Errorf("rxview: unsupported JSON value %.32s", lit)
 	}
 	return nil
 }
