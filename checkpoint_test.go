@@ -2,8 +2,7 @@ package rxview
 
 // White-box tests of the checkpoint path: the one-pass encoder against a
 // reference encoder, its allocation bound, its stall metric, and the
-// write-behind state machine — one file in flight, a trigger during it
-// skipped, the synchronous callers waiting for it.
+// trigger's interval.
 
 import (
 	"bytes"
@@ -313,7 +312,7 @@ func TestEncodeCheckpointMatchesReference(t *testing.T) {
 // number of tables and not on their rows.
 //
 // The counters are process-wide, so a goroutine another test left behind
-// (a write-behind checkpoint, say) can add its allocations to one reading.
+// can add its allocations to one reading.
 // The encoder costs the same on every call, so each case keeps the least of
 // a few readings, taken on one P as testing.AllocsPerRun does.
 func TestEncodeCheckpointAllocationBound(t *testing.T) {
@@ -471,99 +470,17 @@ func insertStudents(t *testing.T, v *View, from, n int) {
 	}
 }
 
-func segmentCount(t *testing.T, dir string) int {
-	t.Helper()
-	info, err := wal.Inspect(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return len(info.Segments)
-}
-
-// TestCheckpointTriggerSkippedWhileOneIsInFlight: while a checkpoint file is
-// being written the trigger is skipped — no encode, no rotation, nothing
-// queued — and the first commit after its verdict is in tests again.
-func TestCheckpointTriggerSkippedWhileOneIsInFlight(t *testing.T) {
-	dir := t.TempDir()
-	v, warnings := durableRegistrar(t, dir, 2)
-	defer v.Close()
-
-	// A checkpoint at generation 0 that stays in flight as long as the
-	// test likes: the state machine only ever sees the channel.
-	inFlight := make(chan error, 1)
-	v.ckptDone, v.ckptPending = inFlight, 0
-	insertStudents(t, v, 0, 5) // two and a half intervals
-	if n := segmentCount(t, dir); n != 1 {
-		t.Fatalf("%d segments: a checkpoint began while one was in flight", n)
-	}
-	if v.ckptDone != inFlight || v.ckptGen != 0 {
-		t.Fatalf("in-flight checkpoint replaced or collected early (landed %d)", v.ckptGen)
-	}
-
-	// It lands. The next commit collects the verdict and, five commits past
-	// the newest checkpoint, begins exactly one checkpoint — not one per
-	// skipped trigger.
-	inFlight <- nil
-	insertStudents(t, v, 5, 1)
-	v.reapCheckpoint(true)
-	if n := segmentCount(t, dir); n != 2 {
-		t.Fatalf("%d segments after the verdict, want 2", n)
-	}
-	if v.ckptGen != 6 || v.ckptDone != nil {
-		t.Fatalf("landed checkpoint %d, in flight %v; want 6 and none", v.ckptGen, v.ckptDone != nil)
-	}
-	if len(*warnings) != 0 {
-		t.Fatalf("warnings: %q", *warnings)
-	}
-}
-
-// TestSynchronousCheckpointsWaitForTheOneInFlight: Checkpoint, Close and
-// Recover collect the verdict of the file being written before they do their
-// own work. The verdict arrives on an unbuffered channel, so it can only be
-// delivered to a caller that waits for it; a failure makes it visible as the
-// warning, and leaves ckptGen for the synchronous checkpoint to move.
-func TestSynchronousCheckpointsWaitForTheOneInFlight(t *testing.T) {
-	for _, call := range []string{"Checkpoint", "Close", "Recover"} {
-		t.Run(call, func(t *testing.T) {
-			dir := t.TempDir()
-			v, warnings := durableRegistrar(t, dir, 1<<30)
-			defer v.Close()
-			insertStudents(t, v, 0, 3)
-
-			verdict := make(chan error)
-			v.ckptDone, v.ckptPending = verdict, 2
-			go func() { verdict <- errors.New("disk on fire") }()
-
-			var err error
-			switch call {
-			case "Checkpoint":
-				err = v.Checkpoint()
-			case "Close":
-				err = v.Close()
-			case "Recover":
-				v.markDegraded(errors.New("injected"))
-				err = v.Recover()
-			}
-			if err != nil {
-				t.Fatalf("%s: %v", call, err)
-			}
-			if v.ckptDone != nil {
-				t.Fatalf("%s returned with a checkpoint still in flight", call)
-			}
-			reaped := false
-			for _, w := range *warnings {
-				reaped = reaped || strings.Contains(w, "checkpoint at generation 2 failed: disk on fire")
-			}
-			if !reaped {
-				t.Fatalf("%s did not collect the in-flight verdict; warnings: %q", call, *warnings)
-			}
-			if v.ckptGen != 3 {
-				t.Fatalf("%s left the newest landed checkpoint at %d, want its own at 3", call, v.ckptGen)
-			}
-			gen, _, _, err := wal.NewestCheckpoint(dir)
-			if err != nil || gen != 3 {
-				t.Fatalf("newest checkpoint on disk: %d, %v", gen, err)
-			}
-		})
+// TestCheckpointEveryNonPositiveMeansDefault: WithCheckpointEvery(n) with
+// n ≤ 0 keeps the default interval; a negative n must not wrap around to
+// "never".
+func TestCheckpointEveryNonPositiveMeansDefault(t *testing.T) {
+	for _, n := range []int{0, -1, math.MinInt} {
+		v, _ := durableRegistrar(t, t.TempDir(), n)
+		if v.ckptEvery != defaultCheckpointEvery {
+			t.Errorf("WithCheckpointEvery(%d): every %d commits, want %d", n, v.ckptEvery, defaultCheckpointEvery)
+		}
+		if err := v.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -76,10 +76,10 @@
 // upgraded. Every commit — an Apply, a Batch member, a whole Begin/Commit
 // group — is in the log before
 // its verdict returns, under the fsync policy of WithFsync; View.Close
-// seals a final checkpoint so the next Open replays nothing. An automatic
-// checkpoint (WithCheckpointEvery) stalls the writer only to encode the
-// state and rotate the log; its file is written behind the writer, and no
-// acknowledged commit depends on it having landed. Damage
+// seals a final checkpoint so the next Open replays nothing. Every
+// checkpoint — automatic (WithCheckpointEvery) or explicit — runs on the
+// writer, file first: the file is durable before the log rotates, and a
+// failed one is retried at the next commit. Damage
 // surfaces as ErrCorruptLog or ErrCheckpointMismatch (a torn final record
 // is truncated with a WithRecoveryWarn warning instead). Views opened
 // without WithDurability pay nothing for any of this.

@@ -78,10 +78,10 @@ func openDurable(a *ATG, db *DB, cfg *config) (*View, error) {
 		db:        db,
 		log:       log,
 		warn:      cfg.warn,
-		ckptEvery: uint64(cfg.ckptEvery),
+		ckptEvery: defaultCheckpointEvery,
 	}
-	if v.ckptEvery == 0 {
-		v.ckptEvery = defaultCheckpointEvery
+	if cfg.ckptEvery > 0 {
+		v.ckptEvery = uint64(cfg.ckptEvery)
 	}
 	// Recovery never appends to an old segment, so the log needs a fresh
 	// one before the view serves. Genesis has nothing on disk and writes
@@ -95,7 +95,7 @@ func openDurable(a *ATG, db *DB, cfg *config) (*View, error) {
 	// drops the unreadable files and writes the state it has just verified.
 	switch {
 	case boot == nil:
-		err = log.WriteCheckpoint(sys.Generation(), encodeCheckpointTimed(sys))
+		err = v.checkpointNow()
 	case len(boot.Unreadable) > 0:
 		for _, g := range boot.Unreadable {
 			log.DropCheckpoint(g)
@@ -203,14 +203,6 @@ var ckptEncodeSeconds = sync.OnceValue(func() *obs.Histogram {
 		obs.LatencyBounds())
 })
 
-// encodeCheckpointTimed is encodeCheckpoint inside a span over
-// ckptEncodeSeconds: what every checkpoint calls.
-func encodeCheckpointTimed(sys *core.System) []byte {
-	sp := obs.StartSpan(ckptEncodeSeconds())
-	defer sp.End()
-	return encodeCheckpoint(sys)
-}
-
 // sinkRecords is the core.CommitSink of a durable view, the one hook on the
 // commit path: it appends the commit's records to the log before the commit
 // verdict is returned, and publishes to the replication tail, when there is
@@ -277,7 +269,6 @@ func (v *View) Recover() error {
 	if v.sys.InTxn() {
 		return ErrTxOpen
 	}
-	v.reapCheckpoint(true)
 	warning, err := v.log.Reopen()
 	if warning != "" {
 		warnTo(v.warn, "rxview: recovery: %s", warning)
@@ -295,73 +286,37 @@ func (v *View) Recover() error {
 }
 
 // afterDurable runs after each durable commit, once the system is quiescent:
-// the periodic checkpoint trigger. The writer does the part that reads the
-// state — encode it, seal the log at this generation — and hands the bytes
-// to a goroutine that writes the file behind it; the verdict is collected
-// here, at a later commit. No commit waits for that goroutine, but on one P
-// (GOMAXPROCS=1) it still delays the next request: a goroutine in a system
-// call keeps its P until the runtime's monitor thread retakes it, which
-// takes one call lasting across two of the monitor's wake-ups (20 µs apart
-// at first, up to 10 ms apart in a busy process), and the file's write,
-// fsyncs, rename and prune are each shorter. A failed checkpoint, either
-// half, is reported and retried at the next commit — the log keeps every
-// record since the last one that landed, so nothing is lost, the log just
-// grows. While a file is being written the trigger is skipped, not queued:
-// there is never a second goroutine, and the next commit tests again.
+// the periodic checkpoint trigger. The checkpoint runs on the writer, file
+// first (checkpointNow), so the commit that triggers it returns once
+// ckpt-<gen> is on disk and the log has rotated. A failed checkpoint is
+// reported and retried at the next commit — the log keeps every record since
+// the last one that landed, so nothing is lost, the log just grows — unless
+// it killed the log (a Seal that could not start the next segment): then the
+// view degrades, as it does when the log refuses a record, and Recover
+// restores read-write.
 func (v *View) afterDurable(gen uint64) {
-	v.reapCheckpoint(false)
-	if v.ckptDone != nil || gen-v.ckptGen < v.ckptEvery {
+	if gen-v.ckptGen < v.ckptEvery {
 		return
 	}
-	at := v.sys.Generation() // the generation of the state being encoded
-	v.ckptBusy.Store(true)
-	write, err := v.log.BeginCheckpoint(at, encodeCheckpointTimed(v.sys))
-	v.ckptBusy.Store(false)
-	if err != nil {
-		warnTo(v.warn, "rxview: checkpoint at generation %d failed: %v", at, err)
-		return
-	}
-	// The goroutine owns the encoded state and nothing else; it ends with
-	// the one send, so once the file has landed nothing holds those bytes.
-	done := make(chan error, 1)
-	v.ckptDone, v.ckptPending = done, at
-	go func() { done <- write() }()
-}
-
-// reapCheckpoint collects the verdict of the checkpoint file being written
-// behind the writer, if there is one: always when wait is set, otherwise
-// only if it is already in.
-func (v *View) reapCheckpoint(wait bool) {
-	if v.ckptDone == nil {
-		return
-	}
-	var err error
-	if wait {
-		err = <-v.ckptDone
-	} else {
-		select {
-		case err = <-v.ckptDone:
-		default:
-			return
+	if err := v.checkpointNow(); err != nil {
+		warnTo(v.warn, "rxview: checkpoint at generation %d failed: %v", v.sys.Generation(), err)
+		if cause := v.log.Failed(); cause != nil {
+			v.markDegraded(cause)
 		}
 	}
-	v.ckptDone = nil
-	if err != nil {
-		warnTo(v.warn, "rxview: checkpoint at generation %d failed: %v", v.ckptPending, err)
-		return
-	}
-	v.ckptGen = v.ckptPending
 }
 
-// checkpointNow writes a checkpoint of the current state, both halves on
-// the calling (writer) goroutine and the file first: in Recover memory is
-// ahead of the log, and a segment must not be created at a generation that
-// nothing on disk reaches yet.
+// checkpointNow writes a checkpoint of the current state on the calling
+// (writer) goroutine, file first (wal.Log.WriteCheckpoint): the one
+// checkpoint protocol, behind every checkpoint the view writes.
 func (v *View) checkpointNow() error {
 	v.ckptBusy.Store(true)
 	defer v.ckptBusy.Store(false)
 	gen := v.sys.Generation()
-	if err := v.log.WriteCheckpoint(gen, encodeCheckpointTimed(v.sys)); err != nil {
+	sp := obs.StartSpan(ckptEncodeSeconds())
+	buf := encodeCheckpoint(v.sys)
+	sp.End()
+	if err := v.log.WriteCheckpoint(gen, buf); err != nil {
 		return err
 	}
 	v.ckptGen = gen
@@ -371,16 +326,13 @@ func (v *View) checkpointNow() error {
 // Checkpoint seals the current epoch: the full view state is serialized at
 // the current generation, the log rotates to a fresh segment, and the
 // prefix the checkpoint supersedes is pruned. Durable views checkpoint
-// automatically (WithCheckpointEvery) and write the file behind the writer;
-// an explicit call waits for that file, if one is in flight, and then runs
-// to completion before it returns — it bounds recovery time before a
-// planned stop. No-op on a view without durability; ErrTxOpen while a
-// transaction is open.
+// automatically (WithCheckpointEvery); an explicit call does the same at once
+// and bounds recovery time before a planned stop. No-op on a view without
+// durability; ErrTxOpen while a transaction is open.
 func (v *View) Checkpoint() error {
 	if v.log == nil {
 		return nil
 	}
-	v.reapCheckpoint(true)
 	if v.sys.InTxn() {
 		return ErrTxOpen
 	}
@@ -388,20 +340,15 @@ func (v *View) Checkpoint() error {
 }
 
 // Checkpointing reports whether a checkpoint is stalling the writer right
-// now: the full state is being serialized and the log rotated (an explicit
-// Checkpoint, Close or Recover also writes the file before it lets go). The
-// file an automatic checkpoint writes behind the writer does not count: no
-// commit waits for it. It is not free, though — on one P its I/O runs before
-// the next request is served (see afterDurable); only a second P overlaps
-// the two. Unlike the View's other methods it is safe to call from any
-// goroutine: it is the readiness probe serving layers fold into /healthz so
-// load balancers drain a node during the stall. Always false without
-// durability.
+// now: the whole of it — serializing the full state, writing and syncing the
+// file, rotating the log and pruning. Unlike the View's other methods it is
+// safe to call from any goroutine: it is the readiness probe serving layers
+// fold into /healthz so load balancers drain a node during the stall. Always
+// false without durability.
 func (v *View) Checkpointing() bool { return v.ckptBusy.Load() }
 
-// Close flushes a final checkpoint (after the one in flight, if any, has
-// landed) and closes the log, so the next Open recovers without replaying
-// anything. No-op on a view without durability
+// Close flushes a final checkpoint and closes the log, so the next Open
+// recovers without replaying anything. No-op on a view without durability
 // (and on repeat calls); the view itself stays usable, just no longer
 // durable.
 func (v *View) Close() error {

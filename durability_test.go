@@ -283,11 +283,11 @@ func TestCrashPointRecovery(t *testing.T) {
 	crashPointRecovery(t, 1<<30, 1)
 }
 
-// TestCrashPointRecoveryAcrossCheckpoint cuts inside the window the
-// write-behind checkpoint opens: the log has rotated to the segment of a
-// checkpoint whose file never landed — a temp file is all there is of it —
-// and acknowledged records sit in that segment. Recovery starts from the
-// older checkpoint and replays across both segments.
+// TestCrashPointRecoveryAcrossCheckpoint cuts the newest segment of a
+// directory that holds wal-G without ckpt-G — the layout a recovered view's
+// boot Seal leaves — plus a temp file a crashed checkpoint write left behind,
+// with acknowledged records in that segment. Recovery starts from the older
+// checkpoint and replays across both segments.
 func TestCrashPointRecoveryAcrossCheckpoint(t *testing.T) {
 	// Every 6: the one automatic checkpoint falls on generation 6 of 11.
 	crashPointRecovery(t, 6, 2)
@@ -296,15 +296,14 @@ func TestCrashPointRecoveryAcrossCheckpoint(t *testing.T) {
 // crashPointRecovery runs the crash workload checkpointing at the given
 // interval, which must leave wantSegs segments and as many checkpoints, and
 // recovers from every cut of the last segment. With more than one segment
-// the crash is placed before the newest checkpoint landed: its file is left
-// out of the image and a stale temp file put in.
+// the newest checkpoint is left out of the image and a stale temp file put
+// in.
 func crashPointRecovery(t *testing.T, every, wantSegs int) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	v := mustDurableView(t, dir, rxview.WithFsync(rxview.FsyncOff), rxview.WithCheckpointEvery(every))
 	for _, s := range crashSteps() {
 		runCrashStep(t, ctx, v, s)
-		v.AwaitCheckpoint()
 	}
 	finalGen := v.Generation()
 	// No Close, no final checkpoint: the process "dies" here with the
@@ -437,10 +436,13 @@ func TestCheckpointEveryRotatesAndPrunes(t *testing.T) {
 		if _, err := v.Apply(ctx, u); err != nil {
 			t.Fatal(err)
 		}
-		// The checkpoint file is written behind the writer: let it land
-		// before the next commit tests the trigger, and before the
-		// directory is listed.
-		v.AwaitCheckpoint()
+		// The checkpoint is on disk when the commit that triggered it
+		// returns.
+		if gen := v.Generation(); gen%2 == 0 {
+			if ckpts, _ := walShape(t, dir); ckpts[len(ckpts)-1] != gen {
+				t.Fatalf("commit %d returned before its checkpoint landed: %v", gen, ckpts)
+			}
+		}
 	}
 	info, err := rxview.InspectWAL(dir)
 	if err != nil {
@@ -510,11 +512,11 @@ func walShape(t *testing.T, dir string) (ckpts, segs []uint64) {
 	return ckpts, segs
 }
 
-// TestCheckpointFileFaultWarnedAndRetried: the file half of an automatic
-// checkpoint fails (the injected wal.checkpoint fault is delivered there)
-// after the segment has rotated. The failure is a warning, the newest
-// landed checkpoint does not move, the next commit retries, and a crash at
-// any point along the way loses nothing.
+// TestCheckpointFileFaultWarnedAndRetried: an automatic checkpoint fails
+// writing its file (the injected wal.checkpoint fault), before the log has
+// rotated. The failure is a warning, the newest landed checkpoint does not
+// move, the next commit retries, and a crash at any point along the way loses
+// nothing.
 func TestCheckpointFileFaultWarnedAndRetried(t *testing.T) {
 	dir := t.TempDir()
 	var warnings []string
@@ -528,27 +530,28 @@ func TestCheckpointFileFaultWarnedAndRetried(t *testing.T) {
 
 	insertStudent(t, v, "S501")
 	insertStudent(t, v, "S502") // generation 2: the checkpoint that fails
-	v.AwaitCheckpoint()
 	if len(warnings) != 1 || !strings.Contains(warnings[0], "checkpoint at generation 2 failed") {
 		t.Fatalf("warnings after the failed checkpoint: %q", warnings)
 	}
 	if got := v.LandedCheckpoint(); got != 0 {
 		t.Fatalf("newest landed checkpoint %d after a failed write, want 0", got)
 	}
-	if ckpts, segs := walShape(t, dir); fmt.Sprint(ckpts, segs) != "[0] [0 2]" {
+	if v.Degraded() {
+		t.Fatal("a failed checkpoint file degraded the view; the log is intact")
+	}
+	if ckpts, segs := walShape(t, dir); fmt.Sprint(ckpts, segs) != "[0] [0]" {
 		t.Fatalf("after the failed checkpoint: checkpoints %v, segments %v", ckpts, segs)
 	}
 	crashed := copyWALDir(t, dir)
 
 	insertStudent(t, v, "S503") // generation 3: the retry
-	v.AwaitCheckpoint()
 	if len(warnings) != 1 {
 		t.Fatalf("the retry warned too: %q", warnings)
 	}
 	if got := v.LandedCheckpoint(); got != 3 {
 		t.Fatalf("newest landed checkpoint %d after the retry, want 3", got)
 	}
-	if ckpts, segs := walShape(t, dir); fmt.Sprint(ckpts, segs) != "[0 3] [0 2 3]" {
+	if ckpts, segs := walShape(t, dir); fmt.Sprint(ckpts, segs) != "[0 3] [0 3]" {
 		t.Fatalf("after the retry: checkpoints %v, segments %v", ckpts, segs)
 	}
 	rxview.DisableChaos()
@@ -570,6 +573,51 @@ func TestCheckpointFileFaultWarnedAndRetried(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestFailedSealDegradesTheView: an automatic checkpoint whose file lands but
+// whose log cannot rotate — a directory squats on the name of the next
+// segment — has killed the log. The commit that triggered it stands, the
+// view is degraded when that commit returns, and once the blocker is gone
+// Recover restores read-write at the same generation, which a reopen finds.
+func TestFailedSealDegradesTheView(t *testing.T) {
+	dir := t.TempDir()
+	var warnings []string
+	v := mustDurableView(t, dir, rxview.WithCheckpointEvery(2),
+		rxview.WithRecoveryWarn(func(msg string) { warnings = append(warnings, msg) }))
+	defer v.Close()
+	blocker := filepath.Join(dir, fmt.Sprintf("wal-%020d.xvl", 2))
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	insertStudent(t, v, "S511")
+	insertStudent(t, v, "S512") // generation 2 triggers the checkpoint
+	if !v.Degraded() {
+		t.Fatalf("the view serves read-write on a dead log; warnings: %q", warnings)
+	}
+	if len(warnings) == 0 || !strings.Contains(warnings[0], "checkpoint at generation 2 failed") {
+		t.Fatalf("warnings: %q", warnings)
+	}
+	u := rxview.Insert(`//course[cno="CS650"]/takenBy`, "student", rxview.Str("S513"), rxview.Str("X"))
+	if _, err := v.Apply(context.Background(), u); !errors.Is(err, rxview.ErrDegraded) {
+		t.Fatalf("a write on the degraded view: %v, want ErrDegraded", err)
+	}
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if v.Degraded() || v.Generation() != 2 {
+		t.Fatalf("after Recover: degraded %v at generation %d, want read-write at 2", v.Degraded(), v.Generation())
+	}
+	rv := mustDurableView(t, copyWALDir(t, dir))
+	defer rv.Close()
+	if rv.Generation() != 2 {
+		t.Fatalf("reopened at generation %d, want 2", rv.Generation())
+	}
+	insertStudent(t, v, "S513")
 }
 
 // TestRecoveredViewSealsInsteadOfCheckpointing: a view that recovered its
@@ -615,7 +663,6 @@ func TestRecoveredViewSealsInsteadOfCheckpointing(t *testing.T) {
 	}
 	// The eighth commit since checkpoint 0 is the first this view makes.
 	insertStudent(t, rv, "S499")
-	rv.AwaitCheckpoint()
 	if got := rv.LandedCheckpoint(); got != 8 {
 		t.Fatalf("newest landed checkpoint %d, want the automatic one at 8", got)
 	}

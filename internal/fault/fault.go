@@ -55,8 +55,10 @@ var (
 	// it — a degrading disk or a saturated volume. It is how the overload
 	// tests pin the writer while reads keep flowing.
 	WALSlowIO = Point{"wal.slow-io"}
-	// CheckpointWrite fails the checkpoint temp-file write, so sealing the
-	// epoch fails while the log itself keeps accepting appends.
+	// CheckpointWrite fails a checkpoint before its file is written, so
+	// sealing the epoch fails — the log has not rotated — while the log
+	// itself keeps accepting appends. It is hit once per checkpoint, in
+	// wal.Log.WriteCheckpoint.
 	CheckpointWrite = Point{"wal.checkpoint"}
 	// CrashBeforeFsync simulates the process dying after write(2) but
 	// before fsync: the record never becomes durable (the partial write is

@@ -20,27 +20,19 @@
 // truncated away with a warning, while a checksum failure anywhere else
 // refuses the log rather than resurrect a wrong state.
 //
-// Which of the two files comes first depends on whether the directory already
-// holds the state. It does at an automatic checkpoint — an older checkpoint
-// plus a gapless run of records up to G, the last of them just acknowledged —
-// so there the segment comes first (BeginCheckpoint) and the file is written
-// behind the writer. A directory may therefore hold wal-G and no ckpt-G: the
-// file was still being written when the process died, or its write failed, or
-// the view that recovered to G sealed the old tail without re-serializing the
-// state it had just read (Seal). Recovery needs no case for it — it is the
-// corrupt-newest-checkpoint case without the corrupt file: the newest
-// checkpoint that does exist is older, and the replay runs across both
-// segments. Where the directory does not hold the state — genesis, and a
-// degraded view whose memory is ahead of its log — the file comes first
-// (WriteCheckpoint): a segment is never created at a generation that nothing
-// on disk reaches. A segment is made stable before the next one is created
-// and a new segment's directory entry is fsynced before anything is
+// A checkpoint is written file first (WriteCheckpoint): ckpt-G is made
+// durable, and only then does the log rotate to wal-G, so a failure or a crash
+// part-way leaves what was there before plus, at most, a temp file — never a
+// segment at a generation that nothing on disk reaches. A directory may still
+// hold wal-G and no ckpt-G: the view that recovered to G sealed the old tail
+// without re-serializing the state it had just read (Seal). Recovery needs no
+// case for it — it is the corrupt-newest-checkpoint case without the corrupt
+// file: the newest checkpoint that does exist is older, and the replay runs
+// across both segments. A segment is made stable before the next one is
+// created and a new segment's directory entry is fsynced before anything is
 // acknowledged into it, so only the physically last segment can end torn.
 //
-// A Log belongs to one goroutine, the view's writer, with one exception: the
-// function BeginCheckpoint returns — the file half of a checkpoint: temp
-// file, write, fsync, rename, directory fsync, prune — reads no field of the
-// Log and may run on any goroutine while the writer keeps appending.
+// A Log belongs to one goroutine, the view's writer.
 package wal
 
 import (
@@ -129,8 +121,7 @@ func (o *Options) norm() {
 
 // Log is an open write-ahead log: one active segment file being appended to,
 // plus the checkpoint machinery. It is not internally locked; the view's
-// single-writer discipline covers it (dir and opts never change after Open,
-// which is what lets a checkpoint's file half run elsewhere).
+// single-writer discipline covers it.
 type Log struct {
 	dir  string
 	opts Options
@@ -317,8 +308,9 @@ func (l *Log) diskErr(op string, off int64, err error) error {
 }
 
 // Failed returns the first disk failure that killed the log, or nil while
-// it is healthy. A dead log refuses Append, Sync, Seal and BeginCheckpoint
-// with the original cause until Reopen.
+// it is healthy: a failed append or fsync, or a Seal that could not start
+// the next segment. A dead log refuses Append, Sync, Seal and
+// WriteCheckpoint with the original cause until Reopen.
 func (l *Log) Failed() error { return l.dead }
 
 // Reopen revives a dead log in place: it closes the stale descriptor
@@ -399,9 +391,11 @@ func frameCheckpoint(gen uint64, buf []byte) []byte {
 // is made stable first (a torn tail is only ever tolerated in the last
 // segment), and the directory is fsynced after, so no record is acknowledged
 // into a segment whose directory entry a crash can still take back. It is
-// the writer's half of a checkpoint, and all a recovered view needs in order
-// to serve: the state it restored is already on disk as a checkpoint plus
-// the segments it replayed.
+// the second half of WriteCheckpoint, and all a recovered view needs in
+// order to serve: the state it restored is already on disk as a checkpoint
+// plus the segments it replayed. A Seal that fails after the old segment is
+// closed, or whose directory fsync fails, kills the log: there is no segment
+// left that a record could safely be acknowledged into.
 func (l *Log) Seal(gen uint64) error {
 	if l.dead != nil {
 		return l.diskErr("seal", l.size, fmt.Errorf("log has failed: %w", l.dead))
@@ -412,64 +406,34 @@ func (l *Log) Seal(gen uint64) error {
 		}
 	}
 	if err := l.rotate(gen); err != nil {
+		l.dead = err
 		return err
 	}
 	if err := syncPath(l.dir); err != nil {
-		return fmt.Errorf("wal: seal at %d: %w", gen, err)
+		l.dead = fmt.Errorf("wal: seal at %d: %w", gen, err)
+		return l.dead
 	}
 	return nil
 }
 
-// BeginCheckpoint is the writer's half of an automatic checkpoint of the full
-// state at gen: Seal, and the attempt's one hit of the wal.checkpoint fault
-// point (taken here so a seeded fault plan fires on the same commit whatever
-// the scheduler does). buf is CheckpointHeadroom free bytes followed by the
-// state; it belongs to the returned function from here on.
-//
-// That function, write, is the other half: it frames buf in place, writes
-// ckpt-<gen> (temp file, fsync, rename, fsync the directory) and prunes the
-// files older than the Keep'th newest checkpoint. It reads no field of the
-// Log, so it may run on another goroutine while the writer appends to the
-// new segment; an injected fault is delivered as its failure. Until it has
-// returned nil the directory holds wal-<gen> without ckpt-<gen>, which
-// recovery reads as the older checkpoint plus both segments.
-//
-// Segment first is safe only because the state at gen is on disk already, as
-// an older checkpoint and a gapless run of records up to gen: the caller is
-// the commit that made gen durable. A caller whose state is not on disk uses
-// WriteCheckpoint.
-func (l *Log) BeginCheckpoint(gen uint64, buf []byte) (write func() error, err error) {
-	if err := l.Seal(gen); err != nil {
-		return nil, err
-	}
-	dir, keep := l.dir, l.opts.Keep
-	if err := fault.Hit(fault.CheckpointWrite); err != nil {
-		return func() error { return checkpointFault(dir, gen, err) }, nil
-	}
-	return func() error {
-		if err := writeCheckpointFile(dir, gen, buf); err != nil {
-			return err
-		}
-		prune(dir, keep)
-		return nil
-	}, nil
-}
-
-// WriteCheckpoint seals the epoch at gen in one synchronous call, file
-// first: ckpt-<gen> is written and made durable, and only then does the log
-// rotate to wal-<gen>. This is the order for a state the directory does not
-// hold yet — genesis, where nothing is on disk, and degraded-mode recovery,
-// where memory is ahead of the log — because a failure or a crash part-way
-// leaves what was there before plus, at most, a temp file: never a segment
-// without the checkpoint that makes it readable (genesis), nor an empty
-// segment ahead of the records (recovery). An explicit Checkpoint and Close
-// use it as well; they gain nothing from the other order.
+// WriteCheckpoint seals the epoch at gen, file first: the log up to here is
+// made stable, ckpt-<gen> is written and made durable from buf —
+// CheckpointHeadroom free bytes followed by the state — and only then does
+// the log rotate to wal-<gen> (Seal) and the files older than the Keep'th
+// newest checkpoint are pruned. It is the one checkpoint protocol: genesis,
+// the automatic checkpoint, an explicit Checkpoint, Close and degraded-mode
+// recovery all call it on the writer. A failure or a crash part-way leaves
+// what was there before plus, at most, a temp file (and, if the rotation
+// failed, a ckpt-<gen> that the records up to gen already reach): never a
+// segment without the checkpoint that makes it readable (genesis), nor an
+// empty segment ahead of the records (recovery). A failed file write leaves
+// the log appending to its segment; a failed Seal kills it (Failed).
 func (l *Log) WriteCheckpoint(gen uint64, buf []byte) error {
 	if l.dead != nil {
 		return l.diskErr("checkpoint", l.size, fmt.Errorf("log has failed: %w", l.dead))
 	}
 	if err := fault.Hit(fault.CheckpointWrite); err != nil {
-		return checkpointFault(l.dir, gen, err)
+		return &DiskFailureError{Path: filepath.Join(l.dir, ckptName(gen)), Op: "checkpoint", Offset: -1, Err: err}
 	}
 	// The log up to here must be stable before the checkpoint that
 	// supersedes it claims the epoch is sealed.
@@ -495,14 +459,8 @@ func (l *Log) DropCheckpoint(gen uint64) {
 	os.Remove(filepath.Join(l.dir, ckptName(gen)))
 }
 
-// checkpointFault types an injected wal.checkpoint fault as the failure to
-// write ckpt-<gen>.
-func checkpointFault(dir string, gen uint64, err error) error {
-	return &DiskFailureError{Path: filepath.Join(dir, ckptName(gen)), Op: "checkpoint", Offset: -1, Err: err}
-}
-
-// writeCheckpointFile is the file half of every checkpoint: frame buf in
-// place, temp file, write, fsync, rename, fsync the directory.
+// writeCheckpointFile is WriteCheckpoint's file: frame buf in place, temp
+// file, write, fsync, rename, fsync the directory.
 func writeCheckpointFile(dir string, gen uint64, buf []byte) error {
 	m := walmetrics()
 	sp := obs.StartSpan(m.ckptDur)

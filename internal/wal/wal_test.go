@@ -404,10 +404,11 @@ func TestSyncPolicies(t *testing.T) {
 	}
 }
 
-// TestSealSyncsOnlyUnsyncedBytes counts xview_wal_fsyncs_total across the
-// writer's half of an automatic checkpoint: under SyncAlways every Append
-// already ended with an fsync, so sealing adds none; under SyncBatch the
-// appends since the last batch fsync are made stable, with exactly one.
+// TestSealSyncsOnlyUnsyncedBytes counts xview_wal_fsyncs_total across a
+// Seal and across a checkpoint, whose Seal follows its own sync of the log:
+// under SyncAlways every Append already ended with an fsync, so neither adds
+// one; under SyncBatch the appends since the last batch fsync are made
+// stable, with exactly one.
 func TestSealSyncsOnlyUnsyncedBytes(t *testing.T) {
 	for _, tc := range []struct {
 		policy SyncPolicy
@@ -417,21 +418,26 @@ func TestSealSyncsOnlyUnsyncedBytes(t *testing.T) {
 		if err := l.WriteCheckpoint(0, ckptBuf("s0")); err != nil {
 			t.Fatal(err)
 		}
-		for g := uint64(1); g <= 3; g++ {
-			if err := l.Append([]Record{rec(g)}); err != nil {
+		for _, step := range []struct {
+			name string
+			gen  uint64
+			do   func(gen uint64) error
+		}{
+			{"sealing", 3, l.Seal},
+			{"checkpointing", 6, func(gen uint64) error { return l.WriteCheckpoint(gen, ckptBuf("s6")) }},
+		} {
+			for g := step.gen - 2; g <= step.gen; g++ {
+				if err := l.Append([]Record{rec(g)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := walmetrics().fsyncs.Value()
+			if err := step.do(step.gen); err != nil {
 				t.Fatal(err)
 			}
-		}
-		before := walmetrics().fsyncs.Value()
-		write, err := l.BeginCheckpoint(3, ckptBuf("s3"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := walmetrics().fsyncs.Value() - before; got != tc.want {
-			t.Errorf("%v: sealing at 3 issued %d segment fsyncs, want %d", tc.policy, got, tc.want)
-		}
-		if err := write(); err != nil {
-			t.Fatal(err)
+			if got := walmetrics().fsyncs.Value() - before; got != tc.want {
+				t.Errorf("%v: %s at %d issued %d segment fsyncs, want %d", tc.policy, step.name, step.gen, got, tc.want)
+			}
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
@@ -533,32 +539,30 @@ func TestSegmentsWithoutCheckpointRefused(t *testing.T) {
 	}
 }
 
-// TestSegmentBeforeCheckpoint: between the two halves of a checkpoint the
-// directory holds wal-<gen> and no ckpt-<gen>, and records are acknowledged
-// into that segment meanwhile. Recovery at any point of that window — file
-// half not started, failed by an injected fault, or landed — returns every
-// record, from whichever checkpoint is the newest that exists.
+// TestSegmentBeforeCheckpoint: a Seal without a checkpoint — what a
+// recovered view does at boot — leaves wal-<gen> and no ckpt-<gen>, and
+// records are acknowledged into that segment. Recovery returns every record
+// from the newest checkpoint that exists: the older one, across both
+// segments, until the next WriteCheckpoint lands; then that one.
 func TestSegmentBeforeCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir, Options{Policy: SyncAlways})
 	if err := l.WriteCheckpoint(0, ckptBuf("s0")); err != nil {
 		t.Fatal(err)
 	}
-	for g := uint64(1); g <= 3; g++ {
-		if err := l.Append([]Record{rec(g)}); err != nil {
-			t.Fatal(err)
+	appendGens := func(from, to uint64) {
+		t.Helper()
+		for g := from; g <= to; g++ {
+			if err := l.Append([]Record{rec(g)}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	write, err := l.BeginCheckpoint(3, ckptBuf("s3"))
-	if err != nil {
+	appendGens(1, 3)
+	if err := l.Seal(3); err != nil {
 		t.Fatal(err)
 	}
-	// The writer is back at work before the file exists.
-	for g := uint64(4); g <= 5; g++ {
-		if err := l.Append([]Record{rec(g)}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendGens(4, 5)
 	recovered := func(when string, wantGen uint64, wantState string, wantRecs []uint64) {
 		t.Helper()
 		image := t.TempDir()
@@ -583,26 +587,85 @@ func TestSegmentBeforeCheckpoint(t *testing.T) {
 			t.Fatalf("%s: recovered generations %v, want %v", when, g, wantRecs)
 		}
 		if len(boot.Warnings) != 0 {
-			t.Fatalf("%s: a checkpoint that had not landed yet is no finding: %v", when, boot.Warnings)
+			t.Fatalf("%s: a segment without its checkpoint is no finding: %v", when, boot.Warnings)
 		}
 	}
 	if ckpts, segs := listDir(dir); !reflect.DeepEqual(ckpts, []uint64{0}) || !reflect.DeepEqual(segs, []uint64{0, 3}) {
-		t.Fatalf("between the halves: checkpoints %v, segments %v", ckpts, segs)
+		t.Fatalf("after the Seal: checkpoints %v, segments %v", ckpts, segs)
 	}
-	recovered("before the file", 0, "s0", []uint64{1, 2, 3, 4, 5})
+	recovered("before the checkpoint", 0, "s0", []uint64{1, 2, 3, 4, 5})
 
-	// The file half runs on a goroutine of its own while the writer appends.
-	done := make(chan error, 1)
-	go func() { done <- write() }()
-	if err := l.Append([]Record{rec(6)}); err != nil {
+	if err := l.WriteCheckpoint(5, ckptBuf("s5")); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	appendGens(6, 6)
+	if ckpts, segs := listDir(dir); !reflect.DeepEqual(ckpts, []uint64{0, 5}) || !reflect.DeepEqual(segs, []uint64{0, 3, 5}) {
+		t.Fatalf("after the checkpoint: checkpoints %v, segments %v", ckpts, segs)
 	}
-	recovered("after the file", 3, "s3", []uint64{4, 5, 6})
+	recovered("after the checkpoint", 5, "s5", []uint64{6})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFailedSealKillsTheLog: a Seal that cannot start the next segment — a
+// directory squats on its name — has already closed the old one, so the log
+// is dead: Failed names the cause and the next Append is a disk failure, not
+// an append before the first checkpoint. WriteCheckpoint fails the same way
+// when its Seal does, after the file has landed. Reopen and a checkpoint
+// revive it once the blocker is gone.
+func TestFailedSealKillsTheLog(t *testing.T) {
+	for _, via := range []string{"Seal", "WriteCheckpoint"} {
+		t.Run(via, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _ := mustOpen(t, dir, Options{Policy: SyncAlways})
+			if err := l.WriteCheckpoint(0, ckptBuf("s0")); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Append([]Record{rec(1), rec(2)}); err != nil {
+				t.Fatal(err)
+			}
+			blocker := filepath.Join(dir, segName(2))
+			if err := os.Mkdir(blocker, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if via == "Seal" {
+				err = l.Seal(2)
+			} else {
+				err = l.WriteCheckpoint(2, ckptBuf("s2"))
+			}
+			if err == nil {
+				t.Fatalf("%s at 2 succeeded over a directory named %s", via, segName(2))
+			}
+			if l.Failed() == nil {
+				t.Fatalf("%s failed (%v) and left the log alive", via, err)
+			}
+			var de *DiskFailureError
+			if err := l.Append([]Record{rec(3)}); !errors.As(err, &de) {
+				t.Fatalf("append on the dead log: %v, want a *DiskFailureError", err)
+			}
+
+			if err := os.Remove(blocker); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Reopen(); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.WriteCheckpoint(2, ckptBuf("s2")); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Append([]Record{rec(3)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, boot := mustOpen(t, dir, Options{Policy: SyncAlways})
+			if boot.Gen != 2 || string(boot.State) != "s2" || !reflect.DeepEqual(recordGens(boot.Records), []uint64{3}) {
+				t.Fatalf("recovered from %d (%q) with %v", boot.Gen, boot.State, recordGens(boot.Records))
+			}
+		})
 	}
 }
 

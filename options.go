@@ -59,7 +59,8 @@ func WithFsync(p FsyncPolicy) Option {
 // WithCheckpointEvery sets how many committed generations elapse between
 // automatic checkpoints (default 256). A checkpoint bounds both recovery
 // time and log growth: the log prefix it seals is pruned. Smaller values
-// checkpoint (and pay full-state serialization) more often.
+// checkpoint (and pay full-state serialization) more often; n ≤ 0 means the
+// default.
 func WithCheckpointEvery(n int) Option {
 	return func(c *config) { c.ckptEvery = n }
 }

@@ -27,11 +27,9 @@ type HandlerOptions struct {
 	Timeout time.Duration
 	// Checkpointing, when non-nil, reports whether a checkpoint is
 	// stalling the writer right now (View.Checkpointing of a durable view:
-	// the state is being encoded and the log rotated). The file an
-	// automatic checkpoint then writes behind the writer does not count,
-	// although on one P its I/O still delays the next request. While true,
-	// /healthz answers 503 so load balancers drain the node for the stall;
-	// /livez is unaffected.
+	// the state is being encoded, its file written and the log rotated).
+	// While true, /healthz answers 503 so load balancers drain the node for
+	// the stall; /livez is unaffected.
 	Checkpointing func() bool
 	// Repl, when non-nil, serves the primary-side replication endpoints:
 	// GET /repl/checkpoint (the newest sealed checkpoint, octet-stream,

@@ -32,14 +32,8 @@ type View struct {
 	tail      *repl.Tail // where accepted appends are published; nil until ReplSource
 	warn      func(msg string)
 	ckptEvery uint64      // commits between automatic checkpoints
-	ckptGen   uint64      // generation of the newest checkpoint that has landed
+	ckptGen   uint64      // generation of the newest checkpoint written
 	ckptBusy  atomic.Bool // a checkpoint is stalling the writer right now
-
-	// The one checkpoint file being written behind the writer, if any:
-	// ckptDone is non-nil from the hand-off until its verdict is collected
-	// (reapCheckpoint), ckptPending is the generation it seals.
-	ckptDone    chan error
-	ckptPending uint64
 
 	// Degraded (read-only) mode, entered when the log refuses a commit
 	// record: writes are rejected with ErrDegraded until Recover succeeds,
