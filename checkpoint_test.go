@@ -270,13 +270,14 @@ func TestEncodeCheckpointMatchesReference(t *testing.T) {
 		}
 		unsorted := unsortedTables(t, payload)
 		refilled := false
+		tupleEqual := func(a, b relational.Tuple) bool { return slices.EqualFunc(a, b, relational.Value.Equal) }
 		for _, tb := range ck.tables {
 			var scan []relational.Tuple
 			v.sys.DB.Rel(tb.name).Scan(func(row relational.Tuple) bool {
 				scan = append(scan, row)
 				return true
 			})
-			if !slices.EqualFunc(tb.rows, scan, relational.Tuple.Equal) {
+			if !slices.EqualFunc(tb.rows, scan, tupleEqual) {
 				t.Fatalf("table %s: the payload's %d rows are not the relation's %d in Scan order", tb.name, len(tb.rows), len(scan))
 			}
 			firstNew := slices.IndexFunc(tb.rows, func(row relational.Tuple) bool { return mentions(row, last) })

@@ -28,6 +28,7 @@ import (
 	"rxview/internal/digest"
 	"rxview/internal/obs"
 	"rxview/internal/relational"
+	"rxview/internal/testkit"
 	"rxview/internal/wal"
 	"rxview/internal/workload"
 )
@@ -566,7 +567,7 @@ func TestDigestFollowsADegradedPrefixGroup(t *testing.T) {
 // publishes the EE courses instead of the CS ones.
 func registrarVariant(t *testing.T) (*ATG, *DB) {
 	t.Helper()
-	reg := workload.MustRegistrar()
+	reg := testkit.Must(workload.NewRegistrar())
 	g := *reg.ATG.ATG
 	q := *g.Rules["db"]["course"].Query
 	q.Where = []relational.EqPred{{Left: relational.Col(0, 2), Right: relational.Const(relational.Str("EE"))}}

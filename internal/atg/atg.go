@@ -136,12 +136,3 @@ func (b *Builder) Build() (*Compiled, error) {
 	}
 	return Compile(b.a)
 }
-
-// MustBuild is Build that panics on error.
-func (b *Builder) MustBuild() *Compiled {
-	c, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return c
-}

@@ -7,34 +7,35 @@ import (
 	"rxview/internal/dag"
 	"rxview/internal/dtd"
 	"rxview/internal/relational"
+	"rxview/internal/testkit"
 )
 
 // Registrar fixture: the σ0 ATG of Fig.2 over the schema R0 of Example 1.
 
 func registrarSchema() *relational.Schema {
-	return relational.MustSchema(
-		relational.MustTableSchema("course", []relational.Column{
+	return testkit.Must(relational.NewSchema(
+		testkit.Must(relational.NewTableSchema("course", []relational.Column{
 			{Name: "cno", Type: relational.KindString},
 			{Name: "title", Type: relational.KindString},
 			{Name: "dept", Type: relational.KindString},
-		}, "cno"),
-		relational.MustTableSchema("student", []relational.Column{
+		}, "cno")),
+		testkit.Must(relational.NewTableSchema("student", []relational.Column{
 			{Name: "ssn", Type: relational.KindString},
 			{Name: "name", Type: relational.KindString},
-		}, "ssn"),
-		relational.MustTableSchema("enroll", []relational.Column{
+		}, "ssn")),
+		testkit.Must(relational.NewTableSchema("enroll", []relational.Column{
 			{Name: "ssn", Type: relational.KindString},
 			{Name: "cno", Type: relational.KindString},
-		}, "ssn", "cno"),
-		relational.MustTableSchema("prereq", []relational.Column{
+		}, "ssn", "cno")),
+		testkit.Must(relational.NewTableSchema("prereq", []relational.Column{
 			{Name: "cno1", Type: relational.KindString},
 			{Name: "cno2", Type: relational.KindString},
-		}, "cno1", "cno2"),
-	)
+		}, "cno1", "cno2")),
+	))
 }
 
 func registrarDTD() *dtd.DTD {
-	return dtd.MustNew("db", map[string]dtd.Production{
+	return testkit.Must(dtd.New("db", map[string]dtd.Production{
 		"db":      {Kind: dtd.Star, Children: []string{"course"}},
 		"course":  {Kind: dtd.Seq, Children: []string{"cno", "title", "prereq", "takenBy"}},
 		"prereq":  {Kind: dtd.Star, Children: []string{"course"}},
@@ -44,7 +45,7 @@ func registrarDTD() *dtd.DTD {
 		"title":   {Kind: dtd.PCData},
 		"ssn":     {Kind: dtd.PCData},
 		"name":    {Kind: dtd.PCData},
-	})
+	}))
 }
 
 // registrarATG builds σ0 (Fig.2). $course = (cno, title); $prereq = (cno);
@@ -93,7 +94,7 @@ func registrarATG(t testing.TB) *Compiled {
 		},
 	}
 
-	return NewBuilder(d, s).
+	return testkit.Must(NewBuilder(d, s).
 		Attr("course", Field("cno", str), Field("title", str)).
 		Attr("prereq", Field("cno", str)).
 		Attr("takenBy", Field("cno", str)).
@@ -111,24 +112,24 @@ func registrarATG(t testing.TB) *Compiled {
 		QueryRule("takenBy", "student", qTakenByStudent).
 		ProjRule("student", "ssn", FromParent(0)).
 		ProjRule("student", "name", FromParent(1)).
-		MustBuild()
+		Build())
 }
 
 func registrarDB(t testing.TB) *relational.Database {
 	t.Helper()
 	db := relational.NewDatabase(registrarSchema())
 	str := relational.Str
-	db.Rel("course").MustInsert(str("CS650"), str("Advanced Topics"), str("CS"))
-	db.Rel("course").MustInsert(str("CS320"), str("Databases"), str("CS"))
-	db.Rel("course").MustInsert(str("CS240"), str("Algorithms"), str("CS"))
-	db.Rel("course").MustInsert(str("EE100"), str("Circuits"), str("EE"))
-	db.Rel("prereq").MustInsert(str("CS650"), str("CS320"))
-	db.Rel("prereq").MustInsert(str("CS320"), str("CS240"))
-	db.Rel("student").MustInsert(str("S01"), str("Ann"))
-	db.Rel("student").MustInsert(str("S02"), str("Bob"))
-	db.Rel("enroll").MustInsert(str("S01"), str("CS650"))
-	db.Rel("enroll").MustInsert(str("S02"), str("CS650"))
-	db.Rel("enroll").MustInsert(str("S02"), str("CS320"))
+	testkit.Insert(db.Rel("course"), str("CS650"), str("Advanced Topics"), str("CS"))
+	testkit.Insert(db.Rel("course"), str("CS320"), str("Databases"), str("CS"))
+	testkit.Insert(db.Rel("course"), str("CS240"), str("Algorithms"), str("CS"))
+	testkit.Insert(db.Rel("course"), str("EE100"), str("Circuits"), str("EE"))
+	testkit.Insert(db.Rel("prereq"), str("CS650"), str("CS320"))
+	testkit.Insert(db.Rel("prereq"), str("CS320"), str("CS240"))
+	testkit.Insert(db.Rel("student"), str("S01"), str("Ann"))
+	testkit.Insert(db.Rel("student"), str("S02"), str("Bob"))
+	testkit.Insert(db.Rel("enroll"), str("S01"), str("CS650"))
+	testkit.Insert(db.Rel("enroll"), str("S02"), str("CS650"))
+	testkit.Insert(db.Rel("enroll"), str("S02"), str("CS320"))
 	return db
 }
 
@@ -139,7 +140,7 @@ func TestPublishRegistrarDAG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CheckAcyclic(); err != nil {
+	if err := testkit.CheckAcyclic(d); err != nil {
 		t.Fatal(err)
 	}
 	// 3 CS courses, each once (shared): CS320 appears top-level and under
@@ -167,7 +168,7 @@ func TestPublishRegistrarDAG(t *testing.T) {
 		t.Error("EE100 should be filtered out by dept='CS'")
 	}
 	// Unfolded tree has more nodes than the DAG (compression).
-	if ts := d.TreeSize(); int(ts) <= d.NumNodes() {
+	if ts := dag.TreeSize(d); int(ts) <= d.NumNodes() {
 		t.Errorf("tree %v should exceed DAG %d", ts, d.NumNodes())
 	}
 }
@@ -183,7 +184,11 @@ func TestPublishedTreeShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xml := tree.XML()
+	var b strings.Builder
+	if err := tree.WriteXML(&b); err != nil {
+		t.Fatal(err)
+	}
+	xml := b.String()
 	for _, want := range []string{
 		"<cno>CS650</cno>", "<cno>CS320</cno>", "<cno>CS240</cno>",
 		"<title>Databases</title>", "<ssn>S02</ssn>", "<name>Bob</name>",
@@ -225,8 +230,8 @@ func TestPublishSubtreeReusesExisting(t *testing.T) {
 	}
 	// Publishing a new course creates its skeleton (cno, title, prereq,
 	// takenBy) and links to existing children via the database.
-	db.Rel("course").MustInsert(relational.Str("CS500"), relational.Str("Systems"), relational.Str("CS"))
-	db.Rel("prereq").MustInsert(relational.Str("CS500"), relational.Str("CS240"))
+	testkit.Insert(db.Rel("course"), relational.Str("CS500"), relational.Str("Systems"), relational.Str("CS"))
+	testkit.Insert(db.Rel("prereq"), relational.Str("CS500"), relational.Str("CS240"))
 	id, err = c.PublishSubtree(d, db, "course",
 		relational.Tuple{relational.Str("CS500"), relational.Str("Systems")})
 	if err != nil {
@@ -248,7 +253,7 @@ func TestPublishDetectsCyclicData(t *testing.T) {
 	c := registrarATG(t)
 	db := registrarDB(t)
 	// CS240 -> CS650 closes a prereq cycle.
-	db.Rel("prereq").MustInsert(relational.Str("CS240"), relational.Str("CS650"))
+	testkit.Insert(db.Rel("prereq"), relational.Str("CS240"), relational.Str("CS650"))
 	if _, err := c.PublishDAG(db); err == nil || !strings.Contains(err.Error(), "cyclic") {
 		t.Errorf("cycle not detected: %v", err)
 	}
@@ -392,10 +397,10 @@ func TestCompileErrors(t *testing.T) {
 	}
 	// Non-key-preserving rule: the query joins enroll but the enroll key
 	// (ssn, cno) is not derivable (no param binding for cno).
-	dtd2 := dtd.MustNew("db", map[string]dtd.Production{
+	dtd2 := testkit.Must(dtd.New("db", map[string]dtd.Production{
 		"db": {Kind: dtd.Star, Children: []string{"s"}},
 		"s":  {Kind: dtd.PCData},
-	})
+	}))
 	broken := &relational.SPJ{
 		Name: "broken",
 		From: []relational.TableRef{{Table: "enroll"}, {Table: "student"}},
@@ -439,11 +444,11 @@ func TestCompileErrors(t *testing.T) {
 }
 
 func TestProjRuleValidation(t *testing.T) {
-	d := dtd.MustNew("db", map[string]dtd.Production{
+	d := testkit.Must(dtd.New("db", map[string]dtd.Production{
 		"db": {Kind: dtd.Star, Children: []string{"a"}},
 		"a":  {Kind: dtd.Seq, Children: []string{"b"}},
 		"b":  {Kind: dtd.PCData},
-	})
+	}))
 	s := registrarSchema()
 	str := relational.KindString
 	q := &relational.SPJ{
@@ -482,7 +487,7 @@ func TestProjRuleValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := relational.NewDatabase(s)
-	db.Rel("student").MustInsert(relational.Str("S01"), relational.Str("Ann"))
+	testkit.Insert(db.Rel("student"), relational.Str("S01"), relational.Str("Ann"))
 	dg, err := c.PublishDAG(db)
 	if err != nil {
 		t.Fatal(err)
@@ -497,18 +502,18 @@ func TestProjRuleValidation(t *testing.T) {
 }
 
 func TestAlternationPublish(t *testing.T) {
-	d := dtd.MustNew("db", map[string]dtd.Production{
+	d := testkit.Must(dtd.New("db", map[string]dtd.Production{
 		"db":   {Kind: dtd.Star, Children: []string{"item"}},
 		"item": {Kind: dtd.Alt, Children: []string{"yes", "no"}},
 		"yes":  {Kind: dtd.PCData},
 		"no":   {Kind: dtd.PCData},
-	})
-	s := relational.MustSchema(
-		relational.MustTableSchema("t", []relational.Column{
+	}))
+	s := testkit.Must(relational.NewSchema(
+		testkit.Must(relational.NewTableSchema("t", []relational.Column{
 			{Name: "k", Type: relational.KindString},
 			{Name: "flag", Type: relational.KindString},
-		}, "k"),
-	)
+		}, "k")),
+	))
 	str := relational.KindString
 	qItems := &relational.SPJ{
 		Name:    "items",
@@ -539,8 +544,8 @@ func TestAlternationPublish(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := relational.NewDatabase(s)
-	db.Rel("t").MustInsert(relational.Str("a"), relational.Str("y"))
-	db.Rel("t").MustInsert(relational.Str("b"), relational.Str("n"))
+	testkit.Insert(db.Rel("t"), relational.Str("a"), relational.Str("y"))
+	testkit.Insert(db.Rel("t"), relational.Str("b"), relational.Str("n"))
 	dg, err := c.PublishDAG(db)
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ func snapshotFingerprint(t *testing.T, sn *Snapshot, probes []string) string {
 	t.Helper()
 	out := fmt.Sprintf("gen=%d stats=%v\n", sn.Generation(), sn.Stats())
 	for _, p := range probes {
-		ids, err := sn.Query(p)
+		ids, err := selectPath(sn, p)
 		if err != nil {
 			t.Fatalf("query %s: %v", p, err)
 		}
@@ -81,7 +81,7 @@ func TestSnapshotCOWDifferential(t *testing.T) {
 				ps := append([]pair(nil), pairs...)
 				mu.Unlock()
 				for _, p := range ps {
-					if _, err := p.cow.Query(cowProbes[1]); err != nil {
+					if _, err := selectPath(p.cow, cowProbes[1]); err != nil {
 						t.Error(err)
 						return
 					}

@@ -6,22 +6,18 @@ import (
 	"rxview/internal/update"
 )
 
-// DryRun answers the updatability question for ΔX without changing anything:
-// it runs DTD validation, XPath evaluation, side-effect detection and the
-// full relational translation, then rolls everything back. The report shows
-// what Apply would have done (including ΔR); the returned error is exactly
-// what Apply would have returned.
+// DryRunCtx answers the updatability question for ΔX without changing
+// anything: it runs DTD validation, XPath evaluation, side-effect detection
+// and the full relational translation, then rolls everything back. The
+// report shows what Apply would have done (including ΔR); the returned error
+// is exactly what Apply would have returned.
 //
 // This is the paper's updatability problem (§4.1) as an API: for deletions
 // it decides in PTIME (Theorem 1), for insertions it runs the heuristic
 // SAT analysis (Theorem 2 makes the exact question NP-complete).
-func (s *System) DryRun(op *update.Op) (*Report, error) {
-	//lint:ignore xviewlint/ctxflow documented context-free convenience variant; callers holding a ctx use DryRunCtx
-	return s.DryRunCtx(context.Background(), op)
-}
-
-// DryRunCtx is DryRun with cancellation checks between the phases, mirroring
-// ApplyCtx. It shares the validation/evaluation/gating prologue with Apply
+//
+// It checks for cancellation between the phases, mirroring ApplyCtx, and
+// shares the validation/evaluation/gating prologue with Apply
 // (System.stage), so both reject, skip and no-op in exactly the same cases.
 func (s *System) DryRunCtx(ctx context.Context, op *update.Op) (*Report, error) {
 	rep := &Report{Op: op.String()}

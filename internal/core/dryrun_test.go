@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"rxview/internal/testkit"
 	"rxview/internal/update"
 	"rxview/internal/workload"
 )
@@ -104,7 +105,7 @@ func TestUpdatable(t *testing.T) {
 }
 
 func TestDryRunSideEffectGate(t *testing.T) {
-	reg := workload.MustRegistrar()
+	reg := testkit.Must(workload.NewRegistrar())
 	s, err := Open(reg.ATG, reg.DB, Options{}) // no force
 	if err != nil {
 		t.Fatal(err)

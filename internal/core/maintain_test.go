@@ -11,6 +11,7 @@ import (
 	"rxview/internal/dag"
 	"rxview/internal/digest"
 	"rxview/internal/paper"
+	"rxview/internal/testkit"
 	"rxview/internal/update"
 	"rxview/internal/workload"
 )
@@ -57,7 +58,7 @@ func (o *maintenanceOracle) check(unit string) {
 	if got, want := s.digest, digest.Of(s.DAG, s.DB); got != want {
 		o.t.Fatalf("%s: incremental digest %s, a full pass over the state says %s", unit, got, want)
 	}
-	reachable := dag.Reachable(s.DAG)
+	reachable := testkit.Reachable(s.DAG)
 	for id := 0; id < s.DAG.Cap(); id++ {
 		if alive := s.DAG.Alive(dag.NodeID(id)); alive != reachable[id] {
 			o.t.Fatalf("%s: node %d alive=%v but reachable from the root=%v", unit, id, alive, reachable[id])
@@ -93,11 +94,11 @@ func (o *maintenanceOracle) apply(stmt string) {
 		if err != nil {
 			o.t.Fatalf("%s: %v", stmt, err)
 		}
-		pruned := s.DAG.Clone()
+		pruned := testkit.Must(dag.DecodeState(s.DAG.AppendState(nil)))
 		for _, e := range res.Edges {
 			pruned.RemoveEdge(e.Parent, e.Child)
 		}
-		for id, ok := range dag.Reachable(pruned) {
+		for id, ok := range testkit.Reachable(pruned) {
 			if !ok && s.DAG.Alive(dag.NodeID(id)) {
 				want = append(want, dag.NodeID(id))
 			}

@@ -19,8 +19,7 @@ import (
 
 // pipelineMetrics holds the handles the pipeline hot paths record into.
 type pipelineMetrics struct {
-	phase    map[string]*obs.Histogram // §2.4 phases, labeled
-	queryDur *obs.Histogram
+	phase map[string]*obs.Histogram // §2.4 phases, labeled
 
 	evals       [3]*obs.Counter // XPath evaluations, indexed by xpath.Route
 	evalVisited *obs.Histogram
@@ -52,9 +51,6 @@ func metrics() *pipelineMetrics {
 				"Time per update-pipeline phase (the paper's Fig.11 split; publish is seal+epoch swap).",
 				obs.LatencyBounds(), obs.Label{Key: "phase", Value: ph})
 		}
-		m.queryDur = r.NewHistogram("xview_query_eval_seconds",
-			"XPath evaluation latency over the live view (parse through NFA/frontier eval).",
-			obs.LatencyBounds())
 		for _, route := range []xpath.Route{xpath.RouteSweep, xpath.RouteAnchored, xpath.RouteDown} {
 			m.evals[route] = r.NewCounter("xview_xpath_eval_total",
 				"XPath evaluations by route: anchored (ancestor cone of value-matched candidates), down (a read of a //-led anchored path, from the anchor nodes downward) or sweep (the whole view).",
@@ -114,11 +110,6 @@ func ObservePublish(d time.Duration) {
 		return
 	}
 	metrics().phase["publish"].Observe(d)
-}
-
-// ObserveQueryEval records one live-view query evaluation.
-func observeQueryEval(d time.Duration) {
-	metrics().queryDur.Observe(d)
 }
 
 // observeEval counts one XPath evaluation under its route and records how

@@ -97,29 +97,10 @@ func (sn *Snapshot) evaluator() *xpath.Evaluator {
 	}
 }
 
-// Eval evaluates a parsed path against the frozen state, with the full
-// side-effect analysis.
-func (sn *Snapshot) Eval(p *xpath.Path) (*xpath.Result, error) {
-	return observeEval(sn.evaluator().Eval(p))
-}
-
 // Select evaluates a parsed path against the frozen state for its
 // selection only — what a memo-miss read costs.
 func (sn *Snapshot) Select(p *xpath.Path) (*xpath.Result, error) {
 	return observeEval(sn.evaluator().EvalSelect(p))
-}
-
-// Query evaluates an XPath expression and returns r[[p]] at this epoch.
-func (sn *Snapshot) Query(path string) ([]dag.NodeID, error) {
-	p, err := ParsePath(path)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sn.Select(p)
-	if err != nil {
-		return nil, err
-	}
-	return res.Selected, nil
 }
 
 // Stats computes the frozen view's statistics.

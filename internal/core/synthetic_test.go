@@ -277,7 +277,7 @@ func TestQueryInsideTransactionTakesTheAnchoredRoute(t *testing.T) {
 	if err := txn.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := s.Query(fmt.Sprintf(`//C[key="%d"]`, key)); err != nil || len(got) != 0 {
+	if got, err := selectPath(s, fmt.Sprintf(`//C[key="%d"]`, key)); err != nil || len(got) != 0 {
 		t.Errorf("after rollback: %v, %v", got, err)
 	}
 }

@@ -17,7 +17,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -125,11 +124,6 @@ type Timings struct {
 	DVToDR    time.Duration // Algorithm insert / delete (§4)
 	Apply     time.Duration // (b): executing ΔR and ΔV
 	Maintain  time.Duration // (c): the L half of ∆(M,L)insert / ∆(M,L)delete, plus garbage collection
-}
-
-// Total sums all phases.
-func (t Timings) Total() time.Duration {
-	return t.Validate + t.Eval + t.Translate + t.Apply + t.Maintain
 }
 
 // Report describes one processed update. Timings.Maintain covers the repair
@@ -257,28 +251,6 @@ func (s *System) evaluator() *xpath.Evaluator {
 	}
 }
 
-// Query evaluates an XPath expression and returns r[[p]].
-//
-// xviewlint:hot-path
-func (s *System) Query(path string) ([]dag.NodeID, error) {
-	var t0 time.Time
-	if obs.Enabled() {
-		t0 = time.Now()
-	}
-	p, err := ParsePath(path)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.Select(p)
-	if err != nil {
-		return nil, err
-	}
-	if obs.Enabled() {
-		observeQueryEval(time.Since(t0))
-	}
-	return res.Selected, nil
-}
-
 // Eval evaluates a parsed path, returning the full result (selection, Ep,
 // side-effect witnesses) — what the update pipeline and DryRun need.
 func (s *System) Eval(p *xpath.Path) (*xpath.Result, error) {
@@ -289,33 +261,6 @@ func (s *System) Eval(p *xpath.Path) (*xpath.Result, error) {
 // side-effect bookkeeping): the read path.
 func (s *System) Select(p *xpath.Path) (*xpath.Result, error) {
 	return observeEval(s.evaluator().EvalSelect(p))
-}
-
-// Execute parses and applies a textual update statement.
-func (s *System) Execute(stmt string) (*Report, error) {
-	op, err := update.ParseStatement(s.ATG, stmt)
-	if err != nil {
-		return nil, err
-	}
-	return s.Apply(op)
-}
-
-// Insert applies insert (elemType, attr) into path.
-func (s *System) Insert(path string, elemType string, attr relational.Tuple) (*Report, error) {
-	p, err := ParsePath(path)
-	if err != nil {
-		return nil, err
-	}
-	return s.Apply(&update.Op{Kind: update.OpInsert, Path: p, Type: elemType, Attr: attr})
-}
-
-// Delete applies delete path.
-func (s *System) Delete(path string) (*Report, error) {
-	p, err := ParsePath(path)
-	if err != nil {
-		return nil, err
-	}
-	return s.Apply(&update.Op{Kind: update.OpDelete, Path: p})
 }
 
 // Apply runs the full pipeline for one XML update ΔX.
@@ -627,17 +572,4 @@ func (s *System) XML(maxNodes int) (string, error) {
 		return "", err
 	}
 	return b.String(), nil
-}
-
-// IsRejected reports whether an error means the update was rejected by the
-// relational translation (as opposed to an internal failure).
-func IsRejected(err error) bool {
-	var rej *viewupdate.RejectedError
-	return errors.As(err, &rej)
-}
-
-// IsSideEffect reports whether an error is a side-effect consultation.
-func IsSideEffect(err error) bool {
-	var se *SideEffectError
-	return errors.As(err, &se)
 }

@@ -6,15 +6,15 @@ import (
 	"testing"
 
 	"rxview/internal/relational"
+	"rxview/internal/testkit"
 	"rxview/internal/update"
 	"rxview/internal/workload"
 	"rxview/internal/xpath"
-	"rxview/internal/xtree"
 )
 
 func openRegistrar(t testing.TB, opts Options) *System {
 	t.Helper()
-	reg := workload.MustRegistrar()
+	reg := testkit.Must(workload.NewRegistrar())
 	s, err := Open(reg.ATG, reg.DB, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -27,14 +27,14 @@ func TestOpenAndQuery(t *testing.T) {
 	if err := s.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Query(`//course[cno="CS320"]`)
+	got, err := selectPath(s, `//course[cno="CS320"]`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 {
 		t.Fatalf("CS320 query = %v", got)
 	}
-	if _, err := s.Query("///["); err == nil {
+	if _, err := selectPath(s, "///["); err == nil {
 		t.Error("bad path accepted")
 	}
 	st := s.Stats()
@@ -103,7 +103,7 @@ func TestExample5DeleteFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// S02 still enrolled in CS650.
-	got, err := s.Query(`//student[ssn="S02"]`)
+	got, err := selectPath(s, `//student[ssn="S02"]`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestExample5DeleteFlow(t *testing.T) {
 	if err := s.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := s.Query(`//student[ssn="S02"]`); len(got) != 0 {
+	if got, _ := selectPath(s, `//student[ssn="S02"]`); len(got) != 0 {
 		t.Error("S02 still visible")
 	}
 }
@@ -146,7 +146,7 @@ func TestDeleteSharedSubtreeKeepsSharedChildren(t *testing.T) {
 		t.Fatal(err)
 	}
 	// CS320 still exists top-level; CS240 still its prereq.
-	if got, _ := s.Query(`course[cno="CS320"]/prereq/course`); len(got) != 1 {
+	if got, _ := selectPath(s, `course[cno="CS320"]/prereq/course`); len(got) != 1 {
 		t.Error("CS320 lost its own prereq")
 	}
 }
@@ -347,7 +347,7 @@ func TestViewRoundTripThroughXMLParser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := xtree.ParseString(xmlStr)
+	parsed, err := testkit.ParseXML(xmlStr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestViewRoundTripThroughXMLParser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !parsed.Equal(direct) {
+	if !testkit.EqualTrees(parsed, direct) {
 		t.Error("parsed view differs from the direct unfold")
 	}
 }

@@ -103,9 +103,6 @@ func (t *Txn) Open() bool { return !t.closed }
 // Applied returns the number of staged updates that applied so far.
 func (t *Txn) Applied() int { return t.applied }
 
-// Reports returns the per-update reports in stage order.
-func (t *Txn) Reports() []*Report { return t.reports }
-
 // Err returns the rejection that doomed an atomic transaction, or nil — the
 // updatability answer for the staged group: nil means every staged update
 // applied speculatively, so Commit will succeed and the combined effect is

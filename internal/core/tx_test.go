@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"rxview/internal/relational"
 	"rxview/internal/update"
 )
 
@@ -32,9 +33,10 @@ func stateFingerprint(s *System) string {
 	b.WriteString("db:\n")
 	for _, name := range s.DB.Schema.TableNames() {
 		rows := []string{}
-		for _, tup := range s.DB.Rel(name).Tuples() {
+		s.DB.Rel(name).Scan(func(tup relational.Tuple) bool {
 			rows = append(rows, tup.String())
-		}
+			return true
+		})
 		sort.Strings(rows)
 		fmt.Fprintf(&b, "  %s: %s\n", name, strings.Join(rows, " "))
 	}
@@ -204,7 +206,7 @@ func TestTxnReadYourWritesAcrossStages(t *testing.T) {
 	}
 	// The staged insert must be visible to evaluation: the second stage
 	// targets the course created by the first, and a query selects it.
-	got, err := s.Query(`//course[cno="CS111"]`)
+	got, err := selectPath(s, `//course[cno="CS111"]`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +219,7 @@ func TestTxnReadYourWritesAcrossStages(t *testing.T) {
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	got, err = s.Query(`//course[cno="CS111"]`)
+	got, err = selectPath(s, `//course[cno="CS111"]`)
 	if err != nil {
 		t.Fatal(err)
 	}

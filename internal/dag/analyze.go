@@ -2,87 +2,10 @@ package dag
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"rxview/internal/xtree"
 )
-
-// CheckAcyclic verifies the structure is a DAG (the h1 < h2 style constraint
-// of the paper's dataset guarantees this by construction; publishing enforces
-// it because gen_id memoization cannot create back edges to in-progress
-// nodes only in acyclic inputs). Returns an error naming a cycle member.
-func (d *DAG) CheckAcyclic() error {
-	state := make([]int8, d.Cap()) // 0 unseen, 1 in-progress, 2 done
-	var visit func(id NodeID) error
-	visit = func(id NodeID) error {
-		switch state[id] {
-		case 1:
-			return fmt.Errorf("dag: cycle through node %d (%s)", id, d.types[id])
-		case 2:
-			return nil
-		}
-		state[id] = 1
-		for _, c := range d.Children(id) {
-			if err := visit(c); err != nil {
-				return err
-			}
-		}
-		state[id] = 2
-		return nil
-	}
-	for _, id := range d.Nodes() {
-		if err := visit(id); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Reachable returns a Cap()-sized bitmap marking nodes reachable from the
-// root (including it). It works on any Reader — the live DAG or a sealed
-// Version.
-func Reachable(d Reader) []bool {
-	seen := make([]bool, d.Cap())
-	root := d.Root()
-	if !d.Alive(root) {
-		return seen
-	}
-	stack := []NodeID{root}
-	seen[root] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range d.Children(u) {
-			if !seen[c] {
-				seen[c] = true
-				stack = append(stack, c)
-			}
-		}
-	}
-	return seen
-}
-
-// Reachable returns a Cap()-sized bitmap marking nodes reachable from the
-// root (including it).
-func (d *DAG) Reachable() []bool { return Reachable(d) }
-
-// GarbageCollect removes every node unreachable from the root, together with
-// its edges, and returns the removed node ids. This is the background step
-// of §2.3 that clears gen_B entries "no longer linked to any node".
-func (d *DAG) GarbageCollect() []NodeID {
-	seen := d.Reachable()
-	var removed []NodeID
-	for _, id := range d.Nodes() {
-		if !seen[id] {
-			removed = append(removed, id)
-		}
-	}
-	for _, id := range removed {
-		d.RemoveNode(id)
-	}
-	return removed
-}
 
 // OccurrenceCounts returns, per node, the number of occurrences the node has
 // in the uncompressed tree view (the number of root-to-node paths). Counts
@@ -117,9 +40,6 @@ func OccurrenceCounts(d Reader) []float64 {
 	return occ
 }
 
-// OccurrenceCounts returns the per-node occurrence counts of the live view.
-func (d *DAG) OccurrenceCounts() []float64 { return OccurrenceCounts(d) }
-
 // TreeSize returns the number of element nodes of the uncompressed tree view
 // |T|. The compression ratio |T| / NumNodes is what Fig.10(b) reports.
 func TreeSize(d Reader) float64 {
@@ -129,9 +49,6 @@ func TreeSize(d Reader) float64 {
 	}
 	return total
 }
-
-// TreeSize returns |T| for the live view.
-func (d *DAG) TreeSize() float64 { return TreeSize(d) }
 
 // SharedNodeCount returns how many live nodes have more than one parent —
 // the subtree-sharing statistic of §5 (31.4% of C instances in the paper's
@@ -151,9 +68,6 @@ func SharedNodeCount(d Reader) int {
 	}
 	return n
 }
-
-// SharedNodeCount returns the sharing statistic for the live view.
-func (d *DAG) SharedNodeCount() int { return SharedNodeCount(d) }
 
 // ErrTreeTooLarge is returned by Unfold when the uncompressed tree exceeds
 // the node budget.

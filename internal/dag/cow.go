@@ -62,15 +62,6 @@ func (s *refStore) seal() cow.Sealed[[]NodeID] {
 	return s.rows.Seal()
 }
 
-// clone deep-copies the store, rows included, for the full-clone path.
-func (s *refStore) clone() refStore {
-	c := refStore{rows: s.rows.Clone(), rEpoch: make([]uint64, len(s.rEpoch))}
-	for i := range c.rEpoch {
-		c.rows.Set(i, append([]NodeID(nil), s.rows.At(i)...))
-	}
-	return c
-}
-
 // Version is an immutable copy-on-write snapshot of a DAG, sealed by
 // DAG.Seal. It shares every untouched block, chunk, row, and append-only
 // prefix with the live DAG and with neighboring versions; only state the
@@ -157,12 +148,6 @@ func (v *Version) Children(id NodeID) []NodeID { return v.children.At(int(id)) }
 // Parents returns the parent list at the sealed epoch. Callers must not
 // mutate the returned slice.
 func (v *Version) Parents(id NodeID) []NodeID { return v.parents.At(int(id)) }
-
-// NodesOfType returns the nodes of an element type live at the sealed
-// epoch, in id order.
-func (v *Version) NodesOfType(typ string) []NodeID {
-	return liveSorted(v.byType[typ], v.alive.At)
-}
 
 // IDsOfType returns the raw gen_A list of the type as of the sealed epoch;
 // see Reader.

@@ -340,19 +340,6 @@ func (d *DAG) Nodes() []NodeID {
 	return out
 }
 
-// Edges returns all live edges grouped by (parent type, child type) — the
-// edge_A_B relations of the relational coding V_σ. Keys are "A→B".
-func (d *DAG) Edges() map[string][]Edge {
-	out := make(map[string][]Edge)
-	for _, u := range d.Nodes() {
-		for _, v := range d.children.row(u) {
-			k := d.types[u] + "→" + d.types[v]
-			out[k] = append(out[k], Edge{u, v})
-		}
-	}
-	return out
-}
-
 // EdgeRelationName returns the paper's edge_A_B relation name for an edge.
 func (d *DAG) EdgeRelationName(e Edge) string {
 	return "edge_" + d.types[e.Parent] + "_" + d.types[e.Child]

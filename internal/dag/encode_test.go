@@ -2,6 +2,7 @@ package dag
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,7 +42,7 @@ func equalDAGsExact(t *testing.T, a, b *DAG) {
 			a.Cap(), b.Cap(), a.Root(), b.Root(), a.NumNodes(), b.NumNodes(), a.NumEdges(), b.NumEdges())
 	}
 	for id := NodeID(0); int(id) < a.Cap(); id++ {
-		if a.Type(id) != b.Type(id) || !a.Attr(id).Equal(b.Attr(id)) || a.Alive(id) != b.Alive(id) {
+		if a.Type(id) != b.Type(id) || !slices.EqualFunc(a.Attr(id), b.Attr(id), relational.Value.Equal) || a.Alive(id) != b.Alive(id) {
 			t.Fatalf("node %d: (%s%s alive=%v) vs (%s%s alive=%v)", id,
 				a.Type(id), a.Attr(id), a.Alive(id), b.Type(id), b.Attr(id), b.Alive(id))
 		}

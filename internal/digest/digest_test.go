@@ -7,6 +7,7 @@ import (
 
 	"rxview/internal/dag"
 	"rxview/internal/relational"
+	"rxview/internal/testkit"
 )
 
 // TestLanesAreStdlibFNV1a: the inlined loop is hash/fnv's New64a — lane A
@@ -30,8 +31,8 @@ func testDB(t *testing.T) *relational.Database {
 	t.Helper()
 	cols := []relational.Column{{Name: "k", Type: relational.KindInt}, {Name: "v", Type: relational.KindString}}
 	schema, err := relational.NewSchema(
-		relational.MustTableSchema("r", cols, "k"),
-		relational.MustTableSchema("s", cols, "k"),
+		testkit.Must(relational.NewTableSchema("r", cols, "k")),
+		testkit.Must(relational.NewTableSchema("s", cols, "k")),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"rxview/internal/testkit"
 )
 
 // registrarDTD is D0 from Example 1 of the paper.
@@ -58,10 +60,10 @@ func TestRecursionDetection(t *testing.T) {
 		t.Errorf("recursive types = %v", rec)
 	}
 
-	flat := MustNew("r", map[string]Production{
+	flat := testkit.Must(New("r", map[string]Production{
 		"r": {Kind: Star, Children: []string{"a"}},
 		"a": {Kind: PCData},
-	})
+	}))
 	if flat.IsRecursive() {
 		t.Error("flat DTD reported recursive")
 	}

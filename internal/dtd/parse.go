@@ -14,9 +14,10 @@ import (
 //	<!ELEMENT cno (#PCDATA)>         pcdata
 //	<!ELEMENT gap EMPTY>             empty
 //
-// The first declared element is the root. An arbitrary DTD can be normalized
-// into this form in linear time by introducing auxiliary types (footnote ① of
-// the paper); Parse expects already-normalized input.
+// The first declared element is the root. Parse expects already-normalized
+// input: the paper's footnote ① (an arbitrary DTD can be normalized into
+// this form in linear time by introducing auxiliary types) is not
+// implemented, so a view's DTD must be written normalized.
 func Parse(text string) (*DTD, error) {
 	elems := make(map[string]Production)
 	root := ""

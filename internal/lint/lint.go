@@ -45,10 +45,9 @@
 // names the line where -race prints dozens of reports from tests far from
 // the store. Its limit: an aliasing accessor's result is followed through
 // one binding to a local and no further.
-// internalboundary and the tier-1 test are one predicate (CheckTree, which
-// also walks bench/, a module xviewlint's ./... does not reach) by
-// construction; the analyzer is 20 lines over what the test needs and is
-// what reports the breach at the import's line.
+// internalboundary and the tier-1 test are one predicate by construction:
+// the test (boundary_test.go) runs this analyzer over the loaded module.
+// bench/, a module of its own, is kept out of internal/ by the compiler.
 //
 // Two analyzers were deleted on the same evidence, with the second driver
 // (internal/lint/unitchecker and the `go vet -vettool` CI step, which

@@ -51,12 +51,6 @@ func (l *SlowLog) Threshold() time.Duration {
 	return time.Duration(l.threshold.Load())
 }
 
-// Record notes an operation if it exceeded the threshold. Cheap when it
-// did not (or when instrumentation is disabled): one or two atomic loads.
-func (l *SlowLog) Record(kind, detail string, d time.Duration, gen uint64) {
-	l.RecordRoute(kind, detail, "", d, gen)
-}
-
 // RecordRoute is Record for an operation that evaluated an XPath: the entry
 // also names the route the evaluation took.
 func (l *SlowLog) RecordRoute(kind, detail, route string, d time.Duration, gen uint64) {

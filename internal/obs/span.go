@@ -40,14 +40,6 @@ func (s Span) End() time.Duration {
 	return d
 }
 
-// Elapsed returns time since start without observing; zero when disabled.
-func (s Span) Elapsed() time.Duration {
-	if !s.on {
-		return 0
-	}
-	return time.Since(s.t0)
-}
-
 // Active reports whether the span is collecting (instrumentation was
 // enabled at StartSpan).
 func (s Span) Active() bool { return s.on }

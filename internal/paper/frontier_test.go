@@ -10,6 +10,7 @@ import (
 	"rxview/internal/dag"
 	"rxview/internal/reach"
 	"rxview/internal/relational"
+	"rxview/internal/testkit"
 	"rxview/internal/workload"
 	"rxview/internal/xpath"
 )
@@ -30,7 +31,7 @@ func newEval(t testing.TB, d *dag.DAG, text func(dag.NodeID) (string, bool)) *xp
 // and a prerequisite, and student S02 hangs under two takenBy nodes.
 func fig1DAG(t testing.TB) (*dag.DAG, func(dag.NodeID) (string, bool)) {
 	t.Helper()
-	reg := workload.MustRegistrar()
+	reg := testkit.Must(workload.NewRegistrar())
 	d, err := reg.ATG.PublishDAG(reg.DB)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,6 @@ package paper
 import (
 	"cmp"
 	"fmt"
-	"iter"
 	"math/bits"
 	"slices"
 
@@ -82,52 +81,6 @@ func (m *Matrix) DescendantRow(a dag.NodeID) Row {
 		return nil
 	}
 	return m.desc[a]
-}
-
-// Ancestors iterates the ancestors of d in ascending id order.
-func (m *Matrix) Ancestors(d dag.NodeID) iter.Seq[dag.NodeID] {
-	return m.AncestorRow(d).All()
-}
-
-// Descendants iterates the descendants of a in ascending id order.
-func (m *Matrix) Descendants(a dag.NodeID) iter.Seq[dag.NodeID] {
-	return m.DescendantRow(a).All()
-}
-
-// AncestorCount returns |anc(d)|.
-func (m *Matrix) AncestorCount(d dag.NodeID) int { return m.AncestorRow(d).Count() }
-
-// DescendantCount returns |desc(a)|.
-func (m *Matrix) DescendantCount(a dag.NodeID) int { return m.DescendantRow(a).Count() }
-
-// AncestorList returns the ancestors of d as a sorted slice (bitset
-// iteration is ascending by construction).
-func (m *Matrix) AncestorList(d dag.NodeID) []dag.NodeID {
-	return m.AncestorRow(d).Slice()
-}
-
-// AddPair records that a is an ancestor of d.
-func (m *Matrix) AddPair(a, d dag.NodeID) {
-	if a == d {
-		return
-	}
-	m.ensure(a)
-	m.ensure(d)
-	if m.anc[d].Set(a) {
-		m.desc[a].Set(d)
-		m.pairs++
-	}
-}
-
-// RemovePair deletes the (a, d) pair if present.
-func (m *Matrix) RemovePair(a, d dag.NodeID) {
-	if d < 0 || int(d) >= len(m.anc) || a < 0 || int(a) >= len(m.desc) {
-		return
-	}
-	if m.anc[d].Unset(a) {
-		m.desc[a].Unset(d)
-		m.pairs--
-	}
 }
 
 // InsertEdgeClosure adds, for a new DAG edge (u,v), the pairs

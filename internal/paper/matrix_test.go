@@ -9,6 +9,7 @@ import (
 	"rxview/internal/dag"
 	"rxview/internal/reach"
 	"rxview/internal/relational"
+	"rxview/internal/testkit"
 )
 
 // buildDAG constructs a DAG from an edge list over integer-keyed nodes;
@@ -30,7 +31,7 @@ func buildDAG(t testing.TB, edges [][2]int) (*dag.DAG, map[int]dag.NodeID) {
 		u, v := node(e[0]), node(e[1])
 		d.AddEdge(u, v)
 	}
-	if err := d.CheckAcyclic(); err != nil {
+	if err := testkit.CheckAcyclic(d); err != nil {
 		t.Fatal(err)
 	}
 	return d, ids

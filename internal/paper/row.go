@@ -75,24 +75,6 @@ func (r *Row) Or(src Row) int {
 	return added
 }
 
-// AndNot subtracts src from r word by word and returns the number of cleared
-// bits.
-func (r *Row) AndNot(src Row) int {
-	dst := *r
-	n := len(dst)
-	if len(src) < n {
-		n = len(src)
-	}
-	removed := 0
-	for i := 0; i < n; i++ {
-		if rm := dst[i] & src[i]; rm != 0 {
-			removed += bits.OnesCount64(rm)
-			dst[i] &^= rm
-		}
-	}
-	return removed
-}
-
 // Count returns the number of set bits (population count).
 func (r Row) Count() int {
 	n := 0
@@ -100,16 +82,6 @@ func (r Row) Count() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// Empty reports whether no bit is set.
-func (r Row) Empty() bool {
-	for _, w := range r {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // AnyNotIn reports whether r has a bit outside mask — one pass of
@@ -159,13 +131,6 @@ func (r Row) Reset() {
 	for i := range r {
 		r[i] = 0
 	}
-}
-
-// Clone returns an independent copy.
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
 }
 
 // EqualRow reports whether two rows hold the same set, ignoring trailing

@@ -2,7 +2,6 @@ package paper
 
 import (
 	"fmt"
-	"sort"
 
 	"rxview/internal/dag"
 	"rxview/internal/reach"
@@ -37,9 +36,6 @@ func (s *Sparse) ensure(id dag.NodeID) {
 	}
 }
 
-// Size returns |M|, the number of (anc, desc) pairs.
-func (s *Sparse) Size() int { return s.pairs }
-
 // IsAncestor reports whether a is a proper ancestor of d.
 func (s *Sparse) IsAncestor(a, d dag.NodeID) bool {
 	if d < 0 || int(d) >= len(s.anc) || s.anc[d] == nil {
@@ -67,20 +63,6 @@ func (s *Sparse) Descendants(a dag.NodeID) map[dag.NodeID]struct{} {
 	return s.desc[a]
 }
 
-// AncestorList returns the ancestors of d as a sorted slice.
-func (s *Sparse) AncestorList(d dag.NodeID) []dag.NodeID {
-	return sortedKeys(s.Ancestors(d))
-}
-
-func sortedKeys(set map[dag.NodeID]struct{}) []dag.NodeID {
-	out := make([]dag.NodeID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // AddPair records that a is an ancestor of d.
 func (s *Sparse) AddPair(a, d dag.NodeID) {
 	if a == d {
@@ -100,51 +82,6 @@ func (s *Sparse) AddPair(a, d dag.NodeID) {
 	}
 	s.desc[a][d] = struct{}{}
 	s.pairs++
-}
-
-// RemovePair deletes the (a, d) pair if present.
-func (s *Sparse) RemovePair(a, d dag.NodeID) {
-	if d < 0 || int(d) >= len(s.anc) || s.anc[d] == nil {
-		return
-	}
-	if _, ok := s.anc[d][a]; !ok {
-		return
-	}
-	delete(s.anc[d], a)
-	delete(s.desc[a], d)
-	s.pairs--
-}
-
-// DropNode removes every pair mentioning the node.
-func (s *Sparse) DropNode(id dag.NodeID) {
-	if id < 0 || int(id) >= len(s.anc) {
-		return
-	}
-	for a := range s.anc[id] {
-		delete(s.desc[a], id)
-		s.pairs--
-	}
-	s.anc[id] = nil
-	for d := range s.desc[id] {
-		delete(s.anc[d], id)
-		s.pairs--
-	}
-	s.desc[id] = nil
-}
-
-// InsertEdgeClosure adds the pairs ({u} ∪ anc(u)) × ({v} ∪ desc(v)) for a
-// new edge (u,v) — the per-pair formulation the bitset Matrix replaced with
-// row unions. Kept for the maintenance benchmarks.
-func (s *Sparse) InsertEdgeClosure(u, v dag.NodeID) {
-	s.ensure(u)
-	s.ensure(v)
-	ancs := append(sortedKeys(s.Ancestors(u)), u)
-	descs := append(sortedKeys(s.Descendants(v)), v)
-	for _, a := range ancs {
-		for _, d := range descs {
-			s.AddPair(a, d)
-		}
-	}
 }
 
 // ComputeSparseReach is Algorithm Reach (Fig.4) over the sparse

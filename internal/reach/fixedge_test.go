@@ -8,6 +8,7 @@ import (
 
 	"rxview/internal/dag"
 	"rxview/internal/relational"
+	"rxview/internal/testkit"
 )
 
 // fixEdgeReference is the swap(L, u, v) FixEdge used to be: the window
@@ -100,7 +101,7 @@ func TestFixEdgeMatchesThreeSlicePartition(t *testing.T) {
 				continue // no window, or nothing to insert
 			}
 			d.AddEdge(u, v)
-			if d.CheckAcyclic() != nil {
+			if testkit.CheckAcyclic(d) != nil {
 				d.RemoveEdge(u, v)
 				continue
 			}

@@ -8,6 +8,7 @@ import (
 
 	"rxview/internal/dag"
 	"rxview/internal/relational"
+	"rxview/internal/testkit"
 )
 
 // buildDAG constructs a DAG from an edge list over integer-keyed nodes;
@@ -29,7 +30,7 @@ func buildDAG(t testing.TB, edges [][2]int) (*dag.DAG, map[int]dag.NodeID) {
 		u, v := node(e[0]), node(e[1])
 		d.AddEdge(u, v)
 	}
-	if err := d.CheckAcyclic(); err != nil {
+	if err := testkit.CheckAcyclic(d); err != nil {
 		t.Fatal(err)
 	}
 	return d, ids
@@ -134,7 +135,7 @@ func TestFixEdgeRepairsOrder(t *testing.T) {
 		topo.seen, topo.walk = make([]uint32, len(topo.pos)), walk
 		// New edge 2 -> 3 means 3's group must move before 2.
 		d.AddEdge(ids[2], ids[3])
-		if err := d.CheckAcyclic(); err != nil {
+		if err := testkit.CheckAcyclic(d); err != nil {
 			t.Fatal(err)
 		}
 		topo.FixEdge(d, ids[2], ids[3])
@@ -290,7 +291,7 @@ func TestInsertUpdateMatchesRebuild(t *testing.T) {
 			// Connection edge last, as Xinsert produces.
 			d.AddEdge(target, newNodes[0])
 			newEdges = append(newEdges, dag.Edge{Parent: target, Child: newNodes[0]})
-			if err := d.CheckAcyclic(); err != nil {
+			if err := testkit.CheckAcyclic(d); err != nil {
 				t.Log(err)
 				return false
 			}

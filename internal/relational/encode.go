@@ -19,10 +19,6 @@ import (
 // AppendValue appends the self-delimiting binary encoding of v to dst.
 func AppendValue(dst []byte, v Value) []byte { return v.appendEncoded(dst) }
 
-// DecodeValue decodes one value from the front of b, returning the value and
-// the remaining bytes.
-func DecodeValue(b []byte) (Value, []byte, error) { return decodeValue(b, nil) }
-
 // decodeValue is DecodeValue with the string bytes copied into s's arena, if
 // there is an s. Either way the value never aliases b.
 func decodeValue(b []byte, s *Slab) (Value, []byte, error) {

@@ -2,7 +2,6 @@ package relational
 
 import (
 	"fmt"
-	"sort"
 
 	"rxview/internal/slab"
 )
@@ -21,7 +20,6 @@ type Relation struct {
 	// secondary indexes by column. Built on demand by IndexLookup and
 	// maintained incrementally by Insert/Delete.
 	secondary map[int]*index
-	version   uint64
 }
 
 // index is a secondary hash index on one column: the row slots that hold each
@@ -71,9 +69,6 @@ func (r *Relation) Len() int { return r.count }
 // encoder can size its buffer without a pass over the rows.
 func (r *Relation) EncodedLen() int { return r.size }
 
-// Version increases on every mutation; used to detect staleness.
-func (r *Relation) Version() uint64 { return r.version }
-
 // check refuses a tuple of the wrong arity or with a value whose kind does
 // not match its column's type.
 func (r *Relation) check(t Tuple) error {
@@ -117,7 +112,6 @@ func (r *Relation) Insert(t Tuple) error {
 	r.byKey[string(buf)] = slot
 	r.count++
 	r.size += TupleLen(t)
-	r.version++
 	for col, ix := range r.secondary {
 		ix.add(t[col].appendEncoded(buf[:0]), slot)
 	}
@@ -151,25 +145,7 @@ func (r *Relation) Load(rows []Tuple) error {
 		size += TupleLen(t)
 	}
 	r.rows, r.byKey, r.count, r.size = rows, byKey, len(rows), size
-	r.version++
 	return nil
-}
-
-// MustInsert inserts and panics on error; for statically known test data.
-func (r *Relation) MustInsert(vals ...Value) {
-	if err := r.Insert(Tuple(vals)); err != nil {
-		panic(err)
-	}
-}
-
-// DeleteKey removes the tuple whose key columns equal key (given in key-column
-// order). It reports whether a tuple was removed.
-func (r *Relation) DeleteKey(key Tuple) bool {
-	if len(key) != len(r.Schema.Key) {
-		return false
-	}
-	var a [KeyBufLen]byte
-	return r.deleteEncoded(AppendKey(a[:0], key, nil))
 }
 
 // DeleteTuple removes the tuple with the same key as t (t must be full-arity).
@@ -196,7 +172,6 @@ func (r *Relation) deleteEncoded(k []byte) bool {
 	r.free = append(r.free, slot)
 	r.count--
 	r.size -= TupleLen(row)
-	r.version++
 	for col, ix := range r.secondary {
 		ix.remove(row[col].appendEncoded(k[:0]), slot)
 	}
@@ -216,13 +191,6 @@ func (r *Relation) LookupKey(key Tuple) (Tuple, bool) {
 	return r.rows[slot], true
 }
 
-// ContainsKeyOf reports whether a tuple with the same key as t exists.
-func (r *Relation) ContainsKeyOf(t Tuple) bool {
-	var a [KeyBufLen]byte
-	_, ok := r.byKey[string(AppendKey(a[:0], t, r.Schema.Key))]
-	return ok
-}
-
 // Scan calls fn for every live tuple; iteration stops if fn returns false.
 // The callback must not mutate the relation.
 func (r *Relation) Scan(fn func(t Tuple) bool) {
@@ -234,18 +202,6 @@ func (r *Relation) Scan(fn func(t Tuple) bool) {
 			return
 		}
 	}
-}
-
-// Tuples returns a snapshot of all live tuples in deterministic (sorted)
-// order. Intended for tests and small relations.
-func (r *Relation) Tuples() []Tuple {
-	out := make([]Tuple, 0, r.count)
-	r.Scan(func(t Tuple) bool {
-		out = append(out, t)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
 }
 
 // Clone deep-copies the relation.

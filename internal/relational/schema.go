@@ -68,24 +68,6 @@ func NewTableSchema(name string, cols []Column, keyCols ...string) (*TableSchema
 	return ts, nil
 }
 
-// MustTableSchema is NewTableSchema that panics on error; intended for
-// statically known schemas in examples and tests.
-func MustTableSchema(name string, cols []Column, keyCols ...string) *TableSchema {
-	ts, err := NewTableSchema(name, cols, keyCols...)
-	if err != nil {
-		panic(err)
-	}
-	return ts
-}
-
-// ColIndex returns the index of the named column, or -1.
-func (ts *TableSchema) ColIndex(name string) int {
-	if i, ok := ts.byName[name]; ok {
-		return i
-	}
-	return -1
-}
-
 // IsKeyCol reports whether column index i belongs to the primary key.
 func (ts *TableSchema) IsKeyCol(i int) bool {
 	for _, k := range ts.Key {
@@ -94,15 +76,6 @@ func (ts *TableSchema) IsKeyCol(i int) bool {
 		}
 	}
 	return false
-}
-
-// KeyNames returns the names of the primary-key columns.
-func (ts *TableSchema) KeyNames() []string {
-	out := make([]string, len(ts.Key))
-	for i, k := range ts.Key {
-		out[i] = ts.Columns[k].Name
-	}
-	return out
 }
 
 // String renders the schema in the paper's style: name(col1, col2, ...),
@@ -140,15 +113,6 @@ func NewSchema(tables ...*TableSchema) (*Schema, error) {
 		s.tables[t.Name] = t
 	}
 	return s, nil
-}
-
-// MustSchema is NewSchema that panics on error.
-func MustSchema(tables ...*TableSchema) *Schema {
-	s, err := NewSchema(tables...)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Table returns the named table schema, or nil.

@@ -12,39 +12,6 @@ func (t Tuple) Clone() Tuple {
 	return out
 }
 
-// Equal reports element-wise equality.
-func (t Tuple) Equal(u Tuple) bool {
-	if len(t) != len(u) {
-		return false
-	}
-	for i := range t {
-		if !t[i].Equal(u[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// Compare orders tuples lexicographically.
-func (t Tuple) Compare(u Tuple) int {
-	n := len(t)
-	if len(u) < n {
-		n = len(u)
-	}
-	for i := 0; i < n; i++ {
-		if c := t[i].Compare(u[i]); c != 0 {
-			return c
-		}
-	}
-	switch {
-	case len(t) < len(u):
-		return -1
-	case len(t) > len(u):
-		return 1
-	}
-	return 0
-}
-
 // HasVar reports whether any component is a symbolic variable.
 func (t Tuple) HasVar() bool {
 	for _, v := range t {

@@ -83,9 +83,6 @@ func (v Value) IsVar() bool { return v.K == KindVar }
 // VarID returns the variable id of a KindVar value.
 func (v Value) VarID() int { return int(v.I) }
 
-// AsBool returns the boolean payload (false for non-bool values).
-func (v Value) AsBool() bool { return v.K == KindBool && v.I != 0 }
-
 // Equal reports whether two values are identical (same kind and payload).
 // Comparing a variable to anything yields false; symbolic comparison is the
 // job of the viewupdate package.

@@ -31,9 +31,6 @@ func NewSource(dir string, tail *Tail) *Source {
 	return &Source{dir: dir, tail: tail}
 }
 
-// Tail returns the live tail (the durable view's sink publishes into it).
-func (s *Source) Tail() *Tail { return s.tail }
-
 // Durable returns the newest streamable generation.
 func (s *Source) Durable() uint64 { return s.tail.Durable() }
 

@@ -44,16 +44,6 @@ func (l Lit) String() string {
 // Clause is a disjunction of literals.
 type Clause []Lit
 
-// Satisfied reports whether some literal of the clause holds.
-func (c Clause) Satisfied(assign []bool) bool {
-	for _, l := range c {
-		if l.Satisfied(assign) {
-			return true
-		}
-	}
-	return false
-}
-
 func (c Clause) String() string {
 	if len(c) == 0 {
 		return "⊥"
@@ -111,16 +101,6 @@ func (f *CNF) AddAtMostOne(lits ...Lit) {
 func (f *CNF) AddExactlyOne(lits ...Lit) {
 	f.AddAtLeastOne(lits...)
 	f.AddAtMostOne(lits...)
-}
-
-// Satisfied reports whether every clause holds under the assignment.
-func (f *CNF) Satisfied(assign []bool) bool {
-	for _, c := range f.Clauses {
-		if !c.Satisfied(assign) {
-			return false
-		}
-	}
-	return true
 }
 
 func (f *CNF) String() string {

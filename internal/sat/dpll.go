@@ -163,19 +163,3 @@ func dpll(clauses []Clause, assign []int8) bool {
 	undo()
 	return false
 }
-
-// Tautology reports whether the DNF formula ⋁ cubes (each cube a conjunction
-// of literals) is a tautology, by checking that its negation (a CNF) is
-// unsatisfiable. Used by tests for Theorem 2's non-tautology reduction.
-func Tautology(numVars int, cubes [][]Lit) bool {
-	f := &CNF{NumVars: numVars}
-	for _, cube := range cubes {
-		neg := make(Clause, len(cube))
-		for i, l := range cube {
-			neg[i] = l.Not()
-		}
-		f.Clauses = append(f.Clauses, neg)
-	}
-	_, sat := DPLL(f)
-	return !sat
-}

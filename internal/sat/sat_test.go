@@ -1,13 +1,16 @@
-package sat
+package sat_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"rxview/internal/sat"
+	"rxview/internal/testkit"
 )
 
 func TestLitBasics(t *testing.T) {
-	p, n := Pos(3), Neg(3)
+	p, n := sat.Pos(3), sat.Neg(3)
 	if p.Var() != 3 || n.Var() != 3 {
 		t.Error("Var")
 	}
@@ -27,9 +30,9 @@ func TestLitBasics(t *testing.T) {
 }
 
 func TestCNFBuilders(t *testing.T) {
-	f := NewCNF()
+	f := sat.NewCNF()
 	a, b, c := f.NewVar(), f.NewVar(), f.NewVar()
-	f.AddExactlyOne(Pos(a), Pos(b), Pos(c))
+	f.AddExactlyOne(sat.Pos(a), sat.Pos(b), sat.Pos(c))
 	// 1 at-least-one + 3 pairwise at-most-one clauses
 	if len(f.Clauses) != 4 {
 		t.Fatalf("clauses = %d", len(f.Clauses))
@@ -37,26 +40,26 @@ func TestCNFBuilders(t *testing.T) {
 	if f.NumVars != 3 {
 		t.Fatalf("NumVars = %d", f.NumVars)
 	}
-	if !f.Satisfied([]bool{true, false, false}) {
+	if !testkit.Satisfied(f, []bool{true, false, false}) {
 		t.Error("one-hot assignment should satisfy")
 	}
-	if f.Satisfied([]bool{true, true, false}) {
+	if testkit.Satisfied(f, []bool{true, true, false}) {
 		t.Error("two-hot assignment should not satisfy")
 	}
-	if f.Satisfied([]bool{false, false, false}) {
+	if testkit.Satisfied(f, []bool{false, false, false}) {
 		t.Error("zero-hot assignment should not satisfy")
 	}
-	if f.String() == "" || NewCNF().String() != "⊤" {
+	if f.String() == "" || sat.NewCNF().String() != "⊤" {
 		t.Error("String")
 	}
-	if (Clause{}).String() != "⊥" {
+	if (sat.Clause{}).String() != "⊥" {
 		t.Error("empty clause string")
 	}
 }
 
 func TestCNFAddClauseGrowsVars(t *testing.T) {
-	f := NewCNF()
-	f.AddClause(Pos(9))
+	f := sat.NewCNF()
+	f.AddClause(sat.Pos(9))
 	if f.NumVars != 10 {
 		t.Errorf("NumVars = %d", f.NumVars)
 	}
@@ -64,16 +67,16 @@ func TestCNFAddClauseGrowsVars(t *testing.T) {
 
 func TestDPLLSimple(t *testing.T) {
 	// (a ∨ b) ∧ (¬a ∨ b) ∧ (¬b ∨ c) — satisfiable, forces b, c.
-	f := NewCNF()
+	f := sat.NewCNF()
 	a, b, c := f.NewVar(), f.NewVar(), f.NewVar()
-	f.AddClause(Pos(a), Pos(b))
-	f.AddClause(Neg(a), Pos(b))
-	f.AddClause(Neg(b), Pos(c))
-	m, ok := DPLL(f)
+	f.AddClause(sat.Pos(a), sat.Pos(b))
+	f.AddClause(sat.Neg(a), sat.Pos(b))
+	f.AddClause(sat.Neg(b), sat.Pos(c))
+	m, ok := sat.DPLL(f)
 	if !ok {
 		t.Fatal("should be SAT")
 	}
-	if !f.Satisfied(m) {
+	if !testkit.Satisfied(f, m) {
 		t.Fatal("model does not satisfy")
 	}
 	if !m[b] || !m[c] {
@@ -83,48 +86,48 @@ func TestDPLLSimple(t *testing.T) {
 
 func TestDPLLUnsat(t *testing.T) {
 	// (a) ∧ (¬a)
-	f := NewCNF()
+	f := sat.NewCNF()
 	a := f.NewVar()
-	f.AddClause(Pos(a))
-	f.AddClause(Neg(a))
-	if _, ok := DPLL(f); ok {
+	f.AddClause(sat.Pos(a))
+	f.AddClause(sat.Neg(a))
+	if _, ok := sat.DPLL(f); ok {
 		t.Error("should be UNSAT")
 	}
 	// Empty clause.
-	g := NewCNF()
+	g := sat.NewCNF()
 	g.AddClause()
-	if _, ok := DPLL(g); ok {
+	if _, ok := sat.DPLL(g); ok {
 		t.Error("empty clause should be UNSAT")
 	}
 	// Pigeonhole PHP(2,1): two pigeons one hole.
-	h := NewCNF()
+	h := sat.NewCNF()
 	p1, p2 := h.NewVar(), h.NewVar()
-	h.AddClause(Pos(p1))
-	h.AddClause(Pos(p2))
-	h.AddClause(Neg(p1), Neg(p2))
-	if _, ok := DPLL(h); ok {
+	h.AddClause(sat.Pos(p1))
+	h.AddClause(sat.Pos(p2))
+	h.AddClause(sat.Neg(p1), sat.Neg(p2))
+	if _, ok := sat.DPLL(h); ok {
 		t.Error("PHP should be UNSAT")
 	}
 }
 
 func TestDPLLEmptyFormula(t *testing.T) {
-	f := NewCNF()
+	f := sat.NewCNF()
 	f.NumVars = 2
-	if _, ok := DPLL(f); !ok {
+	if _, ok := sat.DPLL(f); !ok {
 		t.Error("empty formula should be SAT")
 	}
 }
 
 // randomCNF returns nClauses random clauses of width 1–3 over nVars variables.
-func randomCNF(rng *rand.Rand, nVars, nClauses int) *CNF {
-	f := &CNF{NumVars: nVars}
+func randomCNF(rng *rand.Rand, nVars, nClauses int) *sat.CNF {
+	f := &sat.CNF{NumVars: nVars}
 	for i := 0; i < nClauses; i++ {
-		c := make(Clause, 1+rng.Intn(3))
+		c := make(sat.Clause, 1+rng.Intn(3))
 		for j := range c {
 			if v := rng.Intn(nVars); rng.Intn(2) == 0 {
-				c[j] = Pos(v)
+				c[j] = sat.Pos(v)
 			} else {
-				c[j] = Neg(v)
+				c[j] = sat.Neg(v)
 			}
 		}
 		f.Clauses = append(f.Clauses, c)
@@ -133,13 +136,13 @@ func randomCNF(rng *rand.Rand, nVars, nClauses int) *CNF {
 }
 
 // bruteForceSAT enumerates every assignment of f's variables.
-func bruteForceSAT(f *CNF) bool {
+func bruteForceSAT(f *sat.CNF) bool {
 	assign := make([]bool, f.NumVars)
 	for bits := 0; bits < 1<<f.NumVars; bits++ {
 		for v := range assign {
 			assign[v] = bits>>v&1 == 1
 		}
-		if f.Satisfied(assign) {
+		if testkit.Satisfied(f, assign) {
 			return true
 		}
 	}
@@ -153,10 +156,10 @@ func TestDPLLMatchesBruteForce(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		f := randomCNF(rng, 1+rng.Intn(10), rng.Intn(40))
-		m, ok := DPLL(f)
+		m, ok := sat.DPLL(f)
 		want := bruteForceSAT(f)
 		seen[want]++
-		if ok != want || ok && !f.Satisfied(m) {
+		if ok != want || ok && !testkit.Satisfied(f, m) {
 			t.Logf("seed %d: %s: DPLL (%v, %v), enumeration %v", seed, f, m, ok, want)
 			return false
 		}
@@ -182,25 +185,25 @@ func TestDPLLSolvesPlantedFormulas(t *testing.T) {
 		for v := range planted {
 			planted[v] = rng.Intn(2) == 0
 		}
-		f := &CNF{NumVars: nVars}
+		f := &sat.CNF{NumVars: nVars}
 		for len(f.Clauses) < nClauses {
-			c := make(Clause, 3)
+			c := make(sat.Clause, 3)
 			for j := range c {
 				if v := rng.Intn(nVars); rng.Intn(2) == 0 {
-					c[j] = Pos(v)
+					c[j] = sat.Pos(v)
 				} else {
-					c[j] = Neg(v)
+					c[j] = sat.Neg(v)
 				}
 			}
-			if c.Satisfied(planted) {
+			if testkit.Satisfied(&sat.CNF{Clauses: []sat.Clause{c}}, planted) {
 				f.Clauses = append(f.Clauses, c)
 			}
 		}
-		m, ok := DPLL(f)
+		m, ok := sat.DPLL(f)
 		if !ok {
 			t.Fatalf("formula %d: DPLL says UNSAT, but %v is a model", i, planted)
 		}
-		if len(m) != nVars || !f.Satisfied(m) {
+		if len(m) != nVars || !testkit.Satisfied(f, m) {
 			t.Fatalf("formula %d: DPLL returned non-model %v", i, m)
 		}
 	}
@@ -208,19 +211,19 @@ func TestDPLLSolvesPlantedFormulas(t *testing.T) {
 
 func TestTautology(t *testing.T) {
 	// x ∨ ¬x is a tautology.
-	if !Tautology(1, [][]Lit{{Pos(0)}, {Neg(0)}}) {
+	if !testkit.Tautology(1, [][]sat.Lit{{sat.Pos(0)}, {sat.Neg(0)}}) {
 		t.Error("x ∨ ¬x should be a tautology")
 	}
 	// x ∨ y is not.
-	if Tautology(2, [][]Lit{{Pos(0)}, {Pos(1)}}) {
+	if testkit.Tautology(2, [][]sat.Lit{{sat.Pos(0)}, {sat.Pos(1)}}) {
 		t.Error("x ∨ y should not be a tautology")
 	}
 	// (x∧y) ∨ (¬x) ∨ (¬y) is a tautology.
-	if !Tautology(2, [][]Lit{{Pos(0), Pos(1)}, {Neg(0)}, {Neg(1)}}) {
+	if !testkit.Tautology(2, [][]sat.Lit{{sat.Pos(0), sat.Pos(1)}, {sat.Neg(0)}, {sat.Neg(1)}}) {
 		t.Error("(x∧y) ∨ ¬x ∨ ¬y should be a tautology")
 	}
 	// (x∧y) ∨ (¬x∧¬y) is not (x=T,y=F escapes).
-	if Tautology(2, [][]Lit{{Pos(0), Pos(1)}, {Neg(0), Neg(1)}}) {
+	if testkit.Tautology(2, [][]sat.Lit{{sat.Pos(0), sat.Pos(1)}, {sat.Neg(0), sat.Neg(1)}}) {
 		t.Error("xor-ish DNF should not be a tautology")
 	}
 }

@@ -7,12 +7,13 @@ import (
 
 	"rxview/internal/dag"
 	"rxview/internal/relational"
+	"rxview/internal/testkit"
 	"rxview/internal/workload"
 	"rxview/internal/xpath"
 )
 
 func TestParseStatementInsert(t *testing.T) {
-	reg := workload.MustRegistrar()
+	reg := testkit.Must(workload.NewRegistrar())
 	op, err := ParseStatement(reg.ATG,
 		`insert course(cno="CS9", title="Topics") into //course[cno="CS320"]/prereq`)
 	if err != nil {
@@ -33,7 +34,7 @@ func TestParseStatementInsert(t *testing.T) {
 }
 
 func TestParseStatementFieldsInAnyOrder(t *testing.T) {
-	reg := workload.MustRegistrar()
+	reg := testkit.Must(workload.NewRegistrar())
 	op, err := ParseStatement(reg.ATG,
 		`insert student(name="Zoe", ssn="S09") into //takenBy`)
 	if err != nil {
@@ -45,7 +46,7 @@ func TestParseStatementFieldsInAnyOrder(t *testing.T) {
 }
 
 func TestParseStatementQuotedComma(t *testing.T) {
-	reg := workload.MustRegistrar()
+	reg := testkit.Must(workload.NewRegistrar())
 	op, err := ParseStatement(reg.ATG,
 		`insert course(cno="CS9", title="Logic, and more") into //prereq`)
 	if err != nil {
@@ -57,7 +58,7 @@ func TestParseStatementQuotedComma(t *testing.T) {
 }
 
 func TestParseStatementErrors(t *testing.T) {
-	reg := workload.MustRegistrar()
+	reg := testkit.Must(workload.NewRegistrar())
 	for _, stmt := range []string{
 		"",
 		"upsert course(cno=\"C\") into //x",
@@ -80,7 +81,7 @@ func TestParseStatementErrors(t *testing.T) {
 // parser used to misread: a quoted ')' taken for the close paren, a repeated
 // field whose last value silently won, and keywords matched as prefixes.
 func TestParseStatementReadsWhatWasWritten(t *testing.T) {
-	reg := workload.MustRegistrar()
+	reg := testkit.Must(workload.NewRegistrar())
 	for _, c := range []struct {
 		name, stmt string
 		title      string // the accepted title; "" means the statement is refused
@@ -125,7 +126,7 @@ func FuzzParseStatement(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	reg := workload.MustRegistrar()
+	reg := testkit.Must(workload.NewRegistrar())
 	quoted := regexp.MustCompile(`"[^"]*"|'[^']*'`)
 	f.Fuzz(func(t *testing.T, stmt string) {
 		op, err := ParseStatement(reg.ATG, stmt)
@@ -161,7 +162,7 @@ func FuzzParseStatement(f *testing.F) {
 }
 
 func TestValidateAgainstDTDInsert(t *testing.T) {
-	reg := workload.MustRegistrar()
+	reg := testkit.Must(workload.NewRegistrar())
 	ok := func(stmt string) *Op {
 		t.Helper()
 		op, err := ParseStatement(reg.ATG, stmt)
@@ -190,7 +191,7 @@ func TestValidateAgainstDTDInsert(t *testing.T) {
 }
 
 func TestValidateAgainstDTDDelete(t *testing.T) {
-	reg := workload.MustRegistrar()
+	reg := testkit.Must(workload.NewRegistrar())
 	ok := func(stmt string) *Op {
 		t.Helper()
 		op, err := ParseStatement(reg.ATG, stmt)
@@ -219,7 +220,7 @@ func TestValidateAgainstDTDDelete(t *testing.T) {
 }
 
 func TestValidateLabelFilterNarrowsTypes(t *testing.T) {
-	reg := workload.MustRegistrar()
+	reg := testkit.Must(workload.NewRegistrar())
 	// //*[label()=takenBy] reaches only takenBy: inserting a student there
 	// is fine even though //* alone would reach illegal types.
 	op, err := ParseStatement(reg.ATG, `insert student(ssn="S", name="N") into //*[label()=takenBy]`)
@@ -236,7 +237,7 @@ func TestValidateLabelFilterNarrowsTypes(t *testing.T) {
 }
 
 func TestXinsertRequiresTransaction(t *testing.T) {
-	reg := workload.MustRegistrar()
+	reg := testkit.Must(workload.NewRegistrar())
 	d, err := reg.ATG.PublishDAG(reg.DB)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +250,7 @@ func TestXinsertRequiresTransaction(t *testing.T) {
 }
 
 func TestXinsertConnectsAllTargets(t *testing.T) {
-	reg := workload.MustRegistrar()
+	reg := testkit.Must(workload.NewRegistrar())
 	d, err := reg.ATG.PublishDAG(reg.DB)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +278,7 @@ func TestXinsertConnectsAllTargets(t *testing.T) {
 }
 
 func TestXinsertRejectsCycle(t *testing.T) {
-	reg := workload.MustRegistrar()
+	reg := testkit.Must(workload.NewRegistrar())
 	d, err := reg.ATG.PublishDAG(reg.DB)
 	if err != nil {
 		t.Fatal(err)

@@ -17,6 +17,7 @@ import (
 	"rxview/internal/dag"
 	"rxview/internal/relational"
 	"rxview/internal/sat"
+	"rxview/internal/testkit"
 )
 
 func bitDomain() []relational.Value {
@@ -42,7 +43,7 @@ func solveState(t *testing.T, st *insertState) ([]bool, bool) {
 	e := newEncoder(st)
 	f := e.encode()
 	m, ok := sat.DPLL(f)
-	if ok && !f.Satisfied(m) {
+	if ok && !testkit.Satisfied(f, m) {
 		t.Fatal("DPLL returned a non-model")
 	}
 	return m, ok

@@ -8,6 +8,7 @@ import (
 	"rxview/internal/dag"
 	"rxview/internal/dtd"
 	"rxview/internal/relational"
+	"rxview/internal/testkit"
 	"rxview/internal/workload"
 )
 
@@ -175,13 +176,13 @@ func flagFixture(t *testing.T, itemFlag int64) (*atg.Compiled, *relational.Datab
 	t.Helper()
 	intK := relational.KindInt
 	bit := []relational.Value{relational.Int(0), relational.Int(1)}
-	schema := relational.MustSchema(
-		relational.MustTableSchema("U", []relational.Column{
+	schema := testkit.Must(relational.NewSchema(
+		testkit.Must(relational.NewTableSchema("U", []relational.Column{
 			{Name: "k", Type: intK},
 			{Name: "boxk", Type: intK},
 			{Name: "flag", Type: intK, Domain: bit},
-		}, "k"),
-	)
+		}, "k")),
+	))
 	d, err := dtd.Parse(`
 <!ELEMENT db (box*)>
 <!ELEMENT box (item*)>
@@ -218,7 +219,7 @@ func flagFixture(t *testing.T, itemFlag int64) (*atg.Compiled, *relational.Datab
 		t.Fatal(err)
 	}
 	db := relational.NewDatabase(schema)
-	db.Rel("U").MustInsert(relational.Int(1), relational.Int(0), relational.Int(0)) // box(1)
+	testkit.Insert(db.Rel("U"), relational.Int(1), relational.Int(0), relational.Int(0)) // box(1)
 	dg, err := compiled.PublishDAG(db)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +286,7 @@ func TestInsertWithInducedContent(t *testing.T) {
 	// Synthetic dataset: inserting a new C under a sub node requires an F
 	// row, and the F row generates an item under the new info node — an
 	// induced edge, not a side effect.
-	syn := workload.MustSynthetic(workload.SyntheticConfig{NC: 60, Seed: 7})
+	syn := testkit.Must(workload.NewSynthetic(workload.SyntheticConfig{NC: 60, Seed: 7}))
 	d, err := syn.ATG.PublishDAG(syn.DB)
 	if err != nil {
 		t.Fatal(err)

@@ -28,6 +28,7 @@ import (
 	"rxview/internal/dtd"
 	"rxview/internal/relational"
 	"rxview/internal/sat"
+	"rxview/internal/testkit"
 )
 
 type dnfClause struct {
@@ -39,25 +40,25 @@ func theorem2Fixture(t *testing.T, k int, clauses []dnfClause) (*atg.Compiled, *
 	t.Helper()
 	intK := relational.KindInt
 	bit := []relational.Value{relational.Int(0), relational.Int(1)}
-	schema := relational.MustSchema(
-		relational.MustTableSchema("R", []relational.Column{
+	schema := testkit.Must(relational.NewSchema(
+		testkit.Must(relational.NewTableSchema("R", []relational.Column{
 			{Name: "A", Type: intK},
 			{Name: "B", Type: intK, Domain: bit},
 			{Name: "g", Type: intK},
-		}, "A"),
-		relational.MustTableSchema("E", []relational.Column{
+		}, "A")),
+		testkit.Must(relational.NewTableSchema("E", []relational.Column{
 			{Name: "k", Type: intK},
 			{Name: "g", Type: intK},
-		}, "k"),
-		relational.MustTableSchema("CL", []relational.Column{
+		}, "k")),
+		testkit.Must(relational.NewTableSchema("CL", []relational.Column{
 			{Name: "j", Type: intK},
 			{Name: "v1", Type: intK}, {Name: "v2", Type: intK}, {Name: "v3", Type: intK},
 			{Name: "s1", Type: intK}, {Name: "s2", Type: intK}, {Name: "s3", Type: intK},
-		}, "j"),
-		relational.MustTableSchema("G", []relational.Column{
+		}, "j")),
+		testkit.Must(relational.NewTableSchema("G", []relational.Column{
 			{Name: "k", Type: intK},
-		}, "k"),
-	)
+		}, "k")),
+	))
 	d, err := dtd.Parse(`
 <!ELEMENT db (grp*)>
 <!ELEMENT grp (asgs, trigs)>
@@ -134,10 +135,10 @@ func theorem2Fixture(t *testing.T, k int, clauses []dnfClause) (*atg.Compiled, *
 		t.Fatal(err)
 	}
 	db := relational.NewDatabase(schema)
-	db.Rel("G").MustInsert(relational.Int(1))
-	db.Rel("E").MustInsert(relational.Int(1), relational.Int(1))
+	testkit.Insert(db.Rel("G"), relational.Int(1))
+	testkit.Insert(db.Rel("E"), relational.Int(1), relational.Int(1))
 	for j, c := range clauses {
-		db.Rel("CL").MustInsert(
+		testkit.Insert(db.Rel("CL"),
 			relational.Int(int64(j+1)),
 			relational.Int(c.vars[0]), relational.Int(c.vars[1]), relational.Int(c.vars[2]),
 			relational.Int(c.signs[0]), relational.Int(c.signs[1]), relational.Int(c.signs[2]),
@@ -205,7 +206,7 @@ func isTautology(k int, clauses []dnfClause) bool {
 			}
 		}
 	}
-	return sat.Tautology(k, cubes)
+	return testkit.Tautology(k, cubes)
 }
 
 func TestTheorem2CraftedInstances(t *testing.T) {

@@ -256,10 +256,3 @@ func (tr *Translator) sourcesToDeletions(chosen map[string]atg.SourceKey) ([]rel
 	}
 	return out, nil
 }
-
-// Updatable decides the SPJ view updatability problem for group deletions
-// (Theorem 1: PTIME) without constructing ΔR.
-func (tr *Translator) Updatable(dv []dag.Edge) bool {
-	_, err := tr.TranslateDelete(dv)
-	return err == nil
-}

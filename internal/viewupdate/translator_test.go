@@ -10,13 +10,14 @@ import (
 	"rxview/internal/dag"
 	"rxview/internal/dtd"
 	"rxview/internal/relational"
+	"rxview/internal/testkit"
 	"rxview/internal/workload"
 )
 
 // fixture publishes the registrar view and builds a translator.
 func fixture(t testing.TB) (*workload.Registrar, *dag.DAG, *Translator) {
 	t.Helper()
-	reg := workload.MustRegistrar()
+	reg := testkit.Must(workload.NewRegistrar())
 	d, err := reg.ATG.PublishDAG(reg.DB)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +98,7 @@ func applyAndCheck(t *testing.T, reg *workload.Registrar, d *dag.DAG, dr []relat
 		t.Fatalf("republish: %v", err)
 	}
 	// Drop unreachable leftovers in the incremental DAG before comparing.
-	d.GarbageCollect()
+	testkit.GarbageCollect(d)
 	if err := dagsEquivalent(d, fresh); err != nil {
 		t.Fatalf("ΔX(T) != σ(ΔR(I)): %v", err)
 	}
@@ -228,12 +229,12 @@ func TestMinimalDeleteExactVsGreedy(t *testing.T) {
 // problem. Exact must beat or match greedy and find the optimum.
 func TestMinimalDeleteSetCoverGadget(t *testing.T) {
 	intK := relational.KindInt
-	schema := relational.MustSchema(
-		relational.MustTableSchema("A", []relational.Column{
-			{Name: "ka", Type: intK}, {Name: "x", Type: intK}}, "ka"),
-		relational.MustTableSchema("B", []relational.Column{
-			{Name: "kb", Type: intK}, {Name: "x", Type: intK}}, "kb"),
-	)
+	schema := testkit.Must(relational.NewSchema(
+		testkit.Must(relational.NewTableSchema("A", []relational.Column{
+			{Name: "ka", Type: intK}, {Name: "x", Type: intK}}, "ka")),
+		testkit.Must(relational.NewTableSchema("B", []relational.Column{
+			{Name: "kb", Type: intK}, {Name: "x", Type: intK}}, "kb")),
+	))
 	d, err := dtd.Parse(`
 <!ELEMENT db (pair*)>
 <!ELEMENT pair (#PCDATA)>
@@ -262,10 +263,10 @@ func TestMinimalDeleteSetCoverGadget(t *testing.T) {
 	}
 	db := relational.NewDatabase(schema)
 	// A1 joins B1,B2,B3 (x=1); A2 joins B4 (x=2).
-	db.Rel("A").MustInsert(relational.Int(1), relational.Int(1))
-	db.Rel("A").MustInsert(relational.Int(2), relational.Int(2))
+	testkit.Insert(db.Rel("A"), relational.Int(1), relational.Int(1))
+	testkit.Insert(db.Rel("A"), relational.Int(2), relational.Int(2))
 	for i, x := range []int64{1, 1, 1, 2} {
-		db.Rel("B").MustInsert(relational.Int(int64(i+1)), relational.Int(x))
+		testkit.Insert(db.Rel("B"), relational.Int(int64(i+1)), relational.Int(x))
 	}
 	dg, err := compiled.PublishDAG(db)
 	if err != nil {

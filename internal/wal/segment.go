@@ -12,7 +12,7 @@ import (
 type stop int
 
 const (
-	stopClean        stop = iota // the bytes end on a frame boundary
+	_                stop = iota // zero, clean: the bytes end on a frame boundary
 	stopEmpty                    // a zero-length file: created, header never written
 	stopTornHeader               // the file ends inside the magic or the header frame
 	stopTornRecord               // the file ends inside a record's frame

@@ -19,6 +19,9 @@ import (
 // whole record in a foreign format; and the two segments an earlier build
 // wrote before records stated their format (parent-wal-*), which this one
 // refuses as damage.
+// stopClean is the zero stop: the bytes end on a frame boundary.
+const stopClean stop = 0
+
 func FuzzParseSegment(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte, gen uint64) {
 		p := parseSegment(b, gen)

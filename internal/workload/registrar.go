@@ -43,15 +43,6 @@ func NewRegistrar() (*Registrar, error) {
 	return &Registrar{Schema: schema, DTD: d, ATG: compiled, DB: db}, nil
 }
 
-// MustRegistrar is NewRegistrar that panics on error.
-func MustRegistrar() *Registrar {
-	r, err := NewRegistrar()
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 func registrarSchema() (*relational.Schema, error) {
 	str := relational.KindString
 	course, err := relational.NewTableSchema("course", []relational.Column{

@@ -222,15 +222,6 @@ func NewSynthetic(cfg SyntheticConfig) (*Synthetic, error) {
 	return s, nil
 }
 
-// MustSynthetic is NewSynthetic that panics on error.
-func MustSynthetic(cfg SyntheticConfig) *Synthetic {
-	s, err := NewSynthetic(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 func syntheticSchema() (*relational.Schema, error) {
 	intK, str := relational.KindInt, relational.KindString
 	bit := []relational.Value{relational.Int(0), relational.Int(1)}

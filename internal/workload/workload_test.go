@@ -1,10 +1,13 @@
 package workload
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"rxview/internal/dag"
 	"rxview/internal/relational"
+	"rxview/internal/testkit"
 )
 
 func TestRegistrarFixture(t *testing.T) {
@@ -12,8 +15,8 @@ func TestRegistrarFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reg.DTD.IsRecursive() {
-		t.Error("registrar DTD must be recursive")
+	if !slices.Contains(reg.DTD.ChildTypes("course"), "prereq") || !slices.Contains(reg.DTD.ChildTypes("prereq"), "course") {
+		t.Error("registrar DTD must be recursive: course → prereq → course")
 	}
 	if reg.DB.Rel("course").Len() != 4 {
 		t.Errorf("courses = %d", reg.DB.Rel("course").Len())
@@ -28,7 +31,7 @@ func TestRegistrarFixture(t *testing.T) {
 }
 
 func TestSyntheticGeneratorInvariants(t *testing.T) {
-	syn := MustSynthetic(SyntheticConfig{NC: 500, Seed: 9})
+	syn := testkit.Must(NewSynthetic(SyntheticConfig{NC: 500, Seed: 9}))
 	// |F| = |C|, CU mirrors C, |H| ≈ Fanout · |C| (paper: |H| ≈ 3|C|).
 	nc := syn.DB.Rel("C").Len()
 	if nc != 500 {
@@ -66,18 +69,18 @@ func TestSyntheticGeneratorInvariants(t *testing.T) {
 }
 
 func TestSyntheticPublishes(t *testing.T) {
-	syn := MustSynthetic(SyntheticConfig{NC: 200, Seed: 3})
+	syn := testkit.Must(NewSynthetic(SyntheticConfig{NC: 200, Seed: 3}))
 	d, err := syn.ATG.PublishDAG(syn.DB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CheckAcyclic(); err != nil {
+	if err := testkit.CheckAcyclic(d); err != nil {
 		t.Fatal(err)
 	}
 	if len(d.Children(d.Root())) != len(syn.Roots) {
 		t.Errorf("top-level C count = %d, want %d", len(d.Children(d.Root())), len(syn.Roots))
 	}
-	if d.SharedNodeCount() == 0 {
+	if dag.SharedNodeCount(d) == 0 {
 		t.Error("expected shared subtrees")
 	}
 }
@@ -93,7 +96,7 @@ func TestSyntheticConfigValidation(t *testing.T) {
 }
 
 func TestDeleteWorkloadShapes(t *testing.T) {
-	syn := MustSynthetic(SyntheticConfig{NC: 300, Seed: 5})
+	syn := testkit.Must(NewSynthetic(SyntheticConfig{NC: 300, Seed: 5}))
 	w1 := syn.DeleteWorkload(W1, 5, 1)
 	if len(w1) == 0 {
 		t.Fatal("empty W1")
@@ -121,7 +124,7 @@ func TestDeleteWorkloadShapes(t *testing.T) {
 }
 
 func TestInsertWorkloadShapes(t *testing.T) {
-	syn := MustSynthetic(SyntheticConfig{NC: 300, Seed: 6})
+	syn := testkit.Must(NewSynthetic(SyntheticConfig{NC: 300, Seed: 6}))
 	before := syn.NextKey
 	ops := syn.InsertWorkload(W1, 4, 2)
 	if len(ops) != 4 {

@@ -112,20 +112,3 @@ func (p *Path) String() string {
 	}
 	return b.String()
 }
-
-// LastLabel returns the label of the final labeled step, if the path ends
-// with one (after trailing filters); update validation uses it to know the
-// element type being targeted.
-func (p *Path) LastLabel() (string, bool) {
-	for i := len(p.Steps) - 1; i >= 0; i-- {
-		switch p.Steps[i].Kind {
-		case StepLabel:
-			return p.Steps[i].Label, true
-		case StepSelf:
-			continue // trailing filter step
-		default:
-			return "", false
-		}
-	}
-	return "", false
-}

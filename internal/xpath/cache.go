@@ -58,6 +58,3 @@ func (c *Cache) Parse(text string) (*Path, error) {
 func (c *Cache) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }
-
-// Len returns the number of cached entries.
-func (c *Cache) Len() int { return c.lru.Len() }

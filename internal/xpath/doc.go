@@ -45,8 +45,8 @@
 // # Which route a path takes
 //
 // Evaluator.Eval and EvalSelect decide from the compiled path alone
-// (Path.Route names Eval's; no option, no threshold, nothing about the
-// view): anchored
+// (Result.Route names the route taken; no option, no threshold, nothing
+// about the view): anchored
 // iff, on the normalized steps, some ε[q] has a top-level conjunct
 // l1/…/lk = "s" — a pure child-label chain, k ≥ 1 — and no filter anywhere
 // on the path contains //. The first such ε[q] is the anchor. Every path of

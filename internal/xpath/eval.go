@@ -31,8 +31,8 @@ import (
 //     label or * step: keep the anchor nodes that filter and label admit and
 //     the root reaches, and propagate from them downward only.
 //
-// Eval and EvalSelect pick the route from the path's shape (Path.Route
-// names Eval's); EvalSweep and EvalSelectSweep always sweep — the reference
+// Eval and EvalSelect pick the route from the path's shape (Result.Route
+// names the one taken); EvalSweep and EvalSelectSweep always sweep — the reference
 // the other routes are tested against, and what the paper-reproduction
 // experiments measure.
 //

@@ -66,20 +66,6 @@ func (p *Path) compiled() *plan {
 	return p.plan
 }
 
-// Route reports which route Eval takes for the path. It is a function of
-// the path's shape alone: anchored iff some ε[q] step of the normal form has
-// a top-level conjunct l1/…/lk = "s" (a pure child-label chain) and no
-// filter anywhere on the path contains //. EvalSelect takes the same route,
-// except that an anchored path whose normal form is //, then a label or *,
-// then ε steps up to the anchor (//C[key="r"]/sub/C, //C[val="v"]) reads
-// by the down route.
-func (p *Path) Route() Route {
-	if p.compiled().anchor != nil {
-		return RouteAnchored
-	}
-	return RouteSweep
-}
-
 // selectsDown decides plan.down: an anchored path whose steps before the
 // anchor are //, a label or *, and ε steps.
 func selectsDown(pl *plan) bool {

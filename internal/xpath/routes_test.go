@@ -15,6 +15,7 @@ import (
 	"rxview/internal/dag"
 	"rxview/internal/reach"
 	"rxview/internal/relational"
+	"rxview/internal/testkit"
 )
 
 type (
@@ -164,7 +165,7 @@ func synthDAG(t testing.TB) (*dag.DAG, textFn) {
 	for _, e := range [][2]int{{0, 3}, {0, 4}, {1, 4}, {2, 5}, {3, 6}, {4, 6}, {5, 6}, {1, 5}} {
 		d.AddEdge(sub(e[0]), cs[e[1]])
 	}
-	if err := d.CheckAcyclic(); err != nil {
+	if err := testkit.CheckAcyclic(d); err != nil {
 		t.Fatal(err)
 	}
 	return d, func(v dag.NodeID) (string, bool) { s, ok := texts[v]; return s, ok }

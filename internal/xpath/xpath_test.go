@@ -9,6 +9,7 @@ import (
 	"rxview/internal/dag"
 	"rxview/internal/reach"
 	"rxview/internal/relational"
+	"rxview/internal/testkit"
 )
 
 func TestParseBasics(t *testing.T) {
@@ -155,7 +156,7 @@ func fig1DAG(t testing.TB) (*dag.DAG, map[string]dag.NodeID, func(dag.NodeID) (s
 	d.AddEdge(s01, sid01)
 	d.AddEdge(tb240, s01)
 
-	if err := d.CheckAcyclic(); err != nil {
+	if err := testkit.CheckAcyclic(d); err != nil {
 		t.Fatal(err)
 	}
 	text := func(id dag.NodeID) (string, bool) {

@@ -19,101 +19,6 @@ type Node struct {
 	Children []*Node
 }
 
-// NewElem builds an element node with children.
-func NewElem(typ string, children ...*Node) *Node {
-	return &Node{Type: typ, Children: children}
-}
-
-// NewText builds a PCDATA element <typ>text</typ>.
-func NewText(typ, text string) *Node {
-	return &Node{Type: typ, Text: text}
-}
-
-// Size returns the number of element nodes in the subtree (including n).
-func (n *Node) Size() int {
-	if n == nil {
-		return 0
-	}
-	s := 1
-	for _, c := range n.Children {
-		s += c.Size()
-	}
-	return s
-}
-
-// Depth returns the height of the subtree (a leaf has depth 1).
-func (n *Node) Depth() int {
-	if n == nil {
-		return 0
-	}
-	d := 0
-	for _, c := range n.Children {
-		if cd := c.Depth(); cd > d {
-			d = cd
-		}
-	}
-	return d + 1
-}
-
-// Equal reports deep structural equality (type, text, ordered children).
-func (n *Node) Equal(m *Node) bool {
-	if n == nil || m == nil {
-		return n == m
-	}
-	if n.Type != m.Type || n.Text != m.Text || len(n.Children) != len(m.Children) {
-		return false
-	}
-	for i := range n.Children {
-		if !n.Children[i].Equal(m.Children[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// Find returns the first node in document order satisfying pred, or nil.
-func (n *Node) Find(pred func(*Node) bool) *Node {
-	if n == nil {
-		return nil
-	}
-	if pred(n) {
-		return n
-	}
-	for _, c := range n.Children {
-		if got := c.Find(pred); got != nil {
-			return got
-		}
-	}
-	return nil
-}
-
-// Walk visits every node in document order; it stops if fn returns false.
-func (n *Node) Walk(fn func(*Node) bool) bool {
-	if n == nil {
-		return true
-	}
-	if !fn(n) {
-		return false
-	}
-	for _, c := range n.Children {
-		if !c.Walk(fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// StringValue returns the concatenated PCDATA content of the subtree, the
-// XPath string-value used by value filters p = "s".
-func (n *Node) StringValue() string {
-	var b strings.Builder
-	n.Walk(func(m *Node) bool {
-		b.WriteString(m.Text)
-		return true
-	})
-	return b.String()
-}
-
 // WriteXML serializes the subtree as indented XML.
 func (n *Node) WriteXML(w io.Writer) error {
 	return n.write(w, 0)
@@ -143,13 +48,4 @@ func (n *Node) write(w io.Writer, depth int) error {
 	}
 	_, err := fmt.Fprintf(w, "%s</%s>\n", indent, n.Type)
 	return err
-}
-
-// XML returns the serialized subtree as a string.
-func (n *Node) XML() string {
-	var b strings.Builder
-	if err := n.WriteXML(&b); err != nil {
-		return fmt.Sprintf("<!-- serialize error: %v -->", err)
-	}
-	return b.String()
 }

@@ -5,23 +5,8 @@ import (
 	"testing"
 )
 
-func sample() *Node {
-	return NewElem("db",
-		NewElem("course",
-			NewText("cno", "CS650"),
-			NewText("title", "Advanced Topics"),
-			NewElem("prereq",
-				NewElem("course",
-					NewText("cno", "CS320"),
-					NewText("title", "Databases"),
-				),
-			),
-		),
-	)
-}
-
 func TestSizeAndDepth(t *testing.T) {
-	n := sample()
+	n := Sample()
 	if got := n.Size(); got != 8 {
 		t.Errorf("Size = %d", got)
 	}
@@ -34,31 +19,8 @@ func TestSizeAndDepth(t *testing.T) {
 	}
 }
 
-func TestEqual(t *testing.T) {
-	a, b := sample(), sample()
-	if !a.Equal(b) {
-		t.Error("identical trees not equal")
-	}
-	b.Children[0].Children[0].Text = "CS999"
-	if a.Equal(b) {
-		t.Error("different trees equal")
-	}
-	if a.Equal(nil) {
-		t.Error("tree equal to nil")
-	}
-	var n1, n2 *Node
-	if !n1.Equal(n2) {
-		t.Error("nil trees should be equal")
-	}
-	c := sample()
-	c.Children[0].Children = c.Children[0].Children[:2]
-	if a.Equal(c) {
-		t.Error("trees with different child counts equal")
-	}
-}
-
 func TestFindAndWalk(t *testing.T) {
-	n := sample()
+	n := Sample()
 	got := n.Find(func(m *Node) bool { return m.Type == "cno" && m.Text == "CS320" })
 	if got == nil {
 		t.Fatal("Find missed CS320")
@@ -79,7 +41,7 @@ func TestFindAndWalk(t *testing.T) {
 }
 
 func TestStringValue(t *testing.T) {
-	n := sample()
+	n := Sample()
 	sv := n.Children[0].Children[0].StringValue()
 	if sv != "CS650" {
 		t.Errorf("StringValue(cno) = %q", sv)
@@ -90,7 +52,7 @@ func TestStringValue(t *testing.T) {
 }
 
 func TestXMLSerialization(t *testing.T) {
-	n := sample()
+	n := Sample()
 	xmlStr := n.XML()
 	for _, want := range []string{
 		"<db>", "</db>", "<cno>CS650</cno>", "<prereq>", "  <course>",
@@ -108,96 +70,5 @@ func TestXMLSerialization(t *testing.T) {
 	empty := NewElem("gap")
 	if out := empty.XML(); !strings.Contains(out, "<gap/>") {
 		t.Errorf("empty element = %s", out)
-	}
-}
-
-func TestParseRoundTrip(t *testing.T) {
-	orig := sample()
-	parsed, err := ParseString(orig.XML())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !orig.Equal(parsed) {
-		t.Errorf("round trip changed tree:\n%s\nvs\n%s", orig.XML(), parsed.XML())
-	}
-}
-
-func TestParseEscapedText(t *testing.T) {
-	n, err := ParseString("<t>a&lt;b&amp;c</t>")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Text != "a<b&c" {
-		t.Errorf("text = %q", n.Text)
-	}
-}
-
-func TestParseSelfClosing(t *testing.T) {
-	n, err := ParseString("<a><b/><c></c></a>")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(n.Children) != 2 || n.Children[0].Type != "b" {
-		t.Errorf("tree = %s", n.XML())
-	}
-}
-
-func TestParseIgnoresCommentsAndPIs(t *testing.T) {
-	n, err := ParseString(`<?xml version="1.0"?><!-- hi --><a><b>x</b></a>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Type != "a" || n.Children[0].Text != "x" {
-		t.Errorf("tree = %s", n.XML())
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	for _, in := range []string{
-		"",                // empty
-		"<a>",             // unterminated
-		"<a></b>",         // mismatched
-		`<a x="1"/>`,      // attributes
-		"<a/><b/>",        // multiple roots
-		"<a>text<b/></a>", // mixed content
-		"text",            // text outside root
-	} {
-		if _, err := ParseString(in); err == nil {
-			t.Errorf("ParseString(%q) accepted", in)
-		}
-	}
-}
-
-func TestParseRegistrarView(t *testing.T) {
-	// A published view fragment parses back to an equal tree.
-	doc := `
-<db>
-  <course>
-    <cno>CS650</cno>
-    <title>Advanced Topics</title>
-    <prereq>
-      <course>
-        <cno>CS320</cno>
-        <title>Databases</title>
-        <prereq/>
-        <takenBy/>
-      </course>
-    </prereq>
-    <takenBy/>
-  </course>
-</db>`
-	n, err := ParseString(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Size() != 11 {
-		t.Errorf("size = %d", n.Size())
-	}
-	reparsed, err := ParseString(n.XML())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !n.Equal(reparsed) {
-		t.Error("serialize/parse not stable")
 	}
 }
