@@ -18,6 +18,11 @@ type Provenance struct {
 	// with the child attribute as the query output and the parent
 	// attribute as the parameters.
 	KeySources [][]relational.DerivationSource
+	// Closure[i][c] derives column c of Tables[i] from the edge's
+	// attributes, nil where the query's WHERE equalities do not determine
+	// it: the query's equality closure, computed once when the rule is
+	// compiled.
+	Closure [][]*relational.DerivationSource
 }
 
 // CompiledRule is a validated rule plus derived metadata.
@@ -151,8 +156,15 @@ func (c *Compiled) compileRule(r *Rule, prodKind dtd.ContentKind, parentAttr, ch
 			}
 		}
 		prov := &Provenance{KeySources: kp.KeySources}
-		for _, ref := range q.From {
+		for i, ref := range q.From {
 			prov.Tables = append(prov.Tables, ref.Table)
+			cols := make([]*relational.DerivationSource, len(c.Schema.Table(ref.Table).Columns))
+			for col := range cols {
+				if d, ok := kp.Closure[[2]int{i, col}]; ok {
+					cols[col] = &d
+				}
+			}
+			prov.Closure = append(prov.Closure, cols)
 		}
 		return &CompiledRule{Rule: r, Prov: prov}, nil
 	}
@@ -200,13 +212,19 @@ func (r *CompiledRule) SourceTuples(parentAttr, childAttr relational.Tuple) []So
 	}
 	out := make([]SourceKey, 0, len(r.Prov.Tables))
 	for i, table := range r.Prov.Tables {
-		keys := make(relational.Tuple, len(r.Prov.KeySources[i]))
-		for k, src := range r.Prov.KeySources[i] {
-			keys[k] = src.Resolve(childAttr, parentAttr)
-		}
-		out = append(out, SourceKey{Table: table, Key: keys})
+		out = append(out, SourceKey{Table: table, Key: r.SourceKeyAt(i, parentAttr, childAttr)})
 	}
 	return out
+}
+
+// SourceKeyAt resolves the key of the i-th source alone:
+// SourceTuples(parentAttr, childAttr)[i].Key.
+func (r *CompiledRule) SourceKeyAt(i int, parentAttr, childAttr relational.Tuple) relational.Tuple {
+	keys := make(relational.Tuple, len(r.Prov.KeySources[i]))
+	for k, src := range r.Prov.KeySources[i] {
+		keys[k] = src.Resolve(childAttr, parentAttr)
+	}
+	return keys
 }
 
 // SourceKey identifies one base tuple by table and primary-key values.

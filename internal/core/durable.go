@@ -69,11 +69,11 @@ func (s *System) stepDigest(rec CommitRecord) digest.Sum {
 
 // ApplyCommitRecord replays one committed record against the live system —
 // the one replay loop, shared by the follower's apply path and by Recover:
-// ΔR goes through applyDR, then the DAG delta op by op with L repaired per
-// op (append for node births, swap-repair for edge insertions, tombstoning
-// for node deaths — cascades and collected nodes arrive as their own ops;
-// removing an edge never invalidates a topological order), then the source
-// index from the whole delta (noteDelta). The record must continue the
+// ΔR goes through applyDR, then the DAG delta op by op with L stepped per op
+// by the function the live path's stages run (Topo.Step, then Settle; node
+// deaths, cascades included, arrive as their own ops), so L comes out the
+// primary's entry for entry, then the source index from the whole delta
+// (noteDelta). The record must continue the
 // current generation exactly; a gap means the caller lost part of the stream
 // (or the log and checkpoint disagree) and must re-sync from a checkpoint
 // rather than replay into a wrong state. So does a replay that ends in a state other than
@@ -92,17 +92,12 @@ func (s *System) ApplyCommitRecord(rec CommitRecord) error {
 	}
 	for _, op := range rec.Delta {
 		if err := s.DAG.ApplyDelta(op); err != nil {
+			s.Topo.Settle()
 			return fmt.Errorf("core: apply record: generation %d: %w", rec.Gen, err)
 		}
-		switch op.Kind {
-		case dag.DeltaNodeAdd:
-			s.Topo.Append(op.Node)
-		case dag.DeltaNodeDel:
-			s.Topo.Delete(op.Node)
-		case dag.DeltaEdgeAdd:
-			s.Topo.FixEdge(s.DAG, op.Edge.Parent, op.Edge.Child)
-		}
+		s.Topo.Step(s.DAG, op)
 	}
+	s.Topo.Settle()
 	s.noteDelta(rec.Delta, +1)
 	if !s.digest.IsZero() {
 		next := s.digest.Step(s.DAG, rec.Delta, rec.DR)

@@ -315,6 +315,14 @@ func (s *System) apply(ctx context.Context, op *update.Op) (*Report, []dag.Delta
 	delta := s.DAG.DeltaSince(mark)
 	s.noteDelta(delta, +1)
 	rep.Timings.Apply += time.Since(t0)
+	if op.Kind == update.OpInsert {
+		// Maintenance of L (background in the paper's framework): eager,
+		// because the next stage's XPath evaluation iterates it. It steps
+		// over the insertion's journaled delta, as a replayed record does.
+		t0 = time.Now()
+		s.Topo.InsertUpdate(s.DAG, delta)
+		rep.Timings.Maintain = time.Since(t0)
+	}
 	if obs.Enabled() {
 		observeTimings(rep.Timings)
 	}
@@ -435,17 +443,11 @@ func (s *System) applyInsert(ctx context.Context, op *update.Op, res *xpath.Resu
 		}
 		s.DAG.AddEdge(ie.Parent, croot)
 	}
-	newNodes, edgeAdds, _ := s.DAG.ChangesSince(mark)
+	_, edgeAdds, _ := s.DAG.ChangesSince(mark)
 	rep.DR = dr
 	rep.DVInserts = len(edgeAdds)
 	rep.Applied = true
 	rep.Timings.Apply = time.Since(t0)
-
-	// Maintenance of L (background in the paper's framework): eager, because
-	// the next stage's XPath evaluation iterates it.
-	t0 = time.Now()
-	s.Topo.InsertUpdate(s.DAG, newNodes, edgeAdds)
-	rep.Timings.Maintain = time.Since(t0)
 	return nil
 }
 

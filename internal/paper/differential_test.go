@@ -89,19 +89,21 @@ func TestMatrixMatchesSparseOracle(t *testing.T) {
 				} else {
 					next++
 				}
+				mark := d.Mark()
 				id, created := d.AddNode("N", relational.Tuple{relational.Int(key)})
 				if !created {
 					return
 				}
 				target := nodes[rng.Intn(len(nodes))]
 				d.AddEdge(target, id)
-				ix.Topo.InsertUpdate(d, []dag.NodeID{id}, []dag.Edge{{Parent: target, Child: id}})
+				ix.Topo.InsertUpdate(d, d.DeltaSince(mark))
 			default: // share an existing node under a second parent
 				u, v := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
+				mark := d.Mark()
 				if v == d.Root() || reaches(d, v, u) || !d.AddEdge(u, v) {
 					return
 				}
-				ix.Topo.InsertUpdate(d, nil, []dag.Edge{{Parent: u, Child: v}})
+				ix.Topo.InsertUpdate(d, d.DeltaSince(mark))
 			}
 		}
 		for round := 0; round < 16; round++ {

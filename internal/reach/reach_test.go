@@ -59,6 +59,16 @@ func deleteEdge(d *dag.DAG, topo *Topo, u, v dag.NodeID) (cascade []dag.Edge, re
 	return topo.DeleteUpdate(d, []dag.Edge{{Parent: u, Child: v}})
 }
 
+// journaled runs mutate against d inside a DAG journal and returns the ops
+// it recorded, in order: the delta an insertion hands InsertUpdate.
+func journaled(d *dag.DAG, mutate func()) []dag.DeltaOp {
+	d.Begin()
+	mutate()
+	delta := d.DeltaSince(0)
+	d.Commit()
+	return delta
+}
+
 // reaches reports whether a path from → … → to exists, by plain DFS.
 func reaches(d *dag.DAG, from, to dag.NodeID) bool {
 	seen := map[dag.NodeID]bool{from: true}
@@ -149,15 +159,15 @@ func TestInsertUpdateFreshSubtree(t *testing.T) {
 	d, ids := buildDAG(t, [][2]int{{0, 1}, {1, 2}, {0, 3}})
 	topo := ComputeTopo(d)
 	// Publish a fresh subtree {10 -> 11, 10 -> 12} and hang it under 2 and 3.
-	n10, _ := d.AddNode("N", relational.Tuple{relational.Int(10)})
-	n11, _ := d.AddNode("N", relational.Tuple{relational.Int(11)})
-	n12, _ := d.AddNode("N", relational.Tuple{relational.Int(12)})
-	newEdges := []dag.Edge{}
-	for _, e := range [][2]dag.NodeID{{n10, n11}, {n10, n12}, {ids[2], n10}, {ids[3], n10}} {
-		d.AddEdge(e[0], e[1])
-		newEdges = append(newEdges, dag.Edge{Parent: e[0], Child: e[1]})
-	}
-	topo.InsertUpdate(d, []dag.NodeID{n10, n11, n12}, newEdges)
+	var n11 dag.NodeID
+	topo.InsertUpdate(d, journaled(d, func() {
+		n10, _ := d.AddNode("N", relational.Tuple{relational.Int(10)})
+		n11, _ = d.AddNode("N", relational.Tuple{relational.Int(11)})
+		n12, _ := d.AddNode("N", relational.Tuple{relational.Int(12)})
+		for _, e := range [][2]dag.NodeID{{n10, n11}, {n10, n12}, {ids[2], n10}, {ids[3], n10}} {
+			d.AddEdge(e[0], e[1])
+		}
+	}))
 	if err := topo.Validate(d); err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +181,7 @@ func TestInsertUpdateSharedRoot(t *testing.T) {
 	// case): no new nodes, one new edge between existing nodes.
 	d, ids := buildDAG(t, [][2]int{{0, 1}, {0, 2}, {2, 3}})
 	topo := ComputeTopo(d)
-	d.AddEdge(ids[1], ids[3])
-	topo.InsertUpdate(d, nil, []dag.Edge{{Parent: ids[1], Child: ids[3]}})
+	topo.InsertUpdate(d, journaled(d, func() { d.AddEdge(ids[1], ids[3]) }))
 	if err := topo.Validate(d); err != nil {
 		t.Fatal(err)
 	}
@@ -265,37 +274,34 @@ func TestInsertUpdateMatchesRebuild(t *testing.T) {
 			// possibly also linking to an existing node as child.
 			nodes := d.Nodes()
 			target := nodes[rng.Intn(len(nodes))]
-			var newNodes []dag.NodeID
-			var newEdges []dag.Edge
-			var prev dag.NodeID = -1
-			for i := 0; i < 3; i++ {
-				id, _ := d.AddNode("N", relational.Tuple{relational.Int(next)})
-				next++
-				newNodes = append(newNodes, id)
-				if prev >= 0 {
-					d.AddEdge(prev, id)
-					newEdges = append(newEdges, dag.Edge{Parent: prev, Child: id})
-				}
-				prev = id
-			}
-			// Link the chain bottom to an existing node to create sharing,
-			// but only if that node is not an ancestor of (or equal to) the
-			// target — the connection edge target→chain would otherwise
-			// close a cycle.
 			exist := nodes[rng.Intn(len(nodes))]
-			if exist != d.Root() && exist != target && !reaches(d, exist, target) {
-				if d.AddEdge(prev, exist) {
-					newEdges = append(newEdges, dag.Edge{Parent: prev, Child: exist})
+			delta := journaled(d, func() {
+				var first, prev dag.NodeID = -1, -1
+				for i := 0; i < 3; i++ {
+					id, _ := d.AddNode("N", relational.Tuple{relational.Int(next)})
+					next++
+					if prev >= 0 {
+						d.AddEdge(prev, id)
+					} else {
+						first = id
+					}
+					prev = id
 				}
-			}
-			// Connection edge last, as Xinsert produces.
-			d.AddEdge(target, newNodes[0])
-			newEdges = append(newEdges, dag.Edge{Parent: target, Child: newNodes[0]})
+				// Link the chain bottom to an existing node to create
+				// sharing, but only if that node is not an ancestor of (or
+				// equal to) the target — the connection edge target→chain
+				// would otherwise close a cycle.
+				if exist != d.Root() && exist != target && !reaches(d, exist, target) {
+					d.AddEdge(prev, exist)
+				}
+				// Connection edge last, as Xinsert produces.
+				d.AddEdge(target, first)
+			})
 			if err := testkit.CheckAcyclic(d); err != nil {
 				t.Log(err)
 				return false
 			}
-			topo.InsertUpdate(d, newNodes, newEdges)
+			topo.InsertUpdate(d, delta)
 			if err := topo.Validate(d); err != nil {
 				t.Logf("seed %d round %d: %v", seed, round, err)
 				return false
@@ -325,9 +331,10 @@ func TestDeleteThenInsertInterleaved(t *testing.T) {
 		} else {
 			nodes := d.Nodes()
 			target := nodes[rng.Intn(len(nodes))]
-			id, _ := d.AddNode("N", relational.Tuple{relational.Int(next)})
-			d.AddEdge(target, id)
-			topo.InsertUpdate(d, []dag.NodeID{id}, []dag.Edge{{Parent: target, Child: id}})
+			topo.InsertUpdate(d, journaled(d, func() {
+				id, _ := d.AddNode("N", relational.Tuple{relational.Int(next)})
+				d.AddEdge(target, id)
+			}))
 			next++
 		}
 		if err := topo.Validate(d); err != nil {
@@ -343,17 +350,20 @@ func TestDeleteThenInsertInterleaved(t *testing.T) {
 func TestLocalTopoDeepChain(t *testing.T) {
 	const depth = 200_000
 	d := dag.New("db")
+	topo := ComputeTopo(d)
 	nodes := make([]dag.NodeID, depth)
-	prev := d.Root()
+	// A pending chain, born and linked parents first as publication does;
+	// the walk from its top is as deep as the chain.
 	for i := 0; i < depth; i++ {
 		id, _ := d.AddNode("N", relational.Tuple{relational.Int(int64(i))})
 		nodes[i] = id
-		d.AddEdge(prev, id)
-		prev = id
+		topo.Step(d, dag.DeltaOp{Kind: dag.DeltaNodeAdd, Node: id})
+		if i > 0 {
+			d.AddEdge(nodes[i-1], id)
+			topo.Step(d, dag.DeltaOp{Kind: dag.DeltaEdgeAdd, Edge: dag.Edge{Parent: nodes[i-1], Child: id}})
+		}
 	}
-	// Parents-first input order maximizes the walk depth from the first
-	// start node.
-	order := localTopo(d, nodes)
+	order := topo.localTopo([]dag.NodeID{nodes[0]}, topo.pending)
 	if len(order) != depth {
 		t.Fatalf("localTopo covered %d of %d nodes", len(order), depth)
 	}
@@ -369,22 +379,20 @@ func TestLocalTopoDeepChain(t *testing.T) {
 }
 
 // TestInsertUpdateDeepChain exercises the L half of ∆(M,L)insert on a deep
-// chain (localTopo, then FixEdge per edge) and validates the result.
+// chain hung under the root link by link, so that every node is placed on
+// its own (L has no holes: appended, then FixEdge), and validates the result.
 func TestInsertUpdateDeepChain(t *testing.T) {
 	const depth = 2_000
 	d := dag.New("db")
 	topo := ComputeTopo(d)
-	nodes := make([]dag.NodeID, 0, depth)
-	edges := make([]dag.Edge, 0, depth)
-	prev := d.Root()
-	for i := 0; i < depth; i++ {
-		id, _ := d.AddNode("N", relational.Tuple{relational.Int(int64(i))})
-		d.AddEdge(prev, id)
-		nodes = append(nodes, id)
-		edges = append(edges, dag.Edge{Parent: prev, Child: id})
-		prev = id
-	}
-	topo.InsertUpdate(d, nodes, edges)
+	topo.InsertUpdate(d, journaled(d, func() {
+		prev := d.Root()
+		for i := 0; i < depth; i++ {
+			id, _ := d.AddNode("N", relational.Tuple{relational.Int(int64(i))})
+			d.AddEdge(prev, id)
+			prev = id
+		}
+	}))
 	if err := topo.Validate(d); err != nil {
 		t.Fatal(err)
 	}

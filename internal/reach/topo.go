@@ -6,6 +6,14 @@
 // reachability matrix M, is read by no evaluator that serves; it lives in
 // internal/paper, with Algorithm Reach (Fig.4) and its half of ∆(M,L).
 //
+// Where Fig.7 appends an inserted subtree to L and repairs each inserted
+// edge with swap(L, u, v) — a shift over most of L per parent when the
+// subtree hangs under old nodes — Step places the subtree, children first,
+// into the tombstones deletions left below its parents, found through an
+// index of them, and keeps swap(L, u, v) (FixEdge) for edges between old
+// nodes and as the fallback when too few holes fit. The live path and a
+// replayed commit record both step L over the same journaled ops.
+//
 // Order convention (§3.1): "u precedes v in L only if u is not an ancestor of
 // v". Descendants therefore come first; for every edge (parent u → child v),
 // pos(v) < pos(u). Algorithm Reach walks L backwards (ancestors first), and
@@ -37,9 +45,9 @@ var (
 )
 
 // Topo is the topological order L over the live nodes of a DAG. Deletions
-// leave tombstones that are compacted once they outnumber live entries;
-// positions only ever shrink relative to each other during compaction, so
-// callers must compare positions, not store them across mutations.
+// leave tombstones; new subtrees are placed into them (Step), and they are
+// compacted once they outnumber live entries. Positions change under both,
+// so callers must compare positions, not store them across mutations.
 //
 // The entry list is a cow.Array: Seal freezes the current order into an
 // immutable TopoVersion that shares every chunk the writer has not touched
@@ -51,8 +59,15 @@ type Topo struct {
 	list  cow.Array[dag.NodeID] // entries, tombstones included
 	pos   []int32               // node id -> index into the list; -1 when absent
 	holes int
-	seen  []uint32 // node id -> the FixEdge walk that last visited it
-	walk  uint32   // the current FixEdge walk; 0 is never one
+	free  freeSlots // the positions of the holes
+	seen  []uint32  // node id -> the walk that last visited it (newWalk)
+	walk  uint32    // the current walk; 0 is never one
+
+	// The nodes born since the last Settle, in birth order, with the edges
+	// the delta's ops gave them so far (youngOf). One not yet in L is
+	// pending: it waits for an edge from a node that is (Step).
+	young  map[dag.NodeID]int32 // node id -> index into youngs
+	youngs []youngNode
 }
 
 // at returns entry i of the list.
@@ -157,7 +172,8 @@ func (t *Topo) ensure(id dag.NodeID) {
 
 // Append places a (new) node at the end of L — the ancestor-most position,
 // which is always safe for a node with no parents yet. Edge insertions then
-// repair any violated constraints via FixEdge.
+// repair any violated constraints via FixEdge. Step's fallback for a new
+// subtree that finds too few holes below its parent.
 func (t *Topo) Append(id dag.NodeID) {
 	t.ensure(id)
 	if t.pos[id] >= 0 {
@@ -173,6 +189,7 @@ func (t *Topo) Delete(id dag.NodeID) {
 		return
 	}
 	t.list.Set(int(t.pos[id]), dag.InvalidNode)
+	t.free.add(int(t.pos[id]))
 	t.pos[id] = -1
 	t.holes++
 	if t.holes > 64 && t.holes*2 > t.list.Len() {
@@ -193,6 +210,7 @@ func (t *Topo) compact() {
 	}
 	t.list.Truncate(w)
 	t.holes = 0
+	t.free.reset()
 }
 
 // FixEdge restores the order after inserting edge (u,v) into d: if v already
@@ -202,24 +220,19 @@ func (t *Topo) compact() {
 // both groups, which keeps every previously valid constraint valid.
 //
 // The window is permuted in place. A node appended to L and then hung under
-// an old one has most of L between the two, and this runs once per inserted
-// edge: what is allocated here must follow the descendants that move (few),
-// never the window.
+// an old one has most of L between the two: what is allocated here must
+// follow the descendants that move (few), never the window.
+//
+// Inside a delta (Step … Settle) the walk reads a young node's children from
+// the ops seen so far and does not descend into nodes not in L, so that it
+// sees the graph as of the op, not as of the end of the delta.
 func (t *Topo) FixEdge(d *dag.DAG, u, v dag.NodeID) {
 	lo, hi := t.pos[u], t.pos[v]
 	if hi < lo {
 		return
 	}
-	// Collect the descendants-or-self of v that sit inside the window. The
-	// visited set is a stamp per node: opening it is one increment, and the
-	// stamps grow with pos, not per call.
-	if len(t.seen) < len(t.pos) {
-		t.seen, t.walk = make([]uint32, cap(t.pos)), 0
-	}
-	if t.walk++; t.walk == 0 {
-		clear(t.seen)
-		t.walk = 1
-	}
+	// Collect the descendants-or-self of v that sit inside the window.
+	t.newWalk()
 	var descs []dag.NodeID
 	stack := []dag.NodeID{v}
 	t.seen[v] = t.walk
@@ -229,8 +242,8 @@ func (t *Topo) FixEdge(d *dag.DAG, u, v dag.NodeID) {
 		if p := t.pos[x]; p >= lo && p <= hi {
 			descs = append(descs, x)
 		}
-		for _, c := range d.Children(x) {
-			if t.seen[c] != t.walk {
+		for _, c := range t.children(d, x) {
+			if t.Pos(c) >= 0 && t.seen[c] != t.walk {
 				t.seen[c] = t.walk
 				stack = append(stack, c)
 			}
@@ -254,6 +267,28 @@ func (t *Topo) FixEdge(d *dag.DAG, u, v dag.NodeID) {
 	}
 }
 
+// newWalk opens a visited set over node ids: until the next one, seen[x] ==
+// walk marks x visited. Opening one is one increment, and the stamps grow
+// with pos, not per call.
+func (t *Topo) newWalk() {
+	if len(t.seen) < len(t.pos) {
+		t.seen, t.walk = make([]uint32, cap(t.pos)), 0
+	}
+	if t.walk++; t.walk == 0 {
+		clear(t.seen)
+		t.walk = 1
+	}
+}
+
+// children returns x's children as the delta being stepped has made them:
+// the ops' own record for a young node, the DAG's for any other.
+func (t *Topo) children(d *dag.DAG, x dag.NodeID) []dag.NodeID {
+	if y := t.youngOf(x); y != nil {
+		return y.kids
+	}
+	return d.Children(x)
+}
+
 // place puts id (or a tombstone) at entry i. An entry that already holds the
 // value is left alone, so a run of tombstones sliding over itself copies no
 // chunk a sealed version shares.
@@ -261,7 +296,10 @@ func (t *Topo) place(i int32, id dag.NodeID) {
 	if t.at(int(i)) != id {
 		t.list.Set(int(i), id)
 	}
-	if id != dag.InvalidNode {
+	if id == dag.InvalidNode {
+		t.free.add(int(i))
+	} else {
+		t.free.remove(int(i))
 		t.pos[id] = i
 	}
 }
@@ -273,10 +311,10 @@ func (t *Topo) Seal() *TopoVersion {
 	return &TopoVersion{list: t.list.Seal(), holes: t.holes}
 }
 
-// Clone returns an independent, mutable copy of the topological order.
-// Snapshot publication uses Seal instead.
+// Clone returns an independent, mutable copy of the topological order,
+// taken between deltas. Snapshot publication uses Seal instead.
 func (t *Topo) Clone() *Topo {
-	return &Topo{list: t.list.Clone(), pos: slices.Clone(t.pos), holes: t.holes}
+	return &Topo{list: t.list.Clone(), pos: slices.Clone(t.pos), holes: t.holes, free: t.free.clone()}
 }
 
 // TopoVersion is an immutable snapshot of a topological order, sealed by
@@ -302,10 +340,14 @@ func (tv *TopoVersion) Nodes() []dag.NodeID {
 
 // Validate checks the order invariant against the DAG: every live node is
 // present exactly once and every edge satisfies pos(child) < pos(parent).
+// It also holds the hole index to the tombstones.
 func (t *Topo) Validate(d *dag.DAG) error {
 	count := 0
 	for i := 0; i < t.list.Len(); i++ {
 		id := t.at(i)
+		if (id == dag.InvalidNode) != t.free.has(i) {
+			return fmt.Errorf("reach: entry %d holds %d, but the hole index says free=%v", i, id, t.free.has(i))
+		}
 		if id == dag.InvalidNode {
 			continue
 		}

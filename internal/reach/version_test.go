@@ -32,13 +32,12 @@ func TestTopoSealStability(t *testing.T) {
 	for step := 0; step < 1200; step++ {
 		if rng.Intn(3) > 0 || len(live) < 3 {
 			// Insert a fresh node under a random live parent.
-			id, created := d.AddNode("C", relational.Tuple{relational.Int(int64(step))})
-			if !created {
-				continue
-			}
 			p := live[rng.Intn(len(live))]
-			d.AddEdge(p, id)
-			topo.InsertUpdate(d, []dag.NodeID{id}, []dag.Edge{{Parent: p, Child: id}})
+			var id dag.NodeID
+			topo.InsertUpdate(d, journaled(d, func() {
+				id, _ = d.AddNode("C", relational.Tuple{relational.Int(int64(step))})
+				d.AddEdge(p, id)
+			}))
 			live = append(live, id)
 		} else {
 			// Delete a random leaf-ward edge through the maintenance path,
@@ -86,10 +85,11 @@ func TestTopoSealMatchesClone(t *testing.T) {
 	prev := d.Root()
 	topo := ComputeTopo(d)
 	for i := 0; i < 700; i++ {
-		id, _ := d.AddNode("C", relational.Tuple{relational.Int(int64(i))})
-		d.AddEdge(prev, id)
-		topo.InsertUpdate(d, []dag.NodeID{id}, []dag.Edge{{Parent: prev, Child: id}})
-		prev = id
+		topo.InsertUpdate(d, journaled(d, func() {
+			id, _ := d.AddNode("C", relational.Tuple{relational.Int(int64(i))})
+			d.AddEdge(prev, id)
+			prev = id
+		}))
 	}
 	tv := topo.Seal()
 	cl := topo.Clone()

@@ -124,6 +124,8 @@ type KeyPreservation struct {
 	// Missing lists, per FROM entry, the key column names that are not
 	// derivable; empty when the query is key preserving.
 	Missing map[int][]string
+	// Closure is the query's EqualityClosure, which the check is made from.
+	Closure map[[2]int]DerivationSource
 }
 
 // Preserved reports whether every FROM entry's key is fully derivable.
@@ -139,6 +141,7 @@ func CheckKeyPreservation(s *Schema, q *SPJ) (*KeyPreservation, error) {
 	kp := &KeyPreservation{
 		KeySources: make([][]DerivationSource, len(q.From)),
 		Missing:    make(map[int][]string),
+		Closure:    closure,
 	}
 	for i, ref := range q.From {
 		ts := s.Table(ref.Table)

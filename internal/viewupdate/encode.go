@@ -92,12 +92,16 @@ func (e *encoder) buildDomains() {
 	e.hasFr = make([]bool, nv)
 	for v := 0; v < nv; v++ {
 		vi := st.vars[v]
+		if vi.isParam {
+			// A parameter variable is resolved inside its enumeration or
+			// rejected by classify: no atom or template mentions it.
+			continue
+		}
 		if vi.domain != nil {
 			e.domains[v] = vi.domain
 		} else {
-			// Infinite domain (params that stayed symbolic never reach the
-			// encoder; classify rejects them). Kind may be unknown for
-			// unconstrained variables: give them just the fresh slot.
+			// Infinite domain. Kind may be unknown for unconstrained
+			// variables: give them just the fresh slot.
 			if vi.typ != relational.KindNull {
 				e.domains[v] = constsByKind[vi.typ]
 			}
@@ -191,9 +195,15 @@ func (e *encoder) atomLit(a symAtom) sat.Lit {
 // encode builds the full formula.
 func (e *encoder) encode() *sat.CNF {
 	st := e.st
+	// Every edge of one rule over the same templates requires the same
+	// atoms: each is asserted once.
+	required := map[sat.Lit]bool{}
 	for _, conj := range st.required {
 		for _, a := range conj {
-			e.cnf.AddClause(e.atomLit(a))
+			if l := e.atomLit(a); !required[l] {
+				required[l] = true
+				e.cnf.AddClause(l)
+			}
 		}
 	}
 	for _, conj := range st.forbidden {

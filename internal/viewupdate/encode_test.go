@@ -33,8 +33,8 @@ func newState(t *testing.T) *insertState {
 	}
 }
 
-func (st *insertState) addVar(name string, dom []relational.Value, kind relational.Kind) relational.Value {
-	st.vars = append(st.vars, varInfo{name: name, typ: kind, domain: dom})
+func (st *insertState) addVar(dom []relational.Value, kind relational.Kind) relational.Value {
+	st.vars = append(st.vars, varInfo{typ: kind, domain: dom})
 	return relational.Var(len(st.vars) - 1)
 }
 
@@ -51,7 +51,7 @@ func solveState(t *testing.T, st *insertState) ([]bool, bool) {
 
 func TestEncodeRequiredForcesValue(t *testing.T) {
 	st := newState(t)
-	x := st.addVar("x", bitDomain(), relational.KindInt)
+	x := st.addVar(bitDomain(), relational.KindInt)
 	st.required = append(st.required, []symAtom{{L: x, R: relational.Int(1)}})
 	e := newEncoder(st)
 	f := e.encode()
@@ -67,8 +67,8 @@ func TestEncodeRequiredForcesValue(t *testing.T) {
 
 func TestEncodeForbiddenConjunction(t *testing.T) {
 	st := newState(t)
-	x := st.addVar("x", bitDomain(), relational.KindInt)
-	y := st.addVar("y", bitDomain(), relational.KindInt)
+	x := st.addVar(bitDomain(), relational.KindInt)
+	y := st.addVar(bitDomain(), relational.KindInt)
 	// Forbid (x=1 ∧ y=1); require x=1 — so y must be 0.
 	st.required = append(st.required, []symAtom{{L: x, R: relational.Int(1)}})
 	st.forbidden = append(st.forbidden, []symAtom{
@@ -88,7 +88,7 @@ func TestEncodeForbiddenConjunction(t *testing.T) {
 
 func TestEncodeUnsatisfiableRequirements(t *testing.T) {
 	st := newState(t)
-	x := st.addVar("x", bitDomain(), relational.KindInt)
+	x := st.addVar(bitDomain(), relational.KindInt)
 	st.required = append(st.required,
 		[]symAtom{{L: x, R: relational.Int(0)}},
 		[]symAtom{{L: x, R: relational.Int(1)}},
@@ -100,8 +100,8 @@ func TestEncodeUnsatisfiableRequirements(t *testing.T) {
 
 func TestEncodeVarVarEquality(t *testing.T) {
 	st := newState(t)
-	x := st.addVar("x", bitDomain(), relational.KindInt)
-	y := st.addVar("y", bitDomain(), relational.KindInt)
+	x := st.addVar(bitDomain(), relational.KindInt)
+	y := st.addVar(bitDomain(), relational.KindInt)
 	// x = y required, x = 1 required → y = 1.
 	st.required = append(st.required,
 		[]symAtom{{L: x, R: y}},
@@ -126,8 +126,8 @@ func TestEncodeVarVarWithInfiniteDomains(t *testing.T) {
 	st := newState(t)
 	// Two string (infinite-domain) vars: their domains are the mentioned
 	// constants plus a fresh slot; fresh slots never coincide.
-	x := st.addVar("x", nil, relational.KindString)
-	y := st.addVar("y", nil, relational.KindString)
+	x := st.addVar(nil, relational.KindString)
+	y := st.addVar(nil, relational.KindString)
 	st.required = append(st.required,
 		[]symAtom{{L: x, R: y}},
 		[]symAtom{{L: x, R: relational.Str("hello")}},
@@ -149,8 +149,8 @@ func TestEncodeVarVarWithInfiniteDomains(t *testing.T) {
 	// Requiring x=y but forbidding every shared constant → UNSAT (fresh
 	// slots cannot be equal).
 	st2 := newState(t)
-	a := st2.addVar("a", nil, relational.KindString)
-	b := st2.addVar("b", nil, relational.KindString)
+	a := st2.addVar(nil, relational.KindString)
+	b := st2.addVar(nil, relational.KindString)
 	st2.required = append(st2.required, []symAtom{{L: a, R: b}})
 	st2.forbidden = append(st2.forbidden,
 		[]symAtom{{L: a, R: relational.Str("only")}},
@@ -166,7 +166,7 @@ func TestEncodeVarVarWithInfiniteDomains(t *testing.T) {
 
 func TestEncodeConstOutsideDomainIsFalse(t *testing.T) {
 	st := newState(t)
-	x := st.addVar("x", bitDomain(), relational.KindInt)
+	x := st.addVar(bitDomain(), relational.KindInt)
 	e := newEncoder(st)
 	if got := e.atomLit(symAtom{L: x, R: relational.Int(7)}); got != e.litFalse {
 		t.Error("value outside the finite domain should yield litFalse")
@@ -184,8 +184,8 @@ func TestEncodeGuardedRowPicksMatch(t *testing.T) {
 	// guard cannot be discharged by falsifying the condition: the match
 	// conjunction must then hold.
 	st := newState(t)
-	g := st.addVar("g", bitDomain(), relational.KindInt)
-	x := st.addVar("x", bitDomain(), relational.KindInt)
+	g := st.addVar(bitDomain(), relational.KindInt)
+	x := st.addVar(bitDomain(), relational.KindInt)
 	st.required = append(st.required, []symAtom{{L: g, R: relational.Int(1)}})
 	st.guarded = append(st.guarded, guardedRow{
 		conds:   []symAtom{{L: g, R: relational.Int(1)}},
@@ -206,8 +206,8 @@ func TestEncodeGuardedRowFalsifiesCondition(t *testing.T) {
 	// Same guarded row but the match is impossible (empty domain overlap):
 	// the solver must falsify the condition instead.
 	st := newState(t)
-	g := st.addVar("g", bitDomain(), relational.KindInt)
-	x := st.addVar("x", bitDomain(), relational.KindInt)
+	g := st.addVar(bitDomain(), relational.KindInt)
+	x := st.addVar(bitDomain(), relational.KindInt)
 	st.guarded = append(st.guarded, guardedRow{
 		conds:   []symAtom{{L: g, R: relational.Int(1)}},
 		matches: [][]symAtom{{{L: x, R: relational.Int(7)}}}, // outside domain

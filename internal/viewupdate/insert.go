@@ -10,9 +10,9 @@ import (
 
 // varInfo describes one symbolic variable of the insertion analysis: either
 // an undetermined column of a tuple template (Appendix A's z variables) or a
-// rule-query parameter during side-effect enumeration.
+// rule-query parameter during side-effect enumeration. A variable is named
+// by its index.
 type varInfo struct {
-	name    string
 	typ     relational.Kind
 	domain  []relational.Value // finite domain; nil = infinite
 	isParam bool
@@ -73,14 +73,14 @@ type insertState struct {
 	induced   []inducedRow
 }
 
-func (st *insertState) newVar(name string, col relational.Column) relational.Value {
+func (st *insertState) newVar(col relational.Column) relational.Value {
 	dom, _ := col.FiniteDomain()
-	st.vars = append(st.vars, varInfo{name: name, typ: col.Type, domain: dom})
+	st.vars = append(st.vars, varInfo{typ: col.Type, domain: dom})
 	return relational.Var(len(st.vars) - 1)
 }
 
-func (st *insertState) newParamVar(name string) relational.Value {
-	st.vars = append(st.vars, varInfo{name: name, typ: relational.KindNull, isParam: true})
+func (st *insertState) newParamVar() relational.Value {
+	st.vars = append(st.vars, varInfo{typ: relational.KindNull, isParam: true})
 	return relational.Var(len(st.vars) - 1)
 }
 
@@ -109,10 +109,12 @@ func (tr *Translator) TranslateInsert(dv []dag.Edge, newNodes []dag.NodeID) ([]r
 	for _, n := range newNodes {
 		st.newNodes[n] = true
 	}
-	// Step 1: templates for missing sources.
+	// Step 1: templates for missing sources. An edge's source tuples are
+	// resolved once, for this step and the next.
 	type pending struct {
 		edge dag.Edge
 		rule *atg.CompiledRule
+		rows []relational.Tuple // per source: the base tuple or its template's row
 	}
 	var work []pending
 	for _, e := range dv {
@@ -124,14 +126,15 @@ func (tr *Translator) TranslateInsert(dv []dag.Edge, newNodes []dag.NodeID) ([]r
 		if r.Prov == nil {
 			continue // projection-rule edge: exists with its parent
 		}
-		work = append(work, pending{edge: e, rule: r})
-		if err := st.buildTemplates(e, r); err != nil {
+		rows, err := st.buildTemplates(e, r)
+		if err != nil {
 			return nil, nil, err
 		}
+		work = append(work, pending{edge: e, rule: r, rows: rows})
 	}
 	// Step 2: required production conditions.
 	for _, w := range work {
-		if err := st.requireProduction(w.edge, w.rule); err != nil {
+		if err := st.requireProduction(w.edge, w.rule, w.rows); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -144,59 +147,65 @@ func (tr *Translator) TranslateInsert(dv []dag.Edge, newNodes []dag.NodeID) ([]r
 }
 
 // buildTemplates creates/merges templates for every missing source tuple of
-// edge e.
-func (st *insertState) buildTemplates(e dag.Edge, r *atg.CompiledRule) error {
+// edge e, and returns the edge's combination: per source tuple, the existing
+// base tuple or the template's row (a row later edges may still fill in).
+func (st *insertState) buildTemplates(e dag.Edge, r *atg.CompiledRule) ([]relational.Tuple, error) {
 	tr := st.tr
 	parentAttr, childAttr := tr.D.Attr(e.Parent), tr.D.Attr(e.Child)
-	srcs := r.SourceTuples(parentAttr, childAttr)
-	closure := relational.EqualityClosure(r.Query)
-	for pos, s := range srcs {
-		rel := tr.DB.Rel(s.Table)
+	rows := make([]relational.Tuple, len(r.Prov.Tables))
+	var buf [relational.KeyBufLen]byte
+	for pos, table := range r.Prov.Tables {
+		rel := tr.DB.Rel(table)
 		if rel == nil {
-			return fmt.Errorf("viewupdate: no base table %s", s.Table)
+			return nil, fmt.Errorf("viewupdate: no base table %s", table)
 		}
-		if _, exists := rel.LookupKey(s.Key); exists {
-			continue
-		}
-		enc := s.Encode()
+		// A source is templated only when the database lacks it, and the
+		// database does not change while ΔR is computed: a templated
+		// source needs no lookup.
+		enc := r.AppendSourceKey(buf[:0], pos, parentAttr, childAttr)
 		ts := rel.Schema
-		tmpl := st.templates[enc]
+		tmpl := st.templates[string(enc)]
 		if tmpl == nil {
-			tmpl = &template{table: s.Table, row: make(relational.Tuple, len(ts.Columns))}
-			for c := range ts.Columns {
-				tmpl.row[c] = relational.Value{} // placeholder
+			key := r.SourceKeyAt(pos, parentAttr, childAttr)
+			if row, exists := rel.LookupKey(key); exists {
+				rows[pos] = row
+				continue
 			}
-			st.templates[enc] = tmpl
-			st.byTable[s.Table] = append(st.byTable[s.Table], tmpl)
+			tmpl = &template{table: table, row: make(relational.Tuple, len(ts.Columns))}
+			for ki, c := range ts.Key {
+				tmpl.row[c] = key[ki]
+			}
+			st.templates[string(enc)] = tmpl
+			st.byTable[table] = append(st.byTable[table], tmpl)
 		}
-		// Fill determined columns (keys + any column derivable from the
-		// edge's attributes through the equality closure).
-		for c := range ts.Columns {
+		rows[pos] = tmpl.row
+		// Fill the other determined columns: those the equality closure
+		// derives from the edge's attributes.
+		for c, d := range r.Prov.Closure[pos] {
+			if keyIndex(ts, c) >= 0 {
+				continue // set with the template, from its key
+			}
 			var det relational.Value
-			have := false
-			if ki := keyIndex(ts, c); ki >= 0 {
-				det, have = s.Key[ki], true
-			} else if d, ok := closure[[2]int{pos, c}]; ok {
-				det, have = d.Resolve(childAttr, []relational.Value(parentAttr)), true
+			have := d != nil
+			if have {
+				det = d.Resolve(childAttr, []relational.Value(parentAttr))
 			}
 			cur := tmpl.row[c]
 			switch {
 			case have && cur.IsNull():
 				tmpl.row[c] = det
 			case have && !cur.IsVar() && !cur.Equal(det):
-				return &RejectedError{Reason: fmt.Sprintf(
+				return nil, &RejectedError{Reason: fmt.Sprintf(
 					"conflicting requirements on %s.%s: %s vs %s",
-					s.Table, ts.Columns[c].Name, cur, det)}
+					table, ts.Columns[c].Name, cur, det)}
 			case have && cur.IsVar():
 				tmpl.row[c] = det // a later edge determined it
 			case !have && cur.IsNull():
-				tmpl.row[c] = st.newVar(
-					fmt.Sprintf("%s[%s].%s", s.Table, s.Key, ts.Columns[c].Name),
-					ts.Columns[c])
+				tmpl.row[c] = st.newVar(ts.Columns[c])
 			}
 		}
 	}
-	return nil
+	return rows, nil
 }
 
 func keyIndex(ts *relational.TableSchema, col int) int {
@@ -208,33 +217,13 @@ func keyIndex(ts *relational.TableSchema, col int) int {
 	return -1
 }
 
-// rowFor returns the combination row for a source: the existing base tuple
-// or the template.
-func (st *insertState) rowFor(s atg.SourceKey) (relational.Tuple, error) {
-	if row, ok := st.tr.DB.Rel(s.Table).LookupKey(s.Key); ok {
-		return row, nil
-	}
-	if tmpl := st.templates[s.Encode()]; tmpl != nil {
-		return tmpl.row, nil
-	}
-	return nil, fmt.Errorf("viewupdate: source %s neither exists nor is templated", s)
-}
-
 // requireProduction asserts the WHERE conditions of the edge's unique
-// derivation (key preservation): concrete violations reject; variable-
-// involving equalities become required atoms.
-func (st *insertState) requireProduction(e dag.Edge, r *atg.CompiledRule) error {
+// derivation (key preservation) over its combination rows (buildTemplates):
+// concrete violations reject; variable-involving equalities become required
+// atoms.
+func (st *insertState) requireProduction(e dag.Edge, r *atg.CompiledRule, rows []relational.Tuple) error {
 	tr := st.tr
 	parentAttr, childAttr := tr.D.Attr(e.Parent), tr.D.Attr(e.Child)
-	srcs := r.SourceTuples(parentAttr, childAttr)
-	rows := make([]relational.Tuple, len(srcs))
-	for i, s := range srcs {
-		row, err := st.rowFor(s)
-		if err != nil {
-			return err
-		}
-		rows[i] = row
-	}
 	resolve := func(o relational.Operand) relational.Value {
 		switch {
 		case o.IsCol():

@@ -2,7 +2,9 @@ package viewupdate
 
 import (
 	"fmt"
+	"slices"
 
+	"rxview/internal/atg"
 	"rxview/internal/relational"
 )
 
@@ -11,45 +13,28 @@ import (
 // variable-involving equalities), the resolved query parameters, and the
 // produced child attribute.
 type combo struct {
-	ruleKey   string
-	rowIDs    []string // per-FROM-position identity, for dedup
 	conds     []symAtom
 	params    relational.Tuple // resolved parent attribute; may contain vars
 	childAttr relational.Tuple // may contain vars
 }
 
-func (c *combo) signature() string {
-	out := c.ruleKey
-	for _, id := range c.rowIDs {
-		out += "|" + id
-	}
-	return out
-}
-
 // findSideEffects is step 3 of Algorithm insert: every rule query is
 // evaluated over I ∪ X restricted to combinations using at least one
 // template (combinations without templates existed before ΔR and produce no
-// new rows). Each produced row is classified: already-expected edges add
-// nothing; concrete unexpected edges reject ΔV; conditional rows add
-// ¬φ conjuncts or guarded match disjunctions.
+// new rows). The enumeration is a delta join: with a template driving FROM
+// position d, the positions before d range over I alone and the positions
+// after it over I ∪ X, so each combination is produced exactly once — with
+// its first templated position as the driver. Each produced row is
+// classified as it is found: already-expected edges add nothing; concrete
+// unexpected edges reject ΔV; conditional rows add ¬φ conjuncts or guarded
+// match disjunctions.
 func (st *insertState) findSideEffects() error {
-	seen := map[string]bool{}
+	j := &joiner{st: st, subst: map[int]relational.Value{}}
 	for _, rule := range st.tr.C.QueryRules() {
-		q := rule.Query
-		for pos, ref := range q.From {
+		for pos, ref := range rule.Query.From {
 			for _, tmpl := range st.byTable[ref.Table] {
-				combos, err := st.symJoin(rule.Parent+"→"+rule.Child, q, pos, tmpl)
-				if err != nil {
+				if err := j.run(rule, pos, tmpl); err != nil {
 					return err
-				}
-				for _, cb := range combos {
-					if seen[cb.signature()] {
-						continue
-					}
-					seen[cb.signature()] = true
-					if err := st.classify(rule.Parent, rule.Child, cb); err != nil {
-						return err
-					}
 				}
 			}
 		}
@@ -57,193 +42,198 @@ func (st *insertState) findSideEffects() error {
 	return nil
 }
 
-// symJoin enumerates the combinations of q's FROM entries where position
-// driverPos is the given template. Placement is greedy: positions that can
-// be bound through an index on a concretely known column go first.
-func (st *insertState) symJoin(ruleKey string, q *relational.SPJ, driverPos int, driver *template) ([]combo, error) {
+// joiner is the symbolic evaluation of one rule query with one template
+// driving: a backtracking search over FROM positions. One joiner runs every
+// search of an insertion, so its buffers are reused.
+type joiner struct {
+	st        *insertState
+	rule      *atg.CompiledRule
+	q         *relational.SPJ
+	driverPos int
+	rows      []relational.Tuple
+	placed    []bool
+	params    relational.Tuple         // this search's parameter variables
+	subst     map[int]relational.Value // varID -> concrete (branch-local)
+	bound     []int                    // the subst keys to undo, newest last
+	conds     []symAtom
+	cb        combo // the combination being classified
+}
+
+// run enumerates the combinations of rule's query where FROM position
+// driverPos is the given template and no earlier position is one, and
+// classifies each. Placement is greedy: positions that can be bound through
+// an index on a concretely known column go first.
+func (j *joiner) run(rule *atg.CompiledRule, driverPos int, driver *template) error {
+	q := rule.Query
 	n := len(q.From)
-	rows := make([]relational.Tuple, n)
-	rowIDs := make([]string, n)
-	placed := make([]bool, n)
-
-	// Parameter variables for this enumeration.
-	params := make(relational.Tuple, q.NParams)
-	for i := range params {
-		params[i] = st.newParamVar(fmt.Sprintf("param%d", i))
+	j.rule, j.q, j.driverPos = rule, q, driverPos
+	j.rows = slices.Grow(j.rows[:0], n)[:n]
+	j.placed = slices.Grow(j.placed[:0], n)[:n]
+	clear(j.placed)
+	j.params = j.params[:0]
+	for range q.NParams {
+		j.params = append(j.params, j.st.newParamVar())
 	}
-	subst := map[int]relational.Value{} // varID -> concrete (branch-local)
-
-	deref := func(v relational.Value) relational.Value {
-		for v.IsVar() {
-			s, ok := subst[v.VarID()]
-			if !ok {
-				return v
-			}
-			v = s
-		}
-		return v
-	}
-	resolve := func(o relational.Operand) (relational.Value, bool) {
-		switch {
-		case o.IsConst():
-			return o.Const, true
-		case o.IsParam():
-			return deref(params[o.Param]), true
-		default:
-			if !placed[o.Tab] {
-				return relational.Value{}, false
-			}
-			return deref(rows[o.Tab][o.Col]), true
-		}
-	}
-
-	var out []combo
-	var conds []symAtom
-	type undo struct {
-		substKeys []int
-		condLen   int
-	}
-
-	isParam := func(v relational.Value) bool {
-		return v.IsVar() && st.vars[v.VarID()].isParam
-	}
-	// applyPred evaluates a predicate whose operands are both available;
-	// returns ok=false to prune, and records undo info. Binding a PARAMETER
-	// variable defines the parent attribute rather than constraining the
-	// templates, so it updates subst without emitting a condition atom.
-	applyPred := func(l, r relational.Value, u *undo) bool {
-		l, r = deref(l), deref(r)
-		if isParam(r) {
-			l, r = r, l
-		}
-		switch {
-		case !l.IsVar() && !r.IsVar():
-			return l.Equal(r)
-		case isParam(l):
-			subst[l.VarID()] = r // r may itself be a template variable
-			u.substKeys = append(u.substKeys, l.VarID())
-			return true
-		case l.IsVar() && !r.IsVar():
-			subst[l.VarID()] = r
-			u.substKeys = append(u.substKeys, l.VarID())
-			conds = append(conds, symAtom{L: l, R: r})
-			return true
-		case !l.IsVar() && r.IsVar():
-			subst[r.VarID()] = l
-			u.substKeys = append(u.substKeys, r.VarID())
-			conds = append(conds, symAtom{L: r, R: l})
-			return true
-		default:
-			if l.VarID() != r.VarID() {
-				conds = append(conds, symAtom{L: l, R: r})
-			}
-			return true
-		}
-	}
-
-	var recurse func() error
-	recurse = func() error {
-		next := st.pickNext(q, placed, resolve)
-		if next < 0 {
-			// All placed: record the combination.
-			cb := combo{
-				ruleKey: ruleKey,
-				rowIDs:  append([]string(nil), rowIDs...),
-				conds:   append([]symAtom(nil), conds...),
-			}
-			for i := range params {
-				cb.params = append(cb.params, deref(params[i]))
-			}
-			for _, it := range q.Selects {
-				v, _ := resolve(it.Src)
-				cb.childAttr = append(cb.childAttr, v)
-			}
-			out = append(out, cb)
-			return nil
-		}
-
-		// Candidate rows: existing base rows (indexed when possible) plus
-		// templates of this table.
-		var candidates []relational.Tuple
-		var ids []string
-		rel := st.tr.DB.Rel(q.From[next].Table)
-		idxCol, idxVal := st.indexBinding(q, next, placed, resolve)
-		if idxCol >= 0 {
-			for _, row := range rel.IndexLookup(idxCol, idxVal) {
-				candidates = append(candidates, row)
-				ids = append(ids, "I:"+row.EncodeCols(rel.Schema.Key))
-			}
-		} else {
-			rel.Scan(func(row relational.Tuple) bool {
-				candidates = append(candidates, row)
-				ids = append(ids, "I:"+row.EncodeCols(rel.Schema.Key))
-				return true
-			})
-		}
-		for _, tm := range st.byTable[q.From[next].Table] {
-			candidates = append(candidates, tm.row)
-			ids = append(ids, "X:"+tm.row.EncodeCols(rel.Schema.Key))
-		}
-
-		for ci, row := range candidates {
-			rows[next], rowIDs[next], placed[next] = row, ids[ci], true
-			u := undo{condLen: len(conds)}
-			ok := true
-			for _, p := range q.Where {
-				l, lok := resolve(p.Left)
-				r, rok := resolve(p.Right)
-				if !lok || !rok {
-					continue // becomes available at a later placement
-				}
-				// Only apply predicates that became fully available at
-				// this placement (mention position `next` or are
-				// const/param-only and not yet checked): re-checking
-				// earlier ones is harmless because they are idempotent
-				// under subst.
-				if !mentions(p, next) && !constParamOnly(p) {
-					continue
-				}
-				if !applyPred(l, r, &u) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				if err := recurse(); err != nil {
-					return err
-				}
-			}
-			for _, k := range u.substKeys {
-				delete(subst, k)
-			}
-			conds = conds[:u.condLen]
-			placed[next] = false
-		}
-		return nil
-	}
+	clear(j.subst)
+	j.bound, j.conds = j.bound[:0], j.conds[:0]
 
 	// Place the driver first and apply its immediately-available predicates.
-	rows[driverPos] = driver.row
-	rowIDs[driverPos] = "X:" + driver.row.EncodeCols(st.tr.DB.Rel(driver.table).Schema.Key)
-	placed[driverPos] = true
-	u := undo{}
-	ok := true
+	j.rows[driverPos], j.placed[driverPos] = driver.row, true
 	for _, p := range q.Where {
-		l, lok := resolve(p.Left)
-		r, rok := resolve(p.Right)
-		if lok && rok {
-			if !applyPred(l, r, &u) {
-				ok = false
-				break
+		l, lok := j.resolve(p.Left)
+		r, rok := j.resolve(p.Right)
+		if lok && rok && !j.applyPred(l, r) {
+			return nil
+		}
+	}
+	return j.recurse()
+}
+
+func (j *joiner) deref(v relational.Value) relational.Value {
+	for v.IsVar() {
+		s, ok := j.subst[v.VarID()]
+		if !ok {
+			return v
+		}
+		v = s
+	}
+	return v
+}
+
+func (j *joiner) resolve(o relational.Operand) (relational.Value, bool) {
+	switch {
+	case o.IsConst():
+		return o.Const, true
+	case o.IsParam():
+		return j.deref(j.params[o.Param]), true
+	default:
+		if !j.placed[o.Tab] {
+			return relational.Value{}, false
+		}
+		return j.deref(j.rows[o.Tab][o.Col]), true
+	}
+}
+
+func (j *joiner) isParam(v relational.Value) bool {
+	return v.IsVar() && j.st.vars[v.VarID()].isParam
+}
+
+// applyPred evaluates a predicate whose operands are both available;
+// returns false to prune. A binding goes on j.bound for undo. Binding a
+// PARAMETER variable defines the parent attribute rather than constraining
+// the templates, so it updates subst without emitting a condition atom.
+func (j *joiner) applyPred(l, r relational.Value) bool {
+	l, r = j.deref(l), j.deref(r)
+	if j.isParam(r) {
+		l, r = r, l
+	}
+	switch {
+	case !l.IsVar() && !r.IsVar():
+		return l.Equal(r)
+	case j.isParam(l):
+		j.bind(l, r) // r may itself be a template variable
+		return true
+	case l.IsVar() && !r.IsVar():
+		j.bind(l, r)
+		j.conds = append(j.conds, symAtom{L: l, R: r})
+		return true
+	case !l.IsVar() && r.IsVar():
+		j.bind(r, l)
+		j.conds = append(j.conds, symAtom{L: r, R: l})
+		return true
+	default:
+		if l.VarID() != r.VarID() {
+			j.conds = append(j.conds, symAtom{L: l, R: r})
+		}
+		return true
+	}
+}
+
+func (j *joiner) bind(v, to relational.Value) {
+	j.subst[v.VarID()] = to
+	j.bound = append(j.bound, v.VarID())
+}
+
+func (j *joiner) recurse() error {
+	q := j.q
+	next := j.pickNext()
+	if next < 0 {
+		// All placed: classify the combination.
+		cb := &j.cb
+		cb.conds = append(cb.conds[:0], j.conds...)
+		cb.params = cb.params[:0]
+		for _, p := range j.params {
+			cb.params = append(cb.params, j.deref(p))
+		}
+		cb.childAttr = cb.childAttr[:0]
+		for _, it := range q.Selects {
+			v, _ := j.resolve(it.Src)
+			cb.childAttr = append(cb.childAttr, v)
+		}
+		return j.st.classify(j.rule.Parent, j.rule.Child, *cb)
+	}
+
+	// Candidate rows: existing base rows (indexed when possible), plus the
+	// templates of this table after the driver's position.
+	rel := j.st.tr.DB.Rel(q.From[next].Table)
+	var candidates []relational.Tuple
+	if idxCol, idxVal := j.indexBinding(next); idxCol >= 0 {
+		candidates = rel.IndexLookup(idxCol, idxVal)
+	} else {
+		rel.Scan(func(row relational.Tuple) bool {
+			candidates = append(candidates, row)
+			return true
+		})
+	}
+	for _, row := range candidates {
+		if err := j.place(next, row); err != nil {
+			return err
+		}
+	}
+	if next > j.driverPos {
+		for _, tm := range j.st.byTable[q.From[next].Table] {
+			if err := j.place(next, tm.row); err != nil {
+				return err
 			}
 		}
 	}
-	if ok {
-		if err := recurse(); err != nil {
-			return nil, err
+	return nil
+}
+
+// place puts row at FROM position next, applies the predicates that become
+// available, searches on if none fails, and takes it all back.
+func (j *joiner) place(next int, row relational.Tuple) error {
+	j.rows[next], j.placed[next] = row, true
+	bound, condLen := len(j.bound), len(j.conds)
+	ok := true
+	for _, p := range j.q.Where {
+		l, lok := j.resolve(p.Left)
+		r, rok := j.resolve(p.Right)
+		if !lok || !rok {
+			continue // becomes available at a later placement
+		}
+		// Only apply predicates that became fully available at this
+		// placement (mention position `next` or are const/param-only and
+		// not yet checked): re-checking earlier ones is harmless because
+		// they are idempotent under subst.
+		if !mentions(p, next) && !constParamOnly(p) {
+			continue
+		}
+		if !j.applyPred(l, r) {
+			ok = false
+			break
 		}
 	}
-	return out, nil
+	var err error
+	if ok {
+		err = j.recurse()
+	}
+	for _, k := range j.bound[bound:] {
+		delete(j.subst, k)
+	}
+	j.bound, j.conds = j.bound[:bound], j.conds[:condLen]
+	j.placed[next] = false
+	return err
 }
 
 func mentions(p relational.EqPred, pos int) bool {
@@ -256,16 +246,16 @@ func constParamOnly(p relational.EqPred) bool {
 
 // pickNext chooses the next FROM position: prefer one with an index binding
 // (a predicate equating one of its columns to a concretely known value).
-func (st *insertState) pickNext(q *relational.SPJ, placed []bool, resolve func(relational.Operand) (relational.Value, bool)) int {
+func (j *joiner) pickNext() int {
 	fallback := -1
-	for pos := range q.From {
-		if placed[pos] {
+	for pos := range j.q.From {
+		if j.placed[pos] {
 			continue
 		}
 		if fallback < 0 {
 			fallback = pos
 		}
-		if c, _ := st.indexBinding(q, pos, placed, resolve); c >= 0 {
+		if c, _ := j.indexBinding(pos); c >= 0 {
 			return pos
 		}
 	}
@@ -274,8 +264,8 @@ func (st *insertState) pickNext(q *relational.SPJ, placed []bool, resolve func(r
 
 // indexBinding returns a column of FROM position pos that a predicate equates
 // to a concretely known value, and that value, or -1 if there is none.
-func (st *insertState) indexBinding(q *relational.SPJ, pos int, placed []bool, resolve func(relational.Operand) (relational.Value, bool)) (int, relational.Value) {
-	for _, p := range q.Where {
+func (j *joiner) indexBinding(pos int) (int, relational.Value) {
+	for _, p := range j.q.Where {
 		l, r := p.Left, p.Right
 		if r.IsCol() && r.Tab == pos {
 			l, r = r, l
@@ -283,10 +273,10 @@ func (st *insertState) indexBinding(q *relational.SPJ, pos int, placed []bool, r
 		if !(l.IsCol() && l.Tab == pos) {
 			continue
 		}
-		if r.IsCol() && (!placed[r.Tab] || r.Tab == pos) {
+		if r.IsCol() && (!j.placed[r.Tab] || r.Tab == pos) {
 			continue
 		}
-		v, ok := resolve(r)
+		v, ok := j.resolve(r)
 		if ok && !v.IsVar() {
 			return l.Col, v
 		}
