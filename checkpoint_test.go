@@ -1,135 +1,72 @@
 package rxview
 
 // White-box tests of the checkpoint path: the one-pass encoder against a
-// reference encoder, its allocation bound, its stall metric, and the
-// trigger's interval.
+// reference encoder, its allocation bound, its stall metric, what it reads
+// back from the previous checkpoint and what it does when that file is
+// damaged, and the trigger's interval.
 
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 
+	"rxview/internal/ckpt"
 	"rxview/internal/core"
 	"rxview/internal/obs"
 	"rxview/internal/relational"
+	"rxview/internal/testkit"
 	"rxview/internal/wal"
 )
 
-// encodeCheckpointReference is the reference of the differential test: the
-// payload in its three parts — the header; the tables, each one's rows in
-// ascending order of their encoding; the DAG state and L — built the plain
-// way, every tuple encoded twice (a string sort key, then AppendTuple) and
-// the DAG state in a slice of its own, copied in.
-func encodeCheckpointReference(sys *core.System) (head, tables, tail []byte) {
-	head = []byte{wal.Format}
-	head = binary.AppendUvarint(head, sys.Generation())
-	sum, _ := sys.Digest()
-	head = sum.Append(head)
-	fp := sys.ATG.Fingerprint()
-	head = append(head, fp[:]...)
-
-	type keyed struct {
-		key string
-		t   relational.Tuple
-	}
-	names := sys.DB.Schema.TableNames()
-	tables = binary.AppendUvarint(nil, uint64(len(names)))
-	for _, name := range names {
-		rel := sys.DB.Rel(name)
-		rows := make([]keyed, 0, rel.Len())
-		rel.Scan(func(t relational.Tuple) bool {
-			rows = append(rows, keyed{t.Encode(), t})
-			return true
-		})
-		slices.SortFunc(rows, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
-		tables = binary.AppendUvarint(tables, uint64(len(name)))
-		tables = append(tables, name...)
-		tables = binary.AppendUvarint(tables, uint64(len(rows)))
-		for _, r := range rows {
-			tables = relational.AppendTuple(tables, r.t)
-		}
-	}
-
-	dagState := sys.DAG.AppendState(nil)
-	tail = binary.AppendUvarint(nil, uint64(len(dagState)))
-	tail = append(tail, dagState...)
-	order := sys.Topo.Nodes()
-	tail = binary.AppendUvarint(tail, uint64(len(order)))
-	for _, id := range order {
-		tail = binary.AppendUvarint(tail, uint64(id))
-	}
-	return head, tables, tail
+// encodeCheckpoint is the encoder with no index: every range encoded, as
+// at genesis and after a failed checkpoint.
+func encodeCheckpoint(sys *core.System) []byte {
+	buf, _ := ckpt.Encode(checkpointState(sys), nil)
+	return buf
 }
 
-// requireSamePayload holds the encoder to the reference: the header, the
-// DAG state and L byte for byte, and each table as a list of rows — the
-// encoder writes them in slot order, the reference sorted, so the two are
-// compared sorted. It returns the encoder's payload.
+// requireSamePayload holds the encoder to the reference
+// (testkit.CheckPayload): the header, the DAG state and L byte for byte, and
+// each table as a list of rows — the encoder writes them in slot order, the
+// reference sorted, so the two are compared sorted. It returns the encoder's
+// payload.
 func requireSamePayload(t *testing.T, when string, sys *core.System) []byte {
 	t.Helper()
 	got := encodeCheckpoint(sys)[wal.CheckpointHeadroom:]
-	head, tables, tail := encodeCheckpointReference(sys)
-	if want := len(head) + len(tables) + len(tail); len(got) != want {
-		t.Fatalf("%s: payload of %d bytes, the reference's has %d", when, len(got), want)
-	}
-	if !bytes.HasPrefix(got, head) {
-		t.Fatalf("%s: header differs from the reference's", when)
-	}
-	if !bytes.HasSuffix(got, tail) {
-		t.Fatalf("%s: DAG state or L differs from the reference's", when)
-	}
-	gotCk, err := decodeCheckpoint(got)
-	if err != nil {
+	if err := checkPayload(got, sys); err != nil {
 		t.Fatalf("%s: %v", when, err)
-	}
-	wantCk, err := decodeCheckpoint(slices.Concat(head, tables, tail))
-	if err != nil {
-		t.Fatalf("%s: the reference: %v", when, err)
-	}
-	if len(gotCk.tables) != len(wantCk.tables) {
-		t.Fatalf("%s: %d tables, the reference has %d", when, len(gotCk.tables), len(wantCk.tables))
-	}
-	for i, tb := range gotCk.tables {
-		want := wantCk.tables[i]
-		if g, w := sortedRows(tb.rows), sortedRows(want.rows); tb.name != want.name || !slices.Equal(g, w) {
-			t.Fatalf("%s: table %s holds %d rows %v, the reference's %s holds %d %v",
-				when, tb.name, len(g), g, want.name, len(w), w)
-		}
 	}
 	return got
 }
 
-// sortedRows is the encodings of rows, sorted.
-func sortedRows(rows []relational.Tuple) []string {
-	out := make([]string, len(rows))
-	for i, row := range rows {
-		out[i] = string(relational.AppendTuple(nil, row))
-	}
-	slices.Sort(out)
-	return out
+// checkPayload is testkit.CheckPayload on the state of sys.
+func checkPayload(payload []byte, sys *core.System) error {
+	sum, _ := sys.Digest()
+	fp := sys.ATG.Fingerprint()
+	return testkit.CheckPayload(payload, wal.Format, sys.Generation(), sum.Append(nil), fp[:], sys.DB, sys.DAG, sys.Topo.Nodes())
 }
 
 // unsortedTables names the tables of a payload that do not list their rows
 // in ascending order of their encoding.
 func unsortedTables(tb testing.TB, payload []byte) []string {
 	tb.Helper()
-	ck, err := decodeCheckpoint(payload)
+	ck, err := ckpt.Decode(payload)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	var out []string
-	for _, table := range ck.tables {
-		if !slices.IsSortedFunc(table.rows, func(a, b relational.Tuple) int {
+	for _, table := range ck.Tables {
+		if !slices.IsSortedFunc(table.Rows, func(a, b relational.Tuple) int {
 			return bytes.Compare(relational.AppendTuple(nil, a), relational.AppendTuple(nil, b))
 		}) {
-			out = append(out, table.name)
+			out = append(out, table.Name)
 		}
 	}
 	return out
@@ -264,25 +201,25 @@ func TestEncodeCheckpointMatchesReference(t *testing.T) {
 		// Each table is written in Scan order, and the last batch went into
 		// slots the deletions freed: some table lists one of its rows ahead
 		// of a row the batch before it left, and out of order.
-		ck, err := decodeCheckpoint(payload)
+		ck, err := ckpt.Decode(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		unsorted := unsortedTables(t, payload)
 		refilled := false
 		tupleEqual := func(a, b relational.Tuple) bool { return slices.EqualFunc(a, b, relational.Value.Equal) }
-		for _, tb := range ck.tables {
+		for _, tb := range ck.Tables {
 			var scan []relational.Tuple
-			v.sys.DB.Rel(tb.name).Scan(func(row relational.Tuple) bool {
+			v.sys.DB.Rel(tb.Name).Scan(func(row relational.Tuple) bool {
 				scan = append(scan, row)
 				return true
 			})
-			if !slices.EqualFunc(tb.rows, scan, tupleEqual) {
-				t.Fatalf("table %s: the payload's %d rows are not the relation's %d in Scan order", tb.name, len(tb.rows), len(scan))
+			if !slices.EqualFunc(tb.Rows, scan, tupleEqual) {
+				t.Fatalf("table %s: the payload's %d rows are not the relation's %d in Scan order", tb.Name, len(tb.Rows), len(scan))
 			}
-			firstNew := slices.IndexFunc(tb.rows, func(row relational.Tuple) bool { return mentions(row, last) })
-			if firstNew >= 0 && slices.Contains(unsorted, tb.name) &&
-				slices.ContainsFunc(tb.rows[firstNew+1:], func(row relational.Tuple) bool { return mentions(row, keys[12:24]) }) {
+			firstNew := slices.IndexFunc(tb.Rows, func(row relational.Tuple) bool { return mentions(row, last) })
+			if firstNew >= 0 && slices.Contains(unsorted, tb.Name) &&
+				slices.ContainsFunc(tb.Rows[firstNew+1:], func(row relational.Tuple) bool { return mentions(row, keys[12:24]) }) {
 				refilled = true
 			}
 		}
@@ -414,7 +351,9 @@ func encodeObservations(t *testing.T) uint64 {
 
 // TestCheckpointEncodeMetric: a checkpoint adds one observation of its
 // encode to xview_checkpoint_encode_seconds, and none while telemetry is
-// off.
+// off; and a steady-state checkpoint — a period of insertions and deletions
+// after the previous one — reads back at least 90 % of its payload from the
+// previous file, as xview_checkpoint_reused_bytes_total counts it.
 func TestCheckpointEncodeMetric(t *testing.T) {
 	defer obs.SetEnabled(obs.Enabled())
 	obs.SetEnabled(true)
@@ -434,17 +373,227 @@ func TestCheckpointEncodeMetric(t *testing.T) {
 	if n := encodeObservations(t) - before; n != 1 {
 		t.Fatalf("a Checkpoint with telemetry off was observed (%d in all)", n)
 	}
+
+	dir := t.TempDir()
+	syn, sv := durableSynthetic(t, dir, 2000)
+	defer sv.Close()
+	keys := syn.FreshKeys(32)
+	period := func() {
+		insertFresh(t, syn, sv, keys)
+		deleteKeys(t, sv, keys)
+	}
+	period()
+	if err := sv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	period()
+	reused := ckptReusedBytes().Value()
+	if err := sv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	reused = ckptReusedBytes().Value() - reused
+	payload := landedPayload(t, dir, sv)
+	t.Logf("a steady-state checkpoint read back %d of its %d bytes", reused, len(payload))
+	if share := float64(reused) / float64(len(payload)); share < 0.9 {
+		t.Fatalf("a steady-state checkpoint read back %d of its %d bytes (%.1f %%), want at least 90 %%", reused, len(payload), 100*share)
+	}
+}
+
+// durableSynthetic opens the §5 view at |C| = nc durably in dir, with no
+// automatic checkpoint after genesis.
+func durableSynthetic(tb testing.TB, dir string, nc int) (*Synthetic, *View) {
+	tb.Helper()
+	syn, err := NewSynthetic(SyntheticConfig{NC: nc, Seed: 42})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	v, err := Open(syn.ATG, syn.DB, WithForceSideEffects(), WithDurability(dir), WithFsync(FsyncOff), WithCheckpointEvery(1<<30))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return syn, v
+}
+
+// landedPayload is the payload of the newest checkpoint in dir, which must
+// be the bytes the encoder writes for v's state with no index, and pass the
+// reference.
+func landedPayload(t *testing.T, dir string, v *View) []byte {
+	t.Helper()
+	gen, state, _, err := wal.NewestCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen != v.Generation() {
+		t.Fatalf("newest checkpoint at generation %d, the view is at %d", gen, v.Generation())
+	}
+	if !bytes.Equal(state, encodeCheckpoint(v.sys)[wal.CheckpointHeadroom:]) {
+		t.Fatalf("checkpoint %d differs from the encoding with no index", gen)
+	}
+	if err := checkPayload(state, v.sys); err != nil {
+		t.Fatalf("checkpoint %d: %v", gen, err)
+	}
+	return state
+}
+
+// TestCheckpointReadBackDamage: the checkpoint after the previous file was
+// damaged — a byte flipped inside a range the encoder reads back, the file
+// truncated, deleted, or replaced by another generation's — or after a
+// checkpoint that failed, encodes in place what it cannot verify. It reads
+// back less than an undamaged run does, its payload is the encoding with no
+// index byte for byte, and so are the three checkpoints after it, and the
+// directory restores to the view's digest.
+func TestCheckpointReadBackDamage(t *testing.T) {
+	newest := func(t *testing.T, dir string) string {
+		_, _, path, err := wal.NewestCheckpoint(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	// run takes the view through two checkpoints and some churn, damages
+	// the newest file, and returns what the next checkpoint read back.
+	run := func(t *testing.T, damage func(t *testing.T, v *View, dir string)) int {
+		dir := t.TempDir()
+		syn, v := durableSynthetic(t, dir, 300)
+		keys := syn.FreshKeys(35)
+		insertFresh(t, syn, v, keys[:10])
+		if err := v.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		insertFresh(t, syn, v, keys[10:20])
+		deleteKeys(t, v, keys[:5])
+		damage(t, v, dir)
+		if err := v.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		landedPayload(t, dir, v)
+		reused := v.ckptIx.Reused()
+		for i := range 3 {
+			insertFresh(t, syn, v, keys[20+5*i:25+5*i])
+			deleteKeys(t, v, keys[5+5*i:10+5*i])
+			if err := v.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			landedPayload(t, dir, v)
+		}
+		want, _ := v.sys.Digest()
+		if err := v.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewSynthetic(SyntheticConfig{NC: 300, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rv, err := Open(fresh.ATG, fresh.DB, WithForceSideEffects(), WithDurability(dir), WithFsync(FsyncOff))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rv.Close()
+		if got, _ := rv.sys.Digest(); got != want {
+			t.Fatalf("the directory restores to digest %s, the view had %s", got, want)
+		}
+		return reused
+	}
+	control := run(t, func(*testing.T, *View, string) {})
+	if control == 0 {
+		t.Fatal("the undamaged run read nothing back")
+	}
+	for _, tc := range []struct {
+		name    string
+		damage  func(t *testing.T, v *View, dir string)
+		nothing bool // nothing can be read back
+	}{
+		{name: "a byte flipped in a clean range", damage: func(t *testing.T, v *View, dir string) {
+			// The first rows of C: the churn touches the slots past the
+			// first range only.
+			path := newest(t, dir)
+			file, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var row []byte
+			v.sys.DB.Rel("C").Scan(func(t relational.Tuple) bool {
+				row = relational.AppendTuple(nil, t)
+				return false
+			})
+			at := bytes.Index(file, row)
+			if at < 0 {
+				t.Fatal("no row of C to damage")
+			}
+			file[at+len(row)-1] ^= 1
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "truncated", damage: func(t *testing.T, v *View, dir string) {
+			path := newest(t, dir)
+			st, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(path, st.Size()/2); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "deleted", nothing: true, damage: func(t *testing.T, v *View, dir string) {
+			if err := os.Remove(newest(t, dir)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "another generation's file", damage: func(t *testing.T, v *View, dir string) {
+			older, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("ckpt-%020d.xvc", 0)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(newest(t, dir), older, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "a failed checkpoint", nothing: true, damage: func(t *testing.T, v *View, dir string) {
+			if err := EnableChaos("wal.checkpoint:count=1", 1); err != nil {
+				t.Fatal(err)
+			}
+			defer DisableChaos()
+			if err := v.Checkpoint(); err == nil {
+				t.Fatal("the checkpoint under an armed wal.checkpoint fault succeeded")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reused := run(t, tc.damage)
+			t.Logf("read back %d bytes, the undamaged run %d", reused, control)
+			if tc.nothing && reused != 0 || reused >= control {
+				t.Fatalf("read back %d bytes, the undamaged run %d", reused, control)
+			}
+		})
+	}
 }
 
 func BenchmarkEncodeCheckpoint(b *testing.B) {
-	_, v := syntheticView(b, 5000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var n int
-	for i := 0; i < b.N; i++ {
-		n = len(encodeCheckpoint(v.sys))
+	syn, v := durableSynthetic(b, b.TempDir(), 5000)
+	defer v.Close()
+	// A period's churn since the genesis checkpoint: what a steady-state
+	// checkpoint finds changed.
+	keys := syn.FreshKeys(32)
+	insertFresh(b, syn, v, keys)
+	deleteKeys(b, v, keys[:16])
+	state := checkpointState(v.sys)
+	for _, bc := range []struct {
+		name string
+		prev *ckpt.Index
+	}{{"full", nil}, {"steady", v.ckptIx}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var buf []byte
+			var ix *ckpt.Index
+			for range b.N {
+				buf, ix = ckpt.Encode(state, bc.prev)
+			}
+			payload := len(buf) - wal.CheckpointHeadroom
+			b.ReportMetric(float64(payload), "payload-B")
+			b.ReportMetric(100*float64(ix.Reused())/float64(payload), "reused-%")
+		})
 	}
-	b.ReportMetric(float64(n-wal.CheckpointHeadroom), "payload-B")
 }
 
 // durableRegistrar opens the registrar example durably, checkpointing every

@@ -24,6 +24,7 @@ import (
 	"testing"
 
 	"rxview/internal/atg"
+	"rxview/internal/ckpt"
 	"rxview/internal/core"
 	"rxview/internal/digest"
 	"rxview/internal/obs"
@@ -126,11 +127,11 @@ func TestBitFlipBehindValidChecksumRefused(t *testing.T) {
 	// after it in the DAG state's attribute tuples.
 	inTuple := bytes.Index(state, []byte("Advanced Topics"))
 	inDAG := bytes.LastIndex(state, []byte("Advanced Topics"))
-	ck, _, err := decodeCheckpointHeader(state)
+	ck, _, err := ckpt.DecodeHeader(state)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inDigest := bytes.Index(state, ck.digest.Append(nil))
+	inDigest := bytes.Index(state, ck.Digest.Append(nil))
 	if inTuple < 0 || inDAG <= inTuple || inDigest < 0 {
 		t.Fatalf("payload layout: title at %d and %d, digest at %d", inTuple, inDAG, inDigest)
 	}
@@ -581,7 +582,7 @@ func registrarVariant(t *testing.T) (*ATG, *DB) {
 }
 
 // FuzzDecodeCheckpoint drives the three decoders of a checkpoint payload —
-// decodeCheckpoint, dag.DecodeState, the digest pass — and everything else a
+// ckpt.Decode, dag.DecodeState, the digest pass — and everything else a
 // restore does to bytes this process did not write, seeded with the
 // checkpoints of the committed image. Nothing panics; what is refused is
 // refused as ErrCorruptLog or ErrCheckpointMismatch with the database left
@@ -603,17 +604,17 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	foreign := bytes.Clone(slotOrder)
 	foreign[0] = wal.Format + 1
 	f.Add(foreign)
-	ck, _, err := decodeCheckpointHeader(slotOrder)
+	ck, _, err := ckpt.DecodeHeader(slotOrder)
 	if err != nil {
 		f.Fatal(err)
 	}
-	at := bytes.Index(slotOrder, ck.digest.Append(nil))
+	at := bytes.Index(slotOrder, ck.Digest.Append(nil))
 	f.Add(slices.Concat(slotOrder[:at], make([]byte, digest.Size), slotOrder[at+digest.Size:]))
 	atg, db := MustRegistrar()
 	f.Fuzz(func(t *testing.T, state []byte) {
 		var gen uint64
-		if ck, _, err := decodeCheckpointHeader(state); err == nil {
-			gen = ck.gen
+		if ck, _, err := ckpt.DecodeHeader(state); err == nil {
+			gen = ck.Gen
 		}
 		before := dbShape(db)
 		sys, err := restoreSystem(atg, db, core.Options{}, "fuzz", gen, state, nil)

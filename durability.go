@@ -2,15 +2,13 @@ package rxview
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"rxview/internal/atg"
+	"rxview/internal/ckpt"
 	"rxview/internal/core"
 	"rxview/internal/dag"
 	"rxview/internal/digest"
@@ -19,10 +17,12 @@ import (
 	"rxview/internal/wal"
 )
 
-// Durability glue: the root package owns the checkpoint payload format and
-// installs the commit sink. The commit record needs no glue: core fills in a
-// wal.Record (core.CommitRecord is that type), the sink passes the slice to
-// the log as it is, and recovery passes what the log read back to core.
+// Durability glue: the root package writes and restores checkpoints — their
+// payload is package ckpt's, the view keeps the index of the last one that
+// landed — and installs the commit sink. The commit record needs no glue:
+// core fills in a wal.Record (core.CommitRecord is that type), the sink
+// passes the slice to the log as it is, and recovery passes what the log
+// read back to core.
 
 // defaultCheckpointEvery is the commit count between automatic checkpoints
 // when WithCheckpointEvery is not given.
@@ -123,44 +123,44 @@ func openDurable(a *ATG, db *DB, cfg *config) (*View, error) {
 // changes nothing.
 func restoreSystem(a *ATG, db *DB, opts core.Options, src string, gen uint64, state []byte, suffix []wal.Record) (*core.System, error) {
 	start := time.Now()
-	ck, err := decodeCheckpoint(state)
+	ck, err := ckpt.Decode(state)
 	if err != nil {
 		return nil, &CorruptLogError{Dir: src, Err: err}
 	}
-	if ck.gen != gen {
+	if ck.Gen != gen {
 		return nil, &CheckpointMismatchError{Dir: src,
-			Err: fmt.Errorf("checkpoint payload is for generation %d, its source says %d", ck.gen, gen)}
+			Err: fmt.Errorf("checkpoint payload is for generation %d, its source says %d", ck.Gen, gen)}
 	}
-	if fp := a.c.Fingerprint(); ck.atg != fp {
+	if fp := a.c.Fingerprint(); ck.ATG != fp {
 		return nil, &CheckpointMismatchError{Dir: src,
-			Err: fmt.Errorf("checkpoint was written under ATG %s, this view was opened with ATG %s", ck.atg, fp)}
+			Err: fmt.Errorf("checkpoint was written under ATG %s, this view was opened with ATG %s", ck.ATG, fp)}
 	}
-	d, err := dag.DecodeState(ck.dagState)
+	d, err := dag.DecodeState(ck.DAGState)
 	if err != nil {
 		return nil, &CorruptLogError{Dir: src, Err: err}
 	}
-	for _, id := range ck.order {
+	for _, id := range ck.Order {
 		if int(id) >= d.Cap() {
 			return nil, &CorruptLogError{Dir: src, Err: fmt.Errorf("checkpoint: L names node %d of %d", id, d.Cap())}
 		}
 	}
 	loaded := relational.NewDatabase(db.db.Schema)
-	for _, tb := range ck.tables {
+	for _, tb := range ck.Tables {
 		// The relation takes the decoded rows as its storage; ck is done
 		// with them.
-		if err := loaded.Load(tb.name, tb.rows); err != nil {
+		if err := loaded.Load(tb.Name, tb.Rows); err != nil {
 			return nil, &CorruptLogError{Dir: src,
 				Err: fmt.Errorf("checkpointed tuple rejected: %w", err)}
 		}
 	}
 	sum := digest.Of(d, loaded)
-	if err := digest.Compare(ck.digest, sum); err != nil {
+	if err := digest.Compare(ck.Digest, sum); err != nil {
 		return nil, &CheckpointMismatchError{Dir: src,
 			Err: fmt.Errorf("checkpoint payload at generation %d: %w", gen, err)}
 	}
 
 	db.db.Swap(loaded) // loaded holds the previous contents from here on
-	sys, err := core.Recover(a.c, db.db, d, ck.order, gen, sum, suffix, opts)
+	sys, err := core.Recover(a.c, db.db, d, ck.Order, gen, sum, suffix, opts)
 	if err == nil {
 		err = sys.Topo.Validate(sys.DAG)
 	}
@@ -196,11 +196,19 @@ func observeRecovery(d time.Duration, records int) {
 
 // ckptEncodeSeconds times the part of a checkpoint that
 // xview_wal_checkpoint_seconds leaves out: serializing the state, on the
-// writer.
+// writer — encoding what changed and reading back the rest.
 var ckptEncodeSeconds = sync.OnceValue(func() *obs.Histogram {
 	return obs.Default().NewHistogram("xview_checkpoint_encode_seconds",
-		"Checkpoint state serialization on the writer goroutine (log rotation and the file write excluded).",
+		"Checkpoint state serialization on the writer goroutine: encoding the ranges that changed and reading the rest back from the previous checkpoint (log rotation and the file write excluded).",
 		obs.LatencyBounds())
+})
+
+// ckptReusedBytes counts the payload bytes checkpoints read back from the
+// previous checkpoint file, CRC-checked, instead of encoding them: set beside
+// xview_wal_checkpoint_bytes, the share of a payload that cost no encoding.
+var ckptReusedBytes = sync.OnceValue(func() *obs.Counter {
+	return obs.Default().NewCounter("xview_checkpoint_reused_bytes_total",
+		"Checkpoint payload bytes read back, CRC-checked, from the previous checkpoint file instead of encoded again.")
 })
 
 // sinkRecords is the core.CommitSink of a durable view, the one hook on the
@@ -308,19 +316,40 @@ func (v *View) afterDurable(gen uint64) {
 
 // checkpointNow writes a checkpoint of the current state on the calling
 // (writer) goroutine, file first (wal.Log.WriteCheckpoint): the one
-// checkpoint protocol, behind every checkpoint the view writes.
+// checkpoint protocol, behind every checkpoint the view writes. The state
+// is encoded against the index of the last checkpoint that landed, which
+// reads back what did not change since; the new index replaces it only once
+// this checkpoint has landed too, and any failure drops it, so the next
+// checkpoint encodes everything.
 func (v *View) checkpointNow() error {
 	v.ckptBusy.Store(true)
 	defer v.ckptBusy.Store(false)
 	gen := v.sys.Generation()
 	sp := obs.StartSpan(ckptEncodeSeconds())
-	buf := encodeCheckpoint(v.sys)
+	buf, ix := ckpt.Encode(checkpointState(v.sys), v.ckptIx)
 	sp.End()
+	v.ckptIx = nil
 	if err := v.log.WriteCheckpoint(gen, buf); err != nil {
 		return err
 	}
+	ix.Landed(v.log.CheckpointFile(gen, len(buf)-wal.CheckpointHeadroom))
+	v.ckptIx = ix
+	ckptReusedBytes().Add(uint64(ix.Reused()))
 	v.ckptGen = gen
 	return nil
+}
+
+// checkpointState is what a checkpoint of sys holds.
+func checkpointState(sys *core.System) ckpt.State {
+	sum, _ := sys.Digest()
+	return ckpt.State{
+		Gen:    sys.Generation(),
+		Digest: sum,
+		ATG:    sys.ATG.Fingerprint(),
+		DB:     sys.DB,
+		DAG:    sys.DAG,
+		Order:  sys.Topo.Nodes(),
+	}
 }
 
 // Checkpoint seals the current epoch: the full view state is serialized at
@@ -340,11 +369,12 @@ func (v *View) Checkpoint() error {
 }
 
 // Checkpointing reports whether a checkpoint is stalling the writer right
-// now: the whole of it — serializing the full state, writing and syncing the
-// file, rotating the log and pruning. Unlike the View's other methods it is
-// safe to call from any goroutine: it is the readiness probe serving layers
-// fold into /healthz so load balancers drain a node during the stall. Always
-// false without durability.
+// now: the whole of it — serializing the state (encoding what changed since
+// the previous checkpoint, reading the rest back from its file), writing and
+// syncing the file, rotating the log and pruning. Unlike the View's other
+// methods it is safe to call from any goroutine: it is the readiness probe
+// serving layers fold into /healthz so load balancers drain a node during
+// the stall. Always false without durability.
 func (v *View) Checkpointing() bool { return v.ckptBusy.Load() }
 
 // Close flushes a final checkpoint and closes the log, so the next Open
@@ -380,193 +410,4 @@ func walErr(dir string, err error) error {
 		return &CheckpointMismatchError{Dir: dir, Err: err}
 	}
 	return err
-}
-
-// checkpoint is the decoded payload: the generation, the state digest and the
-// grammar fingerprint, then the relational instance, the DAG with its full
-// identity table, and the topological order — all of it at one sealed epoch.
-type checkpoint struct {
-	gen      uint64
-	digest   digest.Sum      // of the state below
-	atg      atg.Fingerprint // of the grammar the state was published under
-	tables   []ckptTable
-	dagState []byte
-	order    []dag.NodeID
-}
-
-// ckptTable is one decoded table. The rows are cut from slabs (package slab)
-// and meant for one owner: the relation they are loaded into.
-type ckptTable struct {
-	name string
-	rows []relational.Tuple
-}
-
-// encodeCheckpoint serializes the full state of the system into one buffer:
-// wal.CheckpointHeadroom free bytes for the file's framing, then the
-// payload — format, generation, the state digest, the grammar fingerprint,
-// the tables, the DAG state, and L.
-//
-// The writer pays for this inside the checkpoint stall, and for collecting
-// what it leaves behind, so the buffer is sized before anything is encoded
-// and everything is encoded once, in order, straight into it: each relation
-// knows the encoded length of its rows (Relation.EncodedLen), and the DAG
-// the length of its state (DAG.StateLen).
-//
-// A table's rows are written in Scan order — slot order, the order the
-// relation holds them in, not the order of their values — because no reader
-// needs another: the decoder loads rows in whatever order it is given, and a
-// restore is held to the state digest, a multiset hash that no order changes.
-// The digest, not the payload's bytes, is what identifies a state: one
-// in-memory state always writes the same bytes, but two nodes at one
-// generation may write their rows in different orders.
-func encodeCheckpoint(sys *core.System) []byte {
-	vlen := relational.UvarintLen
-	gen := sys.Generation()
-	names := sys.DB.Schema.TableNames()
-	sum, _ := sys.Digest()
-	fp := sys.ATG.Fingerprint()
-	tablesEnd := wal.CheckpointHeadroom + 1 + vlen(gen) + digest.Size + len(fp) + vlen(uint64(len(names)))
-	for _, name := range names {
-		rel := sys.DB.Rel(name)
-		tablesEnd += vlen(uint64(len(name))) + len(name) + vlen(uint64(rel.Len())) + rel.EncodedLen()
-	}
-	stateLen := sys.DAG.StateLen()
-	order := sys.Topo.Nodes()
-	size := tablesEnd + vlen(uint64(stateLen)) + stateLen + vlen(uint64(len(order)))
-	for _, id := range order {
-		size += vlen(uint64(id))
-	}
-
-	buf := make([]byte, size)
-	dst := append(buf[:wal.CheckpointHeadroom], wal.Format)
-	dst = binary.AppendUvarint(dst, gen)
-	dst = sum.Append(dst)
-	dst = append(dst, fp[:]...)
-	dst = binary.AppendUvarint(dst, uint64(len(names)))
-	for _, name := range names {
-		rel := sys.DB.Rel(name)
-		dst = binary.AppendUvarint(dst, uint64(len(name)))
-		dst = append(dst, name...)
-		dst = binary.AppendUvarint(dst, uint64(rel.Len()))
-		rel.Scan(func(t relational.Tuple) bool {
-			dst = relational.AppendTuple(dst, t)
-			return true
-		})
-	}
-	if len(dst) != tablesEnd {
-		panic(fmt.Sprintf("rxview: checkpoint tables measured to end at %d, encoded to %d", tablesEnd, len(dst)))
-	}
-	dst = binary.AppendUvarint(dst, uint64(stateLen))
-	stateStart := len(dst)
-	dst = sys.DAG.AppendState(dst)
-	if len(dst)-stateStart != stateLen {
-		panic(fmt.Sprintf("rxview: checkpoint DAG state measured %d bytes, encoded %d", stateLen, len(dst)-stateStart))
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(order)))
-	for _, id := range order {
-		dst = binary.AppendUvarint(dst, uint64(id))
-	}
-	if len(dst) != size {
-		panic(fmt.Sprintf("rxview: checkpoint measured %d bytes, encoded %d", size, len(dst)))
-	}
-	return buf
-}
-
-// decodeCheckpointHeader decodes what a payload says about itself — format,
-// generation, state digest and grammar fingerprint — and returns the rest of
-// the payload.
-func decodeCheckpointHeader(b []byte) (*checkpoint, []byte, error) {
-	if err := wal.CheckFormat(b); err != nil {
-		return nil, nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	ck := &checkpoint{}
-	gen, w := binary.Uvarint(b[1:])
-	if w <= 0 {
-		return nil, nil, fmt.Errorf("checkpoint: bad generation")
-	}
-	ck.gen, b = gen, b[1+w:]
-	if len(b) < digest.Size+len(ck.atg) {
-		return nil, nil, fmt.Errorf("checkpoint: bad digest")
-	}
-	ck.digest = digest.Decode(b)
-	b = b[digest.Size:]
-	b = b[copy(ck.atg[:], b):]
-	return ck, b, nil
-}
-
-func decodeCheckpoint(b []byte) (*checkpoint, error) {
-	ck, b, err := decodeCheckpointHeader(b)
-	if err != nil {
-		return nil, err
-	}
-	var w int
-	var u uint64
-	next := func(what string) (uint64, error) {
-		u, w = binary.Uvarint(b)
-		if w <= 0 {
-			return 0, fmt.Errorf("checkpoint: bad %s", what)
-		}
-		b = b[w:]
-		return u, nil
-	}
-	nt, err := next("table count")
-	if err != nil {
-		return nil, err
-	}
-	var rows relational.Slab
-	for i := uint64(0); i < nt; i++ {
-		nl, err := next("table name length")
-		if err != nil {
-			return nil, err
-		}
-		if nl > uint64(len(b)) {
-			return nil, fmt.Errorf("checkpoint: table name exceeds input")
-		}
-		tb := ckptTable{name: string(b[:nl])}
-		b = b[nl:]
-		cnt, err := next("tuple count")
-		if err != nil {
-			return nil, err
-		}
-		if cnt > uint64(len(b)) { // a tuple takes a byte at the least
-			return nil, fmt.Errorf("checkpoint: table %s: %d tuples exceed input", tb.name, cnt)
-		}
-		tb.rows = make([]relational.Tuple, cnt)
-		for j := range tb.rows {
-			t, rest, err := rows.DecodeTuple(b)
-			if err != nil {
-				return nil, fmt.Errorf("checkpoint: table %s tuple %d: %w", tb.name, j, err)
-			}
-			tb.rows[j], b = t, rest
-		}
-		ck.tables = append(ck.tables, tb)
-	}
-	dl, err := next("DAG state length")
-	if err != nil {
-		return nil, err
-	}
-	if dl > uint64(len(b)) {
-		return nil, fmt.Errorf("checkpoint: DAG state exceeds input")
-	}
-	ck.dagState = b[:dl]
-	b = b[dl:]
-	on, err := next("order length")
-	if err != nil {
-		return nil, err
-	}
-	if on > uint64(len(b)) { // an entry takes a byte at the least
-		return nil, fmt.Errorf("checkpoint: order of %d entries exceeds input", on)
-	}
-	ck.order = make([]dag.NodeID, on)
-	for i := range ck.order {
-		id, err := next("order entry")
-		if err != nil || id > math.MaxInt32 {
-			return nil, fmt.Errorf("checkpoint: bad order entry")
-		}
-		ck.order[i] = dag.NodeID(id)
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("checkpoint: %d trailing bytes", len(b))
-	}
-	return ck, nil
 }

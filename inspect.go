@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"rxview/internal/ckpt"
 	"rxview/internal/core"
 	"rxview/internal/dag"
 	"rxview/internal/wal"
@@ -42,9 +43,9 @@ func InspectWAL(dir string) (*WALInfo, error) {
 		}
 		state, err := wal.ReadCheckpoint(c.Path, c.Gen)
 		if err == nil {
-			var ck *checkpoint
-			if ck, _, err = decodeCheckpointHeader(state); err == nil {
-				c.Digest, c.ATG = ck.digest.String(), ck.atg.String()
+			var ck *ckpt.Payload
+			if ck, _, err = ckpt.DecodeHeader(state); err == nil {
+				c.Digest, c.ATG = ck.Digest.String(), ck.ATG.String()
 				continue
 			}
 		}
@@ -77,11 +78,11 @@ func InspectCheckpoint(dir string) (*CheckpointDetail, error) {
 	if err != nil {
 		return nil, walErr(dir, err)
 	}
-	ck, err := decodeCheckpoint(state)
+	ck, err := ckpt.Decode(state)
 	if err != nil {
 		return nil, &CorruptLogError{Dir: dir, Err: err}
 	}
-	d, err := dag.DecodeState(ck.dagState)
+	d, err := dag.DecodeState(ck.DAGState)
 	if err != nil {
 		return nil, &CorruptLogError{Dir: dir, Err: err}
 	}
@@ -89,16 +90,16 @@ func InspectCheckpoint(dir string) (*CheckpointDetail, error) {
 		Path:       path,
 		Gen:        gen,
 		Version:    wal.Format,
-		Digest:     ck.digest.String(),
-		ATG:        ck.atg.String(),
+		Digest:     ck.Digest.String(),
+		ATG:        ck.ATG.String(),
 		Nodes:      d.Cap(),
 		LiveNodes:  d.NumNodes(),
 		Edges:      d.NumEdges(),
-		OrderLen:   len(ck.order),
+		OrderLen:   len(ck.Order),
 		StateBytes: len(state),
 	}
-	for _, tb := range ck.tables {
-		det.Tables = append(det.Tables, TableInfo{Name: tb.name, Rows: len(tb.rows)})
+	for _, tb := range ck.Tables {
+		det.Tables = append(det.Tables, TableInfo{Name: tb.Name, Rows: len(tb.Rows)})
 	}
 	return det, nil
 }

@@ -24,7 +24,7 @@ func (s *System) CloneSnapshot() *Snapshot {
 	if s.txn != nil {
 		panic("core: CloneSnapshot inside an open transaction (commit or roll back first)")
 	}
-	d := testkit.Must(dag.DecodeState(s.DAG.AppendState(nil)))
+	d := testkit.Must(dag.DecodeState(s.DAG.AppendState(nil, nil)))
 	return &Snapshot{
 		gen:      s.gen,
 		dag:      d,

@@ -94,7 +94,7 @@ func (o *maintenanceOracle) apply(stmt string) {
 		if err != nil {
 			o.t.Fatalf("%s: %v", stmt, err)
 		}
-		pruned := testkit.Must(dag.DecodeState(s.DAG.AppendState(nil)))
+		pruned := testkit.Must(dag.DecodeState(s.DAG.AppendState(nil, nil)))
 		for _, e := range res.Edges {
 			pruned.RemoveEdge(e.Parent, e.Child)
 		}
@@ -261,7 +261,7 @@ func TestReplayIsOneLoop(t *testing.T) {
 	follower := openRegistrar(t, Options{ForceSideEffects: true})
 	// The checkpoint both replays start from: the state at generation 0.
 	ckpt := openRegistrar(t, Options{ForceSideEffects: true})
-	ckptDAG, err := dag.DecodeState(ckpt.DAG.AppendState(nil))
+	ckptDAG, err := dag.DecodeState(ckpt.DAG.AppendState(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestReplayIsOneLoop(t *testing.T) {
 		if got := stateFingerprint(s); got != want {
 			t.Errorf("%s diverged from the primary:\n%s\nvs\n%s", name, got, want)
 		}
-		if !slices.Equal(s.DAG.AppendState(nil), primary.DAG.AppendState(nil)) {
+		if !slices.Equal(s.DAG.AppendState(nil, nil), primary.DAG.AppendState(nil, nil)) {
 			t.Errorf("%s: DAG state bytes differ from the primary's", name)
 		}
 		if !slices.Equal(s.Topo.Nodes(), primary.Topo.Nodes()) {

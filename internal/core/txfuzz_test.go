@@ -1,20 +1,31 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"rxview/internal/ckpt"
+	"rxview/internal/dag"
+	"rxview/internal/relational"
+	"rxview/internal/testkit"
+	"rxview/internal/wal"
+	"rxview/internal/workload"
 )
 
 // maxTxnStages bounds a fuzzed group's script.
 const maxTxnStages = 8
 
 // txnScript is one fuzzed transaction group over the registrar view: its
-// mode, how it ends, and the stages it runs.
+// mode, how it ends, whether the student table starts a full checkpoint
+// range, and the stages it runs.
 type txnScript struct {
-	atomic, commit bool
-	stages         []txnStage
+	atomic, commit, grown bool
+	stages                []txnStage
 }
 
 type txnStage struct {
@@ -23,7 +34,8 @@ type txnStage struct {
 }
 
 // parseTxnScript turns fuzz bytes into a script. The first byte picks the
-// mode (bit 0: atomic) and the ending (bit 1: Commit, else Rollback); each
+// mode (bit 0: atomic), the ending (bit 1: Commit, else Rollback) and the
+// instance (bit 2: grown, see openScripted); each
 // later byte is one stage kind (byte mod 6) with a parameter (byte / 6). A
 // kind that no longer fits in maxTxnStages ends the script.
 func parseTxnScript(b []byte) txnScript {
@@ -31,7 +43,7 @@ func parseTxnScript(b []byte) txnScript {
 	if len(b) == 0 {
 		return sc
 	}
-	sc.atomic, sc.commit = b[0]&1 != 0, b[0]&2 != 0
+	sc.atomic, sc.commit, sc.grown = b[0]&1 != 0, b[0]&2 != 0, b[0]&4 != 0
 	courses := []string{"CS650", "CS320", "CS240"}
 	for _, c := range b[1:] {
 		n := int(c / 6)
@@ -75,7 +87,10 @@ func freshInsert(n int, courses []string) string {
 
 // FuzzTxnGroup runs a scripted transaction group on the registrar view, once
 // on a system with a commit sink (and a state digest) and once on one with
-// neither, and holds it to the group contract. An atomic group that rolls
+// neither, and holds it to the group contract. Checkpoints are written before
+// the group, after it, once more at the same generation and once after a
+// recovery from the last of them, and each is held to the encoding with no
+// index (ckptOracle). An atomic group that rolls
 // back — explicitly, or at Commit because a stage doomed it — leaves the
 // state exactly as before Begin: DAG, database, L, generation and digest
 // (stateFingerprint), and the source index (CheckConsistency). Any other
@@ -112,6 +127,97 @@ var txnGroupSeeds = [][]byte{
 	{0x00, 0x0c, 0x07, 0x02, 0x03, 0x0d, 0x01},
 	// Nothing staged.
 	{0x03},
+	// Grown: a student past the student table's first checkpoint range, committed.
+	{0x07, 0x06, 0x00},
+	// Grown: the same insert rolled back, its fresh ids freed.
+	{0x05, 0x06, 0x00},
+	// Grown, prefix: a resurrection and a cascading delete, committed.
+	{0x06, 0x02, 0x06, 0x01},
+	// Deletions alone: the identity table changes by alive flags only.
+	{0x03, 0x01, 0x07},
+}
+
+// openScripted opens the registrar view; grown fills its student table to
+// exactly one checkpoint range first (relational.RangeLen rows), with
+// students no course takes, so the view is the registrar's and the first
+// student a script inserts starts the table's second range.
+func openScripted(t *testing.T, opts Options, grown bool) *System {
+	t.Helper()
+	if !grown {
+		return openRegistrar(t, opts)
+	}
+	reg := testkit.Must(workload.NewRegistrar())
+	students := reg.DB.Rel("student")
+	for i := 0; students.Len() < relational.RangeLen; i++ {
+		testkit.Insert(students, relational.Str(fmt.Sprintf("P%03d", i)), relational.Str("Pad"))
+	}
+	s, err := Open(reg.ATG, reg.DB, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// ckptOracle writes a system's checkpoints the way a durable view does —
+// each encoded against the index of the one before, which then lands in a
+// file of its own — and holds each payload to the encoding of the same
+// state with no index, byte for byte, and to the reference
+// (testkit.CheckPayload).
+type ckptOracle struct {
+	dir  string
+	prev *ckpt.Index
+	last []byte // the payload written last
+}
+
+func checkpointState(s *System) ckpt.State {
+	return ckpt.State{Gen: s.gen, Digest: s.digest, ATG: s.ATG.Fingerprint(), DB: s.DB, DAG: s.DAG, Order: s.Topo.Nodes()}
+}
+
+// write writes a checkpoint of s and returns the bytes it read back.
+func (o *ckptOracle) write(t *testing.T, s *System, when string) int {
+	t.Helper()
+	state := checkpointState(s)
+	buf, ix := ckpt.Encode(state, o.prev)
+	full, _ := ckpt.Encode(state, nil)
+	payload := buf[wal.CheckpointHeadroom:]
+	if !bytes.Equal(payload, full[wal.CheckpointHeadroom:]) {
+		t.Fatalf("%s: the checkpoint differs from the encoding with no index", when)
+	}
+	if err := testkit.CheckPayload(payload, wal.Format, state.Gen, state.Digest.Append(nil), state.ATG[:], s.DB, s.DAG, state.Order); err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
+	path := filepath.Join(o.dir, fmt.Sprintf("ckpt-%d", state.Gen))
+	if err := os.WriteFile(path, payload, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ix.Landed(path, 0)
+	o.prev, o.last = ix, payload
+	return ix.Reused()
+}
+
+// recover restores a system from the payload written last, as a reopen
+// does: new DAG and relation objects, the index's no longer.
+func (o *ckptOracle) recover(t *testing.T, s *System) *System {
+	t.Helper()
+	p, err := ckpt.Decode(o.last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := dag.DecodeState(p.DAGState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := relational.NewDatabase(s.DB.Schema)
+	for _, tb := range p.Tables {
+		if err := db.Load(tb.Name, tb.Rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := Recover(s.ATG, db, d, p.Order, p.Gen, p.Digest, nil, s.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func runTxnScript(t *testing.T, sc txnScript, durable bool) {
@@ -120,7 +226,7 @@ func runTxnScript(t *testing.T, sc txnScript, durable bool) {
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
 	open := func() (*System, *[]CommitRecord) {
-		s := openRegistrar(t, Options{})
+		s := openScripted(t, Options{}, sc.grown)
 		recs := new([]CommitRecord)
 		if durable {
 			s.StartDigest()
@@ -132,6 +238,8 @@ func runTxnScript(t *testing.T, sc txnScript, durable bool) {
 		return s, recs
 	}
 	s, recs := open()
+	ck := &ckptOracle{dir: t.TempDir()}
+	ck.write(t, s, "before the group")
 	before := stateFingerprint(s)
 	tx, err := s.Begin(sc.atomic)
 	if err != nil {
@@ -192,7 +300,7 @@ func runTxnScript(t *testing.T, sc txnScript, durable bool) {
 		t.Fatalf("%s: %v", unit, err)
 	}
 	if durable {
-		follower := openRegistrar(t, Options{})
+		follower := openScripted(t, Options{}, sc.grown)
 		follower.StartDigest()
 		for _, rec := range *recs {
 			if err := follower.ApplyCommitRecord(rec); err != nil {
@@ -205,5 +313,17 @@ func runTxnScript(t *testing.T, sc txnScript, durable bool) {
 		if err := follower.CheckConsistency(); err != nil {
 			t.Fatalf("%s: follower: %v", unit, err)
 		}
+	}
+	ck.write(t, s, unit+": after the group")
+	if ck.write(t, s, unit+": again at the same generation") == 0 {
+		t.Fatalf("%s: a checkpoint of an unchanged state read nothing back", unit)
+	}
+	last := ck.last
+	r := ck.recover(t, s)
+	if ck.write(t, r, unit+": after a recovery") != 0 {
+		t.Fatalf("%s: a checkpoint of a recovered state read back what the old objects' index recorded", unit)
+	}
+	if !bytes.Equal(ck.last, last) {
+		t.Fatalf("%s: the recovered state writes other bytes than the state it was recovered from", unit)
 	}
 }

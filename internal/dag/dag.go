@@ -90,6 +90,13 @@ type DAG struct {
 	edgeCount int
 	liveCount int
 
+	// What a checkpoint needs without a pass over the nodes: the bytes
+	// AppendState writes past its two leading varints, and the id ranges
+	// of the identity table a write touched since the last checkpoint that
+	// landed (MarkClean).
+	bodyLen int
+	written relational.CleanRanges
+
 	journal *journal
 }
 
@@ -180,6 +187,8 @@ func (d *DAG) AddNode(typ string, attr relational.Tuple) (id NodeID, created boo
 	d.children.grow()
 	d.parents.grow()
 	d.alive.Push(true)
+	d.written.Write(int(id))
+	d.bodyLen += identityLen(typ, attr) + 1 // + the empty child list's count
 	d.gen[string(k)] = id
 	d.list(id)
 	d.logOp(jop{kind: jNodeAdd, fresh: true, node: id})
@@ -251,6 +260,7 @@ func (d *DAG) AddEdge(u, v NodeID) bool {
 	if d.HasEdge(u, v) {
 		return false
 	}
+	d.bodyLen += childDelta(len(d.children.row(u)), v)
 	d.children.setRow(u, append(d.children.ownRow(u, 1), v))
 	d.parents.setRow(v, append(d.parents.ownRow(v, 1), u))
 	d.edgeCount++
@@ -288,12 +298,18 @@ func (d *DAG) removeRef(s *refStore, i, x NodeID) int {
 	r := s.ownRow(i, 0)
 	copy(r[pos:], r[pos+1:])
 	s.setRow(i, r[:len(r)-1])
+	if s == &d.children {
+		d.bodyLen -= childDelta(len(r)-1, x)
+	}
 	return pos
 }
 
 // insertRef re-inserts x into row i at pos (clamped), for journal undo.
 func (d *DAG) insertRef(s *refStore, i NodeID, pos int, x NodeID) {
 	r := s.ownRow(i, 1)
+	if s == &d.children {
+		d.bodyLen += childDelta(len(r), x)
+	}
 	if pos < 0 || pos > len(r) {
 		pos = len(r)
 	}
@@ -315,9 +331,15 @@ func (d *DAG) RemoveNode(id NodeID) {
 	for _, p := range append([]NodeID(nil), d.parents.row(id)...) {
 		d.RemoveEdge(p, id)
 	}
-	d.alive.Set(int(id), false)
+	d.setAlive(id, false)
 	d.unlist(id)
 	d.logOp(jop{kind: jNodeDel, node: id})
+}
+
+// setAlive sets a node's alive flag, a byte of its identity range.
+func (d *DAG) setAlive(id NodeID, alive bool) {
+	d.alive.Set(int(id), alive)
+	d.written.Write(int(id))
 }
 
 // NodesOfType returns the live nodes of an element type in id order: the

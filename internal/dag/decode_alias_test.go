@@ -46,7 +46,7 @@ func TestDecodeStateRowsDoNotAlias(t *testing.T) {
 	for i := 0; i < 20; i++ { // dead identities, so rows of length zero sit between the others
 		built.RemoveNode(ids[1+rng.Intn(len(ids)-1)])
 	}
-	state := built.AppendState(nil)
+	state := built.AppendState(nil, nil)
 	decoded, err := DecodeState(state)
 	if err != nil {
 		t.Fatal(err)

@@ -201,26 +201,28 @@ func decodeID(b []byte) (NodeID, []byte, error) {
 	return NodeID(u), b[w:], nil
 }
 
-// AppendState appends a full serialization of the DAG to dst: the entire
-// identity table (dead entries included, so resurrection reuses the same
-// ids after a reload), the alive flags, and the ordered child lists.
-// DecodeState is the inverse. Must not be called inside a transaction.
-func (d *DAG) AppendState(dst []byte) []byte {
+// AppendState appends a full serialization of the DAG to dst: the node
+// count and the root, the entire identity table (dead entries included, so
+// resurrection reuses the same ids after a reload) — each node's type,
+// attribute tuple and alive flag — and the ordered child lists. DecodeState
+// is the inverse. Must not be called inside a transaction.
+//
+// The identity table is written in ranges of relational.RangeLen ids, in id
+// order, each by put(dst, r), which must append what AppendRange appends;
+// nil means AppendRange itself. A checkpoint writer passes a put that reads a
+// range it wrote before back from its file instead of encoding it again.
+func (d *DAG) AppendState(dst []byte, put func(dst []byte, r int) []byte) []byte {
 	if d.journal != nil {
 		panic("dag: AppendState inside a transaction")
+	}
+	if put == nil {
+		put = d.AppendRange
 	}
 	n := len(d.types)
 	dst = binary.AppendUvarint(dst, uint64(n))
 	dst = binary.AppendUvarint(dst, uint64(d.root))
-	for id := 0; id < n; id++ {
-		dst = binary.AppendUvarint(dst, uint64(len(d.types[id])))
-		dst = append(dst, d.types[id]...)
-		dst = relational.AppendTuple(dst, d.attrs[id])
-		if d.alive.At(id) {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+	for r := range d.Ranges() {
+		dst = put(dst, r)
 	}
 	for id := 0; id < n; id++ {
 		row := d.children.row(NodeID(id))
@@ -232,22 +234,60 @@ func (d *DAG) AppendState(dst []byte) []byte {
 	return dst
 }
 
-// StateLen is the number of bytes AppendState writes, measured without
-// encoding anything, so that a caller can size one buffer for the state and
-// whatever surrounds it. It mirrors AppendState field by field.
-func (d *DAG) StateLen() int {
-	vlen := relational.UvarintLen
-	n := len(d.types)
-	size := vlen(uint64(n)) + vlen(uint64(d.root))
-	for id := 0; id < n; id++ {
-		row := d.children.row(NodeID(id))
-		size += vlen(uint64(len(d.types[id]))) + len(d.types[id]) + relational.TupleLen(d.attrs[id]) + 1 // + the alive flag
-		size += vlen(uint64(len(row)))
-		for _, c := range row {
-			size += vlen(uint64(c))
+// Ranges is the number of id ranges in the identity table.
+func (d *DAG) Ranges() int { return relational.RangeCount(len(d.types)) }
+
+// RangeClean reports whether no node of id range r was allocated, freed,
+// killed or brought back since MarkClean.
+func (d *DAG) RangeClean(r int) bool { return d.written.Clean(r) }
+
+// AppendRange appends the identity-table entries of id range r to dst.
+func (d *DAG) AppendRange(dst []byte, r int) []byte {
+	for id := r * relational.RangeLen; id < min((r+1)*relational.RangeLen, len(d.types)); id++ {
+		dst = binary.AppendUvarint(dst, uint64(len(d.types[id])))
+		dst = append(dst, d.types[id]...)
+		dst = relational.AppendTuple(dst, d.attrs[id])
+		if d.alive.At(id) {
+			dst = append(dst, 1)
+		} else {
+			dst = append(dst, 0)
 		}
 	}
-	return size
+	return dst
+}
+
+// MarkClean marks every id range clean: a checkpoint holding the identity
+// table as it is now has landed.
+func (d *DAG) MarkClean() { d.written.MarkClean(len(d.types)) }
+
+// StateLen is the number of bytes AppendState writes, kept up to date by
+// every mutation, so that a caller can size one buffer for the state and
+// whatever surrounds it without a pass over the nodes.
+func (d *DAG) StateLen() int {
+	vlen := relational.UvarintLen
+	return vlen(uint64(len(d.types))) + vlen(uint64(d.root)) + d.bodyLen
+}
+
+// identityLen is the bytes AppendRange writes for one node: its type, its
+// attribute tuple and its alive flag.
+func identityLen(typ string, attr relational.Tuple) int {
+	return relational.UvarintLen(uint64(len(typ))) + len(typ) + relational.TupleLen(attr) + 1
+}
+
+// childListLen is the bytes AppendState writes for one child list.
+func childListLen(row []NodeID) int {
+	n := relational.UvarintLen(uint64(len(row)))
+	for _, c := range row {
+		n += relational.UvarintLen(uint64(c))
+	}
+	return n
+}
+
+// childDelta is what a child list of n entries adds to AppendState's length
+// when it gains c, and takes off when, holding n+1, it loses c.
+func childDelta(n int, c NodeID) int {
+	vlen := relational.UvarintLen
+	return vlen(uint64(n+1)) - vlen(uint64(n)) + vlen(uint64(c))
 }
 
 // DecodeState reconstructs a DAG serialized by AppendState. The result is
@@ -323,6 +363,7 @@ func DecodeState(b []byte) (*DAG, error) {
 		d.children.grow()
 		d.parents.grow()
 		d.alive.Push(alive)
+		d.bodyLen += identityLen(typ, attr)
 		key = appendGenKey(key[:0], typ, attr)
 		d.gen[keys.Add(key)] = NodeID(id)
 		if alive {
@@ -340,6 +381,7 @@ func DecodeState(b []byte) (*DAG, error) {
 			return nil, fmt.Errorf("dag: decode state: node %d: child list exceeds input", id)
 		}
 		if cl == 0 {
+			d.bodyLen++
 			continue
 		}
 		row := rows.Make(int(cl))
@@ -356,6 +398,7 @@ func DecodeState(b []byte) (*DAG, error) {
 			b = rest
 		}
 		d.children.setRow(NodeID(id), row)
+		d.bodyLen += childListLen(row)
 		d.edgeCount += len(row)
 	}
 	if len(b) != 0 {

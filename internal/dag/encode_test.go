@@ -1,6 +1,8 @@
 package dag
 
 import (
+	"bytes"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -64,7 +66,7 @@ func equalDAGsExact(t *testing.T, a, b *DAG) {
 
 func TestStateCodecRoundTrip(t *testing.T) {
 	d := buildSample(t)
-	got, err := DecodeState(d.AppendState(nil))
+	got, err := DecodeState(d.AppendState(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +88,8 @@ func TestStateLenMatchesAppendState(t *testing.T) {
 	d := New("db")
 	check := func(when string) {
 		t.Helper()
-		if got, want := d.StateLen(), len(d.AppendState(nil)); got != want {
-			t.Fatalf("%s: StateLen %d, AppendState writes %d bytes", when, got, want)
+		if got, want := d.StateLen(), len(d.AppendState(nil, nil)); got != want || got != stateLenWalk(d) {
+			t.Fatalf("%s: StateLen %d, AppendState writes %d bytes, the walk measures %d", when, got, want, stateLenWalk(d))
 		}
 	}
 	check("empty")
@@ -116,8 +118,145 @@ func TestStateLenMatchesAppendState(t *testing.T) {
 	check("300 children, a third dead, a 200-byte type name")
 }
 
+// stateLenWalk measures AppendState's length the way StateLen did before
+// the mutators kept it: one pass over the nodes, mirroring AppendState field
+// by field. It is StateLen's oracle.
+func stateLenWalk(d *DAG) int {
+	vlen := relational.UvarintLen
+	n := len(d.types)
+	size := vlen(uint64(n)) + vlen(uint64(d.root))
+	for id := 0; id < n; id++ {
+		row := d.children.row(NodeID(id))
+		size += vlen(uint64(len(d.types[id]))) + len(d.types[id]) + relational.TupleLen(d.attrs[id]) + 1 // + the alive flag
+		size += vlen(uint64(len(row)))
+		for _, c := range row {
+			size += vlen(uint64(c))
+		}
+	}
+	return size
+}
+
+// TestStateLenAndRangesAcrossTheJournal runs a seeded sequence of node and
+// edge additions and removals, resurrections, transactions that commit, roll
+// back (freeing fresh ids) or roll back to a mark, reloads through
+// DecodeState, and checkpoints (MarkClean). After every step StateLen is the
+// walk's measure (and, outside a transaction, AppendState's length), and
+// every id range still called clean appends the bytes it appended at the
+// last MarkClean. The identity table grows past several ranges, and a reload
+// leaves no range clean.
+func TestStateLenAndRangesAcrossTheJournal(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	d := New("db")
+	var marked [][]byte // per range, its bytes at the last MarkClean
+	var ids []NodeID
+	marks := []int(nil)
+	var freed, resurrected, reloads, cleanChecked int
+	check := func(step int, what string) {
+		t.Helper()
+		if got, want := d.StateLen(), stateLenWalk(d); got != want {
+			t.Fatalf("step %d, %s: StateLen %d, the walk measures %d", step, what, got, want)
+		}
+		if !d.InTxn() {
+			if got, want := d.StateLen(), len(d.AppendState(nil, nil)); got != want {
+				t.Fatalf("step %d, %s: StateLen %d, AppendState writes %d", step, what, got, want)
+			}
+		}
+		for r := range d.Ranges() {
+			if !d.RangeClean(r) {
+				continue
+			}
+			cleanChecked++
+			if r >= len(marked) || !bytes.Equal(d.AppendRange(nil, r), marked[r]) {
+				t.Fatalf("step %d, %s: range %d is called clean, and its bytes changed since MarkClean", step, what, r)
+			}
+		}
+	}
+	for step := 0; step < 6000; step++ {
+		var what string
+		switch k := rng.Intn(20); {
+		case k < 7:
+			what = "AddNode"
+			typ := []string{"a", "b", strings.Repeat("t", 130)}[rng.Intn(3)]
+			id, created := d.AddNode(typ, relational.Tuple{relational.Int(int64(rng.Intn(900))), relational.Str(strings.Repeat("v", rng.Intn(3)))})
+			if created && int(id) < len(ids) {
+				resurrected++
+			}
+			if int(id) >= len(ids) {
+				ids = append(ids, id)
+			}
+		case k < 11 && len(ids) > 1:
+			what = "AddEdge"
+			u, v := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
+			if u != v {
+				d.AddEdge(u, v)
+			}
+		case k < 13 && len(ids) > 1:
+			what = "RemoveEdge"
+			u := ids[rng.Intn(len(ids))]
+			if row := d.Children(u); len(row) > 0 {
+				d.RemoveEdge(u, row[rng.Intn(len(row))])
+			}
+		case k < 15 && len(ids) > 1:
+			what = "RemoveNode"
+			d.RemoveNode(ids[1+rng.Intn(len(ids)-1)])
+		case k == 15 && !d.InTxn():
+			what = "Begin"
+			d.Begin()
+			marks = marks[:0]
+		case k == 15:
+			what = "Mark"
+			marks = append(marks, d.Mark())
+		case k == 16 && d.InTxn():
+			what = "Rollback"
+			before := d.Cap()
+			d.Rollback()
+			freed += before - d.Cap()
+			ids = ids[:d.Cap()]
+		case k == 17 && d.InTxn() && len(marks) > 0:
+			what = "RollbackTo"
+			before := d.Cap()
+			m := marks[rng.Intn(len(marks))]
+			d.RollbackTo(m)
+			marks = slices.DeleteFunc(marks, func(x int) bool { return x > m })
+			freed += before - d.Cap()
+			ids = ids[:d.Cap()]
+		case k == 18 && d.InTxn():
+			what = "Commit"
+			d.Commit()
+		case k == 18:
+			what = "DecodeState"
+			reloaded, err := DecodeState(d.AppendState(nil, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalDAGsExact(t, d, reloaded)
+			d = reloaded
+			reloads++
+			for r := range d.Ranges() {
+				if d.RangeClean(r) {
+					t.Fatalf("step %d: range %d of a reloaded DAG is clean", step, r)
+				}
+			}
+		case k == 19 && !d.InTxn():
+			what = "MarkClean"
+			d.MarkClean()
+			marked = marked[:0]
+			for r := range d.Ranges() {
+				marked = append(marked, d.AppendRange(nil, r))
+			}
+		default:
+			continue
+		}
+		check(step, what)
+	}
+	if d.Ranges() < 3 || freed == 0 || resurrected == 0 || reloads == 0 || cleanChecked == 0 {
+		t.Fatalf("the run missed a case: %d ranges, %d ids freed, %d resurrections, %d reloads, %d clean ranges checked",
+			d.Ranges(), freed, resurrected, reloads, cleanChecked)
+	}
+}
+
 func TestStateCodecTruncated(t *testing.T) {
-	full := buildSample(t).AppendState(nil)
+	full := buildSample(t).AppendState(nil, nil)
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := DecodeState(full[:cut]); err == nil {
 			// A shorter prefix can only be valid if the trailing check fails;
@@ -132,7 +271,7 @@ func TestDeltaSinceChronological(t *testing.T) {
 	a, _ := d.AddNode("course", relational.Tuple{relational.Str("CS650")})
 	d.AddEdge(d.Root(), a)
 
-	base, err := DecodeState(d.AppendState(nil))
+	base, err := DecodeState(d.AppendState(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

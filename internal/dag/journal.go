@@ -139,7 +139,7 @@ func (d *DAG) undo(ops []jop) {
 			// Incident edges were necessarily added after the node and
 			// have already been removed above.
 			if d.alive.At(int(op.node)) {
-				d.alive.Set(int(op.node), false)
+				d.setAlive(op.node, false)
 				d.unlist(op.node)
 			}
 			if op.fresh {
@@ -160,6 +160,8 @@ func (d *DAG) undo(ops []jop) {
 // place.
 func (d *DAG) free(id NodeID) {
 	typ := d.types[id]
+	d.written.Write(int(id))
+	d.bodyLen -= identityLen(typ, d.attrs[id]) + childListLen(d.children.row(id))
 	var a [relational.KeyBufLen]byte
 	delete(d.gen, string(appendGenKey(a[:0], typ, d.attrs[id])))
 	d.byType[typ] = slices.DeleteFunc(d.byType[typ], func(x NodeID) bool { return x == id })
@@ -175,6 +177,6 @@ func (d *DAG) resurrect(id NodeID) {
 	if d.alive.At(int(id)) {
 		return
 	}
-	d.alive.Set(int(id), true)
+	d.setAlive(id, true)
 	d.list(id)
 }

@@ -17,6 +17,10 @@ type Relation struct {
 	count int
 	size  int // Σ TupleLen over the live rows
 
+	// written tracks the slot ranges a write touched since the last
+	// checkpoint that landed (MarkClean).
+	written CleanRanges
+
 	// secondary indexes by column. Built on demand by IndexLookup and
 	// maintained incrementally by Insert/Delete.
 	secondary map[int]*index
@@ -109,6 +113,7 @@ func (r *Relation) Insert(t Tuple) error {
 		slot = len(r.rows)
 		r.rows = append(r.rows, t.Clone())
 	}
+	r.written.Write(slot)
 	r.byKey[string(buf)] = slot
 	r.count++
 	r.size += TupleLen(t)
@@ -145,6 +150,7 @@ func (r *Relation) Load(rows []Tuple) error {
 		size += TupleLen(t)
 	}
 	r.rows, r.byKey, r.count, r.size = rows, byKey, len(rows), size
+	r.written = CleanRanges{}
 	return nil
 }
 
@@ -169,6 +175,7 @@ func (r *Relation) deleteEncoded(k []byte) bool {
 	row := r.rows[slot]
 	delete(r.byKey, string(k))
 	r.rows[slot] = nil
+	r.written.Write(slot)
 	r.free = append(r.free, slot)
 	r.count--
 	r.size -= TupleLen(row)
@@ -203,6 +210,29 @@ func (r *Relation) Scan(fn func(t Tuple) bool) {
 		}
 	}
 }
+
+// Ranges is the number of slot ranges the relation's rows take: Scan order,
+// cut every RangeLen slots.
+func (r *Relation) Ranges() int { return RangeCount(len(r.rows)) }
+
+// RangeClean reports whether no insertion or deletion touched a slot of range
+// i since MarkClean.
+func (r *Relation) RangeClean(i int) bool { return r.written.Clean(i) }
+
+// AppendRange appends AppendTuple of each live row of range i to dst, in slot
+// order: the rows Scan visits there.
+func (r *Relation) AppendRange(dst []byte, i int) []byte {
+	for _, row := range r.rows[i*RangeLen : min((i+1)*RangeLen, len(r.rows))] {
+		if row != nil {
+			dst = AppendTuple(dst, row)
+		}
+	}
+	return dst
+}
+
+// MarkClean marks every range clean: a checkpoint holding the rows as they
+// are now has landed.
+func (r *Relation) MarkClean() { r.written.MarkClean(len(r.rows)) }
 
 // Clone deep-copies the relation.
 func (r *Relation) Clone() *Relation {

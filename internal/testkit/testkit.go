@@ -1,6 +1,7 @@
 // Package testkit holds the helpers that several packages' tests share and
 // no production path reaches: the panicking constructors, DAG and formula
-// oracles, and an XML reader for round-trip tests. Only test files may
+// oracles, the checkpoint payload's reference, and an XML reader for
+// round-trip tests. Only test files may
 // import it (internalboundary's TestSupport list), so nothing here can leak
 // into a serving binary.
 //

@@ -32,6 +32,13 @@
 // created and a new segment's directory entry is fsynced before anything is
 // acknowledged into it, so only the physically last segment can end torn.
 //
+// Every checkpoint file is complete and self-contained: recovery reads one
+// file and the segments after it, never a chain of files. The writer may
+// still read its previous checkpoint while it writes the next one — the
+// ranges of the state that did not change since, each checked against the
+// CRC-32C it recorded when it wrote them (CheckpointFile says where the
+// state starts) — but what it writes is the whole state again.
+//
 // A Log belongs to one goroutine, the view's writer.
 package wal
 
@@ -48,6 +55,7 @@ import (
 
 	"rxview/internal/fault"
 	"rxview/internal/obs"
+	"rxview/internal/relational"
 )
 
 // ErrCorrupt marks a log or checkpoint whose contents fail validation in a
@@ -385,6 +393,14 @@ func frameCheckpoint(gen uint64, buf []byte) []byte {
 	file := buf[CheckpointHeadroom-len(hdr):]
 	copy(file, hdr)
 	return file
+}
+
+// CheckpointFile is where WriteCheckpoint put ckpt-<gen> and, in it, the
+// offset of the first byte of its state of n bytes. The writer reads ranges
+// of its previous checkpoint's state back from there instead of encoding them
+// again; what it reads is the state's owner's to verify, range by range.
+func (l *Log) CheckpointFile(gen uint64, n int) (path string, state int64) {
+	return filepath.Join(l.dir, ckptName(gen)), int64(len(ckptMagic) + frameLen(8) + relational.UvarintLen(uint64(n)) + 4)
 }
 
 // Seal ends the active segment at gen and starts wal-<gen>: the old segment

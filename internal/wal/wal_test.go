@@ -792,3 +792,26 @@ func TestOpenRemovesStaleCheckpointTemp(t *testing.T) {
 		t.Fatalf("stale temp file: stat err %v; %d entries before, %d after", err, len(before), len(after))
 	}
 }
+
+// TestCheckpointFileLocatesState: CheckpointFile names the file
+// WriteCheckpoint wrote and the offset its state starts at, for states whose
+// length takes one, two and three varint bytes.
+func TestCheckpointFileLocatesState(t *testing.T) {
+	l, _ := mustOpen(t, t.TempDir(), Options{Policy: SyncOff})
+	defer l.Close()
+	for gen, n := range []int{1, 127, 128, 16383, 16384} {
+		state := bytes.Repeat([]byte{byte(n)}, n)
+		state[0], state[n-1] = 0xa1, 0xb2
+		if err := l.WriteCheckpoint(uint64(gen), append(make([]byte, CheckpointHeadroom), state...)); err != nil {
+			t.Fatal(err)
+		}
+		path, off := l.CheckpointFile(uint64(gen), n)
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(off)+n != len(file) || !bytes.Equal(file[off:], state) {
+			t.Fatalf("state of %d bytes: CheckpointFile says offset %d in a file of %d bytes", n, off, len(file))
+		}
+	}
+}

@@ -59,8 +59,9 @@ func WithFsync(p FsyncPolicy) Option {
 // WithCheckpointEvery sets how many committed generations elapse between
 // automatic checkpoints (default 256). A checkpoint bounds both recovery
 // time and log growth: the log prefix it seals is pruned. Smaller values
-// checkpoint (and pay full-state serialization) more often; n ≤ 0 means the
-// default.
+// checkpoint more often: each writes the full state, encoding what changed
+// since the previous checkpoint and reading the rest back from its file; n ≤ 0
+// means the default.
 func WithCheckpointEvery(n int) Option {
 	return func(c *config) { c.ckptEvery = n }
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sync/atomic"
 
+	"rxview/internal/ckpt"
 	"rxview/internal/core"
 	"rxview/internal/digest"
 	"rxview/internal/repl"
@@ -34,6 +35,7 @@ type View struct {
 	ckptEvery uint64      // commits between automatic checkpoints
 	ckptGen   uint64      // generation of the newest checkpoint written
 	ckptBusy  atomic.Bool // a checkpoint is stalling the writer right now
+	ckptIx    *ckpt.Index // the last checkpoint that landed; nil when the next one encodes everything
 
 	// Degraded (read-only) mode, entered when the log refuses a commit
 	// record: writes are rejected with ErrDegraded until Recover succeeds,
