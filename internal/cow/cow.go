@@ -8,11 +8,17 @@
 // size, undoing the paper's everywhere-incremental design at the last step.
 // An Array keeps its elements in fixed-size chunks (ChunkSize elements) and
 // the chunk pointers in fixed-size spine blocks (256 chunks, so one block
-// covers 65536 elements). The writer copies a block or chunk only the first
+// covers 4096 elements). The writer copies a block or chunk only the first
 // time it touches it after a Seal, and Seal itself copies just the top-level
-// block list — n/65536 pointers, one or two words for any view under 131k
-// nodes — so publication cost tracks the write that preceded it, not the
-// view size.
+// block list — n/4096 pointers, six words for the ≈ 22k nodes of the §5 view
+// at |C|=5000, 27 at |C|=25000 — so publication cost tracks the write that
+// preceded it, not the view size.
+//
+// The chunk is small because every commit seals: a write after a seal
+// copies each chunk it touches whole, and a value-selected update touches
+// rows scattered over the view. Sixteen row headers are 384 bytes, the
+// largest pointerful object Go allocates without a malloc header being 512;
+// a block of 256 chunk pointers is 2 KB.
 //
 // Why the sharing is safe:
 //   - a Sealed holds its own top-level block list, so the writer may swap
@@ -43,7 +49,7 @@
 package cow
 
 const (
-	chunkBits = 8
+	chunkBits = 4
 	blockBits = 8 // chunks per spine block
 	chunkMask = ChunkSize - 1
 	blockMask = 1<<blockBits - 1
@@ -60,7 +66,7 @@ type (
 )
 
 // Array is the writer side: a growable array of T whose Seal costs
-// O(n/65536) and whose first write to a chunk after a Seal copies that
+// O(n/4096) and whose first write to a chunk after a Seal copies that
 // chunk (and its spine block) and nothing else. The zero Array is empty and
 // ready to use.
 type Array[T any] struct {

@@ -89,7 +89,7 @@ type Version struct {
 }
 
 // Seal freezes the current DAG state into an immutable Version in O(Δ):
-// three top-level block lists (n/65536 words each) and the byType map
+// three top-level block lists (n/4096 words each) and the byType map
 // header are copied; every block, chunk and row that did not change since
 // the previous seal is shared, not copied. Like Clone, Seal panics inside
 // a transaction: a snapshot of speculative, possibly rolled-back state is

@@ -150,7 +150,8 @@ func TestStepRandomSequences(t *testing.T) {
 // TestValueInsertCopiesFewChunks: a subtree hung under 40 targets spread over
 // L, into the holes the same subtree left when a delete took it away, writes
 // into at most 3 chunks of L after a seal, so that a sealed epoch keeps
-// sharing the rest; placed by swap(L, u, v) alone it rewrites most of L's 86.
+// sharing the rest; placed by swap(L, u, v) alone it rewrites most of L's
+// 1 376.
 func TestValueInsertCopiesFewChunks(t *testing.T) {
 	// root → 2 000 nodes → 10 leaves each: 22 001 entries, the leaves first.
 	// The targets are leaves 500 apart, so they span L.

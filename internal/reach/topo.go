@@ -305,7 +305,7 @@ func (t *Topo) place(i int32, id dag.NodeID) {
 }
 
 // Seal freezes the current order into an immutable TopoVersion in
-// O(n/65536), sharing every chunk the writer did not touch since the
+// O(n/4096), sharing every chunk the writer did not touch since the
 // previous seal.
 func (t *Topo) Seal() *TopoVersion {
 	return &TopoVersion{list: t.list.Seal(), holes: t.holes}

@@ -12,21 +12,28 @@ import "rxview/internal/dag"
 //  2. down → X: from A, the steps after the anchor by Children; ε[q] steps
 //     are skipped (a superset is enough). X ⊇ r[[p]], because every
 //     accepting root path crosses the anchor step at a node of A.
-//  3. cone: the closure of X under Parents.
-//  4. the exact pass: the shared propagation over the cone in Kahn's order.
-//     The cone is upward closed, so a cone node's parents are all in it —
-//     its in-cone in-degree is len(Parents(v)) — and every root path to it
-//     lies inside: by induction along the order each cone node receives
-//     exactly the state-sets the sweep gives it.
+//  3. cone: X and its ancestors by Parents, level by level — up to the
+//     path's window (plan.live) when it has one, else all of them.
+//  4. entries: a node of the window's top level whose parent outside the
+//     cone the root reaches starts with the state-set a run brings into it
+//     from above the window: the // state alone, moved into it, for a
+//     //-led path, the empty set for a rooted one. No filter is decided
+//     outside the cone, where the pointwise truth bits are stale.
+//  5. the exact pass: the shared propagation over the cone in Kahn's order,
+//     each mask trimmed to the states still live at its node's level.
 //
-// Nothing is kept between evaluations; the working sets live in the pooled
-// scratch and cost nothing proportional to the view.
+// By induction along the order each cone node receives exactly the
+// state-sets the sweep gives it, less the states that can no longer accept
+// (doc.go has the window lemma); X and its parents, which are all the
+// results read, lose none. Nothing is kept between evaluations; the working
+// sets live in the pooled scratch and cost nothing proportional to the view.
 func (ev *Evaluator) anchored(r *run, pl *plan) {
 	d, sc := ev.D, r.sc
 	r.res.Route = RouteAnchored
 	sc.fit(d.Cap())
 	cur, next, cone := ev.climb(sc, pl.anchor)
-	defer func() { sc.ids = [3][]dag.NodeID{cur, next, cone} }()
+	stack := sc.ids[3][:0]
+	defer func() { sc.ids = [4][]dag.NodeID{cur, next, cone, stack} }()
 
 	// Down the remaining steps to X.
 	for _, st := range pl.steps[pl.anchor.step+1:] {
@@ -60,31 +67,84 @@ func (ev *Evaluator) anchored(r *run, pl *plan) {
 		return // X ⊇ r[[p]] is empty
 	}
 
-	// The cone, with the propagation state of each node reset as it joins.
-	r.masks = sc.maskIndex(d.Cap(), false)
+	// The cone, a level at a time, with the propagation state of each node
+	// reset as it joins. top is where the last level starts: the window's
+	// top when the window cut the climb, else len(cone).
+	r.masks, r.live = sc.maskIndex(d.Cap(), false), pl.live
 	set := sc.newSet()
+	level := 0
 	join := func(v dag.NodeID) {
 		if sc.add(set, v) {
 			r.masks[v], sc.known[v], sc.truth[v] = nil, 0, 0
-			sc.indeg[v] = int32(len(d.Parents(v)))
+			sc.level[v] = uint8(level) // read under a window only, where it is ≤ MaxSteps
 			cone = append(cone, v)
 		}
 	}
 	for _, v := range cur {
 		join(v)
 	}
-	for i := 0; i < len(cone); i++ {
-		for _, p := range d.Parents(cone[i]) {
-			join(p)
+	top := 0
+	for level = 1; top < len(cone) && (pl.live == nil || level < len(pl.live)); level++ {
+		end := len(cone)
+		for _, v := range cone[top:end] {
+			for _, p := range d.Parents(v) {
+				join(p)
+			}
 		}
+		top = end
 	}
 	r.res.Visited = len(cone)
 
-	// Kahn's order from the parentless nodes. Only the root starts with a
-	// state-set; any other parentless node (the live view inside an open
-	// transaction can hold some transiently) starts empty, but is expanded
-	// all the same so that its children's in-degrees drain.
-	queue := next[:0]
+	// The entries. A reachability walk may cross the cone and overwrite
+	// its stamps and in-degrees, so the pairs (top node, outside parent)
+	// are listed first and the cone is stamped again after.
+	pairs := next[:0]
+	for _, v := range cone[top:] {
+		for _, p := range d.Parents(v) {
+			if !sc.has(set, p) {
+				pairs = append(pairs, v, p)
+			}
+		}
+	}
+	if len(pairs) > 0 {
+		var entry uint64 // a rooted path's run has died above the window
+		reached := sc.newSet()
+		for i := 0; i < len(pairs); i += 2 {
+			v, p := pairs[i], pairs[i+1]
+			if len(r.masks[v]) > 0 {
+				continue // entered already, by another parent
+			}
+			var ok bool
+			if ok, stack = ev.reachable(sc, reached, p, stack); ok {
+				if pl.steps[0].Kind == StepDescOrSelf {
+					entry = r.trim(r.move(1, v), v)
+				}
+				r.masks[v] = append(sc.maskSlot(), entry)
+			}
+		}
+		set = sc.newSet()
+		for _, v := range cone {
+			sc.add(set, v)
+		}
+	}
+	for i, v := range cone {
+		ps := d.Parents(v)
+		sc.indeg[v] = int32(len(ps))
+		if i >= top { // a parent outside the cone is never expanded
+			for _, p := range ps {
+				if !sc.has(set, p) {
+					sc.indeg[v]--
+				}
+			}
+		}
+	}
+
+	// Kahn's order from the nodes with no parent in the cone. Only the root
+	// starts with a state-set of its own; any other parentless node (the
+	// live view inside an open transaction can hold some transiently)
+	// starts empty, but is expanded all the same so that its children's
+	// in-degrees drain.
+	queue := pairs[:0]
 	for _, v := range cone {
 		if sc.indeg[v] == 0 {
 			if v == d.Root() {
@@ -161,6 +221,7 @@ func (ev *Evaluator) climb(sc *scratch, a *anchor) (cur, next, spare []dag.NodeI
 func (sc *scratch) fit(n int) {
 	sc.stamp, sc.indeg = grown(sc.stamp, n), grown(sc.indeg, n)
 	sc.known, sc.truth = grown(sc.known, n), grown(sc.truth, n)
+	sc.level = grown(sc.level, n)
 }
 
 // newSet opens an empty node set and returns its epoch; the previous set

@@ -34,9 +34,10 @@
 //     filter can hold at — by Evaluator.Seeds, which on the live view is a
 //     lookup in the Skolem registry gen_id (§2.3), or else by a scan of the
 //     per-type node list — walks down the remaining steps to a candidate
-//     superset X ⊇ r[[p]], closes X upward into its ancestor cone, and
-//     propagates over the cone only, in Kahn's order, deciding filters
-//     pointwise from each node's children.
+//     superset X ⊇ r[[p]], climbs from X into its ancestor cone — only as
+//     far as the path's window, when it has one — and propagates over the
+//     cone only, in Kahn's order, deciding filters pointwise from each
+//     node's children.
 //   - The down route (down.go) answers reads of //-led anchored paths. It
 //     keeps the anchor nodes whose label and filters admit them and which
 //     the root reaches, and propagates from them downward only, with one
@@ -68,20 +69,47 @@
 //
 // Entering the state after an ε[q] step requires q to hold at the node, so
 // every accepting root path crosses the anchor step at a node of
-// A ⊇ {v : q holds at v}, and ends, the remaining steps later, in X. The
-// cone is closed under Parents, hence every root path to a cone node lies
-// inside the cone. State-sets at a node depend only on its parents' sets and
-// on node-local tests; so, by induction along any topological order of the
-// cone, each cone node gets exactly the sets the sweep gives it. Selected,
-// Edges, InsertWitnesses and DeleteWitnesses only read the sets of X and of
-// its parents, and are identical on both routes — which is what the
-// differential tests and FuzzEvalRoutesAgree check against each other and
-// against the unfolded-tree oracle.
+// A ⊇ {v : q holds at v}, and ends, the remaining steps later, in X.
+// State-sets at a node depend only on its parents' sets and on node-local
+// tests. Selected, Edges, InsertWitnesses and DeleteWitnesses only read the
+// sets of X and what its parents' sets move into X.
+//
+// A path with a // after its first step has no window: its cone is closed
+// under Parents, so every root path to a cone node lies inside the cone,
+// and by induction along any topological order of the cone each cone node
+// gets exactly the sets the sweep gives it.
+//
+// The window lemma. Let the normal form have no // after its first step and
+// n child steps. Every edge a run crosses consumes one child step, except in
+// the leading //'s own state 0, which a run keeps as long as it likes. A
+// node's level ℓ is its distance to X, and a state that has consumed c child
+// steps can still accept at a node of level ℓ only if n−c ≥ ℓ: it is live
+// there (state 0 is live everywhere). The cone stops at level w = max(n,1),
+// so the parents of X are in it, and only a node of level w can have a
+// parent outside it. Take a root path π to a cone node v, and the last node
+// u on π outside the cone. π enters the cone at some t of level w, and a
+// child is at most one level below its parent, so π crosses at least w−ℓ+1
+// edges from u to v (ℓ is v's level). A run not in state 0 when it leaves u
+// consumes a child step on each of them, more than n−ℓ in all, and is dead
+// at v; the runs still in state 0 are those the entry at t, move({0}, t),
+// starts. A rooted path has no such state: its entry is the empty set, an
+// occurrence of t that no run reaches. An outside parent the root does not
+// reach carries no set in the sweep and gives no entry. So, by induction
+// along Kahn's order of the cone, each cone node gets exactly the sweep's
+// sets with their dead states dropped — the route trims every set to the
+// live states of its node's level (plan.live). At X every state is live, and
+// a dead state only ever moves into dead states, so the four result fields
+// are the sweep's. No filter is decided at a node outside the cone, whose
+// pointwise truth is stale. The differential tests and FuzzEvalRoutesAgree
+// hold the routes to each other and to the unfolded-tree oracle.
 //
 // The one intended difference: Overflow is raised only if a cone node
 // exceeds MaskLimit. A collapse in some unrelated corner of the view no
-// longer makes an update "conservatively side-effecting"; anchored Overflow
-// implies sweep Overflow, never the reverse.
+// longer makes an update "conservatively side-effecting". A cone node's
+// trimmed sets are a function of the sweep's sets at it, so it never holds
+// more distinct ones than the sweep does: anchored Overflow implies sweep
+// Overflow, never the reverse. Untrimmed, the entries could split one of
+// the sweep's sets into two that differ in dead states only.
 //
 // # Why the down route is exact
 //

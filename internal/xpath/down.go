@@ -30,7 +30,7 @@ func (ev *Evaluator) down(r *run, pl *plan) {
 	r.res.Route = RouteDown
 	sc.fit(d.Cap())
 	cur, queue, stack := ev.climb(sc, pl.anchor)
-	defer func() { sc.ids = [3][]dag.NodeID{cur, queue, stack} }()
+	defer func() { sc.ids[0], sc.ids[1], sc.ids[2] = cur, queue, stack }()
 
 	// A′, filtered in place, then reachability.
 	label, filters := pl.steps[1], pl.steps[2:pl.anchor.step+1]
@@ -106,7 +106,9 @@ next:
 
 // reachable reports whether some root path leads to v. Verdicts are kept in
 // set, one per member u: sc.indeg[u] is 1 for reachable and 0 for not (the
-// down route keeps no in-degrees). stack is a reusable buffer, handed back.
+// down route keeps no in-degrees; the anchored route, which asks about the
+// parents outside its window, counts its in-degrees after). stack is a
+// reusable buffer, handed back.
 //
 // The first-parent walk decides v in O(depth): every node on it is
 // reachable once the walk meets the root or a reachable member. Outside a

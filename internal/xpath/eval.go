@@ -25,8 +25,10 @@ import (
 //     every node of L, ancestors first;
 //   - the anchored route, for paths with a value-equality filter: find the
 //     nodes the filter can hold at (Seeds, or the per-type node lists), walk
-//     down to a superset of r[[p]], close it upward into its ancestor cone,
-//     and propagate over the cone only, deciding filters pointwise;
+//     down to a superset of r[[p]], climb from it into its ancestor cone —
+//     for a path with no // after its first step only as many levels as
+//     the path has child steps, its window — and propagate over the cone
+//     only, deciding filters pointwise;
 //   - the down route, EvalSelect's for anchored paths led by // and one
 //     label or * step: keep the anchor nodes that filter and label admit and
 //     the root reaches, and propagate from them downward only.
@@ -85,13 +87,17 @@ type Result struct {
 	DeleteWitnesses []dag.Edge
 	// Overflow reports that mask collapsing kicked in at a node the
 	// evaluation visited; side-effect witnesses are then conservative
-	// (possibly over-reported). The anchored route visits only the cone, so
-	// it raises Overflow only when the sweep would too, never the reverse.
+	// (possibly over-reported). The anchored route visits only the cone,
+	// where each node holds the sweep's sets less the states that can no
+	// longer accept there (the window lemma, doc.go) and so no more
+	// distinct ones: it raises Overflow only when the sweep would too,
+	// never the reverse.
 	Overflow bool
 
 	// Route is the route the evaluation took and Visited the number of
-	// nodes it propagated over: the size of the cone or of the down set, or
-	// |L| for a sweep.
+	// nodes it propagated over: the size of the cone (X and its ancestors,
+	// up to the path's window when it has one) or of the down set, or |L|
+	// for a sweep.
 	Route   Route
 	Visited int
 }
@@ -247,7 +253,8 @@ type scratch struct {
 	// Per cone node, pointwise filter truth: bit i of known[v] says
 	// steps[i].Filter has been decided at v, bit i of truth[v] how.
 	known, truth []uint64
-	ids          [3][]dag.NodeID // reusable node lists (frontiers, X, the cone)
+	level        []uint8         // per cone node: levels above X, for run.trim
+	ids          [4][]dag.NodeID // reusable node lists (frontiers, X, the cone, a search stack)
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
@@ -348,8 +355,11 @@ type run struct {
 	// node), and remembered in the scratch's known/truth bits.
 	tables [][]bool
 	masks  []maskSet
-	sc     *scratch
-	res    *Result
+	// live trims a windowed anchored run's masks by the scratch's levels
+	// (plan.live); nil means no trim.
+	live []uint64
+	sc   *scratch
+	res  *Result
 }
 
 func (r *run) filterAt(i int, v dag.NodeID) bool {
@@ -416,9 +426,18 @@ func (r *run) move(mask uint64, u dag.NodeID) uint64 {
 	return r.closure(out, u)
 }
 
+// trim drops from a mask at v the states that can no longer accept: those
+// with fewer child steps left than v's level in a windowed cone.
+func (r *run) trim(mask uint64, v dag.NodeID) uint64 {
+	if r.live != nil {
+		mask &= r.live[r.sc.level[v]]
+	}
+	return mask
+}
+
 // start gives the root its initial state-set.
 func (r *run) start(root dag.NodeID) {
-	r.masks[root] = append(r.sc.maskSlot(), r.closure(1, root))
+	r.masks[root] = append(r.sc.maskSlot(), r.trim(r.closure(1, root), root))
 }
 
 func (r *run) addMask(v dag.NodeID, m uint64) {
@@ -451,7 +470,7 @@ func (r *run) addMask(v dag.NodeID, m uint64) {
 func (r *run) push(u, c dag.NodeID) {
 	var acc, rej bool
 	for _, m := range r.masks[u] {
-		m2 := r.move(m, c)
+		m2 := r.trim(r.move(m, c), c)
 		r.addMask(c, m2)
 		if m2&r.accept != 0 {
 			acc = true

@@ -37,6 +37,11 @@ type plan struct {
 	// down reports that EvalSelect takes the down route: the normal form is
 	// //, then a label or *, then ε steps up to and including the anchor.
 	down bool
+	// live bounds the anchored route's cone for a path with no // after its
+	// first step (nil for any other): the cone is X and len(live)-1 levels
+	// of parents, and live[ℓ] holds the states that can still accept at a
+	// cone node ℓ levels above X (see window).
+	live []uint64
 }
 
 // anchor is the step the anchored route starts from: steps[step] is an ε[q]
@@ -61,6 +66,9 @@ func (p *Path) compiled() *plan {
 		}
 		pl.anchor = findAnchor(pl)
 		pl.down = selectsDown(pl)
+		if pl.anchor != nil {
+			pl.live = window(pl.steps)
+		}
 		p.plan = pl
 	})
 	return p.plan
@@ -82,6 +90,36 @@ func selectsDown(pl *plan) bool {
 		}
 	}
 	return true
+}
+
+// window computes plan.live by the window lemma (doc.go): with n child
+// steps and no // after the first step, the cone climbs max(n,1) levels,
+// and state i, having consumed c(i) child steps, is live at level ℓ iff
+// n−c(i) ≥ ℓ; state 0 of a //-led path is live everywhere. A later //
+// leaves the climb unbounded: nil.
+func window(steps []NStep) []uint64 {
+	for _, s := range steps[1:] {
+		if s.Kind == StepDescOrSelf {
+			return nil
+		}
+	}
+	c := make([]int, len(steps)+1) // c[i]: child steps among steps[:i]
+	for i, s := range steps {
+		c[i+1] = c[i]
+		if s.Kind == StepLabel || s.Kind == StepWild {
+			c[i+1]++
+		}
+	}
+	n, lead := c[len(steps)], steps[0].Kind == StepDescOrSelf
+	live := make([]uint64, max(n, 1)+1)
+	for l := range live {
+		for i := range c {
+			if n-c[i] >= l || i == 0 && lead {
+				live[l] |= 1 << uint(i)
+			}
+		}
+	}
+	return live
 }
 
 // findAnchor picks the first ε[q] step with a value-chain conjunct. Filters

@@ -179,6 +179,10 @@ var synthCorpus = []string{
 	`//C[val="v0"]//C[sub/C]`, `//C[key="1" or key="2"]`, `//C`, `C/sub/C`, `//C[sub/C/key="6"]/key`,
 	`//C[key="6"]/val`, `//sub[C/key="6"]`, `//C[val="v2"][key="5"]//`, `//*[key="3"]/*/*`,
 	`.//C[key="3"]`,
+	// Windows: a filter decided at the window's top, a rooted path whose
+	// entries are empty, a rooted path that cannot reach its deep target,
+	// and a later // (no window).
+	`//.[sub/C]/C[key="3"]`, `C[key="1"]/sub/C[key="2"]`, `C/sub/C[key="6"]`, `C[key="6"]`, `//C//C[key="3"]`,
 }
 
 func TestRoutesAgreeOnSynthetic(t *testing.T) {
@@ -279,8 +283,10 @@ func TestRouteTable(t *testing.T) {
 		{`//C[sub[C[key="9"]] and val="v1"]`, A, D},
 		{`//*[key="3"]/*/*`, A, D},
 		{`.[C/key="1"]`, A, A},
+		{`C[key="1"]/sub/C[key="2"]`, A, A},
 		// Anchored, but not // then one label or * then the anchor: the cone.
 		{`//C[sub/C]/sub/C[key="9"]`, A, A},
+		{`//.[sub/C]/C[key="3"]`, A, A},
 		{`.//C[key="3"]`, A, A},
 		{`//sub/C[key="3"]`, A, A},
 		{`//C//C[key="3"]`, A, A},
@@ -310,6 +316,110 @@ func TestRouteTable(t *testing.T) {
 			t.Errorf("%s: EvalSelect: %v", c.path, err)
 		} else if res.Route != c.sel {
 			t.Errorf("%s: EvalSelect took route %s, want %s", c.path, res.Route, c.sel)
+		}
+	}
+}
+
+// TestWindowTable pins the anchored route's window for each path shape: the
+// levels of parents its cone climbs above X (-1: all of them), and for the
+// value-selected insert the states each level keeps.
+func TestWindowTable(t *testing.T) {
+	for path, want := range map[string]int{
+		`//C[val="v3"]/sub`:         2,
+		`//C[key="17"]`:             1,
+		`//C[key="17"]/sub/C`:       3,
+		`C[key="17"]/sub`:           2,
+		`C[key="1"]/sub/C[key="2"]`: 3,
+		`//.[sub/C]/C[key="3"]`:     1,
+		`//*[key="3"]/*/*`:          3,
+		`.[C/key="1"]`:              1, // no child step: the parents of X all the same
+		`//.[key="3"]`:              1,
+		`//C[key="3"]//`:            -1,
+		`//C//C[key="3"]`:           -1,
+		`.//C[key="3"]`:             -1, // // after a first ε step
+		`C[key="1"]//C[key="2"]`:    -1,
+	} {
+		if got := len(MustParse(path).compiled().live) - 1; got != want {
+			t.Errorf("%s: window %d, want %d", path, got, want)
+		}
+	}
+	// //, C, ε[val="v3"], sub: states 0 to 4 (accept) have consumed 0, 0,
+	// 1, 1 and 2 child steps. One level above X the accept state is dead,
+	// two levels above only the // state and its exit are live.
+	live := MustParse(`//C[val="v3"]/sub`).compiled().live
+	if want := []uint64{0b11111, 0b01111, 0b00011}; !reflect.DeepEqual(live, want) {
+		t.Errorf("live states by level: %b, want %b", live, want)
+	}
+}
+
+// TestWindowEntries runs the windowed shapes over synthDAG with a shortcut
+// root → C6: C6 is a child of the root and, three subs deep, a grandchild of
+// C3, C4 and C5, which lie outside every window of a path that ends at it
+// within two steps. The subs at the window's top must then enter with the //
+// state for a //-led path and with the empty set for a rooted one — which
+// makes C[key="6"] an insertion with side effects (its deep occurrences are
+// not selected) — and a rooted path's entries must never select.
+func TestWindowEntries(t *testing.T) {
+	d, text := synthDAG(t)
+	c6, _ := d.Lookup("C", relational.Tuple{relational.Int(6)})
+	d.AddEdge(d.Root(), c6)
+	or := newOracle(d, text)
+	for _, ps := range []string{`C[key="6"]`, `C[key="6"]/val`, `*[key="6"]`, `//C[key="6"]`, `//C[key="6"]/sub`,
+		`//sub/C[key="6"]`, `C/sub/C[key="6"]`, `//.[sub/C]/C[key="6"]`, `//*[key="6"]/*`, `//C[val="v0"]/sub/C`,
+		`C[key="3"]/sub/C[key="6"]`, `//C//C[key="6"]`} {
+		if err := checkRoutes(d, text, nil, or, MustParse(ps)); err != nil {
+			t.Errorf("%s: %v", ps, err)
+		}
+	}
+	if res, err := (&Evaluator{D: d, Text: text}).Eval(MustParse(`C[key="6"]`)); err != nil || !res.HasInsertSideEffects() {
+		t.Errorf(`C[key="6"]: insert witnesses %v (%v), want C6`, res.InsertWitnesses, err)
+	}
+}
+
+// TestWindowTrimKeepsOverflowImplication: the window's entries can split
+// what the sweep carries as one state-set into two — here at the a node v,
+// which a run reaches as {0,1,2} whether through p or through the chain of
+// z nodes above the window, but which enters from that chain as {0,1} — and
+// the trim must merge them again, or the anchored route would overflow
+// where the sweep does not. The split is in states that can no longer
+// accept (state 2 has one child step left, v is two levels above X), so
+// the results agree either way.
+func TestWindowTrimKeepsOverflowImplication(t *testing.T) {
+	d := dag.New("db")
+	texts := map[dag.NodeID]string{}
+	n := int64(0)
+	node := func(typ string, parents ...dag.NodeID) dag.NodeID {
+		id, _ := d.AddNode(typ, relational.Tuple{relational.Int(n)})
+		n++
+		for _, p := range parents {
+			d.AddEdge(p, id)
+		}
+		return id
+	}
+	b := func(parent dag.NodeID) {
+		texts[node("key", node("b", parent))] = "1"
+	}
+	p := node("a", d.Root())
+	b(node("a", p))
+	w := node("z", node("z", node("z", d.Root())))
+	b(node("a", node("a", p, w)))
+	text := func(v dag.NodeID) (string, bool) { s, ok := texts[v]; return s, ok }
+
+	pa := MustParse(`//a/b[key="1"]`)
+	if err := checkRoutes(d, text, nil, newOracle(d, text), pa); err != nil {
+		t.Fatal(err)
+	}
+	for name, ev := range views(d, text, nil, 1) {
+		routed, err := ev.Eval(pa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		swept, err := ev.EvalSweep(pa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if routed.Route != RouteAnchored || routed.Overflow || swept.Overflow {
+			t.Errorf("%s: the %s route overflowed %v, the sweep %v; want neither", name, routed.Route, routed.Overflow, swept.Overflow)
 		}
 	}
 }
@@ -361,18 +471,16 @@ func TestOverflowIsRaisedOnlyInsideTheCone(t *testing.T) {
 	}
 }
 
-// TestAnchoredDrainsParentlessNodes: inside an open transaction the live
-// view can hold a parentless node other than the root above the cone. It
-// contributes no state-set, but the nodes below it must still be reached.
-// The down route must tell the nodes it hangs over apart: C7's first parent
-// is the orphan and its second a reachable sub, C8 hangs under the orphan
-// alone, C9's first parent is C8's sub and its second a reachable sub, and
-// C10 hangs under C8's sub alone — so both ways out of the first-parent walk
-// (a parentless node, a node already found unreachable) reach the full
-// search, which finds C7 and C9 and not C8 or C10. C11 hangs under sub1,
-// which C9's search passed on its way up: a search that finds the root
-// decides only the node it started from.
-func TestAnchoredDrainsParentlessNodes(t *testing.T) {
+// orphanDAG is synthDAG with what the live view can hold inside an open
+// transaction: a parentless sub other than the root, the orphan, over C6
+// and over C7 to C10. C7's first parent is the orphan and its second a
+// reachable sub, C8 hangs under the orphan alone, C9's first parent is C8's
+// sub and its second a reachable sub, C10 hangs under C8's sub alone, and
+// C11 under sub1. Every new C has key i and val "v1". The oracle unfolds
+// from the root, so the orphan is invisible to it — as it is to the sweep,
+// whose propagation never reaches it.
+func orphanDAG(t testing.TB) (*dag.DAG, textFn) {
+	t.Helper()
 	d, synthText := synthDAG(t)
 	target, _ := d.Lookup("C", relational.Tuple{relational.Int(6)})
 	orphan, _ := d.AddNode("sub", relational.Tuple{relational.Int(99)})
@@ -405,12 +513,25 @@ func TestAnchoredDrainsParentlessNodes(t *testing.T) {
 	addC(9, sub8, sub(1))
 	addC(10, sub8)
 	addC(11, sub(1))
+	return d, text
+}
 
-	// The oracle unfolds from the root, so the orphan is invisible to it —
-	// as it is to the sweep, whose propagation never reaches it.
+// TestAnchoredDrainsParentlessNodes: inside an open transaction the live
+// view can hold a parentless node other than the root above the cone
+// (orphanDAG). It contributes no state-set, but the nodes below it must
+// still be reached. The down route must tell the nodes it hangs over apart:
+// both ways out of the first-parent walk (a parentless node, a node already
+// found unreachable) reach the full search, which finds C7 and C9 and not
+// C8 or C10. C11 hangs under sub1, which C9's search passed on its way up: a
+// search that finds the root decides only the node it started from.
+func TestAnchoredDrainsParentlessNodes(t *testing.T) {
+	d, text := orphanDAG(t)
 	or := newOracle(d, text)
 	for _, ps := range []string{`//C[key="6"]`, `//C[key="6"]/val`, `//C[key="4"]/sub/C`, `//sub[C/key="6"]`,
-		`//C[key="7"]`, `//C[key="8"]`, `//C[key="9"]/sub`, `//C[val="v1"]`, `//C[val="v1"]/sub/C`, `//C[key="8"]//C`, `//C[key="10"]`} {
+		`//C[key="7"]`, `//C[key="8"]`, `//C[key="9"]/sub`, `//C[val="v1"]`, `//C[val="v1"]/sub/C`, `//C[key="8"]//C`, `//C[key="10"]`,
+		// Windowed shapes whose top has the orphan's descendants C8 and sub8
+		// as parents outside the window, which the root does not reach.
+		`//C[key="9"]`, `//sub/C[key="10"]`, `C[key="10"]`, `C/sub/C[key="9"]`, `//*[key="9"]/sub`, `//.[sub/C]/C[key="10"]`} {
 		if err := checkRoutes(d, text, nil, or, MustParse(ps)); err != nil {
 			t.Errorf("%s: %v", ps, err)
 		}
@@ -485,9 +606,10 @@ func oracleAffordable(p *Path) bool {
 
 // FuzzEvalRoutesAgree: whatever parses never panics, and the route Eval
 // picks, the sweep and the unfolded-tree oracle agree on all four result
-// fields — over the Fig.1 registrar view, the miniature synthetic view and
-// its registry variant (whose live evaluator takes its seeds from Lookup),
-// live and sealed. The seed corpus is the three corpora above plus, in
+// fields — over the Fig.1 registrar view, the miniature synthetic view, its
+// registry variant (whose live evaluator takes its seeds from Lookup) and
+// its orphan variant (parents outside a window that the root does not
+// reach), live and sealed. The seed corpus is the three corpora above plus, in
 // testdata/fuzz/FuzzEvalRoutesAgree, the shapes of TestRouteTable.
 func FuzzEvalRoutesAgree(f *testing.F) {
 	for _, ps := range fig1Corpus {
@@ -506,6 +628,8 @@ func FuzzEvalRoutesAgree(f *testing.F) {
 	fixtures = append(fixtures, fuzzFixture{d, text, nil, newOracle(d, text)})
 	d, text, seeds := registryDAG(f)
 	fixtures = append(fixtures, fuzzFixture{d, text, seeds, newOracle(d, text)})
+	d, text = orphanDAG(f)
+	fixtures = append(fixtures, fuzzFixture{d, text, nil, newOracle(d, text)})
 	f.Fuzz(func(t *testing.T, text string) {
 		p, err := Parse(text)
 		if err != nil {
