@@ -33,7 +33,7 @@ func encodeCheckpoint(sys *core.System) []byte {
 }
 
 // requireSamePayload holds the encoder to the reference
-// (testkit.CheckPayload): the header, the DAG state and L byte for byte, and
+// (testkit.CheckPayload): the header and the DAG state byte for byte, and
 // each table as a list of rows — the encoder writes them in slot order, the
 // reference sorted, so the two are compared sorted. It returns the encoder's
 // payload.
@@ -50,7 +50,7 @@ func requireSamePayload(t *testing.T, when string, sys *core.System) []byte {
 func checkPayload(payload []byte, sys *core.System) error {
 	sum, _ := sys.Digest()
 	fp := sys.ATG.Fingerprint()
-	return testkit.CheckPayload(payload, wal.Format, sys.Generation(), sum.Append(nil), fp[:], sys.DB, sys.DAG, sys.Topo.Nodes())
+	return testkit.CheckPayload(payload, wal.Format, sys.Generation(), sum.Append(nil), fp[:], sys.DB, sys.DAG)
 }
 
 // unsortedTables names the tables of a payload that do not list their rows
@@ -154,10 +154,9 @@ func syntheticView(tb testing.TB, nc int) (*Synthetic, *View) {
 }
 
 // TestEncodeCheckpointMatchesReference: the encoder writes the reference's
-// header, DAG state and L, and the reference's rows in each table, on both
+// header and DAG state, and the reference's rows in each table, on both
 // datasets, before and after a run of insertions and deletions (which leaves
-// dead identities in the DAG, deleted slots in the tables and tombstones in
-// L). Where insertions refill freed slots the rows are out of order, and the
+// dead identities in the DAG and deleted slots in the tables). Where insertions refill freed slots the rows are out of order, and the
 // payload still restores to the state it was taken from.
 func TestEncodeCheckpointMatchesReference(t *testing.T) {
 	ctx := context.Background()

@@ -122,13 +122,13 @@ func fig10b(w io.Writer, c config) error {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "|C|\trows\tDAG nodes\tDAG edges\ttree |T|\tcompr.\tshared\t|L|\t|M|\tbuild")
 	for _, nc := range c.sizes {
-		st, pairs, took, err := bench.DatasetStats(nc, c.seed)
+		st, topoLen, pairs, took, err := bench.DatasetStats(nc, c.seed)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%.0f\t%.2fx\t%.1f%%\t%d\t%d\t%v\n",
 			nc, st.BaseRows, st.Nodes, st.Edges, st.TreeSize, st.Compression,
-			100*st.SharedFrac, st.TopoLen, pairs, took.Round(time.Millisecond))
+			100*st.SharedFrac, topoLen, pairs, took.Round(time.Millisecond))
 	}
 	tw.Flush()
 	fmt.Fprintln(w)
@@ -266,7 +266,7 @@ func ablation(w io.Writer, c config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "Evaluation strategy: sweep (NFA state-sets over L) %v vs frontier-with-M (paper-literal) %v vs anchored cone %v\n",
+	fmt.Fprintf(w, "Evaluation strategy: sweep (NFA state-sets over the view) %v vs frontier-with-M (paper-literal) %v vs anchored cone %v\n",
 		sweepT.Round(time.Microsecond), frT.Round(time.Microsecond), anT.Round(time.Microsecond))
 
 	gT, eT, gN, eN, err := bench.MinDeleteAblation(nc, c.seed)

@@ -317,7 +317,7 @@ func (s *session) dispatch(out io.Writer, line string) error {
 		if err := tx.Rollback(); err != nil {
 			return err
 		}
-		fmt.Fprintln(out, "  rolled back: view, database and L restored to pre-begin state")
+		fmt.Fprintln(out, "  rolled back: view and database restored to pre-begin state")
 		return nil
 	case line == "tx":
 		if s.tx == nil {
@@ -354,7 +354,7 @@ func (s *session) dispatch(out io.Writer, line string) error {
 		if err := view.CheckConsistency(); err != nil {
 			return err
 		}
-		fmt.Fprintln(out, "  consistent: view equals a fresh publication; L and the source index verified")
+		fmt.Fprintln(out, "  consistent: view equals a fresh publication; the source index verified")
 		return nil
 	case line == "tables":
 		for _, t := range view.DB().Tables() {
@@ -456,8 +456,8 @@ func checkpointDescribe(out io.Writer, dir string) error {
 	fmt.Fprintf(out, "  checkpoint %s\n", det.Path)
 	fmt.Fprintf(out, "  sealed at generation %d (%d bytes state, format version %d)\n", det.Gen, det.StateBytes, det.Version)
 	fmt.Fprintf(out, "  state digest %s, written under ATG %s\n", det.Digest, det.ATG)
-	fmt.Fprintf(out, "  DAG: %d live node(s) of %d, %d edge(s); |L|=%d\n",
-		det.LiveNodes, det.Nodes, det.Edges, det.OrderLen)
+	fmt.Fprintf(out, "  DAG: %d live node(s) of %d, %d edge(s)\n",
+		det.LiveNodes, det.Nodes, det.Edges)
 	for _, t := range det.Tables {
 		fmt.Fprintf(out, "  %-12s %d rows\n", t.Name, t.Rows)
 	}
@@ -487,7 +487,7 @@ func verifyDir(out io.Writer, dir string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "  consistent at generation %d, state digest %s: the restored view equals a fresh publication of the restored tables; L and the source index verified\n", gen, d)
+	fmt.Fprintf(out, "  consistent at generation %d, state digest %s: the restored view equals a fresh publication of the restored tables; the source index verified\n", gen, d)
 	return nil
 }
 

@@ -249,7 +249,7 @@ func TestRunREPLTransactionRollbackAndGuards(t *testing.T) {
 	got := out.String()
 	for _, want := range []string{
 		"no open transaction", "already open", "unavailable inside a transaction",
-		"rolled back: view, database and L restored", "0 node(s)", "consistent",
+		"rolled back: view and database restored", "0 node(s)", "consistent",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)

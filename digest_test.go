@@ -354,7 +354,7 @@ func lastRecovery() (seconds, records float64, ok bool) {
 // follower's Restore — leaves its duration and the records it replayed in the
 // gauges, and one that is refused leaves them alone.
 func TestRecoveryGauges(t *testing.T) {
-	v, dir, _, _ := openImage(t, "wal-format2") // ckpt-6 and the record of generation 7
+	v, dir, _, _ := openImage(t, "wal-format3") // ckpt-6 and the record of generation 7
 	defer v.Close()
 	secs, recs, ok := lastRecovery()
 	if !ok || secs <= 0 || secs > 60 || recs != 1 {
@@ -408,7 +408,7 @@ func openImage(t *testing.T, name string) (v *View, dir string, warnings []strin
 	return v, dir, warnings, fullChecks() - before
 }
 
-// TestOpensDirectoryWrittenWithDigests: testdata/wal-format2 is what this
+// TestOpensDirectoryWrittenWithDigests: testdata/wal-format3 is what this
 // on-disk format writes (registrar example, a checkpoint every 2 commits, each
 // file landed before the next commit, the seven updates below, no Close):
 // checkpoints 4 and 6, records 5 to 7. An unintended change to the encoding
@@ -418,7 +418,7 @@ func openImage(t *testing.T, name string) (v *View, dir string, warnings []strin
 // updates.
 func TestOpensDirectoryWrittenWithDigests(t *testing.T) {
 	ctx := context.Background()
-	v, dir, warnings, checks := openImage(t, "wal-format2")
+	v, dir, warnings, checks := openImage(t, "wal-format3")
 	defer v.Close()
 	if len(warnings) != 0 || checks != 0 {
 		t.Fatalf("warnings %q, %v full consistency checks: the restore was not verified by digest alone", warnings, checks)
@@ -593,7 +593,7 @@ func registrarVariant(t *testing.T) (*ATG, *DB) {
 // payload in a foreign format and with its digest zeroed.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	for _, gen := range []uint64{4, 6} {
-		state, err := wal.ReadCheckpoint(filepath.Join("testdata", "wal-format2", fmt.Sprintf("ckpt-%020d.xvc", gen)), gen)
+		state, err := wal.ReadCheckpoint(filepath.Join("testdata", "wal-format3", fmt.Sprintf("ckpt-%020d.xvc", gen)), gen)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -682,7 +682,7 @@ func BenchmarkStateDigest(b *testing.B) {
 
 // BenchmarkRestore is a reopen without its file I/O, at the restart
 // workload's shape: decode the |C| = 7500 checkpoint payload, load it, hold
-// it to its digest, replay 48 records comparing after each, validate L.
+// it to its digest, replay 48 records comparing after each.
 func BenchmarkRestore(b *testing.B) {
 	syn, state, recs := syntheticCrashImage(b, 7500, 48)
 	b.ReportAllocs()

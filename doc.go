@@ -16,8 +16,8 @@
 // Updates are transactional. View.Begin opens an atomic group (Tx): each
 // staged update executes speculatively against the live view — Tx.Query and
 // later stages read the transaction's own writes — and Tx.Commit applies
-// all of it or none, restoring the view, the database and the topological
-// order L exactly to the pre-Begin state on rejection or Rollback. A
+// all of it or none, restoring the view and the database exactly to the
+// pre-Begin state on rejection or Rollback. A
 // committed transaction advances View.Generation by exactly 1, however many
 // updates it staged, so snapshot readers step from group to group and never
 // observe a mid-transaction state. View.BeginBatch opens the same type's
@@ -42,17 +42,18 @@
 //
 // The paper keeps two auxiliary structures, the topological order L and the
 // reachability matrix M, and maintains them together (∆(M,L), §3.4) because
-// its evaluator reads M for // and for side-effect screening. The state-set
-// evaluator that serves here reads the DAG and L only, so a View carries L
-// and no M: insertions append to and repair L, deletions collect the nodes
-// left without a parent. M lives on in internal/reach as a self-contained
-// bitset matrix that the paper's experiments (Fig.10b, Fig.11 phase (c),
-// Table 1, the ablations) build and keep exact from each commit's DAG delta.
-// See README.md ("The reachability matrix M") for the numbers behind that
+// its evaluator reads M for // and for side-effect screening and runs along
+// L. The state-set evaluator that serves here reads the DAG only — its
+// sweep orders the nodes it visits itself — so a View carries neither:
+// deletions collect the nodes left without a parent, and that is all the
+// maintenance a write does. L and M live on in internal/paper, which the
+// paper's experiments (Fig.10b, Fig.11 phase (c), Table 1, the ablations)
+// use to build both and keep them exact from each commit's DAG delta. See
+// README.md ("The auxiliary structures L and M") for the numbers behind that
 // decision.
 //
-// A View is not safe for concurrent use: the pipeline mutates the DAG and L
-// in place. Two primitives support the concurrent
+// A View is not safe for concurrent use: the pipeline mutates the DAG in
+// place. Two primitives support the concurrent
 // serving layer built on top (package rxview/server): View.Snapshot seals
 // the current state into an immutable epoch whose Query/Stats/XML are safe
 // for any number of goroutines, and View.Generation counts applied

@@ -32,9 +32,9 @@ const defaultCheckpointEvery = 256
 // digest) of the state it holds, and every commit record the digest of the
 // state it leaves; the primary stepped that digest over each record as it built
 // it. A restore holds the decoded payload to the checkpoint's digest in one
-// pass, replays the suffix through core's ApplyCommitRecord, which steps the
-// digest by the same function and compares after every record, and validates
-// L, which the digest does not cover. It republishes nothing: equal digests
+// pass and replays the suffix through core's ApplyCommitRecord, which steps
+// the digest by the same function and compares after every record; the
+// digest covers all the state a view keeps. It republishes nothing: equal digests
 // prove that the restored state is the state the primary had — nodes,
 // edges and rows alike — and what the primary had went through the translator
 // whose output the tests hold to σ(I) with the full CheckConsistency after
@@ -118,9 +118,8 @@ func openDurable(a *ATG, db *DB, cfg *config) (*View, error) {
 // names where the payload came from in the errors. The payload is decoded
 // into a DAG and a database of its own and held to its grammar fingerprint
 // and its state digest before the caller's DB is touched, and a restore that
-// is refused later — a record that does not replay to its digest, an L that
-// is no order of the DAG — puts the DB's contents back: a refused restore
-// changes nothing.
+// is refused later — a record that does not replay to its digest — puts the
+// DB's contents back: a refused restore changes nothing.
 func restoreSystem(a *ATG, db *DB, opts core.Options, src string, gen uint64, state []byte, suffix []wal.Record) (*core.System, error) {
 	start := time.Now()
 	ck, err := ckpt.Decode(state)
@@ -139,11 +138,6 @@ func restoreSystem(a *ATG, db *DB, opts core.Options, src string, gen uint64, st
 	if err != nil {
 		return nil, &CorruptLogError{Dir: src, Err: err}
 	}
-	for _, id := range ck.Order {
-		if int(id) >= d.Cap() {
-			return nil, &CorruptLogError{Dir: src, Err: fmt.Errorf("checkpoint: L names node %d of %d", id, d.Cap())}
-		}
-	}
 	loaded := relational.NewDatabase(db.db.Schema)
 	for _, tb := range ck.Tables {
 		// The relation takes the decoded rows as its storage; ck is done
@@ -160,10 +154,7 @@ func restoreSystem(a *ATG, db *DB, opts core.Options, src string, gen uint64, st
 	}
 
 	db.db.Swap(loaded) // loaded holds the previous contents from here on
-	sys, err := core.Recover(a.c, db.db, d, ck.Order, gen, sum, suffix, opts)
-	if err == nil {
-		err = sys.Topo.Validate(sys.DAG)
-	}
+	sys, err := core.Recover(a.c, db.db, d, gen, sum, suffix, opts)
 	if err != nil {
 		db.db.Swap(loaded)
 		return nil, &CheckpointMismatchError{Dir: src, Err: fmt.Errorf("restoring generation %d: %w", gen, err)}
@@ -348,7 +339,6 @@ func checkpointState(sys *core.System) ckpt.State {
 		ATG:    sys.ATG.Fingerprint(),
 		DB:     sys.DB,
 		DAG:    sys.DAG,
-		Order:  sys.Topo.Nodes(),
 	}
 }
 

@@ -44,7 +44,7 @@ var (
 	// history they claim to be: a generation gap between the checkpoint and
 	// the log, a checkpoint payload or a replayed record that does not
 	// produce the state its digest names, a checkpoint written under another
-	// ATG, an L that is no order of the restored view. The concrete type is
+	// ATG. The concrete type is
 	// *CheckpointMismatchError.
 	ErrCheckpointMismatch = errors.New("rxview: checkpoint and log disagree")
 	// ErrDegraded marks a write rejected because a durable view is in

@@ -34,9 +34,8 @@ func main() {
 	fmt.Printf("  published subtrees: %.0f (tree nodes)\n", st.TreeSize)
 	fmt.Printf("  compressed DAG:     %d nodes, %d edges (%.2fx compression)\n",
 		st.Nodes, st.Edges, st.Compression)
-	fmt.Printf("  shared subtrees:    %.1f%% of nodes (paper: 31.4%% of C instances)\n",
+	fmt.Printf("  shared subtrees:    %.1f%% of nodes (paper: 31.4%% of C instances)\n\n",
 		100*st.SharedFrac)
-	fmt.Printf("  |L| = %d\n\n", st.TopoLen)
 
 	run := func(label string, stmts []string) {
 		for _, stmt := range stmts {

@@ -66,7 +66,6 @@ type CheckpointDetail struct {
 	Nodes      int         `json:"nodes"`       // identity-table size, dead entries included
 	LiveNodes  int         `json:"live_nodes"`  // nodes alive at the sealed epoch
 	Edges      int         `json:"edges"`       // DAG edges at the sealed epoch
-	OrderLen   int         `json:"order_len"`   // entries in the serialized L
 	StateBytes int         `json:"state_bytes"` // payload size on disk
 }
 
@@ -95,7 +94,6 @@ func InspectCheckpoint(dir string) (*CheckpointDetail, error) {
 		Nodes:      d.Cap(),
 		LiveNodes:  d.NumNodes(),
 		Edges:      d.NumEdges(),
-		OrderLen:   len(ck.Order),
 		StateBytes: len(state),
 	}
 	for _, tb := range ck.Tables {

@@ -2,8 +2,8 @@ package rxview_test
 
 // End-to-end integration tests: long, randomized update sequences over both
 // datasets, with the full system invariant ΔX(T) = σ(ΔR(I)) (re-publish and
-// compare; L and the source index revalidated) checked along the way. Everything here goes
-// through the public rxview API.
+// compare; the source index revalidated) checked along the way. Everything
+// here goes through the public rxview API.
 
 import (
 	"context"

@@ -34,7 +34,7 @@ func BenchmarkFig10bStats(b *testing.B) {
 	for _, nc := range benchSizes {
 		b.Run(fmt.Sprintf("C=%d", nc), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				st, pairs, _, err := DatasetStats(nc, 42)
+				st, _, pairs, _, err := DatasetStats(nc, 42)
 				if err != nil {
 					b.Fatal(err)
 				}

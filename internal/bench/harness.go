@@ -5,7 +5,8 @@
 // bench_test.go (testing.B entry points) and cmd/benchrunner (paper-style
 // tables) are its only callers; the internalboundary analyzer keeps it out
 // of every other package's imports. What the paper times beside the serving
-// path — M, Algorithm Reach, the frontier evaluator — is internal/paper's.
+// path — L, M, ∆(M,L), Algorithm Reach, the frontier evaluator — is
+// internal/paper's.
 package bench
 
 import (
@@ -17,7 +18,6 @@ import (
 	"rxview/internal/core"
 	"rxview/internal/dag"
 	"rxview/internal/paper"
-	"rxview/internal/reach"
 	"rxview/internal/relational"
 	"rxview/internal/update"
 	"rxview/internal/viewupdate"
@@ -73,22 +73,24 @@ func openSystem(syn *workload.Synthetic, db *relational.Database) (*core.System,
 	return core.Open(syn.ATG, db, core.Options{ForceSideEffects: true})
 }
 
-// paperView is a system under experiment together with the reachability
-// matrix M that the paper maintains next to L. The system itself carries no
-// M (no evaluator that serves reads it; see package core), so the
-// experiments hold their own: built by Algorithm Reach, then kept exact from
-// the DAG delta of each commit, which an in-memory commit sink taps. ∆(M,L)
-// is thus split along its comma — the L half and the garbage collection run
-// inside the system, the M half here — and phase (c) of Fig.11 and the
-// incremental columns of Table 1 report the sum of both.
+// paperView is a system under experiment together with the topological
+// order L and the reachability matrix M that the paper maintains. The system
+// itself carries neither (no evaluator that serves reads them; see package
+// core), so the experiments hold their own: L computed and M built by
+// Algorithm Reach, then both kept exact from the DAG delta of each commit,
+// which an in-memory commit sink taps. ∆(M,L)delete's garbage collection
+// runs inside the system, L's and M's halves here, and phase (c) of Fig.11
+// and the incremental columns of Table 1 report the sum.
 type paperView struct {
 	sys   *core.System
+	topo  *paper.Topo
 	m     *paper.Matrix
-	delta []dag.DeltaOp // of the commits since M was last brought up to date
+	delta []dag.DeltaOp // of the commits since L and M were last brought up to date
 }
 
 func newPaperView(sys *core.System) *paperView {
-	v := &paperView{sys: sys, m: paper.Compute(sys.DAG, sys.Topo)}
+	topo := paper.ComputeTopo(sys.DAG)
+	v := &paperView{sys: sys, topo: topo, m: paper.Compute(sys.DAG, topo)}
 	sys.SetCommitSink(func(recs []core.CommitRecord) error {
 		for _, r := range recs {
 			v.delta = append(v.delta, r.Delta...)
@@ -103,7 +105,6 @@ func newPaperView(sys *core.System) *paperView {
 func evaluator(sys *core.System) *xpath.Evaluator {
 	return &xpath.Evaluator{
 		D:          sys.DAG,
-		Topo:       sys.Topo,
 		Text:       sys.ATG.Text(sys.DAG),
 		TextEquals: sys.ATG.TextEquals(sys.DAG),
 	}
@@ -112,8 +113,8 @@ func evaluator(sys *core.System) *xpath.Evaluator {
 // execute applies one update statement and reports its phases as Fig.11
 // defines them: phase (a) is §3.2's O(|p|·|V|) evaluation, so it is timed on
 // the sweep, called by name on the pre-update view, whatever route the
-// serving pipeline took for the same path; phase (c) is the system's own
-// maintenance of L plus the M half of ∆(M,L), applied here from the commit's
+// serving pipeline took for the same path; phase (c) is the system's
+// garbage collection plus ∆(M,L) for L and M, applied here from the commit's
 // delta.
 func (v *paperView) execute(stmt string) (*core.Report, error) {
 	op, err := update.ParseStatement(v.sys.ATG, stmt)
@@ -129,7 +130,8 @@ func (v *paperView) execute(stmt string) (*core.Report, error) {
 	if rep != nil {
 		rep.Timings.Eval = sweep
 		t0 = time.Now()
-		v.m.ApplyDelta(v.sys.DAG, v.sys.Topo, v.delta)
+		v.topo.ApplyDelta(v.sys.DAG, v.delta)
+		v.m.ApplyDelta(v.sys.DAG, v.topo, v.delta)
 		rep.Timings.Maintain += time.Since(t0)
 		v.delta = v.delta[:0]
 	}
@@ -167,16 +169,18 @@ func RunWorkload(nc int, class workload.Class, deletes bool, nops int, seed int6
 }
 
 // DatasetStats generates the dataset and reports the Fig.10(b) statistics —
-// the view's own plus |M|, for which Algorithm Reach runs once here — and
-// the generation and publication wall time, Reach included.
-func DatasetStats(nc int, seed int64) (st core.Stats, matrixPairs int, took time.Duration, err error) {
+// the view's own plus |L| and |M|, for which L is computed and Algorithm
+// Reach runs once here — and the generation and publication wall time, L
+// and Reach included.
+func DatasetStats(nc int, seed int64) (st core.Stats, topoLen, matrixPairs int, took time.Duration, err error) {
 	t0 := time.Now()
 	_, sys, err := NewSystem(nc, seed)
 	if err != nil {
-		return core.Stats{}, 0, 0, err
+		return core.Stats{}, 0, 0, 0, err
 	}
-	matrixPairs = paper.Compute(sys.DAG, sys.Topo).Size()
-	return sys.Stats(), matrixPairs, time.Since(t0), nil
+	topo := paper.ComputeTopo(sys.DAG)
+	matrixPairs = paper.Compute(sys.DAG, topo).Size()
+	return sys.Stats(), topo.Len(), matrixPairs, time.Since(t0), nil
 }
 
 // SelResult is one point of the Fig.11(g) sweep.
@@ -364,7 +368,7 @@ func Table1(nc int, seed int64) (Table1Result, error) {
 	res.IncrDelete = rep.Timings.Maintain
 
 	t0 := time.Now()
-	topo := reach.ComputeTopo(sys.DAG)
+	topo := paper.ComputeTopo(sys.DAG)
 	res.RecomputeL = time.Since(t0)
 	t0 = time.Now()
 	paper.Compute(sys.DAG, topo)
@@ -379,7 +383,7 @@ func ReachAblation(nc int, seed int64) (fig4, naive time.Duration, pairs int, er
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	topo := reach.ComputeTopo(sys.DAG)
+	topo := paper.ComputeTopo(sys.DAG)
 	t0 := time.Now()
 	m := paper.Compute(sys.DAG, topo)
 	fig4 = time.Since(t0)
@@ -403,7 +407,7 @@ func MatrixAblation(nc int, seed int64) (bitset, sparse time.Duration, pairs int
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	topo := reach.ComputeTopo(sys.DAG)
+	topo := paper.ComputeTopo(sys.DAG)
 	t0 := time.Now()
 	m := paper.Compute(sys.DAG, topo)
 	bitset = time.Since(t0)
@@ -440,7 +444,6 @@ func DAGvsTree(nc int, seed int64) (dagTime, treeTime time.Duration, dagNodes, t
 		return 0, 0, 0, 0, err
 	}
 	treeNodes = n
-	treeTopo := reach.ComputeTopo(tree)
 	// Text for the tree copies: attr layout is (original attr..., occ),
 	// and PCDATA types render their first field, so reuse position 0.
 	treeText := func(id dag.NodeID) (string, bool) {
@@ -451,7 +454,7 @@ func DAGvsTree(nc int, seed int64) (dagTime, treeTime time.Duration, dagNodes, t
 		}
 		return "", false
 	}
-	evTree := &xpath.Evaluator{D: tree, Topo: treeTopo, Text: treeText}
+	evTree := &xpath.Evaluator{D: tree, Text: treeText}
 	t0 = time.Now()
 	if _, err := evTree.EvalSweep(path); err != nil {
 		return 0, 0, 0, 0, err
@@ -519,7 +522,7 @@ func SideEffectAblation(nc int, seed int64) (full, selectOnly time.Duration, err
 }
 
 // EvalStrategyAblation evaluates one recursive query three ways: the sweep
-// (NFA state-sets over all of L, exact side effects), the paper-literal
+// (NFA state-sets over every node the root reaches, exact side effects), the paper-literal
 // frontier evaluator (per-step Ci sets, // expanded through the reachability
 // matrix M), and the anchored route (the same NFA over the ancestor cone of
 // the value-matched candidates). The three selections are cross-checked.
@@ -530,7 +533,8 @@ func EvalStrategyAblation(nc int, seed int64) (sweep, frontier, anchored time.Du
 	}
 	path := xpath.MustParse(`//C[val="v1"]//C[sub/C]`)
 	ev := evaluator(sys)
-	fe := &paper.FrontierEvaluator{D: sys.DAG, Topo: sys.Topo, Matrix: paper.Compute(sys.DAG, sys.Topo), Text: ev.Text}
+	topo := paper.ComputeTopo(sys.DAG)
+	fe := &paper.FrontierEvaluator{D: sys.DAG, Topo: topo, Matrix: paper.Compute(sys.DAG, topo), Text: ev.Text}
 
 	timed := func(eval func(*xpath.Path) (*xpath.Result, error)) (*xpath.Result, time.Duration, error) {
 		t0 := time.Now()

@@ -28,12 +28,12 @@ func TestRunWorkloadAllClasses(t *testing.T) {
 }
 
 func TestDatasetStats(t *testing.T) {
-	st, pairs, took, err := DatasetStats(200, 1)
+	st, topoLen, pairs, took, err := DatasetStats(200, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Nodes == 0 || pairs == 0 || took <= 0 {
-		t.Errorf("stats = %+v |M| = %d took %v", st, pairs, took)
+	if st.Nodes == 0 || topoLen != st.Nodes || pairs == 0 || took <= 0 {
+		t.Errorf("stats = %+v |L| = %d |M| = %d took %v", st, topoLen, pairs, took)
 	}
 }
 

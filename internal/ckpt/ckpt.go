@@ -3,7 +3,7 @@
 //
 // A payload is the full state of a view at one generation: the format
 // (wal.Format), the generation, the state digest, the grammar fingerprint,
-// the tables, the DAG state, and L. Every payload is complete and
+// the tables and the DAG state. Every payload is complete and
 // self-contained. What makes a checkpoint cheap is how it is written, not
 // what it holds: each table's rows and the DAG's identity table are laid out
 // in ranges of relational.RangeLen slots, and a range no write touched since
@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 
 	"rxview/internal/atg"
@@ -32,7 +31,6 @@ type State struct {
 	ATG    atg.Fingerprint // of the grammar the state was published under
 	DB     *relational.Database
 	DAG    *dag.DAG
-	Order  []dag.NodeID // L
 }
 
 // ranged is a structure written in ranges of relational.RangeLen slots: a
@@ -126,10 +124,7 @@ func Encode(s State, prev *Index) (buf []byte, next *Index) {
 		tablesEnd += vlen(uint64(len(name))) + len(name) + vlen(uint64(rel.Len())) + rel.EncodedLen()
 	}
 	stateLen := s.DAG.StateLen()
-	size := tablesEnd + vlen(uint64(stateLen)) + stateLen + vlen(uint64(len(s.Order)))
-	for _, id := range s.Order {
-		size += vlen(uint64(id))
-	}
+	size := tablesEnd + vlen(uint64(stateLen)) + stateLen
 	next.spans = make([]span, 0, ranges)
 
 	buf = make([]byte, size)
@@ -171,10 +166,6 @@ func Encode(s State, prev *Index) (buf []byte, next *Index) {
 		panic(fmt.Sprintf("ckpt: DAG state measured %d bytes, encoded %d", stateLen, len(dst)-stateStart))
 	}
 	next.sections = append(next.sections, len(next.spans))
-	dst = binary.AppendUvarint(dst, uint64(len(s.Order)))
-	for _, id := range s.Order {
-		dst = binary.AppendUvarint(dst, uint64(id))
-	}
 	if len(dst) != size {
 		panic(fmt.Sprintf("ckpt: payload measured %d bytes, encoded %d", size, len(dst)))
 	}
@@ -270,7 +261,6 @@ type Payload struct {
 	ATG      atg.Fingerprint // of the grammar the state was published under
 	Tables   []Table
 	DAGState []byte
-	Order    []dag.NodeID
 }
 
 // Table is one decoded table. The rows are cut from slabs (package slab)
@@ -360,21 +350,6 @@ func Decode(b []byte) (*Payload, error) {
 	}
 	ck.DAGState = b[:dl]
 	b = b[dl:]
-	on, err := next("order length")
-	if err != nil {
-		return nil, err
-	}
-	if on > uint64(len(b)) { // an entry takes a byte at the least
-		return nil, fmt.Errorf("checkpoint: order of %d entries exceeds input", on)
-	}
-	ck.Order = make([]dag.NodeID, on)
-	for i := range ck.Order {
-		id, err := next("order entry")
-		if err != nil || id > math.MaxInt32 {
-			return nil, fmt.Errorf("checkpoint: bad order entry")
-		}
-		ck.Order[i] = dag.NodeID(id)
-	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("checkpoint: %d trailing bytes", len(b))
 	}

@@ -20,7 +20,7 @@ func TestIndexBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, ix := Encode(State{Gen: s.Generation(), ATG: s.ATG.Fingerprint(), DB: s.DB, DAG: s.DAG, Order: s.Topo.Nodes()}, nil)
+	buf, ix := Encode(State{Gen: s.Generation(), ATG: s.ATG.Fingerprint(), DB: s.DB, DAG: s.DAG}, nil)
 	ix.Landed(t.TempDir()+"/ckpt", 0)
 	size := int(unsafe.Sizeof(*ix)) + len(ix.path) +
 		cap(ix.rels)*int(unsafe.Sizeof(ix.rels[0])) +

@@ -37,8 +37,8 @@ var cowProbes = []string{
 
 // TestSnapshotCOWDifferential is the aliasing property test of the COW
 // epochs: drive the full update pipeline (inserts and deletes, including
-// edge removals that compact adjacency rows in place, cascade deletions
-// that tombstone L, and re-inserts that resurrect dead identities and
+// edge removals that compact adjacency rows in place, cascade deletions,
+// and re-inserts that resurrect dead identities and
 // append to byType), sealing an O(Δ) Snapshot AND a deep CloneSnapshot at
 // every generation. At every step and again at the end, each sealed
 // snapshot must fingerprint exactly like its deep-clone oracle and like it

@@ -6,7 +6,6 @@ import (
 	"rxview/internal/atg"
 	"rxview/internal/dag"
 	"rxview/internal/digest"
-	"rxview/internal/reach"
 	"rxview/internal/relational"
 	"rxview/internal/viewupdate"
 	"rxview/internal/wal"
@@ -69,12 +68,10 @@ func (s *System) stepDigest(rec CommitRecord) digest.Sum {
 
 // ApplyCommitRecord replays one committed record against the live system —
 // the one replay loop, shared by the follower's apply path and by Recover:
-// ΔR goes through applyDR, then the DAG delta op by op with L stepped per op
-// by the function the live path's stages run (Topo.Step, then Settle; node
-// deaths, cascades included, arrive as their own ops), so L comes out the
-// primary's entry for entry, then the source index from the whole delta
-// (noteDelta). The record must continue the
-// current generation exactly; a gap means the caller lost part of the stream
+// ΔR goes through applyDR, then the DAG delta op by op (node deaths,
+// cascades included, arrive as their own ops), then the source index from
+// the whole delta (noteDelta). The record must continue the current
+// generation exactly; a gap means the caller lost part of the stream
 // (or the log and checkpoint disagree) and must re-sync from a checkpoint
 // rather than replay into a wrong state. So does a replay that ends in a state other than
 // the one the record's digest names: the error wraps a *digest.MismatchError
@@ -92,12 +89,9 @@ func (s *System) ApplyCommitRecord(rec CommitRecord) error {
 	}
 	for _, op := range rec.Delta {
 		if err := s.DAG.ApplyDelta(op); err != nil {
-			s.Topo.Settle()
 			return fmt.Errorf("core: apply record: generation %d: %w", rec.Gen, err)
 		}
-		s.Topo.Step(s.DAG, op)
 	}
-	s.Topo.Settle()
 	s.noteDelta(rec.Delta, +1)
 	if !s.digest.IsZero() {
 		next := s.digest.Step(s.DAG, rec.Delta, rec.DR)
@@ -111,16 +105,15 @@ func (s *System) ApplyCommitRecord(rec CommitRecord) error {
 }
 
 // Recover rebuilds a System from durable state: a checkpoint (the database
-// holding the checkpointed instance, the decoded DAG and its serialized
-// topological order, at generation gen, with state digest sum — the caller
-// has held the decoded state to it) plus the log suffix recs, replayed in
-// order through ApplyCommitRecord. Generations must be contiguous from gen+1.
-func Recover(c *atg.Compiled, db *relational.Database, d *dag.DAG, order []dag.NodeID, gen uint64, sum digest.Sum, recs []CommitRecord, opts Options) (*System, error) {
+// holding the checkpointed instance and the decoded DAG, at generation gen,
+// with state digest sum — the caller has held the decoded state to it) plus
+// the log suffix recs, replayed in order through ApplyCommitRecord.
+// Generations must be contiguous from gen+1.
+func Recover(c *atg.Compiled, db *relational.Database, d *dag.DAG, gen uint64, sum digest.Sum, recs []CommitRecord, opts Options) (*System, error) {
 	s := &System{
 		ATG:        c,
 		DB:         db,
 		DAG:        d,
-		Topo:       reach.RestoreTopo(order),
 		Translator: viewupdate.NewTranslator(c, db, d),
 		opts:       opts,
 		text:       c.Text(d),

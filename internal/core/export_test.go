@@ -28,7 +28,6 @@ func (s *System) CloneSnapshot() *Snapshot {
 	return &Snapshot{
 		gen:      s.gen,
 		dag:      d,
-		topo:     s.Topo.Clone(),
 		text:     s.ATG.Text(d),
 		textEq:   s.ATG.TextEquals(d),
 		baseRows: s.DB.TotalRows(),

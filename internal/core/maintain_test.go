@@ -18,14 +18,15 @@ import (
 
 // maintenanceOracle follows one system through a random sequence of write
 // units and checks, after every unit, everything ∆(M,L) is responsible for —
-// on both sides of the split. The system's side: L is a topological order of
-// the DAG, the DAG is the republication of the database, the translator's
-// source index matches a rebuild (all three inside CheckConsistency), and
-// the live nodes are exactly the ones a plain DFS from the root reaches. The
-// experiments' side: a reachability matrix kept from nothing but the commit
-// records — tapped by an in-memory sink, the way internal/bench does it —
-// equals both from-scratch oracles, mirror intact. A rolled-back unit emits
-// no record, so the matrix must still be exact for the restored state. And
+// on both sides of the split. The system's side: the DAG is the
+// republication of the database, the translator's source index matches a
+// rebuild (both inside CheckConsistency), and the live nodes are exactly the
+// ones a plain DFS from the root reaches. The experiments' side: an order L
+// and a reachability matrix kept from nothing but the commit records —
+// tapped by an in-memory sink, the way internal/bench does it — are a
+// topological order of the DAG and its closure, equal to both from-scratch
+// oracles, mirror intact. A rolled-back unit emits no record, so both must
+// still be exact for the restored state. And
 // the state digest's side: stepped over each commit's record, it equals the
 // full pass over the state after every unit — applied, rejected (it must not
 // have moved: group compares the fingerprint, which carries it), rolled back,
@@ -33,12 +34,14 @@ import (
 type maintenanceOracle struct {
 	t     *testing.T
 	s     *System
+	topo  *paper.Topo
 	m     *paper.Matrix
 	delta []dag.DeltaOp
 }
 
 func newMaintenanceOracle(t *testing.T, s *System) *maintenanceOracle {
-	o := &maintenanceOracle{t: t, s: s, m: paper.Compute(s.DAG, s.Topo)}
+	topo := paper.ComputeTopo(s.DAG)
+	o := &maintenanceOracle{t: t, s: s, topo: topo, m: paper.Compute(s.DAG, topo)}
 	s.StartDigest()
 	s.SetCommitSink(func(recs []CommitRecord) error {
 		for _, r := range recs {
@@ -64,12 +67,16 @@ func (o *maintenanceOracle) check(unit string) {
 			o.t.Fatalf("%s: node %d alive=%v but reachable from the root=%v", unit, id, alive, reachable[id])
 		}
 	}
-	o.m.ApplyDelta(s.DAG, s.Topo, o.delta)
+	o.topo.ApplyDelta(s.DAG, o.delta)
+	o.m.ApplyDelta(s.DAG, o.topo, o.delta)
 	o.delta = o.delta[:0]
+	if err := o.topo.Validate(s.DAG); err != nil {
+		o.t.Fatalf("%s: delta-stepped L: %v", unit, err)
+	}
 	if err := o.m.ValidateMirror(); err != nil {
 		o.t.Fatalf("%s: %v", unit, err)
 	}
-	if want := paper.Compute(s.DAG, s.Topo); !o.m.Equal(want) {
+	if want := paper.Compute(s.DAG, o.topo); !o.m.Equal(want) {
 		o.t.Fatalf("%s: delta-maintained M differs from Compute: %s", unit, o.m.Diff(want))
 	}
 	if sp := paper.ComputeSparse(s.DAG); !o.m.EqualSparse(sp) {
@@ -253,8 +260,8 @@ func TestMaintenanceRandomSequences(t *testing.T) {
 // TestReplayIsOneLoop: a follower fed a record stream one ApplyCommitRecord
 // at a time and a primary recovered from the checkpoint that precedes the
 // same stream go through the same loop, so they end bit-identical — DAG
-// state bytes, the entry sequence of L, generation — and equal to the
-// system that produced the records.
+// state bytes, generation — and equal to the system that produced the
+// records.
 func TestReplayIsOneLoop(t *testing.T) {
 	ctx := context.Background()
 	primary := openRegistrar(t, Options{ForceSideEffects: true})
@@ -307,7 +314,7 @@ func TestReplayIsOneLoop(t *testing.T) {
 			t.Fatalf("follower: generation %d: %v", rec.Gen, err)
 		}
 	}
-	recovered, err := Recover(ckpt.ATG, ckpt.DB, ckptDAG, ckpt.Topo.Nodes(), 0, ckptSum, stream, Options{ForceSideEffects: true})
+	recovered, err := Recover(ckpt.ATG, ckpt.DB, ckptDAG, 0, ckptSum, stream, Options{ForceSideEffects: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,9 +327,6 @@ func TestReplayIsOneLoop(t *testing.T) {
 		if !slices.Equal(s.DAG.AppendState(nil, nil), primary.DAG.AppendState(nil, nil)) {
 			t.Errorf("%s: DAG state bytes differ from the primary's", name)
 		}
-		if !slices.Equal(s.Topo.Nodes(), primary.Topo.Nodes()) {
-			t.Errorf("%s: L = %v, primary %v", name, s.Topo.Nodes(), primary.Topo.Nodes())
-		}
 		if err := s.CheckConsistency(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
@@ -330,7 +334,7 @@ func TestReplayIsOneLoop(t *testing.T) {
 
 	// A record that does not continue the generation is refused by both.
 	gap := []CommitRecord{{Gen: 2}}
-	if _, err := Recover(ckpt.ATG, ckpt.DB, ckptDAG, ckpt.Topo.Nodes(), 0, ckptSum, gap, Options{}); err == nil {
+	if _, err := Recover(ckpt.ATG, ckpt.DB, ckptDAG, 0, ckptSum, gap, Options{}); err == nil {
 		t.Error("recovery replayed across a generation gap")
 	}
 }

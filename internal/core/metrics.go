@@ -57,7 +57,7 @@ func metrics() *pipelineMetrics {
 				obs.Label{Key: "route", Value: route.String()})
 		}
 		m.evalVisited = r.NewHistogram("xview_xpath_eval_visited_nodes",
-			"Nodes one XPath evaluation propagated over: the cone size (about 110-180 nodes for a value-selected insert at |C|=5000, 35-55 for the delete of its key), the down set's, or |L| for a sweep.",
+			"Nodes one XPath evaluation propagated over: the cone size (about 110-180 nodes for a value-selected insert at |C|=5000, 35-55 for the delete of its key), the down set's, or the nodes the root reaches for a sweep.",
 			obs.ExpBounds(1, 4, 12))
 		m.stageDur = r.NewHistogram("xview_txn_stage_seconds",
 			"Latency of one staged update inside a transaction (full pipeline run).",
@@ -66,7 +66,7 @@ func metrics() *pipelineMetrics {
 			"Transaction commit latency (durability sink, journal commit).",
 			obs.LatencyBounds())
 		m.rollbackDur = r.NewHistogram("xview_txn_rollback_seconds",
-			"Transaction rollback latency (source index undone from the DAG journal's delta, journal unwind, inverse ΔR from the applied reports, L restore).",
+			"Transaction rollback latency (source index undone from the DAG journal's delta, journal unwind, inverse ΔR from the applied reports).",
 			obs.LatencyBounds())
 		m.commits = r.NewCounter("xview_txn_commits_total", "Transactions committed.")
 		m.rollbacks = r.NewCounter("xview_txn_rollbacks_total", "Transactions rolled back (explicit or doomed-at-commit).")

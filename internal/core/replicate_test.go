@@ -2,14 +2,12 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"slices"
 	"testing"
 )
 
 // White-box test of the replication seam: ApplyCommitRecord, the follower's
 // incremental replay, which must reproduce the primary's state exactly — node
-// identities, the entry sequence of L and all. (That a follower is told of a
+// identities and all. (That a follower is told of a
 // commit only once the sink's log accepted it is the root package's
 // TestReplSourceSeesOnlyAcceptedAppends: the sink is the one hook.)
 
@@ -18,8 +16,8 @@ import (
 // removal — on a primary while its sink captures the record stream, then
 // replays the stream record by record onto a twin system. The twin must
 // track the primary's generation exactly and end bit-identical;
-// CheckConsistency on the twin proves that the per-op maintenance of L and
-// of the translator's source index equals a rebuild.
+// CheckConsistency on the twin proves that the replayed maintenance of the
+// translator's source index equals a rebuild.
 func TestApplyCommitRecordReplaysTwin(t *testing.T) {
 	ctx := context.Background()
 	primary := openRegistrar(t, Options{ForceSideEffects: true})
@@ -95,84 +93,4 @@ func TestApplyCommitRecordReplaysTwin(t *testing.T) {
 	if err == nil {
 		t.Fatal("gap record applied")
 	}
-}
-
-// TestReplayKeepsLWhenSubtreesSurvive: inserted subtrees that stay in the
-// view — value-selected inserts that hang one new subtree under many C
-// nodes, rooted ones, and inserts placed into the holes deletes left, one at
-// a time and in an atomic group — replay to the primary's L entry for
-// entry, after every record, on the synthetic view and on the registrar.
-func TestReplayKeepsLWhenSubtreesSurvive(t *testing.T) {
-	ctx := context.Background()
-	run := func(t *testing.T, primary, follower *System, steps [][]string) {
-		t.Helper()
-		var stream []CommitRecord
-		primary.SetCommitSink(func(recs []CommitRecord) error {
-			stream = append(stream, recs...)
-			return nil
-		}, nil)
-		for _, stmts := range steps {
-			tx, err := primary.Begin(len(stmts) > 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, stmt := range stmts {
-				if rep, err := tx.Stage(ctx, mustOp(t, primary, stmt)); err != nil || !rep.Applied {
-					t.Fatalf("%s: applied %v: %v", stmt, rep.Applied, err)
-				}
-			}
-			if err := tx.Commit(ctx); err != nil {
-				t.Fatal(err)
-			}
-			for ; len(stream) > 0; stream = stream[1:] {
-				if err := follower.ApplyCommitRecord(stream[0]); err != nil {
-					t.Fatalf("generation %d: %v", stream[0].Gen, err)
-				}
-			}
-			if got, want := follower.Topo.Nodes(), primary.Topo.Nodes(); !slices.Equal(got, want) {
-				t.Fatalf("after %q: follower L = %v, primary %v", stmts, got, want)
-			}
-		}
-		if got, want := stateFingerprint(follower), stateFingerprint(primary); got != want {
-			t.Fatalf("follower diverged:\n%s\nvs\n%s", got, want)
-		}
-		if err := follower.CheckConsistency(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	t.Run("synthetic", func(t *testing.T) {
-		syn, primary := openSynthetic(t, 400, 5)
-		_, follower := openSynthetic(t, 400, 5)
-		root := syn.Roots[0]
-		ins := func(path string) string {
-			key := syn.NextKey
-			syn.NextKey++
-			return fmt.Sprintf(`insert C(c1=%d, c6="w%d") into %s`, key, key, path)
-		}
-		valued, rooted := `//C[val="v3"]/sub`, fmt.Sprintf(`C[key="%d"]/sub`, root)
-		first := syn.NextKey
-		run(t, primary, follower, [][]string{
-			{ins(valued)},
-			{ins(rooted)},
-			{ins(valued)},
-			{fmt.Sprintf(`delete //C[key="%d"]`, first)},
-			{ins(valued)},
-			{ins(rooted), ins(valued)},
-			{fmt.Sprintf(`delete //C[key="%d"]`, first+1)},
-			{ins(rooted)},
-		})
-	})
-	t.Run("registrar", func(t *testing.T) {
-		primary := openRegistrar(t, Options{ForceSideEffects: true})
-		follower := openRegistrar(t, Options{ForceSideEffects: true})
-		run(t, primary, follower, [][]string{
-			{`insert course(cno="CS111", title="Intro") into .`},
-			{`insert student(ssn="S08", name="Hal") into //course[cno="CS111"]/takenBy`},
-			{`insert course(cno="CS112", title="Intro II") into //course[cno="CS111"]/prereq`},
-			{`delete //course[cno="CS320"]//student[ssn="S02"]`},
-			{`insert course(cno="CS901", title="A") into .`, `insert course(cno="CS902", title="B") into .`},
-			{`insert student(ssn="S09", name="Ida") into //course[cno="CS901"]/takenBy`},
-		})
-	})
 }

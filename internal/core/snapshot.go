@@ -6,7 +6,6 @@ import (
 
 	"rxview/internal/dag"
 	"rxview/internal/digest"
-	"rxview/internal/reach"
 	"rxview/internal/xpath"
 )
 
@@ -22,7 +21,7 @@ import (
 func (s *System) Generation() uint64 { return s.gen }
 
 // Snapshot is an immutable view of the system state at one generation: the
-// DAG-compressed view and the topological order L, frozen together. It
+// DAG-compressed view, frozen. It
 // answers queries and renders statistics and XML without touching the live
 // System, so any number of goroutines may use one Snapshot concurrently
 // while the System keeps applying updates — the epoch unit of the
@@ -41,15 +40,14 @@ func (s *System) Generation() uint64 { return s.gen }
 type Snapshot struct {
 	gen      uint64
 	dag      dag.Reader
-	topo     reach.Order
 	text     func(dag.NodeID) (string, bool)
 	textEq   func(typ, s string) func(dag.NodeID) bool
 	baseRows int
 	digest   digest.Sum // the state digest at gen; zero when the system keeps none
 }
 
-// Snapshot freezes the current view state in O(Δ): it seals the DAG and L
-// into immutable copy-on-write versions. It must not run concurrently with
+// Snapshot freezes the current view state in O(Δ): it seals the DAG into an
+// immutable copy-on-write version. It must not run concurrently with
 // updates on the same System (the System itself is single-writer); the
 // serving layer's apply loop calls it after each write and publishes the
 // result atomically. Snapshot panics while a transaction is open — an
@@ -63,7 +61,6 @@ func (s *System) Snapshot() *Snapshot {
 	return &Snapshot{
 		gen:      s.gen,
 		dag:      v,
-		topo:     s.Topo.Seal(),
 		text:     s.ATG.Text(v),
 		textEq:   s.ATG.TextEquals(v),
 		baseRows: s.DB.TotalRows(),
@@ -91,7 +88,6 @@ func (sn *Snapshot) Text() func(dag.NodeID) (string, bool) { return sn.text }
 func (sn *Snapshot) evaluator() *xpath.Evaluator {
 	return &xpath.Evaluator{
 		D:          sn.dag,
-		Topo:       sn.topo,
 		Text:       sn.text,
 		TextEquals: sn.textEq,
 	}
@@ -105,7 +101,7 @@ func (sn *Snapshot) Select(p *xpath.Path) (*xpath.Result, error) {
 
 // Stats computes the frozen view's statistics.
 func (sn *Snapshot) Stats() Stats {
-	return statsFor(sn.dag, sn.topo.Len(), sn.baseRows)
+	return statsFor(sn.dag, sn.baseRows)
 }
 
 // WriteXML serializes the frozen view; maxNodes bounds the unfolded size.

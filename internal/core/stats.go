@@ -6,9 +6,9 @@ import (
 	"rxview/internal/dag"
 )
 
-// Stats summarizes the view and its auxiliary structure — the quantities of
-// Fig.10(b) in the paper a view carries: DAG size, uncompressed tree size,
-// sharing and |L|. (|M| is the experiments' to report: a view has no M.)
+// Stats summarizes the view — the quantities of Fig.10(b) in the paper a
+// view carries: DAG size, uncompressed tree size and sharing. (|L| and |M|
+// are the experiments' to report: a view has neither L nor M.)
 type Stats struct {
 	BaseRows    int     // total tuples in the published database
 	Nodes       int     // DAG nodes (n)
@@ -17,18 +17,16 @@ type Stats struct {
 	Compression float64 // TreeSize / Nodes
 	SharedNodes int     // nodes with >1 parent
 	SharedFrac  float64 // SharedNodes / Nodes
-	TopoLen     int     // |L|
 }
 
 // Stats computes current statistics.
 func (s *System) Stats() Stats {
-	return statsFor(s.DAG, s.Topo.Len(), s.DB.TotalRows())
+	return statsFor(s.DAG, s.DB.TotalRows())
 }
 
 // statsFor renders the statistics of one view state — shared by the live
-// System and its frozen Snapshots so the two can never diverge. L enters as
-// its size, which is all Stats reports.
-func statsFor(d dag.Reader, topoLen, baseRows int) Stats {
+// System and its frozen Snapshots so the two can never diverge.
+func statsFor(d dag.Reader, baseRows int) Stats {
 	n := d.NumNodes()
 	ts := dag.TreeSize(d)
 	shared := dag.SharedNodeCount(d)
@@ -38,7 +36,6 @@ func statsFor(d dag.Reader, topoLen, baseRows int) Stats {
 		Edges:       d.NumEdges(),
 		TreeSize:    ts,
 		SharedNodes: shared,
-		TopoLen:     topoLen,
 	}
 	if n > 0 {
 		st.Compression = ts / float64(n)
@@ -50,7 +47,7 @@ func statsFor(d dag.Reader, topoLen, baseRows int) Stats {
 // String renders the statistics in a Fig.10(b)-style line.
 func (st Stats) String() string {
 	return fmt.Sprintf(
-		"rows=%d nodes=%d edges=%d tree=%.0f compression=%.2fx shared=%.1f%% |L|=%d",
+		"rows=%d nodes=%d edges=%d tree=%.0f compression=%.2fx shared=%.1f%%",
 		st.BaseRows, st.Nodes, st.Edges, st.TreeSize, st.Compression,
-		100*st.SharedFrac, st.TopoLen)
+		100*st.SharedFrac)
 }

@@ -1,18 +1,19 @@
 // Package core is the public facade of the system: it wires together the
 // full update-processing framework of Fig.3 in the paper. A System holds the
 // published database I, the DAG compression of the XML view T = σ(I) with
-// its relational coding V, the topological order L, and the source index of
-// the relational translator. XML updates go through the three phases of
-// §2.4: DTD validation, ΔX → ΔV translation (with XPath evaluation and
-// side-effect detection on the DAG), and ΔV → ΔR translation; then ΔR is
-// applied to I, ΔV to V, and the maintenance algorithms repair L and collect
-// what the update left unreachable.
+// its relational coding V, and the source index of the relational
+// translator. XML updates go through the three phases of §2.4: DTD
+// validation, ΔX → ΔV translation (with XPath evaluation and side-effect
+// detection on the DAG), and ΔV → ΔR translation; then ΔR is applied to I,
+// ΔV to V, and a deletion collects what it left unreachable (Fig.8's
+// garbage collection, dag.DAG.Collect).
 //
-// The paper's second auxiliary structure, the reachability matrix M, is not
-// here: the state-set evaluator that serves reads the DAG and L only, so a
-// System neither builds nor maintains M. Whoever wants one (the paper's
-// experiments, internal/bench) builds it in package paper and keeps it exact
-// from each commit's DAG delta (CommitRecord.Delta).
+// The paper's auxiliary structures, the topological order L and the
+// reachability matrix M, are not here: the state-set evaluator that serves
+// reads the DAG only — its sweep orders the nodes it visits itself — so a
+// System neither builds nor maintains either. Whoever wants them (the
+// paper's experiments, internal/bench) builds them in package paper and
+// keeps them exact from each commit's DAG delta (CommitRecord.Delta).
 package core
 
 import (
@@ -28,7 +29,6 @@ import (
 	"rxview/internal/digest"
 	"rxview/internal/fault"
 	"rxview/internal/obs"
-	"rxview/internal/reach"
 	"rxview/internal/relational"
 	"rxview/internal/update"
 	"rxview/internal/viewupdate"
@@ -115,7 +115,8 @@ func (e *SideEffectError) Error() string {
 
 // Timings breaks an update into the phases the paper's Fig.11 reports:
 // (a) XPath evaluation, (b) translation ΔX→ΔV→ΔR plus execution, and
-// (c) maintenance of the auxiliary structures (background in the paper).
+// (c) maintenance (background in the paper): a view keeps no auxiliary
+// structure, so what is left of (c) is a deletion's garbage collection.
 type Timings struct {
 	Validate  time.Duration
 	Eval      time.Duration // (a)
@@ -123,11 +124,11 @@ type Timings struct {
 	XToDV     time.Duration // Algorithm Xinsert / Xdelete (Figs.5–6)
 	DVToDR    time.Duration // Algorithm insert / delete (§4)
 	Apply     time.Duration // (b): executing ΔR and ΔV
-	Maintain  time.Duration // (c): the L half of ∆(M,L)insert / ∆(M,L)delete, plus garbage collection
+	Maintain  time.Duration // (c): the garbage collection of ∆(M,L)delete; zero for an insertion
 }
 
-// Report describes one processed update. Timings.Maintain covers the repair
-// of L and the collection of the Removed nodes.
+// Report describes one processed update. Timings.Maintain covers the
+// collection of the Removed nodes.
 type Report struct {
 	Op          string
 	Applied     bool
@@ -147,7 +148,6 @@ type System struct {
 	ATG        *atg.Compiled
 	DB         *relational.Database // the base relations I; every ΔR goes through applyDR
 	DAG        *dag.DAG
-	Topo       *reach.Topo // the topological order L
 	Translator *viewupdate.Translator
 
 	sink      CommitSink // durability hook, nil when the view is not durable
@@ -168,8 +168,8 @@ type System struct {
 	txn   *Txn   // the open transaction, if any (see Begin)
 }
 
-// Open publishes σ(I) as a DAG, builds L and the source index, and returns
-// the system.
+// Open publishes σ(I) as a DAG, builds the source index, and returns the
+// system.
 func Open(c *atg.Compiled, db *relational.Database, opts Options) (*System, error) {
 	d, err := c.PublishDAG(db)
 	if err != nil {
@@ -179,7 +179,6 @@ func Open(c *atg.Compiled, db *relational.Database, opts Options) (*System, erro
 		ATG:        c,
 		DB:         db,
 		DAG:        d,
-		Topo:       reach.ComputeTopo(d),
 		Translator: viewupdate.NewTranslator(c, db, d),
 		opts:       opts,
 		text:       c.Text(d),
@@ -244,7 +243,6 @@ func PathCacheStats() (hits, misses uint64) {
 func (s *System) evaluator() *xpath.Evaluator {
 	return &xpath.Evaluator{
 		D:          s.DAG,
-		Topo:       s.Topo,
 		Text:       s.text,
 		TextEquals: s.textEq,
 		Seeds:      s.seeds,
@@ -271,9 +269,9 @@ func (s *System) Apply(op *update.Op) (*Report, error) {
 
 // ApplyCtx is Apply with cancellation checks between the three phases of
 // §2.4: after DTD validation, after XPath evaluation (phase a), and after
-// translation + execution (phase b) before the maintenance of L (phase c).
-// Once ΔR has been executed the update is carried through — cancellation
-// never leaves L stale.
+// translation (phase b) before ΔR is executed. Once ΔR has been executed
+// the update is carried through — cancellation never leaves the view
+// half-collected.
 //
 // It is a one-shot transaction: stage the single update, commit. With one
 // member, prefix semantics and atomicity coincide.
@@ -315,14 +313,6 @@ func (s *System) apply(ctx context.Context, op *update.Op) (*Report, []dag.Delta
 	delta := s.DAG.DeltaSince(mark)
 	s.noteDelta(delta, +1)
 	rep.Timings.Apply += time.Since(t0)
-	if op.Kind == update.OpInsert {
-		// Maintenance of L (background in the paper's framework): eager,
-		// because the next stage's XPath evaluation iterates it. It steps
-		// over the insertion's journaled delta, as a replayed record does.
-		t0 = time.Now()
-		s.Topo.InsertUpdate(s.DAG, delta)
-		rep.Timings.Maintain = time.Since(t0)
-	}
 	if obs.Enabled() {
 		observeTimings(rep.Timings)
 	}
@@ -479,7 +469,7 @@ func (s *System) applyDelete(ctx context.Context, op *update.Op, res *xpath.Resu
 	rep.Timings.Apply = time.Since(t0)
 
 	t0 = time.Now()
-	cascade, removed := s.Topo.DeleteUpdate(s.DAG, dv.Deletes)
+	cascade, removed := s.DAG.Collect(dv.Deletes)
 	rep.Removed = len(removed)
 	rep.DVDeletes += len(cascade)
 	rep.Timings.Maintain = time.Since(t0)
@@ -488,8 +478,8 @@ func (s *System) applyDelete(ctx context.Context, op *update.Op, res *xpath.Resu
 
 // CheckConsistency verifies the system invariant ΔX(T) = σ(ΔR(I)) over
 // every incrementally maintained structure: the DAG must be isomorphic to a
-// fresh publication of the current database, L must be a valid topological
-// order of it, and the translator's source index must match a rebuild.
+// fresh publication of the current database, and the translator's source
+// index must match a rebuild.
 func (s *System) CheckConsistency() error {
 	metrics().fullChecks.Inc()
 	fresh, err := s.ATG.PublishDAG(s.DB)
@@ -498,9 +488,6 @@ func (s *System) CheckConsistency() error {
 	}
 	if err := EquivalentDAGs(s.DAG, fresh); err != nil {
 		return fmt.Errorf("core: view drift: %w", err)
-	}
-	if err := s.Topo.Validate(s.DAG); err != nil {
-		return fmt.Errorf("core: index drift: %w", err)
 	}
 	if err := s.Translator.EqualSources(viewupdate.NewTranslator(s.ATG, s.DB, s.DAG)); err != nil {
 		return fmt.Errorf("core: source index drift: %w", err)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rxview/internal/obs"
-	"rxview/internal/reach"
 	"rxview/internal/relational"
 	"rxview/internal/update"
 )
@@ -27,8 +26,8 @@ var (
 // one at a time with Stage; each staged update runs the full pipeline of
 // §2.4 speculatively against the live system — DTD validation, XPath
 // evaluation with side-effect detection, ΔX→ΔV→ΔR translation, ΔR against
-// the database, ΔV against the view and the maintenance of L — so queries
-// between stages read the transaction's own writes.
+// the database, ΔV against the view and a deletion's garbage collection —
+// so queries between stages read the transaction's own writes.
 //
 // Every transaction opens the DAG journal at Begin, and that journal is its
 // one undo log: a stage runs from a mark in it, the delta since the mark is
@@ -39,8 +38,8 @@ var (
 //
 // In atomic mode (System.Begin(true)) the group is all-or-nothing: a staged
 // rejection dooms the whole transaction, and Commit or Rollback restores
-// the DAG, the database, the translator's source index and L exactly to
-// their pre-Begin state. A successful Commit advances the generation by
+// the DAG, the database and the translator's source index exactly to their
+// pre-Begin state. A successful Commit advances the generation by
 // exactly 1, however many updates the transaction applied.
 //
 // In non-atomic (prefix) mode every stage stands alone: a rejected or
@@ -55,10 +54,6 @@ type Txn struct {
 
 	reports []*Report
 	applied int
-
-	// Atomic mode: a deep copy of L at Begin, the one piece of state the
-	// journal does not cover.
-	topoSave *reach.Topo
 
 	// Non-atomic mode with a commit sink: the records of applied stages,
 	// buffered until the sink writes them at close.
@@ -80,12 +75,6 @@ func (s *System) Begin(atomic bool) (*Txn, error) {
 		return nil, ErrTxOpen
 	}
 	t := &Txn{s: s, atomic: atomic}
-	if atomic {
-		// L is mutated by every staged op (append/swap for inserts,
-		// tombstoning for deletes); a deep copy now is what makes rollback
-		// an O(1) pointer swap later.
-		t.topoSave = s.Topo.Clone()
-	}
 	s.DAG.Begin()
 	s.txn = t
 	return t, nil
@@ -292,11 +281,10 @@ func (t *Txn) appliedDR() []relational.Mutation {
 }
 
 // rollback restores the pre-Begin state: the translator's source index by
-// undoing the journal's whole delta, the DAG by unwinding the journal, the
-// database by inverting the applied ΔR newest first and L from the
-// Begin-time copy. An inverse-mutation failure means the reports and the
-// database disagree; it is returned as an internal error, never silently
-// swallowed.
+// undoing the journal's whole delta, the DAG by unwinding the journal and
+// the database by inverting the applied ΔR newest first. An
+// inverse-mutation failure means the reports and the database disagree; it
+// is returned as an internal error, never silently swallowed.
 func (t *Txn) rollback() error {
 	var t0 time.Time
 	if obs.Enabled() {
@@ -306,7 +294,6 @@ func (t *Txn) rollback() error {
 	s.noteDelta(s.DAG.DeltaSince(0), -1)
 	s.DAG.Rollback()
 	err := undoMutations(s.DB, t.appliedDR())
-	s.Topo = t.topoSave
 	t.close()
 	m := metrics()
 	m.rollbacks.Inc()

@@ -92,11 +92,11 @@ func freshInsert(n int, courses []string) string {
 // recovery from the last of them, and each is held to the encoding with no
 // index (ckptOracle). An atomic group that rolls
 // back — explicitly, or at Commit because a stage doomed it — leaves the
-// state exactly as before Begin: DAG, database, L, generation and digest
+// state exactly as before Begin: DAG, database, generation and digest
 // (stateFingerprint), and the source index (CheckConsistency). Any other
 // group leaves the state its applied stages leave when run one by one on a
 // twin. With a sink, a follower that replays the sunk records through
-// ApplyCommitRecord ends in the same state too, L's entry sequence included.
+// ApplyCommitRecord ends in the same state too.
 func FuzzTxnGroup(f *testing.F) {
 	for _, seed := range txnGroupSeeds {
 		f.Add(seed)
@@ -170,7 +170,7 @@ type ckptOracle struct {
 }
 
 func checkpointState(s *System) ckpt.State {
-	return ckpt.State{Gen: s.gen, Digest: s.digest, ATG: s.ATG.Fingerprint(), DB: s.DB, DAG: s.DAG, Order: s.Topo.Nodes()}
+	return ckpt.State{Gen: s.gen, Digest: s.digest, ATG: s.ATG.Fingerprint(), DB: s.DB, DAG: s.DAG}
 }
 
 // write writes a checkpoint of s and returns the bytes it read back.
@@ -183,7 +183,7 @@ func (o *ckptOracle) write(t *testing.T, s *System, when string) int {
 	if !bytes.Equal(payload, full[wal.CheckpointHeadroom:]) {
 		t.Fatalf("%s: the checkpoint differs from the encoding with no index", when)
 	}
-	if err := testkit.CheckPayload(payload, wal.Format, state.Gen, state.Digest.Append(nil), state.ATG[:], s.DB, s.DAG, state.Order); err != nil {
+	if err := testkit.CheckPayload(payload, wal.Format, state.Gen, state.Digest.Append(nil), state.ATG[:], s.DB, s.DAG); err != nil {
 		t.Fatalf("%s: %v", when, err)
 	}
 	path := filepath.Join(o.dir, fmt.Sprintf("ckpt-%d", state.Gen))
@@ -213,7 +213,7 @@ func (o *ckptOracle) recover(t *testing.T, s *System) *System {
 			t.Fatal(err)
 		}
 	}
-	r, err := Recover(s.ATG, db, d, p.Order, p.Gen, p.Digest, nil, s.opts)
+	r, err := Recover(s.ATG, db, d, p.Gen, p.Digest, nil, s.opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 // Package cow is the one copy-on-write array behind every sealed epoch: the
-// DAG's adjacency rows and alive bits (internal/dag) and the topological
-// order L (internal/reach) are each an Array, and a published Version or
-// TopoVersion holds the Sealed side.
+// DAG's adjacency rows and alive bits (internal/dag) are each an Array, and
+// a published Version holds the Sealed side.
 //
 // The serving layer publishes one immutable epoch per applied write; copying
 // per-node state per epoch would make publication O(n) whatever the update's
@@ -139,29 +138,6 @@ func (a *Array[T]) Seal() Sealed[T] {
 	a.epoch++
 	a.sealedN = max(a.sealedN, a.n)
 	return Sealed[T]{blocks: append([]*block[T](nil), a.blocks...), n: a.n}
-}
-
-// Clone returns an independent Array with the same elements, sharing no
-// block or chunk with a or with anything sealed from it. Elements are
-// copied by assignment.
-func (a *Array[T]) Clone() Array[T] {
-	c := Array[T]{
-		blocks: make([]*block[T], len(a.blocks)),
-		bEpoch: make([]uint64, len(a.bEpoch)),
-		cEpoch: make([]uint64, len(a.cEpoch)),
-		n:      a.n,
-	}
-	for bi, b := range a.blocks {
-		nb := &block[T]{}
-		for off, ch := range b {
-			if ch != nil {
-				cp := *ch
-				nb[off] = &cp
-			}
-		}
-		c.blocks[bi] = nb
-	}
-	return c
 }
 
 // Sealed is the reader side of an Array at one epoch.

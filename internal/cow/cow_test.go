@@ -61,31 +61,11 @@ func runModel[T any](t *testing.T, seed int64, gen func(*rand.Rand) T, eq func(a
 			same("sealed view", s.view.Len(), s.view.At, s.want)
 		}
 	}
-
-	// A clone holds the same elements and shares nothing: writing either
-	// side leaves the other, and every sealed view, alone.
-	c := a.Clone()
-	same("clone", c.Len(), c.At, model)
-	before := slices.Clone(model)
-	for i := range model {
-		c.Set(i, gen(r))
-	}
-	c.Push(gen(r))
-	same("array after writing its clone", a.Len(), a.At, before)
-	for i := range model {
-		model[i] = gen(r)
-		a.Set(i, model[i])
-	}
-	if c.Len() != len(before)+1 {
-		t.Fatalf("seed %d: clone has %d elements, want %d", seed, c.Len(), len(before)+1)
-	}
-	for _, s := range seals {
-		same("sealed view after the clone", s.view.Len(), s.view.At, s.want)
-	}
 }
 
-// TestArrayMatchesSliceModel is the model test for the three element shapes
-// the tree instantiates: adjacency rows, alive bits and order entries.
+// TestArrayMatchesSliceModel is the model test for the two element shapes
+// the tree instantiates, adjacency rows and alive bits, and for a plain
+// scalar.
 func TestArrayMatchesSliceModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		runModel(t, seed, func(r *rand.Rand) []int32 {
@@ -111,7 +91,7 @@ func TestMethodInventory(t *testing.T) {
 		typ  reflect.Type
 		want []string // sorted, as reflect lists them
 	}{
-		{reflect.TypeFor[*Array[int]](), []string{"At", "Clone", "Len", "Push", "Seal", "Set", "Truncate"}},
+		{reflect.TypeFor[*Array[int]](), []string{"At", "Len", "Push", "Seal", "Set", "Truncate"}},
 		{reflect.TypeFor[Sealed[int]](), []string{"At", "Len", "SameChunk"}},
 	} {
 		var got []string

@@ -336,6 +336,39 @@ func (d *DAG) RemoveNode(id NodeID) {
 	d.logOp(jop{kind: jNodeDel, node: id})
 }
 
+// Collect is the garbage collection of Algorithm ∆(M,L)delete (Fig.8, its
+// keep(d) := false): given the already-removed parent-child edges ep = Ep(r),
+// it removes every node they left unreachable and returns ∆'V — the cascade
+// of edges removed because their parent node died — plus the collected
+// nodes themselves.
+//
+// RemoveEdge keeps the parent lists clean, so a non-root node is unreachable
+// exactly when its parent list is empty; examining the children of every
+// removed edge breadth-first therefore collects the same set Fig.8's backward
+// walk over desc(r[[p]]) does, without reading M. The order may differ from
+// Fig.8's; a replayed commit follows the journal of the mutators called here,
+// so it reproduces whatever order ran.
+func (d *DAG) Collect(ep []Edge) (cascade []Edge, removed []NodeID) {
+	queue := make([]NodeID, len(ep))
+	for i, e := range ep {
+		queue[i] = e.Child
+	}
+	for i := 0; i < len(queue); i++ {
+		n := queue[i]
+		if n == d.root || !d.Alive(n) || len(d.Parents(n)) > 0 {
+			continue
+		}
+		for _, c := range append([]NodeID(nil), d.Children(n)...) {
+			d.RemoveEdge(n, c)
+			cascade = append(cascade, Edge{Parent: n, Child: c})
+			queue = append(queue, c)
+		}
+		d.RemoveNode(n)
+		removed = append(removed, n)
+	}
+	return cascade, removed
+}
+
 // setAlive sets a node's alive flag, a byte of its identity range.
 func (d *DAG) setAlive(id NodeID, alive bool) {
 	d.alive.Set(int(id), alive)

@@ -17,8 +17,7 @@
 // Items are keyed by Skolem key — (type, attribute tuple) — and never by
 // dag.NodeID, so two states that publish the same view under different id
 // assignments have the same digest. What the digest does not cover: dead
-// identities, the order of siblings, and the topological order L (whose own
-// check, Topo.Validate, is cheap).
+// identities and the order of siblings.
 //
 // There are three entry points: Of is the full pass, Sum.Step the
 // incremental one, Compare the verdict. The primary's commit, boot replay, a

@@ -10,9 +10,10 @@
 // Who may import rxview/internal/bench: rxview/cmd/benchrunner and the
 // package itself. Who may import rxview/internal/paper: internal/bench, the
 // package itself and test files. It holds the reference implementations no
-// serving path reads (the reachability matrix M, the frontier evaluator);
-// this keeps them out of every serving package's dependency closure, the
-// root package's included, while tests keep M as an oracle.
+// serving path reads (the topological order L, the reachability matrix M,
+// the frontier evaluator); this keeps them out of every serving package's
+// dependency closure, the root package's included, while tests keep L and M
+// as oracles.
 //
 // Who may import a test-support package (TestSupport): test files, and the
 // test-support packages themselves.

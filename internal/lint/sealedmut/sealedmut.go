@@ -1,5 +1,5 @@
 // Package sealedmut enforces the immutability contract of sealed
-// versions. A dag.Version, reach.TopoVersion, core.Snapshot or
+// versions. A dag.Version, core.Snapshot or
 // rxview.Snapshot is an immutable epoch artifact shared by concurrent
 // readers without locks; mutating one — directly, through a pointer, or
 // through a slice returned by an aliasing accessor — is a data race
@@ -11,7 +11,7 @@
 //     reached through a value of a sealed type;
 //   - element stores into slices returned by the aliasing accessors
 //     (Children, Parents, Attr, Nodes) of a sealed type or of the
-//     dag.Reader / reach.Order interfaces, and copy() with such a slice
+//     dag.Reader interface, and copy() with such a slice
 //     as destination — directly on the call, or through a local bound to
 //     the call by its only := or = in the function (ks := v.Children(u);
 //     ks[0] = x). Provenance is not followed any further: not through a
@@ -33,15 +33,14 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "sealedmut",
-	Doc: "sealed version values (dag.Version, reach.TopoVersion, Snapshot) and " +
-		"read-only views (dag.Reader, reach.Order, aliasing accessor results) must not be mutated",
+	Doc: "sealed version values (dag.Version, Snapshot) and " +
+		"read-only views (dag.Reader, aliasing accessor results) must not be mutated",
 	Run: run,
 }
 
 // sealed value types: mutating one after Seal() races with readers.
 var sealedTypes = [...][2]string{
 	{"rxview/internal/dag", "Version"},
-	{"rxview/internal/reach", "TopoVersion"},
 	{"rxview/internal/core", "Snapshot"},
 	{"rxview", "Snapshot"},
 }
@@ -49,7 +48,6 @@ var sealedTypes = [...][2]string{
 // read-only interfaces: writes through them are never legitimate.
 var sealedIfaces = [...][2]string{
 	{"rxview/internal/dag", "Reader"},
-	{"rxview/internal/reach", "Order"},
 }
 
 // aliasMethods return memory shared with the sealed value; their results

@@ -4,7 +4,6 @@ package a
 import (
 	"rxview"
 	"rxview/internal/dag"
-	"rxview/internal/reach"
 )
 
 func fieldStore(v *dag.Version) {
@@ -27,12 +26,12 @@ func throughReader(r dag.Reader) {
 	r.Parents(3)[0] = 7 // want "aliasing accessor"
 }
 
-func throughOrder(o reach.Order) {
-	o.Nodes()[0] = 7 // want "aliasing accessor"
+func throughReaderNodes(r dag.Reader) {
+	r.Nodes()[0] = 7 // want "aliasing accessor"
 }
 
-func copyInto(tv *reach.TopoVersion, src []dag.NodeID) {
-	copy(tv.Ids, src) // want "mutating sealed"
+func copyInto(v *dag.Version, src []dag.NodeID) {
+	copy(v.Blocks, src) // want "mutating sealed"
 }
 
 func snapshotStore(s *rxview.Snapshot) {

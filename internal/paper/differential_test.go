@@ -7,21 +7,26 @@ import (
 	"testing/quick"
 
 	"rxview/internal/dag"
-	"rxview/internal/reach"
 	"rxview/internal/relational"
 )
 
 // checkAgainstOracles validates the maintained pair two ways: index.Validate
 // (L invariants, the mirror, M against the bitset recompute) and a comparison
 // with the sparse map-of-maps oracle built by an independent per-node DFS —
-// the two representations share nothing but the DAG.
+// the two representations share nothing but the DAG. Algorithm Reach run
+// over the delta-stepped L must find the oracle's pairs too: an L that is
+// no order of the DAG loses pairs there.
 func checkAgainstOracles(t testing.TB, d *dag.DAG, ix *index) error {
 	t.Helper()
 	if err := ix.Validate(d); err != nil {
 		return err
 	}
-	if sp := ComputeSparse(d); !ix.Matrix.EqualSparse(sp) {
+	sp := ComputeSparse(d)
+	if !ix.Matrix.EqualSparse(sp) {
 		return fmt.Errorf("sparse oracle: %s", ix.Matrix.DiffSparse(sp))
+	}
+	if m := Compute(d, ix.Topo); !m.EqualSparse(sp) {
+		return fmt.Errorf("reachable pairs over L: %s", m.DiffSparse(sp))
 	}
 	return nil
 }
@@ -46,16 +51,18 @@ func reaches(d *dag.DAG, from, to dag.NodeID) bool {
 	return false
 }
 
-// TestMatrixMatchesSparseOracle is the differential test of the matrix's
-// one maintenance entry point. It drives a DAG and L through randomized
-// commits — each a group of one to three units: an edge removal with its
-// garbage collection, a fresh (or resurrected) leaf, a new edge between
-// existing nodes that may force L to reorder — and after every commit feeds
-// the journaled delta to Matrix.ApplyDelta and checks M against both
-// oracles. Mixed groups are the point: ApplyDelta sees every op only after
-// the whole group was applied to the DAG, so a removal is repaired against
-// parents that a later op of the same group added, and a node may die and
-// come back under its old id inside one delta.
+// TestMatrixMatchesSparseOracle is the differential test of ∆(M,L)'s two
+// maintenance entry points. It drives a DAG through randomized commits —
+// each a group of one to three units: an edge removal with its garbage
+// collection, a fresh (or resurrected) leaf, a new edge between existing
+// nodes that may force L to reorder — and after every commit feeds the
+// journaled delta to Topo.ApplyDelta and Matrix.ApplyDelta, holds L to
+// Validate and checks M, and Algorithm Reach over L, against both oracles.
+// Mixed groups are the point: the ApplyDeltas see every op only after the
+// whole group was applied to the DAG, so swap(L, u, v) walks edges a later
+// op added, a removal is repaired against parents that a later op of the
+// same group added, and a node may die and come back under its old id
+// inside one delta.
 func TestMatrixMatchesSparseOracle(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -75,7 +82,7 @@ func TestMatrixMatchesSparseOracle(t *testing.T) {
 					if ch := d.Children(nodes[cand]); len(ch) > 0 {
 						u, v := nodes[cand], ch[rng.Intn(len(ch))]
 						d.RemoveEdge(u, v)
-						_, removed := ix.Topo.DeleteUpdate(d, []dag.Edge{{Parent: u, Child: v}})
+						_, removed := d.Collect([]dag.Edge{{Parent: u, Child: v}})
 						for _, id := range removed {
 							freed = append(freed, d.Attr(id)[0].I)
 						}
@@ -89,21 +96,17 @@ func TestMatrixMatchesSparseOracle(t *testing.T) {
 				} else {
 					next++
 				}
-				mark := d.Mark()
 				id, created := d.AddNode("N", relational.Tuple{relational.Int(key)})
 				if !created {
 					return
 				}
 				target := nodes[rng.Intn(len(nodes))]
 				d.AddEdge(target, id)
-				ix.Topo.InsertUpdate(d, d.DeltaSince(mark))
 			default: // share an existing node under a second parent
 				u, v := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
-				mark := d.Mark()
-				if v == d.Root() || reaches(d, v, u) || !d.AddEdge(u, v) {
-					return
+				if v != d.Root() && !reaches(d, v, u) {
+					d.AddEdge(u, v)
 				}
-				ix.Topo.InsertUpdate(d, d.DeltaSince(mark))
 			}
 		}
 		for round := 0; round < 16; round++ {
@@ -132,7 +135,7 @@ func TestComputeMatchesSparse(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		d := randomDAG(t, rng, 30, 25)
 		sp := ComputeSparse(d)
-		m := Compute(d, reach.ComputeTopo(d))
+		m := Compute(d, ComputeTopo(d))
 		if !m.EqualSparse(sp) {
 			t.Logf("seed %d Compute: %s", seed, m.DiffSparse(sp))
 			return false
@@ -142,7 +145,7 @@ func TestComputeMatchesSparse(t *testing.T) {
 			t.Logf("seed %d ComputeNaive: %s", seed, nv.DiffSparse(sp))
 			return false
 		}
-		dp := ComputeSparseReach(d, reach.ComputeTopo(d))
+		dp := ComputeSparseReach(d, ComputeTopo(d))
 		if !m.EqualSparse(dp) {
 			t.Logf("seed %d ComputeSparseReach: %s", seed, m.DiffSparse(dp))
 			return false

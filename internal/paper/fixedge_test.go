@@ -1,9 +1,10 @@
-package reach
+package paper
 
 import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"rxview/internal/dag"
@@ -39,7 +40,7 @@ func fixEdgeReference(t *Topo, d *dag.DAG, u, v dag.NodeID) {
 	segment := make([]dag.NodeID, 0, hi-lo+1)
 	var descs, others []dag.NodeID
 	for i := lo; i <= hi; i++ {
-		id := t.at(int(i))
+		id := t.list[i]
 		if id != dag.InvalidNode && mark[id] {
 			descs = append(descs, id)
 		} else {
@@ -49,7 +50,7 @@ func fixEdgeReference(t *Topo, d *dag.DAG, u, v dag.NodeID) {
 	segment = append(segment, descs...)
 	segment = append(segment, others...)
 	for i, id := range segment {
-		t.list.Set(int(lo)+i, id)
+		t.list[int(lo)+i] = id
 		if id != dag.InvalidNode {
 			t.pos[id] = lo + int32(i)
 		}
@@ -58,12 +59,11 @@ func fixEdgeReference(t *Topo, d *dag.DAG, u, v dag.NodeID) {
 
 // rawOrder renders L entry by entry, tombstones included, and the position
 // index next to it.
-func rawOrder(t *Topo) string {
-	entries := make([]dag.NodeID, t.list.Len())
-	for i := range entries {
-		entries[i] = t.at(i)
-	}
-	return fmt.Sprint(entries, t.pos)
+func rawOrder(t *Topo) string { return fmt.Sprint(t.list, t.pos) }
+
+// cloneTopo returns an independent copy of t.
+func cloneTopo(t *Topo) *Topo {
+	return &Topo{list: slices.Clone(t.list), pos: slices.Clone(t.pos), holes: t.holes}
 }
 
 // TestFixEdgeMatchesThreeSlicePartition: the in-place window permutation
@@ -105,7 +105,7 @@ func TestFixEdgeMatchesThreeSlicePartition(t *testing.T) {
 				d.RemoveEdge(u, v)
 				continue
 			}
-			ref := topo.Clone()
+			ref := cloneTopo(topo)
 			fixEdgeReference(ref, d, u, v)
 			topo.FixEdge(d, u, v)
 			if got, want := rawOrder(topo), rawOrder(ref); got != want {
@@ -133,8 +133,8 @@ func hasEdge(d *dag.DAG, u, v dag.NodeID) bool {
 
 // appendWindow builds a chain of n nodes under the root, L computed, and
 // returns a function that appends one fresh leaf to L and hangs it under the
-// node at the given depth of the chain: the write path's common case, where
-// the window FixEdge repairs runs from that node to the end of L.
+// node at the given depth of the chain: the common case of Fig.7, where the
+// window FixEdge repairs runs from that node to the end of L.
 func appendWindow(tb testing.TB, n int) (hang func(depth int) (window int)) {
 	d := dag.New("db")
 	chain := []dag.NodeID{d.Root()}
@@ -191,8 +191,8 @@ func TestFixEdgeAllocationIndependentOfWindow(t *testing.T) {
 }
 
 // BenchmarkFixEdgeAppendWindow: a fresh node appended to L and hung under a
-// node near the other end of it — B/op is what one inserted edge costs the
-// write path when the window is most of L (16 384 entries here).
+// node near the other end of it — B/op is what one inserted edge costs
+// ∆(M,L)insert's L half when the window is most of L (16 384 entries here).
 func BenchmarkFixEdgeAppendWindow(b *testing.B) {
 	hang := appendWindow(b, 16384)
 	b.ReportAllocs()

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"rxview/internal/dag"
-	"rxview/internal/reach"
 	"rxview/internal/xpath"
 )
 
@@ -26,7 +25,7 @@ import (
 // strategy ablation.
 type FrontierEvaluator struct {
 	D      *dag.DAG
-	Topo   *reach.Topo
+	Topo   *Topo
 	Matrix *Matrix
 	Text   func(dag.NodeID) (string, bool)
 }
@@ -38,7 +37,7 @@ func (fe *FrontierEvaluator) Eval(p *xpath.Path) (*xpath.Result, error) {
 	// The sweep's bottom-up pass gives the filter tables; the
 	// suffix-satisfiability tables of the main path, used for pruning Ci,
 	// are computed here.
-	ev := &xpath.Evaluator{D: fe.D, Topo: fe.Topo, Text: fe.Text}
+	ev := &xpath.Evaluator{D: fe.D, Text: fe.Text}
 	steps, filterVals, err := ev.StepFilters(p)
 	if err != nil {
 		return nil, err

@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"rxview/internal/dag"
-	"rxview/internal/reach"
 	"rxview/internal/relational"
 	"rxview/internal/testkit"
 	"rxview/internal/workload"
@@ -17,13 +16,13 @@ import (
 
 func newFrontier(t testing.TB, d *dag.DAG, text func(dag.NodeID) (string, bool)) *FrontierEvaluator {
 	t.Helper()
-	topo := reach.ComputeTopo(d)
+	topo := ComputeTopo(d)
 	return &FrontierEvaluator{D: d, Topo: topo, Matrix: Compute(d, topo), Text: text}
 }
 
 func newEval(t testing.TB, d *dag.DAG, text func(dag.NodeID) (string, bool)) *xpath.Evaluator {
 	t.Helper()
-	return &xpath.Evaluator{D: d, Topo: reach.ComputeTopo(d), Text: text}
+	return &xpath.Evaluator{D: d, Text: text}
 }
 
 // fig1DAG publishes the registrar database of Example 1 through its ATG:

@@ -1,16 +1,18 @@
 // Package paper holds what the paper maintains and reads but no serving path
-// does: the reachability matrix M of §3.1 (the bitset Matrix, and the sparse
-// relation layout the paper describes as its oracle), Algorithm Reach
-// (Fig.4), the M half of ∆(M,L)insert and ∆(M,L)delete (§3.4, Figs.7–8)
-// driven by a commit's DAG delta, and the paper-literal evaluator of §3.2
-// that expands // through M. A serving view carries the topological order L
-// alone (package reach) and evaluates with package xpath; the experiments of
-// §5 (internal/bench) time this package beside them, and tests hold the
-// serving path to it.
+// does: the topological order L and the reachability matrix M of §3.1 (the
+// bitset Matrix, and the sparse relation layout the paper describes as its
+// oracle), Algorithm Reach (Fig.4), ∆(M,L)insert and ∆(M,L)delete (§3.4,
+// Figs.7–8) driven by a commit's DAG delta — L's half by Topo.ApplyDelta,
+// with swap(L, u, v) as FixEdge, M's by Matrix.ApplyDelta — and the
+// paper-literal evaluator of §3.2 that expands // through M. A serving view
+// carries neither structure: its sweep orders the nodes it visits itself
+// (package xpath), and the garbage collection of Fig.8 is the DAG's own
+// (dag.DAG.Collect). The experiments of §5 (internal/bench) time this
+// package beside the serving path, and tests hold the serving path to it.
 //
-// It imports dag, reach and xpath and never core, whose tests keep M as an
-// oracle. The internalboundary analyzer keeps it out of every other
-// importer but internal/bench.
+// It imports dag and xpath and never core, whose tests keep M as an oracle.
+// The internalboundary analyzer keeps it out of every other importer but
+// internal/bench.
 package paper
 
 import (
@@ -20,7 +22,6 @@ import (
 	"slices"
 
 	"rxview/internal/dag"
-	"rxview/internal/reach"
 )
 
 // Matrix is the reachability matrix M of §3.1, stored densely: per node, the
@@ -249,7 +250,7 @@ func (m *Matrix) Diff(o *Matrix) string {
 //
 // (Fig.4 line 4 as printed omits the parents themselves; including them is
 // evidently intended, otherwise M would be empty. See DESIGN.md.)
-func Compute(d *dag.DAG, topo *reach.Topo) *Matrix {
+func Compute(d *dag.DAG, topo *Topo) *Matrix {
 	m := NewMatrix(d.Cap())
 	list := topo.Nodes()
 	for k := len(list) - 1; k >= 0; k-- { // backward: ancestors first
@@ -323,7 +324,7 @@ func ComputeNaive(d *dag.DAG) *Matrix {
 // that only removes — every deletion the experiments commit — is one run and
 // one pass, as in Fig.8; TestMatrixMatchesSparseOracle pins the general case,
 // groups that interleave insertions and removals included.
-func (m *Matrix) ApplyDelta(d *dag.DAG, topo *reach.Topo, ops []dag.DeltaOp) {
+func (m *Matrix) ApplyDelta(d *dag.DAG, topo *Topo, ops []dag.DeltaOp) {
 	removal := func(k dag.DeltaKind) bool { return k == dag.DeltaEdgeDel || k == dag.DeltaNodeDel }
 	for i := 0; i < len(ops); i++ {
 		switch {
@@ -347,7 +348,7 @@ func (m *Matrix) ApplyDelta(d *dag.DAG, topo *reach.Topo, ops []dag.DeltaOp) {
 // ancestors first; A_d = ⋃_{a ∈ P_d} ({a} ∪ anc(a)) over the surviving
 // parents P_d is one row union per parent, and removing anc(d) \ A_d one
 // masked subtract with mirrored descendant clearing.
-func (m *Matrix) removeRun(d *dag.DAG, topo *reach.Topo, run []dag.DeltaOp) {
+func (m *Matrix) removeRun(d *dag.DAG, topo *Topo, run []dag.DeltaOp) {
 	// Only descendants-or-self of a removed edge's child can lose ancestors;
 	// the stale matrix rows are supersets of the true sets, which is all the
 	// traversal needs.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"rxview/internal/dag"
-	"rxview/internal/reach"
 )
 
 // benchDAG builds a connected random DAG with extra cross edges — the shape
@@ -33,7 +32,7 @@ func cloneSparse(s *Sparse) *Sparse {
 // variant for reference (a different algorithm, not a fair comparison).
 func BenchmarkMatrixCompute(b *testing.B) {
 	d := benchDAG(b, 2000, 2000)
-	topo := reach.ComputeTopo(d)
+	topo := ComputeTopo(d)
 	b.Run("bitset", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			Compute(d, topo)
@@ -57,7 +56,7 @@ func BenchmarkMatrixCompute(b *testing.B) {
 // (bitset) against map iteration into a []bool (sparse).
 func BenchmarkMatrixDescQuery(b *testing.B) {
 	d := benchDAG(b, 2000, 2000)
-	topo := reach.ComputeTopo(d)
+	topo := ComputeTopo(d)
 	m := Compute(d, topo)
 	sp := ComputeSparse(d)
 	frontier := d.Nodes()[:64]
@@ -99,7 +98,7 @@ func BenchmarkMatrixDescQuery(b *testing.B) {
 
 // benchNewEdges picks edges absent from the DAG that respect the topological
 // order (parent later in L than child), so inserting them keeps it acyclic.
-func benchNewEdges(d *dag.DAG, topo *reach.Topo, k int) []dag.Edge {
+func benchNewEdges(d *dag.DAG, topo *Topo, k int) []dag.Edge {
 	rng := rand.New(rand.NewSource(11))
 	nodes := d.Nodes()
 	var out []dag.Edge
@@ -120,7 +119,7 @@ func benchNewEdges(d *dag.DAG, topo *reach.Topo, k int) []dag.Edge {
 // code the bitset Matrix replaced).
 func BenchmarkMaintainInsertClosure(b *testing.B) {
 	d := benchDAG(b, 2000, 2000)
-	topo := reach.ComputeTopo(d)
+	topo := ComputeTopo(d)
 	baseSparse := ComputeSparse(d)
 	edges := benchNewEdges(d, topo, 64)
 
@@ -149,12 +148,12 @@ func BenchmarkMaintainInsertClosure(b *testing.B) {
 // BenchmarkMaintainDelete times the M half of ∆(M,L)delete end to end — the
 // delta-driven path: affected-set collection, A_d row unions, RetainAncestors
 // subtract, per removed edge, and DropNode per collected node — for one
-// high-fanout edge removal. L's half (Topo.DeleteUpdate) runs untimed: it
-// produces the delta.
+// high-fanout edge removal. The garbage collection (dag.DAG.Collect), which
+// produces the delta, and L's half (Topo.ApplyDelta) run untimed.
 func BenchmarkMaintainDelete(b *testing.B) {
 	proto := benchDAG(b, 2000, 2000)
 	// Pick the live edge whose child has the largest descendant set.
-	mp := Compute(proto, reach.ComputeTopo(proto))
+	mp := Compute(proto, ComputeTopo(proto))
 	var bu, bv dag.NodeID = -1, -1
 	best := -1
 	for _, u := range proto.Nodes() {
@@ -168,13 +167,14 @@ func BenchmarkMaintainDelete(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		d := benchDAG(b, 2000, 2000)
-		topo := reach.ComputeTopo(d)
+		topo := ComputeTopo(d)
 		m := Compute(d, topo)
 		d.Begin()
 		d.RemoveEdge(bu, bv)
-		topo.DeleteUpdate(d, []dag.Edge{{Parent: bu, Child: bv}})
+		d.Collect([]dag.Edge{{Parent: bu, Child: bv}})
 		delta := d.DeltaSince(0)
 		d.Commit()
+		topo.ApplyDelta(d, delta)
 		b.StartTimer()
 		m.ApplyDelta(d, topo, delta)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"rxview/internal/dag"
-	"rxview/internal/reach"
 	"rxview/internal/relational"
 	"rxview/internal/testkit"
 )
@@ -54,27 +53,28 @@ func randomDAG(t testing.TB, rng *rand.Rand, n, extraEdges int) *dag.DAG {
 	return d
 }
 
-// index is L and M side by side, maintained the way the system and the
-// experiments split ∆(M,L): L on the spot by Topo's methods, M afterwards by
-// Matrix.ApplyDelta from the journaled delta of the same update.
+// index is L and M side by side, maintained the way the experiments run
+// ∆(M,L): both after the commit, from its journaled delta — L by
+// Topo.ApplyDelta, then M by Matrix.ApplyDelta over the stepped L.
 type index struct {
-	Topo   *reach.Topo
+	Topo   *Topo
 	Matrix *Matrix
 }
 
 func buildIndex(d *dag.DAG) *index {
-	t := reach.ComputeTopo(d)
+	t := ComputeTopo(d)
 	return &index{Topo: t, Matrix: Compute(d, t)}
 }
 
 // commit brackets one update the way a commit does: mutate changes the DAG
-// and L inside a journal, and the journaled delta then drives the matrix's
-// one maintenance entry point.
+// inside a journal, and the journaled delta then drives the two maintenance
+// entry points.
 func (ix *index) commit(d *dag.DAG, mutate func()) {
 	d.Begin()
 	mutate()
 	delta := d.DeltaSince(0)
 	d.Commit()
+	ix.Topo.ApplyDelta(d, delta)
 	ix.Matrix.ApplyDelta(d, ix.Topo, delta)
 }
 
@@ -98,7 +98,7 @@ func TestComputeMatchesNaive(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d := randomDAG(t, rng, 30, 25)
-		topo := reach.ComputeTopo(d)
+		topo := ComputeTopo(d)
 		m := Compute(d, topo)
 		return m.Equal(ComputeNaive(d))
 	}
@@ -109,7 +109,7 @@ func TestComputeMatchesNaive(t *testing.T) {
 
 func TestMatrixBasics(t *testing.T) {
 	d, ids := buildDAG(t, [][2]int{{0, 1}, {1, 2}, {1, 3}, {2, 4}, {3, 4}})
-	m := Compute(d, reach.ComputeTopo(d))
+	m := Compute(d, ComputeTopo(d))
 	root, n4 := ids[0], ids[4]
 	if !m.IsAncestor(root, n4) {
 		t.Error("root should be ancestor of 4")

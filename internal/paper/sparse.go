@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rxview/internal/dag"
-	"rxview/internal/reach"
 )
 
 // Sparse is the relation representation of the reachability matrix M — the
@@ -90,7 +89,7 @@ func (s *Sparse) AddPair(a, d dag.NodeID) {
 // unions — exactly the pre-bitset production code path. Benchmarks compare
 // it against Compute to isolate what the representation change alone buys
 // (same algorithm, same precomputed L).
-func ComputeSparseReach(d *dag.DAG, topo *reach.Topo) *Sparse {
+func ComputeSparseReach(d *dag.DAG, topo *Topo) *Sparse {
 	s := NewSparse(d.Cap())
 	list := topo.Nodes()
 	for k := len(list) - 1; k >= 0; k-- { // backward: ancestors first

@@ -1,4 +1,4 @@
-package reach
+package paper
 
 import (
 	"math"
@@ -11,82 +11,24 @@ import (
 	"rxview/internal/testkit"
 )
 
-// buildDAG constructs a DAG from an edge list over integer-keyed nodes;
-// node 0 is the root. Edges must point from smaller conceptual depth to
-// larger, but ids are arbitrary as long as the graph is acyclic.
-func buildDAG(t testing.TB, edges [][2]int) (*dag.DAG, map[int]dag.NodeID) {
-	t.Helper()
-	d := dag.New("db")
-	ids := map[int]dag.NodeID{0: d.Root()}
-	node := func(k int) dag.NodeID {
-		if id, ok := ids[k]; ok {
-			return id
-		}
-		id, _ := d.AddNode("N", relational.Tuple{relational.Int(int64(k))})
-		ids[k] = id
-		return id
-	}
-	for _, e := range edges {
-		u, v := node(e[0]), node(e[1])
-		d.AddEdge(u, v)
-	}
-	if err := testkit.CheckAcyclic(d); err != nil {
-		t.Fatal(err)
-	}
-	return d, ids
-}
-
-// randomDAG generates an acyclic graph: node i may point to nodes j > i.
-func randomDAG(t testing.TB, rng *rand.Rand, n, extraEdges int) *dag.DAG {
-	t.Helper()
-	var edges [][2]int
-	for i := 1; i < n; i++ {
-		// Ensure connectivity: each node gets a parent among 0..i-1.
-		edges = append(edges, [2]int{rng.Intn(i), i})
-	}
-	for k := 0; k < extraEdges; k++ {
-		u := rng.Intn(n - 1)
-		v := u + 1 + rng.Intn(n-u-1)
-		edges = append(edges, [2]int{u, v})
-	}
-	d, _ := buildDAG(t, edges)
-	return d
-}
-
-// deleteEdge removes one edge through the L half of the deletion path.
+// deleteEdge removes one edge, collects what it strands and steps L over
+// the journaled delta: ∆(M,L)delete for L.
 func deleteEdge(d *dag.DAG, topo *Topo, u, v dag.NodeID) (cascade []dag.Edge, removed []dag.NodeID) {
-	d.RemoveEdge(u, v)
-	return topo.DeleteUpdate(d, []dag.Edge{{Parent: u, Child: v}})
+	topo.ApplyDelta(d, journaled(d, func() {
+		d.RemoveEdge(u, v)
+		cascade, removed = d.Collect([]dag.Edge{{Parent: u, Child: v}})
+	}))
+	return cascade, removed
 }
 
 // journaled runs mutate against d inside a DAG journal and returns the ops
-// it recorded, in order: the delta an insertion hands InsertUpdate.
+// it recorded, in order: the delta a commit hands ApplyDelta.
 func journaled(d *dag.DAG, mutate func()) []dag.DeltaOp {
 	d.Begin()
 	mutate()
 	delta := d.DeltaSince(0)
 	d.Commit()
 	return delta
-}
-
-// reaches reports whether a path from → … → to exists, by plain DFS.
-func reaches(d *dag.DAG, from, to dag.NodeID) bool {
-	seen := map[dag.NodeID]bool{from: true}
-	stack := []dag.NodeID{from}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if x == to {
-			return true
-		}
-		for _, c := range d.Children(x) {
-			if !seen[c] {
-				seen[c] = true
-				stack = append(stack, c)
-			}
-		}
-	}
-	return false
 }
 
 func TestComputeTopoOrder(t *testing.T) {
@@ -160,7 +102,7 @@ func TestInsertUpdateFreshSubtree(t *testing.T) {
 	topo := ComputeTopo(d)
 	// Publish a fresh subtree {10 -> 11, 10 -> 12} and hang it under 2 and 3.
 	var n11 dag.NodeID
-	topo.InsertUpdate(d, journaled(d, func() {
+	topo.ApplyDelta(d, journaled(d, func() {
 		n10, _ := d.AddNode("N", relational.Tuple{relational.Int(10)})
 		n11, _ = d.AddNode("N", relational.Tuple{relational.Int(11)})
 		n12, _ := d.AddNode("N", relational.Tuple{relational.Int(12)})
@@ -181,7 +123,7 @@ func TestInsertUpdateSharedRoot(t *testing.T) {
 	// case): no new nodes, one new edge between existing nodes.
 	d, ids := buildDAG(t, [][2]int{{0, 1}, {0, 2}, {2, 3}})
 	topo := ComputeTopo(d)
-	topo.InsertUpdate(d, journaled(d, func() { d.AddEdge(ids[1], ids[3]) }))
+	topo.ApplyDelta(d, journaled(d, func() { d.AddEdge(ids[1], ids[3]) }))
 	if err := topo.Validate(d); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +243,7 @@ func TestInsertUpdateMatchesRebuild(t *testing.T) {
 				t.Log(err)
 				return false
 			}
-			topo.InsertUpdate(d, delta)
+			topo.ApplyDelta(d, delta)
 			if err := topo.Validate(d); err != nil {
 				t.Logf("seed %d round %d: %v", seed, round, err)
 				return false
@@ -331,7 +273,7 @@ func TestDeleteThenInsertInterleaved(t *testing.T) {
 		} else {
 			nodes := d.Nodes()
 			target := nodes[rng.Intn(len(nodes))]
-			topo.InsertUpdate(d, journaled(d, func() {
+			topo.ApplyDelta(d, journaled(d, func() {
 				id, _ := d.AddNode("N", relational.Tuple{relational.Int(next)})
 				d.AddEdge(target, id)
 			}))
@@ -343,49 +285,14 @@ func TestDeleteThenInsertInterleaved(t *testing.T) {
 	}
 }
 
-// TestLocalTopoDeepChain stresses the iterative post-order of localTopo on a
-// pathologically deep inserted subtree — a 200k-node chain would overflow
-// the goroutine stack budget long before the recursive version finished
-// growing it at a few more orders of magnitude; the iterative walk is flat.
-func TestLocalTopoDeepChain(t *testing.T) {
-	const depth = 200_000
-	d := dag.New("db")
-	topo := ComputeTopo(d)
-	nodes := make([]dag.NodeID, depth)
-	// A pending chain, born and linked parents first as publication does;
-	// the walk from its top is as deep as the chain.
-	for i := 0; i < depth; i++ {
-		id, _ := d.AddNode("N", relational.Tuple{relational.Int(int64(i))})
-		nodes[i] = id
-		topo.Step(d, dag.DeltaOp{Kind: dag.DeltaNodeAdd, Node: id})
-		if i > 0 {
-			d.AddEdge(nodes[i-1], id)
-			topo.Step(d, dag.DeltaOp{Kind: dag.DeltaEdgeAdd, Edge: dag.Edge{Parent: nodes[i-1], Child: id}})
-		}
-	}
-	order := topo.localTopo([]dag.NodeID{nodes[0]}, topo.pending)
-	if len(order) != depth {
-		t.Fatalf("localTopo covered %d of %d nodes", len(order), depth)
-	}
-	pos := make(map[dag.NodeID]int, depth)
-	for i, id := range order {
-		pos[id] = i
-	}
-	for i := 1; i < depth; i++ {
-		if pos[nodes[i]] >= pos[nodes[i-1]] {
-			t.Fatalf("children-first violated at %d", i)
-		}
-	}
-}
-
 // TestInsertUpdateDeepChain exercises the L half of ∆(M,L)insert on a deep
-// chain hung under the root link by link, so that every node is placed on
-// its own (L has no holes: appended, then FixEdge), and validates the result.
+// chain hung under the root link by link, every node appended and then
+// repaired by FixEdge, and validates the result.
 func TestInsertUpdateDeepChain(t *testing.T) {
 	const depth = 2_000
 	d := dag.New("db")
 	topo := ComputeTopo(d)
-	topo.InsertUpdate(d, journaled(d, func() {
+	topo.ApplyDelta(d, journaled(d, func() {
 		prev := d.Root()
 		for i := 0; i < depth; i++ {
 			id, _ := d.AddNode("N", relational.Tuple{relational.Int(int64(i))})

@@ -13,11 +13,11 @@ import (
 // CheckPayload holds a checkpoint payload to a reference encoding of the
 // state it must hold, built the plain way: the header — the format byte
 // (wal.Format), the generation, the digest and the grammar fingerprint,
-// given encoded — the
-// DAG state and L byte for byte, and each table's name, row count and rows,
-// the rows as a set: the encoder writes them in slot order, the reference in
-// ascending order of their encoding, so both are compared sorted.
-func CheckPayload(payload []byte, format byte, gen uint64, digest, fingerprint []byte, db *relational.Database, d *dag.DAG, order []dag.NodeID) error {
+// given encoded — and the DAG state byte for byte, and each table's name,
+// row count and rows, the rows as a set: the encoder writes them in slot
+// order, the reference in ascending order of their encoding, so both are
+// compared sorted.
+func CheckPayload(payload []byte, format byte, gen uint64, digest, fingerprint []byte, db *relational.Database, d *dag.DAG) error {
 	head := binary.AppendUvarint([]byte{format}, gen)
 	head = append(append(head, digest...), fingerprint...)
 
@@ -46,10 +46,6 @@ func CheckPayload(payload []byte, format byte, gen uint64, digest, fingerprint [
 	state := d.AppendState(nil, nil)
 	tail := binary.AppendUvarint(nil, uint64(len(state)))
 	tail = append(tail, state...)
-	tail = binary.AppendUvarint(tail, uint64(len(order)))
-	for _, id := range order {
-		tail = binary.AppendUvarint(tail, uint64(id))
-	}
 
 	if n := len(head) + tablesLen + len(tail); len(payload) != n {
 		return fmt.Errorf("payload of %d bytes, the reference's has %d", len(payload), n)
@@ -58,7 +54,7 @@ func CheckPayload(payload []byte, format byte, gen uint64, digest, fingerprint [
 		return fmt.Errorf("header differs from the reference's")
 	}
 	if !bytes.HasSuffix(payload, tail) {
-		return fmt.Errorf("DAG state or L differs from the reference's")
+		return fmt.Errorf("DAG state differs from the reference's")
 	}
 	b := payload[len(head) : len(payload)-len(tail)]
 	n, w := binary.Uvarint(b)

@@ -46,7 +46,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // payload and of every checkpoint payload. A follower receives frames without
 // a segment header, so the record states its format itself. Readers accept
 // this number and no other; a change to either payload bumps it.
-const Format = 2
+const Format = 3
 
 // errFormat marks a payload that states another format than Format — written
 // by another build, not torn by a crash: parseSegment never tolerates it.

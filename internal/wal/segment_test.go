@@ -13,7 +13,7 @@ import (
 // FuzzParseSegment drives the one segment parser, and the rule its three
 // readers apply to the verdict, with arbitrary bytes; it touches no file, so
 // an execution costs microseconds. The committed corpus is the two segments of
-// testdata/wal-format2 (digest-wal-*) and truncated, bit-flipped,
+// testdata/wal-format3 (digest-wal-*) and truncated, bit-flipped,
 // garbage-extended and misnamed copies of them: the digest that ends a record
 // torn, flipped, or cut by one byte or whole behind a valid checksum, and one
 // whole record in a foreign format; and the two segments an earlier build
@@ -95,7 +95,7 @@ func FuzzParseSegment(f *testing.F) {
 // damage: a newer writer's record, never a torn tail to cut off.
 func TestSegmentReadersShareOneVerdict(t *testing.T) {
 	for _, gen := range []uint64{4, 6} {
-		whole, err := os.ReadFile(filepath.Join("..", "..", "testdata", "wal-format2", segName(gen)))
+		whole, err := os.ReadFile(filepath.Join("..", "..", "testdata", "wal-format3", segName(gen)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 	var file []byte
 	for _, gen := range []uint64{4, 6} {
 		var err error
-		if file, err = os.ReadFile(filepath.Join("..", "..", "testdata", "wal-format2", ckptName(gen))); err != nil {
+		if file, err = os.ReadFile(filepath.Join("..", "..", "testdata", "wal-format3", ckptName(gen))); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(file, gen)

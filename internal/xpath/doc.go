@@ -25,9 +25,13 @@
 // nodes they visit and where filter truth comes from:
 //
 //   - The sweep (Evaluator.EvalSweep) is §3.2's algorithm in O(|p|·|V|): a
-//     bottom-up pass fills one truth table per filter sub-expression along
-//     the topological order L, with the desc(q,·) recurrence for //; a
-//     top-down pass propagates over every node of L, ancestors first.
+//     bottom-up pass fills one truth table per filter sub-expression,
+//     children first, with the desc(q,·) recurrence for //; a top-down pass
+//     propagates over every node the root reaches, ancestors first. §3.2
+//     runs both passes along the topological order L; no view keeps one, so
+//     the sweep orders the nodes itself, by a depth-first walk from the
+//     root (Evaluator.order) — the nodes the root does not reach, which only
+//     an open transaction holds, are ones no pass needs.
 //   - The anchored route (anchored.go) starts from the path's value filter.
 //     The filter names the few nodes that can matter and the DAG's Parents
 //     lists name everything that can reach them: it finds the nodes the

@@ -113,7 +113,7 @@ next:
 // The first-parent walk decides v in O(depth): every node on it is
 // reachable once the walk meets the root or a reachable member. Outside a
 // transaction that is every walk, because every live non-root node has a
-// live parent (Topo.DeleteUpdate collects the rest). Inside one, the live
+// live parent (dag.DAG.Collect collects the rest). Inside one, the live
 // view can hold a parentless non-root node; a walk that meets one, or a
 // member found unreachable, falls back to a search of v's whole ancestry.
 func (ev *Evaluator) reachable(sc *scratch, set uint32, v dag.NodeID, stack []dag.NodeID) (bool, []dag.NodeID) {

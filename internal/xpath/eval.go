@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"rxview/internal/dag"
-	"rxview/internal/reach"
 )
 
 // Evaluator evaluates paths of the fragment over a DAG-compressed view.
@@ -21,8 +20,9 @@ import (
 // (doc.go has the argument for why they agree):
 //
 //   - the sweep, §3.2's two passes in O(|p|·|V|): filter truth tables
-//     bottom-up along the topological order L, then the propagation over
-//     every node of L, ancestors first;
+//     bottom-up, then the propagation, ancestors first, over the nodes the
+//     root reaches — in a children-first order the sweep computes itself
+//     where §3.2 reads the topological order L, which no view keeps;
 //   - the anchored route, for paths with a value-equality filter: find the
 //     nodes the filter can hold at (Seeds, or the per-type node lists), walk
 //     down to a superset of r[[p]], climb from it into its ancestor cone —
@@ -38,16 +38,12 @@ import (
 // the other routes are tested against, and what the paper-reproduction
 // experiments measure.
 //
-// D and Topo are read-only interfaces, so an Evaluator runs equally over
-// the live view (*dag.DAG + *reach.Topo) and over a sealed snapshot epoch
-// (*dag.Version + *reach.TopoVersion). An Evaluator holds no per-evaluation
-// state: one value serves any number of concurrent evaluations.
+// D is a read-only interface, so an Evaluator runs equally over the live
+// view (*dag.DAG) and over a sealed snapshot epoch (*dag.Version). An
+// Evaluator holds no per-evaluation state: one value serves any number of
+// concurrent evaluations.
 type Evaluator struct {
 	D dag.Reader
-	// Topo is the topological order L the sweep iterates; the anchored
-	// route orders its cone itself and the down route needs no order, so
-	// neither reads it.
-	Topo reach.Order
 	// Text returns the text value of a node (PCDATA elements); nil means no
 	// node has text, making all value comparisons false.
 	Text func(dag.NodeID) (string, bool)
@@ -96,8 +92,8 @@ type Result struct {
 
 	// Route is the route the evaluation took and Visited the number of
 	// nodes it propagated over: the size of the cone (X and its ancestors,
-	// up to the path's window when it has one) or of the down set, or |L|
-	// for a sweep.
+	// up to the path's window when it has one) or of the down set, or the
+	// number of nodes the root reaches for a sweep.
 	Route   Route
 	Visited int
 }
@@ -160,15 +156,18 @@ func (ev *Evaluator) EvalSelectSweep(p *Path) (*Result, error) { return ev.eval(
 
 // StepFilters is the bottom-up half of the sweep, for an evaluator that runs
 // its own top-down pass: the path's normal form η1/…/ηn and, per step, the
-// truth table of its filter over the nodes of Topo (nil for a step without
-// one), indexed by NodeID. The steps are shared with every evaluation of p
-// and must not be modified; the tables are the caller's.
+// truth table of its filter over the nodes the root reaches (nil for a step
+// without one), indexed by NodeID. The steps are shared with every
+// evaluation of p and must not be modified; the tables are the caller's.
 func (ev *Evaluator) StepFilters(p *Path) ([]NStep, [][]bool, error) {
 	pl := p.compiled()
 	if err := checkLen(pl.steps); err != nil {
 		return nil, nil, err
 	}
-	return pl.steps, stepTables(pl, ev.evalFilters(pl, ev.Topo.Nodes(), nil)), nil
+	sc := scratchPool.Get().(*scratch)
+	tables := ev.evalFilters(pl, ev.order(sc), nil)
+	scratchPool.Put(sc)
+	return pl.steps, stepTables(pl, tables), nil
 }
 
 func (ev *Evaluator) eval(p *Path, sweep, selectOnly bool) (*Result, error) {
@@ -254,7 +253,7 @@ type scratch struct {
 	// steps[i].Filter has been decided at v, bit i of truth[v] how.
 	known, truth []uint64
 	level        []uint8         // per cone node: levels above X, for run.trim
-	ids          [4][]dag.NodeID // reusable node lists (frontiers, X, the cone, a search stack)
+	ids          [4][]dag.NodeID // reusable node lists (frontiers, X, the cone, a search stack; the sweep's order and walk)
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
@@ -526,12 +525,13 @@ func sortEdges(es []dag.Edge) {
 // ---------- the sweep ----------
 
 // sweep is the two-pass scheme of §3.2: filter tables bottom-up, then the
-// propagation over all of L, ancestors first. Both passes are O(|p|·|V|)
-// for the practical case of few distinct state-sets, matching the paper's
-// complexity claim.
+// propagation, ancestors first, over the nodes the root reaches. Both
+// passes are O(|p|·|V|) for the practical case of few distinct state-sets,
+// matching the paper's complexity claim; ordering the nodes is one more
+// O(|V|) walk.
 func (ev *Evaluator) sweep(r *run, pl *plan) {
 	sc := r.sc
-	nodes := ev.Topo.Nodes()
+	nodes := ev.order(sc)
 	filterVals := ev.evalFilters(pl, nodes, sc)
 	r.tables = stepTables(pl, filterVals)
 	r.masks = sc.maskIndex(ev.D.Cap(), true)
@@ -540,9 +540,6 @@ func (ev *Evaluator) sweep(r *run, pl *plan) {
 	r.start(ev.D.Root())
 	for k := len(nodes) - 1; k >= 0; k-- { // backward order: ancestors first
 		u := nodes[k]
-		if len(r.masks[u]) == 0 {
-			continue // unreachable from root
-		}
 		for _, c := range ev.D.Children(u) {
 			r.push(u, c)
 		}
@@ -551,6 +548,43 @@ func (ev *Evaluator) sweep(r *run, pl *plan) {
 	for _, t := range filterVals {
 		sc.putTable(t)
 	}
+}
+
+// order lists the nodes the root reaches, children first: the order both
+// passes of the sweep run over, where §3.2 reads the topological order L.
+// It is the post-order of a depth-first walk from the root, iterative — a
+// published chain can be as deep as the view — in the scratch's lists; the
+// slice is good until the scratch's next use.
+//
+// The walk's stack holds a node to expand, or the complement ^v of one
+// expanded, which is emitted once everything pushed after it is done. A
+// node is marked when it is expanded; a child pushed before that may be
+// expanded through another parent first, and is skipped when popped. A
+// marked node still on the way — expanded, not yet emitted — is an
+// ancestor of the node being expanded, so in a DAG no child is one, and
+// every node is emitted after its children.
+func (ev *Evaluator) order(sc *scratch) []dag.NodeID {
+	d := ev.D
+	sc.stamp = grown(sc.stamp, d.Cap())
+	set := sc.newSet()
+	out, stack := sc.ids[0][:0], append(sc.ids[1][:0], d.Root())
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		switch {
+		case v < 0:
+			out = append(out, ^v)
+		case sc.add(set, v):
+			stack = append(stack, ^v)
+			for _, c := range d.Children(v) {
+				if !sc.has(set, c) {
+					stack = append(stack, c)
+				}
+			}
+		}
+	}
+	sc.ids[0], sc.ids[1] = out, stack
+	return out
 }
 
 // evalFilters computes the truth table (per node) of every filter
@@ -675,7 +709,7 @@ func (ev *Evaluator) pathFilterTable(f *ExprPath, nodes []dag.NodeID, pl *plan, 
 			}
 		case StepDescOrSelf:
 			// desc recurrence: val(//rest, v) = val(rest, v) ∨ ∃child u:
-			// val(//rest, u). Forward L order makes children available.
+			// val(//rest, u). Children-first order makes children available.
 			for _, v := range nodes {
 				if cur[v] {
 					next[v] = true

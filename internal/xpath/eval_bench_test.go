@@ -7,14 +7,13 @@ import (
 	"testing"
 
 	"rxview/internal/dag"
-	"rxview/internal/reach"
 	"rxview/internal/relational"
 )
 
 // benchDAG builds a layered recursive DAG of roughly n nodes with shared
 // subtrees and text values — the shape the evaluator sees in the synthetic
 // serving workloads.
-func benchDAG(n int) (*dag.DAG, *reach.Topo, func(dag.NodeID) (string, bool)) {
+func benchDAG(n int) (*dag.DAG, func(dag.NodeID) (string, bool)) {
 	rng := rand.New(rand.NewSource(5))
 	d := dag.New("db")
 	text := make(map[dag.NodeID]string)
@@ -38,8 +37,7 @@ func benchDAG(n int) (*dag.DAG, *reach.Topo, func(dag.NodeID) (string, bool)) {
 			prev = layer
 		}
 	}
-	topo := reach.ComputeTopo(d)
-	return d, topo, func(v dag.NodeID) (string, bool) {
+	return d, func(v dag.NodeID) (string, bool) {
 		s, ok := text[v]
 		return s, ok
 	}
@@ -52,8 +50,8 @@ func benchDAG(n int) (*dag.DAG, *reach.Topo, func(dag.NodeID) (string, bool)) {
 // edge).
 func BenchmarkEval(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
-		d, topo, text := benchDAG(n)
-		ev := &Evaluator{D: d, Topo: topo, Text: text}
+		d, text := benchDAG(n)
+		ev := &Evaluator{D: d, Text: text}
 		p, err := Parse(`//C[C]/C`)
 		if err != nil {
 			b.Fatal(err)
@@ -71,8 +69,8 @@ func BenchmarkEval(b *testing.B) {
 
 // BenchmarkEvalSelect measures the selection-only fast path.
 func BenchmarkEvalSelect(b *testing.B) {
-	d, topo, text := benchDAG(10000)
-	ev := &Evaluator{D: d, Topo: topo, Text: text}
+	d, text := benchDAG(10000)
+	ev := &Evaluator{D: d, Text: text}
 	p, err := Parse(`//C[C="v3"]`)
 	if err != nil {
 		b.Fatal(err)
@@ -89,8 +87,8 @@ func BenchmarkEvalSelect(b *testing.B) {
 // for it (anchored) and by the sweep, and select-only by the route
 // EvalSelect picks (down) and by the sweep, on the same view.
 func BenchmarkEvalRoutes(b *testing.B) {
-	d, topo, text := benchDAG(10000)
-	ev := &Evaluator{D: d, Topo: topo, Text: text}
+	d, text := benchDAG(10000)
+	ev := &Evaluator{D: d, Text: text}
 	p := MustParse(`//C[C="v3"]/C`)
 	for name, eval := range map[string]func(*Path) (*Result, error){
 		"anchored": ev.Eval, "sweep": ev.EvalSweep, "select-down": ev.EvalSelect, "select-sweep": ev.EvalSelectSweep,
@@ -116,15 +114,13 @@ func BenchmarkEvalRoutes(b *testing.B) {
 // entries at random under -race, and at every GC) and a geometric growth
 // step has to land somewhere.
 func TestNewIdentityDoesNotRemakeScratch(t *testing.T) {
-	d, topo, text := benchDAG(20000)
-	ev := &Evaluator{D: d, Topo: topo, Text: text}
+	d, text := benchDAG(20000)
+	ev := &Evaluator{D: d, Text: text}
 	fresh := 0
 	addNode := func() {
 		c, _ := d.AddNode("C", relational.Tuple{relational.Str(fmt.Sprint("fresh", fresh))})
 		fresh++
 		d.AddEdge(d.Root(), c)
-		topo.Append(c)
-		topo.FixEdge(d, d.Root(), c)
 	}
 	for name, c := range map[string]struct {
 		eval func(*Path) (*Result, error)

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"rxview/internal/dag"
-	"rxview/internal/reach"
 	"rxview/internal/relational"
 	"rxview/internal/testkit"
 )
@@ -24,13 +23,12 @@ type (
 )
 
 // views returns evaluators over the live DAG and over a sealed Version of
-// it (with a sealed L), built fresh from the DAG's current state. Only the
-// live one gets the seed function, as only the live view has a registry.
+// it, built fresh from the DAG's current state. Only the live one gets the
+// seed function, as only the live view has a registry.
 func views(d *dag.DAG, text textFn, seeds seedFn, maskLimit int) map[string]*Evaluator {
-	topo := reach.ComputeTopo(d)
 	return map[string]*Evaluator{
-		"live":   {D: d, Topo: topo, Text: text, Seeds: seeds, MaskLimit: maskLimit},
-		"sealed": {D: d.Seal(), Topo: topo.Seal(), Text: text, MaskLimit: maskLimit},
+		"live":   {D: d, Text: text, Seeds: seeds, MaskLimit: maskLimit},
+		"sealed": {D: d.Seal(), Text: text, MaskLimit: maskLimit},
 	}
 }
 
@@ -53,13 +51,28 @@ func selectRoute(p *Path) Route {
 	return p.Route()
 }
 
+// reachedCount is the number of nodes the root reaches: what a sweep
+// visits.
+func reachedCount(d dag.Reader) int {
+	n := 0
+	for _, r := range testkit.Reachable(d) {
+		if r {
+			n++
+		}
+	}
+	return n
+}
+
 // checkRoutes evaluates p every way there is — the route Eval picks, the
 // sweep, select-only by its route and by the sweep — over the live view
 // (with seeds, when given) and the sealed view, and compares everything
-// with the tree oracle. It returns an error rather than failing so property
-// tests and the fuzz target can report their input.
+// with the tree oracle. A sweep must visit exactly the nodes the root
+// reaches, and no other route more nodes than the view has. It returns an
+// error rather than failing so property tests and the fuzz target can
+// report their input.
 func checkRoutes(d *dag.DAG, text textFn, seeds seedFn, or *oracle, p *Path) error {
 	want := or.eval(p)
+	reached := reachedCount(d)
 	wantRes := &Result{Selected: want.selected, Edges: want.edges,
 		InsertWitnesses: want.insertWitnesses, DeleteWitnesses: want.deleteWitnesses}
 	for name, ev := range views(d, text, seeds, 0) {
@@ -82,8 +95,11 @@ func checkRoutes(d *dag.DAG, text textFn, seeds seedFn, or *oracle, p *Path) err
 				return fmt.Errorf("%s %s:\n got  %s\n want %s", name, route, showResult(got), showResult(wantRes))
 			}
 		}
-		if routed.Visited > swept.Visited {
-			return fmt.Errorf("%s: the %s route visited %d nodes, the sweep %d", name, routed.Route, routed.Visited, swept.Visited)
+		if swept.Visited != reached {
+			return fmt.Errorf("%s: the sweep visited %d nodes, the root reaches %d", name, swept.Visited, reached)
+		}
+		if routed.Visited > d.NumNodes() {
+			return fmt.Errorf("%s: the %s route visited %d nodes of %d", name, routed.Route, routed.Visited, d.NumNodes())
 		}
 		for _, sel := range []struct {
 			eval func(*Path) (*Result, error)
@@ -102,8 +118,9 @@ func checkRoutes(d *dag.DAG, text textFn, seeds seedFn, or *oracle, p *Path) err
 			if fast.Edges != nil || fast.InsertWitnesses != nil || fast.DeleteWitnesses != nil || fast.Overflow {
 				return fmt.Errorf("%s select-only %s carries more than the selection: %s", name, sel.want, showResult(fast))
 			}
-			if fast.Visited > swept.Visited {
-				return fmt.Errorf("%s: the select-only %s route visited %d nodes, the sweep %d", name, sel.want, fast.Visited, swept.Visited)
+			if fast.Visited > d.NumNodes() || sel.want == RouteSweep && fast.Visited != reached {
+				return fmt.Errorf("%s: the select-only %s route visited %d nodes of %d, the root reaches %d",
+					name, sel.want, fast.Visited, d.NumNodes(), reached)
 			}
 		}
 	}
@@ -192,7 +209,7 @@ func TestRoutesAgreeOnSynthetic(t *testing.T) {
 	// resets the pooled per-node filter bits but the route itself
 	// (`//C[key="4"]/sub/C[key="6"]` then `//C[val="v0"]//C[sub/C]` decide
 	// their step-5 filters at the same C).
-	ev := &Evaluator{D: d, Topo: reach.ComputeTopo(d), Text: text}
+	ev := &Evaluator{D: d, Text: text}
 	for _, ps := range synthCorpus {
 		p := MustParse(ps)
 		if got, err := ev.EvalSelect(p); err != nil || !reflect.DeepEqual(got.Selected, or.eval(p).selected) {
@@ -306,7 +323,7 @@ func TestRouteTable(t *testing.T) {
 		{`//C[key="1"]/sub/C[sub//C]`, S, S},
 	}
 	d, text := synthDAG(t)
-	ev := &Evaluator{D: d, Topo: reach.ComputeTopo(d), Text: text}
+	ev := &Evaluator{D: d, Text: text}
 	for _, c := range cases {
 		p := MustParse(c.path)
 		if got := p.Route(); got != c.eval {
@@ -538,9 +555,30 @@ func TestAnchoredDrainsParentlessNodes(t *testing.T) {
 	}
 }
 
+// TestSweepVisitsWhatTheRootReaches: the sweep orders the nodes it visits
+// itself, and they are exactly the nodes the root reaches — fewer than the
+// view holds inside an open transaction (orphanDAG), where swept shapes must
+// still agree with the oracle and with the route Eval picks.
+func TestSweepVisitsWhatTheRootReaches(t *testing.T) {
+	d, text := orphanDAG(t)
+	if reached := reachedCount(d); reached >= d.NumNodes() {
+		t.Fatalf("the root reaches %d of %d nodes: no parentless node to leave out", reached, d.NumNodes())
+	}
+	or := newOracle(d, text)
+	for _, ps := range []string{`//C`, `C/sub/C`, `//C[sub/C]`, `//sub[not(C)]`, `//*`, `//C[.//val="v1"]/key`} {
+		p := MustParse(ps)
+		if p.Route() != RouteSweep {
+			t.Fatalf("%s takes the %s route", ps, p.Route())
+		}
+		if err := checkRoutes(d, text, nil, or, p); err != nil {
+			t.Errorf("%s: %v", ps, err)
+		}
+	}
+}
+
 func TestResultsDoNotAliasScratch(t *testing.T) {
 	d, text := synthDAG(t)
-	ev := &Evaluator{D: d, Topo: reach.ComputeTopo(d), Text: text}
+	ev := &Evaluator{D: d, Text: text}
 	p := MustParse(`//C[val="v0"]//`)
 	first, err := ev.Eval(p)
 	if err != nil {
@@ -639,7 +677,7 @@ func FuzzEvalRoutesAgree(f *testing.F) {
 			if len(p.compiled().steps) > MaxSteps || !oracleAffordable(p) {
 				// No oracle: the routes must still agree with each other,
 				// down to the error for an over-long path.
-				ev := &Evaluator{D: fx.d, Topo: reach.ComputeTopo(fx.d), Text: fx.text, Seeds: fx.seeds}
+				ev := &Evaluator{D: fx.d, Text: fx.text, Seeds: fx.seeds}
 				routed, err1 := ev.Eval(p)
 				swept, err2 := ev.EvalSweep(p)
 				fast, err3 := ev.EvalSelect(p)

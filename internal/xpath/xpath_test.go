@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"rxview/internal/dag"
-	"rxview/internal/reach"
 	"rxview/internal/relational"
 	"rxview/internal/testkit"
 )
@@ -168,7 +167,7 @@ func fig1DAG(t testing.TB) (*dag.DAG, map[string]dag.NodeID, func(dag.NodeID) (s
 
 func newEval(t testing.TB, d *dag.DAG, text func(dag.NodeID) (string, bool)) *Evaluator {
 	t.Helper()
-	return &Evaluator{D: d, Topo: reach.ComputeTopo(d), Text: text}
+	return &Evaluator{D: d, Text: text}
 }
 
 func TestEvalFig1Selection(t *testing.T) {

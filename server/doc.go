@@ -1,13 +1,13 @@
 // Package server makes a published XML view safely shareable under
 // concurrent load. The underlying rxview.View is single-writer by design —
-// the paper's pipeline (translate → side-effect check → maintenance of L)
-// mutates the DAG and the topological order in place — so this package
+// the paper's pipeline (translate → side-effect check → garbage collection)
+// mutates the DAG in place — so this package
 // adds the serving layer on top instead of sprinkling locks through the
 // engine:
 //
 //   - Reads are snapshot-isolated and wait-free. An Engine publishes an
-//     immutable epoch snapshot (the DAG and the topological order sealed
-//     together + the view's generation counter) through an atomic
+//     immutable epoch snapshot (the sealed DAG + the view's generation
+//     counter) through an atomic
 //     pointer; queries evaluate against whatever epoch they load and never
 //     block behind a write or observe a half-maintained structure.
 //

@@ -185,7 +185,7 @@ func TestMetricsAndDebugEndpoints(t *testing.T) {
 		"xview_pipeline_phase_seconds",   // process-wide pipeline registry
 		"xview_path_cache_hits_total",    // process-wide cache counters
 		"xview_xpath_eval_total",         // evaluations by route
-		"xview_xpath_eval_visited_nodes", // cone or down-set size, or |L| for a sweep
+		"xview_xpath_eval_visited_nodes", // cone or down-set size, or the reached nodes for a sweep
 	} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("/metrics missing family %s", want)

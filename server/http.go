@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -125,10 +126,20 @@ func (h *handler) requestCtx(r *http.Request) (context.Context, context.CancelFu
 	return r.Context(), func() {}
 }
 
+// decode reads the request body, which must be exactly one JSON value:
+// anything after it but whitespace is refused, not ignored.
 func (h *handler) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+	err := dec.Decode(into)
+	if err == nil {
+		if _, terr := dec.Token(); terr == nil {
+			err = errors.New("a second JSON value follows the first")
+		} else if !errors.Is(terr, io.EOF) {
+			err = terr
+		}
+	}
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

@@ -172,6 +172,54 @@ func TestHandlerBatchPrefixAndErrors(t *testing.T) {
 	}
 }
 
+// TestHandlerBodyIsOneJSONValue: a request body is one JSON value. On every
+// route that reads one, a second value after it — the second group of a
+// /tx, say — or anything else but whitespace is a 400 that applies nothing;
+// trailing whitespace is fine.
+func TestHandlerBodyIsOneJSONValue(t *testing.T) {
+	ins := func(key string) string {
+		return `{"kind":"insert","type":"student","path":"//course[cno=\"CS650\"]/takenBy","values":["` + key + `","B"]}`
+	}
+	for _, c := range []struct {
+		path, first, second string
+	}{
+		{"/query", `{"path":"//student"}`, `{"path":"//course"}`},
+		{"/update", ins("T1"), ins("T2")},
+		{"/batch", `{"updates":[` + ins("T3") + `]}`, `{"updates":[` + ins("T4") + `]}`},
+		{"/tx", `{"updates":[` + ins("T5") + `]}`, `{"updates":[` + ins("T6") + `]}`},
+	} {
+		for _, tail := range []struct {
+			name, text string
+			want       int
+		}{
+			{"a second value", " " + c.second, http.StatusBadRequest},
+			{"a second value, no space", c.second, http.StatusBadRequest},
+			{"garbage", "x", http.StatusBadRequest},
+			{"a closing brace", "}", http.StatusBadRequest},
+			{"whitespace", " \n\t ", http.StatusOK},
+		} {
+			ts, eng := newTestServer(t, 5*time.Second)
+			before := eng.Generation()
+			resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.first+tail.text))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out map[string]any
+			err = json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("POST %s, then %s: decoding response: %v", c.path, tail.name, err)
+			}
+			if resp.StatusCode != tail.want {
+				t.Errorf("POST %s, then %s: status %d, want %d (%v)", c.path, tail.name, resp.StatusCode, tail.want, out)
+			}
+			if tail.want != http.StatusOK && eng.Generation() != before {
+				t.Errorf("POST %s, then %s: refused, yet the generation moved from %d to %d", c.path, tail.name, before, eng.Generation())
+			}
+		}
+	}
+}
+
 // Update values go through rxview.Value's decoder, the library's one: an
 // integer past 2⁵³ reaches the pipeline exactly, on every write endpoint
 // (here the student's string-typed ssn refuses it, and the report renders
@@ -230,7 +278,8 @@ func TestHandlerPerRequestTimeout(t *testing.T) {
 // route byte's high bit is set). Oracle: no panic and never a 5xx — a body
 // the handler cannot use is refused as the client's (400, or 413 past the
 // size limit) and a usable one gets its verdict (200, 409, 422); a 200's
-// generation is one the engine has published; a /query body posted twice
+// body is exactly one JSON value, and its generation is one the engine has
+// published; a /query body posted twice
 // gets the same status and bytes both times (the second a memo hit when the
 // first evaluated); and after Close the view is still σ of its base
 // relations.
@@ -257,6 +306,8 @@ func FuzzHandlerBodies(f *testing.F) {
 			`{"kind":"insert","path":"//course[cno=\"CS111\"]/prereq","type":"course","values":["CS112","II"]}]}`},
 		{3, `{"updates":[{"kind":"insert","path":".","type":"course","values":["CS311","Gone"]},` + shared + `]}`},
 		{3, `{"updates":[{"kind":"frobnicate","path":"."}]}`},
+		{3, `{"updates":[` + ins + `]} {"updates":[` + shared + `]}`},
+		{1, ins + "\n"},
 	} {
 		f.Add(s.route, []byte(s.body))
 	}
@@ -293,6 +344,9 @@ func FuzzHandlerBodies(f *testing.F) {
 			t.Fatalf("POST %s %q: status %d: %s", path, body, rec.Code, rec.Body)
 		}
 		if rec.Code == http.StatusOK {
+			if !json.Valid(body) {
+				t.Fatalf("POST %s %q: 200 for a body that is not exactly one JSON value", path, body)
+			}
 			var out struct {
 				Generation uint64 `json:"generation"`
 			}

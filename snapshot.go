@@ -18,8 +18,7 @@ import (
 func (v *View) Generation() uint64 { return v.sys.Generation() }
 
 // Snapshot freezes the current view state into an immutable epoch: the
-// DAG-compressed view and the topological order L, sealed together at the
-// current generation. The snapshot answers queries, renders statistics and
+// DAG-compressed view, sealed at the current generation. The snapshot answers queries, renders statistics and
 // serializes XML without touching the live view, so any number of goroutines
 // may share one Snapshot while the view keeps applying updates.
 //

@@ -18,14 +18,14 @@ import (
 // DryRun uses for one update, extended to survive across staged operations:
 // each Stage runs the full pipeline (DTD validation, XPath evaluation with
 // side-effect detection, ΔX→ΔV→ΔR translation, ΔR against the database, ΔV
-// against the view, maintenance of L) so the next Stage and Tx.Query read
+// against the view, garbage collection) so the next Stage and Tx.Query read
 // the transaction's own writes.
 //
 // An atomic group (View.Begin) is all-or-nothing. Any rejection — a parse
 // failure, a DTD violation, an XML side effect, an untranslatable ΔV — dooms
 // the group: the rejected update is unwound immediately, later stages are
-// refused with the same error, and Commit (or Rollback) restores the view,
-// the database and L exactly to their pre-Begin state. A successful Commit
+// refused with the same error, and Commit (or Rollback) restores the view
+// and the database exactly to their pre-Begin state. A successful Commit
 // advances View.Generation by exactly 1, however many updates the
 // transaction staged — one transaction, one epoch.
 //
@@ -192,8 +192,8 @@ func (tx *Tx) Commit(ctx context.Context) error {
 	}
 }
 
-// Rollback abandons the group. An atomic group is unwound: the view, the
-// database and L are restored exactly to their pre-Begin state. A prefix
+// Rollback abandons the group. An atomic group is unwound: the view and the
+// database are restored exactly to their pre-Begin state. A prefix
 // group has nothing sound to unwind, so Rollback closes it exactly as Commit
 // does, log failure included. Idempotent; rolling back a finished
 // transaction is a no-op.

@@ -16,8 +16,8 @@ import (
 )
 
 // viewFingerprint captures everything the public surface exposes of the
-// view + database state: the serialized view, the statistics line (|L| and
-// base rows included), the per-table row counts and the generation.
+// view + database state: the serialized view, the statistics line (base rows
+// included), the per-table row counts and the generation.
 func viewFingerprint(t *testing.T, v *rxview.View) string {
 	t.Helper()
 	xml, err := v.XML(500000)

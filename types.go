@@ -62,10 +62,10 @@ func mutationsOf(dr []relational.Mutation) []Mutation {
 // Timings breaks an update into the phases the paper's Fig.11 reports:
 // (a) XPath evaluation, (b) translation ΔX→ΔV→ΔR plus execution, and
 // (c) maintenance (background in the paper) — plus, beyond the paper, the
-// publication phase of the serving layer. Phase (c) here is the maintenance
-// of L and the collection of what the update left unreachable; the paper's
-// also maintains M, which a View does not carry (the experiments add that
-// half themselves, see internal/bench's Table1).
+// publication phase of the serving layer. Phase (c) here is the collection
+// of what a deletion left unreachable, zero for an insertion; the paper's
+// also maintains L and M, which a View does not carry (the experiments add
+// that themselves, see internal/bench's Table1).
 // Durations marshal as integer nanoseconds; the _ns tags make that explicit
 // in the wire names.
 type Timings struct {
@@ -75,7 +75,7 @@ type Timings struct {
 	XToDV     time.Duration `json:"x_to_dv_ns"`   // Algorithm Xinsert / Xdelete (Figs.5–6)
 	DVToDR    time.Duration `json:"dv_to_dr_ns"`  // Algorithm insert / delete (§4)
 	Apply     time.Duration `json:"apply_ns"`     // (b): executing ΔR and ΔV
-	Maintain  time.Duration `json:"maintain_ns"`  // (c): the L half of ∆(M,L)insert / ∆(M,L)delete, plus garbage collection
+	Maintain  time.Duration `json:"maintain_ns"`  // (c): the garbage collection of ∆(M,L)delete
 	// Publish is the epoch-publication cost (sealing the copy-on-write
 	// snapshot plus the pointer swap). It is stamped by the serving layer
 	// on the report of the write unit that triggered the publication;
@@ -107,8 +107,8 @@ func timingsOf(t core.Timings) Timings {
 // /update, /batch and /tx answer with their own, smaller shape under the same
 // names where the fields coincide — changes as rendered strings, the phase
 // timings folded into one total_ns, no route (server/http.go, reportJSON).
-// Timings.Maintain is the time spent repairing L and collecting the Removed
-// nodes (with the DVDeletes their deaths cascade into); no M is maintained.
+// Timings.Maintain is the time spent collecting the Removed nodes (with the
+// DVDeletes their deaths cascade into); no L or M is maintained.
 type Report struct {
 	Op          string     `json:"op"`                // the update, rendered
 	Applied     bool       `json:"applied"`           // false for no-ops and rejections
@@ -142,12 +142,11 @@ func reportOf(r *core.Report) *Report {
 	}
 }
 
-// Stats summarizes the view and its auxiliary structures — the quantities of
-// Fig.10(b) in the paper: DAG size, uncompressed tree size, sharing, |L|
-// and |M|. A View carries L but no reachability matrix, so MatrixPairs is 0
-// on every view and snapshot; the field stays for the wire shape and its
-// readers. |M| for the figure is the experiments' (internal/bench) to
-// compute.
+// Stats summarizes the view — the quantities of Fig.10(b) in the paper: DAG
+// size, uncompressed tree size and sharing. A View carries neither L nor the
+// reachability matrix, so MatrixPairs is 0 on every view and snapshot; the
+// field stays for the wire shape and its readers. |L| and |M| for the
+// figure are the experiments' (internal/bench) to compute.
 type Stats struct {
 	BaseRows    int     `json:"base_rows"`    // total tuples in the published database
 	Nodes       int     `json:"nodes"`        // DAG nodes (n)
@@ -156,16 +155,15 @@ type Stats struct {
 	Compression float64 `json:"compression"`  // TreeSize / Nodes
 	SharedNodes int     `json:"shared_nodes"` // nodes with >1 parent
 	SharedFrac  float64 `json:"shared_frac"`  // SharedNodes / Nodes
-	TopoLen     int     `json:"topo_len"`     // |L|
 	MatrixPairs int     `json:"matrix_pairs"` // |M|; always 0, a View has no M
 }
 
 // String renders the statistics in a Fig.10(b)-style line.
 func (st Stats) String() string {
 	return fmt.Sprintf(
-		"rows=%d nodes=%d edges=%d tree=%.0f compression=%.2fx shared=%.1f%% |L|=%d",
+		"rows=%d nodes=%d edges=%d tree=%.0f compression=%.2fx shared=%.1f%%",
 		st.BaseRows, st.Nodes, st.Edges, st.TreeSize, st.Compression,
-		100*st.SharedFrac, st.TopoLen)
+		100*st.SharedFrac)
 }
 
 func statsOf(st core.Stats) Stats {
@@ -177,7 +175,6 @@ func statsOf(st core.Stats) Stats {
 		Compression: st.Compression,
 		SharedNodes: st.SharedNodes,
 		SharedFrac:  st.SharedFrac,
-		TopoLen:     st.TopoLen,
 	}
 }
 

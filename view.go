@@ -16,11 +16,11 @@ import (
 // View is a published recursive XML view of a relational database, with
 // update support: the full pipeline of the paper — DAG-compressed
 // publication (§2.3), XPath evaluation with side-effect detection (§3),
-// ΔX→ΔV→ΔR update translation (§4), and incremental maintenance of the
-// topological order L with garbage collection of what a deletion leaves
-// unreachable (§3.4). The paper's reachability matrix M is not part of a
-// View: no evaluator that serves reads it (README, "The reachability matrix
-// M").
+// ΔX→ΔV→ΔR update translation (§4), and garbage collection of what a
+// deletion leaves unreachable (§3.4). The paper's auxiliary structures, the
+// topological order L and the reachability matrix M, are not part of a
+// View: no evaluator that serves reads them (README, "The auxiliary
+// structures L and M").
 //
 // A View is not safe for concurrent use.
 type View struct {
@@ -47,8 +47,8 @@ type View struct {
 }
 
 // Open publishes σ(I): it evaluates the ATG over the database, compresses
-// the result into a DAG, builds the topological order L and the translator's
-// source index, and returns the live view. The database stays attached: updates applied to the
+// the result into a DAG, builds the translator's source index, and returns
+// the live view. The database stays attached: updates applied to the
 // view execute their relational translation ΔR against it.
 //
 // With WithDurability, Open instead recovers the durable state from the log
@@ -96,9 +96,10 @@ func (v *View) Query(ctx context.Context, path string) ([]Node, error) {
 
 // Apply runs the full pipeline for one update: DTD validation, XPath
 // evaluation with side-effect detection, ΔX→ΔV→ΔR translation, execution of
-// ΔR against the database and ΔV against the view, and maintenance of L.
+// ΔR against the database and ΔV against the view, and garbage collection.
 // Cancellation is honored between the phases; once ΔR has executed the
-// update is carried through, so a cancelled context never leaves L stale. It
+// update is carried through, so a cancelled context never leaves the view
+// half-collected. It
 // is a one-shot group (BeginBatch, Stage, Commit) — for a single update,
 // atomicity and prefix semantics coincide; for an all-or-nothing group use
 // Begin.
@@ -136,7 +137,7 @@ func (v *View) DryRun(ctx context.Context, u Update) (*Report, error) {
 // use Begin.
 //
 // The batch is not atomic: it stops at the first failing update, with every
-// earlier update already applied and L repaired. The returned reports cover
+// earlier update already applied. The returned reports cover
 // the processed prefix, ending with a report for the update that failed — on
 // cancellation that is an unapplied report for the first update that did not
 // run — and the error names that update, never the last one that succeeded;
@@ -192,8 +193,7 @@ func (v *View) Stats() Stats { return statsOf(v.sys.Stats()) }
 
 // CheckConsistency verifies the system invariant ΔX(T) = σ(ΔR(I)): the
 // incrementally maintained DAG must equal a fresh publication of the current
-// database, L must be a valid topological order of it, and the translator's
-// source index must equal a rebuild.
+// database, and the translator's source index must equal a rebuild.
 func (v *View) CheckConsistency() error { return v.sys.CheckConsistency() }
 
 // Digest is a view's state digest: a 128-bit multiset hash over the live
