@@ -6,64 +6,23 @@ import (
 	"rxview/internal/update"
 )
 
-// DryRunCtx answers the updatability question for ΔX without changing
-// anything: it runs DTD validation, XPath evaluation, side-effect detection
-// and the full relational translation, then rolls everything back. The
-// report shows what Apply would have done (including ΔR); the returned error
-// is exactly what Apply would have returned.
-//
-// This is the paper's updatability problem (§4.1) as an API: for deletions
-// it decides in PTIME (Theorem 1), for insertions it runs the heuristic
-// SAT analysis (Theorem 2 makes the exact question NP-complete).
-//
-// It checks for cancellation between the phases, mirroring ApplyCtx, and
-// shares the validation/evaluation/gating prologue with Apply
-// (System.stage), so both reject, skip and no-op in exactly the same cases.
+// DryRunCtx answers the updatability question for ΔX (§4.1) without
+// changing anything: it stages the update through the pipeline Apply runs,
+// the storage fault point included, and unwinds it. So the report (ΔR and
+// its fresh values too) and the error are what Apply would give next; only
+// the stage's metrics are not taken. Inside an open transaction it stages
+// on top of the group's state. For deletions the question is PTIME
+// (Theorem 1); for insertions it runs the heuristic SAT analysis (Theorem 2
+// makes the exact question NP-complete).
 func (s *System) DryRunCtx(ctx context.Context, op *update.Op) (*Report, error) {
-	rep := &Report{Op: op.String()}
-	res, proceed, err := s.stage(ctx, op, rep)
-	if !proceed {
-		return rep, err
+	if s.txn == nil {
+		s.DAG.Begin()
+		defer s.DAG.Rollback() // the journal is empty again by then
 	}
-
-	switch op.Kind {
-	case update.OpInsert:
-		// Unwound on return to a mark in the open group's journal, so "what
-		// would Apply do next" can be asked about staged state too.
-		if s.txn == nil {
-			s.DAG.Begin()
-			defer s.DAG.Rollback()
-		}
-		defer s.DAG.RollbackTo(s.DAG.Mark())
-		dv, err := update.Xinsert(s.ATG, s.DAG, s.DB, res.Selected, op.Type, op.Attr)
-		if err != nil {
-			return rep, err
-		}
-		if len(dv.Inserts) == 0 {
-			return rep, nil
-		}
-		dr, _, err := s.Translator.TranslateInsert(dv.Inserts, dv.NewNodes)
-		if err != nil {
-			return rep, err
-		}
-		if err := ctx.Err(); err != nil {
-			return rep, err // mirrors ApplyCtx's post-translation check
-		}
-		rep.DR = dr
-		rep.DVInserts = len(dv.Inserts)
-		rep.Applied = true // would apply
-		return rep, nil
-	default:
-		dr, err := s.Translator.TranslateDelete(res.Edges)
-		if err != nil {
-			return rep, err
-		}
-		if err := ctx.Err(); err != nil {
-			return rep, err // mirrors ApplyCtx's post-translation check
-		}
-		rep.DR = dr
-		rep.DVDeletes = len(res.Edges)
-		rep.Applied = true
-		return rep, nil
+	sp := s.savepoint()
+	rep, _, err := s.apply(ctx, op)
+	if uerr := s.unwind(sp, rep.DR); uerr != nil {
+		return rep, uerr
 	}
+	return rep, err
 }

@@ -5,8 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"rxview/internal/dag"
+	"rxview/internal/relational"
+	"rxview/internal/testkit"
 	"rxview/internal/update"
 	"rxview/internal/workload"
 	"rxview/internal/xpath"
@@ -277,4 +281,82 @@ func TestQueryInsideTransactionTakesTheAnchoredRoute(t *testing.T) {
 	if got, err := selectPath(s, fmt.Sprintf(`//C[key="%d"]`, key)); err != nil || len(got) != 0 {
 		t.Errorf("after rollback: %v, %v", got, err)
 	}
+}
+
+// TestFreshValuesStayOutsideTheDatabase: a value insert's fresh values are
+// outside the active domain (§4.3, case (b)) also where the translator is
+// new but the database is not — after Recover, and on a caller's database
+// that already holds fresh-shaped values.
+func TestFreshValuesStayOutsideTheDatabase(t *testing.T) {
+	insertFresh := func(t *testing.T, syn *workload.Synthetic, s *System) {
+		t.Helper()
+		domain := map[relational.Value]bool{}
+		for _, name := range s.DB.Schema.TableNames() {
+			s.DB.Rel(name).Scan(func(tup relational.Tuple) bool {
+				for _, v := range tup {
+					domain[v] = true
+				}
+				return true
+			})
+		}
+		stmt := syn.InsertWorkload(workload.W1, 1, 1)[0].Stmt
+		rep, err := s.Execute(stmt)
+		if err != nil || !rep.Applied {
+			t.Fatalf("%s: applied=%v err=%v", stmt, rep.Applied, err)
+		}
+		minted := 0
+		for _, m := range rep.DR {
+			for _, v := range m.Tuple {
+				if !strings.HasPrefix(v.S, "zfresh") && !(v.K == relational.KindInt && v.I > 1<<40) {
+					continue
+				}
+				minted++
+				if domain[v] {
+					t.Fatalf("%s: the fresh value %s is already in the database", stmt, v)
+				}
+			}
+		}
+		if minted == 0 {
+			t.Fatalf("%s minted no fresh value: ΔR %v", stmt, rep.DR)
+		}
+	}
+	t.Run("after-recover", func(t *testing.T) {
+		syn, s := openSynthetic(t, 200, 1)
+		insertFresh(t, syn, s)
+		d := testkit.Must(dag.DecodeState(s.DAG.AppendState(nil, nil)))
+		r, err := Recover(s.ATG, s.DB.Clone(), d, s.gen, s.digest, nil, s.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insertFresh(t, syn, r)
+	})
+	t.Run("caller-database", func(t *testing.T) {
+		syn, err := workload.NewSynthetic(workload.SyntheticConfig{NC: 200, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// An F row no C row reaches: in the database, not in the view.
+		f := syn.DB.Rel("F")
+		row := make(relational.Tuple, len(f.Schema.Columns))
+		for i, col := range f.Schema.Columns {
+			switch {
+			case i == f.Schema.Key[0]:
+				row[i] = relational.Int(1 << 30)
+			case col.Domain != nil:
+				row[i] = col.Domain[0]
+			case col.Type == relational.KindInt:
+				row[i] = relational.Int(1<<40 + 1)
+			default:
+				row[i] = relational.Str("zfresh1")
+			}
+		}
+		if err := f.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(syn.ATG, syn.DB, Options{ForceSideEffects: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		insertFresh(t, syn, s)
+	})
 }

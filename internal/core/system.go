@@ -28,7 +28,6 @@ import (
 	"rxview/internal/dag"
 	"rxview/internal/digest"
 	"rxview/internal/fault"
-	"rxview/internal/obs"
 	"rxview/internal/relational"
 	"rxview/internal/update"
 	"rxview/internal/viewupdate"
@@ -53,7 +52,8 @@ type Decision int
 
 // Policy decisions.
 const (
-	// DecisionReject refuses the update with a *SideEffectError.
+	// DecisionReject refuses the update with a *SideEffectError (the
+	// public ErrSideEffect). So does any value not listed here.
 	DecisionReject Decision = iota
 	// DecisionApply carries the update out at every occurrence of the
 	// shared subtree (the revised semantics of §2.1).
@@ -62,36 +62,28 @@ const (
 	DecisionSkip
 )
 
-// SideEffectInfo describes a detected XML side effect for a policy.
+// SideEffectInfo describes a detected XML side effect for a policy:
+// applying the update to the r[[p]] selected occurrences would also change
+// Witnesses unselected occurrences of the same shared subtree.
 type SideEffectInfo struct {
 	Op        string // the update, rendered
 	Delete    bool   // deletion (vs insertion)
-	Targets   int    // |r[[p]]|
-	Witnesses int    // occurrences of the shared subtree outside r[[p]]
+	Targets   int    // |r[[p]]|, the selected occurrences
+	Witnesses int    // unselected occurrences that would change
 }
 
-// decide resolves a detected side effect against the configured policy.
-func (o Options) decide(info SideEffectInfo) Decision {
-	if o.SideEffectPolicy != nil {
-		return o.SideEffectPolicy(info)
-	}
-	if o.ForceSideEffects {
-		return DecisionApply
-	}
-	return DecisionReject
-}
-
-// gateSideEffect consults the policy for one detected side effect. It
-// returns skip=true for DecisionSkip (the caller no-ops) and a
-// *SideEffectError for DecisionReject; (false, nil) means carry on under
-// the revised semantics.
+// gateSideEffect consults the policy for one detected side effect — the
+// SideEffectPolicy if there is one, else ForceSideEffects. It returns
+// skip=true for DecisionSkip (the caller no-ops) and a *SideEffectError for
+// DecisionReject; (false, nil) means carry on under the revised semantics.
 func (s *System) gateSideEffect(op *update.Op, targets, witnesses int, del bool) (skip bool, err error) {
-	switch s.opts.decide(SideEffectInfo{
-		Op:        op.String(),
-		Delete:    del,
-		Targets:   targets,
-		Witnesses: witnesses,
-	}) {
+	d := DecisionReject
+	if s.opts.SideEffectPolicy != nil {
+		d = s.opts.SideEffectPolicy(SideEffectInfo{Op: op.String(), Delete: del, Targets: targets, Witnesses: witnesses})
+	} else if s.opts.ForceSideEffects {
+		d = DecisionApply
+	}
+	switch d {
 	case DecisionSkip:
 		return true, nil
 	case DecisionApply:
@@ -124,7 +116,7 @@ type Timings struct {
 	XToDV     time.Duration // Algorithm Xinsert / Xdelete (Figs.5–6)
 	DVToDR    time.Duration // Algorithm insert / delete (§4)
 	Apply     time.Duration // (b): executing ΔR and ΔV
-	Maintain  time.Duration // (c): the garbage collection of ∆(M,L)delete; zero for an insertion
+	Maintain  time.Duration // (c): a deletion's garbage collection (dag.DAG.Collect); zero for an insertion
 }
 
 // Report describes one processed update. Timings.Maintain covers the
@@ -250,7 +242,7 @@ func (s *System) evaluator() *xpath.Evaluator {
 }
 
 // Eval evaluates a parsed path, returning the full result (selection, Ep,
-// side-effect witnesses) — what the update pipeline and DryRun need.
+// side-effect witnesses) — what the update pipeline needs.
 func (s *System) Eval(p *xpath.Path) (*xpath.Result, error) {
 	return observeEval(s.evaluator().Eval(p))
 }
@@ -287,35 +279,72 @@ func (s *System) ApplyCtx(ctx context.Context, op *update.Op) (*Report, error) {
 	return rep, err
 }
 
-// apply runs one staged update inside the open transaction's DAG journal
+// apply runs one update through the pipeline of §2.4 inside the open DAG
+// journal — DTD validation, XPath evaluation, side-effect gating,
+// translation and execution, with cancellation checks between the phases —
 // and returns, with the report, the update's own delta: the journal since a
 // mark taken before the update mutates anything. An update that does not
-// apply is unwound to the mark and has no delta.
+// apply is rewound to the mark and has no delta. apply is the only caller
+// of the translation: Txn.Stage keeps what it does, DryRunCtx unwinds it.
 //
 // xviewlint:hot-path
 func (s *System) apply(ctx context.Context, op *update.Op) (*Report, []dag.DeltaOp, error) {
 	rep := &Report{Op: op.String()}
-	res, proceed, err := s.stage(ctx, op, rep)
-	if !proceed {
+	t0 := time.Now()
+	if err := update.ValidateAgainstDTD(s.ATG.DTD, op); err != nil {
 		return rep, nil, err
 	}
-	mark := s.DAG.Mark()
-	if op.Kind == update.OpInsert {
-		err = s.applyInsert(ctx, op, res, rep, mark)
+	ins := op.Kind == update.OpInsert
+	if ins {
+		if err := s.ATG.CheckAttr(op.Type, op.Attr); err != nil {
+			return rep, nil, &update.InvalidError{Reason: err.Error()}
+		}
+	}
+	rep.Timings.Validate = time.Since(t0)
+	if err := ctx.Err(); err != nil {
+		return rep, nil, err
+	}
+
+	t0 = time.Now()
+	res, err := s.Eval(op.Path)
+	if err != nil {
+		return rep, nil, err
+	}
+	rep.Timings.Eval = time.Since(t0)
+	rep.RP, rep.EP, rep.Route = len(res.Selected), len(res.Edges), res.Route.String()
+	if err := ctx.Err(); err != nil {
+		return rep, nil, err
+	}
+
+	witnesses, matched := len(res.InsertWitnesses), len(res.Selected)
+	rep.SideEffects = res.HasInsertSideEffects()
+	if !ins {
+		witnesses, matched = len(res.DeleteWitnesses), len(res.Edges)
+		rep.SideEffects = res.HasDeleteSideEffects()
+	}
+	if rep.SideEffects {
+		if skip, err := s.gateSideEffect(op, len(res.Selected), witnesses, !ins); skip || err != nil {
+			return rep, nil, err
+		}
+	}
+	if matched == 0 {
+		return rep, nil, nil // nothing matched: a no-op, not an error
+	}
+
+	sp := s.savepoint()
+	if ins {
+		err = s.applyInsert(ctx, op, res, rep, sp.mark)
 	} else {
-		err = s.applyDelete(ctx, op, res, rep)
+		err = s.applyDelete(ctx, res, rep)
 	}
 	if !rep.Applied {
-		s.DAG.RollbackTo(mark)
+		s.rewind(sp)
 		return rep, nil, err
 	}
-	t0 := time.Now()
-	delta := s.DAG.DeltaSince(mark)
+	t0 = time.Now()
+	delta := s.DAG.DeltaSince(sp.mark)
 	s.noteDelta(delta, +1)
 	rep.Timings.Apply += time.Since(t0)
-	if obs.Enabled() {
-		observeTimings(rep.Timings)
-	}
 	return rep, delta, err
 }
 
@@ -335,64 +364,8 @@ func (s *System) noteDelta(delta []dag.DeltaOp, sign int) {
 	}
 }
 
-// stage runs the phases Apply and DryRun share — DTD validation, XPath
-// evaluation, side-effect gating, with cancellation checks in between —
-// filling rep as it goes. proceed=false means the caller returns (rep, err)
-// as is: a rejection when err is non-nil, a no-op otherwise. Keeping this
-// in one place is what makes DryRun's contract ("the error is exactly what
-// Apply would have returned") hold by construction.
-func (s *System) stage(ctx context.Context, op *update.Op, rep *Report) (res *xpath.Result, proceed bool, err error) {
-	t0 := time.Now()
-	if err := update.ValidateAgainstDTD(s.ATG.DTD, op); err != nil {
-		return nil, false, err
-	}
-	if op.Kind == update.OpInsert {
-		if err := s.ATG.CheckAttr(op.Type, op.Attr); err != nil {
-			return nil, false, &update.InvalidError{Reason: err.Error()}
-		}
-	}
-	rep.Timings.Validate = time.Since(t0)
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-
-	t0 = time.Now()
-	res, err = s.Eval(op.Path)
-	if err != nil {
-		return nil, false, err
-	}
-	rep.Timings.Eval = time.Since(t0)
-	rep.RP, rep.EP, rep.Route = len(res.Selected), len(res.Edges), res.Route.String()
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-
-	if op.Kind == update.OpInsert {
-		rep.SideEffects = res.HasInsertSideEffects()
-		if rep.SideEffects {
-			if skip, err := s.gateSideEffect(op, len(res.Selected), len(res.InsertWitnesses), false); skip || err != nil {
-				return nil, false, err
-			}
-		}
-		if len(res.Selected) == 0 {
-			return nil, false, nil // nothing matched: a no-op, not an error
-		}
-	} else {
-		rep.SideEffects = res.HasDeleteSideEffects()
-		if rep.SideEffects {
-			if skip, err := s.gateSideEffect(op, len(res.Selected), len(res.DeleteWitnesses), true); skip || err != nil {
-				return nil, false, err
-			}
-		}
-		if len(res.Edges) == 0 {
-			return nil, false, nil
-		}
-	}
-	return res, true, nil
-}
-
 // applyInsert leaves a rejected, canceled or no-op insertion's speculative
-// ΔV for apply to unwind.
+// ΔV for apply to rewind.
 func (s *System) applyInsert(ctx context.Context, op *update.Op, res *xpath.Result, rep *Report, mark int) error {
 	t0 := time.Now()
 	dv, err := update.Xinsert(s.ATG, s.DAG, s.DB, res.Selected, op.Type, op.Attr)
@@ -441,7 +414,7 @@ func (s *System) applyInsert(ctx context.Context, op *update.Op, res *xpath.Resu
 	return nil
 }
 
-func (s *System) applyDelete(ctx context.Context, op *update.Op, res *xpath.Result, rep *Report) error {
+func (s *System) applyDelete(ctx context.Context, res *xpath.Result, rep *Report) error {
 	t0 := time.Now()
 	dv := update.Xdelete(res.Edges)
 	rep.Timings.XToDV = time.Since(t0)

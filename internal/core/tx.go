@@ -31,16 +31,17 @@ var (
 //
 // Every transaction opens the DAG journal at Begin, and that journal is its
 // one undo log: a stage runs from a mark in it, the delta since the mark is
-// the stage's ΔV (what a prefix stage's record carries), and a rejected
-// insert unwinds to its mark. The database needs no log of its own — an
-// applied stage's ΔR is in its report — and the translator's source index
-// follows the journal's delta (System.noteDelta).
+// the stage's ΔV (what a prefix stage's record carries), and a stage that
+// does not apply is rewound to its mark. The database needs no log of its
+// own — an applied stage's ΔR is in its report — and the translator's
+// source index follows the journal's delta (System.noteDelta).
 //
 // In atomic mode (System.Begin(true)) the group is all-or-nothing: a staged
-// rejection dooms the whole transaction, and Commit or Rollback restores
-// the DAG, the database and the translator's source index exactly to their
-// pre-Begin state. A successful Commit advances the generation by
-// exactly 1, however many updates the transaction applied.
+// rejection dooms the whole transaction, and Commit or Rollback unwinds the
+// DAG, the database, the source index and the fresh-value counter exactly
+// to their pre-Begin state (System.unwind). A successful Commit advances
+// the generation by exactly 1, however many updates the transaction
+// applied.
 //
 // In non-atomic (prefix) mode every stage stands alone: a rejected or
 // canceled stage is unwound and fails its own update only, the applied ones
@@ -59,6 +60,8 @@ type Txn struct {
 	// buffered until the sink writes them at close.
 	recs []CommitRecord
 
+	start savepoint // Begin's: what an atomic rollback unwinds to
+
 	err    error  // atomic mode: the rejection that doomed the group
 	errOp  string // the staged update the rejection belongs to
 	closed bool
@@ -76,6 +79,7 @@ func (s *System) Begin(atomic bool) (*Txn, error) {
 	}
 	t := &Txn{s: s, atomic: atomic}
 	s.DAG.Begin()
+	t.start = s.savepoint()
 	s.txn = t
 	return t, nil
 }
@@ -127,6 +131,9 @@ func (t *Txn) Stage(ctx context.Context, op *update.Op) (*Report, error) {
 	t.reports = append(t.reports, rep)
 	if rep.Applied {
 		t.applied++
+		if obs.Enabled() {
+			observeTimings(rep.Timings)
+		}
 		if !t.atomic {
 			t.s.gen++
 			if t.s.sink != nil || !t.s.digest.IsZero() {
@@ -186,15 +193,11 @@ func (t *Txn) Commit(ctx context.Context) error {
 	var through uint64 // highest generation the sink accepted; 0 = none
 	var durErr error
 	if t.atomic {
-		if t.err != nil {
-			err := t.err
-			if rerr := t.rollback(); rerr != nil {
-				return rerr
-			}
-			return err
+		err := t.err
+		if err == nil {
+			err = ctx.Err() // all-or-nothing under cancellation too: nothing committed
 		}
-		if err := ctx.Err(); err != nil {
-			// All-or-nothing under cancellation too: nothing committed.
+		if err != nil {
 			if rerr := t.rollback(); rerr != nil {
 				return rerr
 			}
@@ -280,9 +283,7 @@ func (t *Txn) appliedDR() []relational.Mutation {
 	return dr
 }
 
-// rollback restores the pre-Begin state: the translator's source index by
-// undoing the journal's whole delta, the DAG by unwinding the journal and
-// the database by inverting the applied ΔR newest first. An
+// rollback unwinds the group to Begin and closes the emptied journal. An
 // inverse-mutation failure means the reports and the database disagree; it
 // is returned as an internal error, never silently swallowed.
 func (t *Txn) rollback() error {
@@ -291,9 +292,8 @@ func (t *Txn) rollback() error {
 		t0 = time.Now()
 	}
 	s := t.s
-	s.noteDelta(s.DAG.DeltaSince(0), -1)
+	err := s.unwind(t.start, t.appliedDR())
 	s.DAG.Rollback()
-	err := undoMutations(s.DB, t.appliedDR())
 	t.close()
 	m := metrics()
 	m.rollbacks.Inc()
@@ -318,6 +318,35 @@ func (t *Txn) finish(through uint64) {
 	if through > 0 && t.s.afterSync != nil {
 		t.s.afterSync(through)
 	}
+}
+
+// savepoint is a mark in the open DAG journal and the translator's
+// fresh-value counter there.
+type savepoint struct {
+	mark  int
+	fresh int64
+}
+
+func (s *System) savepoint() savepoint {
+	return savepoint{mark: s.DAG.Mark(), fresh: s.Translator.Fresh()}
+}
+
+// unwind restores the state at sp, where dr is the ΔR the stages applied
+// since sp executed: the source index (undoing the journal's delta while
+// the journal still holds it), the DAG and the fresh-value counter, and the
+// database. An atomic rollback and a dry run both end here; the generation
+// and the digest move only at commit, so neither has anything to restore.
+func (s *System) unwind(sp savepoint, dr []relational.Mutation) error {
+	s.noteDelta(s.DAG.DeltaSince(sp.mark), -1)
+	s.rewind(sp)
+	return undoMutations(s.DB, dr)
+}
+
+// rewind restores the DAG and the fresh-value counter at sp: all that a
+// stage which did not apply leaves behind.
+func (s *System) rewind(sp savepoint) {
+	s.DAG.RollbackTo(sp.mark)
+	s.Translator.SetFresh(sp.fresh)
 }
 
 // undoMutations replays the inverse of an executed ΔR log on db, newest

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -22,33 +23,36 @@ const maxTxnStages = 8
 
 // txnScript is one fuzzed transaction group over the registrar view: its
 // mode, how it ends, whether the student table starts a full checkpoint
-// range, and the stages it runs.
+// range, whether its dry runs run before Begin instead of inside the group,
+// and the stages it runs.
 type txnScript struct {
-	atomic, commit, grown bool
-	stages                []txnStage
+	atomic, commit, grown, dryOutside bool
+	stages                            []txnStage
 }
 
 type txnStage struct {
 	stmt     string
 	canceled bool // staged under an already-canceled context
+	dry      bool // dry-run, not staged
 }
 
 // parseTxnScript turns fuzz bytes into a script. The first byte picks the
-// mode (bit 0: atomic), the ending (bit 1: Commit, else Rollback) and the
-// instance (bit 2: grown, see openScripted); each
-// later byte is one stage kind (byte mod 6) with a parameter (byte / 6). A
-// kind that no longer fits in maxTxnStages ends the script.
+// mode (bit 0: atomic), the ending (bit 1: Commit, else Rollback), the
+// instance (bit 2: grown, see openScripted) and where dry runs go (bit 3:
+// before Begin); each later byte is one stage kind (byte mod 8) with a
+// parameter (byte / 8). A kind that no longer fits in maxTxnStages ends the
+// script.
 func parseTxnScript(b []byte) txnScript {
 	var sc txnScript
 	if len(b) == 0 {
 		return sc
 	}
-	sc.atomic, sc.commit, sc.grown = b[0]&1 != 0, b[0]&2 != 0, b[0]&4 != 0
+	sc.atomic, sc.commit, sc.grown, sc.dryOutside = b[0]&1 != 0, b[0]&2 != 0, b[0]&4 != 0, b[0]&8 != 0
 	courses := []string{"CS650", "CS320", "CS240"}
 	for _, c := range b[1:] {
-		n := int(c / 6)
+		n := int(c / 8)
 		var stages []txnStage
-		switch c % 6 {
+		switch c % 8 {
 		case 0: // a fresh insert
 			stages = []txnStage{{stmt: freshInsert(n, courses)}}
 		case 1: // a delete whose edges take nodes with them (the GC cascade)
@@ -64,11 +68,20 @@ func parseTxnScript(b []byte) txnScript {
 				{stmt: fmt.Sprintf(`insert student(ssn="S01", name="Ann") into //course[cno="%s"]/takenBy`, courses[n%3])},
 			}
 		case 3: // XML side effects: CS320's prereq is shared, the path selects one occurrence
-			stages = []txnStage{{stmt: fmt.Sprintf(`insert course(cno="CS7%d", title="Side") into course[cno="CS650"]//course[cno="CS320"]/prereq`, n%4)}}
+			stages = []txnStage{{stmt: sideEffectInsert(n)}}
 		case 4: // untranslatable: EE100 exists outside the view's CS selection
 			stages = []txnStage{{stmt: `insert course(cno="EE100", title="Circuits") into .`}}
-		default: // a fresh insert, canceled before it runs
+		case 5: // a fresh insert, canceled before it runs
 			stages = []txnStage{{stmt: freshInsert(n, courses), canceled: true}}
+		case 6: // a prereq insert: its course's dept is a fresh value
+			stages = []txnStage{{stmt: prereqInsert(n, courses)}}
+		default: // a dry run of one of the above
+			stages = []txnStage{{dry: true, stmt: []string{
+				freshInsert(n/4, courses),
+				`delete //course[cno="CS650"]`,
+				sideEffectInsert(n / 4),
+				prereqInsert(n/4, courses),
+			}[n%4]}}
 		}
 		if len(sc.stages)+len(stages) > maxTxnStages {
 			break
@@ -76,6 +89,14 @@ func parseTxnScript(b []byte) txnScript {
 		sc.stages = append(sc.stages, stages...)
 	}
 	return sc
+}
+
+func sideEffectInsert(n int) string {
+	return fmt.Sprintf(`insert course(cno="CS7%d", title="Side") into course[cno="CS650"]//course[cno="CS320"]/prereq`, n%4)
+}
+
+func prereqInsert(n int, courses []string) string {
+	return fmt.Sprintf(`insert course(cno="CS8%d", title="Prereq %d") into //course[cno="%s"]/prereq`, n%4, n%4, courses[n/4%3])
 }
 
 func freshInsert(n int, courses []string) string {
@@ -93,12 +114,14 @@ func freshInsert(n int, courses []string) string {
 // index (ckptOracle). An atomic group that rolls
 // back — explicitly, or at Commit because a stage doomed it — leaves the
 // state exactly as before Begin: DAG, database, generation and digest
-// (stateFingerprint), and the source index (CheckConsistency). Any other
-// group leaves the state its applied stages leave when run one by one on a
-// twin. With a sink, a follower that replays the sunk records through
-// ApplyCommitRecord ends in the same state too.
+// (stateFingerprint), the source index (CheckConsistency) and the fresh-value
+// counter. Any other group leaves the state its applied stages leave when
+// run one by one on a twin. With a sink, a follower that replays the sunk
+// records through ApplyCommitRecord ends in the same state too. A dry run,
+// inside the group or before it, answers what a twin's Apply of the same
+// update at that point answers, and changes nothing (checkDryRun).
 func FuzzTxnGroup(f *testing.F) {
-	for _, seed := range txnGroupSeeds {
+	for _, seed := range append(txnGroupSeeds, txnDryRunSeeds...) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, script []byte) {
@@ -112,29 +135,45 @@ func FuzzTxnGroup(f *testing.F) {
 // txnGroupSeeds is FuzzTxnGroup's seed corpus.
 var txnGroupSeeds = [][]byte{
 	// Atomic rollback over inserts, a cascading delete, a resurrection.
-	{0x01, 0x00, 0x06, 0x01, 0x02, 0x0d, 0x07},
+	{0x01, 0x00, 0x08, 0x01, 0x02, 0x11, 0x09},
 	// The same group, committed.
-	{0x03, 0x00, 0x06, 0x01, 0x02, 0x0d, 0x07},
+	{0x03, 0x00, 0x08, 0x01, 0x02, 0x11, 0x09},
 	// Atomic, doomed by a side effect after applied stages; Commit unwinds.
-	{0x03, 0x00, 0x07, 0x03, 0x06},
+	{0x03, 0x00, 0x09, 0x03, 0x08},
 	// Atomic, doomed by an untranslatable insert; explicit Rollback.
 	{0x01, 0x02, 0x00, 0x04},
 	// Atomic: a canceled stage does not doom, later stages commit.
-	{0x03, 0x05, 0x00, 0x13},
+	{0x03, 0x05, 0x00, 0x19},
 	// Prefix: every kind, failures in between; Commit.
-	{0x02, 0x00, 0x03, 0x01, 0x04, 0x05, 0x02, 0x06},
+	{0x02, 0x00, 0x03, 0x01, 0x04, 0x05, 0x02, 0x08},
 	// Prefix: Rollback keeps the applied prefix.
-	{0x00, 0x0c, 0x07, 0x02, 0x03, 0x0d, 0x01},
+	{0x00, 0x10, 0x09, 0x02, 0x03, 0x11, 0x01},
 	// Nothing staged.
 	{0x03},
 	// Grown: a student past the student table's first checkpoint range, committed.
-	{0x07, 0x06, 0x00},
+	{0x07, 0x08, 0x00},
 	// Grown: the same insert rolled back, its fresh ids freed.
-	{0x05, 0x06, 0x00},
+	{0x05, 0x08, 0x00},
 	// Grown, prefix: a resurrection and a cascading delete, committed.
-	{0x06, 0x02, 0x06, 0x01},
+	{0x06, 0x02, 0x08, 0x01},
 	// Deletions alone: the identity table changes by alive flags only.
-	{0x03, 0x01, 0x07},
+	{0x03, 0x01, 0x09},
+}
+
+// txnDryRunSeeds are the seeds with fresh-value inserts and dry runs, kept
+// apart from txnGroupSeeds because TestTranslatorAnswersUnchanged pins the
+// translator's answers over those.
+var txnDryRunSeeds = [][]byte{
+	// Atomic rollback over a fresh-value insert, with dry runs of another
+	// and of a cascading delete in between: the counter comes back too.
+	{0x01, 0x06, 0x1f, 0x01, 0x0f},
+	// The same group, committed.
+	{0x03, 0x06, 0x1f, 0x01, 0x0f},
+	// Atomic, doomed by an untranslatable insert after a fresh-value insert;
+	// a dry run on the doomed group.
+	{0x03, 0x06, 0x04, 0x1f},
+	// Prefix, committed, every dry run before Begin.
+	{0x0a, 0x07, 0x0f, 0x17, 0x1f, 0x06},
 }
 
 // openScripted opens the registrar view; grown fills its student table to
@@ -238,15 +277,28 @@ func runTxnScript(t *testing.T, sc txnScript, durable bool) {
 		return s, recs
 	}
 	s, recs := open()
+	var applied []string
+	if sc.dryOutside {
+		for _, st := range sc.stages {
+			if st.dry {
+				checkDryRun(t, s, st.stmt, applied, open)
+			}
+		}
+	}
 	ck := &ckptOracle{dir: t.TempDir()}
 	ck.write(t, s, "before the group")
-	before := stateFingerprint(s)
+	before, freshBefore := stateFingerprint(s), s.Translator.Fresh()
 	tx, err := s.Begin(sc.atomic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var applied []string
 	for _, st := range sc.stages {
+		if st.dry {
+			if !sc.dryOutside {
+				checkDryRun(t, s, st.stmt, applied, open)
+			}
+			continue
+		}
 		stageCtx := ctx
 		if st.canceled {
 			stageCtx = canceled
@@ -273,6 +325,9 @@ func runTxnScript(t *testing.T, sc txnScript, durable bool) {
 	if sc.atomic && (!sc.commit || doomed) {
 		if got != before {
 			t.Fatalf("%s: the rollback left a trace:\n--- after ---\n%s\n--- before Begin ---\n%s", unit, got, before)
+		}
+		if fresh := s.Translator.Fresh(); fresh != freshBefore {
+			t.Fatalf("%s: the rollback left the fresh-value counter at %d, not %d", unit, fresh, freshBefore)
 		}
 		if len(*recs) != 0 {
 			t.Fatalf("%s: a rolled-back group sank %d record(s)", unit, len(*recs))
@@ -325,5 +380,38 @@ func runTxnScript(t *testing.T, sc txnScript, durable bool) {
 	}
 	if !bytes.Equal(ck.last, last) {
 		t.Fatalf("%s: the recovered state writes other bytes than the state it was recovered from", unit)
+	}
+}
+
+// checkDryRun dry-runs stmt on s, whose state is its applied stages' over
+// the opened view, and holds it to a twin's Apply of stmt in that state: the
+// same report (timings aside) and error. The dry run must leave the state,
+// the digest, the source index and the fresh-value counter as they were.
+func checkDryRun(t *testing.T, s *System, stmt string, applied []string, open func() (*System, *[]CommitRecord)) {
+	t.Helper()
+	before, fresh := stateFingerprint(s), s.Translator.Fresh()
+	dry, errD := s.DryRun(mustOp(t, s, stmt))
+	if got := stateFingerprint(s); got != before {
+		t.Fatalf("dry run %s left a trace:\n--- after ---\n%s\n--- before ---\n%s", stmt, got, before)
+	}
+	if got := s.Translator.Fresh(); got != fresh {
+		t.Fatalf("dry run %s moved the fresh-value counter from %d to %d", stmt, fresh, got)
+	}
+	if err := s.CheckConsistency(); err != nil {
+		t.Fatalf("dry run %s: %v", stmt, err)
+	}
+	twin, _ := open()
+	for _, a := range applied {
+		if rep, err := twin.Execute(a); err != nil || !rep.Applied {
+			t.Fatalf("dry run %s: on the twin, %s: applied=%v err=%v", stmt, a, rep.Applied, err)
+		}
+	}
+	wet, errW := twin.Apply(mustOp(t, twin, stmt))
+	if fmt.Sprint(errD) != fmt.Sprint(errW) {
+		t.Fatalf("dry run %s after %q: err %v, the twin's Apply: %v", stmt, applied, errD, errW)
+	}
+	dry.Timings, wet.Timings = Timings{}, Timings{}
+	if !reflect.DeepEqual(dry, wet) {
+		t.Fatalf("dry run %s after %q differs from the twin's Apply:\n dry:   %+v\n apply: %+v", stmt, applied, dry, wet)
 	}
 }

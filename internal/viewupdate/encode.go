@@ -2,7 +2,10 @@ package viewupdate
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
+	"strings"
 
 	"rxview/internal/relational"
 	"rxview/internal/sat"
@@ -337,16 +340,60 @@ func concretizeValue(v relational.Value, assign func(int) (relational.Value, err
 	return v, nil
 }
 
+// Fresh values are "zfresh<n>" strings and 2^40+n integers.
+const (
+	freshPrefix = "zfresh"
+	freshBase   = int64(1) << 40
+)
+
 // freshValue picks a value outside the active domain for an infinite-domain
-// variable (case (b) of §4.3).
+// variable (case (b) of §4.3). The counter starts past every fresh-shaped
+// value in the database (seedFresh), so a restored view or a caller's own
+// rows cannot make it repeat one.
 func (st *insertState) freshValue(k relational.Kind) (relational.Value, error) {
-	st.tr.fresh++
+	tr := st.tr
+	if tr.fresh == 0 {
+		tr.fresh = tr.seedFresh()
+	}
+	if tr.fresh >= math.MaxInt64-freshBase {
+		return relational.Value{}, fmt.Errorf("viewupdate: fresh values exhausted")
+	}
+	tr.fresh++
 	switch k {
 	case relational.KindString:
-		return relational.Str(fmt.Sprintf("zfresh%d", st.tr.fresh)), nil
+		return relational.Str(freshPrefix + strconv.FormatInt(tr.fresh, 10)), nil
 	case relational.KindInt:
-		return relational.Int(int64(1)<<40 + st.tr.fresh), nil
+		return relational.Int(freshBase + tr.fresh), nil
 	default:
 		return relational.Value{}, fmt.Errorf("viewupdate: cannot pick a fresh value of kind %v", k)
 	}
+}
+
+// seedFresh returns the largest n of a fresh-shaped value in the database,
+// or 0: one scan of every row, paid on the first fresh value a Translator
+// mints.
+func (tr *Translator) seedFresh() int64 {
+	var high int64
+	for _, name := range tr.DB.Schema.TableNames() {
+		tr.DB.Rel(name).Scan(func(t relational.Tuple) bool {
+			for _, v := range t {
+				var n int64
+				switch v.K {
+				case relational.KindString:
+					if digits, ok := strings.CutPrefix(v.S, freshPrefix); ok {
+						if x, err := strconv.ParseInt(digits, 10, 64); err == nil {
+							n = x
+						}
+					}
+				case relational.KindInt:
+					if v.I > freshBase {
+						n = v.I - freshBase
+					}
+				}
+				high = max(high, n)
+			}
+			return true
+		})
+	}
+	return high
 }

@@ -223,8 +223,25 @@ func TestEncodeGuardedRowFalsifiesCondition(t *testing.T) {
 	}
 }
 
+// freshTranslator is a translator over one table t(k, s, i) holding rows.
+func freshTranslator(t *testing.T, rows ...relational.Tuple) *Translator {
+	t.Helper()
+	ts := testkit.Must(relational.NewTableSchema("t", []relational.Column{
+		{Name: "k", Type: relational.KindInt},
+		{Name: "s", Type: relational.KindString},
+		{Name: "i", Type: relational.KindInt},
+	}, "k"))
+	db := relational.NewDatabase(testkit.Must(relational.NewSchema(ts)))
+	for _, r := range rows {
+		if err := db.Insert("t", r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &Translator{DB: db}
+}
+
 func TestFreshValueKinds(t *testing.T) {
-	st := &insertState{tr: &Translator{}}
+	st := &insertState{tr: freshTranslator(t)}
 	v, err := st.freshValue(relational.KindString)
 	if err != nil || v.K != relational.KindString {
 		t.Errorf("fresh string: %v %v", v, err)
@@ -239,6 +256,32 @@ func TestFreshValueKinds(t *testing.T) {
 	}
 	if _, err := st.freshValue(relational.KindBool); err == nil {
 		t.Error("fresh bool should fail (finite domain)")
+	}
+}
+
+// TestFreshValuesStartPastTheDatabase: the first fresh value a translator
+// mints is past every fresh-shaped value the database holds, of either kind;
+// values that only look alike do not move it.
+func TestFreshValuesStartPastTheDatabase(t *testing.T) {
+	tr := freshTranslator(t,
+		relational.Tuple{relational.Int(1), relational.Str("zfresh7"), relational.Int(1<<40 + 3)},
+		relational.Tuple{relational.Int(2), relational.Str("zfreshly"), relational.Int(-1 << 62)},
+		relational.Tuple{relational.Int(3), relational.Str("zfresh99999999999999999999"), relational.Int(1 << 40)},
+	)
+	st := &insertState{tr: tr}
+	if v, err := st.freshValue(relational.KindString); err != nil || v.S != "zfresh8" {
+		t.Errorf("first fresh string = %v %v, want zfresh8", v, err)
+	}
+	if v, err := st.freshValue(relational.KindInt); err != nil || v.I != 1<<40+9 {
+		t.Errorf("second fresh int = %v %v, want 2^40+9", v, err)
+	}
+	// A counter set back to 0 seeds again, from the database as it is then.
+	if err := tr.DB.Insert("t", relational.Tuple{relational.Int(4), relational.Str("x"), relational.Int(1<<40 + 20)}); err != nil {
+		t.Fatal(err)
+	}
+	tr.SetFresh(0)
+	if v, err := st.freshValue(relational.KindString); err != nil || v.S != "zfresh21" {
+		t.Errorf("fresh string after SetFresh(0) = %v %v, want zfresh21", v, err)
 	}
 }
 

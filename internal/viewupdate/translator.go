@@ -33,7 +33,7 @@ type Translator struct {
 	D  *dag.DAG
 
 	src   sourceIndex
-	fresh int64 // counter for fresh values (infinite-domain variables)
+	fresh int64 // the last fresh value's n (see freshValue); 0 before the first
 }
 
 // sourceIndex is the count of live edges derived from each source tuple,
@@ -77,6 +77,13 @@ func NewTranslator(c *atg.Compiled, db *relational.Database, d *dag.DAG) *Transl
 	}
 	return tr
 }
+
+// Fresh returns the fresh-value counter, for a caller that unwinds what the
+// translator minted.
+func (tr *Translator) Fresh() int64 { return tr.fresh }
+
+// SetFresh puts back a counter value Fresh returned.
+func (tr *Translator) SetFresh(n int64) { tr.fresh = n }
 
 // rule returns the rule of an edge if its edges have a deletable source, or
 // nil for projection-rule edges (which have no independent source).

@@ -83,52 +83,32 @@ func WithForceSideEffects() Option {
 	return func(c *config) { c.opts.ForceSideEffects = true }
 }
 
-// Decision is a side-effect policy's verdict on one update.
-type Decision int
+// Decision is a side-effect policy's verdict on one update. It is the
+// pipeline's own type.
+type Decision = core.Decision
 
 // Policy decisions.
 const (
 	// Reject refuses the update with ErrSideEffect.
-	Reject Decision = iota
+	Reject = core.DecisionReject
 	// ApplyEverywhere carries the update out at every occurrence of the
 	// shared subtree (the revised semantics of §2.1).
-	ApplyEverywhere
+	ApplyEverywhere = core.DecisionApply
 	// Skip drops the update silently: no error, nothing applied.
-	Skip
+	Skip = core.DecisionSkip
 )
 
 // SideEffectInfo describes a detected XML side effect: applying the update
 // to the r[[p]] selected occurrences would also change Witnesses unselected
-// occurrences of the same shared subtree.
-type SideEffectInfo struct {
-	Op        string // the update, rendered
-	Delete    bool   // deletion (vs insertion)
-	Targets   int    // |r[[p]]|, the selected occurrences
-	Witnesses int    // unselected occurrences that would change
-}
+// occurrences of the same shared subtree. It is the pipeline's own type.
+type SideEffectInfo = core.SideEffectInfo
 
 // WithSideEffectPolicy installs a programmable update strategy: instead of
 // the all-or-nothing WithForceSideEffects, the policy decides each
 // side-effecting update individually — reject it, apply it everywhere, or
-// skip it. The policy takes precedence over WithForceSideEffects. It is
-// consulted on Apply, Batch and DryRun alike, so a DryRun predicts exactly
-// what Apply would do under the same policy.
+// skip it. The policy takes precedence over WithForceSideEffects, whichever
+// option comes first. It is consulted on Apply, Batch and DryRun alike, so
+// a DryRun predicts exactly what Apply would do under the same policy.
 func WithSideEffectPolicy(policy func(SideEffectInfo) Decision) Option {
-	return func(c *config) {
-		c.opts.SideEffectPolicy = func(info core.SideEffectInfo) core.Decision {
-			switch policy(SideEffectInfo{
-				Op:        info.Op,
-				Delete:    info.Delete,
-				Targets:   info.Targets,
-				Witnesses: info.Witnesses,
-			}) {
-			case ApplyEverywhere:
-				return core.DecisionApply
-			case Skip:
-				return core.DecisionSkip
-			default:
-				return core.DecisionReject
-			}
-		}
-	}
+	return func(c *config) { c.opts.SideEffectPolicy = policy }
 }

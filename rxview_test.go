@@ -132,6 +132,23 @@ func TestSideEffectPolicySkip(t *testing.T) {
 	}
 }
 
+// TestSideEffectPolicyTakesPrecedence: a policy decides over
+// WithForceSideEffects, whichever of the two options comes first.
+func TestSideEffectPolicyTakesPrecedence(t *testing.T) {
+	ctx := context.Background()
+	skip := rxview.WithSideEffectPolicy(func(rxview.SideEffectInfo) rxview.Decision { return rxview.Skip })
+	for name, opts := range map[string][]rxview.Option{
+		"policy first": {skip, rxview.WithForceSideEffects()},
+		"force first":  {rxview.WithForceSideEffects(), skip},
+	} {
+		view := mustView(t, opts...)
+		rep, err := view.Apply(ctx, sharedInsert)
+		if err != nil || rep.Applied {
+			t.Errorf("%s: applied=%v err=%v, want the policy's skip", name, rep.Applied, err)
+		}
+	}
+}
+
 func TestContextCancellation(t *testing.T) {
 	view := mustView(t, rxview.WithForceSideEffects())
 	ctx, cancel := context.WithCancel(context.Background())

@@ -317,10 +317,11 @@ func groupRequest(updates []rxview.Update, atomic bool) *request {
 
 // do is the one submit-and-wait under every entry point: it queues req under
 // ctx and blocks for the loop's result. result.gen is the generation of the
-// snapshot published with the verdict — stamped by the apply loop at
-// delivery, so it covers exactly this request's write unit and cannot
-// include later clients' writes; the HTTP layer reports it per request. A
-// request the queue refused comes back as a result carrying only the error.
+// snapshot published with the verdict, stamped by the apply loop at
+// delivery: a coalesced run's riders all get the run's last, which covers
+// the riders queued after them in the run too; the HTTP layer reports it
+// per request. A request the queue refused comes back as a result carrying
+// only the error.
 func (e *Engine) do(ctx context.Context, req *request) result {
 	req.ctx, req.done = ctx, make(chan result, 1)
 	if err := e.submit(ctx, req); err != nil {

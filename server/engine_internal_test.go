@@ -63,7 +63,8 @@ func studentInsert(key string) rxview.Update {
 
 // TestProcessRunMidRejection: a side-effecting member in the middle of a
 // run fails alone — the members before it stay applied and the members
-// after it apply, exactly as if each had been a lone Apply.
+// after it apply, exactly as if each had been a lone Apply. Every member is
+// stamped with the run's last generation, the first one's included.
 func TestProcessRunMidRejection(t *testing.T) {
 	ctx := context.Background()
 	e := newLooplessEngine(t) // no forcing: the shared insert must fail
@@ -75,17 +76,25 @@ func TestProcessRunMidRejection(t *testing.T) {
 	r3 := mkReq(ctx, studentInsert("SR3"))
 	e.processRun([]*request{r1, r2, r3})
 
-	if res := take(t, r1); res.err != nil || !res.rep.Applied {
-		t.Errorf("first member: applied=%v err=%v, want applied", res.rep != nil && res.rep.Applied, res.err)
+	res1, res2, res3 := take(t, r1), take(t, r2), take(t, r3)
+	if res1.err != nil || !res1.rep.Applied {
+		t.Errorf("first member: applied=%v err=%v, want applied", res1.rep != nil && res1.rep.Applied, res1.err)
 	}
-	if res := take(t, r2); !errors.Is(res.err, rxview.ErrSideEffect) {
-		t.Errorf("side-effecting member err = %v, want ErrSideEffect", res.err)
-	} else if res.rep == nil || res.rep.Applied {
-		t.Errorf("side-effecting member report = %+v, want unapplied", res.rep)
+	if !errors.Is(res2.err, rxview.ErrSideEffect) {
+		t.Errorf("side-effecting member err = %v, want ErrSideEffect", res2.err)
+	} else if res2.rep == nil || res2.rep.Applied {
+		t.Errorf("side-effecting member report = %+v, want unapplied", res2.rep)
 	}
-	if res := take(t, r3); res.err != nil || !res.rep.Applied {
+	if res3.err != nil || !res3.rep.Applied {
 		t.Errorf("member after the rejection: applied=%v err=%v, want applied",
-			res.rep != nil && res.rep.Applied, res.err)
+			res3.rep != nil && res3.rep.Applied, res3.err)
+	}
+	// Two applied updates, two generations: the first member's stamp is
+	// the run's last, so it covers the third member's write too.
+	for i, res := range []result{res1, res2, res3} {
+		if res.gen != 2 {
+			t.Errorf("member %d stamped with generation %d, want the run's last, 2", i+1, res.gen)
+		}
 	}
 
 	e.publish()

@@ -14,12 +14,12 @@ import (
 // close the group with Commit. It comes in two modes, chosen by the
 // constructor.
 //
-// Staging is speculative execution over the live view — the machinery
-// DryRun uses for one update, extended to survive across staged operations:
-// each Stage runs the full pipeline (DTD validation, XPath evaluation with
-// side-effect detection, ΔX→ΔV→ΔR translation, ΔR against the database, ΔV
-// against the view, garbage collection) so the next Stage and Tx.Query read
-// the transaction's own writes.
+// Staging is speculative execution over the live view: each Stage runs the
+// full pipeline (DTD validation, XPath evaluation with side-effect
+// detection, ΔX→ΔV→ΔR translation, ΔR against the database, ΔV against the
+// view, garbage collection) so the next Stage and Tx.Query read the
+// transaction's own writes. DryRun is one such stage, unwound as soon as it
+// has run.
 //
 // An atomic group (View.Begin) is all-or-nothing. Any rejection — a parse
 // failure, a DTD violation, an XML side effect, an untranslatable ΔV — dooms

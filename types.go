@@ -75,7 +75,7 @@ type Timings struct {
 	XToDV     time.Duration `json:"x_to_dv_ns"`   // Algorithm Xinsert / Xdelete (Figs.5–6)
 	DVToDR    time.Duration `json:"dv_to_dr_ns"`  // Algorithm insert / delete (§4)
 	Apply     time.Duration `json:"apply_ns"`     // (b): executing ΔR and ΔV
-	Maintain  time.Duration `json:"maintain_ns"`  // (c): the garbage collection of ∆(M,L)delete
+	Maintain  time.Duration `json:"maintain_ns"`  // (c): a deletion's garbage collection
 	// Publish is the epoch-publication cost (sealing the copy-on-write
 	// snapshot plus the pointer swap). It is stamped by the serving layer
 	// on the report of the write unit that triggered the publication;

@@ -113,12 +113,13 @@ func (v *View) Apply(ctx context.Context, u Update) (*Report, error) {
 	return v.applyOne(ctx, u.String(), op, err)
 }
 
-// DryRun answers the updatability question for one update without changing
-// anything: it runs validation, evaluation, side-effect detection and the
-// full relational translation, then rolls everything back. The report shows
-// what Apply would have done (including ΔR) and the error is exactly what
-// Apply would have returned — the paper's updatability problem (§4.1) as an
-// API.
+// DryRun answers the updatability question for one update — the paper's
+// §4.1 as an API — without changing anything: it stages the update through
+// Apply's own pipeline, storage fault point included, and unwinds it, so
+// the report (ΔR and its fresh values too) and the error are what Apply
+// gives next. It uses the view's write path while it runs, so it must not
+// run concurrently with the view's other calls; inside an open group it
+// stages on top of the group's state.
 func (v *View) DryRun(ctx context.Context, u Update) (*Report, error) {
 	op, err := u.compile()
 	if err != nil {
