@@ -477,3 +477,32 @@ func TestDegradedRecoverCheckpointFaultLeavesNoSegmentAhead(t *testing.T) {
 		t.Fatalf("healed view reopened at generation %d without CF101", hv.Generation())
 	}
 }
+
+// TestDryRunDegradedAnswersAsApply: after a refused append has degraded the
+// view, a dry run refuses the next insert exactly as Apply does — the
+// guaranteed-unapplied DegradedError — instead of answering applied.
+func TestDryRunDegradedAnswersAsApply(t *testing.T) {
+	ctx := context.Background()
+	v := mustDurableView(t, t.TempDir())
+	defer v.Close()
+	defer rxview.DisableChaos()
+	if err := rxview.EnableChaos("wal.append:count=1", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.Apply(ctx, chaosIns("DR1")); !errors.Is(err, rxview.ErrDegraded) {
+		t.Fatalf("faulted Apply = %v, want ErrDegraded", err)
+	}
+	rxview.DisableChaos()
+
+	next := chaosIns("DR2")
+	dry, dryErr := v.DryRun(ctx, next)
+	rep, err := v.Apply(ctx, next)
+	var de *rxview.DegradedError
+	if !errors.Is(dryErr, rxview.ErrDegraded) || !errors.As(dryErr, &de) || de.Applied {
+		t.Fatalf("DryRun on a degraded view = %v, want the guaranteed-unapplied DegradedError", dryErr)
+	}
+	if dryErr.Error() != err.Error() || dry.Applied || rep.Applied {
+		t.Errorf("DryRun: applied=%v err=%v; Apply: applied=%v err=%v", dry.Applied, dryErr, rep.Applied, err)
+	}
+	recoverDegraded(t, v)
+}

@@ -176,16 +176,17 @@ func metricsScrape(out io.Writer, addr string) error {
 }
 
 // scrapedHist is one histogram series reassembled from its cumulative
-// _bucket/_sum/_count exposition lines.
+// _bucket/_sum/_count exposition lines: the finite buckets' counts are the
+// differences of consecutive cumulative values, and the +Inf bucket gets
+// what _count holds beyond the last one.
 type scrapedHist struct {
-	bounds []float64
-	cum    []float64
-	count  float64
-	sum    float64
+	obs.HistSnapshot
+	cum float64 // the last cumulative bucket value read
 }
 
 // printHistFamily regroups a histogram family's _bucket/_sum/_count series
-// by label set and prints one summary line per series.
+// by label set and prints one summary line per series, its quantiles
+// estimated as the daemon's own histograms estimate them.
 func printHistFamily(out io.Writer, f obs.ParsedFamily) {
 	series := map[string]*scrapedHist{}
 	var order []string
@@ -209,43 +210,22 @@ func printHistFamily(out io.Writer, f obs.ParsedFamily) {
 			}
 			var bound float64
 			fmt.Sscanf(le, "%g", &bound)
-			h.bounds = append(h.bounds, bound)
-			h.cum = append(h.cum, s.Value)
+			h.Bounds = append(h.Bounds, bound)
+			h.Counts = append(h.Counts, uint64(max(s.Value-h.cum, 0)))
+			h.cum = s.Value
 		case strings.HasSuffix(s.Name, "_sum"):
-			get(s.Labels).sum = s.Value
+			get(s.Labels).Sum = s.Value
 		case strings.HasSuffix(s.Name, "_count"):
-			get(s.Labels).count = s.Value
+			get(s.Labels).Count = uint64(s.Value)
 		}
 	}
 	for _, key := range order {
 		h := series[key]
+		h.Counts = append(h.Counts, uint64(max(float64(h.Count)-h.cum, 0)))
 		fmt.Fprintf(out, "  %-44s count=%s sum=%s p50=%s p95=%s p99=%s\n",
-			f.Name+key, fmtValue(h.count), fmtValue(h.sum),
-			fmtValue(quantile(h, 0.50)), fmtValue(quantile(h, 0.95)), fmtValue(quantile(h, 0.99)))
+			f.Name+key, fmtValue(float64(h.Count)), fmtValue(h.Sum),
+			fmtValue(h.P50()), fmtValue(h.P95()), fmtValue(h.P99()))
 	}
-}
-
-// quantile interpolates within the first cumulative bucket reaching rank
-// q·count — the same estimate obs histograms report locally.
-func quantile(h *scrapedHist, q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	rank := q * h.count
-	var prevCum, prevBound float64
-	for i, c := range h.cum {
-		if c >= rank {
-			if c == prevCum {
-				return h.bounds[i]
-			}
-			return prevBound + (h.bounds[i]-prevBound)*(rank-prevCum)/(c-prevCum)
-		}
-		prevCum, prevBound = c, h.bounds[i]
-	}
-	if n := len(h.bounds); n > 0 {
-		return h.bounds[n-1] // rank lies in +Inf: clamp to the last bound
-	}
-	return 0
 }
 
 // labelSuffix renders a label set as {k="v",...}, skipping one key (the

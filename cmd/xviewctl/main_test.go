@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"rxview"
+	"rxview/internal/obs"
 	"rxview/server"
 )
 
@@ -476,5 +478,44 @@ func TestFetchRetriesOverloadAndHonorsRetryAfter(t *testing.T) {
 	defer gone.Close()
 	if _, err := fetch(gone.URL, "/metrics"); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("fetch of a 404 = %v, want the status reported without a retry", err)
+	}
+}
+
+// TestMetricsScrapeQuantilesAreTheRegistrys serves a registry holding one
+// histogram with known observations, some past its last bound, and checks
+// that the metrics command prints the count, sum and quantiles the
+// registry's own snapshot gives.
+func TestMetricsScrapeQuantilesAreTheRegistrys(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := reg.NewHistogram("test_latency_seconds", "Known observations.",
+		obs.ExpBounds(0.001, 2, 8), obs.Label{Key: "op", Value: "x"})
+	for i := 1; i <= 200; i++ {
+		h.ObserveValue(float64(i) * 0.0007)
+	}
+	for i := 0; i < 5; i++ {
+		h.ObserveValue(5) // the +Inf bucket
+	}
+	reg.NewCounter("test_ops_total", "Counted.").Add(7)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if err := obs.WritePrometheus(w, reg); err != nil {
+			t.Error(err)
+		}
+	}))
+	defer srv.Close()
+
+	var out strings.Builder
+	if err := metricsScrape(&out, srv.URL); err != nil {
+		t.Fatal(err)
+	}
+	s := h.Snapshot()
+	got := strings.Join(strings.Fields(out.String()), " ") // the columns are padded
+	for _, want := range []string{
+		fmt.Sprintf(`test_latency_seconds{op="x"} count=%d sum=%s p50=%s p95=%s p99=%s`,
+			s.Count, fmtValue(s.Sum), fmtValue(s.P50()), fmtValue(s.P95()), fmtValue(s.P99())),
+		"test_ops_total 7",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("metrics output lacks %q:\n%s", want, out.String())
+		}
 	}
 }

@@ -242,6 +242,15 @@ func (v *View) markDegraded(cause error) {
 	}
 }
 
+// writable is the degraded-mode guard of the write path: the
+// guaranteed-unapplied DegradedError while the view is read-only, else nil.
+func (v *View) writable() error {
+	if v.degraded.Load() {
+		return &DegradedError{Cause: v.degradedCause}
+	}
+	return nil
+}
+
 // Degraded reports whether the view is in degraded (read-only) mode after a
 // disk failure: writes are rejected with ErrDegraded, snapshot reads keep
 // serving the last acknowledged state, and Recover restores read-write.

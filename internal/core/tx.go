@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"rxview/internal/obs"
 	"rxview/internal/relational"
@@ -123,10 +122,8 @@ func (t *Txn) Stage(ctx context.Context, op *update.Op) (*Report, error) {
 	if t.err != nil {
 		return &Report{Op: op.String()}, t.err
 	}
-	var stageT0 time.Time
-	if obs.Enabled() {
-		stageT0 = time.Now()
-	}
+	m := metrics()
+	sp := obs.StartSpan(m.stageDur)
 	rep, delta, err := t.s.apply(ctx, op)
 	t.reports = append(t.reports, rep)
 	if rep.Applied {
@@ -152,15 +149,12 @@ func (t *Txn) Stage(ctx context.Context, op *update.Op) (*Report, error) {
 	if err != nil && t.atomic && !isCtxErr(err) {
 		t.err, t.errOp = err, op.String()
 	}
-	m := metrics()
 	if rep.Applied {
 		m.stagesOK.Inc()
 	} else if err != nil {
 		m.stagesRej.Inc()
 	}
-	if obs.Enabled() {
-		m.stageDur.Observe(time.Since(stageT0))
-	}
+	sp.End()
 	return rep, err
 }
 
@@ -185,10 +179,8 @@ func (t *Txn) Commit(ctx context.Context) error {
 	if t.closed {
 		return ErrTxDone
 	}
-	var commitT0 time.Time
-	if obs.Enabled() {
-		commitT0 = time.Now()
-	}
+	m := metrics()
+	sp := obs.StartSpan(m.commitDur)
 	s := t.s
 	var through uint64 // highest generation the sink accepted; 0 = none
 	var durErr error
@@ -230,11 +222,8 @@ func (t *Txn) Commit(ctx context.Context) error {
 		through, durErr = t.sinkPrefix()
 	}
 	t.finish(through)
-	m := metrics()
 	m.commits.Inc()
-	if obs.Enabled() {
-		m.commitDur.Observe(time.Since(commitT0))
-	}
+	sp.End()
 	return durErr
 }
 
@@ -287,19 +276,14 @@ func (t *Txn) appliedDR() []relational.Mutation {
 // inverse-mutation failure means the reports and the database disagree; it
 // is returned as an internal error, never silently swallowed.
 func (t *Txn) rollback() error {
-	var t0 time.Time
-	if obs.Enabled() {
-		t0 = time.Now()
-	}
+	m := metrics()
+	sp := obs.StartSpan(m.rollbackDur)
 	s := t.s
 	err := s.unwind(t.start, t.appliedDR())
 	s.DAG.Rollback()
 	t.close()
-	m := metrics()
 	m.rollbacks.Inc()
-	if obs.Enabled() {
-		m.rollbackDur.Observe(time.Since(t0))
-	}
+	sp.End()
 	return err
 }
 

@@ -7,7 +7,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
+	"rxview/internal/obs"
 	"rxview/internal/relational"
 	"rxview/internal/update"
 )
@@ -400,5 +402,38 @@ func TestNonAtomicTxnStagesFailAlone(t *testing.T) {
 	}
 	if err := s.CheckConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStageTelemetryTurnedOnMidStage turns timing on while a stage runs: a
+// stage that began untimed must record nothing rather than the time since
+// the zero time, which saturates at about 292 years.
+func TestStageTelemetryTurnedOnMidStage(t *testing.T) {
+	ctx := context.Background()
+	defer obs.SetEnabled(obs.Enabled())
+	s := openRegistrar(t, Options{SideEffectPolicy: func(SideEffectInfo) Decision {
+		obs.SetEnabled(true)
+		return DecisionApply
+	}})
+	stageSum := func() float64 { return metrics().stageDur.Snapshot().Sum }
+	before := stageSum()
+
+	obs.SetEnabled(false)
+	tx, err := s.Begin(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := mustOp(t, s, `insert course(cno="CS241", title="Sharing") into course[cno="CS650"]//course[cno="CS320"]/prereq`)
+	if rep, err := tx.Stage(ctx, op); err != nil || !rep.Applied {
+		t.Fatalf("side-effecting insert: applied=%v err=%v", rep.Applied, err)
+	}
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !obs.Enabled() {
+		t.Fatal("the side-effect policy was not consulted")
+	}
+	if grew := stageSum() - before; grew >= time.Hour.Seconds() {
+		t.Errorf("xview_txn_stage_seconds sum grew by %.0f s for one stage", grew)
 	}
 }

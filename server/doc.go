@@ -31,28 +31,34 @@
 //     hit over HTTP writes stored bytes: no JSON encoding, and no timeout
 //     context (HandlerOptions.Timeout bounds evaluations and writes).
 //
-//   - Writes are serialized through a single-writer apply loop. Updates are
-//     submitted to a channel-fed goroutine, and there is one write path
-//     through it: whatever single updates are queued at that moment —
-//     insertions and deletions alike, up to 64 — are staged one after
-//     another into one open prefix group on the view (View.BeginBatch),
-//     each under its own submitter's context, and share one commit: on a
-//     durable view one log append and one sync per run instead of one per
-//     update, and one epoch published. Staging keeps the updates
-//     independent: each gets, through a promise channel, exactly the
-//     report and error View.Apply would have given it against the state it
-//     met — a rejection, a malformed update or a cancellation fails its own
-//     submission and nobody else's. Cancellation is honored both in-queue
-//     (the update is skipped, guaranteed unapplied, and reports its
-//     context's own error — a deadline stays DeadlineExceeded) and
-//     in-flight (the pipeline's phase checks abort it). Verdicts stay
-//     honest when the run's one append is refused: every update of the run
-//     that applied is in memory and in no log, so every one of them gets
-//     the indeterminate rxview.DegradedError with Applied set, not only the
-//     last. Client batches and atomic groups run alone, between runs.
+//   - Writes are serialized through a single-writer apply loop. A client
+//     write is a list of updates — Engine.Update sends a list of one,
+//     Engine.Batch and Engine.Tx longer ones — submitted to a channel-fed
+//     goroutine, and there is one write path through it: whatever
+//     non-atomic writes are queued at that moment — single updates and
+//     batches, insertions and deletions alike, up to 64 updates, never
+//     splitting a batch — are staged one after another into one open
+//     prefix group on the view (View.BeginBatch), each under its own
+//     submitter's context, and share one commit: on a durable view one log
+//     append and one sync per run instead of one per update, and one epoch
+//     published. Staging keeps the writes independent: each stops at its
+//     own first failure and gets, through a promise channel, exactly the
+//     reports and error View.Apply or View.Batch would have given it
+//     against the state it met — a rejection, a malformed update or a
+//     cancellation fails its own submission and nobody else's.
+//     Cancellation is honored both in-queue (the write is skipped,
+//     guaranteed unapplied, and reports its context's own error — a
+//     deadline stays DeadlineExceeded) and in-flight (the pipeline's phase
+//     checks abort it). Verdicts stay honest when the run's one append is
+//     refused: every update of the run that applied is in memory and in no
+//     log, so every write with one gets the indeterminate
+//     rxview.DegradedError with Applied set, not only the last — unless its
+//     own stage failure came first. An atomic group runs alone, between
+//     runs, and so does each loop step: a follower's replication step or a
+//     recovery probe.
 //
 //   - Atomic groups go through Engine.Tx (HTTP: POST /tx): the loop runs
-//     the group as one view transaction — every update stages
+//     the group as one view transaction (View.Begin) — every update stages
 //     speculatively, reading the group's earlier writes — and commits all
 //     of it or none. A committed group advances the generation by exactly
 //     1 and publishes exactly one epoch covering all its updates; a
@@ -98,8 +104,8 @@
 //   - Degraded-mode serving. When a WAL failure flips the view read-only,
 //     the loop keeps draining the queue — refusing writes with the view's
 //     DegradedError verdicts, serving reads from the published epoch —
-//     and a recovery prober retries View.Recover with jittered
-//     exponential backoff (25ms doubling to 2s; the follow loop of a
+//     and a recovery prober retries View.Recover, as a loop step, with
+//     jittered exponential backoff (25ms doubling to 2s; the follow loop of a
 //     Replica retries on the same schedule) until the log heals;
 //     /healthz reports "degraded" meanwhile. Stats exposes WritesShed,
 //     Degraded and Recoveries.

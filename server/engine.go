@@ -26,8 +26,9 @@ type config struct {
 }
 
 const (
-	// maxCoalesce caps how many consecutive queued updates one run — one
-	// commit — may absorb.
+	// maxCoalesce caps how many queued updates one run — one commit — may
+	// absorb. It never splits a submission: a batch larger than the cap
+	// runs whole, alone.
 	maxCoalesce = 64
 	// memoCap is how many distinct query texts the per-epoch result memo
 	// holds. The memo is rebuilt empty at every snapshot publication, so it
@@ -125,22 +126,22 @@ type Engine struct {
 	primary atomic.Pointer[string]
 }
 
-// request is one submission to the apply loop. Exactly one result is
-// delivered on done (buffered), whether the update applies, no-ops, fails
-// or is skipped as canceled.
+// request is one submission to the apply loop: a client write — a list of
+// updates, one for Engine.Update — or, with exec set, a loop step.
+// Exactly one result is delivered on done (buffered), whether the updates
+// apply, no-op, fail or are skipped as canceled.
 type request struct {
 	ctx     context.Context
-	u       rxview.Update
-	group   []rxview.Update // non-nil: a client batch or atomic group; runs alone, between runs
-	atomic  bool            // with group: all-or-nothing (Engine.Tx), not prefix semantics (Engine.Batch)
-	exec    func() error    // non-nil: a replication step run verbatim on the loop
-	recover bool            // a recovery probe: the loop calls View.Recover
-	wait    obs.Span        // queue-wait span, opened at submit
+	updates []rxview.Update
+	atomic  bool         // all-or-nothing (Engine.Tx), not prefix semantics; runs alone
+	exec    func() error // non-nil: a replication step or recovery probe, run verbatim on the loop
+	wait    obs.Span     // queue-wait span, opened at submit
 	done    chan result
 }
 
+// result is a request's verdict: one report per update that ran (a prefix
+// write's reports end at its first failure), and the error.
 type result struct {
-	rep  *rxview.Report
 	reps []*rxview.Report
 	gen  uint64 // generation of the published snapshot covering the verdict
 	err  error
@@ -282,14 +283,19 @@ func (e *Engine) evaluate(ctx context.Context, ep *epoch, path string) (answer, 
 // not to have been applied; cancellation in-flight is honored by the
 // pipeline's phase checks, under this update's context alone.
 func (e *Engine) Update(ctx context.Context, u rxview.Update) (*rxview.Report, error) {
-	res := e.do(ctx, &request{u: u})
-	return res.rep, res.err
+	res := e.do(ctx, &request{updates: []rxview.Update{u}})
+	if len(res.reps) == 0 { // the queue refused it
+		return nil, res.err
+	}
+	return res.reps[0], res.err
 }
 
 // Batch submits a sequence of updates to be applied as one unit with
-// View.Batch's prefix semantics, serialized against all other writes.
+// View.Batch's prefix semantics, serialized against all other writes: it
+// stops at its first failure, and the reports and error are what View.Batch
+// would return against the state the batch met.
 func (e *Engine) Batch(ctx context.Context, updates ...rxview.Update) ([]*rxview.Report, error) {
-	res := e.do(ctx, groupRequest(updates, false))
+	res := e.do(ctx, &request{updates: updates})
 	return res.reps, res.err
 }
 
@@ -302,17 +308,8 @@ func (e *Engine) Batch(ctx context.Context, updates ...rxview.Update) ([]*rxview
 // rejected group leaves nothing behind, and snapshot readers can never
 // observe a partially applied group.
 func (e *Engine) Tx(ctx context.Context, updates ...rxview.Update) ([]*rxview.Report, error) {
-	res := e.do(ctx, groupRequest(updates, true))
+	res := e.do(ctx, &request{updates: updates, atomic: true})
 	return res.reps, res.err
-}
-
-// groupRequest builds a client group's request; an empty group is still a
-// group (the loop tells the kinds apart by group != nil).
-func groupRequest(updates []rxview.Update, atomic bool) *request {
-	if updates == nil {
-		updates = []rxview.Update{}
-	}
-	return &request{group: updates, atomic: atomic}
 }
 
 // do is the one submit-and-wait under every entry point: it queues req under
@@ -330,39 +327,13 @@ func (e *Engine) do(ctx context.Context, req *request) result {
 	return <-req.done
 }
 
-// applyTx runs an atomic group through a view transaction. Called only from
-// the apply loop. Any stage failure — a rejection dooming the group or a
-// cancellation — aborts the whole group: all-or-nothing has no innocent
-// members, unlike a run of independent updates.
-func (e *Engine) applyTx(ctx context.Context, updates []rxview.Update) ([]*rxview.Report, error) {
-	tx, err := e.view.Begin(ctx)
-	if err != nil {
-		return nil, err
-	}
-	for _, u := range updates {
-		if _, err := tx.Stage(ctx, u); err != nil {
-			rbErr := tx.Rollback()
-			e.met.txRejected.Inc()
-			if rbErr != nil {
-				return tx.Reports(), fmt.Errorf("server: tx rollback after %w: %w", err, rbErr)
-			}
-			return tx.Reports(), err
-		}
-	}
-	if err := tx.Commit(ctx); err != nil {
-		e.met.txRejected.Inc()
-		return tx.Reports(), err
-	}
-	e.met.txCommits.Inc()
-	return tx.Reports(), nil
-}
-
-// exec runs fn on the apply goroutine, serialized with every write, and
-// publishes any epoch fn moved the view to. It is the follower's apply
-// path: restores and streamed records go through the same single-writer
-// loop as client writes, which is what keeps the single-writer discipline
-// intact on replicas. Bypasses admission control like recovery probes —
-// replication steps end staleness, so shedding them would be backwards.
+// exec runs fn on the apply goroutine as a loop step, serialized with every
+// write, and publishes any epoch fn moved the view to. A follower's
+// restores and streamed records are loop steps, which is what keeps the
+// single-writer discipline intact on replicas, and so are the recovery
+// prober's View.Recover calls. Bypasses admission control: replication
+// steps end staleness and probes end an outage, so shedding them would be
+// backwards.
 func (e *Engine) exec(ctx context.Context, fn func() error) error {
 	return e.do(ctx, &request{exec: fn}).err
 }
@@ -386,7 +357,7 @@ func (e *Engine) submit(ctx context.Context, req *request) error {
 	if e.closed {
 		return ErrClosed
 	}
-	if req.exec == nil && !req.recover {
+	if req.exec == nil {
 		if p := e.primary.Load(); p != nil {
 			// A follower refuses client writes before they touch the queue;
 			// the error carries where they belong.
@@ -394,8 +365,7 @@ func (e *Engine) submit(ctx context.Context, req *request) error {
 			return &ReadOnlyReplicaError{Primary: *p}
 		}
 		// Admission control: shed rather than queue a write the loop cannot
-		// serve in time. Recovery probes bypass it — they are what ends an
-		// outage, and they must reach the loop even at full depth.
+		// serve in time.
 		deadline, ok := ctx.Deadline()
 		if err := e.admit(deadline, ok); err != nil {
 			e.met.shed.Inc()
@@ -440,15 +410,11 @@ func (e *Engine) run() {
 			}
 			e.pickup(req)
 		}
-		if req.recover {
-			e.runRecover(req)
-			continue
-		}
 		if req.exec != nil {
-			// A replication step: run it verbatim, publish, deliver its
-			// error. Publication is unconditional on success — a checkpoint
-			// restore can replace the whole state without moving the
-			// generation counter past the published epoch's.
+			// A loop step: run it verbatim, publish, deliver its error.
+			// Publication is unconditional on success — a checkpoint restore
+			// can replace the whole state without moving the generation
+			// counter past the published epoch's.
 			var err error
 			if err = req.ctx.Err(); err == nil {
 				err = req.exec()
@@ -459,60 +425,34 @@ func (e *Engine) run() {
 			e.deliver(req, result{err: err})
 			continue
 		}
-		// A context that expired while the request sat in the queue is
-		// skipped up front with a guaranteed-unapplied verdict.
-		if err := req.ctx.Err(); err != nil {
-			e.deliver(req, queuedSkip(req, err))
-			continue
-		}
 		t0 := time.Now()
-		retired := 1
-		if req.group != nil {
-			// A client group runs alone. An atomic one is one transaction
-			// and — on commit — exactly one published epoch covering all of
-			// it: readers observe the pre-Begin snapshot until the
-			// post-commit one is swapped in, and a rejected group publishes
-			// nothing (the view didn't move).
-			var reps []*rxview.Report
-			var err error
-			if req.atomic {
-				reps, err = e.applyTx(req.ctx, req.group)
-			} else {
-				reps, err = e.view.Batch(req.ctx, req.group...)
-			}
-			stampPublish(e.publish(), reps...)
-			e.deliver(req, result{reps: reps, err: err})
-		} else {
-			var run []*request
-			run, carry = e.gather(req)
-			retired = len(run)
-			e.processRun(run)
-		}
+		var run []*request
+		run, carry = e.gather(req)
+		e.processRun(run)
 		// Feed the admission controller's estimate of how fast the loop
 		// retires queued requests.
-		e.observeService(time.Since(t0), retired)
+		e.observeService(time.Since(t0), len(run))
 	}
 }
 
 // queuedSkip builds the verdict for a request whose context expired while
-// it was still queued: unapplied reports in the shape the request's kind
-// would have produced, and an error that restates the request's own cause
-// (a deadline surfaces as DeadlineExceeded, not Canceled).
+// it was still queued: one guaranteed-unapplied report per update, and an
+// error that restates the request's own cause (a deadline surfaces as
+// DeadlineExceeded, not Canceled).
 func queuedSkip(r *request, err error) result {
-	if r.group == nil {
-		return result{rep: &rxview.Report{Op: r.u.String()},
-			err: fmt.Errorf("server: %s: canceled while queued: %w", r.u, err)}
+	what := "batch"
+	switch {
+	case r.atomic:
+		what = "tx"
+	case len(r.updates) == 1:
+		what = r.updates[0].String()
 	}
-	kind := "batch"
-	if r.atomic {
-		kind = "tx"
-	}
-	return result{reps: unappliedReports(r.group),
-		err: fmt.Errorf("server: %s canceled while queued: %w", kind, err)}
+	return result{reps: unappliedReports(r.updates),
+		err: fmt.Errorf("server: %s: canceled while queued: %w", what, err)}
 }
 
-// unappliedReports is one guaranteed-unapplied report per member, so a
-// skipped group answers with the same shape as a processed one.
+// unappliedReports is one guaranteed-unapplied report per update, so a
+// write that never ran answers with the same shape as one that did.
 func unappliedReports(updates []rxview.Update) []*rxview.Report {
 	reps := make([]*rxview.Report, len(updates))
 	for i, u := range updates {
@@ -521,24 +461,33 @@ func unappliedReports(updates []rxview.Update) []*rxview.Report {
 	return reps
 }
 
-// gather collects the run of consecutive queued single updates — insertions
-// and deletions alike — starting at first, without blocking: it stops at the
-// first queued client group, replication step or recovery probe (returned as
-// carry for the next loop iteration), at an empty queue, or at the
-// coalescing cap.
+// gather collects the run that starts at first, without blocking. An atomic
+// group runs alone. Otherwise the run takes the consecutive queued
+// non-atomic writes — single updates and batches, insertions and deletions
+// alike — up to maxCoalesce updates; it stops at an atomic group or a loop
+// step, and at a write that would cross the cap (either returned as carry
+// for the next loop iteration), or at an empty queue. The cap never splits
+// a write, so a batch larger than it runs whole and alone; an empty batch
+// takes one slot, so the cap bounds every run.
 func (e *Engine) gather(first *request) (run []*request, carry *request) {
 	run = []*request{first}
-	for len(run) < maxCoalesce {
+	if first.atomic {
+		return run, nil
+	}
+	size := func(r *request) int { return max(len(r.updates), 1) }
+	n := size(first)
+	for n < maxCoalesce {
 		select {
 		case r, ok := <-e.reqs:
 			if !ok {
 				return run, nil
 			}
 			e.pickup(r)
-			if r.group != nil || r.exec != nil || r.recover {
+			if r.atomic || r.exec != nil || n+size(r) > maxCoalesce {
 				return run, r
 			}
 			run = append(run, r)
+			n += size(r)
 		default:
 			return run, nil
 		}
@@ -546,49 +495,64 @@ func (e *Engine) gather(first *request) (run []*request, carry *request) {
 	return run, nil
 }
 
-// processRun applies a run of queued single updates as one prefix group on
-// the view — the only place the loop turns riders into view calls. Each
-// rider is staged under its own context and gets exactly the report and
-// error its stage returned, which is what a lone View.Apply would have given
-// it against the same state: a rejection, a malformed update or a
-// cancellation (in the queue or in flight) fails its own rider and nobody
-// else's. One commit then covers the run — one log append, one sync, one
-// epoch published — which is what amortizes the log across independent
-// submissions under concurrent writers.
+// processRun applies one run — the loop's only client-write path. A run is
+// either consecutive non-atomic writes, staged in order into one prefix
+// group on the view (View.BeginBatch), or one atomic group alone
+// (View.Begin). Each write's updates are staged under its own context and
+// stop at its own first failure, so each gets exactly the reports and error
+// View.Apply, View.Batch or View.Begin would have given it against the
+// state it met: a rejection, a malformed update or a cancellation (in the
+// queue or in flight) fails its own write and nobody else's. One commit
+// then covers the run — one log append, one sync, one epoch published —
+// which is what amortizes the log across independent submissions under
+// concurrent writers.
 //
-// The verdicts stay honest when that one append is refused: every rider
-// whose update applied is in memory and in no log, so every one of them —
-// not just the last — gets the indeterminate DegradedError (Applied set).
+// The verdicts stay honest when that one append is refused: every update
+// of a prefix run that applied is in memory and in no log, so every write
+// with an applied update — not just the last — gets the indeterminate
+// DegradedError (Applied set), unless its own stage failure came first, as
+// View.Batch ranks them.
 func (e *Engine) processRun(run []*request) {
-	reps := make([]*rxview.Report, len(run))
-	errs := make([]error, len(run))
-	tx, err := e.view.BeginBatch()
+	res := make([]result, len(run))
+	var tx *rxview.Tx // opened by the first write that runs
+	var err error     // the view refused to open it (degraded): nothing runs
 	staged := 0
 	for i, r := range run {
-		switch cerr := r.ctx.Err(); {
-		case cerr != nil:
-			skip := queuedSkip(r, cerr)
-			reps[i], errs[i] = skip.rep, skip.err
-		case err != nil: // no group opened (the view is degraded): nothing ran
-			reps[i], errs[i] = &rxview.Report{Op: r.u.String()}, err
-		default:
-			staged++
-			reps[i], errs[i] = tx.Stage(r.ctx, r.u)
+		if cerr := r.ctx.Err(); cerr != nil {
+			res[i] = queuedSkip(r, cerr)
+			continue
 		}
+		if tx == nil && err == nil {
+			if r.atomic {
+				tx, err = e.view.Begin(r.ctx)
+			} else {
+				tx, err = e.view.BeginBatch()
+			}
+		}
+		if err != nil {
+			res[i] = result{reps: unappliedReports(r.updates), err: err}
+			continue
+		}
+		res[i] = stage(tx, r)
+		staged += len(res[i].reps)
 	}
-	if staged > 1 {
-		e.met.coalRuns.Inc()
-		e.met.coalUpds.Add(uint64(staged))
-		e.met.runSize.ObserveValue(float64(staged))
-	}
-	if err == nil {
-		// The group is the loop's, not any rider's, and a prefix commit
+	switch {
+	case tx == nil: // nothing ran
+	case run[0].atomic: // gather runs an atomic group alone
+		res[0].err = e.endTx(run[0].ctx, tx, res[0].err)
+	default:
+		if staged > 1 {
+			e.met.coalRuns.Inc()
+			e.met.coalUpds.Add(uint64(staged))
+			e.met.runSize.ObserveValue(float64(staged))
+		}
+		// The group is the loop's, not any write's, and a prefix commit
 		// consults no context: what is staged is applied and must reach the
 		// log whoever has stopped waiting for it.
 		if cerr := tx.Commit(e.stopCtx); cerr != nil {
-			for i, rep := range reps {
-				if rep.Applied {
-					errs[i] = cerr
+			for i := range res {
+				if res[i].err == nil && anyApplied(res[i].reps) {
+					res[i].err = cerr
 				}
 			}
 		}
@@ -596,21 +560,69 @@ func (e *Engine) processRun(run []*request) {
 	// Publish before fulfilling any promise: a writer whose Update has
 	// returned must be able to read its own write (and its generation)
 	// from the very next Query.
-	stampPublish(e.publish(), reps...)
+	stampPublish(e.publish(), res)
 	for i, r := range run {
-		e.deliver(r, result{rep: reps[i], err: errs[i]})
+		e.deliver(r, res[i])
 	}
+}
+
+// stage stages r's updates in order on tx under r's context, stopping at the
+// first failure: the reports end with the failed update's, and its error is
+// r's.
+func stage(tx *rxview.Tx, r *request) result {
+	reps := make([]*rxview.Report, 0, len(r.updates))
+	for _, u := range r.updates {
+		rep, err := tx.Stage(r.ctx, u)
+		reps = append(reps, rep)
+		if err != nil {
+			return result{reps: reps, err: err}
+		}
+	}
+	return result{reps: reps}
+}
+
+// endTx closes an atomic group's transaction. A stage failure — a rejection
+// dooming the group or a cancellation — rolls the whole group back:
+// all-or-nothing has no innocent members. Otherwise it commits, one epoch
+// and one record for the group.
+func (e *Engine) endTx(ctx context.Context, tx *rxview.Tx, err error) error {
+	if err != nil {
+		if rbErr := tx.Rollback(); rbErr != nil {
+			err = fmt.Errorf("server: tx rollback after %w: %w", err, rbErr)
+		}
+	} else {
+		err = tx.Commit(ctx)
+	}
+	if err != nil {
+		e.met.txRejected.Inc()
+	} else {
+		e.met.txCommits.Inc()
+	}
+	return err
+}
+
+func anyApplied(reps []*rxview.Report) bool {
+	for _, rep := range reps {
+		if rep.Applied {
+			return true
+		}
+	}
+	return false
 }
 
 // deliver fulfills a request's promise exactly once, stamps the covering
 // generation, and keeps the applied / rejected counters and the slow-
-// commit log. Called only from the apply loop, always after the snapshot
-// covering the verdict has been published.
+// commit log. The rejected counter counts client writes: a failed loop
+// step (a recovery probe, above all) is not a rejected update. Called only
+// from the apply loop, always after the snapshot covering the verdict has
+// been published.
 func (e *Engine) deliver(r *request, res result) {
 	res.gen = e.view.Generation()
 	e.committedGen.Store(res.gen)
 	if res.err != nil {
-		e.met.rejected.Inc()
+		if r.exec == nil {
+			e.met.rejected.Inc()
+		}
 		if errors.Is(res.err, rxview.ErrDegraded) {
 			// The view just flipped (or was already) read-only; make sure a
 			// prober is working on getting it back.
@@ -619,16 +631,12 @@ func (e *Engine) deliver(r *request, res result) {
 	}
 	var total time.Duration
 	var op, route string
-	count := func(rep *rxview.Report) {
-		if rep != nil && rep.Applied {
+	for _, rep := range res.reps {
+		if rep.Applied {
 			e.met.applied.Inc()
 			total += rep.Timings.Total()
 			op, route = rep.Op, rep.Route
 		}
-	}
-	count(res.rep)
-	for _, rep := range res.reps {
-		count(rep)
 	}
 	// Total() is built from the pipeline's own phase clocks, so the slow-
 	// commit check costs no time.Now on the apply loop.

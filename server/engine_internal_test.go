@@ -43,7 +43,7 @@ func newLooplessEngine(t *testing.T, opts ...rxview.Option) *Engine {
 }
 
 func mkReq(ctx context.Context, u rxview.Update) *request {
-	return &request{ctx: ctx, u: u, done: make(chan result, 1)}
+	return &request{ctx: ctx, updates: []rxview.Update{u}, done: make(chan result, 1)}
 }
 
 func take(t *testing.T, r *request) result {
@@ -52,7 +52,7 @@ func take(t *testing.T, r *request) result {
 	case res := <-r.done:
 		return res
 	case <-time.After(10 * time.Second):
-		t.Fatalf("no result delivered for %s", r.u)
+		t.Fatalf("no result delivered for %s", r.updates[0])
 		return result{}
 	}
 }
@@ -77,17 +77,17 @@ func TestProcessRunMidRejection(t *testing.T) {
 	e.processRun([]*request{r1, r2, r3})
 
 	res1, res2, res3 := take(t, r1), take(t, r2), take(t, r3)
-	if res1.err != nil || !res1.rep.Applied {
-		t.Errorf("first member: applied=%v err=%v, want applied", res1.rep != nil && res1.rep.Applied, res1.err)
+	if res1.err != nil || !res1.reps[0].Applied {
+		t.Errorf("first member: applied=%v err=%v, want applied", res1.reps[0] != nil && res1.reps[0].Applied, res1.err)
 	}
 	if !errors.Is(res2.err, rxview.ErrSideEffect) {
 		t.Errorf("side-effecting member err = %v, want ErrSideEffect", res2.err)
-	} else if res2.rep == nil || res2.rep.Applied {
-		t.Errorf("side-effecting member report = %+v, want unapplied", res2.rep)
+	} else if res2.reps[0] == nil || res2.reps[0].Applied {
+		t.Errorf("side-effecting member report = %+v, want unapplied", res2.reps[0])
 	}
-	if res3.err != nil || !res3.rep.Applied {
+	if res3.err != nil || !res3.reps[0].Applied {
 		t.Errorf("member after the rejection: applied=%v err=%v, want applied",
-			res3.rep != nil && res3.rep.Applied, res3.err)
+			res3.reps[0] != nil && res3.reps[0].Applied, res3.err)
 	}
 	// Two applied updates, two generations: the first member's stamp is
 	// the run's last, so it covers the third member's write too.
@@ -128,12 +128,12 @@ func TestProcessRunCanceledQueuedMember(t *testing.T) {
 
 	if res := take(t, r2); !errors.Is(res.err, context.Canceled) {
 		t.Errorf("canceled member err = %v, want context.Canceled", res.err)
-	} else if res.rep == nil || res.rep.Applied {
-		t.Errorf("canceled member report = %+v, want unapplied", res.rep)
+	} else if res.reps[0] == nil || res.reps[0].Applied {
+		t.Errorf("canceled member report = %+v, want unapplied", res.reps[0])
 	}
 	for _, r := range []*request{r1, r3} {
-		if res := take(t, r); res.err != nil || !res.rep.Applied {
-			t.Errorf("live member %s: applied=%v err=%v", r.u, res.rep != nil && res.rep.Applied, res.err)
+		if res := take(t, r); res.err != nil || !res.reps[0].Applied {
+			t.Errorf("live member %s: applied=%v err=%v", r.updates[0], res.reps[0] != nil && res.reps[0].Applied, res.err)
 		}
 	}
 
@@ -188,11 +188,11 @@ func TestProcessRunInFlightCancelOfAppliedMember(t *testing.T) {
 		"course", rxview.Str("CS778"), rxview.Str("InFlight")))
 	e.processRun([]*request{ra, rb})
 
-	if res := take(t, ra); res.err != nil || !res.rep.Applied {
-		t.Errorf("member A: applied=%v err=%v, want applied before its cancellation", res.rep != nil && res.rep.Applied, res.err)
+	if res := take(t, ra); res.err != nil || !res.reps[0].Applied {
+		t.Errorf("member A: applied=%v err=%v, want applied before its cancellation", res.reps[0] != nil && res.reps[0].Applied, res.err)
 	}
-	if res := take(t, rb); res.err != nil || !res.rep.Applied {
-		t.Errorf("member B: applied=%v err=%v, want applied despite A's cancellation", res.rep != nil && res.rep.Applied, res.err)
+	if res := take(t, rb); res.err != nil || !res.reps[0].Applied {
+		t.Errorf("member B: applied=%v err=%v, want applied despite A's cancellation", res.reps[0] != nil && res.reps[0].Applied, res.err)
 	}
 
 	e.publish()
@@ -224,12 +224,12 @@ func TestProcessRunDeadlineMidRun(t *testing.T) {
 
 	if res := take(t, rb); !errors.Is(res.err, context.DeadlineExceeded) {
 		t.Errorf("expired member err = %v, want context.DeadlineExceeded", res.err)
-	} else if res.rep == nil || res.rep.Applied {
-		t.Errorf("expired member report = %+v, want unapplied", res.rep)
+	} else if res.reps[0] == nil || res.reps[0].Applied {
+		t.Errorf("expired member report = %+v, want unapplied", res.reps[0])
 	}
 	for _, r := range []*request{ra, rc} {
-		if res := take(t, r); res.err != nil || !res.rep.Applied {
-			t.Errorf("neighbour %s: applied=%v err=%v, want applied", r.u, res.rep != nil && res.rep.Applied, res.err)
+		if res := take(t, r); res.err != nil || !res.reps[0].Applied {
+			t.Errorf("neighbour %s: applied=%v err=%v, want applied", r.updates[0], res.reps[0] != nil && res.reps[0].Applied, res.err)
 		}
 	}
 	if res, _ := e.Query(ctx, `//course[cno="CS779"]`); len(res.Nodes) != 0 {
@@ -284,12 +284,12 @@ func TestProcessRunMixedRunOneCommit(t *testing.T) {
 		want, wantErr := oracle.Apply(ctx, updates[i])
 		res := take(t, r)
 		if res.err != nil || wantErr != nil {
-			t.Fatalf("member %d (%s): err=%v, sequential Apply err=%v", i, r.u, res.err, wantErr)
+			t.Fatalf("member %d (%s): err=%v, sequential Apply err=%v", i, r.updates[0], res.err, wantErr)
 		}
-		if res.rep.Applied != want.Applied || res.rep.Targets != want.Targets || res.rep.Edges != want.Edges ||
-			res.rep.DVInserts != want.DVInserts || res.rep.DVDeletes != want.DVDeletes || res.rep.Removed != want.Removed ||
-			fmt.Sprint(res.rep.Changes) != fmt.Sprint(want.Changes) {
-			t.Errorf("member %d (%s): report %+v, sequential Apply gives %+v", i, r.u, res.rep, want)
+		if res.reps[0].Applied != want.Applied || res.reps[0].Targets != want.Targets || res.reps[0].Edges != want.Edges ||
+			res.reps[0].DVInserts != want.DVInserts || res.reps[0].DVDeletes != want.DVDeletes || res.reps[0].Removed != want.Removed ||
+			fmt.Sprint(res.reps[0].Changes) != fmt.Sprint(want.Changes) {
+			t.Errorf("member %d (%s): report %+v, sequential Apply gives %+v", i, r.updates[0], res.reps[0], want)
 		}
 		if res.gen != 3 {
 			t.Errorf("member %d: covering generation %d, want 3 (published once, after the run)", i, res.gen)
@@ -345,12 +345,12 @@ func TestProcessRunRefusedAppendDegradedEveryRider(t *testing.T) {
 
 			for i, r := range run {
 				res := take(t, r)
-				if !res.rep.Applied {
-					t.Fatalf("member %d (%s) did not apply (err=%v); the run should have reached the commit", i, r.u, res.err)
+				if !res.reps[0].Applied {
+					t.Fatalf("member %d (%s) did not apply (err=%v); the run should have reached the commit", i, r.updates[0], res.err)
 				}
 				var de *rxview.DegradedError
 				if !errors.Is(res.err, rxview.ErrDegraded) || !errors.As(res.err, &de) || !de.Applied {
-					t.Errorf("member %d (%s): applied in memory, refused by the log, told err=%v; want ErrDegraded with Applied set", i, r.u, res.err)
+					t.Errorf("member %d (%s): applied in memory, refused by the log, told err=%v; want ErrDegraded with Applied set", i, r.updates[0], res.err)
 				}
 			}
 			if !e.Degraded() {
@@ -382,20 +382,35 @@ func TestProcessRunRefusedAppendDegradedEveryRider(t *testing.T) {
 
 // TestGatherStopsAtDeleteAndCap verifies the run-assembly rules: a deletion
 // rides a run like an insertion (it used to break one — the name is from
-// then), client batches and atomic groups break it (returned as carry), and
-// the coalescing cap bounds it.
+// then), and so does a client batch; an atomic group or a loop step ends a
+// run (returned as carry), and an atomic group runs alone; the cap counts
+// updates and never splits a write.
 func TestGatherStopsAtDeleteAndCap(t *testing.T) {
 	e := newLooplessEngine(t, rxview.WithForceSideEffects())
 	ctx := context.Background()
+	drain := func() { // so later clauses start from an empty queue
+		for len(e.reqs) > 0 {
+			<-e.reqs
+		}
+	}
 
 	// Fill the queue directly (there is no loop to consume it).
 	ins := func(i int) *request { return mkReq(ctx, studentInsert(fmt.Sprintf("SG%d", i))) }
+	group := func(n int, atomic bool) *request {
+		r := &request{ctx: ctx, atomic: atomic, done: make(chan result, 1)}
+		for i := 0; i < n; i++ {
+			r.updates = append(r.updates, studentInsert(fmt.Sprintf("SGG%d", i)))
+		}
+		return r
+	}
 	del := mkReq(ctx, rxview.Delete(`//student[ssn="SG1"]`))
+	batch := group(2, false)
 	e.reqs <- del
+	e.reqs <- batch
 	e.reqs <- ins(2)
 	run, carry := e.gather(ins(1))
-	if len(run) != 3 || run[1] != del || carry != nil {
-		t.Fatalf("gather over [ins del ins]: run=%d carry=%v, want one run of three", len(run), carry)
+	if len(run) != 4 || run[1] != del || run[2] != batch || carry != nil {
+		t.Fatalf("gather over [ins del batch ins]: run=%d carry=%v, want one run of four writes", len(run), carry)
 	}
 
 	// Two more updates than one run may absorb.
@@ -406,23 +421,146 @@ func TestGatherStopsAtDeleteAndCap(t *testing.T) {
 	if len(run) != maxCoalesce || carry != nil {
 		t.Fatalf("gather at cap %d: run=%d carry=%v", maxCoalesce, len(run), carry)
 	}
-	// Drain what's left so later clauses start from an empty queue.
-	for len(e.reqs) > 0 {
-		<-e.reqs
+	drain()
+
+	// A batch that would cross the cap is not split: it starts the next run.
+	for i := 0; i < maxCoalesce-2; i++ {
+		e.reqs <- ins(i)
+	}
+	e.reqs <- batch
+	run, carry = e.gather(ins(0))
+	if len(run) != maxCoalesce-1 || carry != batch {
+		t.Fatalf("gather of %d updates then a batch of 2: run=%d carry=%v, want %d writes and the batch as carry",
+			maxCoalesce-1, len(run), carry, maxCoalesce-1)
 	}
 
-	// A client group — batch or atomic — breaks a run: coalescing it would
-	// apply its zero-value update and drop the group.
-	for _, atomic := range []bool{false, true} {
-		group := &request{ctx: ctx, group: []rxview.Update{studentInsert("SGG")}, atomic: atomic, done: make(chan result, 1)}
-		e.reqs <- group
+	// A batch larger than the cap, and an atomic group, run whole and alone.
+	for _, first := range []*request{group(maxCoalesce+1, false), group(2, true)} {
+		e.reqs <- ins(6)
+		run, carry = e.gather(first)
+		if len(run) != 1 || carry != nil || len(e.reqs) != 1 {
+			t.Fatalf("gather from a group of %d (atomic=%v): run=%d carry=%v queued=%d, want it alone",
+				len(first.updates), first.atomic, len(run), carry, len(e.reqs))
+		}
+		drain()
+	}
+
+	// An atomic group or a loop step ends a run.
+	stops := map[string]*request{
+		"tx":   group(1, true),
+		"exec": {ctx: ctx, exec: func() error { return nil }, done: make(chan result, 1)},
+	}
+	for name, stop := range stops {
+		e.reqs <- stop
 		e.reqs <- ins(6)
 		run, carry = e.gather(ins(0))
-		if len(run) != 1 || carry != group {
-			t.Fatalf("gather over [ins group(atomic=%v) ins]: run=%d carry=%v, want 1-run with the group as carry", atomic, len(run), carry)
+		if len(run) != 1 || carry != stop {
+			t.Fatalf("gather over [ins %s ins]: run=%d carry=%v, want 1-run with the %s as carry", name, len(run), carry, name)
 		}
-		for len(e.reqs) > 0 {
-			<-e.reqs
-		}
+		drain()
+	}
+}
+
+// TestProcessRunBatchRidesARun: a client batch rides a run between two
+// single updates, [ins, batch{ins, side-effecting ins, ins}, del], gathered
+// off the queue and applied by processRun on a durable engine. The run
+// shares one log append; the batch stops at its own rejection with exactly
+// the reports and error View.Batch gives on a twin at the same state, and
+// the single updates around it apply. With the append refused, every write
+// with an applied update gets the indeterminate DegradedError — a trailing
+// clean batch's included — while the rejected batch keeps its stage error.
+func TestProcessRunBatchRidesARun(t *testing.T) {
+	ctx := context.Background()
+	shared := rxview.Insert(`course[cno="CS650"]//course[cno="CS320"]/prereq`,
+		"course", rxview.Str("CS777"), rxview.Str("Sharing"))
+	batch := []rxview.Update{studentInsert("SB1"), shared, studentInsert("SB2")}
+	del := rxview.Delete(`//student[ssn="SB0"]`)
+
+	// The twin's View.Batch, at the state the batch meets in the run.
+	twin := newLooplessEngine(t).view
+	if _, err := twin.Apply(ctx, studentInsert("SB0")); err != nil {
+		t.Fatal(err)
+	}
+	wantReps, wantErr := twin.Batch(ctx, batch...)
+	if !errors.Is(wantErr, rxview.ErrSideEffect) || len(wantReps) != 2 {
+		t.Fatalf("twin batch: %d reports, err %v; want two, ending at the side effect", len(wantReps), wantErr)
+	}
+
+	for _, refused := range []bool{false, true} {
+		t.Run(fmt.Sprintf("refused=%v", refused), func(t *testing.T) {
+			e := newLooplessEngine(t, rxview.WithDurability(t.TempDir()))
+			defer e.view.Close()
+			e.recovering.Store(true) // loopless: no prober to kick
+
+			first := mkReq(ctx, studentInsert("SB0"))
+			br := &request{ctx: ctx, updates: batch, done: make(chan result, 1)}
+			dr := mkReq(ctx, del)
+			queued := []*request{br, dr}
+			if refused {
+				clean := &request{ctx: ctx, updates: []rxview.Update{studentInsert("SB3"), studentInsert("SB4")},
+					done: make(chan result, 1)}
+				queued = append(queued, clean)
+			}
+			for _, r := range queued {
+				e.reqs <- r
+			}
+			run, carry := e.gather(first)
+			if len(run) != len(queued)+1 || carry != nil {
+				t.Fatalf("gather: run=%d carry=%v, want all %d writes in one run", len(run), carry, len(queued)+1)
+			}
+			appends := walCounter(t, "xview_wal_appends_total")
+			if refused {
+				if err := rxview.EnableChaos("wal.append:count=1", 1); err != nil {
+					t.Fatal(err)
+				}
+				defer rxview.DisableChaos()
+			}
+			e.processRun(run)
+			rxview.DisableChaos()
+			if got := walCounter(t, "xview_wal_appends_total") - appends; !refused && got != 1 {
+				t.Errorf("xview_wal_appends_total moved by %v, want 1", got)
+			}
+
+			res := make([]result, len(run))
+			for i, r := range run {
+				res[i] = take(t, r)
+			}
+			got := res[1]
+			if len(got.reps) != len(wantReps) || got.err == nil || got.err.Error() != wantErr.Error() {
+				t.Fatalf("batch in a run: %d reports, err %v; View.Batch gives %d, err %v", len(got.reps), got.err, len(wantReps), wantErr)
+			}
+			for i, rep := range got.reps {
+				want := wantReps[i]
+				if rep.Op != want.Op || rep.Applied != want.Applied || rep.Targets != want.Targets ||
+					rep.DVInserts != want.DVInserts || fmt.Sprint(rep.Changes) != fmt.Sprint(want.Changes) {
+					t.Errorf("batch member %d: report %+v, View.Batch gives %+v", i, rep, want)
+				}
+			}
+			for _, i := range []int{0, 2} {
+				if !res[i].reps[0].Applied {
+					t.Errorf("single update %s did not apply (err %v)", run[i].updates[0], res[i].err)
+				}
+			}
+			if !refused {
+				for _, i := range []int{0, 2} {
+					if res[i].err != nil {
+						t.Errorf("single update %s: %v", run[i].updates[0], res[i].err)
+					}
+				}
+				if e.Generation() != 3 {
+					t.Errorf("generation %d, want 3: two single updates and the batch's applied member", e.Generation())
+				}
+				return
+			}
+			for i, r := range res {
+				if i == 1 {
+					continue // the rejected batch, checked above
+				}
+				var de *rxview.DegradedError
+				if !errors.As(r.err, &de) || !de.Applied || !anyApplied(r.reps) {
+					t.Errorf("write %d: applied=%v err=%v; want applied with DegradedError{Applied: true}", i, anyApplied(r.reps), r.err)
+				}
+			}
+		})
 	}
 }

@@ -251,14 +251,28 @@ func TestReadSideNeverTouchesLiveView(t *testing.T) {
 // TestConcurrentWritersConverge submits commuting updates from several
 // goroutines at once — the shape the apply loop absorbs into shared runs.
 // Every writer inserts its own students; the odd ones delete each one again
-// right after, so insertions and deletions ride the same runs. Every
-// submission gets exactly one applied verdict and the final state equals a
-// sequential oracle's.
+// right after, so insertions and deletions ride the same runs. The first
+// four writers send one Engine.Update per update, the next two their script
+// as Engine.Batch pairs (which ride runs too) and the last two as Engine.Tx
+// pairs (which run alone). Every update gets an applied verdict and the
+// final state equals a sequential oracle's.
 func TestConcurrentWritersConverge(t *testing.T) {
 	ctx := context.Background()
 	eng, view := mustRegistrarEngine(t, rxview.WithForceSideEffects())
 
-	const writers, perWriter = 4, 20
+	const writers, perWriter = 8, 20
+	// submit sends a slice of w's script the way writer w does.
+	submit := func(w int, us []rxview.Update) ([]*rxview.Report, error) {
+		switch {
+		case w < 4:
+			rep, err := eng.Update(ctx, us[0])
+			return []*rxview.Report{rep}, err
+		case w < 6:
+			return eng.Batch(ctx, us...)
+		default:
+			return eng.Tx(ctx, us...)
+		}
+	}
 	script := func(w int) []rxview.Update {
 		var out []rxview.Update
 		for i := 0; i < perWriter; i++ {
@@ -282,13 +296,19 @@ func TestConcurrentWritersConverge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
+	total, wantGen := 0, 0
 	for w := 0; w < writers; w++ {
-		for _, u := range script(w) {
+		us := script(w)
+		for _, u := range us {
 			if rep, err := oracle.Apply(ctx, u); err != nil || !rep.Applied {
 				t.Fatalf("oracle %s: applied=%v err=%v", u, rep.Applied, err)
 			}
-			total++
+		}
+		total += len(us)
+		if w < 6 {
+			wantGen += len(us)
+		} else {
+			wantGen += len(us) / 2 // a committed Tx pair is one generation
 		}
 	}
 	want, err := oracle.Query(ctx, `//student`)
@@ -302,15 +322,22 @@ func TestConcurrentWritersConverge(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for _, u := range script(w) {
-				rep, err := eng.Update(ctx, u)
+			step := 1
+			if w >= 4 {
+				step = 2
+			}
+			us := script(w)
+			for i := 0; i < len(us); i += step {
+				reps, err := submit(w, us[i:i+step])
 				if err != nil {
-					errc <- fmt.Errorf("writer %d, %s: %w", w, u, err)
+					errc <- fmt.Errorf("writer %d, %s: %w", w, us[i], err)
 					return
 				}
-				if !rep.Applied {
-					errc <- fmt.Errorf("writer %d, %s: not applied", w, u)
-					return
+				for j, rep := range reps {
+					if !rep.Applied || len(reps) != step {
+						errc <- fmt.Errorf("writer %d, %s: %d reports, not applied", w, us[i+j], len(reps))
+						return
+					}
 				}
 			}
 		}(w)
@@ -330,8 +357,8 @@ func TestConcurrentWritersConverge(t *testing.T) {
 		t.Errorf("students after concurrent writers differ from the sequential oracle:\n got %s\nwant %s", got, render(want))
 	}
 	st := eng.Stats()
-	if st.UpdatesApplied != uint64(total) || st.Generation != uint64(total) {
-		t.Errorf("UpdatesApplied = %d at generation %d, want %d at %d", st.UpdatesApplied, st.Generation, total, total)
+	if st.UpdatesApplied != uint64(total) || st.Generation != uint64(wantGen) {
+		t.Errorf("UpdatesApplied = %d at generation %d, want %d at %d", st.UpdatesApplied, st.Generation, total, wantGen)
 	}
 	t.Logf("coalescing: %d runs absorbed %d updates", st.CoalescedRuns, st.CoalescedUpdates)
 

@@ -351,16 +351,12 @@ func (h *handler) update(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := h.requestCtx(r)
 	defer cancel()
-	res := h.e.do(ctx, &request{u: u})
+	res := h.e.do(ctx, &request{updates: []rxview.Update{u}})
 	if res.err != nil {
-		var reps []*rxview.Report
-		if res.rep != nil {
-			reps = []*rxview.Report{res.rep}
-		}
-		writeError(w, statusOf(res.err), res.err, reps)
+		writeError(w, statusOf(res.err), res.err, res.reps)
 		return
 	}
-	writeJSON(w, http.StatusOK, updateResponse{Generation: res.gen, Report: reportOf(res.rep)})
+	writeJSON(w, http.StatusOK, updateResponse{Generation: res.gen, Report: reportOf(res.reps[0])})
 }
 
 type batchRequest struct {
@@ -407,7 +403,7 @@ func (h *handler) group(w http.ResponseWriter, r *http.Request, atomic bool) {
 	}
 	ctx, cancel := h.requestCtx(r)
 	defer cancel()
-	res := h.e.do(ctx, groupRequest(updates, atomic))
+	res := h.e.do(ctx, &request{updates: updates, atomic: atomic})
 	if res.err != nil {
 		status := statusOf(res.err)
 		if atomic {

@@ -11,7 +11,6 @@ package server
 import (
 	"time"
 
-	"rxview"
 	"rxview/internal/obs"
 )
 
@@ -64,13 +63,13 @@ func newEngineMetrics() engineMetrics {
 		applied: r.NewCounter("xview_engine_updates_applied_total",
 			"Updates the apply loop applied."),
 		rejected: r.NewCounter("xview_engine_updates_rejected_total",
-			"Write submissions delivered with an error."),
+			"Client write submissions delivered with an error."),
 		txCommits: r.NewCounter("xview_engine_tx_committed_total",
 			"Atomic groups committed."),
 		txRejected: r.NewCounter("xview_engine_tx_rejected_total",
 			"Atomic groups rejected or rolled back."),
 		coalRuns: r.NewCounter("xview_engine_coalesced_runs_total",
-			"Runs of two or more queued updates that shared one commit."),
+			"Prefix runs that staged two or more updates (a batch's members included) under one commit."),
 		coalUpds: r.NewCounter("xview_engine_coalesced_updates_total",
 			"Updates staged in such runs."),
 		snapSwaps: r.NewCounter("xview_engine_snapshot_swaps_total",
@@ -126,16 +125,19 @@ func (e *Engine) SlowLog() *obs.SlowLog { return e.met.slow }
 func (e *Engine) SetSlowThreshold(d time.Duration) { e.met.slow.SetThreshold(d) }
 
 // stampPublish attributes one epoch publication's duration to the write
-// unit that triggered it: the last applied report gets the Publish phase,
-// so summing Timings over delivered reports counts each publication once.
-func stampPublish(d time.Duration, reps ...*rxview.Report) {
+// unit that triggered it: the run's last applied report gets the Publish
+// phase, so summing Timings over delivered reports counts each publication
+// once.
+func stampPublish(d time.Duration, run []result) {
 	if d <= 0 {
 		return
 	}
-	for i := len(reps) - 1; i >= 0; i-- {
-		if reps[i] != nil && reps[i].Applied {
-			reps[i].Timings.Publish = d
-			return
+	for i := len(run) - 1; i >= 0; i-- {
+		for j := len(run[i].reps) - 1; j >= 0; j-- {
+			if rep := run[i].reps[j]; rep.Applied {
+				rep.Timings.Publish = d
+				return
+			}
 		}
 	}
 }

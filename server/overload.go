@@ -120,8 +120,11 @@ func (e *Engine) kickRecovery() {
 
 // probeRecovery retries recovery with jittered exponential backoff until
 // the view is read-write again or the engine closes. It runs off-loop but
-// never touches the view: each attempt is a recover request submitted
-// through the queue, executed by the apply goroutine like any write.
+// never touches the view: each attempt is a loop step (exec) that calls
+// View.Recover on the apply goroutine, serialized with every write. A
+// successful probe republishes one epoch of the same generation: the
+// generation does not move on recovery, it resumes from where degradation
+// froze it.
 func (e *Engine) probeRecovery() {
 	defer e.wg.Done()
 	var b backoff
@@ -129,8 +132,11 @@ func (e *Engine) probeRecovery() {
 		// A probe the queue refuses means the engine is closing: Close cancels
 		// stopCtx, which ends the wait above — the next boot replays the log
 		// instead.
-		res := e.do(e.stopCtx, &request{recover: true})
-		if res.err == nil && !e.view.Degraded() {
+		err := e.exec(e.stopCtx, func() error {
+			e.met.probes.Inc()
+			return e.view.Recover()
+		})
+		if err == nil && !e.view.Degraded() {
 			e.met.recoveries.Inc()
 			e.met.degradedG.Set(0)
 			e.recovering.Store(false)
@@ -139,16 +145,6 @@ func (e *Engine) probeRecovery() {
 			return
 		}
 	}
-}
-
-// runRecover executes one recovery probe on the apply goroutine — the
-// only goroutine allowed to touch the view. No epoch is published: the
-// generation does not move on recovery, it resumes from where degradation
-// froze it.
-func (e *Engine) runRecover(r *request) {
-	e.met.probes.Inc()
-	err := e.view.Recover()
-	r.done <- result{gen: e.view.Generation(), err: err}
 }
 
 // The one retry schedule of the serving layer, shared by the recovery

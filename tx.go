@@ -71,8 +71,8 @@ func (v *View) Begin(ctx context.Context) (*Tx, error) {
 func (v *View) BeginBatch() (*Tx, error) { return v.begin(false) }
 
 func (v *View) begin(atomic bool) (*Tx, error) {
-	if v.degraded.Load() {
-		return nil, &DegradedError{Cause: v.degradedCause}
+	if err := v.writable(); err != nil {
+		return nil, err
 	}
 	t, err := v.sys.Begin(atomic)
 	if err != nil {

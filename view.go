@@ -117,11 +117,15 @@ func (v *View) Apply(ctx context.Context, u Update) (*Report, error) {
 // §4.1 as an API — without changing anything: it stages the update through
 // Apply's own pipeline, storage fault point included, and unwinds it, so
 // the report (ΔR and its fresh values too) and the error are what Apply
-// gives next. It uses the view's write path while it runs, so it must not
+// gives next — on a degraded view too, where both refuse with the same
+// DegradedError. It uses the view's write path while it runs, so it must not
 // run concurrently with the view's other calls; inside an open group it
 // stages on top of the group's state.
 func (v *View) DryRun(ctx context.Context, u Update) (*Report, error) {
 	op, err := u.compile()
+	if err == nil {
+		err = v.writable()
+	}
 	if err != nil {
 		return &Report{Op: u.String()}, err
 	}
