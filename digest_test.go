@@ -22,6 +22,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"rxview/internal/atg"
 	"rxview/internal/ckpt"
@@ -629,6 +630,94 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		}
 		if err := sys.CheckConsistency(); err != nil {
 			t.Fatalf("an accepted payload serves an inconsistent view: %v", err)
+		}
+	})
+}
+
+// FuzzReplicaApplyRecord feeds a follower one record payload, framed with a
+// valid CRC-32C so that the bytes reach the record decoder and the replay:
+// read with NewReplFrameReader, applied with Replica.ApplyRecord to a
+// registrar replica restored from the primary's checkpoint the record's
+// generation continues (the genesis one if there is none). It must never
+// panic, every refusal must match ErrCheckpointMismatch, and a refused
+// replica restores from the same checkpoint to the checkpoint's digest. A
+// payload the reader refuses is skipped. The seeds are the frames the
+// primary's ReplSource streams for an insert, a cascading delete and a
+// resurrected identity.
+func FuzzReplicaApplyRecord(f *testing.F) {
+	ctx := context.Background()
+	atg, db := MustRegistrar()
+	v, err := Open(atg, db, WithDurability(f.TempDir()), WithFsync(FsyncOff), WithCheckpointEvery(1<<30))
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer v.Close()
+	src, err := v.ReplSource()
+	if err != nil {
+		f.Fatal(err)
+	}
+	ckpts := map[uint64][]byte{}
+	for _, u := range []Update{
+		Insert(`.`, "course", Str("CS900"), Str("Fuzz")), // a published subtree
+		Delete(`//course[cno="CS900"]`),                  // collects it again
+		Insert(`.`, "course", Str("CS900"), Str("Fuzz")), // brings its identities back
+	} {
+		gen, state, err := src.CheckpointBytes()
+		if err != nil {
+			f.Fatal(err)
+		}
+		ckpts[gen] = state
+		if rep, err := v.Apply(ctx, u); err != nil || !rep.Applied {
+			f.Fatalf("%v: applied=%v, %v", u, rep.Applied, err)
+		}
+		err = src.Stream(ctx, gen, 20*time.Millisecond, func(_ uint64, frame []byte) error {
+			_, n := binary.Uvarint(frame)
+			f.Add(bytes.Clone(frame[n+4:]))
+			return nil
+		})
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := v.Checkpoint(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	follower, err := OpenReplica(MustRegistrar())
+	if err != nil {
+		f.Fatal(err)
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		frame := binary.AppendUvarint(nil, uint64(len(payload)))
+		frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
+		rec, err := NewReplFrameReader(bytes.NewReader(append(frame, payload...))).Next()
+		if err != nil {
+			return
+		}
+		gen := rec.Generation() - 1
+		state, ok := ckpts[gen]
+		if !ok {
+			gen, state = 0, ckpts[0]
+		}
+		if err := follower.Restore(gen, state); err != nil {
+			t.Fatal(err)
+		}
+		err = follower.ApplyRecord(rec)
+		if err == nil {
+			return
+		}
+		if !errors.Is(err, ErrCheckpointMismatch) {
+			t.Fatalf("refused outside the taxonomy: %v", err)
+		}
+		if err := follower.Restore(gen, state); err != nil {
+			t.Fatalf("restore after a refusal: %v", err)
+		}
+		ck, _, err := ckpt.DecodeHeader(state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := follower.View().Digest(); got != ck.Digest {
+			t.Fatalf("restored after a refusal to digest %s, the checkpoint's is %s", got, ck.Digest)
 		}
 	})
 }

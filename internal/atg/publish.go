@@ -28,7 +28,7 @@ func (c *Compiled) PublishDAG(db *relational.Database) (*dag.DAG, error) {
 //
 // Callers that may reject the enclosing update should run it inside an open
 // DAG journal and unwind with d.RollbackTo(mark) (or d.Rollback()); the new
-// nodes and edges are available from d.ChangesSince(mark).
+// nodes and edges are the ops of d.DeltaSince(mark).
 func (c *Compiled) PublishSubtree(d *dag.DAG, db *relational.Database, typ string, attr relational.Tuple) (dag.NodeID, error) {
 	if _, ok := c.DTD.Elems[typ]; !ok {
 		return dag.InvalidNode, fmt.Errorf("atg: unknown element type %s", typ)
@@ -216,9 +216,12 @@ func (c *Compiled) TextEquals(d dag.Reader) func(typ, s string) func(dag.NodeID)
 //
 // A PCDATA type whose attribute is one field has text $A[0].String(), so its
 // nodes with text s are exactly the live gen_id(type, (c)) for c among
-// relational.Renderings(s): ids are never reused, and every node's attribute
-// has its type's declared arity (CheckAttr). A type without text has no such
-// node. A type with more fields (text is one of them) reports false.
+// relational.Renderings(s): the registry maps an identity to the one id
+// that carries it (an id is never reused once its allocation has committed,
+// and an allocation a rollback undoes leaves the registry with its id), and
+// every node's attribute has its type's declared arity (CheckAttr). A type
+// without text has no such node. A type with more fields (text is one of
+// them) reports false.
 //
 // It takes the *dag.DAG, not a dag.Reader: a sealed Version carries no
 // registry, so reads over snapshots keep the scan.

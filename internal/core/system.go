@@ -113,7 +113,7 @@ type Timings struct {
 	Validate  time.Duration
 	Eval      time.Duration // (a)
 	Translate time.Duration // (b): ΔX→ΔV and ΔV→ΔR (= XToDV + DVToDR)
-	XToDV     time.Duration // Algorithm Xinsert / Xdelete (Figs.5–6)
+	XToDV     time.Duration // Algorithm Xinsert (Fig.5); zero for a deletion, whose ΔV is Ep(r) as evaluated (Fig.6)
 	DVToDR    time.Duration // Algorithm insert / delete (§4)
 	Apply     time.Duration // (b): executing ΔR and ΔV
 	Maintain  time.Duration // (c): a deletion's garbage collection (dag.DAG.Collect); zero for an insertion
@@ -344,6 +344,11 @@ func (s *System) apply(ctx context.Context, op *update.Op) (*Report, []dag.Delta
 	t0 = time.Now()
 	delta := s.DAG.DeltaSince(sp.mark)
 	s.noteDelta(delta, +1)
+	for _, o := range delta {
+		if o.Kind == dag.DeltaEdgeAdd {
+			rep.DVInserts++
+		}
+	}
 	rep.Timings.Apply += time.Since(t0)
 	return rep, delta, err
 }
@@ -368,17 +373,17 @@ func (s *System) noteDelta(delta []dag.DeltaOp, sign int) {
 // ΔV for apply to rewind.
 func (s *System) applyInsert(ctx context.Context, op *update.Op, res *xpath.Result, rep *Report, mark int) error {
 	t0 := time.Now()
-	dv, err := update.Xinsert(s.ATG, s.DAG, s.DB, res.Selected, op.Type, op.Attr)
-	if err != nil {
+	if err := update.Xinsert(s.ATG, s.DAG, s.DB, res.Selected, op.Type, op.Attr); err != nil {
 		return err
 	}
+	dv := s.DAG.DeltaSince(mark)
 	rep.Timings.XToDV = time.Since(t0)
-	if len(dv.Inserts) == 0 {
+	if !slices.ContainsFunc(dv, func(o dag.DeltaOp) bool { return o.Kind == dag.DeltaEdgeAdd }) {
 		rep.Timings.Translate = rep.Timings.XToDV // the edge(s) already exist: nothing to do
 		return nil
 	}
 	t0 = time.Now()
-	dr, induced, err := s.Translator.TranslateInsert(dv.Inserts, dv.NewNodes)
+	dr, induced, err := s.Translator.TranslateInsert(dv)
 	if err != nil {
 		return err
 	}
@@ -406,25 +411,23 @@ func (s *System) applyInsert(ctx context.Context, op *update.Op, res *xpath.Resu
 		}
 		s.DAG.AddEdge(ie.Parent, croot)
 	}
-	_, edgeAdds, _ := s.DAG.ChangesSince(mark)
 	rep.DR = dr
-	rep.DVInserts = len(edgeAdds)
 	rep.Applied = true
 	rep.Timings.Apply = time.Since(t0)
 	return nil
 }
 
 func (s *System) applyDelete(ctx context.Context, res *xpath.Result, rep *Report) error {
+	// Xdelete (Fig.6) is ΔV = Ep(r) itself: the evaluation's fresh edge
+	// list, read as is.
+	dv := res.Edges
 	t0 := time.Now()
-	dv := update.Xdelete(res.Edges)
-	rep.Timings.XToDV = time.Since(t0)
-	t0 = time.Now()
-	dr, err := s.Translator.TranslateDelete(dv.Deletes)
+	dr, err := s.Translator.TranslateDelete(dv)
 	if err != nil {
 		return err
 	}
 	rep.Timings.DVToDR = time.Since(t0)
-	rep.Timings.Translate = rep.Timings.XToDV + rep.Timings.DVToDR
+	rep.Timings.Translate = rep.Timings.DVToDR
 	if err := ctx.Err(); err != nil {
 		return err // ΔR not executed yet: cancellation is clean
 	}
@@ -433,16 +436,16 @@ func (s *System) applyDelete(ctx context.Context, res *xpath.Result, rep *Report
 	if err := s.applyDR(dr); err != nil {
 		return err
 	}
-	for _, e := range dv.Deletes {
+	for _, e := range dv {
 		s.DAG.RemoveEdge(e.Parent, e.Child)
 	}
 	rep.DR = dr
-	rep.DVDeletes = len(dv.Deletes)
+	rep.DVDeletes = len(dv)
 	rep.Applied = true
 	rep.Timings.Apply = time.Since(t0)
 
 	t0 = time.Now()
-	cascade, removed := s.DAG.Collect(dv.Deletes)
+	cascade, removed := s.DAG.Collect(dv)
 	rep.Removed = len(removed)
 	rep.DVDeletes += len(cascade)
 	rep.Timings.Maintain = time.Since(t0)

@@ -20,8 +20,10 @@ import (
 	"rxview/internal/relational"
 )
 
-// NodeID identifies a node of the DAG. IDs are dense and never reused within
-// one DAG, so slices indexed by NodeID serve as node-keyed maps.
+// NodeID identifies a node of the DAG. IDs are dense, so slices indexed by
+// NodeID serve as node-keyed maps. An id is never reused once its allocation
+// has committed: a dead identity keeps its id, and only an allocation undone
+// by a journal rollback gives its id back.
 type NodeID int32
 
 // InvalidNode is returned by lookups that fail.
@@ -178,7 +180,7 @@ func (d *DAG) AddNode(typ string, attr relational.Tuple) (id NodeID, created boo
 		// Resurrect a previously deleted identity, reusing its id so the
 		// Skolem function stays a function.
 		d.resurrect(id)
-		d.logOp(jop{kind: jNodeAdd, node: id})
+		d.logOp(DeltaOp{Kind: DeltaNodeAdd, Node: id, Type: d.types[id], Attr: d.attrs[id]})
 		return id, true
 	}
 	id = NodeID(len(d.types))
@@ -191,7 +193,7 @@ func (d *DAG) AddNode(typ string, attr relational.Tuple) (id NodeID, created boo
 	d.bodyLen += identityLen(typ, attr) + 1 // + the empty child list's count
 	d.gen[string(k)] = id
 	d.list(id)
-	d.logOp(jop{kind: jNodeAdd, fresh: true, node: id})
+	d.logOp(DeltaOp{Kind: DeltaNodeAdd, Node: id, Type: typ, Attr: d.attrs[id], fresh: true})
 	return id, true
 }
 
@@ -264,7 +266,7 @@ func (d *DAG) AddEdge(u, v NodeID) bool {
 	d.children.setRow(u, append(d.children.ownRow(u, 1), v))
 	d.parents.setRow(v, append(d.parents.ownRow(v, 1), u))
 	d.edgeCount++
-	d.logOp(jop{kind: jEdgeAdd, edge: Edge{u, v}})
+	d.logOp(DeltaOp{Kind: DeltaEdgeAdd, Edge: Edge{u, v}})
 	return true
 }
 
@@ -278,7 +280,7 @@ func (d *DAG) RemoveEdge(u, v NodeID) bool {
 	}
 	ppos := d.removeRef(&d.parents, v, u)
 	d.edgeCount--
-	d.logOp(jop{kind: jEdgeDel, edge: Edge{u, v}, childPos: cpos, parentPos: ppos})
+	d.logOp(DeltaOp{Kind: DeltaEdgeDel, Edge: Edge{u, v}, childPos: int32(cpos), parentPos: int32(ppos)})
 	return true
 }
 
@@ -333,7 +335,7 @@ func (d *DAG) RemoveNode(id NodeID) {
 	}
 	d.setAlive(id, false)
 	d.unlist(id)
-	d.logOp(jop{kind: jNodeDel, node: id})
+	d.logOp(DeltaOp{Kind: DeltaNodeDel, Node: id})
 }
 
 // Collect is the garbage collection of Algorithm ∆(M,L)delete (Fig.8, its

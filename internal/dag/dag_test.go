@@ -205,9 +205,8 @@ func TestJournalRollbackRestoresState(t *testing.T) {
 	d.AddEdge(c1, n)
 	d.RemoveEdge(c2, sh)
 	d.RemoveNode(c2)
-	adds, eAdds, eDels := d.ChangesSince(0)
-	if len(adds) != 1 || len(eAdds) != 1 || len(eDels) == 0 {
-		t.Errorf("Changes = %v %v %v", adds, eAdds, eDels)
+	if n := countKinds(d.DeltaSince(0)); n[DeltaNodeAdd] != 1 || n[DeltaEdgeAdd] != 1 || n[DeltaEdgeDel] == 0 || n[DeltaNodeDel] != 1 {
+		t.Errorf("delta kinds = %v", n)
 	}
 	d.Rollback()
 	if got := snapshot(d); got != before {
@@ -277,7 +276,7 @@ func TestJournalPanics(t *testing.T) {
 	d := New("db")
 	mustPanic(t, func() { d.Commit() })
 	mustPanic(t, func() { d.Rollback() })
-	mustPanic(t, func() { d.ChangesSince(0) })
+	mustPanic(t, func() { d.DeltaSince(0) })
 	d.Begin()
 	mustPanic(t, func() { d.Begin() })
 	d.Commit()

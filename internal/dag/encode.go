@@ -3,6 +3,7 @@ package dag
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"rxview/internal/relational"
 	"rxview/internal/slab"
@@ -13,13 +14,12 @@ import (
 // codec for checkpoints.
 //
 // Replay must reproduce node identities bit-for-bit, not just an isomorphic
-// view: NodeIDs are the Skolem function gen_id and flow into the topological
-// order, the reachability matrix and the translator's source index, and a
-// dead identity must keep its id so a later resurrection reuses it. The
-// delta is therefore the journal's exact chronological op sequence
-// (including node deletions, which the grouped ChangesSince omits), and the
-// checkpoint serializes the whole identity table — dead entries included —
-// rather than the live node set.
+// view: NodeIDs are the Skolem function gen_id and key the translator's
+// source index and every node-indexed slice, and a dead identity must keep
+// its id so a later resurrection reuses it. The delta is therefore the
+// journal's exact chronological op sequence (node deletions included), and
+// the checkpoint serializes the whole identity table — dead entries included
+// — rather than the live node set.
 
 // DeltaKind identifies one chronological DAG mutation.
 type DeltaKind uint8
@@ -32,15 +32,20 @@ const (
 	DeltaEdgeDel
 )
 
-// DeltaOp is one mutation of a committed group, replayable in order.
-// NodeAdd carries the Skolem inputs (Type, Attr) so replay re-derives — and
-// verifies — the recorded id; edge ops carry only the edge.
+// DeltaOp is one mutation of a committed group, replayable in order: the
+// journal records it as the mutation runs. NodeAdd carries the Skolem inputs
+// (Type, Attr) so replay re-derives — and verifies — the recorded id; edge
+// ops carry only the edge. The unexported fields are for the journal's undo
+// alone: the encoding, replay and the digest never read them.
 type DeltaOp struct {
 	Kind DeltaKind
 	Node NodeID // NodeAdd / NodeDel
 	Edge Edge   // EdgeAdd / EdgeDel
 	Type string // NodeAdd only
 	Attr relational.Tuple
+
+	fresh               bool  // NodeAdd: a new id, not a resurrection
+	childPos, parentPos int32 // EdgeDel: the edge's original positions
 }
 
 func (op DeltaOp) String() string {
@@ -57,10 +62,11 @@ func (op DeltaOp) String() string {
 }
 
 // DeltaSince returns the chronological mutation sequence recorded since the
-// given journal savepoint — every op, in order, node deletions included.
-// Unlike the grouped ChangesSince it is an exact replay script: applying the
-// ops in order on an identical pre-state reproduces identical node ids,
-// sibling order, and liveness. Valid only inside a transaction.
+// given journal savepoint — every op, in order, node deletions included: an
+// exact replay script, since applying the ops in order on an identical
+// pre-state reproduces identical node ids, sibling order, and liveness. The
+// slice is a copy, so a later rollback does not change it. Valid only inside
+// a transaction.
 func (d *DAG) DeltaSince(mark int) []DeltaOp {
 	if d.journal == nil {
 		panic("dag: DeltaSince without Begin")
@@ -69,22 +75,7 @@ func (d *DAG) DeltaSince(mark int) []DeltaOp {
 	if len(ops) == 0 {
 		return nil
 	}
-	out := make([]DeltaOp, 0, len(ops))
-	for _, op := range ops {
-		switch op.kind {
-		case jNodeAdd:
-			// types/attrs are append-only, so the Skolem inputs are still
-			// available even if the node has since died.
-			out = append(out, DeltaOp{Kind: DeltaNodeAdd, Node: op.node, Type: d.types[op.node], Attr: d.attrs[op.node]})
-		case jNodeDel:
-			out = append(out, DeltaOp{Kind: DeltaNodeDel, Node: op.node})
-		case jEdgeAdd:
-			out = append(out, DeltaOp{Kind: DeltaEdgeAdd, Edge: op.edge})
-		case jEdgeDel:
-			out = append(out, DeltaOp{Kind: DeltaEdgeDel, Edge: op.edge})
-		}
-	}
-	return out
+	return slices.Clone(ops)
 }
 
 // ApplyDelta replays one recorded mutation, verifying that the live DAG
@@ -117,7 +108,7 @@ func (d *DAG) ApplyDelta(op DeltaOp) error {
 			return fmt.Errorf("dag: replay %s: edge not addable", op)
 		}
 	case DeltaEdgeDel:
-		if !d.RemoveEdge(op.Edge.Parent, op.Edge.Child) {
+		if !d.Alive(op.Edge.Parent) || !d.RemoveEdge(op.Edge.Parent, op.Edge.Child) {
 			return fmt.Errorf("dag: replay %s: edge not present", op)
 		}
 	default:

@@ -350,6 +350,7 @@ func TestApplyDeltaDivergence(t *testing.T) {
 		{"node add wrong id", DeltaOp{Kind: DeltaNodeAdd, Node: 7, Type: "course", Attr: relational.Tuple{relational.Str("CS999")}}, "allocated id"},
 		{"edge add duplicate", DeltaOp{Kind: DeltaEdgeAdd, Edge: Edge{Parent: d.Root(), Child: a}}, "not addable"},
 		{"edge del absent", DeltaOp{Kind: DeltaEdgeDel, Edge: Edge{Parent: a, Child: d.Root()}}, "not present"},
+		{"edge del past the end", DeltaOp{Kind: DeltaEdgeDel, Edge: Edge{Parent: NodeID(d.Cap() + 5000)}}, "not present"},
 		{"node del dead", DeltaOp{Kind: DeltaNodeDel, Node: 99}, "not alive"},
 		{"node del with edges", DeltaOp{Kind: DeltaNodeDel, Node: a}, "incident edges"},
 	}

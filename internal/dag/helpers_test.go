@@ -17,6 +17,15 @@ func (v *Version) NodesOfType(typ string) []NodeID {
 	return liveSorted(v.byType[typ], v.alive.At)
 }
 
+// countKinds counts the ops of a delta per kind.
+func countKinds(ops []DeltaOp) map[DeltaKind]int {
+	n := make(map[DeltaKind]int)
+	for _, op := range ops {
+		n[op.Kind]++
+	}
+	return n
+}
+
 // Edges returns all live edges grouped by (parent type, child type) — the
 // edge_A_B relations of the relational coding V_σ. Keys are "A→B".
 func (d *DAG) Edges() map[string][]Edge {

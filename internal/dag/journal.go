@@ -11,30 +11,15 @@ import (
 // rolled back if the update is rejected — the paper's framework rejects ΔX
 // "as early as possible" and must leave the view untouched.
 //
-// Mutations are kept as a single chronological log and undone in reverse, so
-// arbitrary interleavings of node/edge adds and removes restore exactly.
+// Mutations are kept as a single chronological log of the ops a commit
+// record carries, and undone in reverse, so arbitrary interleavings of
+// node/edge adds and removes restore exactly. What only undo reads rides in
+// the ops' unexported fields.
 type journal struct {
-	ops []jop
+	ops []DeltaOp
 }
 
-type jop struct {
-	kind                jopKind
-	fresh               bool // jNodeAdd: a new id, not a resurrection
-	node                NodeID
-	edge                Edge
-	childPos, parentPos int // original positions for jEdgeDel undo
-}
-
-type jopKind uint8
-
-const (
-	jNodeAdd jopKind = iota
-	jNodeDel
-	jEdgeAdd
-	jEdgeDel
-)
-
-func (d *DAG) logOp(op jop) {
+func (d *DAG) logOp(op DeltaOp) {
 	if d.journal != nil {
 		d.journal.ops = append(d.journal.ops, op)
 	}
@@ -61,7 +46,7 @@ func (d *DAG) Commit() {
 }
 
 // Mark returns a savepoint inside the open journal: the point RollbackTo and
-// ChangesSince measure from. A transaction that stages several updates over
+// DeltaSince measure from. A transaction that stages several updates over
 // one long-lived journal gives each update its own mark, so a rejected update
 // unwinds alone while the journal keeps covering the whole group.
 func (d *DAG) Mark() int {
@@ -69,26 +54,6 @@ func (d *DAG) Mark() int {
 		panic("dag: Mark without Begin")
 	}
 	return len(d.journal.ops)
-}
-
-// ChangesSince returns the mutations recorded since the given savepoint:
-// added nodes, added edges and removed edges. Valid only inside a
-// transaction; ChangesSince(0) covers everything since Begin.
-func (d *DAG) ChangesSince(mark int) (nodeAdds []NodeID, edgeAdds, edgeDels []Edge) {
-	if d.journal == nil {
-		panic("dag: ChangesSince without Begin")
-	}
-	for _, op := range d.journal.ops[mark:] {
-		switch op.kind {
-		case jNodeAdd:
-			nodeAdds = append(nodeAdds, op.node)
-		case jEdgeAdd:
-			edgeAdds = append(edgeAdds, op.edge)
-		case jEdgeDel:
-			edgeDels = append(edgeDels, op.edge)
-		}
-	}
-	return nodeAdds, edgeAdds, edgeDels
 }
 
 // Rollback undoes every mutation recorded since Begin, in reverse
@@ -123,30 +88,30 @@ func (d *DAG) RollbackTo(mark int) {
 
 // undo reverses a suffix of journal operations, newest first. The journal
 // must be detached while it runs so the inverse mutations are not recorded.
-func (d *DAG) undo(ops []jop) {
+func (d *DAG) undo(ops []DeltaOp) {
 	for i := len(ops) - 1; i >= 0; i-- {
 		op := ops[i]
-		switch op.kind {
-		case jEdgeAdd:
-			d.RemoveEdge(op.edge.Parent, op.edge.Child)
-		case jEdgeDel:
+		switch op.Kind {
+		case DeltaEdgeAdd:
+			d.RemoveEdge(op.Edge.Parent, op.Edge.Child)
+		case DeltaEdgeDel:
 			// Re-insert at the original positions so sibling order (which
 			// the XML view semantics exposes) is restored exactly.
-			d.insertRef(&d.children, op.edge.Parent, op.childPos, op.edge.Child)
-			d.insertRef(&d.parents, op.edge.Child, op.parentPos, op.edge.Parent)
+			d.insertRef(&d.children, op.Edge.Parent, int(op.childPos), op.Edge.Child)
+			d.insertRef(&d.parents, op.Edge.Child, int(op.parentPos), op.Edge.Parent)
 			d.edgeCount++
-		case jNodeAdd:
+		case DeltaNodeAdd:
 			// Incident edges were necessarily added after the node and
 			// have already been removed above.
-			if d.alive.At(int(op.node)) {
-				d.setAlive(op.node, false)
-				d.unlist(op.node)
+			if d.alive.At(int(op.Node)) {
+				d.setAlive(op.Node, false)
+				d.unlist(op.Node)
 			}
 			if op.fresh {
-				d.free(op.node)
+				d.free(op.Node)
 			}
-		case jNodeDel:
-			d.resurrect(op.node)
+		case DeltaNodeDel:
+			d.resurrect(op.Node)
 		}
 	}
 }

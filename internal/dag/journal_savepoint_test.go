@@ -34,12 +34,12 @@ func TestSavepointRollbackToRestoresMidpoint(t *testing.T) {
 	d.AddEdge(x, y)
 	d.RemoveEdge(c2, sh)
 
-	nodes, adds, dels := d.ChangesSince(mark)
-	if len(nodes) != 1 || nodes[0] != y {
-		t.Fatalf("ChangesSince nodes = %v, want [%d]", nodes, y)
+	ops := d.DeltaSince(mark)
+	if len(ops) != 3 || ops[0].Kind != DeltaNodeAdd || ops[0].Node != y {
+		t.Fatalf("DeltaSince(mark) = %v, want +node %d first of three", ops, y)
 	}
-	if len(adds) != 1 || len(dels) != 1 {
-		t.Fatalf("ChangesSince edges = %v / %v, want one add and one del", adds, dels)
+	if n := countKinds(ops); n[DeltaEdgeAdd] != 1 || n[DeltaEdgeDel] != 1 {
+		t.Fatalf("DeltaSince(mark) = %v, want one edge add and one edge del", ops)
 	}
 
 	d.RollbackTo(mark)
@@ -67,6 +67,10 @@ func TestSavepointRandomizedInterleavings(t *testing.T) {
 			d.AddEdge(d.Root(), id)
 		}
 		base := structureOf(d)
+		replica, err := DecodeState(d.AppendState(nil, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
 		d.Begin()
 		var marks []int
 		var states []string
@@ -88,6 +92,24 @@ func TestSavepointRandomizedInterleavings(t *testing.T) {
 				d.AddEdge(ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))])
 			}
 		}
+		// The ops undo unwinds are the ops replay applies: replayed onto the
+		// pre-Begin state, the stream passes through every marked state and
+		// ends at d.
+		ops := d.DeltaSince(0)
+		for i, at := 0, 0; at <= len(ops); at++ {
+			for ; i < len(marks) && marks[i] == at; i++ {
+				if got := structureOf(replica); got != states[i] {
+					t.Fatalf("trial %d: replayed prefix at mark %d diverged:\n%s\nwant:\n%s", trial, i, got, states[i])
+				}
+			}
+			if at < len(ops) {
+				if err := replica.ApplyDelta(ops[at]); err != nil {
+					t.Fatalf("trial %d: replay op %d (%s): %v", trial, at, ops[at], err)
+				}
+			}
+		}
+		equalDAGsExact(t, d, replica)
+
 		// Unwind savepoints newest-first; each must restore its recorded state.
 		for i := len(marks) - 1; i >= 0; i-- {
 			d.RollbackTo(marks[i])

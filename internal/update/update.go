@@ -1,8 +1,9 @@
 // Package update implements the XML side of update processing: the update
 // statements of §2.1 (insert (A,t) into p / delete p), the schema-level DTD
-// validation of §2.4, and the translation algorithms Xinsert (Fig.5) and
-// Xdelete (Fig.6) that turn a single XML update into a group update ΔV over
-// the edge relations of the DAG-compressed view.
+// validation of §2.4, and the translation algorithm Xinsert (Fig.5) that
+// turns a single XML insertion into a group update ΔV over the edge
+// relations of the DAG-compressed view. Xdelete (Fig.6) needs no code of its
+// own: ΔV of a deletion is Ep(r), the edges XPath evaluation returns.
 package update
 
 import (
@@ -50,56 +51,33 @@ func (o Op) String() string {
 	return fmt.Sprintf("insert %s%s into %s", o.Type, o.Attr, o.Path.String())
 }
 
-// ViewDelta is the group update ΔV over the relational views (edge
-// relations) produced by Xinsert/Xdelete.
-type ViewDelta struct {
-	// Inserts are edges added to edge relations (already applied to the
-	// DAG, inside the caller's transaction); SubtreeEdges of them belong
-	// to the newly published ST(A,t), ConnectEdges link r[[p]] to its root.
-	Inserts []dag.Edge
-	// Deletes are edges to remove (Ep(r) for deletions).
-	Deletes []dag.Edge
-	// NewNodes are the fresh nodes of ST(A, t) in creation order.
-	NewNodes []dag.NodeID
-	// SubtreeRoot is gen_id(A, t) for insertions.
-	SubtreeRoot dag.NodeID
-}
-
 // Xinsert is Algorithm Xinsert (Fig.5): it publishes ST(A, t) into the DAG
-// (storing each shared subtree once — set semantics of the edge relations),
-// connects it as the rightmost child of every node in r[[p]], and returns
-// ΔV. The DAG must be inside a transaction so the caller can roll back if
-// the relational translation rejects the update.
-func Xinsert(c *atg.Compiled, d *dag.DAG, db *relational.Database, rp []dag.NodeID, elemType string, attr relational.Tuple) (*ViewDelta, error) {
+// (storing each shared subtree once — set semantics of the edge relations)
+// and connects it as the rightmost child of every node in r[[p]]. The DAG
+// must be inside a transaction: ΔV is what the journal records from a mark
+// the caller took before the call (DAG.DeltaSince), and the caller rolls
+// back to that mark if the relational translation rejects the update.
+func Xinsert(c *atg.Compiled, d *dag.DAG, db *relational.Database, rp []dag.NodeID, elemType string, attr relational.Tuple) error {
 	if !d.InTxn() {
-		return nil, fmt.Errorf("update: Xinsert requires an open DAG transaction")
+		return fmt.Errorf("update: Xinsert requires an open DAG transaction")
 	}
-	// ΔV is this update's own contribution: measure from a savepoint, not
-	// from the journal's start — inside a multi-update transaction the
-	// journal spans every earlier staged update.
-	mark := d.Mark()
 	root, err := c.PublishSubtree(d, db, elemType, attr)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, u := range rp {
 		if u == root || d.Type(u) == elemType {
-			return nil, fmt.Errorf("update: cannot insert %s under %s node", elemType, d.Type(u))
+			return fmt.Errorf("update: cannot insert %s under %s node", elemType, d.Type(u))
 		}
 		// Prevent cycles: inserting a subtree under its own descendant
 		// would fold the view into a cyclic (infinite) document.
 		if reaches(d, root, u) {
-			return nil, fmt.Errorf("update: inserting %s%s under node %d would create a cycle",
+			return fmt.Errorf("update: inserting %s%s under node %d would create a cycle",
 				elemType, attr, u)
 		}
 		d.AddEdge(u, root)
 	}
-	newNodes, edgeAdds, _ := d.ChangesSince(mark)
-	return &ViewDelta{
-		Inserts:     edgeAdds,
-		NewNodes:    newNodes,
-		SubtreeRoot: root,
-	}, nil
+	return nil
 }
 
 // reaches reports whether DFS from src reaches dst.
@@ -123,14 +101,6 @@ func reaches(d *dag.DAG, src, dst dag.NodeID) bool {
 		}
 	}
 	return false
-}
-
-// Xdelete is Algorithm Xdelete (Fig.6): for each node v ∈ r[[p]] and each
-// parent u of v in Ep(r), the edge (u, v) is removed from its edge relation.
-// The subtree below v is NOT physically removed (it may be shared); the
-// background maintenance garbage-collects unreachable nodes (§2.3).
-func Xdelete(ep []dag.Edge) *ViewDelta {
-	return &ViewDelta{Deletes: append([]dag.Edge(nil), ep...)}
 }
 
 // ParseStatement parses the textual update syntax used by the CLI and

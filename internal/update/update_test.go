@@ -242,7 +242,7 @@ func TestXinsertRequiresTransaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Xinsert(reg.ATG, d, reg.DB, nil, "course",
+	err = Xinsert(reg.ATG, d, reg.DB, nil, "course",
 		relational.Tuple{relational.Str("X"), relational.Str("T")})
 	if err == nil || !strings.Contains(err.Error(), "transaction") {
 		t.Errorf("err = %v", err)
@@ -259,20 +259,29 @@ func TestXinsertConnectsAllTargets(t *testing.T) {
 	pre240, _ := d.Lookup("prereq", relational.Tuple{relational.Str("CS240")})
 	d.Begin()
 	defer d.Rollback()
-	dv, err := Xinsert(reg.ATG, d, reg.DB, []dag.NodeID{pre650, pre240}, "course",
-		relational.Tuple{relational.Str("CS700"), relational.Str("Research")})
-	if err != nil {
+	attr := relational.Tuple{relational.Str("CS700"), relational.Str("Research")}
+	if err := Xinsert(reg.ATG, d, reg.DB, []dag.NodeID{pre650, pre240}, "course", attr); err != nil {
 		t.Fatal(err)
 	}
 	// Skeleton: course + cno + title + prereq + takenBy = 5 new nodes;
 	// edges: 4 internal + 2 connections.
-	if len(dv.NewNodes) != 5 {
-		t.Errorf("new nodes = %d", len(dv.NewNodes))
+	var nodes, edges int
+	for _, op := range d.DeltaSince(0) {
+		switch op.Kind {
+		case dag.DeltaNodeAdd:
+			nodes++
+		case dag.DeltaEdgeAdd:
+			edges++
+		}
 	}
-	if len(dv.Inserts) != 6 {
-		t.Errorf("ΔV inserts = %d", len(dv.Inserts))
+	if nodes != 5 {
+		t.Errorf("new nodes = %d", nodes)
 	}
-	if !d.HasEdge(pre650, dv.SubtreeRoot) || !d.HasEdge(pre240, dv.SubtreeRoot) {
+	if edges != 6 {
+		t.Errorf("ΔV inserts = %d", edges)
+	}
+	root, _ := d.Lookup("course", attr)
+	if !d.HasEdge(pre650, root) || !d.HasEdge(pre240, root) {
 		t.Error("connection edges missing")
 	}
 }
@@ -288,23 +297,10 @@ func TestXinsertRejectsCycle(t *testing.T) {
 	pre240, _ := d.Lookup("prereq", relational.Tuple{relational.Str("CS240")})
 	d.Begin()
 	defer d.Rollback()
-	_, err = Xinsert(reg.ATG, d, reg.DB, []dag.NodeID{pre240}, "course",
+	err = Xinsert(reg.ATG, d, reg.DB, []dag.NodeID{pre240}, "course",
 		relational.Tuple{relational.Str("CS650"), relational.Str("Advanced Topics")})
 	if err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Errorf("err = %v, want cycle rejection", err)
-	}
-}
-
-func TestXdelete(t *testing.T) {
-	ep := []dag.Edge{{Parent: 1, Child: 2}, {Parent: 3, Child: 2}}
-	dv := Xdelete(ep)
-	if len(dv.Deletes) != 2 || len(dv.Inserts) != 0 {
-		t.Errorf("dv = %+v", dv)
-	}
-	// Xdelete copies the slice.
-	ep[0].Parent = 99
-	if dv.Deletes[0].Parent == 99 {
-		t.Error("Xdelete aliases input")
 	}
 }
 

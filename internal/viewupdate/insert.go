@@ -84,10 +84,11 @@ func (st *insertState) newParamVar() relational.Value {
 	return relational.Var(len(st.vars) - 1)
 }
 
-// TranslateInsert is Algorithm insert (§4.3): given the edges ΔV inserted
-// into the view (already present in the DAG, inside a transaction), it
-// computes base-table insertions ΔR such that ΔV(V(I)) = V(ΔR(I)), or
-// rejects. The steps follow the paper:
+// TranslateInsert is Algorithm insert (§4.3): given the DAG delta of an
+// insertion (the journal's ops since the update's mark, already applied
+// inside a transaction) — its edge additions are ΔV, its node additions the
+// nodes ST(A, t) published — it computes base-table insertions ΔR such that
+// ΔV(V(I)) = V(ΔR(I)), or rejects. The steps follow the paper:
 //
 //  1. derive tuple templates (with variables for undetermined columns) that
 //     must exist for every ΔV edge to be produced by its rule query;
@@ -99,25 +100,30 @@ func (st *insertState) newParamVar() relational.Value {
 //  4. encode to SAT, solve with DPLL, and instantiate the templates from
 //     the model; an unsatisfiable encoding rejects ΔV. Unconstrained
 //     infinite-domain variables get fresh values outside the active domain.
-func (tr *Translator) TranslateInsert(dv []dag.Edge, newNodes []dag.NodeID) ([]relational.Mutation, []InducedEdge, error) {
+func (tr *Translator) TranslateInsert(delta []dag.DeltaOp) ([]relational.Mutation, []InducedEdge, error) {
 	st := &insertState{
 		tr:        tr,
 		templates: make(map[string]*template),
 		byTable:   make(map[string][]*template),
-		newNodes:  make(map[dag.NodeID]bool, len(newNodes)),
-	}
-	for _, n := range newNodes {
-		st.newNodes[n] = true
+		newNodes:  make(map[dag.NodeID]bool),
 	}
 	// Step 1: templates for missing sources. An edge's source tuples are
-	// resolved once, for this step and the next.
+	// resolved once, for this step and the next. The new nodes are read
+	// only from step 3 on.
 	type pending struct {
 		edge dag.Edge
 		rule *atg.CompiledRule
 		rows []relational.Tuple // per source: the base tuple or its template's row
 	}
 	var work []pending
-	for _, e := range dv {
+	for _, op := range delta {
+		if op.Kind == dag.DeltaNodeAdd {
+			st.newNodes[op.Node] = true
+		}
+		if op.Kind != dag.DeltaEdgeAdd {
+			continue
+		}
+		e := op.Edge
 		r := tr.C.Rule(tr.D.Type(e.Parent), tr.D.Type(e.Child))
 		if r == nil {
 			return nil, nil, fmt.Errorf("viewupdate: no rule for edge %s (%s→%s)",

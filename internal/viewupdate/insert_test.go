@@ -27,8 +27,7 @@ func insertAndCheck(t *testing.T, reg *workload.Registrar, d *dag.DAG, tr *Trans
 	for _, u := range targets {
 		d.AddEdge(u, root)
 	}
-	newNodes, edgeAdds, _ := d.ChangesSince(0)
-	dr, induced, err := tr.TranslateInsert(edgeAdds, newNodes)
+	dr, induced, err := tr.TranslateInsert(d.DeltaSince(0))
 	if err != nil {
 		d.Rollback()
 		t.Fatalf("TranslateInsert: %v", err)
@@ -125,8 +124,7 @@ func TestInsertRejectsHardSideEffect(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.AddEdge(d.Root(), root)
-	newNodes, edgeAdds, _ := d.ChangesSince(0)
-	_, _, err = tr.TranslateInsert(edgeAdds, newNodes)
+	_, _, err = tr.TranslateInsert(d.DeltaSince(0))
 	var rej *RejectedError
 	if !errors.As(err, &rej) {
 		t.Fatalf("err = %v, want rejection (existing EE100 has dept=EE)", err)
@@ -241,8 +239,7 @@ func TestInsertUnsatisfiableRejected(t *testing.T) {
 	defer dg.Rollback()
 	item, _ := dg.AddNode("item", relational.Tuple{relational.Int(9)})
 	dg.AddEdge(box1, item)
-	newNodes, edgeAdds, _ := dg.ChangesSince(0)
-	_, _, err := tr.TranslateInsert(edgeAdds, newNodes)
+	_, _, err := tr.TranslateInsert(dg.DeltaSince(0))
 	var rej *RejectedError
 	if !errors.As(err, &rej) {
 		t.Fatalf("err = %v, want UNSAT rejection", err)
@@ -257,8 +254,7 @@ func TestInsertSatisfiableFlagVariant(t *testing.T) {
 	dg.Begin()
 	item, _ := dg.AddNode("item", relational.Tuple{relational.Int(9)})
 	dg.AddEdge(box1, item)
-	newNodes, edgeAdds, _ := dg.ChangesSince(0)
-	dr, induced, err := tr.TranslateInsert(edgeAdds, newNodes)
+	dr, induced, err := tr.TranslateInsert(dg.DeltaSince(0))
 	if err != nil {
 		dg.Rollback()
 		t.Fatal(err)
@@ -309,8 +305,7 @@ func TestInsertWithInducedContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.AddEdge(target, root)
-	newNodes, edgeAdds, _ := d.ChangesSince(0)
-	dr, induced, err := tr.TranslateInsert(edgeAdds, newNodes)
+	dr, induced, err := tr.TranslateInsert(d.DeltaSince(0))
 	if err != nil {
 		d.Rollback()
 		t.Fatalf("TranslateInsert: %v", err)

@@ -72,7 +72,7 @@ type Timings struct {
 	Validate  time.Duration `json:"validate_ns"`
 	Eval      time.Duration `json:"eval_ns"`      // (a)
 	Translate time.Duration `json:"translate_ns"` // (b): ΔX→ΔV and ΔV→ΔR (= XToDV + DVToDR)
-	XToDV     time.Duration `json:"x_to_dv_ns"`   // Algorithm Xinsert / Xdelete (Figs.5–6)
+	XToDV     time.Duration `json:"x_to_dv_ns"`   // Algorithm Xinsert (Fig.5); zero for a deletion, whose ΔV is Ep(r) as evaluated
 	DVToDR    time.Duration `json:"dv_to_dr_ns"`  // Algorithm insert / delete (§4)
 	Apply     time.Duration `json:"apply_ns"`     // (b): executing ΔR and ΔV
 	Maintain  time.Duration `json:"maintain_ns"`  // (c): a deletion's garbage collection
