@@ -611,6 +611,14 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	}
 	at := bytes.Index(slotOrder, ck.Digest.Append(nil))
 	f.Add(slices.Concat(slotOrder[:at], make([]byte, digest.Size), slotOrder[at+digest.Size:]))
+	// A DAG state naming more element types than a uint16 code holds.
+	p, err := ckpt.Decode(slotOrder)
+	if err != nil {
+		f.Fatal(err)
+	}
+	head := slotOrder[:len(slotOrder)-len(p.DAGState)-relational.UvarintLen(uint64(len(p.DAGState)))]
+	many := manyTypesState(1 << 16)
+	f.Add(slices.Concat(head, binary.AppendUvarint(nil, uint64(len(many))), many))
 	atg, db := MustRegistrar()
 	f.Fuzz(func(t *testing.T, state []byte) {
 		var gen uint64
@@ -632,6 +640,24 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			t.Fatalf("an accepted payload serves an inconsistent view: %v", err)
 		}
 	})
+}
+
+// manyTypesState is an encoded DAG state of n nodes, each of its own
+// element type and with no attribute, the root alive and the rest dead.
+func manyTypesState(n int) []byte {
+	b := binary.AppendUvarint(nil, uint64(n))
+	b = binary.AppendUvarint(b, 0)
+	for i := 0; i < n; i++ {
+		typ := fmt.Sprint("t", i)
+		b = binary.AppendUvarint(b, uint64(len(typ)))
+		b = append(b, typ...)
+		alive := byte(0)
+		if i == 0 {
+			alive = 1
+		}
+		b = append(b, 0, alive) // the empty tuple, the alive flag
+	}
+	return append(b, make([]byte, n)...) // no children
 }
 
 // FuzzReplicaApplyRecord feeds a follower one record payload, framed with a

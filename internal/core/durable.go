@@ -68,9 +68,10 @@ func (s *System) stepDigest(rec CommitRecord) digest.Sum {
 
 // ApplyCommitRecord replays one committed record against the live system —
 // the one replay loop, shared by the follower's apply path and by Recover:
-// ΔR goes through applyDR, then the DAG delta op by op (node deaths,
-// cascades included, arrive as their own ops), then the source index from
-// the whole delta (noteDelta). The record must continue the current
+// ΔR goes through applyDR, then the DAG delta op by op (DAG.Replay: node
+// deaths, cascades included, arrive as their own ops, and the ops become
+// part of the ΔV the next snapshot carries), then the source index from the
+// whole delta (noteDelta). The record must continue the current
 // generation exactly; a gap means the caller lost part of the stream
 // (or the log and checkpoint disagree) and must re-sync from a checkpoint
 // rather than replay into a wrong state. So does a replay that ends in a state other than
@@ -87,10 +88,8 @@ func (s *System) ApplyCommitRecord(rec CommitRecord) error {
 	if err := s.applyDR(rec.DR); err != nil {
 		return fmt.Errorf("core: apply record: generation %d: %w", rec.Gen, err)
 	}
-	for _, op := range rec.Delta {
-		if err := s.DAG.ApplyDelta(op); err != nil {
-			return fmt.Errorf("core: apply record: generation %d: %w", rec.Gen, err)
-		}
+	if err := s.DAG.Replay(rec.Delta); err != nil {
+		return fmt.Errorf("core: apply record: generation %d: %w", rec.Gen, err)
 	}
 	s.noteDelta(rec.Delta, +1)
 	if !s.digest.IsZero() {

@@ -30,18 +30,23 @@ import (
 // the state digest's side: stepped over each commit's record, it equals the
 // full pass over the state after every unit — applied, rejected (it must not
 // have moved: group compares the fingerprint, which carries it), rolled back,
-// or resurrecting a dead identity.
+// or resurrecting a dead identity. And every committed state — the live
+// view after a unit, a replica that replays the commit records
+// (DAG.Replay, what ApplyCommitRecord runs) and a decoded checkpoint of the
+// state — leaves no live node the root does not reach (testkit.CheckRooted).
 type maintenanceOracle struct {
-	t     *testing.T
-	s     *System
-	topo  *paper.Topo
-	m     *paper.Matrix
-	delta []dag.DeltaOp
+	t       *testing.T
+	s       *System
+	topo    *paper.Topo
+	m       *paper.Matrix
+	delta   []dag.DeltaOp
+	replica *dag.DAG
 }
 
 func newMaintenanceOracle(t *testing.T, s *System) *maintenanceOracle {
 	topo := paper.ComputeTopo(s.DAG)
-	o := &maintenanceOracle{t: t, s: s, topo: topo, m: paper.Compute(s.DAG, topo)}
+	o := &maintenanceOracle{t: t, s: s, topo: topo, m: paper.Compute(s.DAG, topo),
+		replica: testkit.Must(dag.DecodeState(s.DAG.AppendState(nil, nil)))}
 	s.StartDigest()
 	s.SetCommitSink(func(recs []CommitRecord) error {
 		for _, r := range recs {
@@ -65,6 +70,15 @@ func (o *maintenanceOracle) check(unit string) {
 	for id := 0; id < s.DAG.Cap(); id++ {
 		if alive := s.DAG.Alive(dag.NodeID(id)); alive != reachable[id] {
 			o.t.Fatalf("%s: node %d alive=%v but reachable from the root=%v", unit, id, alive, reachable[id])
+		}
+	}
+	if err := o.replica.Replay(slices.Clone(o.delta)); err != nil { // Replay keeps its ops
+		o.t.Fatalf("%s: replaying the records: %v", unit, err)
+	}
+	decoded := testkit.Must(dag.DecodeState(s.DAG.AppendState(nil, nil)))
+	for name, d := range map[string]dag.Reader{"committed": s.DAG, "replayed": o.replica, "decoded": decoded} {
+		if err := testkit.CheckRooted(d); err != nil {
+			o.t.Fatalf("%s: %s state: %v", unit, name, err)
 		}
 	}
 	o.topo.ApplyDelta(s.DAG, o.delta)

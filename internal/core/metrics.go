@@ -48,7 +48,7 @@ func metrics() *pipelineMetrics {
 		m := &pipelineMetrics{phase: map[string]*obs.Histogram{}}
 		for _, ph := range []string{"validate", "eval", "xtodv", "dvtodr", "apply", "maintain", "publish"} {
 			m.phase[ph] = r.NewHistogram("xview_pipeline_phase_seconds",
-				"Time per update-pipeline phase (the paper's Fig.11 split; publish is seal+epoch swap).",
+				"Time per update-pipeline phase (the paper's Fig.11 split; publish is seal, memo carry and epoch swap).",
 				obs.LatencyBounds(), obs.Label{Key: "phase", Value: ph})
 		}
 		for _, route := range []xpath.Route{xpath.RouteSweep, xpath.RouteAnchored, xpath.RouteDown} {
@@ -102,8 +102,8 @@ func observeTimings(t Timings) {
 	m.phase["maintain"].Observe(t.Maintain)
 }
 
-// ObservePublish records one seal+swap duration into the pipeline phase
-// histogram. Exported for the layers above core that own epoch
+// ObservePublish records one publication's duration (seal, memo carry and
+// swap) into the pipeline phase histogram. Exported for the layers above core that own epoch
 // publication.
 func ObservePublish(d time.Duration) {
 	if !obs.Enabled() {

@@ -119,7 +119,9 @@ func freshInsert(n int, courses []string) string {
 // run one by one on a twin. With a sink, a follower that replays the sunk
 // records through ApplyCommitRecord ends in the same state too. A dry run,
 // inside the group or before it, answers what a twin's Apply of the same
-// update at that point answers, and changes nothing (checkDryRun).
+// update at that point answers, and changes nothing (checkDryRun). Every
+// committed state — after the group, on the follower, decoded from the last
+// checkpoint — leaves no live node the root does not reach.
 func FuzzTxnGroup(f *testing.F) {
 	for _, seed := range append(txnGroupSeeds, txnDryRunSeeds...) {
 		f.Add(seed)
@@ -354,6 +356,9 @@ func runTxnScript(t *testing.T, sc txnScript, durable bool) {
 	if err := s.CheckConsistency(); err != nil {
 		t.Fatalf("%s: %v", unit, err)
 	}
+	if err := testkit.CheckRooted(s.DAG); err != nil {
+		t.Fatalf("%s: after the group: %v", unit, err)
+	}
 	if durable {
 		follower := openScripted(t, Options{}, sc.grown)
 		follower.StartDigest()
@@ -368,6 +373,9 @@ func runTxnScript(t *testing.T, sc txnScript, durable bool) {
 		if err := follower.CheckConsistency(); err != nil {
 			t.Fatalf("%s: follower: %v", unit, err)
 		}
+		if err := testkit.CheckRooted(follower.DAG); err != nil {
+			t.Fatalf("%s: follower: %v", unit, err)
+		}
 	}
 	ck.write(t, s, unit+": after the group")
 	if ck.write(t, s, unit+": again at the same generation") == 0 {
@@ -375,6 +383,9 @@ func runTxnScript(t *testing.T, sc txnScript, durable bool) {
 	}
 	last := ck.last
 	r := ck.recover(t, s)
+	if err := testkit.CheckRooted(r.DAG); err != nil {
+		t.Fatalf("%s: decoded from the checkpoint: %v", unit, err)
+	}
 	if ck.write(t, r, unit+": after a recovery") != 0 {
 		t.Fatalf("%s: a checkpoint of a recovered state read back what the old objects' index recorded", unit)
 	}

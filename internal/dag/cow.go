@@ -1,6 +1,8 @@
 package dag
 
 import (
+	"sync/atomic"
+
 	"rxview/internal/cow"
 	"rxview/internal/relational"
 )
@@ -77,8 +79,10 @@ func (s *refStore) seal() cow.Sealed[[]NodeID] {
 // (atg.Compiled.TextSeeds takes a *DAG): the map is the writer's, and
 // sharing it would take a lock or a persistent registry.
 type Version struct {
-	types     []string
-	attrs     []relational.Tuple
+	types     []uint16
+	names     []string
+	vals      []relational.Value
+	offs      []uint32
 	children  cow.Sealed[[]NodeID]
 	parents   cow.Sealed[[]NodeID]
 	alive     cow.Sealed[bool]
@@ -86,7 +90,18 @@ type Version struct {
 	root      NodeID
 	edgeCount int
 	liveCount int
+
+	// id identifies the version and from its predecessor, the version its
+	// DAG sealed before it (0: none); delta is the ΔV from that one to this
+	// one, when deltaKnown. See DeltaFrom.
+	id, from   uint64
+	delta      [][]DeltaOp
+	deltaKnown bool
 }
+
+// sealIDs numbers the Versions of every DAG in the process, so that a
+// version's predecessor is named by a number no other version holds.
+var sealIDs atomic.Uint64
 
 // Seal freezes the current DAG state into an immutable Version in O(Δ):
 // three top-level block lists (n/4096 words each) and the byType map
@@ -105,17 +120,39 @@ func (d *DAG) Seal() *Version {
 		// (DAG.unlist), so the shared prefix is immutable.
 		byType[typ] = ids[:len(ids):len(ids)]
 	}
-	return &Version{
-		types:     d.types[:len(d.types):len(d.types)],
-		attrs:     d.attrs[:len(d.attrs):len(d.attrs)],
-		children:  d.children.seal(),
-		parents:   d.parents.seal(),
-		alive:     d.alive.Seal(),
-		byType:    byType,
-		root:      d.root,
-		edgeCount: d.edgeCount,
-		liveCount: d.liveCount,
+	n := len(d.types)
+	v := &Version{
+		types:      d.types[:n:n],
+		names:      d.names[:len(d.names):len(d.names)],
+		vals:       d.vals[:d.offs[n]:d.offs[n]],
+		offs:       d.offs[: n+1 : n+1],
+		children:   d.children.seal(),
+		parents:    d.parents.seal(),
+		alive:      d.alive.Seal(),
+		byType:     byType,
+		root:       d.root,
+		edgeCount:  d.edgeCount,
+		liveCount:  d.liveCount,
+		id:         sealIDs.Add(1),
+		from:       d.sealed,
+		delta:      d.delta,
+		deltaKnown: !d.deltaLost,
 	}
+	d.sealed = v.id
+	d.delta, d.deltaLen, d.deltaLost = nil, 0, false
+	return v
+}
+
+// DeltaFrom returns the ΔV that leads from prev's state to v's: the ops of
+// the journals committed and the records replayed in between, in order. ok
+// is false when v cannot tell — prev is not the version its DAG sealed just
+// before v (another DAG's, or another seal came between), or the DAG kept no
+// complete ΔV since (see DAG.delta).
+func (v *Version) DeltaFrom(prev *Version) (ops [][]DeltaOp, ok bool) {
+	if prev == nil || v.from != prev.id || !v.deltaKnown {
+		return nil, false
+	}
+	return v.delta, true
 }
 
 // Root returns the root node id.
@@ -136,10 +173,11 @@ func (v *Version) Alive(id NodeID) bool {
 }
 
 // Type returns the element type of the node.
-func (v *Version) Type(id NodeID) string { return v.types[id] }
+func (v *Version) Type(id NodeID) string { return v.names[v.types[id]] }
 
-// Attr returns the semantic attribute tuple $A of the node.
-func (v *Version) Attr(id NodeID) relational.Tuple { return v.attrs[id] }
+// Attr returns the semantic attribute tuple $A of the node. Callers must
+// not mutate it.
+func (v *Version) Attr(id NodeID) relational.Tuple { return attrOf(v.vals, v.offs, id) }
 
 // Children returns the ordered child list at the sealed epoch. Callers must
 // not mutate the returned slice.

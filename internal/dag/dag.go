@@ -14,6 +14,7 @@ package dag
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"rxview/internal/cow"
@@ -78,9 +79,19 @@ var (
 )
 
 // DAG is the compressed XML view.
+//
+// The identity table — each node's element type and attribute tuple, which
+// never change once the id is allocated — is kept compact: a type is a
+// uint16 code into the append-only name table, and the attribute tuples are
+// one flat value array cut by per-node offsets. All four arrays only ever
+// append (an undone allocation truncates what no Version covers), so a
+// sealed Version shares their prefixes.
 type DAG struct {
-	types    []string           // node -> element type (append-only)
-	attrs    []relational.Tuple // node -> semantic attribute $A (append-only)
+	types    []uint16           // node -> element type, a code into names (append-only)
+	names    []string           // type code -> element type name (append-only)
+	codes    map[string]uint16  // element type name -> its code
+	vals     []relational.Value // the attribute values of every node, in id order (append-only)
+	offs     []uint32           // node -> start of its values in vals; offs[Cap()] is len(vals)
 	children refStore           // ordered adjacency, copy-on-write
 	parents  refStore
 	alive    cow.Array[bool]
@@ -100,12 +111,35 @@ type DAG struct {
 	written relational.CleanRanges
 
 	journal *journal
+
+	// ΔV since the last Seal, for the next Version to carry: the ops of
+	// every journal committed and every record replayed since, in order.
+	// deltaLost says they are not all here — a mutation ran outside a
+	// journal (a build, a failed replay), the state was decoded rather than
+	// replayed, or more ops came than maxDelta keeps — and it holds until
+	// the next Seal. quiet marks the mutators that log nothing and lose
+	// nothing: undo, whose ops were never committed, and Replay, which keeps
+	// its record's ops whole.
+	delta     [][]DeltaOp
+	deltaLen  int
+	deltaLost bool
+	quiet     bool
+	sealed    uint64 // the id of the last Version sealed; 0 before the first
 }
+
+// maxTypes is the number of element types the uint16 codes can name.
+const maxTypes = math.MaxUint16
+
+// maxDelta bounds the ops a DAG keeps for its next Seal: a DAG that is never
+// sealed, or a commit larger than this, loses its ΔV instead of holding it.
+const maxDelta = 1 << 12
 
 // New creates an empty DAG and its root node of the given type. The root's
 // semantic attribute is the empty tuple (the paper's $r is fixed).
 func New(rootType string) *DAG {
 	d := &DAG{
+		codes:    make(map[string]uint16),
+		offs:     []uint32{0},
 		gen:      make(map[string]NodeID),
 		byType:   make(map[string][]NodeID),
 		typeLive: make(map[string]int),
@@ -113,6 +147,29 @@ func New(rootType string) *DAG {
 	}
 	d.root, _ = d.AddNode(rootType, nil)
 	return d
+}
+
+// code returns the code of an element type name, giving a new name the
+// next one. Element types come from a DTD, so running out is a programming
+// error.
+func (d *DAG) code(typ string) uint16 {
+	c, ok := d.codes[typ]
+	if !ok {
+		if len(d.names) == maxTypes {
+			panic(fmt.Sprintf("dag: more than %d element types", maxTypes))
+		}
+		c = uint16(len(d.names))
+		d.names = append(d.names, typ)
+		d.codes[typ] = c
+	}
+	return c
+}
+
+// attrOf cuts node id's attribute tuple out of a flat value array, capped so
+// that an append to it cannot write into the next node's values.
+func attrOf(vals []relational.Value, offs []uint32, id NodeID) relational.Tuple {
+	lo, hi := offs[id], offs[id+1]
+	return vals[lo:hi:hi]
 }
 
 // Root returns the root node id.
@@ -135,10 +192,11 @@ func (d *DAG) Alive(id NodeID) bool {
 }
 
 // Type returns the element type of the node.
-func (d *DAG) Type(id NodeID) string { return d.types[id] }
+func (d *DAG) Type(id NodeID) string { return d.names[d.types[id]] }
 
-// Attr returns the semantic attribute tuple $A of the node.
-func (d *DAG) Attr(id NodeID) relational.Tuple { return d.attrs[id] }
+// Attr returns the semantic attribute tuple $A of the node. Callers must
+// not mutate it.
+func (d *DAG) Attr(id NodeID) relational.Tuple { return attrOf(d.vals, d.offs, id) }
 
 // Children returns the ordered child list of the node. Callers must not
 // mutate the returned slice.
@@ -180,12 +238,14 @@ func (d *DAG) AddNode(typ string, attr relational.Tuple) (id NodeID, created boo
 		// Resurrect a previously deleted identity, reusing its id so the
 		// Skolem function stays a function.
 		d.resurrect(id)
-		d.logOp(DeltaOp{Kind: DeltaNodeAdd, Node: id, Type: d.types[id], Attr: d.attrs[id]})
+		d.logOp(DeltaOp{Kind: DeltaNodeAdd, Node: id, Type: d.Type(id), Attr: d.Attr(id)})
 		return id, true
 	}
 	id = NodeID(len(d.types))
-	d.types = append(d.types, typ)
-	d.attrs = append(d.attrs, attr.Clone())
+	c := d.code(typ)
+	d.types = append(d.types, c)
+	d.vals = append(d.vals, attr...)
+	d.offs = append(d.offs, uint32(len(d.vals)))
 	d.children.grow()
 	d.parents.grow()
 	d.alive.Push(true)
@@ -193,7 +253,7 @@ func (d *DAG) AddNode(typ string, attr relational.Tuple) (id NodeID, created boo
 	d.bodyLen += identityLen(typ, attr) + 1 // + the empty child list's count
 	d.gen[string(k)] = id
 	d.list(id)
-	d.logOp(DeltaOp{Kind: DeltaNodeAdd, Node: id, Type: typ, Attr: d.attrs[id], fresh: true})
+	d.logOp(DeltaOp{Kind: DeltaNodeAdd, Node: id, Type: d.names[c], Attr: d.Attr(id), fresh: true})
 	return id, true
 }
 
@@ -206,7 +266,7 @@ const byTypeSlack = 16
 // the list from its previous life; readers tolerate the duplicate and the
 // next compaction drops it.
 func (d *DAG) list(id NodeID) {
-	typ := d.types[id]
+	typ := d.Type(id)
 	d.byType[typ] = append(d.byType[typ], id)
 	d.typeLive[typ]++
 	d.liveCount++
@@ -220,7 +280,7 @@ func (d *DAG) list(id NodeID) {
 // length in deaths — O(log n) amortized per death. The rebuild is a fresh
 // array, never an in-place rewrite: sealed versions keep reading the old one.
 func (d *DAG) unlist(id NodeID) {
-	typ := d.types[id]
+	typ := d.Type(id)
 	d.typeLive[typ]--
 	d.liveCount--
 	if raw := d.byType[typ]; len(raw) > 2*d.typeLive[typ]+byTypeSlack {
@@ -399,5 +459,5 @@ func (d *DAG) Nodes() []NodeID {
 
 // EdgeRelationName returns the paper's edge_A_B relation name for an edge.
 func (d *DAG) EdgeRelationName(e Edge) string {
-	return "edge_" + d.types[e.Parent] + "_" + d.types[e.Child]
+	return "edge_" + d.Type(e.Parent) + "_" + d.Type(e.Child)
 }

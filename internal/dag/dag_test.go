@@ -238,6 +238,9 @@ func TestJournalRollbackFreesNewIDs(t *testing.T) {
 	if d.Cap() != int(n) || d.Alive(c2) {
 		t.Fatalf("after RollbackTo: Cap = %d, want %d; c2 alive = %v", d.Cap(), n, d.Alive(c2))
 	}
+	if len(d.offs) != d.Cap()+1 || len(d.vals) != int(d.offs[d.Cap()]) {
+		t.Fatalf("after RollbackTo: %d offsets and %d values for %d ids: the freed values are not truncated", len(d.offs), len(d.vals), d.Cap())
+	}
 	if _, ok := d.Lookup("C", relational.Tuple{relational.Int(91)}); ok {
 		t.Error("the freed identity is still registered")
 	}
@@ -245,8 +248,8 @@ func TestJournalRollbackFreesNewIDs(t *testing.T) {
 		t.Errorf("next allocation = %d, want the freed id %d", other, n)
 	}
 	d.Rollback()
-	if d.Cap() != cap0 {
-		t.Errorf("after Rollback: Cap = %d, want %d", d.Cap(), cap0)
+	if d.Cap() != cap0 || len(d.vals) != int(d.offs[cap0]) {
+		t.Errorf("after Rollback: Cap = %d, want %d; %d values for %d", d.Cap(), cap0, len(d.vals), d.offs[cap0])
 	}
 	for _, id := range d.IDsOfType("C") {
 		if int(id) >= cap0 {

@@ -65,8 +65,9 @@ func (op DeltaOp) String() string {
 // given journal savepoint — every op, in order, node deletions included: an
 // exact replay script, since applying the ops in order on an identical
 // pre-state reproduces identical node ids, sibling order, and liveness. The
-// slice is a copy, so a later rollback does not change it. Valid only inside
-// a transaction.
+// slice is a copy, so a later rollback does not change it (a NodeAdd's Attr
+// shares the node's values, which only the rollback of that very op frees).
+// Valid only inside a transaction.
 func (d *DAG) DeltaSince(mark int) []DeltaOp {
 	if d.journal == nil {
 		panic("dag: DeltaSince without Begin")
@@ -76,6 +77,26 @@ func (d *DAG) DeltaSince(mark int) []DeltaOp {
 		return nil
 	}
 	return slices.Clone(ops)
+}
+
+// Replay applies a committed record's ops in order by ApplyDelta, outside any
+// journal, and keeps them — the slice itself, which the caller must not
+// modify after — as part of the ΔV the next Seal carries. A failed op leaves
+// the DAG part way through the record, and the next Seal without a ΔV.
+func (d *DAG) Replay(ops []DeltaOp) error {
+	if d.journal != nil {
+		panic("dag: Replay inside a transaction")
+	}
+	d.quiet = true
+	defer func() { d.quiet = false }()
+	for _, op := range ops {
+		if err := d.ApplyDelta(op); err != nil {
+			d.loseDelta()
+			return err
+		}
+	}
+	d.keepDelta(ops)
+	return nil
 }
 
 // ApplyDelta replays one recorded mutation, verifying that the live DAG
@@ -235,9 +256,10 @@ func (d *DAG) RangeClean(r int) bool { return d.written.Clean(r) }
 // AppendRange appends the identity-table entries of id range r to dst.
 func (d *DAG) AppendRange(dst []byte, r int) []byte {
 	for id := r * relational.RangeLen; id < min((r+1)*relational.RangeLen, len(d.types)); id++ {
-		dst = binary.AppendUvarint(dst, uint64(len(d.types[id])))
-		dst = append(dst, d.types[id]...)
-		dst = relational.AppendTuple(dst, d.attrs[id])
+		typ := d.Type(NodeID(id))
+		dst = binary.AppendUvarint(dst, uint64(len(typ)))
+		dst = append(dst, typ...)
+		dst = relational.AppendTuple(dst, d.Attr(NodeID(id)))
 		if d.alive.At(id) {
 			dst = append(dst, 1)
 		} else {
@@ -265,6 +287,26 @@ func identityLen(typ string, attr relational.Tuple) int {
 	return relational.UvarintLen(uint64(len(typ))) + len(typ) + relational.TupleLen(attr) + 1
 }
 
+// countValues is the number of attribute values the n identity-table
+// entries at the front of b hold, measured without decoding them, so that
+// DecodeState fills a flat array of that size instead of growing one. It
+// stops at the first entry it cannot measure; the decode reports why.
+func countValues(b []byte, n int) int {
+	total := 0
+	for id := 0; id < n; id++ {
+		tl, w := binary.Uvarint(b)
+		if w <= 0 || tl >= uint64(len(b)-w) {
+			break
+		}
+		k, rest, err := relational.SkipTuple(b[w+int(tl):])
+		if err != nil || len(rest) == 0 {
+			break
+		}
+		total, b = total+k, rest[1:] // past the alive flag
+	}
+	return total
+}
+
 // childListLen is the bytes AppendState writes for one child list.
 func childListLen(row []NodeID) int {
 	n := relational.UvarintLen(uint64(len(row)))
@@ -285,11 +327,13 @@ func childDelta(n int, c NodeID) int {
 // id-identical to the original: same identity table, same liveness, same
 // sibling order (parent lists are rebuilt from the child lists in id order).
 //
-// It allocates per structure, not per node: attribute tuples, child and
+// It allocates per structure, not per node: the attribute values go into
+// the one flat array (their strings cut from a chunked arena), child and
 // parent rows and registry keys are cut from chunked slabs (package slab has
 // the ownership rules — a row's capacity is its length, so the first append
-// to one moves it), and a type name is one string however many nodes bear it.
-// Nothing in the result aliases b.
+// to one moves it), and a type name is one string and one code however many
+// nodes bear it; a state naming more than maxTypes types is refused. Nothing
+// in the result aliases b. The DAG keeps no ΔV: its first Seal knows none.
 func DecodeState(b []byte) (*DAG, error) {
 	nU, w := binary.Uvarint(b)
 	if w <= 0 || nU > uint64(int32(^uint32(0)>>1)) {
@@ -309,20 +353,22 @@ func DecodeState(b []byte) (*DAG, error) {
 		return nil, fmt.Errorf("dag: decode state: root %d out of range", rootU)
 	}
 	d := &DAG{
-		types:    make([]string, 0, n),
-		attrs:    make([]relational.Tuple, 0, n),
-		gen:      make(map[string]NodeID, n),
-		byType:   make(map[string][]NodeID),
-		typeLive: make(map[string]int),
-		root:     NodeID(rootU),
+		types:     make([]uint16, 0, n),
+		codes:     make(map[string]uint16),
+		offs:      make([]uint32, 1, n+1),
+		gen:       make(map[string]NodeID, n),
+		byType:    make(map[string][]NodeID),
+		typeLive:  make(map[string]int),
+		root:      NodeID(rootU),
+		deltaLost: true, // a decoded state was not replayed: no Seal knows how it came
 	}
+	d.vals = make([]relational.Value, 0, countValues(b, n))
 	d.children.reserve(n)
 	d.parents.reserve(n)
 	var (
 		attrs relational.Slab
 		keys  slab.Strings
 		rows  slab.Of[NodeID]
-		names = make(map[string]string) // type names, interned
 		a     [relational.KeyBufLen]byte
 		key   = a[:0]
 	)
@@ -332,13 +378,16 @@ func DecodeState(b []byte) (*DAG, error) {
 			return nil, fmt.Errorf("dag: decode state: node %d: bad type", id)
 		}
 		b = b[w:]
-		typ, ok := names[string(b[:tl])]
+		c, ok := d.codes[string(b[:tl])]
 		if !ok {
-			typ = string(b[:tl])
-			names[typ] = typ
+			if len(d.names) == maxTypes {
+				return nil, fmt.Errorf("dag: decode state: node %d: more than %d element types", id, maxTypes)
+			}
+			c = d.code(string(b[:tl]))
 		}
+		typ := d.names[c]
 		b = b[tl:]
-		attr, rest, err := attrs.DecodeTuple(b)
+		vals, rest, err := attrs.DecodeAppend(d.vals, b)
 		if err != nil {
 			return nil, fmt.Errorf("dag: decode state: node %d attr: %w", id, err)
 		}
@@ -349,8 +398,10 @@ func DecodeState(b []byte) (*DAG, error) {
 		alive := b[0] != 0
 		b = b[1:]
 
-		d.types = append(d.types, typ)
-		d.attrs = append(d.attrs, attr)
+		d.types = append(d.types, c)
+		d.vals = vals
+		d.offs = append(d.offs, uint32(len(vals)))
+		attr := d.Attr(NodeID(id))
 		d.children.grow()
 		d.parents.grow()
 		d.alive.Push(alive)

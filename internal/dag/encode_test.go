@@ -127,7 +127,8 @@ func stateLenWalk(d *DAG) int {
 	size := vlen(uint64(n)) + vlen(uint64(d.root))
 	for id := 0; id < n; id++ {
 		row := d.children.row(NodeID(id))
-		size += vlen(uint64(len(d.types[id]))) + len(d.types[id]) + relational.TupleLen(d.attrs[id]) + 1 // + the alive flag
+		typ := d.Type(NodeID(id))
+		size += vlen(uint64(len(typ))) + len(typ) + relational.TupleLen(d.Attr(NodeID(id))) + 1 // + the alive flag
 		size += vlen(uint64(len(row)))
 		for _, c := range row {
 			size += vlen(uint64(c))

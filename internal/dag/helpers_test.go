@@ -32,7 +32,7 @@ func (d *DAG) Edges() map[string][]Edge {
 	out := make(map[string][]Edge)
 	for _, u := range d.Nodes() {
 		for _, v := range d.children.row(u) {
-			k := d.types[u] + "→" + d.types[v]
+			k := d.Type(u) + "→" + d.Type(v)
 			out[k] = append(out[k], Edge{u, v})
 		}
 	}

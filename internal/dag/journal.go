@@ -20,9 +20,30 @@ type journal struct {
 }
 
 func (d *DAG) logOp(op DeltaOp) {
-	if d.journal != nil {
+	switch {
+	case d.journal != nil:
 		d.journal.ops = append(d.journal.ops, op)
+	case !d.quiet:
+		d.loseDelta() // a mutation no journal or record describes
 	}
+}
+
+// keepDelta hands a committed journal's or a replayed record's ops to the
+// next Seal, without copying them: nothing writes them after.
+func (d *DAG) keepDelta(ops []DeltaOp) {
+	if d.deltaLost || len(ops) == 0 {
+		return
+	}
+	if d.deltaLen += len(ops); d.deltaLen > maxDelta {
+		d.loseDelta()
+		return
+	}
+	d.delta = append(d.delta, ops)
+}
+
+// loseDelta drops the ops kept for the next Seal: it will not know its ΔV.
+func (d *DAG) loseDelta() {
+	d.delta, d.deltaLen, d.deltaLost = nil, 0, true
 }
 
 // Begin starts recording mutations. Nested transactions are not supported;
@@ -37,12 +58,15 @@ func (d *DAG) Begin() {
 // InTxn reports whether a journal is open.
 func (d *DAG) InTxn() bool { return d.journal != nil }
 
-// Commit discards the journal, keeping all mutations.
+// Commit closes the journal, keeping all mutations; its ops become part of
+// the ΔV the next Seal carries.
 func (d *DAG) Commit() {
 	if d.journal == nil {
 		panic("dag: Commit without Begin")
 	}
+	ops := d.journal.ops
 	d.journal = nil
+	d.keepDelta(ops)
 }
 
 // Mark returns a savepoint inside the open journal: the point RollbackTo and
@@ -89,6 +113,8 @@ func (d *DAG) RollbackTo(mark int) {
 // undo reverses a suffix of journal operations, newest first. The journal
 // must be detached while it runs so the inverse mutations are not recorded.
 func (d *DAG) undo(ops []DeltaOp) {
+	d.quiet = true
+	defer func() { d.quiet = false }()
 	for i := len(ops) - 1; i >= 0; i-- {
 		op := ops[i]
 		switch op.Kind {
@@ -121,16 +147,18 @@ func (d *DAG) undo(ops []DeltaOp) {
 // here and on a replica that never saw the unwound one, which is what lets
 // the replica replay the log. Undo runs newest first, so the id is always
 // the newest one. A sealed version never covers it (Seal refuses an open
-// journal), so the arrays shrink in place and the type's list drops it in
-// place.
+// journal), so the arrays shrink in place — its values are truncated off the
+// flat array — and the type's list drops it in place. The undone op's Attr
+// aliased those values; nothing reads an undone op after its undo.
 func (d *DAG) free(id NodeID) {
-	typ := d.types[id]
+	typ, attr := d.Type(id), d.Attr(id)
 	d.written.Write(int(id))
-	d.bodyLen -= identityLen(typ, d.attrs[id]) + childListLen(d.children.row(id))
+	d.bodyLen -= identityLen(typ, attr) + childListLen(d.children.row(id))
 	var a [relational.KeyBufLen]byte
-	delete(d.gen, string(appendGenKey(a[:0], typ, d.attrs[id])))
+	delete(d.gen, string(appendGenKey(a[:0], typ, attr)))
 	d.byType[typ] = slices.DeleteFunc(d.byType[typ], func(x NodeID) bool { return x == id })
-	d.types, d.attrs = d.types[:id], d.attrs[:id]
+	clear(attr) // no Version covers the values: drop what they hold
+	d.types, d.vals, d.offs = d.types[:id], d.vals[:d.offs[id]], d.offs[:id+1]
 	d.children.truncate(id)
 	d.parents.truncate(id)
 	d.alive.Truncate(int(id))

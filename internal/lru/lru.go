@@ -1,7 +1,7 @@
 // Package lru is the repository's one least-recently-used cache: a bounded,
 // concurrency-safe map from string keys to values. xpath.Cache keeps
 // compiled paths in one, and every published server epoch keeps its query
-// results in another.
+// results in another, carried over in part from the epoch before.
 package lru
 
 import (
@@ -64,6 +64,18 @@ func (c *Cache[V]) Add(key string, val V) V {
 		delete(c.byKey, old.Value.(*entry[V]).key)
 	}
 	return val
+}
+
+// Each calls fn with every entry, least recently used first, without
+// marking any used: adding them to another cache in this order gives it the
+// same order. fn must not call into c.
+func (c *Cache[V]) Each(fn func(key string, val V)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.ll.Back(); el != nil; el = el.Prev() {
+		e := el.Value.(*entry[V])
+		fn(e.key, e.val)
+	}
 }
 
 // Len returns the number of cached entries.

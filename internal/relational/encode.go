@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"rxview/internal/slab"
 )
@@ -101,34 +102,93 @@ type Slab struct {
 // DecodeTuple is the package's DecodeTuple, allocating from the slab.
 func (s *Slab) DecodeTuple(b []byte) (Tuple, []byte, error) { return decodeTuple(b, s) }
 
+// DecodeAppend decodes one tuple from the front of b and appends its values
+// to dst, their strings cut from the slab's arena: for a caller that keeps
+// many tuples in one flat array instead of a row each.
+func (s *Slab) DecodeAppend(dst []Value, b []byte) ([]Value, []byte, error) {
+	n, b, err := decodeTupleLen(b)
+	if err != nil {
+		return dst, nil, err
+	}
+	k := len(dst)
+	dst = slices.Grow(dst, n)[:k+n]
+	rest, err := decodeValues(dst[k:], b, s)
+	return dst, rest, err
+}
+
+// SkipTuple measures the tuple at the front of b without decoding it: its
+// number of values and the bytes after it.
+func SkipTuple(b []byte) (int, []byte, error) {
+	n, b, err := decodeTupleLen(b)
+	if err != nil {
+		return 0, nil, err
+	}
+	for i := 0; i < n; i++ {
+		if len(b) == 0 {
+			return 0, nil, fmt.Errorf("relational: skip tuple: truncated")
+		}
+		k := Kind(b[0])
+		b = b[1:]
+		switch {
+		case k == KindNull:
+		case k == KindString && len(b) >= 4:
+			l := int(binary.BigEndian.Uint32(b))
+			if l > len(b)-4 {
+				return 0, nil, fmt.Errorf("relational: skip tuple: string exceeds input")
+			}
+			b = b[4+l:]
+		case (k == KindInt || k == KindBool || k == KindVar) && len(b) >= 8:
+			b = b[8:]
+		default:
+			return 0, nil, fmt.Errorf("relational: skip tuple: bad value")
+		}
+	}
+	return n, b, nil
+}
+
 // decodeTuple decodes into s, or into an allocation per tuple when s is nil.
 func decodeTuple(b []byte, s *Slab) (Tuple, []byte, error) {
-	n, w := binary.Uvarint(b)
-	if w <= 0 {
-		return nil, nil, fmt.Errorf("relational: decode tuple: bad length prefix")
-	}
-	b = b[w:]
-	if n == 0 {
-		return nil, b, nil
-	}
-	if n > uint64(len(b)) { // each value takes ≥ 1 byte
-		return nil, nil, fmt.Errorf("relational: decode tuple: %d values exceed input", n)
+	n, b, err := decodeTupleLen(b)
+	if err != nil || n == 0 {
+		return nil, b, err
 	}
 	var out Tuple
 	if s != nil {
-		out = s.vals.Make(int(n))
+		out = s.vals.Make(n)
 	} else {
 		out = make(Tuple, n)
 	}
+	b, err = decodeValues(out, b, s)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, b, nil
+}
+
+// decodeTupleLen decodes a tuple's length prefix.
+func decodeTupleLen(b []byte) (int, []byte, error) {
+	n, w := binary.Uvarint(b)
+	if w <= 0 {
+		return 0, nil, fmt.Errorf("relational: decode tuple: bad length prefix")
+	}
+	b = b[w:]
+	if n > uint64(len(b)) { // each value takes ≥ 1 byte
+		return 0, nil, fmt.Errorf("relational: decode tuple: %d values exceed input", n)
+	}
+	return int(n), b, nil
+}
+
+// decodeValues fills out with the values at the front of b.
+func decodeValues(out []Value, b []byte, s *Slab) ([]byte, error) {
 	for i := range out {
 		v, rest, err := decodeValue(b, s)
 		if err != nil {
-			return nil, nil, fmt.Errorf("relational: decode tuple value %d: %w", i, err)
+			return nil, fmt.Errorf("relational: decode tuple value %d: %w", i, err)
 		}
 		out[i] = v
 		b = rest
 	}
-	return out, b, nil
+	return b, nil
 }
 
 // AppendMutation appends a binary encoding of one ΔR mutation to dst.

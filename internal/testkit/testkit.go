@@ -96,6 +96,20 @@ func Reachable(d dag.Reader) []bool {
 	return seen
 }
 
+// CheckRooted verifies what every committed state holds and a sealed
+// read's walk-free down route relies on (xpath.Evaluator.Committed): the
+// root reaches every live node — no live node but the root is left without
+// a live parent. Returns an error naming the first node it does not reach.
+func CheckRooted(d dag.Reader) error {
+	seen := Reachable(d)
+	for _, id := range d.Nodes() {
+		if !seen[id] {
+			return fmt.Errorf("dag: live node %d (%s%s) is not reachable from the root", id, d.Type(id), d.Attr(id))
+		}
+	}
+	return nil
+}
+
 // GarbageCollect removes every node unreachable from the root, together with
 // its edges, and returns the removed node ids: the background step of §2.3
 // that clears gen_B entries "no longer linked to any node", done in one pass

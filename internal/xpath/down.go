@@ -15,7 +15,8 @@ import (
 //  2. reachability: of A′, the nodes some root path leads to. The prefix
 //     //, steps[1] accepts a root path into a iff a is reachable and
 //     matches steps[1], so these are the nodes where the anchor step can be
-//     crossed.
+//     crossed. On a committed state (Evaluator.Committed) the root reaches
+//     every live node, and A′ is kept whole without a walk.
 //  3. the propagation from each such a, begun in the state after the
 //     anchor, down Children with one union mask per node; a node is queued
 //     again whenever its mask gains a bit, so the order does not matter.
@@ -47,12 +48,15 @@ next:
 		}
 		starts = append(starts, a)
 	}
-	reached := sc.newSet()
-	cur = starts[:0]
-	for _, a := range starts {
-		var ok bool
-		if ok, stack = ev.reachable(sc, reached, a, stack); ok {
-			cur = append(cur, a)
+	cur = starts
+	if !ev.Committed {
+		reached := sc.newSet()
+		cur = starts[:0]
+		for _, a := range starts {
+			var ok bool
+			if ok, stack = ev.reachable(sc, reached, a, stack); ok {
+				cur = append(cur, a)
+			}
 		}
 	}
 

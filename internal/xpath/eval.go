@@ -58,6 +58,12 @@ type Evaluator struct {
 	// reports false where it cannot tell. The anchored and down routes start
 	// from these; nil, or false, means they scan IDsOfType with TextEquals.
 	Seeds func(typ, s string, dst []dag.NodeID) ([]dag.NodeID, bool)
+	// Committed, when set, vouches that D holds a committed state, where
+	// every live node but the root has a live parent (dag.DAG.Collect
+	// collects the rest), so the root reaches every live node: the down
+	// route then keeps its anchor nodes without a reachability walk. A
+	// sealed snapshot is one; the live view inside a transaction is not.
+	Committed bool
 	// MaskLimit caps the number of distinct state-sets kept per node before
 	// collapsing to their union. Selection and Ep(r) stay exact under
 	// collapse; side-effect detection becomes conservative and the result's

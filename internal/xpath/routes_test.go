@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rxview/internal/dag"
@@ -606,6 +607,20 @@ type fuzzFixture struct {
 	text  textFn
 	seeds seedFn
 	or    *oracle
+	// sealed is d sealed, for a fixture that holds a committed state (the
+	// root reaches every live node); nil for one that does not.
+	sealed *dag.Version
+}
+
+// committed seals fx's DAG for the sealed-evaluator arm, after checking it
+// holds a committed state.
+func (fx fuzzFixture) committed(t testing.TB) fuzzFixture {
+	t.Helper()
+	if err := testkit.CheckRooted(fx.d); err != nil {
+		t.Fatal(err)
+	}
+	fx.sealed = fx.d.Seal()
+	return fx
 }
 
 // oracleAffordable bounds the tree oracle's work: it re-evaluates a filter
@@ -661,19 +676,30 @@ func FuzzEvalRoutesAgree(f *testing.F) {
 	}
 	var fixtures []fuzzFixture
 	d, _, text := fig1DAG(f)
-	fixtures = append(fixtures, fuzzFixture{d, text, nil, newOracle(d, text)})
+	fixtures = append(fixtures, fuzzFixture{d: d, text: text, or: newOracle(d, text)}.committed(f))
 	d, text = synthDAG(f)
-	fixtures = append(fixtures, fuzzFixture{d, text, nil, newOracle(d, text)})
+	fixtures = append(fixtures, fuzzFixture{d: d, text: text, or: newOracle(d, text)}.committed(f))
 	d, text, seeds := registryDAG(f)
-	fixtures = append(fixtures, fuzzFixture{d, text, seeds, newOracle(d, text)})
+	fixtures = append(fixtures, fuzzFixture{d: d, text: text, seeds: seeds, or: newOracle(d, text)}.committed(f))
 	d, text = orphanDAG(f)
-	fixtures = append(fixtures, fuzzFixture{d, text, nil, newOracle(d, text)})
+	fixtures = append(fixtures, fuzzFixture{d: d, text: text, or: newOracle(d, text)})
 	f.Fuzz(func(t *testing.T, text string) {
 		p, err := Parse(text)
 		if err != nil {
 			return
 		}
 		for _, fx := range fixtures {
+			if fx.sealed != nil {
+				// The sealed-evaluator arm: over a committed state the
+				// walk-free down route selects what the walking one does.
+				walk := &Evaluator{D: fx.sealed, Text: fx.text}
+				free := &Evaluator{D: fx.sealed, Text: fx.text, Committed: true}
+				a, err1 := walk.EvalSelect(p)
+				b, err2 := free.EvalSelect(p)
+				if fmt.Sprint(err1) != fmt.Sprint(err2) || err1 == nil && (a.Route != b.Route || !slices.Equal(a.Selected, b.Selected)) {
+					t.Fatalf("%q sealed: walking %v %v, committed %v %v", text, a, err1, b, err2)
+				}
+			}
 			if len(p.compiled().steps) > MaxSteps || !oracleAffordable(p) {
 				// No oracle: the routes must still agree with each other,
 				// down to the error for an over-long path.

@@ -67,8 +67,6 @@ var errorsAnonymous = func() []*types.Interface {
 var allowed = map[string]string{
 	"rxview/internal/cow.Sealed.SameChunk": "reads the chunk spine, which only cow sees; " +
 		"internal/cow's model test and internal/dag's version test assert that sealed versions share untouched chunks",
-	"rxview/internal/lru.Cache.Len": "reads the list under the cache's lock; " +
-		"internal/xpath's compiled-path cache tests bound the cache by it",
 	"rxview/internal/paper.Matrix.ValidateMirror": "reads M's anc and desc rows; " +
 		"internal/core's maintenance oracle and internal/paper's tests check that the rows mirror each other",
 	"rxview/internal/paper.Matrix.Diff": "reads M's rows; " +

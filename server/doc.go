@@ -21,14 +21,24 @@
 //     about the consistency model: the same states are published at the
 //     same generations, merely cheaper.
 //
-//   - Repeated reads are memoized per epoch. Query texts compile once
-//     through a process-wide LRU (parse errors included — malformed
-//     queries fail fast), and each published epoch carries a result memo
-//     keyed by path text: the memo's lifetime is the epoch, so a hit can
-//     never cross generations. Memo hits return a shared Node slice;
-//     callers must treat it as read-only. Each entry also holds its POST
-//     /query response body, encoded once by the miss that filled it, so a
-//     hit over HTTP writes stored bytes: no JSON encoding, and no timeout
+//   - Repeated reads are memoized, and a commit keeps the answers it
+//     cannot have changed. Query texts compile once through a
+//     process-wide LRU (parse errors included — malformed queries fail
+//     fast), and each published epoch carries a result memo keyed by path
+//     text, holding only answers true at that epoch. A memo miss records
+//     what its evaluation read of the sealed snapshot — its seed lookups
+//     and the child and parent lists it read (rxview.Reads) — which is all
+//     its answer depends on, since a node's identity and text never
+//     change. Each seal carries the ΔV since the one before it, and a
+//     publication starts the new epoch's memo with the old epoch's
+//     answers that ΔV misses — restamped with the new generation — and no
+//     others: none at all after a restore, a recovery probe that rebuilt
+//     the state, or another seal in between (Stats.QueryMemoCarried and
+//     QueryMemoDropped count both verdicts). Memo hits return a shared
+//     Node slice, shared with later epochs when carried; callers must
+//     treat it as read-only. Each entry also holds its POST /query
+//     response body, encoded once by the miss that filled it, so a hit
+//     over HTTP writes stored bytes: no JSON encoding, and no timeout
 //     context (HandlerOptions.Timeout bounds evaluations and writes).
 //
 //   - Writes are serialized through a single-writer apply loop. A client

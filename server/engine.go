@@ -31,9 +31,10 @@ const (
 	// runs whole, alone.
 	maxCoalesce = 64
 	// memoCap is how many distinct query texts the per-epoch result memo
-	// holds. The memo is rebuilt empty at every snapshot publication, so it
-	// only ever pays off across reads of the same epoch — exactly the
-	// repeated-hot-query case.
+	// holds. A publication starts the new epoch's memo with the answers the
+	// seal's ΔV cannot have changed (Engine.publish) and no others, so the
+	// memo pays off across reads of one epoch and, for the paths a commit
+	// misses, across epochs — the repeated-hot-query case.
 	memoCap = 256
 )
 
@@ -62,24 +63,31 @@ func WithShedWatermark(n int) Option {
 }
 
 // epoch is one published read unit: an immutable snapshot plus its result
-// memo. The memo is keyed by path text alone because its lifetime is the
-// generation: every publication hangs a fresh empty memo off the new
-// snapshot, so a hit can never serve a stale epoch's answer. Only successful
-// evaluations are memoized (parse errors are cached by the compiled-path
-// cache; context errors are the caller's), and every hit shares the cached
-// answer, which is safe because an answer is never written after the miss
-// that built it and handlers only read it.
+// memo. The memo is keyed by path text alone because it holds only answers
+// true at its snapshot: every publication hangs a fresh memo off the new
+// snapshot, holding the previous epoch's answers that the seal's ΔV missed
+// (restamped with the new generation) and nothing else, so a hit can never
+// serve a stale epoch's answer. Only successful evaluations are memoized
+// (parse errors are cached by the compiled-path cache; context errors are
+// the caller's), and every hit shares the cached answer — across epochs,
+// when carried — which is safe because an answer is never written after the
+// miss that built it and handlers only read it.
 type epoch struct {
 	sn   *rxview.Snapshot
 	memo *lru.Cache[answer]
 }
 
-// answer is one memoized query result as it is served: the nodes, and the
+// answer is one memoized query result as it is served: the nodes, the
 // /query response body encoding them at the epoch's generation (encodeQuery),
-// which a hit over HTTP writes as is.
+// which a hit over HTTP writes as is, and what the evaluation read, which
+// decides whether the next publication carries it. The body is kept in two
+// pieces: head, up to the end of the generation, and tail, which does not
+// depend on the generation — a carried answer gets a head of its own and
+// shares its tail with the epochs before.
 type answer struct {
-	nodes []rxview.Node
-	body  []byte
+	nodes      []rxview.Node
+	head, tail []byte
+	reads      *rxview.Reads
 }
 
 // newEpoch publishes sn with an empty result memo.
@@ -211,10 +219,10 @@ type QueryResult struct {
 // never blocks behind the apply loop: the result is exactly the view after
 // the prefix of updates identified by QueryResult.Generation.
 //
-// Repeated queries of one epoch are served from the epoch's result memo
-// (the path text is compiled at most once process-wide either way); a memo
-// hit returns the same Node slice to every caller, which must treat it as
-// read-only.
+// Repeated queries are served from the epoch's result memo (the path text
+// is compiled at most once process-wide either way); a memo hit returns the
+// same Node slice to every caller — of this epoch and of every later one the
+// answer is carried into — which must treat it as read-only.
 //
 // xviewlint:hot-path
 func (e *Engine) Query(ctx context.Context, path string) (QueryResult, error) {
@@ -263,12 +271,13 @@ func (e *Engine) evaluate(ctx context.Context, ep *epoch, path string) (answer, 
 		}
 	}
 	var route string // filled by the evaluation below, for the slow log
-	nodes, err := ep.sn.Query(obs.WithRouteSlot(ctx, &route), path)
+	nodes, reads, err := ep.sn.QueryReads(obs.WithRouteSlot(ctx, &route), path)
 	if err != nil {
 		return answer{}, err
 	}
 	d := sp.End()
-	a := ep.memo.Add(path, answer{nodes: nodes, body: encodeQuery(gen, nodes)})
+	body, k := encodeQuery(gen, nodes), len(stampHead(nil, gen))
+	a := ep.memo.Add(path, answer{nodes: nodes, head: body[:k:k], tail: body[k:], reads: reads})
 	e.met.slow.RecordRoute("query", path, route, d, gen)
 	return a, nil
 }
@@ -420,7 +429,7 @@ func (e *Engine) run() {
 				err = req.exec()
 			}
 			if err == nil {
-				e.republish()
+				e.publish(true)
 			}
 			e.deliver(req, result{err: err})
 			continue
@@ -560,7 +569,7 @@ func (e *Engine) processRun(run []*request) {
 	// Publish before fulfilling any promise: a writer whose Update has
 	// returned must be able to read its own write (and its generation)
 	// from the very next Query.
-	stampPublish(e.publish(), res)
+	stampPublish(e.publish(false), res)
 	for i, r := range run {
 		e.deliver(r, res[i])
 	}
@@ -644,30 +653,54 @@ func (e *Engine) deliver(r *request, res result) {
 	r.done <- res
 }
 
-// publish seals and swaps in a fresh epoch if the view moved, returning
-// the publication duration (zero when nothing swapped, or when timing
-// instrumentation is disabled). Called only from the apply loop. Sealing
-// is O(Δ) in the write just applied — the copy-on-write snapshot shares
-// all untouched state with the previous epoch — so publication cost
-// tracks update size, not view size.
-func (e *Engine) publish() time.Duration {
-	if e.ep.Load().sn.Generation() == e.view.Generation() {
+// publish seals the view and swaps in a fresh epoch when the generation
+// moved, or always when force is set (a loop step, where state can change
+// under an unchanged generation), and returns the publication duration
+// (zero when nothing swapped, or when timing instrumentation is disabled).
+// Called only from the apply loop. Sealing is O(Δ) in the writes since the
+// last publication — the copy-on-write snapshot shares all untouched state
+// with the previous epoch — and carrying the memo answers is O(Δ) per
+// answer held, so publication cost tracks update and memo size, not view
+// size.
+func (e *Engine) publish(force bool) time.Duration {
+	old := e.ep.Load()
+	if !force && old.sn.Generation() == e.view.Generation() {
 		return 0
 	}
-	return e.republish()
-}
-
-// republish seals and swaps in a fresh epoch unconditionally — the
-// replication-step variant of publish, where state can change under an
-// unchanged generation — and returns the publication duration. Called only
-// from the apply loop.
-func (e *Engine) republish() time.Duration {
 	sp := obs.StartSpan(e.met.publishDur)
-	e.ep.Store(newEpoch(e.view.Snapshot()))
+	next := newEpoch(e.view.Snapshot())
+	e.carry(old, next)
+	e.ep.Store(next)
 	d := sp.End()
 	e.met.snapSwaps.Inc()
 	core.ObservePublish(d)
 	return d
+}
+
+// carry fills next's memo with the answers of old's that next's seal cannot
+// have changed: when the seal's ΔV is complete and leads from old's
+// snapshot, an answer whose reads it misses gets a head stamped with next's
+// generation; every other answer is dropped — all of them after a restore,
+// a rebuilding recovery probe or another seal in between. Entries go in
+// least recently used first, so the carried ones keep their order. It reads
+// only the two sealed epochs and the seal's ΔV.
+func (e *Engine) carry(old, next *epoch) {
+	if old.memo.Len() == 0 {
+		return // a write-only run: no ΔV to index
+	}
+	delta, ok := next.sn.DeltaFrom(old.sn)
+	head := stampHead(nil, next.sn.Generation())
+	heads := make([]byte, 0, len(head)*old.memo.Len()) // one array for every carried head
+	old.memo.Each(func(path string, a answer) {
+		if !ok || !delta.Keeps(a.reads) {
+			e.met.memoDropped.Inc()
+			return
+		}
+		heads = append(heads, head...)
+		a.head = heads[len(heads)-len(head) : len(heads) : len(heads)]
+		next.memo.Add(path, a)
+		e.met.memoCarried.Inc()
+	})
 }
 
 // Stats describes the serving layer: the published epoch's view statistics
@@ -695,9 +728,13 @@ type Stats struct {
 	ReadOnly bool   `json:"read_only,omitempty"`
 	Primary  string `json:"primary,omitempty"`
 	// QueryMemoHits / QueryMemoMisses count Engine.Query calls served from
-	// (respectively past) the per-epoch result memo.
-	QueryMemoHits   uint64 `json:"query_memo_hits"`
-	QueryMemoMisses uint64 `json:"query_memo_misses"`
+	// (respectively past) the per-epoch result memo; QueryMemoCarried /
+	// QueryMemoDropped count the answers a publication carried into the new
+	// epoch's memo (respectively left behind).
+	QueryMemoHits    uint64 `json:"query_memo_hits"`
+	QueryMemoMisses  uint64 `json:"query_memo_misses"`
+	QueryMemoCarried uint64 `json:"query_memo_carried"`
+	QueryMemoDropped uint64 `json:"query_memo_dropped"`
 	// PathCacheHits / PathCacheMisses are the process-wide compiled-path
 	// cache counters (shared with every view in the process).
 	PathCacheHits   uint64 `json:"path_cache_hits"`
@@ -727,6 +764,8 @@ func (e *Engine) Stats() Stats {
 		Primary:          e.Primary(),
 		QueryMemoHits:    e.met.memoHits.Value(),
 		QueryMemoMisses:  e.met.memoMisses.Value(),
+		QueryMemoCarried: e.met.memoCarried.Value(),
+		QueryMemoDropped: e.met.memoDropped.Value(),
 		PathCacheHits:    pcHits,
 		PathCacheMisses:  pcMisses,
 	}

@@ -97,7 +97,7 @@ func TestProcessRunMidRejection(t *testing.T) {
 		}
 	}
 
-	e.publish()
+	e.publish(false)
 	for key, want := range map[string]int{"SR1": 1, "SR3": 1} {
 		if res, _ := e.Query(ctx, fmt.Sprintf(`//student[ssn=%q]`, key)); len(res.Nodes) != want {
 			t.Errorf("student %s: %d nodes, want %d", key, len(res.Nodes), want)
@@ -137,7 +137,7 @@ func TestProcessRunCanceledQueuedMember(t *testing.T) {
 		}
 	}
 
-	e.publish()
+	e.publish(false)
 	if res, _ := e.Query(ctx, `//student[ssn="SC2"]`); len(res.Nodes) != 0 {
 		t.Error("canceled member was applied")
 	}
@@ -195,7 +195,7 @@ func TestProcessRunInFlightCancelOfAppliedMember(t *testing.T) {
 		t.Errorf("member B: applied=%v err=%v, want applied despite A's cancellation", res.reps[0] != nil && res.reps[0].Applied, res.err)
 	}
 
-	e.publish()
+	e.publish(false)
 	if res, _ := e.Query(ctx, `//course[cno="CS778"]`); len(res.Nodes) == 0 {
 		t.Error("member B's subtree missing")
 	}

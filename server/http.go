@@ -238,6 +238,13 @@ func encodeQuery(gen uint64, nodes []rxview.Node) []byte {
 	return bytes.Clone(buf.Bytes())
 }
 
+// stampHead appends to dst the start of a /query response body at gen, up
+// to the end of the generation: the body's first field, which the rest of
+// its bytes do not depend on.
+func stampHead(dst []byte, gen uint64) []byte {
+	return strconv.AppendUint(append(dst, `{"generation":`...), gen, 10)
+}
+
 // query serves POST /query. A memo hit is answered under the request's own
 // context with the body its miss encoded; only a miss builds the Timeout
 // context and evaluates.
@@ -264,7 +271,8 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(a.body)
+	_, _ = w.Write(a.head)
+	_, _ = w.Write(a.tail)
 }
 
 // updateJSON is the wire form of one update. Values are the element type's

@@ -19,16 +19,18 @@ type engineMetrics struct {
 	reg  *obs.Registry
 	slow *obs.SlowLog
 
-	queries    *obs.Counter
-	applied    *obs.Counter
-	rejected   *obs.Counter
-	txCommits  *obs.Counter
-	txRejected *obs.Counter
-	coalRuns   *obs.Counter
-	coalUpds   *obs.Counter
-	snapSwaps  *obs.Counter
-	memoHits   *obs.Counter
-	memoMisses *obs.Counter
+	queries     *obs.Counter
+	applied     *obs.Counter
+	rejected    *obs.Counter
+	txCommits   *obs.Counter
+	txRejected  *obs.Counter
+	coalRuns    *obs.Counter
+	coalUpds    *obs.Counter
+	snapSwaps   *obs.Counter
+	memoHits    *obs.Counter
+	memoMisses  *obs.Counter
+	memoCarried *obs.Counter
+	memoDropped *obs.Counter
 
 	// Resilience families: overload shedding and degraded-mode serving.
 	shed       *obs.Counter
@@ -78,6 +80,10 @@ func newEngineMetrics() engineMetrics {
 			"Queries served from the per-epoch result memo."),
 		memoMisses: r.NewCounter("xview_engine_memo_misses_total",
 			"Queries evaluated past the per-epoch result memo."),
+		memoCarried: r.NewCounter("xview_engine_memo_carried_total",
+			"Memo answers a snapshot publication carried into the new epoch: the seal's delta missed what they read."),
+		memoDropped: r.NewCounter("xview_engine_memo_dropped_total",
+			"Memo answers a snapshot publication left behind: the seal's delta touched what they read, or was unknown."),
 		shed: r.NewCounter("xview_engine_writes_shed_total",
 			"Writes refused by admission control (queue at watermark or estimated wait past the deadline)."),
 		probes: r.NewCounter("xview_engine_recovery_probes_total",

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -17,8 +18,10 @@ import (
 // view, for each path the second POST /query — a hit, served from the body
 // the first one stored — has the first one's status, headers and body, and
 // both are writeJSON's encoding of a fresh Snapshot.Query at that
-// generation. After one commit the next /query answers the new generation
-// and count, never the old epoch's body.
+// generation. Then a script of commits runs, and after each the first
+// /query of a path is a hit exactly when the publication carried its answer
+// (the commit's ΔV missed what it read) — restamped with the new generation,
+// and still writeJSON's bytes — and a miss when it was dropped.
 func TestQueryHitIsTheMissResponse(t *testing.T) {
 	ctx := context.Background()
 	syn, err := rxview.NewSynthetic(rxview.SyntheticConfig{NC: 60, Seed: 3})
@@ -36,7 +39,7 @@ func TestQueryHitIsTheMissResponse(t *testing.T) {
 		atg    *rxview.ATG
 		db     *rxview.DB
 		paths  []string
-		commit rxview.Update
+		script []commitStep
 	}{
 		{
 			name: "registrar", atg: atg, db: db,
@@ -47,7 +50,12 @@ func TestQueryHitIsTheMissResponse(t *testing.T) {
 				`//student[ssn="nobody"]`,
 				`//course[`,
 			},
-			commit: rxview.Insert(`//course[cno="CS650"]/takenBy`, "student", rxview.Str("SQ1"), rxview.Str("Hit")),
+			script: []commitStep{
+				{rxview.Insert(`//course[cno="CS650"]/takenBy`, "student", rxview.Str("SQ1"), rxview.Str("Hit")),
+					[]string{`//student[ssn="nobody"]`}},
+				{rxview.Delete(`//student[ssn="SQ1"]`),
+					[]string{`//student[ssn="nobody"]`}},
+			},
 		},
 		{
 			name: "synthetic", atg: syn.ATG, db: syn.DB,
@@ -57,7 +65,16 @@ func TestQueryHitIsTheMissResponse(t *testing.T) {
 				`//C[val="v1"]`,
 				fmt.Sprintf(`//C[key="%d"]`, fresh),
 			},
-			commit: rxview.Insert(fmt.Sprintf(`//C[key="%d"]/sub`, root), "C", rxview.Int(fresh), rxview.Str("w")),
+			// The insert, its delete, and the insert again, which brings
+			// the deleted identities back under their old ids.
+			script: []commitStep{
+				{rxview.Insert(fmt.Sprintf(`//C[key="%d"]/sub`, root), "C", rxview.Int(fresh), rxview.Str("w")),
+					[]string{`//C[val="v1"]`}},
+				{rxview.Delete(fmt.Sprintf(`//C[key="%d"]`, fresh)),
+					[]string{`//C[val="v1"]`}},
+				{rxview.Insert(fmt.Sprintf(`//C[key="%d"]/sub`, root), "C", rxview.Int(fresh), rxview.Str("w")),
+					[]string{`//C[val="v1"]`}},
+			},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -69,16 +86,19 @@ func TestQueryHitIsTheMissResponse(t *testing.T) {
 			defer e.Close()
 			h := NewHandler(e, HandlerOptions{})
 
-			check := func(path string) {
+			check := func(path string, carried bool) {
 				t.Helper()
 				hits := e.met.memoHits.Value()
-				miss := postQuery(h, path)
+				first := postQuery(h, path)
+				if got := e.met.memoHits.Value() - hits; first.Code == http.StatusOK && (got == 1) != carried {
+					t.Fatalf("%s at generation %d: first /query a hit: %v, carried: %v", path, e.Generation(), got == 1, carried)
+				}
 				hit := postQuery(h, path)
 				want := writtenByWriteJSON(ctx, e.Snapshot(), path)
-				if miss.Code == http.StatusOK && e.met.memoHits.Value() != hits+1 {
+				if first.Code == http.StatusOK && e.met.memoHits.Value() != hits+1+b2u(carried) {
 					t.Fatalf("%s: the second /query was not a memo hit", path)
 				}
-				for _, got := range []*httptest.ResponseRecorder{miss, hit} {
+				for _, got := range []*httptest.ResponseRecorder{first, hit} {
 					if got.Code != want.Code || !equalHeaders(got.Header(), want.Header()) || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
 						t.Fatalf("%s: answered %d %v %q, writeJSON writes %d %v %q", path,
 							got.Code, got.Header(), got.Body, want.Code, want.Header(), want.Body)
@@ -86,20 +106,36 @@ func TestQueryHitIsTheMissResponse(t *testing.T) {
 				}
 			}
 			for _, p := range tc.paths {
-				check(p)
+				check(p, false)
 			}
-			gen := e.Generation()
-			if rep, err := e.Update(ctx, tc.commit); err != nil || !rep.Applied {
-				t.Fatalf("commit: rep=%+v err=%v", rep, err)
-			}
-			if e.Generation() != gen+1 {
-				t.Fatalf("generation %d after one commit at %d", e.Generation(), gen)
-			}
-			for _, p := range tc.paths {
-				check(p)
+			for _, step := range tc.script {
+				gen := e.Generation()
+				if rep, err := e.Update(ctx, step.u); err != nil || !rep.Applied {
+					t.Fatalf("commit %s: rep=%+v err=%v", step.u, rep, err)
+				}
+				if e.Generation() != gen+1 {
+					t.Fatalf("generation %d after one commit at %d", e.Generation(), gen)
+				}
+				for _, p := range tc.paths {
+					check(p, slices.Contains(step.carried, p))
+				}
 			}
 		})
 	}
+}
+
+// commitStep is one commit of a script and the paths whose memo answers the
+// publication after it carries.
+type commitStep struct {
+	u       rxview.Update
+	carried []string
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // postQuery serves one POST /query for path through h.

@@ -8,6 +8,8 @@ package server_test
 // multi-tenant registry isolation.
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -582,4 +584,91 @@ func rawGet(t *testing.T, ts *httptest.Server, path string) string {
 		t.Fatalf("GET %s = %d:\n%s", path, resp.StatusCode, body)
 	}
 	return string(body)
+}
+
+// TestReplicaCarriesUntouchedAnswers: a follower replays a streamed record
+// into the ΔV its next publication carries, like a primary's commit. After
+// an insert under one course's takenBy reaches the follower, its memo
+// answers for the other courses are hits, and each hit's body is what a
+// fresh evaluation at the new generation encodes; the touched course's
+// answer is evaluated again and holds the new student.
+func TestReplicaCarriesUntouchedAnswers(t *testing.T) {
+	ts, eng, _ := mustPrimary(t)
+	f := mustFollower(t, ts.URL)
+	defer f.Close()
+	for deadline := time.Now().Add(10 * time.Second); !f.Status().Following; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never restored")
+		}
+	}
+	fe := f.Engine()
+	fts := httptest.NewServer(server.NewHandler(fe, server.HandlerOptions{Timeout: 5 * time.Second}))
+	defer fts.Close()
+
+	touched := `//course[cno="CS650"]/takenBy/student`
+	others := []string{`//course[cno="CS320"]/takenBy/student`, `//course[cno="CS240"]/takenBy/student`, `//student[ssn="nobody"]`}
+	for _, p := range append(others, touched) {
+		queryBody(t, fts, p)
+	}
+	if _, err := eng.Update(t.Context(), rxview.Insert(`//course[cno="CS650"]/takenBy`, "student",
+		rxview.Str("SC1"), rxview.Str("Carried"))); err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, f, eng.Generation())
+
+	sn := fe.Snapshot()
+	for _, p := range others {
+		hits := fe.Stats().QueryMemoHits
+		got := queryBody(t, fts, p)
+		if fe.Stats().QueryMemoHits != hits+1 {
+			t.Errorf("%s: not a memo hit after a record that missed it", p)
+		}
+		if want := freshBody(t, sn, p); got != want {
+			t.Errorf("%s: the carried body\n %s\nis not a fresh evaluation's\n %s", p, got, want)
+		}
+	}
+	misses := fe.Stats().QueryMemoMisses
+	if got := queryBody(t, fts, touched); fe.Stats().QueryMemoMisses != misses+1 || !strings.Contains(got, "SC1") || got != freshBody(t, sn, touched) {
+		t.Errorf("%s after the insert under it: %s (misses %d → %d)", touched, got, misses, fe.Stats().QueryMemoMisses)
+	}
+	if st := fe.Stats(); st.QueryMemoCarried == 0 || st.QueryMemoDropped == 0 {
+		t.Errorf("carried %d, dropped %d: want some of each", st.QueryMemoCarried, st.QueryMemoDropped)
+	}
+}
+
+// queryBody is the body of one POST /query for path.
+func queryBody(t *testing.T, ts *httptest.Server, path string) string {
+	t.Helper()
+	data, err := json.Marshal(map[string]string{"path": path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: %d %s %v", path, resp.StatusCode, body, err)
+	}
+	return string(body)
+}
+
+// freshBody is the /query body for a fresh evaluation of path at sn.
+func freshBody(t *testing.T, sn *rxview.Snapshot, path string) string {
+	t.Helper()
+	nodes, err := sn.Query(t.Context(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if err := json.NewEncoder(&b).Encode(struct {
+		Generation uint64        `json:"generation"`
+		Count      int           `json:"count"`
+		Nodes      []rxview.Node `json:"nodes"`
+	}{sn.Generation(), len(nodes), nodes}); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }

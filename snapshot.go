@@ -5,6 +5,7 @@ import (
 
 	"rxview/internal/core"
 	"rxview/internal/obs"
+	"rxview/internal/xpath"
 )
 
 // Generation counts the write units committed to the view since Open: it
@@ -66,20 +67,53 @@ func (s *Snapshot) Digest() (d Digest, ok bool) { return s.sn.Digest() }
 // malformed one fails fast on its cached error without allocating an
 // evaluator.
 func (s *Snapshot) Query(ctx context.Context, path string) ([]Node, error) {
+	nodes, _, err := s.query(ctx, path, false)
+	return nodes, err
+}
+
+// Reads is what one snapshot query read of its epoch: its seed lookups and
+// the adjacency lists it read, which is all its answer depends on (a node's
+// type and attribute never change). Delta is the ΔV between two snapshots:
+// a query whose Reads Delta.Keeps answers the same at the later snapshot,
+// which is how a serving memo carries answers across a publication.
+type (
+	Reads = core.Reads
+	Delta = core.Delta
+)
+
+// QueryReads is Query, also returning what the evaluation read; the reads
+// are nil when it read too much to keep.
+func (s *Snapshot) QueryReads(ctx context.Context, path string) ([]Node, *Reads, error) {
+	return s.query(ctx, path, true)
+}
+
+func (s *Snapshot) query(ctx context.Context, path string, record bool) ([]Node, *Reads, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p, err := core.ParsePath(path)
 	if err != nil {
-		return nil, parseErr(path, err)
+		return nil, nil, parseErr(path, err)
 	}
-	res, err := s.sn.Select(p)
+	var res *xpath.Result
+	var reads *Reads
+	if record {
+		res, reads, err = s.sn.SelectReads(p)
+	} else {
+		res, err = s.sn.Select(p)
+	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	obs.NoteRoute(ctx, res.Route.String())
-	return nodesOf(s.sn.DAG(), s.sn.Text(), res.Selected), nil
+	return nodesOf(s.sn.DAG(), s.sn.Text(), res.Selected), reads, nil
 }
+
+// DeltaFrom returns the ΔV from prev to s. ok is false unless prev is the
+// snapshot the view took just before s and every change in between was a
+// commit or a replayed record — not a restore, a failed replay or a
+// rebuild.
+func (s *Snapshot) DeltaFrom(prev *Snapshot) (d *Delta, ok bool) { return s.sn.DeltaFrom(prev.sn) }
 
 // Stats computes the frozen view's statistics.
 func (s *Snapshot) Stats() Stats { return statsOf(s.sn.Stats()) }

@@ -77,7 +77,8 @@ type Timings struct {
 	Apply     time.Duration `json:"apply_ns"`     // (b): executing ΔR and ΔV
 	Maintain  time.Duration `json:"maintain_ns"`  // (c): a deletion's garbage collection
 	// Publish is the epoch-publication cost (sealing the copy-on-write
-	// snapshot plus the pointer swap). It is stamped by the serving layer
+	// snapshot, carrying the memo answers the seal's ΔV misses, and the
+	// pointer swap). It is stamped by the serving layer
 	// on the report of the write unit that triggered the publication;
 	// library-level Apply/Batch/Execute leave it zero (they publish no
 	// epochs).
