@@ -84,14 +84,12 @@ func (sn *Snapshot) Text() func(dag.NodeID) (string, bool) { return sn.text }
 
 // evaluator returns a fresh XPath evaluator over the frozen state. Each
 // call builds its own evaluator, so concurrent queries share no mutable
-// state. As on the live System, the evaluator picks the route per path; a
-// snapshot is sealed between write units, so its state is committed.
+// state. As on the live System, the evaluator picks the route per path.
 func (sn *Snapshot) evaluator() *xpath.Evaluator {
 	return &xpath.Evaluator{
 		D:          sn.dag,
 		Text:       sn.text,
 		TextEquals: sn.textEq,
-		Committed:  true,
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -69,8 +70,16 @@ func parseTxnScript(b []byte) txnScript {
 			}
 		case 3: // XML side effects: CS320's prereq is shared, the path selects one occurrence
 			stages = []txnStage{{stmt: sideEffectInsert(n)}}
-		case 4: // untranslatable: EE100 exists outside the view's CS selection
-			stages = []txnStage{{stmt: `insert course(cno="EE100", title="Circuits") into .`}}
+		case 4: // refused after Xinsert began
+			stages = []txnStage{{stmt: []string{
+				// untranslatable: EE100 exists outside the view's CS selection
+				`insert course(cno="EE100", title="Circuits") into .`,
+				// a cycle: the new CS650 shares its prereq list with the old
+				// one, so it reaches CS240's; Xinsert refuses it after
+				// publishing it, which leaves it without a parent until the
+				// stage rewinds
+				`insert course(cno="CS650", title="Loop") into //course[cno="CS240"]/prereq`,
+			}[n%2]}}
 		case 5: // a fresh insert, canceled before it runs
 			stages = []txnStage{{stmt: freshInsert(n, courses), canceled: true}}
 		case 6: // a prereq insert: its course's dept is a fresh value
@@ -120,10 +129,12 @@ func freshInsert(n int, courses []string) string {
 // records through ApplyCommitRecord ends in the same state too. A dry run,
 // inside the group or before it, answers what a twin's Apply of the same
 // update at that point answers, and changes nothing (checkDryRun). Every
-// committed state — after the group, on the follower, decoded from the last
-// checkpoint — leaves no live node the root does not reach.
+// state an evaluation can start on is rooted — the root reaches every live
+// node, the precondition of xpath.Evaluator: after each stage, applied,
+// rejected or canceled; after each dry run; after the group, committed or
+// rolled back; on the follower; and decoded from the last checkpoint.
 func FuzzTxnGroup(f *testing.F) {
-	for _, seed := range append(txnGroupSeeds, txnDryRunSeeds...) {
+	for _, seed := range slices.Concat(txnGroupSeeds, txnDryRunSeeds, txnRefusedSeeds) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, script []byte) {
@@ -160,6 +171,16 @@ var txnGroupSeeds = [][]byte{
 	{0x06, 0x02, 0x08, 0x01},
 	// Deletions alone: the identity table changes by alive flags only.
 	{0x03, 0x01, 0x09},
+}
+
+// txnRefusedSeeds are the seeds with an insert Xinsert refuses after
+// publishing its subtree, kept apart for the same reason as txnDryRunSeeds.
+var txnRefusedSeeds = [][]byte{
+	// Prefix: a fresh insert, the cycle, another fresh insert; Commit.
+	{0x02, 0x00, 0x0c, 0x08},
+	// Atomic: the cycle dooms the group after an applied stage; Commit
+	// unwinds.
+	{0x03, 0x00, 0x0c},
 }
 
 // txnDryRunSeeds are the seeds with fresh-value inserts and dry runs, kept
@@ -312,6 +333,9 @@ func runTxnScript(t *testing.T, sc txnScript, durable bool) {
 		if rep.Applied {
 			applied = append(applied, st.stmt)
 		}
+		if err := testkit.CheckRooted(s.DAG); err != nil {
+			t.Fatalf("durable=%v: after stage %s (applied=%v): %v", durable, st.stmt, rep.Applied, err)
+		}
 	}
 	doomed := tx.Err() != nil
 	if sc.commit {
@@ -357,7 +381,7 @@ func runTxnScript(t *testing.T, sc txnScript, durable bool) {
 		t.Fatalf("%s: %v", unit, err)
 	}
 	if err := testkit.CheckRooted(s.DAG); err != nil {
-		t.Fatalf("%s: after the group: %v", unit, err)
+		t.Fatalf("%s: after the group closed: %v", unit, err)
 	}
 	if durable {
 		follower := openScripted(t, Options{}, sc.grown)
@@ -409,6 +433,9 @@ func checkDryRun(t *testing.T, s *System, stmt string, applied []string, open fu
 		t.Fatalf("dry run %s moved the fresh-value counter from %d to %d", stmt, fresh, got)
 	}
 	if err := s.CheckConsistency(); err != nil {
+		t.Fatalf("dry run %s: %v", stmt, err)
+	}
+	if err := testkit.CheckRooted(s.DAG); err != nil {
 		t.Fatalf("dry run %s: %v", stmt, err)
 	}
 	twin, _ := open()

@@ -96,10 +96,13 @@ func Reachable(d dag.Reader) []bool {
 	return seen
 }
 
-// CheckRooted verifies what every committed state holds and a sealed
-// read's walk-free down route relies on (xpath.Evaluator.Committed): the
-// root reaches every live node — no live node but the root is left without
-// a live parent. Returns an error naming the first node it does not reach.
+// CheckRooted verifies the precondition of every XPath evaluation
+// (xpath.Evaluator): the root reaches every live node — no live node but the
+// root is left without a live parent. Every state an evaluation can start on
+// holds it: committed, sealed, replayed and decoded states, and the live view
+// between the stages of a group, whether a stage applied or was rewound. No
+// route walks for reachability, so a state that breaks it gets answers that
+// need not agree. Returns an error naming the first node it does not reach.
 func CheckRooted(d dag.Reader) error {
 	seen := Reachable(d)
 	for _, id := range d.Nodes() {

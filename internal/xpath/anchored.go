@@ -14,10 +14,11 @@ import "rxview/internal/dag"
 //     accepting root path crosses the anchor step at a node of A.
 //  3. cone: X and its ancestors by Parents, level by level — up to the
 //     path's window (plan.live) when it has one, else all of them.
-//  4. entries: a node of the window's top level whose parent outside the
-//     cone the root reaches starts with the state-set a run brings into it
-//     from above the window: the // state alone, moved into it, for a
-//     //-led path, the empty set for a rooted one. No filter is decided
+//  4. entries: a node of the window's top level with a parent outside the
+//     cone starts with the state-set a run brings into it from above the
+//     window — the root reaches that parent, as it reaches every live node
+//     (the evaluator's precondition): the // state alone, moved into it, for
+//     a //-led path, the empty set for a rooted one. No filter is decided
 //     outside the cone, where the pointwise truth bits are stale.
 //  5. the exact pass: the shared propagation over the cone in Kahn's order,
 //     each mask trimmed to the states still live at its node's level.
@@ -32,8 +33,7 @@ func (ev *Evaluator) anchored(r *run, pl *plan) {
 	r.res.Route = RouteAnchored
 	sc.fit(d.Cap())
 	cur, next, cone := ev.climb(sc, pl.anchor)
-	stack := sc.ids[3][:0]
-	defer func() { sc.ids = [4][]dag.NodeID{cur, next, cone, stack} }()
+	defer func() { sc.ids = [3][]dag.NodeID{cur, next, cone} }()
 
 	// Down the remaining steps to X.
 	for _, st := range pl.steps[pl.anchor.step+1:] {
@@ -95,56 +95,31 @@ func (ev *Evaluator) anchored(r *run, pl *plan) {
 	}
 	r.res.Visited = len(cone)
 
-	// The entries. A reachability walk may cross the cone and overwrite
-	// its stamps and in-degrees, so the pairs (top node, outside parent)
-	// are listed first and the cone is stamped again after.
-	pairs := next[:0]
-	for _, v := range cone[top:] {
-		for _, p := range d.Parents(v) {
-			if !sc.has(set, p) {
-				pairs = append(pairs, v, p)
-			}
-		}
-	}
-	if len(pairs) > 0 {
-		var entry uint64 // a rooted path's run has died above the window
-		reached := sc.newSet()
-		for i := 0; i < len(pairs); i += 2 {
-			v, p := pairs[i], pairs[i+1]
-			if len(r.masks[v]) > 0 {
-				continue // entered already, by another parent
-			}
-			var ok bool
-			if ok, stack = ev.reachable(sc, reached, p, stack); ok {
-				if pl.steps[0].Kind == StepDescOrSelf {
-					entry = r.trim(r.move(1, v), v)
-				}
-				r.masks[v] = append(sc.maskSlot(), entry)
-			}
-		}
-		set = sc.newSet()
-		for _, v := range cone {
-			sc.add(set, v)
-		}
-	}
+	// The entries and the in-degrees: a top node's parents outside the cone
+	// are never expanded, and one of them is enough to enter it.
 	for i, v := range cone {
 		ps := d.Parents(v)
 		sc.indeg[v] = int32(len(ps))
-		if i >= top { // a parent outside the cone is never expanded
-			for _, p := range ps {
-				if !sc.has(set, p) {
-					sc.indeg[v]--
-				}
+		if i < top {
+			continue
+		}
+		for _, p := range ps {
+			if !sc.has(set, p) {
+				sc.indeg[v]--
 			}
+		}
+		if int(sc.indeg[v]) < len(ps) {
+			var entry uint64 // a rooted path's run has died above the window
+			if pl.steps[0].Kind == StepDescOrSelf {
+				entry = r.trim(r.move(1, v), v)
+			}
+			r.masks[v] = append(sc.maskSlot(), entry)
 		}
 	}
 
-	// Kahn's order from the nodes with no parent in the cone. Only the root
-	// starts with a state-set of its own; any other parentless node (the
-	// live view inside an open transaction can hold some transiently)
-	// starts empty, but is expanded all the same so that its children's
-	// in-degrees drain.
-	queue := pairs[:0]
+	// Kahn's order from the nodes with no parent in the cone: the root, which
+	// starts with a state-set of its own, and the entered top nodes.
+	queue := next[:0]
 	for _, v := range cone {
 		if sc.indeg[v] == 0 {
 			if v == d.Root() {

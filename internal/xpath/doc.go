@@ -30,8 +30,7 @@
 //     propagates over every node the root reaches, ancestors first. §3.2
 //     runs both passes along the topological order L; no view keeps one, so
 //     the sweep orders the nodes itself, by a depth-first walk from the
-//     root (Evaluator.order) — the nodes the root does not reach, which only
-//     an open transaction holds, are ones no pass needs.
+//     root (Evaluator.order).
 //   - The anchored route (anchored.go) starts from the path's value filter.
 //     The filter names the few nodes that can matter and the DAG's Parents
 //     lists name everything that can reach them: it finds the nodes the
@@ -43,9 +42,18 @@
 //     cone only, in Kahn's order, deciding filters pointwise from each
 //     node's children.
 //   - The down route (down.go) answers reads of //-led anchored paths. It
-//     keeps the anchor nodes whose label and filters admit them and which
-//     the root reaches, and propagates from them downward only, with one
-//     union mask per node and no cone.
+//     keeps the anchor nodes whose label and filters admit them, and
+//     propagates from them downward only, with one union mask per node and
+//     no cone.
+//
+// Every state an evaluation reads is rooted: the root reaches every live
+// node. A committed, sealed, replayed or decoded state is, and so is the
+// live view between the stages of a group — an applied insert connects
+// ST(A,t) under every target, an applied delete ends in dag.DAG.Collect, a
+// stage that does not apply is rewound to its mark. That is the evaluator's
+// precondition (testkit.CheckRooted), and no route walks for reachability.
+// On a state that breaks it the routes may disagree, but none panics or
+// hangs.
 //
 // # Which route a path takes
 //
@@ -97,15 +105,16 @@
 // consumes a child step on each of them, more than n−ℓ in all, and is dead
 // at v; the runs still in state 0 are those the entry at t, move({0}, t),
 // starts. A rooted path has no such state: its entry is the empty set, an
-// occurrence of t that no run reaches. An outside parent the root does not
-// reach carries no set in the sweep and gives no entry. So, by induction
-// along Kahn's order of the cone, each cone node gets exactly the sweep's
-// sets with their dead states dropped — the route trims every set to the
-// live states of its node's level (plan.live). At X every state is live, and
-// a dead state only ever moves into dead states, so the four result fields
-// are the sweep's. No filter is decided at a node outside the cone, whose
-// pointwise truth is stale. The differential tests and FuzzEvalRoutesAgree
-// hold the routes to each other and to the unfolded-tree oracle.
+// occurrence of t that no run reaches. The root reaches u, as it reaches
+// every live node, so every t with a parent outside the cone has an entry.
+// So, by induction along Kahn's order of the cone, each cone node gets
+// exactly the sweep's sets with their dead states dropped — the route trims
+// every set to the live states of its node's level (plan.live). At X every
+// state is live, and a dead state only ever moves into dead states, so the
+// four result fields are the sweep's. No filter is decided at a node outside
+// the cone, whose pointwise truth is stale. The differential tests and
+// FuzzEvalRoutesAgree hold the routes to each other and to the
+// unfolded-tree oracle.
 //
 // The one intended difference: Overflow is raised only if a cone node
 // exceeds MaskLimit. A collapse in some unrelated corner of the view no
@@ -119,11 +128,11 @@
 //
 // It computes r[[p]] only. Every accepting root path crosses the anchor
 // step at some a ∈ A, as above. The prefix before the anchor is //, then
-// steps[1], then ε steps, so it accepts a root path into a iff a is
-// reachable from the root, is not the root, has steps[1]'s label, and
-// every filter of those ε steps holds at a: those are the nodes A′ the
-// route starts from. From a on, an accepting path is a run of the NFA
-// begun in the state after the anchor, which is exactly what the
+// steps[1], then ε steps, so it accepts a root path into a iff a is not
+// the root, has steps[1]'s label, and every filter of those ε steps holds
+// at a — the root reaches a, as it reaches every live node: those are the
+// nodes A′ the route starts from. From a on, an accepting path is a run of
+// the NFA begun in the state after the anchor, which is exactly what the
 // propagation from A′ computes, union masks being exact for selection
 // (transitions are bit-linear). It sees only the paths that start in A′,
 // not every occurrence of a node, so it yields no Ep(r) and no witnesses:

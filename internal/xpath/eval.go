@@ -39,9 +39,14 @@ import (
 // experiments measure.
 //
 // D is a read-only interface, so an Evaluator runs equally over the live
-// view (*dag.DAG) and over a sealed snapshot epoch (*dag.Version). An
-// Evaluator holds no per-evaluation state: one value serves any number of
-// concurrent evaluations.
+// view (*dag.DAG) and over a sealed snapshot epoch (*dag.Version). Either
+// way D must be rooted: the root reaches every live node (testkit.CheckRooted).
+// Every state an evaluation can start on is — an applied insert connects
+// ST(A,t) under every target, an applied delete ends in dag.DAG.Collect, and a
+// stage that does not apply is rewound to its mark — so no route walks for
+// reachability. On a state that is not rooted the routes may disagree, but
+// none panics or hangs. An Evaluator holds no per-evaluation state: one
+// value serves any number of concurrent evaluations.
 type Evaluator struct {
 	D dag.Reader
 	// Text returns the text value of a node (PCDATA elements); nil means no
@@ -58,12 +63,6 @@ type Evaluator struct {
 	// reports false where it cannot tell. The anchored and down routes start
 	// from these; nil, or false, means they scan IDsOfType with TextEquals.
 	Seeds func(typ, s string, dst []dag.NodeID) ([]dag.NodeID, bool)
-	// Committed, when set, vouches that D holds a committed state, where
-	// every live node but the root has a live parent (dag.DAG.Collect
-	// collects the rest), so the root reaches every live node: the down
-	// route then keeps its anchor nodes without a reachability walk. A
-	// sealed snapshot is one; the live view inside a transaction is not.
-	Committed bool
 	// MaskLimit caps the number of distinct state-sets kept per node before
 	// collapsing to their union. Selection and Ep(r) stay exact under
 	// collapse; side-effect detection becomes conservative and the result's
@@ -254,12 +253,12 @@ type scratch struct {
 	// is all the routes need: their phases build one set at a time.
 	stamp []uint32
 	epoch uint32
-	indeg []int32 // per cone node: parents not yet expanded; on the down route, reachability verdicts
+	indeg []int32 // per cone node: parents not yet expanded
 	// Per cone node, pointwise filter truth: bit i of known[v] says
 	// steps[i].Filter has been decided at v, bit i of truth[v] how.
 	known, truth []uint64
 	level        []uint8         // per cone node: levels above X, for run.trim
-	ids          [4][]dag.NodeID // reusable node lists (frontiers, X, the cone, a search stack; the sweep's order and walk)
+	ids          [3][]dag.NodeID // reusable node lists (frontiers, X, the cone; the sweep's order and walk)
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}

@@ -489,14 +489,16 @@ func TestOverflowIsRaisedOnlyInsideTheCone(t *testing.T) {
 	}
 }
 
-// orphanDAG is synthDAG with what the live view can hold inside an open
-// transaction: a parentless sub other than the root, the orphan, over C6
-// and over C7 to C10. C7's first parent is the orphan and its second a
-// reachable sub, C8 hangs under the orphan alone, C9's first parent is C8's
-// sub and its second a reachable sub, C10 hangs under C8's sub alone, and
-// C11 under sub1. Every new C has key i and val "v1". The oracle unfolds
-// from the root, so the orphan is invisible to it — as it is to the sweep,
-// whose propagation never reaches it.
+// orphanDAG is synthDAG with a state no evaluation may start on: a
+// parentless sub other than the root, the orphan, over C6 and over C7 to
+// C10. C7's first parent is the orphan and its second a reachable sub, C8
+// hangs under the orphan alone, C9's first parent is C8's sub and its second
+// a reachable sub, C10 hangs under C8's sub alone, and C11 under sub1. Every
+// new C has key i and val "v1". The root does not reach the orphan, C8, C10
+// and their subs, which breaks the evaluator's precondition: the routes may
+// disagree here, but must not panic or hang. The oracle unfolds from the
+// root, so the orphan is invisible to it — as it is to the sweep, whose
+// order starts at the root.
 func orphanDAG(t testing.TB) (*dag.DAG, textFn) {
 	t.Helper()
 	d, synthText := synthDAG(t)
@@ -534,32 +536,10 @@ func orphanDAG(t testing.TB) (*dag.DAG, textFn) {
 	return d, text
 }
 
-// TestAnchoredDrainsParentlessNodes: inside an open transaction the live
-// view can hold a parentless node other than the root above the cone
-// (orphanDAG). It contributes no state-set, but the nodes below it must
-// still be reached. The down route must tell the nodes it hangs over apart:
-// both ways out of the first-parent walk (a parentless node, a node already
-// found unreachable) reach the full search, which finds C7 and C9 and not
-// C8 or C10. C11 hangs under sub1, which C9's search passed on its way up: a
-// search that finds the root decides only the node it started from.
-func TestAnchoredDrainsParentlessNodes(t *testing.T) {
-	d, text := orphanDAG(t)
-	or := newOracle(d, text)
-	for _, ps := range []string{`//C[key="6"]`, `//C[key="6"]/val`, `//C[key="4"]/sub/C`, `//sub[C/key="6"]`,
-		`//C[key="7"]`, `//C[key="8"]`, `//C[key="9"]/sub`, `//C[val="v1"]`, `//C[val="v1"]/sub/C`, `//C[key="8"]//C`, `//C[key="10"]`,
-		// Windowed shapes whose top has the orphan's descendants C8 and sub8
-		// as parents outside the window, which the root does not reach.
-		`//C[key="9"]`, `//sub/C[key="10"]`, `C[key="10"]`, `C/sub/C[key="9"]`, `//*[key="9"]/sub`, `//.[sub/C]/C[key="10"]`} {
-		if err := checkRoutes(d, text, nil, or, MustParse(ps)); err != nil {
-			t.Errorf("%s: %v", ps, err)
-		}
-	}
-}
-
 // TestSweepVisitsWhatTheRootReaches: the sweep orders the nodes it visits
-// itself, and they are exactly the nodes the root reaches — fewer than the
-// view holds inside an open transaction (orphanDAG), where swept shapes must
-// still agree with the oracle and with the route Eval picks.
+// itself, from the root, and they are exactly the nodes the root reaches —
+// fewer than the view holds on a state that is not rooted (orphanDAG), where
+// swept shapes still agree with the oracle.
 func TestSweepVisitsWhatTheRootReaches(t *testing.T) {
 	d, text := orphanDAG(t)
 	if reached := reachedCount(d); reached >= d.NumNodes() {
@@ -607,19 +587,19 @@ type fuzzFixture struct {
 	text  textFn
 	seeds seedFn
 	or    *oracle
-	// sealed is d sealed, for a fixture that holds a committed state (the
-	// root reaches every live node); nil for one that does not.
-	sealed *dag.Version
+	// rooted says the root reaches every live node of d: the routes must
+	// agree with each other and with the oracle only then.
+	rooted bool
+	sealed *dag.Version // d sealed
 }
 
-// committed seals fx's DAG for the sealed-evaluator arm, after checking it
-// holds a committed state.
-func (fx fuzzFixture) committed(t testing.TB) fuzzFixture {
+// checkRooted marks fx rooted, after checking that it is.
+func (fx fuzzFixture) checkRooted(t testing.TB) fuzzFixture {
 	t.Helper()
 	if err := testkit.CheckRooted(fx.d); err != nil {
 		t.Fatal(err)
 	}
-	fx.sealed = fx.d.Seal()
+	fx.rooted = true
 	return fx
 }
 
@@ -657,13 +637,16 @@ func oracleAffordable(p *Path) bool {
 	return steps <= 24 && maxDepth <= 3
 }
 
-// FuzzEvalRoutesAgree: whatever parses never panics, and the route Eval
-// picks, the sweep and the unfolded-tree oracle agree on all four result
-// fields — over the Fig.1 registrar view, the miniature synthetic view, its
-// registry variant (whose live evaluator takes its seeds from Lookup) and
-// its orphan variant (parents outside a window that the root does not
-// reach), live and sealed. The seed corpus is the three corpora above plus, in
-// testdata/fuzz/FuzzEvalRoutesAgree, the shapes of TestRouteTable.
+// FuzzEvalRoutesAgree: whatever parses never panics, and over a rooted view
+// the route Eval picks, the sweep and the unfolded-tree oracle agree on all
+// four result fields, and over the view sealed each entry point selects what
+// it selects live — over the Fig.1 registrar view, the miniature synthetic
+// view and its registry variant (whose live evaluator takes its seeds from
+// Lookup). Its orphan variant is not rooted, as a crafted checkpoint whose
+// digest matches can still decode: there the arm only evaluates every way,
+// which must not panic or hang, and an over-long path must be refused the
+// same way by every entry point. The seed corpus is the three corpora above
+// plus, in testdata/fuzz/FuzzEvalRoutesAgree, the shapes of TestRouteTable.
 func FuzzEvalRoutesAgree(f *testing.F) {
 	for _, ps := range fig1Corpus {
 		f.Add(ps)
@@ -676,45 +659,57 @@ func FuzzEvalRoutesAgree(f *testing.F) {
 	}
 	var fixtures []fuzzFixture
 	d, _, text := fig1DAG(f)
-	fixtures = append(fixtures, fuzzFixture{d: d, text: text, or: newOracle(d, text)}.committed(f))
+	fixtures = append(fixtures, fuzzFixture{d: d, text: text, or: newOracle(d, text)}.checkRooted(f))
 	d, text = synthDAG(f)
-	fixtures = append(fixtures, fuzzFixture{d: d, text: text, or: newOracle(d, text)}.committed(f))
+	fixtures = append(fixtures, fuzzFixture{d: d, text: text, or: newOracle(d, text)}.checkRooted(f))
 	d, text, seeds := registryDAG(f)
-	fixtures = append(fixtures, fuzzFixture{d: d, text: text, seeds: seeds, or: newOracle(d, text)}.committed(f))
+	fixtures = append(fixtures, fuzzFixture{d: d, text: text, seeds: seeds, or: newOracle(d, text)}.checkRooted(f))
 	d, text = orphanDAG(f)
-	fixtures = append(fixtures, fuzzFixture{d: d, text: text, or: newOracle(d, text)})
+	fixtures = append(fixtures, fuzzFixture{d: d, text: text})
+	for i := range fixtures {
+		fixtures[i].sealed = fixtures[i].d.Seal()
+	}
 	f.Fuzz(func(t *testing.T, text string) {
 		p, err := Parse(text)
 		if err != nil {
 			return
 		}
+		tooLong := len(p.compiled().steps) > MaxSteps
+		refused := func(err error) bool { // as an entry point must: a too-long path alone, by *PathTooLongError
+			var e *PathTooLongError
+			return errors.As(err, &e) == tooLong && (err != nil) == tooLong
+		}
 		for _, fx := range fixtures {
-			if fx.sealed != nil {
-				// The sealed-evaluator arm: over a committed state the
-				// walk-free down route selects what the walking one does.
-				walk := &Evaluator{D: fx.sealed, Text: fx.text}
-				free := &Evaluator{D: fx.sealed, Text: fx.text, Committed: true}
-				a, err1 := walk.EvalSelect(p)
-				b, err2 := free.EvalSelect(p)
-				if fmt.Sprint(err1) != fmt.Sprint(err2) || err1 == nil && (a.Route != b.Route || !slices.Equal(a.Selected, b.Selected)) {
-					t.Fatalf("%q sealed: walking %v %v, committed %v %v", text, a, err1, b, err2)
-				}
+			live := &Evaluator{D: fx.d, Text: fx.text, Seeds: fx.seeds}
+			sealed := &Evaluator{D: fx.sealed, Text: fx.text}
+			entries := []struct {
+				name       string
+				live, seal func(*Path) (*Result, error)
+			}{
+				{"Eval", live.Eval, sealed.Eval},
+				{"EvalSweep", live.EvalSweep, sealed.EvalSweep},
+				{"EvalSelect", live.EvalSelect, sealed.EvalSelect},
+				{"EvalSelectSweep", live.EvalSelectSweep, sealed.EvalSelectSweep},
 			}
-			if len(p.compiled().steps) > MaxSteps || !oracleAffordable(p) {
-				// No oracle: the routes must still agree with each other,
-				// down to the error for an over-long path.
-				ev := &Evaluator{D: fx.d, Text: fx.text, Seeds: fx.seeds}
-				routed, err1 := ev.Eval(p)
-				swept, err2 := ev.EvalSweep(p)
-				fast, err3 := ev.EvalSelect(p)
-				fastSwept, err4 := ev.EvalSelectSweep(p)
-				var tooLong *PathTooLongError
+			results := make([]*Result, len(entries))
+			for i, e := range entries {
+				a, err1 := e.live(p)
+				b, err2 := e.seal(p)
 				switch {
-				case err1 != nil || err2 != nil || err3 != nil || err4 != nil:
-					if !errors.As(err1, &tooLong) || !errors.As(err2, &tooLong) ||
-						!errors.As(err3, &tooLong) || !errors.As(err4, &tooLong) {
-						t.Fatalf("%q: Eval: %v, EvalSweep: %v, EvalSelect: %v, EvalSelectSweep: %v", text, err1, err2, err3, err4)
-					}
+				case !refused(err1) || !refused(err2):
+					t.Fatalf("%q: %d normalized steps: %s live: %v, sealed: %v", text, len(p.compiled().steps), e.name, err1, err2)
+				case !tooLong && fx.rooted && !slices.Equal(a.Selected, b.Selected):
+					t.Fatalf("%q: %s selects %v live, %v sealed", text, e.name, a.Selected, b.Selected)
+				}
+				results[i] = a
+			}
+			if tooLong || !fx.rooted {
+				continue
+			}
+			if !oracleAffordable(p) {
+				// No oracle: the routes must still agree with each other.
+				routed, swept, fast, fastSwept := results[0], results[1], results[2], results[3]
+				switch {
 				case !sameFields(routed, swept):
 					t.Fatalf("%q:\n %s\n %s", text, showResult(routed), showResult(swept))
 				case !reflect.DeepEqual(fast.Selected, fastSwept.Selected) || !reflect.DeepEqual(fast.Selected, routed.Selected):

@@ -683,24 +683,31 @@ func (e *Engine) publish(force bool) time.Duration {
 // generation; every other answer is dropped — all of them after a restore,
 // a rebuilding recovery probe or another seal in between. Entries go in
 // least recently used first, so the carried ones keep their order. It reads
-// only the two sealed epochs and the seal's ΔV.
+// only the two sealed epochs and the seal's ΔV, and holds old's memo lock,
+// which old's readers take too, only to copy the entries out.
 func (e *Engine) carry(old, next *epoch) {
-	if old.memo.Len() == 0 {
+	type entry struct {
+		path string
+		a    answer
+	}
+	held := make([]entry, 0, old.memo.Len())
+	old.memo.Each(func(path string, a answer) { held = append(held, entry{path, a}) })
+	if len(held) == 0 {
 		return // a write-only run: no ΔV to index
 	}
 	delta, ok := next.sn.DeltaFrom(old.sn)
 	head := stampHead(nil, next.sn.Generation())
-	heads := make([]byte, 0, len(head)*old.memo.Len()) // one array for every carried head
-	old.memo.Each(func(path string, a answer) {
-		if !ok || !delta.Keeps(a.reads) {
+	heads := make([]byte, 0, len(head)*len(held)) // one array for every carried head
+	for _, h := range held {
+		if !ok || !delta.Keeps(h.a.reads) {
 			e.met.memoDropped.Inc()
-			return
+			continue
 		}
 		heads = append(heads, head...)
-		a.head = heads[len(heads)-len(head) : len(heads) : len(heads)]
-		next.memo.Add(path, a)
+		h.a.head = heads[len(heads)-len(head) : len(heads) : len(heads)]
+		next.memo.Add(h.path, h.a)
 		e.met.memoCarried.Inc()
-	})
+	}
 }
 
 // Stats describes the serving layer: the published epoch's view statistics

@@ -79,13 +79,14 @@ func mustFollower(t *testing.T, primary string, opts ...server.ReplicaOption) *s
 	return server.NewReplica(rep, primary, opts...)
 }
 
-// waitConverged blocks until the follower has replayed through target.
+// waitConverged blocks until the follower has restored from the primary
+// and replayed through target: a target of 0 waits for the first restore.
 func waitConverged(t *testing.T, f *server.Replica, target uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for f.Status().Generation < target {
+	for st := f.Status(); !st.Following || st.Generation < target; st = f.Status() {
 		if time.Now().After(deadline) {
-			t.Fatalf("follower stuck at generation %d, want %d", f.Status().Generation, target)
+			t.Fatalf("follower stuck at generation %d (following %v), want %d", st.Generation, st.Following, target)
 		}
 		time.Sleep(500 * time.Microsecond)
 	}
@@ -596,11 +597,7 @@ func TestReplicaCarriesUntouchedAnswers(t *testing.T) {
 	ts, eng, _ := mustPrimary(t)
 	f := mustFollower(t, ts.URL)
 	defer f.Close()
-	for deadline := time.Now().Add(10 * time.Second); !f.Status().Following; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the follower never restored")
-		}
-	}
+	waitConverged(t, f, 0)
 	fe := f.Engine()
 	fts := httptest.NewServer(server.NewHandler(fe, server.HandlerOptions{Timeout: 5 * time.Second}))
 	defer fts.Close()
