@@ -595,6 +595,41 @@ func BenchmarkEncodeCheckpoint(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckpoint times the whole checkpoint op on the writer — encode,
+// file, seal and prune — at |C| = 5000 under FsyncAlways. Each iteration
+// applies one 64-update period of churn, untimed, and then checkpoints; two
+// checkpoints are on disk before the first, so every iteration retires one.
+func BenchmarkCheckpoint(b *testing.B) {
+	syn, err := NewSynthetic(SyntheticConfig{NC: 5000, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	v, err := Open(syn.ATG, syn.DB, WithForceSideEffects(), WithDurability(b.TempDir()), WithFsync(FsyncAlways), WithCheckpointEvery(1<<30))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer v.Close()
+	period := func() {
+		keys := syn.FreshKeys(32)
+		insertFresh(b, syn, v, keys)
+		deleteKeys(b, v, keys)
+	}
+	period()
+	if err := v.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		period()
+		b.StartTimer()
+		if err := v.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // durableRegistrar opens the registrar example durably, checkpointing every
 // `every` commits, and collects the view's warnings.
 func durableRegistrar(t *testing.T, dir string, every int) (*View, *[]string) {

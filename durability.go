@@ -187,7 +187,8 @@ func observeRecovery(d time.Duration, records int) {
 
 // ckptEncodeSeconds times the part of a checkpoint that
 // xview_wal_checkpoint_seconds leaves out: serializing the state, on the
-// writer — encoding what changed and reading back the rest.
+// writer — encoding what changed and reading back the rest. The two together
+// are the checkpoint's stall.
 var ckptEncodeSeconds = sync.OnceValue(func() *obs.Histogram {
 	return obs.Default().NewHistogram("xview_checkpoint_encode_seconds",
 		"Checkpoint state serialization on the writer goroutine: encoding the ranges that changed and reading the rest back from the previous checkpoint (log rotation and the file write excluded).",

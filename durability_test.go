@@ -285,9 +285,11 @@ func TestCrashPointRecovery(t *testing.T) {
 
 // TestCrashPointRecoveryAcrossCheckpoint cuts the newest segment of a
 // directory that holds wal-G without ckpt-G — the layout a recovered view's
-// boot Seal leaves — plus a temp file a crashed checkpoint write left behind,
-// with acknowledged records in that segment. Recovery starts from the older
-// checkpoint and replays across both segments.
+// boot Seal leaves — plus a temp file an older build's crashed checkpoint
+// write left behind and a ckpt.next that a crash caught half overwritten by
+// the checkpoint that never landed, with acknowledged records in that
+// segment. Recovery starts from the older checkpoint and replays across both
+// segments.
 func TestCrashPointRecoveryAcrossCheckpoint(t *testing.T) {
 	// Every 6: the one automatic checkpoint falls on generation 6 of 11.
 	crashPointRecovery(t, 6, 2)
@@ -296,8 +298,8 @@ func TestCrashPointRecoveryAcrossCheckpoint(t *testing.T) {
 // crashPointRecovery runs the crash workload checkpointing at the given
 // interval, which must leave wantSegs segments and as many checkpoints, and
 // recovers from every cut of the last segment. With more than one segment
-// the newest checkpoint is left out of the image and a stale temp file put
-// in.
+// the newest checkpoint is left out of the image, and a stale temp file and
+// a half-overwritten ckpt.next are put in.
 func crashPointRecovery(t *testing.T, every, wantSegs int) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -328,6 +330,18 @@ func crashPointRecovery(t *testing.T, every, wantSegs int) {
 	if wantSegs > 1 {
 		landed = landed[:len(landed)-1]
 		whole["ckpt-0000000000.tmp"] = []byte("a checkpoint the crash caught half written")
+		// The file the prune retired, its first half overwritten by the
+		// checkpoint that never landed.
+		retired, err := os.ReadFile(landed[0].Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newest, err := os.ReadFile(info.Checkpoints[len(info.Checkpoints)-1].Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		half := min(len(newest), len(retired)) / 2
+		whole["ckpt.next"] = append(newest[:half:half], retired[half:]...)
 	}
 	for _, c := range landed {
 		if whole[filepath.Base(c.Path)], err = os.ReadFile(c.Path); err != nil {

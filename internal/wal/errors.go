@@ -17,7 +17,7 @@ var ErrDiskFailure = errors.New("wal: disk failure")
 // ("append", "fsync" or "checkpoint"), and — for segment operations — the
 // byte offset where the failing record batch started, so the damage can be
 // located without re-parsing the segment. Offset is -1 when none applies
-// (a checkpoint temp file).
+// (a checkpoint file).
 type DiskFailureError struct {
 	Path   string
 	Op     string

@@ -53,7 +53,7 @@ func walmetrics() *walMetrics {
 			rotations: r.NewCounter("xview_wal_rotations_total",
 				"Segment rotations (one per checkpoint)."),
 			ckptDur: r.NewHistogram("xview_wal_checkpoint_seconds",
-				"Checkpoint file write, for files that landed: frame, temp file, write, fsync, rename, directory fsync (state serialization, log rotation and pruning excluded).",
+				"Checkpoint write on the writer, for checkpoints that completed: log sync, the file (frame, write over ckpt.next, truncate, fsync, rename, directory fsync), log rotation and prune. State serialization is xview_checkpoint_encode_seconds; the two add up to the stall /healthz reports as checkpointing.",
 				obs.LatencyBounds()),
 			ckptBytes: r.NewHistogram("xview_wal_checkpoint_bytes",
 				"Checkpoint file sizes.", obs.ExpBounds(1024, 4, 12)),

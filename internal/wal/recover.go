@@ -32,7 +32,8 @@ type BootState struct {
 // record — an append the crash interrupted — is truncated away with a
 // warning. A checksum failure anywhere it cannot be a torn append wraps
 // ErrCorrupt; a generation gap between checkpoint and records wraps
-// ErrMismatch.
+// ErrMismatch. ckpt.next is never read, so what a failed or crashed
+// checkpoint write left in it is no finding.
 //
 // The returned Log has no active segment yet: the caller starts one at the
 // generation it recovered to with Seal (the state is already on disk, as the
@@ -43,8 +44,10 @@ func Open(dir string, opts Options) (*Log, *BootState, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// A checkpoint the crash caught before its rename: megabytes nothing
-	// else would ever delete. No writer exists yet, so none is in use.
+	// A ckpt-*.tmp is a checkpoint that a build writing through temp files
+	// left when a crash caught it before its rename: megabytes nothing else
+	// would ever delete. No writer exists yet, so none is in use. ckpt.next
+	// stays, whatever it holds: the next checkpoint is written over it.
 	tmps, _ := filepath.Glob(filepath.Join(dir, "ckpt-*"+tmpExt))
 	for _, tmp := range tmps {
 		os.Remove(tmp)

@@ -7,9 +7,15 @@
 //
 //	ckpt-<gen>.xvc  — a checkpoint: the complete state at <gen>, opaque to
 //	                  this package (the root package serializes it), CRC'd,
-//	                  written to a temp file and renamed into place.
+//	                  written as ckpt.next and renamed into place.
 //	wal-<gen>.xvl   — a log segment: the records of generations
 //	                  (<gen>, next checkpoint], one CRC-framed record each.
+//
+// and, once a checkpoint has been retired, one more:
+//
+//	ckpt.next       — the file the next checkpoint is written into: the
+//	                  checkpoint the last prune retired, or whatever a write
+//	                  that failed or crashed left of the next one.
 //
 // A checkpoint seals the epoch before it: ckpt-G holds the state, the log
 // rotates to a fresh segment wal-G, and everything older than the previous
@@ -22,7 +28,7 @@
 //
 // A checkpoint is written file first (WriteCheckpoint): ckpt-G is made
 // durable, and only then does the log rotate to wal-G, so a failure or a crash
-// part-way leaves what was there before plus, at most, a temp file — never a
+// part-way leaves what was there before plus, at most, ckpt.next — never a
 // segment at a generation that nothing on disk reaches. A directory may still
 // hold wal-G and no ckpt-G: the view that recovered to G sealed the old tail
 // without re-serializing the state it had just read (Seal). Recovery needs no
@@ -31,6 +37,20 @@
 // across both segments. A segment is made stable before the next one is
 // created and a new segment's directory entry is fsynced before anything is
 // acknowledged into it, so only the physically last segment can end torn.
+//
+// A retired checkpoint is recycled, not deleted: the prune renames the first
+// checkpoint it retires to ckpt.next, and the next checkpoint is written over
+// it from offset 0, truncated to its frame, fsynced and renamed to ckpt-<gen>,
+// so the filesystem neither frees a checkpoint's blocks nor allocates them
+// again each period. The name matches no checkpoint, segment or temp file, so
+// no listing, recovery or boot cleanup reads or deletes it: at rest the
+// directory holds Keep + 1 checkpoint-sized files, as many as during a write.
+// A reader that opened a checkpoint before it was retired may find it
+// overwritten: the generation frame then disagrees with the name it was
+// opened by, or the state's CRC fails, and the read is an error — never
+// another generation's state. A crash that undoes the retiring rename but
+// keeps the bytes written since leaves the same kind of unreadable file,
+// older than every kept checkpoint, and the next prune retires it again.
 //
 // Every checkpoint file is complete and self-contained: recovery reads one
 // file and the segments after it, never a chain of files. The writer may
@@ -150,7 +170,8 @@ const (
 	ckptMagic = "XVC1"
 	segExt    = ".xvl"
 	ckptExt   = ".xvc"
-	tmpExt    = ".tmp" // a checkpoint file until it is complete and renamed
+	tmpExt    = ".tmp"      // a checkpoint temp file of a build that wrote through temp files
+	nextName  = "ckpt.next" // the file the next checkpoint is written into
 )
 
 func segName(gen uint64) string  { return fmt.Sprintf("wal-%020d%s", gen, segExt) }
@@ -439,7 +460,7 @@ func (l *Log) Seal(gen uint64) error {
 // newest checkpoint are pruned. It is the one checkpoint protocol: genesis,
 // the automatic checkpoint, an explicit Checkpoint, Close and degraded-mode
 // recovery all call it on the writer. A failure or a crash part-way leaves
-// what was there before plus, at most, a temp file (and, if the rotation
+// what was there before plus, at most, ckpt.next (and, if the rotation
 // failed, a ckpt-<gen> that the records up to gen already reach): never a
 // segment without the checkpoint that makes it readable (genesis), nor an
 // empty segment ahead of the records (recovery). A failed file write leaves
@@ -451,6 +472,7 @@ func (l *Log) WriteCheckpoint(gen uint64, buf []byte) error {
 	if err := fault.Hit(fault.CheckpointWrite); err != nil {
 		return &DiskFailureError{Path: filepath.Join(l.dir, ckptName(gen)), Op: "checkpoint", Offset: -1, Err: err}
 	}
+	sp := obs.StartSpan(walmetrics().ckptDur)
 	// The log up to here must be stable before the checkpoint that
 	// supersedes it claims the epoch is sealed.
 	if err := l.Sync(); err != nil {
@@ -463,6 +485,7 @@ func (l *Log) WriteCheckpoint(gen uint64, buf []byte) error {
 		return err
 	}
 	prune(l.dir, l.opts.Keep)
+	sp.End()
 	return nil
 }
 
@@ -475,37 +498,40 @@ func (l *Log) DropCheckpoint(gen uint64) {
 	os.Remove(filepath.Join(l.dir, ckptName(gen)))
 }
 
-// writeCheckpointFile is WriteCheckpoint's file: frame buf in place, temp
-// file, write, fsync, rename, fsync the directory.
+// writeCheckpointFile is WriteCheckpoint's file: frame buf in place, write it
+// over ckpt.next from offset 0 — the checkpoint the last prune retired, or a
+// new file — truncate that to the frame, fsync, rename it to ckpt-<gen>,
+// fsync the directory.
 func writeCheckpointFile(dir string, gen uint64, buf []byte) error {
-	m := walmetrics()
-	sp := obs.StartSpan(m.ckptDur)
 	file := frameCheckpoint(gen, buf)
-	tmp, err := os.CreateTemp(dir, "ckpt-*"+tmpExt)
+	next := filepath.Join(dir, nextName)
+	f, err := os.OpenFile(next, os.O_WRONLY|os.O_CREATE, 0o600)
 	if err != nil {
 		return fmt.Errorf("wal: checkpoint %d: %w", gen, err)
 	}
-	tmpName := tmp.Name()
-	if _, err = tmp.Write(file); err == nil {
-		err = tmp.Sync()
+	if _, err = f.Write(file); err == nil {
+		err = f.Truncate(int64(len(file)))
 	}
-	if cerr := tmp.Close(); err == nil {
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		os.Remove(tmpName)
+		os.Remove(next)
 		return fmt.Errorf("wal: checkpoint %d: %w", gen, err)
 	}
-	if err := os.Rename(tmpName, filepath.Join(dir, ckptName(gen))); err != nil {
-		os.Remove(tmpName)
+	if err := os.Rename(next, filepath.Join(dir, ckptName(gen))); err != nil {
+		os.Remove(next)
 		return fmt.Errorf("wal: checkpoint %d: %w", gen, err)
 	}
 	if err := syncPath(dir); err != nil {
 		return fmt.Errorf("wal: checkpoint %d: %w", gen, err)
 	}
+	m := walmetrics()
 	m.ckpts.Inc()
 	m.ckptBytes.ObserveValue(float64(len(file)))
-	sp.End()
 	return nil
 }
 
@@ -548,18 +574,20 @@ func (l *Log) rotate(gen uint64) error {
 	return nil
 }
 
-// prune removes checkpoints beyond the keep newest and segments older than
-// the oldest kept checkpoint. Best-effort: pruning failures leave garbage,
-// never lose data.
+// prune retires checkpoints beyond the keep newest and removes segments older
+// than the oldest kept checkpoint. The first checkpoint it retires becomes
+// ckpt.next, the file the next checkpoint is written into; any others are
+// removed. Best-effort: pruning failures leave garbage, never lose data.
 func prune(dir string, keep int) {
 	ckpts, segs := listDir(dir)
 	if len(ckpts) <= keep {
 		return
 	}
 	keepFrom := ckpts[len(ckpts)-keep]
-	for _, g := range ckpts {
-		if g < keepFrom {
-			os.Remove(filepath.Join(dir, ckptName(g)))
+	for i, g := range ckpts[:len(ckpts)-keep] {
+		path := filepath.Join(dir, ckptName(g))
+		if i > 0 || os.Rename(path, filepath.Join(dir, nextName)) != nil {
+			os.Remove(path)
 		}
 	}
 	for _, g := range segs {

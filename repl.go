@@ -63,8 +63,14 @@ func (rs *ReplSource) Generation() uint64 { return rs.src.Durable() }
 func (rs *ReplSource) Oldest() (uint64, error) { return rs.src.Oldest() }
 
 // CheckpointBytes returns the newest sealed checkpoint: its generation and
-// the opaque payload a Replica.Restore accepts. Reading races no writer —
-// checkpoints are temp-written and renamed into place.
+// the opaque payload a Replica.Restore accepts. The read can race the writer:
+// a checkpoint is written as ckpt.next and renamed into place, so the file
+// found under a checkpoint's name is complete — but once two newer ones have
+// landed, that file is retired and the next checkpoint is written over it.
+// What protects a fetch caught in that window is the file's own framing: its
+// generation frame must match the generation it was listed under and its
+// state the CRC it carries, so the fetch gets an error, never another
+// generation's state, and the follower backs off and fetches again.
 func (rs *ReplSource) CheckpointBytes() (gen uint64, state []byte, err error) {
 	gen, state, _, err = wal.NewestCheckpoint(rs.v.log.Dir())
 	return gen, state, err
